@@ -19,9 +19,6 @@ its own perf trajectory:
   interpreter" pair; skipped gracefully (recorded with
   ``compiled_available: false``) when neither numba nor a C compiler is
   present;
-* ``cluster_fields`` — the dense kernel with chain clusters: recomputing the
-  local-field matrix after every cluster sweep versus the incremental
-  cluster-flip field updates;
 * ``cluster_sweep_compiled`` — the embedded (chain-coupled) acceptance pair:
   the 128-variable path-chain workload annealed through the numpy
   single-spin+cluster reference loops versus the fused compiled cluster
@@ -100,7 +97,7 @@ def _dense_ising(num_variables: int, seed: int):
 def _path_chain_ising(num_variables: int, chain_length: int, seed: int,
                       density: float = 0.05):
     """Embedded-shaped workload: ferromagnetic path chains (offered as flip
-    clusters) + sparse cross couplings — shared by both cluster pairs.
+    clusters) + sparse cross couplings.
 
     Keep the construction in sync with
     ``tests/cluster_workloads.build_path_chain_problem`` (this module is a
@@ -242,50 +239,6 @@ def bench_compiled_backend(num_variables: int, num_replicas: int,
     return entry
 
 
-def bench_cluster_fields(num_variables: int, chain_length: int,
-                         num_replicas: int, num_sweeps: int,
-                         seed: int = 0) -> dict:
-    """Per-sweep dense field recompute vs. incremental cluster-flip updates.
-
-    The dense kernel run with chain clusters used to recompute the whole
-    ``(R x P) @ (P x P)`` local-field matrix after every cluster sweep; the
-    incremental path adds each accepted cluster's
-    ``(accepted x |C|) @ (|C| x P)`` contribution instead.  The workload is
-    embedded-shaped — ferromagnetic *path* chains plus sparse cross
-    couplings, the regime the ROADMAP item targets — and both sides run the
-    numpy backend so the pair isolates the field-maintenance change.
-    Streams are identical either way.  The residual gap to the ideal is the
-    cluster sweep's own per-cluster Python/sparse overhead, which the
-    incremental path does not touch.
-    """
-    from repro.annealer.engine import IsingSampler
-    from repro.ising.solver import geometric_temperature_schedule
-
-    ising, clusters = _path_chain_ising(num_variables, chain_length, seed)
-    temperatures = geometric_temperature_schedule(num_sweeps, 5.0, 0.05)
-    recompute = IsingSampler(ising, clusters=clusters, kernel="dense",
-                             backend="numpy")
-    recompute.incremental_cluster_fields = False
-    incremental = IsingSampler(ising, clusters=clusters, kernel="dense",
-                               backend="numpy")
-    recompute.anneal(temperatures[:2], 2, random_state=seed)
-    incremental.anneal(temperatures[:2], 2, random_state=seed)
-    before_s, before_spins = _timed(recompute.anneal, temperatures,
-                                    num_replicas, seed + 1)
-    after_s, after_spins = _timed(incremental.anneal, temperatures,
-                                  num_replicas, seed + 1)
-    return {
-        "params": {"num_variables": num_variables,
-                   "chain_length": chain_length,
-                   "num_replicas": num_replicas, "num_sweeps": num_sweeps,
-                   "num_clusters": len(clusters)},
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "samples_identical": bool(np.array_equal(before_spins, after_spins)),
-    }
-
-
 def bench_cluster_sweep_compiled(num_variables: int, chain_length: int,
                                  num_replicas: int, num_sweeps: int,
                                  seed: int = 0) -> dict:
@@ -293,11 +246,11 @@ def bench_cluster_sweep_compiled(num_variables: int, chain_length: int,
 
     The acceptance pair of the cluster backend layer: the same embedded
     128-variable path-chain anneal (ferromagnetic chains plus sparse cross
-    couplings — the workload of ``cluster_fields``), with the
-    single-spin+cluster sweeps running in the numpy reference loops versus
-    the fused compiled kernels (``kernel="auto"`` dispatches the colour
-    kernel on this sparse problem, so the compiled side runs
-    ``fused_colour_cluster_sweep``).  Seeded samples must be bit-identical.
+    couplings), with the single-spin+cluster sweeps running in the numpy
+    reference loops versus the fused compiled kernels (``kernel="auto"``
+    dispatches the colour kernel on this sparse problem, so the compiled
+    side runs ``pack_fused_colour_cluster_sweep``).  Seeded samples must be
+    bit-identical.
     Skipped gracefully (``compiled_available: false``) when neither numba
     nor a C compiler is present.
     """
@@ -572,9 +525,6 @@ def run_suite(scale: str = "quick") -> dict:
             "compiled_backend": bench_compiled_backend(
                 knobs["dense_variables"], knobs["dense_replicas"],
                 knobs["dense_sweeps"]),
-            "cluster_fields": bench_cluster_fields(
-                knobs["cluster_variables"], knobs["cluster_chain"],
-                knobs["cluster_replicas"], knobs["cluster_sweeps"]),
             "cluster_sweep_compiled": bench_cluster_sweep_compiled(
                 knobs["cluster_variables"], knobs["cluster_chain"],
                 knobs["cluster_replicas"], knobs["cluster_sweeps"]),

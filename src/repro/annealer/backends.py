@@ -22,14 +22,31 @@ those inner loops behind a ``backend=`` seam:
 * ``"auto"`` — ``numba`` when importable, else ``cext`` when a working C
   compiler is found, else ``numpy``.
 
-Cluster moves travel across the compiled boundary as a flattened
-:class:`ClusterDescriptor` — member/column/internal-edge CSR-style arrays
-built once per anneal by the engine — and run either standalone
-(:func:`cluster_sweep`) or fused with the single-spin kernels
-(:func:`fused_dense_cluster_sweep` / :func:`fused_colour_cluster_sweep`),
-one compiled call per block for the *whole* schedule.  That is what lets
-multi-block serving packs with chains (the C-RAN workload) run compiled end
-to end instead of falling back to the block-vectorised NumPy loops.
+One entry point per (kernel, rng)
+---------------------------------
+
+The compiled boundary is four functions, one per {dense, colour} x
+{sequential, counter}:
+
+* dense, sequential — :func:`pack_fused_dense_cluster_sweep`;
+* colour, sequential — :func:`pack_fused_colour_cluster_sweep`;
+* dense, counter — :func:`counter_pack_fused_dense_cluster_sweep`;
+* colour, counter — :func:`counter_pack_fused_colour_cluster_sweep`.
+
+Each takes a whole *pack* (the combined ``(R, blocks*P)`` spin matrix of a
+:class:`~repro.annealer.engine.BlockDiagonalSampler`) through the whole
+temperature schedule in one dispatch: per temperature and block, one
+single-spin sweep followed by one cluster-flip sweep.  Every other shape is
+a degenerate case of that one rather than a kernel of its own — a single
+problem is a pack of one block, and a sampler without clusters hands over an
+*empty* :class:`ClusterDescriptor`, whose cluster pass runs zero iterations
+and draws nothing, so the per-block draw stream is exactly the plain
+single-spin stream.  Cluster moves travel across the boundary as that
+flattened descriptor — member/column/internal-edge CSR-style structure
+arrays shared by the blocks plus stacked per-block values — built once per
+anneal by the engine.  The same four symbols are what ``_C_SOURCE`` exports
+(bound through :func:`_cext_signatures`) and what the numba backend JITs
+(as per-block whole-schedule kernels its dispatch loops over).
 
 Draw-stream discipline
 ----------------------
@@ -44,11 +61,11 @@ NumPy loops is a one-ulp difference between the vectorised ``np.exp`` and the
 scalar libm ``exp`` flipping an acceptance whose uniform draw lands inside
 that last-ulp window; the probability is ~1e-16 per uphill draw (~1e-10 over
 a full QA run), which is why the equivalence and golden suites — which compare
-seeded streams bit-for-bit across backends — hold in practice.  The fused
-dense+cluster kernels' incremental field update shares that window: the
-reference updates fields through a small BLAS matmul whose reduction order
-is unspecified, so a ~1-ulp field difference can shift a *later* acceptance
-threshold — tolerable because fields never gate the draw-free
+seeded streams bit-for-bit across backends — hold in practice.  The dense
+kernels' incremental field update across cluster flips shares that window:
+the reference updates fields through a small BLAS matmul whose reduction
+order is unspecified, so a ~1-ulp field difference can shift a *later*
+acceptance threshold — tolerable because fields never gate the draw-free
 ``delta <= 0`` branch at a structural zero.  The cluster flip-energy
 boundary, which does (an isolated chain's boundary is exactly zero), is
 instead accumulated in an explicitly defined member order on both sides.
@@ -65,13 +82,15 @@ replicas consumed.  ``"counter"`` replaces consumption order with position —
 every potential draw is addressed by a ``(site, sweep, replica, move_tag)``
 counter and valued by Philox4x32-10 under a per-block key (see
 :mod:`repro.annealer.counter`) — which makes replica evaluation order
-irrelevant and intra-pack parallelism legal.  The ``counter_*`` dispatch
-functions below carry a ``threads=`` knob: the cext kernels run an OpenMP
-``parallel for`` over replicas (per-thread Philox state; compiled with
-``-fopenmp`` when available, silently serial otherwise) and the numba
-kernels a ``prange`` equivalent; the numpy reference ignores ``threads``.
-Counter-mode trajectories are bit-identical across backends *and* across
-thread counts, which the counter equivalence/golden suites pin.
+irrelevant and intra-pack parallelism legal.  The two ``counter_*`` entry
+points take one key per block where their sequential siblings take one
+generator per block, plus a ``threads=`` knob: the cext kernels run an
+OpenMP ``parallel for`` over (block, replica) pairs (per-thread Philox
+state; compiled with ``-fopenmp`` when available, silently serial
+otherwise) and the numba kernels a ``prange`` over replicas; their numpy
+branches are the reference implementation of counter mode and ignore
+``threads``.  Counter-mode trajectories are bit-identical across backends
+*and* across thread counts, which the counter equivalence/golden suites pin.
 
 Compile-cost discipline
 -----------------------
@@ -217,11 +236,11 @@ def resolve_backend(backend: str) -> str:
 def warmup(backend: str, rng: str = "sequential") -> None:
     """Force the backend's one-time compile cost now, once per process.
 
-    For ``numba`` this JIT-compiles every sweep kernel (dense, colour,
-    cluster and the fused variants) on toy inputs; for
-    ``cext`` it compiles (or dlopens the cached) shared object.  Samplers
-    call this at construction, so first-anneal timings never include
-    compilation.  No-op for ``numpy``/already-warm backends.
+    For ``numba`` this JIT-compiles the discipline's two whole-schedule
+    kernels (dense and colour, each fused with the cluster pass) on toy
+    inputs; for ``cext`` it compiles (or dlopens the cached) shared object.
+    Samplers call this at construction, so first-anneal timings never
+    include compilation.  No-op for ``numpy``/already-warm backends.
 
     The two draw disciplines compile separate kernel sets, so they warm
     separately: ``rng="counter"`` warms the counter/threaded kernels and
@@ -232,204 +251,66 @@ def warmup(backend: str, rng: str = "sequential") -> None:
     token = f"{backend}:{rng}"
     if token in _WARMED or backend == "numpy":
         return
-    if rng == "counter":
-        with PROFILER.phase("backend.warmup", backend, rng):
-            _warmup_counter(backend)
-        _WARMED.add(token)
-        return
-    with PROFILER.phase("backend.warmup", backend):
-        spins = np.ones((2, 2))
-        fields = spins.copy()
-        matrix = np.zeros((2, 2))
-        order = np.arange(2, dtype=np.int64)
-        temperatures = np.array([1.0])
-        rng = np.random.default_rng(0)
-        dense_sweep(backend, spins, fields, matrix, order, temperatures, rng)
-        members = np.arange(2, dtype=np.int64)
-        class_starts = np.array([0, 1, 2], dtype=np.int64)
-        data = np.zeros(0)
-        indices = np.zeros(0, dtype=np.int64)
-        indptr = np.zeros(3, dtype=np.int64)
-        scratch = np.empty((2, 1))
-        colour_sweep(backend, spins, np.zeros(2), members, class_starts,
-                     data, indices, indptr, scratch, temperatures, rng)
-        clusters = ClusterDescriptor(
-            members=members, cluster_starts=np.array([0, 2], dtype=np.int64),
-            data=data, indices=indices, indptr=indptr,
-            edge_i=np.zeros(0, dtype=np.int64),
-            edge_j=np.zeros(0, dtype=np.int64),
-            edge_starts=np.zeros(2, dtype=np.int64),
-            edge_values=np.zeros(0))
-        cluster_sweep(backend, spins, np.zeros(2), clusters, temperatures, rng)
-        fused_dense_cluster_sweep(backend, spins, fields, matrix, order,
-                                  np.zeros(2), clusters, temperatures, rng)
-        fused_colour_cluster_sweep(backend, spins, np.zeros(2), members,
-                                   class_starts, data, indices, indptr,
-                                   scratch, clusters, temperatures, rng)
-        # The engine's multi-block paths pass non-contiguous column slices;
-        # warm those array layouts too, or numba would JIT a second
-        # specialization inside the first timed multi-block anneal.
-        combined = np.ones((2, 4))
-        view = combined[:, 1:3]
-        fields_view = combined.copy()[:, 1:3]
-        dense_sweep(backend, view, fields_view, matrix, order, temperatures,
-                    rng)
-        colour_sweep(backend, view, np.zeros(2), members, class_starts,
-                     data, indices, indptr, scratch, temperatures, rng)
-        cluster_sweep(backend, view, np.zeros(2), clusters, temperatures, rng)
-        fused_dense_cluster_sweep(backend, view, fields_view, matrix, order,
-                                  np.zeros(2), clusters, temperatures, rng)
-        fused_colour_cluster_sweep(backend, view, np.zeros(2), members,
-                                   class_starts, data, indices, indptr,
-                                   scratch, clusters, temperatures, rng)
-    _WARMED.add(token)
-
-
-def _warmup_counter(backend: str) -> None:
-    """Exercise every counter-mode kernel (and array layout) on toy inputs."""
-    spins = np.ones((2, 2))
-    fields = spins.copy()
-    matrix = np.zeros((2, 2))
-    order = np.arange(2, dtype=np.int64)
-    temperatures = np.array([1.0])
-    counter_dense_sweep(backend, spins, fields, matrix, order, temperatures,
-                        key=1, threads=1)
     members = np.arange(2, dtype=np.int64)
     class_starts = np.array([0, 1, 2], dtype=np.int64)
-    data = np.zeros(0)
     indices = np.zeros(0, dtype=np.int64)
     indptr = np.zeros(3, dtype=np.int64)
-    counter_colour_sweep(backend, spins, np.zeros(2), members, class_starts,
-                         data, indices, indptr, temperatures, key=1,
-                         threads=1)
-    # Pack kernels carry stacked (num_blocks, ...) value arrays.
-    pack = ClusterDescriptor(
-        members=members, cluster_starts=np.array([0, 2], dtype=np.int64),
-        data=np.zeros((1, 0)), indices=indices, indptr=indptr,
-        edge_i=np.zeros(0, dtype=np.int64),
-        edge_j=np.zeros(0, dtype=np.int64),
-        edge_starts=np.zeros(2, dtype=np.int64),
-        edge_values=np.zeros((1, 0)))
-    keys = np.array([1], dtype=np.uint64)
-    counter_pack_fused_dense_cluster_sweep(
-        backend, spins.copy(), fields.copy(), matrix[None, :, :], order,
-        np.zeros(2), pack, temperatures, keys, threads=1)
-    counter_pack_fused_colour_cluster_sweep(
-        backend, spins.copy(), np.zeros(2), members, class_starts,
-        np.zeros((1, 0)), indices, indptr, pack, temperatures, keys,
-        threads=1)
-    # The engine's multi-block dense path passes non-contiguous column
-    # slices; warm that layout too for the JIT backend.
-    combined = np.ones((2, 4))
-    view = combined[:, 1:3]
-    fields_view = combined.copy()[:, 1:3]
-    counter_dense_sweep(backend, view, fields_view, matrix, order,
-                        temperatures, key=1, threads=1)
-    counter_colour_sweep(backend, view, np.zeros(2), members, class_starts,
-                         data, indices, indptr, temperatures, key=1,
-                         threads=1)
+    temperatures = np.array([1.0])
+    with PROFILER.phase("backend.warmup", backend, rng):
+        # A one-block pack hands the per-block numba kernels contiguous
+        # arrays, a multi-block pack non-contiguous column slices of the
+        # combined matrices; warm both layouts, or numba would JIT a second
+        # specialization inside the first timed multi-block anneal.
+        for blocks in (1, 2):
+            spins = np.ones((2, 2 * blocks))
+            fields = spins.copy()
+            linear = np.zeros(2 * blocks)
+            matrices = np.zeros((blocks, 2, 2))
+            values = np.zeros((blocks, 0))
+            clusters = ClusterDescriptor(
+                members=members,
+                cluster_starts=np.array([0, 2], dtype=np.int64),
+                data=values, indices=indices, indptr=indptr,
+                edge_i=indices, edge_j=indices,
+                edge_starts=np.zeros(2, dtype=np.int64), edge_values=values)
+            if rng == "counter":
+                keys = [1] * blocks
+                counter_pack_fused_dense_cluster_sweep(
+                    backend, spins, fields, matrices, members, linear,
+                    clusters, temperatures, keys, threads=1)
+                counter_pack_fused_colour_cluster_sweep(
+                    backend, spins, linear, members, class_starts, values,
+                    indices, indptr, clusters, temperatures, keys, threads=1)
+            else:
+                rngs = [np.random.default_rng(0) for _ in range(blocks)]
+                pack_fused_dense_cluster_sweep(
+                    backend, spins, fields, matrices, members, linear,
+                    clusters, temperatures, rngs)
+                pack_fused_colour_cluster_sweep(
+                    backend, spins, linear, members, class_starts, values,
+                    indices, indptr, np.empty((2, 1)), clusters,
+                    temperatures, rngs)
+    _WARMED.add(token)
 
 
 # --------------------------------------------------------------------------- #
 # Kernel entry points (dispatch by backend)
 # --------------------------------------------------------------------------- #
 
-def dense_sweep(backend: str, spins: np.ndarray, fields: np.ndarray,
-                matrix: np.ndarray, order: np.ndarray,
-                temperatures: np.ndarray, rng: np.random.Generator) -> None:
-    """Run sequential-sweep Metropolis over one block with a compiled kernel.
-
-    ``spins`` and ``fields`` are ``(R, P)`` float64 views (rows may be
-    strided — e.g. one block's columns of a combined multi-block matrix) that
-    are updated in place; ``matrix`` is the dense ``(P, P)`` block coupling;
-    ``order`` the variable visit order; one full sweep of every variable is
-    performed per entry of ``temperatures``.  Draws come from *rng* in
-    exactly the reference loop's order.
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["dense"](spins, fields, matrix, order,
-                         np.ascontiguousarray(temperatures, dtype=np.float64),
-                         rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        fn, state = _rng_pointers(rng)
-        lib.dense_sweep(
-            sp, sld, fp, fld,
-            matrix.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(spins.shape[1]),
-            fn, state)
-        return
-    raise AnnealerError(f"no compiled dense kernel for backend {backend!r}")
-
-
-def colour_sweep(backend: str, spins: np.ndarray, linear: np.ndarray,
-                 members: np.ndarray, class_starts: np.ndarray,
-                 data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 scratch: np.ndarray, temperatures: np.ndarray,
-                 rng: np.random.Generator) -> None:
-    """Run colour-class Metropolis sweeps over one block, compiled.
-
-    ``spins`` is an ``(R, P)`` float64 view updated in place; ``members`` /
-    ``class_starts`` describe the ragged colour classes (block-level variable
-    indices, concatenated in class order); ``data``/``indices``/``indptr``
-    are the CSR arrays of the stacked per-class local-field operators (row
-    ``k`` maps block spins to the field of ``members[k]``); ``scratch`` is an
-    ``(R, max_class_width)`` float64 workspace.  One sweep over all classes
-    runs per entry of ``temperatures``, drawing from *rng* in exactly the
-    reference loop's (replica-major) order.
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["colour"](spins, linear, members, class_starts, data, indices,
-                          indptr, scratch,
-                          np.ascontiguousarray(temperatures,
-                                               dtype=np.float64),
-                          rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        fn, state = _rng_pointers(rng)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.colour_sweep(
-            sp, sld,
-            ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            scratch.ctypes.data_as(ctypes.c_void_p),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fn, state)
-        return
-    raise AnnealerError(f"no compiled colour kernel for backend {backend!r}")
-
-
 class ClusterDescriptor(NamedTuple):
-    """Flattened per-block cluster metadata handed across the compiled boundary.
+    """Flattened pack-level cluster metadata handed across the compiled boundary.
 
     Built once per anneal by the engine
-    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_descriptors`)
+    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`)
     from the live coupling matrix, so samplers rebound through
-    ``refresh_values`` always sweep the current values.  All arrays are
-    *block-level*: member and edge indices address one block's ``(R, P)``
-    spin view, and ``data``/``edge_values`` carry that block's coupling
-    values (structure arrays are shared between the blocks of a pack).
+    ``refresh_values`` always sweep the current values.  The structure
+    arrays are *block-level* (member and edge indices address one block's
+    ``(R, P)`` spin view) and shared by every block of the pack; ``data`` /
+    ``edge_values`` stack the blocks' coupling values row per block.  A
+    sampler without clusters hands over the *empty* descriptor
+    (``cluster_starts == [0]``, ``(blocks, 0)`` value matrices): the kernels
+    then run a zero-iteration cluster pass that draws nothing, so "no
+    clusters" needs no entry point of its own.
     """
 
     #: Cluster members, cluster-major: ``members[cluster_starts[c]:
@@ -437,9 +318,10 @@ class ClusterDescriptor(NamedTuple):
     members: np.ndarray
     #: Ragged cluster delimiters, ``int64[C+1]``.
     cluster_starts: np.ndarray
-    #: CSR triple of the stacked member local-field rows: row ``k`` maps the
+    #: CSR triple of the stacked member local-field rows: row ``k`` maps a
     #: block's spins to the coupling field of ``members[k]`` (same values, in
-    #: the same ascending-column order, as the reference cluster operators).
+    #: the same ascending-column order, as the reference cluster operators);
+    #: ``data`` is the ``(blocks, nnz)`` value matrix over that structure.
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -450,12 +332,12 @@ class ClusterDescriptor(NamedTuple):
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_starts: np.ndarray
-    #: This block's coupling value of every internal edge.
+    #: Every block's coupling value of every internal edge, ``(blocks, E)``.
     edge_values: np.ndarray
 
 
 def _cluster_ctypes_args(clusters: ClusterDescriptor) -> list:
-    """The descriptor's ctypes argument tail shared by the cext kernels."""
+    """The descriptor's ctypes argument run shared by the four cext kernels."""
     return [
         clusters.members.ctypes.data_as(ctypes.c_void_p),
         clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
@@ -463,149 +345,20 @@ def _cluster_ctypes_args(clusters: ClusterDescriptor) -> list:
         clusters.data.ctypes.data_as(ctypes.c_void_p),
         clusters.indices.ctypes.data_as(ctypes.c_void_p),
         clusters.indptr.ctypes.data_as(ctypes.c_void_p),
+        ctypes.c_int64(clusters.data.shape[1]),
         clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
         clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
         clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
         clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
+        ctypes.c_int64(clusters.edge_values.shape[1]),
     ]
 
 
-def cluster_sweep(backend: str, spins: np.ndarray, linear: np.ndarray,
-                  clusters: ClusterDescriptor, temperatures: np.ndarray,
-                  rng: np.random.Generator) -> None:
-    """Run cluster-flip Metropolis sweeps over one block, compiled.
-
-    ``spins`` is an ``(R, P)`` float64 view updated in place; one sweep
-    offering every cluster of *clusters* a collective flip runs per entry of
-    ``temperatures``.  Uphill draws come from *rng* one uniform per uphill
-    replica in ascending replica order, cluster-major — exactly the
-    reference loop's ``rng.random(count)`` stream.
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["cluster"](spins, linear, clusters.members,
-                           clusters.cluster_starts, clusters.data,
-                           clusters.indices, clusters.indptr,
-                           clusters.edge_i, clusters.edge_j,
-                           clusters.edge_starts, clusters.edge_values,
-                           np.ascontiguousarray(temperatures,
-                                                dtype=np.float64),
-                           rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        fn, state = _rng_pointers(rng)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.cluster_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fn, state)
-        return
-    raise AnnealerError(f"no compiled cluster kernel for backend {backend!r}")
-
-
-def fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
-                              fields: np.ndarray, matrix: np.ndarray,
-                              order: np.ndarray, linear: np.ndarray,
-                              clusters: ClusterDescriptor,
-                              temperatures: np.ndarray,
-                              rng: np.random.Generator) -> None:
-    """Dense sequential sweep + cluster-flip sweep, fused per temperature.
-
-    One compiled call evolves one block through the whole schedule: for
-    every entry of ``temperatures`` a full dense sequential sweep runs
-    first (as :func:`dense_sweep`), then every cluster is offered a
-    collective flip.  Accepted cluster flips update the block's
-    local-field matrix *incrementally* (``fields[r, :] += sum_m (-2 s_m)
-    J[m, :]``), so the field matrix is never recomputed.  The per-block
-    draw stream is exactly the reference loops' (dense draws, then cluster
-    draws, per sweep).
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["fused_dense"](
-            spins, fields, matrix, order, linear, clusters.members,
-            clusters.cluster_starts, clusters.data, clusters.indices,
-            clusters.indptr, clusters.edge_i, clusters.edge_j,
-            clusters.edge_starts, clusters.edge_values,
-            np.ascontiguousarray(temperatures, dtype=np.float64), rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        fn, state = _rng_pointers(rng)
-        lib.fused_dense_cluster_sweep(
-            sp, sld, fp, fld,
-            matrix.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(spins.shape[1]),
-            fn, state)
-        return
-    raise AnnealerError(
-        f"no fused dense+cluster kernel for backend {backend!r}")
-
-
-def fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
-                               linear: np.ndarray, members: np.ndarray,
-                               class_starts: np.ndarray, data: np.ndarray,
-                               indices: np.ndarray, indptr: np.ndarray,
-                               scratch: np.ndarray,
-                               clusters: ClusterDescriptor,
-                               temperatures: np.ndarray,
-                               rng: np.random.Generator) -> None:
-    """Colour-class sweep + cluster-flip sweep, fused per temperature.
-
-    The embedded-problem serving shape: for every entry of ``temperatures``
-    a full colour-class sweep runs first (as :func:`colour_sweep`), then the
-    cluster-flip sweep.  One compiled call per block covers the whole
-    schedule, which is what lets multi-block serving packs with chains stay
-    compiled instead of paying one dispatch per (block, sweep).
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["fused_colour"](
-            spins, linear, members, class_starts, data, indices, indptr,
-            scratch, clusters.members, clusters.cluster_starts,
-            clusters.data, clusters.indices, clusters.indptr,
-            clusters.edge_i, clusters.edge_j, clusters.edge_starts,
-            clusters.edge_values,
-            np.ascontiguousarray(temperatures, dtype=np.float64), rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        fn, state = _rng_pointers(rng)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.fused_colour_cluster_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            scratch.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fn, state)
-        return
-    raise AnnealerError(
-        f"no fused colour+cluster kernel for backend {backend!r}")
+def _block_cluster_args(clusters: ClusterDescriptor, b: int) -> tuple:
+    """Block *b*'s descriptor argument run of the per-block numba kernels."""
+    return (clusters.members, clusters.cluster_starts, clusters.data[b],
+            clusters.indices, clusters.indptr, clusters.edge_i,
+            clusters.edge_j, clusters.edge_starts, clusters.edge_values[b])
 
 
 def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
@@ -627,18 +380,26 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                                     scratch: np.ndarray,
                                     clusters: ClusterDescriptor,
                                     temperatures: np.ndarray, rngs) -> None:
-    """Whole-schedule fused colour+cluster sweeps over a multi-block pack.
+    """Whole-schedule colour-class (+ cluster-flip) sweeps over a pack.
 
-    One dispatch per pack per anneal: ``spins`` is the combined
-    ``(R, blocks*P)`` matrix, ``linear`` the combined block-major field
-    vector, and the per-block coupling values travel stacked — *class_data*
-    is ``(blocks, class_nnz)`` over the shared class CSR structure, and the
-    descriptor's ``data`` / ``edge_values`` are the ``(blocks, nnz)`` /
-    ``(blocks, E)`` block-major value matrices (all blocks of a pack share
-    one sparsity structure).  Each block consumes its own generator from
-    *rngs* exactly as a one-block fused call would, so the pack is
-    bit-for-bit the per-block serial anneals with the call marshalling paid
-    once per pack instead of once per block.
+    The sequential-discipline colour entry point — one dispatch per anneal
+    whatever the pack shape; a single problem is a pack of one block.
+    ``spins`` is the combined ``(R, blocks*P)`` float64 matrix updated in
+    place and ``linear`` the combined block-major field vector.
+    ``members`` / ``class_starts`` describe the ragged colour classes
+    (block-level variable indices, concatenated in class order) and
+    ``indices``/``indptr`` the CSR structure of the stacked per-class
+    local-field operators (row ``k`` maps a block's spins to the field of
+    ``members[k]``); all blocks share that structure, so the per-block
+    values travel stacked — *class_data* is ``(blocks, class_nnz)``, and
+    *clusters* carries ``(blocks, nnz)`` / ``(blocks, E)`` value matrices
+    (empty when the sampler has no clusters).  ``scratch`` is an
+    ``(R, max_class_width)`` float64 workspace.  Per entry of
+    ``temperatures`` every block runs one sweep over all classes, then
+    offers every cluster a collective flip, drawing from its own generator
+    of *rngs* in exactly the reference loops' (replica-major) order — so
+    the pack is bit-for-bit the per-block serial anneals with the call
+    marshalling paid once.
     """
     num_blocks = len(rngs)
     size = spins.shape[1] // num_blocks
@@ -647,13 +408,10 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
         temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
         for b, rng in enumerate(rngs):
             segment = slice(b * size, (b + 1) * size)
-            kernels["fused_colour"](
+            kernels["colour"](
                 spins[:, segment], linear[segment], members, class_starts,
-                class_data[b], indices, indptr, scratch, clusters.members,
-                clusters.cluster_starts, clusters.data[b], clusters.indices,
-                clusters.indptr, clusters.edge_i, clusters.edge_j,
-                clusters.edge_starts, clusters.edge_values[b], temperatures,
-                rng)
+                class_data[b], indices, indptr, scratch,
+                *_block_cluster_args(clusters, b), temperatures, rng)
         return
     if backend == "cext":
         lib = _load_cext()
@@ -672,18 +430,7 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
             indptr.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(class_data.shape[1]),
             scratch.ctypes.data_as(ctypes.c_void_p),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             fns, states)
@@ -697,13 +444,17 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
                                    order: np.ndarray, linear: np.ndarray,
                                    clusters: ClusterDescriptor,
                                    temperatures: np.ndarray, rngs) -> None:
-    """Whole-schedule fused dense+cluster sweeps over a multi-block pack.
+    """Whole-schedule dense sequential (+ cluster-flip) sweeps over a pack.
 
     The dense-kernel sibling of :func:`pack_fused_colour_cluster_sweep`:
     ``matrices`` is the ``(blocks, P, P)`` C-contiguous stack of per-block
-    dense couplings, ``fields`` the combined ``(R, blocks*P)`` local-field
-    matrix maintained incrementally across both move types, and the
-    descriptor carries stacked block-major values as in the colour pack.
+    dense couplings, ``order`` the variable visit order and ``fields`` the
+    combined ``(R, blocks*P)`` local-field matrix, updated in place and
+    maintained incrementally across both move types (an accepted cluster
+    flip adds ``sum_m (-2 s_m) J[m, :]`` to the replica's field row, so the
+    matrix is never recomputed).  Rows of ``spins``/``fields`` may be
+    strided.  Per block the draw stream is exactly the reference loops'
+    (dense draws, then cluster draws, per sweep).
     """
     num_blocks = len(rngs)
     size = spins.shape[1] // num_blocks
@@ -712,12 +463,10 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
         temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
         for b, rng in enumerate(rngs):
             segment = slice(b * size, (b + 1) * size)
-            kernels["fused_dense"](
+            kernels["dense"](
                 spins[:, segment], fields[:, segment], matrices[b], order,
-                linear[segment], clusters.members, clusters.cluster_starts,
-                clusters.data[b], clusters.indices, clusters.indptr,
-                clusters.edge_i, clusters.edge_j, clusters.edge_starts,
-                clusters.edge_values[b], temperatures, rng)
+                linear[segment], *_block_cluster_args(clusters, b),
+                temperatures, rng)
         return
     if backend == "cext":
         lib = _load_cext()
@@ -735,18 +484,7 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
             ctypes.c_int64(spins.shape[0]), ctypes.c_int64(num_blocks),
             ctypes.c_int64(size),
             linear.ctypes.data_as(ctypes.c_void_p),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             fns, states)
@@ -907,118 +645,20 @@ def _run_numba_threaded(threads: int, kernel, *args) -> None:
         numba.set_num_threads(previous)
 
 
-def counter_dense_sweep(backend: str, spins: np.ndarray, fields: np.ndarray,
-                        matrix: np.ndarray, order: np.ndarray,
-                        temperatures: np.ndarray, key: int,
-                        threads: int = 1) -> None:
-    """Counter-mode dense sequential sweeps over one block.
-
-    The counter sibling of :func:`dense_sweep`: same arrays and dynamics,
-    but uphill uniforms come from Philox at ``(visit position, sweep,
-    replica, TAG_SWEEP)`` under *key*, so replicas are independent and the
-    compiled backends may evolve them across *threads* workers.  Every
-    backend (and every thread count) produces bit-identical trajectories.
-    """
-    threads = max(1, int(threads))
-    if backend == "numpy":
-        replicas = np.arange(spins.shape[0], dtype=np.uint32)
-        for t in range(len(temperatures)):
-            _counter_dense_pass_numpy(spins, fields, matrix, order,
-                                      temperatures[t], t, replicas, key)
-        return
-    if backend == "numba":
-        kernels = _ensure_numba_counter_kernels()
-        _run_numba_threaded(
-            threads, kernels["dense"], spins, fields,
-            np.ascontiguousarray(matrix, dtype=np.float64),
-            np.ascontiguousarray(order, dtype=np.int64),
-            np.ascontiguousarray(temperatures, dtype=np.float64),
-            np.uint64(key))
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        _note_openmp_team(threads)
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        lib.counter_dense_sweep(
-            sp, sld, fp, fld,
-            matrix.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(spins.shape[1]),
-            ctypes.c_uint64(int(key)), ctypes.c_int64(threads))
-        return
-    raise AnnealerError(
-        f"no counter dense kernel for backend {backend!r}")
-
-
-def counter_colour_sweep(backend: str, spins: np.ndarray, linear: np.ndarray,
-                         members: np.ndarray, class_starts: np.ndarray,
-                         data: np.ndarray, indices: np.ndarray,
-                         indptr: np.ndarray, temperatures: np.ndarray,
-                         key: int, threads: int = 1) -> None:
-    """Counter-mode colour-class sweeps over one block.
-
-    The counter sibling of :func:`colour_sweep` (no scratch needed: the
-    per-replica kernels compute member fields on the fly, which is bitwise
-    identical to the precompute because colour-class members never
-    interact).  The draw site is the member's row in the concatenated
-    class order.
-    """
-    threads = max(1, int(threads))
-    if backend == "numpy":
-        replicas = np.arange(spins.shape[0], dtype=np.uint32)
-        operators = _counter_class_operators(class_starts, data, indices,
-                                             indptr, spins.shape[1])
-        for t in range(len(temperatures)):
-            _counter_colour_pass_numpy(spins, linear, members, operators,
-                                       temperatures[t], t, replicas, key)
-        return
-    if backend == "numba":
-        kernels = _ensure_numba_counter_kernels()
-        _run_numba_threaded(
-            threads, kernels["colour"], spins, linear, members, class_starts,
-            data, indices, indptr,
-            np.ascontiguousarray(temperatures, dtype=np.float64),
-            np.uint64(key))
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        _note_openmp_team(threads)
-        sp, sld = _row_strided(spins)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.counter_colour_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_uint64(int(key)), ctypes.c_int64(threads))
-        return
-    raise AnnealerError(
-        f"no counter colour kernel for backend {backend!r}")
-
-
 def counter_pack_fused_dense_cluster_sweep(
         backend: str, spins: np.ndarray, fields: np.ndarray,
         matrices: np.ndarray, order: np.ndarray, linear: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
         threads: int = 1) -> None:
-    """Counter-mode fused dense+cluster sweeps over a multi-block pack.
+    """Counter-mode dense sequential (+ cluster-flip) sweeps over a pack.
 
-    The counter sibling of :func:`pack_fused_dense_cluster_sweep`: one
-    Philox key per block instead of one generator per block, and the cext
-    variant parallelises over every ``(block, replica)`` pair.
+    The counter sibling of :func:`pack_fused_dense_cluster_sweep`: same
+    arrays and dynamics, but uphill uniforms come from Philox at ``(visit
+    position | cluster, sweep, replica, tag)`` under one key per block
+    instead of one generator per block, so replicas are independent and
+    the compiled backends may evolve them across *threads* workers (the
+    cext variant parallelises over every ``(block, replica)`` pair).  Every
+    backend and every thread count produces bit-identical trajectories.
     """
     threads = max(1, int(threads))
     num_blocks = len(keys)
@@ -1049,12 +689,10 @@ def counter_pack_fused_dense_cluster_sweep(
         for b, key in enumerate(keys):
             segment = slice(b * size, (b + 1) * size)
             _run_numba_threaded(
-                threads, kernels["fused_dense"], spins[:, segment],
+                threads, kernels["dense"], spins[:, segment],
                 fields[:, segment], matrices[b], order, linear[segment],
-                clusters.members, clusters.cluster_starts, clusters.data[b],
-                clusters.indices, clusters.indptr, clusters.edge_i,
-                clusters.edge_j, clusters.edge_starts,
-                clusters.edge_values[b], temperatures, np.uint64(key))
+                *_block_cluster_args(clusters, b), temperatures,
+                np.uint64(key))
         return
     if backend == "cext":
         lib = _load_cext()
@@ -1073,18 +711,7 @@ def counter_pack_fused_dense_cluster_sweep(
             ctypes.c_int64(spins.shape[0]), ctypes.c_int64(num_blocks),
             ctypes.c_int64(size),
             linear.ctypes.data_as(ctypes.c_void_p),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             keys_array.ctypes.data_as(ctypes.c_void_p),
@@ -1100,11 +727,15 @@ def counter_pack_fused_colour_cluster_sweep(
         indices: np.ndarray, indptr: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
         threads: int = 1) -> None:
-    """Counter-mode fused colour+cluster sweeps over a multi-block pack.
+    """Counter-mode colour-class (+ cluster-flip) sweeps over a pack.
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
     embedded serving shape under the counter contract, one Philox key per
-    block and (block, replica)-parallel in the cext variant.
+    block and (block, replica)-parallel in the cext variant.  No scratch is
+    needed: the per-replica kernels compute member fields on the fly, which
+    is bitwise identical to the precompute because colour-class members
+    never interact.  The draw site is the member's row in the concatenated
+    class order.
     """
     threads = max(1, int(threads))
     num_blocks = len(keys)
@@ -1134,12 +765,10 @@ def counter_pack_fused_colour_cluster_sweep(
         for b, key in enumerate(keys):
             segment = slice(b * size, (b + 1) * size)
             _run_numba_threaded(
-                threads, kernels["fused_colour"], spins[:, segment],
+                threads, kernels["colour"], spins[:, segment],
                 linear[segment], members, class_starts, class_data[b],
-                indices, indptr, clusters.members, clusters.cluster_starts,
-                clusters.data[b], clusters.indices, clusters.indptr,
-                clusters.edge_i, clusters.edge_j, clusters.edge_starts,
-                clusters.edge_values[b], temperatures, np.uint64(key))
+                indices, indptr, *_block_cluster_args(clusters, b),
+                temperatures, np.uint64(key))
         return
     if backend == "cext":
         lib = _load_cext()
@@ -1158,18 +787,7 @@ def counter_pack_fused_colour_cluster_sweep(
             indices.ctypes.data_as(ctypes.c_void_p),
             indptr.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(class_data.shape[1]),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             keys_array.ctypes.data_as(ctypes.c_void_p),
@@ -1300,29 +918,6 @@ def _ensure_numba_kernels() -> Dict[str, object]:
                         spins[r, cmembers[k]] = -spins[r, cmembers[k]]
 
     @numba.njit(cache=True)
-    def dense_kernel(spins, fields, matrix, order, temperatures, rng):
-        for t in range(temperatures.shape[0]):
-            dense_pass(spins, fields, matrix, order, temperatures[t], rng)
-
-    @numba.njit(cache=True)
-    def colour_kernel(spins, linear, members, class_starts, data, indices,
-                      indptr, scratch, temperatures, rng):
-        for t in range(temperatures.shape[0]):
-            colour_pass(spins, linear, members, class_starts, data, indices,
-                        indptr, scratch, temperatures[t], rng)
-
-    @numba.njit(cache=True)
-    def cluster_kernel(spins, linear, cmembers, cluster_starts, cdata,
-                       cindices, cindptr, edge_i, edge_j, edge_starts,
-                       edge_values, temperatures, rng):
-        dummy = np.empty((0, 0))
-        for t in range(temperatures.shape[0]):
-            cluster_pass(spins, linear, cmembers, cluster_starts, cdata,
-                         cindices, cindptr, edge_i, edge_j, edge_starts,
-                         edge_values, temperatures[t], False, dummy, dummy,
-                         rng)
-
-    @numba.njit(cache=True)
     def fused_dense_kernel(spins, fields, matrix, order, linear, cmembers,
                            cluster_starts, cdata, cindices, cindptr, edge_i,
                            edge_j, edge_starts, edge_values, temperatures,
@@ -1350,11 +945,8 @@ def _ensure_numba_kernels() -> Dict[str, object]:
                          rng)
 
     _NUMBA_KERNELS = {
-        "dense": dense_kernel,
-        "colour": colour_kernel,
-        "cluster": cluster_kernel,
-        "fused_dense": fused_dense_kernel,
-        "fused_colour": fused_colour_kernel,
+        "dense": fused_dense_kernel,
+        "colour": fused_colour_kernel,
     }
     return _NUMBA_KERNELS
 
@@ -1486,23 +1078,6 @@ def _ensure_numba_counter_kernels() -> Dict[str, object]:
                     spins[r, cmembers[k]] = -spins[r, cmembers[k]]
 
     @numba.njit(cache=True, parallel=True)
-    def counter_dense_kernel(spins, fields, matrix, order, temperatures,
-                             key):
-        for r in prange(spins.shape[0]):
-            for t in range(temperatures.shape[0]):
-                counter_dense_replica(spins, fields, matrix, order,
-                                      temperatures[t], t, r, key)
-
-    @numba.njit(cache=True, parallel=True)
-    def counter_colour_kernel(spins, linear, members, class_starts, data,
-                              indices, indptr, temperatures, key):
-        for r in prange(spins.shape[0]):
-            for t in range(temperatures.shape[0]):
-                counter_colour_replica(spins, linear, members, class_starts,
-                                       data, indices, indptr,
-                                       temperatures[t], t, r, key)
-
-    @numba.njit(cache=True, parallel=True)
     def counter_fused_dense_kernel(spins, fields, matrix, order, linear,
                                    cmembers, cluster_starts, cdata, cindices,
                                    cindptr, edge_i, edge_j, edge_starts,
@@ -1536,10 +1111,8 @@ def _ensure_numba_counter_kernels() -> Dict[str, object]:
                                         key, False, dummy, dummy)
 
     _NUMBA_COUNTER_KERNELS = {
-        "dense": counter_dense_kernel,
-        "colour": counter_colour_kernel,
-        "fused_dense": counter_fused_dense_kernel,
-        "fused_colour": counter_fused_colour_kernel,
+        "dense": counter_fused_dense_kernel,
+        "colour": counter_fused_colour_kernel,
     }
     return _NUMBA_COUNTER_KERNELS
 
@@ -1715,125 +1288,18 @@ static void cluster_pass(double *spins, int64_t sld, int64_t num_replicas,
     }
 }
 
-void dense_sweep(double *spins, int64_t sld,
-                 double *fields, int64_t fld,
-                 const double *matrix,
-                 const int64_t *order, int64_t order_len,
-                 const double *temperatures, int64_t num_sweeps,
-                 int64_t num_replicas, int64_t size,
-                 next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t)
-        dense_pass(spins, sld, fields, fld, matrix, order, order_len,
-                   temperatures[t], num_replicas, size, next_double, state);
-}
-
-void colour_sweep(double *spins, int64_t sld, int64_t num_replicas,
-                  const double *linear,
-                  const int64_t *members, const int64_t *class_starts,
-                  int64_t num_classes,
-                  const double *data, const int64_t *indices,
-                  const int64_t *indptr,
-                  double *scratch,
-                  const double *temperatures, int64_t num_sweeps,
-                  next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t)
-        colour_pass(spins, sld, num_replicas, linear, members, class_starts,
-                    num_classes, data, indices, indptr, scratch,
-                    temperatures[t], next_double, state);
-}
-
-void cluster_sweep(double *spins, int64_t sld, int64_t num_replicas,
-                   const double *linear,
-                   const int64_t *cmembers, const int64_t *cluster_starts,
-                   int64_t num_clusters,
-                   const double *cdata, const int64_t *cindices,
-                   const int64_t *cindptr,
-                   const int64_t *edge_i, const int64_t *edge_j,
-                   const int64_t *edge_starts, const double *edge_values,
-                   const double *temperatures, int64_t num_sweeps,
-                   next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t)
-        cluster_pass(spins, sld, num_replicas, linear, cmembers,
-                     cluster_starts, num_clusters, cdata, cindices, cindptr,
-                     edge_i, edge_j, edge_starts, edge_values,
-                     temperatures[t], NULL, 0, NULL, 0, next_double, state);
-}
-
-/* Whole-schedule fused kernels: one call per block per anneal.  Per
+/* The sequential-discipline entry points: one call per pack per anneal
+   (a single problem is a pack of one block; a sampler without clusters
+   passes num_clusters == 0 and the cluster pass draws nothing).  Per
    temperature the single-spin sweep runs first, then the cluster sweep —
-   the exact per-block draw order of the reference loops. */
-void fused_dense_cluster_sweep(double *spins, int64_t sld,
-                               double *fields, int64_t fld,
-                               const double *matrix,
-                               const int64_t *order, int64_t order_len,
-                               const double *linear,
-                               const int64_t *cmembers,
-                               const int64_t *cluster_starts,
-                               int64_t num_clusters,
-                               const double *cdata, const int64_t *cindices,
-                               const int64_t *cindptr,
-                               const int64_t *edge_i, const int64_t *edge_j,
-                               const int64_t *edge_starts,
-                               const double *edge_values,
-                               const double *temperatures,
-                               int64_t num_sweeps,
-                               int64_t num_replicas, int64_t size,
-                               next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t) {
-        dense_pass(spins, sld, fields, fld, matrix, order, order_len,
-                   temperatures[t], num_replicas, size, next_double, state);
-        cluster_pass(spins, sld, num_replicas, linear, cmembers,
-                     cluster_starts, num_clusters, cdata, cindices, cindptr,
-                     edge_i, edge_j, edge_starts, edge_values,
-                     temperatures[t], fields, fld, matrix, size,
-                     next_double, state);
-    }
-}
-
-void fused_colour_cluster_sweep(double *spins, int64_t sld,
-                                int64_t num_replicas,
-                                const double *linear,
-                                const int64_t *members,
-                                const int64_t *class_starts,
-                                int64_t num_classes,
-                                const double *data, const int64_t *indices,
-                                const int64_t *indptr,
-                                double *scratch,
-                                const int64_t *cmembers,
-                                const int64_t *cluster_starts,
-                                int64_t num_clusters,
-                                const double *cdata, const int64_t *cindices,
-                                const int64_t *cindptr,
-                                const int64_t *edge_i, const int64_t *edge_j,
-                                const int64_t *edge_starts,
-                                const double *edge_values,
-                                const double *temperatures,
-                                int64_t num_sweeps,
-                                next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t) {
-        colour_pass(spins, sld, num_replicas, linear, members, class_starts,
-                    num_classes, data, indices, indptr, scratch,
-                    temperatures[t], next_double, state);
-        cluster_pass(spins, sld, num_replicas, linear, cmembers,
-                     cluster_starts, num_clusters, cdata, cindices, cindptr,
-                     edge_i, edge_j, edge_starts, edge_values,
-                     temperatures[t], NULL, 0, NULL, 0, next_double, state);
-    }
-}
-
-/* Pack-level fused kernels: one call per multi-block pack per anneal.
-   All blocks share one CSR structure (the BlockDiagonalSampler invariant),
-   so per-block values travel as stacked block-major matrices (row b =
-   block b's data) and per-block randomness as arrays of BitGenerator
-   (next_double, state) pairs.  Blocks never interact and each draws from
-   its own generator, so evolving them one after the other through the
-   whole schedule reproduces every block's serial stream while amortising
-   the call marshalling over the pack — the C-RAN serving shape. */
+   the exact per-block draw order of the reference loops.  All blocks share
+   one CSR structure (the BlockDiagonalSampler invariant), so per-block
+   values travel as stacked block-major matrices (row b = block b's data)
+   and per-block randomness as arrays of BitGenerator (next_double, state)
+   pairs.  Blocks never interact and each draws from its own generator, so
+   evolving them one after the other through the whole schedule reproduces
+   every block's serial stream while amortising the call marshalling over
+   the pack — the C-RAN serving shape. */
 void pack_fused_colour_cluster_sweep(
     double *spins, int64_t sld, int64_t num_replicas,
     int64_t num_blocks, int64_t size,
@@ -2064,56 +1530,10 @@ static void counter_cluster_replica(double *srow, const double *linear,
     }
 }
 
-void counter_dense_sweep(double *spins, int64_t sld,
-                         double *fields, int64_t fld,
-                         const double *matrix,
-                         const int64_t *order, int64_t order_len,
-                         const double *temperatures, int64_t num_sweeps,
-                         int64_t num_replicas, int64_t size,
-                         uint64_t key, int64_t threads)
-{
-    const uint32_t k0 = (uint32_t)key;
-    const uint32_t k1 = (uint32_t)(key >> 32);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads((int)threads)
-#endif
-    for (int64_t r = 0; r < num_replicas; ++r) {
-        double *srow = spins + r * sld;
-        double *frow = fields + r * fld;
-        for (int64_t t = 0; t < num_sweeps; ++t)
-            counter_dense_replica(srow, frow, matrix, order, order_len,
-                                  size, temperatures[t], (uint32_t)t,
-                                  (uint32_t)r, k0, k1);
-    }
-}
-
-void counter_colour_sweep(double *spins, int64_t sld, int64_t num_replicas,
-                          const double *linear,
-                          const int64_t *members,
-                          const int64_t *class_starts, int64_t num_classes,
-                          const double *data, const int64_t *indices,
-                          const int64_t *indptr,
-                          const double *temperatures, int64_t num_sweeps,
-                          uint64_t key, int64_t threads)
-{
-    const uint32_t k0 = (uint32_t)key;
-    const uint32_t k1 = (uint32_t)(key >> 32);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads((int)threads)
-#endif
-    for (int64_t r = 0; r < num_replicas; ++r) {
-        double *srow = spins + r * sld;
-        for (int64_t t = 0; t < num_sweeps; ++t)
-            counter_colour_replica(srow, linear, members, class_starts,
-                                   num_classes, data, indices, indptr,
-                                   temperatures[t], (uint32_t)t,
-                                   (uint32_t)r, k0, k1);
-    }
-}
-
-/* Counter-mode pack kernels: blocks and replicas are all independent, so
-   the parallel loop collapses over (block, replica) pairs — the pack's
-   full parallelism budget in one region. */
+/* The counter-discipline entry points, same pack arguments with per-block
+   keys for generators: blocks and replicas are all independent, so the
+   parallel loop collapses over (block, replica) pairs — the pack's full
+   parallelism budget in one region. */
 void counter_pack_fused_dense_cluster_sweep(
     double *spins, int64_t sld,
     double *fields, int64_t fld,
@@ -2284,6 +1704,54 @@ def _compile_cext() -> Optional[Path]:
     return target
 
 
+def _cext_signatures() -> Dict[str, Tuple[object, list]]:
+    """``(restype, argtypes)`` of every function ``_C_SOURCE`` exports."""
+    # Flattened cluster-descriptor run shared by the four sweep kernels.
+    cluster_args = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,   # clusters
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
+        ctypes.c_int64,                    # cluster_nnz
+        ctypes.c_void_p, ctypes.c_void_p,  # edge_i, edge_j
+        ctypes.c_void_p, ctypes.c_void_p,  # edge_starts, edge_values
+        ctypes.c_int64,                    # num_edges
+    ]
+    schedule_args = [ctypes.c_void_p, ctypes.c_int64]  # temperatures, sweeps
+    colour_args = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
+        ctypes.c_int64, ctypes.c_int64,    # num_blocks, size
+        ctypes.c_void_p,                   # linear
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
+        ctypes.c_int64,                    # class_nnz
+    ]
+    dense_args = [
+        ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
+        ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
+        ctypes.c_void_p,                   # matrices
+        ctypes.c_void_p, ctypes.c_int64,   # order, order_len
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
+        ctypes.c_void_p,                   # linear
+        *cluster_args, *schedule_args,
+    ]
+    # Per-block draw sources: Generator pointer arrays under the sequential
+    # discipline, a Philox key array plus a thread count under the counter.
+    rng_arrays = [ctypes.POINTER(ctypes.c_void_p),  # next_doubles
+                  ctypes.POINTER(ctypes.c_void_p)]  # states
+    key_array = [ctypes.c_void_p, ctypes.c_int64]   # keys, threads
+    return {
+        "pack_fused_colour_cluster_sweep": (None, [
+            *colour_args,
+            ctypes.c_void_p,               # scratch
+            *cluster_args, *schedule_args, *rng_arrays]),
+        "pack_fused_dense_cluster_sweep": (None, [*dense_args, *rng_arrays]),
+        "counter_pack_fused_colour_cluster_sweep": (None, [
+            *colour_args, *cluster_args, *schedule_args, *key_array]),
+        "counter_pack_fused_dense_cluster_sweep": (None, [
+            *dense_args, *key_array]),
+        "counter_openmp_enabled": (ctypes.c_int64, []),
+    }
+
+
 def _load_cext() -> Optional[ctypes.CDLL]:
     """Compile/load the C backend once per process; None when unavailable."""
     if _CEXT_STATE["checked"]:
@@ -2294,149 +1762,10 @@ def _load_cext() -> Optional[ctypes.CDLL]:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        lib.dense_sweep.restype = None
-        lib.dense_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrix
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_int64, ctypes.c_int64,    # num_replicas, size
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        lib.colour_sweep.restype = None
-        lib.colour_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p,                   # scratch
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        # Flattened cluster-descriptor tail shared by the cluster kernels:
-        # members, cluster_starts, num_clusters, CSR triple, edge arrays.
-        cluster_args = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,   # clusters
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p, ctypes.c_void_p,  # edge_i, edge_j
-            ctypes.c_void_p, ctypes.c_void_p,  # edge_starts, edge_values
-        ]
-        lib.cluster_sweep.restype = None
-        lib.cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            *cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        lib.fused_dense_cluster_sweep.restype = None
-        lib.fused_dense_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrix
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_void_p,                   # linear
-            *cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_int64, ctypes.c_int64,    # num_replicas, size
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        lib.fused_colour_cluster_sweep.restype = None
-        lib.fused_colour_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p,                   # scratch
-            *cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        # Pack-level variants: stacked per-block values, per-block rng
-        # pointer arrays.
-        pack_cluster_args = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,   # clusters
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_int64,                    # cluster_nnz
-            ctypes.c_void_p, ctypes.c_void_p,  # edge_i, edge_j
-            ctypes.c_void_p, ctypes.c_void_p,  # edge_starts, edge_values
-            ctypes.c_int64,                    # num_edges
-        ]
-        rng_arrays = [ctypes.POINTER(ctypes.c_void_p),
-                      ctypes.POINTER(ctypes.c_void_p)]
-        lib.pack_fused_colour_cluster_sweep.restype = None
-        lib.pack_fused_colour_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_int64, ctypes.c_int64,    # num_blocks, size
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_int64,                    # class_nnz
-            ctypes.c_void_p,                   # scratch
-            *pack_cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            *rng_arrays,                       # next_doubles, states
-        ]
-        lib.pack_fused_dense_cluster_sweep.restype = None
-        lib.pack_fused_dense_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrices
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
-            ctypes.c_void_p,                   # linear
-            *pack_cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            *rng_arrays,                       # next_doubles, states
-        ]
-        # Counter-mode variants: a 64-bit Philox key (or per-block key
-        # array) and a thread count instead of the Generator pointers.
-        lib.counter_dense_sweep.restype = None
-        lib.counter_dense_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrix
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_int64, ctypes.c_int64,    # num_replicas, size
-            ctypes.c_uint64, ctypes.c_int64,   # key, threads
-        ]
-        lib.counter_colour_sweep.restype = None
-        lib.counter_colour_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_uint64, ctypes.c_int64,   # key, threads
-        ]
-        lib.counter_pack_fused_dense_cluster_sweep.restype = None
-        lib.counter_pack_fused_dense_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrices
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
-            ctypes.c_void_p,                   # linear
-            *pack_cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_int64,   # keys, threads
-        ]
-        lib.counter_pack_fused_colour_cluster_sweep.restype = None
-        lib.counter_pack_fused_colour_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_int64, ctypes.c_int64,    # num_blocks, size
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_int64,                    # class_nnz
-            *pack_cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_int64,   # keys, threads
-        ]
-        lib.counter_openmp_enabled.restype = ctypes.c_int64
-        lib.counter_openmp_enabled.argtypes = []
+        for name, (restype, argtypes) in _cext_signatures().items():
+            function = getattr(lib, name)
+            function.restype = restype
+            function.argtypes = argtypes
     except OSError:
         return None
     _CEXT_STATE["lib"] = lib

@@ -59,10 +59,13 @@ translations from :mod:`repro.annealer.backends` that consume the exact same
 per-variable Metropolis draw stream (``"auto"``, the default, picks the best
 available and falls back to numpy).  Because each block draws from its own
 generator and blocks never interact, the compiled backends evolve blocks one
-at a time through the whole schedule without changing any block's stream —
-including embedded problems with cluster (chain-flip) moves, which run
-through fused single-spin+cluster kernels driven by a flattened per-block
-cluster descriptor (:meth:`BlockDiagonalSampler._cluster_descriptors`).
+at a time through the whole schedule without changing any block's stream.
+Every sampler shape reaches them through one backend dispatch per anneal:
+a single problem is a pack of one block, and a sampler without cluster
+(chain-flip) moves hands over an empty flattened cluster descriptor
+(:meth:`BlockDiagonalSampler._cluster_pack_descriptor`), so embedded and
+logical problems, single jobs and serving packs all run the same fused
+single-spin+cluster kernel of their (kernel, rng) pair.
 """
 
 from __future__ import annotations
@@ -256,10 +259,6 @@ class BlockDiagonalSampler:
         resolved = backends.resolve_backend(backend)
         if resolved != "numpy":
             backends.warmup(resolved, rng=self.rng_mode)
-        #: Whether cluster flips update the dense kernel's local-field matrix
-        #: incrementally (the default) instead of recomputing it after every
-        #: sweep; kept as a switch so benchmarks can time the recompute path.
-        self.incremental_cluster_fields = True
         isings = list(isings)
         if not isings:
             raise AnnealerError("the sampler needs at least one problem")
@@ -393,9 +392,8 @@ class BlockDiagonalSampler:
         availability probes (monkeypatched in fallback tests, or a numba
         install appearing between runs) take effect without rebuilding the
         sampler; resolution itself is a cached dictionary lookup.  The
-        resolved backend runs every pack shape — since the fused cluster
-        kernels, multi-block packs with cluster moves (the serving shape)
-        dispatch compiled too, one whole-schedule call per block.
+        resolved backend runs every pack shape, one whole-schedule dispatch
+        per anneal.
         """
         return backends.resolve_backend(self.backend)
 
@@ -511,68 +509,58 @@ class BlockDiagonalSampler:
                 for members in self.block_clusters]
 
     def _block_csr_structure(self, operators: List[sparse.csr_matrix],
-                             widths: Sequence[int]) -> List[Tuple]:
-        """Per-block CSR structure of block-major stacked combined operators.
+                             widths: Sequence[int]) -> Tuple:
+        """Block-local CSR structure of block-major stacked combined operators.
 
         Each combined operator holds, block-major, ``widths[k]`` rows per
         block whose entries all fall inside that block's column range; block
         ``b``'s rows of operator ``k`` are therefore the contiguous row
         segment ``[b*widths[k], (b+1)*widths[k])`` and its data slots the
         contiguous ``.data`` slice between those rows' ``indptr`` bounds.
-        Returns, per block, ``(data_slices, indices, indptr)`` where
-        *data_slices* are ``(operator, lo, hi)`` views into the live
+        Returns ``(block_slices, indices, indptr)``: ``block_slices[b]``
+        lists block ``b``'s ``(operator, lo, hi)`` views into the live
         operators (rewritten in place by :meth:`refresh_values`, so callers
-        assembling values from them always see the current coefficients)
-        and *indices*/*indptr* the rebased block-local CSR structure.
+        assembling values from them always see the current coefficients),
+        and *indices*/*indptr* are the block-local CSR structure of the
+        operators' rows stacked in order — one structure for the whole
+        pack, read off block 0, because all blocks share one sparsity
+        pattern.  Without operators (a sampler without clusters) that is
+        the empty CSR: no slices, no indices, ``indptr == [0]``.
         """
-        size = self.block_size
-        per_block: List[Tuple] = []
-        for b in range(self.num_blocks):
-            slices = []
-            indices_parts = []
-            count_parts = []
-            for operator, width in zip(operators, widths):
-                indptr = operator.indptr
-                lo = int(indptr[b * width])
-                hi = int(indptr[(b + 1) * width])
-                slices.append((operator, lo, hi))
-                indices_parts.append(
-                    operator.indices[lo:hi].astype(np.int64) - b * size)
-                count_parts.append(
-                    np.diff(indptr[b * width:(b + 1) * width + 1]))
-            indices = np.ascontiguousarray(np.concatenate(indices_parts),
-                                           dtype=np.int64)
-            indptr = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(np.concatenate(count_parts))]),
-                dtype=np.int64)
-            per_block.append((slices, indices, indptr))
-        return per_block
+        block_slices = [
+            [(operator, int(operator.indptr[b * width]),
+              int(operator.indptr[(b + 1) * width]))
+             for operator, width in zip(operators, widths)]
+            for b in range(self.num_blocks)]
+        indices = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [operator.indices[lo:hi] for operator, lo, hi in block_slices[0]])
+        counts = np.concatenate(
+            [[0]] + [np.diff(operator.indptr[:width + 1])
+                     for operator, width in zip(operators, widths)])
+        return block_slices, indices, np.cumsum(counts, dtype=np.int64)
 
-    @staticmethod
-    def _assemble_data(slices) -> np.ndarray:
-        """Concatenate live operator ``.data`` slices into one value vector."""
-        return np.ascontiguousarray(
-            np.concatenate([np.asarray(operator.data[lo:hi])
-                            for operator, lo, hi in slices]),
-            dtype=np.float64)
-
-    def _stack_block_data(self, per_block) -> np.ndarray:
-        """Stack every block's live operator values into a ``(blocks, nnz)``
-        matrix — the pack-kernel form of :meth:`_assemble_data`."""
-        nnz = per_block[0][1].size
-        stacked = np.empty((self.num_blocks, nnz))
-        for b, (slices, _, _) in enumerate(per_block):
+    def _stack_block_data(self, structure: Tuple) -> np.ndarray:
+        """Stack every block's live operator values into the ``(blocks,
+        nnz)`` matrix the backend entry points consume."""
+        block_slices, indices, _ = structure
+        stacked = np.empty((self.num_blocks, indices.size))
+        for row, slices in zip(stacked, block_slices):
             position = 0
             for operator, lo, hi in slices:
-                stacked[b, position:position + hi - lo] = operator.data[lo:hi]
+                row[position:position + hi - lo] = operator.data[lo:hi]
                 position += hi - lo
         return stacked
 
     def _ensure_cluster_cache(self) -> Tuple:
-        """Build (once per sampler) the flattened cluster structure arrays."""
+        """Build (once per sampler) the flattened cluster structure arrays.
+
+        A sampler without clusters gets the empty structure (no members,
+        ``cluster_starts == edge_starts == [0]``).
+        """
         if self._cluster_compiled_cache is None:
-            members = np.ascontiguousarray(
-                np.concatenate(self.block_clusters), dtype=np.int64)
+            members = np.concatenate(
+                [np.empty(0, dtype=np.int64), *self.block_clusters])
             cluster_starts = np.ascontiguousarray(
                 np.concatenate([[0], np.cumsum(self._cluster_lengths)]),
                 dtype=np.int64)
@@ -589,10 +577,10 @@ class BlockDiagonalSampler:
             else:
                 edge_i = np.empty(0, dtype=np.int64)
                 edge_j = np.empty(0, dtype=np.int64)
-            per_block = self._block_csr_structure(self._cluster_operators,
+            structure = self._block_csr_structure(self._cluster_operators,
                                                   self._cluster_lengths)
             self._cluster_compiled_cache = (members, cluster_starts, edge_i,
-                                            edge_j, edge_starts, per_block)
+                                            edge_j, edge_starts, structure)
         return self._cluster_compiled_cache
 
     def _cluster_edge_values(self) -> np.ndarray:
@@ -606,55 +594,29 @@ class BlockDiagonalSampler:
             return np.empty((0, self.num_blocks))
         return np.concatenate(nonempty, axis=0)
 
-    def _cluster_descriptors(self) -> List[backends.ClusterDescriptor]:
-        """Per-block flattened cluster descriptors for the compiled kernels.
-
-        One :class:`~repro.annealer.backends.ClusterDescriptor` per block:
-        the ragged member/internal-edge structure arrays (shared between
-        blocks, derived once per sampler) plus the block's own coupling
-        values — the member local-field rows as a CSR triple holding the
-        same values in the same ascending-column summation order as the
-        reference cluster operators, and the internal-edge value vector.
-        The value arrays are assembled per call from the live operators, so
-        samplers rebound through :meth:`refresh_values` always sweep the
-        current values.
-        """
-        (members, cluster_starts, edge_i, edge_j, edge_starts,
-         per_block) = self._ensure_cluster_cache()
-        values = self._cluster_edge_values()
-        return [
-            backends.ClusterDescriptor(
-                members=members,
-                cluster_starts=cluster_starts,
-                data=self._assemble_data(slices),
-                indices=indices,
-                indptr=indptr,
-                edge_i=edge_i,
-                edge_j=edge_j,
-                edge_starts=edge_starts,
-                edge_values=np.ascontiguousarray(values[:, b],
-                                                 dtype=np.float64),
-            )
-            for b, (slices, indices, indptr) in enumerate(per_block)
-        ]
-
     def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
-        """Pack-level cluster descriptor: stacked block-major value matrices.
+        """Flattened cluster descriptor of the pack for the backend kernels.
 
-        The structure arrays are those of :meth:`_cluster_descriptors`
-        (identical across blocks — the sampler invariant); ``data`` and
+        The ragged member/internal-edge structure arrays are shared between
+        blocks and derived once per sampler; ``data`` (the member
+        local-field rows, same values in the same ascending-column
+        summation order as the reference cluster operators) and
         ``edge_values`` hold every block's values as ``(blocks, nnz)`` /
-        ``(blocks, E)`` rows, the shape the pack-level fused kernels
-        consume so a multi-block anneal is one compiled dispatch.
+        ``(blocks, E)`` rows, assembled per call from the live operators so
+        samplers rebound through :meth:`refresh_values` always sweep the
+        current values.  Without clusters this is the empty descriptor —
+        "no clusters" is a zero-iteration cluster pass, not another entry
+        point.
         """
         (members, cluster_starts, edge_i, edge_j, edge_starts,
-         per_block) = self._ensure_cluster_cache()
+         structure) = self._ensure_cluster_cache()
+        _, indices, indptr = structure
         return backends.ClusterDescriptor(
             members=members,
             cluster_starts=cluster_starts,
-            data=self._stack_block_data(per_block),
-            indices=per_block[0][1],
-            indptr=per_block[0][2],
+            data=self._stack_block_data(structure),
+            indices=indices,
+            indptr=indptr,
             edge_i=edge_i,
             edge_j=edge_j,
             edge_starts=edge_starts,
@@ -790,9 +752,7 @@ class BlockDiagonalSampler:
             rng = rngs[0]
             matrix = coupling[0]
             fields = spins @ matrix + self.linear[None, :]
-            cluster_rows = (self._cluster_coupling_rows(coupling)
-                            if self._cluster_operators
-                            and self.incremental_cluster_fields else None)
+            cluster_rows = self._cluster_coupling_rows(coupling)
             for temperature in temperatures:
                 for v in order:
                     current = spins[:, v]
@@ -811,29 +771,20 @@ class BlockDiagonalSampler:
                         spins[:, v] += step
                         fields += step[:, None] * matrix[v, :][None, :]
                 if self._cluster_operators:
-                    if cluster_rows is not None:
-                        self._cluster_sweep(spins, temperature, rngs,
-                                            fields=fields,
-                                            cluster_rows=cluster_rows)
-                    else:
-                        self._cluster_sweep(spins, temperature, rngs)
-                        fields = spins @ matrix + self.linear[None, :]
+                    self._cluster_sweep(spins, temperature, rngs,
+                                        fields=fields,
+                                        cluster_rows=cluster_rows)
             return
 
         spins3 = spins.reshape(num_replicas, blocks, size)
         linear3 = self.linear.reshape(blocks, size)
 
-        def recompute_fields() -> np.ndarray:
-            return (np.einsum("rbs,bvs->rbv", spins3, coupling)
-                    + linear3[None, :, :])
-
-        fields = recompute_fields()
+        fields = (np.einsum("rbs,bvs->rbv", spins3, coupling)
+                  + linear3[None, :, :])
         # 2-D alias of the field matrix in the combined (R, blocks*P) layout
         # the cluster sweep's incremental updates write through.
         fields2 = fields.reshape(num_replicas, blocks * size)
-        cluster_rows = (self._cluster_coupling_rows(coupling)
-                        if self._cluster_operators
-                        and self.incremental_cluster_fields else None)
+        cluster_rows = self._cluster_coupling_rows(coupling)
         for temperature in temperatures:
             for v in order:
                 delta = -2.0 * spins3[:, :, v] * fields[:, :, v]
@@ -853,27 +804,25 @@ class BlockDiagonalSampler:
                     spins3[:, :, v] += step
                     fields += step[:, :, None] * coupling[None, :, v, :]
             if self._cluster_operators:
-                if cluster_rows is not None:
-                    self._cluster_sweep(spins, temperature, rngs,
-                                        fields=fields2,
-                                        cluster_rows=cluster_rows)
-                else:
-                    self._cluster_sweep(spins, temperature, rngs)
-                    fields[...] = recompute_fields()
+                self._cluster_sweep(spins, temperature, rngs, fields=fields2,
+                                    cluster_rows=cluster_rows)
 
-    def _dense_sweep_compiled(self, spins: np.ndarray,
-                              temperatures: np.ndarray,
-                              rngs: Sequence[np.random.Generator],
-                              backend: str) -> None:
-        """Dense sequential sweep through a compiled backend kernel.
+    def _dispatch_dense(self, spins: np.ndarray, temperatures: np.ndarray,
+                        backend: str, rngs: Sequence[np.random.Generator],
+                        keys: Optional[List[int]]) -> None:
+        """Dense sequential sweeps, whole pack and schedule in one dispatch.
 
-        Blocks never interact and each draws from its own generator, so the
-        compiled kernel evolves one block at a time through the whole
-        schedule — with clusters, the fused dense+cluster kernel interleaves
-        the cluster-flip sweep after every dense sweep and maintains the
-        block's local-field matrix incrementally across both move types —
-        without changing any block's draw stream relative to the reference
-        loop.
+        Blocks never interact and each has its own draw source, so the
+        backend kernel evolves the pack block by block through the whole
+        schedule — interleaving the cluster-flip sweep after every dense
+        sweep and maintaining each block's local-field matrix incrementally
+        across both move types — without changing any block's draw stream
+        relative to the reference loop.  A sampler without clusters passes
+        the empty descriptor and runs the same entry point.  The two draw
+        disciplines share every structural argument and differ only in the
+        draw source: per-block generators (*keys* is ``None``) or per-block
+        Philox *keys* plus ``self.threads``, whose numpy branch is the
+        reference implementation of counter mode.
         """
         size = self.block_size
         coupling = self._dense_coupling_blocks()
@@ -884,54 +833,13 @@ class BlockDiagonalSampler:
             segment = slice(b * size, (b + 1) * size)
             fields[:, segment] = (spins[:, segment] @ coupling[b]
                                   + self.linear[segment][None, :])
-        if not self._cluster_operators:
-            for b, rng in enumerate(rngs):
-                segment = slice(b * size, (b + 1) * size)
-                backends.dense_sweep(backend, spins[:, segment],
-                                     fields[:, segment], coupling[b], order,
-                                     temperatures, rng)
-            return
-        if self.incremental_cluster_fields:
-            backends.pack_fused_dense_cluster_sweep(
-                backend, spins, fields, coupling, order, self.linear,
-                self._cluster_pack_descriptor(), temperatures, rngs)
-            return
-        # Diagnostic recompute mode (incremental_cluster_fields=False):
-        # compiled dense sweeps with the reference cluster sweep and a full
-        # field recompute interleaved per temperature, kept so benchmarks
-        # can time the recompute path.  Streams are identical either way.
-        for temperature in temperatures:
-            one = np.array([temperature])
-            for b, rng in enumerate(rngs):
-                segment = slice(b * size, (b + 1) * size)
-                backends.dense_sweep(backend, spins[:, segment],
-                                     fields[:, segment], coupling[b], order,
-                                     one, rng)
-            self._cluster_sweep(spins, temperature, rngs)
-            for b in range(self.num_blocks):
-                segment = slice(b * size, (b + 1) * size)
-                fields[:, segment] = (spins[:, segment] @ coupling[b]
-                                      + self.linear[segment][None, :])
-
-    def _colour_class_csr(self) -> Tuple[np.ndarray, np.ndarray, list]:
-        """Block-local ragged colour classes + stacked per-class CSR operators.
-
-        Returns ``(members, class_starts, per_block)`` where *members* holds
-        the block-level variable indices of all classes concatenated in class
-        order, *class_starts* delimits the classes, and ``per_block[b]`` is
-        the ``(data, indices, indptr)`` CSR triple whose row ``k`` maps block
-        ``b``'s spins to the local field of ``members[k]`` — the same values,
-        in the same (ascending-column) summation order, as the combined
-        per-class operators the reference loop multiplies through.  The
-        structure is derived once per sampler; the value vectors are
-        assembled per call from the live class operators, so
-        :meth:`refresh_values` rebinds are always honoured.
-        """
-        members, class_starts, per_block = self._ensure_colour_cache()
-        return members, class_starts, [
-            (self._assemble_data(slices), indices, indptr)
-            for slices, indices, indptr in per_block
-        ]
+        shared = (backend, spins, fields, coupling, order, self.linear,
+                  self._cluster_pack_descriptor(), temperatures)
+        if keys is None:
+            backends.pack_fused_dense_cluster_sweep(*shared, rngs)
+        else:
+            backends.counter_pack_fused_dense_cluster_sweep(
+                *shared, keys, threads=self.threads)
 
     def _ensure_colour_cache(self) -> Tuple:
         """Build (once per sampler) the stacked colour-class CSR structure."""
@@ -941,112 +849,52 @@ class BlockDiagonalSampler:
             class_starts = np.ascontiguousarray(
                 np.concatenate([[0], np.cumsum(self._class_widths)]),
                 dtype=np.int64)
-            per_block = self._block_csr_structure(self.class_operators,
+            structure = self._block_csr_structure(self.class_operators,
                                                   self._class_widths)
-            self._colour_csr_cache = (members, class_starts, per_block)
+            self._colour_csr_cache = (members, class_starts, structure)
         return self._colour_csr_cache
 
     def _colour_pack_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray]:
-        """Pack form of :meth:`_colour_class_csr`: one stacked value matrix.
+        """Block-local ragged colour classes + stacked per-class CSR operators.
 
-        Returns ``(members, class_starts, class_data, indices, indptr)``
-        with ``class_data`` the ``(blocks, nnz)`` block-major value matrix
-        over the shared rebased CSR structure — the shape the pack-level
-        fused kernels consume.
+        Returns ``(members, class_starts, class_data, indices, indptr)``:
+        *members* holds the block-level variable indices of all classes
+        concatenated in class order, *class_starts* delimits the classes,
+        and row ``k`` of the CSR maps a block's spins to the local field of
+        ``members[k]`` — the same values, in the same (ascending-column)
+        summation order, as the combined per-class operators the reference
+        loop multiplies through.  The structure is shared by the blocks and
+        derived once per sampler; ``class_data`` is the ``(blocks, nnz)``
+        block-major value matrix, assembled per call from the live class
+        operators, so :meth:`refresh_values` rebinds are always honoured.
         """
-        members, class_starts, per_block = self._ensure_colour_cache()
-        return (members, class_starts, self._stack_block_data(per_block),
-                per_block[0][1], per_block[0][2])
+        members, class_starts, structure = self._ensure_colour_cache()
+        _, indices, indptr = structure
+        return (members, class_starts, self._stack_block_data(structure),
+                indices, indptr)
 
-    def _colour_sweep_compiled(self, spins: np.ndarray,
-                               temperatures: np.ndarray,
-                               rngs: Sequence[np.random.Generator],
-                               num_replicas: int, backend: str) -> None:
-        """Colour-class sweeps through a compiled backend kernel.
+    def _dispatch_colour(self, spins: np.ndarray, temperatures: np.ndarray,
+                         backend: str, rngs: Sequence[np.random.Generator],
+                         keys: Optional[List[int]]) -> None:
+        """Colour-class sweeps, whole pack and schedule in one dispatch.
 
-        Same block-at-a-time strategy as the dense compiled path; the
-        per-class local-field operator values are re-read from the live
-        combined matrix on every call, so samplers rebound through
-        :meth:`refresh_values` always sweep the current values.  With
-        clusters, the pack-level fused colour+cluster kernel runs the whole
-        schedule for the whole pack — the embedded serving shape, one
-        compiled dispatch per anneal instead of one per (block, sweep).
+        The colour sibling of :meth:`_dispatch_dense` — the embedded serving
+        shape, one backend dispatch per anneal instead of one per (block,
+        sweep).  The per-class local-field operator values are re-read from
+        the live combined matrix on every call, so samplers rebound through
+        :meth:`refresh_values` always sweep the current values.
         """
-        size = self.block_size
-        max_width = max((g.size for g in self.block_classes), default=1)
-        scratch = np.empty((num_replicas, max(max_width, 1)))
-        if not self._cluster_operators:
-            members, class_starts, per_block = self._colour_class_csr()
-            for b, rng in enumerate(rngs):
-                segment = slice(b * size, (b + 1) * size)
-                data, indices, indptr = per_block[b]
-                backends.colour_sweep(backend, spins[:, segment],
-                                      self.linear[segment], members,
-                                      class_starts, data, indices, indptr,
-                                      scratch, temperatures, rng)
-            return
-        members, class_starts, class_data, indices, indptr = \
-            self._colour_pack_csr()
-        backends.pack_fused_colour_cluster_sweep(
-            backend, spins, self.linear, members, class_starts, class_data,
-            indices, indptr, scratch, self._cluster_pack_descriptor(),
-            temperatures, rngs)
-
-    def _counter_sweeps(self, spins: np.ndarray, temperatures: np.ndarray,
-                        keys: List[int], backend: str) -> None:
-        """Run the whole schedule under the counter (Philox) discipline.
-
-        Dispatches the ``counter_*`` kernels of
-        :mod:`repro.annealer.backends` — per-block single-kernel calls
-        without clusters, the pack-level fused kernels with them.  Every
-        backend implements the identical keyed draw function, so this path
-        is bit-identical across ``backend`` and ``self.threads`` (the
-        numpy branch is the reference).  Cluster flips always maintain the
-        dense kernel's fields incrementally here: the recompute diagnostic
-        of ``incremental_cluster_fields`` is a sequential-mode benchmark
-        switch only.
-        """
-        size = self.block_size
-        threads = self.threads
-        if self.selected_kernel == "dense":
-            coupling = self._dense_coupling_blocks()
-            order = np.ascontiguousarray(np.concatenate(self.block_classes),
-                                         dtype=np.int64)
-            fields = np.empty_like(spins)
-            for b in range(self.num_blocks):
-                segment = slice(b * size, (b + 1) * size)
-                fields[:, segment] = (spins[:, segment] @ coupling[b]
-                                      + self.linear[segment][None, :])
-            if not self._cluster_operators:
-                for b, key in enumerate(keys):
-                    segment = slice(b * size, (b + 1) * size)
-                    backends.counter_dense_sweep(
-                        backend, spins[:, segment], fields[:, segment],
-                        coupling[b], order, temperatures, key,
-                        threads=threads)
-                return
-            backends.counter_pack_fused_dense_cluster_sweep(
-                backend, spins, fields, coupling, order, self.linear,
-                self._cluster_pack_descriptor(), temperatures, keys,
-                threads=threads)
-            return
-        if not self._cluster_operators:
-            members, class_starts, per_block = self._colour_class_csr()
-            for b, key in enumerate(keys):
-                segment = slice(b * size, (b + 1) * size)
-                data, indices, indptr = per_block[b]
-                backends.counter_colour_sweep(
-                    backend, spins[:, segment], self.linear[segment],
-                    members, class_starts, data, indices, indptr,
-                    temperatures, key, threads=threads)
-            return
-        members, class_starts, class_data, indices, indptr = \
-            self._colour_pack_csr()
-        backends.counter_pack_fused_colour_cluster_sweep(
-            backend, spins, self.linear, members, class_starts, class_data,
-            indices, indptr, self._cluster_pack_descriptor(), temperatures,
-            keys, threads=threads)
+        shared = (backend, spins, self.linear, *self._colour_pack_csr())
+        clusters = self._cluster_pack_descriptor()
+        if keys is None:
+            scratch = np.empty((spins.shape[0],
+                                max([1, *self._class_widths])))
+            backends.pack_fused_colour_cluster_sweep(
+                *shared, scratch, clusters, temperatures, rngs)
+        else:
+            backends.counter_pack_fused_colour_cluster_sweep(
+                *shared, clusters, temperatures, keys, threads=self.threads)
 
     def _anneal(self, temperatures: Sequence[float], num_replicas: int,
                 rngs: Sequence[np.random.Generator],
@@ -1104,23 +952,19 @@ class BlockDiagonalSampler:
         sweep_phase = PROFILER.phase("engine.sweep", self.selected_kernel,
                                      backend, self.rng_mode,
                                      f"t{self.threads}")
-        if counter_keys is not None:
+        if counter_keys is not None or backend != "numpy":
+            # Every compiled backend, and the counter discipline on every
+            # backend (its numpy reference lives behind the same entry
+            # points): one backend dispatch per anneal.
+            dispatch = (self._dispatch_dense
+                        if self.selected_kernel == "dense"
+                        else self._dispatch_colour)
             with sweep_phase:
-                self._counter_sweeps(spins, temperatures, counter_keys,
-                                     backend)
+                dispatch(spins, temperatures, backend, rngs, counter_keys)
             return spins.astype(np.int8)
         if self.selected_kernel == "dense":
             with sweep_phase:
-                if backend == "numpy":
-                    self._dense_sweep_loop(spins, temperatures, rngs)
-                else:
-                    self._dense_sweep_compiled(spins, temperatures, rngs,
-                                               backend)
-            return spins.astype(np.int8)
-        if backend != "numpy":
-            with sweep_phase:
-                self._colour_sweep_compiled(spins, temperatures, rngs,
-                                            num_replicas, backend)
+                self._dense_sweep_loop(spins, temperatures, rngs)
             return spins.astype(np.int8)
 
         with sweep_phase:

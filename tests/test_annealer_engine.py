@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.annealer.backends import RNG_MODES, available_backends
 from repro.annealer.engine import (
     IsingSampler,
     batched_metropolis,
@@ -150,10 +151,21 @@ class TestClusterMoves:
                                  initial_spins=start.copy())
         assert ising.energies(moved).mean() < ising.energies(stuck).mean()
 
-    def test_empty_cluster_ignored(self):
+    @pytest.mark.parametrize("rng_mode", RNG_MODES)
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kernel", ["colour", "dense"])
+    def test_empty_cluster_ignored(self, kernel, backend, rng_mode):
+        # None, no clusters and only-empty clusters are one configuration:
+        # the same empty descriptor, hence the same stream, everywhere.
         ising = random_ising(4, 9)
-        sampler = IsingSampler(ising, clusters=[np.array([], dtype=np.intp)])
-        assert sampler.clusters == []
+        samples = []
+        for clusters in (None, [], [np.array([], dtype=np.intp)]):
+            sampler = IsingSampler(ising, clusters=clusters, kernel=kernel,
+                                   backend=backend, rng=rng_mode)
+            assert sampler.clusters == []
+            samples.append(sampler.anneal([2.0, 1.0, 0.5], 6, random_state=3))
+        np.testing.assert_array_equal(samples[0], samples[1])
+        np.testing.assert_array_equal(samples[0], samples[2])
 
 
 class TestBatchedMetropolisWrapper:

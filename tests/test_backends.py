@@ -13,14 +13,21 @@ The ``backend=`` seam promises three things:
   *available* backends, for both kernels, with and without clusters, across
   multi-block packs, ``refresh_values`` rebinds and the full machine model.
 
+Two structural guards ride along, both clock-free: every sampler shape
+costs exactly **one** backend dispatch per anneal through the (kernel, rng)
+pair's single entry point, and the C source's exported symbols, the ctypes
+signature table and the Python dispatch functions name the same set.
+
 Identity tests iterate over :func:`available_backends`, so on a machine
 without numba they cover numpy↔cext and CI's numba matrix entry extends the
 same assertions to numba.
 """
 
 import builtins
+import ctypes
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -41,6 +48,14 @@ from repro.ising.solver import (
 )
 
 COMPILED = [name for name in available_backends() if name != "numpy"]
+
+#: The whole compiled boundary: one sweep entry point per (kernel, rng).
+SWEEP_ENTRY_POINTS = {
+    ("dense", "sequential"): "pack_fused_dense_cluster_sweep",
+    ("colour", "sequential"): "pack_fused_colour_cluster_sweep",
+    ("dense", "counter"): "counter_pack_fused_dense_cluster_sweep",
+    ("colour", "counter"): "counter_pack_fused_colour_cluster_sweep",
+}
 
 
 def random_ising(num_variables, seed, density=1.0):
@@ -151,6 +166,51 @@ class TestDispatch:
         for backend in available_backends():
             backends.warmup(backend)
             backends.warmup(backend)
+
+class TestSymbolTable:
+    """The C exports, their ctypes table and the Python dispatch functions
+    are three spellings of one list; nothing else catches one drifting."""
+
+    #: ``restype name(params) {`` at column 0, ``static`` helpers excluded.
+    EXPORT = re.compile(
+        r"^(?!static\b|typedef\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", re.M)
+
+    @staticmethod
+    def ctypes_kind(declaration):
+        if "*" in declaration:
+            return "pointer"
+        return {"void": None, "int64_t": ctypes.c_int64,
+                "uint64_t": ctypes.c_uint64}[declaration.split()[0]]
+
+    def exported(self):
+        table = {}
+        for restype, name, params in self.EXPORT.findall(backends._C_SOURCE):
+            kinds = [self.ctypes_kind(param.strip())
+                     for param in params.split(",")]
+            table[name] = (self.ctypes_kind(restype),
+                           [] if kinds == [None] else kinds)
+        return table
+
+    def test_c_exports_match_ctypes_table(self):
+        exported = self.exported()
+        signatures = backends._cext_signatures()
+        assert set(exported) == set(signatures)
+        pointers = (ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p))
+        for name, (restype, kinds) in exported.items():
+            bound_restype, argtypes = signatures[name]
+            assert bound_restype is restype, name
+            assert len(argtypes) == len(kinds), name
+            for position, (argtype, kind) in enumerate(zip(argtypes, kinds)):
+                if kind == "pointer":
+                    assert argtype in pointers, (name, position)
+                else:
+                    assert argtype is kind, (name, position)
+
+    def test_four_sweep_entry_points(self):
+        dispatch = {name for name, value in vars(backends).items()
+                    if name.endswith("_sweep") and callable(value)}
+        assert dispatch == set(SWEEP_ENTRY_POINTS.values())
+        assert set(self.exported()) == dispatch | {"counter_openmp_enabled"}
 
 
 @pytest.mark.parametrize("backend", COMPILED)
@@ -302,65 +362,50 @@ class TestCompiledClusterKernels:
         np.testing.assert_array_equal(expected, actual)
         assert array_digest(expected) == array_digest(actual)
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("with_clusters", [True, False],
+                             ids=["clusters", "no-clusters"])
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     @pytest.mark.parametrize("kernel", ["colour", "dense"])
-    def test_multi_block_cluster_pack_dispatches_compiled(
-            self, backend, kernel, monkeypatch):
-        """PR 4's dispatch exception is gone: serving-shaped packs with
-        chains run one pack-level fused compiled call per anneal."""
+    def test_one_backend_dispatch_per_anneal(self, backend, kernel, rng_mode,
+                                             with_clusters, blocks,
+                                             monkeypatch):
+        """Every sampler shape — single problem or pack, chains or none,
+        either discipline — is one call of its (kernel, rng) entry point per
+        anneal (a work counter, not a clock), with the numpy samples."""
         base, clusters = path_chain_ising(20, 4, 42, density=0.15)
         rng = np.random.default_rng(43)
         problems = [
             IsingModel(num_variables=20, linear=rng.normal(size=20),
                        couplings={key: float(rng.normal())
                                   for key in base.couplings})
-            for _ in range(3)
+            for _ in range(blocks)
         ]
-        entry = ("pack_fused_dense_cluster_sweep" if kernel == "dense"
-                 else "pack_fused_colour_cluster_sweep")
         calls = []
-        original = getattr(backends, entry)
 
-        def counting(used_backend, *args, **kwargs):
-            calls.append(used_backend)
-            return original(used_backend, *args, **kwargs)
+        def counted(name, original):
+            def counting(used_backend, *args, **kwargs):
+                calls.append((name, used_backend))
+                return original(used_backend, *args, **kwargs)
+            return counting
 
-        monkeypatch.setattr(backends, entry, counting)
-        temperatures = schedule(30)
-        packed = BlockDiagonalSampler(problems, clusters=clusters,
-                                      kernel=kernel, backend=backend)
-        actual = packed.anneal(temperatures, 6,
-                               [np.random.default_rng(50 + b)
-                                for b in range(3)])
-        assert calls == [backend], \
-            "a multi-block cluster pack must be one compiled pack dispatch"
-        monkeypatch.undo()
-        expected = BlockDiagonalSampler(problems, clusters=clusters,
-                                        kernel=kernel,
-                                        backend="numpy").anneal(
-            temperatures, 6,
-            [np.random.default_rng(50 + b) for b in range(3)])
-        np.testing.assert_array_equal(expected, actual)
+        for name in SWEEP_ENTRY_POINTS.values():
+            monkeypatch.setattr(backends, name,
+                                counted(name, getattr(backends, name)))
 
-    def test_cluster_sweep_entry_point(self, backend):
-        """The standalone cluster_sweep consumes the reference draw stream:
-        a schedule of pure cluster sweeps equals the numpy cluster path of a
-        colour-kernel sampler whose classes never move (no couplings beyond
-        the chains, zero-field singleton classes would still flip; instead
-        compare against engine-built descriptors via one-sweep equality)."""
-        ising, clusters = path_chain_ising(24, 4, 44, density=0.1)
-        sampler = IsingSampler(ising, clusters=clusters, backend="numpy")
-        descriptors = sampler._cluster_descriptors()
-        spins_ref = np.random.default_rng(44).choice(
-            np.array([-1.0, 1.0]), size=(7, 24))
-        spins_cmp = spins_ref.copy()
-        rng_ref = np.random.default_rng(45)
-        rng_cmp = np.random.default_rng(45)
-        temperatures = schedule(12)
-        for temperature in temperatures:
-            sampler._cluster_sweep(spins_ref, temperature, [rng_ref])
-        backends.cluster_sweep(backend, spins_cmp, sampler.linear,
-                               descriptors[0], temperatures, rng_cmp)
-        np.testing.assert_array_equal(spins_ref, spins_cmp)
+        def anneal(used_backend):
+            sampler = BlockDiagonalSampler(
+                problems, clusters=clusters if with_clusters else None,
+                kernel=kernel, backend=used_backend, rng=rng_mode)
+            # Construction may warm the backend through the entry points.
+            calls.clear()
+            return sampler.anneal(schedule(30), 6,
+                                  [np.random.default_rng(50 + b)
+                                   for b in range(blocks)])
+
+        actual = anneal(backend)
+        assert calls == [(SWEEP_ENTRY_POINTS[kernel, rng_mode], backend)]
+        np.testing.assert_array_equal(anneal("numpy"), actual)
 
     def test_machine_run_batch_pack_identical(self, backend):
         """Serving-shaped multi-problem QA packs (embedded chains → cluster
@@ -445,33 +490,3 @@ class TestCextCompileCache:
         monkeypatch.setattr(backends, "_cache_dir", lambda: cache)
         monkeypatch.setattr(backends, "_COMPILERS", ())
         assert backends._compile_cext() is None
-
-
-class TestIncrementalClusterFields:
-    """Satellite: cluster flips update dense fields in place, same stream."""
-
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_incremental_matches_recompute(self, blocks):
-        rng = np.random.default_rng(30)
-        base = random_ising(11, 31)
-        problems = [
-            IsingModel(num_variables=11, linear=rng.normal(size=11),
-                       couplings={key: float(rng.normal())
-                                  for key in base.couplings})
-            for _ in range(blocks)
-        ]
-        clusters = [np.array([0, 1, 2], dtype=np.intp),
-                    np.array([5, 6], dtype=np.intp),
-                    np.array([8, 9, 10], dtype=np.intp)]
-        temperatures = schedule(50)
-        rngs_a = [np.random.default_rng(70 + b) for b in range(blocks)]
-        rngs_b = [np.random.default_rng(70 + b) for b in range(blocks)]
-        incremental = BlockDiagonalSampler(problems, clusters=clusters,
-                                           kernel="dense", backend="numpy")
-        assert incremental.incremental_cluster_fields
-        recompute = BlockDiagonalSampler(problems, clusters=clusters,
-                                         kernel="dense", backend="numpy")
-        recompute.incremental_cluster_fields = False
-        np.testing.assert_array_equal(
-            incremental.anneal(temperatures, 9, rngs_a),
-            recompute.anneal(temperatures, 9, rngs_b))

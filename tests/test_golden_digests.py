@@ -273,11 +273,22 @@ class TestGoldenDigestsAcrossBackends:
         golden("counter_embedded_cluster_sampler_stream", {"spins": spins})
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_decode_subcarriers_per_backend(self, backend, channel_uses,
-                                            golden):
+    def test_decode_goldens_per_backend(self, backend, channel_uses, golden):
+        # With the four sampler streams above this puts all eight frozen
+        # digests under every backend by name: serial (single-problem
+        # dispatches), batched (one pack dispatch) and both chunked frame
+        # decodes.
         machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4))
         decoder = QuAMaxDecoder(machine, AnnealerParameters(num_anneals=25),
                                 random_state=0, backend=backend)
         pipeline = OFDMDecodingPipeline(decoder)
-        report = pipeline.decode_subcarriers(channel_uses, random_state=SEED)
-        golden("decode_subcarriers", report_payload(report))
+        golden("decode_subcarriers", report_payload(
+            pipeline.decode_subcarriers(channel_uses, random_state=SEED)))
+        golden("decode_subcarriers_batched", report_payload(
+            pipeline.decode_subcarriers_batched(channel_uses,
+                                                random_state=SEED)))
+        for name, chunk_size in (("decode_frame_chunked", 2),
+                                 ("decode_frame_auto_chunked", "auto")):
+            golden(name, frame_payload(pipeline.decode_frame(
+                channel_uses, frame_size_bytes=FRAME_BYTES,
+                random_state=SEED, batched=True, chunk_size=chunk_size)))

@@ -22,6 +22,7 @@ dense kernel, sparse problems the colour kernel.
 import numpy as np
 import pytest
 
+from repro.annealer.backends import available_backends
 from repro.annealer.engine import (
     KERNELS,
     BlockDiagonalSampler,
@@ -180,13 +181,21 @@ class TestDenseColourSharedDynamics:
                 temperatures, 8, random_state=np.random.default_rng(70 + b))
             np.testing.assert_array_equal(block, serial)
 
-    def test_cluster_moves_shared_between_kernels(self):
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_cluster_moves_shared_between_kernels(self, backend):
+        # The colour kernel recomputes every local field from the operator;
+        # the dense kernel maintains its field matrix incrementally across
+        # single-spin AND cluster flips.  Equal trajectories on every
+        # backend are the guarantee that incrementally maintained fields
+        # match freshly computed ones.
         ising = random_ising(10, 11)
         clusters = [np.array([0, 1, 2], dtype=np.intp),
                     np.array([6, 7], dtype=np.intp)]
         temperatures = schedule(35)
-        colour = IsingSampler(ising, clusters=clusters, kernel="colour")
-        dense = IsingSampler(ising, clusters=clusters, kernel="dense")
+        colour = IsingSampler(ising, clusters=clusters, kernel="colour",
+                              backend=backend)
+        dense = IsingSampler(ising, clusters=clusters, kernel="dense",
+                             backend=backend)
         np.testing.assert_array_equal(
             colour.anneal(temperatures, 10, random_state=13),
             dense.anneal(temperatures, 10, random_state=13))
