@@ -72,6 +72,19 @@ instead accumulated in an explicitly defined member order on both sides.
 Floating contraction is disabled in both compiled backends (no FMA), so the
 remaining arithmetic matches the NumPy loops operation for operation.
 
+The cext kernels are the optimised form
+---------------------------------------
+
+The numpy loops are the oracle and the numba kernels their plain
+translation; the C kernels additionally take two *exact* shortcuts, both
+documented in ``_C_SOURCE``: a squeeze test that settles most uphill draws
+without ``exp`` (``metropolis_accept``) and, in the colour kernels, local
+fields memoised per (block, replica) until a neighbour flips.  Neither
+changes a decision — the identity and golden suites are the proof — and
+each dispatch reports :class:`SweepWork` counters that guard them without a
+clock.  In C every move is written once against a ``draw_source``, so the
+twin entry points differ only in loop order and draw.
+
 Counter mode and threads
 ------------------------
 
@@ -288,8 +301,7 @@ def warmup(backend: str, rng: str = "sequential") -> None:
                     clusters, temperatures, rngs)
                 pack_fused_colour_cluster_sweep(
                     backend, spins, linear, members, class_starts, values,
-                    indices, indptr, np.empty((2, 1)), clusters,
-                    temperatures, rngs)
+                    indices, indptr, clusters, temperatures, rngs)
     _WARMED.add(token)
 
 
@@ -336,21 +348,38 @@ class ClusterDescriptor(NamedTuple):
     edge_values: np.ndarray
 
 
-def _cluster_ctypes_args(clusters: ClusterDescriptor) -> list:
-    """The descriptor's ctypes argument run shared by the four cext kernels."""
+class SweepWork(NamedTuple):
+    """Work counts of one cext sweep dispatch: they repeat exactly for a
+    seeded call, so tests guard the kernels' shortcuts without a clock."""
+
+    #: Single-spin visits plus cluster flip offers.
+    proposals: int
+    #: Uniforms drawn (one per uphill proposal) — the stream length.
+    draws: int
+    #: Draws the squeeze test could not settle, which paid a libm ``exp``.
+    exp_calls: int
+    #: Field-memo CSR row sums (0 in the dense kernels: incremental fields).
+    field_recomputations: int
+
+
+def _ptr(array: np.ndarray) -> ctypes.c_void_p:
+    return array.ctypes.data_as(ctypes.c_void_p)
+
+
+def _cluster_ctypes_args(clusters: ClusterDescriptor, csr: bool) -> list:
+    """The descriptor's ctypes argument run of the cext kernels.
+
+    The colour kernels serve member fields from their field memo and take
+    no member-row CSR (``csr=False``).
+    """
     return [
-        clusters.members.ctypes.data_as(ctypes.c_void_p),
-        clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-        ctypes.c_int64(clusters.cluster_starts.size - 1),
-        clusters.data.ctypes.data_as(ctypes.c_void_p),
-        clusters.indices.ctypes.data_as(ctypes.c_void_p),
-        clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-        ctypes.c_int64(clusters.data.shape[1]),
-        clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-        clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-        clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-        clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-        ctypes.c_int64(clusters.edge_values.shape[1]),
+        _ptr(clusters.members), _ptr(clusters.cluster_starts),
+        clusters.cluster_starts.size - 1,
+        *([_ptr(clusters.data), _ptr(clusters.indices),
+           _ptr(clusters.indptr), clusters.data.shape[1]] if csr else []),
+        _ptr(clusters.edge_i), _ptr(clusters.edge_j),
+        _ptr(clusters.edge_starts), _ptr(clusters.edge_values),
+        clusters.edge_values.shape[1],
     ]
 
 
@@ -372,14 +401,61 @@ def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
     return fns, states
 
 
+def _cext_colour_call(function, num_blocks: int, spins, linear, members,
+                      class_starts, class_data, indices, indptr, clusters,
+                      temperatures, *draw_args) -> SweepWork:
+    """One cext colour-kernel call of either discipline (*draw_args*).
+
+    Allocates the kernels' field-memo workspace: ``row_of`` maps a variable
+    to its row of the class CSR, and the ``(R, blocks*P)`` value/valid
+    matrices give every (block, replica) pair its own row segment (so the
+    OpenMP pairs share nothing); the kernel resets them itself.
+    """
+    size = spins.shape[1] // num_blocks
+    row_of = np.full(size, -1, dtype=np.int64)
+    row_of[members] = np.arange(members.size)
+    if clusters.members.size and row_of[clusters.members].min() < 0:
+        raise AnnealerError(
+            "every cluster member must belong to a colour class")
+    memo_acc = np.empty(spins.shape)
+    memo_valid = np.empty(spins.shape, dtype=np.uint8)
+    work = np.empty(4, dtype=np.int64)
+    temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
+    function(
+        *_row_strided(spins), spins.shape[0], num_blocks, size, _ptr(linear),
+        _ptr(members), _ptr(class_starts), class_starts.size - 1,
+        _ptr(class_data), _ptr(indices), _ptr(indptr), class_data.shape[1],
+        _ptr(row_of), _ptr(memo_acc), _ptr(memo_valid),
+        *_cluster_ctypes_args(clusters, csr=False),
+        _ptr(temperatures), temperatures.size, *draw_args, _ptr(work))
+    return SweepWork(*work.tolist())
+
+
+def _cext_dense_call(function, num_blocks: int, spins, fields, matrices,
+                     order, linear, clusters, temperatures,
+                     *draw_args) -> SweepWork:
+    """One cext dense-kernel call of either discipline (*draw_args*)."""
+    matrices = np.ascontiguousarray(matrices, dtype=np.float64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
+    work = np.empty(4, dtype=np.int64)
+    function(
+        *_row_strided(spins), *_row_strided(fields), _ptr(matrices),
+        _ptr(order), order.size, spins.shape[0], num_blocks,
+        spins.shape[1] // num_blocks, _ptr(linear),
+        *_cluster_ctypes_args(clusters, csr=True),
+        _ptr(temperatures), temperatures.size, *draw_args, _ptr(work))
+    return SweepWork(*work.tolist())
+
+
 def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                                     linear: np.ndarray, members: np.ndarray,
                                     class_starts: np.ndarray,
                                     class_data: np.ndarray,
                                     indices: np.ndarray, indptr: np.ndarray,
-                                    scratch: np.ndarray,
                                     clusters: ClusterDescriptor,
-                                    temperatures: np.ndarray, rngs) -> None:
+                                    temperatures: np.ndarray,
+                                    rngs) -> Optional[SweepWork]:
     """Whole-schedule colour-class (+ cluster-flip) sweeps over a pack.
 
     The sequential-discipline colour entry point — one dispatch per anneal
@@ -393,48 +469,34 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     ``members[k]``); all blocks share that structure, so the per-block
     values travel stacked — *class_data* is ``(blocks, class_nnz)``, and
     *clusters* carries ``(blocks, nnz)`` / ``(blocks, E)`` value matrices
-    (empty when the sampler has no clusters).  ``scratch`` is an
-    ``(R, max_class_width)`` float64 workspace.  Per entry of
+    (empty when the sampler has no clusters).  Per entry of
     ``temperatures`` every block runs one sweep over all classes, then
     offers every cluster a collective flip, drawing from its own generator
     of *rngs* in exactly the reference loops' (replica-major) order — so
     the pack is bit-for-bit the per-block serial anneals with the call
-    marshalling paid once.
+    marshalling paid once.  The cext backend returns its
+    :class:`SweepWork` counts (as do all four entry points), numba ``None``.
     """
     num_blocks = len(rngs)
     size = spins.shape[1] // num_blocks
     if backend == "numba":
         kernels = _ensure_numba_kernels()
         temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
+        # (R, max_class_width) field workspace of the plain-form kernel.
+        scratch = np.empty((spins.shape[0],
+                            int(np.diff(class_starts).max(initial=1))))
         for b, rng in enumerate(rngs):
             segment = slice(b * size, (b + 1) * size)
             kernels["colour"](
                 spins[:, segment], linear[segment], members, class_starts,
                 class_data[b], indices, indptr, scratch,
                 *_block_cluster_args(clusters, b), temperatures, rng)
-        return
+        return None
     if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        fns, states = _rng_pointer_arrays(rngs)
-        lib.pack_fused_colour_cluster_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            ctypes.c_int64(num_blocks), ctypes.c_int64(size),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            class_data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_data.shape[1]),
-            scratch.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fns, states)
-        return
+        return _cext_colour_call(
+            _load_cext().pack_fused_colour_cluster_sweep, num_blocks, spins,
+            linear, members, class_starts, class_data, indices, indptr,
+            clusters, temperatures, *_rng_pointer_arrays(rngs))
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -443,7 +505,8 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
                                    fields: np.ndarray, matrices: np.ndarray,
                                    order: np.ndarray, linear: np.ndarray,
                                    clusters: ClusterDescriptor,
-                                   temperatures: np.ndarray, rngs) -> None:
+                                   temperatures: np.ndarray,
+                                   rngs) -> Optional[SweepWork]:
     """Whole-schedule dense sequential (+ cluster-flip) sweeps over a pack.
 
     The dense-kernel sibling of :func:`pack_fused_colour_cluster_sweep`:
@@ -467,28 +530,12 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
                 spins[:, segment], fields[:, segment], matrices[b], order,
                 linear[segment], *_block_cluster_args(clusters, b),
                 temperatures, rng)
-        return
+        return None
     if backend == "cext":
-        lib = _load_cext()
-        matrices = np.ascontiguousarray(matrices, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        fns, states = _rng_pointer_arrays(rngs)
-        lib.pack_fused_dense_cluster_sweep(
-            sp, sld, fp, fld,
-            matrices.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(num_blocks),
-            ctypes.c_int64(size),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fns, states)
-        return
+        return _cext_dense_call(
+            _load_cext().pack_fused_dense_cluster_sweep, num_blocks, spins,
+            fields, matrices, order, linear, clusters, temperatures,
+            *_rng_pointer_arrays(rngs))
     raise AnnealerError(
         f"no pack dense+cluster kernel for backend {backend!r}")
 
@@ -649,7 +696,7 @@ def counter_pack_fused_dense_cluster_sweep(
         backend: str, spins: np.ndarray, fields: np.ndarray,
         matrices: np.ndarray, order: np.ndarray, linear: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
-        threads: int = 1) -> None:
+        threads: int = 1) -> Optional[SweepWork]:
     """Counter-mode dense sequential (+ cluster-flip) sweeps over a pack.
 
     The counter sibling of :func:`pack_fused_dense_cluster_sweep`: same
@@ -680,7 +727,7 @@ def counter_pack_fused_dense_cluster_sweep(
                     bspins, blinear, clusters, clusters.data[b],
                     clusters.edge_values[b], operators, temperatures[t], t,
                     replicas, key, fields=bfields, matrix=matrices[b])
-        return
+        return None
     if backend == "numba":
         kernels = _ensure_numba_counter_kernels()
         temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
@@ -693,30 +740,14 @@ def counter_pack_fused_dense_cluster_sweep(
                 fields[:, segment], matrices[b], order, linear[segment],
                 *_block_cluster_args(clusters, b), temperatures,
                 np.uint64(key))
-        return
+        return None
     if backend == "cext":
-        lib = _load_cext()
         _note_openmp_team(threads)
-        matrices = np.ascontiguousarray(matrices, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        lib.counter_pack_fused_dense_cluster_sweep(
-            sp, sld, fp, fld,
-            matrices.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(num_blocks),
-            ctypes.c_int64(size),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            keys_array.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(threads))
-        return
+        return _cext_dense_call(
+            _load_cext().counter_pack_fused_dense_cluster_sweep, num_blocks,
+            spins, fields, matrices, order, linear, clusters, temperatures,
+            _ptr(keys_array), threads)
     raise AnnealerError(
         f"no counter pack dense+cluster kernel for backend {backend!r}")
 
@@ -726,16 +757,16 @@ def counter_pack_fused_colour_cluster_sweep(
         members: np.ndarray, class_starts: np.ndarray, class_data: np.ndarray,
         indices: np.ndarray, indptr: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
-        threads: int = 1) -> None:
+        threads: int = 1) -> Optional[SweepWork]:
     """Counter-mode colour-class (+ cluster-flip) sweeps over a pack.
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
     embedded serving shape under the counter contract, one Philox key per
-    block and (block, replica)-parallel in the cext variant.  No scratch is
-    needed: the per-replica kernels compute member fields on the fly, which
-    is bitwise identical to the precompute because colour-class members
-    never interact.  The draw site is the member's row in the concatenated
-    class order.
+    block and (block, replica)-parallel in the cext variant.  The
+    per-replica kernels flip members as they visit them, which is bitwise
+    identical to the reference's per-class precompute because colour-class
+    members never interact.  The draw site is the member's row in the
+    concatenated class order.
     """
     threads = max(1, int(threads))
     num_blocks = len(keys)
@@ -758,7 +789,7 @@ def counter_pack_fused_colour_cluster_sweep(
                     bspins, blinear, clusters, clusters.data[b],
                     clusters.edge_values[b], cluster_operators,
                     temperatures[t], t, replicas, key)
-        return
+        return None
     if backend == "numba":
         kernels = _ensure_numba_counter_kernels()
         temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
@@ -769,30 +800,14 @@ def counter_pack_fused_colour_cluster_sweep(
                 linear[segment], members, class_starts, class_data[b],
                 indices, indptr, *_block_cluster_args(clusters, b),
                 temperatures, np.uint64(key))
-        return
+        return None
     if backend == "cext":
-        lib = _load_cext()
         _note_openmp_team(threads)
-        sp, sld = _row_strided(spins)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-        lib.counter_pack_fused_colour_cluster_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            ctypes.c_int64(num_blocks), ctypes.c_int64(size),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            class_data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_data.shape[1]),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            keys_array.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(threads))
-        return
+        return _cext_colour_call(
+            _load_cext().counter_pack_fused_colour_cluster_sweep, num_blocks,
+            spins, linear, members, class_starts, class_data, indices,
+            indptr, clusters, temperatures, _ptr(keys_array), threads)
     raise AnnealerError(
         f"no counter pack colour+cluster kernel for backend {backend!r}")
 
@@ -1125,268 +1140,31 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stddef.h>
+#include <string.h>
 
-/* All kernels draw uniforms through the NumPy BitGenerator's next_double
-   function pointer, advancing the caller's Generator state in place — the
-   same extension point numba and Cython use, so the draw stream is exactly
-   the Generator's rng.random() stream. */
-typedef double (*next_double_fn)(void *state);
-
-/* One temperature of the sequential dense sweep.  spins/fields are
-   (num_replicas x size) row-strided views (ld = row stride in doubles);
-   matrix is the dense size x size block coupling, row-major contiguous. */
-static void dense_pass(double *spins, int64_t sld,
-                       double *fields, int64_t fld,
-                       const double *matrix,
-                       const int64_t *order, int64_t order_len,
-                       double temperature,
-                       int64_t num_replicas, int64_t size,
-                       next_double_fn next_double, void *state)
-{
-    for (int64_t k = 0; k < order_len; ++k) {
-        const int64_t v = order[k];
-        const double *row = matrix + v * size;
-        for (int64_t r = 0; r < num_replicas; ++r) {
-            double *srow = spins + r * sld;
-            double *frow = fields + r * fld;
-            const double current = srow[v];
-            const double delta = -2.0 * current * frow[v];
-            int accept = (delta <= 0.0);
-            if (!accept) {
-                /* delta > 0: acceptance probability exp(-delta / T);
-                   one uniform per uphill replica in replica order. */
-                const double u = next_double(state);
-                accept = (u < exp(-delta / temperature));
-            }
-            if (accept) {
-                const double step = -2.0 * current;
-                srow[v] += step;
-                for (int64_t w = 0; w < size; ++w)
-                    frow[w] += step * row[w];
-            }
-        }
-    }
-}
-
-/* One temperature of the colour-class sweep.  members/class_starts hold
-   the ragged classes; data/indices/indptr are the CSR arrays of the stacked
-   per-class local-field operators (row k -> field of members[k]); scratch
-   has room for num_replicas * max_class_width doubles. */
-static void colour_pass(double *spins, int64_t sld, int64_t num_replicas,
-                        const double *linear,
-                        const int64_t *members, const int64_t *class_starts,
-                        int64_t num_classes,
-                        const double *data, const int64_t *indices,
-                        const int64_t *indptr,
-                        double *scratch,
-                        double temperature,
-                        next_double_fn next_double, void *state)
-{
-    for (int64_t c = 0; c < num_classes; ++c) {
-        const int64_t begin = class_starts[c];
-        const int64_t width = class_starts[c + 1] - begin;
-        /* Fields of all (replica, member) pairs are computed before any
-           flip: class members never interact, so this matches the
-           reference loop's simultaneous per-class update. */
-        for (int64_t r = 0; r < num_replicas; ++r) {
-            const double *srow = spins + r * sld;
-            double *frow = scratch + r * width;
-            for (int64_t m = 0; m < width; ++m) {
-                const int64_t rowidx = begin + m;
-                double acc = 0.0;
-                for (int64_t jj = indptr[rowidx]; jj < indptr[rowidx + 1];
-                     ++jj)
-                    acc += data[jj] * srow[indices[jj]];
-                frow[m] = acc + linear[members[rowidx]];
-            }
-        }
-        for (int64_t r = 0; r < num_replicas; ++r) {
-            double *srow = spins + r * sld;
-            const double *frow = scratch + r * width;
-            for (int64_t m = 0; m < width; ++m) {
-                const int64_t v = members[begin + m];
-                const double delta = -2.0 * srow[v] * frow[m];
-                int accept = (delta <= 0.0);
-                if (!accept) {
-                    /* Uphill draws in replica-major order. */
-                    const double u = next_double(state);
-                    accept = (u < exp(-delta / temperature));
-                }
-                if (accept)
-                    srow[v] = -srow[v];
-            }
-        }
-    }
-}
-
-/* One temperature of the cluster-flip sweep over one block's flattened
-   cluster descriptor.  cmembers/cluster_starts hold the ragged clusters;
-   cdata/cindices/cindptr are the CSR arrays of the stacked member
-   local-field rows (row k -> coupling field of cmembers[k]); the edge
-   arrays list each cluster's internal couplings, whose field contributions
-   are double counted through both endpoints and subtracted edge by edge.
-   When fields != NULL, accepted flips add sum_m (-2 s_m) J[m, :] to the
-   replica's (row-strided) local-field row — the incremental maintenance of
-   the fused dense kernel. */
-static void cluster_pass(double *spins, int64_t sld, int64_t num_replicas,
-                         const double *linear,
-                         const int64_t *cmembers,
-                         const int64_t *cluster_starts, int64_t num_clusters,
-                         const double *cdata, const int64_t *cindices,
-                         const int64_t *cindptr,
-                         const int64_t *edge_i, const int64_t *edge_j,
-                         const int64_t *edge_starts,
-                         const double *edge_values,
-                         double temperature,
-                         double *fields, int64_t fld,
-                         const double *matrix, int64_t size,
-                         next_double_fn next_double, void *state)
-{
-    for (int64_t c = 0; c < num_clusters; ++c) {
-        const int64_t begin = cluster_starts[c];
-        const int64_t end = cluster_starts[c + 1];
-        const int64_t ebegin = edge_starts[c];
-        const int64_t eend = edge_starts[c + 1];
-        for (int64_t r = 0; r < num_replicas; ++r) {
-            double *srow = spins + r * sld;
-            /* Member sum in the reference loop's defined ascending order. */
-            double boundary = 0.0;
-            for (int64_t k = begin; k < end; ++k) {
-                const int64_t m = cmembers[k];
-                double acc = 0.0;
-                for (int64_t jj = cindptr[k]; jj < cindptr[k + 1]; ++jj)
-                    acc += cdata[jj] * srow[cindices[jj]];
-                boundary += srow[m] * (acc + linear[m]);
-            }
-            for (int64_t e = ebegin; e < eend; ++e)
-                boundary -= 2.0 * edge_values[e] * srow[edge_i[e]]
-                            * srow[edge_j[e]];
-            const double delta = -2.0 * boundary;
-            int accept = (delta <= 0.0);
-            if (!accept) {
-                /* One uniform per uphill replica in ascending replica
-                   order — the reference cluster sweep's stream. */
-                const double u = next_double(state);
-                accept = (u < exp(-delta / temperature));
-            }
-            if (!accept)
-                continue;
-            if (fields != NULL) {
-                double *frow = fields + r * fld;
-                for (int64_t w = 0; w < size; ++w) {
-                    double acc = 0.0;
-                    for (int64_t k = begin; k < end; ++k) {
-                        const int64_t m = cmembers[k];
-                        acc += (-2.0 * srow[m]) * matrix[m * size + w];
-                    }
-                    frow[w] += acc;
-                }
-            }
-            for (int64_t k = begin; k < end; ++k)
-                srow[cmembers[k]] = -srow[cmembers[k]];
-        }
-    }
-}
-
-/* The sequential-discipline entry points: one call per pack per anneal
-   (a single problem is a pack of one block; a sampler without clusters
-   passes num_clusters == 0 and the cluster pass draws nothing).  Per
-   temperature the single-spin sweep runs first, then the cluster sweep —
-   the exact per-block draw order of the reference loops.  All blocks share
-   one CSR structure (the BlockDiagonalSampler invariant), so per-block
-   values travel as stacked block-major matrices (row b = block b's data)
-   and per-block randomness as arrays of BitGenerator (next_double, state)
-   pairs.  Blocks never interact and each draws from its own generator, so
-   evolving them one after the other through the whole schedule reproduces
-   every block's serial stream while amortising the call marshalling over
-   the pack — the C-RAN serving shape. */
-void pack_fused_colour_cluster_sweep(
-    double *spins, int64_t sld, int64_t num_replicas,
-    int64_t num_blocks, int64_t size,
-    const double *linear,
-    const int64_t *members, const int64_t *class_starts,
-    int64_t num_classes,
-    const double *data, const int64_t *indices, const int64_t *indptr,
-    int64_t class_nnz,
-    double *scratch,
-    const int64_t *cmembers, const int64_t *cluster_starts,
-    int64_t num_clusters,
-    const double *cdata, const int64_t *cindices, const int64_t *cindptr,
-    int64_t cluster_nnz,
-    const int64_t *edge_i, const int64_t *edge_j,
-    const int64_t *edge_starts, const double *edge_values,
-    int64_t num_edges,
-    const double *temperatures, int64_t num_sweeps,
-    next_double_fn *next_doubles, void **states)
-{
-    for (int64_t b = 0; b < num_blocks; ++b) {
-        double *bspins = spins + b * size;
-        const double *blinear = linear + b * size;
-        const double *bdata = data + b * class_nnz;
-        const double *bcdata = cdata + b * cluster_nnz;
-        const double *bedges = edge_values + b * num_edges;
-        for (int64_t t = 0; t < num_sweeps; ++t) {
-            colour_pass(bspins, sld, num_replicas, blinear, members,
-                        class_starts, num_classes, bdata, indices, indptr,
-                        scratch, temperatures[t], next_doubles[b],
-                        states[b]);
-            cluster_pass(bspins, sld, num_replicas, blinear, cmembers,
-                         cluster_starts, num_clusters, bcdata, cindices,
-                         cindptr, edge_i, edge_j, edge_starts, bedges,
-                         temperatures[t], NULL, 0, NULL, 0,
-                         next_doubles[b], states[b]);
-        }
-    }
-}
-
-void pack_fused_dense_cluster_sweep(
-    double *spins, int64_t sld,
-    double *fields, int64_t fld,
-    const double *matrices,
-    const int64_t *order, int64_t order_len,
-    int64_t num_replicas, int64_t num_blocks, int64_t size,
-    const double *linear,
-    const int64_t *cmembers, const int64_t *cluster_starts,
-    int64_t num_clusters,
-    const double *cdata, const int64_t *cindices, const int64_t *cindptr,
-    int64_t cluster_nnz,
-    const int64_t *edge_i, const int64_t *edge_j,
-    const int64_t *edge_starts, const double *edge_values,
-    int64_t num_edges,
-    const double *temperatures, int64_t num_sweeps,
-    next_double_fn *next_doubles, void **states)
-{
-    for (int64_t b = 0; b < num_blocks; ++b) {
-        double *bspins = spins + b * size;
-        double *bfields = fields + b * size;
-        const double *bmatrix = matrices + b * size * size;
-        const double *blinear = linear + b * size;
-        const double *bcdata = cdata + b * cluster_nnz;
-        const double *bedges = edge_values + b * num_edges;
-        for (int64_t t = 0; t < num_sweeps; ++t) {
-            dense_pass(bspins, sld, bfields, fld, bmatrix, order, order_len,
-                       temperatures[t], num_replicas, size, next_doubles[b],
-                       states[b]);
-            cluster_pass(bspins, sld, num_replicas, blinear, cmembers,
-                         cluster_starts, num_clusters, bcdata, cindices,
-                         cindptr, edge_i, edge_j, edge_starts, bedges,
-                         temperatures[t], bfields, fld, bmatrix, size,
-                         next_doubles[b], states[b]);
-        }
-    }
-}
+/* The per-move functions below are shared by two entry points each; inlined
+   into both, their work counters and loop invariants live in registers. */
+#ifdef __GNUC__
+#define MOVE static inline __attribute__((always_inline))
+#else
+#define MOVE static inline
+#endif
 
 /* ------------------------------------------------------------------------ *
- * Counter-mode (rng="counter") kernels.
+ * The draw seam: the only place the two disciplines differ.
  *
- * Uniforms come from Philox4x32-10 addressed by (site, sweep, replica,
- * move_tag) under a per-block 64-bit key — see repro/annealer/counter.py
- * for the contract — instead of the shared next_double stream.  Replicas
- * therefore share no RNG state and the outer replica loops are OpenMP
- * `parallel for`.  The pragmas are no-ops without -fopenmp (the compile
- * step tries it and falls back), so one source serves both builds and the
- * serial build stays bit-identical to the threaded one by construction.
+ * Sequential kernels draw through the NumPy BitGenerator's next_double
+ * function pointer, advancing the caller's Generator state in place — the
+ * same extension point numba and Cython use, so the draw stream is exactly
+ * the Generator's rng.random() stream.  Counter kernels (rng="counter")
+ * value every potential draw by Philox4x32-10 addressed by (site, sweep,
+ * replica, move_tag) under a per-block 64-bit key — see
+ * repro/annealer/counter.py for the contract — so replicas share no RNG
+ * state and may run in parallel.  Every move below is written once, against
+ * a draw_source; the entry points differ in the loop order the discipline
+ * dictates (draw consumption order vs. replica ownership) and nothing else.
  * ------------------------------------------------------------------------ */
+typedef double (*next_double_fn)(void *state);
 
 static inline double philox_uniform(uint32_t site, uint32_t sweep,
                                     uint32_t replica, uint32_t tag,
@@ -1411,129 +1189,323 @@ static inline double philox_uniform(uint32_t site, uint32_t sweep,
     return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Whole-schedule single-replica passes: each thread owns replica rows
-   outright, so the per-replica loops run the full (sweep, site) schedule
-   with no synchronisation. */
-static void counter_dense_replica(double *srow, double *frow,
-                                  const double *matrix,
-                                  const int64_t *order, int64_t order_len,
-                                  int64_t size, double temperature,
-                                  uint32_t sweep, uint32_t replica,
-                                  uint32_t k0, uint32_t k1)
+typedef struct {
+    next_double_fn next_double;  /* sequential: the block's Generator ... */
+    void *state;                 /* ... NULL under the counter discipline */
+    uint32_t sweep, replica, k0, k1;  /* counter: Philox address and key */
+} draw_source;
+
+static inline double draw_uniform(const draw_source *draw, uint32_t site,
+                                  uint32_t tag)
 {
-    for (int64_t k = 0; k < order_len; ++k) {
-        const int64_t v = order[k];
-        const double current = srow[v];
-        const double delta = -2.0 * current * frow[v];
-        int accept = (delta <= 0.0);
-        if (!accept) {
-            const double u = philox_uniform((uint32_t)k, sweep, replica,
-                                            0u, k0, k1);
-            accept = (u < exp(-delta / temperature));
-        }
-        if (accept) {
-            const double step = -2.0 * current;
-            const double *row = matrix + v * size;
-            srow[v] += step;
-            for (int64_t w = 0; w < size; ++w)
-                frow[w] += step * row[w];
-        }
+    if (draw->next_double != NULL)
+        return draw->next_double(draw->state);
+    return philox_uniform(site, draw->sweep, draw->replica, tag, draw->k0,
+                          draw->k1);
+}
+
+/* Deterministic work counters every entry point reports (int64[4]); each
+   loop nest counts into a local array, so the counts stay in registers. */
+enum { PROPOSALS, DRAWS, EXP_CALLS, FIELD_SUMS, NUM_WORK };
+
+/* Exact Metropolis acceptance of an uphill move (delta > 0) on the uniform
+   u: the value of `u < exp(-delta / temperature)`, usually without the
+   division or the exp.  With x = delta / T, the degree-4 Taylor polynomial
+   q(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 is strictly below e^x for x > 0, so
+   u * q(x) >= 1 implies u > e^-x: a certain rejection.  The 2^-30 slack
+   dwarfs every rounding error in play (x taken as delta * (1/T), Horner's
+   q, libm's <1 ulp exp of a rounded argument: together below 2^-40
+   relative), so a squeeze rejection is exactly the decision the reference
+   expression makes; anything else — including the NaN of u == 0 times an
+   overflowed q — falls through to that expression untouched. */
+static inline int metropolis_accept(double delta, double temperature,
+                                    double inv_temperature, double u,
+                                    int64_t *work)
+{
+    const double x = delta * inv_temperature;
+    const double q = 1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0
+                                                     + x * (1.0 / 24.0))));
+    ++work[DRAWS];
+    if (u * q >= 1.0 + 0x1p-30)
+        return 0;
+    ++work[EXP_CALLS];
+    return u < exp(-delta / temperature);
+}
+
+/* Test hook: metropolis_accept on caller-chosen (delta, T, u). */
+int64_t metropolis_accept_probe(double delta, double temperature, double u)
+{
+    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    return metropolis_accept(delta, temperature, 1.0 / temperature, u, work);
+}
+
+/* The ragged cluster (chain) lists of one block and the cluster-internal
+   couplings, whose field contributions are double counted through both
+   endpoints and subtracted edge by edge. */
+typedef struct {
+    const int64_t *members, *starts;
+    const int64_t *edge_i, *edge_j, *edge_starts;
+    const double *edge_values;
+} cluster_set;
+
+/* delta of flipping cluster c whole, given its members' summed s_m * field
+   terms (accumulated by the caller in ascending member order — the
+   reference loop's defined order). */
+static inline double cluster_delta(const cluster_set *cl, int64_t c,
+                                   const double *srow, double boundary)
+{
+    for (int64_t e = cl->edge_starts[c]; e < cl->edge_starts[c + 1]; ++e)
+        boundary -= 2.0 * cl->edge_values[e] * srow[cl->edge_i[e]]
+                    * srow[cl->edge_j[e]];
+    return -2.0 * boundary;
+}
+
+/* ------------------------------------------------------------------------ *
+ * Dense kernel moves.  srow/frow are one replica's spin and local-field
+ * rows of a block; matrix is the dense size x size block coupling,
+ * row-major contiguous.  Fields are maintained incrementally across both
+ * move types.
+ * ------------------------------------------------------------------------ */
+
+/* Visit k of the sequential dense sweep, one replica. */
+MOVE void dense_visit(double *srow, double *frow,
+                               const double *matrix, int64_t size,
+                               const int64_t *order, int64_t k,
+                               double temperature, double inv_temperature,
+                               const draw_source *draw, int64_t *work)
+{
+    const int64_t v = order[k];
+    const double current = srow[v];
+    const double delta = -2.0 * current * frow[v];
+    ++work[PROPOSALS];
+    /* delta > 0: acceptance probability exp(-delta / T), one uniform per
+       uphill (visit, replica). */
+    if (delta <= 0.0
+        || metropolis_accept(delta, temperature, inv_temperature,
+                             draw_uniform(draw, (uint32_t)k, 0u), work)) {
+        const double step = -2.0 * current;
+        const double *row = matrix + v * size;
+        srow[v] += step;
+        for (int64_t w = 0; w < size; ++w)
+            frow[w] += step * row[w];
     }
 }
 
-static void counter_colour_replica(double *srow, const double *linear,
-                                   const int64_t *members,
-                                   const int64_t *class_starts,
-                                   int64_t num_classes,
-                                   const double *data,
-                                   const int64_t *indices,
-                                   const int64_t *indptr,
-                                   double temperature,
-                                   uint32_t sweep, uint32_t replica,
-                                   uint32_t k0, uint32_t k1)
+/* Cluster c's collective flip offer, one replica.  cdata/cindices/cindptr
+   are the CSR arrays of the stacked member local-field rows (row k ->
+   coupling field of members[k]); an accepted flip adds sum_m (-2 s_m)
+   J[m, :] to the replica's local-field row. */
+MOVE void dense_cluster_visit(double *srow, double *frow,
+                                       const double *matrix, int64_t size,
+                                       const double *linear,
+                                       const cluster_set *cl, int64_t c,
+                                       const double *cdata,
+                                       const int64_t *cindices,
+                                       const int64_t *cindptr,
+                                       double temperature,
+                                       double inv_temperature,
+                                       const draw_source *draw,
+                                       int64_t *work)
 {
-    for (int64_t c = 0; c < num_classes; ++c) {
-        /* Flip-immediately per member: class members never interact, so
-           this equals the precompute-then-flip reference bit for bit. */
-        for (int64_t rowidx = class_starts[c]; rowidx < class_starts[c + 1];
-             ++rowidx) {
-            const int64_t v = members[rowidx];
-            double acc = 0.0;
-            for (int64_t jj = indptr[rowidx]; jj < indptr[rowidx + 1]; ++jj)
-                acc += data[jj] * srow[indices[jj]];
-            const double field = acc + linear[v];
-            const double delta = -2.0 * srow[v] * field;
-            int accept = (delta <= 0.0);
-            if (!accept) {
-                const double u = philox_uniform((uint32_t)rowidx, sweep,
-                                                replica, 0u, k0, k1);
-                accept = (u < exp(-delta / temperature));
-            }
-            if (accept)
-                srow[v] = -srow[v];
-        }
+    const int64_t begin = cl->starts[c];
+    const int64_t end = cl->starts[c + 1];
+    double boundary = 0.0;
+    for (int64_t k = begin; k < end; ++k) {
+        const int64_t m = cl->members[k];
+        double acc = 0.0;
+        for (int64_t jj = cindptr[k]; jj < cindptr[k + 1]; ++jj)
+            acc += cdata[jj] * srow[cindices[jj]];
+        boundary += srow[m] * (acc + linear[m]);
     }
-}
-
-static void counter_cluster_replica(double *srow, const double *linear,
-                                    const int64_t *cmembers,
-                                    const int64_t *cluster_starts,
-                                    int64_t num_clusters,
-                                    const double *cdata,
-                                    const int64_t *cindices,
-                                    const int64_t *cindptr,
-                                    const int64_t *edge_i,
-                                    const int64_t *edge_j,
-                                    const int64_t *edge_starts,
-                                    const double *edge_values,
-                                    double temperature,
-                                    double *frow, const double *matrix,
-                                    int64_t size,
-                                    uint32_t sweep, uint32_t replica,
-                                    uint32_t k0, uint32_t k1)
-{
-    for (int64_t c = 0; c < num_clusters; ++c) {
-        const int64_t begin = cluster_starts[c];
-        const int64_t end = cluster_starts[c + 1];
-        double boundary = 0.0;
+    const double delta = cluster_delta(cl, c, srow, boundary);
+    ++work[PROPOSALS];
+    if (!(delta <= 0.0)
+        && !metropolis_accept(delta, temperature, inv_temperature,
+                              draw_uniform(draw, (uint32_t)c, 1u), work))
+        return;
+    for (int64_t w = 0; w < size; ++w) {
+        double acc = 0.0;
         for (int64_t k = begin; k < end; ++k) {
-            const int64_t m = cmembers[k];
-            double acc = 0.0;
-            for (int64_t jj = cindptr[k]; jj < cindptr[k + 1]; ++jj)
-                acc += cdata[jj] * srow[cindices[jj]];
-            boundary += srow[m] * (acc + linear[m]);
+            const int64_t m = cl->members[k];
+            acc += (-2.0 * srow[m]) * matrix[m * size + w];
         }
-        for (int64_t e = edge_starts[c]; e < edge_starts[c + 1]; ++e)
-            boundary -= 2.0 * edge_values[e] * srow[edge_i[e]]
-                        * srow[edge_j[e]];
-        const double delta = -2.0 * boundary;
-        int accept = (delta <= 0.0);
-        if (!accept) {
-            const double u = philox_uniform((uint32_t)c, sweep, replica,
-                                            1u, k0, k1);
-            accept = (u < exp(-delta / temperature));
+        frow[w] += acc;
+    }
+    for (int64_t k = begin; k < end; ++k)
+        srow[cl->members[k]] = -srow[cl->members[k]];
+}
+
+/* ------------------------------------------------------------------------ *
+ * Colour kernel moves, over memoised coupling fields.
+ *
+ * data/indices/indptr are the CSR arrays of the stacked per-class
+ * local-field operators (row k -> coupling field of class member k).  Per
+ * (block, replica) the memo keeps acc[v] = sum_j J[v, j] s_j with a valid[v]
+ * byte; a flip clears valid over the flipped spin's CSR row (its
+ * neighbours), and a stale entry is recomputed by the reference sum in the
+ * reference order — so a served value is bit for bit what a fresh
+ * evaluation would return, and with |J_F|-locked chains most visits find
+ * their neighbourhood unchanged.  The cluster pass reads the same memo:
+ * row_of[v] is v's CSR row, the same matrix row — same values, same
+ * ascending-column order — as the reference cluster operators' row of v.
+ * ------------------------------------------------------------------------ */
+typedef struct {
+    const double *data;
+    const int64_t *indices, *indptr;
+    double *acc;
+    uint8_t *valid;
+} field_memo;
+
+static inline double memo_field(const field_memo *memo, int64_t v,
+                                int64_t row, const double *srow,
+                                int64_t *work)
+{
+    if (!memo->valid[v]) {
+        double acc = 0.0;
+        for (int64_t jj = memo->indptr[row]; jj < memo->indptr[row + 1]; ++jj)
+            acc += memo->data[jj] * srow[memo->indices[jj]];
+        memo->acc[v] = acc;
+        memo->valid[v] = 1;
+        ++work[FIELD_SUMS];
+    }
+    return memo->acc[v];
+}
+
+static inline void memo_invalidate(const field_memo *memo, int64_t row)
+{
+    for (int64_t jj = memo->indptr[row]; jj < memo->indptr[row + 1]; ++jj)
+        memo->valid[memo->indices[jj]] = 0;
+}
+
+/* One replica's pass over the class rows [begin, end).  Members flip as
+   they are visited: class members never interact, so this equals the
+   reference loop's compute-all-fields-then-flip per-class update bit for
+   bit, and the draw site is the member's row. */
+MOVE void colour_class_visit(double *srow, const double *linear,
+                                      const int64_t *members,
+                                      int64_t begin, int64_t end,
+                                      const field_memo *memo,
+                                      double temperature,
+                                      double inv_temperature,
+                                      const draw_source *draw, int64_t *work)
+{
+    work[PROPOSALS] += end - begin;
+    for (int64_t row = begin; row < end; ++row) {
+        const int64_t v = members[row];
+        const double field = memo_field(memo, v, row, srow, work) + linear[v];
+        const double delta = -2.0 * srow[v] * field;
+        if (delta <= 0.0
+            || metropolis_accept(delta, temperature, inv_temperature,
+                                 draw_uniform(draw, (uint32_t)row, 0u),
+                                 work)) {
+            srow[v] = -srow[v];
+            memo_invalidate(memo, row);
         }
-        if (!accept)
-            continue;
-        if (frow != NULL) {
-            for (int64_t w = 0; w < size; ++w) {
-                double acc = 0.0;
-                for (int64_t k = begin; k < end; ++k) {
-                    const int64_t m = cmembers[k];
-                    acc += (-2.0 * srow[m]) * matrix[m * size + w];
-                }
-                frow[w] += acc;
-            }
-        }
-        for (int64_t k = begin; k < end; ++k)
-            srow[cmembers[k]] = -srow[cmembers[k]];
     }
 }
 
-/* The counter-discipline entry points, same pack arguments with per-block
-   keys for generators: blocks and replicas are all independent, so the
-   parallel loop collapses over (block, replica) pairs — the pack's full
-   parallelism budget in one region. */
+/* Cluster c's collective flip offer, one replica, member fields from the
+   memo. */
+MOVE void colour_cluster_visit(double *srow, const double *linear,
+                                        const cluster_set *cl, int64_t c,
+                                        const field_memo *memo,
+                                        const int64_t *row_of,
+                                        double temperature,
+                                        double inv_temperature,
+                                        const draw_source *draw,
+                                        int64_t *work)
+{
+    const int64_t begin = cl->starts[c];
+    const int64_t end = cl->starts[c + 1];
+    double boundary = 0.0;
+    for (int64_t k = begin; k < end; ++k) {
+        const int64_t m = cl->members[k];
+        boundary += srow[m] * (memo_field(memo, m, row_of[m], srow, work)
+                               + linear[m]);
+    }
+    const double delta = cluster_delta(cl, c, srow, boundary);
+    ++work[PROPOSALS];
+    if (!(delta <= 0.0)
+        && !metropolis_accept(delta, temperature, inv_temperature,
+                              draw_uniform(draw, (uint32_t)c, 1u), work))
+        return;
+    for (int64_t k = begin; k < end; ++k) {
+        const int64_t m = cl->members[k];
+        srow[m] = -srow[m];
+        memo_invalidate(memo, row_of[m]);
+    }
+}
+
+/* ------------------------------------------------------------------------ *
+ * Entry points: one call per pack per anneal (a single problem is a pack
+ * of one block; a sampler without clusters passes num_clusters == 0 and
+ * the cluster pass draws nothing).  Per temperature the single-spin sweep
+ * runs first, then the cluster sweep.  All blocks share one CSR structure
+ * (the BlockDiagonalSampler invariant), so per-block values travel as
+ * stacked block-major matrices (row b = block b's data).
+ *
+ * Sequential: per-block randomness is an array of BitGenerator
+ * (next_double, state) pairs.  Blocks never interact and each draws from
+ * its own generator, so evolving them one after the other through the
+ * whole schedule — replicas innermost, the reference loops' draw order —
+ * reproduces every block's serial stream while amortising the call
+ * marshalling over the pack, the C-RAN serving shape.
+ *
+ * Counter: per-block keys.  Blocks and replicas are all independent, so
+ * each (block, replica) pair runs its whole schedule alone and the OpenMP
+ * `parallel for` collapses over the pairs — the pack's full parallelism
+ * budget in one region.  The pragmas are no-ops without -fopenmp (the
+ * compile step tries it and falls back), so one source serves both builds
+ * and the serial build stays bit-identical to the threaded one.
+ * ------------------------------------------------------------------------ */
+
+void pack_fused_dense_cluster_sweep(
+    double *spins, int64_t sld,
+    double *fields, int64_t fld,
+    const double *matrices,
+    const int64_t *order, int64_t order_len,
+    int64_t num_replicas, int64_t num_blocks, int64_t size,
+    const double *linear,
+    const int64_t *cmembers, const int64_t *cluster_starts,
+    int64_t num_clusters,
+    const double *cdata, const int64_t *cindices, const int64_t *cindptr,
+    int64_t cluster_nnz,
+    const int64_t *edge_i, const int64_t *edge_j,
+    const int64_t *edge_starts, const double *edge_values,
+    int64_t num_edges,
+    const double *temperatures, int64_t num_sweeps,
+    next_double_fn *next_doubles, void **states, int64_t *work_out)
+{
+    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    for (int64_t b = 0; b < num_blocks; ++b) {
+        double *bspins = spins + b * size;
+        double *bfields = fields + b * size;
+        const double *bmatrix = matrices + b * size * size;
+        const double *blinear = linear + b * size;
+        const double *bcdata = cdata + b * cluster_nnz;
+        const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
+                                edge_starts, edge_values + b * num_edges};
+        const draw_source draw = {next_doubles[b], states[b], 0u, 0u, 0u, 0u};
+        for (int64_t t = 0; t < num_sweeps; ++t) {
+            const double temperature = temperatures[t];
+            const double inv_temperature = 1.0 / temperature;
+            for (int64_t k = 0; k < order_len; ++k)
+                for (int64_t r = 0; r < num_replicas; ++r)
+                    dense_visit(bspins + r * sld, bfields + r * fld, bmatrix,
+                                size, order, k, temperature,
+                                inv_temperature, &draw, work);
+            for (int64_t c = 0; c < num_clusters; ++c)
+                for (int64_t r = 0; r < num_replicas; ++r)
+                    dense_cluster_visit(bspins + r * sld, bfields + r * fld,
+                                        bmatrix, size, blinear, &cl, c,
+                                        bcdata, cindices, cindptr,
+                                        temperature, inv_temperature, &draw,
+                                        work);
+        }
+    }
+    memcpy(work_out, work, sizeof(work));
+}
+
 void counter_pack_fused_dense_cluster_sweep(
     double *spins, int64_t sld,
     double *fields, int64_t fld,
@@ -1549,11 +1521,14 @@ void counter_pack_fused_dense_cluster_sweep(
     const int64_t *edge_starts, const double *edge_values,
     int64_t num_edges,
     const double *temperatures, int64_t num_sweeps,
-    const uint64_t *keys, int64_t threads)
+    const uint64_t *keys, int64_t threads, int64_t *work_out)
 {
+    int64_t work[NUM_WORK] = {0, 0, 0, 0};
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
-    num_threads((int)threads)
+    num_threads((int)threads) reduction(+ : work[:NUM_WORK])
+#else
+    (void)threads;
 #endif
     for (int64_t b = 0; b < num_blocks; ++b) {
         for (int64_t r = 0; r < num_replicas; ++r) {
@@ -1562,23 +1537,89 @@ void counter_pack_fused_dense_cluster_sweep(
             const double *bmatrix = matrices + b * size * size;
             const double *blinear = linear + b * size;
             const double *bcdata = cdata + b * cluster_nnz;
-            const double *bedges = edge_values + b * num_edges;
-            const uint32_t k0 = (uint32_t)keys[b];
-            const uint32_t k1 = (uint32_t)(keys[b] >> 32);
+            const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
+                                    edge_starts,
+                                    edge_values + b * num_edges};
+            draw_source draw = {NULL, NULL, 0u, (uint32_t)r,
+                                (uint32_t)keys[b],
+                                (uint32_t)(keys[b] >> 32)};
             for (int64_t t = 0; t < num_sweeps; ++t) {
-                counter_dense_replica(srow, frow, bmatrix, order, order_len,
-                                      size, temperatures[t], (uint32_t)t,
-                                      (uint32_t)r, k0, k1);
-                counter_cluster_replica(srow, blinear, cmembers,
-                                        cluster_starts, num_clusters,
-                                        bcdata, cindices, cindptr, edge_i,
-                                        edge_j, edge_starts, bedges,
-                                        temperatures[t], frow, bmatrix,
-                                        size, (uint32_t)t, (uint32_t)r,
-                                        k0, k1);
+                const double temperature = temperatures[t];
+                const double inv_temperature = 1.0 / temperature;
+                draw.sweep = (uint32_t)t;
+                for (int64_t k = 0; k < order_len; ++k)
+                    dense_visit(srow, frow, bmatrix, size, order, k,
+                                temperature, inv_temperature, &draw, work);
+                for (int64_t c = 0; c < num_clusters; ++c)
+                    dense_cluster_visit(srow, frow, bmatrix, size, blinear,
+                                        &cl, c, bcdata, cindices, cindptr,
+                                        temperature, inv_temperature, &draw,
+                                        work);
             }
         }
     }
+    memcpy(work_out, work, sizeof(work));
+}
+
+/* The colour entry points additionally take the memo workspace: row_of
+   (int64[size]) and the (num_replicas x num_blocks*size) acc / valid
+   matrices, of which every (block, replica) pair owns — and resets, once
+   per call — its own row segment. */
+void pack_fused_colour_cluster_sweep(
+    double *spins, int64_t sld, int64_t num_replicas,
+    int64_t num_blocks, int64_t size,
+    const double *linear,
+    const int64_t *members, const int64_t *class_starts,
+    int64_t num_classes,
+    const double *data, const int64_t *indices, const int64_t *indptr,
+    int64_t class_nnz,
+    const int64_t *row_of, double *memo_acc, uint8_t *memo_valid,
+    const int64_t *cmembers, const int64_t *cluster_starts,
+    int64_t num_clusters,
+    const int64_t *edge_i, const int64_t *edge_j,
+    const int64_t *edge_starts, const double *edge_values,
+    int64_t num_edges,
+    const double *temperatures, int64_t num_sweeps,
+    next_double_fn *next_doubles, void **states, int64_t *work_out)
+{
+    const int64_t mld = num_blocks * size;
+    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    for (int64_t b = 0; b < num_blocks; ++b) {
+        double *bspins = spins + b * size;
+        const double *blinear = linear + b * size;
+        const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
+                                edge_starts, edge_values + b * num_edges};
+        const draw_source draw = {next_doubles[b], states[b], 0u, 0u, 0u, 0u};
+        const double *bdata = data + b * class_nnz;
+        double *bacc = memo_acc + b * size;
+        uint8_t *bvalid = memo_valid + b * size;
+        for (int64_t r = 0; r < num_replicas; ++r)
+            memset(bvalid + r * mld, 0, (size_t)size);
+        for (int64_t t = 0; t < num_sweeps; ++t) {
+            const double temperature = temperatures[t];
+            const double inv_temperature = 1.0 / temperature;
+            for (int64_t c = 0; c < num_classes; ++c)
+                for (int64_t r = 0; r < num_replicas; ++r) {
+                    const field_memo memo = {bdata, indices, indptr,
+                                             bacc + r * mld,
+                                             bvalid + r * mld};
+                    colour_class_visit(bspins + r * sld, blinear, members,
+                                       class_starts[c], class_starts[c + 1],
+                                       &memo, temperature, inv_temperature,
+                                       &draw, work);
+                }
+            for (int64_t c = 0; c < num_clusters; ++c)
+                for (int64_t r = 0; r < num_replicas; ++r) {
+                    const field_memo memo = {bdata, indices, indptr,
+                                             bacc + r * mld,
+                                             bvalid + r * mld};
+                    colour_cluster_visit(bspins + r * sld, blinear, &cl, c,
+                                         &memo, row_of, temperature,
+                                         inv_temperature, &draw, work);
+                }
+        }
+    }
+    memcpy(work_out, work, sizeof(work));
 }
 
 void counter_pack_fused_colour_cluster_sweep(
@@ -1589,43 +1630,54 @@ void counter_pack_fused_colour_cluster_sweep(
     int64_t num_classes,
     const double *data, const int64_t *indices, const int64_t *indptr,
     int64_t class_nnz,
+    const int64_t *row_of, double *memo_acc, uint8_t *memo_valid,
     const int64_t *cmembers, const int64_t *cluster_starts,
     int64_t num_clusters,
-    const double *cdata, const int64_t *cindices, const int64_t *cindptr,
-    int64_t cluster_nnz,
     const int64_t *edge_i, const int64_t *edge_j,
     const int64_t *edge_starts, const double *edge_values,
     int64_t num_edges,
     const double *temperatures, int64_t num_sweeps,
-    const uint64_t *keys, int64_t threads)
+    const uint64_t *keys, int64_t threads, int64_t *work_out)
 {
+    const int64_t mld = num_blocks * size;
+    int64_t work[NUM_WORK] = {0, 0, 0, 0};
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
-    num_threads((int)threads)
+    num_threads((int)threads) reduction(+ : work[:NUM_WORK])
+#else
+    (void)threads;
 #endif
     for (int64_t b = 0; b < num_blocks; ++b) {
         for (int64_t r = 0; r < num_replicas; ++r) {
             double *srow = spins + b * size + r * sld;
             const double *blinear = linear + b * size;
-            const double *bdata = data + b * class_nnz;
-            const double *bcdata = cdata + b * cluster_nnz;
-            const double *bedges = edge_values + b * num_edges;
-            const uint32_t k0 = (uint32_t)keys[b];
-            const uint32_t k1 = (uint32_t)(keys[b] >> 32);
+            const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
+                                    edge_starts,
+                                    edge_values + b * num_edges};
+            const field_memo memo = {data + b * class_nnz, indices, indptr,
+                                     memo_acc + b * size + r * mld,
+                                     memo_valid + b * size + r * mld};
+            draw_source draw = {NULL, NULL, 0u, (uint32_t)r,
+                                (uint32_t)keys[b],
+                                (uint32_t)(keys[b] >> 32)};
+            memset(memo.valid, 0, (size_t)size);
             for (int64_t t = 0; t < num_sweeps; ++t) {
-                counter_colour_replica(srow, blinear, members, class_starts,
-                                       num_classes, bdata, indices, indptr,
-                                       temperatures[t], (uint32_t)t,
-                                       (uint32_t)r, k0, k1);
-                counter_cluster_replica(srow, blinear, cmembers,
-                                        cluster_starts, num_clusters,
-                                        bcdata, cindices, cindptr, edge_i,
-                                        edge_j, edge_starts, bedges,
-                                        temperatures[t], NULL, NULL, 0,
-                                        (uint32_t)t, (uint32_t)r, k0, k1);
+                const double temperature = temperatures[t];
+                const double inv_temperature = 1.0 / temperature;
+                draw.sweep = (uint32_t)t;
+                for (int64_t c = 0; c < num_classes; ++c)
+                    colour_class_visit(srow, blinear, members,
+                                       class_starts[c], class_starts[c + 1],
+                                       &memo, temperature, inv_temperature,
+                                       &draw, work);
+                for (int64_t c = 0; c < num_clusters; ++c)
+                    colour_cluster_visit(srow, blinear, &cl, c, &memo,
+                                         row_of, temperature,
+                                         inv_temperature, &draw, work);
             }
         }
     }
+    memcpy(work_out, work, sizeof(work));
 }
 
 int64_t counter_openmp_enabled(void)
@@ -1706,11 +1758,10 @@ def _compile_cext() -> Optional[Path]:
 
 def _cext_signatures() -> Dict[str, Tuple[object, list]]:
     """``(restype, argtypes)`` of every function ``_C_SOURCE`` exports."""
-    # Flattened cluster-descriptor run shared by the four sweep kernels.
-    cluster_args = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,   # clusters
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-        ctypes.c_int64,                    # cluster_nnz
+    members_args = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    csr_args = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                ctypes.c_int64]            # data, indices, indptr, nnz
+    edge_args = [
         ctypes.c_void_p, ctypes.c_void_p,  # edge_i, edge_j
         ctypes.c_void_p, ctypes.c_void_p,  # edge_starts, edge_values
         ctypes.c_int64,                    # num_edges
@@ -1720,9 +1771,10 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
         ctypes.c_int64, ctypes.c_int64,    # num_blocks, size
         ctypes.c_void_p,                   # linear
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-        ctypes.c_int64,                    # class_nnz
+        *members_args, *csr_args,          # colour classes and their CSR
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # field memo
+        *members_args, *edge_args,         # clusters (fields from the memo)
+        *schedule_args,
     ]
     dense_args = [
         ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
@@ -1731,23 +1783,25 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         ctypes.c_void_p, ctypes.c_int64,   # order, order_len
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
         ctypes.c_void_p,                   # linear
-        *cluster_args, *schedule_args,
+        *members_args, *csr_args, *edge_args,  # clusters
+        *schedule_args,
     ]
-    # Per-block draw sources: Generator pointer arrays under the sequential
-    # discipline, a Philox key array plus a thread count under the counter.
+    # Per-block draw sources — Generator pointer arrays under the sequential
+    # discipline, a Philox key array plus a thread count under the counter —
+    # then the int64[4] work-counter out-array.
     rng_arrays = [ctypes.POINTER(ctypes.c_void_p),  # next_doubles
-                  ctypes.POINTER(ctypes.c_void_p)]  # states
-    key_array = [ctypes.c_void_p, ctypes.c_int64]   # keys, threads
+                  ctypes.POINTER(ctypes.c_void_p),  # states
+                  ctypes.c_void_p]
+    key_array = [ctypes.c_void_p, ctypes.c_int64,   # keys, threads
+                 ctypes.c_void_p]
     return {
-        "pack_fused_colour_cluster_sweep": (None, [
-            *colour_args,
-            ctypes.c_void_p,               # scratch
-            *cluster_args, *schedule_args, *rng_arrays]),
+        "pack_fused_colour_cluster_sweep": (None, [*colour_args, *rng_arrays]),
         "pack_fused_dense_cluster_sweep": (None, [*dense_args, *rng_arrays]),
         "counter_pack_fused_colour_cluster_sweep": (None, [
-            *colour_args, *cluster_args, *schedule_args, *key_array]),
+            *colour_args, *key_array]),
         "counter_pack_fused_dense_cluster_sweep": (None, [
             *dense_args, *key_array]),
+        "metropolis_accept_probe": (ctypes.c_int64, [ctypes.c_double] * 3),
         "counter_openmp_enabled": (ctypes.c_int64, []),
     }
 

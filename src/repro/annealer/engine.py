@@ -70,7 +70,8 @@ single-spin+cluster kernel of their (kernel, rng) pair.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -134,6 +135,17 @@ def _edge_arrays(keys: Sequence[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarra
     rows = np.concatenate([indices[:, 0], indices[:, 1]])
     cols = np.concatenate([indices[:, 1], indices[:, 0]])
     return rows, cols
+
+
+def _values_reader(keys: Sequence[Tuple[int, int]]) -> Callable:
+    """``couplings -> tuple of the values at *keys*``, one C-level gather.
+
+    ``itemgetter`` returns a bare value for one key and rejects none, so
+    those two sizes take the spelled-out form.
+    """
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda couplings: tuple(couplings[key] for key in keys)
 
 
 def sparse_coupling_matrix(ising: IsingModel) -> sparse.csr_matrix:
@@ -264,6 +276,10 @@ class BlockDiagonalSampler:
             raise AnnealerError("the sampler needs at least one problem")
         first = isings[0]
         self._edge_keys: List[Tuple[int, int]] = list(first.couplings.keys())
+        # Frozen at construction: structure checks are one C-level key-set
+        # comparison and value reads one gather per problem.
+        self._edge_key_set = frozenset(self._edge_keys)
+        self._read_edge_values = _values_reader(self._edge_keys)
         self.num_blocks = len(isings)
         self.block_size = first.num_variables
         if not self.matches_structure(isings):
@@ -294,6 +310,7 @@ class BlockDiagonalSampler:
         # live operators per call, so these survive refresh_values rebinds).
         self._colour_csr_cache = None
         self._cluster_compiled_cache = None
+        self._last_sweep_work: Optional[backends.SweepWork] = None
 
         #: Combined colour classes: block-major concatenation, so block ``b``'s
         #: members form the contiguous column segment ``[b*m, (b+1)*m)`` of
@@ -315,7 +332,6 @@ class BlockDiagonalSampler:
         self._cluster_internal_keys: List[List[Tuple[int, int]]] = []
         self._cluster_int_i: List[np.ndarray] = []
         self._cluster_int_j: List[np.ndarray] = []
-        self._cluster_int_v: List[np.ndarray] = []
         if clusters:
             for cluster in clusters:
                 members = np.asarray(cluster, dtype=np.intp)
@@ -342,7 +358,9 @@ class BlockDiagonalSampler:
                     empty = np.empty((0, blocks), dtype=np.intp)
                     self._cluster_int_i.append(empty)
                     self._cluster_int_j.append(empty)
-            self._refresh_cluster_internal(isings)
+        self._read_internal_values = _values_reader(
+            [key for keys in self._cluster_internal_keys for key in keys])
+        self._refresh_cluster_internal(isings)
 
     # ------------------------------------------------------------------ #
     # Structure bookkeeping
@@ -397,25 +415,37 @@ class BlockDiagonalSampler:
         """
         return backends.resolve_backend(self.backend)
 
+    @property
+    def last_sweep_work(self) -> Optional[backends.SweepWork]:
+        """Work counters of the latest :meth:`anneal` call's kernel dispatch
+        (proposals, uniforms drawn, ``exp`` calls, field recomputations);
+        ``None`` before the first call and on the numpy/numba backends."""
+        return self._last_sweep_work
+
     def _entry_values(self, isings: Sequence[IsingModel]) -> np.ndarray:
         """Block-major flat value vector aligned with the combined entries."""
         count = len(self._edge_keys)
         out = np.empty((len(isings), 2 * count))
         for row, ising in zip(out, isings):
-            values = np.fromiter(
-                (ising.couplings[key] for key in self._edge_keys),
-                dtype=np.float64, count=count)
-            row[:count] = values
-            row[count:] = values
+            row[:count] = self._read_edge_values(ising.couplings)
+            row[count:] = row[:count]
         return out.ravel()
 
     def _refresh_cluster_internal(self, isings: Sequence[IsingModel]) -> None:
-        self._cluster_int_v = [
-            np.array([[ising.couplings[key] for ising in isings]
-                      for key in keys], dtype=float).reshape(len(keys),
-                                                             len(isings))
-            for keys in self._cluster_internal_keys
-        ]
+        """Re-read the cluster-internal coupling values of every block.
+
+        ``_cluster_edge_values`` is the ``(blocks, E)`` matrix over all
+        clusters' internal edges in cluster order (the backend descriptor's
+        layout); ``_cluster_int_v`` holds the reference loop's per-cluster
+        ``(edges, blocks)`` views of it.
+        """
+        bounds = np.cumsum(
+            [0] + [len(keys) for keys in self._cluster_internal_keys])
+        self._cluster_edge_values = np.array(
+            [self._read_internal_values(ising.couplings) for ising in isings],
+            dtype=float).reshape(len(isings), bounds[-1])
+        self._cluster_int_v = [self._cluster_edge_values[:, lo:hi].T
+                               for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def _ensure_entry_maps(self) -> None:
         if self._matrix_entries is not None:
@@ -455,9 +485,7 @@ class BlockDiagonalSampler:
         for ising in isings:
             if ising.num_variables != self.block_size:
                 return False
-            if len(ising.couplings) != len(self._edge_keys):
-                return False
-            if not all(key in ising.couplings for key in self._edge_keys):
+            if ising.couplings.keys() != self._edge_key_set:
                 return False
         return True
 
@@ -485,8 +513,7 @@ class BlockDiagonalSampler:
             operator.data[:] = entry_values[entries]
         self.linear = np.concatenate(
             [np.asarray(ising.linear, dtype=float) for ising in isings])
-        if self._cluster_internal_keys:
-            self._refresh_cluster_internal(isings)
+        self._refresh_cluster_internal(isings)
         self.isings = isings
 
     def split_samples(self, samples: np.ndarray) -> List[np.ndarray]:
@@ -583,17 +610,6 @@ class BlockDiagonalSampler:
                                             edge_j, edge_starts, structure)
         return self._cluster_compiled_cache
 
-    def _cluster_edge_values(self) -> np.ndarray:
-        """Internal-edge coupling values, shape ``(E_total, blocks)``.
-
-        ``_refresh_cluster_internal`` replaces the per-cluster arrays on
-        rebind, so these are re-read on every call.
-        """
-        nonempty = [block for block in self._cluster_int_v if block.size]
-        if not nonempty:
-            return np.empty((0, self.num_blocks))
-        return np.concatenate(nonempty, axis=0)
-
     def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
         """Flattened cluster descriptor of the pack for the backend kernels.
 
@@ -602,9 +618,10 @@ class BlockDiagonalSampler:
         local-field rows, same values in the same ascending-column
         summation order as the reference cluster operators) and
         ``edge_values`` hold every block's values as ``(blocks, nnz)`` /
-        ``(blocks, E)`` rows, assembled per call from the live operators so
-        samplers rebound through :meth:`refresh_values` always sweep the
-        current values.  Without clusters this is the empty descriptor —
+        ``(blocks, E)`` rows — ``data`` assembled per call from the live
+        operators, ``edge_values`` the matrix :meth:`refresh_values`
+        re-reads — so rebound samplers always sweep the current values.
+        Without clusters this is the empty descriptor —
         "no clusters" is a zero-iteration cluster pass, not another entry
         point.
         """
@@ -620,7 +637,7 @@ class BlockDiagonalSampler:
             edge_i=edge_i,
             edge_j=edge_j,
             edge_starts=edge_starts,
-            edge_values=np.ascontiguousarray(self._cluster_edge_values().T),
+            edge_values=self._cluster_edge_values,
         )
 
     def _cluster_sweep(self, spins: np.ndarray, temperature: float,
@@ -809,7 +826,8 @@ class BlockDiagonalSampler:
 
     def _dispatch_dense(self, spins: np.ndarray, temperatures: np.ndarray,
                         backend: str, rngs: Sequence[np.random.Generator],
-                        keys: Optional[List[int]]) -> None:
+                        keys: Optional[List[int]]
+                        ) -> Optional[backends.SweepWork]:
         """Dense sequential sweeps, whole pack and schedule in one dispatch.
 
         Blocks never interact and each has its own draw source, so the
@@ -836,10 +854,9 @@ class BlockDiagonalSampler:
         shared = (backend, spins, fields, coupling, order, self.linear,
                   self._cluster_pack_descriptor(), temperatures)
         if keys is None:
-            backends.pack_fused_dense_cluster_sweep(*shared, rngs)
-        else:
-            backends.counter_pack_fused_dense_cluster_sweep(
-                *shared, keys, threads=self.threads)
+            return backends.pack_fused_dense_cluster_sweep(*shared, rngs)
+        return backends.counter_pack_fused_dense_cluster_sweep(
+            *shared, keys, threads=self.threads)
 
     def _ensure_colour_cache(self) -> Tuple:
         """Build (once per sampler) the stacked colour-class CSR structure."""
@@ -876,7 +893,8 @@ class BlockDiagonalSampler:
 
     def _dispatch_colour(self, spins: np.ndarray, temperatures: np.ndarray,
                          backend: str, rngs: Sequence[np.random.Generator],
-                         keys: Optional[List[int]]) -> None:
+                         keys: Optional[List[int]]
+                         ) -> Optional[backends.SweepWork]:
         """Colour-class sweeps, whole pack and schedule in one dispatch.
 
         The colour sibling of :meth:`_dispatch_dense` — the embedded serving
@@ -885,16 +903,12 @@ class BlockDiagonalSampler:
         the live combined matrix on every call, so samplers rebound through
         :meth:`refresh_values` always sweep the current values.
         """
-        shared = (backend, spins, self.linear, *self._colour_pack_csr())
-        clusters = self._cluster_pack_descriptor()
+        shared = (backend, spins, self.linear, *self._colour_pack_csr(),
+                  self._cluster_pack_descriptor(), temperatures)
         if keys is None:
-            scratch = np.empty((spins.shape[0],
-                                max([1, *self._class_widths])))
-            backends.pack_fused_colour_cluster_sweep(
-                *shared, scratch, clusters, temperatures, rngs)
-        else:
-            backends.counter_pack_fused_colour_cluster_sweep(
-                *shared, clusters, temperatures, keys, threads=self.threads)
+            return backends.pack_fused_colour_cluster_sweep(*shared, rngs)
+        return backends.counter_pack_fused_colour_cluster_sweep(
+            *shared, keys, threads=self.threads)
 
     def _anneal(self, temperatures: Sequence[float], num_replicas: int,
                 rngs: Sequence[np.random.Generator],
@@ -945,6 +959,7 @@ class BlockDiagonalSampler:
                 )
 
         backend = self.selected_backend
+        self._last_sweep_work = None
         # Wall-time attribution of the sweep loop per kernel/backend/rng/
         # thread count; the phase is a no-op unless the global profiler is
         # enabled and never touches RNG state, so trajectories are identical
@@ -960,7 +975,8 @@ class BlockDiagonalSampler:
                         if self.selected_kernel == "dense"
                         else self._dispatch_colour)
             with sweep_phase:
-                dispatch(spins, temperatures, backend, rngs, counter_keys)
+                self._last_sweep_work = dispatch(spins, temperatures, backend,
+                                                 rngs, counter_keys)
             return spins.astype(np.int8)
         if self.selected_kernel == "dense":
             with sweep_phase:

@@ -429,15 +429,17 @@ class QuantumAnnealerSimulator:
             with PROFILER.phase("machine.ice"):
                 perturbed = [self.ice.perturb(item.ising, rng)
                              for item, rng in zip(embedded, rngs)]
-            if sampler is not None and sampler.matches_structure(perturbed):
-                with PROFILER.phase("machine.sampler_rebind"):
-                    sampler.refresh_values(perturbed)
-                with PROFILER.phase("machine.anneal",
-                                    sampler.selected_kernel,
-                                    sampler.selected_backend):
-                    samples = sampler.anneal(temperatures, batch, rngs)
-            else:
+            if sampler is not None:
+                # refresh_values is the (one) structure check: a mismatch
+                # raises before touching the sampler, and a fresh one is
+                # built below.
                 try:
+                    with PROFILER.phase("machine.sampler_rebind"):
+                        sampler.refresh_values(perturbed)
+                except AnnealerError:
+                    sampler = None
+            try:
+                if sampler is None:
                     with PROFILER.phase("machine.sampler_build"):
                         sampler = BlockDiagonalSampler(perturbed,
                                                        clusters=clusters,
@@ -445,24 +447,24 @@ class QuantumAnnealerSimulator:
                                                        backend=backend,
                                                        rng=rng,
                                                        threads=threads)
-                    with PROFILER.phase("machine.anneal",
-                                        sampler.selected_kernel,
-                                        sampler.selected_backend):
-                        samples = sampler.anneal(temperatures, batch, rngs)
-                except AnnealerError:
-                    # An ICE draw cancelled a coupling exactly, so the blocks
-                    # no longer share one structure this batch; fall back to
-                    # per-problem anneals (identical trajectories, just not
-                    # packed).
-                    sampler = None
-                    with PROFILER.phase("machine.anneal", kernel, backend):
-                        samples = np.concatenate([
-                            IsingSampler(problem, clusters=clusters,
-                                         kernel=kernel, backend=backend,
-                                         rng=rng, threads=threads).anneal(
-                                temperatures, batch, random_state=rng_b)
-                            for problem, rng_b in zip(perturbed, rngs)
-                        ], axis=1)
+                with PROFILER.phase("machine.anneal",
+                                    sampler.selected_kernel,
+                                    sampler.selected_backend):
+                    samples = sampler.anneal(temperatures, batch, rngs)
+            except AnnealerError:
+                # An ICE draw cancelled a coupling exactly, so the blocks
+                # no longer share one structure this batch; fall back to
+                # per-problem anneals (identical trajectories, just not
+                # packed).
+                sampler = None
+                with PROFILER.phase("machine.anneal", kernel, backend):
+                    samples = np.concatenate([
+                        IsingSampler(problem, clusters=clusters,
+                                     kernel=kernel, backend=backend,
+                                     rng=rng, threads=threads).anneal(
+                            temperatures, batch, random_state=rng_b)
+                        for problem, rng_b in zip(perturbed, rngs)
+                    ], axis=1)
             physical[produced:produced + batch] = samples
             produced += batch
 

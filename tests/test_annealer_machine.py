@@ -280,6 +280,50 @@ class TestSamplerCache:
         assert info["hits"] == 2
         assert info["entries"] == 2
 
+    def test_structure_checked_once_per_ice_batch(self, monkeypatch):
+        """A work counter, not a clock: every ICE batch costs one structure
+        check — inside the rebind, or inside the build of the first."""
+        from repro.annealer.engine import BlockDiagonalSampler
+
+        checks = []
+        original = BlockDiagonalSampler.matches_structure
+
+        def counting(sampler, isings):
+            checks.append(len(isings))
+            return original(sampler, isings)
+
+        monkeypatch.setattr(BlockDiagonalSampler, "matches_structure",
+                            counting)
+        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+                                           ice_batch_size=5)
+        reduced = make_reduced(num_users=3, constellation="QPSK", seed=1,
+                               snr_db=12.0)
+        machine.run(reduced.ising, AnnealerParameters(num_anneals=20),
+                    random_state=0)
+        assert checks == [1] * 4
+
+    def test_structure_mismatch_rebuilds_the_sampler(self, monkeypatch):
+        """A cached sampler whose rebind is refused (an ICE draw cancelled
+        a coupling) is replaced by a fresh build: same results as cold."""
+        from repro.annealer.engine import BlockDiagonalSampler
+
+        reduced = [make_reduced(num_users=3, constellation="QPSK", seed=s,
+                                snr_db=12.0) for s in range(3)]
+        cold = self._solutions(self._machine(0), reduced)
+
+        def refuse(sampler, isings):
+            raise AnnealerError("structure changed")
+
+        monkeypatch.setattr(BlockDiagonalSampler, "refresh_values", refuse)
+        machine = self._machine(8)
+        warm = self._solutions(machine, reduced)
+        assert machine.sampler_cache_info()["hits"] == 2
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a.solutions.samples,
+                                          b.solutions.samples)
+            np.testing.assert_array_equal(a.solutions.num_occurrences,
+                                          b.solutions.num_occurrences)
+
     def test_capacity_evicts_least_recently_used(self):
         machine = self._machine(1)
         a = make_reduced(num_users=2, constellation="QPSK", seed=1, snr_db=12.0)

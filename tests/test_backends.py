@@ -180,7 +180,8 @@ class TestSymbolTable:
         if "*" in declaration:
             return "pointer"
         return {"void": None, "int64_t": ctypes.c_int64,
-                "uint64_t": ctypes.c_uint64}[declaration.split()[0]]
+                "uint64_t": ctypes.c_uint64,
+                "double": ctypes.c_double}[declaration.split()[0]]
 
     def exported(self):
         table = {}
@@ -210,7 +211,8 @@ class TestSymbolTable:
         dispatch = {name for name, value in vars(backends).items()
                     if name.endswith("_sweep") and callable(value)}
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
-        assert set(self.exported()) == dispatch | {"counter_openmp_enabled"}
+        assert set(self.exported()) == dispatch | {
+            "counter_openmp_enabled", "metropolis_accept_probe"}
 
 
 @pytest.mark.parametrize("backend", COMPILED)

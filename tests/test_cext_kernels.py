@@ -1,0 +1,176 @@
+"""Clock-free guards of the C kernels' two exact shortcuts.
+
+The cext colour kernels settle most uphill proposals with a squeeze test
+instead of ``exp`` and serve local fields from a per-replica memo instead of
+a fresh CSR gather.  Both must leave every decision — hence every seeded
+stream — untouched; the cross-backend identity and golden suites prove that
+end to end.  This file pins the pieces:
+
+* the **work counters** (`BlockDiagonalSampler.last_sweep_work`) repeat
+  exactly, show the shortcuts are on the hot path, and agree with the number
+  of uniforms the generator actually handed out;
+* the **squeeze** equals ``u < exp(-delta / T)`` on an adversarial grid
+  around both of its decision boundaries;
+* the C source compiles **warning-free** (no dead argument rides along in
+  the entry-point signatures).
+"""
+
+import math
+import subprocess
+
+import numpy as np
+import pytest
+
+from repro.annealer import backends
+from repro.annealer.chimera import ChimeraGraph
+from repro.annealer.embedded import embed_ising
+from repro.annealer.engine import IsingSampler
+from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.mimo.system import MimoUplink
+from repro.transform.reduction import MLToIsingReducer
+
+pytestmark = pytest.mark.skipif(not backends.cext_available(),
+                                reason="no C compiler for the cext backend")
+
+MACHINE = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4))
+PARAMETERS = AnnealerParameters()
+#: The machine's default per-sweep temperatures (hot 1.5 -> cold 0.02).
+TEMPERATURES = PARAMETERS.schedule.temperature_profile(
+    sweeps_per_us=MACHINE.sweeps_per_us, hot=MACHINE.hot_temperature,
+    cold=MACHINE.cold_temperature)
+REPLICAS = 20
+#: Uniforms the sequential colour kernel draws on ``embedded_bpsk()`` under
+#: ``TEMPERATURES`` x ``REPLICAS`` from seed 11 — measured on the parent
+#: (pre-squeeze, pre-memo) kernel by the generator-advance identity below.
+PINNED_DRAWS = 35107
+
+
+def embedded_bpsk(num_users=12, seed=5):
+    """A 12-user BPSK ML problem clique-embedded on a 4x4 Chimera chip."""
+    channel_use = MimoUplink(num_users=num_users, constellation="BPSK"
+                             ).transmit(random_state=seed, snr_db=20.0)
+    logical = MLToIsingReducer().reduce(channel_use).ising
+    embedded = embed_ising(logical, MACHINE.embedding_for(num_users),
+                           chain_strength=PARAMETERS.chain_strength,
+                           extended_range=PARAMETERS.extended_range)
+    clusters = [np.asarray(chain, dtype=np.intp)
+                for chain in embedded.compact_chains.values()]
+    return embedded.ising, clusters
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    def test_counts_repeat_and_shortcuts_are_hot(self, rng_mode):
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext",
+                               rng=rng_mode)
+        assert sampler.selected_kernel == "colour"
+        assert sampler.last_sweep_work is None
+        first = sampler.anneal(TEMPERATURES, REPLICAS, random_state=11)
+        work = sampler.last_sweep_work
+        again = sampler.anneal(TEMPERATURES, REPLICAS, random_state=11)
+        np.testing.assert_array_equal(first, again)
+        assert sampler.last_sweep_work == work
+
+        sweeps = len(TEMPERATURES)
+        spin_visits = sweeps * REPLICAS * ising.num_variables
+        member_visits = sweeps * REPLICAS * sum(map(len, clusters))
+        assert work.proposals == (spin_visits
+                                  + sweeps * REPLICAS * len(clusters))
+        assert 0 < work.draws <= work.proposals
+        # The squeeze settles at least four uphill draws in five ...
+        assert work.exp_calls <= 0.2 * work.draws
+        # ... and at least every second field is served from the memo.
+        assert 0 < work.field_recomputations <= 0.5 * (spin_visits
+                                                       + member_visits)
+
+    def test_draws_equal_the_generator_stream(self):
+        """``draws`` is the stream length: the generator ends exactly that
+        many steps past its initial-spin draw, at the count the pre-squeeze
+        kernel consumed on this problem (pinned)."""
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext")
+        rng = np.random.default_rng(11)
+        sampler.anneal(TEMPERATURES, REPLICAS, random_state=rng)
+        work = sampler.last_sweep_work
+        reference = np.random.default_rng(11)
+        reference.integers(0, 2, size=(REPLICAS, ising.num_variables))
+        reference.bit_generator.advance(work.draws)
+        assert (rng.bit_generator.state["state"]
+                == reference.bit_generator.state["state"])
+        assert work.draws == PINNED_DRAWS
+
+    def test_dense_kernel_counts_and_reference_backends_report_none(self):
+        ising, clusters = embedded_bpsk()
+        dense = IsingSampler(ising, clusters=clusters, kernel="dense",
+                             backend="cext")
+        dense.anneal(TEMPERATURES, REPLICAS, random_state=11)
+        work = dense.last_sweep_work
+        assert work.field_recomputations == 0  # fields are incremental
+        assert 0 < work.exp_calls <= 0.2 * work.draws
+        numpy_sampler = IsingSampler(ising, clusters=clusters,
+                                     backend="numpy")
+        numpy_sampler.anneal(TEMPERATURES[:3], 4, random_state=11)
+        assert numpy_sampler.last_sweep_work is None
+
+
+class TestSqueezeExactness:
+    @staticmethod
+    def quartic(x):
+        return 1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)))
+
+    def test_probe_equals_reference_expression(self):
+        probe = backends._load_cext().metropolis_accept_probe
+        ratios = np.concatenate([10.0 ** np.arange(-300.0, 0.0, 12.5),
+                                 np.linspace(0.05, 40.0, 81),
+                                 np.linspace(41.0, 800.0, 70)])
+        checked = 0
+        for temperature in np.unique(TEMPERATURES):
+            for delta in ratios * temperature:
+                x = delta / temperature
+                boundary = math.exp(-x)
+                squeeze = 1.0 / self.quartic(x)
+                uniforms = {
+                    0.0, 2.0 ** -53, 1.0 - 2.0 ** -53,
+                    math.nextafter(boundary, 0.0), boundary,
+                    math.nextafter(boundary, 1.0),
+                    math.nextafter(squeeze, 0.0), squeeze,
+                    math.nextafter(squeeze, 1.0),
+                }
+                for u in uniforms:
+                    if not 0.0 <= u < 1.0:
+                        continue
+                    expected = u < math.exp(-delta / temperature)
+                    assert probe(delta, temperature, u) == expected, (
+                        delta, temperature, u)
+                    checked += 1
+        assert checked > 20000
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    """``-Wall -Wextra -Werror``: an argument an entry point stopped using
+    must leave its signature (and the ctypes table), not linger unread."""
+    source = tmp_path / "metropolis.c"
+    source.write_text(backends._C_SOURCE, encoding="utf-8")
+    empty = tmp_path / "empty.c"
+    empty.write_text("", encoding="utf-8")
+
+    def check(compiler, flags, path):
+        try:
+            return subprocess.run(
+                [compiler, "-O2", "-Wall", "-Wextra", "-Werror",
+                 "-fsyntax-only", *flags, str(path)],
+                capture_output=True, text=True, timeout=120)
+        except (OSError, subprocess.SubprocessError):
+            return None
+
+    for compiler in backends._COMPILERS:
+        if check(compiler, [], empty) is None:
+            continue
+        # Both builds _compile_cext tries; -fopenmp only where accepted.
+        for flags in ([], ["-fopenmp"]):
+            if check(compiler, flags, empty).returncode == 0:
+                result = check(compiler, flags, source)
+                assert result.returncode == 0, result.stderr
+        return
+    pytest.skip("no C compiler found")

@@ -409,3 +409,58 @@ class TestEmbeddedClusterSharedDynamics:
         np.testing.assert_array_equal(
             rebound.anneal(temperatures, 5, random_state=75),
             fresh.anneal(temperatures, 5, random_state=75))
+
+    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    @pytest.mark.parametrize("temperature", [5.0, 0.02], ids=["hot", "cold"])
+    def test_constant_temperature_colour_cluster_stress(self, backend, blocks,
+                                                        rng_mode, temperature):
+        """The cext field memo at its two extremes: at T=5 most proposals
+        are accepted, so almost every visit follows an invalidation; at
+        T=0.02 almost none is, so almost every field is served stale-free
+        from the memo.  Either way the numpy loops are reproduced."""
+        base, clusters = path_chain_ising(30, 5, 90, density=0.12)
+        rng = np.random.default_rng(91)
+        problems = [
+            IsingModel(num_variables=30, linear=rng.normal(size=30),
+                       couplings={key: float(rng.normal())
+                                  for key in base.couplings})
+            for _ in range(blocks)
+        ]
+        temperatures = np.full(25, temperature)
+
+        def anneal(used_backend):
+            sampler = BlockDiagonalSampler(problems, clusters=clusters,
+                                           kernel="colour",
+                                           backend=used_backend, rng=rng_mode)
+            return sampler.anneal(temperatures, 7,
+                                  [np.random.default_rng(92 + b)
+                                   for b in range(blocks)])
+
+        np.testing.assert_array_equal(anneal("numpy"), anneal(backend))
+
+    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    def test_field_memo_survives_neither_call_nor_rebind(self, backend,
+                                                         rng_mode):
+        """Two successive anneals of a sampler rebound through
+        ``refresh_values`` equal two fresh samplers: memoised fields of an
+        earlier call or of the earlier values must never be served."""
+        base, clusters = path_chain_ising(24, 6, 93, density=0.1)
+        rng = np.random.default_rng(94)
+        replacement = IsingModel(
+            num_variables=24, linear=rng.normal(size=24),
+            couplings={key: float(rng.normal()) for key in base.couplings})
+        temperatures = schedule(30)
+        rebound = IsingSampler(base, clusters=clusters, kernel="colour",
+                               backend=backend, rng=rng_mode)
+        rebound.anneal(temperatures, 5, random_state=95)
+        rebound.refresh_values(replacement)
+        for seed in (96, 97):
+            fresh = IsingSampler(replacement, clusters=clusters,
+                                 kernel="colour", backend="numpy",
+                                 rng=rng_mode)
+            np.testing.assert_array_equal(
+                rebound.anneal(temperatures, 5, random_state=seed),
+                fresh.anneal(temperatures, 5, random_state=seed))

@@ -154,6 +154,16 @@ class TestRefreshValues:
             sampler.refresh_values(random_ising(8, 8, density=1.0))
         with pytest.raises(AnnealerError):
             sampler.refresh_values(random_ising(6, 7, density=0.5))
+        # Same variable and coupling counts, one coupling moved.
+        moved = dict(sampler.ising.couplings)
+        key = next(iter(moved))
+        absent = next((i, j) for i in range(8) for j in range(i + 1, 8)
+                      if (i, j) not in moved)
+        moved[absent] = moved.pop(key)
+        with pytest.raises(AnnealerError):
+            sampler.refresh_values(IsingModel(
+                num_variables=8, linear=sampler.ising.linear,
+                couplings=moved))
 
     def test_refresh_updates_energies(self):
         base = random_ising(6, 9)
