@@ -312,10 +312,11 @@ def warmup(backend: str, rng: str = "sequential") -> None:
 class ClusterDescriptor(NamedTuple):
     """Flattened pack-level cluster metadata handed across the compiled boundary.
 
-    Built once per anneal by the engine
-    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`)
-    from the live coupling matrix, so samplers rebound through
-    ``refresh_values`` always sweep the current values.  The structure
+    The structure is built once per sampler and the two value matrices
+    gathered per anneal from the sampler's bound value matrix
+    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`),
+    so samplers rebound through ``refresh_values`` always sweep the current
+    values.  The structure
     arrays are *block-level* (member and edge indices address one block's
     ``(R, P)`` spin view) and shared by every block of the pack; ``data`` /
     ``edge_values`` stack the blocks' coupling values row per block.  A
@@ -366,17 +367,13 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return array.ctypes.data_as(ctypes.c_void_p)
 
 
-def _cluster_ctypes_args(clusters: ClusterDescriptor, csr: bool) -> list:
-    """The descriptor's ctypes argument run of the cext kernels.
-
-    The colour kernels serve member fields from their field memo and take
-    no member-row CSR (``csr=False``).
-    """
+def _cluster_ctypes_args(clusters: ClusterDescriptor) -> list:
+    """The descriptor's ctypes argument run of the cext dense kernels."""
     return [
         _ptr(clusters.members), _ptr(clusters.cluster_starts),
         clusters.cluster_starts.size - 1,
-        *([_ptr(clusters.data), _ptr(clusters.indices),
-           _ptr(clusters.indptr), clusters.data.shape[1]] if csr else []),
+        _ptr(clusters.data), _ptr(clusters.indices), _ptr(clusters.indptr),
+        clusters.data.shape[1],
         _ptr(clusters.edge_i), _ptr(clusters.edge_j),
         _ptr(clusters.edge_starts), _ptr(clusters.edge_values),
         clusters.edge_values.shape[1],
@@ -401,33 +398,62 @@ def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
     return fns, states
 
 
-def _cext_colour_call(function, num_blocks: int, spins, linear, members,
-                      class_starts, class_data, indices, indptr, clusters,
-                      temperatures, *draw_args) -> SweepWork:
+def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
+                      spins, linear, members, class_starts, class_data,
+                      indices, indptr, clusters, temperatures,
+                      *draw_args) -> SweepWork:
     """One cext colour-kernel call of either discipline (*draw_args*).
 
-    Allocates the kernels' field-memo workspace: ``row_of`` maps a variable
-    to its row of the class CSR, and the ``(R, blocks*P)`` value/valid
-    matrices give every (block, replica) pair its own row segment (so the
-    OpenMP pairs share nothing); the kernel resets them itself.
+    The kernels' per-structure argument block lives in *workspace*, a dict
+    the caller keeps for as long as it keeps the structure arrays (a
+    sampler's lifetime; ``None`` for a one-off call): ``row_of``, which
+    maps a variable to its row of the class CSR, the ctypes pointers of
+    every structure array, the work out-array, and — reused while the spin
+    matrix shape repeats — the ``(R, blocks*P)`` field-memo value/valid
+    matrices that give every (block, replica) pair its own row segment (so
+    the OpenMP pairs share nothing; the kernel resets them itself).  A call
+    over a kept workspace marshals only what changes: spins, fields, values
+    and draw sources.
     """
+    if workspace is None:
+        workspace = {}
     size = spins.shape[1] // num_blocks
-    row_of = np.full(size, -1, dtype=np.int64)
-    row_of[members] = np.arange(members.size)
-    if clusters.members.size and row_of[clusters.members].min() < 0:
-        raise AnnealerError(
-            "every cluster member must belong to a colour class")
-    memo_acc = np.empty(spins.shape)
-    memo_valid = np.empty(spins.shape, dtype=np.uint8)
-    work = np.empty(4, dtype=np.int64)
-    temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
+    structure = workspace.get("structure")
+    if structure is None:
+        row_of = np.full(size, -1, dtype=np.int64)
+        row_of[members] = np.arange(members.size)
+        if clusters.members.size and row_of[clusters.members].min() < 0:
+            raise AnnealerError(
+                "every cluster member must belong to a colour class")
+        work = np.empty(4, dtype=np.int64)
+        structure = workspace["structure"] = (
+            (_ptr(members), _ptr(class_starts), class_starts.size - 1),
+            (_ptr(indices), _ptr(indptr), indices.size, _ptr(row_of)),
+            (_ptr(clusters.members), _ptr(clusters.cluster_starts),
+             clusters.cluster_starts.size - 1),
+            (_ptr(clusters.edge_i), _ptr(clusters.edge_j),
+             _ptr(clusters.edge_starts)),
+            work, _ptr(work),
+            # The pointers above are only as alive as these.
+            (members, class_starts, indices, indptr, row_of, clusters))
+    classes, csr, cluster_members, cluster_edges, work, work_ptr, _ = structure
+    memo = workspace.get("memo")
+    if memo is None or memo[0].shape != spins.shape:
+        memo_acc = np.empty(spins.shape)
+        memo_valid = np.empty(spins.shape, dtype=np.uint8)
+        memo = workspace["memo"] = (memo_acc, _ptr(memo_acc),
+                                    memo_valid, _ptr(memo_valid))
+    schedule = workspace.get("schedule")
+    if schedule is None or schedule[0] is not temperatures:
+        contiguous = np.ascontiguousarray(temperatures, dtype=np.float64)
+        schedule = (contiguous, _ptr(contiguous), contiguous.size)
+        if contiguous is temperatures:  # no copy: later edits stay visible
+            workspace["schedule"] = schedule
     function(
         *_row_strided(spins), spins.shape[0], num_blocks, size, _ptr(linear),
-        _ptr(members), _ptr(class_starts), class_starts.size - 1,
-        _ptr(class_data), _ptr(indices), _ptr(indptr), class_data.shape[1],
-        _ptr(row_of), _ptr(memo_acc), _ptr(memo_valid),
-        *_cluster_ctypes_args(clusters, csr=False),
-        _ptr(temperatures), temperatures.size, *draw_args, _ptr(work))
+        *classes, _ptr(class_data), *csr, memo[1], memo[3],
+        *cluster_members, *cluster_edges, _ptr(clusters.edge_values),
+        clusters.edge_values.shape[1], *schedule[1:], *draw_args, work_ptr)
     return SweepWork(*work.tolist())
 
 
@@ -443,7 +469,7 @@ def _cext_dense_call(function, num_blocks: int, spins, fields, matrices,
         *_row_strided(spins), *_row_strided(fields), _ptr(matrices),
         _ptr(order), order.size, spins.shape[0], num_blocks,
         spins.shape[1] // num_blocks, _ptr(linear),
-        *_cluster_ctypes_args(clusters, csr=True),
+        *_cluster_ctypes_args(clusters),
         _ptr(temperatures), temperatures.size, *draw_args, _ptr(work))
     return SweepWork(*work.tolist())
 
@@ -455,7 +481,8 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                                     indices: np.ndarray, indptr: np.ndarray,
                                     clusters: ClusterDescriptor,
                                     temperatures: np.ndarray,
-                                    rngs) -> Optional[SweepWork]:
+                                    rngs, workspace: Optional[dict] = None
+                                    ) -> Optional[SweepWork]:
     """Whole-schedule colour-class (+ cluster-flip) sweeps over a pack.
 
     The sequential-discipline colour entry point — one dispatch per anneal
@@ -476,6 +503,10 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     the pack is bit-for-bit the per-block serial anneals with the call
     marshalling paid once.  The cext backend returns its
     :class:`SweepWork` counts (as do all four entry points), numba ``None``.
+    A caller making repeated calls over one structure (same structure
+    arrays, new values) passes the same *workspace* dict each time and the
+    cext branch keeps its argument block there (see
+    :func:`_cext_colour_call`).
     """
     num_blocks = len(rngs)
     size = spins.shape[1] // num_blocks
@@ -494,9 +525,10 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
         return None
     if backend == "cext":
         return _cext_colour_call(
-            _load_cext().pack_fused_colour_cluster_sweep, num_blocks, spins,
-            linear, members, class_starts, class_data, indices, indptr,
-            clusters, temperatures, *_rng_pointer_arrays(rngs))
+            _load_cext().pack_fused_colour_cluster_sweep, workspace,
+            num_blocks, spins, linear, members, class_starts, class_data,
+            indices, indptr, clusters, temperatures,
+            *_rng_pointer_arrays(rngs))
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -757,7 +789,8 @@ def counter_pack_fused_colour_cluster_sweep(
         members: np.ndarray, class_starts: np.ndarray, class_data: np.ndarray,
         indices: np.ndarray, indptr: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
-        threads: int = 1) -> Optional[SweepWork]:
+        threads: int = 1, workspace: Optional[dict] = None
+        ) -> Optional[SweepWork]:
     """Counter-mode colour-class (+ cluster-flip) sweeps over a pack.
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
@@ -805,9 +838,10 @@ def counter_pack_fused_colour_cluster_sweep(
         _note_openmp_team(threads)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
         return _cext_colour_call(
-            _load_cext().counter_pack_fused_colour_cluster_sweep, num_blocks,
-            spins, linear, members, class_starts, class_data, indices,
-            indptr, clusters, temperatures, _ptr(keys_array), threads)
+            _load_cext().counter_pack_fused_colour_cluster_sweep, workspace,
+            num_blocks, spins, linear, members, class_starts, class_data,
+            indices, indptr, clusters, temperatures, _ptr(keys_array),
+            threads)
     raise AnnealerError(
         f"no counter pack colour+cluster kernel for backend {backend!r}")
 

@@ -15,18 +15,26 @@ Because the chain couplings are pinned at the hardware maximum, increasing
 ``|J_F|`` shrinks the programmed problem coefficients; combined with the
 absolute ICE noise this is what produces the performance optimum in
 ``|J_F|`` observed in the paper's Fig. 5.
+
+Everything above except the coefficient *values* is a function of the
+embedding and the logical coupling keys alone, so it is derived once as an
+:class:`EmbeddingPlan`; compiling problems is then a few array passes over a
+whole pack of them (:func:`embed_pack`), and :func:`embed_ising` is the pack
+of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.annealer.embedding import Embedding
 from repro.exceptions import EmbeddingError
-from repro.ising.model import IsingModel
+from repro.ising.model import Coupling, IsingModel, IsingPack
 from repro.utils.validation import check_positive
 
 #: Hardware coefficient ranges of the DW2Q (in dimensionless machine units).
@@ -37,121 +45,359 @@ FIELD_MIN = -2.0
 FIELD_MAX = 2.0
 
 
-@dataclass(frozen=True)
-class EmbeddedIsing:
-    """A hardware-ready Ising problem plus the bookkeeping to unembed it.
+class EmbeddingPlan:
+    """Structure of every problem with one logical key tuple on one embedding.
 
-    Attributes
-    ----------
-    ising:
-        Ising problem over *compact* physical indices ``0 .. P-1``.
-    embedding:
-        The logical-to-physical chain embedding used.
-    qubit_order:
-        ``qubit_order[c]`` is the hardware qubit id of compact index ``c``.
-    logical_of:
-        ``logical_of[c]`` is the logical variable represented by compact
-        index ``c``.
-    chain_strength:
-        The ``|J_F|`` used.
-    extended_range:
-        Whether the extended (doubled negative) coupler range was used.
-    problem_scale:
-        The factor the logical coefficients were multiplied by before
-        embedding (auto-ranging to the hardware interval).
-    clipped_coefficients:
-        Number of programmed coefficients that had to be clipped into the
-        hardware range (a precision-loss indicator).
+    The compact qubit order, which physical coupler realises each logical
+    pair, the chain couplers, how fields spread over chains and the
+    flattened chain index the unembedder reduces over — a pure function of
+    ``(embedding, logical variable count, logical coupling keys)``, cached on
+    the embedding by :func:`embedding_plan` and shared, immutable, by every
+    pack (of any size, on any thread) with that structure.
+
+    ``direct`` marks a collision-free embedding (vertex-disjoint chains,
+    every coupler used once): each physical coupler then receives exactly
+    one value and ``physical_keys`` — chain couplers first (Eq. 10), then
+    the crossing couplers in logical key order (Eq. 12) — is the programmed
+    key tuple of every such problem.  Otherwise :func:`embed_pack` keeps the
+    general accumulate-and-clip loop per problem.
     """
 
-    ising: IsingModel
-    embedding: Embedding
-    qubit_order: Tuple[int, ...]
-    logical_of: Tuple[int, ...]
-    chain_strength: float
-    extended_range: bool
-    problem_scale: float
-    clipped_coefficients: int
+    def __init__(self, embedding: Embedding, num_logical: int,
+                 logical_keys: Tuple[Coupling, ...]):
+        # No reference to the embedding is kept: it caches its plans, and a
+        # cycle would keep every array here alive until a collector pass.
+        self.num_logical = num_logical
+        chains = [embedding.chains[index] for index in range(num_logical)]
+        self.qubit_order: Tuple[int, ...] = tuple(
+            sorted({qubit for chain in chains for qubit in chain}))
+        position = {qubit: index
+                    for index, qubit in enumerate(self.qubit_order)}
+        #: The problem's chains in compact physical indices, in the
+        #: embedding's own chain order (the sampler's cluster order).
+        self.chains: Dict[int, Tuple[int, ...]] = {
+            logical: tuple(position[qubit] for qubit in chain)
+            for logical, chain in embedding.chains.items()
+            if logical < num_logical}
+        logical_of = [0] * len(self.qubit_order)
+        for logical_index, chain in enumerate(chains):
+            for qubit in chain:
+                logical_of[position[qubit]] = logical_index
+        self.logical_of: Tuple[int, ...] = tuple(logical_of)
+        #: ``logical_of`` as a gather index, and the chain lengths it
+        #: spreads the fields by (Eq. 11).
+        self.logical_index = np.asarray(logical_of, dtype=np.intp)
+        self.chain_lengths = np.array([len(chain) for chain in chains],
+                                      dtype=float)
+
+        def compact(edge) -> Coupling:
+            a, b = position[edge[0]], position[edge[1]]
+            return (a, b) if a < b else (b, a)
+
+        self._chain_keys = [compact(edge)
+                            for logical_index in range(num_logical)
+                            for edge in embedding.chain_edges[logical_index]]
+        self._crossing_keys = []
+        for pair in logical_keys:
+            coupler = embedding.logical_couplers.get(pair)
+            if coupler is None:
+                coupler = embedding.logical_couplers.get((pair[1], pair[0]))
+            if coupler is None:
+                raise EmbeddingError(
+                    f"embedding provides no coupler for logical pair {pair}")
+            self._crossing_keys.append(compact(coupler))
+        used = set(self._chain_keys)
+        self.direct = (
+            sum(map(len, chains)) == len(self.qubit_order)
+            and len(used) == len(self._chain_keys)
+            and len(set(self._crossing_keys)) == len(self._crossing_keys)
+            and used.isdisjoint(self._crossing_keys))
+        self.num_chain_couplers = len(self._chain_keys)
+        self.physical_keys: Optional[Tuple[Coupling, ...]] = (
+            tuple(self._chain_keys + self._crossing_keys)
+            if self.direct else None)
 
     @property
     def num_physical(self) -> int:
         """Number of physical qubits programmed."""
         return len(self.qubit_order)
 
+    @cached_property
+    def clusters(self) -> List[np.ndarray]:
+        """The chains as the sampler's collective-flip clusters."""
+        return [np.asarray(chain, dtype=np.intp)
+                for chain in self.chains.values()]
+
+    @cached_property
+    def unembedding(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(chain_lengths, flat_chains, starts)`` of the majority vote:
+        all chains' members concatenated in logical order, with the offset
+        each chain starts at."""
+        chains = [self.chains[index] for index in range(self.num_logical)]
+        lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
+        flat = np.array([qubit for chain in chains for qubit in chain],
+                        dtype=np.intp)
+        return lengths, flat, np.cumsum(lengths) - lengths
+
+    def accumulate(self, linear: np.ndarray, values: Sequence[float],
+                   chain_coupling: float
+                   ) -> Tuple[np.ndarray, Dict[Coupling, float], int]:
+        """Program one scaled problem by the general accumulate-and-clip
+        loop (chains may share qubits, couplers may be reused): the fields,
+        the couplings in first-insertion order, and the couplers clipped."""
+        fields = np.zeros(self.num_physical)
+        couplings: Dict[Coupling, float] = {}
+        clipped = 0
+
+        def add_coupling(key: Coupling, value: float) -> None:
+            nonlocal clipped
+            total = couplings.get(key, 0.0) + value
+            if total < chain_coupling or total > COUPLER_MAX:
+                clipped += 1
+                total = float(np.clip(total, chain_coupling, COUPLER_MAX))
+            couplings[key] = total
+
+        # Chain ferromagnetic couplings (Eq. 10).
+        for key in self._chain_keys:
+            add_coupling(key, chain_coupling)
+        # Logical fields spread over the chain (Eq. 11).  The scaled field
+        # is already expressed relative to the chain coupling (the problem
+        # scale folds in the 1 / |J_F| factor), so only the per-chain split
+        # remains.
+        for logical_index in range(self.num_logical):
+            chain = self.chains[logical_index]
+            share = linear[logical_index] / len(chain)
+            for qubit in chain:
+                fields[qubit] += share
+        # Logical couplings on the designated crossing coupler (Eq. 12).
+        for key, value in zip(self._crossing_keys, values):
+            add_coupling(key, value)
+        return fields, couplings, clipped
+
+
+def embedding_plan(embedding: Embedding, num_logical: int,
+                   logical_keys: Tuple[Coupling, ...]) -> EmbeddingPlan:
+    """The (cached) plan of *logical_keys* over *num_logical* variables.
+
+    The serving path embeds packs of one structure against a handful of
+    cached embeddings, so plans live on the embedding instance; the cache is
+    bounded by dropping everything when an embedding has seen more
+    structures than any workload keeps alive.
+    """
+    plans = embedding.__dict__.setdefault("_plans", {})
+    key = (num_logical, logical_keys)
+    plan = plans.get(key)
+    if plan is None:
+        if len(plans) >= 64:
+            plans.clear()
+        plan = plans[key] = EmbeddingPlan(embedding, num_logical,
+                                          logical_keys)
+    return plan
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddedPack(Sequence):
+    """A pack of hardware-ready problems of one structure, as arrays.
+
+    Attributes
+    ----------
+    embedding:
+        The logical-to-physical chain embedding used.
+    plan:
+        The shared structure (qubit order, couplers, chains).
+    logical:
+        The logical problems that were compiled, stacked.
+    problems:
+        The programmed Ising problems over compact physical indices
+        ``0 .. P-1``: one key tuple, ``(problems, P)`` fields and
+        ``(problems, E)`` coupler values.
+    problem_scale, clipped:
+        Per problem, the auto-ranging factor applied to the logical
+        coefficients and the number of programmed coefficients clipped into
+        the hardware range.
+    chain_strength, extended_range:
+        The compile settings shared by the pack.
+
+    Indexing yields the per-problem :class:`EmbeddedIsing` view.
+    """
+
+    embedding: Embedding
+    plan: EmbeddingPlan
+    logical: IsingPack
+    problems: IsingPack
+    problem_scale: np.ndarray
+    clipped: np.ndarray
+    chain_strength: float
+    extended_range: bool
+
+    def __len__(self) -> int:
+        return len(self.problems)
+
+    def __getitem__(self, index: int) -> "EmbeddedIsing":
+        if not -len(self) <= index < len(self):
+            raise IndexError(index)
+        return EmbeddedIsing(self, index)
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddedIsing:
+    """A hardware-ready Ising problem plus the bookkeeping to unembed it.
+
+    One row of an :class:`EmbeddedPack`; everything is read through to the
+    pack's arrays and plan, so holding one costs nothing until it is read.
+    """
+
+    pack: EmbeddedPack
+    index: int
+
+    @cached_property
+    def ising(self) -> IsingModel:
+        """Ising problem over *compact* physical indices ``0 .. P-1``."""
+        return self.pack.problems[self.index]
+
+    @property
+    def embedding(self) -> Embedding:
+        """The logical-to-physical chain embedding used."""
+        return self.pack.embedding
+
+    @property
+    def qubit_order(self) -> Tuple[int, ...]:
+        """``qubit_order[c]`` is the hardware qubit id of compact index ``c``."""
+        return self.pack.plan.qubit_order
+
+    @property
+    def logical_of(self) -> Tuple[int, ...]:
+        """``logical_of[c]`` is the logical variable compact index ``c``
+        represents."""
+        return self.pack.plan.logical_of
+
+    @property
+    def chain_strength(self) -> float:
+        """The ``|J_F|`` used."""
+        return self.pack.chain_strength
+
+    @property
+    def extended_range(self) -> bool:
+        """Whether the extended (doubled negative) coupler range was used."""
+        return self.pack.extended_range
+
+    @property
+    def problem_scale(self) -> float:
+        """The factor the logical coefficients were multiplied by before
+        embedding (auto-ranging to the hardware interval)."""
+        return float(self.pack.problem_scale[self.index])
+
+    @property
+    def clipped_coefficients(self) -> int:
+        """Number of programmed coefficients that had to be clipped into the
+        hardware range (a precision-loss indicator)."""
+        return int(self.pack.clipped[self.index])
+
+    @property
+    def num_physical(self) -> int:
+        """Number of physical qubits programmed."""
+        return self.pack.plan.num_physical
+
     @property
     def compact_chains(self) -> Dict[int, Tuple[int, ...]]:
-        """Chains expressed in compact physical indices.
-
-        Computed once and cached on the instance: the serving path reads the
-        chains of every embedded job to build cluster descriptors, and they
-        are a pure function of the frozen embedding and qubit order.
-        """
-        cached = self.__dict__.get("_compact_chains")
-        if cached is None:
-            position = {qubit: index
-                        for index, qubit in enumerate(self.qubit_order)}
-            cached = {
-                logical: tuple(position[qubit] for qubit in chain)
-                for logical, chain in self.embedding.chains.items()
-            }
-            object.__setattr__(self, "_compact_chains", cached)
-        return cached
+        """Chains expressed in compact physical indices."""
+        return self.pack.plan.chains
 
 
-def _embedding_plan(embedding: Embedding, num_logical: int):
-    """Structural embedding plan, cached on the embedding instance.
+def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
+               chain_strength: float, extended_range: bool = False,
+               normalize: bool = True) -> Optional[EmbeddedPack]:
+    """Compile logical Ising problems of one structure onto an embedding.
 
-    Everything about the embedded problem except the coefficient values is a
-    function of the embedding and the logical variable count alone — the
-    compact qubit order, the chain couplers, which physical coupler realises
-    each logical pair, and how fields spread over chains.  The serving path
-    embeds one problem per job against a handful of cached embeddings, so
-    this is derived once per (embedding, size) and reused; ``None`` marks an
-    embedding whose couplers collide (chains sharing a qubit or a coupler
-    doubling as a chain edge), for which :func:`embed_ising` keeps the
-    general accumulate-and-clip loop.
+    The pack form of Appendix B: scale, gather onto the plan's couplers,
+    clip — each a single array pass over all problems.  Returns ``None``
+    when the problems cannot be programmed as one structure (different
+    logical key sets, or a coefficient of one of several problems cancels
+    to exactly zero on the way); a pack of one always compiles.  See
+    :func:`embed_ising` for the parameters.
     """
-    plans = embedding.__dict__.setdefault("_embed_plans", {})
-    if num_logical in plans:
-        return plans[num_logical]
-    qubit_order: Tuple[int, ...] = tuple(
-        sorted({qubit for index in range(num_logical)
-                for qubit in embedding.chains[index]})
+    chain_strength = check_positive("chain_strength", chain_strength)
+    logical = IsingPack.stack(logicals)
+    if logical is None:
+        return None
+    if embedding.num_logical < logical.num_variables:
+        raise EmbeddingError(
+            f"embedding covers {embedding.num_logical} variables, the problem "
+            f"has {logical.num_variables}"
+        )
+    chain_coupling = (COUPLER_MIN_EXTENDED if extended_range
+                      else COUPLER_MIN_STANDARD)
+
+    # Auto-ranging: normalise the logical couplings to unit magnitude, then
+    # program them at |chain coupling| / |J_F| so that the chain-to-problem
+    # ratio is exactly the requested chain strength.  The extended range
+    # therefore doubles the programmed problem coefficients for the same
+    # |J_F|, which is why it is more robust to ICE.
+    problem_scale = np.full(len(logical), abs(chain_coupling) / chain_strength)
+    if normalize:
+        reference = np.abs(logical.values).max(axis=1, initial=0.0)
+        fields_only = reference == 0.0
+        if fields_only.any():
+            reference[fields_only] = np.abs(
+                logical.linear[fields_only]).max(axis=1, initial=0.0)
+        np.divide(problem_scale, reference, out=problem_scale,
+                  where=reference > 0)
+    keys = logical.keys
+    values = logical.values * problem_scale[:, None]
+    if not values.all():
+        # A tiny factor underflowed a coupling to zero, which unprograms its
+        # coupler: one problem simply has fewer keys, several no longer
+        # share a structure.
+        if len(logical) > 1:
+            return None
+        kept = values[0] != 0.0
+        keys = tuple(key for key, keep in zip(keys, kept) if keep)
+        values = values[:, kept]
+    linear = logical.linear * problem_scale[:, None]
+
+    plan = embedding_plan(embedding, logical.num_variables, keys)
+    if plan.direct:
+        # Collision-free embedding: every coupler receives exactly one
+        # value, so accumulate-and-clip collapses to direct assignment.
+        fields = (linear / plan.chain_lengths)[:, plan.logical_index]
+        clipped = np.count_nonzero(
+            (values < chain_coupling) | (values > COUPLER_MAX), axis=1)
+        couplers = np.empty((len(logical), len(plan.physical_keys)))
+        couplers[:, :plan.num_chain_couplers] = chain_coupling
+        np.clip(values, chain_coupling, COUPLER_MAX,
+                out=couplers[:, plan.num_chain_couplers:])
+        physical_keys = plan.physical_keys
+    else:
+        rows = [plan.accumulate(row_linear, row_values.tolist(),
+                                chain_coupling)
+                for row_linear, row_values in zip(linear, values)]
+        # An exact cancellation unprograms the coupler, like the validating
+        # constructor drops zero couplings.
+        programmed = [{key: value for key, value in couplings.items()
+                       if value != 0.0} for _, couplings, _ in rows]
+        physical_keys = tuple(programmed[0])
+        if any(tuple(couplings) != physical_keys
+               for couplings in programmed[1:]):
+            return None
+        fields = np.array([row[0] for row in rows])
+        couplers = np.array([list(couplings.values())
+                             for couplings in programmed],
+                            dtype=float).reshape(len(rows), len(physical_keys))
+        clipped = np.array([row[2] for row in rows])
+
+    clipped = clipped + np.count_nonzero(np.abs(fields) > FIELD_MAX, axis=1)
+    fields = np.clip(fields, FIELD_MIN, FIELD_MAX)
+    return EmbeddedPack(
+        embedding=embedding,
+        plan=plan,
+        logical=logical,
+        problems=IsingPack(plan.num_physical, physical_keys, fields, couplers,
+                           np.zeros(len(logical))),
+        problem_scale=problem_scale,
+        clipped=clipped,
+        chain_strength=chain_strength,
+        extended_range=extended_range,
     )
-    position = {qubit: index for index, qubit in enumerate(qubit_order)}
-    logical_of = [0] * len(qubit_order)
-    covered = 0
-    for logical_index in range(num_logical):
-        for qubit in embedding.chains[logical_index]:
-            logical_of[position[qubit]] = logical_index
-            covered += 1
-    plan = None
-    if covered == len(qubit_order):  # chains vertex-disjoint
-        chain_keys = []
-        for logical_index in range(num_logical):
-            for edge in embedding.chain_edges[logical_index]:
-                a, b = position[edge[0]], position[edge[1]]
-                chain_keys.append((a, b) if a < b else (b, a))
-        coupler_of: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for pair, edge in embedding.logical_couplers.items():
-            if (pair[0] >= num_logical or pair[1] >= num_logical):
-                continue
-            a, b = position[edge[0]], position[edge[1]]
-            key = (a, b) if a < b else (b, a)
-            coupler_of[pair] = key
-            coupler_of[(pair[1], pair[0])] = key
-        distinct = set(chain_keys)
-        if (len(distinct) == len(chain_keys)
-                and not distinct.intersection(coupler_of.values())
-                and (len(set(coupler_of.values()))
-                     == len(coupler_of) // 2)):
-            chain_lengths = np.array(
-                [len(embedding.chains[index])
-                 for index in range(num_logical)], dtype=float)
-            plan = (qubit_order, tuple(logical_of), chain_keys, coupler_of,
-                    np.asarray(logical_of, dtype=np.intp), chain_lengths)
-    plans[num_logical] = plan
-    return plan
 
 
 def embed_ising(logical: IsingModel, embedding: Embedding, *,
@@ -175,127 +421,5 @@ def embed_ising(logical: IsingModel, embedding: Embedding, *,
         1 before applying the ``1 / |J_F|`` scaling, mirroring the machine's
         auto-scaling step.
     """
-    chain_strength = check_positive("chain_strength", chain_strength)
-    if embedding.num_logical < logical.num_variables:
-        raise EmbeddingError(
-            f"embedding covers {embedding.num_logical} variables, the problem "
-            f"has {logical.num_variables}"
-        )
-
-    chain_coupling = (COUPLER_MIN_EXTENDED if extended_range
-                      else COUPLER_MIN_STANDARD)
-    chain_magnitude = abs(chain_coupling)
-
-    # Auto-ranging: normalise the logical couplings to unit magnitude, then
-    # program them at |chain coupling| / |J_F| so that the chain-to-problem
-    # ratio is exactly the requested chain strength.  The extended range
-    # therefore doubles the programmed problem coefficients for the same
-    # |J_F|, which is why it is more robust to ICE.
-    problem_scale = chain_magnitude / chain_strength
-    if normalize:
-        largest_coupling = (max(abs(v) for v in logical.couplings.values())
-                            if logical.couplings else 0.0)
-        reference = largest_coupling or logical.max_abs_coefficient
-        if reference > 0:
-            problem_scale /= reference
-    scaled = logical.scaled(problem_scale)
-    coupler_min = chain_coupling
-
-    plan = _embedding_plan(embedding, logical.num_variables)
-    if plan is not None:
-        # Collision-free embedding: every coupler receives exactly one value,
-        # so the accumulate-and-clip loop collapses to direct assignment with
-        # identical values, clip counts and dict insertion order (chain
-        # couplers first — Eq. 10 — then the crossing couplers in logical
-        # coupling order — Eq. 12; fields spread per Eq. 11).
-        (qubit_order, logical_of, chain_keys, coupler_of, logical_of_arr,
-         chain_lengths) = plan
-        shares = scaled.linear / chain_lengths
-        linear = shares[logical_of_arr]
-        couplings = dict.fromkeys(chain_keys, chain_coupling)
-        clipped = 0
-        for pair, value in scaled.couplings.items():
-            coupler = coupler_of.get(pair)
-            if coupler is None:
-                raise EmbeddingError(
-                    f"embedding provides no coupler for logical pair {pair}"
-                )
-            if value < coupler_min or value > COUPLER_MAX:
-                clipped += 1
-                value = float(np.clip(value, coupler_min, COUPLER_MAX))
-            couplings[coupler] = value
-        logical_of_list = list(logical_of)
-        num_physical = len(qubit_order)
-    else:
-        qubit_order = tuple(
-            sorted({qubit for index in range(logical.num_variables)
-                    for qubit in embedding.chains[index]})
-        )
-        position = {qubit: index for index, qubit in enumerate(qubit_order)}
-        logical_of_list = [0] * len(qubit_order)
-        for logical_index in range(logical.num_variables):
-            for qubit in embedding.chains[logical_index]:
-                logical_of_list[position[qubit]] = logical_index
-
-        num_physical = len(qubit_order)
-        linear = np.zeros(num_physical)
-        couplings = {}
-        clipped = 0
-
-        def add_coupling(qubit_a: int, qubit_b: int, value: float) -> None:
-            nonlocal clipped
-            a, b = position[qubit_a], position[qubit_b]
-            key = (a, b) if a < b else (b, a)
-            total = couplings.get(key, 0.0) + value
-            if total < coupler_min or total > COUPLER_MAX:
-                clipped += 1
-                total = float(np.clip(total, coupler_min, COUPLER_MAX))
-            couplings[key] = total
-
-        # Chain ferromagnetic couplings (Eq. 10).
-        for logical_index in range(logical.num_variables):
-            for edge in embedding.chain_edges[logical_index]:
-                add_coupling(edge[0], edge[1], chain_coupling)
-
-        # Logical fields spread over the chain (Eq. 11).  The scaled field
-        # is already expressed relative to the chain coupling (problem_scale
-        # folds in the 1 / |J_F| factor), so only the per-chain split
-        # remains.
-        for logical_index in range(logical.num_variables):
-            chain = embedding.chains[logical_index]
-            share = scaled.linear[logical_index] / len(chain)
-            for qubit in chain:
-                linear[position[qubit]] += share
-
-        # Logical couplings on the designated crossing coupler (Eq. 12).
-        for (i, j), value in scaled.couplings.items():
-            coupler = embedding.logical_couplers.get((i, j))
-            if coupler is None:
-                coupler = embedding.logical_couplers.get((j, i))
-            if coupler is None:
-                raise EmbeddingError(
-                    f"embedding provides no coupler for logical pair "
-                    f"({i}, {j})"
-                )
-            add_coupling(coupler[0], coupler[1], value)
-
-    before = int(np.count_nonzero(np.abs(linear) > FIELD_MAX))
-    clipped += before
-    linear = np.clip(linear, FIELD_MIN, FIELD_MAX)
-
-    # add_coupling canonicalises every key (a < b, in range), so the trusted
-    # constructor applies; it still drops couplers an exact cancellation
-    # zeroed, like the validating constructor always has.
-    embedded = IsingModel.from_normalised(num_variables=num_physical,
-                                          linear=linear,
-                                          couplings=couplings, offset=0.0)
-    return EmbeddedIsing(
-        ising=embedded,
-        embedding=embedding,
-        qubit_order=qubit_order,
-        logical_of=tuple(logical_of_list),
-        chain_strength=chain_strength,
-        extended_range=extended_range,
-        problem_scale=problem_scale,
-        clipped_coefficients=clipped,
-    )
+    return embed_pack([logical], embedding, chain_strength=chain_strength,
+                      extended_range=extended_range, normalize=normalize)[0]

@@ -43,9 +43,12 @@ Two levels of reuse amortise setup cost across repeated runs:
 
 * :meth:`BlockDiagonalSampler.refresh_values` rebinds a sampler to new
   problems with the *same* coupling structure (e.g. successive ICE
-  perturbations of one embedded problem) by rewriting the CSR ``.data``
-  arrays in place instead of re-deriving colour classes and re-slicing
-  operators;
+  perturbations of one embedded problem): the sampler holds the pack's
+  coefficients as one ``(blocks, E)`` value matrix
+  (:class:`~repro.ising.model.IsingPack`) and every kernel layout is a
+  gather from it through slot→edge maps derived once per structure, so a
+  rebind swaps the matrix instead of re-deriving colour classes and
+  re-slicing operators;
 * a multi-block sampler packs several structurally identical problems (e.g.
   the subcarriers of an OFDM symbol, Section 5.5 of the paper) into one
   anneal that shares every sparse operation, while drawing each block's
@@ -70,8 +73,7 @@ single-spin+cluster kernel of their (kernel, rng) pair.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -79,7 +81,12 @@ from scipy import sparse
 
 from repro.annealer import backends, counter
 from repro.exceptions import AnnealerError
-from repro.ising.model import IsingModel
+from repro.ising.model import (
+    Coupling,
+    IsingModel,
+    IsingPack,
+    symmetric_csr_template,
+)
 from repro.obs.profiling import PROFILER
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range
@@ -112,40 +119,13 @@ def colour_classes(ising: IsingModel) -> List[np.ndarray]:
     """
     graph = nx.Graph()
     graph.add_nodes_from(range(ising.num_variables))
-    graph.add_edges_from(ising.couplings.keys())
+    graph.add_edges_from(ising.coupling_keys)
     colouring = nx.coloring.greedy_color(graph, strategy="largest_first")
     classes: Dict[int, List[int]] = {}
     for node, colour in colouring.items():
         classes.setdefault(colour, []).append(node)
     return [np.array(sorted(nodes), dtype=np.intp)
             for _, nodes in sorted(classes.items())]
-
-
-def _edge_arrays(keys: Sequence[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Symmetrised (rows, cols) index arrays for a list of coupling keys.
-
-    The first half of each array holds the ``(i, j)`` direction of every edge
-    and the second half the ``(j, i)`` direction, so a length-``E`` value
-    vector tiled twice aligns with the entries.
-    """
-    if not keys:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    indices = np.array(keys, dtype=np.intp)
-    rows = np.concatenate([indices[:, 0], indices[:, 1]])
-    cols = np.concatenate([indices[:, 1], indices[:, 0]])
-    return rows, cols
-
-
-def _values_reader(keys: Sequence[Tuple[int, int]]) -> Callable:
-    """``couplings -> tuple of the values at *keys*``, one C-level gather.
-
-    ``itemgetter`` returns a bare value for one key and rejects none, so
-    those two sizes take the spelled-out form.
-    """
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    return lambda couplings: tuple(couplings[key] for key in keys)
 
 
 def sparse_coupling_matrix(ising: IsingModel) -> sparse.csr_matrix:
@@ -157,23 +137,56 @@ def sparse_coupling_matrix(ising: IsingModel) -> sparse.csr_matrix:
     return ising.coupling_operator()
 
 
-def _entry_permutation(rows: np.ndarray, cols: np.ndarray,
-                       shape: Tuple[int, int]) -> sparse.csr_matrix:
-    """CSR whose ``.data`` maps every data slot to its originating entry index.
+class _RowCsr(NamedTuple):
+    """Block-local CSR structure of some rows of the symmetric coupling
+    matrix, with the map that fills it: slot *s* holds the value of edge
+    ``edges[s]`` (a column of the sampler's value matrix), so a whole pack's
+    ``(blocks, nnz)`` data is the single gather ``values[:, edges]``."""
 
-    Slicing this matrix the same way as the value matrix yields, for each data
-    slot of the slice, the index into the flat entry-value vector.  Kept as
-    the reference implementation of the entry maps: `_ensure_entry_maps` now
-    derives the same maps with a direct lexsort (no scipy materialisation or
-    per-group slicing), and the equivalence test pins the two together.
-    """
-    order = np.arange(1, rows.size + 1, dtype=np.int64)
-    return sparse.coo_matrix((order, (rows, cols)), shape=shape).tocsr()
+    indptr: np.ndarray
+    indices: np.ndarray
+    edges: np.ndarray
+
+    def rows(self, rows: np.ndarray) -> "_RowCsr":
+        """The structure of *rows* stacked in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self.indptr[rows + 1] - self.indptr[rows]
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        slots = (np.arange(indptr[-1], dtype=np.int64)
+                 + np.repeat(self.indptr[rows] - indptr[:-1], lengths))
+        return _RowCsr(indptr, np.ascontiguousarray(self.indices[slots]),
+                       np.ascontiguousarray(self.edges[slots]))
+
+    def segment(self, start: int, stop: int) -> "_RowCsr":
+        """The structure of the contiguous row range ``[start, stop)``."""
+        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
+        return _RowCsr(self.indptr[start:stop + 1] - lo,
+                       self.indices[lo:hi], self.edges[lo:hi])
 
 
-def _slot_entries(order_slice: sparse.spmatrix) -> np.ndarray:
-    """Entry indices of a slice taken from an :func:`_entry_permutation` CSR."""
-    return np.asarray(order_slice.tocsr().data, dtype=np.int64) - 1
+class _ReferenceOperators(NamedTuple):
+    """The scipy spelling of a sampler's operators, over the combined
+    block-diagonal variables: what the numpy reference loops multiply
+    through and what :attr:`BlockDiagonalSampler.coupling_matrix` exposes.
+    Compiled anneals never build it."""
+
+    matrix: sparse.csr_matrix
+    #: Combined colour classes: block-major concatenation, so block ``b``'s
+    #: members form the contiguous column segment ``[b*m, (b+1)*m)`` of
+    #: every per-class array.
+    classes: List[np.ndarray]
+    #: Per-class operators mapping the combined spin vector to the local
+    #: fields of the class members: shape (blocks*|class|, N).
+    class_operators: List[sparse.csr_matrix]
+    cluster_columns: List[np.ndarray]
+    cluster_operators: List[sparse.csr_matrix]
+    #: Per cluster, the combined endpoints of its internal edges,
+    #: ``(edges, blocks)`` each.
+    cluster_int_i: List[np.ndarray]
+    cluster_int_j: List[np.ndarray]
+    #: Every operator above with the value-matrix columns its ``.data``
+    #: is the block-major gather of.
+    bindings: List[Tuple[sparse.csr_matrix, np.ndarray]]
 
 
 class BlockDiagonalSampler:
@@ -197,7 +210,9 @@ class BlockDiagonalSampler:
     ----------
     isings:
         The problems, all with the same variable count and coupling key set
-        (values are free to differ — that is the point).
+        (values are free to differ — that is the point): any sequence of
+        :class:`~repro.ising.model.IsingModel`, or an
+        :class:`~repro.ising.model.IsingPack`, which is taken as is.
     classes:
         Optional precomputed *block-level* colour classes.
     clusters:
@@ -241,6 +256,10 @@ class BlockDiagonalSampler:
         cext, ``prange`` in numba); requires ``rng="counter"`` when > 1.
         The numpy backend ignores it (reference loops are vectorised over
         replicas already).  The thread count never changes results.
+
+    A sampler keeps per-structure kernel workspaces between anneals, so one
+    instance serves one :meth:`anneal` call at a time (the machine's warm
+    cache hands samplers out by checkout for that reason).
     """
 
     def __init__(self, isings: Sequence[IsingModel],
@@ -271,96 +290,78 @@ class BlockDiagonalSampler:
         resolved = backends.resolve_backend(backend)
         if resolved != "numpy":
             backends.warmup(resolved, rng=self.rng_mode)
-        isings = list(isings)
-        if not isings:
-            raise AnnealerError("the sampler needs at least one problem")
-        first = isings[0]
-        self._edge_keys: List[Tuple[int, int]] = list(first.couplings.keys())
-        # Frozen at construction: structure checks are one C-level key-set
-        # comparison and value reads one gather per problem.
-        self._edge_key_set = frozenset(self._edge_keys)
-        self._read_edge_values = _values_reader(self._edge_keys)
-        self.num_blocks = len(isings)
-        self.block_size = first.num_variables
-        if not self.matches_structure(isings):
+        problems = IsingPack.stack(isings)
+        if problems is None:
             raise AnnealerError(
-                "all blocks of a BlockDiagonalSampler must share one coupling "
-                "structure"
-            )
-        self.isings = isings
+                "the sampler needs at least one problem, and all blocks of a "
+                "BlockDiagonalSampler must share one coupling structure")
+        self._edge_keys: Tuple[Coupling, ...] = problems.keys
+        self.num_blocks = len(problems)
+        self.block_size = problems.num_variables
+        self._bind(problems)
         self.block_classes = (classes if classes is not None
-                              else colour_classes(first))
-
-        blocks = self.num_blocks
-        size = self.block_size
-        n = blocks * size
-        offsets = np.arange(blocks, dtype=np.intp) * size
-        rows1, cols1 = _edge_arrays(self._edge_keys)
-        self._entry_rows = (rows1[None, :] + offsets[:, None]).ravel()
-        self._entry_cols = (cols1[None, :] + offsets[:, None]).ravel()
-        self._matrix = sparse.coo_matrix(
-            (self._entry_values(isings), (self._entry_rows, self._entry_cols)),
-            shape=(n, n)).tocsr()
-        # Entry maps (data-slot -> entry-value index) are only needed by
-        # refresh_values; one-shot samplers never pay for them.
-        self._matrix_entries: Optional[np.ndarray] = None
-        self._class_entries: List[np.ndarray] = []
-        self._cluster_entries: List[np.ndarray] = []
-        # Compiled-call CSR structure caches (values are assembled from the
-        # live operators per call, so these survive refresh_values rebinds).
-        self._colour_csr_cache = None
-        self._cluster_compiled_cache = None
-        self._last_sweep_work: Optional[backends.SweepWork] = None
-
-        #: Combined colour classes: block-major concatenation, so block ``b``'s
-        #: members form the contiguous column segment ``[b*m, (b+1)*m)`` of
-        #: every per-class array.
-        self.classes = [(group[None, :] + offsets[:, None]).ravel()
-                        for group in self.block_classes]
-        #: Per-class operators mapping the combined spin vector to the local
-        #: fields of the class members: shape (blocks*|class|, N).
-        self.class_operators = [self._matrix[group, :].tocsr()
-                                for group in self.classes]
+                              else colour_classes(problems[0]))
         self._class_widths = [group.size for group in self.block_classes]
-        self.linear = np.concatenate(
-            [np.asarray(ising.linear, dtype=float) for ising in isings])
+        self._edge_pairs = np.array(self._edge_keys, dtype=np.int64).reshape(
+            len(self._edge_keys), 2)
+        #: Block-local CSR structure of the whole coupling matrix (slots in
+        #: row-major, ascending-column order: the summation order of every
+        #: local field); every kernel layout below is a row selection of it.
+        edges, indices, indptr = symmetric_csr_template(self.block_size,
+                                                        self._edge_keys)
+        self._csr = _RowCsr(*(np.asarray(part, dtype=np.int64)
+                              for part in (indptr, indices, edges)))
+        self._class_members = np.ascontiguousarray(
+            np.concatenate(self.block_classes), dtype=np.int64)
+        self._class_starts = np.concatenate(
+            [[0], np.cumsum(self._class_widths)]).astype(np.int64)
+        #: Row ``k`` maps a block's spins to the local field of
+        #: ``_class_members[k]`` (same values, in the same ascending-column
+        #: summation order, as the reference per-class operators).
+        self._class_csr = self._csr.rows(self._class_members)
 
-        self.block_clusters: List[np.ndarray] = []
-        self._cluster_columns: List[np.ndarray] = []
-        self._cluster_operators: List[sparse.csr_matrix] = []
-        self._cluster_lengths: List[int] = []
-        self._cluster_internal_keys: List[List[Tuple[int, int]]] = []
-        self._cluster_int_i: List[np.ndarray] = []
-        self._cluster_int_j: List[np.ndarray] = []
-        if clusters:
-            for cluster in clusters:
-                members = np.asarray(cluster, dtype=np.intp)
-                if members.size == 0:
-                    continue
-                member_set = set(int(m) for m in members)
-                internal_keys = [
-                    (i, j) for (i, j) in self._edge_keys
-                    if i in member_set and j in member_set
-                ]
-                columns = (members[None, :] + offsets[:, None]).ravel()
-                self.block_clusters.append(members)
-                self._cluster_columns.append(columns)
-                self._cluster_operators.append(self._matrix[columns, :].tocsr())
-                self._cluster_lengths.append(members.size)
-                self._cluster_internal_keys.append(internal_keys)
-                if internal_keys:
-                    pairs = np.array(internal_keys, dtype=np.intp)
-                    self._cluster_int_i.append(
-                        pairs[:, 0][:, None] + offsets[None, :])
-                    self._cluster_int_j.append(
-                        pairs[:, 1][:, None] + offsets[None, :])
-                else:
-                    empty = np.empty((0, blocks), dtype=np.intp)
-                    self._cluster_int_i.append(empty)
-                    self._cluster_int_j.append(empty)
-        self._read_internal_values = _values_reader(
-            [key for keys in self._cluster_internal_keys for key in keys])
-        self._refresh_cluster_internal(isings)
+        self.block_clusters: List[np.ndarray] = [
+            members for members in (np.asarray(cluster, dtype=np.intp)
+                                    for cluster in clusters or ())
+            if members.size]
+        self._cluster_lengths = [members.size
+                                 for members in self.block_clusters]
+        cluster_members = np.concatenate(
+            [np.empty(0, dtype=np.int64), *self.block_clusters]
+        ).astype(np.int64)
+        # Cluster-internal edges (both endpoints in one cluster), per
+        # cluster in edge-key order.
+        internal = [np.nonzero(np.isin(self._edge_pairs[:, 0], members)
+                               & np.isin(self._edge_pairs[:, 1], members))[0]
+                    for members in self.block_clusters]
+        self._cluster_internal_edges = np.concatenate(
+            [np.empty(0, dtype=np.int64), *internal]).astype(np.int64)
+        self._cluster_csr = self._csr.rows(cluster_members)
+        #: The pack's flattened cluster descriptor, structure filled in and
+        #: values left for :meth:`_cluster_pack_descriptor` to gather.
+        self._cluster_structure = backends.ClusterDescriptor(
+            members=cluster_members,
+            cluster_starts=np.concatenate(
+                [[0], np.cumsum(self._cluster_lengths)]).astype(np.int64),
+            data=None,
+            indices=self._cluster_csr.indices,
+            indptr=self._cluster_csr.indptr,
+            edge_i=np.ascontiguousarray(
+                self._edge_pairs[self._cluster_internal_edges, 0]),
+            edge_j=np.ascontiguousarray(
+                self._edge_pairs[self._cluster_internal_edges, 1]),
+            edge_starts=np.concatenate(
+                [[0], np.cumsum([edges.size for edges in internal])]
+            ).astype(np.int64),
+            edge_values=None,
+        )
+        # Built by the first numpy-loop anneal or coupling_matrix read.
+        self._reference: Optional[_ReferenceOperators] = None
+        #: What the backend keeps between calls over this structure (the
+        #: cext argument block); travels with the sampler.
+        self._kernel_workspace: Dict[str, object] = {}
+        self._validated_temperatures: Optional[np.ndarray] = None
+        self._last_sweep_work: Optional[backends.SweepWork] = None
 
     # ------------------------------------------------------------------ #
     # Structure bookkeeping
@@ -381,7 +382,17 @@ class BlockDiagonalSampler:
         re-densifying the couplings.  ``refresh_values`` rewrites it in
         place, so the reference stays valid across rebinds.
         """
-        return self._matrix
+        return self._reference_operators().matrix
+
+    @property
+    def classes(self) -> List[np.ndarray]:
+        """Combined (block-major) colour classes of the reference loops."""
+        return self._reference_operators().classes
+
+    @property
+    def class_operators(self) -> List[sparse.csr_matrix]:
+        """Combined per-class local-field operators of the reference loops."""
+        return self._reference_operators().class_operators
 
     @property
     def selected_kernel(self) -> str:
@@ -422,99 +433,103 @@ class BlockDiagonalSampler:
         ``None`` before the first call and on the numpy/numba backends."""
         return self._last_sweep_work
 
-    def _entry_values(self, isings: Sequence[IsingModel]) -> np.ndarray:
-        """Block-major flat value vector aligned with the combined entries."""
-        count = len(self._edge_keys)
-        out = np.empty((len(isings), 2 * count))
-        for row, ising in zip(out, isings):
-            row[:count] = self._read_edge_values(ising.couplings)
-            row[count:] = row[:count]
-        return out.ravel()
+    def __getstate__(self) -> Dict[str, object]:
+        # The workspace holds ctypes pointers into this process; a copy
+        # (a process worker's decoder) starts with an empty one.
+        return {**self.__dict__, "_kernel_workspace": {}}
 
-    def _refresh_cluster_internal(self, isings: Sequence[IsingModel]) -> None:
-        """Re-read the cluster-internal coupling values of every block.
+    def _bind(self, problems: IsingPack) -> None:
+        """Point the sampler at *problems* (same structure, key order)."""
+        self.isings = problems
+        #: The pack's coupling values, ``(blocks, E)`` in edge-key order.
+        self._values = problems.values
+        self.linear = problems.linear.reshape(-1)
 
-        ``_cluster_edge_values`` is the ``(blocks, E)`` matrix over all
-        clusters' internal edges in cluster order (the backend descriptor's
-        layout); ``_cluster_int_v`` holds the reference loop's per-cluster
-        ``(edges, blocks)`` views of it.
-        """
-        bounds = np.cumsum(
-            [0] + [len(keys) for keys in self._cluster_internal_keys])
-        self._cluster_edge_values = np.array(
-            [self._read_internal_values(ising.couplings) for ising in isings],
-            dtype=float).reshape(len(isings), bounds[-1])
-        self._cluster_int_v = [self._cluster_edge_values[:, lo:hi].T
-                               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    def _combined_operator(self, csr: _RowCsr) -> sparse.csr_matrix:
+        """Block-major stack of a block-local row CSR as one scipy operator
+        over the combined variables (its data is bound by the caller)."""
+        blocks = self.num_blocks
+        offsets = np.arange(blocks, dtype=np.int64) * self.block_size
+        counts = np.diff(csr.indptr)
+        return sparse.csr_matrix(
+            (np.empty(blocks * csr.indices.size),
+             (csr.indices[None, :] + offsets[:, None]).ravel(),
+             np.concatenate([[0], np.cumsum(np.tile(counts, blocks))])),
+            shape=(blocks * counts.size, blocks * self.block_size))
 
-    def _ensure_entry_maps(self) -> None:
-        if self._matrix_entries is not None:
-            return
-        n = self.num_variables
-        # The (row, col) entry list is duplicate-free, so scipy's CSR
-        # canonicalisation (row-major, columns sorted within each row) orders
-        # data slots exactly by (row, col): a lexsort of the entry arrays IS
-        # the slot->entry map, with no permutation matrix to materialise and
-        # no per-group scipy slicing.
-        perm = np.asarray(
-            np.lexsort((self._entry_cols, self._entry_rows)), dtype=np.int64)
-        counts = np.bincount(self._entry_rows, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
+    def _reference_operators(self) -> _ReferenceOperators:
+        """The scipy operators, built on first use from the bound values."""
+        if self._reference is None:
+            offsets = np.arange(self.num_blocks,
+                                dtype=np.intp) * self.block_size
+            class_csrs = [self._class_csr.segment(start, stop)
+                          for start, stop in zip(self._class_starts[:-1],
+                                                 self._class_starts[1:])]
+            cluster_starts = self._cluster_structure.cluster_starts
+            cluster_csrs = [self._cluster_csr.segment(start, stop)
+                            for start, stop in zip(cluster_starts[:-1],
+                                                   cluster_starts[1:])]
 
-        def row_gather(group: np.ndarray) -> np.ndarray:
-            # Entry indices of M[group, :].tocsr().data: for each row of the
-            # slice in order, that row's contiguous slot segment of *perm*.
-            group = np.asarray(group, dtype=np.intp)
-            lengths = counts[group]
-            total = int(lengths.sum())
-            if total == 0:
-                return np.empty(0, dtype=np.int64)
-            ends = np.cumsum(lengths)
-            shifts = np.repeat(indptr[group] - (ends - lengths), lengths)
-            return perm[np.arange(total, dtype=np.intp) + shifts]
+            def combined_edges(ends: np.ndarray) -> List[np.ndarray]:
+                starts = self._cluster_structure.edge_starts
+                return [ends[start:stop, None] + offsets[None, :]
+                        for start, stop in zip(starts[:-1], starts[1:])]
 
-        self._matrix_entries = perm
-        self._class_entries = [row_gather(group) for group in self.classes]
-        self._cluster_entries = [row_gather(columns)
-                                 for columns in self._cluster_columns]
+            bindings = [(self._combined_operator(csr), csr.edges)
+                        for csr in (self._csr, *class_csrs, *cluster_csrs)]
+            operators = [operator for operator, _ in bindings]
+            self._reference = _ReferenceOperators(
+                matrix=operators[0],
+                classes=[(group[None, :] + offsets[:, None]).ravel()
+                         for group in self.block_classes],
+                class_operators=operators[1:1 + len(class_csrs)],
+                cluster_columns=[
+                    (members[None, :] + offsets[:, None]).ravel()
+                    for members in self.block_clusters],
+                cluster_operators=operators[1 + len(class_csrs):],
+                cluster_int_i=combined_edges(self._cluster_structure.edge_i),
+                cluster_int_j=combined_edges(self._cluster_structure.edge_j),
+                bindings=bindings)
+            self._bind_reference()
+        return self._reference
+
+    def _bind_reference(self) -> None:
+        """Rewrite the scipy operators' data from the bound value matrix
+        (and re-slice the per-cluster ``(edges, blocks)`` internal-edge
+        values the reference cluster sweep subtracts)."""
+        for operator, edges in self._reference.bindings:
+            operator.data[:] = self._values[:, edges].ravel()
+        starts = self._cluster_structure.edge_starts
+        internal = self._values[:, self._cluster_internal_edges]
+        self._cluster_int_v = [internal[:, start:stop].T
+                               for start, stop in zip(starts[:-1], starts[1:])]
 
     def matches_structure(self, isings: Sequence[IsingModel]) -> bool:
         """Whether *isings* matches this sampler's block count and sparsity."""
-        if len(isings) != self.num_blocks:
-            return False
-        for ising in isings:
-            if ising.num_variables != self.block_size:
-                return False
-            if ising.couplings.keys() != self._edge_key_set:
-                return False
-        return True
+        problems = IsingPack.stack(isings, self._edge_keys)
+        return (problems is not None and len(problems) == self.num_blocks
+                and problems.num_variables == self.block_size)
 
     def refresh_values(self, isings: Sequence[IsingModel]) -> None:
         """Rebind all blocks to new same-structure problems in place.
 
-        Rewrites the CSR ``.data`` arrays of the full matrix and every sliced
-        operator in place; colour classes, cluster membership and all sparsity
-        bookkeeping are reused unchanged.  Raises :class:`AnnealerError` when
-        the coupling structure differs (build a new sampler instead).
+        Swaps in the problems' value matrix (stacked in this sampler's key
+        order; an :class:`~repro.ising.model.IsingPack` already in that
+        order is taken as is) and, when the scipy reference operators have
+        been built, rewrites their ``.data`` in place; colour classes,
+        cluster membership and all sparsity bookkeeping are reused
+        unchanged.  Raises :class:`AnnealerError` when the coupling
+        structure differs (build a new sampler instead).
         """
-        isings = list(isings)
-        if not self.matches_structure(isings):
+        problems = IsingPack.stack(isings, self._edge_keys)
+        if problems is None or not self.matches_structure(problems):
             raise AnnealerError(
                 "refresh_values requires the same block count and coupling "
                 "structure; construct a new sampler instead"
             )
-        self._ensure_entry_maps()
-        entry_values = self._entry_values(isings)
-        self._matrix.data[:] = entry_values[self._matrix_entries]
-        for operator, entries in zip(self.class_operators, self._class_entries):
-            operator.data[:] = entry_values[entries]
-        for operator, entries in zip(self._cluster_operators,
-                                     self._cluster_entries):
-            operator.data[:] = entry_values[entries]
-        self.linear = np.concatenate(
-            [np.asarray(ising.linear, dtype=float) for ising in isings])
-        self._refresh_cluster_internal(isings)
-        self.isings = isings
+        self._bind(problems)
+        if self._reference is not None:
+            self._bind_reference()
 
     def split_samples(self, samples: np.ndarray) -> List[np.ndarray]:
         """Split combined ``(R, blocks*P)`` samples into per-block matrices."""
@@ -535,81 +550,6 @@ class BlockDiagonalSampler:
         return [[coupling[b][members, :] for b in range(self.num_blocks)]
                 for members in self.block_clusters]
 
-    def _block_csr_structure(self, operators: List[sparse.csr_matrix],
-                             widths: Sequence[int]) -> Tuple:
-        """Block-local CSR structure of block-major stacked combined operators.
-
-        Each combined operator holds, block-major, ``widths[k]`` rows per
-        block whose entries all fall inside that block's column range; block
-        ``b``'s rows of operator ``k`` are therefore the contiguous row
-        segment ``[b*widths[k], (b+1)*widths[k])`` and its data slots the
-        contiguous ``.data`` slice between those rows' ``indptr`` bounds.
-        Returns ``(block_slices, indices, indptr)``: ``block_slices[b]``
-        lists block ``b``'s ``(operator, lo, hi)`` views into the live
-        operators (rewritten in place by :meth:`refresh_values`, so callers
-        assembling values from them always see the current coefficients),
-        and *indices*/*indptr* are the block-local CSR structure of the
-        operators' rows stacked in order — one structure for the whole
-        pack, read off block 0, because all blocks share one sparsity
-        pattern.  Without operators (a sampler without clusters) that is
-        the empty CSR: no slices, no indices, ``indptr == [0]``.
-        """
-        block_slices = [
-            [(operator, int(operator.indptr[b * width]),
-              int(operator.indptr[(b + 1) * width]))
-             for operator, width in zip(operators, widths)]
-            for b in range(self.num_blocks)]
-        indices = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [operator.indices[lo:hi] for operator, lo, hi in block_slices[0]])
-        counts = np.concatenate(
-            [[0]] + [np.diff(operator.indptr[:width + 1])
-                     for operator, width in zip(operators, widths)])
-        return block_slices, indices, np.cumsum(counts, dtype=np.int64)
-
-    def _stack_block_data(self, structure: Tuple) -> np.ndarray:
-        """Stack every block's live operator values into the ``(blocks,
-        nnz)`` matrix the backend entry points consume."""
-        block_slices, indices, _ = structure
-        stacked = np.empty((self.num_blocks, indices.size))
-        for row, slices in zip(stacked, block_slices):
-            position = 0
-            for operator, lo, hi in slices:
-                row[position:position + hi - lo] = operator.data[lo:hi]
-                position += hi - lo
-        return stacked
-
-    def _ensure_cluster_cache(self) -> Tuple:
-        """Build (once per sampler) the flattened cluster structure arrays.
-
-        A sampler without clusters gets the empty structure (no members,
-        ``cluster_starts == edge_starts == [0]``).
-        """
-        if self._cluster_compiled_cache is None:
-            members = np.concatenate(
-                [np.empty(0, dtype=np.int64), *self.block_clusters])
-            cluster_starts = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(self._cluster_lengths)]),
-                dtype=np.int64)
-            edge_counts = [len(keys) for keys in self._cluster_internal_keys]
-            edge_starts = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(edge_counts)]),
-                dtype=np.int64)
-            if sum(edge_counts):
-                pairs = np.concatenate([
-                    np.asarray(keys, dtype=np.int64).reshape(len(keys), 2)
-                    for keys in self._cluster_internal_keys if keys])
-                edge_i = np.ascontiguousarray(pairs[:, 0])
-                edge_j = np.ascontiguousarray(pairs[:, 1])
-            else:
-                edge_i = np.empty(0, dtype=np.int64)
-                edge_j = np.empty(0, dtype=np.int64)
-            structure = self._block_csr_structure(self._cluster_operators,
-                                                  self._cluster_lengths)
-            self._cluster_compiled_cache = (members, cluster_starts, edge_i,
-                                            edge_j, edge_starts, structure)
-        return self._cluster_compiled_cache
-
     def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
         """Flattened cluster descriptor of the pack for the backend kernels.
 
@@ -617,28 +557,16 @@ class BlockDiagonalSampler:
         blocks and derived once per sampler; ``data`` (the member
         local-field rows, same values in the same ascending-column
         summation order as the reference cluster operators) and
-        ``edge_values`` hold every block's values as ``(blocks, nnz)`` /
-        ``(blocks, E)`` rows — ``data`` assembled per call from the live
-        operators, ``edge_values`` the matrix :meth:`refresh_values`
-        re-reads — so rebound samplers always sweep the current values.
-        Without clusters this is the empty descriptor —
-        "no clusters" is a zero-iteration cluster pass, not another entry
-        point.
+        ``edge_values`` are every block's values as ``(blocks, nnz)`` /
+        ``(blocks, E)`` rows, one gather each from the bound value matrix,
+        so rebound samplers always sweep the current values.  Without
+        clusters this is the empty descriptor — "no clusters" is a
+        zero-iteration cluster pass, not another entry point.
         """
-        (members, cluster_starts, edge_i, edge_j, edge_starts,
-         structure) = self._ensure_cluster_cache()
-        _, indices, indptr = structure
-        return backends.ClusterDescriptor(
-            members=members,
-            cluster_starts=cluster_starts,
-            data=self._stack_block_data(structure),
-            indices=indices,
-            indptr=indptr,
-            edge_i=edge_i,
-            edge_j=edge_j,
-            edge_starts=edge_starts,
-            edge_values=self._cluster_edge_values,
-        )
+        return self._cluster_structure._replace(
+            data=np.take(self._values, self._cluster_csr.edges, axis=1),
+            edge_values=np.take(self._values, self._cluster_internal_edges,
+                                axis=1))
 
     def _cluster_sweep(self, spins: np.ndarray, temperature: float,
                        rngs: Sequence[np.random.Generator],
@@ -663,11 +591,12 @@ class BlockDiagonalSampler:
         num_replicas = spins.shape[0]
         blocks = self.num_blocks
         size = self.block_size
+        reference = self._reference_operators()
         for index, (members, columns, operator, length, int_i, int_j,
                     int_v) in enumerate(zip(
-                self.block_clusters, self._cluster_columns,
-                self._cluster_operators, self._cluster_lengths,
-                self._cluster_int_i, self._cluster_int_j,
+                self.block_clusters, reference.cluster_columns,
+                reference.cluster_operators, self._cluster_lengths,
+                reference.cluster_int_i, reference.cluster_int_j,
                 self._cluster_int_v)):
             cluster_fields = (operator @ spins.T).T + self.linear[columns]
             terms = (spins[:, columns] * cluster_fields).reshape(
@@ -727,17 +656,14 @@ class BlockDiagonalSampler:
     def _dense_coupling_blocks(self) -> np.ndarray:
         """Dense per-block coupling matrices, shape ``(blocks, P, P)``.
 
-        Materialised from the current CSR matrix at anneal time, so a sampler
+        Scattered from the bound value matrix at anneal time, so a sampler
         rebound through :meth:`refresh_values` always densifies the *current*
-        values; the cost is one ``blocks * P^2`` copy per anneal call, far
+        values; the cost is one ``blocks * P^2`` fill per anneal call, far
         below a single sweep of the problems the dense kernel targets.
         """
-        size = self.block_size
-        dense = np.empty((self.num_blocks, size, size))
-        for b in range(self.num_blocks):
-            start = b * size
-            dense[b] = self._matrix[start:start + size,
-                                    start:start + size].toarray()
+        dense = np.zeros((self.num_blocks, self.block_size, self.block_size))
+        dense[:, self._edge_pairs[:, 0], self._edge_pairs[:, 1]] = self._values
+        dense[:, self._edge_pairs[:, 1], self._edge_pairs[:, 0]] = self._values
         return dense
 
     def _dense_sweep_loop(self, spins: np.ndarray, temperatures: np.ndarray,
@@ -787,7 +713,7 @@ class BlockDiagonalSampler:
                         step = np.where(accept, -2.0 * current, 0.0)
                         spins[:, v] += step
                         fields += step[:, None] * matrix[v, :][None, :]
-                if self._cluster_operators:
+                if self.block_clusters:
                     self._cluster_sweep(spins, temperature, rngs,
                                         fields=fields,
                                         cluster_rows=cluster_rows)
@@ -820,7 +746,7 @@ class BlockDiagonalSampler:
                     step = np.where(accept, -2.0 * spins3[:, :, v], 0.0)
                     spins3[:, :, v] += step
                     fields += step[:, :, None] * coupling[None, :, v, :]
-            if self._cluster_operators:
+            if self.block_clusters:
                 self._cluster_sweep(spins, temperature, rngs, fields=fields2,
                                     cluster_rows=cluster_rows)
 
@@ -844,8 +770,7 @@ class BlockDiagonalSampler:
         """
         size = self.block_size
         coupling = self._dense_coupling_blocks()
-        order = np.ascontiguousarray(np.concatenate(self.block_classes),
-                                     dtype=np.int64)
+        order = self._class_members
         fields = np.empty_like(spins)
         for b in range(self.num_blocks):
             segment = slice(b * size, (b + 1) * size)
@@ -858,39 +783,6 @@ class BlockDiagonalSampler:
         return backends.counter_pack_fused_dense_cluster_sweep(
             *shared, keys, threads=self.threads)
 
-    def _ensure_colour_cache(self) -> Tuple:
-        """Build (once per sampler) the stacked colour-class CSR structure."""
-        if self._colour_csr_cache is None:
-            members = np.ascontiguousarray(np.concatenate(self.block_classes),
-                                           dtype=np.int64)
-            class_starts = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(self._class_widths)]),
-                dtype=np.int64)
-            structure = self._block_csr_structure(self.class_operators,
-                                                  self._class_widths)
-            self._colour_csr_cache = (members, class_starts, structure)
-        return self._colour_csr_cache
-
-    def _colour_pack_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]:
-        """Block-local ragged colour classes + stacked per-class CSR operators.
-
-        Returns ``(members, class_starts, class_data, indices, indptr)``:
-        *members* holds the block-level variable indices of all classes
-        concatenated in class order, *class_starts* delimits the classes,
-        and row ``k`` of the CSR maps a block's spins to the local field of
-        ``members[k]`` — the same values, in the same (ascending-column)
-        summation order, as the combined per-class operators the reference
-        loop multiplies through.  The structure is shared by the blocks and
-        derived once per sampler; ``class_data`` is the ``(blocks, nnz)``
-        block-major value matrix, assembled per call from the live class
-        operators, so :meth:`refresh_values` rebinds are always honoured.
-        """
-        members, class_starts, structure = self._ensure_colour_cache()
-        _, indices, indptr = structure
-        return (members, class_starts, self._stack_block_data(structure),
-                indices, indptr)
-
     def _dispatch_colour(self, spins: np.ndarray, temperatures: np.ndarray,
                          backend: str, rngs: Sequence[np.random.Generator],
                          keys: Optional[List[int]]
@@ -899,16 +791,23 @@ class BlockDiagonalSampler:
 
         The colour sibling of :meth:`_dispatch_dense` — the embedded serving
         shape, one backend dispatch per anneal instead of one per (block,
-        sweep).  The per-class local-field operator values are re-read from
-        the live combined matrix on every call, so samplers rebound through
-        :meth:`refresh_values` always sweep the current values.
+        sweep).  The ``(blocks, nnz)`` per-class local-field values are one
+        gather from the bound value matrix per call, so samplers rebound
+        through :meth:`refresh_values` always sweep the current values; the
+        structure arrays are the sampler's own, which is what lets the
+        backend keep its argument block in ``_kernel_workspace``.
         """
-        shared = (backend, spins, self.linear, *self._colour_pack_csr(),
+        shared = (backend, spins, self.linear, self._class_members,
+                  self._class_starts,
+                  np.take(self._values, self._class_csr.edges, axis=1),
+                  self._class_csr.indices, self._class_csr.indptr,
                   self._cluster_pack_descriptor(), temperatures)
         if keys is None:
-            return backends.pack_fused_colour_cluster_sweep(*shared, rngs)
+            return backends.pack_fused_colour_cluster_sweep(
+                *shared, rngs, workspace=self._kernel_workspace)
         return backends.counter_pack_fused_colour_cluster_sweep(
-            *shared, keys, threads=self.threads)
+            *shared, keys, threads=self.threads,
+            workspace=self._kernel_workspace)
 
     def _anneal(self, temperatures: Sequence[float], num_replicas: int,
                 rngs: Sequence[np.random.Generator],
@@ -917,10 +816,16 @@ class BlockDiagonalSampler:
         num_replicas = check_integer_in_range("num_replicas", num_replicas,
                                               minimum=1)
         temperatures = np.asarray(temperatures, dtype=float)
-        if temperatures.ndim != 1 or temperatures.size == 0:
-            raise AnnealerError("temperatures must be a non-empty 1-D sequence")
-        if np.any(temperatures <= 0):
-            raise AnnealerError("temperatures must be strictly positive")
+        if temperatures is not self._validated_temperatures:
+            if temperatures.ndim != 1 or temperatures.size == 0:
+                raise AnnealerError(
+                    "temperatures must be a non-empty 1-D sequence")
+            if np.any(temperatures <= 0):
+                raise AnnealerError("temperatures must be strictly positive")
+            # A read-only profile (the schedules' memoised ones) cannot
+            # change after this check, so identity vouches for it next time.
+            self._validated_temperatures = (
+                None if temperatures.flags.writeable else temperatures)
 
         n = self.num_variables
         size = self.block_size
@@ -983,10 +888,11 @@ class BlockDiagonalSampler:
                 self._dense_sweep_loop(spins, temperatures, rngs)
             return spins.astype(np.int8)
 
+        reference = self._reference_operators()
         with sweep_phase:
             for temperature in temperatures:
-                for group, operator, width in zip(self.classes,
-                                                  self.class_operators,
+                for group, operator, width in zip(reference.classes,
+                                                  reference.class_operators,
                                                   self._class_widths):
                     # Local field of every variable in the group, per replica:
                     # (N x R) -> (blocks*|class| x R), then transpose.
@@ -1007,7 +913,7 @@ class BlockDiagonalSampler:
                                          / temperature))
                     flips = np.where(accept, -1.0, 1.0)
                     spins[:, group] *= flips
-                if self._cluster_operators:
+                if self.block_clusters:
                     self._cluster_sweep(spins, temperature, rngs)
 
         return spins.astype(np.int8)

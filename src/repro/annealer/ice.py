@@ -14,11 +14,12 @@ noise — the mechanism behind the ``|J_F|`` performance optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro import constants
-from repro.ising.model import IsingModel
+from repro.ising.model import IsingModel, IsingPack
 from repro.utils.random import RandomState, ensure_rng
 
 
@@ -48,28 +49,38 @@ class ICEModel:
         """An ICE model that applies no perturbation."""
         return cls(enabled=False)
 
+    def perturb_pack(self, problems: IsingPack,
+                     rngs: Sequence[np.random.Generator]) -> IsingPack:
+        """One ICE realisation per problem of a pack, each from its own
+        generator.
+
+        Problem *b* consumes ``rngs[b]`` exactly as a standalone
+        :meth:`perturb` would — one sized ``normal`` draw for the fields,
+        then one for the couplings in key order (element k of a sized draw
+        is the k-th scalar draw) — so no seeded stream depends on how
+        problems are packed.  A perturbed coupling that lands on exactly
+        zero shows as a zero of the returned value matrix.
+        """
+        if not self.enabled:
+            return problems
+        linear_shift = np.empty_like(problems.linear)
+        coupling_shift = np.empty_like(problems.values)
+        for fields, couplings, rng in zip(linear_shift, coupling_shift, rngs):
+            fields[:] = rng.normal(self.linear_mean, self.linear_std,
+                                   size=fields.size)
+            couplings[:] = rng.normal(self.quadratic_mean, self.quadratic_std,
+                                      size=couplings.size)
+        return IsingPack(problems.num_variables, problems.keys,
+                         problems.linear + linear_shift,
+                         problems.values + coupling_shift, problems.offsets)
+
     def perturb(self, ising: IsingModel,
                 random_state: RandomState = None) -> IsingModel:
         """Return a copy of *ising* with one ICE realisation applied."""
         if not self.enabled:
             return ising
-        rng = ensure_rng(random_state)
-        linear = ising.linear + rng.normal(self.linear_mean, self.linear_std,
-                                           size=ising.num_variables)
-        # One vectorised draw consumes the generator exactly as the
-        # historical per-coupling scalar draws did (element k of a sized
-        # normal() call is the k-th scalar draw), so seeded machine runs are
-        # unchanged; the dict is rebuilt over canonical keys, so the trusted
-        # constructor applies.
-        noise = rng.normal(self.quadratic_mean, self.quadratic_std,
-                           size=len(ising.couplings))
-        couplings = {
-            key: value + shift
-            for (key, value), shift in zip(ising.couplings.items(), noise)
-        }
-        return IsingModel.from_normalised(
-            num_variables=ising.num_variables, linear=linear,
-            couplings=couplings, offset=ising.offset)
+        return self.perturb_pack(IsingPack.stack([ising]),
+                                 [ensure_rng(random_state)])[0]
 
     def scaled(self, factor: float) -> "ICEModel":
         """An ICE model with all statistics multiplied by *factor*."""

@@ -8,6 +8,13 @@ samples by majority vote, and reports the per-run statistics (distinct
 solutions, energies, occurrence counts, ground-state probability) that the
 paper's TTS / TTB metrics are computed from.
 
+Inside :meth:`QuantumAnnealerSimulator.run_batch` the unit of work is the
+*pack*: the problems of one submission share one structure
+(:class:`~repro.annealer.embedded.EmbeddingPlan`) and travel between the
+stages as one ``(problems, E)`` coupling-value matrix and one ``(problems,
+P)`` field matrix (:class:`~repro.ising.model.IsingPack`), each stage a
+single array pass; a lone problem is a pack of one.
+
 Time accounting follows the paper's convention (Section 5.2): the reported
 compute time of a run is ``N_a * (T_a + T_p) / P_f`` — pure anneal time
 divided by the parallelization factor — while programming, readout and
@@ -24,17 +31,32 @@ import numpy as np
 
 from repro import constants
 from repro.annealer.chimera import ChimeraGraph
-from repro.annealer.embedded import EmbeddedIsing, embed_ising
+# embed_ising, unembed_samples and aggregate_samples are the per-problem
+# spellings of the pack stages run_batch calls; they stay importable from
+# here (benchmarks/e2e/spans.py wraps them in this namespace by name).
+from repro.annealer.embedded import (  # noqa: F401
+    EmbeddedIsing,
+    embed_ising,
+    embed_pack,
+)
 from repro.annealer.backends import BACKENDS, RNG_MODES
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import KERNELS, BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.parallel import parallelization_factor
 from repro.annealer.schedule import AnnealSchedule
-from repro.annealer.unembed import UnembeddingReport, unembed_samples
+from repro.annealer.unembed import (  # noqa: F401
+    UnembeddingReport,
+    unembed_pack,
+    unembed_samples,
+)
 from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel
-from repro.ising.solver import SolverResult, aggregate_samples
+from repro.ising.solver import (  # noqa: F401
+    SolverResult,
+    aggregate_pack,
+    aggregate_samples,
+)
 from repro.obs.profiling import PROFILER
 from repro.utils.random import RandomState, child_rngs, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
@@ -207,8 +229,10 @@ class QuantumAnnealerSimulator:
         # back when done, so a decoder shared by several worker threads never
         # has two of them refreshing one sampler concurrently (the loser of
         # the pop simply constructs afresh and overwrites on reinsertion).
-        self._sampler_cache: "OrderedDict[Tuple, BlockDiagonalSampler]" = (
-            OrderedDict())
+        # An entry is the sampler plus the scratch operator the pack's
+        # energies are evaluated through (both structure-keyed, both
+        # mutable, so both travel with the checkout).
+        self._sampler_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
         self._sampler_cache_hits = 0
         self._sampler_cache_misses = 0
 
@@ -237,23 +261,6 @@ class QuantumAnnealerSimulator:
     def clear_sampler_cache(self) -> None:
         """Drop all cached samplers (counters are kept)."""
         self._sampler_cache.clear()
-
-    def _sampler_cache_key(self, isings: Sequence[IsingModel],
-                           embedded_first: EmbeddedIsing,
-                           clusters: Sequence[np.ndarray],
-                           kernel: str, backend: str,
-                           rng: str, threads: int) -> Tuple:
-        """Everything that determines a packed sampler's warmed structure."""
-        return (
-            len(isings),
-            embedded_first.num_physical,
-            kernel,
-            backend,
-            rng,
-            threads,
-            frozenset(embedded_first.ising.couplings),
-            tuple(tuple(int(q) for q in chain) for chain in clusters),
-        )
 
     # ------------------------------------------------------------------ #
     def run(self, logical_ising: IsingModel,
@@ -394,31 +401,41 @@ class QuantumAnnealerSimulator:
         # PROFILER phases only read the wall clock (no-ops when disabled);
         # they never touch RNG state, so seeded outputs are unaffected.
         with PROFILER.phase("machine.embed"):
-            embedded = [
-                embed_ising(ising, embedding,
-                            chain_strength=parameters.chain_strength,
-                            extended_range=parameters.extended_range)
-                for ising in isings
-            ]
+            embedded = embed_pack(isings, embedding,
+                                  chain_strength=parameters.chain_strength,
+                                  extended_range=parameters.extended_range)
+        if embedded is None:
+            # The problems do not program one structure (different coupling
+            # keys): each is its own pack of one, with its own generator —
+            # exactly the serial submissions the pack is defined to equal.
+            return [self.run_batch([ising], parameters, random_states=[rng_b],
+                                   embedding=embedding, kernel=kernel,
+                                   backend=backend, rng=rng,
+                                   threads=threads)[0]
+                    for ising, rng_b in zip(isings, rngs)]
         temperatures = parameters.schedule.temperature_profile(
             sweeps_per_us=self.sweeps_per_us,
             hot=self.hot_temperature,
             cold=self.cold_temperature,
         )
-        clusters = [np.asarray(chain, dtype=np.intp)
-                    for chain in embedded[0].compact_chains.values()]
+        plan = embedded.plan
+        sampler_options = dict(clusters=plan.clusters, kernel=kernel,
+                               backend=backend, rng=rng, threads=threads)
 
         num_anneals = parameters.num_anneals
-        num_physical = embedded[0].num_physical
-        physical = np.empty((num_anneals, len(isings) * num_physical),
+        physical = np.empty((num_anneals, len(isings) * plan.num_physical),
                             dtype=np.int8)
         cache_key: Optional[Tuple] = None
         sampler: Optional[BlockDiagonalSampler] = None
+        operator = None
         if self.sampler_cache_size:
-            cache_key = self._sampler_cache_key(isings, embedded[0], clusters,
-                                                kernel, backend, rng, threads)
-            # pop, not get: the caller owns the sampler until reinsertion.
-            sampler = self._sampler_cache.pop(cache_key, None)
+            # Everything that determines a packed sampler's warmed
+            # structure; the key tuples come from the plan, not the jobs.
+            cache_key = (len(isings), kernel, backend, rng, threads,
+                         embedded.problems.keys, tuple(plan.chains.values()))
+            # pop, not get: the caller owns the entry until reinsertion.
+            sampler, operator = self._sampler_cache.pop(cache_key,
+                                                        (None, None))
             if sampler is not None:
                 self._sampler_cache_hits += 1
             else:
@@ -427,49 +444,45 @@ class QuantumAnnealerSimulator:
         while produced < num_anneals:
             batch = min(self.ice_batch_size, num_anneals - produced)
             with PROFILER.phase("machine.ice"):
-                perturbed = [self.ice.perturb(item.ising, rng)
-                             for item, rng in zip(embedded, rngs)]
-            if sampler is not None:
-                # refresh_values is the (one) structure check: a mismatch
-                # raises before touching the sampler, and a fresh one is
-                # built below.
-                try:
-                    with PROFILER.phase("machine.sampler_rebind"):
-                        sampler.refresh_values(perturbed)
-                except AnnealerError:
-                    sampler = None
-            try:
+                programmed = self.ice.perturb_pack(embedded.problems, rngs)
+            if programmed.values.all():
                 if sampler is None:
                     with PROFILER.phase("machine.sampler_build"):
-                        sampler = BlockDiagonalSampler(perturbed,
-                                                       clusters=clusters,
-                                                       kernel=kernel,
-                                                       backend=backend,
-                                                       rng=rng,
-                                                       threads=threads)
+                        sampler = BlockDiagonalSampler(programmed,
+                                                       **sampler_options)
+                else:
+                    with PROFILER.phase("machine.sampler_rebind"):
+                        sampler.refresh_values(programmed)
                 with PROFILER.phase("machine.anneal",
                                     sampler.selected_kernel,
                                     sampler.selected_backend):
                     samples = sampler.anneal(temperatures, batch, rngs)
-            except AnnealerError:
+            else:
                 # An ICE draw cancelled a coupling exactly, so the blocks
-                # no longer share one structure this batch; fall back to
-                # per-problem anneals (identical trajectories, just not
-                # packed).
-                sampler = None
+                # no longer share one structure this batch: anneal them one
+                # by one (identical trajectories, just not packed).  The
+                # warm sampler sits the batch out and serves the next.
                 with PROFILER.phase("machine.anneal", kernel, backend):
                     samples = np.concatenate([
-                        IsingSampler(problem, clusters=clusters,
-                                     kernel=kernel, backend=backend,
-                                     rng=rng, threads=threads).anneal(
+                        IsingSampler(problem, **sampler_options).anneal(
                             temperatures, batch, random_state=rng_b)
-                        for problem, rng_b in zip(perturbed, rngs)
+                        for problem, rng_b in zip(programmed, rngs)
                     ], axis=1)
             physical[produced:produced + batch] = samples
             produced += batch
 
+        with PROFILER.phase("machine.unembed"):
+            logical_spins, unembedding = unembed_pack(plan, physical, rngs)
+        # Aggregate through the logical problems' sparse operator instead
+        # of densifying their coupling matrices on every run.
+        with PROFILER.phase("machine.aggregate"):
+            if operator is None:
+                operator = isings[0].coupling_operator()
+            solutions = aggregate_pack(embedded.logical, logical_spins,
+                                       operator)
+
         if cache_key is not None and sampler is not None:
-            self._sampler_cache[cache_key] = sampler
+            self._sampler_cache[cache_key] = (sampler, operator)
             while len(self._sampler_cache) > self.sampler_cache_size:
                 self._sampler_cache.popitem(last=False)
 
@@ -478,27 +491,17 @@ class QuantumAnnealerSimulator:
             total_qubits=self.num_qubits,
             shore_size=self.topology.shore_size,
         )
-        results: List[AnnealResult] = []
-        for index, (item, rng_b) in enumerate(zip(embedded, rngs)):
-            block = physical[:, index * num_physical:(index + 1) * num_physical]
-            with PROFILER.phase("machine.unembed"):
-                logical_spins, unembedding_report = unembed_samples(
-                    item, block, random_state=rng_b)
-            # Aggregate through the logical problem's sparse operator instead
-            # of densifying its coupling matrix on every run.
-            with PROFILER.phase("machine.aggregate"):
-                solutions = aggregate_samples(
-                    isings[index], logical_spins,
-                    operator=isings[index].coupling_operator())
-            results.append(AnnealResult(
-                solutions=solutions,
-                embedded=item,
+        return [
+            AnnealResult(
+                solutions=solutions[index],
+                embedded=embedded[index],
                 parameters=parameters,
-                unembedding=unembedding_report,
+                unembedding=unembedding[index],
                 parallelization=factor,
-                logical_ising=isings[index],
-            ))
-        return results
+                logical_ising=embedded.logical[index],
+            )
+            for index in range(len(isings))
+        ]
 
     def __repr__(self) -> str:
         return (f"QuantumAnnealerSimulator(qubits={self.num_qubits}, "

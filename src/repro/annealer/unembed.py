@@ -10,11 +10,11 @@ decided by majority vote, with ties resolved at random.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealer.embedded import EmbeddedIsing
+from repro.annealer.embedded import EmbeddedIsing, EmbeddingPlan
 from repro.exceptions import AnnealerError
 from repro.utils.random import RandomState, ensure_rng
 
@@ -46,6 +46,47 @@ def unembed_sample(embedded: EmbeddedIsing, physical_spins,
     return logical[0]
 
 
+def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
+                 rngs: Sequence[np.random.Generator]
+                 ) -> Tuple[np.ndarray, List[UnembeddingReport]]:
+    """Unembed the samples of a whole pack by majority vote.
+
+    *physical_spins* holds, per sample row, the problems' compact physical
+    spins side by side: shape ``(num_samples, problems * P)``.  Returns the
+    ``(problems, num_samples, num_logical)`` logical spins and one report
+    per problem.
+
+    All chains' majority votes are integer sums, so they are one
+    gather-and-reduce over the plan's flattened chain index (exact in any
+    summation order); only tie breaking stays a loop, because each problem
+    draws the tie spins of its logical indices in ascending order from its
+    own generator of *rngs* and that stream must not move.
+    """
+    chain_lengths, flat_chains, starts = plan.unembedding
+    num_samples = physical_spins.shape[0]
+    by_problem = physical_spins.reshape(
+        num_samples, len(rngs), plan.num_physical).transpose(1, 0, 2)
+    sums = np.add.reduceat(by_problem[:, :, flat_chains].astype(np.int64),
+                           starts, axis=2)
+    values = np.sign(sums).astype(np.int8)
+    broken = np.count_nonzero(np.abs(sums) != chain_lengths, axis=(1, 2))
+    ties = np.zeros(len(rngs), dtype=np.intp)
+    tied = values == 0
+    if tied.any():
+        spin_choices = np.array([-1, 1], dtype=np.int8)
+        for problem, logical_index in zip(*np.nonzero(tied.any(axis=1))):
+            tie_mask = tied[problem, :, logical_index]
+            num_ties = int(np.count_nonzero(tie_mask))
+            ties[problem] += num_ties
+            values[problem, tie_mask, logical_index] = rngs[problem].choice(
+                spin_choices, size=num_ties)
+    total = num_samples * chain_lengths.size
+    return values, [
+        UnembeddingReport(broken_chains=int(broken_b), tie_breaks=int(ties_b),
+                          total_chains=total)
+        for broken_b, ties_b in zip(broken, ties)]
+
+
 def unembed_samples(embedded: EmbeddedIsing, physical_spins,
                     random_state: RandomState = None
                     ) -> Tuple[np.ndarray, UnembeddingReport]:
@@ -73,45 +114,6 @@ def unembed_samples(embedded: EmbeddedIsing, physical_spins,
             f"physical_spins must have shape (num_samples, "
             f"{embedded.num_physical}), got {physical.shape}"
         )
-    rng = ensure_rng(random_state)
-    num_logical = embedded.embedding.num_logical
-    num_samples = physical.shape[0]
-    # All chains' majority votes are integer sums, so they can be computed
-    # in one gather-and-reduce over a flattened chain index (exact in any
-    # summation order); only tie breaking stays a per-chain loop, because
-    # each logical index draws its tie spins from *rng* in ascending order
-    # and that stream must not move.  The flattened index is a pure function
-    # of (embedding, logical count), so it is cached on the embedding — the
-    # serving path unembeds one batch per job against a handful of cached
-    # embeddings.
-    plans = embedded.embedding.__dict__.setdefault("_unembed_plans", {})
-    plan = plans.get(num_logical)
-    if plan is None:
-        chains = embedded.compact_chains
-        chain_lengths = np.fromiter(
-            (len(chains[index]) for index in range(num_logical)),
-            dtype=np.intp, count=num_logical)
-        flat_chains = np.fromiter(
-            (qubit for index in range(num_logical)
-             for qubit in chains[index]),
-            dtype=np.intp, count=int(chain_lengths.sum()))
-        bounds = np.concatenate([[0], np.cumsum(chain_lengths)])
-        plan = (chain_lengths, flat_chains, bounds)
-        plans[num_logical] = plan
-    chain_lengths, flat_chains, bounds = plan
-    gathered = physical[:, flat_chains].astype(np.int64)
-    sums = np.add.reduceat(gathered, bounds[:-1], axis=1)
-    values = np.sign(sums).astype(np.int8)
-    broken = int(np.count_nonzero(np.abs(sums) != chain_lengths[None, :]))
-    ties = 0
-    tie_columns = np.nonzero((values == 0).any(axis=0))[0]
-    spin_choices = np.array([-1, 1], dtype=np.int8)
-    for logical_index in tie_columns:
-        column = values[:, logical_index]
-        tie_mask = column == 0
-        num_ties = int(np.count_nonzero(tie_mask))
-        ties += num_ties
-        column[tie_mask] = rng.choice(spin_choices, size=num_ties)
-    report = UnembeddingReport(broken_chains=broken, tie_breaks=ties,
-                               total_chains=num_samples * num_logical)
-    return values, report
+    logical, reports = unembed_pack(embedded.pack.plan, physical,
+                                    [ensure_rng(random_state)])
+    return logical[0], reports[0]

@@ -225,10 +225,12 @@ class QuAMaxDecoder(Detector):
         with PROFILER.phase("decoder.reduce"):
             reduced = [self._reducer.reduce(channel_use)
                        for channel_use in channel_uses]
-        groups: Dict[Tuple[int, frozenset], List[int]] = {}
+        # One QA job per (size, coupling key tuple): the reducer hands
+        # problems of one sparsity pattern the same key tuple, which is the
+        # structure identity every layer below plans and caches by.
+        groups: Dict[Tuple[int, tuple], List[int]] = {}
         for index, problem in enumerate(reduced):
-            key = (problem.num_variables,
-                   frozenset(problem.ising.couplings.keys()))
+            key = (problem.num_variables, problem.ising.coupling_keys)
             groups.setdefault(key, []).append(index)
 
         results: List[Optional[QuAMaxDetectionResult]] = [None] * len(reduced)
@@ -248,10 +250,7 @@ class QuAMaxDecoder(Detector):
                          parameters: AnnealerParameters
                          ) -> QuAMaxDetectionResult:
         """Translate one annealer run back into a detection result."""
-        best_spins = run.best_spins
-        bits = reduced.bits_from_spins(best_spins)
-        symbols = reduced.symbols_from_spins(best_spins)
-        metric = reduced.metric_of_spins(best_spins)
+        bits, symbols, metric = reduced.decode_spins(run.best_spins)
         detection = DetectionResult(
             symbols=symbols,
             bits=bits,

@@ -15,8 +15,9 @@ what lets tests assert equality of full energy landscapes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Optional, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +27,7 @@ from repro.utils.validation import check_integer_in_range
 
 Coupling = Tuple[int, int]
 
-#: Cached CSR sparsity templates of :meth:`IsingModel.coupling_operator`,
+#: Cached CSR sparsity templates (:func:`symmetric_csr_template`),
 #: keyed by ``(num_variables, coupling keys)``; bounded, cleared when full.
 _OPERATOR_TEMPLATES: Dict[tuple, tuple] = {}
 
@@ -72,9 +73,49 @@ def _normalise_couplings(num_variables: int,
     return result
 
 
+def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edges, indices, indptr)`` of the symmetric CSR over *keys*.
+
+    Direct canonical-CSR assembly: couplings are duplicate-free, so
+    lexsorting the doubled ``(row, col)`` entry list yields exactly the
+    indices/indptr a COO round trip would (row-major, columns ascending
+    within a row), and ``edges[s]`` is the key whose value data slot ``s``
+    holds — the matrix data of a value vector ``v`` is the single gather
+    ``v[edges]``, minus scipy's per-call COO construction and
+    canonicalisation overhead.  The template is a pure function of the key
+    tuple, which the serving path repeats per job, so it is cached.
+    """
+    cache_key = (num_variables, keys)
+    template = _OPERATOR_TEMPLATES.get(cache_key)
+    if template is None:
+        pairs = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(num_variables + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=num_variables), out=indptr[1:])
+        template = (order % max(len(keys), 1),
+                    np.ascontiguousarray(cols[order]), indptr)
+        if len(_OPERATOR_TEMPLATES) > 512:
+            _OPERATOR_TEMPLATES.clear()
+        _OPERATOR_TEMPLATES[cache_key] = template
+    return template
+
+
 @dataclass
 class IsingModel:
-    """Ising spin-glass objective ``sum_{i<j} g_ij s_i s_j + sum_i f_i s_i + offset``."""
+    """Ising spin-glass objective ``sum_{i<j} g_ij s_i s_j + sum_i f_i s_i + offset``.
+
+    The couplings have two equivalent spellings: the ``couplings`` dict the
+    constructor takes, and the array form ``coupling_keys`` (a tuple of
+    canonical ``(i, j)`` pairs, shareable between problems of one structure)
+    plus ``coupling_values`` (a float vector in key order).  A model holds
+    whichever it was built from and derives the other on first read, so the
+    serving path — which builds, scales, embeds and perturbs problems as
+    arrays — never pays for a dict nobody looks at.  Treat both as
+    read-only.
+    """
 
     num_variables: int
     linear: np.ndarray
@@ -94,31 +135,53 @@ class IsingModel:
                                               allow_diagonal=False)
         self.offset = float(self.offset)
 
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: the spelling of the
+        # couplings this model was not built from.  The dict view of an
+        # array-built model is kept; the array form of a dict-built one is
+        # derived per read, so it can never go stale against the dict.
+        state = self.__dict__
+        if name == "couplings" and "coupling_keys" in state:
+            couplings = dict(zip(self.coupling_keys,
+                                 self.coupling_values.tolist()))
+            state["couplings"] = couplings
+            return couplings
+        if name == "coupling_keys" and "couplings" in state:
+            return tuple(self.couplings)
+        if name == "coupling_values" and "couplings" in state:
+            return np.fromiter(self.couplings.values(), dtype=np.float64,
+                               count=len(self.couplings))
+        raise AttributeError(name)
+
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_normalised(cls, num_variables: int, linear: np.ndarray,
-                        couplings: Dict[Coupling, float],
-                        offset: float = 0.0) -> "IsingModel":
-        """Trusted fast construction from already-canonical inputs.
+    def from_arrays(cls, num_variables: int, linear: np.ndarray,
+                    keys: Tuple[Coupling, ...], values: np.ndarray,
+                    offset: float = 0.0) -> "IsingModel":
+        """Trusted fast construction from already-canonical arrays.
 
         Skips the per-key validation of ``__post_init__`` for internal hot
-        paths that construct models per job (ICE perturbations, hardware
-        embedding, coefficient scaling): the caller guarantees *linear* is a
-        float array of the right shape and every coupling key is a canonical
-        ``(i, j)`` with ``i < j`` in range.  Exact-zero coupling values are
-        still dropped — the one normalisation step whose outcome depends on
-        the *values* — so the resulting coupling structure is identical to
-        what the validating constructor would produce.
+        paths that construct models per job (the ML reduction, coefficient
+        scaling, hardware embedding, ICE perturbations): the caller
+        guarantees *linear* is a float array of the right shape, every key
+        of the tuple *keys* is a canonical ``(i, j)`` with ``i < j`` in
+        range, and *values* is the float vector of their couplings.
+        Exact-zero values are still dropped — the one normalisation step
+        whose outcome depends on the *values* — so the resulting coupling
+        structure is identical to what the validating constructor would
+        produce.
         """
+        if not values.all():
+            keep = values != 0.0
+            keys = tuple(key for key, kept in zip(keys, keep) if kept)
+            values = values[keep]
         model = cls.__new__(cls)
         model.num_variables = num_variables
         model.linear = linear
-        if any(value == 0.0 for value in couplings.values()):
-            couplings = {key: value for key, value in couplings.items()
-                         if value != 0.0}
-        model.couplings = couplings
+        model.coupling_keys = keys
+        model.coupling_values = values
         model.offset = offset
         return model
 
@@ -161,35 +224,12 @@ class IsingModel:
         as the populated one.
         """
         n = self.num_variables
-        if not self.couplings:
-            return sparse.csr_matrix((n, n), dtype=np.float64)
-        # Direct canonical-CSR assembly: couplings are duplicate-free, so
-        # lexsorting by (row, col) yields exactly the data/indices/indptr a
-        # COO round trip would — minus scipy's per-call COO construction and
-        # canonicalisation overhead, which dominates for the small logical
-        # problems the serving path aggregates per job.  The sparsity
-        # template is a pure function of the key set, which the serving path
-        # repeats per job, so it is cached by (size, keys).
-        cache_key = (n, tuple(self.couplings))
-        template = _OPERATOR_TEMPLATES.get(cache_key)
-        if template is None:
-            pairs = np.array(list(self.couplings), dtype=np.intp)
-            rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.lexsort((cols, rows))
-            indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-            template = (order, np.ascontiguousarray(cols[order]), indptr)
-            if len(_OPERATOR_TEMPLATES) > 512:
-                _OPERATOR_TEMPLATES.clear()
-            _OPERATOR_TEMPLATES[cache_key] = template
-        order, sorted_cols, indptr = template
-        values = np.fromiter(self.couplings.values(), dtype=np.float64,
-                             count=len(self.couplings))
         matrix = sparse.csr_matrix((n, n), dtype=np.float64)
-        matrix.data = np.concatenate([values, values])[order]
-        matrix.indices = sorted_cols
-        matrix.indptr = indptr
+        keys = self.coupling_keys
+        if keys:
+            edges, matrix.indices, matrix.indptr = symmetric_csr_template(
+                n, keys)
+            matrix.data = self.coupling_values[edges]
         return matrix
 
     # ------------------------------------------------------------------ #
@@ -255,20 +295,18 @@ class IsingModel:
     def max_abs_coefficient(self) -> float:
         """Largest absolute coefficient (used for hardware-range normalisation)."""
         largest = float(np.max(np.abs(self.linear))) if self.linear.size else 0.0
-        if self.couplings:
-            largest = max(largest, max(abs(v) for v in self.couplings.values()))
+        values = self.coupling_values
+        if values.size:
+            largest = max(largest, float(np.abs(values).max()))
         return largest
 
     def scaled(self, factor: float) -> "IsingModel":
         """Return a copy with every coefficient (and offset) multiplied by *factor*."""
         # Keys stay canonical under scaling, so the trusted constructor
         # applies (it still drops couplings a tiny factor underflows to 0).
-        return IsingModel.from_normalised(
-            num_variables=self.num_variables,
-            linear=self.linear * factor,
-            couplings={key: value * factor for key, value in self.couplings.items()},
-            offset=self.offset * factor,
-        )
+        return IsingModel.from_arrays(
+            self.num_variables, self.linear * factor, self.coupling_keys,
+            self.coupling_values * factor, self.offset * factor)
 
     # ------------------------------------------------------------------ #
     # Conversion
@@ -292,6 +330,84 @@ class IsingModel:
     def __repr__(self) -> str:
         return (f"IsingModel(num_variables={self.num_variables}, "
                 f"couplings={len(self.couplings)}, offset={self.offset:.3g})")
+
+
+@dataclass(frozen=True, eq=False)
+class IsingPack(SequenceABC):
+    """Same-structure Ising problems held as arrays, one row per problem.
+
+    The unit the annealer layer works on: one shared key tuple, a
+    ``(problems, N)`` field matrix and a ``(problems, E)`` coupling-value
+    matrix whose column *e* is the coupling of ``keys[e]``.  It is also a
+    read-only ``Sequence[IsingModel]`` — problem *b* is materialised (from
+    row views, no dict) when indexed — so anything that takes a sequence of
+    problems takes a pack, and the stages that understand the arrays skip
+    the per-problem objects altogether.  The direct constructor is trusted
+    like :meth:`IsingModel.from_arrays`: canonical keys, float64 C-ordered
+    matrices; a zero in ``values`` means that problem lacks that coupling,
+    i.e. the rows no longer share one structure, which is for the caller to
+    test (``values.all()``) before treating the pack as one.
+    """
+
+    num_variables: int
+    keys: Tuple[Coupling, ...]
+    linear: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    #: The problems' own objects when the pack was stacked from them
+    #: (indexing then hands those back instead of building row views).
+    models: Optional[Tuple[IsingModel, ...]] = None
+
+    def __len__(self) -> int:
+        return self.linear.shape[0]
+
+    def __getitem__(self, index: int) -> IsingModel:
+        if not -len(self) <= index < len(self):
+            raise IndexError(index)
+        if self.models is not None:
+            return self.models[index]
+        return IsingModel.from_arrays(
+            self.num_variables, self.linear[index], self.keys,
+            self.values[index], float(self.offsets[index]))
+
+    def operator_data(self) -> np.ndarray:
+        """Row *b*: the ``.data`` of problem *b*'s
+        :meth:`~IsingModel.coupling_operator` (all share its structure)."""
+        edges = symmetric_csr_template(self.num_variables, self.keys)[0]
+        return self.values[:, edges]
+
+    @classmethod
+    def stack(cls, isings: Sequence[IsingModel],
+              keys: Optional[Tuple[Coupling, ...]] = None
+              ) -> Optional["IsingPack"]:
+        """Stack *isings* with columns in *keys* order (default: the first
+        problem's own); ``None`` when they do not share one size and one
+        coupling key set (or there are none to stack).  A pack already in
+        that order is returned as is.
+        """
+        if isinstance(isings, cls) and (keys is None or isings.keys == keys):
+            return isings
+        isings = list(isings)
+        if not isings:
+            return None
+        if keys is None:
+            keys = isings[0].coupling_keys
+        rows = []
+        for ising in isings:
+            if ising.num_variables != isings[0].num_variables:
+                return None
+            if ising.coupling_keys == keys:
+                rows.append(ising.coupling_values)
+            elif ising.couplings.keys() == set(keys):
+                rows.append([ising.couplings[key] for key in keys])
+            else:
+                return None
+        return cls(
+            isings[0].num_variables, keys,
+            np.array([ising.linear for ising in isings], dtype=np.float64),
+            np.array(rows, dtype=np.float64).reshape(len(isings), len(keys)),
+            np.array([ising.offset for ising in isings], dtype=np.float64),
+            tuple(isings))
 
 
 @dataclass

@@ -23,13 +23,13 @@ the perf benchmarks time it as the "before" datapoint
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.ising.model import IsingModel, spins_to_bits
+from repro.ising.model import IsingModel, IsingPack, spins_to_bits
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
 
@@ -102,6 +102,34 @@ class SolverResult:
         return float(self.num_occurrences[matching].sum() / self.total_reads)
 
 
+def _distinct_reads(raw: np.ndarray
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Per problem of a ``(problems, reads, N)`` ``int8`` array, the distinct
+    read rows in ``np.unique(axis=0)`` order and their occurrence counts."""
+    num_variables = raw.shape[2]
+    if (0 < num_variables <= 63 and raw.size
+            and ((raw == 1) | (raw == -1)).all()):
+        # Fast path for spin matrices: pack each row into one integer key
+        # (MSB = first column, bit 1 = spin +1).  Ascending keys are exactly
+        # the lexicographic row order ``np.unique(axis=0)`` returns (-1
+        # sorts below +1 like bit 0 below bit 1), so distinct rows, their
+        # order and their counts are identical to the axis-0 unique — minus
+        # its per-call row-view/sort overhead, which dominates the repeated
+        # small aggregations of the serving path.  The keys of a whole pack
+        # are one array pass; only the sort stays per problem.
+        weights = np.left_shift(
+            np.uint64(1),
+            np.arange(num_variables - 1, -1, -1, dtype=np.uint64))
+        keys = ((raw > 0).astype(np.uint64) * weights).sum(axis=2)
+        for reads, read_keys in zip(raw, keys):
+            _, first_occurrence, counts = np.unique(
+                read_keys, return_index=True, return_counts=True)
+            yield reads[first_occurrence], counts
+    else:
+        for reads in raw:
+            yield np.unique(reads, axis=0, return_counts=True)
+
+
 def aggregate_samples(ising: IsingModel, raw_samples: np.ndarray,
                       operator=None) -> SolverResult:
     """Collapse raw reads onto distinct configurations with occurrence counts.
@@ -114,28 +142,40 @@ def aggregate_samples(ising: IsingModel, raw_samples: np.ndarray,
     raw_samples = np.asarray(raw_samples, dtype=np.int8)
     if raw_samples.ndim != 2:
         raise ConfigurationError("raw_samples must be 2-D (reads x variables)")
-    num_variables = raw_samples.shape[1]
-    if (0 < num_variables <= 63 and raw_samples.size
-            and ((raw_samples == 1) | (raw_samples == -1)).all()):
-        # Fast path for spin matrices: pack each row into one integer key
-        # (MSB = first column, bit 1 = spin +1).  Ascending keys are exactly
-        # the lexicographic row order ``np.unique(axis=0)`` returns (-1
-        # sorts below +1 like bit 0 below bit 1), so distinct rows, their
-        # order and their counts are identical to the axis-0 unique — minus
-        # its per-call row-view/sort overhead, which dominates the repeated
-        # small aggregations of the serving path.
-        bits = (raw_samples > 0).astype(np.uint64)
-        weights = np.left_shift(
-            np.uint64(1),
-            np.arange(num_variables - 1, -1, -1, dtype=np.uint64))
-        keys = (bits * weights[None, :]).sum(axis=1)
-        _, first_occurrence, counts = np.unique(
-            keys, return_index=True, return_counts=True)
-        distinct = raw_samples[first_occurrence]
-    else:
-        distinct, counts = np.unique(raw_samples, axis=0, return_counts=True)
+    (distinct, counts), = _distinct_reads(raw_samples[None])
     energies = ising.energies(distinct, operator=operator)
     return SolverResult(samples=distinct, energies=energies, num_occurrences=counts)
+
+
+def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray,
+                   operator=None) -> List[SolverResult]:
+    """:func:`aggregate_samples` over same-structure problems at once.
+
+    *raw_samples* is ``(problems, reads, variables)``.  Energies go through
+    ONE sparse operator of the shared coupling structure whose ``.data`` is
+    rewritten per problem, instead of a CSR constructed per problem; pass a
+    kept one (any problem's :meth:`IsingModel.coupling_operator`) as
+    *operator* to construct none at all — it is scratch space, left holding
+    the last problem's values.
+    """
+    problems = IsingPack.stack(isings)
+    raw_samples = np.asarray(raw_samples, dtype=np.int8)
+    if problems is None or raw_samples.shape[:1] + raw_samples.shape[2:] != (
+            len(problems), problems.num_variables):
+        raise ConfigurationError(
+            "aggregate_pack needs same-structure problems and "
+            "(problems x reads x variables) samples")
+    if operator is None:
+        operator = problems[0].coupling_operator()
+    results = []
+    for index, ((distinct, counts), data) in enumerate(zip(
+            _distinct_reads(raw_samples), problems.operator_data())):
+        operator.data = data
+        results.append(SolverResult(
+            samples=distinct,
+            energies=problems[index].energies(distinct, operator=operator),
+            num_occurrences=counts))
+    return results
 
 
 class BruteForceIsingSolver:

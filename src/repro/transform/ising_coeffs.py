@@ -42,26 +42,38 @@ def spin_weights(constellation, num_users: int) -> np.ndarray:
     return np.tile(per_user, num_users)
 
 
-#: Small per-size caches of index arrays rebuilt identically on every call.
-_TRIU_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-_USER_OF_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
+#: Per-structure constants of :func:`build_ml_ising`, rebuilt identically on
+#: every call before: ``(transform name, users) -> (weights, conj(weights),
+#: |weights|^2, user_of, gram gather index, upper-triangle pairs)``.
+_STRUCTURE_CACHE: Dict[Tuple[str, int], tuple] = {}
+#: ``(variables, nonzero mask bytes) -> key tuple``: problems of one
+#: sparsity pattern share one key tuple object.
+_KEYS_CACHE: Dict[Tuple[int, bytes], Tuple[Tuple[int, int], ...]] = {}
 
 
-def _triu_pairs(num_variables: int) -> Tuple[np.ndarray, np.ndarray]:
-    pairs = _TRIU_CACHE.get(num_variables)
-    if pairs is None:
-        pairs = np.triu_indices(num_variables, k=1)
-        _TRIU_CACHE[num_variables] = pairs
-    return pairs
+def _structure(transform, num_users: int) -> tuple:
+    key = (transform.name, num_users)
+    structure = _STRUCTURE_CACHE.get(key)
+    if structure is None:
+        weights = spin_weights(transform.name, num_users)
+        user_of = np.repeat(np.arange(num_users), transform.bits_per_symbol)
+        structure = (weights, np.conj(weights), np.abs(weights) ** 2,
+                     user_of, np.ix_(user_of, user_of),
+                     np.triu_indices(weights.size, k=1))
+        _STRUCTURE_CACHE[key] = structure
+    return structure
 
 
-def _user_of(num_users: int, bits_per_symbol: int) -> np.ndarray:
-    key = (num_users, bits_per_symbol)
-    users = _USER_OF_CACHE.get(key)
-    if users is None:
-        users = np.repeat(np.arange(num_users), bits_per_symbol)
-        _USER_OF_CACHE[key] = users
-    return users
+def _pair_keys(upper_i: np.ndarray, upper_j: np.ndarray,
+               nonzero: np.ndarray) -> Tuple[Tuple[int, int], ...]:
+    cache_key = (upper_i.size, nonzero.tobytes())
+    keys = _KEYS_CACHE.get(cache_key)
+    if keys is None:
+        keys = tuple(zip(upper_i[nonzero].tolist(), upper_j[nonzero].tolist()))
+        if len(_KEYS_CACHE) > 512:
+            _KEYS_CACHE.clear()
+        _KEYS_CACHE[cache_key] = keys
+    return keys
 
 
 def build_ml_ising(channel, received, constellation,
@@ -89,12 +101,8 @@ def build_ml_ising(channel, received, constellation,
     channel = ensure_complex_matrix("channel", channel)
     received = ensure_complex_vector("received", received, length=channel.shape[0])
     transform = get_transform(constellation)
-    num_users = channel.shape[1]
-    bits_per_symbol = transform.bits_per_symbol
-    num_variables = num_users * bits_per_symbol
-
-    weights = spin_weights(constellation, num_users)
-    user_of = _user_of(num_users, bits_per_symbol)
+    (weights, conj_weights, weight_power, user_of, gram_index,
+     (upper_i, upper_j)) = _structure(transform, channel.shape[1])
 
     matched_filter = channel.conj().T @ received      # H^H y, length N_t
     gram = channel.conj().T @ channel                 # H^H H, N_t x N_t
@@ -106,29 +114,23 @@ def build_ml_ising(channel, received, constellation,
     # unchanged; only the Python-loop overhead is gone.
     linear = -2.0 * (weights * np.conj(matched_filter[user_of])).real
 
-    pair_matrix = 2.0 * ((np.conj(weights)[:, None]
-                          * gram[np.ix_(user_of, user_of)])
+    pair_matrix = 2.0 * ((conj_weights[:, None] * gram[gram_index])
                          * weights[None, :]).real
-    upper_i, upper_j = _triu_pairs(num_variables)
     pair_values = pair_matrix[upper_i, upper_j]
     nonzero = pair_values != 0.0
-    couplings: Dict[Tuple[int, int], float] = {
-        (int(i), int(j)): float(value)
-        for i, j, value in zip(upper_i[nonzero], upper_j[nonzero],
-                               pair_values[nonzero])
-    }
 
     offset = 0.0
     if include_offset:
         offset = float(np.real(np.vdot(received, received)))
         # Sequential accumulation keeps the historical summation order.
-        for term in (np.abs(weights) ** 2
-                     * gram.real[user_of, user_of]):
-            offset += float(term)
+        for term in (weight_power * gram.real[user_of, user_of]).tolist():
+            offset += term
 
-    return IsingModel.from_normalised(num_variables=num_variables,
-                                      linear=linear, couplings=couplings,
-                                      offset=offset)
+    # Handed over as arrays: no per-job dict, and problems of one sparsity
+    # pattern share one key tuple (structure identity for the layers below).
+    return IsingModel.from_arrays(weights.size, linear,
+                                  _pair_keys(upper_i, upper_j, nonzero),
+                                  pair_values[nonzero], offset)
 
 
 def bpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:

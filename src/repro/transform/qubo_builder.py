@@ -76,6 +76,13 @@ def build_ml_qubo(channel, received, constellation,
     return QUBOModel(num_variables=num_variables, terms=terms, offset=offset)
 
 
+def ml_metric_of_symbols(channel: np.ndarray, received: np.ndarray,
+                         symbols: np.ndarray) -> float:
+    """Euclidean ML metric ``||y - H v||^2`` of a symbol vector."""
+    residual = received - channel @ symbols
+    return float(np.real(np.vdot(residual, residual)))
+
+
 def ml_metric_from_bits(channel, received, constellation, bits) -> float:
     """Euclidean ML metric ``||y - H T(q)||^2`` of a QUBO bit assignment.
 
@@ -91,5 +98,4 @@ def ml_metric_from_bits(channel, received, constellation, bits) -> float:
             f"bit vector describes {symbols.size} users, channel has "
             f"{channel.shape[1]} columns"
         )
-    residual = received - channel @ symbols
-    return float(np.real(np.vdot(residual, residual)))
+    return ml_metric_of_symbols(channel, received, symbols)

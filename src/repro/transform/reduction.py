@@ -14,7 +14,7 @@ post-translation — behind two operations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
@@ -24,7 +24,11 @@ from repro.mimo.system import ChannelUse
 from repro.modulation.constellation import Constellation
 from repro.transform.ising_coeffs import build_ml_ising
 from repro.transform.posttranslate import gray_to_quamax_bits, quamax_to_gray_bits
-from repro.transform.qubo_builder import build_ml_qubo, ml_metric_from_bits
+from repro.transform.qubo_builder import (
+    build_ml_qubo,
+    ml_metric_from_bits,
+    ml_metric_of_symbols,
+)
 from repro.transform.symbols import QuamaxTransform, get_transform
 from repro.utils.validation import ensure_bit_array
 
@@ -95,6 +99,28 @@ class ReducedProblem:
         return ml_metric_from_bits(self.channel_use.channel,
                                    self.channel_use.received,
                                    self.constellation, quamax_bits)
+
+    def decode_spins(self, spins) -> Tuple[np.ndarray, np.ndarray, float]:
+        """``(bits, symbols, metric)`` of one logical spin configuration.
+
+        What :meth:`bits_from_spins`, :meth:`symbols_from_spins` and
+        :meth:`metric_of_spins` return one at a time, from a single
+        spin-to-bit conversion and a single symbol mapping — the decoder's
+        per-job result assembly.
+        """
+        spins = np.asarray(spins)
+        if spins.shape != (self.num_variables,):
+            raise ReductionError(
+                f"expected {self.num_variables} spins, got shape {spins.shape}")
+        quamax_bits = spins_to_bits(spins)
+        symbols = self.transform.to_symbols(quamax_bits)
+        if symbols.size != self.channel_use.num_tx:
+            raise ReductionError(
+                f"spins describe {symbols.size} users, channel has "
+                f"{self.channel_use.num_tx} columns")
+        return (quamax_to_gray_bits(quamax_bits, self.constellation), symbols,
+                ml_metric_of_symbols(self.channel_use.channel,
+                                     self.channel_use.received, symbols))
 
     # ------------------------------------------------------------------ #
     # Ground truth (available only when the channel use carries it)

@@ -281,8 +281,8 @@ class TestSamplerCache:
         assert info["entries"] == 2
 
     def test_structure_checked_once_per_ice_batch(self, monkeypatch):
-        """A work counter, not a clock: every ICE batch costs one structure
-        check — inside the rebind, or inside the build of the first."""
+        """A work counter, not a clock: every rebind costs one structure
+        check (the build of the first batch validates while it stacks)."""
         from repro.annealer.engine import BlockDiagonalSampler
 
         checks = []
@@ -300,29 +300,95 @@ class TestSamplerCache:
                                snr_db=12.0)
         machine.run(reduced.ising, AnnealerParameters(num_anneals=20),
                     random_state=0)
-        assert checks == [1] * 4
+        assert checks == [1] * 3
 
-    def test_structure_mismatch_rebuilds_the_sampler(self, monkeypatch):
-        """A cached sampler whose rebind is refused (an ICE draw cancelled
-        a coupling) is replaced by a fresh build: same results as cold."""
+    def _cancel_one_coupling(self, monkeypatch, on_call):
+        """Make the *on_call*-th ICE realisation (0-based, counted per
+        machine run) land one coupling of the last problem on exactly zero."""
+        from repro.annealer.ice import ICEModel
+
+        original = ICEModel.perturb_pack
+        calls = []
+
+        def perturb_pack(ice, problems, rngs):
+            perturbed = original(ice, problems, rngs)
+            calls.append(len(problems))
+            if len(calls) - 1 == on_call:
+                perturbed.values[-1, 3] = 0.0
+            return perturbed
+
+        monkeypatch.setattr(ICEModel, "perturb_pack", perturb_pack)
+        return calls
+
+    def test_cancelled_coupling_anneals_per_problem_and_keeps_the_sampler(
+            self, monkeypatch):
+        """An ICE draw that zeroes a coupling exactly changes that batch's
+        structure: the batch anneals problem by problem, and the warm
+        sampler is still there for the next batch and the next call."""
+        from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+
+        pack = [make_reduced(num_users=3, constellation="QPSK", seed=s,
+                             snr_db=12.0).ising for s in range(3)]
+        parameters = AnnealerParameters(num_anneals=15)
+        builds = []
+        original_init = BlockDiagonalSampler.__init__
+
+        def counting_init(sampler, isings, *args, **kwargs):
+            builds.append((type(sampler).__name__, len(isings)))
+            original_init(sampler, isings, *args, **kwargs)
+
+        monkeypatch.setattr(BlockDiagonalSampler, "__init__", counting_init)
+        calls = self._cancel_one_coupling(monkeypatch, on_call=1)
+        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+                                           ice_batch_size=5)
+        first = machine.run_batch(pack, parameters, random_state=3)
+        # One pack build for batch 0, three one-problem samplers for the
+        # cancelled batch 1, and batch 2 rebinds the kept pack sampler.
+        assert builds == [("BlockDiagonalSampler", 3)] + [
+            (IsingSampler.__name__, 1)] * 3
+        assert machine.sampler_cache_info()["entries"] == 1
+        del builds[:]
+        machine.run_batch(pack, parameters, random_state=4)
+        assert builds == []  # warm: the kept sampler served all batches
+
+        # The per-problem batch follows each problem's own stream, so the
+        # cold machine (no cache) agrees bit for bit under the same ICE.
+        del calls[:]
+        cold = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+                                        ice_batch_size=5,
+                                        sampler_cache_size=0)
+        for a, b in zip(first, cold.run_batch(pack, parameters,
+                                              random_state=3)):
+            np.testing.assert_array_equal(a.solutions.samples,
+                                          b.solutions.samples)
+            np.testing.assert_array_equal(a.solutions.num_occurrences,
+                                          b.solutions.num_occurrences)
+
+    def test_sampler_errors_propagate(self, monkeypatch):
+        """Only the cancelled-coupling test routes around the pack sampler:
+        an AnnealerError from the rebind (or the build, or the anneal — a
+        missing backend kernel, a malformed cluster) is the caller's to
+        see, not a cue for a silent unpacked retry."""
         from repro.annealer.engine import BlockDiagonalSampler
 
         reduced = [make_reduced(num_users=3, constellation="QPSK", seed=s,
-                                snr_db=12.0) for s in range(3)]
-        cold = self._solutions(self._machine(0), reduced)
+                                snr_db=12.0) for s in range(2)]
+        machine = self._machine(8)
+        self._solutions(machine, reduced[:1])
 
         def refuse(sampler, isings):
             raise AnnealerError("structure changed")
 
         monkeypatch.setattr(BlockDiagonalSampler, "refresh_values", refuse)
-        machine = self._machine(8)
-        warm = self._solutions(machine, reduced)
-        assert machine.sampler_cache_info()["hits"] == 2
-        for a, b in zip(cold, warm):
-            np.testing.assert_array_equal(a.solutions.samples,
-                                          b.solutions.samples)
-            np.testing.assert_array_equal(a.solutions.num_occurrences,
-                                          b.solutions.num_occurrences)
+        with pytest.raises(AnnealerError, match="structure changed"):
+            self._solutions(machine, reduced[1:])
+
+        def no_kernel(sampler, *args, **kwargs):
+            raise AnnealerError("no pack colour+cluster kernel")
+
+        monkeypatch.setattr(BlockDiagonalSampler, "anneal", no_kernel)
+        with pytest.raises(AnnealerError, match="no pack colour"):
+            self._solutions(self._machine(0), reduced[:1])
 
     def test_capacity_evicts_least_recently_used(self):
         machine = self._machine(1)

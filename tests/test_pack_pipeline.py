@@ -1,0 +1,821 @@
+"""The pack pipeline of the annealer layer against its per-job oracle.
+
+Inside ``QuantumAnnealerSimulator.run_batch`` a pack of same-structure
+problems travels as one structure plan plus one ``(problems, E)`` value
+matrix and one ``(problems, P)`` field matrix, and every stage — embed, ICE,
+rebind, unembed, aggregate — is an array pass over them.  Before that, every
+job's coefficients were rebuilt as a Python dict at every stage.  This file
+keeps that per-job dict implementation as a test-local **oracle** (the way
+``sample_reference`` keeps the scalar Metropolis loop) and pins the pack
+stages to it row by row, bit for bit: programmed values, problem scale and
+clip counts, unembedding reports, solution order / energies / counts, and
+the state every generator is left in.
+
+The second half guards the point of the exercise without a clock: on a warm
+pack the pipeline constructs no per-job ``IsingModel``, scipy matrix or
+coupling dict, marshals a handful of pointers per kernel call, and asks the
+kernel for exactly the work it asked for before.
+"""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+try:  # the seeded cases run without it (only CI's cran entry installs it)
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    given = None
+
+from repro.annealer import backends
+from repro.annealer.chimera import ChimeraGraph
+from repro.annealer.embedded import embed_ising, embed_pack
+from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
+from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+from repro.annealer.ice import ICEModel
+from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.annealer.unembed import unembed_pack, unembed_samples
+from repro.decoder.quamax import QuAMaxDecoder
+from repro.ising.model import IsingModel, IsingPack
+from repro.ising.solver import aggregate_pack, aggregate_samples
+from repro.mimo.system import MimoUplink
+from repro.transform.reduction import MLToIsingReducer
+
+COUPLER_MAX = 1.0
+FIELD_MIN, FIELD_MAX = -2.0, 2.0
+
+
+# --------------------------------------------------------------------------- #
+# The oracle: the per-job dict implementation the pack stages replaced
+# --------------------------------------------------------------------------- #
+def oracle_embed(ising, embedding, *, chain_strength, extended_range,
+                 normalize=True):
+    """Appendix B, one job at a time, by the general accumulate-and-clip
+    loop over dicts."""
+    chain_coupling = -2.0 if extended_range else -1.0
+    problem_scale = abs(chain_coupling) / chain_strength
+    logical_couplings = dict(ising.couplings)
+    if normalize:
+        largest_coupling = (max(abs(v) for v in logical_couplings.values())
+                            if logical_couplings else 0.0)
+        largest = (float(np.max(np.abs(ising.linear)))
+                   if ising.linear.size else 0.0)
+        if logical_couplings:
+            largest = max(largest, largest_coupling)
+        reference = largest_coupling or largest
+        if reference > 0:
+            problem_scale /= reference
+    scaled_linear = ising.linear * problem_scale
+    scaled = {key: value * problem_scale
+              for key, value in logical_couplings.items()}
+    scaled = {key: value for key, value in scaled.items() if value != 0.0}
+
+    num_logical = ising.num_variables
+    qubit_order = tuple(sorted({qubit for index in range(num_logical)
+                                for qubit in embedding.chains[index]}))
+    position = {qubit: index for index, qubit in enumerate(qubit_order)}
+    logical_of = [0] * len(qubit_order)
+    for logical_index in range(num_logical):
+        for qubit in embedding.chains[logical_index]:
+            logical_of[position[qubit]] = logical_index
+    linear = np.zeros(len(qubit_order))
+    couplings = {}
+    clipped = 0
+
+    def add_coupling(qubit_a, qubit_b, value):
+        nonlocal clipped
+        a, b = position[qubit_a], position[qubit_b]
+        key = (a, b) if a < b else (b, a)
+        total = couplings.get(key, 0.0) + value
+        if total < chain_coupling or total > COUPLER_MAX:
+            clipped += 1
+            total = float(np.clip(total, chain_coupling, COUPLER_MAX))
+        couplings[key] = total
+
+    for logical_index in range(num_logical):
+        for edge in embedding.chain_edges[logical_index]:
+            add_coupling(edge[0], edge[1], chain_coupling)
+    for logical_index in range(num_logical):
+        chain = embedding.chains[logical_index]
+        share = scaled_linear[logical_index] / len(chain)
+        for qubit in chain:
+            linear[position[qubit]] += share
+    for (i, j), value in scaled.items():
+        coupler = embedding.logical_couplers.get((i, j))
+        if coupler is None:
+            coupler = embedding.logical_couplers.get((j, i))
+        add_coupling(coupler[0], coupler[1], value)
+
+    clipped += int(np.count_nonzero(np.abs(linear) > FIELD_MAX))
+    linear = np.clip(linear, FIELD_MIN, FIELD_MAX)
+    couplings = {key: value for key, value in couplings.items()
+                 if value != 0.0}
+    chains = {logical: tuple(position[qubit] for qubit in chain)
+              for logical, chain in embedding.chains.items()
+              if logical < num_logical}
+    return SimpleNamespace(linear=linear, couplings=couplings,
+                           qubit_order=qubit_order,
+                           logical_of=tuple(logical_of), chains=chains,
+                           problem_scale=problem_scale, clipped=clipped)
+
+
+def oracle_perturb(ice, linear, couplings, rng):
+    """One ICE realisation of one job: fields, then couplings in dict
+    order; an exact zero unprograms its coupler."""
+    if not ice.enabled:
+        return linear, couplings
+    linear = linear + rng.normal(ice.linear_mean, ice.linear_std,
+                                 size=linear.size)
+    noise = rng.normal(ice.quadratic_mean, ice.quadratic_std,
+                       size=len(couplings))
+    perturbed = {key: value + shift
+                 for (key, value), shift in zip(couplings.items(), noise)}
+    return linear, {key: value for key, value in perturbed.items()
+                    if value != 0.0}
+
+
+def oracle_unembed(chains, physical, rng):
+    """Majority vote of one job, ties drawn per logical index ascending."""
+    num_logical = len(chains)
+    physical = np.asarray(physical, dtype=np.int8)
+    values = np.empty((physical.shape[0], num_logical), dtype=np.int8)
+    broken = 0
+    ties = 0
+    spin_choices = np.array([-1, 1], dtype=np.int8)
+    for logical_index in range(num_logical):
+        members = list(chains[logical_index])
+        sums = physical[:, members].astype(np.int64).sum(axis=1)
+        broken += int(np.count_nonzero(np.abs(sums) != len(members)))
+        column = np.sign(sums).astype(np.int8)
+        tie_mask = column == 0
+        num_ties = int(np.count_nonzero(tie_mask))
+        if num_ties:
+            ties += num_ties
+            column[tie_mask] = rng.choice(spin_choices, size=num_ties)
+        values[:, logical_index] = column
+    return values, (broken, ties, physical.shape[0] * num_logical)
+
+
+def oracle_aggregate(ising, raw):
+    """Distinct reads in ``np.unique(axis=0)`` order, energies through a
+    COO-assembled CSR built for this one job, stably sorted by energy."""
+    raw = np.asarray(raw, dtype=np.int8)
+    distinct, counts = np.unique(raw, axis=0, return_counts=True)
+    n = ising.num_variables
+    rows, cols, data = [], [], []
+    for (i, j), value in ising.couplings.items():
+        rows += [i, j]
+        cols += [j, i]
+        data += [value, value]
+    operator = sparse.coo_matrix((data, (rows, cols)), shape=(n, n),
+                                 dtype=np.float64).tocsr()
+    operator.sort_indices()
+    spins = np.asarray(distinct, dtype=float)
+    energies = (0.5 * np.einsum("ki,ik->k", spins, operator @ spins.T)
+                + spins @ ising.linear + ising.offset)
+    order = np.argsort(energies, kind="stable")
+    return distinct[order], energies[order], counts[order]
+
+
+def oracle_run(machine, ising, parameters, rng, embedding=None,
+               kernel="auto", backend="auto", perturb=oracle_perturb):
+    """A whole QA job through the oracle stages (one-block samplers built
+    by the validating constructor for the anneals)."""
+    if embedding is None:
+        embedding = machine.embedding_for(ising.num_variables)
+    embedded = oracle_embed(ising, embedding,
+                            chain_strength=parameters.chain_strength,
+                            extended_range=parameters.extended_range)
+    temperatures = parameters.schedule.temperature_profile(
+        sweeps_per_us=machine.sweeps_per_us, hot=machine.hot_temperature,
+        cold=machine.cold_temperature)
+    clusters = [np.asarray(chain, dtype=np.intp)
+                for chain in embedded.chains.values()]
+    num_physical = len(embedded.qubit_order)
+    physical = np.empty((parameters.num_anneals, num_physical), dtype=np.int8)
+    produced = 0
+    while produced < parameters.num_anneals:
+        batch = min(machine.ice_batch_size, parameters.num_anneals - produced)
+        linear, couplings = perturb(machine.ice, embedded.linear,
+                                    embedded.couplings, rng)
+        problem = IsingModel(num_variables=num_physical, linear=linear,
+                             couplings=couplings)
+        physical[produced:produced + batch] = IsingSampler(
+            problem, clusters=clusters, kernel=kernel,
+            backend=backend).anneal(temperatures, batch, random_state=rng)
+        produced += batch
+    logical, report = oracle_unembed(embedded.chains, physical, rng)
+    samples, energies, counts = oracle_aggregate(ising, logical)
+    return SimpleNamespace(embedded=embedded, report=report, samples=samples,
+                           energies=energies, counts=counts)
+
+
+# --------------------------------------------------------------------------- #
+# Inputs
+# --------------------------------------------------------------------------- #
+def qpsk_pack(count, seed=20, num_users=3, constellation="QPSK"):
+    link = MimoUplink(num_users=num_users, constellation=constellation)
+    rng = np.random.default_rng(seed)
+    reducer = MLToIsingReducer()
+    return [reducer.reduce(link.transmit(snr_db=15.0, random_state=rng)).ising
+            for _ in range(count)]
+
+
+def same_structure_problems(count, num_variables, seed, density=1.0,
+                            scale=1.0):
+    rng = np.random.default_rng(seed)
+    keys = [(i, j) for i in range(num_variables)
+            for j in range(i + 1, num_variables) if rng.random() <= density]
+    return [IsingModel(num_variables=num_variables,
+                       linear=scale * rng.normal(size=num_variables),
+                       couplings={key: scale * float(rng.normal())
+                                  for key in keys},
+                       offset=float(rng.normal()))
+            for _ in range(count)]
+
+
+def ideal_machine(**options):
+    return QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4), **options)
+
+
+def clique_embedding(num_logical):
+    return TriangleCliqueEmbedder(ChimeraGraph.ideal(4, 4)).embed(num_logical)
+
+
+def overlapping_embedding():
+    """Three logical variables whose chains share qubit 1 and whose couplings
+    (0, 2) and (1, 2) land on one physical coupler: the accumulate-and-clip
+    case no plan can flatten."""
+    return Embedding(
+        chains={0: (0, 1), 1: (1, 2), 2: (3, 4)},
+        chain_edges={0: ((0, 1),), 1: ((1, 2),), 2: ((3, 4),)},
+        logical_couplers={(0, 1): (0, 2), (0, 2): (1, 3), (1, 2): (1, 3)})
+
+
+def assert_embedded_rows_equal_oracle(packed, problems, embedding, **options):
+    assert len(packed) == len(problems)
+    for row, problem in zip(packed, problems):
+        expected = oracle_embed(problem, embedding, **options)
+        assert row.ising.couplings == expected.couplings
+        assert list(row.ising.couplings) == list(expected.couplings)
+        np.testing.assert_array_equal(row.ising.linear, expected.linear)
+        assert row.ising.offset == 0.0
+        assert row.problem_scale == expected.problem_scale
+        assert row.clipped_coefficients == expected.clipped
+        assert row.qubit_order == expected.qubit_order
+        assert row.logical_of == expected.logical_of
+        assert row.compact_chains == expected.chains
+        assert row.num_physical == len(expected.qubit_order)
+
+
+def assert_run_equals_oracle(result, expected):
+    np.testing.assert_array_equal(result.solutions.samples, expected.samples)
+    np.testing.assert_array_equal(result.solutions.energies,
+                                  expected.energies)
+    np.testing.assert_array_equal(result.solutions.num_occurrences,
+                                  expected.counts)
+    report = result.unembedding
+    assert (report.broken_chains, report.tie_breaks,
+            report.total_chains) == expected.report
+    assert result.embedded.ising.couplings == expected.embedded.couplings
+    np.testing.assert_array_equal(result.embedded.ising.linear,
+                                  expected.embedded.linear)
+    assert result.embedded.problem_scale == expected.embedded.problem_scale
+    assert (result.embedded.clipped_coefficients
+            == expected.embedded.clipped)
+
+
+# --------------------------------------------------------------------------- #
+# Stage by stage
+# --------------------------------------------------------------------------- #
+class TestEmbedStage:
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    @pytest.mark.parametrize("extended_range", [False, True])
+    def test_rows_equal_oracle(self, count, extended_range):
+        problems = qpsk_pack(count)
+        embedding = clique_embedding(6)
+        options = dict(chain_strength=4.0, extended_range=extended_range)
+        packed = embed_pack(problems, embedding, **options)
+        assert packed.plan.direct
+        assert_embedded_rows_equal_oracle(packed, problems, embedding,
+                                          **options)
+
+    def test_forced_clipping_counts(self):
+        """|J_F| < 1 programs couplings beyond the coupler range and large
+        fields beyond the field range: both kinds of clip are counted."""
+        problems = same_structure_problems(4, 6, seed=3)
+        problems[1] = IsingModel(num_variables=6,
+                                 linear=40.0 * problems[1].linear,
+                                 couplings=problems[1].couplings)
+        embedding = clique_embedding(6)
+        options = dict(chain_strength=0.4, extended_range=False)
+        packed = embed_pack(problems, embedding, **options)
+        assert_embedded_rows_equal_oracle(packed, problems, embedding,
+                                          **options)
+        assert min(row.clipped_coefficients for row in packed) > 0
+        assert (packed[1].clipped_coefficients
+                > packed[0].clipped_coefficients)
+
+    def test_fields_only_and_unnormalised(self):
+        embedding = clique_embedding(4)
+        fields_only = [IsingModel(num_variables=4,
+                                  linear=np.array([0.5, -3.0, 0.0, 1.0]))]
+        packed = embed_pack(fields_only, embedding, chain_strength=2.0)
+        assert_embedded_rows_equal_oracle(
+            packed, fields_only, embedding, chain_strength=2.0,
+            extended_range=False)
+        problems = same_structure_problems(2, 4, seed=5)
+        packed = embed_pack(problems, embedding, chain_strength=3.0,
+                            extended_range=True, normalize=False)
+        assert_embedded_rows_equal_oracle(
+            packed, problems, embedding, chain_strength=3.0,
+            extended_range=True, normalize=False)
+
+    def test_overlapping_chains_keep_accumulate_and_clip(self):
+        embedding = overlapping_embedding()
+        problems = same_structure_problems(3, 3, seed=8)
+        options = dict(chain_strength=1.5, extended_range=True)
+        packed = embed_pack(problems, embedding, **options)
+        assert not packed.plan.direct
+        assert_embedded_rows_equal_oracle(packed, problems, embedding,
+                                          **options)
+
+    def test_underflowed_coupling_unprograms_its_coupler(self):
+        """A coupling the auto-ranging factor underflows to zero is not
+        programmed: a lone problem loses the key, a pack stops being one."""
+        embedding = clique_embedding(3)
+        tiny = IsingModel(num_variables=3, linear=np.zeros(3),
+                          couplings={(0, 1): 1e300, (0, 2): 1e-30,
+                                     (1, 2): -2e299})
+        lone = embed_pack([tiny], embedding, chain_strength=4.0)
+        assert_embedded_rows_equal_oracle(
+            lone, [tiny], embedding, chain_strength=4.0,
+            extended_range=False)
+        assert len(lone[0].ising.couplings) == 3 + 2  # chains + 2 of 3
+        healthy = IsingModel(num_variables=3, linear=np.zeros(3),
+                             couplings={(0, 1): 1.0, (0, 2): 0.5,
+                                        (1, 2): -1.0})
+        assert embed_pack([healthy, tiny], embedding,
+                          chain_strength=4.0) is None
+
+    def test_mixed_structures_are_not_a_pack(self):
+        embedding = clique_embedding(4)
+        dense = same_structure_problems(1, 4, seed=1)[0]
+        sparse_one = same_structure_problems(1, 4, seed=2, density=0.4)[0]
+        assert embed_pack([dense, sparse_one], embedding,
+                          chain_strength=4.0) is None
+
+    def test_embed_ising_is_the_pack_of_one(self):
+        problems = qpsk_pack(3)
+        embedding = clique_embedding(6)
+        packed = embed_pack(problems, embedding, chain_strength=4.0,
+                            extended_range=True)
+        for row, problem in zip(packed, problems):
+            alone = embed_ising(problem, embedding, chain_strength=4.0,
+                                extended_range=True)
+            assert alone.ising.couplings == row.ising.couplings
+            np.testing.assert_array_equal(alone.ising.linear,
+                                          row.ising.linear)
+            assert alone.problem_scale == row.problem_scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_packs_equal_oracle_through_ice(self, seed):
+        rng = np.random.default_rng(seed)
+        check_random_pack_through_ice(
+            num_variables=int(rng.integers(2, 8)),
+            count=int(rng.integers(1, 5)),
+            density=float(rng.uniform(0.3, 1.0)),
+            magnitude=float(rng.choice([1e-12, 1e-3, 1.0, 50.0, 1e9])),
+            chain_strength=float(rng.choice([0.3, 1.0, 4.0, 9.5])),
+            extended_range=bool(rng.integers(0, 2)), seed=seed)
+
+
+def check_random_pack_through_ice(num_variables, count, density, magnitude,
+                                  chain_strength, extended_range, seed):
+    """Embed a random same-structure pack and draw two ICE batches off the
+    same generators: rows, then generator states, equal the oracle's."""
+    problems = same_structure_problems(count, num_variables, seed,
+                                       density=density, scale=magnitude)
+    embedding = clique_embedding(num_variables)
+    options = dict(chain_strength=chain_strength,
+                   extended_range=extended_range)
+    packed = embed_pack(problems, embedding, **options)
+    assert_embedded_rows_equal_oracle(packed, problems, embedding, **options)
+    ice = ICEModel()
+    pack_rngs = [np.random.default_rng(seed + b) for b in range(count)]
+    oracle_rngs = [np.random.default_rng(seed + b) for b in range(count)]
+    for _ in range(2):
+        programmed = ice.perturb_pack(packed.problems, pack_rngs)
+        for b, rng in enumerate(oracle_rngs):
+            expected = oracle_embed(problems[b], embedding, **options)
+            linear, couplings = oracle_perturb(
+                ice, expected.linear, expected.couplings, rng)
+            assert programmed[b].couplings == couplings
+            np.testing.assert_array_equal(programmed[b].linear, linear)
+    for a, b in zip(pack_rngs, oracle_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+if given is not None:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_variables=st.integers(2, 7),
+        count=st.integers(1, 4),
+        density=st.floats(0.3, 1.0),
+        magnitude=st.sampled_from([1e-12, 1e-3, 1.0, 50.0, 1e9]),
+        chain_strength=st.sampled_from([0.3, 1.0, 4.0, 9.5]),
+        extended_range=st.booleans(),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_random_packs_equal_oracle_through_ice(**case):
+        check_random_pack_through_ice(**case)
+
+
+class TestIceStage:
+    def test_perturb_is_the_pack_of_one(self):
+        problem = embed_ising(qpsk_pack(1)[0], clique_embedding(6),
+                              chain_strength=4.0).ising
+        ice = ICEModel()
+        alone = ice.perturb(problem, np.random.default_rng(4))
+        linear, couplings = oracle_perturb(
+            ice, problem.linear, problem.couplings, np.random.default_rng(4))
+        assert alone.couplings == couplings
+        assert list(alone.couplings) == list(couplings)
+        np.testing.assert_array_equal(alone.linear, linear)
+        assert alone.offset == problem.offset
+
+    def test_disabled_is_identity(self):
+        problems = IsingPack.stack(qpsk_pack(2))
+        assert ICEModel.disabled().perturb_pack(problems, [None, None]) \
+            is problems
+
+    def test_cancelled_coupling_shows_as_a_zero_and_drops_the_key(self):
+        problems = IsingPack.stack(same_structure_problems(2, 4, seed=6))
+        programmed = ICEModel().perturb_pack(
+            problems, [np.random.default_rng(b) for b in range(2)])
+        assert programmed.values.all()
+        programmed.values[1, 2] = 0.0
+        assert not programmed.values.all()
+        assert programmed.keys[2] not in programmed[1].couplings
+        assert len(programmed[0].couplings) == len(programmed.keys)
+
+
+class TestUnembedStage:
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_forced_ties_and_reports_equal_oracle(self, count):
+        """Two-qubit chains under uniform random spins: half the chains are
+        broken and every broken one is a tie, so the per-job tie streams
+        are exercised hard."""
+        problems = qpsk_pack(count, num_users=2)
+        packed = embed_pack(problems, clique_embedding(4), chain_strength=4.0)
+        num_physical = packed.plan.num_physical
+        assert {len(chain) for chain in packed.plan.chains.values()} == {2}
+        spins = np.random.default_rng(1).choice(
+            np.array([-1, 1], dtype=np.int8),
+            size=(30, count * num_physical))
+        pack_rngs = [np.random.default_rng(50 + b) for b in range(count)]
+        logical, reports = unembed_pack(packed.plan, spins, pack_rngs)
+        assert logical.shape == (count, 30, 4)
+        for b in range(count):
+            rng = np.random.default_rng(50 + b)
+            block = spins[:, b * num_physical:(b + 1) * num_physical]
+            expected, counts = oracle_unembed(packed.plan.chains, block, rng)
+            np.testing.assert_array_equal(logical[b], expected)
+            assert (reports[b].broken_chains, reports[b].tie_breaks,
+                    reports[b].total_chains) == counts
+            assert reports[b].tie_breaks > 0
+            assert (pack_rngs[b].bit_generator.state
+                    == rng.bit_generator.state)
+            alone, report = unembed_samples(packed[b], block,
+                                            np.random.default_rng(50 + b))
+            np.testing.assert_array_equal(alone, expected)
+            assert report == reports[b]
+
+    def test_overlapping_chains(self):
+        packed = embed_pack(same_structure_problems(2, 3, seed=8),
+                            overlapping_embedding(), chain_strength=2.0)
+        spins = np.random.default_rng(2).choice(
+            np.array([-1, 1], dtype=np.int8), size=(20, 2 * 5))
+        logical, reports = unembed_pack(
+            packed.plan, spins, [np.random.default_rng(b) for b in range(2)])
+        for b in range(2):
+            expected, counts = oracle_unembed(
+                packed.plan.chains, spins[:, 5 * b:5 * b + 5],
+                np.random.default_rng(b))
+            np.testing.assert_array_equal(logical[b], expected)
+            assert (reports[b].broken_chains, reports[b].tie_breaks,
+                    reports[b].total_chains) == counts
+
+
+class TestAggregateStage:
+    def _check(self, problems, raw, operator=None):
+        results = aggregate_pack(problems, raw, operator)
+        assert len(results) == len(problems)
+        for problem, reads, result in zip(problems, raw, results):
+            samples, energies, counts = oracle_aggregate(problem, reads)
+            np.testing.assert_array_equal(result.samples, samples)
+            np.testing.assert_array_equal(result.energies, energies)
+            np.testing.assert_array_equal(result.num_occurrences, counts)
+            alone = aggregate_samples(problem, reads,
+                                      operator=problem.coupling_operator())
+            np.testing.assert_array_equal(alone.samples, samples)
+            np.testing.assert_array_equal(alone.energies, energies)
+
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_qpsk_packs_equal_oracle(self, count):
+        problems = qpsk_pack(count)
+        raw = np.random.default_rng(3).choice(
+            np.array([-1, 1], dtype=np.int8), size=(count, 50, 6))
+        self._check(problems, raw)
+        # A kept scratch operator (the warm-cache entry's) gives the same.
+        self._check(problems, raw, problems[0].coupling_operator())
+
+    def test_sixty_four_variables_take_the_row_unique_path(self):
+        problems = same_structure_problems(2, 64, seed=9, density=0.2)
+        rng = np.random.default_rng(4)
+        base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2, 6, 64))
+        raw = base[:, rng.integers(0, 6, size=40), :]  # repeats to collapse
+        self._check(problems, raw)
+        assert aggregate_pack(problems, raw)[0].num_samples <= 6
+
+    def test_near_tied_energies_keep_the_stable_order(self):
+        """Couplings a few ulps apart make many distinct reads tie or
+        almost tie: the energy order must still be the oracle's."""
+        keys = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        problems = [
+            IsingModel(num_variables=5, linear=np.zeros(5),
+                       couplings={key: 1.0 + (b + 1) * e * 2.0 ** -52
+                                  for e, key in enumerate(keys)})
+            for b in range(3)]
+        raw = np.random.default_rng(5).choice(
+            np.array([-1, 1], dtype=np.int8), size=(3, 200, 5))
+        self._check(problems, raw)
+        energies = aggregate_pack(problems, raw)[0].energies
+        assert np.min(np.diff(energies)) < 1e-12  # there are (near) ties
+
+
+# --------------------------------------------------------------------------- #
+# The whole run
+# --------------------------------------------------------------------------- #
+class TestRunBatchEqualsOracle:
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    @pytest.mark.parametrize("cache", [0, 8])
+    def test_pack_sizes_and_cache_modes(self, count, cache):
+        problems = qpsk_pack(count)
+        machine = ideal_machine(sampler_cache_size=cache, ice_batch_size=10)
+        parameters = AnnealerParameters(num_anneals=25)
+        for call in range(2):  # second call: warm sampler when cached
+            pack_rngs = [np.random.default_rng(100 * call + b)
+                         for b in range(count)]
+            results = machine.run_batch(problems, parameters,
+                                        random_states=pack_rngs)
+            for b, (problem, result) in enumerate(zip(problems, results)):
+                rng = np.random.default_rng(100 * call + b)
+                assert_run_equals_oracle(
+                    result, oracle_run(machine, problem, parameters, rng))
+                assert (pack_rngs[b].bit_generator.state
+                        == rng.bit_generator.state)
+                assert result.logical_ising is problem
+        expected_hits = 1 if cache else 0
+        assert machine.sampler_cache_info()["hits"] == expected_hits
+
+    def test_generators_end_where_serial_runs_leave_them(self):
+        problems = qpsk_pack(5)
+        parameters = AnnealerParameters(num_anneals=30)
+        pack_rngs = [np.random.default_rng(b) for b in range(5)]
+        packed = ideal_machine().run_batch(problems, parameters,
+                                           random_states=pack_rngs)
+        serial_machine = ideal_machine()
+        for b, problem in enumerate(problems):
+            rng = np.random.default_rng(b)
+            serial = serial_machine.run(problem, parameters, random_state=rng)
+            assert pack_rngs[b].bit_generator.state == rng.bit_generator.state
+            np.testing.assert_array_equal(packed[b].solutions.samples,
+                                          serial.solutions.samples)
+            np.testing.assert_array_equal(packed[b].solutions.energies,
+                                          serial.solutions.energies)
+
+    def test_numpy_backend_rebinds_its_scipy_operators(self):
+        """The reference loops read scipy operators refreshed from the same
+        value matrix the compiled kernels gather from."""
+        problems = qpsk_pack(3)
+        machine = ideal_machine(ice_batch_size=5)
+        parameters = AnnealerParameters(num_anneals=15)
+        results = machine.run_batch(problems, parameters, random_state=2,
+                                    backend="numpy")
+        rngs = np.random.default_rng(2).spawn(3)
+        for problem, result, rng in zip(problems, results, rngs):
+            assert_run_equals_oracle(
+                result, oracle_run(machine, problem, parameters, rng,
+                                   backend="numpy"))
+
+    def test_overlapping_chain_embedding(self):
+        embedding = overlapping_embedding()
+        problems = same_structure_problems(3, 3, seed=8)
+        machine = ideal_machine(ice_batch_size=6)
+        parameters = AnnealerParameters(num_anneals=12, chain_strength=1.5)
+        pack_rngs = [np.random.default_rng(b) for b in range(3)]
+        results = machine.run_batch(problems, parameters,
+                                    random_states=pack_rngs,
+                                    embedding=embedding)
+        for b, (problem, result) in enumerate(zip(problems, results)):
+            rng = np.random.default_rng(b)
+            assert_run_equals_oracle(
+                result, oracle_run(machine, problem, parameters, rng,
+                                   embedding=embedding))
+            assert pack_rngs[b].bit_generator.state == rng.bit_generator.state
+
+    def test_mixed_structures_are_served_problem_by_problem(self):
+        dense = same_structure_problems(1, 4, seed=1)[0]
+        sparse_one = same_structure_problems(1, 4, seed=2, density=0.4)[0]
+        machine = ideal_machine()
+        parameters = AnnealerParameters(num_anneals=10)
+        results = machine.run_batch([dense, sparse_one, dense], parameters,
+                                    random_states=[5, 6, 7])
+        for problem, seed, result in zip([dense, sparse_one, dense],
+                                         [5, 6, 7], results):
+            assert_run_equals_oracle(
+                result, oracle_run(machine, problem, parameters,
+                                   np.random.default_rng(seed)))
+
+    def test_cancelled_coupling_batch_equals_oracle(self, monkeypatch):
+        """The zero-coupling fallback: the oracle sees the same cancelled
+        draw (its dict simply loses the key) and must agree bit for bit,
+        through the per-problem batch and the packed ones around it."""
+        problems = qpsk_pack(3)
+        parameters = AnnealerParameters(num_anneals=15)
+        original = ICEModel.perturb_pack
+        calls = []
+
+        def perturb_pack(ice, pack, rngs):
+            perturbed = original(ice, pack, rngs)
+            calls.append(len(pack))
+            if calls == [3, 3]:  # second batch of the packed run
+                perturbed.values[2, 7] = 0.0
+            return perturbed
+
+        monkeypatch.setattr(ICEModel, "perturb_pack", perturb_pack)
+        machine = ideal_machine(ice_batch_size=5)
+        pack_rngs = [np.random.default_rng(b) for b in range(3)]
+        results = machine.run_batch(problems, parameters,
+                                    random_states=pack_rngs)
+        monkeypatch.setattr(ICEModel, "perturb_pack", original)
+
+        for b, (problem, result) in enumerate(zip(problems, results)):
+            batches = []
+
+            def perturb(ice, linear, couplings, rng, cancel=(b == 2)):
+                linear, couplings = oracle_perturb(ice, linear, couplings,
+                                                   rng)
+                batches.append(None)
+                if cancel and len(batches) == 2:
+                    del couplings[list(couplings)[7]]
+                return linear, couplings
+
+            rng = np.random.default_rng(b)
+            expected = oracle_run(machine, problem, parameters, rng,
+                                  perturb=perturb)
+            assert_run_equals_oracle(result, expected)
+            assert pack_rngs[b].bit_generator.state == rng.bit_generator.state
+
+    def test_thread_pool_with_a_shared_decoder(self):
+        """Plans are immutable and shared; samplers (with their kernel
+        workspaces and scratch operator) are checked out per call.  Eight
+        threads on ~1 core, switching every 10 us, decoding different packs
+        through ONE decoder must give each pack its serial result."""
+        decoder = QuAMaxDecoder(ideal_machine(sampler_cache_size=2),
+                                AnnealerParameters(num_anneals=20))
+        link = MimoUplink(num_users=3, constellation="QPSK")
+        rng = np.random.default_rng(11)
+        packs = [[link.transmit(snr_db=15.0, random_state=rng)
+                  for _ in range(size)]
+                 for size in (1, 4, 4, 2, 4, 1, 4, 2) * 3]
+
+        def decode(index):
+            results = decoder.detect_batch(
+                packs[index],
+                random_states=[1000 * index + k
+                               for k in range(len(packs[index]))])
+            return [result.detection.bits for result in results]
+
+        expected = [decode(index) for index in range(len(packs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(decode, index)
+                           for index in range(len(packs))]
+                served = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(served, expected):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+
+# --------------------------------------------------------------------------- #
+# Work counters, no clock
+# --------------------------------------------------------------------------- #
+needs_cext = pytest.mark.skipif(not backends.cext_available(),
+                                reason="no C compiler for the cext backend")
+
+
+class TestWarmPackWork:
+    """What a warm pack costs, counted rather than timed."""
+
+    def _count_constructions(self, monkeypatch, count):
+        problems = qpsk_pack(count)
+        machine = ideal_machine()
+        parameters = AnnealerParameters(num_anneals=50)
+        machine.run_batch(problems, parameters, random_state=1)  # warm
+        counts = {"models": 0, "sparse": 0, "dicts": 0}
+
+        def counted(function, name):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(IsingModel, "__init__",
+                            counted(IsingModel.__init__, "models"))
+        monkeypatch.setattr(
+            IsingModel, "from_arrays",
+            classmethod(counted(IsingModel.from_arrays.__func__, "models")))
+        original_getattr = IsingModel.__getattr__
+
+        def counting_getattr(model, name):
+            if name == "couplings":
+                counts["dicts"] += 1
+            return original_getattr(model, name)
+
+        monkeypatch.setattr(IsingModel, "__getattr__", counting_getattr)
+        for matrix_type in (sparse.csr_matrix, sparse.coo_matrix,
+                            sparse.csc_matrix):
+            monkeypatch.setattr(matrix_type, "__init__",
+                                counted(matrix_type.__init__, "sparse"))
+        results = machine.run_batch(problems, parameters, random_state=2)
+        assert machine.sampler_cache_info()["hits"] == 1
+        monkeypatch.undo()
+        return counts, results
+
+    @pytest.mark.parametrize("count", [4, 16])
+    def test_no_per_job_model_matrix_or_dict(self, monkeypatch, count):
+        counts, results = self._count_constructions(monkeypatch, count)
+        assert counts == {"models": 0, "sparse": 0, "dicts": 0}
+        # ...and the per-job views still materialise when somebody reads.
+        embedded = results[-1].embedded
+        assert len(embedded.ising.couplings) == len(embedded.ising.coupling_keys)
+        assert embedded.ising.num_variables == embedded.num_physical
+
+    @needs_cext
+    def test_few_pointers_marshalled_per_kernel_call(self, monkeypatch):
+        problems = qpsk_pack(16)
+        machine = ideal_machine()
+        parameters = AnnealerParameters(num_anneals=50)
+        machine.run_batch(problems, parameters, random_state=1,
+                          backend="cext")
+        pointers = []
+        original_ptr = backends._ptr
+        monkeypatch.setattr(
+            backends, "_ptr",
+            lambda array: pointers.append(array.shape) or original_ptr(array))
+        anneals = []
+        original_anneal = BlockDiagonalSampler.anneal
+        monkeypatch.setattr(
+            BlockDiagonalSampler, "anneal",
+            lambda sampler, *args, **kwargs: anneals.append(1)
+            or original_anneal(sampler, *args, **kwargs))
+        machine.run_batch(problems, parameters, random_state=2,
+                          backend="cext")
+        assert len(anneals) == 2
+        # fields, class values and cluster-edge values: what a rebind moves.
+        assert len(pointers) == 3 * len(anneals)
+
+    @needs_cext
+    def test_kernel_does_the_work_it_did_before(self):
+        """The glue moved, the kernel's work did not: proposals, uniforms
+        drawn, ``exp`` calls and field recomputations of this seeded call
+        are the numbers the per-job pipeline's kernel call reported."""
+        machine = ideal_machine()
+        machine.run_batch(qpsk_pack(16), AnnealerParameters(num_anneals=50),
+                          random_state=7, backend="cext")
+        (sampler, _), = machine._sampler_cache.values()
+        assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508, 71400)
+
+    def test_temperature_profile_is_built_once(self):
+        machine = ideal_machine()
+        schedule = AnnealerParameters().schedule
+        options = dict(sweeps_per_us=machine.sweeps_per_us,
+                       hot=machine.hot_temperature,
+                       cold=machine.cold_temperature)
+        profile = schedule.temperature_profile(**options)
+        assert schedule.temperature_profile(**options) is profile
+        assert not profile.flags.writeable
+        assert profile.flags.c_contiguous and profile.dtype == np.float64
+        paused = schedule.with_pause(1.0, 0.4).temperature_profile(**options)
+        assert paused is not profile and paused.size > profile.size

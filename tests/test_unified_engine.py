@@ -170,7 +170,7 @@ class TestRefreshValues:
         scaled = base.scaled(2.0)
         sampler = IsingSampler(base)
         sampler.refresh_values(scaled)
-        dense = sampler._matrix.toarray()
+        dense = sampler.coupling_matrix.toarray()
         _, upper = scaled.to_dense()
         np.testing.assert_allclose(dense, upper + upper.T)
         np.testing.assert_allclose(sampler.linear, scaled.linear)
@@ -233,39 +233,70 @@ class TestBlockDiagonalSampler:
             fresh.anneal([1.0, 0.4], 5, rngs_b))
 
     @pytest.mark.parametrize("density", [0.3, 0.7, 1.0])
-    def test_lexsort_entry_maps_match_scipy_reference(self, density):
-        """The lexsort-derived entry maps equal the permutation-matrix ones.
+    def test_slot_edge_maps_match_scipy_reference(self, density):
+        """The lexsort-derived slot->edge maps equal scipy's own slicing.
 
-        `_ensure_entry_maps` derives the slot->entry maps with a direct
-        lexsort; `_entry_permutation`/`_slot_entries` are kept as the scipy
-        reference implementation and pinned here on every map the sampler
-        builds (full matrix, colour classes, cluster operators).
+        The sampler derives every kernel layout (full matrix, colour
+        classes, cluster rows) as a gather from its ``(blocks, E)`` value
+        matrix through block-local slot->edge maps.  With every (block,
+        edge) carrying a distinct value, those gathers must reproduce what
+        a COO assembly of the combined matrix and scipy row slicing give —
+        for the scipy operators of the numpy loops and for the
+        ``(blocks, nnz)`` matrices of the compiled kernels alike.
         """
-        from repro.annealer.engine import _entry_permutation, _slot_entries
+        from scipy import sparse
         base = random_ising(9, 21, density=density)
-        rng = np.random.default_rng(22)
-        problems = [IsingModel(num_variables=9, linear=rng.normal(size=9),
-                               couplings={key: float(rng.normal())
-                                          for key in base.couplings})
-                    for _ in range(3)]
+        keys = list(base.couplings)
+        problems = [IsingModel(num_variables=9, linear=np.zeros(9),
+                               couplings={key: 1000.0 * (b + 1) + e
+                                          for e, key in enumerate(keys)})
+                    for b in range(3)]
         clusters = [np.array([0, 1, 2], dtype=np.intp),
                     np.array([5, 8], dtype=np.intp)]
         sampler = BlockDiagonalSampler(problems, clusters=clusters)
-        sampler._ensure_entry_maps()
         n = sampler.num_variables
-        order = _entry_permutation(sampler._entry_rows, sampler._entry_cols,
-                                   (n, n))
-        np.testing.assert_array_equal(sampler._matrix_entries,
-                                      _slot_entries(order))
-        assert len(sampler._class_entries) == len(sampler.classes)
-        for entries, group in zip(sampler._class_entries, sampler.classes):
-            np.testing.assert_array_equal(entries,
-                                          _slot_entries(order[group, :]))
-        assert len(sampler._cluster_entries) == len(sampler._cluster_columns)
-        for entries, columns in zip(sampler._cluster_entries,
-                                    sampler._cluster_columns):
-            np.testing.assert_array_equal(entries,
-                                          _slot_entries(order[columns, :]))
+        rows, cols, data = [], [], []
+        for b, problem in enumerate(problems):
+            for (i, j), value in problem.couplings.items():
+                rows += [9 * b + i, 9 * b + j]
+                cols += [9 * b + j, 9 * b + i]
+                data += [value, value]
+        full = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+        def assert_same_csr(operator, expected):
+            expected = expected.tocsr()
+            expected.sort_indices()
+            np.testing.assert_array_equal(operator.indptr, expected.indptr)
+            np.testing.assert_array_equal(operator.indices, expected.indices)
+            np.testing.assert_array_equal(operator.data, expected.data)
+
+        reference = sampler._reference_operators()
+        assert_same_csr(sampler.coupling_matrix, full)
+        assert len(sampler.class_operators) == len(sampler.block_classes)
+        for operator, group in zip(sampler.class_operators, sampler.classes):
+            assert_same_csr(operator, full[group, :])
+        assert len(reference.cluster_operators) == len(clusters)
+        for operator, columns in zip(reference.cluster_operators,
+                                     reference.cluster_columns):
+            assert_same_csr(operator, full[columns, :])
+
+        def block_rows(operators, widths, b):
+            return np.concatenate([
+                operator[b * width:(b + 1) * width].data
+                for operator, width in zip(operators, widths)])
+
+        class_data = np.take(sampler._values, sampler._class_csr.edges, axis=1)
+        descriptor = sampler._cluster_pack_descriptor()
+        for b in range(3):
+            np.testing.assert_array_equal(
+                class_data[b], block_rows(reference.class_operators,
+                                          sampler._class_widths, b))
+            np.testing.assert_array_equal(
+                descriptor.data[b], block_rows(reference.cluster_operators,
+                                               sampler._cluster_lengths, b))
+            internal = [problems[b].couplings[(int(i), int(j))]
+                        for i, j in zip(descriptor.edge_i, descriptor.edge_j)]
+            np.testing.assert_array_equal(descriptor.edge_values[b], internal)
 
 
 class TestRunBatch:
