@@ -77,13 +77,21 @@ The cext kernels are the optimised form
 
 The numpy loops are the oracle and the numba kernels their plain
 translation; the C kernels additionally take two *exact* shortcuts, both
-documented in ``_C_SOURCE``: a squeeze test that settles most uphill draws
-without ``exp`` (``metropolis_accept``) and, in the colour kernels, local
-fields memoised per (block, replica) until a neighbour flips.  Neither
-changes a decision — the identity and golden suites are the proof — and
-each dispatch reports :class:`SweepWork` counters that guard them without a
-clock.  In C every move is written once against a ``draw_source``, so the
-twin entry points differ only in loop order and draw.
+documented in ``_C_SOURCE``.  A squeeze test settles most uphill draws
+without ``exp`` (``metropolis_accept``).  And the colour kernels sweep
+*lane-major*: per block the ``(R, P)`` spin rows are transposed into
+``St[v][RP]`` (``RP`` = ``R`` padded to the vector width), and every move
+computes the fields of all replicas of a spin at once — each lane still
+the reference sum in the reference order — while only the decisions walk
+the lanes, in the order the draw discipline dictates.  Replicas are the
+one axis along which the work is independent *and* identically shaped,
+which is what a vector unit needs; nothing is memoised, because a
+lane-vector of a ~6-term row sum is cheaper than finding out whether a
+remembered one is stale.  Neither shortcut changes a decision — the
+identity and golden suites are the proof — and each dispatch reports
+:class:`SweepWork` counters that guard them without a clock.  In C every
+move is written once against a ``draw_source``, so the twin entry points
+differ only in how they group replicas and in the draw.
 
 Counter mode and threads
 ------------------------
@@ -98,9 +106,10 @@ counter and valued by Philox4x32-10 under a per-block key (see
 irrelevant and intra-pack parallelism legal.  The two ``counter_*`` entry
 points take one key per block where their sequential siblings take one
 generator per block, plus a ``threads=`` knob: the cext kernels run an
-OpenMP ``parallel for`` over (block, replica) pairs (per-thread Philox
-state; compiled with ``-fopenmp`` when available, silently serial
-otherwise) and the numba kernels a ``prange`` over replicas; their numpy
+OpenMP ``parallel for`` over (block, replica) pairs — the colour kernels
+over (block, lane group) pairs — (per-thread Philox state; compiled with
+``-fopenmp`` when available, silently serial otherwise) and the numba
+kernels a ``prange`` over replicas; their numpy
 branches are the reference implementation of counter mode and ignore
 ``threads``.  Counter-mode trajectories are bit-identical across backends
 *and* across thread counts, which the counter equivalence/golden suites pin.
@@ -113,8 +122,8 @@ Both compiled backends pay a one-time cost (JIT compilation for numba, a
 eagerly and caches the result per process; the samplers call it at
 construction time, so the first *timed* anneal never includes compilation.
 The cext shared object is additionally cached on disk keyed by a hash of the
-C source, so later processes (e.g. the process-pool serving workers) only pay
-a ``dlopen``.
+C source and its build line, so later processes (e.g. the process-pool
+serving workers) only pay a ``dlopen``.
 """
 
 from __future__ import annotations
@@ -134,9 +143,6 @@ from repro.obs.profiling import PROFILER
 
 #: Valid values of the ``backend=`` knob of the samplers.
 BACKENDS = ("auto", "numpy", "numba", "cext")
-
-#: Backends that run compiled code (everything except the reference loops).
-COMPILED_BACKENDS = ("numba", "cext")
 
 #: Valid values of the ``rng=`` knob of the samplers: the stream-faithful
 #: sequential Generator discipline (default, the reference) or the
@@ -286,22 +292,17 @@ def warmup(backend: str, rng: str = "sequential") -> None:
                 data=values, indices=indices, indptr=indptr,
                 edge_i=indices, edge_j=indices,
                 edge_starts=np.zeros(2, dtype=np.int64), edge_values=values)
+            dense = (backend, spins, fields, matrices, members, linear,
+                     clusters, temperatures)
+            colour = (backend, spins, linear, members, class_starts, values,
+                      indices, indptr, clusters, temperatures)
             if rng == "counter":
-                keys = [1] * blocks
-                counter_pack_fused_dense_cluster_sweep(
-                    backend, spins, fields, matrices, members, linear,
-                    clusters, temperatures, keys, threads=1)
-                counter_pack_fused_colour_cluster_sweep(
-                    backend, spins, linear, members, class_starts, values,
-                    indices, indptr, clusters, temperatures, keys, threads=1)
+                counter_pack_fused_dense_cluster_sweep(*dense, [1] * blocks)
+                counter_pack_fused_colour_cluster_sweep(*colour, [1] * blocks)
             else:
                 rngs = [np.random.default_rng(0) for _ in range(blocks)]
-                pack_fused_dense_cluster_sweep(
-                    backend, spins, fields, matrices, members, linear,
-                    clusters, temperatures, rngs)
-                pack_fused_colour_cluster_sweep(
-                    backend, spins, linear, members, class_starts, values,
-                    indices, indptr, clusters, temperatures, rngs)
+                pack_fused_dense_cluster_sweep(*dense, rngs)
+                pack_fused_colour_cluster_sweep(*colour, rngs)
     _WARMED.add(token)
 
 
@@ -359,25 +360,10 @@ class SweepWork(NamedTuple):
     draws: int
     #: Draws the squeeze test could not settle, which paid a libm ``exp``.
     exp_calls: int
-    #: Field-memo CSR row sums (0 in the dense kernels: incremental fields).
-    field_recomputations: int
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return array.ctypes.data_as(ctypes.c_void_p)
-
-
-def _cluster_ctypes_args(clusters: ClusterDescriptor) -> list:
-    """The descriptor's ctypes argument run of the cext dense kernels."""
-    return [
-        _ptr(clusters.members), _ptr(clusters.cluster_starts),
-        clusters.cluster_starts.size - 1,
-        _ptr(clusters.data), _ptr(clusters.indices), _ptr(clusters.indptr),
-        clusters.data.shape[1],
-        _ptr(clusters.edge_i), _ptr(clusters.edge_j),
-        _ptr(clusters.edge_starts), _ptr(clusters.edge_values),
-        clusters.edge_values.shape[1],
-    ]
 
 
 def _block_cluster_args(clusters: ClusterDescriptor, b: int) -> tuple:
@@ -392,15 +378,15 @@ def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
     fns = (ctypes.c_void_p * len(rngs))()
     states = (ctypes.c_void_p * len(rngs))()
     for index, rng in enumerate(rngs):
-        fn, state = _rng_pointers(rng)
-        fns[index] = fn
-        states[index] = state
+        interface = rng.bit_generator.ctypes
+        fns[index] = ctypes.cast(interface.next_double, ctypes.c_void_p)
+        states[index] = interface.state_address
     return fns, states
 
 
 def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
-                      spins, linear, members, class_starts, class_data,
-                      indices, indptr, clusters, temperatures,
+                      threads: int, spins, linear, members, class_starts,
+                      class_data, indices, indptr, clusters, temperatures,
                       *draw_args) -> SweepWork:
     """One cext colour-kernel call of either discipline (*draw_args*).
 
@@ -408,15 +394,18 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
     the caller keeps for as long as it keeps the structure arrays (a
     sampler's lifetime; ``None`` for a one-off call): ``row_of``, which
     maps a variable to its row of the class CSR, the ctypes pointers of
-    every structure array, the work out-array, and — reused while the spin
-    matrix shape repeats — the ``(R, blocks*P)`` field-memo value/valid
-    matrices that give every (block, replica) pair its own row segment (so
-    the OpenMP pairs share nothing; the kernel resets them itself).  A call
-    over a kept workspace marshals only what changes: spins, fields, values
-    and draw sources.
+    every structure array, the work out-array, and — reused while large
+    enough, no ``malloc`` in C — the lane scratch: per lane group in flight
+    (one per thread) ``P + 1 + members`` rows of ``lanes`` doubles.  A
+    block's replicas are one lane group padded to :data:`_LANE_WIDTH`; only
+    a counter call with more *threads* than blocks splits them into
+    narrower groups, a (block, group) pair per thread.  A call over a kept
+    workspace marshals only what changes: spins, fields, values and draw
+    sources.
     """
     if workspace is None:
         workspace = {}
+    num_replicas = spins.shape[0]
     size = spins.shape[1] // num_blocks
     structure = workspace.get("structure")
     if structure is None:
@@ -425,8 +414,9 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
         if clusters.members.size and row_of[clusters.members].min() < 0:
             raise AnnealerError(
                 "every cluster member must belong to a colour class")
-        work = np.empty(4, dtype=np.int64)
+        work = np.empty(3, dtype=np.int64)
         structure = workspace["structure"] = (
+            size + 1 + members.size,
             (_ptr(members), _ptr(class_starts), class_starts.size - 1),
             (_ptr(indices), _ptr(indptr), indices.size, _ptr(row_of)),
             (_ptr(clusters.members), _ptr(clusters.cluster_starts),
@@ -436,13 +426,14 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
             work, _ptr(work),
             # The pointers above are only as alive as these.
             (members, class_starts, indices, indptr, row_of, clusters))
-    classes, csr, cluster_members, cluster_edges, work, work_ptr, _ = structure
-    memo = workspace.get("memo")
-    if memo is None or memo[0].shape != spins.shape:
-        memo_acc = np.empty(spins.shape)
-        memo_valid = np.empty(spins.shape, dtype=np.uint8)
-        memo = workspace["memo"] = (memo_acc, _ptr(memo_acc),
-                                    memo_valid, _ptr(memo_valid))
+    (group_rows, classes, csr, cluster_members, cluster_edges, work, work_ptr,
+     _) = structure
+    groups = min(-(-threads // num_blocks), -(-num_replicas // _LANE_WIDTH))
+    lanes = -(-num_replicas // (groups * _LANE_WIDTH)) * _LANE_WIDTH
+    scratch = workspace.get("lanes")
+    if scratch is None or scratch[0].size < threads * group_rows * lanes:
+        array = np.empty(threads * group_rows * lanes)
+        scratch = workspace["lanes"] = (array, _ptr(array))
     schedule = workspace.get("schedule")
     if schedule is None or schedule[0] is not temperatures:
         contiguous = np.ascontiguousarray(temperatures, dtype=np.float64)
@@ -450,8 +441,8 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
         if contiguous is temperatures:  # no copy: later edits stay visible
             workspace["schedule"] = schedule
     function(
-        *_row_strided(spins), spins.shape[0], num_blocks, size, _ptr(linear),
-        *classes, _ptr(class_data), *csr, memo[1], memo[3],
+        *_row_strided(spins), num_replicas, num_blocks, size, _ptr(linear),
+        *classes, _ptr(class_data), *csr, scratch[1], lanes,
         *cluster_members, *cluster_edges, _ptr(clusters.edge_values),
         clusters.edge_values.shape[1], *schedule[1:], *draw_args, work_ptr)
     return SweepWork(*work.tolist())
@@ -464,12 +455,18 @@ def _cext_dense_call(function, num_blocks: int, spins, fields, matrices,
     matrices = np.ascontiguousarray(matrices, dtype=np.float64)
     order = np.ascontiguousarray(order, dtype=np.int64)
     temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-    work = np.empty(4, dtype=np.int64)
+    work = np.empty(3, dtype=np.int64)
     function(
         *_row_strided(spins), *_row_strided(fields), _ptr(matrices),
         _ptr(order), order.size, spins.shape[0], num_blocks,
         spins.shape[1] // num_blocks, _ptr(linear),
-        *_cluster_ctypes_args(clusters),
+        _ptr(clusters.members), _ptr(clusters.cluster_starts),
+        clusters.cluster_starts.size - 1,
+        _ptr(clusters.data), _ptr(clusters.indices), _ptr(clusters.indptr),
+        clusters.data.shape[1],
+        _ptr(clusters.edge_i), _ptr(clusters.edge_j),
+        _ptr(clusters.edge_starts), _ptr(clusters.edge_values),
+        clusters.edge_values.shape[1],
         _ptr(temperatures), temperatures.size, *draw_args, _ptr(work))
     return SweepWork(*work.tolist())
 
@@ -526,7 +523,7 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     if backend == "cext":
         return _cext_colour_call(
             _load_cext().pack_fused_colour_cluster_sweep, workspace,
-            num_blocks, spins, linear, members, class_starts, class_data,
+            num_blocks, 1, spins, linear, members, class_starts, class_data,
             indices, indptr, clusters, temperatures,
             *_rng_pointer_arrays(rngs))
     raise AnnealerError(
@@ -605,8 +602,9 @@ def _counter_dense_pass_numpy(spins, fields, matrix, order, temperature,
             fields += step[:, None] * matrix[v, :][None, :]
 
 
-def _counter_class_operators(class_starts, data, indices, indptr, size):
-    """Per-class ``(lo, hi, CSR operator)`` triples of stacked class rows.
+def _counter_row_operators(starts, data, indices, indptr, size):
+    """Per-segment ``(lo, hi, CSR operator)`` triples of stacked field rows —
+    one segment per colour class or per cluster (``starts`` delimits them).
 
     scipy's CSR matvec accumulates each row's entries in ascending-column
     scalar order — the same summation the compiled kernels perform — so
@@ -616,8 +614,8 @@ def _counter_class_operators(class_starts, data, indices, indptr, size):
     from scipy import sparse
 
     operators = []
-    for c in range(class_starts.size - 1):
-        lo, hi = int(class_starts[c]), int(class_starts[c + 1])
+    for c in range(starts.size - 1):
+        lo, hi = int(starts[c]), int(starts[c + 1])
         dlo, dhi = int(indptr[lo]), int(indptr[hi])
         operators.append((lo, hi, sparse.csr_matrix(
             (data[dlo:dhi], indices[dlo:dhi],
@@ -649,7 +647,7 @@ def _counter_colour_pass_numpy(spins, linear, members, operators,
         spins[:, group] *= flips
 
 
-def _counter_cluster_pass_numpy(spins, linear, clusters, cdata, edge_values,
+def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
                                 operators, temperature, sweep, replicas, key,
                                 fields=None, matrix=None) -> None:
     """One counter-mode cluster-flip sweep (reference loop, one block).
@@ -695,22 +693,6 @@ def _counter_cluster_pass_numpy(spins, linear, clusters, cdata, edge_values,
         spins[np.ix_(accepted, group)] *= -1.0
 
 
-def _counter_cluster_operators(clusters: ClusterDescriptor, cdata, size):
-    """Per-cluster ``(begin, end, CSR operator)`` triples over one block."""
-    from scipy import sparse
-
-    operators = []
-    for c in range(clusters.cluster_starts.size - 1):
-        begin = int(clusters.cluster_starts[c])
-        end = int(clusters.cluster_starts[c + 1])
-        dlo, dhi = int(clusters.indptr[begin]), int(clusters.indptr[end])
-        operators.append((begin, end, sparse.csr_matrix(
-            (cdata[dlo:dhi], clusters.indices[dlo:dhi],
-             np.asarray(clusters.indptr[begin:end + 1]) - dlo),
-            shape=(end - begin, size))))
-    return operators
-
-
 def _run_numba_threaded(threads: int, kernel, *args) -> None:
     """Run a prange counter kernel under a bounded numba thread count."""
     import numba
@@ -749,16 +731,17 @@ def counter_pack_fused_dense_cluster_sweep(
             bspins = spins[:, segment]
             bfields = fields[:, segment]
             blinear = linear[segment]
-            operators = _counter_cluster_operators(clusters,
-                                                   clusters.data[b], size)
+            operators = _counter_row_operators(
+                clusters.cluster_starts, clusters.data[b], clusters.indices,
+                clusters.indptr, size)
             for t in range(len(temperatures)):
                 _counter_dense_pass_numpy(bspins, bfields, matrices[b],
                                           order, temperatures[t], t,
                                           replicas, key)
                 _counter_cluster_pass_numpy(
-                    bspins, blinear, clusters, clusters.data[b],
-                    clusters.edge_values[b], operators, temperatures[t], t,
-                    replicas, key, fields=bfields, matrix=matrices[b])
+                    bspins, blinear, clusters, clusters.edge_values[b],
+                    operators, temperatures[t], t, replicas, key,
+                    fields=bfields, matrix=matrices[b])
         return None
     if backend == "numba":
         kernels = _ensure_numba_counter_kernels()
@@ -795,11 +778,11 @@ def counter_pack_fused_colour_cluster_sweep(
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
     embedded serving shape under the counter contract, one Philox key per
-    block and (block, replica)-parallel in the cext variant.  The
-    per-replica kernels flip members as they visit them, which is bitwise
-    identical to the reference's per-class precompute because colour-class
-    members never interact.  The draw site is the member's row in the
-    concatenated class order.
+    block and (block, lane group)-parallel in the cext variant.  The
+    per-replica numba kernels flip members as they visit them, which is
+    bitwise identical to the reference's per-class precompute because
+    colour-class members never interact.  The draw site is the member's
+    row in the concatenated class order.
     """
     threads = max(1, int(threads))
     num_blocks = len(keys)
@@ -810,18 +793,18 @@ def counter_pack_fused_colour_cluster_sweep(
             segment = slice(b * size, (b + 1) * size)
             bspins = spins[:, segment]
             blinear = linear[segment]
-            class_operators = _counter_class_operators(
+            class_operators = _counter_row_operators(
                 class_starts, class_data[b], indices, indptr, size)
-            cluster_operators = _counter_cluster_operators(
-                clusters, clusters.data[b], size)
+            cluster_operators = _counter_row_operators(
+                clusters.cluster_starts, clusters.data[b], clusters.indices,
+                clusters.indptr, size)
             for t in range(len(temperatures)):
                 _counter_colour_pass_numpy(bspins, blinear, members,
                                            class_operators, temperatures[t],
                                            t, replicas, key)
                 _counter_cluster_pass_numpy(
-                    bspins, blinear, clusters, clusters.data[b],
-                    clusters.edge_values[b], cluster_operators,
-                    temperatures[t], t, replicas, key)
+                    bspins, blinear, clusters, clusters.edge_values[b],
+                    cluster_operators, temperatures[t], t, replicas, key)
         return None
     if backend == "numba":
         kernels = _ensure_numba_counter_kernels()
@@ -839,9 +822,9 @@ def counter_pack_fused_colour_cluster_sweep(
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
         return _cext_colour_call(
             _load_cext().counter_pack_fused_colour_cluster_sweep, workspace,
-            num_blocks, spins, linear, members, class_starts, class_data,
-            indices, indptr, clusters, temperatures, _ptr(keys_array),
-            threads)
+            num_blocks, threads, spins, linear, members, class_starts,
+            class_data, indices, indptr, clusters, temperatures,
+            _ptr(keys_array), threads)
     raise AnnealerError(
         f"no counter pack colour+cluster kernel for backend {backend!r}")
 
@@ -1170,11 +1153,19 @@ def _ensure_numba_counter_kernels() -> Dict[str, object]:
 # cext backend: C source, on-disk compile cache, ctypes bindings
 # --------------------------------------------------------------------------- #
 
-_C_SOURCE = r"""
+#: Replicas per lane vector of the C colour kernels (``LANE_WIDTH`` there);
+#: :func:`_cext_colour_call` pads lane groups to a multiple of it.  4 doubles
+#: are two SSE2 or one AVX2 register; 2 and 8 measured 10-28% slower.
+_LANE_WIDTH = 4
+
+_C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
 #include <math.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <string.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 /* The per-move functions below are shared by two entry points each; inlined
    into both, their work counters and loop invariants live in registers. */
@@ -1238,9 +1229,9 @@ static inline double draw_uniform(const draw_source *draw, uint32_t site,
                           draw->k1);
 }
 
-/* Deterministic work counters every entry point reports (int64[4]); each
+/* Deterministic work counters every entry point reports (int64[3]); each
    loop nest counts into a local array, so the counts stay in registers. */
-enum { PROPOSALS, DRAWS, EXP_CALLS, FIELD_SUMS, NUM_WORK };
+enum { PROPOSALS, DRAWS, EXP_CALLS, NUM_WORK };
 
 /* Exact Metropolis acceptance of an uphill move (delta > 0) on the uniform
    u: the value of `u < exp(-delta / temperature)`, usually without the
@@ -1269,7 +1260,7 @@ static inline int metropolis_accept(double delta, double temperature,
 /* Test hook: metropolis_accept on caller-chosen (delta, T, u). */
 int64_t metropolis_accept_probe(double delta, double temperature, double u)
 {
-    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    int64_t work[NUM_WORK] = {0, 0, 0};
     return metropolis_accept(delta, temperature, 1.0 / temperature, u, work);
 }
 
@@ -1282,18 +1273,6 @@ typedef struct {
     const double *edge_values;
 } cluster_set;
 
-/* delta of flipping cluster c whole, given its members' summed s_m * field
-   terms (accumulated by the caller in ascending member order — the
-   reference loop's defined order). */
-static inline double cluster_delta(const cluster_set *cl, int64_t c,
-                                   const double *srow, double boundary)
-{
-    for (int64_t e = cl->edge_starts[c]; e < cl->edge_starts[c + 1]; ++e)
-        boundary -= 2.0 * cl->edge_values[e] * srow[cl->edge_i[e]]
-                    * srow[cl->edge_j[e]];
-    return -2.0 * boundary;
-}
-
 /* ------------------------------------------------------------------------ *
  * Dense kernel moves.  srow/frow are one replica's spin and local-field
  * rows of a block; matrix is the dense size x size block coupling,
@@ -1302,11 +1281,10 @@ static inline double cluster_delta(const cluster_set *cl, int64_t c,
  * ------------------------------------------------------------------------ */
 
 /* Visit k of the sequential dense sweep, one replica. */
-MOVE void dense_visit(double *srow, double *frow,
-                               const double *matrix, int64_t size,
-                               const int64_t *order, int64_t k,
-                               double temperature, double inv_temperature,
-                               const draw_source *draw, int64_t *work)
+MOVE void dense_visit(double *srow, double *frow, const double *matrix,
+                      int64_t size, const int64_t *order, int64_t k,
+                      double temperature, double inv_temperature,
+                      const draw_source *draw, int64_t *work)
 {
     const int64_t v = order[k];
     const double current = srow[v];
@@ -1327,19 +1305,16 @@ MOVE void dense_visit(double *srow, double *frow,
 
 /* Cluster c's collective flip offer, one replica.  cdata/cindices/cindptr
    are the CSR arrays of the stacked member local-field rows (row k ->
-   coupling field of members[k]); an accepted flip adds sum_m (-2 s_m)
+   coupling field of members[k]), summed in ascending member order — the
+   reference loop's defined order; an accepted flip adds sum_m (-2 s_m)
    J[m, :] to the replica's local-field row. */
 MOVE void dense_cluster_visit(double *srow, double *frow,
-                                       const double *matrix, int64_t size,
-                                       const double *linear,
-                                       const cluster_set *cl, int64_t c,
-                                       const double *cdata,
-                                       const int64_t *cindices,
-                                       const int64_t *cindptr,
-                                       double temperature,
-                                       double inv_temperature,
-                                       const draw_source *draw,
-                                       int64_t *work)
+                              const double *matrix, int64_t size,
+                              const double *linear, const cluster_set *cl,
+                              int64_t c, const double *cdata,
+                              const int64_t *cindices, const int64_t *cindptr,
+                              double temperature, double inv_temperature,
+                              const draw_source *draw, int64_t *work)
 {
     const int64_t begin = cl->starts[c];
     const int64_t end = cl->starts[c + 1];
@@ -1351,7 +1326,10 @@ MOVE void dense_cluster_visit(double *srow, double *frow,
             acc += cdata[jj] * srow[cindices[jj]];
         boundary += srow[m] * (acc + linear[m]);
     }
-    const double delta = cluster_delta(cl, c, srow, boundary);
+    for (int64_t e = cl->edge_starts[c]; e < cl->edge_starts[c + 1]; ++e)
+        boundary -= 2.0 * cl->edge_values[e] * srow[cl->edge_i[e]]
+                    * srow[cl->edge_j[e]];
+    const double delta = -2.0 * boundary;
     ++work[PROPOSALS];
     if (!(delta <= 0.0)
         && !metropolis_accept(delta, temperature, inv_temperature,
@@ -1370,104 +1348,157 @@ MOVE void dense_cluster_visit(double *srow, double *frow,
 }
 
 /* ------------------------------------------------------------------------ *
- * Colour kernel moves, over memoised coupling fields.
+ * Colour kernel moves, lane-major: replicas are the vector axis.
  *
- * data/indices/indptr are the CSR arrays of the stacked per-class
- * local-field operators (row k -> coupling field of class member k).  Per
- * (block, replica) the memo keeps acc[v] = sum_j J[v, j] s_j with a valid[v]
- * byte; a flip clears valid over the flipped spin's CSR row (its
- * neighbours), and a stale entry is recomputed by the reference sum in the
- * reference order — so a served value is bit for bit what a fresh
- * evaluation would return, and with |J_F|-locked chains most visits find
- * their neighbourhood unchanged.  The cluster pass reads the same memo:
- * row_of[v] is v's CSR row, the same matrix row — same values, same
- * ascending-column order — as the reference cluster operators' row of v.
+ * A lane group is up to `lanes` replicas of one block, held transposed as
+ * st[v * lanes + lane] (lanes a multiple of LANE_WIDTH; the `live` leading
+ * lanes are replicas, the pad lanes hold 0.0, are never offered a draw and
+ * never written back).  Every move works on all lanes of one spin at once:
+ * the field arithmetic of different replicas is independent, so it runs
+ * LANE_WIDTH replicas per instruction while each lane still performs the
+ * reference sum — the CSR row accumulated from 0.0 in ascending-column
+ * order — and only the decisions, which consume draws, walk the lanes in
+ * the discipline's order.  data/indices/indptr are the CSR arrays of the
+ * stacked per-class local-field operators (row k -> coupling field of
+ * class member k); the cluster pass reads the same rows through row_of[v],
+ * v's CSR row — same values, same order, as the reference cluster
+ * operators' row of v.
  * ------------------------------------------------------------------------ */
 typedef struct {
     const double *data;
-    const int64_t *indices, *indptr;
-    double *acc;
-    uint8_t *valid;
-} field_memo;
+    const int64_t *indices, *indptr, *row_of;
+} lane_csr;
 
-static inline double memo_field(const field_memo *memo, int64_t v,
-                                int64_t row, const double *srow,
-                                int64_t *work)
+/* s_v * (coupling field of v + bias) of every lane, where row is v's CSR
+   row: what flipping v costs is -2 times it.  Stored to out, or added to it
+   (accumulate, a constant at every call site). */
+static inline void lane_terms(const lane_csr *csr, int64_t row,
+                              const double *st, int64_t lanes, int64_t v,
+                              double bias, double *restrict out,
+                              int accumulate)
 {
-    if (!memo->valid[v]) {
-        double acc = 0.0;
-        for (int64_t jj = memo->indptr[row]; jj < memo->indptr[row + 1]; ++jj)
-            acc += memo->data[jj] * srow[memo->indices[jj]];
-        memo->acc[v] = acc;
-        memo->valid[v] = 1;
-        ++work[FIELD_SUMS];
+    const double *sv = st + v * lanes;
+    for (int64_t l = 0; l < lanes; l += LANE_WIDTH) {
+        double acc[LANE_WIDTH] = {0.0};
+        for (int64_t jj = csr->indptr[row]; jj < csr->indptr[row + 1]; ++jj) {
+            const double weight = csr->data[jj];
+            const double *column = st + csr->indices[jj] * lanes + l;
+            for (int i = 0; i < LANE_WIDTH; ++i)
+                acc[i] += weight * column[i];
+        }
+        for (int i = 0; i < LANE_WIDTH; ++i)
+            out[l + i] = (accumulate ? out[l + i] : 0.0)
+                         + sv[l + i] * (acc[i] + bias);
     }
-    return memo->acc[v];
 }
 
-static inline void memo_invalidate(const field_memo *memo, int64_t row)
+/* The class rows [begin, end) offered to every lane: all (row, lane) terms
+   first — class members never interact, so this is the reference loop's
+   compute-all-fields-then-flip update — then the decisions lane-major, row
+   ascending: the reference loops' draw order (and, the counter draws being
+   addressed by (row, sweep, replica), as good as any under that
+   discipline). */
+MOVE void lane_class_move(double *restrict st, int64_t lanes, int64_t live,
+                          uint32_t first_replica, double *restrict terms,
+                          const double *linear, const int64_t *members,
+                          int64_t begin, int64_t end, const lane_csr *csr,
+                          double temperature, double inv_temperature,
+                          draw_source *draw, int64_t *work)
 {
-    for (int64_t jj = memo->indptr[row]; jj < memo->indptr[row + 1]; ++jj)
-        memo->valid[memo->indices[jj]] = 0;
-}
-
-/* One replica's pass over the class rows [begin, end).  Members flip as
-   they are visited: class members never interact, so this equals the
-   reference loop's compute-all-fields-then-flip per-class update bit for
-   bit, and the draw site is the member's row. */
-MOVE void colour_class_visit(double *srow, const double *linear,
-                                      const int64_t *members,
-                                      int64_t begin, int64_t end,
-                                      const field_memo *memo,
-                                      double temperature,
-                                      double inv_temperature,
-                                      const draw_source *draw, int64_t *work)
-{
-    work[PROPOSALS] += end - begin;
-    for (int64_t row = begin; row < end; ++row) {
-        const int64_t v = members[row];
-        const double field = memo_field(memo, v, row, srow, work) + linear[v];
-        const double delta = -2.0 * srow[v] * field;
-        if (delta <= 0.0
-            || metropolis_accept(delta, temperature, inv_temperature,
-                                 draw_uniform(draw, (uint32_t)row, 0u),
-                                 work)) {
-            srow[v] = -srow[v];
-            memo_invalidate(memo, row);
+    for (int64_t row = begin; row < end; ++row)
+        lane_terms(csr, row, st, lanes, members[row], linear[members[row]],
+                   terms + (row - begin) * lanes, 0);
+    work[PROPOSALS] += (end - begin) * live;
+    for (int64_t l = 0; l < live; ++l) {
+        draw->replica = first_replica + (uint32_t)l;
+        for (int64_t row = begin; row < end; ++row) {
+            const double d = -2.0 * terms[(row - begin) * lanes + l];
+            if (d <= 0.0
+                || metropolis_accept(d, temperature, inv_temperature,
+                                     draw_uniform(draw, (uint32_t)row, 0u),
+                                     work)) {
+                double *spin = st + members[row] * lanes + l;
+                *spin = -*spin;
+            }
         }
     }
 }
 
-/* Cluster c's collective flip offer, one replica, member fields from the
-   memo. */
-MOVE void colour_cluster_visit(double *srow, const double *linear,
-                                        const cluster_set *cl, int64_t c,
-                                        const field_memo *memo,
-                                        const int64_t *row_of,
-                                        double temperature,
-                                        double inv_temperature,
-                                        const draw_source *draw,
-                                        int64_t *work)
+/* Cluster c's collective flip offered to every lane: boundary[lane] summed
+   in ascending member order (the reference loop's defined order), internal
+   edges subtracted, then the lanes decided in order. */
+MOVE void lane_cluster_move(double *restrict st, int64_t lanes, int64_t live,
+                            uint32_t first_replica,
+                            double *restrict boundary, const double *linear,
+                            const cluster_set *cl, int64_t c,
+                            const lane_csr *csr, double temperature,
+                            double inv_temperature, draw_source *draw,
+                            int64_t *work)
 {
     const int64_t begin = cl->starts[c];
     const int64_t end = cl->starts[c + 1];
-    double boundary = 0.0;
+    memset(boundary, 0, (size_t)lanes * sizeof(double));
     for (int64_t k = begin; k < end; ++k) {
         const int64_t m = cl->members[k];
-        boundary += srow[m] * (memo_field(memo, m, row_of[m], srow, work)
-                               + linear[m]);
+        lane_terms(csr, csr->row_of[m], st, lanes, m, linear[m], boundary, 1);
     }
-    const double delta = cluster_delta(cl, c, srow, boundary);
-    ++work[PROPOSALS];
-    if (!(delta <= 0.0)
-        && !metropolis_accept(delta, temperature, inv_temperature,
-                              draw_uniform(draw, (uint32_t)c, 1u), work))
-        return;
-    for (int64_t k = begin; k < end; ++k) {
-        const int64_t m = cl->members[k];
-        srow[m] = -srow[m];
-        memo_invalidate(memo, row_of[m]);
+    for (int64_t e = cl->edge_starts[c]; e < cl->edge_starts[c + 1]; ++e) {
+        const double weight = cl->edge_values[e];
+        const double *si = st + cl->edge_i[e] * lanes;
+        const double *sj = st + cl->edge_j[e] * lanes;
+        for (int64_t l = 0; l < lanes; ++l)
+            boundary[l] -= 2.0 * weight * si[l] * sj[l];
     }
+    work[PROPOSALS] += live;
+    for (int64_t l = 0; l < live; ++l) {
+        const double d = -2.0 * boundary[l];
+        draw->replica = first_replica + (uint32_t)l;
+        if (!(d <= 0.0)
+            && !metropolis_accept(d, temperature, inv_temperature,
+                                  draw_uniform(draw, (uint32_t)c, 1u), work))
+            continue;
+        for (int64_t k = begin; k < end; ++k) {
+            double *spin = st + cl->members[k] * lanes + l;
+            *spin = -*spin;
+        }
+    }
+}
+
+/* One lane group — replicas [first, first + live) of the block whose spin
+   rows start at bspins — through the whole schedule: transpose in, sweep,
+   transpose out.  scratch holds the group's st (size rows of lanes), its
+   cluster boundaries (one row) and its class terms (the rest). */
+MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
+                         int64_t live, int64_t lanes, int64_t size,
+                         double *scratch, const double *linear,
+                         const int64_t *members, const int64_t *class_starts,
+                         int64_t num_classes, const lane_csr *csr,
+                         const cluster_set *cl, int64_t num_clusters,
+                         const double *temperatures, int64_t num_sweeps,
+                         draw_source *draw, int64_t *work)
+{
+    double *st = scratch;
+    double *boundary = st + size * lanes;
+    double *terms = boundary + lanes;
+    for (int64_t v = 0; v < size; ++v)
+        for (int64_t l = 0; l < lanes; ++l)
+            st[v * lanes + l] = l < live ? bspins[(first + l) * sld + v] : 0.0;
+    for (int64_t t = 0; t < num_sweeps; ++t) {
+        const double temperature = temperatures[t];
+        const double inv_temperature = 1.0 / temperature;
+        draw->sweep = (uint32_t)t;
+        for (int64_t c = 0; c < num_classes; ++c)
+            lane_class_move(st, lanes, live, (uint32_t)first, terms, linear,
+                            members, class_starts[c], class_starts[c + 1],
+                            csr, temperature, inv_temperature, draw, work);
+        for (int64_t c = 0; c < num_clusters; ++c)
+            lane_cluster_move(st, lanes, live, (uint32_t)first, boundary,
+                              linear, cl, c, csr, temperature,
+                              inv_temperature, draw, work);
+    }
+    for (int64_t l = 0; l < live; ++l)
+        for (int64_t v = 0; v < size; ++v)
+            bspins[(first + l) * sld + v] = st[v * lanes + l];
 }
 
 /* ------------------------------------------------------------------------ *
@@ -1480,19 +1511,15 @@ MOVE void colour_cluster_visit(double *srow, const double *linear,
  *
  * Sequential: per-block randomness is an array of BitGenerator
  * (next_double, state) pairs.  Blocks never interact and each draws from
- * its own generator, so evolving them one after the other through the
- * whole schedule — replicas innermost, the reference loops' draw order —
- * reproduces every block's serial stream while amortising the call
- * marshalling over the pack, the C-RAN serving shape.
+ * its own generator, so they evolve one after the other through the whole
+ * schedule, each consuming its draws in the reference loops' order.
  *
  * Counter: per-block keys.  Blocks and replicas are all independent, so
- * each (block, replica) pair runs its whole schedule alone and the OpenMP
- * `parallel for` collapses over the pairs — the pack's full parallelism
- * budget in one region.  The pragmas are no-ops without -fopenmp (the
- * compile step tries it and falls back), so one source serves both builds
- * and the serial build stays bit-identical to the threaded one.
+ * the OpenMP `parallel for` collapses over (block, replica) pairs — dense —
+ * or (block, lane group) pairs — colour — each running its whole schedule
+ * alone.  The pragmas are no-ops without -fopenmp (the compile step tries
+ * it and falls back), so one source serves both builds, bit-identically.
  * ------------------------------------------------------------------------ */
-
 void pack_fused_dense_cluster_sweep(
     double *spins, int64_t sld,
     double *fields, int64_t fld,
@@ -1510,7 +1537,7 @@ void pack_fused_dense_cluster_sweep(
     const double *temperatures, int64_t num_sweeps,
     next_double_fn *next_doubles, void **states, int64_t *work_out)
 {
-    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    int64_t work[NUM_WORK] = {0, 0, 0};
     for (int64_t b = 0; b < num_blocks; ++b) {
         double *bspins = spins + b * size;
         double *bfields = fields + b * size;
@@ -1557,7 +1584,7 @@ void counter_pack_fused_dense_cluster_sweep(
     const double *temperatures, int64_t num_sweeps,
     const uint64_t *keys, int64_t threads, int64_t *work_out)
 {
-    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    int64_t work[NUM_WORK] = {0, 0, 0};
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
     num_threads((int)threads) reduction(+ : work[:NUM_WORK])
@@ -1595,10 +1622,13 @@ void counter_pack_fused_dense_cluster_sweep(
     memcpy(work_out, work, sizeof(work));
 }
 
-/* The colour entry points additionally take the memo workspace: row_of
-   (int64[size]) and the (num_replicas x num_blocks*size) acc / valid
-   matrices, of which every (block, replica) pair owns — and resets, once
-   per call — its own row segment. */
+/* The colour entry points additionally take the lane workspace: row_of
+   (int64[size]) and scratch, per lane group in flight (size + 1 + members)
+   rows of `lanes` doubles — room for lane_group_run's st, boundary and the
+   terms of a class as wide as all of them.
+
+   Sequential: a block's replicas are one lane group (lanes >= num_replicas),
+   so its draws are consumed in the reference loops' order. */
 void pack_fused_colour_cluster_sweep(
     double *spins, int64_t sld, int64_t num_replicas,
     int64_t num_blocks, int64_t size,
@@ -1607,7 +1637,7 @@ void pack_fused_colour_cluster_sweep(
     int64_t num_classes,
     const double *data, const int64_t *indices, const int64_t *indptr,
     int64_t class_nnz,
-    const int64_t *row_of, double *memo_acc, uint8_t *memo_valid,
+    const int64_t *row_of, double *scratch, int64_t lanes,
     const int64_t *cmembers, const int64_t *cluster_starts,
     int64_t num_clusters,
     const int64_t *edge_i, const int64_t *edge_j,
@@ -1616,46 +1646,23 @@ void pack_fused_colour_cluster_sweep(
     const double *temperatures, int64_t num_sweeps,
     next_double_fn *next_doubles, void **states, int64_t *work_out)
 {
-    const int64_t mld = num_blocks * size;
-    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    int64_t work[NUM_WORK] = {0, 0, 0};
     for (int64_t b = 0; b < num_blocks; ++b) {
-        double *bspins = spins + b * size;
-        const double *blinear = linear + b * size;
         const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                 edge_starts, edge_values + b * num_edges};
-        const draw_source draw = {next_doubles[b], states[b], 0u, 0u, 0u, 0u};
-        const double *bdata = data + b * class_nnz;
-        double *bacc = memo_acc + b * size;
-        uint8_t *bvalid = memo_valid + b * size;
-        for (int64_t r = 0; r < num_replicas; ++r)
-            memset(bvalid + r * mld, 0, (size_t)size);
-        for (int64_t t = 0; t < num_sweeps; ++t) {
-            const double temperature = temperatures[t];
-            const double inv_temperature = 1.0 / temperature;
-            for (int64_t c = 0; c < num_classes; ++c)
-                for (int64_t r = 0; r < num_replicas; ++r) {
-                    const field_memo memo = {bdata, indices, indptr,
-                                             bacc + r * mld,
-                                             bvalid + r * mld};
-                    colour_class_visit(bspins + r * sld, blinear, members,
-                                       class_starts[c], class_starts[c + 1],
-                                       &memo, temperature, inv_temperature,
-                                       &draw, work);
-                }
-            for (int64_t c = 0; c < num_clusters; ++c)
-                for (int64_t r = 0; r < num_replicas; ++r) {
-                    const field_memo memo = {bdata, indices, indptr,
-                                             bacc + r * mld,
-                                             bvalid + r * mld};
-                    colour_cluster_visit(bspins + r * sld, blinear, &cl, c,
-                                         &memo, row_of, temperature,
-                                         inv_temperature, &draw, work);
-                }
-        }
+        const lane_csr csr = {data + b * class_nnz, indices, indptr, row_of};
+        draw_source draw = {next_doubles[b], states[b], 0u, 0u, 0u, 0u};
+        lane_group_run(spins + b * size, sld, 0, num_replicas, lanes, size,
+                       scratch, linear + b * size, members, class_starts,
+                       num_classes, &csr, &cl, num_clusters, temperatures,
+                       num_sweeps, &draw, work);
     }
     memcpy(work_out, work, sizeof(work));
 }
 
+/* Counter: every (block, lane group) pair is independent, so the pairs
+   spread over the OpenMP region, each thread sweeping in its own slice of
+   scratch. */
 void counter_pack_fused_colour_cluster_sweep(
     double *spins, int64_t sld, int64_t num_replicas,
     int64_t num_blocks, int64_t size,
@@ -1664,7 +1671,7 @@ void counter_pack_fused_colour_cluster_sweep(
     int64_t num_classes,
     const double *data, const int64_t *indices, const int64_t *indptr,
     int64_t class_nnz,
-    const int64_t *row_of, double *memo_acc, uint8_t *memo_valid,
+    const int64_t *row_of, double *scratch, int64_t lanes,
     const int64_t *cmembers, const int64_t *cluster_starts,
     int64_t num_clusters,
     const int64_t *edge_i, const int64_t *edge_j,
@@ -1673,8 +1680,8 @@ void counter_pack_fused_colour_cluster_sweep(
     const double *temperatures, int64_t num_sweeps,
     const uint64_t *keys, int64_t threads, int64_t *work_out)
 {
-    const int64_t mld = num_blocks * size;
-    int64_t work[NUM_WORK] = {0, 0, 0, 0};
+    const int64_t num_groups = (num_replicas + lanes - 1) / lanes;
+    int64_t work[NUM_WORK] = {0, 0, 0};
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
     num_threads((int)threads) reduction(+ : work[:NUM_WORK])
@@ -1682,33 +1689,26 @@ void counter_pack_fused_colour_cluster_sweep(
     (void)threads;
 #endif
     for (int64_t b = 0; b < num_blocks; ++b) {
-        for (int64_t r = 0; r < num_replicas; ++r) {
-            double *srow = spins + b * size + r * sld;
-            const double *blinear = linear + b * size;
+        for (int64_t g = 0; g < num_groups; ++g) {
+            const int64_t first = g * lanes;
+            const int64_t live = num_replicas - first < lanes
+                                 ? num_replicas - first : lanes;
             const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                     edge_starts,
                                     edge_values + b * num_edges};
-            const field_memo memo = {data + b * class_nnz, indices, indptr,
-                                     memo_acc + b * size + r * mld,
-                                     memo_valid + b * size + r * mld};
-            draw_source draw = {NULL, NULL, 0u, (uint32_t)r,
-                                (uint32_t)keys[b],
+            const lane_csr csr = {data + b * class_nnz, indices, indptr,
+                                  row_of};
+            draw_source draw = {NULL, NULL, 0u, 0u, (uint32_t)keys[b],
                                 (uint32_t)(keys[b] >> 32)};
-            memset(memo.valid, 0, (size_t)size);
-            for (int64_t t = 0; t < num_sweeps; ++t) {
-                const double temperature = temperatures[t];
-                const double inv_temperature = 1.0 / temperature;
-                draw.sweep = (uint32_t)t;
-                for (int64_t c = 0; c < num_classes; ++c)
-                    colour_class_visit(srow, blinear, members,
-                                       class_starts[c], class_starts[c + 1],
-                                       &memo, temperature, inv_temperature,
-                                       &draw, work);
-                for (int64_t c = 0; c < num_clusters; ++c)
-                    colour_cluster_visit(srow, blinear, &cl, c, &memo,
-                                         row_of, temperature,
-                                         inv_temperature, &draw, work);
-            }
+            double *mine = scratch;
+#ifdef _OPENMP
+            mine += omp_get_thread_num()
+                    * (size + 1 + class_starts[num_classes]) * lanes;
+#endif
+            lane_group_run(spins + b * size, sld, first, live, lanes, size,
+                           mine, linear + b * size, members, class_starts,
+                           num_classes, &csr, &cl, num_clusters,
+                           temperatures, num_sweeps, &draw, work);
         }
     }
     memcpy(work_out, work, sizeof(work));
@@ -1727,6 +1727,20 @@ int64_t counter_openmp_enabled(void)
 #: Compiler candidates tried in order for the cext backend.
 _COMPILERS = ("cc", "gcc", "clang")
 
+#: The build line.  ``-ffp-contract=off``: no FMA contraction, so the kernel
+#: arithmetic matches the numpy loops op for op.  Measured on captured
+#: ``large_mimo_bpsk`` / ``saturating_qpsk`` kernel calls and rejected, all
+#: byte-identical: ``-O2 -march=native`` 1.00-1.01x, ``-O3`` 1.02-1.05x
+#: slower, ``-O3 -march=native`` 1.05-1.20x slower; stepping PCG64 inline
+#: instead of through ``next_double`` (2.44 -> 1.82 ns per draw) is at most 4%
+#: of a call and would tie the source to a NumPy-private struct.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Extra flags of the builds tried in order: with OpenMP (the counter
+#: kernels' thread parallelism), then without — the pragmas are no-ops
+#: there, so the fallback is serial but bit-identical.
+_CEXT_BUILDS = (("-fopenmp",), ())
+
 
 def _cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME")
@@ -1734,8 +1748,16 @@ def _cache_dir() -> Path:
     return root / "repro_backends"
 
 
-def _compile_cext() -> Optional[Path]:
-    """Compile the C kernels into a cached shared object; None on failure.
+def _cext_target(extra: Tuple[str, ...]) -> Path:
+    """Cache path of the build with *extra* flags: named by source AND build
+    line, so two builds never answer to one name."""
+    digest = hashlib.sha256(
+        "\0".join((_C_SOURCE, *_CFLAGS, *extra)).encode()).hexdigest()[:16]
+    return _cache_dir() / f"metropolis_{digest}.so"
+
+
+def _build_cext(target: Path, extra: Tuple[str, ...]) -> bool:
+    """Compile one build and publish it as *target*; whether it is there.
 
     Concurrent-compile discipline (process-pool workers all warming a cold
     cache at once): every process compiles into its *own* temporary
@@ -1747,47 +1769,41 @@ def _compile_cext() -> Optional[Path]:
     at all) but a concurrent process has published the target in the
     meantime, that artifact is used instead of reporting failure.
     """
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    target = cache / f"metropolis_{digest}.so"
-    if target.exists():
-        return target
     try:
-        cache.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=cache) as workdir:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=target.parent) as workdir:
             source = Path(workdir) / "metropolis.c"
             source.write_text(_C_SOURCE, encoding="utf-8")
             built = Path(workdir) / "metropolis.so"
-            compiled = False
             for compiler in _COMPILERS:
-                # -fopenmp first (the counter kernels' replica parallelism),
-                # plain second: the OpenMP pragmas are no-ops without it, so
-                # the fallback build is serial but bit-identical.
-                for extra in (["-fopenmp"], []):
-                    try:
-                        # -ffp-contract=off: no FMA contraction, so the
-                        # kernel arithmetic matches the numpy loops op for
-                        # op.
-                        subprocess.run(
-                            [compiler, "-O2", "-fPIC", "-shared",
-                             "-ffp-contract=off", *extra,
-                             "-o", str(built), str(source), "-lm"],
-                            check=True, capture_output=True, timeout=120)
-                        compiled = True
-                        break
-                    except (OSError, subprocess.SubprocessError):
-                        continue
-                if compiled:
-                    break
-            if not compiled:
-                # No compiler worked here — but tolerate a concurrent
-                # process having published the artifact while we tried.
-                return target if target.exists() else None
-            # Atomic publish so concurrent processes race benignly.
-            os.replace(built, target)
+                try:
+                    subprocess.run(
+                        [compiler, *_CFLAGS, *extra,
+                         "-o", str(built), str(source), "-lm"],
+                        check=True, capture_output=True, timeout=120)
+                except (OSError, subprocess.SubprocessError):
+                    continue
+                # Atomic publish so concurrent processes race benignly.
+                os.replace(built, target)
+                return True
     except OSError:
-        return target if target.exists() else None
-    return target
+        pass
+    return target.exists()
+
+
+def _compile_cext() -> Optional[Path]:
+    """The cached shared object of the first build that exists or compiles.
+
+    A warm cache costs one ``exists()``: the OpenMP artifact is looked up
+    (and, when missing, built) before the serial one is considered, so a
+    serial artifact on a shared cache never shadows an OpenMP build this
+    machine can make.
+    """
+    for extra in _CEXT_BUILDS:
+        target = _cext_target(extra)
+        if target.exists() or _build_cext(target, extra):
+            return target
+    return None
 
 
 def _cext_signatures() -> Dict[str, Tuple[object, list]]:
@@ -1806,8 +1822,8 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         ctypes.c_int64, ctypes.c_int64,    # num_blocks, size
         ctypes.c_void_p,                   # linear
         *members_args, *csr_args,          # colour classes and their CSR
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # field memo
-        *members_args, *edge_args,         # clusters (fields from the memo)
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # lane workspace
+        *members_args, *edge_args,         # clusters (fields by row_of)
         *schedule_args,
     ]
     dense_args = [
@@ -1822,7 +1838,7 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
     ]
     # Per-block draw sources — Generator pointer arrays under the sequential
     # discipline, a Philox key array plus a thread count under the counter —
-    # then the int64[4] work-counter out-array.
+    # then the int64[3] work-counter out-array.
     rng_arrays = [ctypes.POINTER(ctypes.c_void_p),  # next_doubles
                   ctypes.POINTER(ctypes.c_void_p),  # states
                   ctypes.c_void_p]
@@ -1870,11 +1886,3 @@ def _row_strided(array: np.ndarray) -> Tuple[ctypes.c_void_p, ctypes.c_int64]:
             "a C-contiguous matrix)")
     return (ctypes.c_void_p(array.ctypes.data),
             ctypes.c_int64(array.strides[0] // array.itemsize))
-
-
-def _rng_pointers(rng: np.random.Generator
-                  ) -> Tuple[ctypes.c_void_p, ctypes.c_void_p]:
-    """(next_double function pointer, state pointer) of a Generator."""
-    interface = rng.bit_generator.ctypes
-    fn = ctypes.cast(interface.next_double, ctypes.c_void_p)
-    return fn, ctypes.c_void_p(interface.state_address)

@@ -429,8 +429,8 @@ class BlockDiagonalSampler:
     @property
     def last_sweep_work(self) -> Optional[backends.SweepWork]:
         """Work counters of the latest :meth:`anneal` call's kernel dispatch
-        (proposals, uniforms drawn, ``exp`` calls, field recomputations);
-        ``None`` before the first call and on the numpy/numba backends."""
+        (proposals, uniforms drawn, ``exp`` calls); ``None`` before the
+        first call and on the numpy/numba backends."""
         return self._last_sweep_work
 
     def __getstate__(self) -> Dict[str, object]:

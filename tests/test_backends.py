@@ -25,7 +25,6 @@ same assertions to numba.
 
 import builtins
 import ctypes
-import hashlib
 import os
 import re
 import subprocess
@@ -469,11 +468,9 @@ class TestCextCompileCache:
                                                          tmp_path):
         """When this process's compile fails but another process published
         the artifact mid-flight, the published artifact is used."""
-        digest = hashlib.sha256(
-            backends._C_SOURCE.encode()).hexdigest()[:16]
         cache = tmp_path / "cache"
-        target = cache / f"metropolis_{digest}.so"
         monkeypatch.setattr(backends, "_cache_dir", lambda: cache)
+        target = backends._cext_target(backends._CEXT_BUILDS[0])
 
         def racing_compiler(*args, **kwargs):
             # Simulate the concurrent winner: the target appears while this
@@ -492,3 +489,54 @@ class TestCextCompileCache:
         monkeypatch.setattr(backends, "_cache_dir", lambda: cache)
         monkeypatch.setattr(backends, "_COMPILERS", ())
         assert backends._compile_cext() is None
+
+    @staticmethod
+    def fake_compiler(commands, accepts_openmp=True):
+        def run(command, **kwargs):
+            commands.append(command)
+            if "-fopenmp" in command and not accepts_openmp:
+                raise subprocess.CalledProcessError(1, command)
+            with open(command[command.index("-o") + 1], "wb") as built:
+                built.write(" ".join(command).encode())
+        return run
+
+    def test_artifact_is_named_by_source_and_build_line(self, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
+        openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
+        assert openmp != serial
+        with monkeypatch.context() as patch:
+            patch.setattr(backends, "_CFLAGS", backends._CFLAGS + ("-g",))
+            assert backends._cext_target(()) not in (openmp, serial)
+        with monkeypatch.context() as patch:
+            patch.setattr(backends, "_C_SOURCE", backends._C_SOURCE + "\n")
+            assert backends._cext_target(()) not in (openmp, serial)
+
+    def test_serial_artifact_never_shadows_the_openmp_build(self, monkeypatch,
+                                                            tmp_path):
+        """A serial build somebody left on a shared cache must not turn
+        ``threads>1`` into a no-op for a machine that can build OpenMP —
+        and a warm cache still costs no subprocess."""
+        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
+        openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
+        serial.write_bytes(b"serial build of another machine")
+        commands = []
+        monkeypatch.setattr(backends.subprocess, "run",
+                            self.fake_compiler(commands))
+        assert backends._compile_cext() == openmp
+        assert len(commands) == 1 and "-fopenmp" in commands[0]
+        assert backends._compile_cext() == openmp
+        assert len(commands) == 1
+
+    def test_openmp_failure_publishes_under_the_serial_name(self, monkeypatch,
+                                                            tmp_path):
+        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
+        openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
+        commands = []
+        monkeypatch.setattr(backends.subprocess, "run",
+                            self.fake_compiler(commands, accepts_openmp=False))
+        assert backends._compile_cext() == serial
+        assert not openmp.exists()
+        assert b"-fopenmp" not in serial.read_bytes()
+        assert all(set(backends._CFLAGS) <= set(command)
+                   for command in commands)

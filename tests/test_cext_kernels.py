@@ -1,14 +1,17 @@
-"""Clock-free guards of the C kernels' two exact shortcuts.
+"""Clock-free guards of the C kernels' exact shortcuts.
 
-The cext colour kernels settle most uphill proposals with a squeeze test
-instead of ``exp`` and serve local fields from a per-replica memo instead of
-a fresh CSR gather.  Both must leave every decision — hence every seeded
-stream — untouched; the cross-backend identity and golden suites prove that
-end to end.  This file pins the pieces:
+The cext kernels settle most uphill proposals with a squeeze test instead
+of ``exp``, and the colour kernels sweep lane-major — all replicas of one
+spin at once over a transposed copy of the block.  Both must leave every
+decision — hence every seeded stream — untouched; the cross-backend
+identity and golden suites prove that end to end.  This file pins the
+pieces:
 
 * the **work counters** (`BlockDiagonalSampler.last_sweep_work`) repeat
-  exactly, show the shortcuts are on the hot path, and agree with the number
+  exactly, show the squeeze is on the hot path, and agree with the number
   of uniforms the generator actually handed out;
+* the **lane layout** leaves everything but the caller's spins alone (pad
+  lanes, workspace bounds) and draws through any BitGenerator;
 * the **squeeze** equals ``u < exp(-delta / T)`` on an adversarial grid
   around both of its decision boundaries;
 * the C source compiles **warning-free** (no dead argument rides along in
@@ -23,6 +26,7 @@ import pytest
 
 from repro.annealer import backends
 from repro.annealer.chimera import ChimeraGraph
+from repro.annealer.counter import block_key
 from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
@@ -40,8 +44,8 @@ TEMPERATURES = PARAMETERS.schedule.temperature_profile(
     cold=MACHINE.cold_temperature)
 REPLICAS = 20
 #: Uniforms the sequential colour kernel draws on ``embedded_bpsk()`` under
-#: ``TEMPERATURES`` x ``REPLICAS`` from seed 11 — measured on the parent
-#: (pre-squeeze, pre-memo) kernel by the generator-advance identity below.
+#: ``TEMPERATURES`` x ``REPLICAS`` from seed 11 — measured on the plain
+#: (pre-squeeze, row-major) kernel by the generator-advance identity below.
 PINNED_DRAWS = 35107
 
 
@@ -73,16 +77,11 @@ class TestWorkCounters:
         assert sampler.last_sweep_work == work
 
         sweeps = len(TEMPERATURES)
-        spin_visits = sweeps * REPLICAS * ising.num_variables
-        member_visits = sweeps * REPLICAS * sum(map(len, clusters))
-        assert work.proposals == (spin_visits
-                                  + sweeps * REPLICAS * len(clusters))
+        assert work.proposals == sweeps * REPLICAS * (ising.num_variables
+                                                      + len(clusters))
         assert 0 < work.draws <= work.proposals
-        # The squeeze settles at least four uphill draws in five ...
+        # The squeeze settles at least four uphill draws in five.
         assert work.exp_calls <= 0.2 * work.draws
-        # ... and at least every second field is served from the memo.
-        assert 0 < work.field_recomputations <= 0.5 * (spin_visits
-                                                       + member_visits)
 
     def test_draws_equal_the_generator_stream(self):
         """``draws`` is the stream length: the generator ends exactly that
@@ -106,12 +105,70 @@ class TestWorkCounters:
                              backend="cext")
         dense.anneal(TEMPERATURES, REPLICAS, random_state=11)
         work = dense.last_sweep_work
-        assert work.field_recomputations == 0  # fields are incremental
         assert 0 < work.exp_calls <= 0.2 * work.draws
         numpy_sampler = IsingSampler(ising, clusters=clusters,
                                      backend="numpy")
         numpy_sampler.anneal(TEMPERATURES[:3], 4, random_state=11)
         assert numpy_sampler.last_sweep_work is None
+
+
+class TestLaneLayout:
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.MT19937, np.random.Philox,
+        np.random.SFC64])
+    def test_every_bit_generator_draws_through_the_pointer_seam(
+            self, bit_generator):
+        """The kernel draws through ``next_double`` and knows no generator
+        by name: any BitGenerator gives the numpy loops' spins and ends in
+        the numpy loops' state."""
+        ising, clusters = embedded_bpsk()
+        outcomes = []
+        for backend in ("numpy", "cext"):
+            rng = np.random.Generator(bit_generator(11))
+            samples = IsingSampler(ising, clusters=clusters, backend=backend
+                                   ).anneal(TEMPERATURES, 5, random_state=rng)
+            outcomes.append((samples, rng.bit_generator.state))
+        (expected, expected_state), (actual, state) = outcomes
+        np.testing.assert_array_equal(expected, actual)
+        np.testing.assert_equal(state, expected_state)
+
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    def test_kernel_writes_only_the_callers_spins(self, rng_mode):
+        """Canary: five replicas leave three pad lanes.  The spins are an
+        interior view of a NaN-bordered matrix and the lane scratch is
+        followed by guard words; the call must leave border and guard
+        untouched and every spin it hands back a finite +-1 — nothing of a
+        pad lane or of the scratch reaches the caller."""
+        ising, clusters = embedded_bpsk()
+        size, replicas = ising.num_variables, 5
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext",
+                               rng=rng_mode)
+        lanes = -(-replicas // backends._LANE_WIDTH) * backends._LANE_WIDTH
+        used = (size + 1 + size) * lanes
+        scratch = np.full(used + 64, 12345.0)
+        sampler._kernel_workspace["lanes"] = (scratch, backends._ptr(scratch))
+
+        initial = np.random.default_rng(12).choice([-1.0, 1.0],
+                                                   size=(replicas, size))
+        frame = np.full((replicas + 2, size + 8), np.nan)
+        view = frame[1:-1, 3:-5]
+        view[...] = initial
+        rng = np.random.default_rng(13)
+        keys = [block_key(rng)] if rng_mode == "counter" else None
+        sampler._dispatch_colour(view, TEMPERATURES, "cext", [rng], keys)
+
+        assert sampler._kernel_workspace["lanes"][0] is scratch
+        assert (scratch[used:] == 12345.0).all()
+        border = np.ones(frame.shape, dtype=bool)
+        border[1:-1, 3:-5] = False
+        assert np.isnan(frame[border]).all()
+        assert (np.abs(view) == 1.0).all()
+        reference = IsingSampler(ising, clusters=clusters, backend="numpy",
+                                 rng=rng_mode)
+        np.testing.assert_array_equal(
+            view, reference.anneal(TEMPERATURES, replicas,
+                                   random_state=np.random.default_rng(13),
+                                   initial_spins=initial))
 
 
 class TestSqueezeExactness:

@@ -320,6 +320,21 @@ class TestCompiledBackendSharedDynamics:
 from cluster_workloads import build_path_chain_problem as path_chain_ising  # noqa: E402
 
 
+def chain_pack(blocks, num_variables, seed):
+    """*blocks* structure-sharing path-chain problems (random values over
+    one coupling structure) and their clusters."""
+    base, clusters = path_chain_ising(num_variables, 5, seed, density=0.12)
+    rng = np.random.default_rng(seed + 1)
+    problems = [
+        IsingModel(num_variables=num_variables,
+                   linear=rng.normal(size=num_variables),
+                   couplings={key: float(rng.normal())
+                              for key in base.couplings})
+        for _ in range(blocks)
+    ]
+    return problems, clusters
+
+
 class TestEmbeddedClusterSharedDynamics:
     """Cluster (chain-flip) moves across backends: bit-identical streams.
 
@@ -416,18 +431,11 @@ class TestEmbeddedClusterSharedDynamics:
     @pytest.mark.parametrize("temperature", [5.0, 0.02], ids=["hot", "cold"])
     def test_constant_temperature_colour_cluster_stress(self, backend, blocks,
                                                         rng_mode, temperature):
-        """The cext field memo at its two extremes: at T=5 most proposals
-        are accepted, so almost every visit follows an invalidation; at
-        T=0.02 almost none is, so almost every field is served stale-free
-        from the memo.  Either way the numpy loops are reproduced."""
-        base, clusters = path_chain_ising(30, 5, 90, density=0.12)
-        rng = np.random.default_rng(91)
-        problems = [
-            IsingModel(num_variables=30, linear=rng.normal(size=30),
-                       couplings={key: float(rng.normal())
-                                  for key in base.couplings})
-            for _ in range(blocks)
-        ]
+        """The colour moves at their two extremes: at T=5 most proposals
+        are accepted, so every field is summed over freshly flipped
+        neighbours; at T=0.02 almost none is, so the same fields come back
+        sweep after sweep.  Either way the numpy loops are reproduced."""
+        problems, clusters = chain_pack(blocks, 30, 90)
         temperatures = np.full(25, temperature)
 
         def anneal(used_backend):
@@ -442,11 +450,12 @@ class TestEmbeddedClusterSharedDynamics:
 
     @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_field_memo_survives_neither_call_nor_rebind(self, backend,
-                                                         rng_mode):
+    def test_kept_workspace_serves_neither_earlier_call_nor_earlier_values(
+            self, backend, rng_mode):
         """Two successive anneals of a sampler rebound through
-        ``refresh_values`` equal two fresh samplers: memoised fields of an
-        earlier call or of the earlier values must never be served."""
+        ``refresh_values`` equal two fresh samplers: nothing the kernel
+        workspace keeps between calls (lane scratch, argument block) may
+        carry spins or values of an earlier call into a later one."""
         base, clusters = path_chain_ising(24, 6, 93, density=0.1)
         rng = np.random.default_rng(94)
         replacement = IsingModel(
@@ -464,3 +473,101 @@ class TestEmbeddedClusterSharedDynamics:
             np.testing.assert_array_equal(
                 rebound.anneal(temperatures, 5, random_state=seed),
                 fresh.anneal(temperatures, 5, random_state=seed))
+
+
+class TestLaneEdges:
+    """The lane-major cext colour kernels at the edges of their layout.
+
+    The C kernels sweep all replicas of a spin at once over a transposed
+    copy padded to the vector width, so the cases that could go wrong are
+    the ones the layout adds: replica counts around a lane boundary (pad
+    lanes must never draw, flip or be written back), packs whose blocks are
+    column slices, spin matrices whose row stride exceeds their width, and
+    — under the counter discipline — replicas split into several lane
+    groups across threads.  Everything is compared with the numpy
+    reference loops, spins *and* generator end state.
+    """
+
+    from repro.annealer.backends import available_backends as _avail
+
+    COMPILED = [name for name in _avail() if name != "numpy"]
+    SIZE = 30
+
+    @staticmethod
+    def states(rngs):
+        return [rng.bit_generator.state for rng in rngs]
+
+    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 4, 5, 7, 25])
+    @pytest.mark.parametrize("layout", ["one-block", "three-blocks",
+                                        "strided"])
+    @pytest.mark.parametrize("with_clusters", [True, False],
+                             ids=["clusters", "plain"])
+    @pytest.mark.parametrize("temperature", [5.0, 0.02], ids=["hot", "cold"])
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    def test_lane_layouts_match_the_reference_loops(
+            self, backend, replicas, layout, with_clusters, temperature,
+            rng_mode):
+        blocks = 3 if layout == "three-blocks" else 1
+        problems, clusters = chain_pack(blocks, self.SIZE, 100)
+        if not with_clusters:
+            clusters = None
+        temperatures = np.full(12, temperature)
+        width = blocks * self.SIZE
+        initial = np.random.default_rng(102).choice(
+            [-1.0, 1.0], size=(replicas, width))
+
+        reference_rngs = [np.random.default_rng(103 + b)
+                          for b in range(blocks)]
+        expected = BlockDiagonalSampler(
+            problems, clusters=clusters, kernel="colour", backend="numpy",
+            rng=rng_mode).anneal(temperatures, replicas, reference_rngs,
+                                 initial_spins=initial)
+
+        rngs = [np.random.default_rng(103 + b) for b in range(blocks)]
+        sampler = BlockDiagonalSampler(problems, clusters=clusters,
+                                       kernel="colour", backend=backend,
+                                       rng=rng_mode)
+        if layout != "strided":
+            actual = sampler.anneal(temperatures, replicas, rngs,
+                                    initial_spins=initial)
+        else:
+            # The caller's matrix as an interior view of a larger one: the
+            # row stride exceeds the width, and the NaN border shows any
+            # write that strays outside the view.
+            from repro.annealer import counter
+            frame = np.full((replicas + 2, width + 5), np.nan)
+            view = frame[1:-1, 2:-3]
+            view[...] = initial
+            keys = ([counter.block_key(rng) for rng in rngs]
+                    if rng_mode == "counter" else None)
+            sampler._dispatch_colour(view, temperatures, backend, rngs, keys)
+            actual = view.astype(np.int8)
+            border = np.ones(frame.shape, dtype=bool)
+            border[1:-1, 2:-3] = False
+            assert np.isnan(frame[border]).all()
+        np.testing.assert_array_equal(expected, actual)
+        assert self.states(rngs) == self.states(reference_rngs)
+
+    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("replicas", [5, 7, 25])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_lane_groups_are_identical_across_thread_counts(self, backend,
+                                                            replicas, blocks):
+        """With more threads than blocks the counter kernel splits a block's
+        replicas into several lane groups; a replica count that is no
+        multiple of the lane width leaves the last group part-filled."""
+        problems, clusters = chain_pack(blocks, self.SIZE, 100)
+        temperatures = schedule(20, hot=3.0)
+
+        def anneal(used_backend, threads):
+            return BlockDiagonalSampler(
+                problems, clusters=clusters, kernel="colour",
+                backend=used_backend, rng="counter", threads=threads).anneal(
+                temperatures, replicas,
+                [np.random.default_rng(110 + b) for b in range(blocks)])
+
+        reference = anneal("numpy", 1)
+        for threads in (1, 2, 4):
+            np.testing.assert_array_equal(reference, anneal(backend, threads),
+                                          err_msg=f"threads={threads}")
