@@ -76,9 +76,9 @@ The cext kernels are the optimised form
 ---------------------------------------
 
 The numpy loops are the oracle and the numba kernels their plain
-translation; the C kernels additionally take two *exact* shortcuts, both
+translation; the C kernels additionally take three *exact* shortcuts, all
 documented in ``_C_SOURCE``.  A squeeze test settles most uphill draws
-without ``exp`` (``metropolis_accept``).  And the colour kernels sweep
+without ``exp`` (``metropolis_accept``).  The colour kernels sweep
 *lane-major*: per block the ``(R, P)`` spin rows are transposed into
 ``St[v][RP]`` (``RP`` = ``R`` padded to the vector width), and every move
 computes the fields of all replicas of a spin at once — each lane still
@@ -87,11 +87,17 @@ the lanes, in the order the draw discipline dictates.  Replicas are the
 one axis along which the work is independent *and* identically shaped,
 which is what a vector unit needs; nothing is memoised, because a
 lane-vector of a ~6-term row sum is cheaper than finding out whether a
-remembered one is stale.  Neither shortcut changes a decision — the
+remembered one is stale.  And counter draws, being addressed, are valued
+in bulk: before a lane move decides, ``philox_fill`` values the uniform of
+every (site, lane) at once, one Philox per 64-bit slot of an SSE2 or — on
+a CPU that has it, see :func:`philox_lanes` — AVX2 register; the same fill
+values the counter discipline's initial configuration
+(:func:`counter_initial_spins`).  No shortcut changes a decision — the
 identity and golden suites are the proof — and each dispatch reports
 :class:`SweepWork` counters that guard them without a clock.  In C every
-move is written once against a ``draw_source``, so the twin entry points
-differ only in how they group replicas and in the draw.
+move is written once against a ``draw_source`` (lane moves *prepare*
+their draws, a no-op for a generator, then read them), so the twin entry
+points differ only in how they group replicas and in the draw.
 
 Counter mode and threads
 ------------------------
@@ -186,6 +192,16 @@ def openmp_enabled() -> bool:
     if lib is None:
         return False
     return bool(lib.counter_openmp_enabled())
+
+
+def philox_lanes() -> int:
+    """Philox evaluations per instruction of the cext counter kernels' draw
+    fill on this CPU: 4 (AVX2), 2 (SSE2) or 1 (scalar; also without cext).
+    Every width gives the same bits; this names what a timing ran at."""
+    lib = _load_cext()
+    return max((width for width in (2, 4) if lib is not None  # an empty span
+                and lib.philox_fill_probe(width, *[0] * 7, None) == width),
+               default=1)
 
 
 #: Whether this process has ever run a multi-thread OpenMP team (a counter
@@ -297,6 +313,7 @@ def warmup(backend: str, rng: str = "sequential") -> None:
             colour = (backend, spins, linear, members, class_starts, values,
                       indices, indptr, clusters, temperatures)
             if rng == "counter":
+                counter_initial_spins(backend, [1] * blocks, 2, 2)
                 counter_pack_fused_dense_cluster_sweep(*dense, [1] * blocks)
                 counter_pack_fused_colour_cluster_sweep(*colour, [1] * blocks)
             else:
@@ -384,6 +401,20 @@ def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
     return fns, states
 
 
+def _lane_layout(threads: int, num_blocks: int, num_replicas: int, size: int,
+                 members: int) -> Tuple[int, int]:
+    """``(lanes, doubles)`` of a cext colour call's lane scratch.  A block's
+    replicas are one lane group padded to :data:`_LANE_WIDTH`; only a
+    counter call with more *threads* than blocks splits them into narrower
+    groups, a (block, group) pair per thread.  Each group in flight (one
+    per thread) takes ``size + 1 + 2 * members`` rows of ``lanes``: the
+    transposed spins, the cluster boundaries, and the terms and prepared
+    uniforms of a class as wide as all *members*."""
+    groups = min(-(-threads // num_blocks), -(-num_replicas // _LANE_WIDTH))
+    lanes = -(-num_replicas // (groups * _LANE_WIDTH)) * _LANE_WIDTH
+    return lanes, threads * (size + 1 + 2 * members) * lanes
+
+
 def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
                       threads: int, spins, linear, members, class_starts,
                       class_data, indices, indptr, clusters, temperatures,
@@ -395,13 +426,9 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
     sampler's lifetime; ``None`` for a one-off call): ``row_of``, which
     maps a variable to its row of the class CSR, the ctypes pointers of
     every structure array, the work out-array, and — reused while large
-    enough, no ``malloc`` in C — the lane scratch: per lane group in flight
-    (one per thread) ``P + 1 + members`` rows of ``lanes`` doubles.  A
-    block's replicas are one lane group padded to :data:`_LANE_WIDTH`; only
-    a counter call with more *threads* than blocks splits them into
-    narrower groups, a (block, group) pair per thread.  A call over a kept
-    workspace marshals only what changes: spins, fields, values and draw
-    sources.
+    enough, no ``malloc`` in C — the lane scratch (:func:`_lane_layout`).
+    A call over a kept workspace marshals only what changes: spins, fields,
+    values and draw sources.
     """
     if workspace is None:
         workspace = {}
@@ -416,7 +443,6 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
                 "every cluster member must belong to a colour class")
         work = np.empty(3, dtype=np.int64)
         structure = workspace["structure"] = (
-            size + 1 + members.size,
             (_ptr(members), _ptr(class_starts), class_starts.size - 1),
             (_ptr(indices), _ptr(indptr), indices.size, _ptr(row_of)),
             (_ptr(clusters.members), _ptr(clusters.cluster_starts),
@@ -426,13 +452,12 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
             work, _ptr(work),
             # The pointers above are only as alive as these.
             (members, class_starts, indices, indptr, row_of, clusters))
-    (group_rows, classes, csr, cluster_members, cluster_edges, work, work_ptr,
-     _) = structure
-    groups = min(-(-threads // num_blocks), -(-num_replicas // _LANE_WIDTH))
-    lanes = -(-num_replicas // (groups * _LANE_WIDTH)) * _LANE_WIDTH
+    classes, csr, cluster_members, cluster_edges, work, work_ptr, _ = structure
+    lanes, doubles = _lane_layout(threads, num_blocks, num_replicas, size,
+                                  members.size)
     scratch = workspace.get("lanes")
-    if scratch is None or scratch[0].size < threads * group_rows * lanes:
-        array = np.empty(threads * group_rows * lanes)
+    if scratch is None or scratch[0].size < doubles:
+        array = np.empty(doubles)
         scratch = workspace["lanes"] = (array, _ptr(array))
     schedule = workspace.get("schedule")
     if schedule is None or schedule[0] is not temperatures:
@@ -691,6 +716,23 @@ def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
                            * matrix[m, :][None, :])
             fields[accepted] += update
         spins[np.ix_(accepted, group)] *= -1.0
+
+
+def counter_initial_spins(backend: str, keys, num_replicas: int,
+                          size: int) -> np.ndarray:
+    """The counter discipline's initial ``(R, blocks*P)`` spin matrix: block
+    ``b``'s columns are :func:`repro.annealer.counter.counter_initial_spins`
+    under ``keys[b]`` — the oracle, which numpy and numba run per block;
+    cext values the whole matrix in one call of the kernels' Philox fill."""
+    if backend != "cext":
+        from repro.annealer.counter import counter_initial_spins as block
+        return np.concatenate(
+            [block(key, num_replicas, size) for key in keys], axis=1)
+    spins = np.empty((num_replicas, len(keys) * size))
+    keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
+    _load_cext().counter_initial_spins(_ptr(spins), num_replicas, len(keys),
+                                       size, _ptr(keys_array))
+    return spins
 
 
 def _run_numba_threaded(threads: int, kernel, *args) -> None:
@@ -1188,45 +1230,174 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
  * state and may run in parallel.  Every move below is written once, against
  * a draw_source; the entry points differ in the loop order the discipline
  * dictates (draw consumption order vs. replica ownership) and nothing else.
+ *
+ * An addressed draw need not wait to be asked for: a lane move *prepares*
+ * its draws — every (site, lane) uniform valued at once, one Philox per
+ * 64-bit slot of a vector register — and then reads slots (a no-op and
+ * "the Generator's next" under the sequential discipline).
  * ------------------------------------------------------------------------ */
 typedef double (*next_double_fn)(void *state);
+
+/* The ten Philox4x32-10 rounds, written once for every T that keeps each
+   32-bit counter word in the low half of a 64-bit slot: uint64_t, or a
+   vector of them.  MUL(word, m) is the 64-bit product of the slot's low
+   half and m and reads nothing else (pmuludq's contract), so what the xors
+   leave in the high halves is never seen; the output words are the low
+   halves of c0 and c1.  keys[2r], keys[2r + 1] are round r's: they do not
+   depend on the counter, so a fill expands them once. */
+#define PHILOX_SPLAT(T, word) ((T){0} + (word))
+#define PHILOX_KEYS(T, keys, k0, k1)                                        \
+    T keys[20];                                                             \
+    _Pragma("GCC unroll 10")                                                \
+    for (uint32_t r_ = 0; r_ < 10; ++r_) {                                  \
+        keys[2 * r_] = PHILOX_SPLAT(T, (k0) + r_ * 0x9E3779B9u);            \
+        keys[2 * r_ + 1] = PHILOX_SPLAT(T, (k1) + r_ * 0xBB67AE85u);        \
+    }
+#define PHILOX_ROUNDS(T, MUL, c0, c1, c2, c3, keys)                         \
+    _Pragma("GCC unroll 10")                                                \
+    for (int r_ = 0; r_ < 10; ++r_) {                                       \
+        const T p0_ = MUL(c0, 0xD2511F53u), p1_ = MUL(c2, 0xCD9E8D57u);     \
+        c0 = (p1_ >> 32) ^ c1 ^ keys[2 * r_];                               \
+        c1 = p1_;                                                           \
+        c2 = (p0_ >> 32) ^ c3 ^ keys[2 * r_ + 1];                           \
+        c3 = p0_;                                                           \
+    }
+#define PHILOX_MUL_1(word, m) ((uint64_t)(uint32_t)(word) * (m))
 
 static inline double philox_uniform(uint32_t site, uint32_t sweep,
                                     uint32_t replica, uint32_t tag,
                                     uint32_t k0, uint32_t k1)
 {
-    uint32_t c0 = site, c1 = sweep, c2 = replica, c3 = tag;
-    for (int round = 0; round < 10; ++round) {
-        const uint64_t p0 = (uint64_t)0xD2511F53u * c0;
-        const uint64_t p1 = (uint64_t)0xCD9E8D57u * c2;
-        const uint32_t hi0 = (uint32_t)(p0 >> 32);
-        const uint32_t lo0 = (uint32_t)p0;
-        const uint32_t hi1 = (uint32_t)(p1 >> 32);
-        const uint32_t lo1 = (uint32_t)p1;
-        c0 = hi1 ^ c1 ^ k0;
-        c1 = lo1;
-        c2 = hi0 ^ c3 ^ k1;
-        c3 = lo0;
-        k0 += 0x9E3779B9u;
-        k1 += 0xBB67AE85u;
-    }
-    const uint64_t bits = ((uint64_t)c0 << 32) | c1;
+    uint64_t c0 = site, c1 = sweep, c2 = replica, c3 = tag;
+    PHILOX_KEYS(uint64_t, keys, k0, k1)
+    PHILOX_ROUNDS(uint64_t, PHILOX_MUL_1, c0, c1, c2, c3, keys)
+    const uint64_t bits = (c0 << 32) | (uint32_t)c1;
     return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/* A fill values out[(site - begin) * lanes + lane] = philox_uniform(site,
+   sweep, first_replica + lane, tag, k0, k1) over the sites [begin, end);
+   lanes is a multiple of LANE_WIDTH, out need not be aligned. */
 typedef struct {
-    next_double_fn next_double;  /* sequential: the block's Generator ... */
-    void *state;                 /* ... NULL under the counter discipline */
+    uint32_t begin, end, sweep, first_replica, tag, k0, k1;
+    int64_t lanes;
+} philox_span;
+
+static void philox_fill_1(const philox_span *span, double *out)
+{
+    for (uint32_t site = span->begin; site < span->end; ++site)
+        for (int64_t l = 0; l < span->lanes; ++l)
+            *out++ = philox_uniform(site, span->sweep,
+                                    span->first_replica + (uint32_t)l,
+                                    span->tag, span->k0, span->k1);
+}
+
+/* The fill N slots wide.  uint64 -> [0, 1) exactly as above: each word
+   enters the mantissa of 2^52 (`exponent`) and leaves as a double,
+   x0 * 2^21 + (x1 >> 11) is an integer below 2^53, the scale a power of 2. */
+#define PHILOX_FILL(NAME, TARGET, N, MUL)                                   \
+TARGET static void NAME(const philox_span *span, double *out)               \
+{                                                                           \
+    typedef uint64_t uvec __attribute__((vector_size(8 * N)));              \
+    typedef double dvec __attribute__((vector_size(8 * N)));                \
+    const uvec exponent = PHILOX_SPLAT(uvec, 0x4330000000000000u);          \
+    uvec iota;                                                              \
+    for (int i = 0; i < N; ++i)                                             \
+        iota[i] = i;                                                        \
+    PHILOX_KEYS(uvec, keys, span->k0, span->k1)                             \
+    for (uint32_t site = span->begin; site < span->end; ++site)             \
+        for (int64_t l = 0; l < span->lanes; l += N, out += N) {            \
+            uvec c0 = PHILOX_SPLAT(uvec, site);                             \
+            uvec c1 = PHILOX_SPLAT(uvec, span->sweep);                      \
+            uvec c2 = iota + (span->first_replica + (uint32_t)l);           \
+            uvec c3 = PHILOX_SPLAT(uvec, span->tag);                        \
+            PHILOX_ROUNDS(uvec, MUL, c0, c1, c2, c3, keys)                  \
+            const dvec x0 = (dvec)((c0 & 0xFFFFFFFFu) | exponent) - 0x1p52; \
+            const dvec x1 = (dvec)((c1 & 0xFFFFFFFFu) >> 11 | exponent)     \
+                            - 0x1p52;                                       \
+            const dvec u = (x0 * 0x1p21 + x1) * 0x1p-53;                    \
+            memcpy(out, &u, sizeof(u));                                     \
+        }                                                                   \
+}
+
+/* Two slots with SSE2 (the x86-64 baseline), four behind target("avx2") on
+   a CPU that has it (the compiler runtime's once-per-process probe, so one
+   artefact runs on any x86-64); elsewhere the scalar loop. */
+#if defined(__SSE2__) && defined(__GNUC__)
+#include <immintrin.h>
+#define PHILOX_MUL_2(words, m) \
+    ((uvec)_mm_mul_epu32((__m128i)(words), _mm_set1_epi64x(m)))
+#define PHILOX_MUL_4(words, m) \
+    ((uvec)_mm256_mul_epu32((__m256i)(words), _mm256_set1_epi64x(m)))
+PHILOX_FILL(philox_fill_2, , 2, PHILOX_MUL_2)
+PHILOX_FILL(philox_fill_4, __attribute__((target("avx2"))), 4, PHILOX_MUL_4)
+#define PHILOX_WIDTH (__builtin_cpu_supports("avx2") ? 4 : 2)
+#else
+#define PHILOX_WIDTH 1
+#define philox_fill_2 philox_fill_1  /* never selected: names for below */
+#define philox_fill_4 philox_fill_1
+#endif
+
+static inline void philox_fill(const philox_span *span, double *out)
+{
+    (PHILOX_WIDTH == 4 ? philox_fill_4
+     : PHILOX_WIDTH == 2 ? philox_fill_2 : philox_fill_1)(span, out);
+}
+
+/* Test hook: the fill at a caller-chosen width; -1 for a width this build
+   or CPU cannot run (the kernels use the widest that can). */
+int64_t philox_fill_probe(int64_t width, int64_t begin, int64_t end,
+                          int64_t sweep, int64_t first_replica, int64_t tag,
+                          uint64_t key, int64_t lanes, double *out)
+{
+    const philox_span span = {
+        (uint32_t)begin, (uint32_t)end, (uint32_t)sweep,
+        (uint32_t)first_replica, (uint32_t)tag, (uint32_t)key,
+        (uint32_t)(key >> 32), lanes};
+    if ((width != 1 && width != 2 && width != 4) || width > PHILOX_WIDTH)
+        return -1;
+    (width == 4 ? philox_fill_4
+     : width == 2 ? philox_fill_2 : philox_fill_1)(&span, out);
+    return width;
+}
+
+/* `addressed` is a literal at every entry point and the moves are inlined
+   into them, so each entry point compiles to its own discipline's draw. */
+typedef struct {
+    int addressed;               /* 0 sequential, 1 counter */
+    next_double_fn next_double;  /* sequential: the block's Generator */
+    void *state;
     uint32_t sweep, replica, k0, k1;  /* counter: Philox address and key */
 } draw_source;
 
-static inline double draw_uniform(const draw_source *draw, uint32_t site,
-                                  uint32_t tag)
+/* The dense moves' draw, one replica's. */
+static inline double draw_at(const draw_source *draw, uint32_t site,
+                             uint32_t tag)
 {
-    if (draw->next_double != NULL)
+    if (!draw->addressed)
         return draw->next_double(draw->state);
     return philox_uniform(site, draw->sweep, draw->replica, tag, draw->k0,
                           draw->k1);
+}
+
+/* The lane moves' draw: draw_prepare fills `uniforms` for the sites
+   [begin, end) and the replicas first_replica + lane (see philox_span);
+   draw_uniform is then the Generator's next, or that slot. */
+static inline void draw_prepare(const draw_source *draw, int64_t begin,
+                                int64_t end, uint32_t first_replica,
+                                uint32_t tag, int64_t lanes,
+                                double *uniforms)
+{
+    const philox_span span = {(uint32_t)begin, (uint32_t)end, draw->sweep,
+                              first_replica, tag, draw->k0, draw->k1, lanes};
+    if (draw->addressed)
+        philox_fill(&span, uniforms);
+}
+
+static inline double draw_uniform(const draw_source *draw,
+                                  const double *uniforms, int64_t slot)
+{
+    return draw->addressed ? uniforms[slot] : draw->next_double(draw->state);
 }
 
 /* Deterministic work counters every entry point reports (int64[3]); each
@@ -1294,7 +1465,7 @@ MOVE void dense_visit(double *srow, double *frow, const double *matrix,
        uphill (visit, replica). */
     if (delta <= 0.0
         || metropolis_accept(delta, temperature, inv_temperature,
-                             draw_uniform(draw, (uint32_t)k, 0u), work)) {
+                             draw_at(draw, (uint32_t)k, 0u), work)) {
         const double step = -2.0 * current;
         const double *row = matrix + v * size;
         srow[v] += step;
@@ -1333,7 +1504,7 @@ MOVE void dense_cluster_visit(double *srow, double *frow,
     ++work[PROPOSALS];
     if (!(delta <= 0.0)
         && !metropolis_accept(delta, temperature, inv_temperature,
-                              draw_uniform(draw, (uint32_t)c, 1u), work))
+                              draw_at(draw, (uint32_t)c, 1u), work))
         return;
     for (int64_t w = 0; w < size; ++w) {
         double acc = 0.0;
@@ -1396,26 +1567,28 @@ static inline void lane_terms(const lane_csr *csr, int64_t row,
    first — class members never interact, so this is the reference loop's
    compute-all-fields-then-flip update — then the decisions lane-major, row
    ascending: the reference loops' draw order (and, the counter draws being
-   addressed by (row, sweep, replica), as good as any under that
-   discipline). */
+   addressed by (row, sweep, replica) and valued beforehand, as good as any
+   under that discipline). */
 MOVE void lane_class_move(double *restrict st, int64_t lanes, int64_t live,
                           uint32_t first_replica, double *restrict terms,
+                          double *restrict uniforms,
                           const double *linear, const int64_t *members,
                           int64_t begin, int64_t end, const lane_csr *csr,
                           double temperature, double inv_temperature,
-                          draw_source *draw, int64_t *work)
+                          const draw_source *draw, int64_t *work)
 {
     for (int64_t row = begin; row < end; ++row)
         lane_terms(csr, row, st, lanes, members[row], linear[members[row]],
                    terms + (row - begin) * lanes, 0);
+    draw_prepare(draw, begin, end, first_replica, 0u, lanes, uniforms);
     work[PROPOSALS] += (end - begin) * live;
     for (int64_t l = 0; l < live; ++l) {
-        draw->replica = first_replica + (uint32_t)l;
         for (int64_t row = begin; row < end; ++row) {
-            const double d = -2.0 * terms[(row - begin) * lanes + l];
+            const int64_t slot = (row - begin) * lanes + l;
+            const double d = -2.0 * terms[slot];
             if (d <= 0.0
                 || metropolis_accept(d, temperature, inv_temperature,
-                                     draw_uniform(draw, (uint32_t)row, 0u),
+                                     draw_uniform(draw, uniforms, slot),
                                      work)) {
                 double *spin = st + members[row] * lanes + l;
                 *spin = -*spin;
@@ -1429,10 +1602,11 @@ MOVE void lane_class_move(double *restrict st, int64_t lanes, int64_t live,
    edges subtracted, then the lanes decided in order. */
 MOVE void lane_cluster_move(double *restrict st, int64_t lanes, int64_t live,
                             uint32_t first_replica,
-                            double *restrict boundary, const double *linear,
+                            double *restrict boundary,
+                            double *restrict uniforms, const double *linear,
                             const cluster_set *cl, int64_t c,
                             const lane_csr *csr, double temperature,
-                            double inv_temperature, draw_source *draw,
+                            double inv_temperature, const draw_source *draw,
                             int64_t *work)
 {
     const int64_t begin = cl->starts[c];
@@ -1449,13 +1623,13 @@ MOVE void lane_cluster_move(double *restrict st, int64_t lanes, int64_t live,
         for (int64_t l = 0; l < lanes; ++l)
             boundary[l] -= 2.0 * weight * si[l] * sj[l];
     }
+    draw_prepare(draw, c, c + 1, first_replica, 1u, lanes, uniforms);
     work[PROPOSALS] += live;
     for (int64_t l = 0; l < live; ++l) {
         const double d = -2.0 * boundary[l];
-        draw->replica = first_replica + (uint32_t)l;
         if (!(d <= 0.0)
             && !metropolis_accept(d, temperature, inv_temperature,
-                                  draw_uniform(draw, (uint32_t)c, 1u), work))
+                                  draw_uniform(draw, uniforms, l), work))
             continue;
         for (int64_t k = begin; k < end; ++k) {
             double *spin = st + cl->members[k] * lanes + l;
@@ -1467,7 +1641,8 @@ MOVE void lane_cluster_move(double *restrict st, int64_t lanes, int64_t live,
 /* One lane group — replicas [first, first + live) of the block whose spin
    rows start at bspins — through the whole schedule: transpose in, sweep,
    transpose out.  scratch holds the group's st (size rows of lanes), its
-   cluster boundaries (one row) and its class terms (the rest). */
+   cluster boundaries (one row), its class terms and the prepared uniforms
+   of a move (as many rows each as there are class members). */
 MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
                          int64_t live, int64_t lanes, int64_t size,
                          double *scratch, const double *linear,
@@ -1480,6 +1655,7 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
     double *st = scratch;
     double *boundary = st + size * lanes;
     double *terms = boundary + lanes;
+    double *uniforms = terms + class_starts[num_classes] * lanes;
     for (int64_t v = 0; v < size; ++v)
         for (int64_t l = 0; l < lanes; ++l)
             st[v * lanes + l] = l < live ? bspins[(first + l) * sld + v] : 0.0;
@@ -1488,12 +1664,13 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
         const double inv_temperature = 1.0 / temperature;
         draw->sweep = (uint32_t)t;
         for (int64_t c = 0; c < num_classes; ++c)
-            lane_class_move(st, lanes, live, (uint32_t)first, terms, linear,
-                            members, class_starts[c], class_starts[c + 1],
-                            csr, temperature, inv_temperature, draw, work);
+            lane_class_move(st, lanes, live, (uint32_t)first, terms,
+                            uniforms, linear, members, class_starts[c],
+                            class_starts[c + 1], csr, temperature,
+                            inv_temperature, draw, work);
         for (int64_t c = 0; c < num_clusters; ++c)
             lane_cluster_move(st, lanes, live, (uint32_t)first, boundary,
-                              linear, cl, c, csr, temperature,
+                              uniforms, linear, cl, c, csr, temperature,
                               inv_temperature, draw, work);
     }
     for (int64_t l = 0; l < live; ++l)
@@ -1546,7 +1723,8 @@ void pack_fused_dense_cluster_sweep(
         const double *bcdata = cdata + b * cluster_nnz;
         const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                 edge_starts, edge_values + b * num_edges};
-        const draw_source draw = {next_doubles[b], states[b], 0u, 0u, 0u, 0u};
+        const draw_source draw = {0, next_doubles[b], states[b], 0u, 0u, 0u,
+                                  0u};
         for (int64_t t = 0; t < num_sweeps; ++t) {
             const double temperature = temperatures[t];
             const double inv_temperature = 1.0 / temperature;
@@ -1601,7 +1779,7 @@ void counter_pack_fused_dense_cluster_sweep(
             const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                     edge_starts,
                                     edge_values + b * num_edges};
-            draw_source draw = {NULL, NULL, 0u, (uint32_t)r,
+            draw_source draw = {1, NULL, NULL, 0u, (uint32_t)r,
                                 (uint32_t)keys[b],
                                 (uint32_t)(keys[b] >> 32)};
             for (int64_t t = 0; t < num_sweeps; ++t) {
@@ -1623,9 +1801,9 @@ void counter_pack_fused_dense_cluster_sweep(
 }
 
 /* The colour entry points additionally take the lane workspace: row_of
-   (int64[size]) and scratch, per lane group in flight (size + 1 + members)
-   rows of `lanes` doubles — room for lane_group_run's st, boundary and the
-   terms of a class as wide as all of them.
+   (int64[size]) and scratch, per lane group in flight (size + 1 + 2 *
+   members) rows of `lanes` doubles — room for lane_group_run's st,
+   boundary, and the terms and uniforms of a class as wide as all of them.
 
    Sequential: a block's replicas are one lane group (lanes >= num_replicas),
    so its draws are consumed in the reference loops' order. */
@@ -1651,7 +1829,7 @@ void pack_fused_colour_cluster_sweep(
         const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                 edge_starts, edge_values + b * num_edges};
         const lane_csr csr = {data + b * class_nnz, indices, indptr, row_of};
-        draw_source draw = {next_doubles[b], states[b], 0u, 0u, 0u, 0u};
+        draw_source draw = {0, next_doubles[b], states[b], 0u, 0u, 0u, 0u};
         lane_group_run(spins + b * size, sld, 0, num_replicas, lanes, size,
                        scratch, linear + b * size, members, class_starts,
                        num_classes, &csr, &cl, num_clusters, temperatures,
@@ -1698,12 +1876,12 @@ void counter_pack_fused_colour_cluster_sweep(
                                     edge_values + b * num_edges};
             const lane_csr csr = {data + b * class_nnz, indices, indptr,
                                   row_of};
-            draw_source draw = {NULL, NULL, 0u, 0u, (uint32_t)keys[b],
+            draw_source draw = {1, NULL, NULL, 0u, 0u, (uint32_t)keys[b],
                                 (uint32_t)(keys[b] >> 32)};
             double *mine = scratch;
 #ifdef _OPENMP
             mine += omp_get_thread_num()
-                    * (size + 1 + class_starts[num_classes]) * lanes;
+                    * (size + 1 + 2 * class_starts[num_classes]) * lanes;
 #endif
             lane_group_run(spins + b * size, sld, first, live, lanes, size,
                            mine, linear + b * size, members, class_starts,
@@ -1712,6 +1890,33 @@ void counter_pack_fused_colour_cluster_sweep(
         }
     }
     memcpy(work_out, work, sizeof(work));
+}
+
+/* The counter discipline's initial configuration of a pack, spins being
+   the contiguous (num_replicas, num_blocks * size) matrix: -1.0 where the
+   uniform at (variable, 0, replica, TAG_INIT = 2) under the block's key is
+   below 0.5, else 1.0 — valued LANE_WIDTH replicas by 64 variables at a
+   time into a stack tile. */
+void counter_initial_spins(double *spins, int64_t num_replicas,
+                           int64_t num_blocks, int64_t size,
+                           const uint64_t *keys)
+{
+    double tile[64 * LANE_WIDTH];
+    for (int64_t b = 0; b < num_blocks; ++b)
+        for (int64_t first = 0; first < num_replicas; first += LANE_WIDTH)
+            for (int64_t begin = 0; begin < size; begin += 64) {
+                const int64_t end = begin + 64 < size ? begin + 64 : size;
+                const philox_span span = {
+                    (uint32_t)begin, (uint32_t)end, 0u, (uint32_t)first, 2u,
+                    (uint32_t)keys[b], (uint32_t)(keys[b] >> 32), LANE_WIDTH};
+                philox_fill(&span, tile);
+                for (int64_t r = first; r < first + LANE_WIDTH
+                                        && r < num_replicas; ++r)
+                    for (int64_t v = begin; v < end; ++v)
+                        spins[(r * num_blocks + b) * size + v] =
+                            tile[(v - begin) * LANE_WIDTH + r - first] < 0.5
+                            ? -1.0 : 1.0;
+            }
 }
 
 int64_t counter_openmp_enabled(void)
@@ -1851,7 +2056,13 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
             *colour_args, *key_array]),
         "counter_pack_fused_dense_cluster_sweep": (None, [
             *dense_args, *key_array]),
+        "counter_initial_spins": (None, [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p]),         # spins, R, blocks, size, keys
         "metropolis_accept_probe": (ctypes.c_int64, [ctypes.c_double] * 3),
+        "philox_fill_probe": (ctypes.c_int64, [
+            *[ctypes.c_int64] * 6,     # width, begin, end, sweep, first, tag
+            ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]),  # key, lanes
         "counter_openmp_enabled": (ctypes.c_int64, []),
     }
 

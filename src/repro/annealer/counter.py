@@ -47,6 +47,21 @@ ICE batches of a QA run) get fresh keys automatically, and two blocks of a
 pack can never share a stream.  All three kernel backends (numpy reference,
 numba, C) implement this exact function, so a counter-mode trajectory is
 bit-identical across backends *and* across thread counts.
+
+Cost
+----
+
+Every draw is one full Philox4x32-10 evaluation — ten rounds of two
+32x32 -> 64-bit multiplies — of whose four output words the uniform uses
+two (``x0``, ``x1``: the top 53 bits of ``x0 << 32 | x1``).  That is the
+whole price of the discipline against a sequential generator's one multiply
+per draw, and because a draw's value depends on nothing but its address it
+can be paid in bulk: the C kernels value all of a move's draws together, a
+vector register of Philox states at a time, and this module's
+:func:`philox_uniform` stays the definition they are tested against.
+Spending ``x2``/``x3`` on a second uniform would halve the evaluations, but
+it re-addresses every draw — a different stream, new goldens — so it waits
+for a statistical conformance suite that can vouch for a new stream.
 """
 
 from __future__ import annotations

@@ -835,35 +835,32 @@ class BlockDiagonalSampler:
             # BEFORE any other use: seeding still flows from random_state,
             # and successive anneal calls (ICE batches) key fresh streams.
             counter_keys = [counter.block_key(rng) for rng in rngs]
-        if initial_spins is None:
-            spins = np.empty((num_replicas, n))
-            if counter_keys is not None:
-                # Counter discipline: the initial configuration is a pure
-                # function of the block key, identical for every backend
-                # and thread count.
-                for b, key in enumerate(counter_keys):
-                    spins[:, b * size:(b + 1) * size] = \
-                        counter.counter_initial_spins(key, num_replicas, size)
-            else:
-                # The annealer's initial superposition collapses to an
-                # unbiased configuration under thermal sampling; each block
-                # draws its own.  Generator.choice over a 2-array IS
-                # integers(0, 2) plus a take, so the direct form consumes
-                # the identical stream without choice's per-call validation
-                # overhead.
-                values = np.array([-1.0, 1.0])
-                for b, rng in enumerate(rngs):
-                    spins[:, b * size:(b + 1) * size] = values[
-                        rng.integers(0, 2, size=(num_replicas, size))]
-        else:
+        backend = self.selected_backend
+        if initial_spins is not None:
             spins = np.asarray(initial_spins, dtype=np.float64).copy()
             if spins.shape != (num_replicas, n):
                 raise AnnealerError(
                     f"initial_spins must have shape ({num_replicas}, {n}), "
                     f"got {spins.shape}"
                 )
+        elif counter_keys is not None:
+            # Counter discipline: the initial configuration is a pure
+            # function of the block keys, identical for every backend and
+            # thread count.
+            spins = backends.counter_initial_spins(backend, counter_keys,
+                                                   num_replicas, size)
+        else:
+            # The annealer's initial superposition collapses to an unbiased
+            # configuration under thermal sampling; each block draws its
+            # own.  Generator.choice over a 2-array IS integers(0, 2) plus a
+            # take, so the direct form consumes the identical stream without
+            # choice's per-call validation overhead.
+            spins = np.empty((num_replicas, n))
+            values = np.array([-1.0, 1.0])
+            for b, rng in enumerate(rngs):
+                spins[:, b * size:(b + 1) * size] = values[
+                    rng.integers(0, 2, size=(num_replicas, size))]
 
-        backend = self.selected_backend
         self._last_sweep_work = None
         # Wall-time attribution of the sweep loop per kernel/backend/rng/
         # thread count; the phase is a no-op unless the global profiler is

@@ -211,7 +211,8 @@ class TestSymbolTable:
                     if name.endswith("_sweep") and callable(value)}
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
         assert set(self.exported()) == dispatch | {
-            "counter_openmp_enabled", "metropolis_accept_probe"}
+            "counter_openmp_enabled", "metropolis_accept_probe",
+            "counter_initial_spins", "philox_fill_probe"}
 
 
 @pytest.mark.parametrize("backend", COMPILED)

@@ -14,10 +14,15 @@ pieces:
   lanes, workspace bounds) and draws through any BitGenerator;
 * the **squeeze** equals ``u < exp(-delta / T)`` on an adversarial grid
   around both of its decision boundaries;
+* the **Philox fill** — counter draws valued a vector at a time — equals
+  the reference ``counter.philox_uniform`` at every compiled-in width, and
+  the initial configuration built on it equals the reference's;
 * the C source compiles **warning-free** (no dead argument rides along in
   the entry-point signatures).
 """
 
+import ctypes
+import itertools
 import math
 import subprocess
 
@@ -26,6 +31,7 @@ import pytest
 
 from repro.annealer import backends
 from repro.annealer.chimera import ChimeraGraph
+from repro.annealer import counter
 from repro.annealer.counter import block_key
 from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import IsingSampler
@@ -132,19 +138,24 @@ class TestLaneLayout:
         np.testing.assert_array_equal(expected, actual)
         np.testing.assert_equal(state, expected_state)
 
-    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_kernel_writes_only_the_callers_spins(self, rng_mode):
-        """Canary: five replicas leave three pad lanes.  The spins are an
-        interior view of a NaN-bordered matrix and the lane scratch is
-        followed by guard words; the call must leave border and guard
-        untouched and every spin it hands back a finite +-1 — nothing of a
-        pad lane or of the scratch reaches the caller."""
+    @pytest.mark.parametrize("rng_mode, threads", [
+        ("sequential", 1), ("counter", 1), ("counter", 4)])
+    def test_kernel_writes_only_the_callers_spins(self, rng_mode, threads):
+        """Canary: thirteen replicas leave three pad lanes, in one lane group
+        of sixteen or — four threads on the one block — in the last of four
+        groups, each thread sweeping in its own slice of the lane scratch.
+        The spins are an interior view of a NaN-bordered matrix and the lane
+        scratch — all of it poisoned, the counter discipline's uniform rows
+        included, sized by the helper the call itself uses — is followed by
+        guard words; the call must leave border and guard untouched and
+        every spin it hands back a finite +-1 — nothing of a pad lane or of
+        the scratch reaches the caller."""
         ising, clusters = embedded_bpsk()
-        size, replicas = ising.num_variables, 5
+        size, replicas = ising.num_variables, 13
         sampler = IsingSampler(ising, clusters=clusters, backend="cext",
-                               rng=rng_mode)
-        lanes = -(-replicas // backends._LANE_WIDTH) * backends._LANE_WIDTH
-        used = (size + 1 + size) * lanes
+                               rng=rng_mode, threads=threads)
+        lanes, used = backends._lane_layout(threads, 1, replicas, size, size)
+        assert lanes == (16 if threads == 1 else 4)
         scratch = np.full(used + 64, 12345.0)
         sampler._kernel_workspace["lanes"] = (scratch, backends._ptr(scratch))
 
@@ -163,6 +174,8 @@ class TestLaneLayout:
         border[1:-1, 3:-5] = False
         assert np.isnan(frame[border]).all()
         assert (np.abs(view) == 1.0).all()
+        # The numpy reference runs one thread whatever it is told: counter
+        # results do not depend on the thread count.
         reference = IsingSampler(ising, clusters=clusters, backend="numpy",
                                  rng=rng_mode)
         np.testing.assert_array_equal(
@@ -204,6 +217,63 @@ class TestSqueezeExactness:
         assert checked > 20000
 
 
+class TestPhiloxFill:
+    #: A (site, lane) grid straddling every uint32 edge of the address.
+    BEGINS = (0, 1, 2 ** 16, 2 ** 32 - 3)
+    SWEEPS = (0, 29, 2 ** 32 - 1)
+    FIRST_REPLICAS = (0, 7, 2 ** 32 - 5)       # first + lane wraps
+    TAGS = (counter.TAG_SWEEP, counter.TAG_CLUSTER, counter.TAG_INIT)
+    KEYS = (0, 2 ** 64 - 1, 0x9E3779B97F4A7C15)
+    LANES = (4, 8, 12, 28)
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_every_width_equals_the_reference(self, width):
+        probe = backends._load_cext().philox_fill_probe
+        buffer = np.empty(3 * max(self.LANES) + 1)
+        for begin, sweep, first, tag, key, lanes in itertools.product(
+                self.BEGINS, self.SWEEPS, self.FIRST_REPLICAS, self.TAGS,
+                self.KEYS, self.LANES):
+            end = min(begin + 3, 2 ** 32 - 1)
+            # An odd element offset: 8-byte aligned only.
+            out = buffer[1:1 + (end - begin) * lanes]
+            out[:] = np.nan
+            status = probe(width, begin, end, sweep, first, tag, key, lanes,
+                           out.ctypes.data_as(ctypes.c_void_p))
+            if status == -1:
+                assert width > backends.philox_lanes()
+                pytest.skip(f"this CPU cannot run the {width}-wide fill")
+            assert status == width
+            sites = np.arange(begin, end, dtype=np.uint64)[:, None]
+            replicas = (first + np.arange(lanes, dtype=np.uint64))[None, :]
+            expected = counter.philox_uniform(
+                sites.astype(np.uint32), sweep, replicas.astype(np.uint32),
+                tag, key)
+            np.testing.assert_array_equal(out.reshape(expected.shape),
+                                          expected)
+
+    def test_dispatched_width_is_a_compiled_one(self):
+        assert backends.philox_lanes() in (1, 2, 4)
+        probe = backends._load_cext().philox_fill_probe
+        assert probe(3, 0, 0, 0, 0, 0, 0, 4, None) == -1
+
+    @pytest.mark.parametrize("backend", backends.available_backends())
+    @pytest.mark.parametrize("replicas", [1, 5, 25])
+    @pytest.mark.parametrize("blocks", [1, 3, 16])
+    def test_initial_spins_equal_the_reference(self, blocks, replicas,
+                                               backend):
+        keys = [block_key(np.random.default_rng(seed))
+                for seed in range(blocks)]
+        for size in (1, 24, 64, 150):
+            spins = backends.counter_initial_spins(backend, keys, replicas,
+                                                   size)
+            assert spins.shape == (replicas, blocks * size)
+            assert spins.flags.c_contiguous and spins.flags.writeable
+            for b, key in enumerate(keys):
+                np.testing.assert_array_equal(
+                    spins[:, b * size:(b + 1) * size],
+                    counter.counter_initial_spins(key, replicas, size))
+
+
 def test_c_source_compiles_without_warnings(tmp_path):
     """``-Wall -Wextra -Werror``: an argument an entry point stopped using
     must leave its signature (and the ctypes table), not linger unread."""
@@ -211,6 +281,10 @@ def test_c_source_compiles_without_warnings(tmp_path):
     source.write_text(backends._C_SOURCE, encoding="utf-8")
     empty = tmp_path / "empty.c"
     empty.write_text("", encoding="utf-8")
+
+    # -U__SSE2__ selects the source's portable (no-intrinsics) branch.
+    builds = [[*width, *openmp] for width in ([], ["-U__SSE2__"])
+              for openmp in ([], ["-fopenmp"])]
 
     def check(compiler, flags, path):
         try:
@@ -224,8 +298,9 @@ def test_c_source_compiles_without_warnings(tmp_path):
     for compiler in backends._COMPILERS:
         if check(compiler, [], empty) is None:
             continue
-        # Both builds _compile_cext tries; -fopenmp only where accepted.
-        for flags in ([], ["-fopenmp"]):
+        # Both builds _compile_cext tries, each with and without the vector
+        # Philox fills; -fopenmp only where accepted.
+        for flags in builds:
             if check(compiler, flags, empty).returncode == 0:
                 result = check(compiler, flags, source)
                 assert result.returncode == 0, result.stderr

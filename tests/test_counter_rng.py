@@ -63,6 +63,25 @@ def embedded_problem():
 # The Philox primitive
 # --------------------------------------------------------------------------- #
 class TestPhiloxPrimitive:
+    #: The Random123 distribution's Philox4x32-10 known answers: counter
+    #: words, key words -> the first two output words.
+    KNOWN_ANSWERS = [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+         (0xA4093822, 0x299F31D0), (0xD16CFE09, 0x94FDCCEB)),
+    ]
+
+    @pytest.mark.parametrize("words,key,expected", KNOWN_ANSWERS)
+    def test_published_known_answers(self, words, key, expected):
+        """The reference is the published function, so every fast form
+        pinned to it inherits a standard and not just its siblings."""
+        x0, x1 = expected
+        key = key[0] | key[1] << 32
+        assert int(counter.philox4x32(*words, key)) == x0 << 32 | x1
+        uniform = float(counter.philox_uniform(*words, key))
+        assert uniform == ((x0 << 32 | x1) >> 11) * 2.0 ** -53
+
     def test_deterministic_and_in_unit_interval(self):
         sites = np.arange(4096, dtype=np.uint32)
         u1 = counter.philox_uniform(sites, 3, 7, counter.TAG_SWEEP,

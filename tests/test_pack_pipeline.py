@@ -807,6 +807,27 @@ class TestWarmPackWork:
         (sampler, _), = machine._sampler_cache.values()
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
+    @needs_cext
+    def test_counter_pack_values_no_draw_in_python(self, monkeypatch):
+        """Counter draws are valued by the kernels' Philox fill, initial
+        configuration included: a warm counter pack never runs the
+        reference ``philox4x32``."""
+        from repro.annealer import counter
+
+        problems = qpsk_pack(16)
+        machine = ideal_machine()
+        options = dict(backend="cext", rng="counter")
+        parameters = AnnealerParameters(num_anneals=50)
+        machine.run_batch(problems, parameters, random_state=1, **options)
+        calls = []
+        original = counter.philox4x32
+        monkeypatch.setattr(
+            counter, "philox4x32",
+            lambda *args: calls.append(1) or original(*args))
+        machine.run_batch(problems, parameters, random_state=2, **options)
+        assert machine.sampler_cache_info()["hits"] == 1
+        assert calls == []
+
     def test_temperature_profile_is_built_once(self):
         machine = ideal_machine()
         schedule = AnnealerParameters().schedule
