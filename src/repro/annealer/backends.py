@@ -379,8 +379,9 @@ class SweepWork(NamedTuple):
     exp_calls: int
 
 
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return array.ctypes.data_as(ctypes.c_void_p)
+def _ptr(array: np.ndarray) -> int:
+    # A plain int is what a c_void_p parameter takes; the caller keeps alive.
+    return array.ctypes.data
 
 
 def _block_cluster_args(clusters: ClusterDescriptor, b: int) -> tuple:
@@ -424,11 +425,11 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
     The kernels' per-structure argument block lives in *workspace*, a dict
     the caller keeps for as long as it keeps the structure arrays (a
     sampler's lifetime; ``None`` for a one-off call): ``row_of``, which
-    maps a variable to its row of the class CSR, the ctypes pointers of
-    every structure array, the work out-array, and — reused while large
+    maps a variable to its row of the class CSR, the addresses of every
+    structure array, the work out-array, and — reused while large
     enough, no ``malloc`` in C — the lane scratch (:func:`_lane_layout`).
-    A call over a kept workspace marshals only what changes: spins, fields,
-    values and draw sources.
+    A call over a kept workspace marshals only what changes: spins, fields
+    and values, plus the draw sources when the generators change.
     """
     if workspace is None:
         workspace = {}
@@ -546,11 +547,15 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                 *_block_cluster_args(clusters, b), temperatures, rng)
         return None
     if backend == "cext":
+        workspace = {} if workspace is None else workspace
+        sources = workspace.get("rngs")  # one run's ICE batches share them
+        if sources is None or sources[0] != rngs:
+            sources = workspace["rngs"] = (list(rngs),
+                                           _rng_pointer_arrays(rngs))
         return _cext_colour_call(
             _load_cext().pack_fused_colour_cluster_sweep, workspace,
             num_blocks, 1, spins, linear, members, class_starts, class_data,
-            indices, indptr, clusters, temperatures,
-            *_rng_pointer_arrays(rngs))
+            indices, indptr, clusters, temperatures, *sources[1])
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -1938,7 +1943,15 @@ _COMPILERS = ("cc", "gcc", "clang")
 #: byte-identical: ``-O2 -march=native`` 1.00-1.01x, ``-O3`` 1.02-1.05x
 #: slower, ``-O3 -march=native`` 1.05-1.20x slower; stepping PCG64 inline
 #: instead of through ``next_double`` (2.44 -> 1.82 ns per draw) is at most 4%
-#: of a call and would tie the source to a NumPy-private struct.
+#: of a call and would tie the source to a NumPy-private struct.  Likewise
+#: byte-identical and not faster, for the sequential ``lane_class_move``
+#: (kernel ms per warm 16-job ``saturating_qpsk`` pack, min of 200, base
+#: 4.05-4.26): squeeze polynomial hoisted into the lane-wise terms pass 4.34;
+#: draws valued ahead into ``uniforms`` + a GNU-vector decide pass 5.47
+#: (16-byte vectors) / 7.25 (32-byte, lowered without AVX; -4.5% on the
+#: 624-qubit block, +8% for the counter twin only); ``KMAX = 4`` blocks'
+#: decide loops interleaved 4.39-4.48; class terms stored lane-major for a
+#: contiguous decide walk: within noise on both shapes.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Extra flags of the builds tried in order: with OpenMP (the counter
@@ -2087,7 +2100,7 @@ def _load_cext() -> Optional[ctypes.CDLL]:
     return lib
 
 
-def _row_strided(array: np.ndarray) -> Tuple[ctypes.c_void_p, ctypes.c_int64]:
+def _row_strided(array: np.ndarray) -> Tuple[int, int]:
     """(base pointer, row stride in doubles) of a row-strided float64 view."""
     if array.dtype != np.float64 or array.ndim != 2:
         raise AnnealerError("compiled kernels need 2-D float64 arrays")
@@ -2095,5 +2108,4 @@ def _row_strided(array: np.ndarray) -> Tuple[ctypes.c_void_p, ctypes.c_int64]:
         raise AnnealerError(
             "compiled kernels need unit column stride (row-strided views of "
             "a C-contiguous matrix)")
-    return (ctypes.c_void_p(array.ctypes.data),
-            ctypes.c_int64(array.strides[0] // array.itemsize))
+    return array.ctypes.data, array.strides[0] // array.itemsize

@@ -854,12 +854,14 @@ class BlockDiagonalSampler:
             # configuration under thermal sampling; each block draws its
             # own.  Generator.choice over a 2-array IS integers(0, 2) plus a
             # take, so the direct form consumes the identical stream without
-            # choice's per-call validation overhead.
+            # choice's per-call validation overhead; the take is one
+            # ``2x - 1`` pass over the whole pack.
             spins = np.empty((num_replicas, n))
-            values = np.array([-1.0, 1.0])
             for b, rng in enumerate(rngs):
-                spins[:, b * size:(b + 1) * size] = values[
-                    rng.integers(0, 2, size=(num_replicas, size))]
+                spins[:, b * size:(b + 1) * size] = rng.integers(
+                    0, 2, size=(num_replicas, size))
+            spins *= 2.0
+            spins -= 1.0
 
         self._last_sweep_work = None
         # Wall-time attribution of the sweep loop per kernel/backend/rng/

@@ -32,9 +32,11 @@ from repro.annealer.machine import (
 )
 from repro.detectors.base import DetectionResult, Detector
 from repro.exceptions import DetectionError
+from repro.ising.model import spins_to_bits
 from repro.metrics.ttb import InstanceSolutionProfile
 from repro.mimo.system import ChannelUse
 from repro.obs.profiling import PROFILER
+from repro.transform.qubo_builder import ml_metric_of_symbols
 from repro.transform.reduction import MLToIsingReducer, ReducedProblem
 from repro.utils.random import RandomState, child_rngs, ensure_rng
 
@@ -161,7 +163,7 @@ class QuAMaxDecoder(Detector):
         run = self.annealer.run(reduced.ising, parameters, random_state=rng,
                                 kernel=self.kernel, backend=self.backend,
                                 rng=self.rng_mode, threads=self.threads)
-        return self._assemble_result(reduced, run, parameters)
+        return self._assemble_pack([reduced], [run], parameters)[0]
 
     def detect_batch(self, channel_uses: Sequence[ChannelUse],
                      parameters: Optional[AnnealerParameters] = None,
@@ -240,32 +242,57 @@ class QuAMaxDecoder(Detector):
                 random_states=[rngs[index] for index in indices],
                 kernel=self.kernel, backend=self.backend,
                 rng=rng_mode, threads=threads)
-            for index, run in zip(indices, runs):
-                results[index] = self._assemble_result(reduced[index], run,
-                                                       parameters)
+            assembled = self._assemble_pack(
+                [reduced[index] for index in indices], runs, parameters)
+            for index, result in zip(indices, assembled):
+                results[index] = result
         return results
 
     # ------------------------------------------------------------------ #
-    def _assemble_result(self, reduced: ReducedProblem, run,
-                         parameters: AnnealerParameters
-                         ) -> QuAMaxDetectionResult:
-        """Translate one annealer run back into a detection result."""
-        bits, symbols, metric = reduced.decode_spins(run.best_spins)
-        detection = DetectionResult(
-            symbols=symbols,
-            bits=bits,
-            metric=metric,
-            detector=self.name,
-            extra={
-                "num_anneals": run.num_anneals,
-                "compute_time_us": run.compute_time_us,
-                "ground_state_probability": run.ground_state_probability(),
-                "broken_chain_fraction": run.unembedding.broken_fraction,
-                "chain_strength": parameters.chain_strength,
-                "extended_range": parameters.extended_range,
-            },
-        )
-        return QuAMaxDetectionResult(detection=detection, reduced=reduced, run=run)
+    def _assemble_pack(self, reduced: Sequence[ReducedProblem],
+                       runs: Sequence[AnnealResult],
+                       parameters: AnnealerParameters
+                       ) -> List[QuAMaxDetectionResult]:
+        """:meth:`ReducedProblem.decode_spins` for the best read of every run
+        of one QA job: spin-to-bit, ``T(q)`` symbols and binary-to-Gray are
+        one (exact, small-integer) array operation each per (constellation,
+        user count) sub-group.  The ML metric stays per job: the
+        floating-point order of its matvec and ``vdot`` *is* its value.
+        """
+        best = np.array([run.solutions.samples[0] for run in runs])
+        subgroups: Dict[Tuple[str, int], List[int]] = {}
+        for index, problem in enumerate(reduced):
+            key = (problem.constellation.name, problem.num_users)
+            subgroups.setdefault(key, []).append(index)
+        results: List[Optional[QuAMaxDetectionResult]] = [None] * len(runs)
+        for (_, num_users), members in subgroups.items():
+            transform = reduced[members[0]].transform
+            width = transform.bits_per_symbol
+            quamax_bits = spins_to_bits(best[members])
+            symbols = (quamax_bits.reshape(len(members), num_users, width)
+                       @ np.asarray(transform.weights) + transform.offset)
+            # Natural binary to Gray per axis group: g = b ^ (b >> 1).
+            axes = quamax_bits.reshape(len(members), -1, max(width // 2, 1))
+            bits = axes.copy()
+            bits[..., 1:] ^= axes[..., :-1]
+            bits = bits.reshape(quamax_bits.shape)
+            for row, index in enumerate(members):
+                run, channel_use = runs[index], reduced[index].channel_use
+                metric = ml_metric_of_symbols(
+                    channel_use.channel, channel_use.received, symbols[row])
+                extra = {
+                    "num_anneals": run.num_anneals,
+                    "compute_time_us": run.compute_time_us,
+                    "ground_state_probability": run.ground_state_probability(),
+                    "broken_chain_fraction": run.unembedding.broken_fraction,
+                    "chain_strength": parameters.chain_strength,
+                    "extended_range": parameters.extended_range,
+                }
+                results[index] = QuAMaxDetectionResult(
+                    DetectionResult.from_arrays(symbols[row], bits[row],
+                                                metric, self.name, extra),
+                    reduced[index], run)
+        return results
 
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:

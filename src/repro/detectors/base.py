@@ -42,6 +42,16 @@ class DetectionResult:
                            ensure_complex_vector("symbols", self.symbols))
         object.__setattr__(self, "bits", ensure_bit_array(self.bits))
 
+    @classmethod
+    def from_arrays(cls, symbols: np.ndarray, bits: np.ndarray, metric: float,
+                    detector: str, extra: Dict[str, Any]) -> "DetectionResult":
+        """Trusted construction: the caller guarantees 1-D ``complex128``
+        symbols and 1-D ``uint8`` 0/1 bits; nothing is re-validated."""
+        result = object.__new__(cls)
+        result.__dict__.update(symbols=symbols, bits=bits, metric=metric,
+                               detector=detector, extra=extra)
+        return result
+
     def bit_errors(self, reference_bits) -> int:
         """Number of bit errors against *reference_bits*."""
         reference = ensure_bit_array(reference_bits, length=self.bits.size)

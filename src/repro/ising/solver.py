@@ -24,7 +24,7 @@ the perf benchmarks time it as the "before" datapoint
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,10 +63,21 @@ class SolverResult:
             raise ConfigurationError("energies must align with samples")
         if occurrences.shape != (samples.shape[0],):
             raise ConfigurationError("num_occurrences must align with samples")
-        order = np.argsort(energies, kind="stable")
-        object.__setattr__(self, "samples", samples[order])
-        object.__setattr__(self, "energies", energies[order])
-        object.__setattr__(self, "num_occurrences", occurrences[order])
+        self.__dict__.update(vars(
+            SolverResult.energy_sorted(samples, energies, occurrences)))
+
+    @classmethod
+    def energy_sorted(cls, samples: np.ndarray, energies: np.ndarray,
+                      num_occurrences: np.ndarray) -> "SolverResult":
+        """Trusted construction (the :meth:`IsingModel.from_arrays` precedent)
+        from aligned ``int8`` / ``float64`` / integer arrays: one stable
+        energy argsort, no coercion, no shape check."""
+        order = energies.argsort(kind="stable")
+        result = object.__new__(cls)
+        result.__dict__.update(samples=samples[order],
+                               energies=energies[order],
+                               num_occurrences=num_occurrences[order])
+        return result
 
     @property
     def num_samples(self) -> int:
@@ -97,37 +108,41 @@ class SolverResult:
                                  tolerance: float = 1e-9) -> float:
         """Fraction of reads that reached *ground_energy* (within tolerance)."""
         matching = np.abs(self.energies - ground_energy) <= tolerance
-        if self.total_reads == 0:
+        total_reads = self.total_reads
+        if total_reads == 0:
             return 0.0
-        return float(self.num_occurrences[matching].sum() / self.total_reads)
+        return float(self.num_occurrences[matching].sum() / total_reads)
 
 
-def _distinct_reads(raw: np.ndarray
-                    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per problem of a ``(problems, reads, N)`` ``int8`` array, the distinct
-    read rows in ``np.unique(axis=0)`` order and their occurrence counts."""
-    num_variables = raw.shape[2]
-    if (0 < num_variables <= 63 and raw.size
+def _distinct_pack(raw: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, counts, bounds)`` of a ``(problems, reads, N)`` ``int8`` array:
+    problem *b*'s distinct reads, in ``np.unique(axis=0)`` order, are
+    ``rows[bounds[b]:bounds[b + 1]]``; *counts* are their occurrences."""
+    num_problems, num_reads, num_variables = raw.shape
+    if not (0 < num_variables <= 63 and raw.size
             and ((raw == 1) | (raw == -1)).all()):
-        # Fast path for spin matrices: pack each row into one integer key
-        # (MSB = first column, bit 1 = spin +1).  Ascending keys are exactly
-        # the lexicographic row order ``np.unique(axis=0)`` returns (-1
-        # sorts below +1 like bit 0 below bit 1), so distinct rows, their
-        # order and their counts are identical to the axis-0 unique — minus
-        # its per-call row-view/sort overhead, which dominates the repeated
-        # small aggregations of the serving path.  The keys of a whole pack
-        # are one array pass; only the sort stays per problem.
-        weights = np.left_shift(
-            np.uint64(1),
-            np.arange(num_variables - 1, -1, -1, dtype=np.uint64))
-        keys = ((raw > 0).astype(np.uint64) * weights).sum(axis=2)
-        for reads, read_keys in zip(raw, keys):
-            _, first_occurrence, counts = np.unique(
-                read_keys, return_index=True, return_counts=True)
-            yield reads[first_occurrence], counts
-    else:
-        for reads in raw:
-            yield np.unique(reads, axis=0, return_counts=True)
+        found = [np.unique(reads, axis=0, return_counts=True) for reads in raw]
+        rows, counts = (np.concatenate(part) for part in zip(*found))
+        return rows, counts, np.cumsum([0] + [len(part) for _, part in found])
+    # Spin matrices: pack each row into one integer key (MSB = first column,
+    # bit 1 = spin +1); ascending keys are exactly the lexicographic row
+    # order of ``np.unique(axis=0)``.  One stable sort per key row puts equal
+    # reads side by side in read order, so a run starts where a sorted key
+    # differs from its left neighbour, its head is the first occurrence
+    # ``np.unique`` reports and the distance to the next head its count —
+    # integer arithmetic for the whole pack at once.
+    keys = (raw > 0) @ np.left_shift(
+        np.uint64(1), np.arange(num_variables - 1, -1, -1, dtype=np.uint64))
+    order = keys.argsort(axis=1, kind="stable")
+    keys = keys[np.arange(num_problems)[:, None], order]
+    heads = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=heads[:, 1:])
+    problem, position = np.nonzero(heads)
+    flat = np.append(problem * num_reads + position, heads.size)
+    bounds = np.searchsorted(problem, np.arange(num_problems + 1))
+    return (raw[problem, order[problem, position]], flat[1:] - flat[:-1],
+            bounds)
 
 
 def aggregate_samples(ising: IsingModel, raw_samples: np.ndarray,
@@ -142,19 +157,20 @@ def aggregate_samples(ising: IsingModel, raw_samples: np.ndarray,
     raw_samples = np.asarray(raw_samples, dtype=np.int8)
     if raw_samples.ndim != 2:
         raise ConfigurationError("raw_samples must be 2-D (reads x variables)")
-    (distinct, counts), = _distinct_reads(raw_samples[None])
-    energies = ising.energies(distinct, operator=operator)
-    return SolverResult(samples=distinct, energies=energies, num_occurrences=counts)
+    distinct, counts, _ = _distinct_pack(raw_samples[None])
+    return SolverResult.energy_sorted(
+        distinct, ising.energies(distinct, operator=operator), counts)
 
 
 def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray,
                    operator=None) -> List[SolverResult]:
     """:func:`aggregate_samples` over same-structure problems at once.
 
-    *raw_samples* is ``(problems, reads, variables)``.  Energies go through
-    ONE sparse operator of the shared coupling structure whose ``.data`` is
-    rewritten per problem, instead of a CSR constructed per problem; pass a
-    kept one (any problem's :meth:`IsingModel.coupling_operator`) as
+    *raw_samples* is ``(problems, reads, variables)``; the distinct reads of
+    all problems are found in one pass.  Energies stay per problem (their
+    floating-point order defines them) but go through ONE sparse operator of
+    the shared coupling structure whose ``.data`` is rewritten per problem;
+    pass a kept one (any problem's :meth:`IsingModel.coupling_operator`) as
     *operator* to construct none at all — it is scratch space, left holding
     the last problem's values.
     """
@@ -167,14 +183,16 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray,
             "(problems x reads x variables) samples")
     if operator is None:
         operator = problems[0].coupling_operator()
+    distinct, counts, bounds = _distinct_pack(raw_samples)
+    spins = distinct.astype(float)
     results = []
-    for index, ((distinct, counts), data) in enumerate(zip(
-            _distinct_reads(raw_samples), problems.operator_data())):
+    for index, data in enumerate(problems.operator_data()):
+        rows = slice(bounds[index], bounds[index + 1])
         operator.data = data
-        results.append(SolverResult(
-            samples=distinct,
-            energies=problems[index].energies(distinct, operator=operator),
-            num_occurrences=counts))
+        results.append(SolverResult.energy_sorted(
+            distinct[rows],
+            problems[index].energies(spins[rows], operator=operator),
+            counts[rows]))
     return results
 
 

@@ -105,8 +105,8 @@ class ReducedProblem:
 
         What :meth:`bits_from_spins`, :meth:`symbols_from_spins` and
         :meth:`metric_of_spins` return one at a time, from a single
-        spin-to-bit conversion and a single symbol mapping — the decoder's
-        per-job result assembly.
+        spin-to-bit conversion and a single symbol mapping — the reference
+        the decoder's pack-wide result assembly is tested against.
         """
         spins = np.asarray(spins)
         if spins.shape != (self.num_variables,):

@@ -13,6 +13,7 @@ from repro.detectors.ml import ExhaustiveMLDetector
 from repro.exceptions import DetectionError
 from repro.metrics.ttb import InstanceSolutionProfile
 from repro.mimo.system import MimoUplink
+from repro.transform.reduction import MLToIsingReducer
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +184,97 @@ class TestKernelKnob:
             channel_uses, random_state=31)
         for a, b in zip(auto, pinned):
             np.testing.assert_array_equal(a.detection.bits, b.detection.bits)
+
+
+# --------------------------------------------------------------------------- #
+# Result assembly: the pack pass against the per-job oracle
+# --------------------------------------------------------------------------- #
+def oracle_detection(outcome, parameters):
+    """The per-job assembly ``_assemble_pack`` replaced: one
+    ``decode_spins`` and one validating ``DetectionResult`` per run."""
+    run = outcome.run
+    bits, symbols, metric = outcome.reduced.decode_spins(run.best_spins)
+    return DetectionResult(
+        symbols=symbols, bits=bits, metric=metric, detector="quamax",
+        extra={
+            "num_anneals": run.num_anneals,
+            "compute_time_us": run.compute_time_us,
+            "ground_state_probability": run.ground_state_probability(),
+            "broken_chain_fraction": run.unembedding.broken_fraction,
+            "chain_strength": parameters.chain_strength,
+            "extended_range": parameters.extended_range,
+        })
+
+
+def assert_detection_identical(got, want):
+    for name in ("symbols", "bits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    assert type(got.metric) is type(want.metric) is float
+    assert got.metric == want.metric
+    assert got.detector == want.detector
+    assert list(got.extra.items()) == list(want.extra.items())
+    assert ([type(value) for value in got.extra.values()]
+            == [type(value) for value in want.extra.values()])
+
+
+def transmissions(constellation, num_users, count, seed):
+    link = MimoUplink(num_users=num_users, constellation=constellation)
+    rng = np.random.default_rng(seed)
+    return [link.transmit(snr_db=14.0, random_state=rng)
+            for _ in range(count)]
+
+
+class TestPackAssembly:
+    @pytest.mark.parametrize("constellation,num_users", [
+        ("BPSK", 6), ("QPSK", 3), ("16-QAM", 2), ("64-QAM", 1),
+    ])
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    @pytest.mark.parametrize("reads", [1, 50])
+    def test_every_field_equals_the_per_job_oracle(self, noisy_machine,
+                                                   constellation, num_users,
+                                                   count, reads):
+        parameters = AnnealerParameters(num_anneals=reads,
+                                        chain_strength=3.0)
+        decoder = QuAMaxDecoder(noisy_machine, parameters)
+        outcomes = decoder.detect_batch(
+            transmissions(constellation, num_users, count, seed=40),
+            random_state=41)
+        assert len(outcomes) == count
+        for outcome in outcomes:
+            assert_detection_identical(outcome.detection,
+                                       oracle_detection(outcome, parameters))
+
+    def test_single_run_is_the_pack_of_one(self, noisy_machine):
+        parameters = AnnealerParameters(num_anneals=20)
+        decoder = QuAMaxDecoder(noisy_machine, parameters)
+        channel_use, = transmissions("16-QAM", 2, 1, seed=42)
+        outcome = decoder.detect_with_run(channel_use, random_state=43)
+        assert_detection_identical(outcome.detection,
+                                   oracle_detection(outcome, parameters))
+        again, = decoder._assemble_pack([outcome.reduced], [outcome.run],
+                                        parameters)
+        assert_detection_identical(again.detection, outcome.detection)
+
+    def test_one_group_mixing_constellations(self, noisy_machine):
+        """2-user QPSK and 4-user BPSK both reduce to 4-variable complete
+        graphs, so ``detect_batch`` anneals them as ONE group; each job must
+        still be decoded under its own transform."""
+        qpsk = transmissions("QPSK", 2, 3, seed=44)
+        bpsk = transmissions("BPSK", 4, 3, seed=45)
+        mixed = [qpsk[0], bpsk[0], bpsk[1], qpsk[1], qpsk[2], bpsk[2]]
+        reducer = MLToIsingReducer()
+        assert len({(reducer.reduce(use).ising.num_variables,
+                     reducer.reduce(use).ising.coupling_keys)
+                    for use in mixed}) == 1
+        parameters = AnnealerParameters(num_anneals=30)
+        decoder = QuAMaxDecoder(noisy_machine, parameters)
+        outcomes = decoder.detect_batch(mixed, random_states=range(6))
+        for seed, (channel_use, outcome) in enumerate(zip(mixed, outcomes)):
+            assert outcome.reduced.channel_use is channel_use
+            assert outcome.detection.symbols.size == channel_use.num_tx
+            assert_detection_identical(outcome.detection,
+                                       oracle_detection(outcome, parameters))
+            alone = decoder.detect_with_run(channel_use, random_state=seed)
+            assert_detection_identical(outcome.detection, alone.detection)

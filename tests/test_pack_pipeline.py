@@ -13,8 +13,10 @@ the state every generator is left in.
 
 The second half guards the point of the exercise without a clock: on a warm
 pack the pipeline constructs no per-job ``IsingModel``, scipy matrix or
-coupling dict, marshals a handful of pointers per kernel call, and asks the
-kernel for exactly the work it asked for before.
+coupling dict, marshals a handful of pointers per kernel call, asks the
+kernel for exactly the work it asked for before, and reads the samples out
+(distinct reads, best-solution decode, result assembly) without a per-job
+``np.unique``, bit-array validation or validating result constructor.
 """
 
 import sys
@@ -516,14 +518,16 @@ class TestAggregateStage:
         results = aggregate_pack(problems, raw, operator)
         assert len(results) == len(problems)
         for problem, reads, result in zip(problems, raw, results):
-            samples, energies, counts = oracle_aggregate(problem, reads)
-            np.testing.assert_array_equal(result.samples, samples)
-            np.testing.assert_array_equal(result.energies, energies)
-            np.testing.assert_array_equal(result.num_occurrences, counts)
+            expected = oracle_aggregate(problem, reads)
             alone = aggregate_samples(problem, reads,
                                       operator=problem.coupling_operator())
-            np.testing.assert_array_equal(alone.samples, samples)
-            np.testing.assert_array_equal(alone.energies, energies)
+            for got in (result, alone):
+                for field, want in zip(
+                        (got.samples, got.energies, got.num_occurrences),
+                        expected):
+                    assert (field.dtype, field.shape) == (want.dtype,
+                                                          want.shape)
+                    assert field.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [1, 3, 16])
     def test_qpsk_packs_equal_oracle(self, count):
@@ -534,11 +538,67 @@ class TestAggregateStage:
         # A kept scratch operator (the warm-cache entry's) gives the same.
         self._check(problems, raw, problems[0].coupling_operator())
 
-    def test_sixty_four_variables_take_the_row_unique_path(self):
-        problems = same_structure_problems(2, 64, seed=9, density=0.2)
+    @pytest.mark.parametrize("constellation,num_users", [
+        ("BPSK", 6), ("QPSK", 3), ("16-QAM", 2)])
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    @pytest.mark.parametrize("reads", [1, 50])
+    def test_modulations_pack_sizes_and_read_counts(self, constellation,
+                                                    num_users, count, reads):
+        problems = qpsk_pack(count, seed=21, num_users=num_users,
+                             constellation=constellation)
+        size = problems[0].num_variables
+        raw = np.random.default_rng(6).choice(
+            np.array([-1, 1], dtype=np.int8), size=(count, reads, size))
+        raw[:, reads // 2:] = raw[:, :reads - reads // 2]  # repeats
+        self._check(problems, raw)
+
+    def test_exactly_tied_energies_keep_key_order(self):
+        """Without fields a read and its negation have the same energy to
+        the bit; the stable sort must leave each such pair in key order
+        (all -1 sorts first), whatever order the reads arrived in."""
+        problems = [IsingModel(num_variables=4, linear=np.zeros(4),
+                               couplings=dict(problem.couplings))
+                    for problem in same_structure_problems(3, 4, seed=12)]
+        raw = np.random.default_rng(7).choice(
+            np.array([-1, 1], dtype=np.int8), size=(3, 120, 4))
+        self._check(problems, raw)
+        for result in aggregate_pack(problems, raw):
+            assert result.num_samples == 16
+            keys = (result.samples > 0) @ (1 << np.arange(3, -1, -1))
+            np.testing.assert_array_equal(result.energies[0::2],
+                                          result.energies[1::2])
+            assert (keys[0::2] < keys[1::2]).all()
+            assert (keys[0::2] + keys[1::2] == 15).all()
+
+    def test_non_spin_reads_take_the_row_unique_path(self):
+        problems = same_structure_problems(2, 5, seed=13)
+        raw = np.random.default_rng(8).integers(
+            -1, 2, size=(2, 30, 5)).astype(np.int8)  # zeros included
+        assert (raw == 0).any()
+        self._check(problems, raw)
+
+    def _few_wide_reads(self, size):
+        problems = same_structure_problems(2, size, seed=9, density=0.2)
         rng = np.random.default_rng(4)
-        base = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2, 6, 64))
+        base = rng.choice(np.array([-1, 1], dtype=np.int8),
+                          size=(2, 6, size))
         raw = base[:, rng.integers(0, 6, size=40), :]  # repeats to collapse
+        return problems, base, raw
+
+    def test_sixty_four_variables_take_the_row_unique_path(self):
+        problems, _, raw = self._few_wide_reads(64)
+        self._check(problems, raw)
+        assert aggregate_pack(problems, raw)[0].num_samples <= 6
+
+    def test_sixty_three_variables_fill_the_integer_key(self):
+        """The widest problem of the key path: reads that differ only in
+        the first (bit 2**62) or only in the last variable."""
+        problems, base, _ = self._few_wide_reads(63)
+        base[:, 1] = base[:, 0]
+        base[:, 1, 0] = -base[:, 0, 0]
+        base[:, 2] = base[:, 0]
+        base[:, 2, -1] = -base[:, 0, -1]
+        raw = base[:, np.random.default_rng(5).integers(0, 6, size=40), :]
         self._check(problems, raw)
         assert aggregate_pack(problems, raw)[0].num_samples <= 6
 
@@ -827,6 +887,76 @@ class TestWarmPackWork:
         machine.run_batch(problems, parameters, random_state=2, **options)
         assert machine.sampler_cache_info()["hits"] == 1
         assert calls == []
+
+    def test_read_out_is_array_passes(self, monkeypatch):
+        """After the kernel a warm pack is decoded by array passes: no
+        per-job ``np.unique``, bit-array validation or validating result
+        constructor, and one spin-to-bit conversion for the (single
+        constellation) pack."""
+        import repro.decoder.quamax as quamax
+        import repro.detectors.base as detectors_base
+        import repro.transform.posttranslate as posttranslate
+        import repro.transform.reduction as reduction
+        import repro.transform.symbols as symbols
+        from repro.detectors.base import DetectionResult
+        from repro.ising.solver import SolverResult
+
+        link = MimoUplink(num_users=3, constellation="QPSK")
+        rng = np.random.default_rng(30)
+        uses = [link.transmit(snr_db=15.0, random_state=rng)
+                for _ in range(16)]
+        decoder = QuAMaxDecoder(ideal_machine(),
+                                AnnealerParameters(num_anneals=50))
+        expected = decoder.detect_batch(uses, random_state=1)  # warm
+        counts = {}
+
+        def counted(owner, name, key=None):
+            original = getattr(owner, name)
+            counts.setdefault(key or name, 0)
+
+            def wrapper(*args, **kwargs):
+                counts[key or name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np, "unique")
+        for module in (detectors_base, posttranslate, reduction, symbols):
+            counted(module, "ensure_bit_array")
+        counted(SolverResult, "__post_init__", "SolverResult")
+        counted(DetectionResult, "__post_init__", "DetectionResult")
+        counted(reduction, "spins_to_bits", "per-job spins_to_bits")
+        counted(quamax, "spins_to_bits", "pack spins_to_bits")
+        results = decoder.detect_batch(uses, random_state=1)
+        monkeypatch.undo()
+        assert decoder.sampler_cache_info()["hits"] == 1
+        assert counts == {"unique": 0, "ensure_bit_array": 0,
+                          "SolverResult": 0, "DetectionResult": 0,
+                          "per-job spins_to_bits": 0, "pack spins_to_bits": 1}
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got.detection.bits,
+                                          want.detection.bits)
+            assert got.detection.metric == want.detection.metric
+
+    @needs_cext
+    def test_generator_pointers_marshalled_once_per_run(self, monkeypatch):
+        """The ICE batches of one run draw from the same generators: their
+        ``(next_double, state)`` pointer arrays are built once per
+        ``run_batch``, not once per kernel call."""
+        problems = qpsk_pack(16)
+        machine = ideal_machine()
+        parameters = AnnealerParameters(num_anneals=50)
+        machine.run_batch(problems, parameters, random_state=1,
+                          backend="cext")
+        builds = []
+        original = backends._rng_pointer_arrays
+        monkeypatch.setattr(
+            backends, "_rng_pointer_arrays",
+            lambda rngs: builds.append(len(rngs)) or original(rngs))
+        for seed in (2, 3):  # new generators per run: one build each
+            machine.run_batch(problems, parameters, random_state=seed,
+                              backend="cext")
+        assert machine.sampler_cache_info()["hits"] == 2
+        assert builds == [16, 16]
 
     def test_temperature_profile_is_built_once(self):
         machine = ideal_machine()

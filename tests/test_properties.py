@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ising.model import IsingModel, QUBOModel, bits_to_spins, spins_to_bits
 from repro.metrics.ttb import InstanceSolutionProfile
@@ -200,8 +200,23 @@ class TestMetricsProperties:
 
     @COMMON_SETTINGS
     @given(profile_strategy())
+    # Found by hypothesis (about one random seed in eight): the normalised
+    # probabilities sum to 1 - 2**-53, so the weights of 10 000 anneals sum
+    # to 1 - 1.1e-12 and the value is 0.4999999999988898.
+    @example(InstanceSolutionProfile(
+        probabilities=np.array([0.15722917925228624, 0.17611771120213454,
+                                0.16835816495096506, 0.30204768448943675,
+                                0.19624726960045139]),
+        bit_errors=np.full(5, 2.0), num_bits=4, anneal_duration_us=1.0))
     def test_expected_ber_never_below_floor(self, profile):
-        assert profile.expected_ber(10_000) >= profile.floor_ber - 1e-12
+        # Eq. 9's weights telescope to tail[0] ** N, and tail[0] — up to six
+        # probabilities normalised twice and summed, each step rounding by
+        # at most 2**-53 — can fall a few ulps short of 1; the N-th power
+        # multiplies that shortfall by N.  The floor is bounded by 1, so a
+        # small multiple of N * 2**-53 is the roundoff this test must allow.
+        num_anneals = 10_000
+        tolerance = 16 * num_anneals * 2.0 ** -53
+        assert profile.expected_ber(num_anneals) >= profile.floor_ber - tolerance
 
     @COMMON_SETTINGS
     @given(st.floats(min_value=1e-9, max_value=0.5), st.integers(min_value=1,
