@@ -38,15 +38,6 @@ if _SRC not in sys.path:
 GOLDENS_DIR = os.path.join(_HERE, "tests", "goldens")
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "cran_perf: wall-clock serving-throughput thresholds (full-scale "
-        "bench_cran); CI's tier-1 wall deselects these so a timing flake "
-        "cannot abort it — they run in the dedicated cran matrix entry and "
-        "in the plain local `pytest -x -q` acceptance command.",
-    )
-
 #: Decimal places floats are rounded to before hashing.  Coarse enough to
 #: absorb BLAS/platform summation-order noise (~1e-15 relative), fine enough
 #: that any real trajectory change lands on different digits.

@@ -98,6 +98,9 @@ class IngressGateway:
         self._faults = service.fault_plan
         self._gateway_faults = 0
         self._session: ServiceSession = service.session()
+        # Lock order gateway -> pool is safe: the pool (which serialises
+        # every trace append) never takes gateway locks.
+        self._emit = self._session.pool.emit
 
         self._lock = threading.Lock()
         self._ingress = threading.Condition(self._lock)   # shards gained work
@@ -136,21 +139,16 @@ class IngressGateway:
                 raise SchedulingError(
                     "cannot submit to a closed IngressGateway")
             self._offered += 1
-            # Lock order gateway -> pool is safe here: the pool (which
-            # serialises trace appends) never takes gateway locks.
-            self._session.record_event(EVENT_INGRESS_ADMIT,
-                                       job.arrival_time_us,
-                                       job_id=job.job_id, cell=str(cell))
+            self._emit(EVENT_INGRESS_ADMIT, job.arrival_time_us,
+                       job_id=job.job_id, cell=str(cell))
             shard = self._shards.get(cell)
             if shard is None:
                 shard = self._shards[cell] = deque()
             while self._over_limit_locked(shard):
                 if self.overload_policy == POLICY_SHED:
                     self._shed.append(job)
-                    self._session.record_event(EVENT_JOB_SHED,
-                                               job.arrival_time_us,
-                                               job_id=job.job_id,
-                                               stage="ingress")
+                    self._emit(EVENT_JOB_SHED, job.arrival_time_us,
+                               job_id=job.job_id, stage="ingress")
                     return False
                 self._space.wait()
                 if self._closing:
@@ -216,10 +214,8 @@ class IngressGateway:
                 # close() surface the original error.
                 with self._lock:
                     self._shed.append(job)
-                self._session.record_event(EVENT_JOB_SHED,
-                                           job.arrival_time_us,
-                                           job_id=job.job_id,
-                                           stage="ingress")
+                self._emit(EVENT_JOB_SHED, job.arrival_time_us,
+                           job_id=job.job_id, stage="ingress")
                 continue
             if (self._faults is not None
                     and self._faults.gateway_fault(job.job_id)):
@@ -228,10 +224,8 @@ class IngressGateway:
                 with self._lock:
                     self._shed.append(job)
                     self._gateway_faults += 1
-                self._session.record_event(EVENT_JOB_SHED,
-                                           job.arrival_time_us,
-                                           job_id=job.job_id,
-                                           stage="gateway_fault")
+                self._emit(EVENT_JOB_SHED, job.arrival_time_us,
+                           job_id=job.job_id, stage="gateway_fault")
                 continue
             clock = self._session.clock_us
             if job.arrival_time_us < clock:
@@ -242,19 +236,16 @@ class IngressGateway:
                               deadline_us=max(job.deadline_us, clock))
                 with self._lock:
                     self._late_restamped += 1
-                self._session.record_event(
-                    EVENT_JOB_RESTAMP, clock, job_id=job.job_id,
-                    original_arrival_us=original_arrival_us)
+                self._emit(EVENT_JOB_RESTAMP, clock, job_id=job.job_id,
+                           original_arrival_us=original_arrival_us)
             try:
                 self._session.submit(job)
             except BaseException as error:  # surfaced by close()
                 with self._lock:
                     self._error = self._error or error
                     self._shed.append(job)
-                self._session.record_event(EVENT_JOB_SHED,
-                                           job.arrival_time_us,
-                                           job_id=job.job_id,
-                                           stage="ingress")
+                self._emit(EVENT_JOB_SHED, job.arrival_time_us,
+                           job_id=job.job_id, stage="ingress")
             else:
                 with self._lock:
                     self._dispatched += 1

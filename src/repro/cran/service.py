@@ -14,9 +14,9 @@ exposes.
 Because every job decodes from its own private stream, the whole service is a
 deterministic function of the offered load — batching and scheduling policy
 change *when* jobs complete, never *what* they decode to.  That holds across
-every execution axis the service exposes: the Metropolis ``kernel``, the
-compiled ``backend``, and the worker-pool ``mode`` (inline, threads or a
-multi-core process pool) all produce bit-identical per-job detections.
+every execution axis: the decoder's Metropolis kernel and compiled backend,
+and the worker-pool ``mode`` (inline, threads or a multi-core process pool)
+all produce bit-identical per-job detections.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.annealer.parallel import parallelization_factor
 from repro.cran.faults import BrownoutConfig, BrownoutController, FaultPlan
@@ -35,6 +35,7 @@ from repro.cran.tracing import (
     EVENT_BROWNOUT_CLOSE,
     EVENT_BROWNOUT_OPEN,
     EVENT_JOB_ADMIT,
+    EVENT_JOB_RETRY,
     TraceEvent,
     TraceRecorder,
 )
@@ -183,9 +184,8 @@ class ServiceSession:
     """
 
     def __init__(self, service: "CranService"):
-        self._telemetry = TelemetryRecorder(window=service.telemetry_window)
-        self._trace = (TraceRecorder(wall_time=service.trace_wall_time)
-                       if service.tracing else None)
+        self._telemetry = TelemetryRecorder()
+        self._trace = TraceRecorder() if service.tracing else None
         # Baseline for per-run hit/miss deltas: the decoder's cache counters
         # are cumulative machine state shared by every run on it.
         try:
@@ -208,12 +208,11 @@ class ServiceSession:
             max_batch=service.max_batch,
             max_wait_us=service.max_wait_us,
             decode_time_model=model)
-        # Fault tolerance: failed packs are collected (not shed) whenever a
-        # retry layer can pick them up — a configured fault plan or a
-        # non-zero retry budget both imply one.
+        # Fault tolerance: with a fault plan the pool parks failed packs
+        # instead of shedding them, and this session is the retry layer
+        # that picks them up.
         self._max_retries = service.max_retries
-        self._fault_tolerant = (service.fault_plan is not None
-                                or service.max_retries > 0)
+        self._fault_tolerant = service.fault_plan is not None
         self._brownout = (BrownoutController(service.brownout)
                           if service.brownout is not None else None)
         if self._fault_tolerant or self._brownout is not None:
@@ -225,19 +224,16 @@ class ServiceSession:
                                    else decode_time_model_for(service.decoder))
         else:
             self._give_up_model = None
-        self._pool = WorkerPool(service.decoder,
-                                num_workers=service.num_workers,
-                                mode=service.mode,
-                                mp_context=service.mp_context,
-                                queue_capacity=service.queue_capacity,
-                                overload_policy=service.overload_policy,
-                                telemetry=self._telemetry,
-                                trace=self._trace,
-                                decoder_factory=service._decoder_factory,
-                                faults=service.fault_plan,
-                                restart_budget=service.restart_budget,
-                                collect_failures=self._fault_tolerant,
-                                threads=service.threads)
+        #: The ingress gateway states its admit/shed/re-stamp events through
+        #: this pool's ``emit`` too, so they land in one serialised stream.
+        self.pool = WorkerPool(service.decoder,
+                               num_workers=service.num_workers,
+                               mode=service.mode,
+                               telemetry=self._telemetry,
+                               trace=self._trace,
+                               faults=service.fault_plan,
+                               restart_budget=service.restart_budget,
+                               threads=service.threads)
         self._start_wall = time.perf_counter()
         self._report: Optional[ServiceReport] = None
 
@@ -257,19 +253,6 @@ class ServiceSession:
         """Whether :meth:`close` has completed (the report exists)."""
         return self._report is not None
 
-    @property
-    def trace(self) -> Optional[TraceRecorder]:
-        """The session's trace recorder (``None`` when tracing is off)."""
-        return self._trace
-
-    def record_event(self, name: str, ts_us: float, **kwargs: Any) -> None:
-        """Stamp one trace event through the pool's lock (no-op untraced).
-
-        The ingress gateway records its admit/shed/re-stamp events here so
-        they land in the same serialised stream as the pool's own.
-        """
-        self._pool.record_event(name, ts_us, **kwargs)
-
     # ------------------------------------------------------------------ #
     def submit(self, job: DecodeJob) -> None:
         """Feed one job; jobs must arrive in (arrival time, id) order."""
@@ -280,23 +263,23 @@ class ServiceSession:
             # JSON-hostile as the NaNs the telemetry snapshot used to emit.
             if math.isfinite(job.deadline_us):
                 attrs["deadline_us"] = job.deadline_us
-            self._pool.record_event(EVENT_JOB_ADMIT, job.arrival_time_us,
-                                    job_id=job.job_id, **attrs)
+            self.pool.emit(EVENT_JOB_ADMIT, job.arrival_time_us,
+                           job_id=job.job_id, **attrs)
         try:
             if self._brownout is not None and self._brownout_shed(job):
                 return
             for batch in self._scheduler.submit(job):
-                self._pool.submit(batch)
-            self._pool.record_queue_depth(job.arrival_time_us,
-                                          self._scheduler.queue_depth)
-            if self._fault_tolerant and not self._pool.num_workers:
+                self.pool.submit(batch)
+            self._telemetry.record_queue_depth(job.arrival_time_us,
+                                               self._scheduler.queue_depth)
+            if self._fault_tolerant and not self.pool.num_workers:
                 # Inline pools fail synchronously, so the retry layer runs
                 # per submission — this is what keeps inline fault runs a
                 # bit-deterministic function of the offered load.
                 while self._handle_failures():
                     pass
         except BaseException:
-            self._pool.close()
+            self.pool.close()
             raise
 
     def _brownout_shed(self, job: DecodeJob) -> bool:
@@ -307,8 +290,7 @@ class ServiceSession:
             now_us, queue_depth=self._scheduler.queue_depth,
             shed_rate=self._telemetry.shed_rate())
         if transition is not None:
-            self._pool.record_brownout(transition)
-            self._pool.record_event(
+            self.pool.emit(
                 EVENT_BROWNOUT_OPEN if transition == "open"
                 else EVENT_BROWNOUT_CLOSE,
                 now_us, depth=self._scheduler.queue_depth)
@@ -326,7 +308,7 @@ class ServiceSession:
             1.0 + backlog / float(max(1, self._scheduler.max_batch)))
         if slack >= needed:
             return False
-        self._pool.shed_job(job, "brownout", now_us)
+        self.pool.shed((job,), "brownout", now_us)
         return True
 
     def _handle_failures(self) -> int:
@@ -342,24 +324,24 @@ class ServiceSession:
         along unchanged.
         """
         resubmitted = 0
-        for _index, batch, stage in self._pool.take_failed():
+        for _index, batch, stage in self.pool.take_failed():
             for job in batch.jobs:
                 now_us = max(self._scheduler.clock_us, batch.flush_time_us)
                 if job.retries >= self._max_retries:
-                    self._pool.shed_job(job, "retry_budget", now_us)
+                    self.pool.shed((job,), "retry_budget", now_us)
                     continue
                 if (math.isfinite(job.deadline_us)
                         and job.deadline_us - now_us
                         < self._give_up_model(job.structure_key, 1)):
-                    self._pool.shed_job(job, "retry_deadline", now_us)
+                    self.pool.shed((job,), "retry_deadline", now_us)
                     continue
                 retry = replace(job, arrival_time_us=now_us,
                                 retries=job.retries + 1)
-                self._pool.record_retry(retry, now_us, attempt=retry.retries,
-                                        stage=stage)
+                self.pool.emit(EVENT_JOB_RETRY, now_us, job_id=retry.job_id,
+                               attempt=retry.retries, stage=stage)
                 resubmitted += 1
                 for flushed in self._scheduler.submit(retry):
-                    self._pool.submit(flushed)
+                    self.pool.submit(flushed)
         return resubmitted
 
     def close(self) -> ServiceReport:
@@ -377,35 +359,35 @@ class ServiceSession:
                 pending = self._scheduler.queue_depth
                 for batch in self._scheduler.drain():
                     pending -= batch.size
-                    self._pool.submit(batch)
-                    self._pool.record_queue_depth(batch.flush_time_us,
-                                                  pending)
+                    self.pool.submit(batch)
+                    self._telemetry.record_queue_depth(batch.flush_time_us,
+                                                       pending)
                 if not self._fault_tolerant:
                     break
                 # Concurrent pools report failures asynchronously: wait for
                 # every in-flight pack to credit or fail, requeue, and keep
                 # draining until a round resolves without resubmissions.
                 # (Per-job retry budgets bound the loop.)
-                self._pool.wait_idle()
+                self.pool.wait_idle()
                 if not self._handle_failures():
                     break
         finally:
-            self._pool.close()
+            self.pool.close()
         wall_time_s = time.perf_counter() - self._start_wall
         telemetry = self._telemetry.snapshot()
         # Surface the counters that used to require poking objects
         # directly: pool-level worker/shard/steal counters and the
         # decoder's warm sampler cache.
-        telemetry["workers"] = self._pool.worker_info()
+        telemetry["workers"] = self.pool.worker_info()
         if self._cache_baseline is not None:
-            info = dict(self._pool.decoder.sampler_cache_info())
+            info = dict(self.pool.decoder.sampler_cache_info())
             # Hits/misses as this run's delta; capacity/entries are current.
             for key in ("hits", "misses"):
                 info[key] -= self._cache_baseline.get(key, 0)
             telemetry["sampler_cache"] = info
         self._report = ServiceReport(
-            results=self._pool.results(),
-            shed_jobs=self._pool.shed_jobs,
+            results=self.pool.results(),
+            shed_jobs=self.pool.shed_jobs,
             telemetry=telemetry,
             wall_time_s=wall_time_s,
             trace=self._trace.events() if self._trace is not None else None,
@@ -418,7 +400,7 @@ class ServiceSession:
     def __exit__(self, *exc_info) -> None:
         if exc_info and exc_info[0] is not None:
             # Error path: stop workers without forcing a full drain.
-            self._pool.close()
+            self.pool.close()
         else:
             self.close()
 
@@ -429,19 +411,10 @@ class CranService:
     Parameters
     ----------
     decoder:
-        The decoder every batch runs through; when omitted a default is
-        created from *kernel* / *backend*.
-    kernel, backend:
-        Metropolis sweep kernel and kernel implementation of the default
-        decoder (ignored when *decoder* is passed — configure it directly).
-        Seeded detections are bit-identical across every kernel/backend
-        combination; the knobs only move where the sweep loop runs.
-    rng:
-        Draw discipline of the default decoder (ignored when *decoder* is
-        passed): ``"sequential"`` (default, the reference streams) or
-        ``"counter"`` (keyed Philox streams — identical across backends
-        and thread counts, the mode that legalises threaded kernels).
-        Jobs carrying their own ``rng_mode`` hints override it per pack.
+        The decoder every batch runs through — its kernel, backend and draw
+        discipline are configured on it; a default :class:`QuAMaxDecoder`
+        is created when omitted.  Jobs carrying their own ``rng_mode``
+        hints override the discipline per pack.
     threads:
         Per-worker kernel-thread budget forwarded to the pool (``None``
         derives it: ``cpu_count // num_workers`` for process pools, else
@@ -461,29 +434,23 @@ class CranService:
     decode_time_model:
         Explicit ``(structure_key, size) -> µs`` model forwarded to the
         scheduler (overrides *adaptive_wait*).
-    num_workers, mode, mp_context, queue_capacity, overload_policy,
-    decoder_factory:
+    num_workers, mode:
         Worker-pool execution policy (see :class:`WorkerPool`);
         ``num_workers=0`` (default) serves inline and deterministically,
-        ``mode="process"`` scales the pool across cores.
-    telemetry_window:
-        Rolling window of the latency percentiles (``None`` = all jobs).
+        ``mode="process"`` scales the pool across cores.  The pool keeps
+        its default 16-pack bound and blocks the session when it is full.
     tracing:
         When true, every session records per-job lifecycle spans into a
         :class:`~repro.cran.tracing.TraceRecorder` and the report carries
         the event stream in :attr:`ServiceReport.trace`.  Traces live on
         the virtual clock, so with an inline pool they are bit-deterministic
         and decode results are identical with tracing on or off.
-    trace_wall_time:
-        Additionally annotate ``pack.complete`` events with wall decode
-        seconds.  Off by default — wall values vary run to run, so they
-        would break trace determinism.
     fault_plan:
         Optional :class:`~repro.cran.faults.FaultPlan` injecting seeded,
         deterministic worker crashes / decode errors / stragglers (by pack
         submission index) and gateway submission errors (by job id).
-        Configuring a plan turns on failure collection: failed packs feed
-        the retry layer instead of shedding immediately.
+        With a plan the pool parks the packs it fails and the session's
+        retry layer requeues them instead of shedding immediately.
     max_retries:
         Per-job requeue budget after pack failures.  A failed job whose
         budget is spent sheds with stage ``retry_budget``; one whose slack
@@ -503,9 +470,6 @@ class CranService:
     """
 
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,
-                 kernel: str = "auto",
-                 backend: str = "auto",
-                 rng: str = "sequential",
                  threads: Optional[int] = None,
                  max_batch: int = 16,
                  max_wait_us: float = 2_000.0,
@@ -513,19 +477,12 @@ class CranService:
                  decode_time_model: Optional[DecodeTimeModel] = None,
                  num_workers: int = 0,
                  mode: str = "thread",
-                 mp_context: Optional[str] = None,
-                 queue_capacity: int = 16,
-                 overload_policy: str = "block",
-                 telemetry_window: Optional[int] = None,
                  tracing: bool = False,
-                 trace_wall_time: bool = False,
-                 decoder_factory: Optional[Callable[[], QuAMaxDecoder]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  max_retries: int = 0,
                  restart_budget: int = 0,
                  brownout: Optional[BrownoutConfig] = None):
-        self.decoder = decoder or QuAMaxDecoder(kernel=kernel, backend=backend,
-                                                rng=rng)
+        self.decoder = decoder or QuAMaxDecoder()
         self.threads = threads
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
@@ -533,13 +490,7 @@ class CranService:
         self._decode_time_model = decode_time_model
         self.num_workers = num_workers
         self.mode = mode
-        self.mp_context = mp_context
-        self.queue_capacity = queue_capacity
-        self.overload_policy = overload_policy
-        self.telemetry_window = telemetry_window
         self.tracing = tracing
-        self.trace_wall_time = trace_wall_time
-        self._decoder_factory = decoder_factory
         self.fault_plan = fault_plan
         self.max_retries = check_integer_in_range("max_retries", max_retries,
                                                   minimum=0)
@@ -593,5 +544,4 @@ class CranService:
         return (f"CranService(max_batch={self.max_batch}, "
                 f"max_wait_us={self.max_wait_us}, "
                 f"adaptive_wait={self.adaptive_wait}, "
-                f"num_workers={self.num_workers}, mode={self.mode!r}, "
-                f"policy={self.overload_policy!r})")
+                f"num_workers={self.num_workers}, mode={self.mode!r})")

@@ -8,21 +8,27 @@ long-running service reports *rolling* percentiles rather than
 since-the-beginning averages.
 
 The recorder is deliberately passive — pure appends, no locks of its own —
-so snapshots are cheap and deterministic.  Callers serialise:
-:class:`~repro.cran.workers.WorkerPool` takes its result lock for *all*
-recording, including queue-depth samples forwarded through
-:meth:`~repro.cran.workers.WorkerPool.record_queue_depth`.
+so snapshots are cheap and deterministic: the
+:class:`~repro.cran.workers.WorkerPool` that owns it writes everything under
+its own lock, except the queue-depth series, which only the (single)
+session thread appends to.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cran.jobs import DecodeJob, JobResult
+from repro.cran.jobs import JobResult
+from repro.cran.tracing import (
+    EVENT_BROWNOUT_OPEN,
+    EVENT_JOB_RETRY,
+    EVENT_PACK_FAILED,
+    EVENT_WORKER_RESTART,
+)
 from repro.utils.validation import check_integer_in_range
 
 #: Percentiles reported by default in latency summaries.
@@ -91,12 +97,10 @@ class TelemetryRecorder:
         self.jobs_shed = 0
         self.deadline_misses = 0
         self.batches_decoded = 0
-        #: Fault-tolerance counters (all zero in a fault-free run).
-        self.packs_failed = 0
+        #: Lifecycle events by name; with the three below, the fault-tolerance
+        #: counters (all zero in a fault-free run).
+        self._events: Counter = Counter()
         self.pack_failed_jobs = 0
-        self.jobs_retried = 0
-        self.worker_restarts = 0
-        self.brownout_openings = 0
         self._shed_stages: Counter = Counter()
         self._faults_injected: Counter = Counter()
 
@@ -140,39 +144,31 @@ class TelemetryRecorder:
             self._last_finish_us = max(self._last_finish_us,
                                        result.finish_time_us)
 
-    def record_shed(self, jobs: Iterable[DecodeJob],
-                    stage: Optional[str] = None) -> None:
-        """Record jobs dropped by the overload/fault-tolerance policy."""
-        count = sum(1 for _ in jobs)
+    def record_shed(self, count: int, stage: str) -> None:
+        """Record *count* jobs landing on the pool's shed list at *stage*."""
         self.jobs_shed += count
-        if stage is not None and count:
-            self._shed_stages[stage] += count
+        self._shed_stages[stage] += count
 
     def record_queue_depth(self, now_us: float, depth: int) -> None:
         """Sample the scheduler's pending-job count at *now_us*."""
         self._queue_depth_samples.append((float(now_us), int(depth)))
 
-    def record_pack_failed(self, num_jobs: int) -> None:
-        """Record one failed pack handed to the retry layer."""
-        self.packs_failed += 1
-        self.pack_failed_jobs += int(num_jobs)
-
-    def record_retry(self) -> None:
-        """Record one job requeued after a pack failure."""
-        self.jobs_retried += 1
-
-    def record_worker_restart(self) -> None:
-        """Record supervision respawning a dead worker."""
-        self.worker_restarts += 1
-
     def record_fault(self, kind: str) -> None:
         """Record one injected fault, by kind (parent-side accounting)."""
         self._faults_injected[kind] += 1
 
-    def record_brownout(self, transition: str) -> None:
-        """Record a brownout breaker transition (``open`` / ``close``)."""
-        if transition == "open":
-            self.brownout_openings += 1
+    def count(self, event: str, attrs: Mapping[str, Any]) -> None:
+        """Count one lifecycle event by name — every event the pool's
+        :meth:`~repro.cran.workers.WorkerPool.emit` records lands here.
+
+        The snapshot reads the fault-tolerance ones.  Not ``job.shed``,
+        though: the gateway emits it for jobs this recorder never owned, so
+        sheds are counted where a job lands on the pool's shed list
+        (:meth:`record_shed`).
+        """
+        self._events[event] += 1
+        if event == EVENT_PACK_FAILED:
+            self.pack_failed_jobs += len(attrs["job_ids"])
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -320,11 +316,11 @@ class TelemetryRecorder:
             # equivalent runs compare equal whether or not faults were
             # configured on either side.
             "faults": {
-                "packs_failed": self.packs_failed,
+                "packs_failed": self._events[EVENT_PACK_FAILED],
                 "pack_failed_jobs": self.pack_failed_jobs,
-                "jobs_retried": self.jobs_retried,
-                "worker_restarts": self.worker_restarts,
-                "brownout_openings": self.brownout_openings,
+                "jobs_retried": self._events[EVENT_JOB_RETRY],
+                "worker_restarts": self._events[EVENT_WORKER_RESTART],
+                "brownout_openings": self._events[EVENT_BROWNOUT_OPEN],
                 "injected": dict(sorted(self._faults_injected.items())),
                 "shed_stages": dict(sorted(self._shed_stages.items())),
             },

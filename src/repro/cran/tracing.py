@@ -20,14 +20,12 @@ pack's amortised compute) = ``finish − arrival`` = the job's latency.
 
 The recorder follows the same no-locks discipline as
 :class:`~repro.cran.telemetry.TelemetryRecorder`: it is a passive append
-buffer, and callers serialise through the existing
-:class:`~repro.cran.workers.WorkerPool` result lock (the gateway and the
-session both record through the pool).  With an inline pool the event
-stream is a bit-deterministic function of the offered load — events carry
-only virtual timestamps and submission-order ids.  Wall-clock annotations
-(pack decode seconds, worker-side profiling deltas shipped back across the
-process-pool boundary) are attached only when the recorder is constructed
-with ``wall_time=True``, keeping the default trace replay-identical.
+buffer that only the :class:`~repro.cran.workers.WorkerPool` holding it
+appends to, under the pool's lock (the session and the gateway state their
+events through :meth:`~repro.cran.workers.WorkerPool.emit`).  With an inline
+pool the event stream is a bit-deterministic function of the offered load —
+events carry only virtual timestamps and submission-order ids, never a wall
+clock.
 
 Exporters (Chrome trace JSON for Perfetto, JSONL, Prometheus text metrics)
 and the per-stage breakdown report live in :mod:`repro.obs`.
@@ -37,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EVENT_INGRESS_ADMIT",
@@ -141,25 +139,11 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Append-only buffer of :class:`TraceEvent` — passive, no locks.
-
-    Callers serialise recording exactly as they do for
-    :class:`~repro.cran.telemetry.TelemetryRecorder`: everything goes
-    through the worker pool's result lock
-    (:meth:`~repro.cran.workers.WorkerPool.record_event` and the pool's own
-    internal recording).
-
-    Parameters
-    ----------
-    wall_time:
-        When true, wall-clock annotations (pack decode seconds, worker-side
-        profiling deltas) are attached to ``pack.complete`` events.  Off by
-        default so that inline-mode traces are bit-deterministic functions
-        of the offered load.
+    """Append-only buffer of :class:`TraceEvent` — passive, no locks; its
+    one writer is the worker pool that holds it (see the module docstring).
     """
 
-    def __init__(self, wall_time: bool = False):
-        self.wall_time = bool(wall_time)
+    def __init__(self):
         self._events: List[TraceEvent] = []
 
     # ------------------------------------------------------------------ #
@@ -173,10 +157,6 @@ class TraceRecorder:
                                        job_id=job_id, pack_id=pack_id,
                                        worker=worker, attrs=attrs))
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Append pre-built events (e.g. a buffer shipped from a worker)."""
-        self._events.extend(events)
-
     # ------------------------------------------------------------------ #
     def events(self) -> Tuple[TraceEvent, ...]:
         """Everything recorded so far, in append order."""
@@ -186,8 +166,7 @@ class TraceRecorder:
         return len(self._events)
 
     def __repr__(self) -> str:
-        return (f"TraceRecorder(events={len(self._events)}, "
-                f"wall_time={self.wall_time})")
+        return f"TraceRecorder(events={len(self._events)})"
 
 
 # --------------------------------------------------------------------------- #

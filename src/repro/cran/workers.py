@@ -3,58 +3,47 @@
 The pool models the paper's centralized processing pool (Section 7): batches
 flushed by the :class:`~repro.cran.scheduler.EDFBatchScheduler` are decoded
 through :meth:`~repro.decoder.quamax.QuAMaxDecoder.detect_batch`, which packs
-each batch into block-diagonal QA jobs.  Three execution modes share one
-accounting model:
+each batch into block-diagonal QA jobs.  It is split the way the deployment
+is: a *virtual* plane whose counts drive every decision, and an *actual*
+plane that merely executes.
 
-* ``num_workers=0`` (inline) decodes synchronously in the submitting thread —
-  fully deterministic, the mode simulations and tests use;
-* ``num_workers>=1, mode="thread"`` drains per-worker shard queues from real
-  threads, so wall-clock throughput benefits from NumPy releasing the GIL
-  inside the anneals — but the Python parts of the decode stack still
-  serialise on the GIL.  Batches are routed to a *sticky* shard by structure
-  key (first-seen keys round-robin across workers), which keeps one worker's
-  decoder sampler cache hot for each structure; an idle worker whose own
-  shard is empty steals the oldest batch from the longest other shard, so
-  skewed structure mixes never strand capacity;
-* ``num_workers>=1, mode="process"`` ships each flushed pack to a persistent
-  :mod:`multiprocessing` pool: the batch's job specs travel pickled, each
-  worker process decodes with its own decoder replica, and the bulky result
-  arrays come back through a shared-memory segment (pickle protocol 5
-  out-of-band buffers) instead of the result pipe — so NumPy *and* pure
-  Python decode work runs truly parallel across cores.
+:class:`WorkerPool` is the virtual plane — the accounting core.  It alone
+holds the pool lock, and everything that is written under it is written by
+it: the submission index, the flush-order reorder buffer, the virtual QA
+machines, the result / shed / parked-failure / error lists, the restart
+budget, the idle barrier, the telemetry recorder and the trace recorder
+(producers — session, ingress gateway — state their events through
+:meth:`WorkerPool.emit`).  The actual plane is one of three executors —
+inline (``num_workers=0``: deterministic, what simulations and tests use),
+thread shards, process pool — that know nothing of that accounting and meet
+it at one seam: ``offer(index, batch)`` in, :meth:`WorkerPool.done` /
+:meth:`WorkerPool.failed` out, one :func:`decode_pack` underneath.
 
-Backpressure is explicit: the total number of queued batches (summed across
-all shards) is bounded, and on overload the pool either **blocks** the
-producer (default — the scheduler naturally holds jobs back) or **sheds** the
-batch (its jobs are counted and returned as dropped, the right policy when
-deadlines make late decodes worthless).
+Backpressure is explicit: the number of packs an executor holds is bounded,
+and on overload the pool either **blocks** the producer (default — the
+scheduler naturally holds jobs back) or **sheds** the batch (its jobs are
+counted and returned as dropped, the right policy when deadlines make late
+decodes worthless).
 
 Completion times are tracked on a virtual clock: each batch occupies the
 earliest-free virtual QA machine from its flush time, for a service time of
 one shared per-job overhead (:class:`~repro.annealer.machine.OverheadModel`)
 plus the pack's amortised compute time.  Batches are credited to virtual
-machines strictly in *submission (flush) order* — out-of-order thread
-completions are buffered until their turn — so the latency and deadline
-telemetry of a given offered load is deterministic regardless of worker
-count or OS scheduling.  Batching therefore shows up in the latency
-telemetry exactly where the paper puts it — the programming / preprocessing
-overhead is paid once per *batch* instead of once per *job*.
+machines strictly in *submission (flush) order* — out-of-order completions
+are buffered until their turn — so the latency and deadline telemetry of a
+given offered load is deterministic regardless of executor, worker count or
+OS scheduling.  Batching therefore shows up in the latency telemetry exactly
+where the paper puts it — the programming / preprocessing overhead is paid
+once per *batch* instead of once per *job*.
 
 Decode correctness is independent of all of this: every job consumes its own
 private random stream, so results are bit-for-bit those of serial decoding
 no matter how jobs were batched, queued or interleaved.
 
-Failure is a first-class outcome.  With ``collect_failures=True`` a failed
-pack is not shed: its slot credits as empty and the pack is parked on a
-failure list (``pack.failed`` trace event) that the serving session drains
-through :meth:`WorkerPool.take_failed` to requeue the jobs.  Dead workers
-are supervised: a crashed thread worker is respawned on its shard (bounded
-by ``restart_budget``, traced as ``worker.restart``) instead of silently
-draining the shard into sheds, and a crashed process worker is respawned by
-:mod:`multiprocessing` itself while the pool mirrors the same budget
-accounting.  A seeded :class:`~repro.cran.faults.FaultPlan` can inject
-crashes, decode errors and stragglers deterministically by submission index,
-so the same plan produces the same accounting in all three modes.
+Failure is a first-class outcome with one path (:meth:`WorkerPool.failed`),
+and a seeded :class:`~repro.cran.faults.FaultPlan` injects crashes, decode
+errors and stragglers deterministically by submission index, so the same
+plan produces the same accounting in all three modes.
 """
 
 from __future__ import annotations
@@ -64,7 +53,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
 from collections import deque
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -72,10 +60,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cran.faults import (
     FAULT_CRASH,
     FAULT_DECODE_ERROR,
-    FAULT_SLOW,
     FaultPlan,
     InjectedFault,
-    PackFault,
     WorkerCrash,
 )
 from repro.cran.jobs import DecodeJob, JobResult
@@ -83,7 +69,6 @@ from repro.cran.scheduler import DecodeBatch
 from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.tracing import (
     EVENT_JOB_COMPLETE,
-    EVENT_JOB_RETRY,
     EVENT_JOB_SHED,
     EVENT_PACK_COMPLETE,
     EVENT_PACK_DISPATCH,
@@ -108,6 +93,74 @@ OVERLOAD_POLICIES = (POLICY_BLOCK, POLICY_SHED)
 MODE_THREAD = "thread"
 MODE_PROCESS = "process"
 MODES = (MODE_THREAD, MODE_PROCESS)
+
+
+def _batch_decode_hints(batch: DecodeBatch,
+                        default_threads: int) -> Tuple[str, int]:
+    """Resolve one pack's ``(rng, threads)`` decode overrides.
+
+    The scheduler guarantees packs are rng-homogeneous, so the first job
+    speaks for all.  The thread count is the largest per-job hint, falling
+    back to the worker's budget when no job carries one — and clamped to 1
+    under the sequential discipline, whose draw order no parallel schedule
+    can reproduce.
+    """
+    rng_mode = batch.jobs[0].rng_mode
+    hints = [int(job.threads) for job in batch.jobs
+             if job.threads is not None]
+    threads = max(hints) if hints else max(1, int(default_threads))
+    if rng_mode != "counter":
+        threads = 1
+    return rng_mode, threads
+
+
+def _pack_service_us(decoder: QuAMaxDecoder, outcomes) -> float:
+    """Virtual service time of one decoded pack.
+
+    One shared per-job overhead for the whole pack plus every block's
+    amortised compute — the accounting model all three execution modes
+    share, which is what keeps latency/deadline telemetry identical across
+    inline, thread and process serving.
+    """
+    num_anneals = outcomes[0].run.num_anneals
+    return (decoder.annealer.overheads.total_us(num_anneals)
+            + sum(outcome.compute_time_us for outcome in outcomes))
+
+
+def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
+                default_threads: int, index: int,
+                batch: DecodeBatch) -> Tuple[list, float]:
+    """Decode pack *index*; returns ``(outcomes, virtual service µs)``.
+
+    The one decode every executor runs, wherever it runs.  The fault a plan
+    assigns to *index* takes effect here: ``worker_crash`` raises
+    :class:`WorkerCrash` and ``decode_error`` raises :class:`InjectedFault`
+    before any work; a ``slow`` fault — a correct decode — only inflates
+    the pack's virtual service time.
+    """
+    fault = faults.pack_fault(index) if faults is not None else None
+    if fault is not None and fault.kind == FAULT_CRASH:
+        raise WorkerCrash(f"injected worker crash decoding pack {index}")
+    if fault is not None and fault.kind == FAULT_DECODE_ERROR:
+        raise InjectedFault(f"injected decode error on pack {index}")
+    rng_mode, threads = _batch_decode_hints(batch, default_threads)
+    # Default sequential single-threaded packs keep the historical
+    # ``detect_batch(channel_uses, random_states=...)`` call shape, so
+    # duck-typed decoder stand-ins that predate the rng/threads knobs keep
+    # working; only non-default packs pass the overrides — and a decoder
+    # that cannot honour those must fail loudly rather than silently decode
+    # under the wrong discipline.
+    overrides = ({} if rng_mode == "sequential" and threads == 1
+                 else {"rng": rng_mode, "threads": threads})
+    outcomes = decoder.detect_batch(
+        [job.channel_use for job in batch.jobs],
+        random_states=[job.rng() for job in batch.jobs], **overrides)
+    # One shared job overhead per pack, plus the amortised compute of
+    # every block: this is precisely where batching buys latency.
+    service_us = _pack_service_us(decoder, outcomes)
+    if fault is not None:
+        service_us *= fault.factor
+    return outcomes, service_us
 
 
 # --------------------------------------------------------------------------- #
@@ -145,82 +198,14 @@ def _process_worker_init(
     _WORKER_FAULTS = faults
 
 
-def _batch_decode_hints(batch: DecodeBatch,
-                        default_threads: int) -> Tuple[str, int]:
-    """Resolve one pack's ``(rng, threads)`` decode overrides.
-
-    The scheduler guarantees packs are rng-homogeneous, so the first job
-    speaks for all.  The thread count is the largest per-job hint, falling
-    back to the worker's budget when no job carries one — and clamped to 1
-    under the sequential discipline, whose draw order no parallel schedule
-    can reproduce.
-    """
-    rng_mode = batch.jobs[0].rng_mode
-    hints = [int(job.threads) for job in batch.jobs
-             if job.threads is not None]
-    threads = max(hints) if hints else max(1, int(default_threads))
-    if rng_mode != "counter":
-        threads = 1
-    return rng_mode, threads
-
-
-def _decode_overrides(rng_mode: str, threads: int) -> Dict[str, Any]:
-    """Per-call ``detect_batch`` overrides; empty on the default path.
-
-    Default sequential single-threaded packs keep the historical
-    ``detect_batch(channel_uses, random_states=...)`` call shape, so
-    duck-typed decoder stand-ins that predate the rng/threads knobs keep
-    working; only non-default packs pass the overrides — and a decoder
-    that cannot honour those must fail loudly rather than silently decode
-    under the wrong discipline.
-    """
-    if rng_mode == "sequential" and threads == 1:
-        return {}
-    return {"rng": rng_mode, "threads": threads}
-
-
-def _raise_pack_fault(faults: Optional[FaultPlan],
-                      index: int) -> Optional[PackFault]:
-    """Raise the fault a plan injects into pack *index*, if fatal.
-
-    ``worker_crash`` raises :class:`WorkerCrash` and ``decode_error`` raises
-    :class:`InjectedFault`; a ``slow`` fault is returned instead so the
-    caller can inflate the pack's virtual service time after decoding.
-    """
-    if faults is None:
-        return None
-    fault = faults.pack_fault(index)
-    if fault is None:
-        return None
-    if fault.kind == FAULT_CRASH:
-        raise WorkerCrash(f"injected worker crash decoding pack {index}")
-    if fault.kind == FAULT_DECODE_ERROR:
-        raise InjectedFault(f"injected decode error on pack {index}")
-    return fault
-
-
-def _pack_service_us(decoder: QuAMaxDecoder, outcomes) -> float:
-    """Virtual service time of one decoded pack.
-
-    One shared per-job overhead for the whole pack plus every block's
-    amortised compute — the accounting model all three execution modes
-    share, which is what keeps latency/deadline telemetry identical across
-    inline, thread and process serving.
-    """
-    num_anneals = outcomes[0].run.num_anneals
-    return (decoder.annealer.overheads.total_us(num_anneals)
-            + sum(outcome.compute_time_us for outcome in outcomes))
-
-
 def _process_decode_batch(index: int, batch: DecodeBatch):
     """Decode one pack in a worker process; results go back via shared memory.
 
-    Returns ``((pickled, shm_name, buffer_sizes), service_us, info)`` —
-    see :func:`_export_outcomes` / :func:`_import_outcomes`.  ``info``
-    carries the pack's wall decode seconds and, when this process's
-    :data:`~repro.obs.profiling.PROFILER` is enabled (inherited via fork),
-    the per-phase wall-time delta the decode accumulated, which the parent
-    merges into its own profiler.
+    Returns ``((pickled, shm_name, buffer_sizes), service_us, phases)`` —
+    see :func:`_export_outcomes` / :func:`_import_outcomes`.  ``phases`` is
+    the per-phase wall-time delta the decode accumulated when this
+    process's :data:`~repro.obs.profiling.PROFILER` is enabled (inherited
+    via fork), which the parent merges into its own profiler.
 
     An injected crash or decode error raises out of here and reaches the
     parent through the pool's ``error_callback`` (rather than killing the
@@ -229,26 +214,11 @@ def _process_decode_batch(index: int, batch: DecodeBatch):
     literal deaths, while the exception path keeps the pack's accounting
     deterministic and identical to the threaded mode.
     """
-    decoder = _WORKER_DECODER
-    fault = _raise_pack_fault(_WORKER_FAULTS, index)
-    rng_mode, threads = _batch_decode_hints(batch, _WORKER_THREADS)
     baseline = PROFILER.raw() if PROFILER.enabled else None
-    wall_start = time.perf_counter()
-    outcomes = decoder.detect_batch(
-        [job.channel_use for job in batch.jobs],
-        random_states=[job.rng() for job in batch.jobs],
-        **_decode_overrides(rng_mode, threads))
-    info: Dict[str, Any] = {"wall_s": time.perf_counter() - wall_start}
-    if baseline is not None:
-        delta = PROFILER.delta_since(baseline)
-        if delta:
-            info["phases"] = delta
-    service_us = _pack_service_us(decoder, outcomes)
-    if fault is not None:
-        # A "slow" fault: the decode is correct, the straggler only shows
-        # up in the virtual service time.
-        service_us *= fault.factor
-    return _export_outcomes(outcomes), service_us, info
+    outcomes, service_us = decode_pack(_WORKER_DECODER, _WORKER_FAULTS,
+                                       _WORKER_THREADS, index, batch)
+    phases = None if baseline is None else PROFILER.delta_since(baseline)
+    return _export_outcomes(outcomes), service_us, phases
 
 
 def _export_outcomes(outcomes) -> Tuple[bytes, Optional[str], list]:
@@ -323,6 +293,341 @@ def _import_outcomes(pickled: bytes, shm_name: Optional[str],
     return outcomes
 
 
+# --------------------------------------------------------------------------- #
+# Executors: the actual plane
+# --------------------------------------------------------------------------- #
+
+class _Executor:
+    """What the accounting core asks of an executor.
+
+    An executor takes packs through ``offer(index, batch)`` (``False`` = no
+    room) and answers each accepted one with exactly one ``pool.done(...)``
+    or ``pool.failed(...)``.  It reads the pool's configuration and nothing
+    of its accounting.  Three class attributes tell the pool's failure path
+    how a *real* (non-injected) error of this executor is accounted: the
+    shed stage it is labelled with, whether it cost a worker, and whether
+    :meth:`WorkerPool.close` must surface it.
+    """
+
+    error_kills_worker = False
+    errors_surface_at_close = True
+
+    def __init__(self, pool: "WorkerPool"):
+        self.pool = pool
+        #: Whether :meth:`start` has launched workers (inline: there are none).
+        self.started = False
+
+    def start(self) -> None:
+        """Start the workers (idempotent)."""
+        if not self.started:
+            self.started = True
+            self._launch()
+
+    def _launch(self) -> None:
+        pass
+
+    def close(self) -> None:
+        """Work off everything accepted, then stop the workers."""
+
+    def shard_counters(self) -> Tuple[int, List[int], List[int]]:
+        """``(steals, batches routed per shard, current shard depths)`` —
+        all zero for executors without shard queues."""
+        zeros = [0] * max(1, self.pool.num_workers)
+        return 0, zeros, list(zeros)
+
+
+class _InlineExecutor(_Executor):
+    """Decodes in the submitting thread, so a real error is raised from the
+    ``submit`` call that hit it rather than kept for ``close()``."""
+
+    mode = "inline"
+    error_stage = "decode_error"
+    errors_surface_at_close = False
+
+    def offer(self, index: int, batch: DecodeBatch) -> bool:
+        pool = self.pool
+        try:
+            outcomes, service_us = decode_pack(pool.decoder, pool.faults,
+                                               pool.threads, index, batch)
+        except BaseException as error:
+            # The slot is released either way, so later batches still
+            # credit if the caller treats the failure as transient.
+            pool.failed(index, batch, error)
+            if isinstance(error, InjectedFault):
+                return True
+            raise
+        pool.done(index, batch, outcomes, service_us)
+        return True
+
+
+class _ThreadExecutor(_Executor):
+    """Per-worker shard queues drained by real threads.
+
+    Wall-clock throughput benefits from NumPy releasing the GIL inside the
+    anneals — the Python parts of the decode stack still serialise on it.
+    Batches are routed to a *sticky* shard by structure key, which keeps one
+    worker's decoder sampler cache hot for each structure; an idle worker
+    steals from the longest other shard, so skewed structure mixes never
+    strand capacity.  One bound covers the packs queued on all shards.
+    """
+
+    mode = MODE_THREAD
+    error_stage = "worker_error"
+    error_kills_worker = True
+
+    def __init__(self, pool: "WorkerPool"):
+        super().__init__(pool)
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
+        self._shards: List["deque[Tuple[int, DecodeBatch]]"] = [
+            deque() for _ in range(pool.num_workers)]
+        self._route: Dict[Tuple, int] = {}
+        self._shard_routed = [0] * pool.num_workers
+        self._pending = 0
+        self._steals = 0
+        self._stop = False
+        self._threads: List[threading.Thread] = []
+
+    def _launch(self) -> None:
+        for shard in range(self.pool.num_workers):
+            self._spawn_worker(shard)
+
+    def _spawn_worker(self, shard: int) -> None:
+        """Start one draining thread on *shard* (initial start or respawn)."""
+        factory = self.pool._decoder_factory
+        decoder = factory() if factory is not None else self.pool.decoder
+        thread = threading.Thread(target=self._worker_loop,
+                                  args=(decoder, shard),
+                                  name=f"cran-worker-{shard}",
+                                  daemon=True)
+        with self._lock:
+            self._threads.append(thread)
+        thread.start()
+
+    def close(self) -> None:
+        self.start()
+        with self._lock:
+            self._stop = True
+            self._not_empty.notify_all()
+        while True:
+            # A worker crashing while the backlog drains can spawn a
+            # replacement after a join pass; loop until no new thread
+            # appeared (replacements observe _stop and exit once their
+            # shard is empty).
+            with self._lock:
+                threads = list(self._threads)
+            for thread in threads:
+                thread.join()
+            with self._lock:
+                if len(self._threads) == len(threads):
+                    return
+
+    def shard_counters(self) -> Tuple[int, List[int], List[int]]:
+        with self._lock:
+            return (self._steals, list(self._shard_routed),
+                    [len(shard) for shard in self._shards])
+
+    def offer(self, index: int, batch: DecodeBatch) -> bool:
+        with self._not_full:
+            if self._pending >= self.pool.queue_capacity:
+                # With nobody draining, waiting for room would never end.
+                if (self.pool.overload_policy == POLICY_SHED
+                        or not self.started):
+                    return False
+                while self._pending >= self.pool.queue_capacity:
+                    self._not_full.wait()
+            shard = self._shard_for_locked(batch.structure_key)
+            self._shards[shard].append((index, batch))
+            self._shard_routed[shard] += 1
+            self._pending += 1
+            self._not_empty.notify()
+        return True
+
+    def _shard_for_locked(self, key: Tuple) -> int:
+        """Sticky shard of one structure key (first-seen keys round-robin).
+
+        Called with the lock held.  Routing by structure rather than by load
+        keeps each worker decoding the same problem shapes back to back —
+        which is what lets a per-worker decoder's warm sampler cache hit —
+        while work stealing (:meth:`_take_locked`) still balances skewed
+        mixes.  The round-robin assignment depends only on first-seen order,
+        never on ``hash()``, so routing is reproducible across runs.
+        """
+        shard = self._route.get(key)
+        if shard is None:
+            shard = self._route[key] = len(self._route) % len(self._shards)
+        return shard
+
+    def _take_locked(self, shard: int) -> Optional[Tuple[int, DecodeBatch]]:
+        """Pop this worker's next batch, stealing when its shard is empty.
+
+        Called with the lock held.  Own shard first (FIFO), else the oldest
+        batch of the *longest* other shard (ties to the lowest index);
+        ``None`` when every shard is empty.
+        """
+        own = self._shards[shard]
+        if not own:
+            victim, depth = None, 0
+            for other, candidate in enumerate(self._shards):
+                if other != shard and len(candidate) > depth:
+                    victim, depth = other, len(candidate)
+            if victim is None:
+                return None
+            own = self._shards[victim]
+            self._steals += 1
+        self._pending -= 1
+        return own.popleft()
+
+    def _worker_loop(self, decoder: QuAMaxDecoder, shard: int) -> None:
+        pool = self.pool
+        dead = False
+        while True:
+            with self._not_empty:
+                while True:
+                    item = self._take_locked(shard)
+                    if item is not None:
+                        break
+                    if self._stop:
+                        return
+                    self._not_empty.wait()
+                self._not_full.notify_all()
+            index, batch = item
+            if dead:
+                # Keep draining so blocked producers never deadlock on a
+                # dead worker; the undecoded packs stay accounted and the
+                # original error is raised by close().
+                pool.failed(index, batch, None)
+                continue
+            try:
+                outcomes, service_us = decode_pack(decoder, pool.faults,
+                                                   pool.threads, index, batch)
+            except Exception as error:
+                # Exception, not BaseException: a KeyboardInterrupt must
+                # propagate and kill the worker loudly rather than being
+                # folded into the fault accounting.
+                if pool.failed(index, batch, error, worker=shard):
+                    # Within budget, supervision replaces this worker on
+                    # the same shard.
+                    self._spawn_worker(shard)
+                    return
+                dead = pool.kills_worker(error)
+            else:
+                pool.done(index, batch, outcomes, service_us)
+
+
+class _ProcessExecutor(_Executor):
+    """A persistent :mod:`multiprocessing` pool, bounded in packs in flight.
+
+    The batch's job specs travel pickled, each worker process decodes with
+    its own decoder replica, and the bulky result arrays come back through
+    a shared-memory segment instead of the result pipe — so NumPy *and*
+    pure Python decode work runs truly parallel across cores.
+    """
+
+    mode = MODE_PROCESS
+    error_stage = "process_error"
+
+    def __init__(self, pool: "WorkerPool"):
+        super().__init__(pool)
+        self._space = threading.Condition(threading.Lock())
+        self._inflight = 0
+        self._workers = None
+
+    def _launch(self) -> None:
+        # The platform-default start method is the safe choice: fork on
+        # Linux (fast start, decoder inherited without pickling), spawn on
+        # macOS/Windows where forking a threaded/BLAS-active parent is
+        # unsafe.
+        context_name = None
+        if openmp_teams_run():
+            # libgomp's worker threads do not survive fork(): once this
+            # process has run a multi-thread OpenMP team (a threaded
+            # counter kernel), a fork-context child deadlocks in its first
+            # parallel region.  Fall back to spawn, where workers rebuild
+            # the decoder from the pickled spec like on macOS/Windows.
+            try:
+                if (multiprocessing.get_start_method(allow_none=True)
+                        in (None, "fork")):
+                    context_name = "spawn"
+            except ValueError:
+                pass
+        context = multiprocessing.get_context(context_name)
+        try:
+            # Start the resource tracker *before* forking the pool, so the
+            # workers inherit it: shared-memory segments registered by a
+            # worker are then unregistered by the parent's unlink against
+            # the same tracker (no leak warnings, and crash cleanup still
+            # covers in-flight segments).
+            from multiprocessing import resource_tracker
+            resource_tracker.ensure_running()
+        except (ImportError, OSError):
+            pass
+        # Workers rebuild the decoder from a pickled spec: the factory when
+        # one was given (one decoder per process, like the threaded
+        # decoder_factory), else the configured decoder itself.  The fault
+        # plan rides along so worker-side injection decisions match the
+        # parent's accounting.
+        pool = self.pool
+        payload = (("factory", pool._decoder_factory)
+                   if pool._decoder_factory is not None
+                   else ("decoder", pool.decoder))
+        self._workers = context.Pool(
+            processes=pool.num_workers, initializer=_process_worker_init,
+            initargs=(payload + (pool.faults, pool.threads),))
+
+    def close(self) -> None:
+        self.start()
+        with self._space:
+            while self._inflight:
+                self._space.wait()
+        self._workers.close()
+        self._workers.join()
+
+    def offer(self, index: int, batch: DecodeBatch) -> bool:
+        self.start()
+        with self._space:
+            if self.pool.overload_policy == POLICY_BLOCK:
+                while self._inflight >= self.pool.queue_capacity:
+                    self._space.wait()
+            elif self._inflight >= self.pool.queue_capacity:
+                return False
+            self._inflight += 1
+        self._workers.apply_async(
+            _process_decode_batch, (index, batch),
+            callback=partial(self._on_result, index, batch),
+            error_callback=partial(self._on_error, index, batch))
+        return True
+
+    def _on_result(self, index: int, batch: DecodeBatch, payload) -> None:
+        """Pool callback: reattach the shared buffers, hand the pack over."""
+        try:
+            exported, service_us, phases = payload
+            outcomes = _import_outcomes(*exported)
+        except BaseException as error:  # surfaced by close()
+            self._on_error(index, batch, error)
+            return
+        PROFILER.merge(phases)
+        self.pool.done(index, batch, outcomes, service_us)
+        self._landed()
+
+    def _on_error(self, index: int, batch: DecodeBatch,
+                  error: BaseException) -> None:
+        if not isinstance(error, BaseException):
+            error = SchedulingError(f"process worker failed: {error!r}")
+        self.pool.failed(index, batch, error)
+        self._landed()
+
+    def _landed(self) -> None:
+        with self._space:
+            self._inflight -= 1
+            self._space.notify_all()
+
+
+# --------------------------------------------------------------------------- #
+# The accounting core: the virtual plane
+# --------------------------------------------------------------------------- #
+
 class WorkerPool:
     """Bounded-queue pool of QuAMax decode workers with virtual-time accounting.
 
@@ -336,20 +641,13 @@ class WorkerPool:
         ``0`` decodes inline at submission (deterministic); ``>= 1`` starts
         that many draining threads or worker processes (see *mode*).
     mode:
-        ``"thread"`` (default) drains bounded per-worker shard queues
-        (structure-sticky routing with work stealing) from threads;
-        ``"process"`` ships packs to a persistent multiprocessing pool —
-        pickled job specs out, shared-memory sample buffers back — so the
-        decode stack scales past the GIL.  Ignored when ``num_workers=0``.
-        Virtual-time accounting is identical across modes (batches credit
-        in flush order either way), so latency/deadline telemetry for a
-        given offered load and worker count does not depend on the mode.
-    mp_context:
-        Multiprocessing start method for process mode (``"fork"``,
-        ``"spawn"`` or ``"forkserver"``); default is the platform's own
-        (``fork`` on Linux — fast start, decoder inherited without
-        pickling — ``spawn`` on macOS/Windows, where forking a
-        BLAS-active parent is unsafe).
+        Which executor serves ``num_workers >= 1``: ``"thread"`` (default)
+        or ``"process"``, which scales past the GIL and is started with the
+        platform's own method — ``fork`` on Linux, ``spawn`` on
+        macOS/Windows and wherever this process has already run an OpenMP
+        team.  Virtual-time accounting does not depend on it (batches
+        credit in flush order either way), so neither does the
+        latency/deadline telemetry of a given load and worker count.
     queue_capacity:
         Bound on queued batches summed over all worker shards (threaded
         mode), or on the number of in-flight packs (process mode).
@@ -363,36 +661,29 @@ class WorkerPool:
         Optional :class:`~repro.cran.tracing.TraceRecorder` the pool stamps
         pack/job lifecycle events into (flush, dispatch, worker pickup,
         completion, sheds) on the same virtual clock as the accounting.
-        The recorder is passive; the pool's own lock serialises every
-        append, and producers record their events through
-        :meth:`record_event` for the same reason.  ``None`` (default)
-        disables tracing at zero cost.
+        ``None`` (default) disables tracing at zero cost.
     decoder_factory:
         Optional zero-argument callable building one decoder per worker
-        thread (e.g. to give each worker its own annealer instance).
+        thread or process (e.g. to give each worker its own annealer
+        instance).
     autostart:
-        Start worker threads immediately (threaded mode).  Tests can pass
-        ``False`` to fill the queue deterministically before draining; with
-        no worker running, a submission past capacity sheds (shed policy) or
-        raises (block policy — it would otherwise deadlock the producer).
+        Start the workers immediately.  Tests can pass ``False`` to fill
+        the queue deterministically before draining; with no worker
+        running, a submission past capacity sheds (shed policy) or raises
+        (block policy — it would otherwise deadlock the producer).
     faults:
         Optional :class:`~repro.cran.faults.FaultPlan` injecting worker
         crashes, decode errors and stragglers deterministically by
         submission index (process pools ship the plan to their workers, so
-        worker-side decisions match the parent's accounting).
+        worker-side decisions match the parent's accounting).  A pack an
+        injected fault fails is parked for :meth:`take_failed`.
     restart_budget:
         How many dead workers supervision may respawn over the pool's
         lifetime.  Within budget a crashed thread worker is replaced on its
-        shard (``worker.restart`` trace event) instead of entering the
-        legacy drain mode; process crashes draw on the same budget for
-        identical cross-mode accounting (the :mod:`multiprocessing` pool
-        maintains its worker set regardless).
-    collect_failures:
-        When true, a failed pack is *not* shed: its submission slot credits
-        as empty and the pack is parked for :meth:`take_failed`
-        (``pack.failed`` trace event), letting the serving session requeue
-        the jobs.  Off by default — without a retry layer on top, failures
-        keep their legacy shed-and-raise semantics.
+        shard (``worker.restart`` trace event) instead of draining its
+        shard undecoded; inline and process crashes draw on the same budget
+        for identical cross-mode accounting (neither has a worker of its
+        own to replace).
     threads:
         Per-worker kernel-thread budget applied to packs that carry no
         per-job ``threads`` hint (only effective under
@@ -408,7 +699,6 @@ class WorkerPool:
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,
                  num_workers: int = 0,
                  mode: str = MODE_THREAD,
-                 mp_context: Optional[str] = None,
                  queue_capacity: int = 16,
                  overload_policy: str = POLICY_BLOCK,
                  telemetry: Optional[TelemetryRecorder] = None,
@@ -417,7 +707,6 @@ class WorkerPool:
                  autostart: bool = True,
                  faults: Optional[FaultPlan] = None,
                  restart_budget: int = 0,
-                 collect_failures: bool = False,
                  threads: Optional[int] = None):
         if overload_policy not in OVERLOAD_POLICIES:
             raise SchedulingError(
@@ -428,8 +717,6 @@ class WorkerPool:
                 f"mode must be one of {MODES}, got {mode!r}")
         self.num_workers = check_integer_in_range("num_workers", num_workers,
                                                   minimum=0)
-        self.mode = mode
-        self.mp_context = mp_context
         self.queue_capacity = check_integer_in_range(
             "queue_capacity", queue_capacity, minimum=1)
         self.overload_policy = overload_policy
@@ -441,40 +728,24 @@ class WorkerPool:
         self.faults = faults
         self.restart_budget = check_integer_in_range(
             "restart_budget", restart_budget, minimum=0)
-        self.collect_failures = bool(collect_failures)
+        executor = (_InlineExecutor if not self.num_workers
+                    else _ProcessExecutor if mode == MODE_PROCESS
+                    else _ThreadExecutor)
         if threads is None:
             # Oversubscription guard: a process pool's workers each run
             # their own OpenMP team, so the default budget divides the
             # machine between them; threaded/inline pools share one
             # process (and its GIL) and default to serial kernels.
-            if self.num_workers and mode == MODE_PROCESS:
-                threads = max(1, (os.cpu_count() or 1) // self.num_workers)
-            else:
-                threads = 1
+            threads = (max(1, (os.cpu_count() or 1) // self.num_workers)
+                       if executor is _ProcessExecutor else 1)
         self.threads = check_integer_in_range("threads", threads, minimum=1)
 
         self._lock = threading.Lock()
-        # Thread mode: one shard deque per worker, a sticky structure-key
-        # routing table, and a total-pending bound shared by all shards.
-        self._shards: List["deque[Tuple[int, DecodeBatch]]"] = [
-            deque() for _ in range(max(1, self.num_workers))]
-        self._route: Dict[Tuple, int] = {}
-        self._next_shard = 0
-        self._shard_routed = [0] * max(1, self.num_workers)
-        self._pending = 0
-        self._steals = 0
-        self._stop = False
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        # Process mode: in-flight pack accounting behind the same lock.
-        self._space = threading.Condition(self._lock)
-        self._inflight = 0
-        self._pool = None
         self._results: List[JobResult] = []
-        self._shed_jobs: List = []
+        self._shed_jobs: List[DecodeJob] = []
         self._errors: List[BaseException] = []
         # Failed packs parked for the retry layer: (submission index,
-        # batch, failure stage).  Only populated when collect_failures.
+        # batch, failure stage).
         self._failed: List[Tuple[int, DecodeBatch, str]] = []
         self._restarts_left = self.restart_budget
         # Signalled whenever crediting catches up with submission — the
@@ -483,16 +754,15 @@ class WorkerPool:
         # One virtual QA machine per worker (at least one for inline mode);
         # entry k is the time machine k becomes free.  Batches are credited
         # in submission order: decoded-but-out-of-turn batches wait in
-        # ``_decoded`` (``None`` marks a shed submission slot to skip).
+        # ``_decoded`` (``None`` marks a shed or failed slot to skip).
         self._virtual_free = [0.0] * max(1, self.num_workers)
         self._next_submit = 0
         self._next_credit = 0
         self._decoded: Dict[
-            int, Optional[Tuple[DecodeBatch, list, float, dict]]] = {}
-        self._threads: List[threading.Thread] = []
-        self._started = False
+            int, Optional[Tuple[DecodeBatch, list, float]]] = {}
         self._closed = False
-        if self.num_workers and autostart:
+        self._executor = executor(self)
+        if autostart:
             self.start()
 
     # ------------------------------------------------------------------ #
@@ -500,67 +770,7 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         """Start the workers (no-op when inline or already started)."""
-        if self._started or not self.num_workers:
-            self._started = True
-            return
-        self._started = True
-        if self.mode == MODE_PROCESS:
-            # The platform-default start method is the safe choice: fork on
-            # Linux (fast start, decoder inherited without pickling), spawn
-            # on macOS/Windows where forking a threaded/BLAS-active parent
-            # is unsafe.  mp_context overrides it explicitly.
-            context_name = self.mp_context
-            if context_name is None and openmp_teams_run():
-                # libgomp's worker threads do not survive fork(): once this
-                # process has run a multi-thread OpenMP team (a threaded
-                # counter kernel), a fork-context child deadlocks in its
-                # first parallel region.  Fall back to spawn, where workers
-                # rebuild the decoder from the pickled spec like on
-                # macOS/Windows.
-                try:
-                    if (multiprocessing.get_start_method(allow_none=True)
-                            in (None, "fork")):
-                        context_name = "spawn"
-                except ValueError:
-                    pass
-            context = multiprocessing.get_context(context_name)
-            try:
-                # Start the resource tracker *before* forking the pool, so
-                # the workers inherit it: shared-memory segments registered
-                # by a worker are then unregistered by the parent's unlink
-                # against the same tracker (no leak warnings, and crash
-                # cleanup still covers in-flight segments).
-                from multiprocessing import resource_tracker
-                resource_tracker.ensure_running()
-            except (ImportError, OSError):
-                pass
-            # Workers rebuild the decoder from a pickled spec: the factory
-            # when one was given (one decoder per process, like the threaded
-            # decoder_factory), else the configured decoder itself.  The
-            # fault plan rides along so worker-side injection decisions
-            # match the parent's accounting.
-            payload = (
-                ("factory", self._decoder_factory, self.faults, self.threads)
-                if self._decoder_factory is not None
-                else ("decoder", self.decoder, self.faults, self.threads))
-            self._pool = context.Pool(processes=self.num_workers,
-                                      initializer=_process_worker_init,
-                                      initargs=(payload,))
-            return
-        for index in range(self.num_workers):
-            self._spawn_worker(index)
-
-    def _spawn_worker(self, shard: int) -> None:
-        """Start one draining thread on *shard* (initial start or respawn)."""
-        decoder = (self._decoder_factory()
-                   if self._decoder_factory is not None else self.decoder)
-        thread = threading.Thread(target=self._worker_loop,
-                                  args=(decoder, shard),
-                                  name=f"cran-worker-{shard}",
-                                  daemon=True)
-        with self._lock:
-            self._threads.append(thread)
-        thread.start()
+        self._executor.start()
 
     def close(self) -> None:
         """Stop accepting batches, drain the backlog and join the workers.
@@ -573,37 +783,11 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        if self.num_workers:
-            self.start()
-            if self.mode == MODE_PROCESS:
-                with self._space:
-                    while self._inflight:
-                        self._space.wait()
-                self._pool.close()
-                self._pool.join()
-            else:
-                with self._lock:
-                    self._stop = True
-                    self._not_empty.notify_all()
-                while True:
-                    # A worker crashing while the backlog drains can spawn
-                    # a replacement after a join pass; loop until no new
-                    # thread appeared (replacements observe _stop and exit
-                    # once their shard is empty).
-                    with self._lock:
-                        threads = list(self._threads)
-                    for thread in threads:
-                        thread.join()
-                    with self._lock:
-                        if len(self._threads) == len(threads):
-                            break
-        with self._lock:
-            # Failures nobody collected degrade to sheds so every submitted
-            # job stays accounted (complete + shed == submitted).
-            for index, batch, stage in sorted(self._failed,
-                                              key=lambda item: item[0]):
-                self._record_shed_locked(batch, index, stage)
-            self._failed.clear()
+        self._executor.close()
+        # Failures nobody collected degrade to sheds so every submitted
+        # job stays accounted (complete + shed == submitted).
+        for index, batch, stage in self.take_failed():
+            self.shed(batch.jobs, stage, batch.flush_time_us, index)
         if self._errors:
             if len(self._errors) == 1:
                 raise self._errors[0]
@@ -616,7 +800,7 @@ class WorkerPool:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Submission
+    # The seam: packs in, outcomes and failures back
     # ------------------------------------------------------------------ #
     def submit(self, batch: DecodeBatch) -> bool:
         """Offer one flushed batch to the pool.
@@ -645,194 +829,129 @@ class WorkerPool:
                     job_ids=list(batch.job_ids))
                 self.trace.record(EVENT_PACK_DISPATCH, batch.flush_time_us,
                                   pack_id=index)
-        if self.num_workers and self.mode == MODE_PROCESS:
-            return self._submit_process(index, batch)
-        if not self.num_workers:
-            try:
-                self._decode(self.decoder, batch, index)
-            except InjectedFault as error:
-                if not self.collect_failures:
-                    with self._lock:
-                        self._decoded[index] = None
-                        self._credit_ready_locked()
-                        self._record_shed_locked(batch, index, "decode_error")
-                    raise
+        if self._executor.offer(index, batch):
+            return True
+        with self._lock:
+            if self.overload_policy == POLICY_SHED:
+                self._release_locked(index, batch, "pool", park=False)
+                return False
+            # A blocking executor only ever declines when nobody is
+            # draining it; surface the misuse instead of deadlocking.
+            self._skip_locked(index)
+        raise SchedulingError(
+            "submission queue is full but no worker is running; "
+            "call start() before blocking submissions")
+
+    def done(self, index: int, batch: DecodeBatch, outcomes: list,
+             service_us: float) -> None:
+        """Executor callback: pack *index* decoded; credit it in turn."""
+        with self._lock:
+            self._decoded[index] = (batch, outcomes, service_us)
+            self._credit_ready_locked()
+
+    def kills_worker(self, error: BaseException) -> bool:
+        """Whether *error* cost the executor a worker: an injected crash
+        does by definition, a real error where the executor says so."""
+        return isinstance(error, WorkerCrash) or (
+            not isinstance(error, InjectedFault)
+            and self._executor.error_kills_worker)
+
+    def failed(self, index: int, batch: DecodeBatch,
+               error: Optional[BaseException],
+               worker: Optional[int] = None) -> bool:
+        """Executor callback, and the one failure path: pack *index* will
+        not decode.  Returns whether a replacement worker may be started.
+
+        An injected fault parks the pack for :meth:`take_failed`, and so
+        does ``error=None`` — the pack was never tried because its worker
+        is dead — when a fault plan is configured (a retry layer is
+        listening); anything else sheds it under the executor's stage
+        label and keeps the error for whoever surfaces it.  A lost worker
+        then spends one slot of the restart budget.
+        """
+        injected = isinstance(error, InjectedFault)
+        with self._lock:
+            if injected:
                 stage = (FAULT_CRASH if isinstance(error, WorkerCrash)
                          else FAULT_DECODE_ERROR)
-                with self._lock:
-                    self._record_failed_locked(batch, index, stage)
-                return True
-            except BaseException:
-                # Free the submission slot so later batches still credit if
-                # the caller treats the failure as transient and keeps going.
-                with self._lock:
-                    self._decoded[index] = None
-                    self._credit_ready_locked()
-                    self._record_shed_locked(batch, index, "decode_error")
-                raise
-            return True
-        with self._not_full:
-            if self._pending >= self.queue_capacity:
-                if self.overload_policy == POLICY_SHED:
-                    self._decoded[index] = None
-                    self._credit_ready_locked()
-                    self._record_shed_locked(batch, index, "pool")
-                    return False
-                if not self._started:
-                    # A blocking wait with no running consumer would
-                    # deadlock the producer; surface the misuse instead.
-                    self._decoded[index] = None
-                    self._credit_ready_locked()
-                    raise SchedulingError(
-                        "submission queue is full but no worker is running; "
-                        "call start() before blocking submissions")
-                while self._pending >= self.queue_capacity:
-                    self._not_full.wait()
-            shard = self._shard_for_locked(batch.structure_key)
-            self._shards[shard].append((index, batch))
-            self._shard_routed[shard] += 1
-            self._pending += 1
-            self._not_empty.notify()
-        return True
-
-    def _submit_process(self, index: int, batch: DecodeBatch) -> bool:
-        """Ship one batch to the process pool, honouring the backpressure
-        policy on the number of in-flight packs."""
-        self.start()
-        with self._space:
-            if self.overload_policy == POLICY_BLOCK:
-                while self._inflight >= self.queue_capacity:
-                    self._space.wait()
-            elif self._inflight >= self.queue_capacity:
-                self._decoded[index] = None
-                self._credit_ready_locked()
-                self._record_shed_locked(batch, index, "pool")
-                return False
-            self._inflight += 1
-        self._pool.apply_async(
-            _process_decode_batch, (index, batch),
-            callback=partial(self._on_process_result, index, batch),
-            error_callback=partial(self._on_process_error, index, batch))
-        return True
-
-    def _on_process_result(self, index: int, batch: DecodeBatch,
-                           payload) -> None:
-        """Pool callback: reattach shared buffers, credit in flush order."""
-        try:
-            (pickled, shm_name, sizes), service_us, info = payload
-            outcomes = _import_outcomes(pickled, shm_name, sizes)
-        except BaseException as error:  # surfaced by close()
-            self._on_process_error(index, batch, error)
-            return
-        PROFILER.merge(info.pop("phases", None))
-        with self._space:
-            self._decoded[index] = (batch, outcomes, service_us, info)
-            self._credit_ready_locked()
-            self._inflight -= 1
-            self._space.notify_all()
-
-    def _on_process_error(self, index: int, batch: DecodeBatch,
-                          error: BaseException) -> None:
-        """Pool error callback: park the pack for the retry layer (when
-        collecting failures) or account it as shed, keep the slot order
-        intact, and surface non-injected errors at close()."""
-        if not isinstance(error, BaseException):
-            error = SchedulingError(f"process worker failed: {error!r}")
-        crash = isinstance(error, WorkerCrash)
-        injected = isinstance(error, InjectedFault)
-        with self._space:
-            if injected and self.collect_failures:
-                self._record_failed_locked(
-                    batch, index, FAULT_CRASH if crash else FAULT_DECODE_ERROR)
             else:
-                self._errors.append(error)
-                self._decoded[index] = None
-                self._credit_ready_locked()
-                self._record_shed_locked(batch, index, "process_error")
-            if crash:
-                # The multiprocessing pool maintains its own worker set
-                # through deaths; the budget/trace accounting here mirrors
-                # the threaded supervision so both modes report identically.
-                self._note_restart_locked(batch, index, worker=None)
-            self._inflight -= 1
-            self._space.notify_all()
+                stage = self._executor.error_stage
+                if (error is not None
+                        and self._executor.errors_surface_at_close):
+                    self._errors.append(error)
+            self._release_locked(
+                index, batch, stage,
+                park=injected or (error is None and self.faults is not None))
+            if (error is None or not self.kills_worker(error)
+                    or self._restarts_left <= 0):
+                return False
+            self._restarts_left -= 1
+            self._emit_locked(EVENT_WORKER_RESTART, batch.flush_time_us,
+                              None, index, worker,
+                              {"remaining": self._restarts_left})
+            return True
 
-    def record_queue_depth(self, now_us: float, depth: int) -> None:
-        """Sample the scheduler backlog into this pool's telemetry.
+    def emit(self, name: str, ts_us: float, *,
+             job_id: Optional[int] = None, pack_id: Optional[int] = None,
+             worker: Optional[int] = None, **attrs: Any) -> None:
+        """Record one lifecycle fact: bump its telemetry counter (if it has
+        one) and append it to the trace (if one is retained).
 
-        Producers must record through here rather than on the recorder
-        directly: the pool's lock serialises the sample against the worker
-        threads' batch/shed recording (the recorder itself is lock-free).
+        The single write of every fact a producer (session, ingress
+        gateway) states — ``job.admit``, ``ingress.admit``, ``job.restamp``,
+        ``job.retry``, ``brownout.*``, gateway-level ``job.shed`` — and of
+        the pool's own failures, serialised by the pool lock.  Callers that
+        would build attrs only for the trace check :attr:`trace` first.
         """
         with self._lock:
-            self.telemetry.record_queue_depth(now_us, depth)
+            self._emit_locked(name, ts_us, job_id, pack_id, worker, attrs)
 
-    def record_event(self, name: str, ts_us: float, *,
-                     job_id: Optional[int] = None,
-                     pack_id: Optional[int] = None,
-                     worker: Optional[int] = None,
-                     **attrs: Any) -> None:
-        """Record one trace event under the pool lock (no-op untraced).
-
-        Producers (session, ingress gateway) stamp their own lifecycle
-        events — ``job.admit``, ``ingress.admit``, ``job.restamp``,
-        gateway-level ``job.shed`` — through here so the append is
-        serialised against the workers' recording, exactly like
-        :meth:`record_queue_depth`.
-        """
-        if self.trace is None:
-            return
-        with self._lock:
+    def _emit_locked(self, name: str, ts_us: float, job_id: Optional[int],
+                     pack_id: Optional[int], worker: Optional[int],
+                     attrs: Dict[str, Any]) -> None:
+        self.telemetry.count(name, attrs)
+        if self.trace is not None:
             self.trace.record(name, ts_us, job_id=job_id, pack_id=pack_id,
                               worker=worker, **attrs)
 
-    def _record_shed_locked(self, batch: DecodeBatch, index: int,
-                            stage: str) -> None:
-        """Account one dropped batch (lock held): shed list, telemetry,
-        and a ``job.shed`` trace event per member."""
-        self._shed_jobs.extend(batch.jobs)
-        self.telemetry.record_shed(batch.jobs, stage=stage)
+    def shed(self, jobs: Sequence[DecodeJob], stage: str, ts_us: float,
+             pack_id: Optional[int] = None) -> None:
+        """Drop *jobs* for good: onto the shed list, counted by *stage*, one
+        ``job.shed`` event each — the pool's own sheds, and the session's
+        (brownout, retry give-up) in the same stream."""
+        with self._lock:
+            self._shed_locked(jobs, stage, ts_us, pack_id)
+
+    def _shed_locked(self, jobs: Sequence[DecodeJob], stage: str,
+                     ts_us: float, pack_id: Optional[int]) -> None:
+        self._shed_jobs.extend(jobs)
+        self.telemetry.record_shed(len(jobs), stage)
         if self.trace is not None:
-            for job in batch.jobs:
-                self.trace.record(EVENT_JOB_SHED, batch.flush_time_us,
-                                  job_id=job.job_id, pack_id=index,
-                                  stage=stage)
+            for job in jobs:
+                self.trace.record(EVENT_JOB_SHED, ts_us, job_id=job.job_id,
+                                  pack_id=pack_id, stage=stage)
 
-    def _record_failed_locked(self, batch: DecodeBatch, index: int,
-                              stage: str) -> None:
-        """Park one failed pack for the retry layer (lock held).
-
-        The submission slot credits as empty so later packs keep flowing;
-        the pack's jobs stay *unaccounted* (neither completed nor shed)
-        until :meth:`take_failed` hands them to the caller — or
-        :meth:`close` sheds whatever nobody collected.
-        """
+    def _skip_locked(self, index: int) -> None:
+        """Mark slot *index* empty so later packs keep crediting."""
         self._decoded[index] = None
         self._credit_ready_locked()
-        self._failed.append((index, batch, stage))
-        self.telemetry.record_pack_failed(batch.size)
-        if self.trace is not None:
-            self.trace.record(EVENT_PACK_FAILED, batch.flush_time_us,
-                              pack_id=index, stage=stage,
-                              job_ids=list(batch.job_ids))
 
-    def _note_restart_locked(self, batch: DecodeBatch, index: int,
-                             worker: Optional[int]) -> bool:
-        """Spend one restart-budget slot on a dead worker (lock held).
+    def _release_locked(self, index: int, batch: DecodeBatch, stage: str,
+                        park: bool) -> None:
+        """Give up pack *index*: free its slot, then shed it or park it.
 
-        Returns whether supervision may respawn (budget not exhausted);
-        records the restart in telemetry and as a ``worker.restart`` trace
-        event stamped at the failing pack's flush time.
+        A parked pack's jobs stay *unaccounted* (neither completed nor
+        shed) until :meth:`take_failed` hands them to the caller — or
+        :meth:`close` sheds whatever nobody collected.
         """
-        if self._restarts_left <= 0:
-            return False
-        self._restarts_left -= 1
-        self.telemetry.record_worker_restart()
-        if self.trace is not None:
-            self.trace.record(EVENT_WORKER_RESTART, batch.flush_time_us,
-                              pack_id=index, worker=worker,
-                              remaining=self._restarts_left)
-        return True
+        self._skip_locked(index)
+        if park:
+            self._failed.append((index, batch, stage))
+            self._emit_locked(EVENT_PACK_FAILED, batch.flush_time_us,
+                              None, index, None,
+                              {"stage": stage, "job_ids": list(batch.job_ids)})
+        else:
+            self._shed_locked(batch.jobs, stage, batch.flush_time_us, index)
 
     def take_failed(self) -> List[Tuple[int, DecodeBatch, str]]:
         """Drain the parked failures, in submission order.
@@ -856,36 +975,11 @@ class WorkerPool:
         are idle by construction, and a pool whose workers were never
         started would wait forever — both return immediately.
         """
-        if not self.num_workers or not self._started:
+        if not self._executor.started:
             return
         with self._idle:
             while self._next_credit < self._next_submit:
                 self._idle.wait()
-
-    def shed_job(self, job: DecodeJob, stage: str, ts_us: float) -> None:
-        """Account one producer-side dropped job (brownout admission shed,
-        retry give-up) in the same stream as the pool's own sheds."""
-        with self._lock:
-            self._shed_jobs.append(job)
-            self.telemetry.record_shed((job,), stage=stage)
-            if self.trace is not None:
-                self.trace.record(EVENT_JOB_SHED, ts_us, job_id=job.job_id,
-                                  stage=stage)
-
-    def record_retry(self, job: DecodeJob, ts_us: float, attempt: int,
-                     stage: str) -> None:
-        """Record one requeued job (telemetry counter + ``job.retry``
-        trace event) under the pool lock."""
-        with self._lock:
-            self.telemetry.record_retry()
-            if self.trace is not None:
-                self.trace.record(EVENT_JOB_RETRY, ts_us, job_id=job.job_id,
-                                  attempt=attempt, stage=stage)
-
-    def record_brownout(self, transition: str) -> None:
-        """Record a brownout breaker transition under the pool lock."""
-        with self._lock:
-            self.telemetry.record_brownout(transition)
 
     # ------------------------------------------------------------------ #
     # Results
@@ -896,56 +990,15 @@ class WorkerPool:
             return sorted(self._results, key=lambda r: r.job.job_id)
 
     @property
-    def shed_jobs(self) -> List:
+    def shed_jobs(self) -> List[DecodeJob]:
         """Jobs dropped by the shed policy, in submission order."""
         with self._lock:
             return list(self._shed_jobs)
 
-    # ------------------------------------------------------------------ #
-    # Decoding
-    # ------------------------------------------------------------------ #
-    def _shard_for_locked(self, key: Tuple) -> int:
-        """Sticky shard of one structure key (first-seen keys round-robin).
-
-        Called with the lock held.  Routing by structure rather than by load
-        keeps each worker decoding the same problem shapes back to back —
-        which is what lets a per-worker decoder's warm sampler cache hit —
-        while work stealing (:meth:`_take_locked`) still balances skewed
-        mixes.  The round-robin assignment depends only on first-seen order,
-        never on ``hash()``, so routing is reproducible across runs.
-        """
-        shard = self._route.get(key)
-        if shard is None:
-            shard = self._next_shard % len(self._shards)
-            self._route[key] = shard
-            self._next_shard += 1
-        return shard
-
-    def _take_locked(self, shard: int) -> Optional[Tuple[int, DecodeBatch]]:
-        """Pop this worker's next batch, stealing when its shard is empty.
-
-        Called with the lock held.  Own shard first (FIFO), else the oldest
-        batch of the *longest* other shard (ties to the lowest index);
-        ``None`` when every shard is empty.
-        """
-        own = self._shards[shard]
-        if not own:
-            victim, depth = None, 0
-            for other, candidate in enumerate(self._shards):
-                if other != shard and len(candidate) > depth:
-                    victim, depth = other, len(candidate)
-            if victim is None:
-                return None
-            own = self._shards[victim]
-            self._steals += 1
-        self._pending -= 1
-        return own.popleft()
-
     @property
     def steal_count(self) -> int:
         """Number of batches taken from another worker's shard so far."""
-        with self._lock:
-            return self._steals
+        return self._executor.shard_counters()[0]
 
     def worker_info(self) -> Dict[str, Any]:
         """One-shot snapshot of the pool's worker-level counters.
@@ -955,94 +1008,15 @@ class WorkerPool:
         surfaces under ``telemetry["workers"]``.  Shard counters stay zero
         for inline and process pools, which have no shard queues.
         """
-        with self._lock:
-            return {
-                "mode": "inline" if not self.num_workers else self.mode,
-                "num_workers": self.num_workers,
-                "threads": self.threads,
-                "steal_count": self._steals,
-                "shard_batches": list(self._shard_routed),
-                "shard_depths": [len(shard) for shard in self._shards],
-            }
-
-    def _worker_loop(self, decoder: QuAMaxDecoder, shard: int) -> None:
-        failed = False
-        while True:
-            with self._not_empty:
-                while True:
-                    item = self._take_locked(shard)
-                    if item is not None:
-                        break
-                    if self._stop:
-                        return
-                    self._not_empty.wait()
-                self._not_full.notify_all()
-            index, batch = item
-            if failed:
-                # Keep draining so blocked producers never deadlock on a
-                # dead worker; the undecoded packs stay accounted — parked
-                # for the retry layer when collecting failures, shed
-                # otherwise — and the original error is raised by close().
-                with self._lock:
-                    if self.collect_failures:
-                        self._record_failed_locked(batch, index,
-                                                   "worker_error")
-                    else:
-                        self._decoded[index] = None
-                        self._credit_ready_locked()
-                        self._record_shed_locked(batch, index, "worker_error")
-                continue
-            try:
-                self._decode(decoder, batch, index)
-            except Exception as error:
-                # Exception, not BaseException: a KeyboardInterrupt must
-                # propagate and kill the worker loudly rather than being
-                # folded into the fault accounting.
-                crash = isinstance(error, WorkerCrash)
-                injected = isinstance(error, InjectedFault)
-                respawn = False
-                with self._lock:
-                    if injected and self.collect_failures:
-                        self._record_failed_locked(
-                            batch, index,
-                            FAULT_CRASH if crash else FAULT_DECODE_ERROR)
-                    else:
-                        self._errors.append(error)  # surfaced by close()
-                        self._decoded[index] = None
-                        self._credit_ready_locked()
-                        self._record_shed_locked(batch, index, "worker_error")
-                    if crash or not injected:
-                        # The worker is dead.  Within budget, supervision
-                        # respawns it on the same shard; past it, this loop
-                        # degrades to the legacy drain mode above.
-                        respawn = self._note_restart_locked(batch, index,
-                                                            worker=shard)
-                        if not respawn:
-                            failed = True
-                if respawn:
-                    self._spawn_worker(shard)
-                    return
-
-    def _decode(self, decoder: QuAMaxDecoder, batch: DecodeBatch,
-                index: int) -> None:
-        """Decode one batch, then credit it in submission order."""
-        fault = _raise_pack_fault(self.faults, index)
-        rng_mode, threads = _batch_decode_hints(batch, self.threads)
-        wall_start = time.perf_counter()
-        outcomes = decoder.detect_batch(
-            [job.channel_use for job in batch.jobs],
-            random_states=[job.rng() for job in batch.jobs],
-            **_decode_overrides(rng_mode, threads))
-        # One shared job overhead per pack, plus the amortised compute of
-        # every block: this is precisely where batching buys latency.
-        service_us = _pack_service_us(decoder, outcomes)
-        if fault is not None:
-            # Injected straggler: correct decode, inflated virtual service.
-            service_us *= fault.factor
-        info = {"wall_s": time.perf_counter() - wall_start}
-        with self._lock:
-            self._decoded[index] = (batch, outcomes, service_us, info)
-            self._credit_ready_locked()
+        steals, routed, depths = self._executor.shard_counters()
+        return {
+            "mode": self._executor.mode,
+            "num_workers": self.num_workers,
+            "threads": self.threads,
+            "steal_count": steals,
+            "shard_batches": routed,
+            "shard_depths": depths,
+        }
 
     def _credit_ready_locked(self) -> None:
         """Credit every decoded batch whose submission turn has come.
@@ -1064,7 +1038,7 @@ class WorkerPool:
             self._next_credit += 1
             if entry is None:  # shed or failed slot: nothing to credit
                 continue
-            batch, outcomes, service_us, info = entry
+            batch, outcomes, service_us = entry
             machine = min(range(len(self._virtual_free)),
                           key=self._virtual_free.__getitem__)
             start_us = max(batch.flush_time_us, self._virtual_free[machine])
@@ -1087,15 +1061,11 @@ class WorkerPool:
                 # programming/readout overhead vs its amortised compute.
                 overhead_us = service_us - sum(
                     outcome.compute_time_us for outcome in outcomes)
-                attrs: Dict[str, Any] = {
-                    "job_ids": job_ids, "service_us": service_us,
-                    "overhead_us": overhead_us,
-                    "anneal_us": service_us - overhead_us,
-                }
-                if self.trace.wall_time and info:
-                    attrs["wall_s"] = info.get("wall_s")
                 self.trace.record(EVENT_PACK_COMPLETE, finish_us,
-                                  pack_id=index, worker=machine, **attrs)
+                                  pack_id=index, worker=machine,
+                                  job_ids=job_ids, service_us=service_us,
+                                  overhead_us=overhead_us,
+                                  anneal_us=service_us - overhead_us)
                 for result in results:
                     self.trace.record(EVENT_JOB_COMPLETE, finish_us,
                                       job_id=result.job.job_id,
@@ -1103,8 +1073,7 @@ class WorkerPool:
                                       deadline_met=result.deadline_met)
 
     def __repr__(self) -> str:
-        mode = ("inline" if not self.num_workers
-                else f"{self.num_workers} "
-                     f"{'processes' if self.mode == MODE_PROCESS else 'threads'}")
-        return (f"WorkerPool({mode}, capacity={self.queue_capacity}, "
+        workers = ("inline" if not self.num_workers
+                   else f"{self.num_workers} {self._executor.mode} workers")
+        return (f"WorkerPool({workers}, capacity={self.queue_capacity}, "
                 f"policy={self.overload_policy!r})")

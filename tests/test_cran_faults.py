@@ -307,6 +307,31 @@ class TestSupervision:
         assert (threaded.telemetry["faults"]
                 == process.telemetry["faults"])
 
+    def test_all_three_modes_spend_the_restart_budget_alike(self):
+        # Regression: an inline pool parked an injected crash without
+        # touching the restart budget (0 restarts, no worker.restart event,
+        # against 13 on thread and on process under this very plan).
+        link = MimoUplink(num_users=2, constellation="BPSK")
+        rng = np.random.default_rng(0)
+        load = [DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
+                          channel_use=link.transmit(random_state=rng),
+                          arrival_time_us=10.0 * i,
+                          deadline_us=10.0 * i + 1e7, seed=100 + i)
+                for i in range(64)]
+        accounts = []
+        for mode, num_workers in (("thread", 0), ("thread", 2),
+                                  ("process", 2)):
+            report = run_faulty(load, self.PLAN, mode=mode,
+                                num_workers=num_workers)
+            faults = report.telemetry["faults"]
+            accounts.append((faults["injected"], faults["worker_restarts"],
+                             sum(event.name == EVENT_WORKER_RESTART
+                                 for event in report.trace)))
+        injected, restarts, events = accounts[0]
+        # An ample budget (16): every injected crash is one restart.
+        assert restarts == events == injected[FAULT_CRASH] > 0
+        assert accounts[1] == accounts[0] and accounts[2] == accounts[0]
+
     def test_inline_and_thread_bits_agree(self, jobs):
         inline = run_faulty(jobs, self.PLAN)
         threaded = run_faulty(jobs, self.PLAN, mode="thread", num_workers=2)

@@ -117,6 +117,35 @@ class TestWorkerPool:
 
         assert run_once() == run_once()
 
+    def test_threaded_accounting_holds_under_lock_contention(
+            self, decoder, job_pool):
+        # More workers than cores, a tiny queue (so the producer blocks on
+        # the executor's lock while workers report into the pool's) and a
+        # shortened switch interval: a lost update between the two locks
+        # would drop a result or move a stamp.
+        import sys
+
+        def timeline(**kwargs):
+            with WorkerPool(decoder, **kwargs) as pool:
+                for round_ in range(4):
+                    for job in job_pool:
+                        pool.submit(make_batch([job], 100.0 * round_))
+            return sorted((r.job.job_id, r.start_time_us, r.finish_time_us)
+                          for r in pool.results())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            contended = timeline(num_workers=8, queue_capacity=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(contended) == 4 * len(job_pool)
+        # The reference has the same eight virtual machines but never
+        # blocks: everything is queued before the first worker starts.
+        reference = timeline(num_workers=8, queue_capacity=64,
+                             autostart=False)
+        assert contended == reference
+
     def test_blocking_submit_without_workers_raises(self, decoder, job_pool):
         pool = WorkerPool(decoder, num_workers=1, queue_capacity=1,
                           overload_policy="block", autostart=False)
@@ -209,7 +238,7 @@ class TestWorkerPool:
         pool.submit(make_batch(job_pool[2:4], flush_time_us=2.0))
         # First-seen structures round-robin across shards; repeats stick to
         # their first shard, keeping that worker's sampler cache hot.
-        assert [len(shard) for shard in pool._shards] == [2, 1]
+        assert [len(shard) for shard in pool._executor._shards] == [2, 1]
         pool.start()
         pool.close()
         assert [r.job.job_id for r in pool.results()] == [0, 1, 2, 3, 100, 101]
@@ -221,16 +250,17 @@ class TestWorkerPool:
             pool.submit(make_batch(job_pool[start:start + 2],
                                    flush_time_us=float(start)))
         # One structure key: sticky routing lands everything on shard 0.
-        assert [len(shard) for shard in pool._shards] == [3, 0]
-        with pool._lock:
-            item = pool._take_locked(1)
+        shards = pool._executor
+        assert [len(shard) for shard in shards._shards] == [3, 0]
+        with shards._lock:
+            item = shards._take_locked(1)
             # Worker 1's own shard is empty, so it steals the oldest batch
             # from the longest other shard instead of going idle.
             assert item is not None
             assert item[0] == 0
-            assert pool._steals == 1
-            pool._shards[1].append(item)
-            pool._pending += 1
+            assert shards._steals == 1
+            shards._shards[1].append(item)
+            shards._pending += 1
         assert pool.steal_count == 1
         pool.start()
         pool.close()

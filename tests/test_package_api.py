@@ -45,6 +45,50 @@ class TestPublicApi:
             assert callable(driver.format_result)
 
 
+class TestServingOptionSurface:
+    """The serving layer's keyword sets, pinned exactly: an option is added
+    by editing this list, not by accretion."""
+
+    SURFACE = {
+        "CranService": {
+            "decoder", "threads", "max_batch", "max_wait_us", "adaptive_wait",
+            "decode_time_model", "num_workers", "mode", "tracing",
+            "fault_plan", "max_retries", "restart_budget", "brownout"},
+        "WorkerPool": {
+            "decoder", "num_workers", "mode", "queue_capacity",
+            "overload_policy", "telemetry", "trace", "decoder_factory",
+            "autostart", "faults", "restart_budget", "threads"},
+        "IngressGateway": {
+            "service", "admission_limit", "per_cell_limit",
+            "overload_policy"},
+        "TraceRecorder": set(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_keyword_set_is_exact(self, name):
+        import inspect
+
+        from repro import cran
+
+        parameters = inspect.signature(getattr(cran, name).__init__).parameters
+        assert set(parameters) - {"self"} == self.SURFACE[name]
+
+    @pytest.mark.parametrize("name, removed", [
+        ("CranService", "kernel"), ("CranService", "backend"),
+        ("CranService", "rng"), ("CranService", "mp_context"),
+        ("CranService", "queue_capacity"), ("CranService", "overload_policy"),
+        ("CranService", "telemetry_window"),
+        ("CranService", "trace_wall_time"),
+        ("CranService", "decoder_factory"), ("WorkerPool", "mp_context"),
+        ("WorkerPool", "collect_failures"), ("TraceRecorder", "wall_time"),
+    ])
+    def test_removed_keyword_is_rejected_not_swallowed(self, name, removed):
+        from repro import cran
+
+        with pytest.raises(TypeError, match=removed):
+            getattr(cran, name)(**{removed: None})
+
+
 class TestConstants:
     def test_dw2q_counts(self):
         assert constants.DW2Q_WORKING_QUBITS == 2031
