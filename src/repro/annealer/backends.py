@@ -391,15 +391,34 @@ def _block_cluster_args(clusters: ClusterDescriptor, b: int) -> tuple:
             clusters.edge_j, clusters.edge_starts, clusters.edge_values[b])
 
 
-def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
-    """Per-block (next_double function, state) pointer arrays for pack calls."""
-    fns = (ctypes.c_void_p * len(rngs))()
-    states = (ctypes.c_void_p * len(rngs))()
-    for index, rng in enumerate(rngs):
-        interface = rng.bit_generator.ctypes
-        fns[index] = ctypes.cast(interface.next_double, ctypes.c_void_p)
-        states[index] = interface.state_address
-    return fns, states
+#: ``PyCapsule_GetPointer``, bound privately (``ctypes.pythonapi``'s own
+#: attribute is shared by the whole process); raises on a foreign capsule.
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _rng_pointer_arrays(rngs):
+    """The per-block ``bitgen_t *`` array of a sequential pack call: what
+    each generator's BitGenerator publishes in ``.capsule`` for C, Cython
+    and numba extensions (``numpy/random/bitgen.h``) — state plus
+    ``next_double`` / ``next_uint32``, which is all ``_C_SOURCE`` reads.
+    The structs live in the BitGenerators; the caller keeps those alive."""
+    return (ctypes.c_void_p * len(rngs))(*[
+        _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+        for rng in rngs])
+
+
+def _generator_pointers(workspace: Optional[dict], rngs):
+    """:func:`_rng_pointer_arrays` of *rngs*, kept in *workspace* for as
+    long as the calls over it draw from the same generator objects — the
+    initial configuration and the ICE batches of one run share one array."""
+    if workspace is None:
+        return _rng_pointer_arrays(rngs)
+    sources = workspace.get("rngs")
+    if sources is None or sources[0] != rngs:  # list != compares identities
+        sources = workspace["rngs"] = (list(rngs), _rng_pointer_arrays(rngs))
+    return sources[1]
 
 
 def _lane_layout(threads: int, num_blocks: int, num_replicas: int, size: int,
@@ -547,15 +566,11 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                 *_block_cluster_args(clusters, b), temperatures, rng)
         return None
     if backend == "cext":
-        workspace = {} if workspace is None else workspace
-        sources = workspace.get("rngs")  # one run's ICE batches share them
-        if sources is None or sources[0] != rngs:
-            sources = workspace["rngs"] = (list(rngs),
-                                           _rng_pointer_arrays(rngs))
         return _cext_colour_call(
             _load_cext().pack_fused_colour_cluster_sweep, workspace,
             num_blocks, 1, spins, linear, members, class_starts, class_data,
-            indices, indptr, clusters, temperatures, *sources[1])
+            indices, indptr, clusters, temperatures,
+            _generator_pointers(workspace, rngs))
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -594,7 +609,7 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
         return _cext_dense_call(
             _load_cext().pack_fused_dense_cluster_sweep, num_blocks, spins,
             fields, matrices, order, linear, clusters, temperatures,
-            *_rng_pointer_arrays(rngs))
+            _rng_pointer_arrays(rngs))
     raise AnnealerError(
         f"no pack dense+cluster kernel for backend {backend!r}")
 
@@ -721,6 +736,29 @@ def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
                            * matrix[m, :][None, :])
             fields[accepted] += update
         spins[np.ix_(accepted, group)] *= -1.0
+
+
+def sequential_initial_spins(backend: str, rngs, num_replicas: int,
+                             size: int, workspace: Optional[dict] = None
+                             ) -> np.ndarray:
+    """The sequential discipline's initial ``(R, blocks*P)`` spin matrix:
+    block ``b``'s columns are ``2 * rngs[b].integers(0, 2, (R, P)) - 1``
+    (the stream ``Generator.choice([-1, 1])`` consumes) — the oracle, which
+    numpy and numba run per block; cext draws the same bits through each
+    generator's ``next_uint32`` in one call, over the pointer array the
+    sweeps of the same *workspace* use."""
+    spins = np.empty((num_replicas, len(rngs) * size))
+    if backend != "cext":
+        for b, rng in enumerate(rngs):
+            spins[:, b * size:(b + 1) * size] = rng.integers(
+                0, 2, size=(num_replicas, size))
+        spins *= 2.0
+        spins -= 1.0
+        return spins
+    _load_cext().sequential_initial_spins(
+        *_row_strided(spins), num_replicas, len(rngs), size,
+        _generator_pointers(workspace, rngs))
+    return spins
 
 
 def counter_initial_spins(backend: str, keys, num_replicas: int,
@@ -1228,7 +1266,9 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
  * Sequential kernels draw through the NumPy BitGenerator's next_double
  * function pointer, advancing the caller's Generator state in place — the
  * same extension point numba and Cython use, so the draw stream is exactly
- * the Generator's rng.random() stream.  Counter kernels (rng="counter")
+ * the Generator's rng.random() stream.  A block's generator arrives as one
+ * pointer, the bitgen_t its BitGenerator publishes in `.capsule`.  Counter
+ * kernels (rng="counter")
  * value every potential draw by Philox4x32-10 addressed by (site, sweep,
  * replica, move_tag) under a per-block 64-bit key — see
  * repro/annealer/counter.py for the contract — so replicas share no RNG
@@ -1242,6 +1282,15 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
  * "the Generator's next" under the sequential discipline).
  * ------------------------------------------------------------------------ */
 typedef double (*next_double_fn)(void *state);
+
+/* numpy/random/bitgen.h, the struct NumPy publishes for C extensions. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    next_double_fn next_double;
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 /* The ten Philox4x32-10 rounds, written once for every T that keeps each
    32-bit counter word in the low half of a 64-bit slot: uint64_t, or a
@@ -1691,8 +1740,8 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
  * (the BlockDiagonalSampler invariant), so per-block values travel as
  * stacked block-major matrices (row b = block b's data).
  *
- * Sequential: per-block randomness is an array of BitGenerator
- * (next_double, state) pairs.  Blocks never interact and each draws from
+ * Sequential: per-block randomness is an array of bitgen_t pointers, one
+ * generator per block.  Blocks never interact and each draws from
  * its own generator, so they evolve one after the other through the whole
  * schedule, each consuming its draws in the reference loops' order.
  *
@@ -1717,7 +1766,7 @@ void pack_fused_dense_cluster_sweep(
     const int64_t *edge_starts, const double *edge_values,
     int64_t num_edges,
     const double *temperatures, int64_t num_sweeps,
-    next_double_fn *next_doubles, void **states, int64_t *work_out)
+    const bitgen_t *const *generators, int64_t *work_out)
 {
     int64_t work[NUM_WORK] = {0, 0, 0};
     for (int64_t b = 0; b < num_blocks; ++b) {
@@ -1728,8 +1777,8 @@ void pack_fused_dense_cluster_sweep(
         const double *bcdata = cdata + b * cluster_nnz;
         const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                 edge_starts, edge_values + b * num_edges};
-        const draw_source draw = {0, next_doubles[b], states[b], 0u, 0u, 0u,
-                                  0u};
+        const draw_source draw = {0, generators[b]->next_double,
+                                  generators[b]->state, 0u, 0u, 0u, 0u};
         for (int64_t t = 0; t < num_sweeps; ++t) {
             const double temperature = temperatures[t];
             const double inv_temperature = 1.0 / temperature;
@@ -1827,14 +1876,15 @@ void pack_fused_colour_cluster_sweep(
     const int64_t *edge_starts, const double *edge_values,
     int64_t num_edges,
     const double *temperatures, int64_t num_sweeps,
-    next_double_fn *next_doubles, void **states, int64_t *work_out)
+    const bitgen_t *const *generators, int64_t *work_out)
 {
     int64_t work[NUM_WORK] = {0, 0, 0};
     for (int64_t b = 0; b < num_blocks; ++b) {
         const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                 edge_starts, edge_values + b * num_edges};
         const lane_csr csr = {data + b * class_nnz, indices, indptr, row_of};
-        draw_source draw = {0, next_doubles[b], states[b], 0u, 0u, 0u, 0u};
+        draw_source draw = {0, generators[b]->next_double,
+                            generators[b]->state, 0u, 0u, 0u, 0u};
         lane_group_run(spins + b * size, sld, 0, num_replicas, lanes, size,
                        scratch, linear + b * size, members, class_starts,
                        num_classes, &csr, &cl, num_clusters, temperatures,
@@ -1922,6 +1972,29 @@ void counter_initial_spins(double *spins, int64_t num_replicas,
                             tile[(v - begin) * LANE_WIDTH + r - first] < 0.5
                             ? -1.0 : 1.0;
             }
+}
+
+/* The sequential discipline's initial configuration of a pack, block by
+   block from each block's own generator: Generator.integers(0, 2, (R, size))
+   mapped to 2x - 1.  NumPy's bounded draw for a range of 2 is Lemire's
+   multiply-shift of one next_uint32, whose rejection threshold is
+   2^32 mod 2 = 0 — the word's top bit, nothing rejected — so this consumes
+   exactly the stream (buffered half-word included) that call would. */
+void sequential_initial_spins(double *spins, int64_t sld,
+                              int64_t num_replicas, int64_t num_blocks,
+                              int64_t size,
+                              const bitgen_t *const *generators)
+{
+    static const double spin_of[2] = {-1.0, 1.0};  /* no coin-flip branch */
+    for (int64_t b = 0; b < num_blocks; ++b) {
+        const bitgen_t *generator = generators[b];
+        for (int64_t r = 0; r < num_replicas; ++r) {
+            double *row = spins + r * sld + b * size;
+            for (int64_t v = 0; v < size; ++v)
+                row[v] = spin_of[generator->next_uint32(generator->state)
+                                 >> 31];
+        }
+    }
 }
 
 int64_t counter_openmp_enabled(void)
@@ -2054,12 +2127,11 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         *members_args, *csr_args, *edge_args,  # clusters
         *schedule_args,
     ]
-    # Per-block draw sources — Generator pointer arrays under the sequential
-    # discipline, a Philox key array plus a thread count under the counter —
-    # then the int64[3] work-counter out-array.
-    rng_arrays = [ctypes.POINTER(ctypes.c_void_p),  # next_doubles
-                  ctypes.POINTER(ctypes.c_void_p),  # states
-                  ctypes.c_void_p]
+    # Per-block draw sources — one bitgen_t pointer array under the
+    # sequential discipline, a Philox key array plus a thread count under
+    # the counter — then the int64[3] work-counter out-array.
+    generators = ctypes.POINTER(ctypes.c_void_p)
+    rng_arrays = [generators, ctypes.c_void_p]
     key_array = [ctypes.c_void_p, ctypes.c_int64,   # keys, threads
                  ctypes.c_void_p]
     return {
@@ -2072,6 +2144,9 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         "counter_initial_spins": (None, [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_void_p]),         # spins, R, blocks, size, keys
+        "sequential_initial_spins": (None, [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, generators]),  # spins, ld, R, blocks, size
         "metropolis_accept_probe": (ctypes.c_int64, [ctypes.c_double] * 3),
         "philox_fill_probe": (ctypes.c_int64, [
             *[ctypes.c_int64] * 6,     # width, begin, end, sweep, first, tag

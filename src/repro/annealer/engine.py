@@ -852,16 +852,9 @@ class BlockDiagonalSampler:
         else:
             # The annealer's initial superposition collapses to an unbiased
             # configuration under thermal sampling; each block draws its
-            # own.  Generator.choice over a 2-array IS integers(0, 2) plus a
-            # take, so the direct form consumes the identical stream without
-            # choice's per-call validation overhead; the take is one
-            # ``2x - 1`` pass over the whole pack.
-            spins = np.empty((num_replicas, n))
-            for b, rng in enumerate(rngs):
-                spins[:, b * size:(b + 1) * size] = rng.integers(
-                    0, 2, size=(num_replicas, size))
-            spins *= 2.0
-            spins -= 1.0
+            # own, from its own generator.
+            spins = backends.sequential_initial_spins(
+                backend, rngs, num_replicas, size, self._kernel_workspace)
 
         self._last_sweep_work = None
         # Wall-time attribution of the sweep loop per kernel/backend/rng/

@@ -51,7 +51,7 @@ from repro.annealer.unembed import (  # noqa: F401
     unembed_samples,
 )
 from repro.exceptions import AnnealerError
-from repro.ising.model import IsingModel
+from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import (  # noqa: F401
     SolverResult,
     aggregate_pack,
@@ -333,7 +333,9 @@ class QuantumAnnealerSimulator:
         logical_isings:
             The logical problems; all must have the same variable count and
             the same coupling sparsity structure (the usual case for the
-            subcarriers of one OFDM symbol).
+            subcarriers of one OFDM symbol).  An
+            :class:`~repro.ising.model.IsingPack` is taken as is: no
+            per-problem object is built on the way to the kernel.
         parameters:
             Run parameters shared by all problems.
         random_states:
@@ -376,16 +378,20 @@ class QuantumAnnealerSimulator:
             raise AnnealerError(
                 f"rng must be one of {RNG_MODES}, got {rng!r}")
         threads = check_integer_in_range("threads", threads, minimum=1)
-        isings = list(logical_isings)
+        if isinstance(logical_isings, IsingPack):
+            # One size by construction, and it travels on as it is.
+            isings, sizes = logical_isings, {logical_isings.num_variables}
+        else:
+            isings = list(logical_isings)
+            sizes = {ising.num_variables for ising in isings}
         if not isings:
             raise AnnealerError("run_batch needs at least one problem")
-        num_logical = isings[0].num_variables
-        for other in isings[1:]:
-            if other.num_variables != num_logical:
-                raise AnnealerError(
-                    "run_batch requires problems of identical size; group "
-                    "subcarriers by problem size first"
-                )
+        if len(sizes) > 1:
+            raise AnnealerError(
+                "run_batch requires problems of identical size; group "
+                "subcarriers by problem size first"
+            )
+        num_logical, = sizes
         if random_states is None:
             rngs = list(child_rngs(random_state, len(isings)))
         else:

@@ -22,6 +22,8 @@ Rayleigh, which is exactly the regime in which the paper's trace results sit.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -134,13 +136,23 @@ class ChannelTrace:
 
     @classmethod
     def load(cls, path) -> "ChannelTrace":
-        """Load a trace previously stored with :meth:`save`."""
-        with np.load(path) as data:
-            return cls(
-                channels=data["channels"],
-                carrier_frequency_hz=float(data["carrier_frequency_hz"]),
-                frame_interval_s=float(data["frame_interval_s"]),
-            )
+        """Load a trace previously stored with :meth:`save`.
+
+        A file that is not such an archive — truncated, corrupted, not a
+        zip, a field missing or of the wrong kind — raises :class:`ChannelError` naming
+        *path*; a missing file stays the ``OSError`` it is.
+        """
+        try:
+            with np.load(path) as data:
+                return cls(
+                    channels=data["channels"],
+                    carrier_frequency_hz=float(data["carrier_frequency_hz"]),
+                    frame_interval_s=float(data["frame_interval_s"]),
+                )
+        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
+                TypeError, ValueError) as error:
+            raise ChannelError(
+                f"{path} is not a stored channel trace: {error!r}") from error
 
 
 class ArgosLikeTraceGenerator:

@@ -89,10 +89,15 @@ class DecodeJob:
     threads: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time_us < 0:
+        # Spelled so that NaN fails too: every comparison with it is false.
+        if not 0 <= self.arrival_time_us < math.inf:
             raise SchedulingError(
-                f"arrival_time_us must be non-negative, got "
+                f"arrival_time_us must be finite and non-negative, got "
                 f"{self.arrival_time_us}")
+        if math.isnan(self.deadline_us):
+            raise SchedulingError(
+                "deadline_us must not be NaN (inf is the best-effort "
+                "spelling)")
         if self.deadline_us < self.arrival_time_us:
             raise SchedulingError(
                 f"deadline_us ({self.deadline_us}) precedes arrival_time_us "

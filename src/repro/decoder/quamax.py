@@ -19,7 +19,7 @@ probability, compute time, TTB profile) needed by the evaluation harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.annealer.machine import (
 )
 from repro.detectors.base import DetectionResult, Detector
 from repro.exceptions import DetectionError
-from repro.ising.model import spins_to_bits
+from repro.ising.model import IsingPack, spins_to_bits
 from repro.metrics.ttb import InstanceSolutionProfile
 from repro.mimo.system import ChannelUse
 from repro.obs.profiling import PROFILER
@@ -198,7 +198,9 @@ class QuAMaxDecoder(Detector):
         channel_uses = list(channel_uses)
         if not channel_uses:
             raise DetectionError("detect_batch needs at least one channel use")
-        for channel_use in channel_uses:
+        # Once per distinct channel shape, not once per job.
+        for channel_use in {channel_use.channel.shape: channel_use
+                            for channel_use in channel_uses}.values():
             self._check_square_or_tall(channel_use)
         parameters = parameters or self.parameters
         rng_mode = self.rng_mode if rng is None else rng
@@ -225,20 +227,18 @@ class QuAMaxDecoder(Detector):
             rngs = list(child_rngs(rng, len(channel_uses)))
 
         with PROFILER.phase("decoder.reduce"):
-            reduced = [self._reducer.reduce(channel_use)
-                       for channel_use in channel_uses]
+            reduced = self._reducer.reduce_pack(channel_uses)
         # One QA job per (size, coupling key tuple): the reducer hands
-        # problems of one sparsity pattern the same key tuple, which is the
-        # structure identity every layer below plans and caches by.
-        groups: Dict[Tuple[int, tuple], List[int]] = {}
+        # problems of one structure — the identity every layer below plans
+        # and caches by — the rows of one pack, in input order.
+        groups: Dict[IsingPack, List[int]] = {}
         for index, problem in enumerate(reduced):
-            key = (problem.num_variables, problem.ising.coupling_keys)
-            groups.setdefault(key, []).append(index)
+            groups.setdefault(problem.pack, []).append(index)
 
         results: List[Optional[QuAMaxDetectionResult]] = [None] * len(reduced)
-        for indices in groups.values():
+        for pack, indices in groups.items():
             runs = self.annealer.run_batch(
-                [reduced[index].ising for index in indices], parameters,
+                pack, parameters,
                 random_states=[rngs[index] for index in indices],
                 kernel=self.kernel, backend=self.backend,
                 rng=rng_mode, threads=threads)
@@ -254,44 +254,40 @@ class QuAMaxDecoder(Detector):
                        parameters: AnnealerParameters
                        ) -> List[QuAMaxDetectionResult]:
         """:meth:`ReducedProblem.decode_spins` for the best read of every run
-        of one QA job: spin-to-bit, ``T(q)`` symbols and binary-to-Gray are
-        one (exact, small-integer) array operation each per (constellation,
-        user count) sub-group.  The ML metric stays per job: the
-        floating-point order of its matvec and ``vdot`` *is* its value.
+        of one QA job — the rows of one reduced pack, hence one
+        constellation and user count: spin-to-bit, ``T(q)`` symbols and
+        binary-to-Gray are one (exact, small-integer) array operation each.
+        The ML metric stays per job: the floating-point order of its matvec
+        and ``vdot`` *is* its value.
         """
-        best = np.array([run.solutions.samples[0] for run in runs])
-        subgroups: Dict[Tuple[str, int], List[int]] = {}
-        for index, problem in enumerate(reduced):
-            key = (problem.constellation.name, problem.num_users)
-            subgroups.setdefault(key, []).append(index)
-        results: List[Optional[QuAMaxDetectionResult]] = [None] * len(runs)
-        for (_, num_users), members in subgroups.items():
-            transform = reduced[members[0]].transform
-            width = transform.bits_per_symbol
-            quamax_bits = spins_to_bits(best[members])
-            symbols = (quamax_bits.reshape(len(members), num_users, width)
-                       @ np.asarray(transform.weights) + transform.offset)
-            # Natural binary to Gray per axis group: g = b ^ (b >> 1).
-            axes = quamax_bits.reshape(len(members), -1, max(width // 2, 1))
-            bits = axes.copy()
-            bits[..., 1:] ^= axes[..., :-1]
-            bits = bits.reshape(quamax_bits.shape)
-            for row, index in enumerate(members):
-                run, channel_use = runs[index], reduced[index].channel_use
-                metric = ml_metric_of_symbols(
-                    channel_use.channel, channel_use.received, symbols[row])
-                extra = {
-                    "num_anneals": run.num_anneals,
-                    "compute_time_us": run.compute_time_us,
-                    "ground_state_probability": run.ground_state_probability(),
-                    "broken_chain_fraction": run.unembedding.broken_fraction,
-                    "chain_strength": parameters.chain_strength,
-                    "extended_range": parameters.extended_range,
-                }
-                results[index] = QuAMaxDetectionResult(
-                    DetectionResult.from_arrays(symbols[row], bits[row],
-                                                metric, self.name, extra),
-                    reduced[index], run)
+        transform, num_users = reduced[0].transform, reduced[0].num_users
+        width = transform.bits_per_symbol
+        quamax_bits = spins_to_bits(
+            np.array([run.solutions.samples[0] for run in runs]))
+        symbols = (quamax_bits.reshape(len(runs), num_users, width)
+                   @ np.asarray(transform.weights) + transform.offset)
+        # Natural binary to Gray per axis group: g = b ^ (b >> 1).
+        axes = quamax_bits.reshape(len(runs), -1, max(width // 2, 1))
+        bits = axes.copy()
+        bits[..., 1:] ^= axes[..., :-1]
+        bits = bits.reshape(quamax_bits.shape)
+        results = []
+        for row, (problem, run) in enumerate(zip(reduced, runs)):
+            channel_use = problem.channel_use
+            metric = ml_metric_of_symbols(
+                channel_use.channel, channel_use.received, symbols[row])
+            extra = {
+                "num_anneals": run.num_anneals,
+                "compute_time_us": run.compute_time_us,
+                "ground_state_probability": run.ground_state_probability(),
+                "broken_chain_fraction": run.unembedding.broken_fraction,
+                "chain_strength": parameters.chain_strength,
+                "extended_range": parameters.extended_range,
+            }
+            results.append(QuAMaxDetectionResult(
+                DetectionResult.from_arrays(symbols[row], bits[row], metric,
+                                            self.name, extra),
+                problem, run))
         return results
 
     # ------------------------------------------------------------------ #

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -340,13 +341,13 @@ class IsingPack(SequenceABC):
     ``(problems, N)`` field matrix and a ``(problems, E)`` coupling-value
     matrix whose column *e* is the coupling of ``keys[e]``.  It is also a
     read-only ``Sequence[IsingModel]`` — problem *b* is materialised (from
-    row views, no dict) when indexed — so anything that takes a sequence of
-    problems takes a pack, and the stages that understand the arrays skip
-    the per-problem objects altogether.  The direct constructor is trusted
-    like :meth:`IsingModel.from_arrays`: canonical keys, float64 C-ordered
-    matrices; a zero in ``values`` means that problem lacks that coupling,
-    i.e. the rows no longer share one structure, which is for the caller to
-    test (``values.all()``) before treating the pack as one.
+    row views, no dict) when first indexed — so anything that takes a
+    sequence of problems takes a pack, and the stages that understand the
+    arrays skip the per-problem objects altogether.  The direct constructor
+    is trusted like :meth:`IsingModel.from_arrays`: canonical keys, float64
+    C-ordered matrices; a zero in ``values`` means that problem lacks that
+    coupling, i.e. the rows no longer share one structure, which is for the
+    caller to test (``values.all()``) before treating the pack as one.
     """
 
     num_variables: int
@@ -361,14 +362,21 @@ class IsingPack(SequenceABC):
     def __len__(self) -> int:
         return self.linear.shape[0]
 
+    @cached_property
+    def _rows(self) -> list:
+        """Problem *b*'s object once it exists: indexing twice hands back
+        the same one."""
+        return list(self.models or [None] * len(self))
+
     def __getitem__(self, index: int) -> IsingModel:
         if not -len(self) <= index < len(self):
             raise IndexError(index)
-        if self.models is not None:
-            return self.models[index]
-        return IsingModel.from_arrays(
-            self.num_variables, self.linear[index], self.keys,
-            self.values[index], float(self.offsets[index]))
+        model = self._rows[index]
+        if model is None:
+            model = self._rows[index] = IsingModel.from_arrays(
+                self.num_variables, self.linear[index], self.keys,
+                self.values[index], float(self.offsets[index]))
+        return model
 
     def operator_data(self) -> np.ndarray:
         """Row *b*: the ``.data`` of problem *b*'s

@@ -65,6 +65,11 @@ class ChannelUse:
         channel = ensure_complex_matrix("channel", self.channel)
         received = ensure_complex_vector("received", self.received,
                                          length=channel.shape[0])
+        # Checked here, once, so that no decode has to: a NaN or inf would
+        # otherwise be detected into arbitrary bits with a NaN metric.
+        for name, array in (("channel", channel), ("received", received)):
+            if not np.isfinite(array).all():
+                raise ConfigurationError(f"{name} must be finite")
         object.__setattr__(self, "channel", channel)
         object.__setattr__(self, "received", received)
         if self.transmitted_symbols is not None:

@@ -26,11 +26,11 @@ brute-force reduction is enforced by the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.ising.model import IsingModel
+from repro.ising.model import IsingModel, IsingPack
 from repro.transform.symbols import get_transform
 from repro.utils.validation import ensure_complex_matrix, ensure_complex_vector
 
@@ -42,9 +42,11 @@ def spin_weights(constellation, num_users: int) -> np.ndarray:
     return np.tile(per_user, num_users)
 
 
-#: Per-structure constants of :func:`build_ml_ising`, rebuilt identically on
-#: every call before: ``(transform name, users) -> (weights, conj(weights),
-#: |weights|^2, user_of, gram gather index, upper-triangle pairs)``.
+#: Per-structure constants of :func:`build_ml_ising_pack`, rebuilt
+#: identically on every call before: ``(transform name, users) -> (weights,
+#: |weights|^2, user_of, diagonal gather, per pair conj(m_i), m_j and gram
+#: gather, upper-triangle pairs)`` — the gathers index the flattened
+#: ``N_t * N_t`` gram matrix.
 _STRUCTURE_CACHE: Dict[Tuple[str, int], tuple] = {}
 #: ``(variables, nonzero mask bytes) -> key tuple``: problems of one
 #: sparsity pattern share one key tuple object.
@@ -57,9 +59,12 @@ def _structure(transform, num_users: int) -> tuple:
     if structure is None:
         weights = spin_weights(transform.name, num_users)
         user_of = np.repeat(np.arange(num_users), transform.bits_per_symbol)
-        structure = (weights, np.conj(weights), np.abs(weights) ** 2,
-                     user_of, np.ix_(user_of, user_of),
-                     np.triu_indices(weights.size, k=1))
+        upper_i, upper_j = np.triu_indices(weights.size, k=1)
+        structure = (weights, np.abs(weights) ** 2, user_of,
+                     user_of * (num_users + 1),
+                     np.conj(weights)[upper_i], weights[upper_j],
+                     user_of[upper_i] * num_users + user_of[upper_j],
+                     (upper_i, upper_j))
         _STRUCTURE_CACHE[key] = structure
     return structure
 
@@ -74,6 +79,67 @@ def _pair_keys(upper_i: np.ndarray, upper_j: np.ndarray,
             _KEYS_CACHE.clear()
         _KEYS_CACHE[cache_key] = keys
     return keys
+
+
+def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
+                        constellation, include_offset: bool = True
+                        ) -> List[Tuple[np.ndarray, IsingPack]]:
+    """The ML detection Ising problems of many channel uses in one pass.
+
+    *channels* is the ``(jobs, N_r, N_t)`` complex stack of channel matrices
+    and *received* the ``(jobs, N_r)`` stack of received vectors, all of one
+    *constellation*.  Returns ``(rows, pack)`` pairs: *pack* holds the
+    problems of the jobs *rows* (ascending), which share one pattern of
+    exact-zero couplings and hence one key tuple — a single pair in all but
+    degenerate cases.
+
+    Every coefficient is the identical chain of scalar complex products (in
+    the same association order) as the historical per-pair loops, and a
+    stacked ``matmul`` runs the 2-D call's inner loop once per job, so the
+    coefficients — and the seeded streams of everything downstream — are
+    bit for bit those of a job-by-job evaluation.
+    """
+    transform = get_transform(constellation)
+    jobs, _, num_users = channels.shape
+    (weights, weight_power, user_of, diagonal, pair_left, pair_right,
+     pair_gram, (upper_i, upper_j)) = _structure(transform, num_users)
+    hermitian = channels.conj().transpose(0, 2, 1)
+    matched_filter = (hermitian @ received[:, :, None])[:, :, 0]  # H^H y
+    gram = (hermitian @ channels).reshape(jobs, -1)               # H^H H
+
+    linear = -2.0 * (weights
+                     * np.conj(matched_filter.take(user_of, axis=1))).real
+    pair_values = 2.0 * ((pair_left * gram.take(pair_gram, axis=1))
+                         * pair_right).real
+
+    offsets = np.zeros(jobs)
+    if include_offset:
+        # ||y||^2 per job (a BLAS dot: its order is its value), then the
+        # diagonal terms by one left-to-right accumulation — the historical
+        # summation order.
+        terms = np.empty((jobs, 1 + weights.size))
+        terms[:, 0] = [np.vdot(vector, vector).real for vector in received]
+        terms[:, 1:] = weight_power * gram.real.take(diagonal, axis=1)
+        offsets = np.add.accumulate(terms, axis=1)[:, -1]
+
+    # Handed over as arrays: no per-job dict, and problems of one sparsity
+    # pattern share one key tuple (structure identity for the layers below).
+    nonzero = pair_values != 0.0
+    if nonzero.all():
+        return [(np.arange(jobs), IsingPack(
+            weights.size, _pair_keys(upper_i, upper_j, nonzero[0]), linear,
+            pair_values, offsets))]
+    packs = []
+    remaining = np.arange(jobs)
+    while remaining.size:
+        kept = nonzero[remaining[0]]
+        same = (nonzero[remaining] == kept).all(axis=1)
+        rows = remaining[same]
+        packs.append((rows, IsingPack(
+            weights.size, _pair_keys(upper_i, upper_j, kept), linear[rows],
+            np.compress(kept, pair_values[rows], axis=1), offsets[rows])))
+        remaining = remaining[~same]
+    return packs
 
 
 def build_ml_ising(channel, received, constellation,
@@ -96,41 +162,14 @@ def build_ml_ising(channel, received, constellation,
     -------
     IsingModel
         Ising problem over ``N_t * log2(|O|)`` spin variables whose ground
-        state is the ML solution.
+        state is the ML solution — the one row of
+        :func:`build_ml_ising_pack` over this single channel use.
     """
     channel = ensure_complex_matrix("channel", channel)
     received = ensure_complex_vector("received", received, length=channel.shape[0])
-    transform = get_transform(constellation)
-    (weights, conj_weights, weight_power, user_of, gram_index,
-     (upper_i, upper_j)) = _structure(transform, channel.shape[1])
-
-    matched_filter = channel.conj().T @ received      # H^H y, length N_t
-    gram = channel.conj().T @ channel                 # H^H H, N_t x N_t
-
-    # Elementwise-vectorised evaluation of the closed forms: every entry
-    # performs the identical scalar complex products (in the same
-    # association order) as the historical per-pair loops, so coefficients —
-    # and the seeded streams of everything downstream — are bit-for-bit
-    # unchanged; only the Python-loop overhead is gone.
-    linear = -2.0 * (weights * np.conj(matched_filter[user_of])).real
-
-    pair_matrix = 2.0 * ((conj_weights[:, None] * gram[gram_index])
-                         * weights[None, :]).real
-    pair_values = pair_matrix[upper_i, upper_j]
-    nonzero = pair_values != 0.0
-
-    offset = 0.0
-    if include_offset:
-        offset = float(np.real(np.vdot(received, received)))
-        # Sequential accumulation keeps the historical summation order.
-        for term in (weight_power * gram.real[user_of, user_of]).tolist():
-            offset += term
-
-    # Handed over as arrays: no per-job dict, and problems of one sparsity
-    # pattern share one key tuple (structure identity for the layers below).
-    return IsingModel.from_arrays(weights.size, linear,
-                                  _pair_keys(upper_i, upper_j, nonzero),
-                                  pair_values[nonzero], offset)
+    (_, pack), = build_ml_ising_pack(channel[None], received[None],
+                                     constellation, include_offset)
+    return pack[0]
 
 
 def bpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:

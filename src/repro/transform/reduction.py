@@ -4,9 +4,12 @@ The :class:`MLToIsingReducer` bundles the pieces of Section 3.2 — the QuAMax
 symbol transform, the closed-form Ising coefficients and the bitwise
 post-translation — behind two operations:
 
-* :meth:`MLToIsingReducer.reduce` turns a :class:`~repro.mimo.system.ChannelUse`
-  into a :class:`ReducedProblem` holding the logical Ising (and, on demand,
-  QUBO) form of the ML detection problem;
+* :meth:`MLToIsingReducer.reduce_pack` turns channel uses into
+  :class:`ReducedProblem` instances holding the logical Ising (and, on
+  demand, QUBO) form of their ML detection problems — all uses of one
+  constellation and channel shape in one array pass, as the rows of one
+  :class:`~repro.ising.model.IsingPack`; :meth:`MLToIsingReducer.reduce`
+  is the pack of one;
 * :meth:`ReducedProblem.bits_from_spins` maps a logical spin configuration
   returned by the annealer back into the Gray-coded payload bits.
 """
@@ -14,15 +17,21 @@ post-translation — behind two operations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ReductionError
-from repro.ising.model import IsingModel, QUBOModel, bits_to_spins, spins_to_bits
+from repro.ising.model import (
+    IsingModel,
+    IsingPack,
+    QUBOModel,
+    bits_to_spins,
+    spins_to_bits,
+)
 from repro.mimo.system import ChannelUse
 from repro.modulation.constellation import Constellation
-from repro.transform.ising_coeffs import build_ml_ising
+from repro.transform.ising_coeffs import build_ml_ising_pack
 from repro.transform.posttranslate import gray_to_quamax_bits, quamax_to_gray_bits
 from repro.transform.qubo_builder import (
     build_ml_qubo,
@@ -39,8 +48,11 @@ class ReducedProblem:
 
     Attributes
     ----------
-    ising:
-        Logical Ising problem whose ground state is the ML solution.
+    pack, row:
+        The logical Ising problem, whose ground state is the ML solution,
+        is row *row* of *pack*: the same-structure problems one
+        :meth:`MLToIsingReducer.reduce_pack` call reduced together, in the
+        order they were given.
     constellation:
         The constellation of the originating channel use.
     num_users:
@@ -50,12 +62,18 @@ class ReducedProblem:
         truth when available).
     """
 
-    ising: IsingModel
+    pack: IsingPack
+    row: int
     constellation: Constellation
     num_users: int
     channel_use: ChannelUse
 
     # ------------------------------------------------------------------ #
+    @property
+    def ising(self) -> IsingModel:
+        """The logical Ising problem (built from row views when first read)."""
+        return self.pack[self.row]
+
     @property
     def transform(self) -> QuamaxTransform:
         """The QuAMax symbol transform of this problem's modulation."""
@@ -64,7 +82,7 @@ class ReducedProblem:
     @property
     def num_variables(self) -> int:
         """Number of logical Ising/QUBO variables."""
-        return self.ising.num_variables
+        return self.pack.num_variables
 
     def to_qubo(self) -> QUBOModel:
         """The equivalent QUBO form (built by direct norm expansion)."""
@@ -147,16 +165,38 @@ class ReducedProblem:
 class MLToIsingReducer:
     """Builds :class:`ReducedProblem` instances from MIMO channel uses."""
 
+    def reduce_pack(self, channel_uses: Sequence[ChannelUse]
+                    ) -> List[ReducedProblem]:
+        """Reduce channel uses to their logical Ising problems (Eqs. 6-8,
+        13-14), in input order: one array pass per (constellation, channel
+        shape), whose problems of one coupling structure — all of them, bar
+        an exact-zero coupling — are the rows, in input order, of one
+        ``pack``: the unit
+        :meth:`~repro.annealer.machine.QuantumAnnealerSimulator.run_batch`
+        takes as is.
+        """
+        stacks: Dict[tuple, List[int]] = {}
+        for index, channel_use in enumerate(channel_uses):
+            stacks.setdefault((channel_use.constellation.name,
+                               channel_use.channel.shape), []).append(index)
+        reduced: List[ReducedProblem] = [None] * len(channel_uses)
+        for members in stacks.values():
+            for rows, pack in build_ml_ising_pack(
+                    np.array([channel_uses[index].channel
+                              for index in members]),
+                    np.array([channel_uses[index].received
+                              for index in members]),
+                    channel_uses[members[0]].constellation):
+                for row, member in enumerate(rows.tolist()):
+                    channel_use = channel_uses[members[member]]
+                    reduced[members[member]] = ReducedProblem(
+                        pack, row, channel_use.constellation,
+                        channel_use.num_tx, channel_use)
+        return reduced
+
     def reduce(self, channel_use: ChannelUse) -> ReducedProblem:
-        """Reduce one channel use to its logical Ising problem (Eqs. 6-8, 13-14)."""
-        ising = build_ml_ising(channel_use.channel, channel_use.received,
-                               channel_use.constellation)
-        return ReducedProblem(
-            ising=ising,
-            constellation=channel_use.constellation,
-            num_users=channel_use.num_tx,
-            channel_use=channel_use,
-        )
+        """Reduce one channel use: :meth:`reduce_pack` of the one."""
+        return self.reduce_pack([channel_use])[0]
 
     def reduce_to_qubo(self, channel_use: ChannelUse) -> QUBOModel:
         """Reduce one channel use to its QUBO form directly (Eq. 5)."""

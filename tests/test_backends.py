@@ -212,7 +212,30 @@ class TestSymbolTable:
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
         assert set(self.exported()) == dispatch | {
             "counter_openmp_enabled", "metropolis_accept_probe",
-            "counter_initial_spins", "philox_fill_probe"}
+            "counter_initial_spins", "sequential_initial_spins",
+            "philox_fill_probe"}
+
+    def test_sequential_draw_source_is_one_generator_array(self):
+        """Every sequential export takes its per-block generators as ONE
+        ``bitgen_t`` pointer array — last but for the sweeps' work
+        out-array — and the counter exports take none."""
+        declarations = {
+            name: [param.strip() for param in params.split(",")]
+            for _, name, params in self.EXPORT.findall(backends._C_SOURCE)}
+        signatures = backends._cext_signatures()
+        generators = "const bitgen_t *const *generators"
+        for name, tail in [("pack_fused_colour_cluster_sweep", 2),
+                           ("pack_fused_dense_cluster_sweep", 2),
+                           ("sequential_initial_spins", 1)]:
+            assert declarations[name].count(generators) == 1, name
+            assert declarations[name][-tail] == generators, name
+            assert (signatures[name][1][-tail]
+                    is ctypes.POINTER(ctypes.c_void_p)), name
+        for name, params in declarations.items():
+            if name.startswith("counter_"):
+                assert not any("bitgen_t" in param for param in params), name
+        assert "next_double_fn *" not in backends._C_SOURCE
+        assert "void **states" not in backends._C_SOURCE
 
 
 @pytest.mark.parametrize("backend", COMPILED)

@@ -17,6 +17,10 @@ pieces:
 * the **Philox fill** — counter draws valued a vector at a time — equals
   the reference ``counter.philox_uniform`` at every compiled-in width, and
   the initial configuration built on it equals the reference's;
+* the **sequential initial configuration** — drawn in C through each
+  generator's published ``bitgen_t`` — equals the ``rng.integers`` loop for
+  every BitGenerator, and leaves every generator where that loop leaves it
+  (buffered half-word included);
 * the C source compiles **warning-free** (no dead argument rides along in
   the entry-point signatures).
 """
@@ -25,6 +29,7 @@ import ctypes
 import itertools
 import math
 import subprocess
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,6 +277,139 @@ class TestPhiloxFill:
                 np.testing.assert_array_equal(
                     spins[:, b * size:(b + 1) * size],
                     counter.counter_initial_spins(key, replicas, size))
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
+
+
+def oracle_initial_spins(rngs, replicas, size):
+    """The sequential discipline's initial configuration as the engine drew
+    it before the C export: one ``Generator.integers`` call per block."""
+    spins = np.empty((replicas, len(rngs) * size))
+    for b, rng in enumerate(rngs):
+        spins[:, b * size:(b + 1) * size] = rng.integers(
+            0, 2, size=(replicas, size))
+    spins *= 2.0
+    spins -= 1.0
+    return spins
+
+
+def next_draws_of_every_kind(rng):
+    """What a generator hands out next through each of its four functions
+    (``next_uint32``, ``next_uint64``, ``next_double``, ``next_raw``), then
+    its end state as the following eight ``random()`` values."""
+    return (rng.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist(),
+            rng.integers(0, 2 ** 64, size=3, dtype=np.uint64).tolist(),
+            rng.random(3).tolist(),
+            rng.bit_generator.random_raw(3).tolist(),
+            rng.random(8).tolist())
+
+
+class TestSequentialInitialSpins:
+    """``Generator.integers(0, 2)`` IS ``next_uint32() >> 31``, element by
+    element: NumPy's bounded draw for a range of 2 is Lemire's multiply-shift
+    of one 32-bit word with nothing to reject.  This class is what pins that
+    fact — and with it the ``bitgen_t`` contract — for every BitGenerator."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("backend", backends.available_backends())
+    @pytest.mark.parametrize("replicas", [1, 5, 25])
+    @pytest.mark.parametrize("blocks", [1, 3, 16])
+    def test_equals_the_integers_loop(self, blocks, replicas, backend,
+                                      bit_generator):
+        # Odd products (13 x 5, 1 x 1 ...) leave half a 64-bit word buffered
+        # in the generator: the NEXT draw of every kind must match too.
+        for size in (1, 13, 24, 672):
+            expected_rngs, rngs = (
+                [np.random.Generator(bit_generator(100 + b))
+                 for b in range(blocks)] for _ in range(2))
+            expected = oracle_initial_spins(expected_rngs, replicas, size)
+            workspace = {}
+            spins = backends.sequential_initial_spins(
+                backend, rngs, replicas, size, workspace)
+            assert spins.dtype == np.float64
+            assert spins.flags.c_contiguous and spins.flags.writeable
+            assert spins.tobytes() == expected.tobytes()
+            for rng, reference in zip(rngs, expected_rngs):
+                np.testing.assert_equal(rng.bit_generator.state,
+                                        reference.bit_generator.state)
+                assert (next_draws_of_every_kind(rng)
+                        == next_draws_of_every_kind(reference))
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_starts_from_a_buffered_half_word(self, bit_generator):
+        """One 32-bit draw before the call leaves the generator mid-word:
+        the C loop must take the buffered half first, like NumPy does."""
+        expected_rng, rng = (np.random.Generator(bit_generator(7))
+                             for _ in range(2))
+        for generator in (expected_rng, rng):
+            generator.integers(0, 2 ** 32, dtype=np.uint32)
+        expected = oracle_initial_spins([expected_rng], 5, 13)
+        spins = backends.sequential_initial_spins("cext", [rng], 5, 13)
+        assert spins.tobytes() == expected.tobytes()
+        assert (next_draws_of_every_kind(rng)
+                == next_draws_of_every_kind(expected_rng))
+
+    def test_writes_only_the_callers_spins(self):
+        """The export takes a row stride: an interior view of a NaN-framed
+        matrix comes back all +-1 with the frame untouched."""
+        blocks, replicas, size = 3, 5, 13
+        frame = np.full((replicas + 2, blocks * size + 8), np.nan)
+        view = frame[1:-1, 3:-5]
+        rngs = [np.random.default_rng(b) for b in range(blocks)]
+        backends._load_cext().sequential_initial_spins(
+            *backends._row_strided(view), replicas, blocks, size,
+            backends._rng_pointer_arrays(rngs))
+        border = np.ones(frame.shape, dtype=bool)
+        border[1:-1, 3:-5] = False
+        assert np.isnan(frame[border]).all()
+        np.testing.assert_array_equal(
+            view, oracle_initial_spins(
+                [np.random.default_rng(b) for b in range(blocks)],
+                replicas, size))
+
+    def test_pointer_array_is_shared_through_the_workspace(self):
+        """The initial configuration and the sweeps of one run draw through
+        ONE ``bitgen_t`` pointer array, rebuilt only for new generators."""
+        workspace = {}
+        rngs = [np.random.default_rng(b) for b in range(3)]
+        backends.sequential_initial_spins("cext", rngs, 2, 4, workspace)
+        kept, pointers = workspace["rngs"]
+        assert kept == rngs and len(pointers) == 3
+        backends.sequential_initial_spins("cext", list(rngs), 2, 4, workspace)
+        assert workspace["rngs"][1] is pointers
+        backends.sequential_initial_spins(
+            "cext", [np.random.default_rng(9)] + rngs[1:], 2, 4, workspace)
+        assert workspace["rngs"][1] is not pointers
+
+    def test_only_a_bit_generator_capsule_is_dereferenced(self):
+        """``PyCapsule_GetPointer`` checks the capsule's name: anything but
+        a BitGenerator's raises instead of handing C a wild pointer."""
+        stand_in = SimpleNamespace(
+            bit_generator=SimpleNamespace(capsule=object()))
+        with pytest.raises(ValueError):
+            backends._rng_pointer_arrays([stand_in])
+
+    def test_engine_start_is_the_export(self):
+        """``_anneal`` without ``initial_spins`` equals ``_anneal`` handed
+        the export's matrix after the same draws (sequential discipline,
+        colour and dense kernels)."""
+        ising, clusters = embedded_bpsk()
+        for kernel in ("colour", "dense"):
+            sampler = IsingSampler(ising, clusters=clusters, kernel=kernel,
+                                   backend="cext")
+            rng = np.random.default_rng(21)
+            direct = sampler.anneal(TEMPERATURES[:10], 7, random_state=rng)
+            reference_rng = np.random.default_rng(21)
+            start = oracle_initial_spins([reference_rng], 7,
+                                         ising.num_variables)
+            handed = sampler.anneal(TEMPERATURES[:10], 7,
+                                    random_state=reference_rng,
+                                    initial_spins=start)
+            np.testing.assert_array_equal(direct, handed)
+            np.testing.assert_equal(rng.bit_generator.state,
+                                    reference_rng.bit_generator.state)
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

@@ -92,6 +92,53 @@ class TestChannelTrace:
         with pytest.raises(ChannelError):
             ChannelTrace(channels=np.zeros((2, 3, 4)))
 
+    @pytest.mark.parametrize("keep", [0, 10, 0.5, -5])
+    def test_truncated_archive_names_the_path(self, small_trace, tmp_path,
+                                              keep):
+        """A download cut short is a ``repro`` error that says which file,
+        not a bare ``zipfile.BadZipFile`` / ``EOFError``."""
+        path = tmp_path / "cut.npz"
+        small_trace.save(path)
+        raw = path.read_bytes()
+        cut = int(len(raw) * keep) if isinstance(keep, float) else keep
+        path.write_bytes(raw[:cut] if cut >= 0 else raw[:len(raw) + cut])
+        with pytest.raises(ChannelError, match="cut.npz"):
+            ChannelTrace.load(path)
+
+    def test_corrupted_member_names_the_path(self, small_trace, tmp_path):
+        path = tmp_path / "flipped.npz"
+        small_trace.save(path)
+        raw = bytearray(path.read_bytes())
+        for position in range(len(raw) // 4, len(raw) // 4 + 64):
+            raw[position] ^= 0xFF
+        path.write_bytes(raw)
+        with pytest.raises(ChannelError, match="flipped.npz"):
+            ChannelTrace.load(path)
+
+    def test_foreign_archives_name_the_path(self, tmp_path):
+        """Valid numpy files that are not a stored trace: a field missing, a
+        field of the wrong kind, a bare array."""
+        channels = np.zeros((1, 1, 2, 2))
+        missing = tmp_path / "missing_field.npz"
+        np.savez(missing, channels=channels)
+        vector = tmp_path / "vector_field.npz"
+        np.savez(vector, channels=channels, carrier_frequency_hz=np.zeros(3),
+                 frame_interval_s=1e-3)
+        bare = tmp_path / "bare.npy"
+        np.save(bare, channels)
+        for path in (missing, vector, bare):
+            with pytest.raises(ChannelError, match=path.name):
+                ChannelTrace.load(path)
+        # The trace's own validation still speaks for itself...
+        rank = tmp_path / "rank.npz"
+        np.savez(rank, channels=np.zeros((1, 2, 2)),
+                 carrier_frequency_hz=2.4e9, frame_interval_s=1e-3)
+        with pytest.raises(ChannelError, match="must have shape"):
+            ChannelTrace.load(rank)
+        # ...and a file that is not there is the OSError it always was.
+        with pytest.raises(FileNotFoundError):
+            ChannelTrace.load(tmp_path / "absent.npz")
+
 
 class TestArgosLikeTraceGenerator:
     def test_default_geometry_matches_paper(self):

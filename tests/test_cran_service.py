@@ -524,3 +524,55 @@ class TestCranService:
             # The adaptive scheduler can only flush earlier, never later.
             assert b.flush_time_us <= a.flush_time_us + 1e-9
         assert online_a.telemetry["decode_time_per_job_us"]
+
+
+class TestHostileJobTimes:
+    """Non-finite times are rejected where the job is built, so nothing
+    reaches the scheduler: a NaN arrival used to be served and turned the
+    latency percentiles into ``None``; an infinite one used to be accepted
+    and then made every later ``submit`` fail ("clock is already at inf")."""
+
+    @pytest.mark.parametrize("times", [
+        dict(arrival_time_us=math.nan),
+        dict(arrival_time_us=math.inf),
+        dict(arrival_time_us=-math.inf),
+        dict(arrival_time_us=math.nan, deadline_us=1e6),
+        dict(arrival_time_us=30.0, deadline_us=math.nan),
+    ])
+    def test_rejected_before_any_scheduler_state(self, decoder, job_pool,
+                                                 times):
+        session = CranService(decoder, max_batch=4,
+                              max_wait_us=math.inf).session()
+        session.submit(job_pool[0])
+        session.submit(job_pool[1])
+        depth, clock = session.queue_depth, session.clock_us
+        assert (depth, clock) == (2, job_pool[1].arrival_time_us)
+        with pytest.raises(SchedulingError, match="arrival_time_us|NaN"):
+            session.submit(DecodeJob(
+                job_id=99, user_id=0, frame=0, subcarrier=0,
+                channel_use=job_pool[0].channel_use, **times))
+        assert (session.queue_depth, session.clock_us) == (depth, clock)
+        # The session is unharmed: later jobs are served, percentiles real.
+        session.submit(job_pool[2])
+        report = session.close()
+        assert report.jobs_completed == 3 and not report.shed_jobs
+        assert report.telemetry["latency_us"]["p99"] is not None
+
+    def test_nothing_reaches_an_empty_scheduler(self, decoder, job_pool):
+        session = CranService(decoder, max_batch=4,
+                              max_wait_us=math.inf).session()
+        with pytest.raises(SchedulingError):
+            session.submit(DecodeJob(
+                job_id=0, user_id=0, frame=0, subcarrier=0,
+                channel_use=job_pool[0].channel_use,
+                arrival_time_us=math.nan))
+        assert session.queue_depth == 0
+        assert session.clock_us == CranService(decoder).session().clock_us
+        assert session.close().jobs_completed == 0
+
+    def test_infinite_deadline_stays_the_best_effort_spelling(self,
+                                                              job_pool):
+        job = DecodeJob(job_id=1, user_id=0, frame=0, subcarrier=0,
+                        channel_use=job_pool[0].channel_use,
+                        arrival_time_us=5.0, deadline_us=math.inf)
+        assert job.laxity_us == math.inf

@@ -246,6 +246,39 @@ class TestPackAssembly:
             assert_detection_identical(outcome.detection,
                                        oracle_detection(outcome, parameters))
 
+    @pytest.mark.parametrize("constellation,num_users", [
+        ("BPSK", 6), ("QPSK", 3), ("16-QAM", 2), ("64-QAM", 1),
+    ])
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    @pytest.mark.parametrize("reads", [1, 50])
+    def test_batch_equals_per_job_detect_with_run(self, noisy_machine,
+                                                  constellation, num_users,
+                                                  count, reads):
+        """The pack's two edges moved (one stacked reduction in, one C call
+        for the starting configuration); every job still gets exactly what
+        a serial ``detect_with_run`` on its own stream gives it."""
+        parameters = AnnealerParameters(num_anneals=reads,
+                                        chain_strength=3.0)
+        decoder = QuAMaxDecoder(noisy_machine, parameters)
+        uses = transmissions(constellation, num_users, count, seed=40)
+        outcomes = decoder.detect_batch(uses, random_states=range(count))
+        for seed, (channel_use, outcome) in enumerate(zip(uses, outcomes)):
+            alone = decoder.detect_with_run(channel_use, random_state=seed)
+            assert_detection_identical(outcome.detection, alone.detection)
+            for name in ("samples", "energies", "num_occurrences"):
+                a = getattr(outcome.run.solutions, name)
+                b = getattr(alone.run.solutions, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            for problem in (outcome.reduced.ising,
+                            outcome.run.logical_ising):
+                assert (problem.linear.tobytes()
+                        == alone.reduced.ising.linear.tobytes())
+                assert (problem.coupling_values.tobytes()
+                        == alone.reduced.ising.coupling_values.tobytes())
+                assert problem.offset == alone.reduced.ising.offset
+            assert outcome.run.logical_ising is outcome.reduced.ising
+
     def test_single_run_is_the_pack_of_one(self, noisy_machine):
         parameters = AnnealerParameters(num_anneals=20)
         decoder = QuAMaxDecoder(noisy_machine, parameters)
@@ -259,8 +292,8 @@ class TestPackAssembly:
 
     def test_one_group_mixing_constellations(self, noisy_machine):
         """2-user QPSK and 4-user BPSK both reduce to 4-variable complete
-        graphs, so ``detect_batch`` anneals them as ONE group; each job must
-        still be decoded under its own transform."""
+        graphs — one structure key; interleaved in one ``detect_batch`` each
+        job must still be decoded under its own transform."""
         qpsk = transmissions("QPSK", 2, 3, seed=44)
         bpsk = transmissions("BPSK", 4, 3, seed=45)
         mixed = [qpsk[0], bpsk[0], bpsk[1], qpsk[1], qpsk[2], bpsk[2]]

@@ -110,6 +110,47 @@ class TestChannelUse:
                        constellation=QPSK,
                        transmitted_bits=[1, 0, 1])
 
+    @pytest.mark.parametrize("field", ["channel", "received"])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf,
+                                        complex(0.0, np.nan),
+                                        complex(1.0, np.inf)])
+    def test_non_finite_input_rejected_at_construction(self, field, poison):
+        """A NaN/inf channel estimate or received vector used to be decoded
+        without complaint into arbitrary bits with a NaN metric; it is
+        rejected once, here, off the decode path."""
+        good = self.make()
+        arrays = {"channel": good.channel.copy(),
+                  "received": good.received.copy()}
+        arrays[field].flat[-1] = poison
+        with pytest.raises(ConfigurationError, match=f"{field} must be "
+                                                     f"finite"):
+            ChannelUse(constellation=QPSK, **arrays)
+        # dataclasses.replace re-validates: no way around the constructor.
+        with pytest.raises(ConfigurationError, match="finite"):
+            good.with_noise_realization(
+                np.array([poison, 0.0]), 0.05, 25.0)
+
+    def test_non_finite_input_never_reaches_the_annealer(self):
+        """The decoder's sampler cache counters prove nothing ran."""
+        from repro.annealer.chimera import ChimeraGraph
+        from repro.annealer.machine import (AnnealerParameters,
+                                            QuantumAnnealerSimulator)
+        from repro.decoder.quamax import QuAMaxDecoder
+
+        decoder = QuAMaxDecoder(
+            QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
+            AnnealerParameters(num_anneals=5))
+        good = self.make()
+        decoder.detect_batch([good], random_state=1)
+        before = decoder.sampler_cache_info()
+        channel = good.channel.copy()
+        channel[0, 0] = np.nan
+        with pytest.raises(ConfigurationError):
+            decoder.detect_batch(
+                [good, ChannelUse(channel=channel, received=good.received,
+                                  constellation=QPSK)], random_state=1)
+        assert decoder.sampler_cache_info() == before
+
     def test_with_noise_realization(self):
         channel_use = self.make()
         noise = np.array([0.1 + 0.1j, -0.2j])

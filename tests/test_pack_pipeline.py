@@ -958,6 +958,92 @@ class TestWarmPackWork:
         assert machine.sampler_cache_info()["hits"] == 2
         assert builds == [16, 16]
 
+    @needs_cext
+    def test_the_two_edges_are_one_pass_each(self, monkeypatch):
+        """Inside a warm 16-job sequential cext ``detect_batch``: the ML
+        reduction is ONE stacked ``reduce_pack`` (no per-job closed form, no
+        ``IsingModel`` on the way into ``run_batch``), and each anneal draws
+        its starting configuration in ONE ``sequential_initial_spins`` call
+        (no ``Generator.integers`` per block)."""
+        import repro.transform.ising_coeffs as ising_coeffs
+
+        link = MimoUplink(num_users=3, constellation="QPSK")
+        rng = np.random.default_rng(30)
+        uses = [link.transmit(snr_db=15.0, random_state=rng)
+                for _ in range(16)]
+        decoder = QuAMaxDecoder(ideal_machine(),
+                                AnnealerParameters(num_anneals=50),
+                                backend="cext")
+        expected = decoder.detect_batch(uses, random_state=1)  # warm
+        counts = {"build_ml_ising": 0, "reduce": 0, "reduce_pack": 0,
+                  "models": 0, "initial_spins": 0, "anneals": 0,
+                  "models before run_batch": None}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ising_coeffs, "build_ml_ising", "build_ml_ising")
+        counted(MLToIsingReducer, "reduce", "reduce")
+        counted(MLToIsingReducer, "reduce_pack", "reduce_pack")
+        counted(backends, "sequential_initial_spins", "initial_spins")
+        counted(BlockDiagonalSampler, "anneal", "anneals")
+        counted(IsingModel, "__init__", "models")
+        original_from_arrays = IsingModel.from_arrays.__func__
+        monkeypatch.setattr(IsingModel, "from_arrays", classmethod(
+            lambda cls, *args: counts.__setitem__(
+                "models", counts["models"] + 1)
+            or original_from_arrays(cls, *args)))
+        original_run_batch = QuantumAnnealerSimulator.run_batch
+
+        def run_batch(machine, problems, *args, **kwargs):
+            assert isinstance(problems, IsingPack)
+            assert problems.models is None and len(problems) == 16
+            counts["models before run_batch"] = counts["models"]
+            return original_run_batch(machine, problems, *args, **kwargs)
+
+        monkeypatch.setattr(QuantumAnnealerSimulator, "run_batch", run_batch)
+        results = decoder.detect_batch(uses, random_state=1)
+        monkeypatch.undo()
+        assert decoder.sampler_cache_info()["hits"] == 1
+        assert counts == {"build_ml_ising": 0, "reduce": 0, "reduce_pack": 1,
+                          "models": 16, "initial_spins": 2, "anneals": 2,
+                          "models before run_batch": 0}
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got.detection.bits,
+                                          want.detection.bits)
+            assert got.detection.metric == want.detection.metric
+            # One object per job, shared by the reduced problem and the run.
+            assert got.run.logical_ising is got.reduced.ising
+
+    @needs_cext
+    def test_no_scalar_generator_call_on_a_warm_cext_pack(self, monkeypatch):
+        """The cext path of a warm pack reaches its generators through the
+        ``bitgen_t`` pointers alone: no ``.ctypes`` interface is built and
+        the numpy/numba start (the ``integers`` loop) never runs."""
+        problems = qpsk_pack(16)
+        machine = ideal_machine()
+        parameters = AnnealerParameters(num_anneals=50)
+        machine.run_batch(problems, parameters, random_state=1,
+                          backend="cext")
+        original = backends.sequential_initial_spins
+        backends_seen = []
+        monkeypatch.setattr(
+            backends, "sequential_initial_spins",
+            lambda backend, *args: backends_seen.append(backend)
+            or original(backend, *args))
+        rngs = [np.random.default_rng(seed) for seed in range(16)]
+        machine.run_batch(problems, parameters, random_states=rngs,
+                          backend="cext")
+        assert backends_seen == ["cext", "cext"]
+        # ``BitGenerator.ctypes`` is built (and cached there) on first read.
+        assert all(getattr(rng.bit_generator, "_ctypes", None) is None
+                   for rng in rngs)
+
     def test_temperature_profile_is_built_once(self):
         machine = ideal_machine()
         schedule = AnnealerParameters().schedule
