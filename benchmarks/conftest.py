@@ -7,8 +7,9 @@ the whole suite completes in minutes.  Set ``QUAMAX_BENCH_SCALE=paper`` in the
 environment to run the drivers at a statistical weight closer to the paper's
 (much slower).
 
-The printed tables of each run are written to ``benchmarks/output/`` so that
-EXPERIMENTS.md can reference concrete regenerated numbers.
+The printed tables of each run are written to the tracked
+``benchmarks/output/*.txt``, so a regenerated number can be quoted from, and
+diffed against, a concrete file.
 """
 
 import os

@@ -6,7 +6,7 @@ Two measurements over a synthetic Argos-like trace workload:
 * ``cran_serving`` — the headline pair: the same saturating offered load
   (every burst arrives almost immediately, so batches fill) replayed through
   a batch-size-1 scheduler (every job becomes its own QA submission — the
-  serial serving baseline) versus the structure-keyed EDF scheduler flushing
+  serial serving baseline) versus the EDF batching scheduler flushing
   full ``max_batch`` packs into :meth:`QuAMaxDecoder.detect_batch`.  Decode
   results are bit-identical between the two; the difference is pure
   throughput (wall-clock jobs/s) and virtual-clock latency.
@@ -135,7 +135,7 @@ def _make_jobs(knobs: dict, trace, mean_interarrival_us: float,
 
 
 def bench_serving_speedup(knobs: dict, seed: int = 0) -> dict:
-    """Batch-size-1 scheduler vs. full structure-keyed batching, saturating load."""
+    """Batch-size-1 scheduler vs. full-pack batching, saturating load."""
     import numpy as np
 
     from repro.cran.service import CranService

@@ -37,6 +37,17 @@ if _SRC not in sys.path:
 
 GOLDENS_DIR = os.path.join(_HERE, "tests", "goldens")
 
+try:
+    from hypothesis import settings as _hypothesis_settings
+except ImportError:  # the property suites importorskip it themselves
+    pass
+else:
+    # CI weight for the suites that leave their example count to the profile
+    # (tests/test_cran_properties.py): ``--hypothesis-profile=ten-fold``.
+    _hypothesis_settings.register_profile(
+        "ten-fold",
+        max_examples=10 * _hypothesis_settings.default.max_examples)
+
 
 #: Decimal places floats are rounded to before hashing.  Coarse enough to
 #: absorb BLAS/platform summation-order noise (~1e-15 relative), fine enough

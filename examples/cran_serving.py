@@ -8,14 +8,14 @@ that pool up in software and drives it with realistic traffic:
 1. a synthetic Argos-like trace supplies channel state for every user;
 2. a Poisson generator emits frame bursts with mixed BPSK/QPSK modulation,
    per-user SNR and per-job deadlines;
-3. the deadline-aware EDF scheduler groups jobs by problem structure
-   (users x modulation => identical Ising shape) and flushes full packs into
-   the block-diagonal batched decoder;
+3. the deadline-aware EDF scheduler queues whatever is pending — BPSK and
+   QPSK jobs alike, one chip programming serves them all — and flushes full
+   packs into the block-diagonal batched decoder;
 4. telemetry reports throughput, latency percentiles, batch fill and
    deadline misses.
 
 The same offered load is replayed through a batch-size-1 scheduler first, so
-the printout shows exactly what structure-keyed batching buys — with decode
+the printout shows exactly what chip-level batching buys — with decode
 results that are bit-for-bit identical between the two (batching is pure
 scheduling, never a numerics change).  The demo then walks the execution
 matrix on the very same load: the compiled sweep backend
@@ -134,7 +134,7 @@ def main() -> None:
     describe(f"batch={args.max_batch}", batched_report)
 
     speedup = serial_report.wall_time_s / batched_report.wall_time_s
-    print(f"\nStructure-keyed batching: {speedup:.1f}x jobs/s, decode "
+    print(f"\nChip-level batching: {speedup:.1f}x jobs/s, decode "
           f"results identical: {identical_bits(serial_report, batched_report)}")
 
     # The rest of the execution matrix, same load, same bits every time.

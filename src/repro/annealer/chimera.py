@@ -16,9 +16,10 @@ provided for the forward-looking ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # only to_networkx() imports it, and only when called
+    import networkx as nx
 
 from repro.exceptions import EmbeddingError
 from repro.utils.random import RandomState, ensure_rng
@@ -70,7 +71,7 @@ class ChimeraGraph:
                     f"dead qubit {qubit} outside the chip (size {self.total_sites})"
                 )
         self.dead_qubits: FrozenSet[Qubit] = dead
-        self._graph: Optional[nx.Graph] = None
+        self._graph: Optional["nx.Graph"] = None
 
     # ------------------------------------------------------------------ #
     # Indexing
@@ -144,12 +145,31 @@ class ChimeraGraph:
                 if self.is_working(a) and self.is_working(b)]
 
     def has_edge(self, a: Qubit, b: Qubit) -> bool:
-        """Whether a working coupler exists between two qubits."""
-        return self.to_networkx().has_edge(a, b)
+        """Whether a working coupler exists between two qubits.
 
-    def to_networkx(self) -> nx.Graph:
+        Chimera arithmetic on the two coordinates, the edge rule of
+        :meth:`_iter_ideal_edges` read backwards: inside a cell every
+        vertical qubit couples to every horizontal one; between cells a
+        vertical qubit couples to its namesake one row away in the same
+        column, a horizontal one to its namesake one column away in the
+        same row.
+        """
+        if not (self.is_working(a) and self.is_working(b)):
+            return False
+        p, q = self.coordinate(a), self.coordinate(b)
+        if p.side != q.side:
+            return (p.row, p.column) == (q.row, q.column)
+        if p.index != q.index:
+            return False
+        if p.side == 0:
+            return p.column == q.column and abs(p.row - q.row) == 1
+        return p.row == q.row and abs(p.column - q.column) == 1
+
+    def to_networkx(self) -> "nx.Graph":
         """The working-qubit graph as a (cached) networkx graph."""
         if self._graph is None:
+            import networkx as nx
+
             graph = nx.Graph()
             graph.add_nodes_from(q for q in range(self.total_sites)
                                  if self.is_working(q))

@@ -111,7 +111,6 @@ class Embedding:
         Verifies that chains are vertex-disjoint, every chain edge and logical
         coupler is a working hardware edge, and each chain is connected.
         """
-        graph = hardware.to_networkx()
         seen: Dict[Qubit, int] = {}
         for logical, chain in self.chains.items():
             for qubit in chain:
@@ -128,7 +127,7 @@ class Embedding:
                 if a not in chain or b not in chain:
                     raise EmbeddingError(
                         f"chain edge ({a}, {b}) leaves chain {logical}")
-                if not graph.has_edge(a, b):
+                if not hardware.has_edge(a, b):
                     raise EmbeddingError(
                         f"chain edge ({a}, {b}) is not a working hardware coupler")
             # Connectivity: the chain edges must connect every chain qubit.
@@ -151,7 +150,7 @@ class Embedding:
             if a not in self.chains[i] or b not in self.chains[j]:
                 raise EmbeddingError(
                     f"logical coupler ({i}, {j}) endpoints not on the right chains")
-            if not graph.has_edge(a, b):
+            if not hardware.has_edge(a, b):
                 raise EmbeddingError(
                     f"logical coupler ({i}, {j}) uses a non-working hardware edge")
 

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 
@@ -113,19 +112,28 @@ DENSE_DISPATCH_MIN_DENSITY = 0.5
 def colour_classes(ising: IsingModel) -> List[np.ndarray]:
     """Partition variables into independent sets of the coupling graph.
 
-    Uses a greedy graph colouring; Chimera-embedded problems need only a
-    handful of colours, while a fully-connected logical problem degenerates to
-    one variable per class (still correct, just less parallel).
+    Largest-first greedy colouring — variables in order of descending
+    degree (ties in index order), each given the smallest colour no
+    neighbour holds; the classes are exactly those of networkx's
+    ``greedy_color(strategy="largest_first")``, which every seeded stream
+    was frozen under.  Chimera-embedded problems need only a handful of
+    colours, while a fully-connected logical problem degenerates to one
+    variable per class (still correct, just less parallel).
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(ising.num_variables))
-    graph.add_edges_from(ising.coupling_keys)
-    colouring = nx.coloring.greedy_color(graph, strategy="largest_first")
-    classes: Dict[int, List[int]] = {}
-    for node, colour in colouring.items():
-        classes.setdefault(colour, []).append(node)
-    return [np.array(sorted(nodes), dtype=np.intp)
-            for _, nodes in sorted(classes.items())]
+    neighbours: List[List[int]] = [[] for _ in range(ising.num_variables)]
+    for i, j in ising.coupling_keys:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    colours = [-1] * ising.num_variables  # -1: not coloured yet
+    for node in sorted(range(ising.num_variables), reverse=True,
+                       key=lambda node: len(neighbours[node])):
+        taken = {colours[other] for other in neighbours[node]}
+        colours[node] = next(colour for colour in range(len(taken) + 1)
+                             if colour not in taken)
+    classes: List[List[int]] = [[] for _ in range(max(colours) + 1)]
+    for node, colour in enumerate(colours):
+        classes[colour].append(node)
+    return [np.array(nodes, dtype=np.intp) for nodes in classes]
 
 
 def sparse_coupling_matrix(ising: IsingModel) -> sparse.csr_matrix:
@@ -505,28 +513,35 @@ class BlockDiagonalSampler:
                                for start, stop in zip(starts[:-1], starts[1:])]
 
     def matches_structure(self, isings: Sequence[IsingModel]) -> bool:
-        """Whether *isings* matches this sampler's block count and sparsity."""
+        """Whether *isings* (any number of them) have this sampler's block
+        size and sparsity, i.e. whether :meth:`refresh_values` takes them."""
         problems = IsingPack.stack(isings, self._edge_keys)
-        return (problems is not None and len(problems) == self.num_blocks
+        return (problems is not None
                 and problems.num_variables == self.block_size)
 
     def refresh_values(self, isings: Sequence[IsingModel]) -> None:
-        """Rebind all blocks to new same-structure problems in place.
+        """Rebind the sampler to new same-structure problems in place —
+        as many of them as there are: the block count follows the pack.
 
         Swaps in the problems' value matrix (stacked in this sampler's key
         order; an :class:`~repro.ising.model.IsingPack` already in that
-        order is taken as is) and, when the scipy reference operators have
-        been built, rewrites their ``.data`` in place; colour classes,
-        cluster membership and all sparsity bookkeeping are reused
-        unchanged.  Raises :class:`AnnealerError` when the coupling
+        order is taken as is); colour classes, cluster membership and all
+        sparsity bookkeeping are block-level and reused unchanged.  Only
+        the scipy reference operators span the combined blocks: when they
+        have been built their ``.data`` is rewritten in place, or, after a
+        change of block count, they are dropped for the next numpy-loop
+        anneal to rebuild.  Raises :class:`AnnealerError` when the coupling
         structure differs (build a new sampler instead).
         """
         problems = IsingPack.stack(isings, self._edge_keys)
         if problems is None or not self.matches_structure(problems):
             raise AnnealerError(
-                "refresh_values requires the same block count and coupling "
+                "refresh_values requires the same block size and coupling "
                 "structure; construct a new sampler instead"
             )
+        if len(problems) != self.num_blocks:
+            self.num_blocks = len(problems)
+            self._reference = None
         self._bind(problems)
         if self._reference is not None:
             self._bind_reference()

@@ -194,14 +194,16 @@ class QuantumAnnealerSimulator:
         redrawn between batches).
     sampler_cache_size:
         Number of fully-warmed block-diagonal samplers kept across
-        :meth:`run_batch` calls, keyed on problem structure (block count and
-        size, coupling keys, cluster layout, kernel/backend).  Successive
-        jobs of the same structure — the batch-size-1 serving case — rebind
-        the cached sampler in place instead of re-deriving colour classes,
-        CSR templates, entry maps and cluster descriptors per job.  Seeded
-        results are bit-identical with the cache on, off (``0``) or at any
-        size, because ``refresh_values`` reproduces fresh construction
-        exactly; the cache only moves setup work.
+        :meth:`run_batch` calls, keyed on problem structure (block size,
+        coupling keys, cluster layout, kernel/backend) and *not* on the
+        number of problems: everything a sampler derives is block-level, so
+        successive packs of one structure — of any sizes, down to the
+        batch-size-1 serving case — rebind the cached sampler in place
+        instead of re-deriving colour classes, CSR templates, entry maps
+        and cluster descriptors.  Seeded results are bit-identical with the
+        cache on, off (``0``) or at any size, because ``refresh_values``
+        reproduces fresh construction exactly; the cache only moves setup
+        work.
     """
 
     def __init__(self, topology: Optional[ChimeraGraph] = None, *,
@@ -436,8 +438,9 @@ class QuantumAnnealerSimulator:
         operator = None
         if self.sampler_cache_size:
             # Everything that determines a packed sampler's warmed
-            # structure; the key tuples come from the plan, not the jobs.
-            cache_key = (len(isings), kernel, backend, rng, threads,
+            # structure; the key tuples come from the plan, not the jobs,
+            # and the pack size is not part of it (a rebind adopts it).
+            cache_key = (kernel, backend, rng, threads,
                          embedded.problems.keys, tuple(plan.chains.values()))
             # pop, not get: the caller owns the entry until reinsertion.
             sampler, operator = self._sampler_cache.pop(cache_key,

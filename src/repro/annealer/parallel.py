@@ -5,6 +5,12 @@ Section 4 of the paper: because a clique embedding only occupies
 problem instances can be programmed side by side on the 2,031-qubit chip and
 annealed simultaneously, dividing the effective time per instance by the
 parallelization factor ``P_f``.
+
+"Identical or different" is what the serving layer packs by:
+:class:`~repro.cran.scheduler.EDFBatchScheduler` flushes whatever is pending
+— any mix of problem structures — as one QA job, and since ``1 / P_f`` is
+the share of the chip an instance occupies, the members' amortised compute
+times add up to the anneal time times the share of the chip programmed.
 """
 
 from __future__ import annotations

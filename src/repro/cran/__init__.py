@@ -7,7 +7,8 @@ layer, built on the batched decode substrate underneath it:
 * :mod:`repro.cran.jobs` — :class:`DecodeJob` / :class:`JobResult`, the unit
   of work with arrival time, deadline and a private random stream;
 * :mod:`repro.cran.scheduler` — :class:`EDFBatchScheduler`, deadline-aware
-  batching keyed on problem structure (users × modulation ⇒ Ising shape);
+  batching at the chip's granularity: one pending queue, and a flush takes
+  everything in it — any mix of problem structures — as one QA job;
 * :mod:`repro.cran.workers` — :class:`WorkerPool`, bounded-queue decode
   workers with block-or-shed backpressure and virtual-time accounting;
 * :mod:`repro.cran.traffic` — :class:`PoissonTrafficGenerator`, Poisson

@@ -17,8 +17,9 @@ the time unit used throughout the annealer and metrics layers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from repro.mimo.system import ChannelUse
 #: batch, or serially for verification), so jobs carry seed material rather
 #: than a live generator.
 JobSeed = Union[None, int, np.random.SeedSequence]
+
+#: ``(N_t, N_r, modulation)``, see :attr:`DecodeJob.structure_key`.
+StructureKey = Tuple[int, int, str]
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class DecodeJob:
     rng_mode:
         Draw discipline hint for the decode: ``"sequential"`` (default,
         the reference streams) or ``"counter"`` (keyed Philox streams,
-        identical across backends and thread counts).  Jobs packed into
-        one batch must agree on it — the scheduler rejects mixed packs.
+        identical across backends and thread counts).  A pack is decoded
+        under one discipline, so the scheduler queues each separately.
     threads:
         Kernel thread hint for the decode, or ``None`` to accept the
         worker pool's budget.  Requires ``rng_mode="counter"`` when > 1;
@@ -134,13 +138,13 @@ class DecodeJob:
         return self.channel_use.num_tx
 
     @property
-    def structure_key(self) -> Tuple[int, int, str]:
-        """Problem-structure grouping key: ``(N_t, N_r, modulation)``.
+    def structure_key(self) -> StructureKey:
+        """Problem structure: ``(N_t, N_r, modulation)``.
 
         Jobs sharing this key reduce to Ising problems of identical variable
         count and coupling structure (the ML reduction couples every variable
-        pair of an ``N_t x modulation`` problem), so they can be packed into
-        one block-diagonal QA job.
+        pair of an ``N_t x modulation`` problem): in a pack they are the
+        blocks of one block-diagonal sub-pack, each the same share of the chip.
         """
         return (self.channel_use.num_tx, self.channel_use.num_rx,
                 self.modulation)
@@ -153,6 +157,12 @@ class DecodeJob:
     def rng(self) -> np.random.Generator:
         """A *fresh* generator positioned at the start of the job's stream."""
         return np.random.default_rng(self.seed)
+
+
+def structure_counts(jobs: Iterable[DecodeJob]
+                     ) -> List[Tuple[StructureKey, int]]:
+    """The distinct structure keys of *jobs*, sorted, with member counts."""
+    return sorted(Counter(job.structure_key for job in jobs).items())
 
 
 @dataclass(frozen=True)

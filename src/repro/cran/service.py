@@ -24,11 +24,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.annealer.parallel import parallelization_factor
 from repro.cran.faults import BrownoutConfig, BrownoutController, FaultPlan
-from repro.cran.jobs import DecodeJob, JobResult
+from repro.cran.jobs import (DecodeJob, JobResult, StructureKey,
+                             structure_counts)
 from repro.cran.scheduler import DecodeTimeModel, EDFBatchScheduler
 from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.tracing import (
@@ -93,15 +95,16 @@ class ServiceReport:
 
 def decode_time_model_for(decoder: QuAMaxDecoder,
                           margin: float = 0.1) -> DecodeTimeModel:
-    """Modelled decode time of a pending pack, derived from *decoder*.
+    """Modelled decode time of a pack of jobs, derived from *decoder*.
 
     The model mirrors the worker pool's virtual-time accounting: one shared
-    per-job overhead (programming + preprocessing + readout) per pack, plus
-    each member's amortised compute time ``N_a * T_a / P_f`` — where the
-    parallelization factor ``P_f`` follows from the structure key's logical
+    overhead (programming + preprocessing + readout) per pack, plus each
+    member's amortised compute time ``N_a * T_a / P_f`` — where the
+    parallelization factor ``P_f`` follows from its structure key's logical
     problem size, exactly as the machine model computes it at decode time.
-    Used by :class:`CranService` ``adaptive_wait`` to flush a pack as soon
-    as its most urgent member's slack drops to this modelled service time.
+    Used by :class:`CranService` ``adaptive_wait`` to flush the pending jobs
+    as soon as their most urgent member's slack drops to this modelled
+    service time, and by the brownout and retry layers to price one job.
 
     *margin* inflates the model (default 10%): flushing exactly at
     ``slack == service time`` would finish exactly at the deadline with
@@ -113,21 +116,19 @@ def decode_time_model_for(decoder: QuAMaxDecoder,
     overhead_us = annealer.overheads.total_us(parameters.num_anneals)
     anneal_us = parameters.num_anneals * parameters.schedule.duration_us
     headroom = 1.0 + margin
-    cache: Dict[Tuple[int, int, str], float] = {}
 
-    def model(key: Tuple[int, int, str], size: int) -> float:
-        per_job = cache.get(key)
-        if per_job is None:
-            num_tx, _num_rx, modulation = key
-            num_logical = (num_tx
-                           * get_constellation(modulation).bits_per_symbol)
-            factor = parallelization_factor(
-                num_logical,
-                total_qubits=annealer.num_qubits,
-                shore_size=annealer.topology.shore_size)
-            per_job = anneal_us / factor
-            cache[key] = per_job
-        return (overhead_us + size * per_job) * headroom
+    @lru_cache(maxsize=None)
+    def per_job_us(key: StructureKey) -> float:
+        num_tx, _num_rx, modulation = key
+        return anneal_us / parallelization_factor(
+            num_tx * get_constellation(modulation).bits_per_symbol,
+            total_qubits=annealer.num_qubits,
+            shore_size=annealer.topology.shore_size)
+
+    def model(jobs: Sequence[DecodeJob]) -> float:
+        return (overhead_us
+                + sum(size * per_job_us(key)
+                      for key, size in structure_counts(jobs))) * headroom
 
     return model
 
@@ -142,8 +143,8 @@ def online_decode_time_model(telemetry: TelemetryRecorder,
     (:meth:`TelemetryRecorder.decode_time_us` — EWMAs of observed pack
     service times and sizes, with *overhead_us* the known per-pack
     overhead separating the fixed and per-job parts) with the same safety
-    *margin* as the analytic model, falling back to *fallback* until a
-    structure has completed enough packs for its estimate to be trusted.
+    *margin* as the analytic model, falling back to *fallback* until every
+    structure in the pack has completed enough packs to be trusted.
     Unlike the analytic model, the online one tracks what decodes actually
     cost on this machine under current load, so the slack threshold is
     self-calibrating.
@@ -157,11 +158,10 @@ def online_decode_time_model(telemetry: TelemetryRecorder,
     """
     headroom = 1.0 + margin
 
-    def model(key: Tuple[int, int, str], size: int) -> float:
-        estimate = telemetry.decode_time_us(key, size,
-                                            overhead_us=overhead_us)
+    def model(jobs: Sequence[DecodeJob]) -> float:
+        estimate = telemetry.decode_time_us(jobs, overhead_us=overhead_us)
         if estimate is None:
-            return fallback(key, size)
+            return fallback(jobs)
         return estimate * headroom
 
     return model
@@ -192,17 +192,17 @@ class ServiceSession:
             self._cache_baseline = dict(service.decoder.sampler_cache_info())
         except AttributeError:
             self._cache_baseline = None
-        model = service.scheduler_model()
-        if (model is not None and service.adaptive_wait
+        model = base = service.scheduler_model()
+        if (base is not None and service.adaptive_wait
                 and service._decode_time_model is None):
-            # Online adaptive wait: observed per-structure pack decode
-            # times (EWMAs via the recorder) refine the analytic model as
-            # the run progresses; the known per-pack overhead anchors the
-            # fixed/per-job split so full-pack observations still predict
-            # small pending packs.
+            # Online adaptive wait: observed per-structure decode times
+            # (EWMAs via the recorder) refine the analytic model as the run
+            # progresses; the known per-pack overhead anchors the fixed/
+            # per-job split so full-pack observations still predict small
+            # pending packs.
             overhead_us = service.decoder.annealer.overheads.total_us(
                 service.decoder.parameters.num_anneals)
-            model = online_decode_time_model(self._telemetry, model,
+            model = online_decode_time_model(self._telemetry, base,
                                              overhead_us=overhead_us)
         self._scheduler = EDFBatchScheduler(
             max_batch=service.max_batch,
@@ -215,15 +215,13 @@ class ServiceSession:
         self._fault_tolerant = service.fault_plan is not None
         self._brownout = (BrownoutController(service.brownout)
                           if service.brownout is not None else None)
-        if self._fault_tolerant or self._brownout is not None:
-            # The deadline-aware give-up threshold: a job whose slack is
-            # below its own modelled single-job decode time cannot finish
-            # in time, so retrying (or even admitting) it wastes a slot.
-            base = service.scheduler_model()
-            self._give_up_model = (base if base is not None
-                                   else decode_time_model_for(service.decoder))
-        else:
-            self._give_up_model = None
+        # The deadline-aware give-up threshold: a job whose slack is below
+        # its own modelled decode time — the same model, asked about
+        # ``(job,)`` — cannot finish in time, so retrying (or even
+        # admitting) it wastes a slot.
+        self._give_up_model = (
+            base or decode_time_model_for(service.decoder)
+            if self._fault_tolerant or self._brownout is not None else None)
         #: The ingress gateway states its admit/shed/re-stamp events through
         #: this pool's ``emit`` too, so they land in one serialised stream.
         self.pool = WorkerPool(service.decoder,
@@ -304,7 +302,7 @@ class ServiceSession:
         # Already-hopeless test: the job's own modelled decode, inflated by
         # the backlog it would queue behind (in units of full packs).
         backlog = self._scheduler.queue_depth
-        needed = self._give_up_model(job.structure_key, 1) * (
+        needed = self._give_up_model((job,)) * (
             1.0 + backlog / float(max(1, self._scheduler.max_batch)))
         if slack >= needed:
             return False
@@ -332,7 +330,7 @@ class ServiceSession:
                     continue
                 if (math.isfinite(job.deadline_us)
                         and job.deadline_us - now_us
-                        < self._give_up_model(job.structure_key, 1)):
+                        < self._give_up_model((job,))):
                     self.pool.shed((job,), "retry_deadline", now_us)
                     continue
                 retry = replace(job, arrival_time_us=now_us,
@@ -425,15 +423,15 @@ class CranService:
         When true, the scheduler additionally flushes a pending pack as
         soon as its most urgent member's slack drops to the pack's modelled
         decode time, cutting the low-load latency tail without sacrificing
-        fill at high load.  The model is *online*: an EWMA of observed
-        per-structure pack decode times from this run's telemetry
+        fill at high load.  The model is *online*: EWMAs of observed
+        per-structure decode times from this run's telemetry
         (:func:`online_decode_time_model`), falling back to the analytic
-        :func:`decode_time_model_for` until enough packs of a structure
-        have completed.  A custom model can be passed via
+        :func:`decode_time_model_for` until enough packs of every pending
+        structure have completed.  A custom model can be passed via
         *decode_time_model* instead.
     decode_time_model:
-        Explicit ``(structure_key, size) -> µs`` model forwarded to the
-        scheduler (overrides *adaptive_wait*).
+        Explicit ``jobs -> µs`` model of a pack's decode time, forwarded
+        to the scheduler (overrides *adaptive_wait*).
     num_workers, mode:
         Worker-pool execution policy (see :class:`WorkerPool`);
         ``num_workers=0`` (default) serves inline and deterministically,

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cran.jobs import JobResult
+from repro.cran.jobs import (DecodeJob, JobResult, StructureKey,
+                             structure_counts)
 from repro.cran.tracing import (
     EVENT_BROWNOUT_OPEN,
     EVENT_JOB_RETRY,
@@ -89,9 +90,9 @@ class TelemetryRecorder:
         self._last_finish_us = 0.0
         #: Per-structure EWMAs of observed pack service times (µs) and pack
         #: sizes, plus sample counts — the online decode-time model the
-        #: adaptive-wait scheduler feeds on.
-        self._decode_service_ewma_us: Dict[Tuple[int, int, str], float] = {}
-        self._decode_size_ewma: Dict[Tuple[int, int, str], float] = {}
+        #: adaptive-wait scheduler feeds on (see :meth:`record_batch`).
+        self._decode_service_ewma_us: Dict[StructureKey, float] = {}
+        self._decode_size_ewma: Dict[StructureKey, float] = {}
         self._decode_time_samples: Counter = Counter()
         self.jobs_completed = 0
         self.jobs_shed = 0
@@ -107,31 +108,27 @@ class TelemetryRecorder:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record_batch(self, results: Sequence[JobResult]) -> None:
-        """Record one decoded batch's worth of job results."""
+    def record_batch(self, results: Sequence[JobResult],
+                     overhead_us: float = 0.0) -> None:
+        """Record one decoded batch's worth of job results.
+
+        The online decode-time model is fed one observation per structure
+        in the pack: its member count, and the pack's service time (all
+        members share one start/finish) less the other structures' share —
+        in proportion to the members' ``compute_time_us``, i.e. to the chip
+        area they occupied — of what exceeds the per-pack *overhead_us*.
+        A one-structure pack observes exactly its service time and size.
+        """
         if not results:
             return
         self.batches_decoded += 1
         self._batch_fill[len(results)] += 1
-        self._flush_reasons[results[0].flush_reason] += 1
-        # Feed the online decode-time model: one observation of this pack's
-        # service time and size (all members share one start/finish).
         first = results[0]
-        key = first.job.structure_key
-        service_us = first.finish_time_us - first.start_time_us
-        size = float(len(results))
-        alpha = self.decode_time_alpha
-        previous = self._decode_service_ewma_us.get(key)
-        if previous is None:
-            self._decode_service_ewma_us[key] = service_us
-            self._decode_size_ewma[key] = size
-        else:
-            self._decode_service_ewma_us[key] = (
-                (1.0 - alpha) * previous + alpha * service_us)
-            self._decode_size_ewma[key] = (
-                (1.0 - alpha) * self._decode_size_ewma[key] + alpha * size)
-        self._decode_time_samples[key] += 1
+        self._flush_reasons[first.flush_reason] += 1
+        compute_us: Dict[StructureKey, List[float]] = {}  # per member
         for result in results:
+            compute_us.setdefault(result.job.structure_key, []).append(
+                result.result.compute_time_us)
             self.jobs_completed += 1
             self._latencies_us.append(result.latency_us)
             self._queue_delays_us.append(result.queue_delay_us)
@@ -143,6 +140,19 @@ class TelemetryRecorder:
                 self._first_arrival_us = arrival
             self._last_finish_us = max(self._last_finish_us,
                                        result.finish_time_us)
+        service_us = first.finish_time_us - first.start_time_us
+        total_us = sum(map(sum, compute_us.values()))
+        alpha = self.decode_time_alpha
+        for key, members_us in compute_us.items():
+            observed_us = service_us - ((service_us - overhead_us)
+                                        * (total_us - sum(members_us))
+                                        / total_us)
+            for ewma, value in ((self._decode_service_ewma_us, observed_us),
+                                (self._decode_size_ewma,
+                                 float(len(members_us)))):
+                ewma[key] = (value if key not in ewma
+                             else (1.0 - alpha) * ewma[key] + alpha * value)
+            self._decode_time_samples[key] += 1
 
     def record_shed(self, count: int, stage: str) -> None:
         """Record *count* jobs landing on the pool's shed list at *stage*."""
@@ -173,33 +183,33 @@ class TelemetryRecorder:
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-    def decode_time_us(self, structure_key: Tuple[int, int, str],
-                       size: int, overhead_us: float = 0.0) -> Optional[float]:
-        """Online decode-time estimate for a *size*-job pack of a structure.
+    def decode_time_us(self, jobs: Sequence[DecodeJob],
+                       overhead_us: float = 0.0) -> Optional[float]:
+        """Online decode-time estimate for *jobs* served as one pack.
 
-        Derived from the EWMAs of observed pack service times and sizes:
-        with *overhead_us* the (known) per-pack overhead, the per-job
-        compute is estimated as ``(E[service] - overhead) / E[size]`` and
-        the prediction is ``overhead + size * per_job`` — so a structure
-        observed in full packs still predicts small pending packs
-        correctly.  Returns ``None`` until :attr:`decode_time_min_samples`
-        packs of the structure have completed, and again whenever the
-        claimed *overhead_us* exceeds the observed service EWMA: a negative
-        per-job split would otherwise be clamped into a size-independent
-        prediction (``overhead + size * 0``) that makes the adaptive-wait
-        scheduler under-wait.  Callers fall back to the analytic model in
-        both cases.
+        Derived from the per-structure EWMAs of observed service times and
+        sizes: with *overhead_us* the (known) per-pack overhead, a
+        structure's per-job compute is estimated as ``(E[service] -
+        overhead) / E[size]`` and the prediction is the overhead plus the
+        members' per-job estimates — so a structure observed in full packs
+        still predicts small pending packs correctly.  Returns ``None``
+        until :attr:`decode_time_min_samples` packs of every structure
+        among *jobs* have completed, and whenever *overhead_us* exceeds a
+        structure's observed service EWMA: clamping that negative per-job
+        split to zero would give a size-independent prediction and make the
+        adaptive-wait scheduler under-wait.  Callers fall back to the
+        analytic model in both cases.
         """
-        if self._decode_time_samples[structure_key] < \
-                self.decode_time_min_samples:
-            return None
-        per_job = ((self._decode_service_ewma_us[structure_key] - overhead_us)
-                   / self._decode_size_ewma[structure_key])
-        if per_job < 0.0:
-            # The overhead/service split degenerated — the estimate carries
-            # no size information, so defer to the analytic model.
-            return None
-        return overhead_us + size * per_job
+        compute_us = 0.0
+        for key, size in structure_counts(jobs):
+            if self._decode_time_samples[key] < self.decode_time_min_samples:
+                return None
+            per_job = ((self._decode_service_ewma_us[key] - overhead_us)
+                       / self._decode_size_ewma[key])
+            if per_job < 0.0:
+                return None
+            compute_us += size * per_job
+        return overhead_us + compute_us
 
     def latency_summary(self, percentiles: Sequence[float]
                         = DEFAULT_PERCENTILES) -> LatencySummary:

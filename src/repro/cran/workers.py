@@ -99,7 +99,7 @@ def _batch_decode_hints(batch: DecodeBatch,
                         default_threads: int) -> Tuple[str, int]:
     """Resolve one pack's ``(rng, threads)`` decode overrides.
 
-    The scheduler guarantees packs are rng-homogeneous, so the first job
+    The scheduler queues each draw discipline separately, so the first job
     speaks for all.  The thread count is the largest per-job hint, falling
     back to the worker's budget when no job carries one — and clamped to 1
     under the sequential discipline, whose draw order no parallel schedule
@@ -114,16 +114,21 @@ def _batch_decode_hints(batch: DecodeBatch,
     return rng_mode, threads
 
 
+def _pack_overhead_us(decoder: QuAMaxDecoder, outcomes) -> float:
+    """The per-QA-job overhead, paid once for whatever is on the chip."""
+    return decoder.annealer.overheads.total_us(outcomes[0].run.num_anneals)
+
+
 def _pack_service_us(decoder: QuAMaxDecoder, outcomes) -> float:
     """Virtual service time of one decoded pack.
 
-    One shared per-job overhead for the whole pack plus every block's
-    amortised compute — the accounting model all three execution modes
+    One shared overhead for the whole pack plus every block's amortised
+    compute (the anneal time times its share of the chip, so the sum holds
+    across structures) — the accounting model all three execution modes
     share, which is what keeps latency/deadline telemetry identical across
     inline, thread and process serving.
     """
-    num_anneals = outcomes[0].run.num_anneals
-    return (decoder.annealer.overheads.total_us(num_anneals)
+    return (_pack_overhead_us(decoder, outcomes)
             + sum(outcome.compute_time_us for outcome in outcomes))
 
 
@@ -365,10 +370,11 @@ class _ThreadExecutor(_Executor):
 
     Wall-clock throughput benefits from NumPy releasing the GIL inside the
     anneals — the Python parts of the decode stack still serialise on it.
-    Batches are routed to a *sticky* shard by structure key, which keeps one
-    worker's decoder sampler cache hot for each structure; an idle worker
-    steals from the longest other shard, so skewed structure mixes never
-    strand capacity.  One bound covers the packs queued on all shards.
+    Batches are routed to a *sticky* shard by the structures they hold,
+    which keeps one worker's decoder sampler cache hot for each recurring
+    mix; an idle worker steals from the longest other shard, so skewed
+    mixes never strand capacity.  One bound covers the packs queued on all
+    shards.
     """
 
     mode = MODE_THREAD
@@ -437,7 +443,7 @@ class _ThreadExecutor(_Executor):
                     return False
                 while self._pending >= self.pool.queue_capacity:
                     self._not_full.wait()
-            shard = self._shard_for_locked(batch.structure_key)
+            shard = self._shard_for_locked(batch.structures)
             self._shards[shard].append((index, batch))
             self._shard_routed[shard] += 1
             self._pending += 1
@@ -445,7 +451,7 @@ class _ThreadExecutor(_Executor):
         return True
 
     def _shard_for_locked(self, key: Tuple) -> int:
-        """Sticky shard of one structure key (first-seen keys round-robin).
+        """Sticky shard of one structure mix (first-seen mixes round-robin).
 
         Called with the lock held.  Routing by structure rather than by load
         keeps each worker decoding the same problem shapes back to back —
@@ -1052,7 +1058,8 @@ class WorkerPool:
                 for job, outcome in zip(batch.jobs, outcomes)
             ]
             self._results.extend(results)
-            self.telemetry.record_batch(results)
+            self.telemetry.record_batch(
+                results, _pack_overhead_us(self.decoder, outcomes))
             if self.trace is not None:
                 job_ids = [job.job_id for job in batch.jobs]
                 self.trace.record(EVENT_PACK_START, start_us, pack_id=index,

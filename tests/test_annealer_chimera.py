@@ -101,6 +101,55 @@ class TestEdges:
         assert chip.to_networkx() is chip.to_networkx()
 
 
+class TestHasEdgeIsArithmetic:
+    """``has_edge`` is Chimera arithmetic on coordinates; the networkx graph
+    (built from ``_iter_ideal_edges``) is the oracle."""
+
+    @staticmethod
+    def sites_around(chip, cells):
+        """Every site of *cells* and of their four neighbours."""
+        around = {(row + dr, column + dc) for row, column in cells
+                  for dr, dc in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+                  if 0 <= row + dr < chip.rows
+                  and 0 <= column + dc < chip.columns}
+        return [chip.linear_index(row, column, side, index)
+                for row, column in sorted(around) for side in (0, 1)
+                for index in range(chip.shore_size)]
+
+    @pytest.mark.parametrize("make_chip", [
+        ChimeraGraph.dw2q, lambda: ChimeraGraph.ideal(4, 4),
+        lambda: PegasusLikeGraph(rows=3, columns=3, dead_qubits=[20, 70])],
+        ids=["dw2q", "ideal-4x4", "pegasus-like"])
+    def test_agrees_with_the_graph_on_every_pair_around_two_cells(
+            self, make_chip):
+        chip = make_chip()
+        # A corner cell, and the cell of a defect where there is one (an
+        # interior cell otherwise).
+        dead = min(chip.dead_qubits, default=chip.linear_index(2, 1, 0, 0))
+        cells = [(0, 0), (chip.coordinate(dead).row,
+                          chip.coordinate(dead).column)]
+        sites = self.sites_around(chip, cells) + [-1, chip.total_sites]
+        graph = chip.to_networkx()
+        edges = 0
+        for a in sites:
+            for b in sites:
+                assert chip.has_edge(a, b) == graph.has_edge(a, b), (a, b)
+                edges += chip.has_edge(a, b)
+        assert edges > 8 * chip.shore_size ** 2  # not vacuous
+
+    def test_every_listed_edge_is_an_edge_both_ways(self):
+        chip = ChimeraGraph.dw2q()
+        edges = chip.edges()
+        assert len(edges) == chip.to_networkx().number_of_edges()
+        assert all(chip.has_edge(a, b) and chip.has_edge(b, a)
+                   for a, b in edges)
+
+    def test_asking_builds_no_graph(self):
+        chip = ChimeraGraph.ideal(4, 4)
+        chip.has_edge(0, 4)
+        assert chip._graph is None
+
+
 class TestDefects:
     def test_dead_qubits_removed_from_graph(self):
         chip = ChimeraGraph(rows=2, columns=2, dead_qubits=[0, 5])

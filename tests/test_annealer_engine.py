@@ -5,6 +5,7 @@ import pytest
 
 from repro.annealer.backends import RNG_MODES, available_backends
 from repro.annealer.engine import (
+    BlockDiagonalSampler,
     IsingSampler,
     batched_metropolis,
     colour_classes,
@@ -46,6 +47,52 @@ class TestColourClasses:
         ising = IsingModel(num_variables=5, linear=np.ones(5), couplings={})
         classes = colour_classes(ising)
         assert len(classes) == 1
+
+    @staticmethod
+    def networkx_classes(ising):
+        """The oracle: the networkx call ``colour_classes`` used to make,
+        under which every seeded stream and golden digest was frozen."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(ising.num_variables))
+        graph.add_edges_from(ising.coupling_keys)
+        colouring = nx.coloring.greedy_color(graph, strategy="largest_first")
+        classes = {}
+        for node, colour in colouring.items():
+            classes.setdefault(colour, []).append(node)
+        return [sorted(nodes) for _, nodes in sorted(classes.items())]
+
+    def assert_same_classes(self, ising):
+        ours = colour_classes(ising)
+        assert all(group.dtype == np.intp for group in ours)
+        assert [group.tolist() for group in ours] == \
+            self.networkx_classes(ising)
+
+    def test_classes_are_networkx_largest_first_on_random_graphs(self):
+        rng = np.random.default_rng(2019)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            self.assert_same_classes(random_ising(
+                size, int(rng.integers(1 << 30)), density=rng.random()))
+
+    @pytest.mark.parametrize("num_logical, qubits", [
+        (2, 4), (3, 6), (4, 8), (6, 18), (8, 24), (12, 48), (16, 80),
+        (24, 168), (48, 624)])
+    def test_classes_are_networkx_largest_first_on_served_structures(
+            self, num_logical, qubits):
+        # Every embedded structure the benchmark workloads program: the
+        # clique embeddings of 2 to 48 logical variables.
+        from repro.annealer.chimera import ChimeraGraph
+        from repro.annealer.embedded import embed_ising
+        from repro.annealer.embedding import TriangleCliqueEmbedder
+
+        embedding = TriangleCliqueEmbedder(
+            ChimeraGraph.ideal(16, 16)).embed(num_logical)
+        embedded = embed_ising(random_ising(num_logical, 7), embedding,
+                               chain_strength=4.0).ising
+        assert embedded.num_variables == qubits
+        self.assert_same_classes(embedded)
 
 
 class TestSparseCouplingMatrix:
@@ -174,3 +221,76 @@ class TestBatchedMetropolisWrapper:
         a = batched_metropolis(ising, [1.0, 0.5], 4, random_state=2)
         b = IsingSampler(ising).anneal([1.0, 0.5], 4, random_state=2)
         np.testing.assert_array_equal(a, b)
+
+
+class TestRebindToAnyBlockCount:
+    """``refresh_values`` adopts the pack size it is handed: everything a
+    sampler derives is block-level, so a warm sampler rebound to more or
+    fewer problems is, bit for bit, a freshly constructed one."""
+
+    #: A 9-variable structure with two chains (clusters with internal edges)
+    #: and enough other edges to need several colour classes.
+    KEYS = [(0, 1), (1, 2), (3, 4), (0, 3), (1, 4), (2, 5), (4, 6), (5, 7),
+            (6, 7), (2, 8), (0, 8)]
+    CLUSTERS = [np.array([0, 1, 2]), np.array([3, 4])]
+    TEMPERATURES = [2.0, 1.0, 0.5, 0.25]
+
+    def pack(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return [IsingModel(num_variables=9, linear=rng.normal(size=9),
+                           couplings={key: float(rng.normal())
+                                      for key in self.KEYS})
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("rng_mode", RNG_MODES)
+    @pytest.mark.parametrize("clusters", [False, True])
+    @pytest.mark.parametrize("kernel", ["colour", "dense"])
+    @pytest.mark.parametrize("backend", [
+        backend for backend in available_backends() if backend != "numba"])
+    def test_rebound_sampler_is_a_fresh_one(self, backend, kernel, clusters,
+                                            rng_mode):
+        options = dict(clusters=self.CLUSTERS if clusters else None,
+                       kernel=kernel, backend=backend, rng=rng_mode)
+        warm = None
+        for step, count in enumerate([4, 1, 16, 3]):
+            problems = self.pack(count, seed=step)
+            if warm is None:
+                warm = BlockDiagonalSampler(problems, **options)
+            else:
+                assert warm.matches_structure(problems)
+                warm.refresh_values(problems)
+            assert warm.num_blocks == count
+            assert warm.num_variables == 9 * count
+            fresh = BlockDiagonalSampler(problems, **options)
+            ours = [np.random.default_rng(50 + b) for b in range(count)]
+            theirs = [np.random.default_rng(50 + b) for b in range(count)]
+            # Twice per step: the second call runs over whatever the first
+            # left in the sampler's workspace, and (numpy) over reference
+            # operators built before the next change of block count.
+            for _ in range(2):
+                a = warm.anneal(self.TEMPERATURES, 5, ours)
+                b = fresh.anneal(self.TEMPERATURES, 5, theirs)
+                assert a.shape == (5, 9 * count) and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+                assert ([rng.bit_generator.state for rng in ours]
+                        == [rng.bit_generator.state for rng in theirs])
+            assert (warm.coupling_matrix != fresh.coupling_matrix).nnz == 0
+            assert [group.tolist() for group in warm.classes] == [
+                group.tolist() for group in fresh.classes]
+
+    def test_another_structure_is_still_refused(self):
+        warm = BlockDiagonalSampler(self.pack(4, seed=0))
+        smaller = [random_ising(8, 1), random_ising(8, 2)]
+        other_keys = [IsingModel(num_variables=9, linear=np.zeros(9),
+                                 couplings={(0, 1): 1.0})]
+        for problems in (smaller, other_keys, []):
+            assert not warm.matches_structure(problems)
+            with pytest.raises(AnnealerError, match="block size"):
+                warm.refresh_values(problems)
+        assert warm.num_blocks == 4
+
+    def test_one_generator_per_block_of_the_current_pack(self):
+        warm = BlockDiagonalSampler(self.pack(4, seed=0))
+        warm.refresh_values(self.pack(2, seed=1))
+        with pytest.raises(AnnealerError, match="expected 2"):
+            warm.anneal(self.TEMPERATURES, 3, [0, 1, 2, 3])

@@ -424,6 +424,43 @@ class TestSamplerCache:
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
                                      sampler_cache_size=-1)
 
+    def test_one_sampler_serves_every_pack_size(self, monkeypatch):
+        """The cache key holds no pack size: a structure misses once, then
+        hits at any size, on the one sampler ever constructed for it — and
+        every result is the cold machine's, bit for bit."""
+        from repro.annealer.engine import BlockDiagonalSampler
+
+        builds = []
+        original_init = BlockDiagonalSampler.__init__
+
+        def counting_init(sampler, isings, *args, **kwargs):
+            builds.append(len(isings))
+            original_init(sampler, isings, *args, **kwargs)
+
+        monkeypatch.setattr(BlockDiagonalSampler, "__init__", counting_init)
+        machine = self._machine(8)
+        parameters = AnnealerParameters(num_anneals=10)
+        packs = [[make_reduced(num_users=3, constellation="QPSK",
+                               seed=10 * call + s, snr_db=12.0).ising
+                  for s in range(size)]
+                 for call, size in enumerate([4, 1, 16, 3])]
+        warm = [machine.run_batch(pack, parameters, random_state=call)
+                for call, pack in enumerate(packs)]
+        assert builds == [4]
+        info = machine.sampler_cache_info()
+        assert (info["misses"], info["hits"], info["entries"]) == (1, 3, 1)
+
+        cold_machine = self._machine(0)
+        for call, pack in enumerate(packs):
+            cold = cold_machine.run_batch(pack, parameters,
+                                          random_state=call)
+            for a, b in zip(warm[call], cold):
+                for name in ("samples", "energies", "num_occurrences"):
+                    assert (getattr(a.solutions, name).tobytes()
+                            == getattr(b.solutions, name).tobytes())
+                assert a.unembedding == b.unembedding
+        assert builds == [4, 4, 1, 16, 3]
+
     def test_batched_packs_cache_across_calls(self):
         machine = self._machine(8)
         parameters = AnnealerParameters(num_anneals=10)

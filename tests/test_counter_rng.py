@@ -314,22 +314,26 @@ class TestGuards:
                       channel_use=use, arrival_time_us=0.0,
                       rng_mode="philox")
 
-    def test_scheduler_rejects_mixed_mode_packs(self):
+    def test_scheduler_never_packs_two_disciplines_together(self):
+        # A pack is one annealer call under one draw discipline: the
+        # scheduler queues each discipline on its own, so a mixed load is
+        # served (it used to be refused) and no pack ever mixes modes.
         link = MimoUplink(num_users=2, constellation="BPSK")
         rng = np.random.default_rng(0)
-        scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=np.inf)
-        scheduler.submit(DecodeJob(
-            job_id=0, user_id=0, frame=0, subcarrier=0,
-            channel_use=link.transmit(random_state=rng),
-            arrival_time_us=0.0, rng_mode="counter"))
-        with pytest.raises(SchedulingError, match="rng-homogeneous"):
-            scheduler.submit(DecodeJob(
-                job_id=1, user_id=0, frame=0, subcarrier=1,
+        scheduler = EDFBatchScheduler(max_batch=2, max_wait_us=np.inf)
+        batches = []
+        for i, mode in enumerate(["counter", "sequential", "sequential",
+                                  "counter", "counter"]):
+            batches += scheduler.submit(DecodeJob(
+                job_id=i, user_id=0, frame=0, subcarrier=i,
                 channel_use=link.transmit(random_state=rng),
-                arrival_time_us=1.0, rng_mode="sequential"))
-        # The rejected submit left the scheduler untouched.
-        assert scheduler.queue_depth == 1
-        assert scheduler.jobs_submitted == 1
+                arrival_time_us=float(i), rng_mode=mode))
+        batches += scheduler.drain()
+        assert [batch.job_ids for batch in batches] == [(1, 2), (0, 3), (4,)]
+        assert all(len({job.rng_mode for job in batch.jobs}) == 1
+                   for batch in batches)
+        assert _batch_decode_hints(batches[1], default_threads=8) == \
+            ("counter", 8)
 
     def test_batch_hints_clamp_sequential_to_serial(self):
         link = MimoUplink(num_users=2, constellation="BPSK")

@@ -455,7 +455,6 @@ def _uplink_jobs(constellation, start_id):
 
 def _batch(batch_jobs, flush_time_us):
     return DecodeBatch(jobs=tuple(batch_jobs),
-                       structure_key=batch_jobs[0].structure_key,
                        flush_time_us=flush_time_us, reason="full")
 
 

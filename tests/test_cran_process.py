@@ -75,7 +75,6 @@ def job_pool():
 
 def make_batch(jobs, flush_time_us, reason="full"):
     return DecodeBatch(jobs=tuple(jobs),
-                       structure_key=jobs[0].structure_key,
                        flush_time_us=flush_time_us, reason=reason)
 
 

@@ -60,12 +60,12 @@ def channel_uses():
 
 
 def make_job(channel_uses, job_id, arrival, deadline=math.inf,
-             modulation="BPSK", user_id=0):
+             modulation="BPSK", user_id=0, rng_mode="sequential"):
     return DecodeJob(job_id=job_id, user_id=user_id, frame=0,
                      subcarrier=job_id,
                      channel_use=channel_uses[modulation][job_id % 8],
                      arrival_time_us=arrival, deadline_us=deadline,
-                     seed=job_id)
+                     seed=job_id, rng_mode=rng_mode)
 
 
 class TestEDFBatchScheduler:
@@ -80,16 +80,38 @@ class TestEDFBatchScheduler:
         assert batches[0].flush_time_us == 2.0
         assert scheduler.queue_depth == 0
 
-    def test_structure_keys_batch_separately(self, channel_uses):
+    def test_structures_share_one_pack(self, channel_uses):
+        # The chip is programmed once for whatever is on it: a BPSK and a
+        # QPSK job fill a pack of two between them.
         scheduler = EDFBatchScheduler(max_batch=2, max_wait_us=math.inf)
         scheduler.submit(make_job(channel_uses, 0, 0.0, modulation="BPSK"))
-        scheduler.submit(make_job(channel_uses, 1, 1.0, modulation="QPSK"))
-        assert scheduler.num_groups == 2
-        batches = scheduler.submit(make_job(channel_uses, 2, 2.0,
+        batches = scheduler.submit(make_job(channel_uses, 1, 1.0,
                                             modulation="QPSK"))
         assert len(batches) == 1
-        assert batches[0].structure_key[2] == "QPSK"
-        assert scheduler.queue_depth == 1  # the BPSK job still pends
+        assert batches[0].reason == FLUSH_FULL
+        assert batches[0].job_ids == (0, 1)
+        assert batches[0].structures == ((2, 2, "BPSK"), (2, 2, "QPSK"))
+        assert batches[0].structure_label == "2x2/BPSK+2x2/QPSK"
+        assert scheduler.queue_depth == 0
+        # A one-structure pack keeps the plain label.
+        scheduler.submit(make_job(channel_uses, 2, 2.0, modulation="QPSK"))
+        batches = scheduler.submit(make_job(channel_uses, 3, 3.0,
+                                            modulation="QPSK"))
+        assert batches[0].structures == ((2, 2, "QPSK"),)
+        assert batches[0].structure_label == "2x2/QPSK"
+
+    def test_draw_disciplines_queue_separately(self, channel_uses):
+        # One pack is one annealer call under one draw discipline, so the
+        # same structure under two disciplines never shares a pack.
+        scheduler = EDFBatchScheduler(max_batch=2, max_wait_us=math.inf)
+        scheduler.submit(make_job(channel_uses, 0, 0.0, rng_mode="counter"))
+        assert scheduler.submit(make_job(channel_uses, 1, 1.0)) == []
+        assert scheduler.queue_depth == 2
+        batches = scheduler.submit(make_job(channel_uses, 2, 2.0))
+        assert [batch.job_ids for batch in batches] == [(1, 2)]
+        assert scheduler.queue_depth == 1  # the counter job still pends
+        batches = scheduler.drain()
+        assert [batch.job_ids for batch in batches] == [(0,)]
 
     def test_timeout_flush_stamped_at_exact_due_time(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=100.0)
@@ -114,9 +136,10 @@ class TestEDFBatchScheduler:
     def test_arrival_at_exact_due_time_rides_the_flush(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=100.0)
         scheduler.submit(make_job(channel_uses, 0, 0.0))
-        # Same structure, arriving at the group's exact due time: one size-2
-        # batch at t=100, not a size-1 flush plus a stranded fresh group.
-        batches = scheduler.submit(make_job(channel_uses, 1, 100.0))
+        # Arriving at the queue's exact due time: one size-2 batch at
+        # t=100, not a size-1 flush plus a stranded newcomer.
+        batches = scheduler.submit(make_job(channel_uses, 1, 100.0,
+                                            modulation="QPSK"))
         assert len(batches) == 1
         assert batches[0].size == 2
         assert batches[0].flush_time_us == 100.0
@@ -127,7 +150,7 @@ class TestEDFBatchScheduler:
                                                               channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=100.0)
         scheduler.submit(make_job(channel_uses, 0, 0.0))
-        # The group's stamp (t=100) precedes this arrival (t=150): the new
+        # The queue's stamp (t=100) precedes this arrival (t=150): the new
         # job must not ride in a batch flushed before it existed.
         batches = scheduler.submit(make_job(channel_uses, 1, 150.0))
         assert len(batches) == 1
@@ -143,16 +166,26 @@ class TestEDFBatchScheduler:
                                             deadline=600.0))
         assert [job.job_id for job in batches[0].jobs] == [1, 2, 0]
 
-    def test_simultaneous_timeouts_emit_most_urgent_first(self, channel_uses):
+    def test_timeout_takes_everything_pending_most_urgent_first(
+            self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=50.0)
         scheduler.submit(make_job(channel_uses, 0, 0.0, deadline=5_000.0,
                                   modulation="BPSK"))
         scheduler.submit(make_job(channel_uses, 1, 0.0, deadline=1_000.0,
                                   modulation="QPSK"))
+        scheduler.submit(make_job(channel_uses, 2, 20.0, deadline=3_000.0,
+                                  modulation="BPSK"))
         batches = scheduler.advance(200.0)
-        assert len(batches) == 2
-        assert batches[0].structure_key[2] == "QPSK"
-        assert batches[1].structure_key[2] == "BPSK"
+        assert [batch.job_ids for batch in batches] == [(1, 2, 0)]
+        assert batches[0].flush_time_us == 50.0
+
+    def test_simultaneous_timeouts_emit_most_urgent_first(self, channel_uses):
+        scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=50.0)
+        scheduler.submit(make_job(channel_uses, 0, 0.0, deadline=5_000.0))
+        scheduler.submit(make_job(channel_uses, 1, 0.0, deadline=1_000.0,
+                                  rng_mode="counter"))
+        batches = scheduler.advance(200.0)
+        assert [batch.job_ids for batch in batches] == [(1,), (0,)]
 
     def test_drain_flushes_everything_urgent_first(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=math.inf)
@@ -160,9 +193,12 @@ class TestEDFBatchScheduler:
                                   modulation="BPSK"))
         scheduler.submit(make_job(channel_uses, 1, 1.0, deadline=1_000.0,
                                   modulation="QPSK"))
+        scheduler.submit(make_job(channel_uses, 2, 2.0, deadline=500.0,
+                                  rng_mode="counter"))
         batches = scheduler.drain(now_us=10.0)
         assert [batch.reason for batch in batches] == [FLUSH_DRAIN] * 2
-        assert batches[0].structure_key[2] == "QPSK"
+        assert [batch.job_ids for batch in batches] == [(2,), (1, 0)]
+        assert {batch.flush_time_us for batch in batches} == {10.0}
         assert scheduler.queue_depth == 0
 
     def test_next_due_us_tracks_oldest_pending(self, channel_uses):
@@ -299,9 +335,9 @@ class TestAdaptiveWait:
     """Deadline-driven adaptive max_wait: flush when slack hits the model."""
 
     @staticmethod
-    def model_us(key, size):
+    def model_us(jobs):
         # A transparent linear model: 1000 us per pack + 100 us per member.
-        return 1_000.0 + 100.0 * size
+        return 1_000.0 + 100.0 * len(jobs)
 
     def test_flushes_when_urgent_slack_drops_to_model(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=math.inf,
@@ -333,8 +369,8 @@ class TestAdaptiveWait:
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0,
                                   deadline=1e9))
         # The newcomer's slack (800 us) is already below the 2-pack model
-        # (1200 us): the whole group must flush at this very arrival, the
-        # newcomer riding along.
+        # (1200 us): everything pending must flush at this very arrival,
+        # the newcomer riding along.
         batches = scheduler.submit(make_job(channel_uses, 1, arrival=100.0,
                                             deadline=900.0))
         assert len(batches) == 1
@@ -347,7 +383,7 @@ class TestAdaptiveWait:
                                       decode_time_model=self.model_us)
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0,
                                   deadline=1e9))
-        # Adaptive due for the merged group would be 3500 - 1200 = 2300,
+        # Adaptive due for the merged queue would be 3500 - 1200 = 2300,
         # before this member even arrived; the stamp clamps to its arrival.
         batches = scheduler.submit(make_job(channel_uses, 1, arrival=3_000.0,
                                             deadline=3_500.0))
@@ -362,7 +398,7 @@ class TestAdaptiveWait:
         # fail loudly: silently mixing such values into due times corrupts
         # EDF ordering and flush stamps.
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=math.inf,
-                                      decode_time_model=lambda key, n: bad)
+                                      decode_time_model=lambda jobs: bad)
         with pytest.raises(SchedulingError, match="decode-time model"):
             scheduler.submit(make_job(channel_uses, 0, arrival=0.0,
                                       deadline=5_000.0))
@@ -371,15 +407,15 @@ class TestAdaptiveWait:
         # Zero is a legal (if optimistic) estimate: flush exactly at the
         # deadline.
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=math.inf,
-                                      decode_time_model=lambda key, n: 0.0)
+                                      decode_time_model=lambda jobs: 0.0)
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0,
                                   deadline=5_000.0))
         assert scheduler.next_due_us() == pytest.approx(5_000.0)
 
     def test_model_not_consulted_for_best_effort_groups(self, channel_uses):
-        # Best-effort (infinite-deadline) groups never query the model, so a
+        # Best-effort (infinite-deadline) jobs never query the model, so a
         # poisoned model cannot break a purely best-effort load.
-        def poisoned(key, n):
+        def poisoned(jobs):
             raise AssertionError("model must not be called")
 
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=100.0,
@@ -405,15 +441,25 @@ class TestAdaptiveWait:
         assert CranService(decoder).scheduler_model() is None
         model = CranService(decoder, adaptive_wait=True).scheduler_model()
         assert model is not None
-        key = make_job(channel_uses, 0, arrival=0.0).structure_key
-        one = model(key, 1)
-        four = model(key, 4)
+        jobs = [make_job(channel_uses, i, arrival=0.0) for i in range(4)]
+        one = model(jobs[:1])
+        four = model(jobs)
         # One shared overhead plus per-member amortised compute: positive,
         # growing with pack size, and anchored on the decoder's overheads.
         overhead = decoder.annealer.overheads.total_us(10)
         assert one > overhead > 0.0
         assert four > one
         assert model is not decode_time_model_for  # bound model, not the fn
+        # A pack is priced from its jobs: one overhead, then each member's
+        # own amortised compute — a QPSK member costs what it costs alone,
+        # whatever it is packed with, and member order does not matter.
+        qpsk = make_job(channel_uses, 9, arrival=0.0, modulation="QPSK")
+        headroom = 1.1
+        compute = lambda members: model(members) / headroom - overhead
+        assert compute([qpsk]) > compute(jobs[:1])
+        assert compute(jobs[:2] + [qpsk]) == pytest.approx(
+            2 * compute(jobs[:1]) + compute([qpsk]), rel=1e-12)
+        assert model([qpsk] + jobs[:2]) == model(jobs[:2] + [qpsk])
 
     def test_adaptive_detections_identical_to_fixed(self, channel_uses):
         decoder = QuAMaxDecoder(

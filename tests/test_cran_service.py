@@ -1,16 +1,20 @@
 """Tests for the worker pool, telemetry and the end-to-end CranService."""
 
+import importlib.util
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.annealer.chimera import ChimeraGraph
+from repro.annealer.embedding import physical_qubits_required
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.channel.trace import ArgosLikeTraceGenerator
 from repro.cran.jobs import DecodeJob
-from repro.cran.scheduler import DecodeBatch
+from repro.cran.scheduler import DecodeBatch, EDFBatchScheduler
 from repro.cran.service import CranService
 from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.traffic import PoissonTrafficGenerator
@@ -39,9 +43,17 @@ def job_pool():
     ]
 
 
+def qpsk_job(job_id, arrival_time_us=0.0, deadline_us=math.inf):
+    """A 2-user QPSK job: a second structure beside ``job_pool``'s BPSK."""
+    link = MimoUplink(num_users=2, constellation="QPSK")
+    return DecodeJob(job_id=job_id, user_id=0, frame=0, subcarrier=job_id,
+                     channel_use=link.transmit(random_state=job_id),
+                     arrival_time_us=arrival_time_us,
+                     deadline_us=deadline_us, seed=900 + job_id)
+
+
 def make_batch(jobs, flush_time_us, reason="full"):
     return DecodeBatch(jobs=tuple(jobs),
-                       structure_key=jobs[0].structure_key,
                        flush_time_us=flush_time_us, reason=reason)
 
 
@@ -223,25 +235,26 @@ class TestWorkerPool:
 
     def test_sticky_routing_round_robins_first_seen_structures(self, decoder,
                                                                job_pool):
-        qpsk = MimoUplink(num_users=2, constellation="QPSK")
-        rng = np.random.default_rng(7)
-        qpsk_jobs = [
-            DecodeJob(job_id=100 + i, user_id=0, frame=0, subcarrier=i,
-                      channel_use=qpsk.transmit(random_state=rng),
-                      arrival_time_us=0.0, seed=900 + i)
-            for i in range(2)
-        ]
+        qpsk_jobs = [qpsk_job(job_id=100 + i) for i in range(4)]
         pool = WorkerPool(decoder, num_workers=2, queue_capacity=8,
                           autostart=False)
         pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
-        pool.submit(make_batch(qpsk_jobs, flush_time_us=1.0))
+        pool.submit(make_batch(qpsk_jobs[:2], flush_time_us=1.0))
         pool.submit(make_batch(job_pool[2:4], flush_time_us=2.0))
         # First-seen structures round-robin across shards; repeats stick to
         # their first shard, keeping that worker's sampler cache hot.
         assert [len(shard) for shard in pool._executor._shards] == [2, 1]
+        # A mixed pack routes by the set of structures it holds, whatever
+        # the member order: a new mix is a new route, a repeat sticks.
+        pool.submit(make_batch([job_pool[4], qpsk_jobs[2]],
+                               flush_time_us=3.0))
+        pool.submit(make_batch([qpsk_jobs[3], job_pool[5]],
+                               flush_time_us=4.0))
+        assert [len(shard) for shard in pool._executor._shards] == [4, 1]
         pool.start()
         pool.close()
-        assert [r.job.job_id for r in pool.results()] == [0, 1, 2, 3, 100, 101]
+        assert [r.job.job_id for r in pool.results()] == [
+            0, 1, 2, 3, 4, 5, 100, 101, 102, 103]
 
     def test_idle_worker_steals_from_longest_shard(self, decoder, job_pool):
         pool = WorkerPool(decoder, num_workers=2, queue_capacity=8,
@@ -337,22 +350,23 @@ class TestDecodeTimeEwma:
     def test_estimate_requires_min_samples(self, decoder, job_pool):
         telemetry = TelemetryRecorder(decode_time_min_samples=3)
         pool = WorkerPool(decoder, telemetry=telemetry)
-        key = job_pool[0].structure_key
         pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
-        assert telemetry.decode_time_us(key, 2) is None
+        assert telemetry.decode_time_us(job_pool[:2]) is None
         pool.submit(make_batch(job_pool[2:3], flush_time_us=10_000.0))
-        assert telemetry.decode_time_us(key, 2) is None
+        assert telemetry.decode_time_us(job_pool[:2]) is None
         pool.submit(make_batch(job_pool[3:4], flush_time_us=20_000.0))
-        estimate = telemetry.decode_time_us(key, 2)
+        estimate = telemetry.decode_time_us(job_pool[:2])
         assert estimate is not None and estimate > 0.0
-        # Unknown structures stay analytic-fallback territory.
-        assert telemetry.decode_time_us((9, 9, "64QAM"), 2) is None
+        # Unknown structures stay analytic-fallback territory — and take
+        # every pack they ride in with them.
+        stranger = qpsk_job(job_id=50)
+        assert telemetry.decode_time_us([stranger]) is None
+        assert telemetry.decode_time_us(job_pool[:2] + [stranger]) is None
 
     def test_ewma_tracks_observed_service_and_size(self, decoder, job_pool):
         telemetry = TelemetryRecorder(decode_time_alpha=0.5,
                                       decode_time_min_samples=1)
         pool = WorkerPool(decoder, telemetry=telemetry)
-        key = job_pool[0].structure_key
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         first = pool.results()[0]
         service_us = first.finish_time_us - first.start_time_us
@@ -361,11 +375,56 @@ class TestDecodeTimeEwma:
             first.result.run.num_anneals)
         per_job = (service_us - overhead_us) / 3.0
         expected_for_two = overhead_us + 2 * per_job
-        assert telemetry.decode_time_us(key, 2, overhead_us=overhead_us) \
+        assert telemetry.decode_time_us(
+            job_pool[:2], overhead_us=overhead_us) \
             == pytest.approx(expected_for_two)
         # Without the overhead split the estimate is the amortised scaling.
-        assert telemetry.decode_time_us(key, 3) == pytest.approx(service_us)
+        assert telemetry.decode_time_us(job_pool[:3]) \
+            == pytest.approx(service_us)
         assert telemetry.snapshot()["decode_time_per_job_us"]
+
+    def test_one_structure_pack_observes_its_service_time_exactly(
+            self, decoder, job_pool):
+        # What the recorder was fed before packs could mix: the pack's own
+        # service time and size, not a float's width away from them.
+        telemetry = TelemetryRecorder(decode_time_min_samples=1)
+        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
+        first = pool.results()[0]
+        key = job_pool[0].structure_key
+        assert telemetry._decode_service_ewma_us == {
+            key: first.finish_time_us - first.start_time_us}
+        assert telemetry._decode_size_ewma == {key: 3.0}
+
+    def test_mixed_pack_feeds_each_structure_its_share(self, decoder,
+                                                       job_pool):
+        telemetry = TelemetryRecorder(decode_time_min_samples=1)
+        pool = WorkerPool(decoder, telemetry=telemetry)
+        mixed = job_pool[:2] + [qpsk_job(job_id=50), qpsk_job(job_id=51),
+                                qpsk_job(job_id=52)]
+        pool.submit(make_batch(mixed, flush_time_us=0.0))
+        results = pool.results()
+        service_us = results[0].finish_time_us - results[0].start_time_us
+        overhead_us = decoder.annealer.overheads.total_us(10)
+        bpsk_us = results[0].result.compute_time_us
+        qpsk_us = results[-1].result.compute_time_us
+        assert qpsk_us > bpsk_us  # a larger share of the chip
+        # Each structure observed the overhead in full plus its members'
+        # compute, and its own member count...
+        bpsk, qpsk = job_pool[0].structure_key, mixed[-1].structure_key
+        assert telemetry._decode_size_ewma == {bpsk: 2.0, qpsk: 3.0}
+        assert telemetry._decode_service_ewma_us[bpsk] == pytest.approx(
+            overhead_us + 2 * bpsk_us, rel=1e-12)
+        assert telemetry._decode_service_ewma_us[qpsk] == pytest.approx(
+            overhead_us + 3 * qpsk_us, rel=1e-12)
+        # ... so the shares add up to the pack, and the pack is predicted
+        # back as what it cost — as is any other mix of the two.
+        assert telemetry.decode_time_us(mixed, overhead_us=overhead_us) \
+            == pytest.approx(service_us, rel=1e-12)
+        assert telemetry.decode_time_us(
+            mixed[1:4], overhead_us=overhead_us) == pytest.approx(
+                overhead_us + bpsk_us + 2 * qpsk_us, rel=1e-12)
+        assert len(telemetry.snapshot()["decode_time_per_job_us"]) == 2
 
     def test_online_model_falls_back_then_takes_over(self):
         from repro.cran.service import online_decode_time_model
@@ -373,22 +432,23 @@ class TestDecodeTimeEwma:
         telemetry = TelemetryRecorder(decode_time_min_samples=1)
         calls = []
 
-        def fallback(key, size):
-            calls.append((key, size))
+        def fallback(jobs):
+            calls.append(jobs)
             return 1_234.0
 
         model = online_decode_time_model(telemetry, fallback,
                                          overhead_us=100.0, margin=0.1)
-        key = (3, 3, "QPSK")
+        jobs = [qpsk_job(job_id=i) for i in range(3)]
+        key = jobs[0].structure_key
         # No observations yet: analytic fallback.
-        assert model(key, 2) == pytest.approx(1_234.0)
-        assert calls == [(key, 2)]
+        assert model(jobs[:2]) == pytest.approx(1_234.0)
+        assert calls == [jobs[:2]]
         # Feed one observation directly through the recorder's EWMA state.
         telemetry._decode_service_ewma_us[key] = 1_100.0
         telemetry._decode_size_ewma[key] = 2.0
         telemetry._decode_time_samples[key] += 1
         # (1100 - 100) / 2 = 500 per job; pack of 3 -> 100 + 1500, x1.1.
-        assert model(key, 3) == pytest.approx((100.0 + 3 * 500.0) * 1.1)
+        assert model(jobs) == pytest.approx((100.0 + 3 * 500.0) * 1.1)
         assert len(calls) == 1
 
     def test_degenerate_overhead_split_returns_none(self):
@@ -398,20 +458,164 @@ class TestDecodeTimeEwma:
         # and starve the adaptive wait; the estimate must instead defer to
         # the analytic fallback.
         telemetry = TelemetryRecorder(decode_time_min_samples=1)
-        key = (3, 3, "QPSK")
+        jobs = [qpsk_job(job_id=i) for i in range(3)]
+        key = jobs[0].structure_key
         telemetry._decode_service_ewma_us[key] = 1_100.0
         telemetry._decode_size_ewma[key] = 2.0
         telemetry._decode_time_samples[key] += 1
-        assert telemetry.decode_time_us(key, 3, overhead_us=5_000.0) is None
+        assert telemetry.decode_time_us(jobs, overhead_us=5_000.0) is None
         # The online wrapper then uses the fallback, never a flat estimate.
         from repro.cran.service import online_decode_time_model
 
-        model = online_decode_time_model(telemetry, lambda k, n: 777.0,
+        model = online_decode_time_model(telemetry, lambda jobs: 777.0,
                                          overhead_us=5_000.0)
-        assert model(key, 3) == pytest.approx(777.0)
+        assert model(jobs) == pytest.approx(777.0)
         # A sane overhead keeps the online estimate size-dependent.
-        assert telemetry.decode_time_us(key, 3, overhead_us=100.0) \
-            > telemetry.decode_time_us(key, 1, overhead_us=100.0)
+        assert telemetry.decode_time_us(jobs, overhead_us=100.0) \
+            > telemetry.decode_time_us(jobs[:1], overhead_us=100.0)
+
+
+class TestChipLevelPacks:
+    """Exact statements on the virtual clock about what a QA job is: one
+    programming of the chip for whatever is pending.  No wall clock."""
+
+    def test_three_structures_in_one_wait_window_are_one_pack(self, decoder):
+        # 2-user BPSK, 2-user QPSK and 3-user QPSK: 2, 4 and 6 logical
+        # variables, i.e. three different Ising structures and embeddings.
+        three_user = MimoUplink(num_users=3, constellation="QPSK")
+        bpsk = MimoUplink(num_users=2, constellation="BPSK")
+        jobs = [
+            DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
+                      channel_use=bpsk.transmit(random_state=0),
+                      arrival_time_us=0.0, deadline_us=150_000.0, seed=1),
+            qpsk_job(job_id=1, arrival_time_us=4_000.0, deadline_us=90_000.0),
+            DecodeJob(job_id=2, user_id=0, frame=0, subcarrier=2,
+                      channel_use=three_user.transmit(random_state=2),
+                      arrival_time_us=16_000.0, deadline_us=120_000.0,
+                      seed=3),
+            # A later arrival, so the window above closes by timeout.
+            qpsk_job(job_id=3, arrival_time_us=500_000.0),
+        ]
+        report = CranService(decoder, max_batch=8, max_wait_us=20_000.0,
+                             tracing=True).run(jobs)
+        results = report.results[:3]
+        assert report.telemetry["batches_decoded"] == 2
+        assert report.telemetry["flush_reasons"] == {"timeout": 1,
+                                                     "drain": 1}
+        flush = next(event for event in report.trace
+                     if event.name == "pack.flush")
+        assert flush.ts_us == 20_000.0
+        assert flush.attrs["structure"] == "2x2/BPSK+2x2/QPSK+3x3/QPSK"
+        assert flush.attrs["job_ids"] == [1, 2, 0]  # EDF across structures
+        # One chip programming: one start, one finish, one overhead, and
+        # every member's own amortised compute on top — to the last bit.
+        start, = {result.start_time_us for result in results}
+        finish, = {result.finish_time_us for result in results}
+        compute_us = [result.result.compute_time_us for result in results]
+        num_anneals = decoder.parameters.num_anneals
+        assert start == 20_000.0
+        assert finish - start == (
+            decoder.annealer.overheads.total_us(num_anneals)
+            + sum(compute_us))
+        # The chip-share identity that makes the sum meaningful across
+        # structures: a member's compute is the anneal time times the share
+        # of the chip its embedding occupies, so the pack's compute is the
+        # anneal time times the share of the chip that was programmed.
+        chip = decoder.annealer.num_qubits
+        anneal_us = num_anneals * decoder.parameters.schedule.duration_us
+        qubits = [physical_qubits_required(variables, 4)
+                  for variables in (2, 4, 6)]
+        assert qubits == [4, 8, 18] and chip == 128
+        assert compute_us == [anneal_us * used / chip for used in qubits]
+        assert sum(compute_us) == anneal_us * sum(qubits) / chip
+        # Served alone, each job pays the overhead on its own — and decodes
+        # to the same bits.
+        alone = CranService(decoder, max_batch=1,
+                            max_wait_us=math.inf).run(jobs)
+        assert alone.telemetry["batches_decoded"] == 4
+        for ours, theirs in zip(results, alone.results):
+            np.testing.assert_array_equal(ours.result.detection.bits,
+                                          theirs.result.detection.bits)
+
+    def test_scaled_down_mixed_modulation_no_longer_queues(self):
+        # benchmarks/e2e's ``mixed_modulation`` at 4 bursts per stream: four
+        # cells x three modulations = 12 structure keys on the benchmark's
+        # own fixed timeline, 150 ms deadlines, 50 ms wait, 50 anneals (so
+        # a pack's service is 53.25 ms of overhead plus its compute).
+        spec = importlib.util.spec_from_file_location(
+            "e2e_workloads", Path(__file__).resolve().parent.parent
+            / "benchmarks" / "e2e" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.mixed_modulation(7, replace(
+            workloads.SMOKE, mixed_bursts_per_stream=4, num_anneals=50))
+        assert len(workload.jobs) == 192
+        assert len({job.structure_key for job in workload.jobs}) == 12
+        report = CranService(workload.decoder,
+                             **workload.service).run(workload.jobs)
+        telemetry = report.telemetry
+        # One group per structure key served this load as 47 packs (fill
+        # 4.09) whose programmings queued behind one another on the one
+        # virtual machine: p99 245 647 us, 28 deadlines missed.
+        assert telemetry["batches_decoded"] == 33
+        assert telemetry["flush_reasons"] == {
+            "drain": 1, "full": 1, "timeout": 31}
+        assert telemetry["deadline_misses"] == 0
+        assert telemetry["latency_us"]["p99"] == pytest.approx(
+            105_653.16323066782, rel=1e-12)
+        # Hardly anything waits for the machine any more — one pack, due
+        # 2.4 ms after the one full pack left, starts when that finishes;
+        # every other starts the moment it is flushed — so the tail is the
+        # wait bound plus one service time.
+        waits = sorted({result.start_time_us - result.flush_time_us
+                        for result in report.results})
+        assert waits == [0.0, pytest.approx(2_402.37544140144, rel=1e-9)]
+        overhead_us = workload.decoder.annealer.overheads.total_us(50)
+        assert overhead_us == 53_250.0
+        worst = max(report.results, key=lambda result: result.latency_us)
+        assert worst.queue_delay_us == 50_000.0
+        assert 0.0 < (worst.latency_us - 50_000.0 - waits[1]
+                      - overhead_us) < 2.0
+
+    #: (arrival, deadline slack) of a one-structure load that walks every
+    #: flush rule: a full pack, an arrival at the exact due time riding the
+    #: timeout, a lone timeout, simultaneous arrivals, a drain.
+    ONE_STRUCTURE_TIMELINE = [
+        (0.0, 900.0), (10.0, 300.0), (20.0, 600.0), (30.0, math.inf),
+        (50.0, 5000.0), (150.0, 400.0), (200.0, math.inf), (350.0, 2000.0),
+        (360.0, 1500.0), (360.0, 1500.0), (400.0, 100.0), (600.0, 80.0),
+        (900.0, 1200.0), (905.0, 1150.0)]
+
+    @pytest.mark.parametrize("model, lone_timeout_us", [
+        (None, 700.0),
+        # 40 us per pack + 5 per member: job 11 (deadline 680) must start
+        # by 680 - 45.
+        (lambda jobs: 40.0 + 5.0 * len(jobs), 635.0),
+    ])
+    def test_one_structure_load_flushes_the_packs_it_always_did(
+            self, job_pool, model, lone_timeout_us):
+        # Frozen at the parent commit, where the scheduler kept one group
+        # per structure key: (members in pack order, stamp, reason).  On a
+        # load of one structure the single queue is that group.
+        jobs = [DecodeJob(job_id=index, user_id=0, frame=0, subcarrier=index,
+                          channel_use=job_pool[index % 4].channel_use,
+                          arrival_time_us=arrival,
+                          deadline_us=arrival + slack)
+                for index, (arrival, slack)
+                in enumerate(self.ONE_STRUCTURE_TIMELINE)]
+        scheduler = EDFBatchScheduler(max_batch=4, max_wait_us=100.0,
+                                      decode_time_model=model)
+        batches = [batch for job in jobs for batch in scheduler.submit(job)]
+        batches += scheduler.drain(now_us=950.0)
+        assert [(batch.job_ids, batch.flush_time_us, batch.reason)
+                for batch in batches] == [
+            ((1, 2, 0, 3), 30.0, "full"),
+            ((5, 4), 150.0, "timeout"),
+            ((6,), 300.0, "timeout"),
+            ((10, 8, 9, 7), 400.0, "full"),
+            ((11,), lone_timeout_us, "timeout"),
+            ((13, 12), 950.0, "drain")]
+        assert {batch.structures for batch in batches} == {((2, 2, "BPSK"),)}
 
 
 class TestCranService:

@@ -9,6 +9,9 @@ inline runs that between them walk every write site of ``repro.cran``:
 adaptive flushes on a mixed-structure deadline load, the same load under
 injected decode errors and stragglers with retries and a brownout breaker,
 and a best-effort batch-1 run whose ``job.admit`` events carry no deadline.
+A fourth run (since packs are chip-level) offers BPSK and QPSK bursts close
+enough together that one pack holds both: it pins a mixed pack's events
+and the per-structure split of its service time in the telemetry.
 
 Left out on purpose: injected worker crashes (their restart accounting is
 mode-dependent, see ``test_cran_faults.py``) and the ingress gateway (its
@@ -46,7 +49,12 @@ def make_decoder():
 
 @pytest.fixture(scope="module")
 def mixed_jobs():
-    """BPSK and QPSK bursts with a finite deadline, 24 jobs."""
+    """BPSK and QPSK bursts with a finite deadline, 24 jobs.  Each burst is
+    of one modulation and no two modulations are ever pending together, so
+    every pack here holds one structure — which is why these digests did not
+    move when the scheduler started packing by chip instead of by structure
+    (mixed packs are pinned by ``test_cran_service.py::TestChipLevelPacks``
+    and ``test_cran_properties.py``)."""
     trace = ArgosLikeTraceGenerator(
         num_bs_antennas=8, num_users=2,
         num_subcarriers=8).generate(num_frames=1, random_state=0)
@@ -68,6 +76,24 @@ def test_adaptive_wait_on_a_mixed_deadline_load(golden, mixed_jobs):
     assert report.jobs_completed == len(mixed_jobs)
     assert len(report.telemetry["decode_time_per_job_us"]) == 2
     check(golden, "adaptive", report)
+
+
+def test_adaptive_wait_on_packs_that_mix_structures(golden):
+    trace = ArgosLikeTraceGenerator(
+        num_bs_antennas=8, num_users=2,
+        num_subcarriers=8).generate(num_frames=1, random_state=0)
+    jobs = PoissonTrafficGenerator(
+        trace, modulations=("BPSK", "QPSK"), mean_interarrival_us=12_000.0,
+        burst_subcarriers=4, user_snrs_db=20.0,
+        deadline_us=75_000.0).generate(8, random_state=3)
+    report = CranService(make_decoder(), max_batch=16, max_wait_us=20_000.0,
+                         adaptive_wait=True, tracing=True).run(jobs)
+    assert report.jobs_completed == len(jobs)
+    labels = [event.attrs["structure"] for event in report.trace
+              if event.name == "pack.flush"]
+    assert labels == ["2x2/QPSK", "2x2/QPSK", "2x2/BPSK+2x2/QPSK",
+                      "2x2/BPSK", "2x2/QPSK"]
+    check(golden, "mixedpack", report)
 
 
 def test_decode_errors_stragglers_retries_and_brownout(golden, mixed_jobs):

@@ -245,7 +245,6 @@ class TestShedTracing:
 
         def batch(members, stamp):
             return DecodeBatch(jobs=tuple(members),
-                               structure_key=members[0].structure_key,
                                flush_time_us=stamp, reason="full")
 
         # With no worker draining, the second and third packs overflow the

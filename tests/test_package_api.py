@@ -1,6 +1,10 @@
 """Tests for the top-level package API and the constants module."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,25 @@ class TestPublicApi:
         for driver in drivers:
             assert callable(driver.run)
             assert callable(driver.format_result)
+
+    def test_serving_path_imports_no_networkx(self):
+        """A serving process never pays for networkx (0.12 s of import and a
+        2 031-node graph it used to build for ``has_edge``): nothing on the
+        way from ``repro.cran.service`` to a decoded pack imports it — only
+        ``ChimeraGraph.to_networkx()`` does, when called."""
+        script = (
+            "import sys\n"
+            "import repro.cran.service\n"
+            "from repro.annealer.machine import QuantumAnnealerSimulator\n"
+            "QuantumAnnealerSimulator().embedding_for(6)\n"
+            "assert 'networkx' not in sys.modules, 'imported by the path'\n"
+            "QuantumAnnealerSimulator().topology.to_networkx()\n"
+            "assert 'networkx' in sys.modules\n")
+        source = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(source)})
+        assert done.returncode == 0, done.stderr
 
 
 class TestServingOptionSurface:
