@@ -46,7 +46,11 @@ flattened descriptor — member/column/internal-edge CSR-style structure
 arrays shared by the blocks plus stacked per-block values — built once per
 anneal by the engine.  The same four symbols are what ``_C_SOURCE`` exports
 (bound through :func:`_cext_signatures`) and what the numba backend JITs
-(as per-block whole-schedule kernels its dispatch loops over).
+(as per-block whole-schedule kernels its dispatch loops over).  Beside them
+the artefact exports the one linear-algebra primitive a pack's read-out
+needs, :func:`csr_pack_matvecs` (scipy's CSR product, exactly), so a process
+serving on cext never imports scipy; the numpy reference loops, and the
+read-out without a compiler, import it where they build its operators.
 
 Draw-stream discipline
 ----------------------
@@ -137,8 +141,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -776,6 +778,37 @@ def counter_initial_spins(backend: str, keys, num_replicas: int,
     _load_cext().counter_initial_spins(_ptr(spins), num_replicas, len(keys),
                                        size, _ptr(keys_array))
     return spins
+
+
+def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
+                     bounds: np.ndarray) -> list:
+    """Every problem's coupling-operator product of a pack, one cext call.
+
+    *template* is the problems' shared structure
+    (:func:`repro.ising.model.symmetric_csr_template`), row *b* of the
+    ``(problems, nnz)`` *data* problem *b*'s values over it and rows
+    ``bounds[b]:bounds[b + 1]`` of the ``(samples, N)`` *spins* its ``K_b``
+    samples ``S_b``.  Element *b* of the result is byte for byte scipy's
+    ``csr_matrix((data[b], indices, indptr)) @ S_b.T``: every element
+    accumulated from ``0.0`` in CSR entry order, in a C-contiguous
+    ``(N, K_b)`` matrix (a view of one flat array, at ``N * bounds[b]``).
+    """
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    spins = np.ascontiguousarray(spins, dtype=np.float64)
+    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    size = template.indptr.size - 1
+    edges = bounds.tolist()
+    if (data.shape != (len(edges) - 1, template.indices.size)
+            or spins.shape != (edges[-1], size)):
+        raise AnnealerError(
+            "csr_pack_matvecs needs (problems, nnz) data over the template "
+            "and (bounds[-1], N) spins")
+    out = np.empty(2 * spins.size)  # products, then the kernel's scratch
+    _load_cext().csr_pack_matvecs(
+        len(data), size, *template.addresses, _ptr(data), data.shape[1],
+        _ptr(spins), _ptr(bounds), _ptr(out))
+    return [out[size * lo:size * hi].reshape(size, hi - lo)
+            for lo, hi in zip(edges, edges[1:])]
 
 
 def _run_numba_threaded(threads: int, kernel, *args) -> None:
@@ -1997,6 +2030,54 @@ void sequential_initial_spins(double *spins, int64_t sld,
     }
 }
 
+/* The energy operator of a pack: for each problem b, A_b @ S_b^T exactly as
+   scipy's csr_matvecs computes it.  The problems share the CSR structure
+   (indices, indptr) of a size x size matrix, row b of data (nnz wide) being
+   A_b's values; S_b is rows [bounds[b], bounds[b + 1]) of the contiguous
+   spins, K_b of them.  Every output element accumulates data[b][jj] *
+   S_b[k][indices[jj]] from 0.0 in CSR entry order, and problem b's product
+   is the C-contiguous (size, K_b) block at out + size * bounds[b] — the
+   layout the energy contraction is defined on (IsingModel.energies).  The
+   sums run lane_terms' way, LANE_WIDTH samples per accumulator, over a
+   transposed copy of S_b kept in the second half of out (which is twice
+   the size of spins): at 48 variables x 200 reads that is what keeps the
+   call level with scipy's vectorised axpy, and below it everywhere else. */
+void csr_pack_matvecs(int64_t num_problems, int64_t size,
+                      const int64_t *indices, const int64_t *indptr,
+                      const double *data, int64_t nnz, const double *spins,
+                      const int64_t *bounds, double *out)
+{
+    double *restrict columns = out + size * bounds[num_problems];
+    for (int64_t b = 0; b < num_problems; ++b) {
+        const int64_t count = bounds[b + 1] - bounds[b];
+        const double *values = data + b * nnz;
+        const double *rows = spins + size * bounds[b];
+        double *restrict y = out + size * bounds[b];
+        for (int64_t k = 0; k < count; ++k)
+            for (int64_t v = 0; v < size; ++v)
+                columns[v * count + k] = rows[k * size + v];
+        for (int64_t i = 0; i < size; ++i, y += count) {
+            int64_t k = 0;
+            for (; k + LANE_WIDTH <= count; k += LANE_WIDTH) {
+                double acc[LANE_WIDTH] = {0.0};
+                for (int64_t jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+                    const double weight = values[jj];
+                    const double *column = columns + indices[jj] * count + k;
+                    for (int l = 0; l < LANE_WIDTH; ++l)
+                        acc[l] += weight * column[l];
+                }
+                memcpy(y + k, acc, sizeof(acc));
+            }
+            for (; k < count; ++k) {
+                double acc = 0.0;
+                for (int64_t jj = indptr[i]; jj < indptr[i + 1]; ++jj)
+                    acc += values[jj] * columns[indices[jj] * count + k];
+                y[k] = acc;
+            }
+        }
+    }
+}
+
 int64_t counter_openmp_enabled(void)
 {
 #ifdef _OPENMP
@@ -2060,6 +2141,9 @@ def _build_cext(target: Path, extra: Tuple[str, ...]) -> bool:
     at all) but a concurrent process has published the target in the
     meantime, that artifact is used instead of reporting failure.
     """
+    import subprocess  # a process that finds the cached artefact
+    import tempfile    # never needs either
+
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=target.parent) as workdir:
@@ -2147,6 +2231,12 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         "sequential_initial_spins": (None, [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int64, generators]),  # spins, ld, R, blocks, size
+        "csr_pack_matvecs": (None, [
+            ctypes.c_int64, ctypes.c_int64,    # problems, size
+            ctypes.c_void_p, ctypes.c_void_p,  # indices, indptr
+            ctypes.c_void_p, ctypes.c_int64,   # data, nnz
+            ctypes.c_void_p, ctypes.c_void_p,  # spins, bounds
+            ctypes.c_void_p]),                 # out
         "metropolis_accept_probe": (ctypes.c_int64, [ctypes.c_double] * 3),
         "philox_fill_probe": (ctypes.c_int64, [
             *[ctypes.c_int64] * 6,     # width, begin, end, sweep, first, tag

@@ -73,10 +73,10 @@ single-spin+cluster kernel of their (kernel, rng) pair.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
-from scipy import sparse
 
 from repro.annealer import backends, counter
 from repro.exceptions import AnnealerError
@@ -89,6 +89,9 @@ from repro.ising.model import (
 from repro.obs.profiling import PROFILER
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range
+
+if TYPE_CHECKING:  # only the numpy reference operators are scipy's
+    from scipy import sparse
 
 
 #: Valid values of the ``kernel=`` knob of the samplers.
@@ -315,8 +318,8 @@ class BlockDiagonalSampler:
         #: Block-local CSR structure of the whole coupling matrix (slots in
         #: row-major, ascending-column order: the summation order of every
         #: local field); every kernel layout below is a row selection of it.
-        edges, indices, indptr = symmetric_csr_template(self.block_size,
-                                                        self._edge_keys)
+        edges, indices, indptr, _ = symmetric_csr_template(self.block_size,
+                                                           self._edge_keys)
         self._csr = _RowCsr(*(np.asarray(part, dtype=np.int64)
                               for part in (indptr, indices, edges)))
         self._class_members = np.ascontiguousarray(
@@ -456,6 +459,8 @@ class BlockDiagonalSampler:
     def _combined_operator(self, csr: _RowCsr) -> sparse.csr_matrix:
         """Block-major stack of a block-local row CSR as one scipy operator
         over the combined variables (its data is bound by the caller)."""
+        from scipy import sparse
+
         blocks = self.num_blocks
         offsets = np.arange(blocks, dtype=np.int64) * self.block_size
         counts = np.diff(csr.indptr)

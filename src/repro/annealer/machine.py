@@ -203,7 +203,9 @@ class QuantumAnnealerSimulator:
         and cluster descriptors.  Seeded results are bit-identical with the
         cache on, off (``0``) or at any size, because ``refresh_values``
         reproduces fresh construction exactly; the cache only moves setup
-        work.
+        work.  An entry is the sampler and nothing else: the pack's
+        energies need no kept operator
+        (:func:`~repro.ising.solver.aggregate_pack`).
     """
 
     def __init__(self, topology: Optional[ChimeraGraph] = None, *,
@@ -231,10 +233,8 @@ class QuantumAnnealerSimulator:
         # back when done, so a decoder shared by several worker threads never
         # has two of them refreshing one sampler concurrently (the loser of
         # the pop simply constructs afresh and overwrites on reinsertion).
-        # An entry is the sampler plus the scratch operator the pack's
-        # energies are evaluated through (both structure-keyed, both
-        # mutable, so both travel with the checkout).
-        self._sampler_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        self._sampler_cache: "OrderedDict[Tuple, BlockDiagonalSampler]" = (
+            OrderedDict())
         self._sampler_cache_hits = 0
         self._sampler_cache_misses = 0
 
@@ -435,7 +435,6 @@ class QuantumAnnealerSimulator:
                             dtype=np.int8)
         cache_key: Optional[Tuple] = None
         sampler: Optional[BlockDiagonalSampler] = None
-        operator = None
         if self.sampler_cache_size:
             # Everything that determines a packed sampler's warmed
             # structure; the key tuples come from the plan, not the jobs,
@@ -443,8 +442,7 @@ class QuantumAnnealerSimulator:
             cache_key = (kernel, backend, rng, threads,
                          embedded.problems.keys, tuple(plan.chains.values()))
             # pop, not get: the caller owns the entry until reinsertion.
-            sampler, operator = self._sampler_cache.pop(cache_key,
-                                                        (None, None))
+            sampler = self._sampler_cache.pop(cache_key, None)
             if sampler is not None:
                 self._sampler_cache_hits += 1
             else:
@@ -482,16 +480,11 @@ class QuantumAnnealerSimulator:
 
         with PROFILER.phase("machine.unembed"):
             logical_spins, unembedding = unembed_pack(plan, physical, rngs)
-        # Aggregate through the logical problems' sparse operator instead
-        # of densifying their coupling matrices on every run.
         with PROFILER.phase("machine.aggregate"):
-            if operator is None:
-                operator = isings[0].coupling_operator()
-            solutions = aggregate_pack(embedded.logical, logical_spins,
-                                       operator)
+            solutions = aggregate_pack(embedded.logical, logical_spins)
 
         if cache_key is not None and sampler is not None:
-            self._sampler_cache[cache_key] = (sampler, operator)
+            self._sampler_cache[cache_key] = sampler
             while len(self._sampler_cache) > self.sampler_cache_size:
                 self._sampler_cache.popitem(last=False)
 

@@ -39,7 +39,6 @@ added to the telemetry snapshot.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import deque
 from dataclasses import replace
@@ -168,6 +167,8 @@ class IngressGateway:
         in the loop's default executor, so an asyncio ingress server can
         ``await`` admissions while other connections make progress.
         """
+        import asyncio  # loaded already by whoever runs the calling loop
+
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self.submit, job, cell)
 

@@ -93,6 +93,20 @@ class ScenarioRunner:
         from dataclasses import replace
         return replace(base, **overrides)
 
+    def _qa_rng(self, scenario: MimoScenario,
+                instance_index: int) -> np.random.Generator:
+        return derive_rng(self.config.seed, "qa-run", scenario.label,
+                          instance_index)
+
+    @staticmethod
+    def _record(scenario: MimoScenario, instance_index: int,
+                outcome: QuAMaxDetectionResult) -> InstanceRecord:
+        ground_truth_energy = outcome.reduced.ising.energy(
+            outcome.reduced.ground_truth_spins())
+        return InstanceRecord(scenario=scenario, instance_index=instance_index,
+                              outcome=outcome,
+                              ground_truth_energy=ground_truth_energy)
+
     def run_instance(self, scenario: MimoScenario, instance_index: int,
                      parameters: Optional[AnnealerParameters] = None,
                      channel_use: Optional[ChannelUse] = None) -> InstanceRecord:
@@ -100,23 +114,32 @@ class ScenarioRunner:
         if channel_use is None:
             channel_use = self.make_channel_use(scenario, instance_index)
         parameters = parameters or self.default_parameters()
-        decoder = QuAMaxDecoder(self.annealer, parameters)
-        rng = derive_rng(self.config.seed, "qa-run", scenario.label, instance_index)
-        outcome = decoder.detect_with_run(channel_use, parameters,
-                                          random_state=rng)
-        ground_truth_energy = outcome.reduced.ising.energy(
-            outcome.reduced.ground_truth_spins())
-        return InstanceRecord(scenario=scenario, instance_index=instance_index,
-                              outcome=outcome,
-                              ground_truth_energy=ground_truth_energy)
+        outcome = QuAMaxDecoder(self.annealer, parameters).detect_with_run(
+            channel_use, parameters,
+            random_state=self._qa_rng(scenario, instance_index))
+        return self._record(scenario, instance_index, outcome)
 
     def run_scenario(self, scenario: MimoScenario,
                      parameters: Optional[AnnealerParameters] = None,
                      num_instances: Optional[int] = None) -> List[InstanceRecord]:
-        """Run QuAMax over all instances of a scenario."""
+        """Run QuAMax over all instances of a scenario.
+
+        The instances are decoded by ONE
+        :meth:`~repro.decoder.quamax.QuAMaxDecoder.detect_batch` call, each
+        on its own ``"qa-run"`` stream — the pack pipeline the serving
+        benchmark measures, and record for record what
+        ``[run_instance(scenario, i, parameters) ...]`` returns (packing
+        never changes a job's bits).
+        """
         count = num_instances if num_instances is not None else self.config.num_instances
-        return [self.run_instance(scenario, index, parameters)
-                for index in range(count)]
+        parameters = parameters or self.default_parameters()
+        outcomes = QuAMaxDecoder(self.annealer, parameters).detect_batch(
+            [self.make_channel_use(scenario, index) for index in range(count)],
+            parameters,
+            random_states=[self._qa_rng(scenario, index)
+                           for index in range(count)])
+        return [self._record(scenario, index, outcome)
+                for index, outcome in enumerate(outcomes)]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],

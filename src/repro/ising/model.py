@@ -18,19 +18,36 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Mapping, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_integer_in_range
 
+if TYPE_CHECKING:  # scipy is imported by the functions that return its types
+    from scipy import sparse
+
 Coupling = Tuple[int, int]
+
+
+class CsrTemplate(NamedTuple):
+    """Structure of the symmetric CSR coupling matrix over one key tuple."""
+
+    #: ``edges[s]`` is the key whose value data slot ``s`` holds.
+    edges: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    #: Addresses of ``indices`` and ``indptr`` (``int64``, kept alive by this
+    #: template), as :func:`repro.annealer.backends.csr_pack_matvecs` hands
+    #: them to C: taken once per structure, not once per pack.
+    addresses: Tuple[int, int]
+
 
 #: Cached CSR sparsity templates (:func:`symmetric_csr_template`),
 #: keyed by ``(num_variables, coupling keys)``; bounded, cleared when full.
-_OPERATOR_TEMPLATES: Dict[tuple, tuple] = {}
+_OPERATOR_TEMPLATES: Dict[tuple, CsrTemplate] = {}
 
 
 def spins_to_bits(spins) -> np.ndarray:
@@ -75,8 +92,8 @@ def _normalise_couplings(num_variables: int,
 
 
 def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
-                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(edges, indices, indptr)`` of the symmetric CSR over *keys*.
+                           ) -> CsrTemplate:
+    """``(edges, indices, indptr, addresses)`` of the symmetric CSR over *keys*.
 
     Direct canonical-CSR assembly: couplings are duplicate-free, so
     lexsorting the doubled ``(row, col)`` entry list yields exactly the
@@ -90,14 +107,15 @@ def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
     cache_key = (num_variables, keys)
     template = _OPERATOR_TEMPLATES.get(cache_key)
     if template is None:
-        pairs = np.array(keys, dtype=np.intp).reshape(len(keys), 2)
+        pairs = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         order = np.lexsort((cols, rows))
-        indptr = np.zeros(num_variables + 1, dtype=np.intp)
+        indices = np.ascontiguousarray(cols[order])
+        indptr = np.zeros(num_variables + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_variables), out=indptr[1:])
-        template = (order % max(len(keys), 1),
-                    np.ascontiguousarray(cols[order]), indptr)
+        template = CsrTemplate(order % max(len(keys), 1), indices, indptr,
+                               (indices.ctypes.data, indptr.ctypes.data))
         if len(_OPERATOR_TEMPLATES) > 512:
             _OPERATOR_TEMPLATES.clear()
         _OPERATOR_TEMPLATES[cache_key] = template
@@ -224,13 +242,15 @@ class IsingModel:
         empty-couplings case returns the same canonical ``float64`` CSR dtype
         as the populated one.
         """
+        from scipy import sparse
+
         n = self.num_variables
         matrix = sparse.csr_matrix((n, n), dtype=np.float64)
         keys = self.coupling_keys
         if keys:
-            edges, matrix.indices, matrix.indptr = symmetric_csr_template(
-                n, keys)
-            matrix.data = self.coupling_values[edges]
+            template = symmetric_csr_template(n, keys)
+            matrix.indices, matrix.indptr = template.indices, template.indptr
+            matrix.data = self.coupling_values[template.edges]
         return matrix
 
     # ------------------------------------------------------------------ #
@@ -249,7 +269,8 @@ class IsingModel:
         return total
 
     def energies(self, spin_matrix,
-                 operator: Optional[sparse.spmatrix] = None) -> np.ndarray:
+                 operator: Optional[sparse.spmatrix] = None,
+                 product: Optional[np.ndarray] = None) -> np.ndarray:
         """Vectorised energy evaluation for a ``(num_samples, N)`` spin matrix.
 
         Parameters
@@ -262,25 +283,45 @@ class IsingModel:
             evaluated through the sparse operator and the couplings are
             *not* densified — the point of caching the operator across the
             repeated aggregations of a batch cycle.
+        product:
+            Optional ``operator @ spin_matrix.T`` somebody already computed:
+            the C-contiguous ``(N, num_samples)`` matrix scipy's CSR product
+            returns, every element accumulated from ``0.0`` in CSR entry
+            order (:func:`repro.annealer.backends.csr_pack_matvecs` writes
+            a whole pack's at once).  The layout is part of the contract —
+            the contraction below sums in an order that depends on it — so
+            another shape or memory order is refused, as is passing both
+            *operator* and *product*.
         """
         spin_matrix = np.asarray(spin_matrix, dtype=float)
         if spin_matrix.ndim == 1:
             spin_matrix = spin_matrix[None, :]
-        if operator is None:
-            _, matrix = self.to_dense()
-            quadratic = np.einsum("ki,ij,kj->k", spin_matrix, matrix,
-                                  spin_matrix)
-        else:
-            n = self.num_variables
+        n = self.num_variables
+        if operator is not None:
+            if product is not None:
+                raise ConfigurationError(
+                    "pass the operator or its product, not both")
             if operator.shape != (n, n):
                 raise ConfigurationError(
                     f"operator must have shape ({n}, {n}), "
                     f"got {operator.shape}"
                 )
+            product = operator @ spin_matrix.T
+        elif product is not None and not (
+                isinstance(product, np.ndarray)
+                and product.shape == (n, len(spin_matrix))
+                and product.flags.c_contiguous):
+            raise ConfigurationError(
+                f"product must be a C-contiguous ({n}, {len(spin_matrix)}) "
+                "array")
+        if product is None:
+            _, matrix = self.to_dense()
+            quadratic = np.einsum("ki,ij,kj->k", spin_matrix, matrix,
+                                  spin_matrix)
+        else:
             # The operator holds every coupling twice (g_ij and g_ji), so the
             # halved symmetric quadratic form equals the upper-triangular sum.
-            quadratic = 0.5 * np.einsum("ki,ik->k", spin_matrix,
-                                        operator @ spin_matrix.T)
+            quadratic = 0.5 * np.einsum("ki,ik->k", spin_matrix, product)
         linear = spin_matrix @ self.linear
         return quadratic + linear + self.offset
 
@@ -381,8 +422,8 @@ class IsingPack(SequenceABC):
     def operator_data(self) -> np.ndarray:
         """Row *b*: the ``.data`` of problem *b*'s
         :meth:`~IsingModel.coupling_operator` (all share its structure)."""
-        edges = symmetric_csr_template(self.num_variables, self.keys)[0]
-        return self.values[:, edges]
+        template = symmetric_csr_template(self.num_variables, self.keys)
+        return self.values[:, template.edges]
 
     @classmethod
     def stack(cls, isings: Sequence[IsingModel],

@@ -29,7 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.ising.model import IsingModel, IsingPack, spins_to_bits
+from repro.ising.model import (IsingModel, IsingPack, spins_to_bits,
+                               symmetric_csr_template)
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
 
@@ -162,18 +163,24 @@ def aggregate_samples(ising: IsingModel, raw_samples: np.ndarray,
         distinct, ising.energies(distinct, operator=operator), counts)
 
 
-def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray,
-                   operator=None) -> List[SolverResult]:
+def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
+                   ) -> List[SolverResult]:
     """:func:`aggregate_samples` over same-structure problems at once.
 
     *raw_samples* is ``(problems, reads, variables)``; the distinct reads of
-    all problems are found in one pass.  Energies stay per problem (their
-    floating-point order defines them) but go through ONE sparse operator of
-    the shared coupling structure whose ``.data`` is rewritten per problem;
-    pass a kept one (any problem's :meth:`IsingModel.coupling_operator`) as
-    *operator* to construct none at all — it is scratch space, left holding
-    the last problem's values.
+    all problems are found in one pass, and every problem's coupling
+    operator is applied to its distinct reads in ONE call of the C
+    artefact's CSR kernel (:func:`repro.annealer.backends.csr_pack_matvecs`)
+    over the shared structure.  Energies stay per problem — their
+    floating-point order defines them — through the one formula,
+    :meth:`IsingModel.energies`, handed the product.  Where no compiler
+    built the artefact the products come from scipy instead (one operator,
+    its ``.data`` rewritten per problem): the reference the kernel is byte
+    for byte equal to.
     """
+    # Imported lazily: repro.annealer imports this module for SolverResult.
+    from repro.annealer import backends
+
     problems = IsingPack.stack(isings)
     raw_samples = np.asarray(raw_samples, dtype=np.int8)
     if problems is None or raw_samples.shape[:1] + raw_samples.shape[2:] != (
@@ -181,19 +188,26 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray,
         raise ConfigurationError(
             "aggregate_pack needs same-structure problems and "
             "(problems x reads x variables) samples")
-    if operator is None:
-        operator = problems[0].coupling_operator()
     distinct, counts, bounds = _distinct_pack(raw_samples)
     spins = distinct.astype(float)
-    results = []
-    for index, data in enumerate(problems.operator_data()):
-        rows = slice(bounds[index], bounds[index + 1])
-        operator.data = data
-        results.append(SolverResult.energy_sorted(
-            distinct[rows],
-            problems[index].energies(spins[rows], operator=operator),
-            counts[rows]))
-    return results
+    data = problems.operator_data()
+    edges = bounds.tolist()
+    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if backends.cext_available():
+        products = backends.csr_pack_matvecs(
+            symmetric_csr_template(problems.num_variables, problems.keys),
+            data, spins, bounds)
+    else:
+        operator = problems[0].coupling_operator()  # scratch: data rebound
+        products = []
+        for values, reads in zip(data, rows):
+            operator.data = values
+            products.append(operator @ spins[reads].T)
+    return [SolverResult.energy_sorted(
+                distinct[reads],
+                problems[index].energies(spins[reads], product=product),
+                counts[reads])
+            for index, (reads, product) in enumerate(zip(rows, products))]
 
 
 class BruteForceIsingSolver:
@@ -371,9 +385,9 @@ class SimulatedAnnealingSolver:
         sampler = IsingSampler(ising, backend=self.backend, rng=self.rng,
                                threads=self.threads)
         raw = sampler.anneal(temperatures, reads, random_state=rng)
-        # The sampler's combined matrix *is* the problem's coupling operator
-        # (one block), so aggregation reuses it instead of densifying.
-        return aggregate_samples(ising, raw, operator=sampler.coupling_matrix)
+        # A pack of one: energies through the sparse coupling operator (the
+        # C artefact's, where there is one), not a densified matrix.
+        return aggregate_pack([ising], raw[None])[0]
 
     def sample_reference(self, ising: IsingModel,
                          random_state: RandomState = None,

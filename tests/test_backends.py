@@ -213,7 +213,7 @@ class TestSymbolTable:
         assert set(self.exported()) == dispatch | {
             "counter_openmp_enabled", "metropolis_accept_probe",
             "counter_initial_spins", "sequential_initial_spins",
-            "philox_fill_probe"}
+            "philox_fill_probe", "csr_pack_matvecs"}
 
     def test_sequential_draw_source_is_one_generator_array(self):
         """Every sequential export takes its per-block generators as ONE
@@ -503,7 +503,7 @@ class TestCextCompileCache:
             target.write_bytes(b"concurrent winner")
             raise subprocess.SubprocessError("simulated compiler failure")
 
-        monkeypatch.setattr(backends.subprocess, "run", racing_compiler)
+        monkeypatch.setattr(subprocess, "run", racing_compiler)
         assert backends._compile_cext() == target
         assert target.read_bytes() == b"concurrent winner"
 
@@ -545,7 +545,7 @@ class TestCextCompileCache:
         openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
         serial.write_bytes(b"serial build of another machine")
         commands = []
-        monkeypatch.setattr(backends.subprocess, "run",
+        monkeypatch.setattr(subprocess, "run",
                             self.fake_compiler(commands))
         assert backends._compile_cext() == openmp
         assert len(commands) == 1 and "-fopenmp" in commands[0]
@@ -557,7 +557,7 @@ class TestCextCompileCache:
         monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
         openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
         commands = []
-        monkeypatch.setattr(backends.subprocess, "run",
+        monkeypatch.setattr(subprocess, "run",
                             self.fake_compiler(commands, accepts_openmp=False))
         assert backends._compile_cext() == serial
         assert not openmp.exists()

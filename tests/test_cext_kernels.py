@@ -21,6 +21,9 @@ pieces:
   generator's published ``bitgen_t`` — equals the ``rng.integers`` loop for
   every BitGenerator, and leaves every generator where that loop leaves it
   (buffered half-word included);
+* the **pack energy operator** — ``csr_pack_matvecs``, every problem's
+  ``A_b @ S_b.T`` in one call — equals scipy's CSR product as bytes, layout
+  included, on every structure the serving path aggregates over;
 * the C source compiles **warning-free** (no dead argument rides along in
   the entry-point signatures).
 """
@@ -33,6 +36,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.annealer import backends
 from repro.annealer.chimera import ChimeraGraph
@@ -41,6 +45,8 @@ from repro.annealer.counter import block_key
 from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.exceptions import AnnealerError
+from repro.ising.model import symmetric_csr_template
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
 
@@ -410,6 +416,63 @@ class TestSequentialInitialSpins:
             np.testing.assert_array_equal(direct, handed)
             np.testing.assert_equal(rng.bit_generator.state,
                                     reference_rng.bit_generator.state)
+
+
+class TestCsrPackMatvecs:
+    """``A_b @ S_b.T`` for every problem of a pack in one C call, against
+    scipy's CSR product — the reference ``aggregate_pack`` falls back to
+    without a compiler — as bytes: same accumulation order, same
+    C-contiguous ``(N, K_b)`` layout, hence the same energy contraction."""
+
+    @staticmethod
+    def all_pairs(size):
+        return tuple((i, j) for i in range(size) for j in range(i + 1, size))
+
+    def structures(self):
+        embedded, _ = embedded_bpsk()
+        yield from ((size, self.all_pairs(size)) for size in (6, 8, 24, 48))
+        yield embedded.num_variables, embedded.coupling_keys  # sparse
+        yield 5, ()                                           # no couplings
+
+    @pytest.mark.parametrize("problems", [1, 16])
+    @pytest.mark.parametrize("with_zero", [False, True])
+    def test_equals_scipy_as_bytes(self, problems, with_zero):
+        rng = np.random.default_rng(problems + with_zero)
+        for size, keys in self.structures():
+            template = symmetric_csr_template(size, keys)
+            values = rng.normal(size=(problems, len(keys)))
+            if with_zero and keys:
+                values[::2, rng.integers(len(keys))] = 0.0
+            data = values[:, template.edges]
+            # K_b cycles through 1, 2 and 50 (a one-problem pack takes 50).
+            counts = np.resize([50, 1, 2], problems)
+            bounds = np.concatenate([[0], np.cumsum(counts)])
+            spins = rng.choice([-1.0, 1.0], size=(bounds[-1], size))
+            products = backends.csr_pack_matvecs(template, data, spins,
+                                                 bounds)
+            assert len(products) == problems
+            for b, product in enumerate(products):
+                rows = spins[bounds[b]:bounds[b + 1]]
+                expected = sparse.csr_matrix(
+                    (data[b], template.indices, template.indptr),
+                    shape=(size, size)) @ rows.T
+                assert product.dtype == expected.dtype == np.float64
+                assert product.shape == expected.shape == (size, counts[b])
+                assert product.flags.c_contiguous
+                assert product.tobytes() == expected.tobytes()
+                assert (np.einsum("ki,ik->k", rows, product).tobytes()
+                        == np.einsum("ki,ik->k", rows, expected).tobytes())
+
+    def test_shapes_are_checked_before_c_sees_a_pointer(self):
+        template = symmetric_csr_template(4, self.all_pairs(4))
+        data = np.ones((2, template.indices.size))
+        spins = np.ones((3, 4))
+        for bad in [(data[:, :-1], spins, [0, 1, 3]),    # not the template's
+                    (data, spins[:, :3], [0, 1, 3]),     # wrong width
+                    (data, spins, [0, 1, 4]),            # past the last row
+                    (data, spins, [0, 3])]:              # one problem short
+            with pytest.raises(AnnealerError):
+                backends.csr_pack_matvecs(template, *bad)
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

@@ -103,6 +103,34 @@ class TestScenarioRunner:
         records = runner.run_scenario(MimoScenario("BPSK", 4), num_instances=2)
         assert len(records) == 2
 
+    @pytest.mark.parametrize("scenario", [
+        MimoScenario("BPSK", 12), MimoScenario("QPSK", 6),
+        MimoScenario("BPSK", 12, 10.0), MimoScenario("16-QAM", 3, 20.0)])
+    def test_run_scenario_is_the_run_instances(self, scenario):
+        """``run_scenario`` decodes its instances as ONE ``detect_batch``
+        pack; every record must be the one ``run_instance`` produces alone
+        (the end-to-end figure tests' configuration)."""
+        config = ExperimentConfig(num_instances=2, num_anneals=30,
+                                  chip_cells=8, seed=21)
+        packed = ScenarioRunner(config).run_scenario(scenario)
+        alone = [ScenarioRunner(config).run_instance(scenario, index)
+                 for index in range(config.num_instances)]
+        assert len(packed) == len(alone)
+        for got, want in zip(packed, alone):
+            assert (got.scenario, got.instance_index) == (
+                want.scenario, want.instance_index)
+            assert got.ground_truth_energy == want.ground_truth_energy
+            assert got.outcome.detection.metric == want.outcome.detection.metric
+            for name in ("bits", "symbols"):
+                np.testing.assert_array_equal(
+                    getattr(got.outcome.detection, name),
+                    getattr(want.outcome.detection, name))
+            for name in ("samples", "energies", "num_occurrences"):
+                a = getattr(got.outcome.run.solutions, name)
+                b = getattr(want.outcome.run.solutions, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
     def test_runs_are_reproducible(self):
         config = ExperimentConfig(num_instances=1, num_anneals=10, chip_cells=6)
         first = ScenarioRunner(config).run_instance(MimoScenario("BPSK", 6), 0)

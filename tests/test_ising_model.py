@@ -48,6 +48,23 @@ class TestIsingModel:
         for row, value in zip(spins, vectorised):
             assert ising.energy(row) == pytest.approx(value)
 
+    def test_energies_takes_the_operator_product_in_its_layout_only(self):
+        """``product=`` is ``coupling_operator() @ S.T`` as scipy lays it
+        out; anything else would silently sum in another order, so it is
+        refused — and so is naming the operator as well."""
+        ising = self.make()
+        spins = np.array([[1., 1., 1.], [-1., 1., -1.]])
+        operator = ising.coupling_operator()
+        product = operator @ spins.T
+        assert (ising.energies(spins, product=product).tobytes()
+                == ising.energies(spins, operator=operator).tobytes())
+        for wrong in (np.asfortranarray(product), product.T.copy(),
+                      product[:, :1], product.tolist()):
+            with pytest.raises(ConfigurationError):
+                ising.energies(spins, product=wrong)
+        with pytest.raises(ConfigurationError):
+            ising.energies(spins, operator=operator, product=product)
+
     def test_coupling_key_normalisation(self):
         ising = IsingModel(num_variables=2, linear=np.zeros(2),
                            couplings={(1, 0): 2.0})

@@ -514,14 +514,23 @@ class TestUnembedStage:
 
 
 class TestAggregateStage:
-    def _check(self, problems, raw, operator=None):
-        results = aggregate_pack(problems, raw, operator)
-        assert len(results) == len(problems)
-        for problem, reads, result in zip(problems, raw, results):
+    def _check(self, problems, raw):
+        """Both energy paths — the C artefact's CSR kernel where a compiler
+        built it, and the scipy operator ``aggregate_pack`` falls back to
+        without one (``_load_cext`` patched to ``None``) — against the
+        oracle and the per-problem spelling, as bytes."""
+        results = aggregate_pack(problems, raw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backends, "_load_cext", lambda: None)
+            assert not backends.cext_available()
+            through_scipy = aggregate_pack(problems, raw)
+        assert len(results) == len(through_scipy) == len(problems)
+        for problem, reads, result, reference in zip(problems, raw, results,
+                                                     through_scipy):
             expected = oracle_aggregate(problem, reads)
             alone = aggregate_samples(problem, reads,
                                       operator=problem.coupling_operator())
-            for got in (result, alone):
+            for got in (result, reference, alone):
                 for field, want in zip(
                         (got.samples, got.energies, got.num_occurrences),
                         expected):
@@ -535,8 +544,6 @@ class TestAggregateStage:
         raw = np.random.default_rng(3).choice(
             np.array([-1, 1], dtype=np.int8), size=(count, 50, 6))
         self._check(problems, raw)
-        # A kept scratch operator (the warm-cache entry's) gives the same.
-        self._check(problems, raw, problems[0].coupling_operator())
 
     @pytest.mark.parametrize("constellation,num_users", [
         ("BPSK", 6), ("QPSK", 3), ("16-QAM", 2)])
@@ -744,7 +751,7 @@ class TestRunBatchEqualsOracle:
 
     def test_thread_pool_with_a_shared_decoder(self):
         """Plans are immutable and shared; samplers (with their kernel
-        workspaces and scratch operator) are checked out per call.  Eight
+        workspaces) are checked out per call.  Eight
         threads on ~1 core, switching every 10 us, decoding different packs
         through ONE decoder must give each pack its serial result."""
         decoder = QuAMaxDecoder(ideal_machine(sampler_cache_size=2),
@@ -826,7 +833,10 @@ class TestWarmPackWork:
     @pytest.mark.parametrize("count", [4, 16])
     def test_no_per_job_model_matrix_or_dict(self, monkeypatch, count):
         counts, results = self._count_constructions(monkeypatch, count)
-        assert counts == {"models": 0, "sparse": 0, "dicts": 0}
+        # Without a compiler the pack's energies go through ONE scipy
+        # operator, built per pack (the sampler cache keeps samplers only).
+        assert counts == {"models": 0, "dicts": 0,
+                          "sparse": 0 if backends.cext_available() else 1}
         # ...and the per-job views still materialise when somebody reads.
         embedded = results[-1].embedded
         assert len(embedded.ising.couplings) == len(embedded.ising.coupling_keys)
@@ -853,8 +863,15 @@ class TestWarmPackWork:
         machine.run_batch(problems, parameters, random_state=2,
                           backend="cext")
         assert len(anneals) == 2
-        # fields, class values and cluster-edge values: what a rebind moves.
-        assert len(pointers) == 3 * len(anneals)
+        # Per anneal: fields, class values and cluster-edge values — what a
+        # rebind moves.
+        assert pointers[:-4] == [(16 * 18,), (16, 54), (16, 12)] * len(anneals)
+        # Per pack, once, the energy call: operator values, distinct reads,
+        # their bounds, the products and as much kernel scratch (the
+        # structure's two addresses are kept with the cached template).
+        reads = pointers[-3][0]
+        assert pointers[-4:] == [(16, 30), (reads, 6), (17,),
+                                 (2 * 6 * reads,)]
 
     @needs_cext
     def test_kernel_does_the_work_it_did_before(self):
@@ -864,7 +881,7 @@ class TestWarmPackWork:
         machine = ideal_machine()
         machine.run_batch(qpsk_pack(16), AnnealerParameters(num_anneals=50),
                           random_state=7, backend="cext")
-        (sampler, _), = machine._sampler_cache.values()
+        sampler, = machine._sampler_cache.values()
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
     @needs_cext

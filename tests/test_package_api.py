@@ -1,6 +1,7 @@
 """Tests for the top-level package API and the constants module."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -66,6 +67,61 @@ class TestPublicApi:
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(source)})
         assert done.returncode == 0, done.stderr
+
+    #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``
+    #: on the backend named in ``argv[1]``; report the bits and which of
+    #: the three heavy imports the process ended up holding.
+    SERVE_ONE_PACK = """
+import json, sys
+import numpy as np
+import repro.cran.service
+from repro.annealer.chimera import ChimeraGraph
+from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.cran.jobs import DecodeJob
+from repro.cran.scheduler import DecodeBatch
+from repro.cran.workers import WorkerPool
+from repro.decoder.quamax import QuAMaxDecoder
+from repro.mimo.system import MimoUplink
+
+decoder = QuAMaxDecoder(QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
+                        AnnealerParameters(num_anneals=10),
+                        backend=sys.argv[1])
+link = MimoUplink(num_users=3, constellation="QPSK")
+rng = np.random.default_rng(0)
+jobs = tuple(DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
+                       channel_use=link.transmit(snr_db=15.0,
+                                                 random_state=rng),
+                       arrival_time_us=0.0, deadline_us=1e6, seed=100 + i)
+             for i in range(4))
+pool = WorkerPool(decoder)
+assert pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
+print(json.dumps({
+    "bits": [done.result.detection.bits.tolist() for done in pool.results()],
+    "held": sorted({"scipy", "networkx", "asyncio"} & set(sys.modules))}))
+"""
+
+    def test_serving_on_cext_imports_no_scipy_networkx_or_asyncio(self):
+        """From ``import repro.cran.service`` to a served pack on the C
+        artefact, a process imports none of scipy (0.12-0.15 s), networkx
+        or asyncio.  The numpy oracle backend still sweeps through scipy's
+        operators — the reference path is alive — and decodes the same
+        bits."""
+        from repro.annealer import backends
+        if not backends.cext_available():
+            pytest.skip("no C compiler for the cext backend")
+        source = Path(__file__).resolve().parent.parent / "src"
+        served = {}
+        for backend in ("cext", "numpy"):
+            done = subprocess.run(
+                [sys.executable, "-c", self.SERVE_ONE_PACK, backend],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(source)})
+            assert done.returncode == 0, done.stderr
+            served[backend] = json.loads(done.stdout)
+        assert served["cext"]["held"] == []
+        assert served["numpy"]["held"] == ["scipy"]
+        assert len(served["cext"]["bits"]) == 4
+        assert served["cext"]["bits"] == served["numpy"]["bits"]
 
 
 class TestServingOptionSurface:
