@@ -59,9 +59,3 @@ def record_table(output_dir):
         path = output_dir / f"{name}.txt"
         path.write_text(text + "\n", encoding="utf-8")
     return _record
-
-
-def run_once(benchmark, function, *args, **kwargs):
-    """Run an experiment driver exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(function, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1, warmup_rounds=0)

@@ -14,10 +14,9 @@ its own perf trajectory:
   both sides pinned to the numpy backend so the pair isolates the *kernel*
   choice;
 * ``compiled_backend`` — the same dense sequential sweep: the numpy
-  reference loop versus the best available compiled backend
-  (``backend="auto"`` → numba or the C extension), the "escape the
-  interpreter" pair; skipped gracefully (recorded with
-  ``compiled_available: false``) when neither numba nor a C compiler is
+  reference loop versus the compiled backend (``backend="auto"`` → the C
+  extension), the "escape the interpreter" pair; skipped gracefully
+  (recorded with ``compiled_available: false``) when no C compiler is
   present;
 * ``cluster_sweep_compiled`` — the embedded (chain-coupled) acceptance pair:
   the 128-variable path-chain workload annealed through the numpy
@@ -193,12 +192,12 @@ def bench_dense_kernel(num_variables: int, num_replicas: int,
 
 def bench_compiled_backend(num_variables: int, num_replicas: int,
                            num_sweeps: int, seed: int = 0) -> dict:
-    """Numpy dense sequential sweep vs. the best compiled backend.
+    """Numpy dense sequential sweep vs. the compiled backend.
 
     The acceptance pair of the backend layer: the same dense logical anneal
     (identical seeded samples) with the inner loop in the interpreter versus
-    JIT/C.  Records which compiled backend ran and which were available, so
-    a record produced on a machine without numba is explicit about it.
+    C.  Records whether the compiled backend ran, so a record produced on a
+    machine without a C compiler is explicit about it.
     """
     from repro.annealer import backends
     from repro.annealer.engine import IsingSampler
@@ -210,7 +209,6 @@ def bench_compiled_backend(num_variables: int, num_replicas: int,
     entry = {
         "params": {"num_variables": num_variables,
                    "num_replicas": num_replicas, "num_sweeps": num_sweeps},
-        "numba_available": backends.numba_available(),
         "cext_available": backends.cext_available(),
         "compiled_backend": resolved if resolved != "numpy" else None,
         "compiled_available": resolved != "numpy",
@@ -227,8 +225,8 @@ def bench_compiled_backend(num_variables: int, num_replicas: int,
         entry["samples_identical"] = None
         return entry
     compiled_sampler = IsingSampler(ising, kernel="dense", backend=resolved)
-    # Construction already warmed the JIT/compile cache; one tiny anneal
-    # also warms the per-call glue.
+    # Construction already loaded the C artefact; one tiny anneal also
+    # warms the per-call glue.
     compiled_sampler.anneal(temperatures[:2], 2, random_state=seed)
     after_s, compiled_spins = _timed(compiled_sampler.anneal, temperatures,
                                      num_replicas, seed + 1)
@@ -251,8 +249,8 @@ def bench_cluster_sweep_compiled(num_variables: int, chain_length: int,
     dispatches the colour kernel on this sparse problem, so the compiled
     side runs ``pack_fused_colour_cluster_sweep``).  Seeded samples must be
     bit-identical.
-    Skipped gracefully (``compiled_available: false``) when neither numba
-    nor a C compiler is present.
+    Skipped gracefully (``compiled_available: false``) when no C compiler
+    is present.
     """
     from repro.annealer import backends
     from repro.annealer.engine import IsingSampler
@@ -268,7 +266,6 @@ def bench_cluster_sweep_compiled(num_variables: int, chain_length: int,
                    "num_replicas": num_replicas, "num_sweeps": num_sweeps,
                    "num_clusters": len(clusters)},
         "kernel": reference.selected_kernel,
-        "numba_available": backends.numba_available(),
         "cext_available": backends.cext_available(),
         "compiled_backend": resolved if resolved != "numpy" else None,
         "compiled_available": resolved != "numpy",
@@ -323,7 +320,6 @@ def bench_replica_parallel(num_variables: int, num_replicas: int,
                    "thread_counts": list(thread_counts)},
         "cpu_cores": os.cpu_count() or 1,
         "openmp_enabled": backends.openmp_enabled(),
-        "numba_available": backends.numba_available(),
         "cext_available": backends.cext_available(),
         "compiled_backend": resolved if resolved != "numpy" else None,
         "compiled_available": resolved != "numpy",

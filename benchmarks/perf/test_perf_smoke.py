@@ -90,7 +90,7 @@ class TestPerfSmoke:
     def test_compiled_backend_escapes_the_interpreter(self, quick_report):
         entry = quick_report["benchmarks"]["compiled_backend"]
         if not entry["compiled_available"]:
-            pytest.skip("no compiled backend (numba or C compiler) here")
+            pytest.skip("no compiled backend (no C compiler) here")
         # Samples must be bit-identical; ~10x measured at quick scale, the
         # full-scale acceptance bar is 5x — 2x is the loud-failure bar for
         # tiny sizes on noisy runners.
@@ -100,7 +100,7 @@ class TestPerfSmoke:
     def test_cluster_kernels_run_compiled(self, quick_report):
         entry = quick_report["benchmarks"]["cluster_sweep_compiled"]
         if not entry["compiled_available"]:
-            pytest.skip("no compiled backend (numba or C compiler) here")
+            pytest.skip("no compiled backend (no C compiler) here")
         # Samples must be bit-identical; ~5-6x measured on the embedded
         # path-chain workload, the full-scale acceptance bar is 3x — 1.5x
         # is the loud-failure bar for tiny sizes on noisy runners.
@@ -111,7 +111,7 @@ class TestPerfSmoke:
     def test_replica_parallel_identical_and_scales(self, quick_report):
         entry = quick_report["benchmarks"]["replica_parallel"]
         if not entry["compiled_available"]:
-            pytest.skip("no compiled backend (numba or C compiler) here")
+            pytest.skip("no compiled backend (no C compiler) here")
         # The structural guard, which holds on every box: counter-mode
         # samples are bit-identical at every thread count.  No wall-clock
         # bar here — ``os.cpu_count()`` overstates what shared boxes

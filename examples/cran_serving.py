@@ -19,9 +19,10 @@ the printout shows exactly what chip-level batching buys — with decode
 results that are bit-for-bit identical between the two (batching is pure
 scheduling, never a numerics change).  The demo then walks the execution
 matrix on the very same load: the compiled sweep backend
-(``backend="auto"`` → numba/C when available), the multi-core process pool
-(``mode="process"``), and the deadline-driven adaptive wait
-(``adaptive_wait=True``) — every variant decoding to identical bits.
+(``backend="auto"`` → the C kernels when a compiler exists), the
+multi-core process pool (``mode="process"``), and the deadline-driven
+adaptive wait (``adaptive_wait=True``) — every variant decoding to
+identical bits.
 Finally the same load is offered through the :class:`IngressGateway` by one
 concurrent producer thread per cell, showing the admission-controlled merge
 front end — still bit-identical to the serial replay.

@@ -10,17 +10,12 @@ those inner loops behind a ``backend=`` seam:
 
 * ``"numpy"`` — the pure NumPy/Python reference loops in ``engine.py``
   (always available; the behavioural definition of the dynamics);
-* ``"numba"`` — ``@njit`` translations of the same loops.  Numba implements
-  :class:`numpy.random.Generator` on top of the *same* BitGenerator state,
-  so the jitted kernels consume the exact per-variable draw stream of the
-  reference loops;
 * ``"cext"`` — a small C kernel compiled on first use with the system C
   compiler and driven through :mod:`ctypes`.  It draws from the caller's
   generator through the BitGenerator's ``next_double`` function pointer (the
-  same extension point Numba and Cython use), so it too consumes the exact
-  reference draw stream;
-* ``"auto"`` — ``numba`` when importable, else ``cext`` when a working C
-  compiler is found, else ``numpy``.
+  extension point NumPy publishes for C and Cython), so it consumes the
+  exact draw stream of the reference loops;
+* ``"auto"`` — ``cext`` when a working C compiler is found, else ``numpy``.
 
 One entry point per (kernel, rng)
 ---------------------------------
@@ -45,9 +40,7 @@ single-spin stream.  Cluster moves travel across the boundary as that
 flattened descriptor — member/column/internal-edge CSR-style structure
 arrays shared by the blocks plus stacked per-block values — built once per
 anneal by the engine.  The same four symbols are what ``_C_SOURCE`` exports
-(bound through :func:`_cext_signatures`) and what the numba backend JITs
-(as per-block whole-schedule kernels its dispatch loops over).  Beside them
-the artefact exports the one linear-algebra primitive a pack's read-out
+(bound through :func:`_cext_signatures`).  Beside them the artefact exports the one linear-algebra primitive a pack's read-out
 needs, :func:`csr_pack_matvecs` (scipy's CSR product, exactly), so a process
 serving on cext never imports scipy; the numpy reference loops, and the
 read-out without a compiler, import it where they build its operators.
@@ -55,12 +48,12 @@ read-out without a compiler, import it where they build its operators.
 Draw-stream discipline
 ----------------------
 
-All backends make identical Metropolis *decisions* from identical draws: for
+Both backends make identical Metropolis *decisions* from identical draws: for
 every visited variable the uphill replicas draw one uniform each, in
 ascending replica order — exactly the order in which the NumPy loops consume
 ``rng.random(count)``; cluster sweeps draw one uniform per uphill
 (replica, cluster) pair in the same cluster-major, replica-ascending order
-as the reference.  The only way a compiled backend can diverge from the
+as the reference.  The only way the compiled backend can diverge from the
 NumPy loops is a one-ulp difference between the vectorised ``np.exp`` and the
 scalar libm ``exp`` flipping an acceptance whose uniform draw lands inside
 that last-ulp window; the probability is ~1e-16 per uphill draw (~1e-10 over
@@ -73,21 +66,20 @@ acceptance threshold — tolerable because fields never gate the draw-free
 ``delta <= 0`` branch at a structural zero.  The cluster flip-energy
 boundary, which does (an isolated chain's boundary is exactly zero), is
 instead accumulated in an explicitly defined member order on both sides.
-Floating contraction is disabled in both compiled backends (no FMA), so the
-remaining arithmetic matches the NumPy loops operation for operation.
+Floating contraction is disabled in the C build (no FMA), so the remaining
+arithmetic matches the NumPy loops operation for operation.
 
 The cext kernels are the optimised form
 ---------------------------------------
 
-The numpy loops are the oracle and the numba kernels their plain
-translation; the C kernels additionally take three *exact* shortcuts, all
-documented in ``_C_SOURCE``.  A squeeze test settles most uphill draws
-without ``exp`` (``metropolis_accept``).  The colour kernels sweep
-*lane-major*: per block the ``(R, P)`` spin rows are transposed into
-``St[v][RP]`` (``RP`` = ``R`` padded to the vector width), and every move
-computes the fields of all replicas of a spin at once — each lane still
-the reference sum in the reference order — while only the decisions walk
-the lanes, in the order the draw discipline dictates.  Replicas are the
+The numpy loops are the oracle; the C kernels are their translation plus
+three *exact* shortcuts, all documented in ``_C_SOURCE``.  A squeeze test
+settles most uphill draws without ``exp`` (``metropolis_accept``).  The
+colour kernels sweep *lane-major*: per block the ``(R, P)`` spin rows are
+transposed into ``St[v][RP]`` (``RP`` = ``R`` padded to the vector width),
+and every move computes the fields of all replicas of a spin at once — each
+lane still the reference sum in the reference order — while only the
+decisions walk the lanes, in the order the draw discipline dictates.  Replicas are the
 one axis along which the work is independent *and* identically shaped,
 which is what a vector unit needs; nothing is memoised, because a
 lane-vector of a ~6-term row sum is cheaper than finding out whether a
@@ -118,22 +110,19 @@ points take one key per block where their sequential siblings take one
 generator per block, plus a ``threads=`` knob: the cext kernels run an
 OpenMP ``parallel for`` over (block, replica) pairs — the colour kernels
 over (block, lane group) pairs — (per-thread Philox state; compiled with
-``-fopenmp`` when available, silently serial otherwise) and the numba
-kernels a ``prange`` over replicas; their numpy
+``-fopenmp`` when available, silently serial otherwise); their numpy
 branches are the reference implementation of counter mode and ignore
 ``threads``.  Counter-mode trajectories are bit-identical across backends
 *and* across thread counts, which the counter equivalence/golden suites pin.
 
-Compile-cost discipline
------------------------
+Compile cost
+------------
 
-Both compiled backends pay a one-time cost (JIT compilation for numba, a
-``cc -O2 -shared`` invocation for cext).  :func:`warmup` forces that cost
-eagerly and caches the result per process; the samplers call it at
-construction time, so the first *timed* anneal never includes compilation.
-The cext shared object is additionally cached on disk keyed by a hash of the
-C source and its build line, so later processes (e.g. the process-pool
-serving workers) only pay a ``dlopen``.
+The cext backend pays one ``cc -O2 -shared`` invocation.  :func:`warmup`
+forces it eagerly; the samplers call it at construction time, so the first
+*timed* anneal never includes compilation.  The shared object is cached on
+disk keyed by a hash of the C source and its build line, so later processes
+(e.g. the process-pool serving workers) only pay a ``dlopen``.
 """
 
 from __future__ import annotations
@@ -147,10 +136,9 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import AnnealerError
-from repro.obs.profiling import PROFILER
 
 #: Valid values of the ``backend=`` knob of the samplers.
-BACKENDS = ("auto", "numpy", "numba", "cext")
+BACKENDS = ("auto", "numpy", "cext")
 
 #: Valid values of the ``rng=`` knob of the samplers: the stream-faithful
 #: sequential Generator discipline (default, the reference) or the
@@ -158,24 +146,10 @@ BACKENDS = ("auto", "numpy", "numba", "cext")
 RNG_MODES = ("sequential", "counter")
 
 # --------------------------------------------------------------------------- #
-# Availability probes (each cached; monkeypatchable for fallback tests)
+# Availability probe (cached; monkeypatchable for fallback tests)
 # --------------------------------------------------------------------------- #
 
-_NUMBA_STATE: Dict[str, object] = {"checked": False, "available": False}
 _CEXT_STATE: Dict[str, object] = {"checked": False, "lib": None}
-_WARMED: set = set()
-
-
-def numba_available() -> bool:
-    """Whether the numba JIT backend can be used (numba importable)."""
-    if not _NUMBA_STATE["checked"]:
-        try:
-            import numba  # noqa: F401
-            _NUMBA_STATE["available"] = True
-        except ImportError:
-            _NUMBA_STATE["available"] = False
-        _NUMBA_STATE["checked"] = True
-    return bool(_NUMBA_STATE["available"])
 
 
 def cext_available() -> bool:
@@ -232,37 +206,24 @@ def _note_openmp_team(threads: int) -> None:
 
 def available_backends() -> Tuple[str, ...]:
     """Concrete backends usable in this process, ``"numpy"`` always first."""
-    names = ["numpy"]
-    if numba_available():
-        names.append("numba")
-    if cext_available():
-        names.append("cext")
-    return tuple(names)
+    return ("numpy", "cext") if cext_available() else ("numpy",)
 
 
 def resolve_backend(backend: str) -> str:
     """Map a ``backend=`` knob value to the concrete backend that will run.
 
-    ``"auto"`` prefers numba, falls back to the C extension, and lands on the
-    NumPy reference loops when no compiled backend is available — so code
-    written against ``backend="auto"`` degrades gracefully on machines
-    without numba or a C compiler.  Explicitly requesting an unavailable
-    compiled backend raises :class:`AnnealerError` (a typo or a missing
-    dependency should be loud, not silently slow).
+    ``"auto"`` is the C extension, and lands on the NumPy reference loops
+    when it cannot be built or loaded — so code written against
+    ``backend="auto"`` degrades gracefully on machines without a C compiler.
+    Explicitly requesting ``"cext"`` there raises :class:`AnnealerError` (a
+    missing dependency should be loud, not silently slow), as does a name
+    that is not in :data:`BACKENDS`.
     """
     if backend not in BACKENDS:
         raise AnnealerError(
             f"backend must be one of {BACKENDS}, got {backend!r}")
     if backend == "auto":
-        if numba_available():
-            return "numba"
-        if cext_available():
-            return "cext"
-        return "numpy"
-    if backend == "numba" and not numba_available():
-        raise AnnealerError(
-            "backend='numba' requested but numba is not importable; install "
-            "numba or use backend='auto' for graceful fallback")
+        return "cext" if cext_available() else "numpy"
     if backend == "cext" and not cext_available():
         raise AnnealerError(
             "backend='cext' requested but no working C compiler/loader was "
@@ -270,59 +231,13 @@ def resolve_backend(backend: str) -> str:
     return backend
 
 
-def warmup(backend: str, rng: str = "sequential") -> None:
-    """Force the backend's one-time compile cost now, once per process.
-
-    For ``numba`` this JIT-compiles the discipline's two whole-schedule
-    kernels (dense and colour, each fused with the cluster pass) on toy
-    inputs; for ``cext`` it compiles (or dlopens the cached) shared object.
-    Samplers call this at construction, so first-anneal timings never
-    include compilation.  No-op for ``numpy``/already-warm backends.
-
-    The two draw disciplines compile separate kernel sets, so they warm
-    separately: ``rng="counter"`` warms the counter/threaded kernels and
-    leaves the sequential set cold (and vice versa), keeping
-    sequential-only processes free of the counter kernels' JIT cost.
+def warmup(backend: str) -> None:
+    """Pay *backend*'s one-time cost now: load the C artefact, compiling it
+    when no cached build is on disk, so that no timed anneal does.  Samplers
+    call this at construction.  ``"numpy"`` has nothing to load; names and
+    unavailable backends are rejected as in :func:`resolve_backend`.
     """
-    backend = resolve_backend(backend)
-    token = f"{backend}:{rng}"
-    if token in _WARMED or backend == "numpy":
-        return
-    members = np.arange(2, dtype=np.int64)
-    class_starts = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.zeros(0, dtype=np.int64)
-    indptr = np.zeros(3, dtype=np.int64)
-    temperatures = np.array([1.0])
-    with PROFILER.phase("backend.warmup", backend, rng):
-        # A one-block pack hands the per-block numba kernels contiguous
-        # arrays, a multi-block pack non-contiguous column slices of the
-        # combined matrices; warm both layouts, or numba would JIT a second
-        # specialization inside the first timed multi-block anneal.
-        for blocks in (1, 2):
-            spins = np.ones((2, 2 * blocks))
-            fields = spins.copy()
-            linear = np.zeros(2 * blocks)
-            matrices = np.zeros((blocks, 2, 2))
-            values = np.zeros((blocks, 0))
-            clusters = ClusterDescriptor(
-                members=members,
-                cluster_starts=np.array([0, 2], dtype=np.int64),
-                data=values, indices=indices, indptr=indptr,
-                edge_i=indices, edge_j=indices,
-                edge_starts=np.zeros(2, dtype=np.int64), edge_values=values)
-            dense = (backend, spins, fields, matrices, members, linear,
-                     clusters, temperatures)
-            colour = (backend, spins, linear, members, class_starts, values,
-                      indices, indptr, clusters, temperatures)
-            if rng == "counter":
-                counter_initial_spins(backend, [1] * blocks, 2, 2)
-                counter_pack_fused_dense_cluster_sweep(*dense, [1] * blocks)
-                counter_pack_fused_colour_cluster_sweep(*colour, [1] * blocks)
-            else:
-                rngs = [np.random.default_rng(0) for _ in range(blocks)]
-                pack_fused_dense_cluster_sweep(*dense, rngs)
-                pack_fused_colour_cluster_sweep(*colour, rngs)
-    _WARMED.add(token)
+    resolve_backend(backend)
 
 
 # --------------------------------------------------------------------------- #
@@ -386,13 +301,6 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-def _block_cluster_args(clusters: ClusterDescriptor, b: int) -> tuple:
-    """Block *b*'s descriptor argument run of the per-block numba kernels."""
-    return (clusters.members, clusters.cluster_starts, clusters.data[b],
-            clusters.indices, clusters.indptr, clusters.edge_i,
-            clusters.edge_j, clusters.edge_starts, clusters.edge_values[b])
-
-
 #: ``PyCapsule_GetPointer``, bound privately (``ctypes.pythonapi``'s own
 #: attribute is shared by the whole process); raises on a foreign capsule.
 _capsule_pointer = ctypes.PYFUNCTYPE(
@@ -402,8 +310,8 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 
 def _rng_pointer_arrays(rngs):
     """The per-block ``bitgen_t *`` array of a sequential pack call: what
-    each generator's BitGenerator publishes in ``.capsule`` for C, Cython
-    and numba extensions (``numpy/random/bitgen.h``) — state plus
+    each generator's BitGenerator publishes in ``.capsule`` for C and
+    Cython extensions (``numpy/random/bitgen.h``) — state plus
     ``next_double`` / ``next_uint32``, which is all ``_C_SOURCE`` reads.
     The structs live in the BitGenerators; the caller keeps those alive."""
     return (ctypes.c_void_p * len(rngs))(*[
@@ -526,7 +434,7 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                                     clusters: ClusterDescriptor,
                                     temperatures: np.ndarray,
                                     rngs, workspace: Optional[dict] = None
-                                    ) -> Optional[SweepWork]:
+                                    ) -> SweepWork:
     """Whole-schedule colour-class (+ cluster-flip) sweeps over a pack.
 
     The sequential-discipline colour entry point — one dispatch per anneal
@@ -545,32 +453,17 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     offers every cluster a collective flip, drawing from its own generator
     of *rngs* in exactly the reference loops' (replica-major) order — so
     the pack is bit-for-bit the per-block serial anneals with the call
-    marshalling paid once.  The cext backend returns its
-    :class:`SweepWork` counts (as do all four entry points), numba ``None``.
+    marshalling paid once.  Returns the dispatch's :class:`SweepWork`
+    counts, as the cext branch of all four entry points does.
     A caller making repeated calls over one structure (same structure
     arrays, new values) passes the same *workspace* dict each time and the
     cext branch keeps its argument block there (see
     :func:`_cext_colour_call`).
     """
-    num_blocks = len(rngs)
-    size = spins.shape[1] // num_blocks
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        # (R, max_class_width) field workspace of the plain-form kernel.
-        scratch = np.empty((spins.shape[0],
-                            int(np.diff(class_starts).max(initial=1))))
-        for b, rng in enumerate(rngs):
-            segment = slice(b * size, (b + 1) * size)
-            kernels["colour"](
-                spins[:, segment], linear[segment], members, class_starts,
-                class_data[b], indices, indptr, scratch,
-                *_block_cluster_args(clusters, b), temperatures, rng)
-        return None
     if backend == "cext":
         return _cext_colour_call(
             _load_cext().pack_fused_colour_cluster_sweep, workspace,
-            num_blocks, 1, spins, linear, members, class_starts, class_data,
+            len(rngs), 1, spins, linear, members, class_starts, class_data,
             indices, indptr, clusters, temperatures,
             _generator_pointers(workspace, rngs))
     raise AnnealerError(
@@ -582,7 +475,7 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
                                    order: np.ndarray, linear: np.ndarray,
                                    clusters: ClusterDescriptor,
                                    temperatures: np.ndarray,
-                                   rngs) -> Optional[SweepWork]:
+                                   rngs) -> SweepWork:
     """Whole-schedule dense sequential (+ cluster-flip) sweeps over a pack.
 
     The dense-kernel sibling of :func:`pack_fused_colour_cluster_sweep`:
@@ -595,21 +488,9 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
     strided.  Per block the draw stream is exactly the reference loops'
     (dense draws, then cluster draws, per sweep).
     """
-    num_blocks = len(rngs)
-    size = spins.shape[1] // num_blocks
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        for b, rng in enumerate(rngs):
-            segment = slice(b * size, (b + 1) * size)
-            kernels["dense"](
-                spins[:, segment], fields[:, segment], matrices[b], order,
-                linear[segment], *_block_cluster_args(clusters, b),
-                temperatures, rng)
-        return None
     if backend == "cext":
         return _cext_dense_call(
-            _load_cext().pack_fused_dense_cluster_sweep, num_blocks, spins,
+            _load_cext().pack_fused_dense_cluster_sweep, len(rngs), spins,
             fields, matrices, order, linear, clusters, temperatures,
             _rng_pointer_arrays(rngs))
     raise AnnealerError(
@@ -746,9 +627,9 @@ def sequential_initial_spins(backend: str, rngs, num_replicas: int,
     """The sequential discipline's initial ``(R, blocks*P)`` spin matrix:
     block ``b``'s columns are ``2 * rngs[b].integers(0, 2, (R, P)) - 1``
     (the stream ``Generator.choice([-1, 1])`` consumes) — the oracle, which
-    numpy and numba run per block; cext draws the same bits through each
-    generator's ``next_uint32`` in one call, over the pointer array the
-    sweeps of the same *workspace* use."""
+    numpy runs per block; cext draws the same bits through each generator's
+    ``next_uint32`` in one call, over the pointer array the sweeps of the
+    same *workspace* use."""
     spins = np.empty((num_replicas, len(rngs) * size))
     if backend != "cext":
         for b, rng in enumerate(rngs):
@@ -767,8 +648,8 @@ def counter_initial_spins(backend: str, keys, num_replicas: int,
                           size: int) -> np.ndarray:
     """The counter discipline's initial ``(R, blocks*P)`` spin matrix: block
     ``b``'s columns are :func:`repro.annealer.counter.counter_initial_spins`
-    under ``keys[b]`` — the oracle, which numpy and numba run per block;
-    cext values the whole matrix in one call of the kernels' Philox fill."""
+    under ``keys[b]`` — the oracle, which numpy runs per block; cext values
+    the whole matrix in one call of the kernels' Philox fill."""
     if backend != "cext":
         from repro.annealer.counter import counter_initial_spins as block
         return np.concatenate(
@@ -811,19 +692,6 @@ def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
             for lo, hi in zip(edges, edges[1:])]
 
 
-def _run_numba_threaded(threads: int, kernel, *args) -> None:
-    """Run a prange counter kernel under a bounded numba thread count."""
-    import numba
-
-    previous = numba.get_num_threads()
-    numba.set_num_threads(
-        max(1, min(int(threads), numba.config.NUMBA_NUM_THREADS)))
-    try:
-        kernel(*args)
-    finally:
-        numba.set_num_threads(previous)
-
-
 def counter_pack_fused_dense_cluster_sweep(
         backend: str, spins: np.ndarray, fields: np.ndarray,
         matrices: np.ndarray, order: np.ndarray, linear: np.ndarray,
@@ -861,19 +729,6 @@ def counter_pack_fused_dense_cluster_sweep(
                     operators, temperatures[t], t, replicas, key,
                     fields=bfields, matrix=matrices[b])
         return None
-    if backend == "numba":
-        kernels = _ensure_numba_counter_kernels()
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        matrices = np.ascontiguousarray(matrices, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        for b, key in enumerate(keys):
-            segment = slice(b * size, (b + 1) * size)
-            _run_numba_threaded(
-                threads, kernels["dense"], spins[:, segment],
-                fields[:, segment], matrices[b], order, linear[segment],
-                *_block_cluster_args(clusters, b), temperatures,
-                np.uint64(key))
-        return None
     if backend == "cext":
         _note_openmp_team(threads)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -896,11 +751,8 @@ def counter_pack_fused_colour_cluster_sweep(
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
     embedded serving shape under the counter contract, one Philox key per
-    block and (block, lane group)-parallel in the cext variant.  The
-    per-replica numba kernels flip members as they visit them, which is
-    bitwise identical to the reference's per-class precompute because
-    colour-class members never interact.  The draw site is the member's
-    row in the concatenated class order.
+    block and (block, lane group)-parallel in the cext variant.  The draw
+    site is the member's row in the concatenated class order.
     """
     threads = max(1, int(threads))
     num_blocks = len(keys)
@@ -924,17 +776,6 @@ def counter_pack_fused_colour_cluster_sweep(
                     bspins, blinear, clusters, clusters.edge_values[b],
                     cluster_operators, temperatures[t], t, replicas, key)
         return None
-    if backend == "numba":
-        kernels = _ensure_numba_counter_kernels()
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        for b, key in enumerate(keys):
-            segment = slice(b * size, (b + 1) * size)
-            _run_numba_threaded(
-                threads, kernels["colour"], spins[:, segment],
-                linear[segment], members, class_starts, class_data[b],
-                indices, indptr, *_block_cluster_args(clusters, b),
-                temperatures, np.uint64(key))
-        return None
     if backend == "cext":
         _note_openmp_team(threads)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -945,326 +786,6 @@ def counter_pack_fused_colour_cluster_sweep(
             _ptr(keys_array), threads)
     raise AnnealerError(
         f"no counter pack colour+cluster kernel for backend {backend!r}")
-
-
-# --------------------------------------------------------------------------- #
-# numba backend
-# --------------------------------------------------------------------------- #
-
-_NUMBA_KERNELS: Optional[Dict[str, object]] = None
-
-
-def _ensure_numba_kernels() -> Dict[str, object]:
-    """Define (and JIT-register) the numba kernels once per process."""
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is not None:
-        return _NUMBA_KERNELS
-    import numba
-
-    # fastmath stays OFF: the kernels must perform the reference loops'
-    # arithmetic operation-for-operation (no reassociation, no FMA
-    # contraction), or seeded streams would drift from the numpy backend.
-    @numba.njit(cache=True)
-    def dense_pass(spins, fields, matrix, order, temperature, rng):
-        num_replicas = spins.shape[0]
-        size = matrix.shape[0]
-        for k in range(order.shape[0]):
-            v = order[k]
-            for r in range(num_replicas):
-                current = spins[r, v]
-                delta = -2.0 * current * fields[r, v]
-                accept = delta <= 0.0
-                if not accept:
-                    # delta > 0: acceptance probability exp(-delta / T),
-                    # one uniform per uphill replica in replica order —
-                    # the exact rng.random(count) stream of the
-                    # reference loop.
-                    accept = rng.random() < np.exp(-delta / temperature)
-                if accept:
-                    step = -2.0 * current
-                    spins[r, v] += step
-                    for w in range(size):
-                        fields[r, w] += step * matrix[v, w]
-
-    @numba.njit(cache=True)
-    def colour_pass(spins, linear, members, class_starts, data, indices,
-                    indptr, scratch, temperature, rng):
-        num_replicas = spins.shape[0]
-        num_classes = class_starts.shape[0] - 1
-        for c in range(num_classes):
-            begin = class_starts[c]
-            width = class_starts[c + 1] - begin
-            # Local fields of every (replica, member) of the class are
-            # computed before any flip: members of one class never
-            # interact, so this matches the reference loop's simultaneous
-            # per-class update.
-            for r in range(num_replicas):
-                for m in range(width):
-                    row = begin + m
-                    acc = 0.0
-                    for jj in range(indptr[row], indptr[row + 1]):
-                        acc += data[jj] * spins[r, indices[jj]]
-                    scratch[r, m] = acc + linear[members[row]]
-            for r in range(num_replicas):
-                for m in range(width):
-                    v = members[begin + m]
-                    delta = -2.0 * spins[r, v] * scratch[r, m]
-                    accept = delta <= 0.0
-                    if not accept:
-                        # Uphill draws in replica-major order — the exact
-                        # rng.random(count) stream of the reference loop.
-                        accept = (rng.random()
-                                  < np.exp(-delta / temperature))
-                    if accept:
-                        spins[r, v] = -spins[r, v]
-
-    @numba.njit(cache=True)
-    def cluster_pass(spins, linear, cmembers, cluster_starts, cdata,
-                     cindices, cindptr, edge_i, edge_j, edge_starts,
-                     edge_values, temperature, update_fields, fields,
-                     matrix, rng):
-        num_replicas = spins.shape[0]
-        num_clusters = cluster_starts.shape[0] - 1
-        for c in range(num_clusters):
-            begin = cluster_starts[c]
-            end = cluster_starts[c + 1]
-            ebegin = edge_starts[c]
-            eend = edge_starts[c + 1]
-            for r in range(num_replicas):
-                # Flip energy: the cluster's coupling to the rest of the
-                # system plus its linear fields, accumulated member by
-                # member in the reference loop's defined order; internal
-                # couplings were double counted through both endpoints'
-                # fields and are subtracted edge by edge.
-                boundary = 0.0
-                for k in range(begin, end):
-                    m = cmembers[k]
-                    acc = 0.0
-                    for jj in range(cindptr[k], cindptr[k + 1]):
-                        acc += cdata[jj] * spins[r, cindices[jj]]
-                    boundary += spins[r, m] * (acc + linear[m])
-                for e in range(ebegin, eend):
-                    boundary -= (2.0 * edge_values[e] * spins[r, edge_i[e]]
-                                 * spins[r, edge_j[e]])
-                delta = -2.0 * boundary
-                accept = delta <= 0.0
-                if not accept:
-                    # One uniform per uphill replica in ascending replica
-                    # order — the reference cluster sweep's stream.
-                    accept = rng.random() < np.exp(-delta / temperature)
-                if accept:
-                    if update_fields:
-                        # Incremental field maintenance: the accepted flip
-                        # adds sum_m (-2 s_m) J[m, :] to this replica's
-                        # field row (computed from the pre-flip spins).
-                        size = matrix.shape[0]
-                        for w in range(size):
-                            acc = 0.0
-                            for k in range(begin, end):
-                                m = cmembers[k]
-                                acc += (-2.0 * spins[r, m]) * matrix[m, w]
-                            fields[r, w] += acc
-                    for k in range(begin, end):
-                        spins[r, cmembers[k]] = -spins[r, cmembers[k]]
-
-    @numba.njit(cache=True)
-    def fused_dense_kernel(spins, fields, matrix, order, linear, cmembers,
-                           cluster_starts, cdata, cindices, cindptr, edge_i,
-                           edge_j, edge_starts, edge_values, temperatures,
-                           rng):
-        for t in range(temperatures.shape[0]):
-            dense_pass(spins, fields, matrix, order, temperatures[t], rng)
-            cluster_pass(spins, linear, cmembers, cluster_starts, cdata,
-                         cindices, cindptr, edge_i, edge_j, edge_starts,
-                         edge_values, temperatures[t], True, fields, matrix,
-                         rng)
-
-    @numba.njit(cache=True)
-    def fused_colour_kernel(spins, linear, members, class_starts, data,
-                            indices, indptr, scratch, cmembers,
-                            cluster_starts, cdata, cindices, cindptr, edge_i,
-                            edge_j, edge_starts, edge_values, temperatures,
-                            rng):
-        dummy = np.empty((0, 0))
-        for t in range(temperatures.shape[0]):
-            colour_pass(spins, linear, members, class_starts, data, indices,
-                        indptr, scratch, temperatures[t], rng)
-            cluster_pass(spins, linear, cmembers, cluster_starts, cdata,
-                         cindices, cindptr, edge_i, edge_j, edge_starts,
-                         edge_values, temperatures[t], False, dummy, dummy,
-                         rng)
-
-    _NUMBA_KERNELS = {
-        "dense": fused_dense_kernel,
-        "colour": fused_colour_kernel,
-    }
-    return _NUMBA_KERNELS
-
-
-_NUMBA_COUNTER_KERNELS: Optional[Dict[str, object]] = None
-
-
-def _ensure_numba_counter_kernels() -> Dict[str, object]:
-    """Define (and JIT-register) the counter-mode numba kernels once.
-
-    Separate from :func:`_ensure_numba_kernels` so sequential-only
-    processes never pay this compile cost.  The outer replica loops are
-    ``prange``: legal because counter draws are addressed, not consumed,
-    so replicas share no state.  fastmath stays OFF for the same
-    bit-identity reasons as the sequential kernels.
-    """
-    global _NUMBA_COUNTER_KERNELS
-    if _NUMBA_COUNTER_KERNELS is not None:
-        return _NUMBA_COUNTER_KERNELS
-    import numba
-    from numba import prange
-
-    u64 = np.uint64
-    MASK = u64(0xFFFFFFFF)
-
-    @numba.njit(cache=True)
-    def philox_uniform(site, sweep, replica, tag, key):
-        # Philox4x32-10 at counter (site, sweep, replica, tag) under the
-        # 64-bit block key; must match repro.annealer.counter.philox_uniform
-        # and the C philox_uniform bit for bit.  All words are kept in
-        # uint64 and masked back to 32 bits after every operation.
-        c0 = u64(site) & MASK
-        c1 = u64(sweep) & MASK
-        c2 = u64(replica) & MASK
-        c3 = u64(tag) & MASK
-        k0 = u64(key) & MASK
-        k1 = (u64(key) >> u64(32)) & MASK
-        for _ in range(10):
-            p0 = (c0 * u64(0xD2511F53)) & u64(0xFFFFFFFFFFFFFFFF)
-            p1 = (c2 * u64(0xCD9E8D57)) & u64(0xFFFFFFFFFFFFFFFF)
-            hi0 = p0 >> u64(32)
-            lo0 = p0 & MASK
-            hi1 = p1 >> u64(32)
-            lo1 = p1 & MASK
-            c0 = (hi1 ^ c1 ^ k0) & MASK
-            c1 = lo1
-            c2 = (hi0 ^ c3 ^ k1) & MASK
-            c3 = lo0
-            k0 = (k0 + u64(0x9E3779B9)) & MASK
-            k1 = (k1 + u64(0xBB67AE85)) & MASK
-        bits = (c0 << u64(32)) | c1
-        return np.float64(bits >> u64(11)) * (1.0 / 9007199254740992.0)
-
-    @numba.njit(cache=True)
-    def counter_dense_replica(spins, fields, matrix, order, temperature,
-                              sweep, r, key):
-        size = matrix.shape[0]
-        for k in range(order.shape[0]):
-            v = order[k]
-            current = spins[r, v]
-            delta = -2.0 * current * fields[r, v]
-            accept = delta <= 0.0
-            if not accept:
-                u = philox_uniform(k, sweep, r, 0, key)
-                accept = u < np.exp(-delta / temperature)
-            if accept:
-                step = -2.0 * current
-                spins[r, v] += step
-                for w in range(size):
-                    fields[r, w] += step * matrix[v, w]
-
-    @numba.njit(cache=True)
-    def counter_colour_replica(spins, linear, members, class_starts, data,
-                               indices, indptr, temperature, sweep, r, key):
-        num_classes = class_starts.shape[0] - 1
-        for c in range(num_classes):
-            # Flip-immediately per member: members of one class never
-            # interact, so this is bitwise identical to the reference's
-            # precompute-then-flip per-class update.
-            for row in range(class_starts[c], class_starts[c + 1]):
-                v = members[row]
-                acc = 0.0
-                for jj in range(indptr[row], indptr[row + 1]):
-                    acc += data[jj] * spins[r, indices[jj]]
-                field = acc + linear[v]
-                delta = -2.0 * spins[r, v] * field
-                accept = delta <= 0.0
-                if not accept:
-                    u = philox_uniform(row, sweep, r, 0, key)
-                    accept = u < np.exp(-delta / temperature)
-                if accept:
-                    spins[r, v] = -spins[r, v]
-
-    @numba.njit(cache=True)
-    def counter_cluster_replica(spins, linear, cmembers, cluster_starts,
-                                cdata, cindices, cindptr, edge_i, edge_j,
-                                edge_starts, edge_values, temperature,
-                                sweep, r, key, update_fields, fields,
-                                matrix):
-        num_clusters = cluster_starts.shape[0] - 1
-        for c in range(num_clusters):
-            begin = cluster_starts[c]
-            end = cluster_starts[c + 1]
-            boundary = 0.0
-            for k in range(begin, end):
-                m = cmembers[k]
-                acc = 0.0
-                for jj in range(cindptr[k], cindptr[k + 1]):
-                    acc += cdata[jj] * spins[r, cindices[jj]]
-                boundary += spins[r, m] * (acc + linear[m])
-            for e in range(edge_starts[c], edge_starts[c + 1]):
-                boundary -= (2.0 * edge_values[e] * spins[r, edge_i[e]]
-                             * spins[r, edge_j[e]])
-            delta = -2.0 * boundary
-            accept = delta <= 0.0
-            if not accept:
-                u = philox_uniform(c, sweep, r, 1, key)
-                accept = u < np.exp(-delta / temperature)
-            if accept:
-                if update_fields:
-                    size = matrix.shape[0]
-                    for w in range(size):
-                        acc = 0.0
-                        for k in range(begin, end):
-                            m = cmembers[k]
-                            acc += (-2.0 * spins[r, m]) * matrix[m, w]
-                        fields[r, w] += acc
-                for k in range(begin, end):
-                    spins[r, cmembers[k]] = -spins[r, cmembers[k]]
-
-    @numba.njit(cache=True, parallel=True)
-    def counter_fused_dense_kernel(spins, fields, matrix, order, linear,
-                                   cmembers, cluster_starts, cdata, cindices,
-                                   cindptr, edge_i, edge_j, edge_starts,
-                                   edge_values, temperatures, key):
-        for r in prange(spins.shape[0]):
-            for t in range(temperatures.shape[0]):
-                counter_dense_replica(spins, fields, matrix, order,
-                                      temperatures[t], t, r, key)
-                counter_cluster_replica(spins, linear, cmembers,
-                                        cluster_starts, cdata, cindices,
-                                        cindptr, edge_i, edge_j, edge_starts,
-                                        edge_values, temperatures[t], t, r,
-                                        key, True, fields, matrix)
-
-    @numba.njit(cache=True, parallel=True)
-    def counter_fused_colour_kernel(spins, linear, members, class_starts,
-                                    data, indices, indptr, cmembers,
-                                    cluster_starts, cdata, cindices, cindptr,
-                                    edge_i, edge_j, edge_starts, edge_values,
-                                    temperatures, key):
-        dummy = np.empty((0, 0))
-        for r in prange(spins.shape[0]):
-            for t in range(temperatures.shape[0]):
-                counter_colour_replica(spins, linear, members, class_starts,
-                                       data, indices, indptr,
-                                       temperatures[t], t, r, key)
-                counter_cluster_replica(spins, linear, cmembers,
-                                        cluster_starts, cdata, cindices,
-                                        cindptr, edge_i, edge_j, edge_starts,
-                                        edge_values, temperatures[t], t, r,
-                                        key, False, dummy, dummy)
-
-    _NUMBA_COUNTER_KERNELS = {
-        "dense": counter_fused_dense_kernel,
-        "colour": counter_fused_colour_kernel,
-    }
-    return _NUMBA_COUNTER_KERNELS
 
 
 # --------------------------------------------------------------------------- #
@@ -1298,10 +819,10 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
  *
  * Sequential kernels draw through the NumPy BitGenerator's next_double
  * function pointer, advancing the caller's Generator state in place — the
- * same extension point numba and Cython use, so the draw stream is exactly
- * the Generator's rng.random() stream.  A block's generator arrives as one
- * pointer, the bitgen_t its BitGenerator publishes in `.capsule`.  Counter
- * kernels (rng="counter")
+ * extension point NumPy publishes for C and Cython, so the draw stream is
+ * exactly the Generator's rng.random() stream.  A block's generator arrives
+ * as one pointer, the bitgen_t its BitGenerator publishes in `.capsule`.
+ * Counter kernels (rng="counter")
  * value every potential draw by Philox4x32-10 addressed by (site, sweep,
  * replica, move_tag) under a per-block 64-bit key — see
  * repro/annealer/counter.py for the contract — so replicas share no RNG
@@ -2116,8 +1637,19 @@ _CEXT_BUILDS = (("-fopenmp",), ())
 
 def _cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME")
-    root = Path(base) if base else Path.home() / ".cache"
-    return root / "repro_backends"
+    if base:
+        return Path(base) / "repro_backends"
+    try:
+        return Path.home() / ".cache" / "repro_backends"
+    except RuntimeError:  # no HOME and no passwd entry: an arbitrary uid
+        import tempfile
+
+        # A shared directory: load only from a subdirectory that is ours.
+        root = Path(tempfile.gettempdir()) / f"repro_backends-{os.getuid()}"
+        root.mkdir(mode=0o700, exist_ok=True)
+        if root.stat().st_uid != os.getuid():
+            raise PermissionError(f"{root} belongs to another user")
+        return root
 
 
 def _cext_target(extra: Tuple[str, ...]) -> Path:
@@ -2250,10 +1782,10 @@ def _load_cext() -> Optional[ctypes.CDLL]:
     if _CEXT_STATE["checked"]:
         return _CEXT_STATE["lib"]
     _CEXT_STATE["checked"] = True
-    path = _compile_cext()
-    if path is None:
-        return None
     try:
+        path = _compile_cext()
+        if path is None:
+            return None
         lib = ctypes.CDLL(str(path))
         for name, (restype, argtypes) in _cext_signatures().items():
             function = getattr(lib, name)

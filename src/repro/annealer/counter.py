@@ -44,8 +44,8 @@ Each *block* of an anneal call gets its own 64-bit key, drawn once per call
 from the block's sequential generator (:func:`block_key`).  Seeding therefore
 still flows from the caller's ``random_state``; successive anneal calls (the
 ICE batches of a QA run) get fresh keys automatically, and two blocks of a
-pack can never share a stream.  All three kernel backends (numpy reference,
-numba, C) implement this exact function, so a counter-mode trajectory is
+pack can never share a stream.  Both kernel backends (numpy reference, C)
+implement this exact function, so a counter-mode trajectory is
 bit-identical across backends *and* across thread counts.
 
 Cost
@@ -116,9 +116,9 @@ def philox4x32(site, sweep, replica, tag, key: int) -> np.ndarray:
 def philox_uniform(site, sweep, replica, tag, key: int) -> np.ndarray:
     """Uniform ``[0, 1)`` draw(s) at the given counter position(s).
 
-    The reference implementation of the counter contract: the numba and C
-    kernels in :mod:`repro.annealer.backends` compute the identical value
-    for the identical counter, which is what the cross-backend and
+    The reference implementation of the counter contract: the C kernels
+    in :mod:`repro.annealer.backends` compute the identical value for the
+    identical counter, which is what the cross-backend and
     thread-count bit-identity suites pin.
     """
     bits = philox4x32(site, sweep, replica, tag, key)

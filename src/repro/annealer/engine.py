@@ -57,12 +57,12 @@ Two levels of reuse amortise setup cost across repeated runs:
 
 Orthogonally to the *kernel* choice, the ``backend=`` knob selects the
 *implementation* of the chosen kernel's inner loop: ``"numpy"`` runs the
-reference loops in this module, while ``"numba"`` / ``"cext"`` run compiled
-translations from :mod:`repro.annealer.backends` that consume the exact same
-per-variable Metropolis draw stream (``"auto"``, the default, picks the best
-available and falls back to numpy).  Because each block draws from its own
-generator and blocks never interact, the compiled backends evolve blocks one
-at a time through the whole schedule without changing any block's stream.
+reference loops in this module, while ``"cext"`` runs the compiled
+translation from :mod:`repro.annealer.backends`, which consumes the exact
+same per-variable Metropolis draw stream (``"auto"``, the default, is cext
+and falls back to numpy).  Because each block draws from its own generator
+and blocks never interact, the compiled kernels evolve blocks one at a time
+through the whole schedule without changing any block's stream.
 Every sampler shape reaches them through one backend dispatch per anneal:
 a single problem is a pack of one block, and a sampler without cluster
 (chain-flip) moves hands over an empty flattened cluster descriptor
@@ -246,13 +246,13 @@ class BlockDiagonalSampler:
         and the choice is a (deterministic) performance decision.
     backend:
         Implementation of the selected kernel's inner loop: ``"numpy"`` (the
-        reference loops in this module), ``"numba"`` / ``"cext"`` (compiled
-        translations consuming the same draw stream, see
-        :mod:`repro.annealer.backends`) or ``"auto"`` (default: best
-        available compiled backend, falling back to numpy).  Explicitly
-        requesting an unavailable compiled backend raises
-        :class:`AnnealerError` at construction; compiled backends are warmed
-        (JIT/compile cache) here so first-anneal timings stay clean.
+        reference loops in this module), ``"cext"`` (the compiled
+        translation consuming the same draw stream, see
+        :mod:`repro.annealer.backends`) or ``"auto"`` (default: cext,
+        falling back to numpy).  Explicitly requesting an unavailable
+        ``"cext"`` raises :class:`AnnealerError` at construction; the C
+        artefact is loaded (compiled, on a cold cache) here so first-anneal
+        timings stay clean.
     rng:
         Draw discipline: ``"sequential"`` (default) consumes each block's
         generator in the reference loops' order — bit-reproducible, but
@@ -264,7 +264,7 @@ class BlockDiagonalSampler:
         *and* thread counts, and the contract that legalises ``threads``.
     threads:
         Worker threads for the compiled counter kernels (OpenMP in the
-        cext, ``prange`` in numba); requires ``rng="counter"`` when > 1.
+        cext); requires ``rng="counter"`` when > 1.
         The numpy backend ignores it (reference loops are vectorised over
         replicas already).  The thread count never changes results.
 
@@ -295,12 +295,10 @@ class BlockDiagonalSampler:
                 "threads > 1 requires rng='counter': the sequential "
                 "discipline consumes one generator per block in a defined "
                 "order, which no parallel schedule can reproduce")
-        # Resolve eagerly: unknown names and unavailable explicit backends
-        # fail loudly here, and the one-time JIT/compile cost is paid at
-        # construction instead of inside the first timed anneal.
-        resolved = backends.resolve_backend(backend)
-        if resolved != "numpy":
-            backends.warmup(resolved, rng=self.rng_mode)
+        # Unknown names and an unavailable explicit backend fail loudly
+        # here, and the one-time compile cost is paid at construction
+        # instead of inside the first timed anneal.
+        backends.warmup(backend)
         problems = IsingPack.stack(isings)
         if problems is None:
             raise AnnealerError(
@@ -429,11 +427,10 @@ class BlockDiagonalSampler:
         """The concrete backend the ``backend=`` knob resolves to.
 
         Resolved per call rather than frozen at construction so that
-        availability probes (monkeypatched in fallback tests, or a numba
-        install appearing between runs) take effect without rebuilding the
-        sampler; resolution itself is a cached dictionary lookup.  The
-        resolved backend runs every pack shape, one whole-schedule dispatch
-        per anneal.
+        availability probes (monkeypatched in fallback tests) take effect
+        without rebuilding the sampler; resolution itself is a cached
+        dictionary lookup.  The resolved backend runs every pack shape, one
+        whole-schedule dispatch per anneal.
         """
         return backends.resolve_backend(self.backend)
 
@@ -441,7 +438,7 @@ class BlockDiagonalSampler:
     def last_sweep_work(self) -> Optional[backends.SweepWork]:
         """Work counters of the latest :meth:`anneal` call's kernel dispatch
         (proposals, uniforms drawn, ``exp`` calls); ``None`` before the
-        first call and on the numpy/numba backends."""
+        first call and on the numpy backend."""
         return self._last_sweep_work
 
     def __getstate__(self) -> Dict[str, object]:

@@ -292,8 +292,8 @@ class QuantumAnnealerSimulator:
             :class:`~repro.annealer.engine.BlockDiagonalSampler`.
         backend:
             Kernel implementation passed to the sampler (``"auto"``,
-            ``"numpy"``, ``"numba"`` or ``"cext"``); seeded runs are
-            bit-identical across backends.
+            ``"numpy"`` or ``"cext"``); seeded runs are bit-identical
+            across backends.
         rng:
             Draw discipline passed to the sampler: ``"sequential"``
             (default, the reference streams) or ``"counter"`` (keyed Philox
@@ -354,10 +354,10 @@ class QuantumAnnealerSimulator:
             kernel without reaching into engine internals.
         backend:
             Kernel implementation for the packed sampler (``"auto"``,
-            ``"numpy"``, ``"numba"`` or ``"cext"``).  Every backend consumes
-            the same per-problem draw streams, so seeded results are
-            bit-identical across backends and this knob is purely about
-            where the sweep loop runs.
+            ``"numpy"`` or ``"cext"``).  Both backends consume the same
+            per-problem draw streams, so seeded results are bit-identical
+            across backends and this knob is purely about where the sweep
+            loop runs.
         rng:
             Draw discipline for the packed sampler: ``"sequential"``
             (default) or ``"counter"``.  The counter discipline keys one

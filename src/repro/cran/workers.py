@@ -189,8 +189,8 @@ def _process_worker_init(
     """Build this worker process's decoder (and fault plan) from the spec.
 
     The pool's per-worker kernel-thread budget rides along: it is exported
-    as ``OMP_NUM_THREADS`` / ``NUMBA_NUM_THREADS`` caps *before* the decoder
-    is built (so any lazily imported runtime honours it) — the
+    as the ``OMP_NUM_THREADS`` cap *before* the decoder is built (so the
+    lazily loaded OpenMP runtime honours it) — the
     oversubscription guard that stops ``num_workers`` processes × per-pack
     OpenMP teams from thrashing the machine.
     """
@@ -198,7 +198,6 @@ def _process_worker_init(
     kind, value, faults, threads = payload
     _WORKER_THREADS = max(1, int(threads))
     os.environ["OMP_NUM_THREADS"] = str(_WORKER_THREADS)
-    os.environ["NUMBA_NUM_THREADS"] = str(_WORKER_THREADS)
     _WORKER_DECODER = value() if kind == "factory" else value
     _WORKER_FAULTS = faults
 
@@ -697,9 +696,8 @@ class WorkerPool:
         clamped to 1).  Default ``None`` derives it: process pools get
         ``max(1, cpu_count // num_workers)`` so ``num_workers`` OpenMP
         teams never oversubscribe the machine, every other mode gets 1.
-        Process workers additionally export the budget as
-        ``OMP_NUM_THREADS`` / ``NUMBA_NUM_THREADS`` caps at initializer
-        time.
+        Process workers additionally export the budget as the
+        ``OMP_NUM_THREADS`` cap at initializer time.
     """
 
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,

@@ -89,10 +89,10 @@ class QuAMaxDecoder(Detector):
         kernel here without reaching into engine internals; the default
         ``"auto"`` keeps the engine's dispatch heuristic.
     backend:
-        Kernel implementation forwarded alongside (``"auto"``, ``"numpy"``,
-        ``"numba"`` or ``"cext"``).  Seeded detections are bit-identical
-        across backends — the knob only moves the sweep loop between the
-        NumPy reference and the compiled implementations.
+        Kernel implementation forwarded alongside (``"auto"``, ``"numpy"``
+        or ``"cext"``).  Seeded detections are bit-identical across
+        backends — the knob only moves the sweep loop between the NumPy
+        reference and the compiled implementation.
     rng:
         Draw discipline forwarded to the annealer on every run:
         ``"sequential"`` (default, the reference streams) or ``"counter"``

@@ -335,8 +335,8 @@ class SimulatedAnnealingSolver:
         absolute coefficient so behaviour is scale-free).
     backend:
         Sweep-kernel implementation forwarded to the engine (``"auto"``,
-        ``"numpy"``, ``"numba"`` or ``"cext"``); seeded samples are
-        bit-identical across backends, so this is purely a speed knob.
+        ``"numpy"`` or ``"cext"``); seeded samples are bit-identical
+        across backends, so this is purely a speed knob.
     rng:
         Draw discipline forwarded to the engine: ``"sequential"`` (default,
         the reference streams) or ``"counter"`` (keyed Philox streams,

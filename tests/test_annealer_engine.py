@@ -245,8 +245,7 @@ class TestRebindToAnyBlockCount:
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("clusters", [False, True])
     @pytest.mark.parametrize("kernel", ["colour", "dense"])
-    @pytest.mark.parametrize("backend", [
-        backend for backend in available_backends() if backend != "numba"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_rebound_sampler_is_a_fresh_one(self, backend, kernel, clusters,
                                             rng_mode):
         options = dict(clusters=self.CLUSTERS if clusters else None,

@@ -280,8 +280,6 @@ class TestCompiledBackendSharedDynamics:
     problems land on the dense sequential kernel, sparse ones on the
     colour-class kernel — so a compiled backend that diverges on either
     path, or in the dispatch glue between them, fails here by digest.
-    On machines without numba this covers numpy vs cext; CI's numba matrix
-    entry extends the identical assertions to numba.
     """
 
     from repro.annealer.backends import available_backends as _avail

@@ -1041,7 +1041,7 @@ class TestWarmPackWork:
     def test_no_scalar_generator_call_on_a_warm_cext_pack(self, monkeypatch):
         """The cext path of a warm pack reaches its generators through the
         ``bitgen_t`` pointers alone: no ``.ctypes`` interface is built and
-        the numpy/numba start (the ``integers`` loop) never runs."""
+        the numpy start (the ``integers`` loop) never runs."""
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)

@@ -11,6 +11,8 @@ import pytest
 
 import repro
 from repro import constants
+from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+from repro.exceptions import AnnealerError, DetectionError
 
 
 class TestPublicApi:
@@ -69,12 +71,14 @@ class TestPublicApi:
         assert done.returncode == 0, done.stderr
 
     #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``
-    #: on the backend named in ``argv[1]``; report the bits and which of
-    #: the three heavy imports the process ended up holding.
+    #: on the backend named in ``argv[1]``; report the bits, what ``auto``
+    #: resolves to and which of the heavy imports the process ended up
+    #: holding.
     SERVE_ONE_PACK = """
 import json, sys
 import numpy as np
 import repro.cran.service
+from repro.annealer import backends
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.cran.jobs import DecodeJob
@@ -97,31 +101,88 @@ pool = WorkerPool(decoder)
 assert pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
 print(json.dumps({
     "bits": [done.result.detection.bits.tolist() for done in pool.results()],
-    "held": sorted({"scipy", "networkx", "asyncio"} & set(sys.modules))}))
+    "auto": backends.resolve_backend("auto"),
+    "held": sorted({"scipy", "networkx", "asyncio", "numba"}
+                   & set(sys.modules))}))
 """
 
-    def test_serving_on_cext_imports_no_scipy_networkx_or_asyncio(self):
+    def test_serving_on_cext_imports_no_scipy_networkx_or_asyncio(
+            self, tmp_path):
         """From ``import repro.cran.service`` to a served pack on the C
         artefact, a process imports none of scipy (0.12-0.15 s), networkx
         or asyncio.  The numpy oracle backend still sweeps through scipy's
         operators — the reference path is alive — and decodes the same
-        bits."""
+        bits.  ``auto`` is the C artefact whatever else is installed: a
+        ``numba`` package first on the path is never imported."""
         from repro.annealer import backends
         if not backends.cext_available():
             pytest.skip("no C compiler for the cext backend")
-        source = Path(__file__).resolve().parent.parent / "src"
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        (tmp_path / "numba").mkdir()
+        (tmp_path / "numba" / "__init__.py").write_text("")
         served = {}
-        for backend in ("cext", "numpy"):
+        for backend, path in (("cext", source), ("numpy", source),
+                              ("auto", str(tmp_path) + os.pathsep + source)):
             done = subprocess.run(
                 [sys.executable, "-c", self.SERVE_ONE_PACK, backend],
                 capture_output=True, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": str(source)})
+                env={**os.environ, "PYTHONPATH": path})
             assert done.returncode == 0, done.stderr
             served[backend] = json.loads(done.stdout)
         assert served["cext"]["held"] == []
         assert served["numpy"]["held"] == ["scipy"]
+        assert served["auto"]["held"] == []
+        assert served["auto"]["auto"] == "cext"
         assert len(served["cext"]["bits"]) == 4
         assert served["cext"]["bits"] == served["numpy"]["bits"]
+        assert served["cext"]["bits"] == served["auto"]["bits"]
+
+    def test_setup_py_names_the_package(self):
+        """``setup.py`` carries the metadata itself (there is no
+        ``pyproject.toml``) and reads the version without importing."""
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"], cwd=root,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["repro", repro.__version__]
+
+
+class TestBackendNames:
+    """Two backends, the oracle and the product; any other name — one that
+    used to be valid included — is rejected with the list of valid ones."""
+
+    def test_backends(self):
+        from repro.annealer.backends import BACKENDS
+
+        assert BACKENDS == ("auto", "numpy", "cext")
+
+    # Each constructor's ``backend=``, or the call the object forwards it
+    # from (the solver validates when it samples, the machine takes it per
+    # run; the decoder reports its own error type).
+    @pytest.mark.parametrize("error, through", [
+        pytest.param(AnnealerError, lambda ising: IsingSampler(
+            ising, backend="numba"), id="IsingSampler"),
+        pytest.param(AnnealerError, lambda ising: BlockDiagonalSampler(
+            [ising], backend="numba"), id="BlockDiagonalSampler"),
+        pytest.param(AnnealerError, lambda ising: (
+            repro.SimulatedAnnealingSolver(backend="numba").sample(
+                ising, random_state=0)), id="SimulatedAnnealingSolver"),
+        pytest.param(AnnealerError, lambda ising: (
+            repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2)).run(
+                ising, repro.AnnealerParameters(num_anneals=1),
+                random_state=0, backend="numba")),
+            id="QuantumAnnealerSimulator"),
+        pytest.param(DetectionError, lambda ising: repro.QuAMaxDecoder(
+            backend="numba"), id="QuAMaxDecoder"),
+    ])
+    def test_removed_backend_is_rejected_by_name(self, error, through):
+        ising = repro.IsingModel(num_variables=2, linear=[0.5, -0.5],
+                                 couplings={(0, 1): 1.0})
+        with pytest.raises(error) as raised:
+            through(ising)
+        assert "('auto', 'numpy', 'cext')" in str(raised.value)
+        assert "'numba'" in str(raised.value)
 
 
 class TestServingOptionSurface:
