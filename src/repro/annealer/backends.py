@@ -100,18 +100,19 @@ Counter mode and threads
 
 Orthogonally to the backend, the ``rng=`` knob selects the *draw discipline*
 (:data:`RNG_MODES`).  ``"sequential"`` (the default, described above) is
-inherently serial: a replica's next draw depends on how many draws earlier
-replicas consumed.  ``"counter"`` replaces consumption order with position —
-every potential draw is addressed by a ``(site, sweep, replica, move_tag)``
-counter and valued by Philox4x32-10 under a per-block key (see
-:mod:`repro.annealer.counter`) — which makes replica evaluation order
-irrelevant and intra-pack parallelism legal.  The two ``counter_*`` entry
-points take one key per block where their sequential siblings take one
-generator per block, plus a ``threads=`` knob: the cext kernels run an
-OpenMP ``parallel for`` over (block, replica) pairs — the colour kernels
-over (block, lane group) pairs — (per-thread Philox state; compiled with
-``-fopenmp`` when available, silently serial otherwise); their numpy
-branches are the reference implementation of counter mode and ignore
+serial within a block: a replica's next draw depends on how many draws
+earlier replicas consumed (a pack's *blocks*, each drawing from its own
+generator, shard across cores: :func:`_sharded_colour_call`).  ``"counter"``
+replaces consumption order with position — every potential draw is addressed
+by a ``(site, sweep, replica, move_tag)`` counter and valued by Philox4x32-10
+under a per-block key (see :mod:`repro.annealer.counter`) — which makes
+replica evaluation order irrelevant and replica-level parallelism legal.  The
+two ``counter_*`` entry points take one key per block where their sequential
+siblings take one generator per block, plus a ``threads=`` knob: the cext
+kernels run an OpenMP ``parallel for`` over (block, replica) pairs — the
+colour kernels over (block, lane group) pairs — (per-thread Philox state;
+compiled with ``-fopenmp`` when available, silently serial otherwise); their
+numpy branches are the reference implementation of counter mode and ignore
 ``threads``.  Counter-mode trajectories are bit-identical across backends
 *and* across thread counts, which the counter equivalence/golden suites pin.
 
@@ -345,11 +346,31 @@ def _lane_layout(threads: int, num_blocks: int, num_replicas: int, size: int,
     return lanes, threads * (size + 1 + 2 * members) * lanes
 
 
-def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
-                      threads: int, spins, linear, members, class_starts,
-                      class_data, indices, indptr, clusters, temperatures,
-                      *draw_args) -> SweepWork:
-    """One cext colour-kernel call of either discipline (*draw_args*).
+#: CPUs this process may sweep a sequential pack on (:func:`_usable_cpus`).
+_USABLE_CPUS: Optional[int] = None
+#: The helper-thread pool of sharded calls; a forked child starts its own.
+_HELPERS: Dict[str, object] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HELPERS.clear)
+
+
+def _usable_cpus(cap: Optional[int] = None) -> int:
+    """CPUs a sequential pack shards over: the affinity mask (else
+    ``os.cpu_count()``), read once; a *cap* lowers it for good."""
+    global _USABLE_CPUS
+    if _USABLE_CPUS is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        _USABLE_CPUS = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if cap is not None:
+        _USABLE_CPUS = max(1, min(_USABLE_CPUS, cap))
+    return _USABLE_CPUS
+
+
+def _cext_colour_arguments(workspace: Optional[dict], num_blocks: int,
+                           threads: int, spins, linear, members, class_starts,
+                           class_data, indices, indptr, clusters,
+                           temperatures, *draw_args) -> tuple:
+    """Arguments and work out-array of a cext colour-kernel call.
 
     The kernels' per-structure argument block lives in *workspace*, a dict
     the caller keeps for as long as it keeps the structure arrays (a
@@ -395,12 +416,51 @@ def _cext_colour_call(function, workspace: Optional[dict], num_blocks: int,
         schedule = (contiguous, _ptr(contiguous), contiguous.size)
         if contiguous is temperatures:  # no copy: later edits stay visible
             workspace["schedule"] = schedule
-    function(
+    return (
         *_row_strided(spins), num_replicas, num_blocks, size, _ptr(linear),
         *classes, _ptr(class_data), *csr, scratch[1], lanes,
         *cluster_members, *cluster_edges, _ptr(clusters.edge_values),
-        clusters.edge_values.shape[1], *schedule[1:], *draw_args, work_ptr)
-    return SweepWork(*work.tolist())
+        clusters.edge_values.shape[1], *schedule[1:], *draw_args,
+        work_ptr), work
+
+
+def _sharded_colour_call(function, workspace: Optional[dict], spins, linear,
+                         members, class_starts, class_data, indices, indptr,
+                         clusters, temperatures, generators) -> SweepWork:
+    """The sequential colour call as ``min(blocks, usable CPUs)`` calls
+    over contiguous block ranges, each with a sub-workspace of its own, the
+    first on this thread, the rest on helpers (ctypes drops the GIL).  Block
+    *b* draws only from ``generators[b]``: the one call's stream exactly,
+    unless two blocks share a bit generator — then it is the one call."""
+    blocks = len(generators)
+    shards = min(blocks, _usable_cpus())
+    if shards < 2 or len(set(generators)) < blocks:
+        args, work = _cext_colour_arguments(
+            workspace, blocks, 1, spins, linear, members, class_starts,
+            class_data, indices, indptr, clusters, temperatures, generators)
+        function(*args)
+        return SweepWork(*work.tolist())
+    spaces = [] if workspace is None else workspace.setdefault("shards", [])
+    spaces += [{} for _ in range(shards - 1 - len(spaces))]
+    size = spins.shape[1] // blocks
+    bounds = [blocks * k // shards for k in range(shards + 1)]
+    calls = [_cext_colour_arguments(
+        space, hi - lo, 1, spins[:, lo * size:hi * size],
+        linear[lo * size:hi * size], members, class_starts, class_data[lo:hi],
+        indices, indptr,
+        clusters._replace(edge_values=clusters.edge_values[lo:hi]),
+        temperatures, (ctypes.c_void_p * (hi - lo))(*generators[lo:hi]))
+        for space, lo, hi in zip([workspace, *spaces], bounds, bounds[1:])]
+    if not _HELPERS:
+        from concurrent.futures import ThreadPoolExecutor
+        _HELPERS.setdefault("pool", ThreadPoolExecutor(_usable_cpus() - 1))
+    rest = [_HELPERS["pool"].submit(function, *args) for args, _ in calls[1:]]
+    try:
+        function(*calls[0][0])
+    finally:
+        for future in rest:
+            future.result()
+    return SweepWork(*sum(work for _, work in calls).tolist())
 
 
 def _cext_dense_call(function, num_blocks: int, spins, fields, matrices,
@@ -452,20 +512,18 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     ``temperatures`` every block runs one sweep over all classes, then
     offers every cluster a collective flip, drawing from its own generator
     of *rngs* in exactly the reference loops' (replica-major) order — so
-    the pack is bit-for-bit the per-block serial anneals with the call
-    marshalling paid once.  Returns the dispatch's :class:`SweepWork`
-    counts, as the cext branch of all four entry points does.
-    A caller making repeated calls over one structure (same structure
-    arrays, new values) passes the same *workspace* dict each time and the
-    cext branch keeps its argument block there (see
-    :func:`_cext_colour_call`).
+    the pack is bit-for-bit the per-block serial anneals (cext: one call
+    per core, :func:`_sharded_colour_call`).  Returns the dispatch's
+    :class:`SweepWork` counts, as the cext branch of all four entry points
+    does.  A caller making repeated calls over one structure (same
+    structure arrays, new values) passes the same *workspace* dict each
+    time and the cext branch keeps its argument blocks there.
     """
     if backend == "cext":
-        return _cext_colour_call(
-            _load_cext().pack_fused_colour_cluster_sweep, workspace,
-            len(rngs), 1, spins, linear, members, class_starts, class_data,
-            indices, indptr, clusters, temperatures,
-            _generator_pointers(workspace, rngs))
+        return _sharded_colour_call(
+            _load_cext().pack_fused_colour_cluster_sweep, workspace, spins,
+            linear, members, class_starts, class_data, indices, indptr,
+            clusters, temperatures, _generator_pointers(workspace, rngs))
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -779,11 +837,12 @@ def counter_pack_fused_colour_cluster_sweep(
     if backend == "cext":
         _note_openmp_team(threads)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-        return _cext_colour_call(
-            _load_cext().counter_pack_fused_colour_cluster_sweep, workspace,
-            num_blocks, threads, spins, linear, members, class_starts,
-            class_data, indices, indptr, clusters, temperatures,
-            _ptr(keys_array), threads)
+        args, work = _cext_colour_arguments(
+            workspace, num_blocks, threads, spins, linear, members,
+            class_starts, class_data, indices, indptr, clusters,
+            temperatures, _ptr(keys_array), threads)
+        _load_cext().counter_pack_fused_colour_cluster_sweep(*args)
+        return SweepWork(*work.tolist())
     raise AnnealerError(
         f"no counter pack colour+cluster kernel for backend {backend!r}")
 
@@ -793,8 +852,8 @@ def counter_pack_fused_colour_cluster_sweep(
 # --------------------------------------------------------------------------- #
 
 #: Replicas per lane vector of the C colour kernels (``LANE_WIDTH`` there);
-#: :func:`_cext_colour_call` pads lane groups to a multiple of it.  4 doubles
-#: are two SSE2 or one AVX2 register; 2 and 8 measured 10-28% slower.
+#: lane groups are padded to a multiple of it.  4 doubles are two SSE2 or
+#: one AVX2 register; 2 and 8 measured 10-28% slower.
 _LANE_WIDTH = 4
 
 _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""

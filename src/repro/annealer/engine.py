@@ -255,16 +255,16 @@ class BlockDiagonalSampler:
         timings stay clean.
     rng:
         Draw discipline: ``"sequential"`` (default) consumes each block's
-        generator in the reference loops' order — bit-reproducible, but
-        inherently serial per block; ``"counter"`` derives every uniform
-        from a Philox counter addressed by ``(site, sweep, replica,
-        move_tag)`` under a per-block key drawn once per anneal from the
-        block's generator (see :mod:`repro.annealer.counter`) —
-        reproducible under its own discipline, identical across backends
-        *and* thread counts, and the contract that legalises ``threads``.
+        generator in the reference loops' order — bit-reproducible, serial
+        within a block (a cext pack's blocks shard across cores, bit for
+        bit); ``"counter"`` derives every uniform from a Philox counter
+        addressed by ``(site, sweep, replica, move_tag)`` under a per-block
+        key drawn once per anneal from the block's generator (see
+        :mod:`repro.annealer.counter`) — reproducible under its own
+        discipline, identical across backends *and* thread counts.
     threads:
-        Worker threads for the compiled counter kernels (OpenMP in the
-        cext); requires ``rng="counter"`` when > 1.
+        The counter discipline's replica-level knob: threads for its
+        compiled kernels (OpenMP in the cext); > 1 needs ``rng="counter"``.
         The numpy backend ignores it (reference loops are vectorised over
         replicas already).  The thread count never changes results.
 
@@ -293,8 +293,8 @@ class BlockDiagonalSampler:
         if self.threads > 1 and self.rng_mode != "counter":
             raise AnnealerError(
                 "threads > 1 requires rng='counter': the sequential "
-                "discipline consumes one generator per block in a defined "
-                "order, which no parallel schedule can reproduce")
+                "discipline is serial within a block; a cext pack shards its "
+                "blocks across cores by itself")
         # Unknown names and an unavailable explicit backend fail loudly
         # here, and the one-time compile cost is paid at construction
         # instead of inside the first timed anneal.

@@ -78,7 +78,7 @@ from repro.cran.tracing import (
     EVENT_WORKER_RESTART,
     TraceRecorder,
 )
-from repro.annealer.backends import openmp_teams_run
+from repro.annealer.backends import _usable_cpus, openmp_teams_run
 from repro.obs.profiling import PROFILER
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError, WorkerPoolError
@@ -102,8 +102,8 @@ def _batch_decode_hints(batch: DecodeBatch,
     The scheduler queues each draw discipline separately, so the first job
     speaks for all.  The thread count is the largest per-job hint, falling
     back to the worker's budget when no job carries one — and clamped to 1
-    under the sequential discipline, whose draw order no parallel schedule
-    can reproduce.
+    under the sequential discipline, serial within a block: its packs shard
+    their blocks across cores by themselves.
     """
     rng_mode = batch.jobs[0].rng_mode
     hints = [int(job.threads) for job in batch.jobs
@@ -190,13 +190,14 @@ def _process_worker_init(
 
     The pool's per-worker kernel-thread budget rides along: it is exported
     as the ``OMP_NUM_THREADS`` cap *before* the decoder is built (so the
-    lazily loaded OpenMP runtime honours it) — the
-    oversubscription guard that stops ``num_workers`` processes × per-pack
-    OpenMP teams from thrashing the machine.
+    lazily loaded OpenMP runtime honours it) and caps the CPUs a sequential
+    pack's blocks shard over — the oversubscription guard that stops
+    ``num_workers`` processes × per-pack teams from thrashing the machine.
     """
     global _WORKER_DECODER, _WORKER_FAULTS, _WORKER_THREADS
     kind, value, faults, threads = payload
     _WORKER_THREADS = max(1, int(threads))
+    _usable_cpus(cap=_WORKER_THREADS)
     os.environ["OMP_NUM_THREADS"] = str(_WORKER_THREADS)
     _WORKER_DECODER = value() if kind == "factory" else value
     _WORKER_FAULTS = faults
@@ -696,8 +697,8 @@ class WorkerPool:
         clamped to 1).  Default ``None`` derives it: process pools get
         ``max(1, cpu_count // num_workers)`` so ``num_workers`` OpenMP
         teams never oversubscribe the machine, every other mode gets 1.
-        Process workers additionally export the budget as the
-        ``OMP_NUM_THREADS`` cap at initializer time.
+        Process workers also take it as the ``OMP_NUM_THREADS`` cap and
+        as the cap on the CPUs a sequential pack's blocks shard over.
     """
 
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,

@@ -126,7 +126,7 @@ class QuAMaxDecoder(Detector):
         if threads > 1 and rng != "counter":
             raise DetectionError(
                 "threads > 1 requires rng='counter' (the sequential draw "
-                "discipline is inherently serial per block)")
+                "discipline is serial within a block, parallel across blocks)")
         self.annealer = annealer or QuantumAnnealerSimulator()
         self.parameters = parameters or AnnealerParameters()
         self.kernel = kernel
@@ -213,7 +213,7 @@ class QuAMaxDecoder(Detector):
         if threads > 1 and rng_mode != "counter":
             raise DetectionError(
                 "threads > 1 requires rng='counter' (the sequential draw "
-                "discipline is inherently serial per block)")
+                "discipline is serial within a block, parallel across blocks)")
         if random_states is not None:
             if len(random_states) != len(channel_uses):
                 raise DetectionError(

@@ -21,6 +21,9 @@ pieces:
   generator's published ``bitgen_t`` — equals the ``rng.integers`` loop for
   every BitGenerator, and leaves every generator where that loop leaves it
   (buffered half-word included);
+* a **sharded sequential pack** — its blocks split into one range per
+  usable CPU, swept side by side — equals the one call in spins, generator
+  states and work, and stays one call when blocks share a bit generator;
 * the **pack energy operator** — ``csr_pack_matvecs``, every problem's
   ``A_b @ S_b.T`` in one call — equals scipy's CSR product as bytes, layout
   included, on every structure the serving path aggregates over;
@@ -31,6 +34,7 @@ pieces:
 import ctypes
 import itertools
 import math
+import os
 import subprocess
 from types import SimpleNamespace
 
@@ -43,7 +47,7 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.annealer import counter
 from repro.annealer.counter import block_key
 from repro.annealer.embedded import embed_ising
-from repro.annealer.engine import IsingSampler
+from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.exceptions import AnnealerError
 from repro.ising.model import symmetric_csr_template
@@ -416,6 +420,100 @@ class TestSequentialInitialSpins:
             np.testing.assert_array_equal(direct, handed)
             np.testing.assert_equal(rng.bit_generator.state,
                                     reference_rng.bit_generator.state)
+
+
+def embedded_pack(blocks, with_clusters):
+    """*blocks* 6-user BPSK problems on one clique embedding: one structure,
+    block-level chains as the clusters (or none)."""
+    problems = [embedded_bpsk(num_users=6, seed=seed)
+                for seed in range(blocks)]
+    return BlockDiagonalSampler(
+        [ising for ising, _ in problems],
+        clusters=problems[0][1] if with_clusters else None, backend="cext")
+
+
+class TestShardedPack:
+    """A sequential colour pack's blocks shard across usable CPUs: contiguous
+    ranges, one ordinary kernel call each, the first on the calling thread
+    and the rest on helper threads.  Block *b* draws only from generator
+    *b*, so the ranges together are the one call — spins, generator states
+    and :class:`SweepWork` — unless two blocks share a bit generator."""
+
+    @staticmethod
+    def anneal(monkeypatch, cpus, sampler, random_states):
+        """Anneal with *cpus* usable; returns ``(spins, work, ranges)``,
+        the block count of every kernel call made."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        ranges = []
+        original = backends._cext_colour_arguments
+        monkeypatch.setattr(
+            backends, "_cext_colour_arguments",
+            lambda workspace, blocks, *rest: ranges.append(blocks)
+            or original(workspace, blocks, *rest))
+        spins = sampler.anneal(TEMPERATURES, REPLICAS, random_states)
+        monkeypatch.setattr(backends, "_cext_colour_arguments", original)
+        return spins, sampler.last_sweep_work, ranges
+
+    @pytest.mark.parametrize("with_clusters", [True, False])
+    @pytest.mark.parametrize("blocks", [2, 3, 16, 17])
+    def test_ranges_are_the_one_call(self, monkeypatch, blocks,
+                                     with_clusters):
+        sampler = embedded_pack(blocks, with_clusters)
+        reference_rngs = [np.random.default_rng(b) for b in range(blocks)]
+        expected, expected_work, ranges = self.anneal(
+            monkeypatch, 1, sampler, reference_rngs)
+        assert ranges == [blocks]
+        for cpus in (2, 3, 64):  # 64: one block per range
+            rngs = [np.random.default_rng(b) for b in range(blocks)]
+            spins, work, ranges = self.anneal(monkeypatch, cpus, sampler,
+                                              rngs)
+            assert len(ranges) == min(blocks, cpus)
+            assert sum(ranges) == blocks and max(ranges) - min(ranges) <= 1
+            assert spins.tobytes() == expected.tobytes()
+            assert work == expected_work
+            for rng, reference in zip(rngs, reference_rngs):
+                assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("form", ["same generator",
+                                      "one bit generator under two"])
+    def test_a_shared_generator_keeps_the_one_call(self, monkeypatch, form):
+        """Blocks 1 and 2 drawing from one bit generator must stay in block
+        order on one thread: the pack is not sharded, and gives the bits of
+        the one call."""
+        sampler = embedded_pack(4, with_clusters=True)
+
+        def states():
+            shared = np.random.default_rng(5)
+            twin = (shared if form == "same generator"
+                    else np.random.Generator(shared.bit_generator))
+            return [np.random.default_rng(4), shared, twin,
+                    np.random.default_rng(6)]
+
+        expected, expected_work, _ = self.anneal(monkeypatch, 1, sampler,
+                                                 states())
+        spins, work, ranges = self.anneal(monkeypatch, 4, sampler, states())
+        assert ranges == [4]
+        assert spins.tobytes() == expected.tobytes()
+        assert work == expected_work
+
+    def test_one_usable_cpu_is_the_one_call(self, monkeypatch):
+        """On one CPU nothing is split and no helper is asked for work."""
+        monkeypatch.setattr(backends, "_HELPERS", {"pool": None})
+        sampler = embedded_pack(16, with_clusters=True)
+        _, _, ranges = self.anneal(
+            monkeypatch, 1, sampler, [np.random.default_rng(b)
+                                      for b in range(16)])
+        assert ranges == [16]
+
+    def test_usable_cpus_read_once_and_capped(self, monkeypatch):
+        monkeypatch.setattr(backends, "_USABLE_CPUS", None)
+        cpus = backends._usable_cpus()
+        assert cpus == (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count())
+        assert backends._usable_cpus(cap=cpus + 1) == cpus
+        assert backends._usable_cpus(cap=0) == 1
+        assert backends._usable_cpus() == 1
 
 
 class TestCsrPackMatvecs:

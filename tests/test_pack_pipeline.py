@@ -19,7 +19,9 @@ kernel for exactly the work it asked for before, and reads the samples out
 ``np.unique``, bit-array validation or validating result constructor.
 """
 
+import multiprocessing
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -41,6 +43,9 @@ from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.annealer.unembed import unembed_pack, unembed_samples
+from repro.cran.jobs import DecodeJob
+from repro.cran.scheduler import DecodeBatch
+from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import aggregate_pack, aggregate_samples
@@ -792,6 +797,70 @@ needs_cext = pytest.mark.skipif(not backends.cext_available(),
                                 reason="no C compiler for the cext backend")
 
 
+def qpsk_jobs(count, seed=40):
+    link = MimoUplink(num_users=3, constellation="QPSK")
+    rng = np.random.default_rng(seed)
+    return [DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
+                      channel_use=link.transmit(snr_db=15.0,
+                                                random_state=rng),
+                      arrival_time_us=10.0 * i, deadline_us=1e9, seed=300 + i)
+            for i in range(count)]
+
+
+def serve_in_packs_of_16(jobs, **pool_options):
+    """Every job's detected bits, in job order, served by a fresh pool."""
+    decoder = QuAMaxDecoder(ideal_machine(),
+                            AnnealerParameters(num_anneals=20))
+    with WorkerPool(decoder, **pool_options) as pool:
+        for start in range(0, len(jobs), 16):
+            pool.submit(DecodeBatch(jobs=tuple(jobs[start:start + 16]),
+                                    flush_time_us=10.0 * start + 160.0,
+                                    reason="full"))
+    return [result.result.detection.bits for result in
+            sorted(pool.results(), key=lambda result: result.job.job_id)]
+
+
+@needs_cext
+class TestShardedServing:
+    """Sharded sequential packs (two usable CPUs, whatever the host) under
+    the pool modes that run them: bits equal to inline serving."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the platform's default start method is not fork")
+    def test_forked_worker_after_a_sharded_pack(self, monkeypatch):
+        """The parent sweeps sharded packs — its helper thread is alive —
+        then forks a one-worker process pool that shards too.  The child
+        inherits the helper pool's queue but not its thread; it must start
+        its own instead of waiting forever on work no thread will take."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        # Only counter kernels enter OpenMP; keep the pool on fork even if
+        # an earlier test ran an OpenMP team in this process.
+        monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
+        jobs = qpsk_jobs(32)
+        expected = serve_in_packs_of_16(jobs)
+        assert backends._HELPERS  # the helper pool is running here
+        served = []
+        serving = threading.Thread(daemon=True, target=lambda: served.append(
+            serve_in_packs_of_16(jobs, num_workers=1, mode="process",
+                                 threads=2)))
+        serving.start()
+        serving.join(timeout=120)
+        assert served, "the forked pool did not finish: its worker hung"
+        for got, want in zip(served[0], expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_thread_pool_equals_inline(self, monkeypatch):
+        """Two worker threads each sharding their 16-job packs over the one
+        helper pool."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        jobs = qpsk_jobs(64)
+        expected = serve_in_packs_of_16(jobs)
+        served = serve_in_packs_of_16(jobs, num_workers=2, mode="thread")
+        for got, want in zip(served, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestWarmPackWork:
     """What a warm pack costs, counted rather than timed."""
 
@@ -843,7 +912,9 @@ class TestWarmPackWork:
         assert embedded.ising.num_variables == embedded.num_physical
 
     @needs_cext
-    def test_few_pointers_marshalled_per_kernel_call(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_few_pointers_marshalled_per_kernel_call(self, monkeypatch, cpus):
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)
@@ -863,9 +934,12 @@ class TestWarmPackWork:
         machine.run_batch(problems, parameters, random_state=2,
                           backend="cext")
         assert len(anneals) == 2
-        # Per anneal: fields, class values and cluster-edge values — what a
-        # rebind moves.
-        assert pointers[:-4] == [(16 * 18,), (16, 54), (16, 12)] * len(anneals)
+        # Per anneal and range of blocks (all 16 in one call on one CPU, two
+        # ranges of 8 on two): fields, class values and cluster-edge values
+        # — what a rebind moves.
+        blocks = 16 // cpus
+        assert pointers[:-4] == ([(blocks * 18,), (blocks, 54), (blocks, 12)]
+                                 * cpus * len(anneals))
         # Per pack, once, the energy call: operator values, distinct reads,
         # their bounds, the products and as much kernel scratch (the
         # structure's two addresses are kept with the cached template).
@@ -955,10 +1029,14 @@ class TestWarmPackWork:
             assert got.detection.metric == want.detection.metric
 
     @needs_cext
-    def test_generator_pointers_marshalled_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_generator_pointers_marshalled_once_per_run(self, monkeypatch,
+                                                        cpus):
         """The ICE batches of one run draw from the same generators: their
         ``(next_double, state)`` pointer arrays are built once per
-        ``run_batch``, not once per kernel call."""
+        ``run_batch``, not once per kernel call — nor once per range of a
+        sharded call, which copies its slice of the one array's pointers."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)
