@@ -7,14 +7,9 @@ its own perf trajectory:
 * ``sa_solver`` — the classical simulated-annealing baseline: the scalar
   per-spin reference loop (:meth:`SimulatedAnnealingSolver.sample_reference`)
   versus the replica-batched vectorised engine (:meth:`~.sample`);
-* ``dense_kernel`` — one replica-batched anneal of a dense (logical) Ising
-  problem: the colour-class kernel, degenerated to singleton classes, versus
-  the dense sequential-sweep kernel with incrementally maintained local
-  fields (``kernel="dense"``, what ``kernel="auto"`` dispatches to here);
-  both sides pinned to the numpy backend so the pair isolates the *kernel*
-  choice;
-* ``compiled_backend`` — the same dense sequential sweep: the numpy
-  reference loop versus the compiled backend (``backend="auto"`` → the C
+* ``compiled_backend`` — one replica-batched anneal of a dense (logical)
+  Ising problem, whose colouring is all singletons: the numpy reference
+  loop versus the compiled backend (``backend="auto"`` → the C
   extension), the "escape the interpreter" pair; skipped gracefully
   (recorded with ``compiled_available: false``) when no C compiler is
   present;
@@ -158,41 +153,9 @@ def bench_sa_solver(num_variables: int, num_reads: int, num_sweeps: int,
     }
 
 
-def bench_dense_kernel(num_variables: int, num_replicas: int,
-                       num_sweeps: int, seed: int = 0) -> dict:
-    """Colour-class kernel vs. dense sequential-sweep kernel, dense problem.
-
-    Both sides run the numpy backend: this pair isolates the *kernel*
-    choice; ``compiled_backend`` below isolates the *backend* choice.
-    """
-    from repro.annealer.engine import IsingSampler
-    from repro.ising.solver import geometric_temperature_schedule
-
-    ising = _dense_ising(num_variables, seed)
-    temperatures = geometric_temperature_schedule(num_sweeps, 5.0, 0.05)
-    colour = IsingSampler(ising, kernel="colour", backend="numpy")
-    dense = IsingSampler(ising, kernel="dense", backend="numpy")
-    # Warm both kernels so one-time NumPy/scipy dispatch setup is excluded.
-    colour.anneal(temperatures[:2], 2, random_state=seed)
-    dense.anneal(temperatures[:2], 2, random_state=seed)
-    before_s, colour_spins = _timed(colour.anneal, temperatures, num_replicas,
-                                    seed + 1)
-    after_s, dense_spins = _timed(dense.anneal, temperatures, num_replicas,
-                                  seed + 1)
-    return {
-        "params": {"num_variables": num_variables,
-                   "num_replicas": num_replicas, "num_sweeps": num_sweeps},
-        "before_s": before_s,
-        "after_s": after_s,
-        "speedup": before_s / after_s,
-        "auto_dispatches_dense": IsingSampler(ising).selected_kernel == "dense",
-        "samples_identical": bool(np.array_equal(colour_spins, dense_spins)),
-    }
-
-
 def bench_compiled_backend(num_variables: int, num_replicas: int,
                            num_sweeps: int, seed: int = 0) -> dict:
-    """Numpy dense sequential sweep vs. the compiled backend.
+    """Numpy reference sweep vs. the compiled backend, dense problem.
 
     The acceptance pair of the backend layer: the same dense logical anneal
     (identical seeded samples) with the inner loop in the interpreter versus
@@ -213,7 +176,7 @@ def bench_compiled_backend(num_variables: int, num_replicas: int,
         "compiled_backend": resolved if resolved != "numpy" else None,
         "compiled_available": resolved != "numpy",
     }
-    python_sampler = IsingSampler(ising, kernel="dense", backend="numpy")
+    python_sampler = IsingSampler(ising, backend="numpy")
     # Warm numpy dispatch setup out of the timed region.
     python_sampler.anneal(temperatures[:2], 2, random_state=seed)
     before_s, python_spins = _timed(python_sampler.anneal, temperatures,
@@ -224,7 +187,7 @@ def bench_compiled_backend(num_variables: int, num_replicas: int,
         entry["speedup"] = None
         entry["samples_identical"] = None
         return entry
-    compiled_sampler = IsingSampler(ising, kernel="dense", backend=resolved)
+    compiled_sampler = IsingSampler(ising, backend=resolved)
     # Construction already loaded the C artefact; one tiny anneal also
     # warms the per-call glue.
     compiled_sampler.anneal(temperatures[:2], 2, random_state=seed)
@@ -245,9 +208,8 @@ def bench_cluster_sweep_compiled(num_variables: int, chain_length: int,
     The acceptance pair of the cluster backend layer: the same embedded
     128-variable path-chain anneal (ferromagnetic chains plus sparse cross
     couplings), with the single-spin+cluster sweeps running in the numpy
-    reference loops versus the fused compiled kernels (``kernel="auto"``
-    dispatches the colour kernel on this sparse problem, so the compiled
-    side runs ``pack_fused_colour_cluster_sweep``).  Seeded samples must be
+    reference loops versus the fused compiled kernel
+    (``pack_fused_colour_cluster_sweep``).  Seeded samples must be
     bit-identical.
     Skipped gracefully (``compiled_available: false``) when no C compiler
     is present.
@@ -265,7 +227,6 @@ def bench_cluster_sweep_compiled(num_variables: int, chain_length: int,
                    "chain_length": chain_length,
                    "num_replicas": num_replicas, "num_sweeps": num_sweeps,
                    "num_clusters": len(clusters)},
-        "kernel": reference.selected_kernel,
         "cext_available": backends.cext_available(),
         "compiled_backend": resolved if resolved != "numpy" else None,
         "compiled_available": resolved != "numpy",
@@ -324,7 +285,7 @@ def bench_replica_parallel(num_variables: int, num_replicas: int,
         "compiled_backend": resolved if resolved != "numpy" else None,
         "compiled_available": resolved != "numpy",
     }
-    sequential = IsingSampler(ising, kernel="dense", backend=resolved)
+    sequential = IsingSampler(ising, backend=resolved)
     sequential.anneal(temperatures[:2], 2, random_state=seed)
     before_s, _ = _timed(sequential.anneal, temperatures, num_replicas,
                          seed + 1)
@@ -339,8 +300,8 @@ def bench_replica_parallel(num_variables: int, num_replicas: int,
     times = {}
     identical = True
     for threads in thread_counts:
-        sampler = IsingSampler(ising, kernel="dense", backend=resolved,
-                               rng="counter", threads=threads)
+        sampler = IsingSampler(ising, backend=resolved, rng="counter",
+                               threads=threads)
         sampler.anneal(temperatures[:2], 2, random_state=seed)
         time_s, spins = _timed(sampler.anneal, temperatures, num_replicas,
                                seed + 1)
@@ -515,9 +476,6 @@ def run_suite(scale: str = "quick") -> dict:
         "benchmarks": {
             "sa_solver": bench_sa_solver(
                 knobs["sa_variables"], knobs["sa_reads"], knobs["sa_sweeps"]),
-            "dense_kernel": bench_dense_kernel(
-                knobs["dense_variables"], knobs["dense_replicas"],
-                knobs["dense_sweeps"]),
             "compiled_backend": bench_compiled_backend(
                 knobs["dense_variables"], knobs["dense_replicas"],
                 knobs["dense_sweeps"]),

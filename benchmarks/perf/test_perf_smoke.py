@@ -36,7 +36,7 @@ class TestPerfSmoke:
     def test_report_written(self, quick_report, output_dir):
         recorded = json.loads((output_dir / "BENCH_core.json").read_text())
         assert set(recorded["benchmarks"]) == {
-            "sa_solver", "dense_kernel", "compiled_backend",
+            "sa_solver", "compiled_backend",
             "cluster_sweep_compiled", "replica_parallel", "annealer_engine",
             "frame_decode", "chunked_frame"}
 
@@ -44,15 +44,6 @@ class TestPerfSmoke:
         entry = quick_report["benchmarks"]["sa_solver"]
         # ~16x at quick scale, >100x at full scale; 3x is the loud-failure bar.
         assert entry["speedup"] >= 3.0
-
-    def test_dense_kernel_beats_colour_classes(self, quick_report):
-        entry = quick_report["benchmarks"]["dense_kernel"]
-        # ~1.5-2x measured on dense logical problems; the smoke bar only
-        # requires the dense kernel not to LOSE to the colour path, plus the
-        # contracts that make it safe to dispatch automatically.
-        assert entry["auto_dispatches_dense"]
-        assert entry["samples_identical"]
-        assert entry["speedup"] >= 1.05
 
     def test_chunked_frame_early_exit_saves_work(self, quick_report):
         entry = quick_report["benchmarks"]["chunked_frame"]
@@ -105,7 +96,6 @@ class TestPerfSmoke:
         # path-chain workload, the full-scale acceptance bar is 3x — 1.5x
         # is the loud-failure bar for tiny sizes on noisy runners.
         assert entry["samples_identical"]
-        assert entry["kernel"] == "colour"
         assert entry["speedup"] >= 1.5
 
     def test_replica_parallel_identical_and_scales(self, quick_report):

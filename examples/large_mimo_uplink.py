@@ -13,21 +13,13 @@ of access-point antennas.  For each system size the script reports
   wall-clock per channel use of the batched decode path (all channel uses of
   one size are packed into shared QA runs, Section 5.5).
 
-Two performance knobs of the decode stack are demonstrated at the end:
-
-* ``kernel=`` on :class:`~repro.annealer.engine.IsingSampler` /
-  :class:`~repro.annealer.engine.BlockDiagonalSampler` selects the Metropolis
-  sweep kernel.  The default ``"auto"`` picks the dense sequential-sweep
-  kernel whenever the problem's colour classes degenerate to singletons
-  (every dense logical problem the QuAMax reduction emits), and the sparse
-  colour-class kernel otherwise (every Chimera-embedded problem); forcing
-  ``kernel="dense"`` / ``kernel="colour"`` overrides the dispatch.
-* ``chunk_size=`` on
-  :meth:`~repro.decoder.pipeline.OFDMDecodingPipeline.decode_frame` with
-  ``batched=True`` decodes the frame's subcarriers in chunks of that size
-  through the packed QA path, stopping at the first chunk boundary after the
-  frame completes — the serial path's early-exit savings at batched
-  throughput, bit-identical to the serial decode for the same seed.
+One performance knob of the decode stack is demonstrated at the end:
+``chunk_size=`` on
+:meth:`~repro.decoder.pipeline.OFDMDecodingPipeline.decode_frame` with
+``batched=True`` decodes the frame's subcarriers in chunks of that size
+through the packed QA path, stopping at the first chunk boundary after the
+frame completes — the serial path's early-exit savings at batched
+throughput, bit-identical to the serial decode for the same seed.
 
 Run with::
 
@@ -43,14 +35,11 @@ import time
 import numpy as np
 
 from repro import MimoUplink, QuAMaxDecoder, SphereDecoder, ZeroForcingDetector
-from repro.annealer.engine import IsingSampler
 from repro.annealer.machine import AnnealerParameters
 from repro.annealer.schedule import AnnealSchedule
 from repro.decoder.pipeline import OFDMDecodingPipeline
 from repro.detectors.timing import sphere_decoder_time_us, zero_forcing_time_us
-from repro.ising.solver import geometric_temperature_schedule
 from repro.metrics import bit_error_rate
-from repro.transform.reduction import MLToIsingReducer
 
 
 def evaluate_size(num_users: int, modulation: str, snr_db: float,
@@ -103,27 +92,6 @@ def evaluate_size(num_users: int, modulation: str, snr_db: float,
         "quamax_time_us": qa_time / num_channel_uses,
         "quamax_wall_ms": qa_wall_ms,
     }
-
-
-def demonstrate_kernel_knob(num_users: int, modulation: str, snr_db: float,
-                            seed: int) -> None:
-    """Time the two sweep kernels on one dense logical problem."""
-    link = MimoUplink(num_users=num_users, constellation=modulation)
-    channel_use = link.transmit(snr_db=snr_db, random_state=seed)
-    ising = MLToIsingReducer().reduce(channel_use).ising
-    temperatures = geometric_temperature_schedule(200, 5.0, 0.05)
-
-    print(f"\nsampler kernel= knob on the {ising.num_variables}-variable "
-          f"logical problem (auto selects "
-          f"{IsingSampler(ising).selected_kernel!r}):")
-    for kernel in ("colour", "dense"):
-        sampler = IsingSampler(ising, kernel=kernel)
-        sampler.anneal(temperatures[:2], 2, random_state=seed)  # warm-up
-        start = time.perf_counter()
-        sampler.anneal(temperatures, 100, random_state=seed)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        print(f"  kernel={kernel!r}: 100 reads x 200 sweeps in "
-              f"{elapsed_ms:7.1f} ms")
 
 
 def demonstrate_chunk_size_knob(num_users: int, modulation: str,
@@ -182,8 +150,6 @@ def main() -> None:
               f"{row['zf_time_us']:>7.2f}  {row['quamax_ber']:>10.4f}  "
               f"{row['quamax_time_us']:>9.2f}  {row['quamax_wall_ms']:>11.1f}")
 
-    demonstrate_kernel_knob(args.users[0], args.modulation, args.snr_db,
-                            args.seed)
     demonstrate_chunk_size_knob(args.users[0], args.modulation, args.snr_db,
                                 args.frame_bytes, args.chunk_size,
                                 num_subcarriers=8, seed=args.seed)

@@ -1,12 +1,11 @@
 """Compiled sweep-kernel backends for the Metropolis engine.
 
-The engine's two sweep kernels (dense sequential and colour-class, see
-:mod:`repro.annealer.engine`) are exact single-spin-flip Metropolis dynamics
-whose *hot loop* is a Python ``for`` over variables (dense) or classes
-(colour); embedded (chain-coupled) problems additionally interleave a
-cluster-flip sweep — a collective chain-reorientation move — after every
-single-spin sweep.  This module provides drop-in compiled implementations of
-those inner loops behind a ``backend=`` seam:
+The engine's sweep kernel (colour-class, see :mod:`repro.annealer.engine`)
+is exact single-spin-flip Metropolis dynamics whose *hot loop* is a Python
+``for`` over colour classes; embedded (chain-coupled) problems additionally
+interleave a cluster-flip sweep — a collective chain-reorientation move —
+after every single-spin sweep.  This module provides drop-in compiled
+implementations of those inner loops behind a ``backend=`` seam:
 
 * ``"numpy"`` — the pure NumPy/Python reference loops in ``engine.py``
   (always available; the behavioural definition of the dynamics);
@@ -17,16 +16,13 @@ those inner loops behind a ``backend=`` seam:
   exact draw stream of the reference loops;
 * ``"auto"`` — ``cext`` when a working C compiler is found, else ``numpy``.
 
-One entry point per (kernel, rng)
----------------------------------
+One entry point per draw discipline
+-----------------------------------
 
-The compiled boundary is four functions, one per {dense, colour} x
-{sequential, counter}:
+The compiled boundary is two functions, one per draw discipline:
 
-* dense, sequential — :func:`pack_fused_dense_cluster_sweep`;
-* colour, sequential — :func:`pack_fused_colour_cluster_sweep`;
-* dense, counter — :func:`counter_pack_fused_dense_cluster_sweep`;
-* colour, counter — :func:`counter_pack_fused_colour_cluster_sweep`.
+* sequential — :func:`pack_fused_colour_cluster_sweep`;
+* counter — :func:`counter_pack_fused_colour_cluster_sweep`.
 
 Each takes a whole *pack* (the combined ``(R, blocks*P)`` spin matrix of a
 :class:`~repro.annealer.engine.BlockDiagonalSampler`) through the whole
@@ -39,9 +35,10 @@ and draws nothing, so the per-block draw stream is exactly the plain
 single-spin stream.  Cluster moves travel across the boundary as that
 flattened descriptor — member/column/internal-edge CSR-style structure
 arrays shared by the blocks plus stacked per-block values — built once per
-anneal by the engine.  The same four symbols are what ``_C_SOURCE`` exports
-(bound through :func:`_cext_signatures`).  Beside them the artefact exports the one linear-algebra primitive a pack's read-out
-needs, :func:`csr_pack_matvecs` (scipy's CSR product, exactly), so a process
+anneal by the engine.  The same two symbols are what ``_C_SOURCE`` exports
+(bound through :func:`_cext_signatures`).  Beside them the artefact exports
+the one linear-algebra primitive a pack's read-out needs,
+:func:`csr_pack_matvecs` (scipy's CSR product, exactly), so a process
 serving on cext never imports scipy; the numpy reference loops, and the
 read-out without a compiler, import it where they build its operators.
 
@@ -58,14 +55,11 @@ NumPy loops is a one-ulp difference between the vectorised ``np.exp`` and the
 scalar libm ``exp`` flipping an acceptance whose uniform draw lands inside
 that last-ulp window; the probability is ~1e-16 per uphill draw (~1e-10 over
 a full QA run), which is why the equivalence and golden suites — which compare
-seeded streams bit-for-bit across backends — hold in practice.  The dense
-kernels' incremental field update across cluster flips shares that window:
-the reference updates fields through a small BLAS matmul whose reduction
-order is unspecified, so a ~1-ulp field difference can shift a *later*
-acceptance threshold — tolerable because fields never gate the draw-free
-``delta <= 0`` branch at a structural zero.  The cluster flip-energy
-boundary, which does (an isolated chain's boundary is exactly zero), is
-instead accumulated in an explicitly defined member order on both sides.
+seeded streams bit-for-bit across backends — hold in practice.  Every local
+field is summed afresh in the same ascending-column order on both sides, and
+the cluster flip-energy boundary, whose sign matters at a structural zero
+(an isolated chain's boundary is exactly zero), is accumulated in an
+explicitly defined member order on both sides.
 Floating contraction is disabled in the C build (no FMA), so the remaining
 arithmetic matches the NumPy loops operation for operation.
 
@@ -75,7 +69,7 @@ The cext kernels are the optimised form
 The numpy loops are the oracle; the C kernels are their translation plus
 three *exact* shortcuts, all documented in ``_C_SOURCE``.  A squeeze test
 settles most uphill draws without ``exp`` (``metropolis_accept``).  The
-colour kernels sweep *lane-major*: per block the ``(R, P)`` spin rows are
+kernels sweep *lane-major*: per block the ``(R, P)`` spin rows are
 transposed into ``St[v][RP]`` (``RP`` = ``R`` padded to the vector width),
 and every move computes the fields of all replicas of a spin at once — each
 lane still the reference sum in the reference order — while only the
@@ -109,9 +103,9 @@ under a per-block key (see :mod:`repro.annealer.counter`) — which makes
 replica evaluation order irrelevant and replica-level parallelism legal.  The
 two ``counter_*`` entry points take one key per block where their sequential
 siblings take one generator per block, plus a ``threads=`` knob: the cext
-kernels run an OpenMP ``parallel for`` over (block, replica) pairs — the
-colour kernels over (block, lane group) pairs — (per-thread Philox state;
-compiled with ``-fopenmp`` when available, silently serial otherwise); their
+kernel runs an OpenMP ``parallel for`` over (block, lane group) pairs
+(per-thread Philox state; compiled with ``-fopenmp`` when available,
+silently serial otherwise); their
 numpy branches are the reference implementation of counter mode and ignore
 ``threads``.  Counter-mode trajectories are bit-identical across backends
 *and* across thread counts, which the counter equivalence/golden suites pin.
@@ -463,29 +457,6 @@ def _sharded_colour_call(function, workspace: Optional[dict], spins, linear,
     return SweepWork(*sum(work for _, work in calls).tolist())
 
 
-def _cext_dense_call(function, num_blocks: int, spins, fields, matrices,
-                     order, linear, clusters, temperatures,
-                     *draw_args) -> SweepWork:
-    """One cext dense-kernel call of either discipline (*draw_args*)."""
-    matrices = np.ascontiguousarray(matrices, dtype=np.float64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
-    temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-    work = np.empty(3, dtype=np.int64)
-    function(
-        *_row_strided(spins), *_row_strided(fields), _ptr(matrices),
-        _ptr(order), order.size, spins.shape[0], num_blocks,
-        spins.shape[1] // num_blocks, _ptr(linear),
-        _ptr(clusters.members), _ptr(clusters.cluster_starts),
-        clusters.cluster_starts.size - 1,
-        _ptr(clusters.data), _ptr(clusters.indices), _ptr(clusters.indptr),
-        clusters.data.shape[1],
-        _ptr(clusters.edge_i), _ptr(clusters.edge_j),
-        _ptr(clusters.edge_starts), _ptr(clusters.edge_values),
-        clusters.edge_values.shape[1],
-        _ptr(temperatures), temperatures.size, *draw_args, _ptr(work))
-    return SweepWork(*work.tolist())
-
-
 def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                                     linear: np.ndarray, members: np.ndarray,
                                     class_starts: np.ndarray,
@@ -514,7 +485,7 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     of *rngs* in exactly the reference loops' (replica-major) order — so
     the pack is bit-for-bit the per-block serial anneals (cext: one call
     per core, :func:`_sharded_colour_call`).  Returns the dispatch's
-    :class:`SweepWork` counts, as the cext branch of all four entry points
+    :class:`SweepWork` counts, as the cext branch of both entry points
     does.  A caller making repeated calls over one structure (same
     structure arrays, new values) passes the same *workspace* dict each
     time and the cext branch keeps its argument blocks there.
@@ -528,33 +499,6 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
         f"no pack colour+cluster kernel for backend {backend!r}")
 
 
-def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
-                                   fields: np.ndarray, matrices: np.ndarray,
-                                   order: np.ndarray, linear: np.ndarray,
-                                   clusters: ClusterDescriptor,
-                                   temperatures: np.ndarray,
-                                   rngs) -> SweepWork:
-    """Whole-schedule dense sequential (+ cluster-flip) sweeps over a pack.
-
-    The dense-kernel sibling of :func:`pack_fused_colour_cluster_sweep`:
-    ``matrices`` is the ``(blocks, P, P)`` C-contiguous stack of per-block
-    dense couplings, ``order`` the variable visit order and ``fields`` the
-    combined ``(R, blocks*P)`` local-field matrix, updated in place and
-    maintained incrementally across both move types (an accepted cluster
-    flip adds ``sum_m (-2 s_m) J[m, :]`` to the replica's field row, so the
-    matrix is never recomputed).  Rows of ``spins``/``fields`` may be
-    strided.  Per block the draw stream is exactly the reference loops'
-    (dense draws, then cluster draws, per sweep).
-    """
-    if backend == "cext":
-        return _cext_dense_call(
-            _load_cext().pack_fused_dense_cluster_sweep, len(rngs), spins,
-            fields, matrices, order, linear, clusters, temperatures,
-            _rng_pointer_arrays(rngs))
-    raise AnnealerError(
-        f"no pack dense+cluster kernel for backend {backend!r}")
-
-
 # --------------------------------------------------------------------------- #
 # Counter-mode (rng="counter") kernel entry points
 #
@@ -564,29 +508,6 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
 # parallel (threads=).  The numpy branches below are the reference
 # implementation of counter mode; all backends are bit-identical to them.
 # --------------------------------------------------------------------------- #
-
-def _counter_dense_pass_numpy(spins, fields, matrix, order, temperature,
-                              sweep, replicas, key) -> None:
-    """One counter-mode dense sweep (reference loop, one block)."""
-    from repro.annealer.counter import TAG_SWEEP, philox_uniform
-
-    for k in range(order.shape[0]):
-        v = order[k]
-        current = spins[:, v]
-        delta = -2.0 * current * fields[:, v]
-        accept = delta <= 0.0
-        uphill = ~accept
-        if uphill.any():
-            # delta > 0: acceptance probability exp(-delta / T); the draw
-            # is addressed by (visit position, sweep, replica), not by
-            # consumption order.
-            u = philox_uniform(k, sweep, replicas[uphill], TAG_SWEEP, key)
-            accept[uphill] = u < np.exp(-delta[uphill] / temperature)
-        if accept.any():
-            step = np.where(accept, -2.0 * current, 0.0)
-            spins[:, v] += step
-            fields += step[:, None] * matrix[v, :][None, :]
-
 
 def _counter_row_operators(starts, data, indices, indptr, size):
     """Per-segment ``(lo, hi, CSR operator)`` triples of stacked field rows —
@@ -624,8 +545,7 @@ def _counter_colour_pass_numpy(spins, linear, members, operators,
         if uphill.any():
             rr, mm = np.nonzero(uphill)
             # The draw site is the member's position in the concatenated
-            # class order — the same numbering the dense kernel uses for
-            # its visit order on degenerate colourings.
+            # class order.
             u = philox_uniform((lo + mm).astype(np.uint32), sweep,
                                replicas[rr], TAG_SWEEP, key)
             accept[uphill] = u < np.exp(-delta[uphill] / temperature)
@@ -634,14 +554,12 @@ def _counter_colour_pass_numpy(spins, linear, members, operators,
 
 
 def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
-                                operators, temperature, sweep, replicas, key,
-                                fields=None, matrix=None) -> None:
+                                operators, temperature, sweep, replicas,
+                                key) -> None:
     """One counter-mode cluster-flip sweep (reference loop, one block).
 
     *operators* are the per-cluster ``(begin, end, CSR)`` member-field
-    operators over this block's values; when *fields* is given, accepted
-    flips update the dense local-field matrix incrementally in the
-    compiled kernels' explicit ascending-member order.
+    operators over this block's values.
     """
     from repro.annealer.counter import TAG_CLUSTER, philox_uniform
 
@@ -668,15 +586,8 @@ def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
             u = philox_uniform(c, sweep, replicas[uphill], TAG_CLUSTER, key)
             accept[uphill] = u < np.exp(-delta[uphill] / temperature)
         accepted = np.nonzero(accept)[0]
-        if accepted.size == 0:
-            continue
-        if fields is not None:
-            update = np.zeros((accepted.size, spins.shape[1]))
-            for m in group:
-                update += ((-2.0 * spins[accepted, m])[:, None]
-                           * matrix[m, :][None, :])
-            fields[accepted] += update
-        spins[np.ix_(accepted, group)] *= -1.0
+        if accepted.size:
+            spins[np.ix_(accepted, group)] *= -1.0
 
 
 def sequential_initial_spins(backend: str, rngs, num_replicas: int,
@@ -748,54 +659,6 @@ def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
         _ptr(spins), _ptr(bounds), _ptr(out))
     return [out[size * lo:size * hi].reshape(size, hi - lo)
             for lo, hi in zip(edges, edges[1:])]
-
-
-def counter_pack_fused_dense_cluster_sweep(
-        backend: str, spins: np.ndarray, fields: np.ndarray,
-        matrices: np.ndarray, order: np.ndarray, linear: np.ndarray,
-        clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
-        threads: int = 1) -> Optional[SweepWork]:
-    """Counter-mode dense sequential (+ cluster-flip) sweeps over a pack.
-
-    The counter sibling of :func:`pack_fused_dense_cluster_sweep`: same
-    arrays and dynamics, but uphill uniforms come from Philox at ``(visit
-    position | cluster, sweep, replica, tag)`` under one key per block
-    instead of one generator per block, so replicas are independent and
-    the compiled backends may evolve them across *threads* workers (the
-    cext variant parallelises over every ``(block, replica)`` pair).  Every
-    backend and every thread count produces bit-identical trajectories.
-    """
-    threads = max(1, int(threads))
-    num_blocks = len(keys)
-    size = spins.shape[1] // num_blocks
-    if backend == "numpy":
-        replicas = np.arange(spins.shape[0], dtype=np.uint32)
-        for b, key in enumerate(keys):
-            segment = slice(b * size, (b + 1) * size)
-            bspins = spins[:, segment]
-            bfields = fields[:, segment]
-            blinear = linear[segment]
-            operators = _counter_row_operators(
-                clusters.cluster_starts, clusters.data[b], clusters.indices,
-                clusters.indptr, size)
-            for t in range(len(temperatures)):
-                _counter_dense_pass_numpy(bspins, bfields, matrices[b],
-                                          order, temperatures[t], t,
-                                          replicas, key)
-                _counter_cluster_pass_numpy(
-                    bspins, blinear, clusters, clusters.edge_values[b],
-                    operators, temperatures[t], t, replicas, key,
-                    fields=bfields, matrix=matrices[b])
-        return None
-    if backend == "cext":
-        _note_openmp_team(threads)
-        keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-        return _cext_dense_call(
-            _load_cext().counter_pack_fused_dense_cluster_sweep, num_blocks,
-            spins, fields, matrices, order, linear, clusters, temperatures,
-            _ptr(keys_array), threads)
-    raise AnnealerError(
-        f"no counter pack dense+cluster kernel for backend {backend!r}")
 
 
 def counter_pack_fused_colour_cluster_sweep(
@@ -1037,16 +900,6 @@ typedef struct {
     uint32_t sweep, replica, k0, k1;  /* counter: Philox address and key */
 } draw_source;
 
-/* The dense moves' draw, one replica's. */
-static inline double draw_at(const draw_source *draw, uint32_t site,
-                             uint32_t tag)
-{
-    if (!draw->addressed)
-        return draw->next_double(draw->state);
-    return philox_uniform(site, draw->sweep, draw->replica, tag, draw->k0,
-                          draw->k1);
-}
-
 /* The lane moves' draw: draw_prepare fills `uniforms` for the sites
    [begin, end) and the replicas first_replica + lane (see philox_span);
    draw_uniform is then the Generator's next, or that slot. */
@@ -1110,80 +963,6 @@ typedef struct {
     const int64_t *edge_i, *edge_j, *edge_starts;
     const double *edge_values;
 } cluster_set;
-
-/* ------------------------------------------------------------------------ *
- * Dense kernel moves.  srow/frow are one replica's spin and local-field
- * rows of a block; matrix is the dense size x size block coupling,
- * row-major contiguous.  Fields are maintained incrementally across both
- * move types.
- * ------------------------------------------------------------------------ */
-
-/* Visit k of the sequential dense sweep, one replica. */
-MOVE void dense_visit(double *srow, double *frow, const double *matrix,
-                      int64_t size, const int64_t *order, int64_t k,
-                      double temperature, double inv_temperature,
-                      const draw_source *draw, int64_t *work)
-{
-    const int64_t v = order[k];
-    const double current = srow[v];
-    const double delta = -2.0 * current * frow[v];
-    ++work[PROPOSALS];
-    /* delta > 0: acceptance probability exp(-delta / T), one uniform per
-       uphill (visit, replica). */
-    if (delta <= 0.0
-        || metropolis_accept(delta, temperature, inv_temperature,
-                             draw_at(draw, (uint32_t)k, 0u), work)) {
-        const double step = -2.0 * current;
-        const double *row = matrix + v * size;
-        srow[v] += step;
-        for (int64_t w = 0; w < size; ++w)
-            frow[w] += step * row[w];
-    }
-}
-
-/* Cluster c's collective flip offer, one replica.  cdata/cindices/cindptr
-   are the CSR arrays of the stacked member local-field rows (row k ->
-   coupling field of members[k]), summed in ascending member order — the
-   reference loop's defined order; an accepted flip adds sum_m (-2 s_m)
-   J[m, :] to the replica's local-field row. */
-MOVE void dense_cluster_visit(double *srow, double *frow,
-                              const double *matrix, int64_t size,
-                              const double *linear, const cluster_set *cl,
-                              int64_t c, const double *cdata,
-                              const int64_t *cindices, const int64_t *cindptr,
-                              double temperature, double inv_temperature,
-                              const draw_source *draw, int64_t *work)
-{
-    const int64_t begin = cl->starts[c];
-    const int64_t end = cl->starts[c + 1];
-    double boundary = 0.0;
-    for (int64_t k = begin; k < end; ++k) {
-        const int64_t m = cl->members[k];
-        double acc = 0.0;
-        for (int64_t jj = cindptr[k]; jj < cindptr[k + 1]; ++jj)
-            acc += cdata[jj] * srow[cindices[jj]];
-        boundary += srow[m] * (acc + linear[m]);
-    }
-    for (int64_t e = cl->edge_starts[c]; e < cl->edge_starts[c + 1]; ++e)
-        boundary -= 2.0 * cl->edge_values[e] * srow[cl->edge_i[e]]
-                    * srow[cl->edge_j[e]];
-    const double delta = -2.0 * boundary;
-    ++work[PROPOSALS];
-    if (!(delta <= 0.0)
-        && !metropolis_accept(delta, temperature, inv_temperature,
-                              draw_at(draw, (uint32_t)c, 1u), work))
-        return;
-    for (int64_t w = 0; w < size; ++w) {
-        double acc = 0.0;
-        for (int64_t k = begin; k < end; ++k) {
-            const int64_t m = cl->members[k];
-            acc += (-2.0 * srow[m]) * matrix[m * size + w];
-        }
-        frow[w] += acc;
-    }
-    for (int64_t k = begin; k < end; ++k)
-        srow[cl->members[k]] = -srow[cl->members[k]];
-}
 
 /* ------------------------------------------------------------------------ *
  * Colour kernel moves, lane-major: replicas are the vector axis.
@@ -1359,120 +1138,17 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
  * schedule, each consuming its draws in the reference loops' order.
  *
  * Counter: per-block keys.  Blocks and replicas are all independent, so
- * the OpenMP `parallel for` collapses over (block, replica) pairs — dense —
- * or (block, lane group) pairs — colour — each running its whole schedule
- * alone.  The pragmas are no-ops without -fopenmp (the compile step tries
- * it and falls back), so one source serves both builds, bit-identically.
+ * the OpenMP `parallel for` collapses over (block, lane group) pairs, each
+ * running its whole schedule alone.  The pragmas are no-ops without
+ * -fopenmp (the compile step tries it and falls back), so one source serves
+ * both builds, bit-identically.
+ *
+ * Both also take the lane workspace: row_of (int64[size]) and scratch, per
+ * lane group in flight (size + 1 + 2 * members) rows of `lanes` doubles —
+ * room for lane_group_run's st, boundary, and the terms and uniforms of a
+ * class as wide as all of them.
  * ------------------------------------------------------------------------ */
-void pack_fused_dense_cluster_sweep(
-    double *spins, int64_t sld,
-    double *fields, int64_t fld,
-    const double *matrices,
-    const int64_t *order, int64_t order_len,
-    int64_t num_replicas, int64_t num_blocks, int64_t size,
-    const double *linear,
-    const int64_t *cmembers, const int64_t *cluster_starts,
-    int64_t num_clusters,
-    const double *cdata, const int64_t *cindices, const int64_t *cindptr,
-    int64_t cluster_nnz,
-    const int64_t *edge_i, const int64_t *edge_j,
-    const int64_t *edge_starts, const double *edge_values,
-    int64_t num_edges,
-    const double *temperatures, int64_t num_sweeps,
-    const bitgen_t *const *generators, int64_t *work_out)
-{
-    int64_t work[NUM_WORK] = {0, 0, 0};
-    for (int64_t b = 0; b < num_blocks; ++b) {
-        double *bspins = spins + b * size;
-        double *bfields = fields + b * size;
-        const double *bmatrix = matrices + b * size * size;
-        const double *blinear = linear + b * size;
-        const double *bcdata = cdata + b * cluster_nnz;
-        const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
-                                edge_starts, edge_values + b * num_edges};
-        const draw_source draw = {0, generators[b]->next_double,
-                                  generators[b]->state, 0u, 0u, 0u, 0u};
-        for (int64_t t = 0; t < num_sweeps; ++t) {
-            const double temperature = temperatures[t];
-            const double inv_temperature = 1.0 / temperature;
-            for (int64_t k = 0; k < order_len; ++k)
-                for (int64_t r = 0; r < num_replicas; ++r)
-                    dense_visit(bspins + r * sld, bfields + r * fld, bmatrix,
-                                size, order, k, temperature,
-                                inv_temperature, &draw, work);
-            for (int64_t c = 0; c < num_clusters; ++c)
-                for (int64_t r = 0; r < num_replicas; ++r)
-                    dense_cluster_visit(bspins + r * sld, bfields + r * fld,
-                                        bmatrix, size, blinear, &cl, c,
-                                        bcdata, cindices, cindptr,
-                                        temperature, inv_temperature, &draw,
-                                        work);
-        }
-    }
-    memcpy(work_out, work, sizeof(work));
-}
-
-void counter_pack_fused_dense_cluster_sweep(
-    double *spins, int64_t sld,
-    double *fields, int64_t fld,
-    const double *matrices,
-    const int64_t *order, int64_t order_len,
-    int64_t num_replicas, int64_t num_blocks, int64_t size,
-    const double *linear,
-    const int64_t *cmembers, const int64_t *cluster_starts,
-    int64_t num_clusters,
-    const double *cdata, const int64_t *cindices, const int64_t *cindptr,
-    int64_t cluster_nnz,
-    const int64_t *edge_i, const int64_t *edge_j,
-    const int64_t *edge_starts, const double *edge_values,
-    int64_t num_edges,
-    const double *temperatures, int64_t num_sweeps,
-    const uint64_t *keys, int64_t threads, int64_t *work_out)
-{
-    int64_t work[NUM_WORK] = {0, 0, 0};
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static) \
-    num_threads((int)threads) reduction(+ : work[:NUM_WORK])
-#else
-    (void)threads;
-#endif
-    for (int64_t b = 0; b < num_blocks; ++b) {
-        for (int64_t r = 0; r < num_replicas; ++r) {
-            double *srow = spins + b * size + r * sld;
-            double *frow = fields + b * size + r * fld;
-            const double *bmatrix = matrices + b * size * size;
-            const double *blinear = linear + b * size;
-            const double *bcdata = cdata + b * cluster_nnz;
-            const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
-                                    edge_starts,
-                                    edge_values + b * num_edges};
-            draw_source draw = {1, NULL, NULL, 0u, (uint32_t)r,
-                                (uint32_t)keys[b],
-                                (uint32_t)(keys[b] >> 32)};
-            for (int64_t t = 0; t < num_sweeps; ++t) {
-                const double temperature = temperatures[t];
-                const double inv_temperature = 1.0 / temperature;
-                draw.sweep = (uint32_t)t;
-                for (int64_t k = 0; k < order_len; ++k)
-                    dense_visit(srow, frow, bmatrix, size, order, k,
-                                temperature, inv_temperature, &draw, work);
-                for (int64_t c = 0; c < num_clusters; ++c)
-                    dense_cluster_visit(srow, frow, bmatrix, size, blinear,
-                                        &cl, c, bcdata, cindices, cindptr,
-                                        temperature, inv_temperature, &draw,
-                                        work);
-            }
-        }
-    }
-    memcpy(work_out, work, sizeof(work));
-}
-
-/* The colour entry points additionally take the lane workspace: row_of
-   (int64[size]) and scratch, per lane group in flight (size + 1 + 2 *
-   members) rows of `lanes` doubles — room for lane_group_run's st,
-   boundary, and the terms and uniforms of a class as wide as all of them.
-
-   Sequential: a block's replicas are one lane group (lanes >= num_replicas),
+/* Sequential: a block's replicas are one lane group (lanes >= num_replicas),
    so its draws are consumed in the reference loops' order. */
 void pack_fused_colour_cluster_sweep(
     double *spins, int64_t sld, int64_t num_replicas,
@@ -1792,16 +1468,6 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         *members_args, *edge_args,         # clusters (fields by row_of)
         *schedule_args,
     ]
-    dense_args = [
-        ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-        ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-        ctypes.c_void_p,                   # matrices
-        ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
-        ctypes.c_void_p,                   # linear
-        *members_args, *csr_args, *edge_args,  # clusters
-        *schedule_args,
-    ]
     # Per-block draw sources — one bitgen_t pointer array under the
     # sequential discipline, a Philox key array plus a thread count under
     # the counter — then the int64[3] work-counter out-array.
@@ -1811,11 +1477,8 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
                  ctypes.c_void_p]
     return {
         "pack_fused_colour_cluster_sweep": (None, [*colour_args, *rng_arrays]),
-        "pack_fused_dense_cluster_sweep": (None, [*dense_args, *rng_arrays]),
         "counter_pack_fused_colour_cluster_sweep": (None, [
             *colour_args, *key_array]),
-        "counter_pack_fused_dense_cluster_sweep": (None, [
-            *dense_args, *key_array]),
         "counter_initial_spins": (None, [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_void_p]),         # spins, R, blocks, size, keys

@@ -21,12 +21,10 @@ Counter packing
 ---------------
 
 ``site``
-    Position of the move within one sweep: the visit-order index of the
-    variable for single-spin sweeps (dense kernel: index into the visit
-    order; colour kernel: the member's position in the concatenated class
-    order — identical numbering for the degenerate colourings where the two
-    kernels coincide), the cluster index for cluster-flip sweeps, and the
-    block-local variable index for the initial-configuration draw.
+    Position of the move within one sweep: the member's position in the
+    concatenated colour-class order for single-spin sweeps, the cluster
+    index for cluster-flip sweeps, and the block-local variable index for
+    the initial-configuration draw.
 ``sweep``
     0-based temperature index within one ``anneal`` call (initial draws use
     sweep 0 under their own tag).

@@ -16,30 +16,14 @@ sparse because hardware-embedded problems have qubit degree at most six.
 
 :class:`BlockDiagonalSampler` evolves ``num_blocks`` structurally identical
 problems laid out as one block-diagonal problem, and :class:`IsingSampler` is
-its one-block special case.  The sampler carries *two* sweep kernels sharing
-one Metropolis draw discipline:
-
-* the **colour-class kernel** updates one independent set at a time through
-  sparse per-class operators — the right shape for hardware-embedded
-  problems, whose bounded qubit degree keeps the class count small;
-* the **dense sequential-sweep kernel** updates spins one at a time in a
-  fixed order, maintaining the replica-by-variable local-field matrix
-  incrementally from a dense per-block coupling matrix — the right shape for
-  dense *logical* problems (the QuAMax ML reduction couples every variable
-  pair), where greedy colouring degenerates to one variable per class and
-  the colour kernel decays into a Python loop of singleton sparse matvecs.
-
-Kernel choice is automatic: ``kernel="auto"`` picks the dense kernel when
-the problem is dense (over :data:`DENSE_DISPATCH_MIN_DENSITY` of all pairs
-coupled) *and* the colouring degenerates toward singletons (the class count
-reaches :data:`DENSE_DISPATCH_RATIO` of the variable count), and can be
-forced with ``kernel="dense"`` / ``kernel="colour"``.  On a *fully* degenerate
-(complete-graph) problem the two kernels perform the same sequential
-dynamics and consume identical per-variable Metropolis draws, so they are
-bit-for-bit interchangeable; on partially degenerate problems the dense
-kernel is a different — but equally exact — single-spin-flip update order,
-which is why the golden-digest suite freezes seeded outputs per kernel.
-Two levels of reuse amortise setup cost across repeated runs:
+its one-block special case.  There is one sweep kernel, the colour-class
+kernel: it updates one independent set at a time through sparse per-class
+operators — the shape of hardware-embedded problems, whose qubit degree of
+at most six keeps the class count small.  A dense *logical* problem (the
+QuAMax ML reduction couples nearly every variable pair) colours into
+singletons, and the same kernel then sweeps it one variable at a time in
+class order: exact sequential single-spin-flip dynamics, just less
+parallel.  Two levels of reuse amortise setup cost across repeated runs:
 
 * :meth:`BlockDiagonalSampler.refresh_values` rebinds a sampler to new
   problems with the *same* coupling structure (e.g. successive ICE
@@ -55,20 +39,19 @@ Two levels of reuse amortise setup cost across repeated runs:
   randomness from its own generator so the trajectories are bit-for-bit
   those of independent per-problem anneals.
 
-Orthogonally to the *kernel* choice, the ``backend=`` knob selects the
-*implementation* of the chosen kernel's inner loop: ``"numpy"`` runs the
-reference loops in this module, while ``"cext"`` runs the compiled
-translation from :mod:`repro.annealer.backends`, which consumes the exact
-same per-variable Metropolis draw stream (``"auto"``, the default, is cext
-and falls back to numpy).  Because each block draws from its own generator
-and blocks never interact, the compiled kernels evolve blocks one at a time
-through the whole schedule without changing any block's stream.
-Every sampler shape reaches them through one backend dispatch per anneal:
-a single problem is a pack of one block, and a sampler without cluster
-(chain-flip) moves hands over an empty flattened cluster descriptor
-(:meth:`BlockDiagonalSampler._cluster_pack_descriptor`), so embedded and
-logical problems, single jobs and serving packs all run the same fused
-single-spin+cluster kernel of their (kernel, rng) pair.
+The ``backend=`` knob selects the *implementation* of the kernel's inner
+loop: ``"numpy"`` runs the reference loops in this module, while ``"cext"``
+runs the compiled translation from :mod:`repro.annealer.backends`, which
+consumes the exact same per-variable Metropolis draw stream (``"auto"``,
+the default, is cext and falls back to numpy).  Because each block draws
+from its own generator and blocks never interact, the compiled kernels
+evolve blocks one at a time through the whole schedule without changing any
+block's stream.  Every sampler shape reaches them through one backend
+dispatch per anneal: a single problem is a pack of one block, and a sampler
+without cluster (chain-flip) moves hands over an empty flattened cluster
+descriptor (:meth:`BlockDiagonalSampler._cluster_pack_descriptor`), so
+embedded and logical problems, single jobs and serving packs all run the
+same fused single-spin+cluster kernel of their draw discipline.
 """
 
 from __future__ import annotations
@@ -92,24 +75,6 @@ from repro.utils.validation import check_integer_in_range
 
 if TYPE_CHECKING:  # only the numpy reference operators are scipy's
     from scipy import sparse
-
-
-#: Valid values of the ``kernel=`` knob of the samplers.
-KERNELS = ("auto", "dense", "colour")
-
-#: ``kernel="auto"`` dispatches the dense sequential kernel once the
-#: colour-class count reaches this fraction of the variable count.  Dense
-#: logical problems (the QuAMax ML reduction couples almost every variable
-#: pair) land at 0.5-1.0 and go dense; hardware-embedded problems stay at a
-#: handful of classes regardless of size and keep the sparse colour kernel.
-DENSE_DISPATCH_RATIO = 0.5
-
-#: ...and only when the coupling graph actually is dense: more than this
-#: fraction of all variable pairs coupled.  Small sparse problems can hit
-#: the class-count ratio by accident (a 4-chain colours into 2 classes); the
-#: density guard keeps them on the colour kernel, whose seeded streams they
-#: have always consumed.
-DENSE_DISPATCH_MIN_DENSITY = 0.5
 
 
 def colour_classes(ising: IsingModel) -> List[np.ndarray]:
@@ -224,8 +189,6 @@ class BlockDiagonalSampler:
         (values are free to differ — that is the point): any sequence of
         :class:`~repro.ising.model.IsingModel`, or an
         :class:`~repro.ising.model.IsingPack`, which is taken as is.
-    classes:
-        Optional precomputed *block-level* colour classes.
     clusters:
         Optional *block-level* groups of variables (e.g. the physical chains
         of an embedded problem), replicated across every block and offered
@@ -233,19 +196,8 @@ class BlockDiagonalSampler:
         annealers reorient logical chains through tunnelling; a purely
         single-spin-flip classical sampler cannot, so cluster moves are what
         keep the simulator's chain dynamics representative.
-    kernel:
-        Sweep kernel: ``"colour"`` (per-class sparse updates), ``"dense"``
-        (sequential single-variable updates over an incrementally maintained
-        dense local-field matrix) or ``"auto"`` (default), which selects the
-        dense kernel when the coupling graph is dense (>
-        :data:`DENSE_DISPATCH_MIN_DENSITY` of all pairs) and the colour
-        classes degenerate toward singletons (class count >=
-        :data:`DENSE_DISPATCH_RATIO` of the variables).  In
-        the fully degenerate case the kernels share one dynamics and one
-        Metropolis draw stream; in between they are distinct exact samplers
-        and the choice is a (deterministic) performance decision.
     backend:
-        Implementation of the selected kernel's inner loop: ``"numpy"`` (the
+        Implementation of the kernel's inner loop: ``"numpy"`` (the
         reference loops in this module), ``"cext"`` (the compiled
         translation consuming the same draw stream, see
         :mod:`repro.annealer.backends`) or ``"auto"`` (default: cext,
@@ -274,17 +226,12 @@ class BlockDiagonalSampler:
     """
 
     def __init__(self, isings: Sequence[IsingModel],
-                 classes: Optional[List[np.ndarray]] = None,
                  clusters: Optional[List[np.ndarray]] = None,
-                 kernel: str = "auto", backend: str = "auto",
-                 rng: str = "sequential", threads: int = 1):
-        if kernel not in KERNELS:
-            raise AnnealerError(
-                f"kernel must be one of {KERNELS}, got {kernel!r}")
+                 backend: str = "auto", rng: str = "sequential",
+                 threads: int = 1):
         if rng not in backends.RNG_MODES:
             raise AnnealerError(
                 f"rng must be one of {backends.RNG_MODES}, got {rng!r}")
-        self.kernel = kernel
         self.backend = backend
         #: Draw discipline (named ``rng_mode`` internally: ``rng`` stays the
         #: conventional local name for generator instances).
@@ -308,8 +255,7 @@ class BlockDiagonalSampler:
         self.num_blocks = len(problems)
         self.block_size = problems.num_variables
         self._bind(problems)
-        self.block_classes = (classes if classes is not None
-                              else colour_classes(problems[0]))
+        self.block_classes = colour_classes(problems[0])
         self._class_widths = [group.size for group in self.block_classes]
         self._edge_pairs = np.array(self._edge_keys, dtype=np.int64).reshape(
             len(self._edge_keys), 2)
@@ -402,25 +348,6 @@ class BlockDiagonalSampler:
     def class_operators(self) -> List[sparse.csr_matrix]:
         """Combined per-class local-field operators of the reference loops."""
         return self._reference_operators().class_operators
-
-    @property
-    def selected_kernel(self) -> str:
-        """The sweep kernel an :meth:`anneal` call will actually run."""
-        if self.kernel != "auto":
-            return self.kernel
-        pairs = self.block_size * (self.block_size - 1) // 2
-        if (self.block_size > 1
-                and len(self.block_classes)
-                >= DENSE_DISPATCH_RATIO * self.block_size
-                and len(self._edge_keys)
-                > DENSE_DISPATCH_MIN_DENSITY * pairs):
-            # The problem is dense and its colouring singleton-degenerate:
-            # the colour kernel decays into a Python loop of tiny sparse
-            # matvecs, while the dense kernel sweeps the same variables with
-            # incrementally maintained fields.  (When every class IS a
-            # singleton the two kernels are bit-for-bit the same algorithm.)
-            return "dense"
-        return "colour"
 
     @property
     def selected_backend(self) -> str:
@@ -557,16 +484,6 @@ class BlockDiagonalSampler:
     # ------------------------------------------------------------------ #
     # The Metropolis sweep kernel
     # ------------------------------------------------------------------ #
-    def _cluster_coupling_rows(self, coupling: np.ndarray
-                               ) -> List[List[np.ndarray]]:
-        """Per-cluster, per-block dense coupling row slices ``J_b[C, :]``.
-
-        Materialised once per anneal (the fancy-indexed copies are what the
-        incremental cluster updates multiply through every sweep).
-        """
-        return [[coupling[b][members, :] for b in range(self.num_blocks)]
-                for members in self.block_clusters]
-
     def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
         """Flattened cluster descriptor of the pack for the backend kernels.
 
@@ -586,35 +503,20 @@ class BlockDiagonalSampler:
                                 axis=1))
 
     def _cluster_sweep(self, spins: np.ndarray, temperature: float,
-                       rngs: Sequence[np.random.Generator],
-                       fields: Optional[np.ndarray] = None,
-                       cluster_rows: Optional[List[List[np.ndarray]]] = None
-                       ) -> None:
+                       rngs: Sequence[np.random.Generator]) -> None:
         """Offer every cluster of every block a collective flip.
 
         Flipping all spins of a cluster leaves its internal couplings
         unchanged, so the energy difference only involves the cluster's
         coupling to the rest of the system and its linear fields.
-
-        When the dense kernel's local-field matrix is passed as *fields*
-        (``(R, blocks*P)`` layout, with *cluster_rows* the per-cluster,
-        per-block dense coupling row slices from
-        :meth:`_cluster_coupling_rows`), accepted cluster flips update it
-        incrementally: flipping the members ``C`` of block ``b`` in replica
-        ``r`` adds ``sum_{m in C} (s'_m - s_m) J_b[m, :]`` to that replica's
-        field row — one small ``|C|``-term accumulation per cluster instead
-        of a full ``(R x P) @ (P x P)`` recompute per sweep.
         """
         num_replicas = spins.shape[0]
         blocks = self.num_blocks
-        size = self.block_size
         reference = self._reference_operators()
-        for index, (members, columns, operator, length, int_i, int_j,
-                    int_v) in enumerate(zip(
-                self.block_clusters, reference.cluster_columns,
-                reference.cluster_operators, self._cluster_lengths,
-                reference.cluster_int_i, reference.cluster_int_j,
-                self._cluster_int_v)):
+        for columns, operator, length, int_i, int_j, int_v in zip(
+                reference.cluster_columns, reference.cluster_operators,
+                self._cluster_lengths, reference.cluster_int_i,
+                reference.cluster_int_j, self._cluster_int_v):
             cluster_fields = (operator @ spins.T).T + self.linear[columns]
             terms = (spins[:, columns] * cluster_fields).reshape(
                 num_replicas, blocks, length)
@@ -645,160 +547,8 @@ class BlockDiagonalSampler:
                         rng.random(count)
                         < np.exp(-delta[:, b][uphill_b] / temperature))
             if np.any(accept):
-                if fields is not None:
-                    for b in range(blocks):
-                        accepted = np.nonzero(accept[:, b])[0]
-                        if accepted.size == 0:
-                            continue
-                        cols = members + b * size
-                        # (s'_m - s_m) = -2 s_m on the accepted replicas;
-                        # one small matmul updates their field segments.
-                        # Unlike the flip-energy boundary above — whose
-                        # member sum needs a defined order because
-                        # structurally-zero boundaries make its sign an
-                        # O(1) hazard — this BLAS reduction may differ from
-                        # the compiled kernels' ascending-member
-                        # accumulation by ~1 ulp, which only moves later
-                        # acceptance thresholds inside the same ~1e-16
-                        # per-draw window already documented for
-                        # vectorised-vs-libm exp (see
-                        # repro.annealer.backends).
-                        segment = fields[:, b * size:(b + 1) * size]
-                        segment[accepted] += (
-                            (-2.0 * spins[np.ix_(accepted, cols)])
-                            @ cluster_rows[index][b])
                 flips = np.where(np.repeat(accept, length, axis=1), -1.0, 1.0)
                 spins[:, columns] *= flips
-
-    def _dense_coupling_blocks(self) -> np.ndarray:
-        """Dense per-block coupling matrices, shape ``(blocks, P, P)``.
-
-        Scattered from the bound value matrix at anneal time, so a sampler
-        rebound through :meth:`refresh_values` always densifies the *current*
-        values; the cost is one ``blocks * P^2`` fill per anneal call, far
-        below a single sweep of the problems the dense kernel targets.
-        """
-        dense = np.zeros((self.num_blocks, self.block_size, self.block_size))
-        dense[:, self._edge_pairs[:, 0], self._edge_pairs[:, 1]] = self._values
-        dense[:, self._edge_pairs[:, 1], self._edge_pairs[:, 0]] = self._values
-        return dense
-
-    def _dense_sweep_loop(self, spins: np.ndarray, temperatures: np.ndarray,
-                          rngs: Sequence[np.random.Generator]) -> None:
-        """Sequential-sweep Metropolis over incrementally maintained fields.
-
-        Variables are visited in colour-class order (for the degenerate
-        all-singleton colourings this kernel targets, that is exactly the
-        order the colour kernel visits them), one variable of every block at
-        a time, vectorised over replicas and blocks.  The local-field matrix
-        ``fields[r, b, v]`` is maintained incrementally: a flip of variable
-        ``v`` in block ``b`` adds ``(s'_v - s_v) * J_b[v, :]`` to that
-        block's field row, so a sweep costs one length-``P`` fused
-        multiply-add per accepted flip instead of a sparse matvec per class.
-        Uphill moves draw from each block's generator exactly as the colour
-        kernel draws for a singleton class, keeping the two kernels on one
-        random stream.
-        """
-        num_replicas = spins.shape[0]
-        blocks = self.num_blocks
-        size = self.block_size
-        coupling = self._dense_coupling_blocks()
-        order = np.concatenate(self.block_classes)
-
-        if blocks == 1:
-            # Single-block fast path: same dynamics and draw stream, minus
-            # the block axis and the per-block bookkeeping of the generic
-            # loop (this is the SA-baseline / logical-problem hot path).
-            rng = rngs[0]
-            matrix = coupling[0]
-            fields = spins @ matrix + self.linear[None, :]
-            cluster_rows = self._cluster_coupling_rows(coupling)
-            for temperature in temperatures:
-                for v in order:
-                    current = spins[:, v]
-                    delta = -2.0 * current * fields[:, v]
-                    accept = delta <= 0.0
-                    uphill = ~accept
-                    count = int(np.count_nonzero(uphill))
-                    if count:
-                        # delta > 0 on the uphill subset, acceptance
-                        # probability exp(-delta / T).
-                        accept[uphill] = (
-                            rng.random(count)
-                            < np.exp(-delta[uphill] / temperature))
-                    if accept.any():
-                        step = np.where(accept, -2.0 * current, 0.0)
-                        spins[:, v] += step
-                        fields += step[:, None] * matrix[v, :][None, :]
-                if self.block_clusters:
-                    self._cluster_sweep(spins, temperature, rngs,
-                                        fields=fields,
-                                        cluster_rows=cluster_rows)
-            return
-
-        spins3 = spins.reshape(num_replicas, blocks, size)
-        linear3 = self.linear.reshape(blocks, size)
-
-        fields = (np.einsum("rbs,bvs->rbv", spins3, coupling)
-                  + linear3[None, :, :])
-        # 2-D alias of the field matrix in the combined (R, blocks*P) layout
-        # the cluster sweep's incremental updates write through.
-        fields2 = fields.reshape(num_replicas, blocks * size)
-        cluster_rows = self._cluster_coupling_rows(coupling)
-        for temperature in temperatures:
-            for v in order:
-                delta = -2.0 * spins3[:, :, v] * fields[:, :, v]
-                accept = delta <= 0.0
-                uphill = ~accept
-                for b, rng in enumerate(rngs):
-                    uphill_b = uphill[:, b]
-                    count = int(np.count_nonzero(uphill_b))
-                    if count:
-                        # delta > 0 on the uphill subset, acceptance
-                        # probability exp(-delta / T).
-                        accept[:, b][uphill_b] = (
-                            rng.random(count)
-                            < np.exp(-delta[:, b][uphill_b] / temperature))
-                if np.any(accept):
-                    step = np.where(accept, -2.0 * spins3[:, :, v], 0.0)
-                    spins3[:, :, v] += step
-                    fields += step[:, :, None] * coupling[None, :, v, :]
-            if self.block_clusters:
-                self._cluster_sweep(spins, temperature, rngs, fields=fields2,
-                                    cluster_rows=cluster_rows)
-
-    def _dispatch_dense(self, spins: np.ndarray, temperatures: np.ndarray,
-                        backend: str, rngs: Sequence[np.random.Generator],
-                        keys: Optional[List[int]]
-                        ) -> Optional[backends.SweepWork]:
-        """Dense sequential sweeps, whole pack and schedule in one dispatch.
-
-        Blocks never interact and each has its own draw source, so the
-        backend kernel evolves the pack block by block through the whole
-        schedule — interleaving the cluster-flip sweep after every dense
-        sweep and maintaining each block's local-field matrix incrementally
-        across both move types — without changing any block's draw stream
-        relative to the reference loop.  A sampler without clusters passes
-        the empty descriptor and runs the same entry point.  The two draw
-        disciplines share every structural argument and differ only in the
-        draw source: per-block generators (*keys* is ``None``) or per-block
-        Philox *keys* plus ``self.threads``, whose numpy branch is the
-        reference implementation of counter mode.
-        """
-        size = self.block_size
-        coupling = self._dense_coupling_blocks()
-        order = self._class_members
-        fields = np.empty_like(spins)
-        for b in range(self.num_blocks):
-            segment = slice(b * size, (b + 1) * size)
-            fields[:, segment] = (spins[:, segment] @ coupling[b]
-                                  + self.linear[segment][None, :])
-        shared = (backend, spins, fields, coupling, order, self.linear,
-                  self._cluster_pack_descriptor(), temperatures)
-        if keys is None:
-            return backends.pack_fused_dense_cluster_sweep(*shared, rngs)
-        return backends.counter_pack_fused_dense_cluster_sweep(
-            *shared, keys, threads=self.threads)
 
     def _dispatch_colour(self, spins: np.ndarray, temperatures: np.ndarray,
                          backend: str, rngs: Sequence[np.random.Generator],
@@ -806,13 +556,20 @@ class BlockDiagonalSampler:
                          ) -> Optional[backends.SweepWork]:
         """Colour-class sweeps, whole pack and schedule in one dispatch.
 
-        The colour sibling of :meth:`_dispatch_dense` — the embedded serving
-        shape, one backend dispatch per anneal instead of one per (block,
-        sweep).  The ``(blocks, nnz)`` per-class local-field values are one
-        gather from the bound value matrix per call, so samplers rebound
-        through :meth:`refresh_values` always sweep the current values; the
-        structure arrays are the sampler's own, which is what lets the
-        backend keep its argument block in ``_kernel_workspace``.
+        Blocks never interact and each has its own draw source, so the
+        backend kernel evolves the pack block by block through the whole
+        schedule — one dispatch per anneal instead of one per (block,
+        sweep) — without changing any block's draw stream relative to the
+        reference loops.  The two draw disciplines share every structural
+        argument and differ only in the draw source: per-block generators
+        (*keys* is ``None``) or per-block Philox *keys* plus
+        ``self.threads``, whose numpy branch is the reference
+        implementation of counter mode.  The ``(blocks, nnz)`` per-class
+        local-field values are one gather from the bound value matrix per
+        call, so samplers rebound through :meth:`refresh_values` always
+        sweep the current values; the structure arrays are the sampler's
+        own, which is what lets the backend keep its argument block in
+        ``_kernel_workspace``.
         """
         shared = (backend, spins, self.linear, self._class_members,
                   self._class_starts,
@@ -874,27 +631,19 @@ class BlockDiagonalSampler:
                 backend, rngs, num_replicas, size, self._kernel_workspace)
 
         self._last_sweep_work = None
-        # Wall-time attribution of the sweep loop per kernel/backend/rng/
-        # thread count; the phase is a no-op unless the global profiler is
-        # enabled and never touches RNG state, so trajectories are identical
-        # either way.
-        sweep_phase = PROFILER.phase("engine.sweep", self.selected_kernel,
-                                     backend, self.rng_mode,
+        # Wall-time attribution of the sweep loop per backend/rng/thread
+        # count; the phase is a no-op unless the global profiler is enabled
+        # and never touches RNG state, so trajectories are identical either
+        # way.
+        sweep_phase = PROFILER.phase("engine.sweep", backend, self.rng_mode,
                                      f"t{self.threads}")
         if counter_keys is not None or backend != "numpy":
             # Every compiled backend, and the counter discipline on every
             # backend (its numpy reference lives behind the same entry
             # points): one backend dispatch per anneal.
-            dispatch = (self._dispatch_dense
-                        if self.selected_kernel == "dense"
-                        else self._dispatch_colour)
             with sweep_phase:
-                self._last_sweep_work = dispatch(spins, temperatures, backend,
-                                                 rngs, counter_keys)
-            return spins.astype(np.int8)
-        if self.selected_kernel == "dense":
-            with sweep_phase:
-                self._dense_sweep_loop(spins, temperatures, rngs)
+                self._last_sweep_work = self._dispatch_colour(
+                    spins, temperatures, backend, rngs, counter_keys)
             return spins.astype(np.int8)
 
         reference = self._reference_operators()
@@ -975,13 +724,11 @@ class IsingSampler(BlockDiagonalSampler):
     """
 
     def __init__(self, ising: IsingModel,
-                 classes: Optional[List[np.ndarray]] = None,
                  clusters: Optional[List[np.ndarray]] = None,
-                 kernel: str = "auto", backend: str = "auto",
-                 rng: str = "sequential", threads: int = 1):
-        super().__init__([ising], classes=classes, clusters=clusters,
-                         kernel=kernel, backend=backend, rng=rng,
-                         threads=threads)
+                 backend: str = "auto", rng: str = "sequential",
+                 threads: int = 1):
+        super().__init__([ising], clusters=clusters, backend=backend,
+                         rng=rng, threads=threads)
         self.ising = ising
         #: Cluster member arrays (same as the block-level clusters).
         self.clusters = self.block_clusters
@@ -1025,13 +772,11 @@ def batched_metropolis(ising: IsingModel, temperatures: Sequence[float],
                        num_replicas: int,
                        random_state: RandomState = None,
                        initial_spins: Optional[np.ndarray] = None,
-                       kernel: str = "auto",
                        backend: str = "auto",
                        rng: str = "sequential",
                        threads: int = 1) -> np.ndarray:
     """One-shot convenience wrapper around :class:`IsingSampler`."""
-    sampler = IsingSampler(ising, kernel=kernel, backend=backend, rng=rng,
-                           threads=threads)
+    sampler = IsingSampler(ising, backend=backend, rng=rng, threads=threads)
     return sampler.anneal(temperatures, num_replicas,
                           random_state=random_state,
                           initial_spins=initial_spins)

@@ -41,7 +41,7 @@ from repro.annealer.embedded import (  # noqa: F401
 )
 from repro.annealer.backends import BACKENDS, RNG_MODES
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
-from repro.annealer.engine import KERNELS, BlockDiagonalSampler, IsingSampler
+from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.parallel import parallelization_factor
 from repro.annealer.schedule import AnnealSchedule
@@ -195,7 +195,7 @@ class QuantumAnnealerSimulator:
     sampler_cache_size:
         Number of fully-warmed block-diagonal samplers kept across
         :meth:`run_batch` calls, keyed on problem structure (block size,
-        coupling keys, cluster layout, kernel/backend) and *not* on the
+        coupling keys, cluster layout, backend/rng/threads) and *not* on the
         number of problems: everything a sampler derives is block-level, so
         successive packs of one structure — of any sizes, down to the
         batch-size-1 serving case — rebind the cached sampler in place
@@ -269,8 +269,8 @@ class QuantumAnnealerSimulator:
             parameters: Optional[AnnealerParameters] = None,
             random_state: RandomState = None,
             embedding: Optional[Embedding] = None,
-            kernel: str = "auto", backend: str = "auto",
-            rng: str = "sequential", threads: int = 1) -> AnnealResult:
+            backend: str = "auto", rng: str = "sequential",
+            threads: int = 1) -> AnnealResult:
         """Submit one QA job: embed, anneal ``N_a`` times, unembed, aggregate.
 
         A single-problem job is exactly a one-block :meth:`run_batch`, so the
@@ -286,10 +286,6 @@ class QuantumAnnealerSimulator:
             Seed or generator for ICE draws, Metropolis moves and tie breaks.
         embedding:
             Optional pre-computed embedding (must cover the problem).
-        kernel:
-            Metropolis sweep kernel passed to the sampler (``"auto"``,
-            ``"dense"`` or ``"colour"``); see
-            :class:`~repro.annealer.engine.BlockDiagonalSampler`.
         backend:
             Kernel implementation passed to the sampler (``"auto"``,
             ``"numpy"`` or ``"cext"``); seeded runs are bit-identical
@@ -305,8 +301,8 @@ class QuantumAnnealerSimulator:
         """
         return self.run_batch([logical_ising], parameters=parameters,
                               random_states=[ensure_rng(random_state)],
-                              embedding=embedding, kernel=kernel,
-                              backend=backend, rng=rng, threads=threads)[0]
+                              embedding=embedding, backend=backend,
+                              rng=rng, threads=threads)[0]
 
     # ------------------------------------------------------------------ #
     def run_batch(self, logical_isings: Sequence[IsingModel],
@@ -314,7 +310,6 @@ class QuantumAnnealerSimulator:
                   random_states: Optional[Sequence[RandomState]] = None,
                   random_state: RandomState = None,
                   embedding: Optional[Embedding] = None,
-                  kernel: str = "auto",
                   backend: str = "auto",
                   rng: str = "sequential",
                   threads: int = 1) -> List[AnnealResult]:
@@ -347,11 +342,6 @@ class QuantumAnnealerSimulator:
             Base seed used only when *random_states* is omitted.
         embedding:
             Optional pre-computed embedding shared by all problems.
-        kernel:
-            Metropolis sweep kernel for the packed sampler (``"auto"``,
-            ``"dense"`` or ``"colour"``); embedded problems are sparse, so
-            ``"auto"`` keeps the colour-class kernel, but services can pin a
-            kernel without reaching into engine internals.
         backend:
             Kernel implementation for the packed sampler (``"auto"``,
             ``"numpy"`` or ``"cext"``).  Both backends consume the same
@@ -370,9 +360,6 @@ class QuantumAnnealerSimulator:
             changes results, only wall-clock.
         """
         parameters = parameters or AnnealerParameters()
-        if kernel not in KERNELS:
-            raise AnnealerError(
-                f"kernel must be one of {KERNELS}, got {kernel!r}")
         if backend not in BACKENDS:
             raise AnnealerError(
                 f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -417,9 +404,8 @@ class QuantumAnnealerSimulator:
             # keys): each is its own pack of one, with its own generator —
             # exactly the serial submissions the pack is defined to equal.
             return [self.run_batch([ising], parameters, random_states=[rng_b],
-                                   embedding=embedding, kernel=kernel,
-                                   backend=backend, rng=rng,
-                                   threads=threads)[0]
+                                   embedding=embedding, backend=backend,
+                                   rng=rng, threads=threads)[0]
                     for ising, rng_b in zip(isings, rngs)]
         temperatures = parameters.schedule.temperature_profile(
             sweeps_per_us=self.sweeps_per_us,
@@ -427,8 +413,8 @@ class QuantumAnnealerSimulator:
             cold=self.cold_temperature,
         )
         plan = embedded.plan
-        sampler_options = dict(clusters=plan.clusters, kernel=kernel,
-                               backend=backend, rng=rng, threads=threads)
+        sampler_options = dict(clusters=plan.clusters, backend=backend,
+                               rng=rng, threads=threads)
 
         num_anneals = parameters.num_anneals
         physical = np.empty((num_anneals, len(isings) * plan.num_physical),
@@ -439,7 +425,7 @@ class QuantumAnnealerSimulator:
             # Everything that determines a packed sampler's warmed
             # structure; the key tuples come from the plan, not the jobs,
             # and the pack size is not part of it (a rebind adopts it).
-            cache_key = (kernel, backend, rng, threads,
+            cache_key = (backend, rng, threads,
                          embedded.problems.keys, tuple(plan.chains.values()))
             # pop, not get: the caller owns the entry until reinsertion.
             sampler = self._sampler_cache.pop(cache_key, None)
@@ -461,7 +447,6 @@ class QuantumAnnealerSimulator:
                     with PROFILER.phase("machine.sampler_rebind"):
                         sampler.refresh_values(programmed)
                 with PROFILER.phase("machine.anneal",
-                                    sampler.selected_kernel,
                                     sampler.selected_backend):
                     samples = sampler.anneal(temperatures, batch, rngs)
             else:
@@ -469,7 +454,7 @@ class QuantumAnnealerSimulator:
                 # no longer share one structure this batch: anneal them one
                 # by one (identical trajectories, just not packed).  The
                 # warm sampler sits the batch out and serves the next.
-                with PROFILER.phase("machine.anneal", kernel, backend):
+                with PROFILER.phase("machine.anneal", backend):
                     samples = np.concatenate([
                         IsingSampler(problem, **sampler_options).anneal(
                             temperatures, batch, random_state=rng_b)

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.annealer.backends import BACKENDS, RNG_MODES
-from repro.annealer.engine import KERNELS
 from repro.annealer.machine import (
     AnnealerParameters,
     AnnealResult,
@@ -83,16 +82,11 @@ class QuAMaxDecoder(Detector):
         count).
     random_state:
         Default randomness source for runs that do not pass their own.
-    kernel:
-        Metropolis sweep kernel forwarded to the annealer's sampler on every
-        run (``"auto"``, ``"dense"`` or ``"colour"``).  Services can pin a
-        kernel here without reaching into engine internals; the default
-        ``"auto"`` keeps the engine's dispatch heuristic.
     backend:
-        Kernel implementation forwarded alongside (``"auto"``, ``"numpy"``
-        or ``"cext"``).  Seeded detections are bit-identical across
-        backends — the knob only moves the sweep loop between the NumPy
-        reference and the compiled implementation.
+        Sweep-kernel implementation forwarded to the annealer on every run
+        (``"auto"``, ``"numpy"`` or ``"cext"``).  Seeded detections are
+        bit-identical across backends — the knob only moves the sweep loop
+        between the NumPy reference and the compiled implementation.
     rng:
         Draw discipline forwarded to the annealer on every run:
         ``"sequential"`` (default, the reference streams) or ``"counter"``
@@ -109,11 +103,8 @@ class QuAMaxDecoder(Detector):
     def __init__(self, annealer: Optional[QuantumAnnealerSimulator] = None,
                  parameters: Optional[AnnealerParameters] = None,
                  random_state: RandomState = None,
-                 kernel: str = "auto", backend: str = "auto",
-                 rng: str = "sequential", threads: int = 1):
-        if kernel not in KERNELS:
-            raise DetectionError(
-                f"kernel must be one of {KERNELS}, got {kernel!r}")
+                 backend: str = "auto", rng: str = "sequential",
+                 threads: int = 1):
         if backend not in BACKENDS:
             raise DetectionError(
                 f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -129,7 +120,6 @@ class QuAMaxDecoder(Detector):
                 "discipline is serial within a block, parallel across blocks)")
         self.annealer = annealer or QuantumAnnealerSimulator()
         self.parameters = parameters or AnnealerParameters()
-        self.kernel = kernel
         self.backend = backend
         self.rng_mode = rng
         self.threads = threads
@@ -161,8 +151,8 @@ class QuAMaxDecoder(Detector):
         with PROFILER.phase("decoder.reduce"):
             reduced = self._reducer.reduce(channel_use)
         run = self.annealer.run(reduced.ising, parameters, random_state=rng,
-                                kernel=self.kernel, backend=self.backend,
-                                rng=self.rng_mode, threads=self.threads)
+                                backend=self.backend, rng=self.rng_mode,
+                                threads=self.threads)
         return self._assemble_pack([reduced], [run], parameters)[0]
 
     def detect_batch(self, channel_uses: Sequence[ChannelUse],
@@ -240,8 +230,7 @@ class QuAMaxDecoder(Detector):
             runs = self.annealer.run_batch(
                 pack, parameters,
                 random_states=[rngs[index] for index in indices],
-                kernel=self.kernel, backend=self.backend,
-                rng=rng_mode, threads=threads)
+                backend=self.backend, rng=rng_mode, threads=threads)
             assembled = self._assemble_pack(
                 [reduced[index] for index in indices], runs, parameters)
             for index, result in zip(indices, assembled):
@@ -294,5 +283,5 @@ class QuAMaxDecoder(Detector):
     def __repr__(self) -> str:
         return (f"QuAMaxDecoder(annealer={self.annealer!r}, "
                 f"num_anneals={self.parameters.num_anneals}, "
-                f"kernel={self.kernel!r}, backend={self.backend!r}, "
+                f"backend={self.backend!r}, "
                 f"rng={self.rng_mode!r}, threads={self.threads})")

@@ -3,12 +3,12 @@
 The serving trace (:mod:`repro.cran.tracing`) accounts *virtual* time —
 where a job's modelled latency went.  This module answers the orthogonal
 question: where does the *wall clock* go inside a decode?  Sampler build vs
-rebind vs sweep vs unembed, per kernel and backend.
+rebind vs sweep vs unembed, per backend and draw discipline.
 
 One process-global :data:`PROFILER` is threaded through the compute layer
 (:mod:`repro.annealer.machine`, :mod:`repro.annealer.engine`,
 :mod:`repro.annealer.backends`, :mod:`repro.decoder.quamax`) as ``with
-PROFILER.phase("machine.anneal", kernel, backend): ...`` blocks.  It is
+PROFILER.phase("machine.anneal", backend): ...`` blocks.  It is
 **off by default**: a disabled profiler hands back a shared no-op context
 manager, so the hooks cost one attribute check per phase and nothing else.
 Enabling it only ever reads the wall clock — no RNG interaction, no control
@@ -93,7 +93,7 @@ class PhaseProfiler:
     def phase(self, name: str, *details: object):
         """Context manager timing one phase; no-op while disabled.
 
-        *details* (typically kernel / backend) are appended lazily as
+        *details* (typically backend / draw discipline) are appended lazily as
         ``name[a/b]`` so disabled call sites never pay for the string
         formatting.
         """

@@ -200,14 +200,13 @@ class TestClusterMoves:
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("backend", available_backends())
-    @pytest.mark.parametrize("kernel", ["colour", "dense"])
-    def test_empty_cluster_ignored(self, kernel, backend, rng_mode):
+    def test_empty_cluster_ignored(self, backend, rng_mode):
         # None, no clusters and only-empty clusters are one configuration:
         # the same empty descriptor, hence the same stream, everywhere.
         ising = random_ising(4, 9)
         samples = []
         for clusters in (None, [], [np.array([], dtype=np.intp)]):
-            sampler = IsingSampler(ising, clusters=clusters, kernel=kernel,
+            sampler = IsingSampler(ising, clusters=clusters,
                                    backend=backend, rng=rng_mode)
             assert sampler.clusters == []
             samples.append(sampler.anneal([2.0, 1.0, 0.5], 6, random_state=3))
@@ -244,12 +243,11 @@ class TestRebindToAnyBlockCount:
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("clusters", [False, True])
-    @pytest.mark.parametrize("kernel", ["colour", "dense"])
     @pytest.mark.parametrize("backend", available_backends())
-    def test_rebound_sampler_is_a_fresh_one(self, backend, kernel, clusters,
+    def test_rebound_sampler_is_a_fresh_one(self, backend, clusters,
                                             rng_mode):
         options = dict(clusters=self.CLUSTERS if clusters else None,
-                       kernel=kernel, backend=backend, rng=rng_mode)
+                       backend=backend, rng=rng_mode)
         warm = None
         for step, count in enumerate([4, 1, 16, 3]):
             problems = self.pack(count, seed=step)

@@ -217,24 +217,6 @@ class TestQuantumAnnealerSimulator:
                                       (result.best_spins + 1) // 2)
 
 
-class TestRunKernelKnob:
-    def test_invalid_kernel_rejected(self, small_machine):
-        reduced = make_reduced(num_users=2, seed=4)
-        with pytest.raises(AnnealerError):
-            small_machine.run(reduced.ising, kernel="simd")
-
-    def test_pinned_colour_matches_auto(self, small_machine):
-        # Embedded problems keep the colour kernel under auto, so pinning it
-        # reproduces the default stream bit for bit.
-        reduced = make_reduced(num_users=3, seed=4)
-        parameters = AnnealerParameters(num_anneals=8)
-        auto = small_machine.run(reduced.ising, parameters, random_state=5)
-        pinned = small_machine.run(reduced.ising, parameters, random_state=5,
-                                   kernel="colour")
-        np.testing.assert_array_equal(auto.solutions.samples,
-                                      pinned.solutions.samples)
-
-
 class TestSamplerCache:
     """The structure-keyed warm sampler cache of the machine front end."""
 

@@ -9,13 +9,14 @@ The ``backend=`` seam promises three things:
   disabled compiler list), ``"auto"`` lands on numpy and everything still
   runs; the probe itself never raises;
 * **identity** — seeded samples are bit-for-bit identical across the
-  *available* backends, for both kernels, with and without clusters, across
-  multi-block packs, ``refresh_values`` rebinds and the full machine model.
+  *available* backends, on dense and sparse problems, with and without
+  clusters, across multi-block packs, ``refresh_values`` rebinds and the
+  full machine model.
 
 Two structural guards ride along, both clock-free: every sampler shape
-costs exactly **one** backend dispatch per anneal through the (kernel, rng)
-pair's single entry point, and the C source's exported symbols, the ctypes
-signature table and the Python dispatch functions name the same set.
+costs exactly **one** backend dispatch per anneal through its draw
+discipline's single entry point, and the C source's exported symbols, the
+ctypes signature table and the Python dispatch functions name the same set.
 
 Identity tests iterate over :func:`available_backends`: numpy↔cext wherever
 a compiler exists.
@@ -45,12 +46,10 @@ from repro.ising.solver import (
 
 COMPILED = [name for name in available_backends() if name != "numpy"]
 
-#: The whole compiled boundary: one sweep entry point per (kernel, rng).
+#: The whole compiled boundary: one sweep entry point per draw discipline.
 SWEEP_ENTRY_POINTS = {
-    ("dense", "sequential"): "pack_fused_dense_cluster_sweep",
-    ("colour", "sequential"): "pack_fused_colour_cluster_sweep",
-    ("dense", "counter"): "counter_pack_fused_dense_cluster_sweep",
-    ("colour", "counter"): "counter_pack_fused_colour_cluster_sweep",
+    "sequential": "pack_fused_colour_cluster_sweep",
+    "counter": "counter_pack_fused_colour_cluster_sweep",
 }
 
 
@@ -203,7 +202,7 @@ class TestSymbolTable:
                 else:
                     assert argtype is kind, (name, position)
 
-    def test_four_sweep_entry_points(self):
+    def test_two_sweep_entry_points(self):
         dispatch = {name for name, value in vars(backends).items()
                     if name.endswith("_sweep") and callable(value)}
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
@@ -222,7 +221,6 @@ class TestSymbolTable:
         signatures = backends._cext_signatures()
         generators = "const bitgen_t *const *generators"
         for name, tail in [("pack_fused_colour_cluster_sweep", 2),
-                           ("pack_fused_dense_cluster_sweep", 2),
                            ("sequential_initial_spins", 1)]:
             assert declarations[name].count(generators) == 1, name
             assert declarations[name][-tail] == generators, name
@@ -239,11 +237,11 @@ class TestSymbolTable:
 class TestCompiledIdentity:
     """Seeded streams must be bit-identical to the numpy reference loops."""
 
-    def test_dense_kernel_stream(self, backend, array_digest):
+    def test_dense_problem_stream(self, backend, array_digest):
         ising = random_ising(17, 10)
         temperatures = schedule(60)
-        reference = IsingSampler(ising, kernel="dense", backend="numpy")
-        compiled = IsingSampler(ising, kernel="dense", backend=backend)
+        reference = IsingSampler(ising, backend="numpy")
+        compiled = IsingSampler(ising, backend=backend)
         assert compiled.selected_backend == backend
         for prefix in (1, 30, 60):
             expected = reference.anneal(temperatures[:prefix], 12,
@@ -253,34 +251,31 @@ class TestCompiledIdentity:
             np.testing.assert_array_equal(expected, actual)
             assert array_digest(expected) == array_digest(actual)
 
-    def test_colour_kernel_stream(self, backend, array_digest):
+    def test_sparse_problem_stream(self, backend, array_digest):
         ising = random_ising(20, 12, density=0.25)
         temperatures = schedule(60)
-        expected = IsingSampler(ising, kernel="colour",
-                                backend="numpy").anneal(
+        expected = IsingSampler(ising, backend="numpy").anneal(
             temperatures, 12, random_state=13)
-        actual = IsingSampler(ising, kernel="colour", backend=backend).anneal(
+        actual = IsingSampler(ising, backend=backend).anneal(
             temperatures, 12, random_state=13)
         np.testing.assert_array_equal(expected, actual)
         assert array_digest(expected) == array_digest(actual)
 
-    @pytest.mark.parametrize("kernel", ["dense", "colour"])
-    def test_cluster_moves_shared(self, backend, kernel):
+    def test_cluster_moves_shared(self, backend):
         ising = random_ising(12, 14)
         clusters = [np.array([0, 1, 2], dtype=np.intp),
                     np.array([7, 8], dtype=np.intp)]
         temperatures = schedule(40)
-        expected = IsingSampler(ising, clusters=clusters, kernel=kernel,
+        expected = IsingSampler(ising, clusters=clusters,
                                 backend="numpy").anneal(
             temperatures, 8, random_state=15)
-        actual = IsingSampler(ising, clusters=clusters, kernel=kernel,
+        actual = IsingSampler(ising, clusters=clusters,
                               backend=backend).anneal(
             temperatures, 8, random_state=15)
         np.testing.assert_array_equal(expected, actual)
 
-    @pytest.mark.parametrize("kernel,density", [("dense", 1.0),
-                                                ("colour", 0.3)])
-    def test_multi_block_streams(self, backend, kernel, density):
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    def test_multi_block_streams(self, backend, density):
         rng = np.random.default_rng(16)
         base = random_ising(9, 17, density=density)
         problems = [
@@ -290,20 +285,16 @@ class TestCompiledIdentity:
             for _ in range(3)
         ]
         temperatures = schedule(35)
-        expected = BlockDiagonalSampler(problems, kernel=kernel,
-                                        backend="numpy").anneal(
+        expected = BlockDiagonalSampler(problems, backend="numpy").anneal(
             temperatures, 7, [np.random.default_rng(90 + b) for b in range(3)])
-        actual = BlockDiagonalSampler(problems, kernel=kernel,
-                                      backend=backend).anneal(
+        actual = BlockDiagonalSampler(problems, backend=backend).anneal(
             temperatures, 7, [np.random.default_rng(90 + b) for b in range(3)])
         np.testing.assert_array_equal(expected, actual)
         # ...and the multi-block compiled anneal equals per-block serial
         # compiled anneals (block draw streams are independent).
-        packed = BlockDiagonalSampler(problems, kernel=kernel,
-                                      backend=backend)
+        packed = BlockDiagonalSampler(problems, backend=backend)
         for b, block in enumerate(packed.split_samples(actual)):
-            serial = IsingSampler(problems[b], kernel=kernel,
-                                  backend=backend).anneal(
+            serial = IsingSampler(problems[b], backend=backend).anneal(
                 temperatures, 7,
                 random_state=np.random.default_rng(90 + b))
             np.testing.assert_array_equal(block, serial)
@@ -315,14 +306,12 @@ class TestCompiledIdentity:
             num_variables=10, linear=rng.normal(size=10),
             couplings={key: float(rng.normal()) for key in base.couplings})
         temperatures = schedule(30)
-        for kernel in ("dense", "colour"):
-            refreshed = IsingSampler(base, kernel=kernel, backend=backend)
-            refreshed.refresh_values(replacement)
-            fresh = IsingSampler(replacement, classes=refreshed.classes,
-                                 kernel=kernel, backend="numpy")
-            np.testing.assert_array_equal(
-                refreshed.anneal(temperatures, 6, random_state=19),
-                fresh.anneal(temperatures, 6, random_state=19))
+        refreshed = IsingSampler(base, backend=backend)
+        refreshed.refresh_values(replacement)
+        fresh = IsingSampler(replacement, backend="numpy")
+        np.testing.assert_array_equal(
+            refreshed.anneal(temperatures, 6, random_state=19),
+            fresh.anneal(temperatures, 6, random_state=19))
 
     def test_initial_spins_honoured(self, backend):
         ising = random_ising(8, 20)
@@ -330,9 +319,9 @@ class TestCompiledIdentity:
         start = rng.choice(np.array([-1.0, 1.0]), size=(5, 8))
         temperatures = schedule(25)
         np.testing.assert_array_equal(
-            IsingSampler(ising, kernel="dense", backend="numpy").anneal(
+            IsingSampler(ising, backend="numpy").anneal(
                 temperatures, 5, random_state=21, initial_spins=start),
-            IsingSampler(ising, kernel="dense", backend=backend).anneal(
+            IsingSampler(ising, backend=backend).anneal(
                 temperatures, 5, random_state=21, initial_spins=start))
 
     def test_machine_run_identical(self, backend):
@@ -370,15 +359,14 @@ class TestCompiledClusterKernels:
     """The fused cluster kernels: embedded problems compiled end to end."""
 
     @pytest.mark.parametrize("chain_length", [4, 16])
-    @pytest.mark.parametrize("kernel", ["colour", "dense"])
-    def test_embedded_problem_stream(self, backend, kernel, chain_length,
+    def test_embedded_problem_stream(self, backend, chain_length,
                                      array_digest):
         ising, clusters = path_chain_ising(48, chain_length, 40)
         temperatures = schedule(45)
-        expected = IsingSampler(ising, clusters=clusters, kernel=kernel,
+        expected = IsingSampler(ising, clusters=clusters,
                                 backend="numpy").anneal(
             temperatures, 9, random_state=41)
-        actual = IsingSampler(ising, clusters=clusters, kernel=kernel,
+        actual = IsingSampler(ising, clusters=clusters,
                               backend=backend).anneal(
             temperatures, 9, random_state=41)
         np.testing.assert_array_equal(expected, actual)
@@ -388,12 +376,11 @@ class TestCompiledClusterKernels:
     @pytest.mark.parametrize("with_clusters", [True, False],
                              ids=["clusters", "no-clusters"])
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    @pytest.mark.parametrize("kernel", ["colour", "dense"])
-    def test_one_backend_dispatch_per_anneal(self, backend, kernel, rng_mode,
+    def test_one_backend_dispatch_per_anneal(self, backend, rng_mode,
                                              with_clusters, blocks,
                                              monkeypatch):
         """Every sampler shape — single problem or pack, chains or none,
-        either discipline — is one call of its (kernel, rng) entry point per
+        either discipline — is one call of its discipline's entry point per
         anneal (a work counter, not a clock), with the numpy samples."""
         base, clusters = path_chain_ising(20, 4, 42, density=0.15)
         rng = np.random.default_rng(43)
@@ -418,7 +405,7 @@ class TestCompiledClusterKernels:
         def anneal(used_backend):
             sampler = BlockDiagonalSampler(
                 problems, clusters=clusters if with_clusters else None,
-                kernel=kernel, backend=used_backend, rng=rng_mode)
+                backend=used_backend, rng=rng_mode)
             # Construction may warm the backend through the entry points.
             calls.clear()
             return sampler.anneal(schedule(30), 6,
@@ -426,7 +413,7 @@ class TestCompiledClusterKernels:
                                    for b in range(blocks)])
 
         actual = anneal(backend)
-        assert calls == [(SWEEP_ENTRY_POINTS[kernel, rng_mode], backend)]
+        assert calls == [(SWEEP_ENTRY_POINTS[rng_mode], backend)]
         np.testing.assert_array_equal(anneal("numpy"), actual)
 
     def test_machine_run_batch_pack_identical(self, backend):

@@ -89,7 +89,6 @@ class TestWorkCounters:
         ising, clusters = embedded_bpsk()
         sampler = IsingSampler(ising, clusters=clusters, backend="cext",
                                rng=rng_mode)
-        assert sampler.selected_kernel == "colour"
         assert sampler.last_sweep_work is None
         first = sampler.anneal(TEMPERATURES, REPLICAS, random_state=11)
         work = sampler.last_sweep_work
@@ -120,13 +119,8 @@ class TestWorkCounters:
                 == reference.bit_generator.state["state"])
         assert work.draws == PINNED_DRAWS
 
-    def test_dense_kernel_counts_and_reference_backends_report_none(self):
+    def test_reference_backend_reports_none(self):
         ising, clusters = embedded_bpsk()
-        dense = IsingSampler(ising, clusters=clusters, kernel="dense",
-                             backend="cext")
-        dense.anneal(TEMPERATURES, REPLICAS, random_state=11)
-        work = dense.last_sweep_work
-        assert 0 < work.exp_calls <= 0.2 * work.draws
         numpy_sampler = IsingSampler(ising, clusters=clusters,
                                      backend="numpy")
         numpy_sampler.anneal(TEMPERATURES[:3], 4, random_state=11)
@@ -403,23 +397,19 @@ class TestSequentialInitialSpins:
 
     def test_engine_start_is_the_export(self):
         """``_anneal`` without ``initial_spins`` equals ``_anneal`` handed
-        the export's matrix after the same draws (sequential discipline,
-        colour and dense kernels)."""
+        the export's matrix after the same draws (sequential discipline)."""
         ising, clusters = embedded_bpsk()
-        for kernel in ("colour", "dense"):
-            sampler = IsingSampler(ising, clusters=clusters, kernel=kernel,
-                                   backend="cext")
-            rng = np.random.default_rng(21)
-            direct = sampler.anneal(TEMPERATURES[:10], 7, random_state=rng)
-            reference_rng = np.random.default_rng(21)
-            start = oracle_initial_spins([reference_rng], 7,
-                                         ising.num_variables)
-            handed = sampler.anneal(TEMPERATURES[:10], 7,
-                                    random_state=reference_rng,
-                                    initial_spins=start)
-            np.testing.assert_array_equal(direct, handed)
-            np.testing.assert_equal(rng.bit_generator.state,
-                                    reference_rng.bit_generator.state)
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext")
+        rng = np.random.default_rng(21)
+        direct = sampler.anneal(TEMPERATURES[:10], 7, random_state=rng)
+        reference_rng = np.random.default_rng(21)
+        start = oracle_initial_spins([reference_rng], 7, ising.num_variables)
+        handed = sampler.anneal(TEMPERATURES[:10], 7,
+                                random_state=reference_rng,
+                                initial_spins=start)
+        np.testing.assert_array_equal(direct, handed)
+        np.testing.assert_equal(rng.bit_generator.state,
+                                reference_rng.bit_generator.state)
 
 
 def embedded_pack(blocks, with_clusters):

@@ -195,17 +195,17 @@ class TestCounterEquivalence:
                 sampler.anneal(schedule, 8, random_state=SEED), reference)
 
     @pytest.mark.parametrize("backend", COMPILED)
-    def test_colour_kernel_equivalence(self, backend, schedule):
-        # A sparse problem dispatches the colour kernel; counter colour
-        # streams must agree with the numpy reference across backends and
-        # thread counts.
+    def test_sparse_problem_equivalence(self, backend, schedule):
+        # Without its clusters the embedded problem is plain sparse colour
+        # sweeps; counter streams must agree with the numpy reference
+        # across backends and thread counts.
         ising, _clusters = embedded_problem()
-        reference = IsingSampler(ising, kernel="colour", backend="numpy",
+        reference = IsingSampler(ising, backend="numpy",
                                  rng="counter").anneal(schedule, 8,
                                                        random_state=SEED)
         for threads in (1, 4):
-            sampler = IsingSampler(ising, kernel="colour", backend=backend,
-                                   rng="counter", threads=threads)
+            sampler = IsingSampler(ising, backend=backend, rng="counter",
+                                   threads=threads)
             assert np.array_equal(
                 sampler.anneal(schedule, 8, random_state=SEED), reference)
 

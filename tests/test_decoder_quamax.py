@@ -129,63 +129,6 @@ class TestQuAMaxDecoding:
         np.testing.assert_array_equal(result.bits, channel_use.transmitted_bits)
 
 
-class TestKernelKnob:
-    """The kernel= knob pins the sampler's sweep kernel from the decoder."""
-
-    def test_invalid_kernel_rejected_at_construction(self):
-        with pytest.raises(DetectionError):
-            QuAMaxDecoder(kernel="simd")
-
-    def test_repr_reports_kernel(self, quiet_machine):
-        assert "kernel='colour'" in repr(QuAMaxDecoder(quiet_machine,
-                                                       kernel="colour"))
-
-    def test_pinned_colour_matches_auto_on_embedded_problems(self,
-                                                             noisy_machine):
-        # Embedded problems are sparse, so auto dispatches the colour kernel;
-        # pinning it explicitly must therefore reproduce the same stream.
-        link = MimoUplink(num_users=4, constellation="QPSK")
-        channel_use = link.transmit(snr_db=18.0, random_state=11)
-        parameters = AnnealerParameters(num_anneals=12)
-        auto = QuAMaxDecoder(noisy_machine, parameters).detect_with_run(
-            channel_use, random_state=21)
-        pinned = QuAMaxDecoder(noisy_machine, parameters,
-                               kernel="colour").detect_with_run(
-            channel_use, random_state=21)
-        np.testing.assert_array_equal(auto.detection.bits,
-                                      pinned.detection.bits)
-        np.testing.assert_array_equal(auto.run.solutions.samples,
-                                      pinned.run.solutions.samples)
-
-    def test_dense_kernel_decodes_correctly(self, quiet_machine):
-        # Forcing the dense sequential kernel is a different (equally exact)
-        # sampler; on a noise-free machine it still decodes the noiseless
-        # channel use perfectly.
-        link = MimoUplink(num_users=4, constellation="BPSK")
-        channel_use = link.transmit(random_state=12)
-        decoder = QuAMaxDecoder(
-            quiet_machine,
-            AnnealerParameters(schedule=AnnealSchedule(1.0, 1.0),
-                               num_anneals=40),
-            kernel="dense")
-        result = decoder.detect(channel_use)
-        np.testing.assert_array_equal(result.bits,
-                                      channel_use.transmitted_bits)
-
-    def test_kernel_reaches_batched_path(self, noisy_machine):
-        link = MimoUplink(num_users=3, constellation="QPSK")
-        rng = np.random.default_rng(13)
-        channel_uses = [link.transmit(random_state=rng) for _ in range(3)]
-        parameters = AnnealerParameters(num_anneals=10)
-        auto = QuAMaxDecoder(noisy_machine, parameters).detect_batch(
-            channel_uses, random_state=31)
-        pinned = QuAMaxDecoder(noisy_machine, parameters,
-                               kernel="colour").detect_batch(
-            channel_uses, random_state=31)
-        for a, b in zip(auto, pinned):
-            np.testing.assert_array_equal(a.detection.bits, b.detection.bits)
-
-
 # --------------------------------------------------------------------------- #
 # Result assembly: the pack pass against the per-job oracle
 # --------------------------------------------------------------------------- #

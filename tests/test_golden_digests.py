@@ -3,7 +3,7 @@
 Between the seed revision and PR 1 the per-subcarrier child-stream derivation
 changed seeded pipeline outputs *silently* — nothing failed, the numbers just
 moved.  These tests freeze the seeded outputs of the decode paths (and of the
-dense-kernel sampler stream underneath them) as committed SHA-256 digests in
+sampler streams underneath them) as committed SHA-256 digests in
 ``tests/goldens/``, so the next stream change fails loudly and has to be
 acknowledged by regenerating the fixtures (``UPDATE_GOLDENS=1``) and
 documenting the move in CHANGES.md.
@@ -147,7 +147,11 @@ class TestGoldenDigests:
 
     def test_dense_kernel_sampler_stream(self, golden):
         # Guards the engine-level stream the decode paths sit on: a dense
-        # logical problem sampled through the auto-dispatched dense kernel.
+        # logical problem (a complete graph, every colour class a
+        # singleton) sampled by the SA solver.  The fixture is named after
+        # the dense sequential-sweep kernel it was recorded under; the
+        # colour kernel visits singletons in the same order with the same
+        # draws and reproduces it byte for byte.
         rng = np.random.default_rng(SEED)
         n = 16
         ising = IsingModel(
@@ -164,7 +168,7 @@ class TestGoldenDigests:
         })
 
     def test_counter_dense_sampler_stream(self, golden):
-        # Freezes the counter-mode (keyed Philox) dense stream: same
+        # Freezes the counter-mode (keyed Philox) stream of the same dense
         # problem as the sequential golden above, annealed under
         # rng="counter".  A *separate* fixture on purpose — the counter
         # contract is its own exact stream, and any change to the Philox
@@ -188,7 +192,7 @@ class TestGoldenDigests:
 
     def test_counter_embedded_cluster_sampler_stream(self, golden):
         # Freezes the counter-mode cluster stream of the embedded
-        # path-chain workload (the fused dense+cluster counter kernels).
+        # path-chain workload (the fused colour+cluster counter kernel).
         ising, clusters = _path_chain_embedded_problem()
         sampler = IsingSampler(ising, clusters=clusters, backend="numpy",
                                rng="counter")

@@ -1,22 +1,27 @@
-"""Randomized equivalence suite for the dense sequential-sweep kernel.
+"""Randomized equivalence suite for the colour-class sweep kernel.
 
-The dense kernel is only trusted because it is checked against the other two
-Metropolis implementations of the repository:
+The sampler has one sweep kernel, checked here against the repository's
+other Metropolis implementations and against itself across backends:
 
-* on problems whose colour classes degenerate to singletons (any complete
-  coupling graph — the QuAMax logical regime), the dense and colour-class
-  kernels perform the *same* sequential dynamics and consume the *same*
-  per-variable Metropolis draws, so their energy trajectories and sample
-  digests must agree bit-for-bit;
-* on general problems the kernels' update orders differ, so agreement is
-  statistical: both must reach the brute-force ground state and produce
-  compatible energy distributions, as must the scalar ``sample_reference``
-  loop (whose random-permutation sweeps never share a stream with either
-  vectorised kernel).
+* the sequential discipline is written out plainly in
+  ``sequential_sweep_oracle`` (one variable, one neighbour, one draw at a
+  time); every backend must follow it bit for bit over whole energy
+  trajectories, on complete graphs (the QuAMax logical regime, which
+  colours into singletons), on the ML reductions of real channel uses and
+  on sparse problems with wide classes;
+* packs of complete-graph problems must equal their per-block serial
+  anneals;
+* agreement with the scalar ``sample_reference`` loop, whose
+  random-permutation sweeps never share a stream with the kernel, is
+  statistical: both reach the brute-force ground state with compatible
+  energy distributions;
+* compiled backends reproduce the numpy loops bit for bit, on dense and
+  embedded (chain-clustered) problems, single blocks and packs, and at the
+  edges of the C kernels' lane layout.
 
 The sweep over ``(num_vars, density, schedule)`` is seeded, so failures are
-reproducible, and dispatch itself is pinned: dense problems must select the
-dense kernel, sparse problems the colour kernel.
+reproducible.  That the sampler samples the Boltzmann law at all is
+``tests/test_boltzmann.py``.
 """
 
 import numpy as np
@@ -24,12 +29,10 @@ import pytest
 
 from repro.annealer.backends import available_backends
 from repro.annealer.engine import (
-    KERNELS,
     BlockDiagonalSampler,
     IsingSampler,
     colour_classes,
 )
-from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel
 from repro.ising.solver import (
     BruteForceIsingSolver,
@@ -54,113 +57,133 @@ def schedule(num_sweeps, hot=5.0, cold=0.05):
     return geometric_temperature_schedule(num_sweeps, hot, cold)
 
 
-class TestKernelDispatch:
-    @pytest.mark.parametrize("num_variables", [4, 12, 24])
-    def test_dense_problem_selects_dense_kernel(self, num_variables):
-        sampler = IsingSampler(random_ising(num_variables, 0))
-        assert sampler.kernel == "auto"
-        assert sampler.selected_kernel == "dense"
+def sequential_sweep_oracle(ising, temperatures, num_replicas, rng,
+                            initial_spins=None, snapshots=()):
+    """The sequential draw discipline written out plainly, one variable and
+    one neighbour at a time, independent of the sampler's operators.
 
-    @pytest.mark.parametrize("num_variables,density", [(16, 0.15), (24, 0.3)])
-    def test_sparse_problem_selects_colour_kernel(self, num_variables, density):
-        ising = random_ising(num_variables, 1, density=density)
-        sampler = IsingSampler(ising)
-        assert len(sampler.block_classes) < num_variables / 2
-        assert sampler.selected_kernel == "colour"
-
-    @pytest.mark.parametrize("num_users", [4, 8, 12])
-    def test_quamax_logical_problem_selects_dense_kernel(self, num_users):
-        # The ML reduction couples almost every variable pair, so its
-        # colouring degenerates toward singletons — the regime the dense
-        # kernel exists for (ISSUE motivation: dense logical Ising from the
-        # QuAMax transform).
-        from repro.mimo.system import MimoUplink
-        from repro.transform.reduction import MLToIsingReducer
-
-        link = MimoUplink(num_users=num_users, constellation="QPSK")
-        channel_use = link.transmit(snr_db=20.0, random_state=1)
-        ising = MLToIsingReducer().reduce(channel_use).ising
-        assert IsingSampler(ising).selected_kernel == "dense"
-
-    def test_uncoupled_problem_selects_colour_kernel(self):
-        ising = IsingModel(num_variables=6, linear=np.ones(6))
-        assert IsingSampler(ising).selected_kernel == "colour"
-
-    def test_small_sparse_problems_keep_colour_kernel(self):
-        # These colourings hit the class-count ratio by accident (a chain
-        # colours into 2 classes, an uncoupled pair into 1) but are nowhere
-        # near dense; auto must leave their seeded colour streams alone.
-        chain = IsingModel(num_variables=4, linear=np.zeros(4),
-                           couplings={(0, 1): 1.0, (1, 2): -1.0,
-                                      (2, 3): 0.5})
-        assert IsingSampler(chain).selected_kernel == "colour"
-        pair = IsingModel(num_variables=2, linear=np.ones(2))
-        assert IsingSampler(pair).selected_kernel == "colour"
-
-    def test_explicit_override_wins(self):
-        dense_problem = random_ising(10, 2)
-        assert IsingSampler(dense_problem,
-                            kernel="colour").selected_kernel == "colour"
-        sparse_problem = random_ising(16, 3, density=0.2)
-        assert IsingSampler(sparse_problem,
-                            kernel="dense").selected_kernel == "dense"
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(AnnealerError):
-            IsingSampler(random_ising(6, 4), kernel="sequential")
-        assert KERNELS == ("auto", "dense", "colour")
-
-    def test_multi_block_dispatch(self):
-        dense = [random_ising(8, seed) for seed in (5, 6)]
-        assert BlockDiagonalSampler(dense).selected_kernel == "dense"
-        base = random_ising(12, 7, density=0.25)
-        rng = np.random.default_rng(0)
-        sparse_blocks = [
-            IsingModel(num_variables=12, linear=rng.normal(size=12),
-                       couplings={key: float(rng.normal())
-                                  for key in base.couplings})
-            for _ in range(2)
-        ]
-        assert BlockDiagonalSampler(sparse_blocks).selected_kernel == "colour"
+    The start is ``2 * rng.integers(0, 2, (R, N)) - 1``.  Each sweep visits
+    the colour classes in order; a class's members update together from the
+    state before the class, each local field summed over neighbours in
+    ascending index order from zero, then the linear term added.  A move
+    with ``delta <= 0`` is taken without a draw; the uphill ones draw one
+    uniform each, replica-major, and flip when it is below
+    ``exp(-delta / T)``.  On a complete graph every class is a singleton
+    and this is the textbook index-order sweep.  Returns the spins after
+    each sweep count in *snapshots*, keyed by that count.
+    """
+    n = ising.num_variables
+    neighbours = [[] for _ in range(n)]
+    for (i, j), value in ising.couplings.items():
+        neighbours[i].append((j, value))
+        neighbours[j].append((i, value))
+    for row in neighbours:
+        row.sort()
+    if initial_spins is None:
+        spins = 2.0 * rng.integers(0, 2, size=(num_replicas, n)) - 1.0
+    else:
+        spins = np.asarray(initial_spins, dtype=float).copy()
+    classes = colour_classes(ising)
+    states = {}
+    for sweep, temperature in enumerate(temperatures, start=1):
+        for group in classes:
+            fields = np.zeros((num_replicas, group.size))
+            for m, i in enumerate(group):
+                for j, value in neighbours[i]:
+                    fields[:, m] += value * spins[:, j]
+            fields += ising.linear[group]
+            delta = -2.0 * spins[:, group] * fields
+            accept = delta <= 0.0
+            uphill = ~accept
+            accept[uphill] = (rng.random(np.count_nonzero(uphill))
+                              < np.exp(-delta[uphill] / temperature))
+            spins[:, group] = np.where(accept, -spins[:, group],
+                                       spins[:, group])
+        if sweep in snapshots:
+            states[sweep] = spins.astype(np.int8)
+    return states
 
 
-class TestDenseColourSharedDynamics:
-    """Bit-for-bit agreement where the two kernels share one dynamics."""
+def assert_trajectory_matches_oracle(ising, temperatures, num_replicas, seed,
+                                     backend, array_digest):
+    """Anneals over schedule prefixes consume a prefix of the stream, so the
+    k-sweep samples ARE the trajectory after k sweeps of the full anneal:
+    comparing several prefixes compares trajectories, not end points."""
+    num_sweeps = len(temperatures)
+    prefixes = (1, num_sweeps // 2, num_sweeps)
+    expected = sequential_sweep_oracle(ising, temperatures, num_replicas,
+                                       np.random.default_rng(seed),
+                                       snapshots=prefixes)
+    sampler = IsingSampler(ising, backend=backend)
+    operator = ising.coupling_operator()
+    for prefix in prefixes:
+        actual = sampler.anneal(temperatures[:prefix], num_replicas,
+                                random_state=seed)
+        np.testing.assert_array_equal(actual, expected[prefix])
+        np.testing.assert_array_equal(
+            ising.energies(actual, operator=operator),
+            ising.energies(expected[prefix], operator=operator))
+        assert array_digest(actual) == array_digest(expected[prefix])
+
+
+class TestCompleteGraphDynamics:
+    """A complete coupling graph (the QuAMax logical regime) colours into
+    singletons: the colour kernel sweeps it one variable at a time in class
+    order, and everything a pack promises still holds."""
 
     # Seeded randomized sweep: complete graphs of several sizes, several
-    # temperature schedules, several seeds.  Complete graphs guarantee the
-    # all-singleton colouring under which the kernels are one algorithm.
+    # temperature schedules, several seeds, on every backend.
     CASES = [(num_variables, num_sweeps, hot, seed)
              for num_variables in (5, 11, 18)
              for num_sweeps, hot in ((30, 5.0), (75, 2.0))
              for seed in (0, 1)]
 
-    @pytest.mark.parametrize("num_variables,num_sweeps,hot,seed", CASES)
-    def test_energy_trajectories_and_digests_agree(self, num_variables,
-                                                   num_sweeps, hot, seed,
-                                                   array_digest):
-        ising = random_ising(num_variables, seed)
+    @pytest.mark.parametrize("num_variables", [4, 12, 24])
+    def test_complete_graph_colours_into_singletons(self, num_variables):
+        ising = random_ising(num_variables, 0)
         assert len(colour_classes(ising)) == num_variables
-        colour = IsingSampler(ising, kernel="colour")
-        dense = IsingSampler(ising, kernel="dense")
-        temperatures = schedule(num_sweeps, hot=hot)
-        operator = ising.coupling_operator()
-        # Annealing over a schedule prefix consumes a prefix of the random
-        # stream, so the k-sweep samples ARE the trajectory state after k
-        # sweeps of the full anneal — comparing them over several prefixes
-        # compares the energy trajectories, not just the end points.
-        for prefix in (1, num_sweeps // 2, num_sweeps):
-            colour_spins = colour.anneal(temperatures[:prefix], 12,
-                                         random_state=seed + 40)
-            dense_spins = dense.anneal(temperatures[:prefix], 12,
-                                       random_state=seed + 40)
-            np.testing.assert_array_equal(colour_spins, dense_spins)
-            np.testing.assert_array_equal(
-                ising.energies(colour_spins, operator=operator),
-                ising.energies(dense_spins, operator=operator))
-            assert array_digest(colour_spins) == array_digest(dense_spins)
+        assert all(group.size == 1
+                   for group in IsingSampler(ising).block_classes)
 
-    def test_multi_block_dense_matches_colour_and_serial(self):
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("num_variables,num_sweeps,hot,seed", CASES)
+    def test_energy_trajectories_and_digests_match_oracle(
+            self, num_variables, num_sweeps, hot, seed, backend,
+            array_digest):
+        ising = random_ising(num_variables, seed)
+        assert_trajectory_matches_oracle(ising, schedule(num_sweeps, hot=hot),
+                                         12, seed + 40, backend, array_digest)
+
+    def test_initial_spins_honoured(self):
+        ising = random_ising(8, 14)
+        start = np.random.default_rng(3).choice(np.array([-1.0, 1.0]),
+                                                size=(6, 8))
+        temperatures = schedule(25)
+        expected = sequential_sweep_oracle(
+            ising, temperatures, 6, np.random.default_rng(15),
+            initial_spins=start, snapshots=(25,))
+        np.testing.assert_array_equal(
+            IsingSampler(ising).anneal(temperatures, 6, random_state=15,
+                                       initial_spins=start),
+            expected[25])
+
+    def test_refresh_values_sweeps_the_new_values(self):
+        base = random_ising(9, 16)
+        rng = np.random.default_rng(4)
+        replacement = IsingModel(
+            num_variables=9, linear=rng.normal(size=9),
+            couplings={key: float(rng.normal()) for key in base.couplings})
+        refreshed = IsingSampler(base)
+        temperatures = schedule(30)
+        refreshed.anneal(temperatures[:3], 7, random_state=16)
+        refreshed.refresh_values(replacement)
+        expected = sequential_sweep_oracle(
+            replacement, temperatures, 7, np.random.default_rng(17),
+            snapshots=(30,))
+        np.testing.assert_array_equal(
+            refreshed.anneal(temperatures, 7, random_state=17), expected[30])
+
+    def test_multi_block_matches_serial(self):
         rng = np.random.default_rng(8)
         base = random_ising(9, 9)
         problems = [
@@ -170,84 +193,65 @@ class TestDenseColourSharedDynamics:
             for _ in range(3)
         ]
         temperatures = schedule(40)
-        combined_dense = BlockDiagonalSampler(problems, kernel="dense").anneal(
-            temperatures, 8, [np.random.default_rng(70 + b) for b in range(3)])
-        combined_colour = BlockDiagonalSampler(problems, kernel="colour").anneal(
-            temperatures, 8, [np.random.default_rng(70 + b) for b in range(3)])
-        np.testing.assert_array_equal(combined_dense, combined_colour)
         blocked = BlockDiagonalSampler(problems)
-        for b, block in enumerate(blocked.split_samples(combined_dense)):
+        combined = blocked.anneal(
+            temperatures, 8, [np.random.default_rng(70 + b) for b in range(3)])
+        for b, block in enumerate(blocked.split_samples(combined)):
             serial = IsingSampler(problems[b]).anneal(
                 temperatures, 8, random_state=np.random.default_rng(70 + b))
             np.testing.assert_array_equal(block, serial)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_cluster_moves_shared_between_kernels(self, backend):
-        # The colour kernel recomputes every local field from the operator;
-        # the dense kernel maintains its field matrix incrementally across
-        # single-spin AND cluster flips.  Equal trajectories on every
-        # backend are the guarantee that incrementally maintained fields
-        # match freshly computed ones.
-        ising = random_ising(10, 11)
-        clusters = [np.array([0, 1, 2], dtype=np.intp),
-                    np.array([6, 7], dtype=np.intp)]
-        temperatures = schedule(35)
-        colour = IsingSampler(ising, clusters=clusters, kernel="colour",
-                              backend=backend)
-        dense = IsingSampler(ising, clusters=clusters, kernel="dense",
-                             backend=backend)
-        np.testing.assert_array_equal(
-            colour.anneal(temperatures, 10, random_state=13),
-            dense.anneal(temperatures, 10, random_state=13))
-
-    def test_initial_spins_honoured(self):
-        ising = random_ising(8, 14)
-        rng = np.random.default_rng(3)
-        start = rng.choice(np.array([-1.0, 1.0]), size=(6, 8))
-        temperatures = schedule(25)
-        np.testing.assert_array_equal(
-            IsingSampler(ising, kernel="colour").anneal(
-                temperatures, 6, random_state=15, initial_spins=start),
-            IsingSampler(ising, kernel="dense").anneal(
-                temperatures, 6, random_state=15, initial_spins=start))
-
-    def test_refresh_values_rebinds_dense_kernel(self):
-        base = random_ising(9, 16)
-        rng = np.random.default_rng(4)
-        replacement = IsingModel(
-            num_variables=9, linear=rng.normal(size=9),
-            couplings={key: float(rng.normal()) for key in base.couplings})
-        refreshed = IsingSampler(base, kernel="dense")
-        refreshed.refresh_values(replacement)
-        fresh = IsingSampler(replacement, classes=refreshed.classes,
-                             kernel="dense")
-        temperatures = schedule(30)
-        np.testing.assert_array_equal(
-            refreshed.anneal(temperatures, 7, random_state=17),
-            fresh.anneal(temperatures, 7, random_state=17))
-
-    def test_dense_kernel_is_deterministic(self, array_digest):
-        ising = random_ising(14, 18)
-        sampler = IsingSampler(ising)
-        assert sampler.selected_kernel == "dense"
+    def test_anneal_is_deterministic(self, array_digest):
+        sampler = IsingSampler(random_ising(14, 18))
         temperatures = schedule(50)
         first = sampler.anneal(temperatures, 20, random_state=19)
         second = sampler.anneal(temperatures, 20, random_state=19)
         assert array_digest(first) == array_digest(second)
 
 
+class TestGeneralGraphDynamics:
+    """Off the complete graph, classes hold several members that update
+    together; the oracle's class-ordered, replica-major draws still
+    reproduce the kernel bit for bit."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("num_users", [4, 8, 12])
+    def test_quamax_logical_problem_matches_oracle(self, num_users, backend,
+                                                   array_digest):
+        # The ML reduction of a QPSK channel use couples almost every
+        # variable pair: the logical problems the solvers are handed.
+        from repro.mimo.system import MimoUplink
+        from repro.transform.reduction import MLToIsingReducer
+
+        link = MimoUplink(num_users=num_users, constellation="QPSK")
+        channel_use = link.transmit(snr_db=20.0, random_state=1)
+        ising = MLToIsingReducer().reduce(channel_use).ising
+        assert_trajectory_matches_oracle(ising, schedule(30), 8,
+                                         num_users + 60, backend,
+                                         array_digest)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("num_variables,density", [(16, 0.15), (24, 0.3)])
+    def test_sparse_problem_matches_oracle(self, num_variables, density,
+                                           backend, array_digest):
+        ising = random_ising(num_variables, 1, density=density)
+        assert len(colour_classes(ising)) < num_variables / 2
+        assert_trajectory_matches_oracle(ising, schedule(40), 8,
+                                         num_variables + 70, backend,
+                                         array_digest)
+
+
 class TestStatisticalAgreementAcrossDynamics:
     """Where the update orders differ, agreement is statistical."""
 
     @pytest.mark.parametrize("density,seed", [(0.5, 21), (0.8, 22)])
-    def test_forced_dense_solves_sparse_problems(self, density, seed):
-        # Forcing the dense kernel onto a sparser problem changes the update
-        # order (classes are no longer singletons) but must remain a correct
-        # Metropolis sampler: it still finds the exact ground state.
+    def test_solves_partially_coupled_problems(self, density, seed):
+        # Between the sparse and the complete regime classes are few and
+        # uneven; the sampler must still find the exact ground state.
         ising = random_ising(12, seed, density=density)
         exact = BruteForceIsingSolver().ground_energy(ising)
-        sampler = IsingSampler(ising, kernel="dense")
-        samples = sampler.anneal(schedule(150), 60, random_state=seed)
+        samples = IsingSampler(ising).anneal(schedule(150), 60,
+                                             random_state=seed)
         assert ising.energies(samples).min() == pytest.approx(exact)
 
     def test_dense_solver_matches_scalar_reference_statistics(self):
@@ -275,11 +279,10 @@ class TestStatisticalAgreementAcrossDynamics:
 class TestCompiledBackendSharedDynamics:
     """Compiled backends must reproduce the numpy loops' streams exactly.
 
-    A seeded randomized sweep over problem shapes that exercise both
-    kernels through ``kernel="auto"`` dispatch — dense logical-style
-    problems land on the dense sequential kernel, sparse ones on the
-    colour-class kernel — so a compiled backend that diverges on either
-    path, or in the dispatch glue between them, fails here by digest.
+    A seeded randomized sweep over problem shapes — dense logical-style
+    problems, whose classes are singletons, and sparse ones with a handful
+    of wide classes — so a compiled backend that diverges on either shape
+    fails here by digest.
     """
 
     from repro.annealer.backends import available_backends as _avail
@@ -292,13 +295,12 @@ class TestCompiledBackendSharedDynamics:
 
     @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("num_variables,density,num_sweeps,seed", CASES)
-    def test_auto_kernel_digests_agree(self, backend, num_variables, density,
-                                       num_sweeps, seed, array_digest):
+    def test_digests_agree(self, backend, num_variables, density,
+                           num_sweeps, seed, array_digest):
         ising = random_ising(num_variables, seed, density=density)
         temperatures = schedule(num_sweeps)
         reference = IsingSampler(ising, backend="numpy")
         compiled = IsingSampler(ising, backend=backend)
-        assert reference.selected_kernel == compiled.selected_kernel
         expected = reference.anneal(temperatures, 10, random_state=seed + 50)
         actual = compiled.anneal(temperatures, 10, random_state=seed + 50)
         np.testing.assert_array_equal(expected, actual)
@@ -342,8 +344,8 @@ class TestEmbeddedClusterSharedDynamics:
     every available backend.  The numpy loops are the reference; the fused
     compiled cluster kernels must reproduce their per-variable/per-cluster
     draw streams exactly, over schedule prefixes (trajectories, not just
-    end points), for both sweep kernels, and for multi-block packs (the
-    serving shape, one pack-level compiled dispatch).
+    end points), and for multi-block packs (the serving shape, one
+    pack-level compiled dispatch).
     """
 
     from repro.annealer.backends import available_backends as _avail
@@ -365,7 +367,6 @@ class TestEmbeddedClusterSharedDynamics:
         temperatures = schedule(num_sweeps)
         reference = IsingSampler(ising, clusters=clusters, backend="numpy")
         compiled = IsingSampler(ising, clusters=clusters, backend=backend)
-        assert reference.selected_kernel == compiled.selected_kernel
         for prefix in (1, num_sweeps // 2, num_sweeps):
             expected = reference.anneal(temperatures[:prefix], 8,
                                         random_state=seed + 61)
@@ -375,9 +376,7 @@ class TestEmbeddedClusterSharedDynamics:
             assert array_digest(expected) == array_digest(actual)
 
     @pytest.mark.parametrize("backend", COMPILED)
-    @pytest.mark.parametrize("kernel", ["colour", "dense"])
-    def test_embedded_cluster_pack_matches_numpy_and_serial(self, backend,
-                                                            kernel):
+    def test_embedded_cluster_pack_matches_numpy_and_serial(self, backend):
         base, clusters = path_chain_ising(20, 5, 70, density=0.12)
         rng = np.random.default_rng(71)
         problems = [
@@ -388,19 +387,18 @@ class TestEmbeddedClusterSharedDynamics:
         ]
         temperatures = schedule(35)
         expected = BlockDiagonalSampler(problems, clusters=clusters,
-                                        kernel=kernel,
                                         backend="numpy").anneal(
             temperatures, 6,
             [np.random.default_rng(80 + b) for b in range(4)])
         packed = BlockDiagonalSampler(problems, clusters=clusters,
-                                      kernel=kernel, backend=backend)
+                                      backend=backend)
         actual = packed.anneal(
             temperatures, 6,
             [np.random.default_rng(80 + b) for b in range(4)])
         np.testing.assert_array_equal(expected, actual)
         for b, block in enumerate(packed.split_samples(actual)):
             serial = IsingSampler(problems[b], clusters=clusters,
-                                  kernel=kernel, backend=backend).anneal(
+                                  backend=backend).anneal(
                 temperatures, 6, random_state=np.random.default_rng(80 + b))
             np.testing.assert_array_equal(block, serial)
 
@@ -417,8 +415,7 @@ class TestEmbeddedClusterSharedDynamics:
         # Populate the structure caches on the original values first.
         rebound.anneal(temperatures[:3], 3, random_state=74)
         rebound.refresh_values(replacement)
-        fresh = IsingSampler(replacement, classes=rebound.classes,
-                             clusters=clusters, backend="numpy")
+        fresh = IsingSampler(replacement, clusters=clusters, backend="numpy")
         np.testing.assert_array_equal(
             rebound.anneal(temperatures, 5, random_state=75),
             fresh.anneal(temperatures, 5, random_state=75))
@@ -438,7 +435,6 @@ class TestEmbeddedClusterSharedDynamics:
 
         def anneal(used_backend):
             sampler = BlockDiagonalSampler(problems, clusters=clusters,
-                                           kernel="colour",
                                            backend=used_backend, rng=rng_mode)
             return sampler.anneal(temperatures, 7,
                                   [np.random.default_rng(92 + b)
@@ -460,14 +456,13 @@ class TestEmbeddedClusterSharedDynamics:
             num_variables=24, linear=rng.normal(size=24),
             couplings={key: float(rng.normal()) for key in base.couplings})
         temperatures = schedule(30)
-        rebound = IsingSampler(base, clusters=clusters, kernel="colour",
-                               backend=backend, rng=rng_mode)
+        rebound = IsingSampler(base, clusters=clusters, backend=backend,
+                               rng=rng_mode)
         rebound.anneal(temperatures, 5, random_state=95)
         rebound.refresh_values(replacement)
         for seed in (96, 97):
             fresh = IsingSampler(replacement, clusters=clusters,
-                                 kernel="colour", backend="numpy",
-                                 rng=rng_mode)
+                                 backend="numpy", rng=rng_mode)
             np.testing.assert_array_equal(
                 rebound.anneal(temperatures, 5, random_state=seed),
                 fresh.anneal(temperatures, 5, random_state=seed))
@@ -518,14 +513,13 @@ class TestLaneEdges:
         reference_rngs = [np.random.default_rng(103 + b)
                           for b in range(blocks)]
         expected = BlockDiagonalSampler(
-            problems, clusters=clusters, kernel="colour", backend="numpy",
+            problems, clusters=clusters, backend="numpy",
             rng=rng_mode).anneal(temperatures, replicas, reference_rngs,
                                  initial_spins=initial)
 
         rngs = [np.random.default_rng(103 + b) for b in range(blocks)]
         sampler = BlockDiagonalSampler(problems, clusters=clusters,
-                                       kernel="colour", backend=backend,
-                                       rng=rng_mode)
+                                       backend=backend, rng=rng_mode)
         if layout != "strided":
             actual = sampler.anneal(temperatures, replicas, rngs,
                                     initial_spins=initial)
@@ -560,8 +554,8 @@ class TestLaneEdges:
 
         def anneal(used_backend, threads):
             return BlockDiagonalSampler(
-                problems, clusters=clusters, kernel="colour",
-                backend=used_backend, rng="counter", threads=threads).anneal(
+                problems, clusters=clusters, backend=used_backend,
+                rng="counter", threads=threads).anneal(
                 temperatures, replicas,
                 [np.random.default_rng(110 + b) for b in range(blocks)])
 

@@ -189,7 +189,7 @@ def oracle_aggregate(ising, raw):
 
 
 def oracle_run(machine, ising, parameters, rng, embedding=None,
-               kernel="auto", backend="auto", perturb=oracle_perturb):
+               backend="auto", perturb=oracle_perturb):
     """A whole QA job through the oracle stages (one-block samplers built
     by the validating constructor for the anneals)."""
     if embedding is None:
@@ -212,8 +212,8 @@ def oracle_run(machine, ising, parameters, rng, embedding=None,
         problem = IsingModel(num_variables=num_physical, linear=linear,
                              couplings=couplings)
         physical[produced:produced + batch] = IsingSampler(
-            problem, clusters=clusters, kernel=kernel,
-            backend=backend).anneal(temperatures, batch, random_state=rng)
+            problem, clusters=clusters, backend=backend).anneal(
+                temperatures, batch, random_state=rng)
         produced += batch
     logical, report = oracle_unembed(embedded.chains, physical, rng)
     samples, energies, counts = oracle_aggregate(ising, logical)

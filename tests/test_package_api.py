@@ -11,7 +11,11 @@ import pytest
 
 import repro
 from repro import constants
-from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+from repro.annealer.engine import (
+    BlockDiagonalSampler,
+    IsingSampler,
+    batched_metropolis,
+)
 from repro.exceptions import AnnealerError, DetectionError
 
 
@@ -186,8 +190,8 @@ class TestBackendNames:
 
 
 class TestServingOptionSurface:
-    """The serving layer's keyword sets, pinned exactly: an option is added
-    by editing this list, not by accretion."""
+    """The serving and sampling layers' keyword sets, pinned exactly: an
+    option is added by editing this list, not by accretion."""
 
     SURFACE = {
         "CranService": {
@@ -202,15 +206,32 @@ class TestServingOptionSurface:
             "service", "admission_limit", "per_cell_limit",
             "overload_policy"},
         "TraceRecorder": set(),
+        "QuAMaxDecoder": {
+            "annealer", "parameters", "random_state", "backend", "rng",
+            "threads"},
+        "QuantumAnnealerSimulator.run_batch": {
+            "logical_isings", "parameters", "random_states", "random_state",
+            "embedding", "backend", "rng", "threads"},
+        "BlockDiagonalSampler": {
+            "isings", "clusters", "backend", "rng", "threads"},
+        "IsingSampler": {"ising", "clusters", "backend", "rng", "threads"},
+        "SimulatedAnnealingSolver": {
+            "num_sweeps", "num_reads", "hot_temperature", "cold_temperature",
+            "backend", "rng", "threads"},
     }
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_keyword_set_is_exact(self, name):
         import inspect
 
-        from repro import cran
+        from repro import annealer, cran
 
-        parameters = inspect.signature(getattr(cran, name).__init__).parameters
+        owner, _, method = name.partition(".")
+        target = next(getattr(package, owner)
+                      for package in (cran, annealer, repro)
+                      if hasattr(package, owner))
+        parameters = inspect.signature(
+            getattr(target, method or "__init__")).parameters
         assert set(parameters) - {"self"} == self.SURFACE[name]
 
     @pytest.mark.parametrize("name, removed", [
@@ -227,6 +248,33 @@ class TestServingOptionSurface:
 
         with pytest.raises(TypeError, match=removed):
             getattr(cran, name)(**{removed: None})
+
+    #: Every call that took the sweep-kernel knob ``kernel=``, or a
+    #: caller-made colouring ``classes=``, with its required arguments.
+    SAMPLING_CALLS = {
+        "BlockDiagonalSampler": lambda ising, **extra: BlockDiagonalSampler(
+            [ising], **extra),
+        "IsingSampler": lambda ising, **extra: IsingSampler(ising, **extra),
+        "batched_metropolis": lambda ising, **extra: batched_metropolis(
+            ising, [1.0], 1, **extra),
+        "QuantumAnnealerSimulator.run": lambda ising, **extra: (
+            repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2))
+            .run(ising, **extra)),
+        "QuantumAnnealerSimulator.run_batch": lambda ising, **extra: (
+            repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2))
+            .run_batch([ising], **extra)),
+        "QuAMaxDecoder": lambda ising, **extra: repro.QuAMaxDecoder(**extra),
+    }
+
+    @pytest.mark.parametrize("name, removed", [
+        *[(name, "kernel") for name in SAMPLING_CALLS],
+        ("BlockDiagonalSampler", "classes"), ("IsingSampler", "classes"),
+    ])
+    def test_removed_sampling_keyword_is_rejected(self, name, removed):
+        ising = repro.IsingModel(num_variables=2, linear=[0.5, -0.5],
+                                 couplings={(0, 1): 1.0})
+        with pytest.raises(TypeError, match=removed):
+            self.SAMPLING_CALLS[name](ising, **{removed: "colour"})
 
 
 class TestConstants:

@@ -21,7 +21,6 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
-    colour_classes,
     sparse_coupling_matrix,
 )
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
@@ -141,8 +140,7 @@ class TestRefreshValues:
         clusters = self._clusters(10)
         refreshed = IsingSampler(base, clusters=clusters)
         refreshed.refresh_values(replacement)
-        fresh = IsingSampler(replacement, classes=refreshed.classes,
-                             clusters=clusters)
+        fresh = IsingSampler(replacement, clusters=clusters)
         temperatures = [2.0, 1.0, 0.5, 0.1]
         a = refreshed.anneal(temperatures, 8, random_state=3)
         b = fresh.anneal(temperatures, 8, random_state=3)
@@ -193,17 +191,14 @@ class TestBlockDiagonalSampler:
         problems = self._same_structure_problems(4, 9, 10)
         clusters = [np.array([0, 1, 2], dtype=np.intp),
                     np.array([5, 6], dtype=np.intp)]
-        classes = colour_classes(problems[0])
-        blocked = BlockDiagonalSampler(problems, classes=classes,
-                                       clusters=clusters)
+        blocked = BlockDiagonalSampler(problems, clusters=clusters)
         temperatures = [3.0, 1.5, 0.7, 0.2, 0.05]
         combined = blocked.anneal(temperatures, 6,
                                   [np.random.default_rng(40 + b)
                                    for b in range(4)])
         for b, (problem, block) in enumerate(
                 zip(problems, blocked.split_samples(combined))):
-            serial = IsingSampler(problem, classes=classes,
-                                  clusters=clusters).anneal(
+            serial = IsingSampler(problem, clusters=clusters).anneal(
                 temperatures, 6, random_state=np.random.default_rng(40 + b))
             np.testing.assert_array_equal(block, serial)
 
@@ -224,8 +219,7 @@ class TestBlockDiagonalSampler:
         ]
         sampler = BlockDiagonalSampler(problems)
         sampler.refresh_values(replacements)
-        fresh = BlockDiagonalSampler(replacements,
-                                     classes=sampler.block_classes)
+        fresh = BlockDiagonalSampler(replacements)
         rngs_a = [np.random.default_rng(60 + b) for b in range(3)]
         rngs_b = [np.random.default_rng(60 + b) for b in range(3)]
         np.testing.assert_array_equal(
