@@ -86,17 +86,20 @@ values the counter discipline's initial configuration
 identity and golden suites are the proof — and each dispatch reports
 :class:`SweepWork` counters that guard them without a clock.  In C every
 move is written once against a ``draw_source`` (lane moves *prepare*
-their draws, a no-op for a generator, then read them), so the twin entry
+their draws, a no-op for a generator, then read them), so the entry
 points differ only in how they group replicas and in the draw.
 
 Counter mode and threads
 ------------------------
 
 Orthogonally to the backend, the ``rng=`` knob selects the *draw discipline*
-(:data:`RNG_MODES`).  ``"sequential"`` (the default, described above) is
-serial within a block: a replica's next draw depends on how many draws
-earlier replicas consumed (a pack's *blocks*, each drawing from its own
-generator, shard across cores: :func:`_sharded_colour_call`).  ``"counter"``
+(:data:`RNG_MODES`).  ``"sequential"`` (the default, described above) makes
+a replica's next draw depend on how many draws earlier replicas consumed,
+yet its cext calls use every core, bit for bit: a pack's *blocks*, each
+drawing from its own generator, shard (:func:`_sharded_colour_call`), and
+one large block's replicas split into two lane halves whose uphill counts,
+known before any decision, place each half's draws in the stream
+(:func:`_lane_half_call`).  ``"counter"``
 replaces consumption order with position — every potential draw is addressed
 by a ``(site, sweep, replica, move_tag)`` counter and valued by Philox4x32-10
 under a per-block key (see :mod:`repro.annealer.counter`) — which makes
@@ -125,6 +128,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import threading
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -418,24 +422,143 @@ def _cext_colour_arguments(workspace: Optional[dict], num_blocks: int,
         work_ptr), work
 
 
-def _sharded_colour_call(function, workspace: Optional[dict], spins, linear,
+def _helpers(workspace: Optional[dict], count: int):
+    """The helper pool, and *count* sub-workspaces of *workspace* for the
+    calls it runs (fresh ones for a one-off call)."""
+    if not _HELPERS:
+        from concurrent.futures import ThreadPoolExecutor
+        _HELPERS.setdefault("pool", ThreadPoolExecutor(_usable_cpus() - 1))
+    spaces = [] if workspace is None else workspace.setdefault("shards", [])
+    spaces += [{} for _ in range(count - len(spaces))]
+    return _HELPERS["pool"], spaces[:count]
+
+
+#: Spins (block size × replicas) above which a one-block sequential call
+#: splits.  Chimera BPSK decodes, split vs one thread: 48 × 25 0.89×,
+#: 80 × 25 1.13×; ungated, ``batch1_qpsk`` (18 × 25) fell 1598 → 1232 jobs/s.
+_LANE_SPLIT_SPINS = 1500
+#: Nanoseconds a half may yield away, past its spins, in one call: waiting
+#: for its helper at the caller's first handshake (then a decline) or for
+#: the other half's counts (then a stall, the split aborted).  Beside a busy
+#: thread (an unpinned OpenBLAS worker) a split without it took 60-80 ms
+#: where one thread takes 5.
+_STALL_BUDGET = 2_000_000
+#: Calls the second stall in a row stands down: 8, four times as many each
+#: time up to 512 while stalls go on, 8 again after 4 clean splits in a row
+#: (:func:`_note_split`).  A quiet host's noise rarely triggers twice.
+_STAND_DOWN_CALLS, _STAND_DOWN_RESET = (8, 512), 4
+_STALL = {"clean": _STAND_DOWN_RESET, "rest": _STAND_DOWN_CALLS[0]}
+#: What became of eligible one-block calls: counts any process can print.
+#: It and ``_STALL`` are the process's, shared by every worker thread.
+LANE_SPLITS: Dict[str, int] = dict.fromkeys(
+    ("splits", "stalls", "declines", "stand_downs", "resting"), 0)
+_SPLIT_LOCK = threading.Lock()
+#: ``sync`` words and what a call's claim can end as (``_C_SOURCE``'s enums).
+_CLAIM, _BUDGET, _WORDS = 0, 1, 24
+_WHOLE, _ABORTED, _COMMITTED = 2, 3, 4
+_OUTCOMES = {_WHOLE: "declines", _ABORTED: "stalls", _COMMITTED: "splits"}
+
+
+def _lane_cut(num_replicas: int) -> int:
+    """The follower's first replica.  The follower takes whole lane vectors,
+    about half the replicas, the leader the rest and the pad lanes: a
+    slightly heavier leader never waits for the follower (25 replicas: cut
+    13 1.47×, 12 1.46×, 16 1.36× the one-thread call)."""
+    follower = num_replicas // (2 * _LANE_WIDTH) * _LANE_WIDTH
+    return max(1, min(num_replicas - 1, num_replicas - follower))
+
+
+def _note_split(outcome: int) -> None:
+    """Count a split by its claim's *outcome*: committed, a stall (aborted)
+    or a decline (taken whole).  The last two say a core was busy: one
+    right after another stands the next eligible calls down, four times as
+    many each time, until enough clean splits in a row say the cores are
+    free."""
+    stalled = outcome != _COMMITTED
+    with _SPLIT_LOCK:
+        LANE_SPLITS[_OUTCOMES[outcome]] += 1
+        rest = _STALL["rest"]
+        if stalled and not _STALL["clean"]:
+            LANE_SPLITS["resting"] = rest
+            rest = min(4 * rest, _STAND_DOWN_CALLS[1])
+        clean = 0 if stalled else _STALL["clean"] + 1
+        _STALL.update(clean=clean, rest=_STAND_DOWN_CALLS[0]
+                      if clean >= _STAND_DOWN_RESET else rest)
+
+
+def _lane_half_call(lib, workspace: Optional[dict], spins, arguments,
+                    rng) -> Optional[SweepWork]:
+    """A one-block sequential call as two lane halves (``lane_half_sweep``):
+    replicas ``[0, cut)`` on this thread, the rest on a helper, each from a
+    copy of *rng*'s PCG64 that C jumps to the half's draw offsets; *rng* is
+    left where the one-thread call leaves it, as are the spins and the
+    :class:`SweepWork`.  ``None`` (make the one-thread call) when the call
+    stands down, no helper had started by the caller's first handshake or a
+    half waited past its budget."""
+    with _SPLIT_LOCK:
+        if LANE_SPLITS["resting"]:
+            LANE_SPLITS["resting"] -= 1
+            LANE_SPLITS["stand_downs"] += 1
+            return None
+    state = rng.bit_generator.state
+    pcg = state["state"]
+    raw = np.zeros(40, dtype=np.int64)  # 32 words, on cache-line bounds
+    sync = raw[(-raw.ctypes.data % 64) // 8:][:32]
+    sync[_BUDGET] = _STALL_BUDGET
+    words = sync[_WORDS:_WORDS + 4].view(np.uint64)
+    words[:] = [pcg["state"] >> 64, pcg["state"] & 2**64 - 1,
+                pcg["inc"] >> 64, pcg["inc"] & 2**64 - 1]
+    cut = _lane_cut(spins.shape[0])
+    pool, spaces = _helpers(workspace, 1)
+    # The helper's argument is sync.ctypes, which holds sync: a helper that
+    # starts after the caller took the call whole must still read its claim.
+    # Its future goes unread: its arguments are the caller's kinds, so a
+    # conversion error raises in the caller's own call, and C cannot fail.
+    calls = [_cext_colour_arguments(space, 1, 1, rows, *arguments,
+                                    sync.ctypes, half)
+             for half, (space, rows) in enumerate(
+                 zip([workspace, *spaces], (spins[:cut], spins[cut:])))]
+    pool.submit(lib.lane_half_sweep, *calls[1][0])
+    lib.lane_half_sweep(*calls[0][0])
+    outcome = int(sync[_CLAIM])
+    _note_split(outcome)
+    if outcome != _COMMITTED:
+        return None
+    pcg["state"] = int(words[0]) << 64 | int(words[1])
+    rng.bit_generator.state = state
+    return SweepWork(*(calls[0][1] + calls[1][1]).tolist())
+
+
+def _sharded_colour_call(lib, workspace: Optional[dict], spins, linear,
                          members, class_starts, class_data, indices, indptr,
-                         clusters, temperatures, generators) -> SweepWork:
+                         clusters, temperatures, rngs) -> SweepWork:
     """The sequential colour call as ``min(blocks, usable CPUs)`` calls
     over contiguous block ranges, each with a sub-workspace of its own, the
     first on this thread, the rest on helpers (ctypes drops the GIL).  Block
-    *b* draws only from ``generators[b]``: the one call's stream exactly,
-    unless two blocks share a bit generator — then it is the one call."""
+    *b* draws only from ``rngs[b]``: the one call's stream exactly, unless
+    two blocks share a bit generator — then it is the one call.  A pack of
+    one large block on a PCG64 splits its replicas instead
+    (:func:`_lane_half_call`)."""
+    function = lib.pack_fused_colour_cluster_sweep
+    generators = _generator_pointers(workspace, rngs)
     blocks = len(generators)
     shards = min(blocks, _usable_cpus())
     if shards < 2 or len(set(generators)) < blocks:
+        if (blocks == 1 < spins.shape[0] and _usable_cpus() > 1
+                and spins.size > _LANE_SPLIT_SPINS
+                and type(rngs[0].bit_generator) is np.random.PCG64):
+            work = _lane_half_call(
+                lib, workspace, spins, (linear, members, class_starts,
+                                        class_data, indices, indptr, clusters,
+                                        temperatures), rngs[0])
+            if work is not None:
+                return work
         args, work = _cext_colour_arguments(
             workspace, blocks, 1, spins, linear, members, class_starts,
             class_data, indices, indptr, clusters, temperatures, generators)
         function(*args)
         return SweepWork(*work.tolist())
-    spaces = [] if workspace is None else workspace.setdefault("shards", [])
-    spaces += [{} for _ in range(shards - 1 - len(spaces))]
+    pool, spaces = _helpers(workspace, shards - 1)
     size = spins.shape[1] // blocks
     bounds = [blocks * k // shards for k in range(shards + 1)]
     calls = [_cext_colour_arguments(
@@ -445,10 +568,7 @@ def _sharded_colour_call(function, workspace: Optional[dict], spins, linear,
         clusters._replace(edge_values=clusters.edge_values[lo:hi]),
         temperatures, (ctypes.c_void_p * (hi - lo))(*generators[lo:hi]))
         for space, lo, hi in zip([workspace, *spaces], bounds, bounds[1:])]
-    if not _HELPERS:
-        from concurrent.futures import ThreadPoolExecutor
-        _HELPERS.setdefault("pool", ThreadPoolExecutor(_usable_cpus() - 1))
-    rest = [_HELPERS["pool"].submit(function, *args) for args, _ in calls[1:]]
+    rest = [pool.submit(function, *args) for args, _ in calls[1:]]
     try:
         function(*calls[0][0])
     finally:
@@ -492,9 +612,8 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     """
     if backend == "cext":
         return _sharded_colour_call(
-            _load_cext().pack_fused_colour_cluster_sweep, workspace, spins,
-            linear, members, class_starts, class_data, indices, indptr,
-            clusters, temperatures, _generator_pointers(workspace, rngs))
+            _load_cext(), workspace, spins, linear, members, class_starts,
+            class_data, indices, indptr, clusters, temperatures, rngs)
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -721,9 +840,11 @@ _LANE_WIDTH = 4
 
 _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
 #include <math.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <string.h>
+#include <time.h>
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -755,7 +876,9 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
  * An addressed draw need not wait to be asked for: a lane move *prepares*
  * its draws — every (site, lane) uniform valued at once, one Philox per
  * 64-bit slot of a vector register — and then reads slots (a no-op and
- * "the Generator's next" under the sequential discipline).
+ * "the Generator's next" under the sequential discipline).  A third
+ * source, a lane half's own PCG64 (below), prepares by finding out where
+ * its draws start.
  * ------------------------------------------------------------------------ */
 typedef double (*next_double_fn)(void *state);
 
@@ -862,8 +985,10 @@ TARGET static void NAME(const philox_span *span, double *out)               \
 PHILOX_FILL(philox_fill_2, , 2, PHILOX_MUL_2)
 PHILOX_FILL(philox_fill_4, __attribute__((target("avx2"))), 4, PHILOX_MUL_4)
 #define PHILOX_WIDTH (__builtin_cpu_supports("avx2") ? 4 : 2)
+#define SPIN_PAUSE() _mm_pause()
 #else
 #define PHILOX_WIDTH 1
+#define SPIN_PAUSE() ((void)0)
 #define philox_fill_2 philox_fill_1  /* never selected: names for below */
 #define philox_fill_4 philox_fill_1
 #endif
@@ -891,33 +1016,210 @@ int64_t philox_fill_probe(int64_t width, int64_t begin, int64_t end,
     return width;
 }
 
-/* `addressed` is a literal at every entry point and the moves are inlined
-   into them, so each entry point compiles to its own discipline's draw. */
+/* ------------------------------------------------------------------------ *
+ * One block on two threads: lane halves (sequential discipline).
+ *
+ * Inside a move a block's draws are lane-major and every lane's delta is
+ * known before the first decision.  So the leader, half 0 (lanes [0, cut)),
+ * takes each move's first draws and the follower, half 1, the rest; each
+ * decides on its own thread, in its own scratch, from its own copy of the
+ * block's PCG64 (NumPy's 128-bit LCG with XSL-RR output, whose next_double
+ * never touches the buffered half-word) jumped to where its draws start.
+ * They share `sync`: line 0 the claim and the wait budget, line 1 + h
+ * half h's move count and last RING counts, line 3 the PCG64 words {state
+ * high, state low, inc high, inc low} — the follower's final state once it
+ * is done — and the done flag.  The claim settles the call: the helper
+ * claims it (SPLIT) or the caller, finding no helper at its first
+ * handshake, takes it WHOLE; a half out of wait budget ABORTS it unless
+ * the other half has COMMITTED it, finished, to the spins.
+ * ------------------------------------------------------------------------ */
+enum { SYNC_LINE = 8, CLAIM = 0, BUDGET = 1, PUBLISHED = 0,
+       COUNTS = 1, RING = 4, WORDS = 3 * SYNC_LINE, DONE = WORDS + 4,
+       SPIN_LIMIT = 1 << 12 };
+enum { CLAIM_OPEN, CLAIM_SPLIT, CLAIM_WHOLE, CLAIM_ABORTED, CLAIM_COMMITTED };
+
+#ifdef __SIZEOF_INT128__
+#define LANE_HALVES 1
+typedef unsigned __int128 pcg128_t;
+#define PCG128(high, low) (((pcg128_t)(high) << 64) | (uint64_t)(low))
+#define PCG64_MULTIPLIER PCG128(0x2360ED051FC65DA4ULL, 0x4385DF649FCCF645ULL)
+
+static inline double pcg64_next_double(pcg128_t *state, pcg128_t inc)
+{
+    const pcg128_t s = *state = *state * PCG64_MULTIPLIER + inc;
+    const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned rot = (unsigned)(s >> 122);
+    return (double)(((x >> rot) | (x << (-rot & 63u))) >> 11)
+           * (1.0 / 9007199254740992.0);
+}
+
+/* The state `delta` steps on, in O(log delta) (Brown's LCG jump-ahead). */
+static pcg128_t pcg64_advance(pcg128_t state, pcg128_t inc, uint64_t delta)
+{
+    pcg128_t multiplier = PCG64_MULTIPLIER, total_multiplier = 1;
+    pcg128_t total_increment = 0;
+    for (; delta; delta >>= 1, inc *= multiplier + 1, multiplier *= multiplier)
+        if (delta & 1) {
+            total_multiplier *= multiplier;
+            total_increment = total_increment * multiplier + inc;
+        }
+    return total_multiplier * state + total_increment;
+}
+#else  /* no 128-bit integers: every split call is taken whole (below) */
+#define LANE_HALVES 0
+typedef uint64_t pcg128_t;
+#define PCG128(high, low) ((pcg128_t)(low))
+#define pcg64_next_double(state, inc) ((double)(*(state) + (inc)))
+#define pcg64_advance(state, inc, delta) ((state) + (inc) + (delta))
+#endif
+
 typedef struct {
-    int addressed;               /* 0 sequential, 1 counter */
-    next_double_fn next_double;  /* sequential: the block's Generator */
+    int64_t *sync, half, moves, budget;  /* ns left to yield away */
+    int claimed, stop;  /* the caller's first handshake made; half stopped */
+    pcg128_t state, inc;
+} lane_half;
+
+static int64_t now_ns(void)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return now.tv_sec * 1000000000 + now.tv_nsec;
+}
+
+/* Wait for *word >= target: SPIN_LIMIT pauses, then sched_yield, the time
+   spent yielding taken from *budget (ns; no bound when negative); 0 once
+   the budget is gone, the word there or not. */
+static int half_wait(int64_t *word, int64_t target, int64_t *budget)
+{
+    int64_t start = -1;
+    for (int64_t spins = 0; __atomic_load_n(word, __ATOMIC_ACQUIRE) < target;
+         ++spins) {
+        if (spins < SPIN_LIMIT) {
+            SPIN_PAUSE();
+            continue;
+        }
+        if (*budget >= 0 && start < 0)
+            start = now_ns();
+        if (*budget >= 0 && now_ns() - start >= *budget)
+            return *budget = 0, 0;
+        sched_yield();
+    }
+    if (start >= 0 && (*budget -= now_ns() - start) <= 0)
+        return *budget = 0, 0;
+    return 1;
+}
+
+/* Move the claim from `from` to `to`; whether it now reads `to`. */
+static int half_settle(lane_half *h, int64_t from, int64_t to)
+{
+    return __atomic_compare_exchange_n(h->sync + CLAIM, &from, to, 0,
+                                       __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE)
+           || from == to;
+}
+
+/* Whether the half sweeps on: not once stopped, nor a caller whose helper
+   had not claimed its half within budget at the first handshake. */
+static int half_claimed(lane_half *h)
+{
+    if (!h->claimed) {
+        h->claimed = 1;
+        h->stop = !half_wait(h->sync + CLAIM, CLAIM_SPLIT, &h->budget)
+                  && half_settle(h, CLAIM_OPEN, CLAIM_WHOLE);
+    }
+    return !h->stop;
+}
+
+/* A half's prepare step over the deltas -2 * terms of `rows` x `live`
+   lanes: count its uphill lanes, publish the count, learn the one it needs
+   (the leader the follower's previous move, the follower the leader's this
+   move), jump.  Out of budget, it aborts the split — unless the other half
+   committed it, having published every count — and either half stops. */
+static void half_prepare(lane_half *h, const double *terms, int64_t rows,
+                         int64_t lanes, int64_t live)
+{
+    int64_t *mine = h->sync + (1 + h->half) * SYNC_LINE;
+    int64_t *theirs = h->sync + (2 - h->half) * SYNC_LINE;
+    const int64_t needed = h->moves + h->half;  /* their moves before mine */
+    int64_t uphill = 0;
+    if (h->stop || (h->stop = __atomic_load_n(h->sync + CLAIM,
+                                              __ATOMIC_RELAXED)
+                              == CLAIM_ABORTED))
+        return;
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t l = 0; l < live; ++l)
+            uphill += !(-2.0 * terms[r * lanes + l] <= 0.0);
+    mine[COUNTS + h->moves % RING] = uphill;
+    __atomic_store_n(mine + PUBLISHED, ++h->moves, __ATOMIC_RELEASE);
+    if (needed == 0 || !half_claimed(h))
+        return;
+    while (!half_wait(theirs + PUBLISHED, needed, &h->budget))
+        if ((h->stop = half_settle(h, CLAIM_SPLIT, CLAIM_ABORTED)))
+            return;
+    h->state = pcg64_advance(h->state, h->inc,
+                             (uint64_t)theirs[COUNTS + (needed - 1) % RING]);
+}
+
+/* Test hook: `delta` steps, then `count` next_doubles into out, from and
+   back to words = {state high, state low, inc high, inc low}. */
+void pcg64_probe(uint64_t *words, uint64_t delta, int64_t count, double *out)
+{
+    const pcg128_t inc = PCG128(words[2], words[3]);
+    pcg128_t state = pcg64_advance(PCG128(words[0], words[1]), inc, delta);
+    for (int64_t i = 0; i < count; ++i)
+        out[i] = pcg64_next_double(&state, inc);
+    words[0] = (uint64_t)(state >> (LANE_HALVES * 64));
+    words[1] = (uint64_t)state;
+}
+
+/* `kind` is a literal at every entry point and the moves are inlined into
+   them, so each entry point compiles to its own discipline's draw. */
+enum { DRAW_GENERATOR, DRAW_PHILOX, DRAW_HALF };
+typedef struct {
+    int kind;
+    next_double_fn next_double;  /* generator: the block's Generator */
     void *state;
     uint32_t sweep, replica, k0, k1;  /* counter: Philox address and key */
+    lane_half *half;                  /* half: its PCG64 and handshake */
 } draw_source;
 
 /* The lane moves' draw: draw_prepare fills `uniforms` for the sites
-   [begin, end) and the replicas first_replica + lane (see philox_span);
-   draw_uniform is then the Generator's next, or that slot. */
+   [begin, end) and the replicas first_replica + lane (see philox_span), or
+   readies a lane half's PCG64; draw_uniform is then the next draw of the
+   Generator or the half's PCG64, or that slot. */
 static inline void draw_prepare(const draw_source *draw, int64_t begin,
                                 int64_t end, uint32_t first_replica,
-                                uint32_t tag, int64_t lanes,
-                                double *uniforms)
+                                uint32_t tag, int64_t lanes, int64_t live,
+                                const double *terms, double *uniforms)
 {
     const philox_span span = {(uint32_t)begin, (uint32_t)end, draw->sweep,
                               first_replica, tag, draw->k0, draw->k1, lanes};
-    if (draw->addressed)
+    if (draw->kind == DRAW_PHILOX)
         philox_fill(&span, uniforms);
+    if (draw->kind == DRAW_HALF)
+        half_prepare(draw->half, terms, end - begin, lanes, live);
 }
 
 static inline double draw_uniform(const draw_source *draw,
                                   const double *uniforms, int64_t slot)
 {
-    return draw->addressed ? uniforms[slot] : draw->next_double(draw->state);
+    if (draw->kind == DRAW_HALF)
+        return pcg64_next_double(&draw->half->state, draw->half->inc);
+    return draw->kind == DRAW_PHILOX ? uniforms[slot]
+                                     : draw->next_double(draw->state);
+}
+
+/* Not a stopped lane half: sweep on; and, for a half whose claim still
+   stands, commit the split — both halves write back. */
+static inline int draw_live(const draw_source *draw)
+{
+    return draw->kind != DRAW_HALF || !draw->half->stop;
+}
+
+static inline int draw_commit(const draw_source *draw)
+{
+    return draw->kind != DRAW_HALF
+           || (half_claimed(draw->half)
+               && half_settle(draw->half, CLAIM_SPLIT, CLAIM_COMMITTED));
 }
 
 /* Deterministic work counters every entry point reports (int64[3]); each
@@ -1026,7 +1328,8 @@ MOVE void lane_class_move(double *restrict st, int64_t lanes, int64_t live,
     for (int64_t row = begin; row < end; ++row)
         lane_terms(csr, row, st, lanes, members[row], linear[members[row]],
                    terms + (row - begin) * lanes, 0);
-    draw_prepare(draw, begin, end, first_replica, 0u, lanes, uniforms);
+    draw_prepare(draw, begin, end, first_replica, 0u, lanes, live, terms,
+                 uniforms);
     work[PROPOSALS] += (end - begin) * live;
     for (int64_t l = 0; l < live; ++l) {
         for (int64_t row = begin; row < end; ++row) {
@@ -1069,7 +1372,8 @@ MOVE void lane_cluster_move(double *restrict st, int64_t lanes, int64_t live,
         for (int64_t l = 0; l < lanes; ++l)
             boundary[l] -= 2.0 * weight * si[l] * sj[l];
     }
-    draw_prepare(draw, c, c + 1, first_replica, 1u, lanes, uniforms);
+    draw_prepare(draw, c, c + 1, first_replica, 1u, lanes, live, boundary,
+                 uniforms);
     work[PROPOSALS] += live;
     for (int64_t l = 0; l < live; ++l) {
         const double d = -2.0 * boundary[l];
@@ -1105,7 +1409,7 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
     for (int64_t v = 0; v < size; ++v)
         for (int64_t l = 0; l < lanes; ++l)
             st[v * lanes + l] = l < live ? bspins[(first + l) * sld + v] : 0.0;
-    for (int64_t t = 0; t < num_sweeps; ++t) {
+    for (int64_t t = 0; t < num_sweeps && draw_live(draw); ++t) {
         const double temperature = temperatures[t];
         const double inv_temperature = 1.0 / temperature;
         draw->sweep = (uint32_t)t;
@@ -1119,6 +1423,8 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
                               uniforms, linear, cl, c, csr, temperature,
                               inv_temperature, draw, work);
     }
+    if (!draw_commit(draw))
+        return;
     for (int64_t l = 0; l < live; ++l)
         for (int64_t v = 0; v < size; ++v)
             bspins[(first + l) * sld + v] = st[v * lanes + l];
@@ -1146,34 +1452,32 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
  * Both also take the lane workspace: row_of (int64[size]) and scratch, per
  * lane group in flight (size + 1 + 2 * members) rows of `lanes` doubles —
  * room for lane_group_run's st, boundary, and the terms and uniforms of a
- * class as wide as all of them.
+ * class as wide as all of them.  Every colour entry point opens with the
+ * same arguments, COLOUR_ARGS.
  * ------------------------------------------------------------------------ */
+#define COLOUR_ARGS                                                         \
+    double *spins, int64_t sld, int64_t num_replicas, int64_t num_blocks,   \
+    int64_t size, const double *linear, const int64_t *members,            \
+    const int64_t *class_starts, int64_t num_classes, const double *data,  \
+    const int64_t *indices, const int64_t *indptr, int64_t class_nnz,      \
+    const int64_t *row_of, double *scratch, int64_t lanes,                 \
+    const int64_t *cmembers, const int64_t *cluster_starts,                \
+    int64_t num_clusters, const int64_t *edge_i, const int64_t *edge_j,    \
+    const int64_t *edge_starts, const double *edge_values,                 \
+    int64_t num_edges, const double *temperatures, int64_t num_sweeps
 /* Sequential: a block's replicas are one lane group (lanes >= num_replicas),
    so its draws are consumed in the reference loops' order. */
-void pack_fused_colour_cluster_sweep(
-    double *spins, int64_t sld, int64_t num_replicas,
-    int64_t num_blocks, int64_t size,
-    const double *linear,
-    const int64_t *members, const int64_t *class_starts,
-    int64_t num_classes,
-    const double *data, const int64_t *indices, const int64_t *indptr,
-    int64_t class_nnz,
-    const int64_t *row_of, double *scratch, int64_t lanes,
-    const int64_t *cmembers, const int64_t *cluster_starts,
-    int64_t num_clusters,
-    const int64_t *edge_i, const int64_t *edge_j,
-    const int64_t *edge_starts, const double *edge_values,
-    int64_t num_edges,
-    const double *temperatures, int64_t num_sweeps,
-    const bitgen_t *const *generators, int64_t *work_out)
+void pack_fused_colour_cluster_sweep(COLOUR_ARGS,
+                                     const bitgen_t *const *generators,
+                                     int64_t *work_out)
 {
     int64_t work[NUM_WORK] = {0, 0, 0};
     for (int64_t b = 0; b < num_blocks; ++b) {
         const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
                                 edge_starts, edge_values + b * num_edges};
         const lane_csr csr = {data + b * class_nnz, indices, indptr, row_of};
-        draw_source draw = {0, generators[b]->next_double,
-                            generators[b]->state, 0u, 0u, 0u, 0u};
+        draw_source draw = {DRAW_GENERATOR, generators[b]->next_double,
+                            generators[b]->state, 0u, 0u, 0u, 0u, NULL};
         lane_group_run(spins + b * size, sld, 0, num_replicas, lanes, size,
                        scratch, linear + b * size, members, class_starts,
                        num_classes, &csr, &cl, num_clusters, temperatures,
@@ -1182,25 +1486,53 @@ void pack_fused_colour_cluster_sweep(
     memcpy(work_out, work, sizeof(work));
 }
 
+/* Sequential, one lane half of one block: the colour arguments over the
+   half's spin rows, the sync words and which half.  Half 1, on a helper,
+   claims the call or finds it taken whole and touches nothing; half 0, the
+   caller, returns once the follower is done (at once if WHOLE).  Only a
+   COMMITTED call has written its spins. */
+void lane_half_sweep(COLOUR_ARGS, int64_t *sync, int64_t half,
+                     int64_t *work_out)
+{
+    int64_t work[NUM_WORK] = {0, 0, 0};
+    uint64_t *words = (uint64_t *)(sync + WORDS);
+    int64_t unbounded = -1;
+    lane_half me = {sync, half, 0, sync[BUDGET], (int)half, 0,
+                    PCG128(words[0], words[1]), PCG128(words[2], words[3])};
+    const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
+                            edge_starts, edge_values};
+    const lane_csr csr = {data, indices, indptr, row_of};
+    draw_source draw = {DRAW_HALF, NULL, NULL, 0u, 0u, 0u, 0u, &me};
+    (void)num_blocks, (void)class_nnz, (void)num_edges;
+    if (!LANE_HALVES
+        || (half == 1 && !half_settle(&me, CLAIM_OPEN, CLAIM_SPLIT))) {
+        if (half == 0)
+            sync[CLAIM] = CLAIM_WHOLE;
+        return;
+    }
+    lane_group_run(spins, sld, 0, num_replicas, lanes, size, scratch, linear,
+                   members, class_starts, num_classes, &csr, &cl,
+                   num_clusters, temperatures, num_sweeps, &draw, work);
+    if (half == 0
+        && __atomic_load_n(sync + CLAIM, __ATOMIC_ACQUIRE) == CLAIM_WHOLE)
+        return;
+    memcpy(work_out, work, sizeof(work));
+    if (half == 0) {
+        half_wait(sync + DONE, 1, &unbounded);  /* follower off its scratch */
+    } else {
+        words[0] = (uint64_t)(me.state >> (LANE_HALVES * 64));
+        words[1] = (uint64_t)me.state;
+        __atomic_store_n(sync + DONE, 1, __ATOMIC_RELEASE);
+    }
+}
+
 /* Counter: every (block, lane group) pair is independent, so the pairs
    spread over the OpenMP region, each thread sweeping in its own slice of
    scratch. */
-void counter_pack_fused_colour_cluster_sweep(
-    double *spins, int64_t sld, int64_t num_replicas,
-    int64_t num_blocks, int64_t size,
-    const double *linear,
-    const int64_t *members, const int64_t *class_starts,
-    int64_t num_classes,
-    const double *data, const int64_t *indices, const int64_t *indptr,
-    int64_t class_nnz,
-    const int64_t *row_of, double *scratch, int64_t lanes,
-    const int64_t *cmembers, const int64_t *cluster_starts,
-    int64_t num_clusters,
-    const int64_t *edge_i, const int64_t *edge_j,
-    const int64_t *edge_starts, const double *edge_values,
-    int64_t num_edges,
-    const double *temperatures, int64_t num_sweeps,
-    const uint64_t *keys, int64_t threads, int64_t *work_out)
+void counter_pack_fused_colour_cluster_sweep(COLOUR_ARGS,
+                                             const uint64_t *keys,
+                                             int64_t threads,
+                                             int64_t *work_out)
 {
     const int64_t num_groups = (num_replicas + lanes - 1) / lanes;
     int64_t work[NUM_WORK] = {0, 0, 0};
@@ -1220,8 +1552,9 @@ void counter_pack_fused_colour_cluster_sweep(
                                     edge_values + b * num_edges};
             const lane_csr csr = {data + b * class_nnz, indices, indptr,
                                   row_of};
-            draw_source draw = {1, NULL, NULL, 0u, 0u, (uint32_t)keys[b],
-                                (uint32_t)(keys[b] >> 32)};
+            draw_source draw = {DRAW_PHILOX, NULL, NULL, 0u, 0u,
+                                (uint32_t)keys[b], (uint32_t)(keys[b] >> 32),
+                                NULL};
             double *mine = scratch;
 #ifdef _OPENMP
             mine += omp_get_thread_num()
@@ -1348,20 +1681,9 @@ int64_t counter_openmp_enabled(void)
 _COMPILERS = ("cc", "gcc", "clang")
 
 #: The build line.  ``-ffp-contract=off``: no FMA contraction, so the kernel
-#: arithmetic matches the numpy loops op for op.  Measured on captured
-#: ``large_mimo_bpsk`` / ``saturating_qpsk`` kernel calls and rejected, all
-#: byte-identical: ``-O2 -march=native`` 1.00-1.01x, ``-O3`` 1.02-1.05x
-#: slower, ``-O3 -march=native`` 1.05-1.20x slower; stepping PCG64 inline
-#: instead of through ``next_double`` (2.44 -> 1.82 ns per draw) is at most 4%
-#: of a call and would tie the source to a NumPy-private struct.  Likewise
-#: byte-identical and not faster, for the sequential ``lane_class_move``
-#: (kernel ms per warm 16-job ``saturating_qpsk`` pack, min of 200, base
-#: 4.05-4.26): squeeze polynomial hoisted into the lane-wise terms pass 4.34;
-#: draws valued ahead into ``uniforms`` + a GNU-vector decide pass 5.47
-#: (16-byte vectors) / 7.25 (32-byte, lowered without AVX; -4.5% on the
-#: 624-qubit block, +8% for the counter twin only); ``KMAX = 4`` blocks'
-#: decide loops interleaved 4.39-4.48; class terms stored lane-major for a
-#: contiguous decide walk: within noise on both shapes.
+#: arithmetic matches the numpy loops op for op.  ``-O3``, ``-march=native``
+#: and the kernel restructurings measured against it are in ROADMAP.md
+#: ("Measured and rejected").
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Extra flags of the builds tried in order: with OpenMP (the counter
@@ -1477,6 +1799,11 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
                  ctypes.c_void_p]
     return {
         "pack_fused_colour_cluster_sweep": (None, [*colour_args, *rng_arrays]),
+        "lane_half_sweep": (None, [
+            *colour_args, ctypes.c_void_p, ctypes.c_int64,  # sync, half
+            ctypes.c_void_p]),
+        "pcg64_probe": (None, [ctypes.c_void_p, ctypes.c_uint64,
+                               ctypes.c_int64, ctypes.c_void_p]),
         "counter_pack_fused_colour_cluster_sweep": (None, [
             *colour_args, *key_array]),
         "counter_initial_spins": (None, [

@@ -207,11 +207,12 @@ class BlockDiagonalSampler:
         timings stay clean.
     rng:
         Draw discipline: ``"sequential"`` (default) consumes each block's
-        generator in the reference loops' order — bit-reproducible, serial
-        within a block (a cext pack's blocks shard across cores, bit for
-        bit); ``"counter"`` derives every uniform from a Philox counter
-        addressed by ``(site, sweep, replica, move_tag)`` under a per-block
-        key drawn once per anneal from the block's generator (see
+        generator in the reference loops' order — bit-reproducible, and on
+        cext spread over the CPUs by itself, bit for bit (a pack's blocks,
+        or one large block's replicas); ``"counter"`` derives every uniform
+        from a Philox counter addressed by ``(site, sweep, replica,
+        move_tag)`` under a per-block key drawn once per anneal from the
+        block's generator (see
         :mod:`repro.annealer.counter`) — reproducible under its own
         discipline, identical across backends *and* thread counts.
     threads:
@@ -239,9 +240,9 @@ class BlockDiagonalSampler:
         self.threads = check_integer_in_range("threads", threads, minimum=1)
         if self.threads > 1 and self.rng_mode != "counter":
             raise AnnealerError(
-                "threads > 1 requires rng='counter': the sequential "
-                "discipline is serial within a block; a cext pack shards its "
-                "blocks across cores by itself")
+                "threads > 1 requires rng='counter': a sequential cext "
+                "call spreads a pack's blocks, or one block's replicas, "
+                "across cores by itself")
         # Unknown names and an unavailable explicit backend fail loudly
         # here, and the one-time compile cost is paid at construction
         # instead of inside the first timed anneal.

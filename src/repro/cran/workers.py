@@ -102,8 +102,8 @@ def _batch_decode_hints(batch: DecodeBatch,
     The scheduler queues each draw discipline separately, so the first job
     speaks for all.  The thread count is the largest per-job hint, falling
     back to the worker's budget when no job carries one — and clamped to 1
-    under the sequential discipline, serial within a block: its packs shard
-    their blocks across cores by themselves.
+    under the sequential discipline, whose cext calls spread a pack's
+    blocks, or one block's replicas, across cores by themselves.
     """
     rng_mode = batch.jobs[0].rng_mode
     hints = [int(job.threads) for job in batch.jobs

@@ -116,8 +116,8 @@ class QuAMaxDecoder(Detector):
             raise DetectionError("threads must be a positive integer")
         if threads > 1 and rng != "counter":
             raise DetectionError(
-                "threads > 1 requires rng='counter' (the sequential draw "
-                "discipline is serial within a block, parallel across blocks)")
+                "threads > 1 requires rng='counter' (a sequential cext call "
+                "spreads its blocks, or one block's replicas, by itself)")
         self.annealer = annealer or QuantumAnnealerSimulator()
         self.parameters = parameters or AnnealerParameters()
         self.backend = backend
@@ -202,8 +202,8 @@ class QuAMaxDecoder(Detector):
             raise DetectionError("threads must be a positive integer")
         if threads > 1 and rng_mode != "counter":
             raise DetectionError(
-                "threads > 1 requires rng='counter' (the sequential draw "
-                "discipline is serial within a block, parallel across blocks)")
+                "threads > 1 requires rng='counter' (a sequential cext call "
+                "spreads its blocks, or one block's replicas, by itself)")
         if random_states is not None:
             if len(random_states) != len(channel_uses):
                 raise DetectionError(

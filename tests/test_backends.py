@@ -178,9 +178,18 @@ class TestSymbolTable:
                 "uint64_t": ctypes.c_uint64,
                 "double": ctypes.c_double}[declaration.split()[0]]
 
+    @staticmethod
+    def source():
+        """``_C_SOURCE`` with the colour entry points' shared argument list
+        (the ``COLOUR_ARGS`` macro) written out where it is used."""
+        body = re.search(r"#define COLOUR_ARGS((?:.*\\\n)+.*)",
+                         backends._C_SOURCE).group(1)
+        return backends._C_SOURCE.replace(
+            "(COLOUR_ARGS,", "(" + body.replace("\\\n", " ") + ",")
+
     def exported(self):
         table = {}
-        for restype, name, params in self.EXPORT.findall(backends._C_SOURCE):
+        for restype, name, params in self.EXPORT.findall(self.source()):
             kinds = [self.ctypes_kind(param.strip())
                      for param in params.split(",")]
             table[name] = (self.ctypes_kind(restype),
@@ -206,10 +215,13 @@ class TestSymbolTable:
         dispatch = {name for name, value in vars(backends).items()
                     if name.endswith("_sweep") and callable(value)}
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
+        # lane_half_sweep is the sequential call split over two threads,
+        # reached through the sequential entry point.
         assert set(self.exported()) == dispatch | {
             "counter_openmp_enabled", "metropolis_accept_probe",
             "counter_initial_spins", "sequential_initial_spins",
-            "philox_fill_probe", "csr_pack_matvecs"}
+            "philox_fill_probe", "csr_pack_matvecs", "lane_half_sweep",
+            "pcg64_probe"}
 
     def test_sequential_draw_source_is_one_generator_array(self):
         """Every sequential export takes its per-block generators as ONE
@@ -217,7 +229,7 @@ class TestSymbolTable:
         out-array — and the counter exports take none."""
         declarations = {
             name: [param.strip() for param in params.split(",")]
-            for _, name, params in self.EXPORT.findall(backends._C_SOURCE)}
+            for _, name, params in self.EXPORT.findall(self.source())}
         signatures = backends._cext_signatures()
         generators = "const bitgen_t *const *generators"
         for name, tail in [("pack_fused_colour_cluster_sweep", 2),

@@ -24,6 +24,11 @@ pieces:
 * a **sharded sequential pack** — its blocks split into one range per
   usable CPU, swept side by side — equals the one call in spins, generator
   states and work, and stays one call when blocks share a bit generator;
+* **lane halves** — one block's replicas split over two threads, each
+  drawing from a C-stepped PCG64 jumped to its own draw offsets — equal
+  the one-thread call at any cut, step and jump as NumPy does, fall back to
+  the one-thread call when the helper is busy or a half waits too long, and
+  stand down after such calls;
 * the **pack energy operator** — ``csr_pack_matvecs``, every problem's
   ``A_b @ S_b.T`` in one call — equals scipy's CSR product as bytes, layout
   included, on every structure the serving path aggregates over;
@@ -36,6 +41,7 @@ import itertools
 import math
 import os
 import subprocess
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -506,6 +512,178 @@ class TestShardedPack:
         assert backends._usable_cpus() == 1
 
 
+def pcg64_words(state):
+    """``{state high, state low, inc high, inc low}`` of a PCG64 state."""
+    mask = 2 ** 64 - 1
+    return np.array([state["state"] >> 64, state["state"] & mask,
+                     state["inc"] >> 64, state["inc"] & mask], np.uint64)
+
+
+class TestPcg64:
+    """The lane halves' own PCG64: C's step and jump-ahead against NumPy's
+    ``random()`` stream and ``PCG64.advance``, from random states."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_and_jump_equal_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        for delta in (0, 1, 2, 1000, 2 ** 64 - 1,
+                      *rng.integers(2 ** 63, size=4, dtype=np.uint64)):
+            bit_generator = np.random.PCG64()
+            bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": int(rng.integers(2 ** 63)) << 65
+                          | int(rng.integers(2 ** 63)),
+                          "inc": int(rng.integers(2 ** 63)) << 64
+                          | int(rng.integers(2 ** 63)) << 1 | 1}}
+            words = pcg64_words(bit_generator.state["state"])
+            out = np.empty(7)
+            backends._load_cext().pcg64_probe(
+                backends._ptr(words), int(delta), out.size,
+                backends._ptr(out))
+            bit_generator.advance(int(delta))
+            assert (out.tolist()
+                    == np.random.Generator(bit_generator).random(7).tolist())
+            assert (words.tolist()
+                    == pcg64_words(bit_generator.state["state"]).tolist())
+
+
+class TestLaneHalves:
+    """One block on two threads: a single-block sequential call's replicas
+    split at a cut into two lane halves, each drawing from its own copy of
+    the block's PCG64 jumped to its draw offsets.  Together they are the
+    one-thread call — spins, :class:`SweepWork` and the generator's whole
+    state dict — wherever the cut falls; every other call takes the
+    one-thread path."""
+
+    @staticmethod
+    def anneal(sampler, replicas, buffered=False):
+        rng = np.random.default_rng(3)
+        if buffered:  # 1 + 48 * replicas words: half of one stays buffered
+            rng.integers(0, 2 ** 32, dtype=np.uint32)
+        spins = sampler.anneal(TEMPERATURES, replicas, rng)
+        return (spins.tobytes(), sampler.last_sweep_work,
+                rng.bit_generator.state)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("with_clusters", [True, False])
+    @pytest.mark.parametrize("replicas", [8, 9, 25, 200])
+    def test_halves_are_the_one_thread_call(self, monkeypatch,
+                                            every_block_splits, replicas,
+                                            with_clusters, buffered):
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters if with_clusters
+                               else None, backend="cext")
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
+        expected = self.anneal(sampler, replicas, buffered)
+        assert expected[2]["has_uint32"] == buffered
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        for cut in sorted({1, 4, backends._lane_cut(replicas),
+                           replicas // 2 + 1, replicas - 1}):
+            monkeypatch.setattr(backends, "_lane_cut", lambda _, cut=cut: cut)
+            splits = every_block_splits["splits"]
+            assert self.anneal(sampler, replicas, buffered) == expected, cut
+            assert every_block_splits["splits"] == splits + 1
+
+    @pytest.mark.parametrize("case", ["PCG64DXSM", "MT19937", "Philox",
+                                      "SFC64", "one CPU", "below the gate"])
+    def test_every_other_call_is_one_thread(self, monkeypatch,
+                                            every_block_splits, case):
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext")
+        bit_generator = getattr(np.random, case, np.random.PCG64)
+        if case == "one CPU":
+            monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
+        if case == "below the gate":
+            monkeypatch.setattr(backends, "_LANE_SPLIT_SPINS",
+                                REPLICAS * ising.num_variables)
+        counts = dict(every_block_splits)
+        monkeypatch.setattr(backends, "_lane_half_call", None)  # not called
+        spins = sampler.anneal(TEMPERATURES, REPLICAS,
+                               np.random.Generator(bit_generator(4)))
+        assert every_block_splits == counts
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
+        np.testing.assert_array_equal(
+            spins, sampler.anneal(TEMPERATURES, REPLICAS,
+                                  np.random.Generator(bit_generator(4))))
+
+    def test_a_busy_helper_means_a_decline(self, monkeypatch,
+                                           every_block_splits):
+        """The helper pool's one thread is held on an Event: the caller
+        finds no helper at its first handshake, takes the call whole and
+        gives the one-thread bits; the late helper, once free, returns at
+        once."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(backends, "_STALL_BUDGET", 0)
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext")
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setitem(backends._HELPERS, "pool", pool)
+            release = threading.Event()
+            held = pool.submit(release.wait)
+            declines = every_block_splits["declines"]
+            got = self.anneal(sampler, REPLICAS)
+            assert every_block_splits["declines"] == declines + 1
+            release.set()
+            held.result()
+            monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
+            assert got == self.anneal(sampler, REPLICAS)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="threads cannot be pinned to one CPU here")
+    def test_a_stalled_split_is_made_again_on_one_thread(
+            self, monkeypatch, every_block_splits):
+        """Both halves on one CPU: every handshake yields to the other
+        half, which spins first, so a 3 ms budget lets the helper claim its
+        half but runs out within a few dozen moves.  The split aborts,
+        neither half writes back, and the one-thread call gives the bits."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(backends, "_STALL_BUDGET", 3_000_000)
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext")
+        mask = os.sched_getaffinity(0)
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setitem(backends._HELPERS, "pool", pool)
+            pool.submit(os.sched_setaffinity, 0, {min(mask)}).result()
+            os.sched_setaffinity(0, {min(mask)})
+            try:
+                stalls = every_block_splits["stalls"]
+                got = self.anneal(sampler, REPLICAS)
+            finally:
+                os.sched_setaffinity(0, mask)
+            assert every_block_splits["stalls"] == stalls + 1
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
+        assert got == self.anneal(sampler, REPLICAS)
+
+    def test_stalls_stand_calls_down(self, monkeypatch, every_block_splits):
+        """A stall (an aborted split) or a decline right after another
+        stands the next eligible calls down, four times as many each time,
+        until four clean splits in a row."""
+        monkeypatch.setattr(backends, "_STAND_DOWN_CALLS", (2, 32))
+        monkeypatch.setitem(backends._STALL, "rest", 2)
+        stall, decline, clean = (backends._ABORTED, backends._WHOLE,
+                                 backends._COMMITTED)
+        for outcome, resting in [
+                (stall, 0), (clean, 0), (stall, 0), (decline, 2), (stall, 8),
+                (decline, 32), (stall, 32), (clean, 0), (stall, 0),
+                (decline, 32), (clean, 0), (clean, 0), (clean, 0),
+                (clean, 0), (stall, 0), (decline, 2)]:
+            every_block_splits["resting"] = 0
+            backends._note_split(outcome)
+            assert every_block_splits["resting"] == resting, outcome
+        # Standing down: the one-thread call, counted, until the rest is up.
+        ising, clusters = embedded_bpsk()
+        sampler = IsingSampler(ising, clusters=clusters, backend="cext")
+        every_block_splits["resting"] = 2
+        counts = dict(every_block_splits)
+        outcomes = [self.anneal(sampler, REPLICAS) for _ in range(3)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert every_block_splits["stand_downs"] == counts["stand_downs"] + 2
+        assert every_block_splits["splits"] == counts["splits"] + 1
+        assert every_block_splits["resting"] == 0
+
+
 class TestCsrPackMatvecs:
     """``A_b @ S_b.T`` for every problem of a pack in one C call, against
     scipy's CSR product — the reference ``aggregate_pack`` falls back to
@@ -571,8 +749,10 @@ def test_c_source_compiles_without_warnings(tmp_path):
     empty = tmp_path / "empty.c"
     empty.write_text("", encoding="utf-8")
 
-    # -U__SSE2__ selects the source's portable (no-intrinsics) branch.
-    builds = [[*width, *openmp] for width in ([], ["-U__SSE2__"])
+    # -U__SSE2__ selects the source's portable (no-intrinsics) branch,
+    # -U__SIZEOF_INT128__ the one without 128-bit integers (no lane halves).
+    builds = [[*width, *openmp]
+              for width in ([], ["-U__SSE2__"], ["-U__SIZEOF_INT128__"])
               for openmp in ([], ["-fopenmp"])]
 
     def check(compiler, flags, path):

@@ -1,7 +1,7 @@
 """The counter-RNG contract: keyed Philox streams for replica parallelism.
 
 ``rng="counter"`` trades the engine's sequential draw discipline (one
-generator per block, draws consumed in sweep order — inherently serial) for
+generator per block, draws consumed in a fixed order) for
 keyed Philox4x32-10 streams addressed by ``(site, sweep, replica, tag)``
 under a per-block 64-bit key.  Every uniform is a pure function of its
 coordinates, so evaluation order is free — which is exactly what makes

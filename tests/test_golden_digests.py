@@ -10,6 +10,8 @@ documenting the move in CHANGES.md.
 
 The digests also pin the cross-path contracts: serial, batched and chunked
 decodes of the same seed must all hash to the same per-subcarrier outputs.
+Every single-block sequential cext call here sweeps as two lane halves on
+two threads (the ``every_block_splits`` fixture): the goldens hold for it.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ from repro.ising.solver import (
     geometric_temperature_schedule,
 )
 from repro.mimo.system import MimoUplink
+
+pytestmark = pytest.mark.usefixtures("every_block_splits")
 
 SEED = 2019
 NUM_SUBCARRIERS = 6

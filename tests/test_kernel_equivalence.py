@@ -21,7 +21,9 @@ other Metropolis implementations and against itself across backends:
 
 The sweep over ``(num_vars, density, schedule)`` is seeded, so failures are
 reproducible.  That the sampler samples the Boltzmann law at all is
-``tests/test_boltzmann.py``.
+``tests/test_boltzmann.py``.  Every single-block sequential cext call here
+sweeps as two lane halves on two threads (the ``every_block_splits``
+fixture), so each identity above holds for the split call too.
 """
 
 import numpy as np
@@ -39,6 +41,8 @@ from repro.ising.solver import (
     SimulatedAnnealingSolver,
     geometric_temperature_schedule,
 )
+
+pytestmark = pytest.mark.usefixtures("every_block_splits")
 
 
 def random_ising(num_variables, seed, density=1.0):

@@ -39,6 +39,10 @@ from repro.cran.traffic import PoissonTrafficGenerator
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.obs.export import to_jsonl
 
+# Every single-block sequential cext call sweeps as two lane halves: what
+# the serving layer reports must not notice.
+pytestmark = pytest.mark.usefixtures("every_block_splits")
+
 
 def make_decoder():
     # A fresh machine per run: the snapshot's sampler-cache section counts

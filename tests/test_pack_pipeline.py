@@ -807,14 +807,15 @@ def qpsk_jobs(count, seed=40):
             for i in range(count)]
 
 
-def serve_in_packs_of_16(jobs, **pool_options):
-    """Every job's detected bits, in job order, served by a fresh pool."""
+def serve_in_packs(jobs, pack=16, **pool_options):
+    """Every job's detected bits, in job order, served by a fresh pool in
+    packs of *pack* jobs."""
     decoder = QuAMaxDecoder(ideal_machine(),
                             AnnealerParameters(num_anneals=20))
     with WorkerPool(decoder, **pool_options) as pool:
-        for start in range(0, len(jobs), 16):
-            pool.submit(DecodeBatch(jobs=tuple(jobs[start:start + 16]),
-                                    flush_time_us=10.0 * start + 160.0,
+        for start in range(0, len(jobs), pack):
+            pool.submit(DecodeBatch(jobs=tuple(jobs[start:start + pack]),
+                                    flush_time_us=10.0 * (start + pack),
                                     reason="full"))
     return [result.result.detection.bits for result in
             sorted(pool.results(), key=lambda result: result.job.job_id)]
@@ -838,12 +839,12 @@ class TestShardedServing:
         # an earlier test ran an OpenMP team in this process.
         monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
         jobs = qpsk_jobs(32)
-        expected = serve_in_packs_of_16(jobs)
+        expected = serve_in_packs(jobs)
         assert backends._HELPERS  # the helper pool is running here
         served = []
         serving = threading.Thread(daemon=True, target=lambda: served.append(
-            serve_in_packs_of_16(jobs, num_workers=1, mode="process",
-                                 threads=2)))
+            serve_in_packs(jobs, num_workers=1, mode="process",
+                           threads=2)))
         serving.start()
         serving.join(timeout=120)
         assert served, "the forked pool did not finish: its worker hung"
@@ -855,10 +856,36 @@ class TestShardedServing:
         helper pool."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
         jobs = qpsk_jobs(64)
-        expected = serve_in_packs_of_16(jobs)
-        served = serve_in_packs_of_16(jobs, num_workers=2, mode="thread")
+        expected = serve_in_packs(jobs)
+        served = serve_in_packs(jobs, num_workers=2, mode="thread")
         for got, want in zip(served, expected, strict=True):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("budget", [-1, 0])
+    def test_one_block_packs_under_a_crowded_thread_pool(
+            self, monkeypatch, every_block_splits, budget):
+        """Four workers on two usable CPUs split their one-job packs over
+        the helper pool, the switch interval cut so the GIL changes hands
+        mid-call: bits equal inline serving, whether halves wait for each
+        other (no budget) or decline and abort at the first yield (0)."""
+        monkeypatch.setattr(backends, "_STALL_BUDGET", budget)
+        jobs = qpsk_jobs(24)
+        expected = serve_in_packs(jobs, pack=1)
+        splits = every_block_splits["splits"]
+        served, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            serving = threading.Thread(
+                daemon=True, target=lambda: served.append(serve_in_packs(
+                    jobs, pack=1, num_workers=4, mode="thread")))
+            serving.start()
+            serving.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert served, "the thread pool did not finish"
+        for got, want in zip(served[0], expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert budget == 0 or every_block_splits["splits"] > splits
 
 
 class TestWarmPackWork:
