@@ -2,8 +2,7 @@
 
 One builder for the cluster-kernel suites (equivalence, backend and golden
 tests), so the workload the golden digest pins is exactly the workload the
-randomized equivalence sweeps exercise; the perf benches mirror the same
-construction in ``benchmarks/perf/bench_core.py``.
+randomized equivalence sweeps exercise.
 """
 
 import numpy as np

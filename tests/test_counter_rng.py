@@ -18,6 +18,8 @@ intra-pack threading legal.  These tests pin the contract:
   rejected by the scheduler.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -400,6 +402,22 @@ class TestServingIdentity:
                                mode="thread").run(jobs)
         assert self.payload(inline) == self.payload(threaded)
         assert inline.telemetry["workers"]["threads"] == 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_thread_budget_and_packing_are_invisible(self, jobs, threads):
+        # Counter jobs without a thread hint run at the service's kernel
+        # thread budget; at every budget, packs of up to 4 decode bit for
+        # bit as batch-1 serving does.
+        unhinted = [dataclasses.replace(job, threads=None) for job in jobs]
+        decoder = QuAMaxDecoder(
+            QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
+            AnnealerParameters(num_anneals=10), rng="counter")
+        serial = CranService(decoder, max_batch=1).run(unhinted)
+        packed = CranService(decoder, max_batch=4,
+                             threads=threads).run(unhinted)
+        assert packed.telemetry["workers"]["threads"] == threads
+        assert packed.telemetry["mean_batch_fill"] > 1
+        assert self.payload(packed) == self.payload(serial)
 
     @pytest.mark.skipif(not cext_available(),
                         reason="process identity exercised with the cext")

@@ -730,6 +730,42 @@ class TestCranService:
         assert online_a.telemetry["decode_time_per_job_us"]
 
 
+class TestWarmSamplerCache:
+    """Serving builds one sampler for the structure and then only hits the
+    cache: at batch 1, where every job is its own QA submission, and at
+    packs of 16 and 8, which rebind the one sampler to their size."""
+
+    @pytest.mark.parametrize("max_batch", [1, 16])
+    def test_serving_builds_once_with_cache_off_bits(self, max_batch):
+        trace = ArgosLikeTraceGenerator(
+            num_bs_antennas=12, num_users=3,
+            num_subcarriers=16).generate(num_frames=2, random_state=0)
+        jobs = PoissonTrafficGenerator(
+            trace, modulations="QPSK", mean_interarrival_us=10.0,
+            burst_subcarriers=4, user_snrs_db=20.0,
+            deadline_us=120_000.0).generate(6, random_state=0)
+        assert len(jobs) == 24
+
+        def serve(annealer):
+            decoder = QuAMaxDecoder(annealer,
+                                    AnnealerParameters(num_anneals=50))
+            service = CranService(decoder, max_batch=max_batch,
+                                  max_wait_us=math.inf)
+            service.run(jobs[:1])  # the warm-up job pays the one build
+            return decoder, service.run(jobs)
+
+        warm_decoder, warm = serve(QuantumAnnealerSimulator())
+        _, cold = serve(QuantumAnnealerSimulator(sampler_cache_size=0))
+        packs = math.ceil(len(jobs) / max_batch)
+        assert warm.telemetry["batches_decoded"] == packs
+        info = warm_decoder.sampler_cache_info()
+        assert (info["misses"], info["hits"]) == (1, packs)
+        assert warm.jobs_completed == cold.jobs_completed == len(jobs)
+        for a, b in zip(warm.results, cold.results):
+            np.testing.assert_array_equal(a.result.detection.bits,
+                                          b.result.detection.bits)
+
+
 class TestHostileJobTimes:
     """Non-finite times are rejected where the job is built, so nothing
     reaches the scheduler: a NaN arrival used to be served and turned the

@@ -200,6 +200,24 @@ class TestTracingKnob:
             np.testing.assert_array_equal(a.result.detection.bits,
                                           b.result.detection.bits)
 
+    def test_tracing_leaves_telemetry_unchanged(self):
+        # Virtual latencies, batch fill, deadline misses, per-structure
+        # decode times, worker and sampler-cache counters: a traced run
+        # reports every one of them exactly as the untraced run does.
+        spec = [(50.0, i % 2, 80_000.0) for i in range(8)]
+
+        def serve(tracing):
+            fresh = QuAMaxDecoder(
+                QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
+                AnnealerParameters(num_anneals=8))
+            return CranService(fresh, max_batch=3, max_wait_us=1_000.0,
+                               tracing=tracing).run(make_jobs(spec))
+
+        plain, traced = serve(False), serve(True)
+        assert traced.trace
+        assert 0.0 < plain.telemetry["deadline_miss_rate"] < 1.0
+        assert traced.telemetry == plain.telemetry
+
     def test_event_stream_shape(self, decoder):
         spec = [(50.0, 0, math.inf) for _ in range(4)]
         report = CranService(decoder, max_batch=2,

@@ -17,7 +17,9 @@ Covers the contracts the perf refactor relies on:
 import numpy as np
 import pytest
 
+from repro.annealer.backends import available_backends
 from repro.annealer.chimera import ChimeraGraph
+from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
@@ -30,6 +32,7 @@ from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel
 from repro.ising.solver import BruteForceIsingSolver, SimulatedAnnealingSolver
 from repro.mimo.system import MimoUplink
+from repro.transform.reduction import MLToIsingReducer
 from repro.utils.random import child_rngs
 
 
@@ -162,6 +165,44 @@ class TestRefreshValues:
             sampler.refresh_values(IsingModel(
                 num_variables=8, linear=sampler.ising.linear,
                 couplings=moved))
+
+    @pytest.mark.parametrize("rng", ["sequential", "counter"])
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_ice_batches_refresh_like_rebuild(self, backend, rng):
+        # The machine's ICE-batch cycle: one embedded 3-user QPSK problem,
+        # re-programmed with a fresh ICE draw for each of 8 batches.
+        # Rebinding one sampler between batches anneals exactly what
+        # building a new sampler for every batch does.
+        link = MimoUplink(num_users=3, constellation="QPSK")
+        reduced = MLToIsingReducer().reduce(
+            link.transmit(snr_db=15.0, random_state=0))
+        machine = QuantumAnnealerSimulator()
+        parameters = AnnealerParameters()
+        embedded = embed_ising(
+            reduced.ising, machine.embedding_for(reduced.num_variables),
+            chain_strength=parameters.chain_strength,
+            extended_range=parameters.extended_range)
+        temperatures = parameters.schedule.temperature_profile(
+            sweeps_per_us=machine.sweeps_per_us,
+            hot=machine.hot_temperature, cold=machine.cold_temperature)
+        options = dict(clusters=[np.asarray(chain, dtype=np.intp)
+                                 for chain in embedded.compact_chains.values()],
+                       backend=backend, rng=rng)
+        perturbations = [machine.ice.perturb(embedded.ising,
+                                             np.random.default_rng(k))
+                         for k in range(8)]
+
+        rebuild_rng = np.random.default_rng(0)
+        rebuilt = [IsingSampler(perturbed, **options).anneal(
+                       temperatures, 25, random_state=rebuild_rng)
+                   for perturbed in perturbations]
+        refresh_rng = np.random.default_rng(0)
+        sampler = IsingSampler(perturbations[0], **options)
+        for perturbed, expected in zip(perturbations, rebuilt):
+            sampler.refresh_values(perturbed)
+            np.testing.assert_array_equal(
+                sampler.anneal(temperatures, 25, random_state=refresh_rng),
+                expected)
 
     def test_refresh_updates_energies(self):
         base = random_ising(6, 9)
