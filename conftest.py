@@ -131,15 +131,16 @@ def golden():
 
 @pytest.fixture
 def every_block_splits(monkeypatch):
-    """Every sequential cext call over one block of two or more replicas
-    sweeps as two lane halves on two threads
+    """Every sequential cext call sweeps on two threads — a pack of several
+    blocks as two block ranges (``backends._sharded_colour_call``), one
+    block of two or more replicas as two lane halves
     (``backends._lane_half_call``): two usable CPUs whatever the host, no
     size gate, and halves that wait for each other however long (no
     decline, no stall, no stand-down).  Bits must not notice."""
     from repro.annealer import backends
 
     monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
-    monkeypatch.setattr(backends, "_LANE_SPLIT_SPINS", 0)
+    monkeypatch.setattr(backends, "_SPLIT_SPINS", 0)
     monkeypatch.setattr(backends, "_STALL_BUDGET", -1)
     monkeypatch.setitem(backends.LANE_SPLITS, "resting", 0)
     monkeypatch.setitem(backends._STALL, "clean", backends._STAND_DOWN_RESET)

@@ -37,10 +37,13 @@ flattened descriptor — member/column/internal-edge CSR-style structure
 arrays shared by the blocks plus stacked per-block values — built once per
 anneal by the engine.  The same two symbols are what ``_C_SOURCE`` exports
 (bound through :func:`_cext_signatures`).  Beside them the artefact exports
-the one linear-algebra primitive a pack's read-out needs,
-:func:`csr_pack_matvecs` (scipy's CSR product, exactly), so a process
+the exact stages on either side of the sweep, one call each per pack:
+:func:`embed_direct` programs a pack, :func:`majority_vote` and
+:func:`distinct_reads` read its samples out, and :func:`csr_pack_matvecs`
+(scipy's CSR product, exactly) is its energy operator — so a process
 serving on cext never imports scipy; the numpy reference loops, and the
 read-out without a compiler, import it where they build its operators.
+Each is byte for byte the NumPy pass a box without a compiler runs.
 
 Draw-stream discipline
 ----------------------
@@ -433,10 +436,14 @@ def _helpers(workspace: Optional[dict], count: int):
     return _HELPERS["pool"], spaces[:count]
 
 
-#: Spins (block size × replicas) above which a one-block sequential call
-#: splits.  Chimera BPSK decodes, split vs one thread: 48 × 25 0.89×,
-#: 80 × 25 1.13×; ungated, ``batch1_qpsk`` (18 × 25) fell 1598 → 1232 jobs/s.
-_LANE_SPLIT_SPINS = 1500
+#: Spins (blocks × block size × replicas) above which a sequential call
+#: goes to two or more threads, as block ranges or, one block, lane halves:
+#: below it, handing work to a helper costs more than the second core buys.
+#: Sharded ÷ one-thread time per call, blocks × block size × 25 replicas:
+#: 4 × 4 0.73×, 4 × 6 0.85×, 4 × 8 0.93×, 8 × 6 0.88×, 4 × 18 1.12×; lane
+#: halves of Chimera BPSK decodes: 48 × 25 0.89×, 80 × 25 1.13× (ungated,
+#: ``batch1_qpsk``, 18 × 25, fell 1598 → 1232 jobs/s).
+_SPLIT_SPINS = 1500
 #: Nanoseconds a half may yield away, past its spins, in one call: waiting
 #: for its helper at the caller's first handshake (then a decline) or for
 #: the other half's counts (then a stall, the split aborted).  Beside a busy
@@ -537,15 +544,16 @@ def _sharded_colour_call(lib, workspace: Optional[dict], spins, linear,
     first on this thread, the rest on helpers (ctypes drops the GIL).  Block
     *b* draws only from ``rngs[b]``: the one call's stream exactly, unless
     two blocks share a bit generator — then it is the one call.  A pack of
-    one large block on a PCG64 splits its replicas instead
-    (:func:`_lane_half_call`)."""
+    one block on a PCG64 splits its replicas instead
+    (:func:`_lane_half_call`).  A call of :data:`_SPLIT_SPINS` spins or
+    fewer is the one call."""
     function = lib.pack_fused_colour_cluster_sweep
     generators = _generator_pointers(workspace, rngs)
     blocks = len(generators)
-    shards = min(blocks, _usable_cpus())
+    split = spins.size > _SPLIT_SPINS and _usable_cpus() > 1
+    shards = min(blocks, _usable_cpus()) if split else 1
     if shards < 2 or len(set(generators)) < blocks:
-        if (blocks == 1 < spins.shape[0] and _usable_cpus() > 1
-                and spins.size > _LANE_SPLIT_SPINS
+        if (split and blocks == 1 < spins.shape[0]
                 and type(rngs[0].bit_generator) is np.random.PCG64):
             work = _lane_half_call(
                 lib, workspace, spins, (linear, members, class_starts,
@@ -778,6 +786,93 @@ def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
         _ptr(spins), _ptr(bounds), _ptr(out))
     return [out[size * lo:size * hi].reshape(size, hi - lo)
             for lo, hi in zip(edges, edges[1:])]
+
+
+def embed_direct(plan, linear: np.ndarray, values: np.ndarray,
+                 base_scale: float, normalize: bool,
+                 coupler_range: Tuple[float, float],
+                 field_range: Tuple[float, float]):
+    """A pack's programming over a collision-free *plan*
+    (:func:`repro.annealer.embedded.embed_pack`), one C call.
+
+    Returns ``(problem_scale, fields, couplers, clipped)`` of the
+    ``(problems, L)`` *linear* and ``(problems, E)`` *values*, fresh
+    arrays, byte for byte the NumPy passes' — or ``None`` when a scaled
+    coupling is ``0.0``: its coupler goes unprogrammed, which is the NumPy
+    path's to decide.  The chain couplers hold the low end of
+    *coupler_range*, the chain coupling.
+    """
+    linear = np.ascontiguousarray(linear, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    count, num_keys = values.shape
+    if linear.shape != (count, plan.num_logical):
+        raise AnnealerError("embed_direct needs (problems, L) fields")
+    scale = np.empty(count)
+    fields = np.empty((count, plan.num_physical))
+    couplers = np.empty((count, plan.num_chain_couplers + num_keys))
+    clipped = np.empty(count, dtype=np.int64)
+    logical_of, chain_lengths, _, _ = plan.addresses
+    if _load_cext().embed_direct(
+            count, plan.num_logical, num_keys, _ptr(linear), _ptr(values),
+            base_scale, normalize, *coupler_range, *field_range,
+            plan.num_physical, logical_of, chain_lengths,
+            plan.num_chain_couplers, _ptr(scale),
+            _ptr(fields), _ptr(couplers), _ptr(clipped)):
+        return None
+    return scale, fields, couplers, clipped
+
+
+def majority_vote(plan, physical: np.ndarray, num_problems: int):
+    """The majority vote of a pack's samples
+    (:func:`repro.annealer.unembed.unembed_pack`), one C call.
+
+    Returns the ``(problems, samples, L)`` ``int8`` sign of every chain's
+    sum over the ``(samples, problems * P)`` *physical* spins — ``0``
+    where a chain ties, for the caller to draw — the broken chains and the
+    ties per problem, and the pack's ties.
+    """
+    physical = np.ascontiguousarray(physical, dtype=np.int8)
+    num_samples = physical.shape[0]
+    if physical.shape != (num_samples, num_problems * plan.num_physical):
+        raise AnnealerError(
+            "majority_vote needs (samples, problems * P) spins")
+    values = np.empty((num_problems, num_samples, plan.num_logical),
+                      dtype=np.int8)
+    counts = np.empty((2, num_problems), dtype=np.int64)
+    _, _, members, bounds = plan.addresses
+    tied = _load_cext().majority_vote(
+        num_samples, num_problems, plan.num_physical, _ptr(physical),
+        plan.num_logical, members, bounds, _ptr(values), _ptr(counts))
+    return values, counts[0], counts[1], tied
+
+
+def distinct_reads(raw: np.ndarray):
+    """The distinct reads of every problem of a pack
+    (:func:`repro.ising.solver.aggregate_pack`), one C call.
+
+    Of a ``(problems, reads, N)`` ``int8`` spin array, ``0 < N < 64``:
+    ``(first, counts, bounds)``, problem *b*'s distinct reads in
+    ``np.unique(axis=0)`` order being the rows ``first[bounds[b]:bounds[b +
+    1]]`` of the ``(problems * reads, N)`` reads — each its first
+    occurrence — and *counts* their occurrences; or ``None`` when a read is
+    not all ``±1``.
+    """
+    raw = np.ascontiguousarray(raw, dtype=np.int8)
+    problems, reads, variables = raw.shape
+    if not 0 < variables < 64:
+        raise AnnealerError("distinct_reads keys at most 63 variables")
+    edge = problems * reads
+    # First occurrences, counts, bounds, then the kernel's sort scratch.
+    words = np.empty(2 * edge + problems + 1 + 4 * reads, dtype=np.int64)
+    address = _ptr(words)
+    found = _load_cext().distinct_reads(
+        problems, reads, variables, _ptr(raw),
+        address + 8 * (2 * edge + problems + 1), address,
+        address + 8 * edge, address + 16 * edge)
+    if found < 0:
+        return None
+    return (words[:found], words[edge:edge + found],
+            words[2 * edge:2 * edge + problems + 1])
 
 
 def counter_pack_fused_colour_cluster_sweep(
@@ -1667,6 +1762,185 @@ void csr_pack_matvecs(int64_t num_problems, int64_t size,
     }
 }
 
+/* ------------------------------------------------------------------------ *
+ * A pack's programming and read-out: embed_pack's direct plan,
+ * unembed_pack's majority vote and aggregate_pack's distinct reads.  Each
+ * is integer work, a max, or one rounded operation per element (no
+ * contraction), so each is the NumPy pass it stands in for, bit for bit.
+ * ------------------------------------------------------------------------ */
+
+/* max |x[i]| from 0.0, NaN sticking once seen, as np.max does. */
+static double max_abs(const double *x, int64_t count)
+{
+    double largest = 0.0;
+    for (int64_t i = 0; i < count; ++i) {
+        const double a = fabs(x[i]);
+        largest = a > largest || a != a ? a : largest;
+    }
+    return largest;
+}
+
+/* x clipped into [lo, hi] the way np.clip does (NaN and -0.0 kept). */
+static inline double clip(double x, double lo, double hi)
+{
+    return x < lo ? lo : x > hi ? hi : x;
+}
+
+/* embed_pack over a collision-free plan: per problem b of the (B, L)
+   linear and (B, E) couplings, scale[b] is base_scale, divided (when
+   normalising) by the largest |coupling| or, with none, the largest
+   |field|, if that is positive.  Fields spread as (linear * scale) / its
+   chain's length onto the P qubits (logical_of), the chain couplers hold
+   coupler_min (the chain coupling) and the crossing couplers the scaled
+   couplings; couplers clip into [coupler_min, coupler_max], fields into
+   [field_min, field_max], and clipped[b] counts the couplers outside
+   theirs and the fields whose magnitude exceeds field_max.  1 (nothing to
+   trust) when a scaled coupling is 0.0: that coupler is unprogrammed,
+   which the NumPy path decides. */
+int64_t embed_direct(int64_t num_problems, int64_t num_logical,
+                     int64_t num_keys, const double *linear,
+                     const double *values, double base_scale,
+                     int64_t normalize, double coupler_min,
+                     double coupler_max, double field_min, double field_max,
+                     int64_t num_physical, const int64_t *logical_of,
+                     const double *chain_lengths, int64_t num_chain_couplers,
+                     double *scale, double *fields, double *couplers,
+                     int64_t *clipped)
+{
+    const int64_t width = num_chain_couplers + num_keys;
+    for (int64_t b = 0; b < num_problems; ++b) {
+        const double *lin = linear + b * num_logical;
+        const double *val = values + b * num_keys;
+        double *row = couplers + b * width, *out = fields + b * num_physical;
+        double s = base_scale;
+        int64_t clips = 0;
+        if (normalize) {
+            double reference = max_abs(val, num_keys);
+            if (reference == 0.0)
+                reference = max_abs(lin, num_logical);
+            if (reference > 0.0)
+                s = base_scale / reference;
+        }
+        scale[b] = s;
+        for (int64_t c = 0; c < num_chain_couplers; ++c)
+            row[c] = coupler_min;
+        for (int64_t e = 0; e < num_keys; ++e) {
+            const double v = val[e] * s;
+            if (v == 0.0)
+                return 1;
+            clips += v < coupler_min || v > coupler_max;
+            row[num_chain_couplers + e] = clip(v, coupler_min, coupler_max);
+        }
+        for (int64_t p = 0; p < num_physical; ++p) {
+            const int64_t i = logical_of[p];
+            const double f = lin[i] * s / chain_lengths[i];
+            clips += fabs(f) > field_max;
+            out[p] = clip(f, field_min, field_max);
+        }
+        clipped[b] = clips;
+    }
+    return 0;
+}
+
+/* unembed_pack's vote: physical is the (S, B * P) int8 sample matrix and
+   chain i of L is members[bounds[i]:bounds[i + 1]] (compact qubits).
+   values (B, S, L) gets the sign of each chain's sum, 0 on a tie;
+   counts[b] counts problem b's chains whose |sum| is not their length,
+   counts[B + b] its ties.  Returns the pack's ties, which the caller
+   draws. */
+int64_t majority_vote(int64_t num_samples, int64_t num_problems,
+                      int64_t num_physical, const int8_t *physical,
+                      int64_t num_logical, const int64_t *members,
+                      const int64_t *bounds, int8_t *values, int64_t *counts)
+{
+    int64_t total = 0;
+    for (int64_t b = 0; b < num_problems; ++b) {
+        int64_t broken_b = 0, ties_b = 0;
+        for (int64_t s = 0; s < num_samples; ++s) {
+            const int8_t *row = physical
+                                + (s * num_problems + b) * num_physical;
+            int8_t *out = values + (b * num_samples + s) * num_logical;
+            for (int64_t i = 0; i < num_logical; ++i) {
+                int64_t sum = 0;
+                for (int64_t k = bounds[i]; k < bounds[i + 1]; ++k)
+                    sum += row[members[k]];
+                broken_b += (sum < 0 ? -sum : sum)
+                            != bounds[i + 1] - bounds[i];
+                ties_b += sum == 0;
+                out[i] = (int8_t)((sum > 0) - (sum < 0));
+            }
+        }
+        counts[b] = broken_b;
+        counts[num_problems + b] = ties_b;
+        total += ties_b;
+    }
+    return total;
+}
+
+/* aggregate_pack's distinct reads of a (B, R, N) int8 spin array, N < 64:
+   a read's key has bit N - 1 - v set where variable v is +1, so ascending
+   keys are np.unique(axis=0)'s row order.  Per problem the (key, read)
+   pairs merge-sort stably (scratch: 4 * R words), each run of equal keys
+   is one distinct read: its first occurrence's row of the (B * R, N) reads
+   goes to first, the run length to counts, and bounds[b]:bounds[b + 1]
+   are problem b's.  Returns the distinct reads of the pack, or -1 when a
+   read is not all spins. */
+int64_t distinct_reads(int64_t num_problems, int64_t num_reads,
+                       int64_t num_variables, const int8_t *raw,
+                       uint64_t *scratch, int64_t *first, int64_t *counts,
+                       int64_t *bounds)
+{
+    int64_t found = 0;
+    bounds[0] = 0;
+    for (int64_t b = 0; b < num_problems; ++b) {
+        const int8_t *reads = raw + b * num_reads * num_variables;
+        uint64_t *key = scratch, *read = scratch + num_reads;
+        uint64_t *key_to = read + num_reads, *read_to = key_to + num_reads;
+        for (int64_t r = 0; r < num_reads; ++r) {
+            uint64_t bits = 0;
+            for (int64_t v = 0; v < num_variables; ++v) {
+                const int8_t spin = reads[r * num_variables + v];
+                if (spin != 1 && spin != -1)
+                    return -1;
+                bits = bits << 1 | (spin > 0);
+            }
+            key[r] = bits;
+            read[r] = (uint64_t)r;
+        }
+        for (int64_t width = 1; width < num_reads; width *= 2) {
+            for (int64_t lo = 0; lo < num_reads; lo += 2 * width) {
+                const int64_t mid = lo + width < num_reads ? lo + width
+                                                           : num_reads;
+                const int64_t hi = mid + width < num_reads ? mid + width
+                                                           : num_reads;
+                int64_t i = lo, j = mid, k = lo;
+                while (i < mid && j < hi) {
+                    const int64_t from = key[j] < key[i] ? j++ : i++;
+                    key_to[k] = key[from];
+                    read_to[k++] = read[from];
+                }
+                for (; i < mid; ++i, ++k)
+                    key_to[k] = key[i], read_to[k] = read[i];
+                for (; j < hi; ++j, ++k)
+                    key_to[k] = key[j], read_to[k] = read[j];
+            }
+            uint64_t *swap = key;
+            key = key_to, key_to = swap;
+            swap = read, read = read_to, read_to = swap;
+        }
+        for (int64_t r = 0; r < num_reads; ++found) {
+            int64_t end = r + 1;
+            while (end < num_reads && key[end] == key[r])
+                ++end;
+            first[found] = b * num_reads + (int64_t)read[r];
+            counts[found] = end - r;
+            r = end;
+        }
+        bounds[b + 1] = found;
+    }
+    return found;
+}
+
 int64_t counter_openmp_enabled(void)
 {
 #ifdef _OPENMP
@@ -1818,6 +2092,23 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
             ctypes.c_void_p, ctypes.c_int64,   # data, nnz
             ctypes.c_void_p, ctypes.c_void_p,  # spins, bounds
             ctypes.c_void_p]),                 # out
+        "embed_direct": (ctypes.c_int64, [
+            *[ctypes.c_int64] * 3,             # problems, L, E
+            ctypes.c_void_p, ctypes.c_void_p,  # linear, values
+            ctypes.c_double, ctypes.c_int64,   # base scale, normalize
+            *[ctypes.c_double] * 4,            # coupler and field ranges
+            ctypes.c_int64,                    # P
+            ctypes.c_void_p, ctypes.c_void_p,  # logical_of, chain lengths
+            ctypes.c_int64,                    # chain couplers
+            *[ctypes.c_void_p] * 4]),          # scale, fields, couplers, clips
+        "majority_vote": (ctypes.c_int64, [
+            *[ctypes.c_int64] * 3,             # samples, problems, P
+            ctypes.c_void_p, ctypes.c_int64,   # physical, L
+            ctypes.c_void_p, ctypes.c_void_p,  # chain members, bounds
+            ctypes.c_void_p, ctypes.c_void_p]),  # values, counts
+        "distinct_reads": (ctypes.c_int64, [
+            *[ctypes.c_int64] * 3,             # problems, reads, N
+            *[ctypes.c_void_p] * 5]),  # raw, scratch, first, counts, bounds
         "metropolis_accept_probe": (ctypes.c_int64, [ctypes.c_double] * 3),
         "philox_fill_probe": (ctypes.c_int64, [
             *[ctypes.c_int64] * 6,     # width, begin, end, sweep, first, tag

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.annealer import backends
 from repro.annealer.embedding import Embedding
 from repro.exceptions import EmbeddingError
 from repro.ising.model import Coupling, IsingModel, IsingPack
@@ -86,9 +87,18 @@ class EmbeddingPlan:
         self.logical_of: Tuple[int, ...] = tuple(logical_of)
         #: ``logical_of`` as a gather index, and the chain lengths it
         #: spreads the fields by (Eq. 11).
-        self.logical_index = np.asarray(logical_of, dtype=np.intp)
+        self.logical_index = np.asarray(logical_of, dtype=np.int64)
         self.chain_lengths = np.array([len(chain) for chain in chains],
                                       dtype=float)
+        #: What the majority vote reduces over: all chains' compact members
+        #: in logical order, chain *i* being
+        #: ``chain_members[chain_bounds[i]:chain_bounds[i + 1]]``.
+        ordered = [self.chains[index] for index in range(num_logical)]
+        self.chain_members = np.array(
+            [qubit for chain in ordered for qubit in chain], dtype=np.int64)
+        self.chain_bounds = np.cumsum([0] + [len(chain) for chain in ordered],
+                                      dtype=np.int64)
+        self._take_addresses()
 
         def compact(edge) -> Coupling:
             a, b = position[edge[0]], position[edge[1]]
@@ -117,6 +127,22 @@ class EmbeddingPlan:
             tuple(self._chain_keys + self._crossing_keys)
             if self.direct else None)
 
+    def _take_addresses(self) -> None:
+        #: Addresses of ``logical_index``, ``chain_lengths``,
+        #: ``chain_members`` and ``chain_bounds`` as the C artefact's
+        #: programming and read-out calls take them: taken once per plan,
+        #: not once per pack (the plan keeps the arrays alive).
+        self.addresses: Tuple[int, int, int, int] = tuple(
+            array.ctypes.data for array in (
+                self.logical_index, self.chain_lengths, self.chain_members,
+                self.chain_bounds))
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickled or deep-copied plan (a process worker's results) holds
+        # arrays of its own, so it takes their addresses afresh.
+        self.__dict__.update(state)
+        self._take_addresses()
+
     @property
     def num_physical(self) -> int:
         """Number of physical qubits programmed."""
@@ -127,17 +153,6 @@ class EmbeddingPlan:
         """The chains as the sampler's collective-flip clusters."""
         return [np.asarray(chain, dtype=np.intp)
                 for chain in self.chains.values()]
-
-    @cached_property
-    def unembedding(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(chain_lengths, flat_chains, starts)`` of the majority vote:
-        all chains' members concatenated in logical order, with the offset
-        each chain starts at."""
-        chains = [self.chains[index] for index in range(self.num_logical)]
-        lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
-        flat = np.array([qubit for chain in chains for qubit in chain],
-                        dtype=np.intp)
-        return lengths, flat, np.cumsum(lengths) - lengths
 
     def accumulate(self, linear: np.ndarray, values: Sequence[float],
                    chain_coupling: float
@@ -310,11 +325,13 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
     """Compile logical Ising problems of one structure onto an embedding.
 
     The pack form of Appendix B: scale, gather onto the plan's couplers,
-    clip — each a single array pass over all problems.  Returns ``None``
-    when the problems cannot be programmed as one structure (different
-    logical key sets, or a coefficient of one of several problems cancels
-    to exactly zero on the way); a pack of one always compiles.  See
-    :func:`embed_ising` for the parameters.
+    clip — each a single array pass over all problems; over a
+    collision-free plan, one call of the C artefact
+    (:func:`repro.annealer.backends.embed_direct`) where a compiler built
+    it.  Returns ``None`` when the problems cannot be programmed as one
+    structure (different logical key sets, or a coefficient of one of
+    several problems cancels to exactly zero on the way); a pack of one
+    always compiles.  See :func:`embed_ising` for the parameters.
     """
     chain_strength = check_positive("chain_strength", chain_strength)
     logical = IsingPack.stack(logicals)
@@ -328,12 +345,39 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
     chain_coupling = (COUPLER_MIN_EXTENDED if extended_range
                       else COUPLER_MIN_STANDARD)
 
+    def packed(plan, physical_keys, fields, couplers, problem_scale,
+               clipped) -> EmbeddedPack:
+        return EmbeddedPack(
+            embedding=embedding, plan=plan, logical=logical,
+            problems=IsingPack(plan.num_physical, physical_keys, fields,
+                               couplers, np.zeros(len(logical))),
+            problem_scale=problem_scale, clipped=clipped,
+            chain_strength=chain_strength, extended_range=extended_range)
+
     # Auto-ranging: normalise the logical couplings to unit magnitude, then
     # program them at |chain coupling| / |J_F| so that the chain-to-problem
     # ratio is exactly the requested chain strength.  The extended range
     # therefore doubles the programmed problem coefficients for the same
     # |J_F|, which is why it is more robust to ICE.
-    problem_scale = np.full(len(logical), abs(chain_coupling) / chain_strength)
+    base_scale = abs(chain_coupling) / chain_strength
+    if backends.cext_available():
+        try:
+            plan = embedding_plan(embedding, logical.num_variables,
+                                  logical.keys)
+        except EmbeddingError:
+            # The NumPy passes raise it too, unless the coupling without a
+            # coupler underflows to 0.0 and so needs none.
+            plan = None
+        programmed = None
+        if plan is not None and plan.direct:
+            programmed = backends.embed_direct(
+                plan, logical.linear, logical.values, base_scale, normalize,
+                (chain_coupling, COUPLER_MAX), (FIELD_MIN, FIELD_MAX))
+        if programmed is not None:  # else a coupling scaled to 0.0: below
+            problem_scale, fields, couplers, clipped = programmed
+            return packed(plan, plan.physical_keys, fields, couplers,
+                          problem_scale, clipped)
+    problem_scale = np.full(len(logical), base_scale)
     if normalize:
         reference = np.abs(logical.values).max(axis=1, initial=0.0)
         fields_only = reference == 0.0
@@ -387,17 +431,8 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
 
     clipped = clipped + np.count_nonzero(np.abs(fields) > FIELD_MAX, axis=1)
     fields = np.clip(fields, FIELD_MIN, FIELD_MAX)
-    return EmbeddedPack(
-        embedding=embedding,
-        plan=plan,
-        logical=logical,
-        problems=IsingPack(plan.num_physical, physical_keys, fields, couplers,
-                           np.zeros(len(logical))),
-        problem_scale=problem_scale,
-        clipped=clipped,
-        chain_strength=chain_strength,
-        extended_range=extended_range,
-    )
+    return packed(plan, physical_keys, fields, couplers, problem_scale,
+                  clipped)
 
 
 def embed_ising(logical: IsingModel, embedding: Embedding, *,

@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.annealer import backends
 from repro.annealer.embedded import EmbeddedIsing, EmbeddingPlan
 from repro.exceptions import AnnealerError
 from repro.utils.random import RandomState, ensure_rng
@@ -58,29 +59,36 @@ def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
 
     All chains' majority votes are integer sums, so they are one
     gather-and-reduce over the plan's flattened chain index (exact in any
-    summation order); only tie breaking stays a loop, because each problem
-    draws the tie spins of its logical indices in ascending order from its
-    own generator of *rngs* and that stream must not move.
+    summation order) — one call of the C artefact
+    (:func:`repro.annealer.backends.majority_vote`) where a compiler built
+    it.  Only tie breaking stays a loop, and runs only when a chain tied,
+    because each problem draws the tie spins of its logical indices in
+    ascending order from its own generator of *rngs* and that stream must
+    not move.
     """
-    chain_lengths, flat_chains, starts = plan.unembedding
     num_samples = physical_spins.shape[0]
-    by_problem = physical_spins.reshape(
-        num_samples, len(rngs), plan.num_physical).transpose(1, 0, 2)
-    sums = np.add.reduceat(by_problem[:, :, flat_chains].astype(np.int64),
-                           starts, axis=2)
-    values = np.sign(sums).astype(np.int8)
-    broken = np.count_nonzero(np.abs(sums) != chain_lengths, axis=(1, 2))
-    ties = np.zeros(len(rngs), dtype=np.intp)
-    tied = values == 0
-    if tied.any():
+    if backends.cext_available():
+        values, broken, ties, any_tie = backends.majority_vote(
+            plan, physical_spins, len(rngs))
+    else:
+        lengths = np.diff(plan.chain_bounds)
+        by_problem = physical_spins.reshape(
+            num_samples, len(rngs), plan.num_physical).transpose(1, 0, 2)
+        sums = np.add.reduceat(
+            by_problem[:, :, plan.chain_members].astype(np.int64),
+            plan.chain_bounds[:-1], axis=2)
+        values = np.sign(sums).astype(np.int8)
+        broken = np.count_nonzero(np.abs(sums) != lengths, axis=(1, 2))
+        ties = np.count_nonzero(values == 0, axis=(1, 2))
+        any_tie = ties.any()
+    if any_tie:
+        tied = values == 0
         spin_choices = np.array([-1, 1], dtype=np.int8)
         for problem, logical_index in zip(*np.nonzero(tied.any(axis=1))):
             tie_mask = tied[problem, :, logical_index]
-            num_ties = int(np.count_nonzero(tie_mask))
-            ties[problem] += num_ties
             values[problem, tie_mask, logical_index] = rngs[problem].choice(
-                spin_choices, size=num_ties)
-    total = num_samples * chain_lengths.size
+                spin_choices, size=int(np.count_nonzero(tie_mask)))
+    total = num_samples * plan.num_logical
     return values, [
         UnembeddingReport(broken_chains=int(broken_b), tie_breaks=int(ties_b),
                           total_chains=total)

@@ -122,6 +122,19 @@ def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
     return template
 
 
+def product_energies(spins: np.ndarray, product: np.ndarray,
+                     linear: np.ndarray, offset: float) -> np.ndarray:
+    """The energies of the ``(K, N)`` float *spins* of one problem, given
+    its symmetric coupling operator's ``(N, K)`` *product* with them
+    (:meth:`IsingModel.energies`), its fields and its offset: the one
+    formula both :meth:`IsingModel.energies` and a pack's read-out
+    (:func:`repro.ising.solver.aggregate_pack`) evaluate."""
+    # The operator holds every coupling twice (g_ij and g_ji), so the
+    # halved symmetric quadratic form equals the upper-triangular sum.
+    quadratic = 0.5 * np.einsum("ki,ik->k", spins, product)
+    return quadratic + spins @ linear + offset
+
+
 @dataclass
 class IsingModel:
     """Ising spin-glass objective ``sum_{i<j} g_ij s_i s_j + sum_i f_i s_i + offset``.
@@ -314,16 +327,12 @@ class IsingModel:
             raise ConfigurationError(
                 f"product must be a C-contiguous ({n}, {len(spin_matrix)}) "
                 "array")
-        if product is None:
-            _, matrix = self.to_dense()
-            quadratic = np.einsum("ki,ij,kj->k", spin_matrix, matrix,
-                                  spin_matrix)
-        else:
-            # The operator holds every coupling twice (g_ij and g_ji), so the
-            # halved symmetric quadratic form equals the upper-triangular sum.
-            quadratic = 0.5 * np.einsum("ki,ik->k", spin_matrix, product)
-        linear = spin_matrix @ self.linear
-        return quadratic + linear + self.offset
+        if product is not None:
+            return product_energies(spin_matrix, product, self.linear,
+                                    self.offset)
+        _, matrix = self.to_dense()
+        quadratic = np.einsum("ki,ij,kj->k", spin_matrix, matrix, spin_matrix)
+        return quadratic + spin_matrix @ self.linear + self.offset
 
     def neighbours(self) -> Dict[int, Dict[int, float]]:
         """Adjacency map ``{i: {j: g_ij}}`` (symmetric) for local-move solvers."""

@@ -16,8 +16,7 @@ trajectories as replica rows of a single :class:`IsingSampler` anneal on that
 engine, which is what makes the classical baseline usable at the anneal
 counts the paper's Figs. 9-15 require.  The scalar per-spin loop
 :func:`metropolis_anneal` is retained purely as an executable reference
-implementation: equivalence tests check the vectorised engine against it, and
-the perf benchmarks time it as the "before" datapoint
+implementation, which equivalence tests check the vectorised engine against
 (:meth:`SimulatedAnnealingSolver.sample_reference`).
 """
 
@@ -29,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.ising.model import (IsingModel, IsingPack, spins_to_bits,
-                               symmetric_csr_template)
+from repro.ising.model import (IsingModel, IsingPack, product_energies,
+                               spins_to_bits, symmetric_csr_template)
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
 
@@ -119,20 +118,38 @@ def _distinct_pack(raw: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rows, counts, bounds)`` of a ``(problems, reads, N)`` ``int8`` array:
     problem *b*'s distinct reads, in ``np.unique(axis=0)`` order, are
-    ``rows[bounds[b]:bounds[b + 1]]``; *counts* are their occurrences."""
+    ``rows[bounds[b]:bounds[b + 1]]``; *counts* are their occurrences.
+    Spin reads of at most 63 variables are keyed by one integer each
+    (:func:`_keyed_distinct`, or one call of the C artefact,
+    :func:`repro.annealer.backends.distinct_reads`, where a compiler built
+    it); any other read goes through ``np.unique`` problem by problem."""
+    # Imported lazily: repro.annealer imports this module for SolverResult.
+    from repro.annealer import backends
+
+    if 0 < raw.shape[2] <= 63 and raw.size:
+        if backends.cext_available():
+            found = backends.distinct_reads(raw)
+            if found is not None:  # None: a read that is not all spins
+                first, counts, bounds = found
+                return raw.reshape(-1, raw.shape[2])[first], counts, bounds
+        elif ((raw == 1) | (raw == -1)).all():
+            return _keyed_distinct(raw)
+    found = [np.unique(reads, axis=0, return_counts=True) for reads in raw]
+    rows, counts = (np.concatenate(part) for part in zip(*found))
+    return rows, counts, np.cumsum([0] + [len(part) for _, part in found])
+
+
+def _keyed_distinct(raw: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_distinct_pack` of spin reads of at most 63 variables, by
+    array passes: pack each row into one integer key (MSB = first column,
+    bit 1 = spin +1); ascending keys are exactly the lexicographic row
+    order of ``np.unique(axis=0)``.  One stable sort per key row puts equal
+    reads side by side in read order, so a run starts where a sorted key
+    differs from its left neighbour, its head is the first occurrence
+    ``np.unique`` reports and the distance to the next head its count —
+    integer arithmetic for the whole pack at once."""
     num_problems, num_reads, num_variables = raw.shape
-    if not (0 < num_variables <= 63 and raw.size
-            and ((raw == 1) | (raw == -1)).all()):
-        found = [np.unique(reads, axis=0, return_counts=True) for reads in raw]
-        rows, counts = (np.concatenate(part) for part in zip(*found))
-        return rows, counts, np.cumsum([0] + [len(part) for _, part in found])
-    # Spin matrices: pack each row into one integer key (MSB = first column,
-    # bit 1 = spin +1); ascending keys are exactly the lexicographic row
-    # order of ``np.unique(axis=0)``.  One stable sort per key row puts equal
-    # reads side by side in read order, so a run starts where a sorted key
-    # differs from its left neighbour, its head is the first occurrence
-    # ``np.unique`` reports and the distance to the next head its count —
-    # integer arithmetic for the whole pack at once.
     keys = (raw > 0) @ np.left_shift(
         np.uint64(1), np.arange(num_variables - 1, -1, -1, dtype=np.uint64))
     order = keys.argsort(axis=1, kind="stable")
@@ -167,16 +184,18 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
                    ) -> List[SolverResult]:
     """:func:`aggregate_samples` over same-structure problems at once.
 
-    *raw_samples* is ``(problems, reads, variables)``; the distinct reads of
-    all problems are found in one pass, and every problem's coupling
-    operator is applied to its distinct reads in ONE call of the C
-    artefact's CSR kernel (:func:`repro.annealer.backends.csr_pack_matvecs`)
-    over the shared structure.  Energies stay per problem — their
-    floating-point order defines them — through the one formula,
-    :meth:`IsingModel.energies`, handed the product.  Where no compiler
-    built the artefact the products come from scipy instead (one operator,
-    its ``.data`` rewritten per problem): the reference the kernel is byte
-    for byte equal to.
+    *raw_samples* is ``(problems, reads, variables)``.  Where a compiler
+    built the C artefact the read-out is two calls of it: the distinct
+    reads of every problem, each with its first occurrence's row and its
+    count (:func:`repro.annealer.backends.distinct_reads`), then every
+    problem's coupling operator applied to its distinct reads over the
+    shared structure (:func:`repro.annealer.backends.csr_pack_matvecs`).
+    Energies stay per problem — their floating-point order defines them —
+    through the one formula, :func:`~repro.ising.model.product_energies`,
+    handed each problem's distinct reads, product, fields and offset (no
+    per-problem model).  Without the artefact the distinct reads are array
+    passes and the products come from scipy (one operator, its ``.data``
+    rewritten per problem): the references both calls equal byte for byte.
     """
     # Imported lazily: repro.annealer imports this module for SolverResult.
     from repro.annealer import backends
@@ -205,9 +224,10 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
             products.append(operator @ spins[reads].T)
     return [SolverResult.energy_sorted(
                 distinct[reads],
-                problems[index].energies(spins[reads], product=product),
+                product_energies(spins[reads], product, linear, offset),
                 counts[reads])
-            for index, (reads, product) in enumerate(zip(rows, products))]
+            for reads, product, linear, offset in zip(
+                rows, products, problems.linear, problems.offsets.tolist())]
 
 
 class BruteForceIsingSolver:
@@ -395,8 +415,7 @@ class SimulatedAnnealingSolver:
         """Reference path: one scalar :func:`metropolis_anneal` per read.
 
         Orders of magnitude slower than :meth:`sample`; kept as the ground
-        truth the vectorised engine is equivalence-tested (and benchmarked)
-        against.
+        truth the vectorised engine is equivalence-tested against.
         """
         rng = ensure_rng(random_state)
         reads = self._resolve_reads(num_reads)

@@ -216,12 +216,15 @@ class TestSymbolTable:
                     if name.endswith("_sweep") and callable(value)}
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
         # lane_half_sweep is the sequential call split over two threads,
-        # reached through the sequential entry point.
+        # reached through the sequential entry point; embed_direct,
+        # majority_vote and distinct_reads program and read out a pack.
         assert set(self.exported()) == dispatch | {
             "counter_openmp_enabled", "metropolis_accept_probe",
             "counter_initial_spins", "sequential_initial_spins",
             "philox_fill_probe", "csr_pack_matvecs", "lane_half_sweep",
-            "pcg64_probe"}
+            "pcg64_probe", "embed_direct", "majority_vote", "distinct_reads"}
+        for name in ("embed_direct", "majority_vote", "distinct_reads"):
+            assert callable(getattr(backends, name))
 
     def test_sequential_draw_source_is_one_generator_array(self):
         """Every sequential export takes its per-block generators as ONE

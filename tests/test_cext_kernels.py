@@ -32,6 +32,10 @@ pieces:
 * the **pack energy operator** — ``csr_pack_matvecs``, every problem's
   ``A_b @ S_b.T`` in one call — equals scipy's CSR product as bytes, layout
   included, on every structure the serving path aggregates over;
+* the **distinct reads** — ``distinct_reads``, every problem's at once —
+  equal ``np.unique(axis=0)``'s order, first occurrences and counts (the
+  programming and vote calls are held to their NumPy passes stage by stage
+  in ``test_pack_pipeline.py``);
 * the C source compiles **warning-free** (no dead argument rides along in
   the entry-point signatures).
 """
@@ -56,7 +60,7 @@ from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.exceptions import AnnealerError
-from repro.ising.model import symmetric_csr_template
+from repro.ising.model import IsingModel, symmetric_csr_template
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
 
@@ -436,10 +440,12 @@ class TestShardedPack:
     and :class:`SweepWork` — unless two blocks share a bit generator."""
 
     @staticmethod
-    def anneal(monkeypatch, cpus, sampler, random_states):
-        """Anneal with *cpus* usable; returns ``(spins, work, ranges)``,
-        the block count of every kernel call made."""
+    def anneal(monkeypatch, cpus, sampler, random_states, split_spins=0):
+        """Anneal with *cpus* usable and the size gate at *split_spins*
+        (none by default); returns ``(spins, work, ranges)``, the block
+        count of every kernel call made."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        monkeypatch.setattr(backends, "_SPLIT_SPINS", split_spins)
         ranges = []
         original = backends._cext_colour_arguments
         monkeypatch.setattr(
@@ -489,6 +495,43 @@ class TestShardedPack:
                                                  states())
         spins, work, ranges = self.anneal(monkeypatch, 4, sampler, states())
         assert ranges == [4]
+        assert spins.tobytes() == expected.tobytes()
+        assert work == expected_work
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_small_packs_stay_on_one_thread(self, monkeypatch, request,
+                                            gated):
+        """A 4-block pack of 4 spins (320 with its replicas) is below the
+        size gate: on two usable CPUs it is still the one call and no
+        helper is asked for work.  Under ``every_block_splits`` (no gate)
+        the same pack shards; the bits are the one call's either way."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        if not gated:
+            request.getfixturevalue("every_block_splits")
+        gate = backends._SPLIT_SPINS
+        problems = [IsingModel(num_variables=4, linear=rng.normal(size=4),
+                               couplings={(i, j): float(rng.normal())
+                                          for i in range(4)
+                                          for j in range(i + 1, 4)})
+                    for rng in map(np.random.default_rng, range(4))]
+        sampler = BlockDiagonalSampler(problems, backend="cext")
+        expected, expected_work, _ = self.anneal(
+            monkeypatch, 1, sampler, [np.random.default_rng(b)
+                                      for b in range(4)])
+        submitted = []
+        with ThreadPoolExecutor(1) as pool:
+            class Recorder:
+                def submit(self, *args):
+                    submitted.append(args[0])
+                    return pool.submit(*args)
+
+            monkeypatch.setitem(backends._HELPERS, "pool", Recorder())
+            spins, work, ranges = self.anneal(
+                monkeypatch, 2, sampler, [np.random.default_rng(b)
+                                          for b in range(4)], gate)
+        assert ranges == ([4] if gated else [2, 2])
+        assert len(submitted) == (0 if gated else 1)
         assert spins.tobytes() == expected.tobytes()
         assert work == expected_work
 
@@ -594,7 +637,7 @@ class TestLaneHalves:
         if case == "one CPU":
             monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
         if case == "below the gate":
-            monkeypatch.setattr(backends, "_LANE_SPLIT_SPINS",
+            monkeypatch.setattr(backends, "_SPLIT_SPINS",
                                 REPLICAS * ising.num_variables)
         counts = dict(every_block_splits)
         monkeypatch.setattr(backends, "_lane_half_call", None)  # not called
@@ -739,6 +782,43 @@ class TestCsrPackMatvecs:
                     (data, spins, [0, 3])]:              # one problem short
             with pytest.raises(AnnealerError):
                 backends.csr_pack_matvecs(template, *bad)
+
+
+class TestDistinctReads:
+    """Every problem's distinct reads in one C call, against
+    ``np.unique(axis=0, return_index=True, return_counts=True)`` per
+    problem: the same order, the first occurrence of each, its count."""
+
+    @pytest.mark.parametrize("variables", [1, 2, 6, 63])
+    @pytest.mark.parametrize("problems,reads", [(1, 1), (1, 50), (16, 25),
+                                                (3, 200)])
+    def test_equals_np_unique(self, variables, problems, reads):
+        rng = np.random.default_rng(variables * reads + problems)
+        # A handful of patterns repeated: runs of every length, ties of
+        # every position in the sort.
+        patterns = rng.choice(np.array([-1, 1], dtype=np.int8),
+                              size=(problems, 7, variables))
+        raw = np.stack([patterns[b, rng.integers(0, 7, size=reads)]
+                        for b in range(problems)])
+        first, counts, bounds = backends.distinct_reads(raw)
+        assert first.dtype == counts.dtype == bounds.dtype == np.int64
+        assert bounds[0] == 0 and bounds[-1] == len(first) == len(counts)
+        for b in range(problems):
+            rows, index, count = np.unique(raw[b], axis=0, return_index=True,
+                                           return_counts=True)
+            span = slice(bounds[b], bounds[b + 1])
+            assert first[span].tolist() == (b * reads + index).tolist()
+            assert counts[span].tolist() == count.tolist()
+            assert (raw.reshape(-1, variables)[first[span]].tobytes()
+                    == rows.tobytes())
+
+    def test_a_read_that_is_not_all_spins_is_refused(self):
+        raw = np.ones((2, 5, 4), dtype=np.int8)
+        assert backends.distinct_reads(raw) is not None
+        raw[1, 3, 2] = 0
+        assert backends.distinct_reads(raw) is None
+        with pytest.raises(AnnealerError):
+            backends.distinct_reads(np.ones((1, 5, 64), dtype=np.int8))
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

@@ -9,7 +9,9 @@ keeps that per-job dict implementation as a test-local **oracle** (the way
 ``sample_reference`` keeps the scalar Metropolis loop) and pins the pack
 stages to it row by row, bit for bit: programmed values, problem scale and
 clip counts, unembedding reports, solution order / energies / counts, and
-the state every generator is left in.
+the state every generator is left in.  Every stage case runs twice
+(``artefact``): through the C artefact's programming and read-out calls,
+and through the NumPy passes a box without a compiler runs.
 
 The second half guards the point of the exercise without a clock: on a warm
 pack the pipeline constructs no per-job ``IsingModel``, scipy matrix or
@@ -20,9 +22,11 @@ kernel for exactly the work it asked for before, and reads the samples out
 """
 
 import multiprocessing
+import pickle
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from copy import deepcopy
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,9 +300,23 @@ def assert_run_equals_oracle(result, expected):
             == expected.embedded.clipped)
 
 
+@pytest.fixture(params=["cext", "numpy"])
+def artefact(request, monkeypatch):
+    """Every stage case twice: through the C artefact's programming and
+    read-out calls (``embed_direct``, ``majority_vote``,
+    ``distinct_reads``, ``csr_pack_matvecs``), and with ``_load_cext``
+    patched to ``None`` — the NumPy passes a box without a compiler runs."""
+    if request.param == "numpy":
+        monkeypatch.setattr(backends, "_load_cext", lambda: None)
+    elif not backends.cext_available():
+        pytest.skip("no C compiler for the cext backend")
+    return request.param
+
+
 # --------------------------------------------------------------------------- #
 # Stage by stage
 # --------------------------------------------------------------------------- #
+@pytest.mark.usefixtures("artefact")
 class TestEmbedStage:
     @pytest.mark.parametrize("count", [1, 3, 16])
     @pytest.mark.parametrize("extended_range", [False, True])
@@ -442,6 +460,61 @@ if given is not None:
         check_random_pack_through_ice(**case)
 
 
+@pytest.mark.skipif(not backends.cext_available(),
+                    reason="no C compiler for the cext backend")
+class TestProgrammingPathsAgree:
+    """Coefficients the dict oracle spells differently from NumPy —
+    non-finite and signed-zero ones — programmed by the C call and by the
+    NumPy passes: the same pack, or ``None`` from both, as bytes."""
+
+    @staticmethod
+    def problems(case):
+        rows = []
+        for b, problem in enumerate(same_structure_problems(3, 4, seed=14)):
+            linear, couplings = problem.linear.copy(), problem.couplings
+            first = next(iter(couplings))
+            if case in ("nan coupling", "inf coupling") and b == 1:
+                couplings = {**couplings, first: float(case[:3])}
+            if case in ("nan field", "inf field") and b == 1:
+                linear[2] = float(case[:3])
+            if case == "signed zeros":
+                linear[::2] = -0.0
+                linear[1] = 0.0
+            if case == "no couplings":
+                couplings = {}
+                linear *= b  # problem 0 has no coefficient at all
+            rows.append(IsingModel(num_variables=4, linear=linear,
+                                   couplings=couplings))
+        return rows
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("case", [
+        "nan coupling", "inf coupling", "nan field", "inf field",
+        "signed zeros", "no couplings"])
+    def test_awkward_coefficients_program_alike(self, case, normalize):
+        problems = self.problems(case)
+        embedding = clique_embedding(4)
+
+        def embed():
+            return embed_pack(problems, embedding, chain_strength=0.7,
+                              normalize=normalize)
+
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            in_c = embed()  # NumPy's too where C finds a coupling at 0.0
+            patch.setattr(backends, "_load_cext", lambda: None)
+            in_numpy = embed()
+        assert (in_c is None) == (in_numpy is None)
+        if in_c is None:
+            return
+        assert in_c.problems.keys == in_numpy.problems.keys
+        for got, want in [(in_c.problems.linear, in_numpy.problems.linear),
+                          (in_c.problems.values, in_numpy.problems.values),
+                          (in_c.problem_scale, in_numpy.problem_scale),
+                          (in_c.clipped, in_numpy.clipped)]:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestIceStage:
     def test_perturb_is_the_pack_of_one(self):
         problem = embed_ising(qpsk_pack(1)[0], clique_embedding(6),
@@ -471,6 +544,7 @@ class TestIceStage:
         assert len(programmed[0].couplings) == len(programmed.keys)
 
 
+@pytest.mark.usefixtures("artefact")
 class TestUnembedStage:
     @pytest.mark.parametrize("count", [1, 3, 16])
     def test_forced_ties_and_reports_equal_oracle(self, count):
@@ -502,6 +576,28 @@ class TestUnembedStage:
             np.testing.assert_array_equal(alone, expected)
             assert report == reports[b]
 
+    def test_a_copied_plan_takes_its_own_addresses(self):
+        """A plan pickled to or from a process worker, or deep-copied out
+        of shared memory, holds arrays of its own: the addresses it hands
+        the C calls are theirs, and it votes as the original does."""
+        packed = embed_pack(qpsk_pack(3, num_users=2), clique_embedding(4),
+                            chain_strength=4.0)
+        plan = packed.plan
+        spins = np.random.default_rng(3).choice(
+            np.array([-1, 1], dtype=np.int8), size=(40, 3 * plan.num_physical))
+        expected, reports = unembed_pack(
+            plan, spins, [np.random.default_rng(b) for b in range(3)])
+        for copied in (pickle.loads(pickle.dumps(plan)), deepcopy(plan)):
+            arrays = (copied.logical_index, copied.chain_lengths,
+                      copied.chain_members, copied.chain_bounds)
+            assert copied.addresses == tuple(
+                array.ctypes.data for array in arrays)
+            assert set(copied.addresses).isdisjoint(plan.addresses)
+            logical, copied_reports = unembed_pack(
+                copied, spins, [np.random.default_rng(b) for b in range(3)])
+            assert logical.tobytes() == expected.tobytes()
+            assert copied_reports == reports
+
     def test_overlapping_chains(self):
         packed = embed_pack(same_structure_problems(2, 3, seed=8),
                             overlapping_embedding(), chain_strength=2.0)
@@ -518,24 +614,18 @@ class TestUnembedStage:
                     reports[b].total_chains) == counts
 
 
+@pytest.mark.usefixtures("artefact")
 class TestAggregateStage:
     def _check(self, problems, raw):
-        """Both energy paths — the C artefact's CSR kernel where a compiler
-        built it, and the scipy operator ``aggregate_pack`` falls back to
-        without one (``_load_cext`` patched to ``None``) — against the
-        oracle and the per-problem spelling, as bytes."""
+        """The pack and the per-problem spelling against the oracle, as
+        bytes (on each path, see ``artefact``)."""
         results = aggregate_pack(problems, raw)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(backends, "_load_cext", lambda: None)
-            assert not backends.cext_available()
-            through_scipy = aggregate_pack(problems, raw)
-        assert len(results) == len(through_scipy) == len(problems)
-        for problem, reads, result, reference in zip(problems, raw, results,
-                                                     through_scipy):
+        assert len(results) == len(problems)
+        for problem, reads, result in zip(problems, raw, results):
             expected = oracle_aggregate(problem, reads)
             alone = aggregate_samples(problem, reads,
                                       operator=problem.coupling_operator())
-            for got in (result, reference, alone):
+            for got in (result, alone):
                 for field, want in zip(
                         (got.samples, got.energies, got.num_occurrences),
                         expected):
@@ -633,12 +723,20 @@ class TestAggregateStage:
 # --------------------------------------------------------------------------- #
 # The whole run
 # --------------------------------------------------------------------------- #
+@pytest.mark.usefixtures("artefact")
 class TestRunBatchEqualsOracle:
+    @staticmethod
+    def machine(**options):
+        """Five sweeps an anneal: what is under test is the stages around
+        the sweep (the kernel suites pin the sweep itself), and without a
+        compiler every sweep here runs the reference loops."""
+        return ideal_machine(sweeps_per_us=5.0, **options)
+
     @pytest.mark.parametrize("count", [1, 3, 16])
     @pytest.mark.parametrize("cache", [0, 8])
     def test_pack_sizes_and_cache_modes(self, count, cache):
         problems = qpsk_pack(count)
-        machine = ideal_machine(sampler_cache_size=cache, ice_batch_size=10)
+        machine = self.machine(sampler_cache_size=cache, ice_batch_size=10)
         parameters = AnnealerParameters(num_anneals=25)
         for call in range(2):  # second call: warm sampler when cached
             pack_rngs = [np.random.default_rng(100 * call + b)
@@ -659,9 +757,9 @@ class TestRunBatchEqualsOracle:
         problems = qpsk_pack(5)
         parameters = AnnealerParameters(num_anneals=30)
         pack_rngs = [np.random.default_rng(b) for b in range(5)]
-        packed = ideal_machine().run_batch(problems, parameters,
-                                           random_states=pack_rngs)
-        serial_machine = ideal_machine()
+        packed = self.machine().run_batch(problems, parameters,
+                                          random_states=pack_rngs)
+        serial_machine = self.machine()
         for b, problem in enumerate(problems):
             rng = np.random.default_rng(b)
             serial = serial_machine.run(problem, parameters, random_state=rng)
@@ -675,7 +773,7 @@ class TestRunBatchEqualsOracle:
         """The reference loops read scipy operators refreshed from the same
         value matrix the compiled kernels gather from."""
         problems = qpsk_pack(3)
-        machine = ideal_machine(ice_batch_size=5)
+        machine = self.machine(ice_batch_size=5)
         parameters = AnnealerParameters(num_anneals=15)
         results = machine.run_batch(problems, parameters, random_state=2,
                                     backend="numpy")
@@ -688,7 +786,7 @@ class TestRunBatchEqualsOracle:
     def test_overlapping_chain_embedding(self):
         embedding = overlapping_embedding()
         problems = same_structure_problems(3, 3, seed=8)
-        machine = ideal_machine(ice_batch_size=6)
+        machine = self.machine(ice_batch_size=6)
         parameters = AnnealerParameters(num_anneals=12, chain_strength=1.5)
         pack_rngs = [np.random.default_rng(b) for b in range(3)]
         results = machine.run_batch(problems, parameters,
@@ -704,7 +802,7 @@ class TestRunBatchEqualsOracle:
     def test_mixed_structures_are_served_problem_by_problem(self):
         dense = same_structure_problems(1, 4, seed=1)[0]
         sparse_one = same_structure_problems(1, 4, seed=2, density=0.4)[0]
-        machine = ideal_machine()
+        machine = self.machine()
         parameters = AnnealerParameters(num_anneals=10)
         results = machine.run_batch([dense, sparse_one, dense], parameters,
                                     random_states=[5, 6, 7])
@@ -731,7 +829,7 @@ class TestRunBatchEqualsOracle:
             return perturbed
 
         monkeypatch.setattr(ICEModel, "perturb_pack", perturb_pack)
-        machine = ideal_machine(ice_batch_size=5)
+        machine = self.machine(ice_batch_size=5)
         pack_rngs = [np.random.default_rng(b) for b in range(3)]
         results = machine.run_batch(problems, parameters,
                                     random_states=pack_rngs)
@@ -759,7 +857,7 @@ class TestRunBatchEqualsOracle:
         workspaces) are checked out per call.  Eight
         threads on ~1 core, switching every 10 us, decoding different packs
         through ONE decoder must give each pack its serial result."""
-        decoder = QuAMaxDecoder(ideal_machine(sampler_cache_size=2),
+        decoder = QuAMaxDecoder(self.machine(sampler_cache_size=2),
                                 AnnealerParameters(num_anneals=20))
         link = MimoUplink(num_users=3, constellation="QPSK")
         rng = np.random.default_rng(11)
@@ -961,18 +1059,28 @@ class TestWarmPackWork:
         machine.run_batch(problems, parameters, random_state=2,
                           backend="cext")
         assert len(anneals) == 2
+        # Per pack, once, the programming call: logical fields and
+        # couplings in, problem scales, fields, couplers and clip counts
+        # out (the plan's four addresses are kept with the plan).
+        assert pointers[:6] == [(16, 6), (16, 15), (16,), (16, 18),
+                                (16, 27), (16,)]
         # Per anneal and range of blocks (all 16 in one call on one CPU, two
         # ranges of 8 on two): fields, class values and cluster-edge values
         # — what a rebind moves.
         blocks = 16 // cpus
-        assert pointers[:-4] == ([(blocks * 18,), (blocks, 54), (blocks, 12)]
-                                 * cpus * len(anneals))
-        # Per pack, once, the energy call: operator values, distinct reads,
-        # their bounds, the products and as much kernel scratch (the
-        # structure's two addresses are kept with the cached template).
+        assert pointers[6:-9] == ([(blocks * 18,), (blocks, 54),
+                                   (blocks, 12)] * cpus * len(anneals))
+        # Per pack, once each: the vote (samples in, chain signs and counts
+        # out), the distinct reads (first occurrences, counts, bounds and
+        # sort scratch in one array; logical spins in), then the energy
+        # call: operator values, distinct reads, their bounds, the products
+        # and as much kernel scratch (the structure's two addresses are kept
+        # with the cached template).
         reads = pointers[-3][0]
-        assert pointers[-4:] == [(16, 30), (reads, 6), (17,),
-                                 (2 * 6 * reads,)]
+        assert pointers[-9:] == [
+            (50, 16 * 18), (16, 50, 6), (2, 16),
+            (2 * 16 * 50 + 17 + 4 * 50,), (16, 50, 6),
+            (16, 30), (reads, 6), (17,), (2 * 6 * reads,)]
 
     @needs_cext
     def test_kernel_does_the_work_it_did_before(self):
