@@ -13,12 +13,12 @@ from repro.annealer.backends import BACKENDS, available_backends, resolve_backen
 from repro.annealer.chimera import ChimeraGraph, PegasusLikeGraph
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder, embedding_qubit_counts
 from repro.annealer.embedded import EmbeddedIsing, embed_ising
-from repro.annealer.engine import BlockDiagonalSampler, IsingSampler, batched_metropolis
+from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.schedule import AnnealSchedule
 from repro.annealer.machine import AnnealerParameters, AnnealResult, QuantumAnnealerSimulator
 from repro.annealer.parallel import parallelization_factor
-from repro.annealer.unembed import UnembeddingReport, unembed_sample, unembed_samples
+from repro.annealer.unembed import UnembeddingReport, unembed_samples
 
 __all__ = [
     "BACKENDS",
@@ -28,7 +28,6 @@ __all__ = [
     "PegasusLikeGraph",
     "BlockDiagonalSampler",
     "IsingSampler",
-    "batched_metropolis",
     "Embedding",
     "TriangleCliqueEmbedder",
     "embedding_qubit_counts",
@@ -41,6 +40,5 @@ __all__ = [
     "QuantumAnnealerSimulator",
     "parallelization_factor",
     "UnembeddingReport",
-    "unembed_sample",
     "unembed_samples",
 ]

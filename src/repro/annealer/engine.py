@@ -69,7 +69,6 @@ from repro.ising.model import (
     IsingPack,
     symmetric_csr_template,
 )
-from repro.obs.profiling import PROFILER
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range
 
@@ -632,48 +631,40 @@ class BlockDiagonalSampler:
                 backend, rngs, num_replicas, size, self._kernel_workspace)
 
         self._last_sweep_work = None
-        # Wall-time attribution of the sweep loop per backend/rng/thread
-        # count; the phase is a no-op unless the global profiler is enabled
-        # and never touches RNG state, so trajectories are identical either
-        # way.
-        sweep_phase = PROFILER.phase("engine.sweep", backend, self.rng_mode,
-                                     f"t{self.threads}")
         if counter_keys is not None or backend != "numpy":
             # Every compiled backend, and the counter discipline on every
             # backend (its numpy reference lives behind the same entry
             # points): one backend dispatch per anneal.
-            with sweep_phase:
-                self._last_sweep_work = self._dispatch_colour(
-                    spins, temperatures, backend, rngs, counter_keys)
+            self._last_sweep_work = self._dispatch_colour(
+                spins, temperatures, backend, rngs, counter_keys)
             return spins.astype(np.int8)
 
         reference = self._reference_operators()
-        with sweep_phase:
-            for temperature in temperatures:
-                for group, operator, width in zip(reference.classes,
-                                                  reference.class_operators,
-                                                  self._class_widths):
-                    # Local field of every variable in the group, per replica:
-                    # (N x R) -> (blocks*|class| x R), then transpose.
-                    fields = (operator @ spins.T).T + self.linear[group]
-                    delta = -2.0 * spins[:, group] * fields
-                    accept = delta <= 0.0
-                    uphill = ~accept
-                    for b, rng in enumerate(rngs):
-                        segment = slice(b * width, (b + 1) * width)
-                        uphill_b = uphill[:, segment]
-                        count = int(np.count_nonzero(uphill_b))
-                        if count:
-                            # delta > 0 on the uphill subset, acceptance
-                            # probability exp(-delta / T).
-                            accept[:, segment][uphill_b] = (
-                                rng.random(count)
-                                < np.exp(-delta[:, segment][uphill_b]
-                                         / temperature))
-                    flips = np.where(accept, -1.0, 1.0)
-                    spins[:, group] *= flips
-                if self.block_clusters:
-                    self._cluster_sweep(spins, temperature, rngs)
+        for temperature in temperatures:
+            for group, operator, width in zip(reference.classes,
+                                              reference.class_operators,
+                                              self._class_widths):
+                # Local field of every variable in the group, per replica:
+                # (N x R) -> (blocks*|class| x R), then transpose.
+                fields = (operator @ spins.T).T + self.linear[group]
+                delta = -2.0 * spins[:, group] * fields
+                accept = delta <= 0.0
+                uphill = ~accept
+                for b, rng in enumerate(rngs):
+                    segment = slice(b * width, (b + 1) * width)
+                    uphill_b = uphill[:, segment]
+                    count = int(np.count_nonzero(uphill_b))
+                    if count:
+                        # delta > 0 on the uphill subset, acceptance
+                        # probability exp(-delta / T).
+                        accept[:, segment][uphill_b] = (
+                            rng.random(count)
+                            < np.exp(-delta[:, segment][uphill_b]
+                                     / temperature))
+                flips = np.where(accept, -1.0, 1.0)
+                spins[:, group] *= flips
+            if self.block_clusters:
+                self._cluster_sweep(spins, temperature, rngs)
 
         return spins.astype(np.int8)
 
@@ -767,17 +758,3 @@ class IsingSampler(BlockDiagonalSampler):
         """
         return self._anneal(temperatures, num_replicas,
                             [ensure_rng(random_state)], initial_spins)
-
-
-def batched_metropolis(ising: IsingModel, temperatures: Sequence[float],
-                       num_replicas: int,
-                       random_state: RandomState = None,
-                       initial_spins: Optional[np.ndarray] = None,
-                       backend: str = "auto",
-                       rng: str = "sequential",
-                       threads: int = 1) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`IsingSampler`."""
-    sampler = IsingSampler(ising, backend=backend, rng=rng, threads=threads)
-    return sampler.anneal(temperatures, num_replicas,
-                          random_state=random_state,
-                          initial_spins=initial_spins)

@@ -57,7 +57,6 @@ from repro.ising.solver import (  # noqa: F401
     aggregate_pack,
     aggregate_samples,
 )
-from repro.obs.profiling import PROFILER
 from repro.utils.random import RandomState, child_rngs, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
 
@@ -393,12 +392,9 @@ class QuantumAnnealerSimulator:
 
         if embedding is None:
             embedding = self.embedding_for(num_logical)
-        # PROFILER phases only read the wall clock (no-ops when disabled);
-        # they never touch RNG state, so seeded outputs are unaffected.
-        with PROFILER.phase("machine.embed"):
-            embedded = embed_pack(isings, embedding,
-                                  chain_strength=parameters.chain_strength,
-                                  extended_range=parameters.extended_range)
+        embedded = embed_pack(isings, embedding,
+                              chain_strength=parameters.chain_strength,
+                              extended_range=parameters.extended_range)
         if embedded is None:
             # The problems do not program one structure (different coupling
             # keys): each is its own pack of one, with its own generator —
@@ -436,37 +432,29 @@ class QuantumAnnealerSimulator:
         produced = 0
         while produced < num_anneals:
             batch = min(self.ice_batch_size, num_anneals - produced)
-            with PROFILER.phase("machine.ice"):
-                programmed = self.ice.perturb_pack(embedded.problems, rngs)
+            programmed = self.ice.perturb_pack(embedded.problems, rngs)
             if programmed.values.all():
                 if sampler is None:
-                    with PROFILER.phase("machine.sampler_build"):
-                        sampler = BlockDiagonalSampler(programmed,
-                                                       **sampler_options)
+                    sampler = BlockDiagonalSampler(programmed,
+                                                   **sampler_options)
                 else:
-                    with PROFILER.phase("machine.sampler_rebind"):
-                        sampler.refresh_values(programmed)
-                with PROFILER.phase("machine.anneal",
-                                    sampler.selected_backend):
-                    samples = sampler.anneal(temperatures, batch, rngs)
+                    sampler.refresh_values(programmed)
+                samples = sampler.anneal(temperatures, batch, rngs)
             else:
                 # An ICE draw cancelled a coupling exactly, so the blocks
                 # no longer share one structure this batch: anneal them one
                 # by one (identical trajectories, just not packed).  The
                 # warm sampler sits the batch out and serves the next.
-                with PROFILER.phase("machine.anneal", backend):
-                    samples = np.concatenate([
-                        IsingSampler(problem, **sampler_options).anneal(
-                            temperatures, batch, random_state=rng_b)
-                        for problem, rng_b in zip(programmed, rngs)
-                    ], axis=1)
+                samples = np.concatenate([
+                    IsingSampler(problem, **sampler_options).anneal(
+                        temperatures, batch, random_state=rng_b)
+                    for problem, rng_b in zip(programmed, rngs)
+                ], axis=1)
             physical[produced:produced + batch] = samples
             produced += batch
 
-        with PROFILER.phase("machine.unembed"):
-            logical_spins, unembedding = unembed_pack(plan, physical, rngs)
-        with PROFILER.phase("machine.aggregate"):
-            solutions = aggregate_pack(embedded.logical, logical_spins)
+        logical_spins, unembedding = unembed_pack(plan, physical, rngs)
+        solutions = aggregate_pack(embedded.logical, logical_spins)
 
         if cache_key is not None and sampler is not None:
             self._sampler_cache[cache_key] = sampler

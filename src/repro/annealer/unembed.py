@@ -39,14 +39,6 @@ class UnembeddingReport:
         return self.broken_chains / self.total_chains
 
 
-def unembed_sample(embedded: EmbeddedIsing, physical_spins,
-                   random_state: RandomState = None) -> np.ndarray:
-    """Unembed one physical sample into logical spins (majority vote)."""
-    logical, _ = unembed_samples(embedded, np.asarray(physical_spins)[None, :],
-                                 random_state=random_state)
-    return logical[0]
-
-
 def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
                  rngs: Sequence[np.random.Generator]
                  ) -> Tuple[np.ndarray, List[UnembeddingReport]]:

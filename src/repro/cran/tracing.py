@@ -27,8 +27,10 @@ pool the event stream is a bit-deterministic function of the offered load —
 events carry only virtual timestamps and submission-order ids, never a wall
 clock.
 
-Exporters (Chrome trace JSON for Perfetto, JSONL, Prometheus text metrics)
-and the per-stage breakdown report live in :mod:`repro.obs`.
+The exporters (Chrome trace JSON for Perfetto, JSONL) and the per-stage
+breakdown report live in :mod:`repro.obs`.  Wall time is not recorded
+here: per-layer wall time is the span table of the end-to-end benchmark's
+``--trace 1`` run, which wraps the layers' public callables from outside.
 """
 
 from __future__ import annotations

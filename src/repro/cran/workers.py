@@ -79,7 +79,6 @@ from repro.cran.tracing import (
     TraceRecorder,
 )
 from repro.annealer.backends import _usable_cpus, openmp_teams_run
-from repro.obs.profiling import PROFILER
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError, WorkerPoolError
 from repro.utils.validation import check_integer_in_range
@@ -206,11 +205,8 @@ def _process_worker_init(
 def _process_decode_batch(index: int, batch: DecodeBatch):
     """Decode one pack in a worker process; results go back via shared memory.
 
-    Returns ``((pickled, shm_name, buffer_sizes), service_us, phases)`` —
-    see :func:`_export_outcomes` / :func:`_import_outcomes`.  ``phases`` is
-    the per-phase wall-time delta the decode accumulated when this
-    process's :data:`~repro.obs.profiling.PROFILER` is enabled (inherited
-    via fork), which the parent merges into its own profiler.
+    Returns ``((pickled, shm_name, buffer_sizes), service_us)`` — see
+    :func:`_export_outcomes` / :func:`_import_outcomes`.
 
     An injected crash or decode error raises out of here and reaches the
     parent through the pool's ``error_callback`` (rather than killing the
@@ -219,11 +215,9 @@ def _process_decode_batch(index: int, batch: DecodeBatch):
     literal deaths, while the exception path keeps the pack's accounting
     deterministic and identical to the threaded mode.
     """
-    baseline = PROFILER.raw() if PROFILER.enabled else None
     outcomes, service_us = decode_pack(_WORKER_DECODER, _WORKER_FAULTS,
                                        _WORKER_THREADS, index, batch)
-    phases = None if baseline is None else PROFILER.delta_since(baseline)
-    return _export_outcomes(outcomes), service_us, phases
+    return _export_outcomes(outcomes), service_us
 
 
 def _export_outcomes(outcomes) -> Tuple[bytes, Optional[str], list]:
@@ -608,12 +602,11 @@ class _ProcessExecutor(_Executor):
     def _on_result(self, index: int, batch: DecodeBatch, payload) -> None:
         """Pool callback: reattach the shared buffers, hand the pack over."""
         try:
-            exported, service_us, phases = payload
+            exported, service_us = payload
             outcomes = _import_outcomes(*exported)
         except BaseException as error:  # surfaced by close()
             self._on_error(index, batch, error)
             return
-        PROFILER.merge(phases)
         self.pool.done(index, batch, outcomes, service_us)
         self._landed()
 

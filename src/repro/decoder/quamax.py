@@ -34,7 +34,6 @@ from repro.exceptions import DetectionError
 from repro.ising.model import IsingPack, spins_to_bits
 from repro.metrics.ttb import InstanceSolutionProfile
 from repro.mimo.system import ChannelUse
-from repro.obs.profiling import PROFILER
 from repro.transform.qubo_builder import ml_metric_of_symbols
 from repro.transform.reduction import MLToIsingReducer, ReducedProblem
 from repro.utils.random import RandomState, child_rngs, ensure_rng
@@ -148,8 +147,7 @@ class QuAMaxDecoder(Detector):
         parameters = parameters or self.parameters
         rng = ensure_rng(random_state) if random_state is not None else self._rng
 
-        with PROFILER.phase("decoder.reduce"):
-            reduced = self._reducer.reduce(channel_use)
+        reduced = self._reducer.reduce(channel_use)
         run = self.annealer.run(reduced.ising, parameters, random_state=rng,
                                 backend=self.backend, rng=self.rng_mode,
                                 threads=self.threads)
@@ -216,8 +214,7 @@ class QuAMaxDecoder(Detector):
                    else self._rng)
             rngs = list(child_rngs(rng, len(channel_uses)))
 
-        with PROFILER.phase("decoder.reduce"):
-            reduced = self._reducer.reduce_pack(channel_uses)
+        reduced = self._reducer.reduce_pack(channel_uses)
         # One QA job per (size, coupling key tuple): the reducer hands
         # problems of one structure — the identity every layer below plans
         # and caches by — the rows of one pack, in input order.

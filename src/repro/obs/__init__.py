@@ -1,29 +1,21 @@
-"""Observability for the C-RAN serving stack: exporters, profiling, report.
+"""Observability for the C-RAN serving stack: exporters and report.
 
 The structured events themselves are recorded by
 :class:`repro.cran.tracing.TraceRecorder` (inside the serving layer); this
-package holds everything that consumes or augments them:
+package holds what consumes them:
 
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto), JSONL
-  event dumps, Prometheus text metrics.
-* :mod:`repro.obs.profiling` — the optional process-global wall-time
-  :data:`~repro.obs.profiling.PROFILER` the compute layer reports into.
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and JSONL
+  event dumps.
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` per-stage
   latency breakdown CLI.
 
-Only :mod:`~repro.obs.profiling` (stdlib-only) loads eagerly: the compute
-layer imports :data:`PROFILER` from here, and the exporters import the
-serving layer in turn, so loading them lazily keeps ``repro.annealer ->
-repro.obs`` free of the ``repro.obs -> repro.cran -> repro.decoder ->
-repro.annealer`` cycle.
+Both load on first use: the exporters import the serving layer, so
+``import repro.obs`` stays cheap, and ``python -m repro.obs.report`` does
+not find its own module already imported by the package.  Nothing in the
+compute or serving layers imports this package.
 """
 
-from repro.obs.profiling import PROFILER, PhaseProfiler
-
 __all__ = [
-    "PROFILER",
-    "PhaseProfiler",
-    "prometheus_metrics",
     "read_jsonl",
     "to_chrome_trace",
     "to_jsonl",
@@ -33,8 +25,8 @@ __all__ = [
     "render",
 ]
 
-_EXPORT_NAMES = ("prometheus_metrics", "read_jsonl", "to_chrome_trace",
-                 "to_jsonl", "write_chrome_trace", "write_jsonl")
+_EXPORT_NAMES = ("read_jsonl", "to_chrome_trace", "to_jsonl",
+                 "write_chrome_trace", "write_jsonl")
 _REPORT_NAMES = ("build_report", "render")
 
 

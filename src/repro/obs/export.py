@@ -1,6 +1,6 @@
-"""Trace and metrics exporters: Chrome trace JSON, JSONL, Prometheus text.
+"""Trace exporters: Chrome trace JSON and JSONL.
 
-Three wire formats over the same observability data:
+Two wire formats over the same lifecycle events:
 
 * :func:`to_chrome_trace` — the Chrome trace-event format (load in
   Perfetto / ``chrome://tracing``): one track per virtual QA worker with
@@ -10,18 +10,16 @@ Three wire formats over the same observability data:
 * :func:`to_jsonl` / :func:`read_jsonl` — the lossless structured dump
   (one event object per line), the canonical on-disk form the
   ``python -m repro.obs.report`` CLI consumes.
-* :func:`prometheus_metrics` — a Prometheus text-exposition snapshot of
-  the serving counters: jobs/sheds/misses, flush reasons, latency
-  quantiles, sampler-cache hits/misses, worker steals and shard
-  occupancy, per-structure decode-time EWMAs, ingress counters.
+
+The serving counters need no exporter of their own: a report's
+``telemetry`` is a plain dict and serialises with :func:`json.dumps`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.cran.tracing import (
     EVENT_BROWNOUT_CLOSE,
@@ -43,7 +41,6 @@ __all__ = [
     "to_jsonl",
     "write_jsonl",
     "read_jsonl",
-    "prometheus_metrics",
 ]
 
 #: pid of the single synthetic process every track lives in.
@@ -200,179 +197,3 @@ def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
         if line:
             events.append(TraceEvent.from_dict(json.loads(line)))
     return events
-
-
-# --------------------------------------------------------------------------- #
-# Prometheus text exposition
-# --------------------------------------------------------------------------- #
-
-def _metric_line(name: str, value: Any,
-                 labels: Optional[Dict[str, Any]] = None) -> Optional[str]:
-    if value is None:
-        return None
-    value = float(value)
-    if not math.isfinite(value):
-        return None
-    if labels:
-        rendered = ",".join(f'{key}="{item}"'
-                            for key, item in labels.items())
-        return f"{name}{{{rendered}}} {value:g}"
-    return f"{name} {value:g}"
-
-
-def prometheus_metrics(telemetry: Union[Dict[str, Any], Any]) -> str:
-    """Prometheus text-format snapshot of a service's telemetry.
-
-    Accepts either a :class:`~repro.cran.service.ServiceReport` or its
-    ``telemetry`` dict (:meth:`TelemetryRecorder.snapshot`, possibly
-    enriched with the ``workers`` / ``sampler_cache`` / ``ingress``
-    sections the session and gateway add).  Sections that are absent are
-    simply skipped, so a bare recorder snapshot renders too.
-    """
-    snapshot = getattr(telemetry, "telemetry", telemetry)
-    lines: List[str] = []
-
-    def emit(name: str, kind: str, help_text: str,
-             samples: Iterable[Optional[str]]) -> None:
-        rendered = [sample for sample in samples if sample is not None]
-        if not rendered:
-            return
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        lines.extend(rendered)
-
-    emit("cran_jobs_completed_total", "counter", "Jobs decoded.",
-         [_metric_line("cran_jobs_completed_total",
-                       snapshot.get("jobs_completed"))])
-    emit("cran_jobs_shed_total", "counter",
-         "Jobs dropped by overload policies.",
-         [_metric_line("cran_jobs_shed_total", snapshot.get("jobs_shed"))])
-    emit("cran_batches_decoded_total", "counter", "Packs decoded.",
-         [_metric_line("cran_batches_decoded_total",
-                       snapshot.get("batches_decoded"))])
-    emit("cran_deadline_misses_total", "counter",
-         "Completed jobs that missed their deadline.",
-         [_metric_line("cran_deadline_misses_total",
-                       snapshot.get("deadline_misses"))])
-    emit("cran_flush_reason_total", "counter",
-         "Packs flushed, by scheduler flush reason.",
-         [_metric_line("cran_flush_reason_total", count, {"reason": reason})
-          for reason, count in (snapshot.get("flush_reasons") or {}).items()])
-    emit("cran_batch_fill_total", "counter",
-         "Packs decoded, by batch fill.",
-         [_metric_line("cran_batch_fill_total", count, {"size": size})
-          for size, count in
-          (snapshot.get("batch_fill_histogram") or {}).items()])
-    emit("cran_throughput_jobs_per_s", "gauge",
-         "Completed jobs per virtual second.",
-         [_metric_line("cran_throughput_jobs_per_s",
-                       snapshot.get("throughput_jobs_per_s"))])
-
-    latency = snapshot.get("latency_us") or {}
-    emit("cran_latency_us", "gauge",
-         "Rolling latency percentiles (virtual µs).",
-         [_metric_line("cran_latency_us", latency.get(key),
-                       {"quantile": key[1:]})
-          for key in sorted(latency) if key.startswith("p")])
-    emit("cran_latency_mean_us", "gauge", "Rolling mean latency (µs).",
-         [_metric_line("cran_latency_mean_us", latency.get("mean"))])
-    emit("cran_queue_delay_mean_us", "gauge",
-         "Mean scheduler queueing delay (µs).",
-         [_metric_line("cran_queue_delay_mean_us",
-                       snapshot.get("queue_delay_us_mean"))])
-    emit("cran_queue_depth", "gauge", "Sampled scheduler backlog.",
-         [_metric_line("cran_queue_depth", snapshot.get("queue_depth_max"),
-                       {"stat": "max"}),
-          _metric_line("cran_queue_depth", snapshot.get("queue_depth_mean"),
-                       {"stat": "mean"})])
-    emit("cran_decode_time_per_job_us", "gauge",
-         "Per-structure amortised decode-time EWMA (µs/job).",
-         [_metric_line("cran_decode_time_per_job_us", value,
-                       {"structure": structure})
-          for structure, value in
-          (snapshot.get("decode_time_per_job_us") or {}).items()])
-
-    cache = snapshot.get("sampler_cache") or {}
-    emit("cran_sampler_cache_hits_total", "counter",
-         "Warm sampler cache hits.",
-         [_metric_line("cran_sampler_cache_hits_total", cache.get("hits"))])
-    emit("cran_sampler_cache_misses_total", "counter",
-         "Warm sampler cache misses.",
-         [_metric_line("cran_sampler_cache_misses_total",
-                       cache.get("misses"))])
-    emit("cran_sampler_cache_entries", "gauge",
-         "Samplers currently cached.",
-         [_metric_line("cran_sampler_cache_entries", cache.get("entries"))])
-
-    workers = snapshot.get("workers") or {}
-    emit("cran_worker_threads", "gauge",
-         "Per-worker kernel-thread budget (counter-mode packs).",
-         [_metric_line("cran_worker_threads", workers.get("threads"))])
-    emit("cran_worker_steals_total", "counter",
-         "Batches stolen from another worker's shard.",
-         [_metric_line("cran_worker_steals_total",
-                       workers.get("steal_count"))])
-    emit("cran_worker_shard_batches_total", "counter",
-         "Batches routed to each worker shard.",
-         [_metric_line("cran_worker_shard_batches_total", count,
-                       {"worker": index})
-          for index, count in
-          enumerate(workers.get("shard_batches") or [])])
-    emit("cran_worker_shard_depth", "gauge",
-         "Batches pending in each worker shard.",
-         [_metric_line("cran_worker_shard_depth", depth, {"worker": index})
-          for index, depth in
-          enumerate(workers.get("shard_depths") or [])])
-
-    faults = snapshot.get("faults") or {}
-    emit("cran_packs_failed_total", "counter",
-         "Packs that failed decoding and were handed to the retry layer.",
-         [_metric_line("cran_packs_failed_total",
-                       faults.get("packs_failed"))])
-    emit("cran_jobs_retried_total", "counter",
-         "Jobs requeued after a pack failure.",
-         [_metric_line("cran_jobs_retried_total",
-                       faults.get("jobs_retried"))])
-    emit("cran_worker_restarts_total", "counter",
-         "Dead workers respawned by supervision.",
-         [_metric_line("cran_worker_restarts_total",
-                       faults.get("worker_restarts"))])
-    emit("cran_brownout_openings_total", "counter",
-         "Overload brownout circuit-breaker openings.",
-         [_metric_line("cran_brownout_openings_total",
-                       faults.get("brownout_openings"))])
-    emit("cran_faults_injected_total", "counter",
-         "Faults assigned by the configured fault plan, by kind.",
-         [_metric_line("cran_faults_injected_total", count, {"kind": kind})
-          for kind, count in (faults.get("injected") or {}).items()])
-    emit("cran_shed_stage_total", "counter",
-         "Shed jobs, by lifecycle stage.",
-         [_metric_line("cran_shed_stage_total", count, {"stage": stage})
-          for stage, count in (faults.get("shed_stages") or {}).items()])
-
-    ingress = snapshot.get("ingress") or {}
-    emit("cran_ingress_offered_total", "counter",
-         "Jobs offered at the ingress gateway.",
-         [_metric_line("cran_ingress_offered_total", ingress.get("offered"))])
-    emit("cran_ingress_dispatched_total", "counter",
-         "Jobs dispatched into the serving session.",
-         [_metric_line("cran_ingress_dispatched_total",
-                       ingress.get("dispatched"))])
-    emit("cran_ingress_shed_total", "counter",
-         "Jobs shed at the admission bound.",
-         [_metric_line("cran_ingress_shed_total",
-                       ingress.get("gateway_shed"))])
-    emit("cran_ingress_gateway_faults_total", "counter",
-         "Jobs dropped at ingress by injected submission errors.",
-         [_metric_line("cran_ingress_gateway_faults_total",
-                       ingress.get("gateway_faults"))])
-    emit("cran_ingress_late_restamped_total", "counter",
-         "Jobs re-stamped after arriving behind the merged stream.",
-         [_metric_line("cran_ingress_late_restamped_total",
-                       ingress.get("late_restamped"))])
-    emit("cran_ingress_backlog_max", "gauge",
-         "Largest gateway backlog observed.",
-         [_metric_line("cran_ingress_backlog_max",
-                       ingress.get("backlog_max"))])
-
-    return "\n".join(lines) + "\n"

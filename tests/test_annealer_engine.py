@@ -7,7 +7,6 @@ from repro.annealer.backends import RNG_MODES, available_backends
 from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
-    batched_metropolis,
     colour_classes,
     sparse_coupling_matrix,
 )
@@ -214,10 +213,10 @@ class TestClusterMoves:
         np.testing.assert_array_equal(samples[0], samples[2])
 
 
-class TestBatchedMetropolisWrapper:
-    def test_wrapper_matches_sampler_with_same_seed(self):
+class TestOneShotSampler:
+    def test_fresh_samplers_with_same_seed_agree(self):
         ising = random_ising(5, 10)
-        a = batched_metropolis(ising, [1.0, 0.5], 4, random_state=2)
+        a = IsingSampler(ising).anneal([1.0, 0.5], 4, random_state=2)
         b = IsingSampler(ising).anneal([1.0, 0.5], 4, random_state=2)
         np.testing.assert_array_equal(a, b)
 

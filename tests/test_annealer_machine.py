@@ -15,7 +15,7 @@ from repro.annealer.machine import (
 )
 from repro.annealer.parallel import parallel_copies, parallelization_factor
 from repro.annealer.schedule import AnnealSchedule
-from repro.annealer.unembed import unembed_sample, unembed_samples
+from repro.annealer.unembed import unembed_samples
 from repro.exceptions import AnnealerError
 from repro.ising.solver import BruteForceIsingSolver
 from repro.mimo.system import MimoUplink
@@ -99,8 +99,10 @@ class TestUnembedding:
         physical = np.empty(embedded.num_physical, dtype=np.int8)
         for logical_index, chain in chains.items():
             physical[list(chain)] = logical_truth[logical_index]
-        recovered = unembed_sample(embedded, physical, random_state=0)
-        np.testing.assert_array_equal(recovered, logical_truth)
+        recovered, report = unembed_samples(embedded, physical[None, :],
+                                            random_state=0)
+        np.testing.assert_array_equal(recovered[0], logical_truth)
+        assert report.broken_chains == 0
 
     def test_majority_vote_resolves_broken_chain(self):
         reduced, embedded = self.make_embedded(num_users=4)

@@ -2,10 +2,10 @@
 
 One module-scoped traced run feeds every test: the Chrome trace-event
 render (Perfetto-loadable structure, nested overhead/anneal slices, shed
-markers), the lossless JSONL round-trip, the Prometheus text exposition of
-the serving counters, the ``python -m repro.obs.report`` CLI, and the
-strict-JSON safety of the telemetry snapshot (satellite of the NaN fix:
-``json.dumps(..., allow_nan=False)`` must round-trip every report).
+markers), the lossless JSONL round-trip, the serving counters of the
+telemetry snapshot, the ``python -m repro.obs.report`` CLI, and the
+strict-JSON safety of the telemetry snapshot (satellite of the
+NaN fix: ``json.dumps(..., allow_nan=False)`` must round-trip every report).
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
 from repro.obs import (
     build_report,
-    prometheus_metrics,
     read_jsonl,
     render,
     to_chrome_trace,
@@ -114,24 +113,29 @@ class TestJsonl:
             assert "name" in record and "ts_us" in record
 
 
-class TestPrometheus:
-    def test_serving_counters_render(self, traced_report):
-        text = prometheus_metrics(traced_report)  # a report works directly
-        assert f"cran_jobs_completed_total {len(traced_report.results)}" \
-            in text
-        assert "cran_flush_reason_total{reason=" in text
-        assert 'cran_latency_us{quantile="99"}' in text
-        assert "cran_sampler_cache_hits_total" in text
-        assert "cran_worker_shard_batches_total{worker=" in text
-        # Exposition-format hygiene: every sample has HELP/TYPE headers.
-        for line in text.splitlines():
-            assert line.startswith(("# HELP", "# TYPE", "cran_"))
+class TestTelemetrySnapshot:
+    """The serving counters are read straight from the JSON telemetry dict;
+    the enriched sections are there exactly when a session adds them."""
 
-    def test_bare_snapshot_renders_without_enriched_sections(self):
-        text = prometheus_metrics(TelemetryRecorder().snapshot())
-        assert "cran_jobs_completed_total 0" in text
-        assert "cran_sampler_cache" not in text
-        assert "cran_ingress" not in text
+    def test_serving_counters_are_consistent(self, traced_report):
+        telemetry = traced_report.telemetry
+        assert telemetry["jobs_completed"] == len(traced_report.results)
+        assert sum(telemetry["flush_reasons"].values()) == \
+            telemetry["batches_decoded"]
+        assert sum(fill * count for fill, count
+                   in telemetry["batch_fill_histogram"].items()) == \
+            telemetry["jobs_completed"]
+        assert {"p50", "p90", "p99"} <= set(telemetry["latency_us"])
+        cache = telemetry["sampler_cache"]
+        assert cache["hits"] + cache["misses"] == telemetry["batches_decoded"]
+        workers = telemetry["workers"]
+        assert len(workers["shard_batches"]) == len(workers["shard_depths"])
+
+    def test_bare_snapshot_has_no_enriched_sections(self):
+        snapshot = TelemetryRecorder().snapshot()
+        assert snapshot["jobs_completed"] == 0
+        assert snapshot["batches_decoded"] == 0
+        assert not {"sampler_cache", "workers", "ingress"} & set(snapshot)
 
 
 class TestReportCli:

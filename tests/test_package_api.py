@@ -1,6 +1,8 @@
 """Tests for the top-level package API and the constants module."""
 
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -11,11 +13,7 @@ import pytest
 
 import repro
 from repro import constants
-from repro.annealer.engine import (
-    BlockDiagonalSampler,
-    IsingSampler,
-    batched_metropolis,
-)
+from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.exceptions import AnnealerError, DetectionError
 
 
@@ -55,6 +53,30 @@ class TestPublicApi:
             assert callable(driver.run)
             assert callable(driver.format_result)
 
+    #: Public names pinned exactly: a name is added by editing this list,
+    #: and one that no workload, figure or example reaches is deleted.
+    ALL = {
+        "repro.annealer": {
+            "BACKENDS", "available_backends", "resolve_backend",
+            "ChimeraGraph", "PegasusLikeGraph", "BlockDiagonalSampler",
+            "IsingSampler", "Embedding", "TriangleCliqueEmbedder",
+            "embedding_qubit_counts", "EmbeddedIsing", "embed_ising",
+            "ICEModel", "AnnealSchedule", "AnnealerParameters", "AnnealResult",
+            "QuantumAnnealerSimulator", "parallelization_factor",
+            "UnembeddingReport", "unembed_samples"},
+        "repro.obs": {
+            "read_jsonl", "to_chrome_trace", "to_jsonl", "write_chrome_trace",
+            "write_jsonl", "build_report", "render"},
+    }
+
+    @pytest.mark.parametrize("module", sorted(ALL))
+    def test_all_is_exact_and_resolves(self, module):
+        package = importlib.import_module(module)
+        assert set(package.__all__) == self.ALL[module]
+        assert len(package.__all__) == len(self.ALL[module])
+        for name in package.__all__:
+            assert getattr(package, name) is not None
+
     def test_serving_path_imports_no_networkx(self):
         """A serving process never pays for networkx (0.12 s of import and a
         2 031-node graph it used to build for ``has_edge``): nothing on the
@@ -76,8 +98,8 @@ class TestPublicApi:
 
     #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``
     #: on the backend named in ``argv[1]``; report the bits, what ``auto``
-    #: resolves to and which of the heavy imports the process ended up
-    #: holding.
+    #: resolves to, which of the heavy imports the process ended up holding
+    #: and which ``repro.obs`` modules it loaded.
     SERVE_ONE_PACK = """
 import json, sys
 import numpy as np
@@ -107,7 +129,9 @@ print(json.dumps({
     "bits": [done.result.detection.bits.tolist() for done in pool.results()],
     "auto": backends.resolve_backend("auto"),
     "held": sorted({"scipy", "networkx", "asyncio", "numba"}
-                   & set(sys.modules))}))
+                   & set(sys.modules)),
+    "obs": sorted(name for name in sys.modules
+                  if name == "repro.obs" or name.startswith("repro.obs."))}))
 """
 
     def test_serving_on_cext_imports_no_scipy_networkx_or_asyncio(
@@ -117,7 +141,9 @@ print(json.dumps({
         or asyncio.  The numpy oracle backend still sweeps through scipy's
         operators — the reference path is alive — and decodes the same
         bits.  ``auto`` is the C artefact whatever else is installed: a
-        ``numba`` package first on the path is never imported."""
+        ``numba`` package first on the path is never imported.  On every
+        backend the compute and serving layers leave ``repro.obs`` unloaded:
+        observability consumes a finished run and has no hooks inside it."""
         from repro.annealer import backends
         if not backends.cext_available():
             pytest.skip("no C compiler for the cext backend")
@@ -137,6 +163,7 @@ print(json.dumps({
         assert served["numpy"]["held"] == ["scipy"]
         assert served["auto"]["held"] == []
         assert served["auto"]["auto"] == "cext"
+        assert all(served[backend]["obs"] == [] for backend in served)
         assert len(served["cext"]["bits"]) == 4
         assert served["cext"]["bits"] == served["numpy"]["bits"]
         assert served["cext"]["bits"] == served["auto"]["bits"]
@@ -150,6 +177,61 @@ print(json.dumps({
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["repro", repro.__version__]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(relative):
+    """Import a script under the repo root as a module, by path."""
+    spec = importlib.util.spec_from_file_location(
+        Path(relative).stem, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: ``span name -> (owner, attribute)`` of every callable the outside span
+#: recorder of ``benchmarks/e2e/run.py --trace 1`` wraps.
+SPAN_TARGETS = {name: (owner, attribute) for owner, attribute, name, *_
+                in load_script("benchmarks/e2e/spans.py")._targets()}
+
+
+class TestOutsideSpanTargets:
+    """Per-layer wall time comes from wrapping public callables from the
+    outside, so each wrapped name must stay where the recorder patches it:
+    a method on its own class, or a function bound in the module that calls
+    it, defined in the module the span is named after."""
+
+    @pytest.mark.parametrize("span", sorted(SPAN_TARGETS))
+    def test_target_resolves_where_it_is_patched(self, span):
+        owner, attribute = SPAN_TARGETS[span]
+        home = "repro." + span.rpartition(".")[0]
+        if inspect.ismodule(owner):
+            function = getattr(owner, attribute)
+            assert function is getattr(importlib.import_module(home),
+                                       span.rpartition(".")[2])
+        else:
+            assert attribute in vars(owner)
+            function = vars(owner)[attribute]
+        assert callable(function)
+        assert function.__module__ == home
+
+
+class TestReachabilityRecorder:
+    def test_enumerates_named_src_functions_only(self):
+        recorder = load_script("benchmarks/reachability.py")
+        codes = list(recorder.defined())
+        names = {code.co_qualname for code in codes}
+        # Methods and nested functions are visited, not only module level.
+        assert {"QuantumAnnealerSimulator.run_batch", "embed_ising",
+                "unembed_samples", "TelemetryRecorder.snapshot"} <= names
+        assert any(".<locals>." in name for name in names)
+        assert not any(name.rpartition(".")[2].startswith("<")
+                       for name in names)
+        source = ROOT / "src" / "repro"
+        assert all(Path(code.co_filename).is_relative_to(source)
+                   for code in codes)
 
 
 class TestBackendNames:
@@ -255,8 +337,6 @@ class TestServingOptionSurface:
         "BlockDiagonalSampler": lambda ising, **extra: BlockDiagonalSampler(
             [ising], **extra),
         "IsingSampler": lambda ising, **extra: IsingSampler(ising, **extra),
-        "batched_metropolis": lambda ising, **extra: batched_metropolis(
-            ising, [1.0], 1, **extra),
         "QuantumAnnealerSimulator.run": lambda ising, **extra: (
             repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2))
             .run(ising, **extra)),
