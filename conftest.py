@@ -19,6 +19,7 @@ and commit the refreshed ``tests/goldens/*.json`` together with a changelog
 note explaining why seeded outputs moved.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -145,3 +146,39 @@ def every_block_splits(monkeypatch):
     monkeypatch.setitem(backends.LANE_SPLITS, "resting", 0)
     monkeypatch.setitem(backends._STALL, "clean", backends._STAND_DOWN_RESET)
     return backends.LANE_SPLITS
+
+
+def drop_artefact(patch):
+    """Run as a box without a C compiler does: the artefact probe finds
+    nothing, so the sweep and every pack stage take their NumPy path, the
+    reference."""
+    from repro.annealer import backends
+
+    patch.setattr(backends, "_load_cext", lambda: None)
+
+
+@pytest.fixture(params=["cext", "numpy"])
+def artefact(request, monkeypatch):
+    """Every case once per path: on the C artefact (skipped where no
+    compiler builds it) and on the NumPy path (:func:`drop_artefact`)."""
+    from repro.annealer import backends
+
+    if request.param == "numpy":
+        drop_artefact(monkeypatch)
+    elif not backends.cext_available():
+        pytest.skip("no C compiler builds the artefact here")
+    return request.param
+
+
+@pytest.fixture
+def on_numpy():
+    """``with on_numpy(): ...`` runs its block on the NumPy path, for cases
+    that hold it to the artefact inside one test."""
+
+    @contextlib.contextmanager
+    def numpy_path():
+        with pytest.MonkeyPatch.context() as patch:
+            drop_artefact(patch)
+            yield
+
+    return numpy_path

@@ -18,9 +18,8 @@ The same offered load is replayed through a batch-size-1 scheduler first, so
 the printout shows exactly what chip-level batching buys — with decode
 results that are bit-for-bit identical between the two (batching is pure
 scheduling, never a numerics change).  The demo then walks the execution
-matrix on the very same load: the compiled sweep backend
-(``backend="auto"`` → the C kernels when a compiler exists), the
-multi-core process pool (``mode="process"``), and the deadline-driven
+matrix on the very same load: the multi-core process pool
+(``mode="process"``) and the deadline-driven
 adaptive wait (``adaptive_wait=True``) — every variant decoding to
 identical bits.
 Finally the same load is offered through the :class:`IngressGateway` by one
@@ -118,9 +117,7 @@ def main() -> None:
     modulations = sorted({job.modulation for job in jobs})
     print(f"Offered load: {len(jobs)} jobs in {args.bursts} bursts, "
           f"modulations {modulations}")
-    print(f"Compiled sweep backends available: "
-          f"{', '.join(backends.available_backends())} "
-          f"(auto -> {backends.resolve_backend('auto')})\n")
+    print(f"C artefact loaded: {backends.cext_available()}\n")
 
     decoder = QuAMaxDecoder(QuantumAnnealerSimulator(),
                             AnnealerParameters(num_anneals=25))

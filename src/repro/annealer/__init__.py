@@ -9,7 +9,6 @@ and majority-vote unembedding — so that every experiment of the paper can be
 run without access to the physical QPU.
 """
 
-from repro.annealer.backends import BACKENDS, available_backends, resolve_backend
 from repro.annealer.chimera import ChimeraGraph, PegasusLikeGraph
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder, embedding_qubit_counts
 from repro.annealer.embedded import EmbeddedIsing, embed_ising
@@ -21,9 +20,6 @@ from repro.annealer.parallel import parallelization_factor
 from repro.annealer.unembed import UnembeddingReport, unembed_samples
 
 __all__ = [
-    "BACKENDS",
-    "available_backends",
-    "resolve_backend",
     "ChimeraGraph",
     "PegasusLikeGraph",
     "BlockDiagonalSampler",

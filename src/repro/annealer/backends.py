@@ -5,16 +5,19 @@ is exact single-spin-flip Metropolis dynamics whose *hot loop* is a Python
 ``for`` over colour classes; embedded (chain-coupled) problems additionally
 interleave a cluster-flip sweep — a collective chain-reorientation move —
 after every single-spin sweep.  This module provides drop-in compiled
-implementations of those inner loops behind a ``backend=`` seam:
+implementations of those inner loops.  Which of the two runs is a fact
+about the box, not a setting:
 
-* ``"numpy"`` — the pure NumPy/Python reference loops in ``engine.py``
-  (always available; the behavioural definition of the dynamics);
 * ``"cext"`` — a small C kernel compiled on first use with the system C
-  compiler and driven through :mod:`ctypes`.  It draws from the caller's
-  generator through the BitGenerator's ``next_double`` function pointer (the
-  extension point NumPy publishes for C and Cython), so it consumes the
-  exact draw stream of the reference loops;
-* ``"auto"`` — ``cext`` when a working C compiler is found, else ``numpy``.
+  compiler and driven through :mod:`ctypes`, wherever it builds and loads
+  (:func:`cext_available`, the one probe the sweep and every pack stage
+  read).  It draws from the caller's generator through the BitGenerator's
+  ``next_double`` function pointer (the extension point NumPy publishes for
+  C and Cython), so it consumes the exact draw stream of the reference
+  loops;
+* ``"numpy"`` — the pure NumPy/Python reference loops in ``engine.py``
+  (the behavioural definition of the dynamics), which a box without a C
+  compiler runs.
 
 One entry point per draw discipline
 -----------------------------------
@@ -139,9 +142,6 @@ import numpy as np
 
 from repro.exceptions import AnnealerError
 
-#: Valid values of the ``backend=`` knob of the samplers.
-BACKENDS = ("auto", "numpy", "cext")
-
 #: Valid values of the ``rng=`` knob of the samplers: the stream-faithful
 #: sequential Generator discipline (default, the reference) or the
 #: order-independent Philox counter contract that legalises ``threads > 1``.
@@ -155,7 +155,8 @@ _CEXT_STATE: Dict[str, object] = {"checked": False, "lib": None}
 
 
 def cext_available() -> bool:
-    """Whether the C-extension backend can be used (compiler + dlopen work)."""
+    """Whether the C artefact loads (a compiler built it, dlopen works): the
+    one fact that picks C or NumPy for the sweep and every pack stage."""
     return _load_cext() is not None
 
 
@@ -206,40 +207,12 @@ def _note_openmp_team(threads: int) -> None:
         _OPENMP_TEAMS_RUN = True
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Concrete backends usable in this process, ``"numpy"`` always first."""
-    return ("numpy", "cext") if cext_available() else ("numpy",)
-
-
-def resolve_backend(backend: str) -> str:
-    """Map a ``backend=`` knob value to the concrete backend that will run.
-
-    ``"auto"`` is the C extension, and lands on the NumPy reference loops
-    when it cannot be built or loaded — so code written against
-    ``backend="auto"`` degrades gracefully on machines without a C compiler.
-    Explicitly requesting ``"cext"`` there raises :class:`AnnealerError` (a
-    missing dependency should be loud, not silently slow), as does a name
-    that is not in :data:`BACKENDS`.
-    """
-    if backend not in BACKENDS:
-        raise AnnealerError(
-            f"backend must be one of {BACKENDS}, got {backend!r}")
-    if backend == "auto":
-        return "cext" if cext_available() else "numpy"
-    if backend == "cext" and not cext_available():
-        raise AnnealerError(
-            "backend='cext' requested but no working C compiler/loader was "
-            "found; use backend='auto' for graceful fallback")
-    return backend
-
-
-def warmup(backend: str) -> None:
-    """Pay *backend*'s one-time cost now: load the C artefact, compiling it
-    when no cached build is on disk, so that no timed anneal does.  Samplers
-    call this at construction.  ``"numpy"`` has nothing to load; names and
-    unavailable backends are rejected as in :func:`resolve_backend`.
-    """
-    resolve_backend(backend)
+def warmup() -> None:
+    """Pay the artefact's one-time cost now: load it, compiling it when no
+    cached build is on disk, so that no timed anneal does.  Samplers call
+    this at construction; on a box without a compiler there is nothing to
+    load."""
+    _load_cext()
 
 
 # --------------------------------------------------------------------------- #

@@ -39,11 +39,12 @@ parallel.  Two levels of reuse amortise setup cost across repeated runs:
   randomness from its own generator so the trajectories are bit-for-bit
   those of independent per-problem anneals.
 
-The ``backend=`` knob selects the *implementation* of the kernel's inner
-loop: ``"numpy"`` runs the reference loops in this module, while ``"cext"``
-runs the compiled translation from :mod:`repro.annealer.backends`, which
-consumes the exact same per-variable Metropolis draw stream (``"auto"``,
-the default, is cext and falls back to numpy).  Because each block draws
+The box, not a setting, picks the *implementation* of the kernel's inner
+loop: the compiled translation from :mod:`repro.annealer.backends`
+wherever the C artefact loads
+(:func:`~repro.annealer.backends.cext_available`), else the reference loops
+in this module; both consume the exact same per-variable Metropolis draw
+stream.  Because each block draws
 from its own generator and blocks never interact, the compiled kernels
 evolve blocks one at a time through the whole schedule without changing any
 block's stream.  Every sampler shape reaches them through one backend
@@ -195,15 +196,6 @@ class BlockDiagonalSampler:
         annealers reorient logical chains through tunnelling; a purely
         single-spin-flip classical sampler cannot, so cluster moves are what
         keep the simulator's chain dynamics representative.
-    backend:
-        Implementation of the kernel's inner loop: ``"numpy"`` (the
-        reference loops in this module), ``"cext"`` (the compiled
-        translation consuming the same draw stream, see
-        :mod:`repro.annealer.backends`) or ``"auto"`` (default: cext,
-        falling back to numpy).  Explicitly requesting an unavailable
-        ``"cext"`` raises :class:`AnnealerError` at construction; the C
-        artefact is loaded (compiled, on a cold cache) here so first-anneal
-        timings stay clean.
     rng:
         Draw discipline: ``"sequential"`` (default) consumes each block's
         generator in the reference loops' order — bit-reproducible, and on
@@ -217,7 +209,7 @@ class BlockDiagonalSampler:
     threads:
         The counter discipline's replica-level knob: threads for its
         compiled kernels (OpenMP in the cext); > 1 needs ``rng="counter"``.
-        The numpy backend ignores it (reference loops are vectorised over
+        The NumPy reference loops ignore it (they are vectorised over
         replicas already).  The thread count never changes results.
 
     A sampler keeps per-structure kernel workspaces between anneals, so one
@@ -227,12 +219,10 @@ class BlockDiagonalSampler:
 
     def __init__(self, isings: Sequence[IsingModel],
                  clusters: Optional[List[np.ndarray]] = None,
-                 backend: str = "auto", rng: str = "sequential",
-                 threads: int = 1):
+                 rng: str = "sequential", threads: int = 1):
         if rng not in backends.RNG_MODES:
             raise AnnealerError(
                 f"rng must be one of {backends.RNG_MODES}, got {rng!r}")
-        self.backend = backend
         #: Draw discipline (named ``rng_mode`` internally: ``rng`` stays the
         #: conventional local name for generator instances).
         self.rng_mode = rng
@@ -242,10 +232,9 @@ class BlockDiagonalSampler:
                 "threads > 1 requires rng='counter': a sequential cext "
                 "call spreads a pack's blocks, or one block's replicas, "
                 "across cores by itself")
-        # Unknown names and an unavailable explicit backend fail loudly
-        # here, and the one-time compile cost is paid at construction
+        # The artefact's one-time compile cost is paid at construction
         # instead of inside the first timed anneal.
-        backends.warmup(backend)
+        backends.warmup()
         problems = IsingPack.stack(isings)
         if problems is None:
             raise AnnealerError(
@@ -351,21 +340,22 @@ class BlockDiagonalSampler:
 
     @property
     def selected_backend(self) -> str:
-        """The concrete backend the ``backend=`` knob resolves to.
+        """Which implementation sweeps: ``"cext"`` wherever the C artefact
+        loads (:func:`~repro.annealer.backends.cext_available`, the probe
+        every pack stage reads too), else ``"numpy"``.
 
-        Resolved per call rather than frozen at construction so that
-        availability probes (monkeypatched in fallback tests) take effect
-        without rebuilding the sampler; resolution itself is a cached
-        dictionary lookup.  The resolved backend runs every pack shape, one
-        whole-schedule dispatch per anneal.
+        Read per call rather than frozen at construction, so one sampler
+        serves either path; the probe itself is a cached lookup.  The
+        selected implementation runs every pack shape, one whole-schedule
+        dispatch per anneal.
         """
-        return backends.resolve_backend(self.backend)
+        return "cext" if backends.cext_available() else "numpy"
 
     @property
     def last_sweep_work(self) -> Optional[backends.SweepWork]:
         """Work counters of the latest :meth:`anneal` call's kernel dispatch
         (proposals, uniforms drawn, ``exp`` calls); ``None`` before the
-        first call and on the numpy backend."""
+        first call and on the NumPy path."""
         return self._last_sweep_work
 
     def __getstate__(self) -> Dict[str, object]:
@@ -717,10 +707,9 @@ class IsingSampler(BlockDiagonalSampler):
 
     def __init__(self, ising: IsingModel,
                  clusters: Optional[List[np.ndarray]] = None,
-                 backend: str = "auto", rng: str = "sequential",
-                 threads: int = 1):
-        super().__init__([ising], clusters=clusters, backend=backend,
-                         rng=rng, threads=threads)
+                 rng: str = "sequential", threads: int = 1):
+        super().__init__([ising], clusters=clusters, rng=rng,
+                         threads=threads)
         self.ising = ising
         #: Cluster member arrays (same as the block-level clusters).
         self.clusters = self.block_clusters

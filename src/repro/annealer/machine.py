@@ -39,7 +39,7 @@ from repro.annealer.embedded import (  # noqa: F401
     embed_ising,
     embed_pack,
 )
-from repro.annealer.backends import BACKENDS, RNG_MODES
+from repro.annealer.backends import RNG_MODES
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
@@ -194,7 +194,7 @@ class QuantumAnnealerSimulator:
     sampler_cache_size:
         Number of fully-warmed block-diagonal samplers kept across
         :meth:`run_batch` calls, keyed on problem structure (block size,
-        coupling keys, cluster layout, backend/rng/threads) and *not* on the
+        coupling keys, cluster layout, rng/threads) and *not* on the
         number of problems: everything a sampler derives is block-level, so
         successive packs of one structure — of any sizes, down to the
         batch-size-1 serving case — rebind the cached sampler in place
@@ -268,8 +268,7 @@ class QuantumAnnealerSimulator:
             parameters: Optional[AnnealerParameters] = None,
             random_state: RandomState = None,
             embedding: Optional[Embedding] = None,
-            backend: str = "auto", rng: str = "sequential",
-            threads: int = 1) -> AnnealResult:
+            rng: str = "sequential", threads: int = 1) -> AnnealResult:
         """Submit one QA job: embed, anneal ``N_a`` times, unembed, aggregate.
 
         A single-problem job is exactly a one-block :meth:`run_batch`, so the
@@ -285,10 +284,6 @@ class QuantumAnnealerSimulator:
             Seed or generator for ICE draws, Metropolis moves and tie breaks.
         embedding:
             Optional pre-computed embedding (must cover the problem).
-        backend:
-            Kernel implementation passed to the sampler (``"auto"``,
-            ``"numpy"`` or ``"cext"``); seeded runs are bit-identical
-            across backends.
         rng:
             Draw discipline passed to the sampler: ``"sequential"``
             (default, the reference streams) or ``"counter"`` (keyed Philox
@@ -300,8 +295,8 @@ class QuantumAnnealerSimulator:
         """
         return self.run_batch([logical_ising], parameters=parameters,
                               random_states=[ensure_rng(random_state)],
-                              embedding=embedding, backend=backend,
-                              rng=rng, threads=threads)[0]
+                              embedding=embedding, rng=rng,
+                              threads=threads)[0]
 
     # ------------------------------------------------------------------ #
     def run_batch(self, logical_isings: Sequence[IsingModel],
@@ -309,7 +304,6 @@ class QuantumAnnealerSimulator:
                   random_states: Optional[Sequence[RandomState]] = None,
                   random_state: RandomState = None,
                   embedding: Optional[Embedding] = None,
-                  backend: str = "auto",
                   rng: str = "sequential",
                   threads: int = 1) -> List[AnnealResult]:
         """Submit several same-size problems as one packed QA job.
@@ -341,12 +335,6 @@ class QuantumAnnealerSimulator:
             Base seed used only when *random_states* is omitted.
         embedding:
             Optional pre-computed embedding shared by all problems.
-        backend:
-            Kernel implementation for the packed sampler (``"auto"``,
-            ``"numpy"`` or ``"cext"``).  Both backends consume the same
-            per-problem draw streams, so seeded results are bit-identical
-            across backends and this knob is purely about where the sweep
-            loop runs.
         rng:
             Draw discipline for the packed sampler: ``"sequential"``
             (default) or ``"counter"``.  The counter discipline keys one
@@ -359,9 +347,6 @@ class QuantumAnnealerSimulator:
             changes results, only wall-clock.
         """
         parameters = parameters or AnnealerParameters()
-        if backend not in BACKENDS:
-            raise AnnealerError(
-                f"backend must be one of {BACKENDS}, got {backend!r}")
         if rng not in RNG_MODES:
             raise AnnealerError(
                 f"rng must be one of {RNG_MODES}, got {rng!r}")
@@ -400,8 +385,8 @@ class QuantumAnnealerSimulator:
             # keys): each is its own pack of one, with its own generator —
             # exactly the serial submissions the pack is defined to equal.
             return [self.run_batch([ising], parameters, random_states=[rng_b],
-                                   embedding=embedding, backend=backend,
-                                   rng=rng, threads=threads)[0]
+                                   embedding=embedding, rng=rng,
+                                   threads=threads)[0]
                     for ising, rng_b in zip(isings, rngs)]
         temperatures = parameters.schedule.temperature_profile(
             sweeps_per_us=self.sweeps_per_us,
@@ -409,8 +394,8 @@ class QuantumAnnealerSimulator:
             cold=self.cold_temperature,
         )
         plan = embedded.plan
-        sampler_options = dict(clusters=plan.clusters, backend=backend,
-                               rng=rng, threads=threads)
+        sampler_options = dict(clusters=plan.clusters, rng=rng,
+                               threads=threads)
 
         num_anneals = parameters.num_anneals
         physical = np.empty((num_anneals, len(isings) * plan.num_physical),
@@ -421,7 +406,7 @@ class QuantumAnnealerSimulator:
             # Everything that determines a packed sampler's warmed
             # structure; the key tuples come from the plan, not the jobs,
             # and the pack size is not part of it (a rebind adopts it).
-            cache_key = (backend, rng, threads,
+            cache_key = (rng, threads,
                          embedded.problems.keys, tuple(plan.chains.values()))
             # pop, not get: the caller owns the entry until reinsertion.
             sampler = self._sampler_cache.pop(cache_key, None)

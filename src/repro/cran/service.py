@@ -14,9 +14,9 @@ exposes.
 Because every job decodes from its own private stream, the whole service is a
 deterministic function of the offered load — batching and scheduling policy
 change *when* jobs complete, never *what* they decode to.  That holds across
-every execution axis: the decoder's compiled backend and the worker-pool
-``mode`` (inline, threads or a multi-core process pool) all produce
-bit-identical per-job detections.
+every execution axis: the C artefact or the NumPy path a box without a
+compiler runs, and the worker-pool ``mode`` (inline, threads or a
+multi-core process pool) all produce bit-identical per-job detections.
 """
 
 from __future__ import annotations
@@ -409,8 +409,8 @@ class CranService:
     Parameters
     ----------
     decoder:
-        The decoder every batch runs through — its backend and draw
-        discipline are configured on it; a default :class:`QuAMaxDecoder`
+        The decoder every batch runs through — its draw discipline is
+        configured on it; a default :class:`QuAMaxDecoder`
         is created when omitted.  Jobs carrying their own ``rng_mode``
         hints override the discipline per pack.
     threads:

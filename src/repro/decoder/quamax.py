@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.annealer.backends import BACKENDS, RNG_MODES
+from repro.annealer.backends import RNG_MODES
 from repro.annealer.machine import (
     AnnealerParameters,
     AnnealResult,
@@ -81,11 +81,6 @@ class QuAMaxDecoder(Detector):
         count).
     random_state:
         Default randomness source for runs that do not pass their own.
-    backend:
-        Sweep-kernel implementation forwarded to the annealer on every run
-        (``"auto"``, ``"numpy"`` or ``"cext"``).  Seeded detections are
-        bit-identical across backends — the knob only moves the sweep loop
-        between the NumPy reference and the compiled implementation.
     rng:
         Draw discipline forwarded to the annealer on every run:
         ``"sequential"`` (default, the reference streams) or ``"counter"``
@@ -102,11 +97,7 @@ class QuAMaxDecoder(Detector):
     def __init__(self, annealer: Optional[QuantumAnnealerSimulator] = None,
                  parameters: Optional[AnnealerParameters] = None,
                  random_state: RandomState = None,
-                 backend: str = "auto", rng: str = "sequential",
-                 threads: int = 1):
-        if backend not in BACKENDS:
-            raise DetectionError(
-                f"backend must be one of {BACKENDS}, got {backend!r}")
+                 rng: str = "sequential", threads: int = 1):
         if rng not in RNG_MODES:
             raise DetectionError(
                 f"rng must be one of {RNG_MODES}, got {rng!r}")
@@ -119,7 +110,6 @@ class QuAMaxDecoder(Detector):
                 "spreads its blocks, or one block's replicas, by itself)")
         self.annealer = annealer or QuantumAnnealerSimulator()
         self.parameters = parameters or AnnealerParameters()
-        self.backend = backend
         self.rng_mode = rng
         self.threads = threads
         self._rng = ensure_rng(random_state)
@@ -149,8 +139,7 @@ class QuAMaxDecoder(Detector):
 
         reduced = self._reducer.reduce(channel_use)
         run = self.annealer.run(reduced.ising, parameters, random_state=rng,
-                                backend=self.backend, rng=self.rng_mode,
-                                threads=self.threads)
+                                rng=self.rng_mode, threads=self.threads)
         return self._assemble_pack([reduced], [run], parameters)[0]
 
     def detect_batch(self, channel_uses: Sequence[ChannelUse],
@@ -227,7 +216,7 @@ class QuAMaxDecoder(Detector):
             runs = self.annealer.run_batch(
                 pack, parameters,
                 random_states=[rngs[index] for index in indices],
-                backend=self.backend, rng=rng_mode, threads=threads)
+                rng=rng_mode, threads=threads)
             assembled = self._assemble_pack(
                 [reduced[index] for index in indices], runs, parameters)
             for index, result in zip(indices, assembled):
@@ -280,5 +269,4 @@ class QuAMaxDecoder(Detector):
     def __repr__(self) -> str:
         return (f"QuAMaxDecoder(annealer={self.annealer!r}, "
                 f"num_anneals={self.parameters.num_anneals}, "
-                f"backend={self.backend!r}, "
                 f"rng={self.rng_mode!r}, threads={self.threads})")

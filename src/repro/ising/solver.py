@@ -353,10 +353,6 @@ class SimulatedAnnealingSolver:
         End points of the geometric cooling schedule, in units of the
         problem's energy scale (the schedule is multiplied by the largest
         absolute coefficient so behaviour is scale-free).
-    backend:
-        Sweep-kernel implementation forwarded to the engine (``"auto"``,
-        ``"numpy"`` or ``"cext"``); seeded samples are bit-identical
-        across backends, so this is purely a speed knob.
     rng:
         Draw discipline forwarded to the engine: ``"sequential"`` (default,
         the reference streams) or ``"counter"`` (keyed Philox streams,
@@ -369,13 +365,11 @@ class SimulatedAnnealingSolver:
 
     def __init__(self, num_sweeps: int = 200, num_reads: int = 100,
                  hot_temperature: float = 5.0, cold_temperature: float = 0.05,
-                 backend: str = "auto", rng: str = "sequential",
-                 threads: int = 1):
+                 rng: str = "sequential", threads: int = 1):
         self.num_sweeps = check_integer_in_range("num_sweeps", num_sweeps, minimum=1)
         self.num_reads = check_integer_in_range("num_reads", num_reads, minimum=1)
         self.hot_temperature = check_positive("hot_temperature", hot_temperature)
         self.cold_temperature = check_positive("cold_temperature", cold_temperature)
-        self.backend = backend
         self.rng = rng
         self.threads = threads
 
@@ -402,8 +396,7 @@ class SimulatedAnnealingSolver:
         rng = ensure_rng(random_state)
         reads = self._resolve_reads(num_reads)
         temperatures = self.temperature_schedule_for(ising)
-        sampler = IsingSampler(ising, backend=self.backend, rng=self.rng,
-                               threads=self.threads)
+        sampler = IsingSampler(ising, rng=self.rng, threads=self.threads)
         raw = sampler.anneal(temperatures, reads, random_state=rng)
         # A pack of one: energies through the sparse coupling operator (the
         # C artefact's, where there is one), not a densified matrix.

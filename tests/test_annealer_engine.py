@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.annealer.backends import RNG_MODES, available_backends
+from repro.annealer.backends import RNG_MODES
 from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
@@ -198,15 +198,14 @@ class TestClusterMoves:
         assert ising.energies(moved).mean() < ising.energies(stuck).mean()
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_empty_cluster_ignored(self, backend, rng_mode):
+    @pytest.mark.usefixtures("artefact")
+    def test_empty_cluster_ignored(self, rng_mode):
         # None, no clusters and only-empty clusters are one configuration:
         # the same empty descriptor, hence the same stream, everywhere.
         ising = random_ising(4, 9)
         samples = []
         for clusters in (None, [], [np.array([], dtype=np.intp)]):
-            sampler = IsingSampler(ising, clusters=clusters,
-                                   backend=backend, rng=rng_mode)
+            sampler = IsingSampler(ising, clusters=clusters, rng=rng_mode)
             assert sampler.clusters == []
             samples.append(sampler.anneal([2.0, 1.0, 0.5], 6, random_state=3))
         np.testing.assert_array_equal(samples[0], samples[1])
@@ -242,11 +241,10 @@ class TestRebindToAnyBlockCount:
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("clusters", [False, True])
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_rebound_sampler_is_a_fresh_one(self, backend, clusters,
-                                            rng_mode):
+    @pytest.mark.usefixtures("artefact")
+    def test_rebound_sampler_is_a_fresh_one(self, clusters, rng_mode):
         options = dict(clusters=self.CLUSTERS if clusters else None,
-                       backend=backend, rng=rng_mode)
+                       rng=rng_mode)
         warm = None
         for step, count in enumerate([4, 1, 16, 3]):
             problems = self.pack(count, seed=step)

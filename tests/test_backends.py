@@ -1,25 +1,21 @@
-"""Backend dispatch, fallback and draw-stream identity tests.
+"""Path selection, fallback and draw-stream identity tests.
 
-The ``backend=`` seam promises three things:
+Which implementation runs is a fact about the box: the C artefact wherever
+a compiler builds it, else the NumPy reference loops.  This suite pins:
 
-* **dispatch** — ``"auto"`` resolves to the C extension when a compiler is
-  available, else to the NumPy reference loops; explicitly requesting the
-  C extension where it cannot be built fails loudly;
-* **fallback** — with cext unavailable (its probe cache cleared on a
-  disabled compiler list), ``"auto"`` lands on numpy and everything still
-  runs; the probe itself never raises;
-* **identity** — seeded samples are bit-for-bit identical across the
-  *available* backends, on dense and sparse problems, with and without
-  clusters, across multi-block packs, ``refresh_values`` rebinds and the
-  full machine model.
+* **selection** — ``selected_backend`` reports the artefact probe, the one
+  fact the sweep and every pack stage read;
+* **fallback** — with no compiler (its probe cache cleared on a disabled
+  compiler list) the NumPy path runs and everything still works; the probe
+  itself never raises;
+* **identity** — seeded samples are bit-for-bit identical on both paths,
+  on dense and sparse problems, with and without clusters, across
+  multi-block packs, ``refresh_values`` rebinds and the full machine model.
 
 Two structural guards ride along, both clock-free: every sampler shape
-costs exactly **one** backend dispatch per anneal through its draw
-discipline's single entry point, and the C source's exported symbols, the
-ctypes signature table and the Python dispatch functions name the same set.
-
-Identity tests iterate over :func:`available_backends`: numpy↔cext wherever
-a compiler exists.
+costs exactly **one** dispatch per anneal through its draw discipline's
+single entry point, and the C source's exported symbols, the ctypes
+signature table and the Python dispatch functions name the same set.
 """
 
 import ctypes
@@ -32,19 +28,17 @@ import numpy as np
 import pytest
 
 from repro.annealer import backends
-from repro.annealer.backends import BACKENDS, available_backends
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.annealer.chimera import ChimeraGraph
-from repro.decoder.quamax import QuAMaxDecoder
-from repro.exceptions import AnnealerError, DetectionError
 from repro.ising.model import IsingModel
 from repro.ising.solver import (
     SimulatedAnnealingSolver,
     geometric_temperature_schedule,
 )
 
-COMPILED = [name for name in available_backends() if name != "numpy"]
+needs_cext = pytest.mark.skipif(not backends.cext_available(),
+                                reason="no C compiler builds the artefact here")
 
 #: The whole compiled boundary: one sweep entry point per draw discipline.
 SWEEP_ENTRY_POINTS = {
@@ -86,51 +80,19 @@ def no_cext(monkeypatch):
 
 
 class TestDispatch:
-    def test_known_backends(self):
-        assert BACKENDS == ("auto", "numpy", "cext")
-        assert available_backends()[0] == "numpy"
+    def test_selected_backend_is_the_probe(self, artefact):
+        sampler = IsingSampler(random_ising(5, 1))
+        assert sampler.selected_backend == artefact
+        assert sampler.anneal(schedule(10), 4, random_state=3).shape == (4, 5)
 
-    def test_invalid_backend_rejected_everywhere(self):
-        ising = random_ising(6, 0)
-        with pytest.raises(AnnealerError):
-            backends.resolve_backend("fortran")
-        with pytest.raises(AnnealerError):
-            IsingSampler(ising, backend="fortran")
-        with pytest.raises(DetectionError):
-            QuAMaxDecoder(backend="fortran")
-        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2))
-        with pytest.raises(AnnealerError):
-            machine.run(ising, AnnealerParameters(num_anneals=1),
-                        random_state=0, backend="fortran")
-
-    def test_numpy_always_resolves(self):
-        assert backends.resolve_backend("numpy") == "numpy"
-        sampler = IsingSampler(random_ising(5, 1), backend="numpy")
-        assert sampler.selected_backend == "numpy"
-
-    def test_auto_falls_back_to_numpy_without_cext(self, no_cext):
+    def test_falls_back_to_numpy_without_a_compiler(self, no_cext):
         assert not backends.cext_available()
-        assert backends.available_backends() == ("numpy",)
-        assert backends.resolve_backend("auto") == "numpy"
         # The fallback is not merely nominal: a sampler built under these
         # conditions anneals on the reference loops.
-        sampler = IsingSampler(random_ising(6, 2), backend="auto")
+        sampler = IsingSampler(random_ising(6, 2))
         assert sampler.selected_backend == "numpy"
         samples = sampler.anneal(schedule(10), 4, random_state=3)
         assert samples.shape == (4, 6)
-
-    def test_explicit_cext_raises_when_absent(self, no_cext):
-        with pytest.raises(AnnealerError):
-            backends.resolve_backend("cext")
-        with pytest.raises(AnnealerError):
-            IsingSampler(random_ising(5, 3), backend="cext")
-
-    def test_auto_is_cext_wherever_it_loads(self):
-        if not backends.cext_available():
-            pytest.skip("no C compiler in this environment")
-        assert backends.available_backends() == ("numpy", "cext")
-        assert backends.resolve_backend("auto") == "cext"
-        assert IsingSampler(random_ising(5, 4)).selected_backend == "cext"
 
     @pytest.mark.parametrize("foreign_directory", [False, True])
     def test_probe_never_raises_for_a_uid_without_a_home(
@@ -152,15 +114,12 @@ class TestDispatch:
         monkeypatch.setitem(backends._CEXT_STATE, "checked", False)
         monkeypatch.setitem(backends._CEXT_STATE, "lib", None)
         assert backends.cext_available() == expected
-        assert backends.resolve_backend("auto") == (
-            "cext" if expected else "numpy")
         built = list((tmp_path / f"repro_backends-{uid}").glob("*.so"))
         assert len(built) == expected
 
     def test_warmup_is_idempotent(self):
-        for backend in available_backends():
-            backends.warmup(backend)
-            backends.warmup(backend)
+        backends.warmup()
+        backends.warmup()
 
 class TestSymbolTable:
     """The C exports, their ctypes table and the Python dispatch functions
@@ -248,49 +207,49 @@ class TestSymbolTable:
         assert "void **states" not in backends._C_SOURCE
 
 
-@pytest.mark.parametrize("backend", COMPILED)
+@needs_cext
 class TestCompiledIdentity:
     """Seeded streams must be bit-identical to the numpy reference loops."""
 
-    def test_dense_problem_stream(self, backend, array_digest):
+    def test_dense_problem_stream(self, array_digest, on_numpy):
         ising = random_ising(17, 10)
         temperatures = schedule(60)
-        reference = IsingSampler(ising, backend="numpy")
-        compiled = IsingSampler(ising, backend=backend)
-        assert compiled.selected_backend == backend
+        sampler = IsingSampler(ising)
+        assert sampler.selected_backend == "cext"
         for prefix in (1, 30, 60):
-            expected = reference.anneal(temperatures[:prefix], 12,
-                                        random_state=11)
-            actual = compiled.anneal(temperatures[:prefix], 12,
-                                     random_state=11)
+            with on_numpy():
+                expected = sampler.anneal(temperatures[:prefix], 12,
+                                          random_state=11)
+            actual = sampler.anneal(temperatures[:prefix], 12,
+                                    random_state=11)
             np.testing.assert_array_equal(expected, actual)
             assert array_digest(expected) == array_digest(actual)
 
-    def test_sparse_problem_stream(self, backend, array_digest):
+    def test_sparse_problem_stream(self, array_digest, on_numpy):
         ising = random_ising(20, 12, density=0.25)
         temperatures = schedule(60)
-        expected = IsingSampler(ising, backend="numpy").anneal(
-            temperatures, 12, random_state=13)
-        actual = IsingSampler(ising, backend=backend).anneal(
+        with on_numpy():
+            expected = IsingSampler(ising).anneal(
+                temperatures, 12, random_state=13)
+        actual = IsingSampler(ising).anneal(
             temperatures, 12, random_state=13)
         np.testing.assert_array_equal(expected, actual)
         assert array_digest(expected) == array_digest(actual)
 
-    def test_cluster_moves_shared(self, backend):
+    def test_cluster_moves_shared(self, on_numpy):
         ising = random_ising(12, 14)
         clusters = [np.array([0, 1, 2], dtype=np.intp),
                     np.array([7, 8], dtype=np.intp)]
         temperatures = schedule(40)
-        expected = IsingSampler(ising, clusters=clusters,
-                                backend="numpy").anneal(
-            temperatures, 8, random_state=15)
-        actual = IsingSampler(ising, clusters=clusters,
-                              backend=backend).anneal(
+        with on_numpy():
+            expected = IsingSampler(ising, clusters=clusters).anneal(
+                temperatures, 8, random_state=15)
+        actual = IsingSampler(ising, clusters=clusters).anneal(
             temperatures, 8, random_state=15)
         np.testing.assert_array_equal(expected, actual)
 
     @pytest.mark.parametrize("density", [1.0, 0.3])
-    def test_multi_block_streams(self, backend, density):
+    def test_multi_block_streams(self, density, on_numpy):
         rng = np.random.default_rng(16)
         base = random_ising(9, 17, density=density)
         problems = [
@@ -300,56 +259,59 @@ class TestCompiledIdentity:
             for _ in range(3)
         ]
         temperatures = schedule(35)
-        expected = BlockDiagonalSampler(problems, backend="numpy").anneal(
-            temperatures, 7, [np.random.default_rng(90 + b) for b in range(3)])
-        actual = BlockDiagonalSampler(problems, backend=backend).anneal(
+        packed = BlockDiagonalSampler(problems)
+        with on_numpy():
+            expected = packed.anneal(
+                temperatures, 7,
+                [np.random.default_rng(90 + b) for b in range(3)])
+        actual = packed.anneal(
             temperatures, 7, [np.random.default_rng(90 + b) for b in range(3)])
         np.testing.assert_array_equal(expected, actual)
         # ...and the multi-block compiled anneal equals per-block serial
         # compiled anneals (block draw streams are independent).
-        packed = BlockDiagonalSampler(problems, backend=backend)
         for b, block in enumerate(packed.split_samples(actual)):
-            serial = IsingSampler(problems[b], backend=backend).anneal(
+            serial = IsingSampler(problems[b]).anneal(
                 temperatures, 7,
                 random_state=np.random.default_rng(90 + b))
             np.testing.assert_array_equal(block, serial)
 
-    def test_refresh_values_rebinds_compiled_kernels(self, backend):
+    def test_refresh_values_rebinds_compiled_kernels(self, on_numpy):
         base = random_ising(10, 18)
         rng = np.random.default_rng(5)
         replacement = IsingModel(
             num_variables=10, linear=rng.normal(size=10),
             couplings={key: float(rng.normal()) for key in base.couplings})
         temperatures = schedule(30)
-        refreshed = IsingSampler(base, backend=backend)
+        refreshed = IsingSampler(base)
         refreshed.refresh_values(replacement)
-        fresh = IsingSampler(replacement, backend="numpy")
+        with on_numpy():
+            expected = IsingSampler(replacement).anneal(
+                temperatures, 6, random_state=19)
         np.testing.assert_array_equal(
-            refreshed.anneal(temperatures, 6, random_state=19),
-            fresh.anneal(temperatures, 6, random_state=19))
+            refreshed.anneal(temperatures, 6, random_state=19), expected)
 
-    def test_initial_spins_honoured(self, backend):
+    def test_initial_spins_honoured(self, on_numpy):
         ising = random_ising(8, 20)
         rng = np.random.default_rng(6)
         start = rng.choice(np.array([-1.0, 1.0]), size=(5, 8))
         temperatures = schedule(25)
+        sampler = IsingSampler(ising)
+        with on_numpy():
+            expected = sampler.anneal(temperatures, 5, random_state=21,
+                                      initial_spins=start)
         np.testing.assert_array_equal(
-            IsingSampler(ising, backend="numpy").anneal(
-                temperatures, 5, random_state=21, initial_spins=start),
-            IsingSampler(ising, backend=backend).anneal(
-                temperatures, 5, random_state=21, initial_spins=start))
+            expected, sampler.anneal(temperatures, 5, random_state=21,
+                                     initial_spins=start))
 
-    def test_machine_run_identical(self, backend):
-        """Full QA job (embed, ICE, clusters, unembed) across backends."""
+    def test_machine_run_identical(self, on_numpy):
+        """Full QA job (embed, ICE, clusters, unembed) on both paths, one
+        machine: its warm sampler serves either."""
         ising = random_ising(5, 22)
         machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(3, 3))
         parameters = AnnealerParameters(num_anneals=12)
-        runs = {
-            name: machine.run(ising, parameters, random_state=23,
-                              backend=name)
-            for name in ("numpy", backend)
-        }
-        reference, compiled = runs["numpy"], runs[backend]
+        with on_numpy():
+            reference = machine.run(ising, parameters, random_state=23)
+        compiled = machine.run(ising, parameters, random_state=23)
         np.testing.assert_array_equal(reference.solutions.samples,
                                       compiled.solutions.samples)
         np.testing.assert_array_equal(reference.solutions.num_occurrences,
@@ -357,33 +319,29 @@ class TestCompiledIdentity:
         np.testing.assert_array_equal(reference.solutions.energies,
                                       compiled.solutions.energies)
 
-    def test_sa_solver_identical(self, backend, array_digest):
+    def test_sa_solver_identical(self, array_digest, on_numpy):
         ising = random_ising(14, 24)
-        reference = SimulatedAnnealingSolver(num_sweeps=60, num_reads=30,
-                                             backend="numpy")
-        compiled = SimulatedAnnealingSolver(num_sweeps=60, num_reads=30,
-                                            backend=backend)
-        expected = reference.sample(ising, random_state=25)
-        actual = compiled.sample(ising, random_state=25)
+        solver = SimulatedAnnealingSolver(num_sweeps=60, num_reads=30)
+        with on_numpy():
+            expected = solver.sample(ising, random_state=25)
+        actual = solver.sample(ising, random_state=25)
         assert array_digest(expected.samples) == array_digest(actual.samples)
         np.testing.assert_array_equal(expected.energies, actual.energies)
 
 
-@pytest.mark.parametrize("backend", COMPILED)
+@needs_cext
 class TestCompiledClusterKernels:
     """The fused cluster kernels: embedded problems compiled end to end."""
 
     @pytest.mark.parametrize("chain_length", [4, 16])
-    def test_embedded_problem_stream(self, backend, chain_length,
-                                     array_digest):
+    def test_embedded_problem_stream(self, chain_length, array_digest,
+                                     on_numpy):
         ising, clusters = path_chain_ising(48, chain_length, 40)
         temperatures = schedule(45)
-        expected = IsingSampler(ising, clusters=clusters,
-                                backend="numpy").anneal(
-            temperatures, 9, random_state=41)
-        actual = IsingSampler(ising, clusters=clusters,
-                              backend=backend).anneal(
-            temperatures, 9, random_state=41)
+        sampler = IsingSampler(ising, clusters=clusters)
+        with on_numpy():
+            expected = sampler.anneal(temperatures, 9, random_state=41)
+        actual = sampler.anneal(temperatures, 9, random_state=41)
         np.testing.assert_array_equal(expected, actual)
         assert array_digest(expected) == array_digest(actual)
 
@@ -391,9 +349,8 @@ class TestCompiledClusterKernels:
     @pytest.mark.parametrize("with_clusters", [True, False],
                              ids=["clusters", "no-clusters"])
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_one_backend_dispatch_per_anneal(self, backend, rng_mode,
-                                             with_clusters, blocks,
-                                             monkeypatch):
+    def test_one_backend_dispatch_per_anneal(self, rng_mode, with_clusters,
+                                             blocks, monkeypatch, on_numpy):
         """Every sampler shape — single problem or pack, chains or none,
         either discipline — is one call of its discipline's entry point per
         anneal (a work counter, not a clock), with the numpy samples."""
@@ -417,21 +374,22 @@ class TestCompiledClusterKernels:
             monkeypatch.setattr(backends, name,
                                 counted(name, getattr(backends, name)))
 
-        def anneal(used_backend):
+        def anneal():
             sampler = BlockDiagonalSampler(
                 problems, clusters=clusters if with_clusters else None,
-                backend=used_backend, rng=rng_mode)
-            # Construction may warm the backend through the entry points.
+                rng=rng_mode)
+            # Construction may warm the artefact through the entry points.
             calls.clear()
             return sampler.anneal(schedule(30), 6,
                                   [np.random.default_rng(50 + b)
                                    for b in range(blocks)])
 
-        actual = anneal(backend)
-        assert calls == [(SWEEP_ENTRY_POINTS[rng_mode], backend)]
-        np.testing.assert_array_equal(anneal("numpy"), actual)
+        actual = anneal()
+        assert calls == [(SWEEP_ENTRY_POINTS[rng_mode], "cext")]
+        with on_numpy():
+            np.testing.assert_array_equal(anneal(), actual)
 
-    def test_machine_run_batch_pack_identical(self, backend):
+    def test_machine_run_batch_pack_identical(self, on_numpy):
         """Serving-shaped multi-problem QA packs (embedded chains → cluster
         moves, multi-block) are bit-identical to numpy through the full
         machine model now that the pack dispatch exception is gone."""
@@ -445,10 +403,10 @@ class TestCompiledClusterKernels:
         ]
         machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(3, 3))
         parameters = AnnealerParameters(num_anneals=10)
-        reference = machine.run_batch(problems, parameters, random_state=48,
-                                      backend="numpy")
-        compiled = machine.run_batch(problems, parameters, random_state=48,
-                                     backend=backend)
+        with on_numpy():
+            reference = machine.run_batch(problems, parameters,
+                                          random_state=48)
+        compiled = machine.run_batch(problems, parameters, random_state=48)
         for expected, actual in zip(reference, compiled):
             np.testing.assert_array_equal(expected.solutions.samples,
                                           actual.solutions.samples)
@@ -476,7 +434,7 @@ class TestCextCompileCache:
         script = (
             "from repro.annealer import backends\n"
             "assert backends.cext_available()\n"
-            "backends.warmup('cext')\n"
+            "backends.warmup()\n"
         )
         processes = [
             subprocess.Popen([sys.executable, "-c", script], env=env)

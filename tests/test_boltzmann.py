@@ -24,7 +24,7 @@ import pytest
 from scipy import stats
 
 from repro.annealer import backends
-from repro.annealer.backends import RNG_MODES, available_backends
+from repro.annealer.backends import RNG_MODES
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.ising.model import IsingModel
 
@@ -109,13 +109,12 @@ def anneal(sampler, temperature, random_states):
 
 class TestBoltzmannConformance:
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.usefixtures("artefact")
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
-    def test_single_block_samples_the_law(self, problem, backend, rng_mode):
+    def test_single_block_samples_the_law(self, problem, rng_mode):
         build, clusters = PROBLEMS[problem]
         ising = build()
-        sampler = IsingSampler(ising, clusters=clusters, backend=backend,
-                               rng=rng_mode)
+        sampler = IsingSampler(ising, clusters=clusters, rng=rng_mode)
         samples = anneal(sampler, TEMPERATURE, SEED)
         assert g_test(samples, boltzmann_law(ising, TEMPERATURE)) > FALSE_ALARM
 
@@ -127,8 +126,7 @@ class TestBoltzmannConformance:
             pytest.skip("no C compiler for the cext backend")
         build, clusters = PROBLEMS[problem]
         problems = [build(), build(seed=11)]
-        sampler = BlockDiagonalSampler(problems, clusters=clusters,
-                                       backend="cext")
+        sampler = BlockDiagonalSampler(problems, clusters=clusters)
         samples = anneal(sampler, TEMPERATURE,
                          [np.random.default_rng(SEED + b) for b in range(2)])
         for ising, block in zip(problems, sampler.split_samples(samples)):
@@ -138,7 +136,7 @@ class TestBoltzmannConformance:
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
     def test_doubled_temperature_is_rejected(self, problem, rng_mode):
-        """The negative control, on the product backend: every backend
+        """The negative control, on the box's path: both paths
         draws the same bits (the identity suites), so one run per problem
         and discipline is the control of every cell."""
         build, clusters = PROBLEMS[problem]

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.annealer import counter
-from repro.annealer.backends import available_backends, cext_available
+from repro.annealer.backends import cext_available
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.engine import IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
@@ -43,8 +43,8 @@ from repro.mimo.system import MimoUplink
 
 SEED = 2019
 
-COMPILED = [backend for backend in available_backends()
-            if backend != "numpy"]
+needs_cext = pytest.mark.skipif(not cext_available(),
+                                reason="no C compiler builds the artefact here")
 
 
 def dense_problem(n=16, seed=SEED):
@@ -161,63 +161,61 @@ class TestCounterEquivalence:
     def schedule(self):
         return geometric_temperature_schedule(60, 5.0, 0.05)
 
-    def reference_dense(self, schedule):
-        sampler = IsingSampler(dense_problem(), backend="numpy",
-                               rng="counter")
-        return sampler.anneal(schedule, 12, random_state=SEED)
+    def reference_dense(self, schedule, on_numpy):
+        with on_numpy():
+            return IsingSampler(dense_problem(), rng="counter").anneal(
+                schedule, 12, random_state=SEED)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_dense_backend_equivalence(self, backend, schedule):
-        reference = self.reference_dense(schedule)
-        sampler = IsingSampler(dense_problem(), backend=backend,
-                               rng="counter")
+    @needs_cext
+    def test_dense_backend_equivalence(self, schedule, on_numpy):
+        reference = self.reference_dense(schedule, on_numpy)
+        sampler = IsingSampler(dense_problem(), rng="counter")
         assert np.array_equal(sampler.anneal(schedule, 12, random_state=SEED),
                               reference)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_dense_thread_independence(self, backend, schedule):
-        reference = self.reference_dense(schedule)
+    @needs_cext
+    def test_dense_thread_independence(self, schedule, on_numpy):
+        reference = self.reference_dense(schedule, on_numpy)
         for threads in (1, 4):
-            sampler = IsingSampler(dense_problem(), backend=backend,
-                                   rng="counter", threads=threads)
+            sampler = IsingSampler(dense_problem(), rng="counter",
+                                   threads=threads)
             assert np.array_equal(
                 sampler.anneal(schedule, 12, random_state=SEED), reference)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_embedded_cluster_equivalence_and_threads(self, backend,
-                                                      schedule):
+    @needs_cext
+    def test_embedded_cluster_equivalence_and_threads(self, schedule,
+                                                      on_numpy):
         ising, clusters = embedded_problem()
-        reference = IsingSampler(ising, clusters=clusters, backend="numpy",
-                                 rng="counter").anneal(schedule, 8,
-                                                       random_state=SEED)
+        with on_numpy():
+            reference = IsingSampler(ising, clusters=clusters,
+                                     rng="counter").anneal(
+                schedule, 8, random_state=SEED)
         for threads in (1, 4):
-            sampler = IsingSampler(ising, clusters=clusters, backend=backend,
-                                   rng="counter", threads=threads)
-            assert np.array_equal(
-                sampler.anneal(schedule, 8, random_state=SEED), reference)
-
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_sparse_problem_equivalence(self, backend, schedule):
-        # Without its clusters the embedded problem is plain sparse colour
-        # sweeps; counter streams must agree with the numpy reference
-        # across backends and thread counts.
-        ising, _clusters = embedded_problem()
-        reference = IsingSampler(ising, backend="numpy",
-                                 rng="counter").anneal(schedule, 8,
-                                                       random_state=SEED)
-        for threads in (1, 4):
-            sampler = IsingSampler(ising, backend=backend, rng="counter",
+            sampler = IsingSampler(ising, clusters=clusters, rng="counter",
                                    threads=threads)
             assert np.array_equal(
                 sampler.anneal(schedule, 8, random_state=SEED), reference)
 
-    def test_solver_counter_mode_backend_identical(self):
-        results = []
-        for backend in available_backends():
-            solver = SimulatedAnnealingSolver(num_sweeps=50, num_reads=20,
-                                              backend=backend, rng="counter",
-                                              threads=2 if backend != "numpy"
-                                              else 1)
+    @needs_cext
+    def test_sparse_problem_equivalence(self, schedule, on_numpy):
+        # Without its clusters the embedded problem is plain sparse colour
+        # sweeps; counter streams must agree with the numpy reference
+        # across paths and thread counts.
+        ising, _clusters = embedded_problem()
+        with on_numpy():
+            reference = IsingSampler(ising, rng="counter").anneal(
+                schedule, 8, random_state=SEED)
+        for threads in (1, 4):
+            sampler = IsingSampler(ising, rng="counter", threads=threads)
+            assert np.array_equal(
+                sampler.anneal(schedule, 8, random_state=SEED), reference)
+
+    def test_solver_counter_mode_backend_identical(self, on_numpy):
+        solver = SimulatedAnnealingSolver(num_sweeps=50, num_reads=20,
+                                          rng="counter", threads=2)
+        with on_numpy():
+            results = [solver.sample(dense_problem(), random_state=SEED)]
+        if cext_available():
             results.append(solver.sample(dense_problem(), random_state=SEED))
         first = results[0]
         for other in results[1:]:
@@ -228,9 +226,9 @@ class TestCounterEquivalence:
         # Counter mode is a *different* exact stream, not a re-expression of
         # the sequential one.
         ising = dense_problem()
-        seq = IsingSampler(ising, backend="numpy").anneal(
+        seq = IsingSampler(ising).anneal(
             schedule, 12, random_state=SEED)
-        ctr = IsingSampler(ising, backend="numpy", rng="counter").anneal(
+        ctr = IsingSampler(ising, rng="counter").anneal(
             schedule, 12, random_state=SEED)
         assert seq.shape == ctr.shape
         assert not np.array_equal(seq, ctr)
@@ -239,10 +237,9 @@ class TestCounterEquivalence:
         # The default-constructed sampler and an explicit rng="sequential"
         # one must consume the exact same streams.
         ising = dense_problem()
-        default = IsingSampler(ising, backend="numpy").anneal(
+        default = IsingSampler(ising).anneal(
             schedule, 12, random_state=SEED)
-        explicit = IsingSampler(ising, backend="numpy",
-                                rng="sequential").anneal(
+        explicit = IsingSampler(ising, rng="sequential").anneal(
             schedule, 12, random_state=SEED)
         assert np.array_equal(default, explicit)
 
@@ -275,8 +272,7 @@ class TestSubstreamDisjointness:
         # No two replicas of a counter anneal may share a trajectory (the
         # birthday bound at 2^64 keys makes collisions impossible unless
         # the replica coordinate were ignored).
-        sampler = IsingSampler(dense_problem(), backend="numpy",
-                               rng="counter")
+        sampler = IsingSampler(dense_problem(), rng="counter")
         spins = sampler.anneal(geometric_temperature_schedule(40, 5.0, 0.5),
                                16, random_state=SEED)
         unique = {spin_row.tobytes() for spin_row in np.asarray(spins)}
@@ -425,8 +421,7 @@ class TestServingIdentity:
         inline = self.service().run(jobs)
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
-            AnnealerParameters(num_anneals=10), backend="cext",
-            rng="counter")
+            AnnealerParameters(num_anneals=10), rng="counter")
         process = CranService(decoder, max_batch=4, num_workers=2,
                               mode="process", threads=2).run(jobs)
         assert self.payload(inline) == self.payload(process)

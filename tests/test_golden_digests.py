@@ -139,11 +139,11 @@ class TestGoldenDigests:
     def test_embedded_cluster_sampler_stream(self, golden):
         # Guards the cluster-kernel stream: the embedded 128-variable
         # path-chain workload (ferromagnetic chains of 16 + sparse cross
-        # couplings, chain clusters offered collective flips) annealed
-        # through the numpy reference loops.  The fused compiled cluster
-        # kernels must hash to this same stream (class below).
+        # couplings, chain clusters offered collective flips), recorded
+        # through the numpy reference loops.  Both paths must hash to this
+        # same stream (class below).
         ising, clusters = _path_chain_embedded_problem()
-        sampler = IsingSampler(ising, clusters=clusters, backend="numpy")
+        sampler = IsingSampler(ising, clusters=clusters)
         spins = sampler.anneal(
             geometric_temperature_schedule(50, 5.0, 0.05), 12,
             random_state=SEED)
@@ -198,28 +198,24 @@ class TestGoldenDigests:
         # Freezes the counter-mode cluster stream of the embedded
         # path-chain workload (the fused colour+cluster counter kernel).
         ising, clusters = _path_chain_embedded_problem()
-        sampler = IsingSampler(ising, clusters=clusters, backend="numpy",
-                               rng="counter")
+        sampler = IsingSampler(ising, clusters=clusters, rng="counter")
         spins = sampler.anneal(
             geometric_temperature_schedule(50, 5.0, 0.05), 12,
             random_state=SEED)
         golden("counter_embedded_cluster_sampler_stream", {"spins": spins})
 
 
+@pytest.mark.usefixtures("artefact")
 class TestGoldenDigestsAcrossBackends:
-    """Every available backend must hash to the very same frozen streams.
+    """Both paths must hash to the very same frozen streams, each case once
+    per path (``artefact``).
 
     The committed goldens were recorded from the numpy reference loops;
-    compiled backends consume the same draws, so their seeded outputs must
-    land on identical digests — no per-backend fixtures exist on purpose.
+    the C artefact consumes the same draws, so its seeded outputs must
+    land on identical digests — no per-path fixtures exist on purpose.
     """
 
-    from repro.annealer.backends import available_backends as _avail
-
-    BACKENDS = list(_avail())
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dense_kernel_sampler_stream_per_backend(self, backend, golden):
+    def test_dense_kernel_sampler_stream_per_backend(self, golden):
         rng = np.random.default_rng(SEED)
         n = 16
         ising = IsingModel(
@@ -227,8 +223,7 @@ class TestGoldenDigestsAcrossBackends:
             linear=rng.normal(size=n),
             couplings={(i, j): float(rng.normal())
                        for i in range(n) for j in range(i + 1, n)})
-        solver = SimulatedAnnealingSolver(num_sweeps=80, num_reads=40,
-                                          backend=backend)
+        solver = SimulatedAnnealingSolver(num_sweeps=80, num_reads=40)
         result = solver.sample(ising, random_state=SEED)
         golden("dense_kernel_sampler_stream", {
             "samples": result.samples,
@@ -236,21 +231,18 @@ class TestGoldenDigestsAcrossBackends:
             "occurrences": result.num_occurrences,
         })
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_embedded_cluster_sampler_stream_per_backend(self, backend,
-                                                         golden):
+    def test_embedded_cluster_sampler_stream_per_backend(self, golden):
         ising, clusters = _path_chain_embedded_problem()
-        sampler = IsingSampler(ising, clusters=clusters, backend=backend)
+        sampler = IsingSampler(ising, clusters=clusters)
         spins = sampler.anneal(
             geometric_temperature_schedule(50, 5.0, 0.05), 12,
             random_state=SEED)
         golden("embedded_cluster_sampler_stream", {"spins": spins})
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counter_dense_sampler_stream_per_backend(self, backend, golden):
-        # The counter contract's cross-backend clause: every backend (at
-        # any thread count — pinned at 2 for compiled ones) must hash to
-        # the same frozen counter stream the numpy reference recorded.
+    def test_counter_dense_sampler_stream_per_backend(self, golden):
+        # The counter contract's cross-path clause: both paths (at any
+        # thread count — 2 here, which the NumPy reference ignores) must
+        # hash to the same frozen counter stream it recorded.
         rng = np.random.default_rng(SEED)
         n = 16
         ising = IsingModel(
@@ -259,8 +251,7 @@ class TestGoldenDigestsAcrossBackends:
             couplings={(i, j): float(rng.normal())
                        for i in range(n) for j in range(i + 1, n)})
         solver = SimulatedAnnealingSolver(
-            num_sweeps=80, num_reads=40, backend=backend, rng="counter",
-            threads=1 if backend == "numpy" else 2)
+            num_sweeps=80, num_reads=40, rng="counter", threads=2)
         result = solver.sample(ising, random_state=SEED)
         golden("counter_dense_sampler_stream", {
             "samples": result.samples,
@@ -268,27 +259,23 @@ class TestGoldenDigestsAcrossBackends:
             "occurrences": result.num_occurrences,
         })
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counter_embedded_cluster_stream_per_backend(self, backend,
-                                                         golden):
+    def test_counter_embedded_cluster_stream_per_backend(self, golden):
         ising, clusters = _path_chain_embedded_problem()
-        sampler = IsingSampler(ising, clusters=clusters, backend=backend,
-                               rng="counter",
-                               threads=1 if backend == "numpy" else 2)
+        sampler = IsingSampler(ising, clusters=clusters, rng="counter",
+                               threads=2)
         spins = sampler.anneal(
             geometric_temperature_schedule(50, 5.0, 0.05), 12,
             random_state=SEED)
         golden("counter_embedded_cluster_sampler_stream", {"spins": spins})
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_decode_goldens_per_backend(self, backend, channel_uses, golden):
+    def test_decode_goldens_per_backend(self, channel_uses, golden):
         # With the four sampler streams above this puts all eight frozen
-        # digests under every backend by name: serial (single-problem
+        # digests under both paths by name: serial (single-problem
         # dispatches), batched (one pack dispatch) and both chunked frame
         # decodes.
         machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4))
         decoder = QuAMaxDecoder(machine, AnnealerParameters(num_anneals=25),
-                                random_state=0, backend=backend)
+                                random_state=0)
         pipeline = OFDMDecodingPipeline(decoder)
         golden("decode_subcarriers", report_payload(
             pipeline.decode_subcarriers(channel_uses, random_state=SEED)))

@@ -5,7 +5,7 @@ other Metropolis implementations and against itself across backends:
 
 * the sequential discipline is written out plainly in
   ``sequential_sweep_oracle`` (one variable, one neighbour, one draw at a
-  time); every backend must follow it bit for bit over whole energy
+  time); both paths must follow it bit for bit over whole energy
   trajectories, on complete graphs (the QuAMax logical regime, which
   colours into singletons), on the ML reductions of real channel uses and
   on sparse problems with wide classes;
@@ -29,7 +29,7 @@ fixture), so each identity above holds for the split call too.
 import numpy as np
 import pytest
 
-from repro.annealer.backends import available_backends
+from repro.annealer import backends
 from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
@@ -43,6 +43,8 @@ from repro.ising.solver import (
 )
 
 pytestmark = pytest.mark.usefixtures("every_block_splits")
+needs_cext = pytest.mark.skipif(not backends.cext_available(),
+                                reason="no C compiler builds the artefact here")
 
 
 def random_ising(num_variables, seed, density=1.0):
@@ -109,7 +111,7 @@ def sequential_sweep_oracle(ising, temperatures, num_replicas, rng,
 
 
 def assert_trajectory_matches_oracle(ising, temperatures, num_replicas, seed,
-                                     backend, array_digest):
+                                     array_digest):
     """Anneals over schedule prefixes consume a prefix of the stream, so the
     k-sweep samples ARE the trajectory after k sweeps of the full anneal:
     comparing several prefixes compares trajectories, not end points."""
@@ -118,7 +120,7 @@ def assert_trajectory_matches_oracle(ising, temperatures, num_replicas, seed,
     expected = sequential_sweep_oracle(ising, temperatures, num_replicas,
                                        np.random.default_rng(seed),
                                        snapshots=prefixes)
-    sampler = IsingSampler(ising, backend=backend)
+    sampler = IsingSampler(ising)
     operator = ising.coupling_operator()
     for prefix in prefixes:
         actual = sampler.anneal(temperatures[:prefix], num_replicas,
@@ -136,7 +138,7 @@ class TestCompleteGraphDynamics:
     order, and everything a pack promises still holds."""
 
     # Seeded randomized sweep: complete graphs of several sizes, several
-    # temperature schedules, several seeds, on every backend.
+    # temperature schedules, several seeds, on both paths.
     CASES = [(num_variables, num_sweeps, hot, seed)
              for num_variables in (5, 11, 18)
              for num_sweeps, hot in ((30, 5.0), (75, 2.0))
@@ -149,14 +151,13 @@ class TestCompleteGraphDynamics:
         assert all(group.size == 1
                    for group in IsingSampler(ising).block_classes)
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.usefixtures("artefact")
     @pytest.mark.parametrize("num_variables,num_sweeps,hot,seed", CASES)
     def test_energy_trajectories_and_digests_match_oracle(
-            self, num_variables, num_sweeps, hot, seed, backend,
-            array_digest):
+            self, num_variables, num_sweeps, hot, seed, array_digest):
         ising = random_ising(num_variables, seed)
         assert_trajectory_matches_oracle(ising, schedule(num_sweeps, hot=hot),
-                                         12, seed + 40, backend, array_digest)
+                                         12, seed + 40, array_digest)
 
     def test_initial_spins_honoured(self):
         ising = random_ising(8, 14)
@@ -218,9 +219,9 @@ class TestGeneralGraphDynamics:
     together; the oracle's class-ordered, replica-major draws still
     reproduce the kernel bit for bit."""
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.usefixtures("artefact")
     @pytest.mark.parametrize("num_users", [4, 8, 12])
-    def test_quamax_logical_problem_matches_oracle(self, num_users, backend,
+    def test_quamax_logical_problem_matches_oracle(self, num_users,
                                                    array_digest):
         # The ML reduction of a QPSK channel use couples almost every
         # variable pair: the logical problems the solvers are handed.
@@ -231,18 +232,16 @@ class TestGeneralGraphDynamics:
         channel_use = link.transmit(snr_db=20.0, random_state=1)
         ising = MLToIsingReducer().reduce(channel_use).ising
         assert_trajectory_matches_oracle(ising, schedule(30), 8,
-                                         num_users + 60, backend,
-                                         array_digest)
+                                         num_users + 60, array_digest)
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.usefixtures("artefact")
     @pytest.mark.parametrize("num_variables,density", [(16, 0.15), (24, 0.3)])
     def test_sparse_problem_matches_oracle(self, num_variables, density,
-                                           backend, array_digest):
+                                           array_digest):
         ising = random_ising(num_variables, 1, density=density)
         assert len(colour_classes(ising)) < num_variables / 2
         assert_trajectory_matches_oracle(ising, schedule(40), 8,
-                                         num_variables + 70, backend,
-                                         array_digest)
+                                         num_variables + 70, array_digest)
 
 
 class TestStatisticalAgreementAcrossDynamics:
@@ -280,8 +279,9 @@ class TestStatisticalAgreementAcrossDynamics:
         assert reference.ground_state_probability(exact, 1e-9) > 0.3
 
 
+@needs_cext
 class TestCompiledBackendSharedDynamics:
-    """Compiled backends must reproduce the numpy loops' streams exactly.
+    """The C artefact must reproduce the numpy loops' streams exactly.
 
     A seeded randomized sweep over problem shapes — dense logical-style
     problems, whose classes are singletons, and sparse ones with a handful
@@ -289,32 +289,27 @@ class TestCompiledBackendSharedDynamics:
     fails here by digest.
     """
 
-    from repro.annealer.backends import available_backends as _avail
-
-    COMPILED = [name for name in _avail() if name != "numpy"]
     CASES = [(num_variables, density, num_sweeps, seed)
              for num_variables, density in ((6, 1.0), (14, 1.0), (16, 0.3))
              for num_sweeps in (25, 60)
              for seed in (0, 1)]
 
-    @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("num_variables,density,num_sweeps,seed", CASES)
-    def test_digests_agree(self, backend, num_variables, density,
-                           num_sweeps, seed, array_digest):
+    def test_digests_agree(self, num_variables, density, num_sweeps, seed,
+                           array_digest, on_numpy):
         ising = random_ising(num_variables, seed, density=density)
         temperatures = schedule(num_sweeps)
-        reference = IsingSampler(ising, backend="numpy")
-        compiled = IsingSampler(ising, backend=backend)
-        expected = reference.anneal(temperatures, 10, random_state=seed + 50)
-        actual = compiled.anneal(temperatures, 10, random_state=seed + 50)
+        sampler = IsingSampler(ising)
+        with on_numpy():
+            expected = sampler.anneal(temperatures, 10, random_state=seed + 50)
+        actual = sampler.anneal(temperatures, 10, random_state=seed + 50)
         np.testing.assert_array_equal(expected, actual)
         assert array_digest(expected) == array_digest(actual)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_compiled_backend_solves_to_ground_state(self, backend):
+    def test_compiled_backend_solves_to_ground_state(self):
         ising = random_ising(12, 33)
         exact = BruteForceIsingSolver().ground_energy(ising)
-        sampler = IsingSampler(ising, backend=backend)
+        sampler = IsingSampler(ising)
         samples = sampler.anneal(schedule(150), 60, random_state=34)
         assert ising.energies(samples).min() == pytest.approx(exact)
 
@@ -339,48 +334,45 @@ def chain_pack(blocks, num_variables, seed):
     return problems, clusters
 
 
+@needs_cext
 class TestEmbeddedClusterSharedDynamics:
     """Cluster (chain-flip) moves across backends: bit-identical streams.
 
     A seeded randomized sweep over embedded-shaped problems — path chains
     of several lengths (including chains past NumPy's short-reduction
     cutoff) plus sparse cross couplings — annealed with cluster moves under
-    every available backend.  The numpy loops are the reference; the fused
+    both paths.  The numpy loops are the reference; the fused
     compiled cluster kernels must reproduce their per-variable/per-cluster
     draw streams exactly, over schedule prefixes (trajectories, not just
     end points), and for multi-block packs (the serving shape, one
     pack-level compiled dispatch).
     """
 
-    from repro.annealer.backends import available_backends as _avail
-
-    COMPILED = [name for name in _avail() if name != "numpy"]
     CASES = [(num_variables, chain_length, num_sweeps, seed)
              for num_variables, chain_length in ((24, 4), (48, 8), (64, 16))
              for num_sweeps in (20, 45)
              for seed in (0, 1)]
 
-    @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize(
         "num_variables,chain_length,num_sweeps,seed", CASES)
-    def test_embedded_cluster_digests_agree(self, backend, num_variables,
+    def test_embedded_cluster_digests_agree(self, num_variables,
                                             chain_length, num_sweeps, seed,
-                                            array_digest):
+                                            array_digest, on_numpy):
         ising, clusters = path_chain_ising(num_variables, chain_length,
                                            seed + 60)
         temperatures = schedule(num_sweeps)
-        reference = IsingSampler(ising, clusters=clusters, backend="numpy")
-        compiled = IsingSampler(ising, clusters=clusters, backend=backend)
+        reference = IsingSampler(ising, clusters=clusters)
+        compiled = IsingSampler(ising, clusters=clusters)
         for prefix in (1, num_sweeps // 2, num_sweeps):
-            expected = reference.anneal(temperatures[:prefix], 8,
-                                        random_state=seed + 61)
+            with on_numpy():
+                expected = reference.anneal(temperatures[:prefix], 8,
+                                            random_state=seed + 61)
             actual = compiled.anneal(temperatures[:prefix], 8,
                                      random_state=seed + 61)
             np.testing.assert_array_equal(expected, actual)
             assert array_digest(expected) == array_digest(actual)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_embedded_cluster_pack_matches_numpy_and_serial(self, backend):
+    def test_embedded_cluster_pack_matches_numpy_and_serial(self, on_numpy):
         base, clusters = path_chain_ising(20, 5, 70, density=0.12)
         rng = np.random.default_rng(71)
         problems = [
@@ -390,24 +382,21 @@ class TestEmbeddedClusterSharedDynamics:
             for _ in range(4)
         ]
         temperatures = schedule(35)
-        expected = BlockDiagonalSampler(problems, clusters=clusters,
-                                        backend="numpy").anneal(
-            temperatures, 6,
-            [np.random.default_rng(80 + b) for b in range(4)])
-        packed = BlockDiagonalSampler(problems, clusters=clusters,
-                                      backend=backend)
+        packed = BlockDiagonalSampler(problems, clusters=clusters)
+        with on_numpy():
+            expected = packed.anneal(
+                temperatures, 6,
+                [np.random.default_rng(80 + b) for b in range(4)])
         actual = packed.anneal(
             temperatures, 6,
             [np.random.default_rng(80 + b) for b in range(4)])
         np.testing.assert_array_equal(expected, actual)
         for b, block in enumerate(packed.split_samples(actual)):
-            serial = IsingSampler(problems[b], clusters=clusters,
-                                  backend=backend).anneal(
+            serial = IsingSampler(problems[b], clusters=clusters).anneal(
                 temperatures, 6, random_state=np.random.default_rng(80 + b))
             np.testing.assert_array_equal(block, serial)
 
-    @pytest.mark.parametrize("backend", COMPILED)
-    def test_refresh_values_rebinds_cluster_kernels(self, backend):
+    def test_refresh_values_rebinds_cluster_kernels(self, on_numpy):
         """ICE-style rebinds flow through the cached compiled descriptors."""
         base, clusters = path_chain_ising(24, 6, 72, density=0.1)
         rng = np.random.default_rng(73)
@@ -415,21 +404,21 @@ class TestEmbeddedClusterSharedDynamics:
             num_variables=24, linear=rng.normal(size=24),
             couplings={key: float(rng.normal()) for key in base.couplings})
         temperatures = schedule(30)
-        rebound = IsingSampler(base, clusters=clusters, backend=backend)
+        rebound = IsingSampler(base, clusters=clusters)
         # Populate the structure caches on the original values first.
         rebound.anneal(temperatures[:3], 3, random_state=74)
         rebound.refresh_values(replacement)
-        fresh = IsingSampler(replacement, clusters=clusters, backend="numpy")
+        with on_numpy():
+            expected = IsingSampler(replacement, clusters=clusters).anneal(
+                temperatures, 5, random_state=75)
         np.testing.assert_array_equal(
-            rebound.anneal(temperatures, 5, random_state=75),
-            fresh.anneal(temperatures, 5, random_state=75))
+            rebound.anneal(temperatures, 5, random_state=75), expected)
 
-    @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     @pytest.mark.parametrize("temperature", [5.0, 0.02], ids=["hot", "cold"])
-    def test_constant_temperature_colour_cluster_stress(self, backend, blocks,
-                                                        rng_mode, temperature):
+    def test_constant_temperature_colour_cluster_stress(self, blocks, rng_mode,
+                                                        temperature, on_numpy):
         """The colour moves at their two extremes: at T=5 most proposals
         are accepted, so every field is summed over freshly flipped
         neighbours; at T=0.02 almost none is, so the same fields come back
@@ -437,19 +426,20 @@ class TestEmbeddedClusterSharedDynamics:
         problems, clusters = chain_pack(blocks, 30, 90)
         temperatures = np.full(25, temperature)
 
-        def anneal(used_backend):
+        def anneal():
             sampler = BlockDiagonalSampler(problems, clusters=clusters,
-                                           backend=used_backend, rng=rng_mode)
+                                           rng=rng_mode)
             return sampler.anneal(temperatures, 7,
                                   [np.random.default_rng(92 + b)
                                    for b in range(blocks)])
 
-        np.testing.assert_array_equal(anneal("numpy"), anneal(backend))
+        with on_numpy():
+            expected = anneal()
+        np.testing.assert_array_equal(expected, anneal())
 
-    @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     def test_kept_workspace_serves_neither_earlier_call_nor_earlier_values(
-            self, backend, rng_mode):
+            self, rng_mode, on_numpy):
         """Two successive anneals of a sampler rebound through
         ``refresh_values`` equal two fresh samplers: nothing the kernel
         workspace keeps between calls (lane scratch, argument block) may
@@ -460,18 +450,19 @@ class TestEmbeddedClusterSharedDynamics:
             num_variables=24, linear=rng.normal(size=24),
             couplings={key: float(rng.normal()) for key in base.couplings})
         temperatures = schedule(30)
-        rebound = IsingSampler(base, clusters=clusters, backend=backend,
-                               rng=rng_mode)
+        rebound = IsingSampler(base, clusters=clusters, rng=rng_mode)
         rebound.anneal(temperatures, 5, random_state=95)
         rebound.refresh_values(replacement)
         for seed in (96, 97):
-            fresh = IsingSampler(replacement, clusters=clusters,
-                                 backend="numpy", rng=rng_mode)
+            with on_numpy():
+                expected = IsingSampler(
+                    replacement, clusters=clusters, rng=rng_mode).anneal(
+                    temperatures, 5, random_state=seed)
             np.testing.assert_array_equal(
-                rebound.anneal(temperatures, 5, random_state=seed),
-                fresh.anneal(temperatures, 5, random_state=seed))
+                rebound.anneal(temperatures, 5, random_state=seed), expected)
 
 
+@needs_cext
 class TestLaneEdges:
     """The lane-major cext colour kernels at the edges of their layout.
 
@@ -485,16 +476,12 @@ class TestLaneEdges:
     reference loops, spins *and* generator end state.
     """
 
-    from repro.annealer.backends import available_backends as _avail
-
-    COMPILED = [name for name in _avail() if name != "numpy"]
     SIZE = 30
 
     @staticmethod
     def states(rngs):
         return [rng.bit_generator.state for rng in rngs]
 
-    @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("replicas", [1, 2, 3, 4, 5, 7, 25])
     @pytest.mark.parametrize("layout", ["one-block", "three-blocks",
                                         "strided"])
@@ -503,8 +490,8 @@ class TestLaneEdges:
     @pytest.mark.parametrize("temperature", [5.0, 0.02], ids=["hot", "cold"])
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     def test_lane_layouts_match_the_reference_loops(
-            self, backend, replicas, layout, with_clusters, temperature,
-            rng_mode):
+            self, replicas, layout, with_clusters, temperature, rng_mode,
+            on_numpy):
         blocks = 3 if layout == "three-blocks" else 1
         problems, clusters = chain_pack(blocks, self.SIZE, 100)
         if not with_clusters:
@@ -516,14 +503,14 @@ class TestLaneEdges:
 
         reference_rngs = [np.random.default_rng(103 + b)
                           for b in range(blocks)]
-        expected = BlockDiagonalSampler(
-            problems, clusters=clusters, backend="numpy",
-            rng=rng_mode).anneal(temperatures, replicas, reference_rngs,
-                                 initial_spins=initial)
+        with on_numpy():
+            expected = BlockDiagonalSampler(
+                problems, clusters=clusters, rng=rng_mode).anneal(
+                temperatures, replicas, reference_rngs, initial_spins=initial)
 
         rngs = [np.random.default_rng(103 + b) for b in range(blocks)]
         sampler = BlockDiagonalSampler(problems, clusters=clusters,
-                                       backend=backend, rng=rng_mode)
+                                       rng=rng_mode)
         if layout != "strided":
             actual = sampler.anneal(temperatures, replicas, rngs,
                                     initial_spins=initial)
@@ -537,7 +524,7 @@ class TestLaneEdges:
             view[...] = initial
             keys = ([counter.block_key(rng) for rng in rngs]
                     if rng_mode == "counter" else None)
-            sampler._dispatch_colour(view, temperatures, backend, rngs, keys)
+            sampler._dispatch_colour(view, temperatures, "cext", rngs, keys)
             actual = view.astype(np.int8)
             border = np.ones(frame.shape, dtype=bool)
             border[1:-1, 2:-3] = False
@@ -545,25 +532,25 @@ class TestLaneEdges:
         np.testing.assert_array_equal(expected, actual)
         assert self.states(rngs) == self.states(reference_rngs)
 
-    @pytest.mark.parametrize("backend", COMPILED)
     @pytest.mark.parametrize("replicas", [5, 7, 25])
     @pytest.mark.parametrize("blocks", [1, 3])
-    def test_lane_groups_are_identical_across_thread_counts(self, backend,
-                                                            replicas, blocks):
+    def test_lane_groups_are_identical_across_thread_counts(self, replicas,
+                                                            blocks, on_numpy):
         """With more threads than blocks the counter kernel splits a block's
         replicas into several lane groups; a replica count that is no
         multiple of the lane width leaves the last group part-filled."""
         problems, clusters = chain_pack(blocks, self.SIZE, 100)
         temperatures = schedule(20, hot=3.0)
 
-        def anneal(used_backend, threads):
+        def anneal(threads):
             return BlockDiagonalSampler(
-                problems, clusters=clusters, backend=used_backend,
-                rng="counter", threads=threads).anneal(
+                problems, clusters=clusters, rng="counter",
+                threads=threads).anneal(
                 temperatures, replicas,
                 [np.random.default_rng(110 + b) for b in range(blocks)])
 
-        reference = anneal("numpy", 1)
+        with on_numpy():
+            reference = anneal(1)
         for threads in (1, 2, 4):
-            np.testing.assert_array_equal(reference, anneal(backend, threads),
+            np.testing.assert_array_equal(reference, anneal(threads),
                                           err_msg=f"threads={threads}")

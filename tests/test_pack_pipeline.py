@@ -193,7 +193,7 @@ def oracle_aggregate(ising, raw):
 
 
 def oracle_run(machine, ising, parameters, rng, embedding=None,
-               backend="auto", perturb=oracle_perturb):
+               perturb=oracle_perturb):
     """A whole QA job through the oracle stages (one-block samplers built
     by the validating constructor for the anneals)."""
     if embedding is None:
@@ -216,7 +216,7 @@ def oracle_run(machine, ising, parameters, rng, embedding=None,
         problem = IsingModel(num_variables=num_physical, linear=linear,
                              couplings=couplings)
         physical[produced:produced + batch] = IsingSampler(
-            problem, clusters=clusters, backend=backend).anneal(
+            problem, clusters=clusters).anneal(
                 temperatures, batch, random_state=rng)
         produced += batch
     logical, report = oracle_unembed(embedded.chains, physical, rng)
@@ -298,19 +298,6 @@ def assert_run_equals_oracle(result, expected):
     assert result.embedded.problem_scale == expected.embedded.problem_scale
     assert (result.embedded.clipped_coefficients
             == expected.embedded.clipped)
-
-
-@pytest.fixture(params=["cext", "numpy"])
-def artefact(request, monkeypatch):
-    """Every stage case twice: through the C artefact's programming and
-    read-out calls (``embed_direct``, ``majority_vote``,
-    ``distinct_reads``, ``csr_pack_matvecs``), and with ``_load_cext``
-    patched to ``None`` — the NumPy passes a box without a compiler runs."""
-    if request.param == "numpy":
-        monkeypatch.setattr(backends, "_load_cext", lambda: None)
-    elif not backends.cext_available():
-        pytest.skip("no C compiler for the cext backend")
-    return request.param
 
 
 # --------------------------------------------------------------------------- #
@@ -491,7 +478,8 @@ class TestProgrammingPathsAgree:
     @pytest.mark.parametrize("case", [
         "nan coupling", "inf coupling", "nan field", "inf field",
         "signed zeros", "no couplings"])
-    def test_awkward_coefficients_program_alike(self, case, normalize):
+    def test_awkward_coefficients_program_alike(self, case, normalize,
+                                                on_numpy):
         problems = self.problems(case)
         embedding = clique_embedding(4)
 
@@ -499,10 +487,10 @@ class TestProgrammingPathsAgree:
             return embed_pack(problems, embedding, chain_strength=0.7,
                               normalize=normalize)
 
-        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
             in_c = embed()  # NumPy's too where C finds a coupling at 0.0
-            patch.setattr(backends, "_load_cext", lambda: None)
-            in_numpy = embed()
+            with on_numpy():
+                in_numpy = embed()
         assert (in_c is None) == (in_numpy is None)
         if in_c is None:
             return
@@ -775,13 +763,11 @@ class TestRunBatchEqualsOracle:
         problems = qpsk_pack(3)
         machine = self.machine(ice_batch_size=5)
         parameters = AnnealerParameters(num_anneals=15)
-        results = machine.run_batch(problems, parameters, random_state=2,
-                                    backend="numpy")
+        results = machine.run_batch(problems, parameters, random_state=2)
         rngs = np.random.default_rng(2).spawn(3)
         for problem, result, rng in zip(problems, results, rngs):
             assert_run_equals_oracle(
-                result, oracle_run(machine, problem, parameters, rng,
-                                   backend="numpy"))
+                result, oracle_run(machine, problem, parameters, rng))
 
     def test_overlapping_chain_embedding(self):
         embedding = overlapping_embedding()
@@ -1043,8 +1029,7 @@ class TestWarmPackWork:
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)
-        machine.run_batch(problems, parameters, random_state=1,
-                          backend="cext")
+        machine.run_batch(problems, parameters, random_state=1)
         pointers = []
         original_ptr = backends._ptr
         monkeypatch.setattr(
@@ -1056,8 +1041,7 @@ class TestWarmPackWork:
             BlockDiagonalSampler, "anneal",
             lambda sampler, *args, **kwargs: anneals.append(1)
             or original_anneal(sampler, *args, **kwargs))
-        machine.run_batch(problems, parameters, random_state=2,
-                          backend="cext")
+        machine.run_batch(problems, parameters, random_state=2)
         assert len(anneals) == 2
         # Per pack, once, the programming call: logical fields and
         # couplings in, problem scales, fields, couplers and clip counts
@@ -1089,7 +1073,7 @@ class TestWarmPackWork:
         per-job pipeline's kernel call reported."""
         machine = ideal_machine()
         machine.run_batch(qpsk_pack(16), AnnealerParameters(num_anneals=50),
-                          random_state=7, backend="cext")
+                          random_state=7)
         sampler, = machine._sampler_cache.values()
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
@@ -1102,7 +1086,7 @@ class TestWarmPackWork:
 
         problems = qpsk_pack(16)
         machine = ideal_machine()
-        options = dict(backend="cext", rng="counter")
+        options = dict(rng="counter")
         parameters = AnnealerParameters(num_anneals=50)
         machine.run_batch(problems, parameters, random_state=1, **options)
         calls = []
@@ -1175,16 +1159,14 @@ class TestWarmPackWork:
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)
-        machine.run_batch(problems, parameters, random_state=1,
-                          backend="cext")
+        machine.run_batch(problems, parameters, random_state=1)
         builds = []
         original = backends._rng_pointer_arrays
         monkeypatch.setattr(
             backends, "_rng_pointer_arrays",
             lambda rngs: builds.append(len(rngs)) or original(rngs))
         for seed in (2, 3):  # new generators per run: one build each
-            machine.run_batch(problems, parameters, random_state=seed,
-                              backend="cext")
+            machine.run_batch(problems, parameters, random_state=seed)
         assert machine.sampler_cache_info()["hits"] == 2
         assert builds == [16, 16]
 
@@ -1202,8 +1184,7 @@ class TestWarmPackWork:
         uses = [link.transmit(snr_db=15.0, random_state=rng)
                 for _ in range(16)]
         decoder = QuAMaxDecoder(ideal_machine(),
-                                AnnealerParameters(num_anneals=50),
-                                backend="cext")
+                                AnnealerParameters(num_anneals=50))
         expected = decoder.detect_batch(uses, random_state=1)  # warm
         counts = {"build_ml_ising": 0, "reduce": 0, "reduce_pack": 0,
                   "models": 0, "initial_spins": 0, "anneals": 0,
@@ -1258,8 +1239,7 @@ class TestWarmPackWork:
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)
-        machine.run_batch(problems, parameters, random_state=1,
-                          backend="cext")
+        machine.run_batch(problems, parameters, random_state=1)
         original = backends.sequential_initial_spins
         backends_seen = []
         monkeypatch.setattr(
@@ -1267,8 +1247,7 @@ class TestWarmPackWork:
             lambda backend, *args: backends_seen.append(backend)
             or original(backend, *args))
         rngs = [np.random.default_rng(seed) for seed in range(16)]
-        machine.run_batch(problems, parameters, random_states=rngs,
-                          backend="cext")
+        machine.run_batch(problems, parameters, random_states=rngs)
         assert backends_seen == ["cext", "cext"]
         # ``BitGenerator.ctypes`` is built (and cached there) on first read.
         assert all(getattr(rng.bit_generator, "_ctypes", None) is None

@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro import constants
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
-from repro.exceptions import AnnealerError, DetectionError
 
 
 class TestPublicApi:
@@ -57,7 +56,6 @@ class TestPublicApi:
     #: and one that no workload, figure or example reaches is deleted.
     ALL = {
         "repro.annealer": {
-            "BACKENDS", "available_backends", "resolve_backend",
             "ChimeraGraph", "PegasusLikeGraph", "BlockDiagonalSampler",
             "IsingSampler", "Embedding", "TriangleCliqueEmbedder",
             "embedding_qubit_counts", "EmbeddedIsing", "embed_ising",
@@ -96,10 +94,11 @@ class TestPublicApi:
                               env={**os.environ, "PYTHONPATH": str(source)})
         assert done.returncode == 0, done.stderr
 
-    #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``
-    #: on the backend named in ``argv[1]``; report the bits, what ``auto``
-    #: resolves to, which of the heavy imports the process ended up holding
-    #: and which ``repro.obs`` modules it loaded.
+    #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``,
+    #: on the C artefact (``argv[1] == "artefact"``) or as a box without a
+    #: compiler (``"none"``: ``_load_cext`` patched); report the bits, the
+    #: sampler's ``selected_backend``, which of the heavy imports the
+    #: process ended up holding and which ``repro.obs`` modules it loaded.
     SERVE_ONE_PACK = """
 import json, sys
 import numpy as np
@@ -113,9 +112,10 @@ from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
 
+if sys.argv[1] == "none":
+    backends._load_cext = lambda: None
 decoder = QuAMaxDecoder(QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
-                        AnnealerParameters(num_anneals=10),
-                        backend=sys.argv[1])
+                        AnnealerParameters(num_anneals=10))
 link = MimoUplink(num_users=3, constellation="QPSK")
 rng = np.random.default_rng(0)
 jobs = tuple(DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
@@ -125,9 +125,10 @@ jobs = tuple(DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
              for i in range(4))
 pool = WorkerPool(decoder)
 assert pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
+sampler, = decoder.annealer._sampler_cache.values()
 print(json.dumps({
     "bits": [done.result.detection.bits.tolist() for done in pool.results()],
-    "auto": backends.resolve_backend("auto"),
+    "selected": sampler.selected_backend,
     "held": sorted({"scipy", "networkx", "asyncio", "numba"}
                    & set(sys.modules)),
     "obs": sorted(name for name in sys.modules
@@ -138,12 +139,13 @@ print(json.dumps({
             self, tmp_path):
         """From ``import repro.cran.service`` to a served pack on the C
         artefact, a process imports none of scipy (0.12-0.15 s), networkx
-        or asyncio.  The numpy oracle backend still sweeps through scipy's
-        operators — the reference path is alive — and decodes the same
-        bits.  ``auto`` is the C artefact whatever else is installed: a
-        ``numba`` package first on the path is never imported.  On every
-        backend the compute and serving layers leave ``repro.obs`` unloaded:
-        observability consumes a finished run and has no hooks inside it."""
+        or asyncio.  Without the artefact the NumPy path still sweeps
+        through scipy's operators — the reference path is alive — and
+        decodes the same bits.  The artefact is what runs whatever else is
+        installed: a ``numba`` package first on the path is never imported.
+        On either path the compute and serving layers leave ``repro.obs``
+        unloaded: observability consumes a finished run and has no hooks
+        inside it."""
         from repro.annealer import backends
         if not backends.cext_available():
             pytest.skip("no C compiler for the cext backend")
@@ -151,22 +153,25 @@ print(json.dumps({
         (tmp_path / "numba").mkdir()
         (tmp_path / "numba" / "__init__.py").write_text("")
         served = {}
-        for backend, path in (("cext", source), ("numpy", source),
-                              ("auto", str(tmp_path) + os.pathsep + source)):
+        for run, artefact, path in (
+                ("artefact", "artefact", source), ("none", "none", source),
+                ("numba first", "artefact",
+                 str(tmp_path) + os.pathsep + source)):
             done = subprocess.run(
-                [sys.executable, "-c", self.SERVE_ONE_PACK, backend],
+                [sys.executable, "-c", self.SERVE_ONE_PACK, artefact],
                 capture_output=True, text=True, timeout=120,
                 env={**os.environ, "PYTHONPATH": path})
             assert done.returncode == 0, done.stderr
-            served[backend] = json.loads(done.stdout)
-        assert served["cext"]["held"] == []
-        assert served["numpy"]["held"] == ["scipy"]
-        assert served["auto"]["held"] == []
-        assert served["auto"]["auto"] == "cext"
-        assert all(served[backend]["obs"] == [] for backend in served)
-        assert len(served["cext"]["bits"]) == 4
-        assert served["cext"]["bits"] == served["numpy"]["bits"]
-        assert served["cext"]["bits"] == served["auto"]["bits"]
+            served[run] = json.loads(done.stdout)
+        assert served["artefact"]["held"] == []
+        assert served["none"]["held"] == ["scipy"]
+        assert served["numba first"]["held"] == []
+        assert [served[run]["selected"] for run in served] == [
+            "cext", "numpy", "cext"]
+        assert all(served[run]["obs"] == [] for run in served)
+        assert len(served["artefact"]["bits"]) == 4
+        assert served["artefact"]["bits"] == served["none"]["bits"]
+        assert served["artefact"]["bits"] == served["numba first"]["bits"]
 
     def test_setup_py_names_the_package(self):
         """``setup.py`` carries the metadata itself (there is no
@@ -234,43 +239,6 @@ class TestReachabilityRecorder:
                    for code in codes)
 
 
-class TestBackendNames:
-    """Two backends, the oracle and the product; any other name — one that
-    used to be valid included — is rejected with the list of valid ones."""
-
-    def test_backends(self):
-        from repro.annealer.backends import BACKENDS
-
-        assert BACKENDS == ("auto", "numpy", "cext")
-
-    # Each constructor's ``backend=``, or the call the object forwards it
-    # from (the solver validates when it samples, the machine takes it per
-    # run; the decoder reports its own error type).
-    @pytest.mark.parametrize("error, through", [
-        pytest.param(AnnealerError, lambda ising: IsingSampler(
-            ising, backend="numba"), id="IsingSampler"),
-        pytest.param(AnnealerError, lambda ising: BlockDiagonalSampler(
-            [ising], backend="numba"), id="BlockDiagonalSampler"),
-        pytest.param(AnnealerError, lambda ising: (
-            repro.SimulatedAnnealingSolver(backend="numba").sample(
-                ising, random_state=0)), id="SimulatedAnnealingSolver"),
-        pytest.param(AnnealerError, lambda ising: (
-            repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2)).run(
-                ising, repro.AnnealerParameters(num_anneals=1),
-                random_state=0, backend="numba")),
-            id="QuantumAnnealerSimulator"),
-        pytest.param(DetectionError, lambda ising: repro.QuAMaxDecoder(
-            backend="numba"), id="QuAMaxDecoder"),
-    ])
-    def test_removed_backend_is_rejected_by_name(self, error, through):
-        ising = repro.IsingModel(num_variables=2, linear=[0.5, -0.5],
-                                 couplings={(0, 1): 1.0})
-        with pytest.raises(error) as raised:
-            through(ising)
-        assert "('auto', 'numpy', 'cext')" in str(raised.value)
-        assert "'numba'" in str(raised.value)
-
-
 class TestServingOptionSurface:
     """The serving and sampling layers' keyword sets, pinned exactly: an
     option is added by editing this list, not by accretion."""
@@ -289,17 +257,16 @@ class TestServingOptionSurface:
             "overload_policy"},
         "TraceRecorder": set(),
         "QuAMaxDecoder": {
-            "annealer", "parameters", "random_state", "backend", "rng",
-            "threads"},
+            "annealer", "parameters", "random_state", "rng", "threads"},
         "QuantumAnnealerSimulator.run_batch": {
             "logical_isings", "parameters", "random_states", "random_state",
-            "embedding", "backend", "rng", "threads"},
+            "embedding", "rng", "threads"},
         "BlockDiagonalSampler": {
-            "isings", "clusters", "backend", "rng", "threads"},
-        "IsingSampler": {"ising", "clusters", "backend", "rng", "threads"},
+            "isings", "clusters", "rng", "threads"},
+        "IsingSampler": {"ising", "clusters", "rng", "threads"},
         "SimulatedAnnealingSolver": {
             "num_sweeps", "num_reads", "hot_temperature", "cold_temperature",
-            "backend", "rng", "threads"},
+            "rng", "threads"},
     }
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
@@ -331,8 +298,9 @@ class TestServingOptionSurface:
         with pytest.raises(TypeError, match=removed):
             getattr(cran, name)(**{removed: None})
 
-    #: Every call that took the sweep-kernel knob ``kernel=``, or a
-    #: caller-made colouring ``classes=``, with its required arguments.
+    #: Every call that took the sweep-kernel knob ``kernel=``, the
+    #: implementation knob ``backend=`` or a caller-made colouring
+    #: ``classes=``, with its required arguments.
     SAMPLING_CALLS = {
         "BlockDiagonalSampler": lambda ising, **extra: BlockDiagonalSampler(
             [ising], **extra),
@@ -343,11 +311,14 @@ class TestServingOptionSurface:
         "QuantumAnnealerSimulator.run_batch": lambda ising, **extra: (
             repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2))
             .run_batch([ising], **extra)),
+        "SimulatedAnnealingSolver": lambda ising, **extra: (
+            repro.SimulatedAnnealingSolver(**extra)),
         "QuAMaxDecoder": lambda ising, **extra: repro.QuAMaxDecoder(**extra),
     }
 
     @pytest.mark.parametrize("name, removed", [
-        *[(name, "kernel") for name in SAMPLING_CALLS],
+        *[(name, removed) for name in SAMPLING_CALLS
+          for removed in ("kernel", "backend")],
         ("BlockDiagonalSampler", "classes"), ("IsingSampler", "classes"),
     ])
     def test_removed_sampling_keyword_is_rejected(self, name, removed):

@@ -17,7 +17,6 @@ Covers the contracts the perf refactor relies on:
 import numpy as np
 import pytest
 
-from repro.annealer.backends import available_backends
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import (
@@ -167,8 +166,8 @@ class TestRefreshValues:
                 couplings=moved))
 
     @pytest.mark.parametrize("rng", ["sequential", "counter"])
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_ice_batches_refresh_like_rebuild(self, backend, rng):
+    @pytest.mark.usefixtures("artefact")
+    def test_ice_batches_refresh_like_rebuild(self, rng):
         # The machine's ICE-batch cycle: one embedded 3-user QPSK problem,
         # re-programmed with a fresh ICE draw for each of 8 batches.
         # Rebinding one sampler between batches anneals exactly what
@@ -187,7 +186,7 @@ class TestRefreshValues:
             hot=machine.hot_temperature, cold=machine.cold_temperature)
         options = dict(clusters=[np.asarray(chain, dtype=np.intp)
                                  for chain in embedded.compact_chains.values()],
-                       backend=backend, rng=rng)
+                       rng=rng)
         perturbations = [machine.ice.perturb(embedded.ising,
                                              np.random.default_rng(k))
                          for k in range(8)]
