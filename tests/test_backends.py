@@ -85,6 +85,46 @@ class TestDispatch:
         assert sampler.selected_backend == artefact
         assert sampler.anneal(schedule(10), 4, random_state=3).shape == (4, 5)
 
+    def test_one_sampler_follows_the_probe_per_call(self, on_numpy):
+        """Selection is made per call, not stored at construction: one warm
+        sampler reports and runs whichever path the probe finds now."""
+        sampler = IsingSampler(random_ising(5, 4))
+        here = "cext" if backends.cext_available() else "numpy"
+        assert sampler.selected_backend == here
+        with on_numpy():
+            assert sampler.selected_backend == "numpy"
+            expected = sampler.anneal(schedule(10), 4, random_state=5)
+        assert sampler.selected_backend == here
+        np.testing.assert_array_equal(
+            sampler.anneal(schedule(10), 4, random_state=5), expected)
+
+    #: The artefact's callers in a sequential machine job: the sweep, then
+    #: the embed, vote, distinct-reads and energy stages of the pack.
+    PACK_STAGES = ("pack_fused_colour_cluster_sweep", "embed_direct",
+                   "majority_vote", "distinct_reads", "csr_pack_matvecs")
+
+    def test_every_stage_follows_the_probe(self, artefact, monkeypatch):
+        """The sweep and the four pack stages read one fact: with the
+        artefact each of them calls into C, without it none does (the
+        sequential NumPy sweep runs its reference loops in the engine)."""
+        calls = set()
+
+        def counted(name, original):
+            def counting(*args, **kwargs):
+                calls.add(name)
+                return original(*args, **kwargs)
+            return counting
+
+        for name in self.PACK_STAGES:
+            monkeypatch.setattr(backends, name,
+                                counted(name, getattr(backends, name)))
+        problems = [random_ising(4, 30 + b) for b in range(2)]
+        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2))
+        machine.run_batch(problems, AnnealerParameters(num_anneals=6),
+                          random_state=31)
+        assert calls == (set(self.PACK_STAGES) if artefact == "cext"
+                         else set())
+
     def test_falls_back_to_numpy_without_a_compiler(self, no_cext):
         assert not backends.cext_available()
         # The fallback is not merely nominal: a sampler built under these
