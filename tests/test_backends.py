@@ -98,6 +98,21 @@ class TestDispatch:
         np.testing.assert_array_equal(
             sampler.anneal(schedule(10), 4, random_state=5), expected)
 
+    def test_one_cached_machine_sampler_serves_either_path(self, on_numpy):
+        """The path is not part of the warm sampler cache key: a job run
+        without the artefact reuses the sampler built with it, and bits
+        agree."""
+        ising = random_ising(5, 6)
+        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2))
+        parameters = AnnealerParameters(num_anneals=8)
+        first = machine.run(ising, parameters, random_state=7)
+        with on_numpy():
+            second = machine.run(ising, parameters, random_state=7)
+        info = machine.sampler_cache_info()
+        assert (info["entries"], info["misses"], info["hits"]) == (1, 1, 1)
+        np.testing.assert_array_equal(first.solutions.samples,
+                                      second.solutions.samples)
+
     #: The artefact's callers in a sequential machine job: the sweep, then
     #: the embed, vote, distinct-reads and energy stages of the pack.
     PACK_STAGES = ("pack_fused_colour_cluster_sweep", "embed_direct",
