@@ -100,24 +100,24 @@ Counter mode and threads
 
 Orthogonally to the backend, the ``rng=`` knob selects the *draw discipline*
 (:data:`RNG_MODES`).  ``"sequential"`` (the default, described above) makes
-a replica's next draw depend on how many draws earlier replicas consumed,
-yet its cext calls use every core, bit for bit: a pack's *blocks*, each
-drawing from its own generator, shard (:func:`_sharded_colour_call`), and
-one large block's replicas split into two lane halves whose uphill counts,
-known before any decision, place each half's draws in the stream
-(:func:`_lane_half_call`).  ``"counter"``
-replaces consumption order with position — every potential draw is addressed
-by a ``(site, sweep, replica, move_tag)`` counter and valued by Philox4x32-10
-under a per-block key (see :mod:`repro.annealer.counter`) — which makes
-replica evaluation order irrelevant and replica-level parallelism legal.  The
-two ``counter_*`` entry points take one key per block where their sequential
-siblings take one generator per block, plus a ``threads=`` knob: the cext
-kernel runs an OpenMP ``parallel for`` over (block, lane group) pairs
-(per-thread Philox state; compiled with ``-fopenmp`` when available,
-silently serial otherwise); their
-numpy branches are the reference implementation of counter mode and ignore
-``threads``.  Counter-mode trajectories are bit-identical across backends
-*and* across thread counts, which the counter equivalence/golden suites pin.
+a replica's next draw depend on how many draws earlier replicas consumed;
+``"counter"`` replaces consumption order with position — every potential
+draw is addressed by a ``(site, sweep, replica, move_tag)`` counter and
+valued by Philox4x32-10 under a per-block key (see
+:mod:`repro.annealer.counter`) — which makes replica evaluation order
+irrelevant and replica-level parallelism legal.  A block draws from its own
+generator or key only, so one rule spreads a pack over the cores, bit for
+bit: a one-thread cext call of more than :data:`_SPLIT_SPINS` spins is one
+call per usable CPU over contiguous block ranges
+(:func:`_sharded_colour_call`) — sharding is a property of the pack, not a
+knob.  ``threads=`` is the OpenMP width of one counter call instead, a
+``parallel for`` over (block, lane group) pairs (``-fopenmp`` when the
+compiler takes it, else serial), never also sharded.  One large sequential
+block splits its replicas into two lane halves whose uphill counts, known
+before any decision, place each half's draws in the stream
+(:func:`_lane_half_call`).  The numpy branches are the reference of counter
+mode and ignore ``threads``.  Counter-mode trajectories are bit-identical
+across backends, thread counts and shards, which the counter suites pin.
 
 Compile cost
 ------------
@@ -320,7 +320,7 @@ def _lane_layout(threads: int, num_blocks: int, num_replicas: int, size: int,
     return lanes, threads * (size + 1 + 2 * members) * lanes
 
 
-#: CPUs this process may sweep a sequential pack on (:func:`_usable_cpus`).
+#: CPUs this process may sweep a pack on (:func:`_usable_cpus`).
 _USABLE_CPUS: Optional[int] = None
 #: The helper-thread pool of sharded calls; a forked child starts its own.
 _HELPERS: Dict[str, object] = {}
@@ -329,7 +329,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _usable_cpus(cap: Optional[int] = None) -> int:
-    """CPUs a sequential pack shards over: the affinity mask (else
+    """CPUs a pack shards over: the affinity mask (else
     ``os.cpu_count()``), read once; a *cap* lowers it for good."""
     global _USABLE_CPUS
     if _USABLE_CPUS is None:
@@ -409,7 +409,7 @@ def _helpers(workspace: Optional[dict], count: int):
     return _HELPERS["pool"], spaces[:count]
 
 
-#: Spins (blocks × block size × replicas) above which a sequential call
+#: Spins (blocks × block size × replicas) above which a one-thread call
 #: goes to two or more threads, as block ranges or, one block, lane halves:
 #: below it, handing work to a helper costs more than the second core buys.
 #: Sharded ÷ one-thread time per call, blocks × block size × 25 replicas:
@@ -509,34 +509,27 @@ def _lane_half_call(lib, workspace: Optional[dict], spins, arguments,
     return SweepWork(*(calls[0][1] + calls[1][1]).tolist())
 
 
-def _sharded_colour_call(lib, workspace: Optional[dict], spins, linear,
-                         members, class_starts, class_data, indices, indptr,
-                         clusters, temperatures, rngs) -> SweepWork:
-    """The sequential colour call as ``min(blocks, usable CPUs)`` calls
-    over contiguous block ranges, each with a sub-workspace of its own, the
-    first on this thread, the rest on helpers (ctypes drops the GIL).  Block
-    *b* draws only from ``rngs[b]``: the one call's stream exactly, unless
-    two blocks share a bit generator — then it is the one call.  A pack of
-    one block on a PCG64 splits its replicas instead
-    (:func:`_lane_half_call`).  A call of :data:`_SPLIT_SPINS` spins or
-    fewer is the one call."""
-    function = lib.pack_fused_colour_cluster_sweep
-    generators = _generator_pointers(workspace, rngs)
-    blocks = len(generators)
-    split = spins.size > _SPLIT_SPINS and _usable_cpus() > 1
-    shards = min(blocks, _usable_cpus()) if split else 1
-    if shards < 2 or len(set(generators)) < blocks:
-        if (split and blocks == 1 < spins.shape[0]
-                and type(rngs[0].bit_generator) is np.random.PCG64):
-            work = _lane_half_call(
-                lib, workspace, spins, (linear, members, class_starts,
-                                        class_data, indices, indptr, clusters,
-                                        temperatures), rngs[0])
-            if work is not None:
-                return work
+def _shards(spins, blocks: int, threads: int = 1) -> int:
+    """Block ranges of a cext colour call, either discipline: ``min(blocks,
+    usable CPUs)`` at one thread over :data:`_SPLIT_SPINS` spins, else 1."""
+    split = threads == 1 and spins.size > _SPLIT_SPINS
+    return min(blocks, _usable_cpus()) if split else 1
+
+
+def _sharded_colour_call(function, workspace: Optional[dict], spins,
+                         arguments, blocks: int, shards: int, threads: int,
+                         draws) -> SweepWork:
+    """*function*, either cext colour entry point, over *blocks* as
+    *shards* calls on contiguous block ranges, each with a sub-workspace
+    and its blocks' slice of the fields, values and draw sources
+    (``draws(lo, hi)``), the first on this thread, the rest on helpers
+    (ctypes drops the GIL): the one call exactly, as a block draws from its
+    own generator or key only.  One shard is the one call, *threads* wide."""
+    linear, members, class_starts, class_data, indices, indptr, clusters, \
+        temperatures = arguments
+    if shards < 2:
         args, work = _cext_colour_arguments(
-            workspace, blocks, 1, spins, linear, members, class_starts,
-            class_data, indices, indptr, clusters, temperatures, generators)
+            workspace, blocks, threads, spins, *arguments, *draws(0, blocks))
         function(*args)
         return SweepWork(*work.tolist())
     pool, spaces = _helpers(workspace, shards - 1)
@@ -547,7 +540,7 @@ def _sharded_colour_call(lib, workspace: Optional[dict], spins, linear,
         linear[lo * size:hi * size], members, class_starts, class_data[lo:hi],
         indices, indptr,
         clusters._replace(edge_values=clusters.edge_values[lo:hi]),
-        temperatures, (ctypes.c_void_p * (hi - lo))(*generators[lo:hi]))
+        temperatures, *draws(lo, hi))
         for space, lo, hi in zip([workspace, *spaces], bounds, bounds[1:])]
     rest = [pool.submit(function, *args) for args, _ in calls[1:]]
     try:
@@ -592,9 +585,25 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     time and the cext branch keeps its argument blocks there.
     """
     if backend == "cext":
+        lib = _load_cext()
+        generators = _generator_pointers(workspace, rngs)
+        blocks = len(generators)
+        arguments = (linear, members, class_starts, class_data, indices,
+                     indptr, clusters, temperatures)
+        # Two blocks sharing a bit generator draw in block order: one call.
+        shared = len(set(generators)) < blocks
+        shards = 1 if shared else _shards(spins, blocks)
+        # One block that the rule would shard were it two: lane halves.
+        if (blocks == 1 < spins.shape[0] and _shards(spins, 2) > 1
+                and type(rngs[0].bit_generator) is np.random.PCG64):
+            work = _lane_half_call(lib, workspace, spins, arguments, rngs[0])
+            if work is not None:
+                return work
         return _sharded_colour_call(
-            _load_cext(), workspace, spins, linear, members, class_starts,
-            class_data, indices, indptr, clusters, temperatures, rngs)
+            lib.pack_fused_colour_cluster_sweep, workspace, spins, arguments,
+            blocks, shards, 1,
+            lambda lo, hi: ((ctypes.c_void_p * (hi - lo)).from_buffer(
+                generators, lo * ctypes.sizeof(ctypes.c_void_p)),))
     raise AnnealerError(
         f"no pack colour+cluster kernel for backend {backend!r}")
 
@@ -859,8 +868,9 @@ def counter_pack_fused_colour_cluster_sweep(
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
     embedded serving shape under the counter contract, one Philox key per
-    block and (block, lane group)-parallel in the cext variant.  The draw
-    site is the member's row in the concatenated class order.
+    block; the cext variant shards at one thread like its sibling, and is
+    one (block, lane group)-parallel OpenMP call at more.  The draw site is
+    the member's row in the concatenated class order.
     """
     threads = max(1, int(threads))
     num_blocks = len(keys)
@@ -887,12 +897,12 @@ def counter_pack_fused_colour_cluster_sweep(
     if backend == "cext":
         _note_openmp_team(threads)
         keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-        args, work = _cext_colour_arguments(
-            workspace, num_blocks, threads, spins, linear, members,
-            class_starts, class_data, indices, indptr, clusters,
-            temperatures, _ptr(keys_array), threads)
-        _load_cext().counter_pack_fused_colour_cluster_sweep(*args)
-        return SweepWork(*work.tolist())
+        return _sharded_colour_call(
+            _load_cext().counter_pack_fused_colour_cluster_sweep, workspace,
+            spins, (linear, members, class_starts, class_data, indices,
+                    indptr, clusters, temperatures), num_blocks,
+            _shards(spins, num_blocks, threads), threads,
+            lambda lo, hi: (_ptr(keys_array[lo:hi]), threads))
     raise AnnealerError(
         f"no counter pack colour+cluster kernel for backend {backend!r}")
 

@@ -207,10 +207,12 @@ class BlockDiagonalSampler:
         :mod:`repro.annealer.counter`) — reproducible under its own
         discipline, identical across backends *and* thread counts.
     threads:
-        The counter discipline's replica-level knob: threads for its
-        compiled kernels (OpenMP in the cext); > 1 needs ``rng="counter"``.
-        The NumPy reference loops ignore it (they are vectorised over
-        replicas already).  The thread count never changes results.
+        The OpenMP width of one counter-discipline cext call; > 1 needs
+        ``rng="counter"``.  At 1 a cext call of either discipline shards
+        the pack's blocks over the usable CPUs by itself, so the width is
+        a choice between one team and block ranges, never both.  The NumPy
+        reference loops ignore it (they are vectorised over replicas
+        already).  The thread count never changes results.
 
     A sampler keeps per-structure kernel workspaces between anneals, so one
     instance serves one :meth:`anneal` call at a time (the machine's warm

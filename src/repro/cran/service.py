@@ -414,9 +414,11 @@ class CranService:
         is created when omitted.  Jobs carrying their own ``rng_mode``
         hints override the discipline per pack.
     threads:
-        Per-worker kernel-thread budget forwarded to the pool (``None``
-        derives it: ``cpu_count // num_workers`` for process pools, else
-        1).  Only effective on counter-mode packs.
+        Per-worker OpenMP width of a counter-mode pack's kernel call,
+        forwarded to the pool (``None`` derives it: ``cpu_count //
+        num_workers`` for process pools, else 1).  Sequential packs ignore
+        it; a one-thread call of either discipline shards the pack's blocks
+        over the usable CPUs.
     max_batch, max_wait_us:
         Scheduler batching policy (see :class:`EDFBatchScheduler`).
     adaptive_wait:

@@ -99,10 +99,12 @@ def _batch_decode_hints(batch: DecodeBatch,
     """Resolve one pack's ``(rng, threads)`` decode overrides.
 
     The scheduler queues each draw discipline separately, so the first job
-    speaks for all.  The thread count is the largest per-job hint, falling
-    back to the worker's budget when no job carries one — and clamped to 1
-    under the sequential discipline, whose cext calls spread a pack's
-    blocks, or one block's replicas, across cores by themselves.
+    speaks for all.  The thread count — the OpenMP width of the pack's one
+    counter call — is the largest per-job hint, falling back to the
+    worker's budget when no job carries one, and clamped to 1 under the
+    sequential discipline, which takes no width.  At one thread a cext call
+    of either discipline spreads the pack's blocks across the usable CPUs
+    by itself (and a sequential pack of one block its replicas).
     """
     rng_mode = batch.jobs[0].rng_mode
     hints = [int(job.threads) for job in batch.jobs
@@ -189,8 +191,8 @@ def _process_worker_init(
 
     The pool's per-worker kernel-thread budget rides along: it is exported
     as the ``OMP_NUM_THREADS`` cap *before* the decoder is built (so the
-    lazily loaded OpenMP runtime honours it) and caps the CPUs a sequential
-    pack's blocks shard over — the oversubscription guard that stops
+    lazily loaded OpenMP runtime honours it) and caps the CPUs a pack's
+    blocks shard over — the oversubscription guard that stops
     ``num_workers`` processes × per-pack teams from thrashing the machine.
     """
     global _WORKER_DECODER, _WORKER_FAULTS, _WORKER_THREADS
@@ -684,14 +686,15 @@ class WorkerPool:
         for identical cross-mode accounting (neither has a worker of its
         own to replace).
     threads:
-        Per-worker kernel-thread budget applied to packs that carry no
-        per-job ``threads`` hint (only effective under
-        ``rng_mode="counter"`` jobs — the sequential discipline is
-        clamped to 1).  Default ``None`` derives it: process pools get
-        ``max(1, cpu_count // num_workers)`` so ``num_workers`` OpenMP
-        teams never oversubscribe the machine, every other mode gets 1.
-        Process workers also take it as the ``OMP_NUM_THREADS`` cap and
-        as the cap on the CPUs a sequential pack's blocks shard over.
+        Per-worker OpenMP width of one counter pack's kernel call, applied
+        to packs that carry no per-job ``threads`` hint (the sequential
+        discipline is clamped to 1).  Default ``None`` derives it: process
+        pools get ``max(1, cpu_count // num_workers)`` so ``num_workers``
+        OpenMP teams never oversubscribe the machine, every other mode gets
+        1 — a pack's one-thread call of either discipline still shards its
+        blocks over the usable CPUs.  Process workers also take it as the
+        ``OMP_NUM_THREADS`` cap and as the cap on the CPUs a pack's blocks
+        shard over.
     """
 
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,
@@ -733,7 +736,8 @@ class WorkerPool:
             # Oversubscription guard: a process pool's workers each run
             # their own OpenMP team, so the default budget divides the
             # machine between them; threaded/inline pools share one
-            # process (and its GIL) and default to serial kernels.
+            # process and default to one-thread calls, which shard a
+            # pack's blocks over the process's usable CPUs.
             threads = (max(1, (os.cpu_count() or 1) // self.num_workers)
                        if executor is _ProcessExecutor else 1)
         self.threads = check_integer_in_range("threads", threads, minimum=1)

@@ -12,6 +12,9 @@ a compiler builds it, else the NumPy reference loops.  This suite pins:
   on dense and sparse problems, with and without clusters, across
   multi-block packs, ``refresh_values`` rebinds and the full machine model.
 
+A fork guard rides along: sharded one-thread counter packs run no OpenMP
+team, so process pools keep the platform's default start method.
+
 Two structural guards ride along, both clock-free: every sampler shape
 costs exactly **one** dispatch per anneal through its draw discipline's
 single entry point, and the C source's exported symbols, the ctypes
@@ -19,6 +22,7 @@ signature table and the Python dispatch functions name the same set.
 """
 
 import ctypes
+import multiprocessing
 import os
 import re
 import subprocess
@@ -175,6 +179,50 @@ class TestDispatch:
     def test_warmup_is_idempotent(self):
         backends.warmup()
         backends.warmup()
+
+
+@needs_cext
+class TestForkSafety:
+    """libgomp's worker threads do not survive ``fork()``, so a process
+    pool starts by ``spawn`` once this process has run a multi-thread
+    OpenMP team.  A sharded one-thread counter pack runs its block ranges on
+    the helper threads, one-thread kernel calls each: no team, so process
+    pools keep the platform's default start method (fork on Linux)."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the platform's default start method is not fork")
+    def test_sharded_counter_packs_keep_the_fork_start(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.cran import workers
+
+        monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        monkeypatch.setattr(backends, "_SPLIT_SPINS", 0)
+        ranges = []
+        original = backends._cext_colour_arguments
+        monkeypatch.setattr(
+            backends, "_cext_colour_arguments",
+            lambda workspace, blocks, *rest: ranges.append(blocks)
+            or original(workspace, blocks, *rest))
+        sampler = BlockDiagonalSampler(
+            [random_ising(6, 40 + b) for b in range(4)], rng="counter")
+        for seed in range(2):
+            sampler.anneal(schedule(10), 8, [np.random.default_rng(seed + b)
+                                             for b in range(4)])
+        assert ranges == [2, 2, 2, 2]  # two anneals, two ranges each
+        assert not backends.openmp_teams_run()
+        contexts = []
+        stub = SimpleNamespace(Pool=lambda **options: SimpleNamespace(
+            close=lambda: None, join=lambda: None))
+        monkeypatch.setattr(workers.multiprocessing, "get_context",
+                            lambda name=None: contexts.append(name) or stub)
+        for teams in (False, True):  # True: the spawn the flag would buy
+            monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", teams)
+            workers.WorkerPool(num_workers=1, mode="process").close()
+        assert contexts == [None, "spawn"]
+
 
 class TestSymbolTable:
     """The C exports, their ctypes table and the Python dispatch functions

@@ -11,8 +11,9 @@ match the exact law ``p(s) ∝ exp(-E(s) / T)`` under a G-test:
   shape, whose cluster (chain) flips must leave the law invariant too.
 
 The cells are {numpy, cext} x {sequential, counter} plus a 2-block cext
-pack, which a host with two usable CPUs sweeps as two shards (one call
-under ``taskset -c 0``).  The negative control gives the test a known
+pack per discipline: the sequential one a host with two usable CPUs sweeps
+as two shards (one call under ``taskset -c 0``), the counter one always as
+two (``every_block_splits``).  The negative control gives the test a known
 power: the same sampler run at ``2T`` — which is the broken acceptance rule
 ``u < exp(-delta / (2T))`` — must be rejected.  Seeds are fixed, so each
 cell's p-value is one fixed number; the false-alarm budget is ``1e-3`` per
@@ -118,20 +119,32 @@ class TestBoltzmannConformance:
         samples = anneal(sampler, TEMPERATURE, SEED)
         assert g_test(samples, boltzmann_law(ising, TEMPERATURE)) > FALSE_ALARM
 
-    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
-    def test_pack_samples_each_blocks_law(self, problem):
+    @staticmethod
+    def check_pack(problem, rng_mode="sequential"):
         """Two blocks of one structure with their own values, each against
-        its own law: the sharded sequential path on a multi-CPU host."""
+        its own law."""
         if not backends.cext_available():
             pytest.skip("no C compiler for the cext backend")
         build, clusters = PROBLEMS[problem]
         problems = [build(), build(seed=11)]
-        sampler = BlockDiagonalSampler(problems, clusters=clusters)
+        sampler = BlockDiagonalSampler(problems, clusters=clusters,
+                                       rng=rng_mode)
         samples = anneal(sampler, TEMPERATURE,
                          [np.random.default_rng(SEED + b) for b in range(2)])
         for ising, block in zip(problems, sampler.split_samples(samples)):
             law = boltzmann_law(ising, TEMPERATURE)
             assert g_test(block, law) > FALSE_ALARM
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_pack_samples_each_blocks_law(self, problem):
+        """The sharded sequential path on a multi-CPU host."""
+        self.check_pack(problem)
+
+    @pytest.mark.usefixtures("every_block_splits")
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_sharded_counter_pack_samples_each_blocks_law(self, problem):
+        """The counter pack as two block ranges, whatever the host."""
+        self.check_pack(problem, "counter")
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))

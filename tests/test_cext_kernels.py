@@ -21,9 +21,10 @@ pieces:
   generator's published ``bitgen_t`` — equals the ``rng.integers`` loop for
   every BitGenerator, and leaves every generator where that loop leaves it
   (buffered half-word included);
-* a **sharded sequential pack** — its blocks split into one range per
-  usable CPU, swept side by side — equals the one call in spins, generator
-  states and work, and stays one call when blocks share a bit generator;
+* a **sharded pack** of either draw discipline — its blocks split into
+  one range per usable CPU, swept side by side — equals the one call in
+  spins, generator states and work, and stays one call when blocks share a
+  bit generator or a counter call is two or more OpenMP threads wide;
 * **lane halves** — one block's replicas split over two threads, each
   drawing from a C-stepped PCG64 jumped to its own draw offsets — equal
   the one-thread call at any cut, step and jump as NumPy does, fall back to
@@ -425,22 +426,28 @@ class TestSequentialInitialSpins:
                                 reference_rng.bit_generator.state)
 
 
-def embedded_pack(blocks, with_clusters):
+def embedded_pack(blocks, with_clusters, rng="sequential", threads=1):
     """*blocks* 6-user BPSK problems on one clique embedding: one structure,
-    block-level chains as the clusters (or none)."""
+    block-level chains as the clusters (or none).  Block *b* is scaled by
+    ``1 + b / 8``, so no two blocks share a chain coupling: a range that
+    reads another's values shows."""
     problems = [embedded_bpsk(num_users=6, seed=seed)
                 for seed in range(blocks)]
     return BlockDiagonalSampler(
-        [ising for ising, _ in problems],
-        clusters=problems[0][1] if with_clusters else None)
+        [ising.scaled(1 + b / 8) for b, (ising, _) in enumerate(problems)],
+        clusters=problems[0][1] if with_clusters else None, rng=rng,
+        threads=threads)
 
 
 class TestShardedPack:
-    """A sequential colour pack's blocks shard across usable CPUs: contiguous
-    ranges, one ordinary kernel call each, the first on the calling thread
-    and the rest on helper threads.  Block *b* draws only from generator
-    *b*, so the ranges together are the one call — spins, generator states
-    and :class:`SweepWork` — unless two blocks share a bit generator."""
+    """A colour pack's blocks shard across usable CPUs, in either draw
+    discipline: contiguous ranges, one ordinary kernel call each, the first
+    on the calling thread and the rest on helper threads.  Block *b* draws
+    only from generator *b* (sequential) or from its own Philox key, drawn
+    from generator *b* before the call (counter), so the ranges together
+    are the one call — spins, generator states and :class:`SweepWork` —
+    unless two blocks share a bit generator.  A counter call of two or more
+    threads is one OpenMP call instead."""
 
     @staticmethod
     def anneal(monkeypatch, cpus, sampler, random_states, split_spins=0):
@@ -459,11 +466,12 @@ class TestShardedPack:
         monkeypatch.setattr(backends, "_cext_colour_arguments", original)
         return spins, sampler.last_sweep_work, ranges
 
+    @pytest.mark.parametrize("rng", ["sequential", "counter"])
     @pytest.mark.parametrize("with_clusters", [True, False])
     @pytest.mark.parametrize("blocks", [2, 3, 16, 17])
     def test_ranges_are_the_one_call(self, monkeypatch, blocks,
-                                     with_clusters):
-        sampler = embedded_pack(blocks, with_clusters)
+                                     with_clusters, rng):
+        sampler = embedded_pack(blocks, with_clusters, rng)
         reference_rngs = [np.random.default_rng(b) for b in range(blocks)]
         expected, expected_work, ranges = self.anneal(
             monkeypatch, 1, sampler, reference_rngs)
@@ -478,6 +486,23 @@ class TestShardedPack:
             assert work == expected_work
             for rng, reference in zip(rngs, reference_rngs):
                 assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_wide_counter_call_is_one_openmp_call(self, monkeypatch):
+        """``threads=2`` is the OpenMP width of one counter call: on any
+        number of usable CPUs it is that one call, never ranges × team
+        threads, and its bits are the one-thread call's."""
+        sampler = embedded_pack(16, True, "counter")
+        expected, expected_work, _ = self.anneal(
+            monkeypatch, 1, sampler, [np.random.default_rng(b)
+                                      for b in range(16)])
+        sampler = embedded_pack(16, True, "counter", threads=2)
+        for cpus in (1, 2, 64):
+            spins, work, ranges = self.anneal(
+                monkeypatch, cpus, sampler, [np.random.default_rng(b)
+                                             for b in range(16)])
+            assert ranges == [16]
+            assert spins.tobytes() == expected.tobytes()
+            assert work == expected_work
 
     @pytest.mark.parametrize("form", ["same generator",
                                       "one bit generator under two"])

@@ -27,6 +27,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -907,8 +908,8 @@ def serve_in_packs(jobs, pack=16, **pool_options):
 
 @needs_cext
 class TestShardedServing:
-    """Sharded sequential packs (two usable CPUs, whatever the host) under
-    the pool modes that run them: bits equal to inline serving."""
+    """Sharded packs (two usable CPUs, whatever the host) under the pool
+    modes that run them: bits equal to inline serving."""
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",
@@ -943,6 +944,28 @@ class TestShardedServing:
         expected = serve_in_packs(jobs)
         served = serve_in_packs(jobs, num_workers=2, mode="thread")
         for got, want in zip(served, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_counter_packs_under_a_crowded_thread_pool(self, monkeypatch):
+        """Four workers on two usable CPUs each shard their one-thread
+        counter packs over the one helper pool, the switch interval cut so
+        the GIL changes hands mid-call: bits equal inline serving."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        jobs = [replace(job, rng_mode="counter", threads=1)
+                for job in qpsk_jobs(64)]
+        expected = serve_in_packs(jobs)
+        served, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            serving = threading.Thread(
+                daemon=True, target=lambda: served.append(serve_in_packs(
+                    jobs, num_workers=4, mode="thread")))
+            serving.start()
+            serving.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert served, "the thread pool did not finish"
+        for got, want in zip(served[0], expected, strict=True):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("budget", [-1, 0])
