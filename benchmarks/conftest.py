@@ -7,9 +7,14 @@ the whole suite completes in minutes.  Set ``QUAMAX_BENCH_SCALE=paper`` in the
 environment to run the drivers at a statistical weight closer to the paper's
 (much slower).
 
-The printed tables of each run are written to the tracked
-``benchmarks/output/*.txt``, so a regenerated number can be quoted from, and
-diffed against, a concrete file.
+The tracked ``benchmarks/output/*.txt`` are the quick-scale tables,
+declared goldens: a regenerated table must equal its file byte for byte.
+After an *intentional* change to a table, rewrite the files with::
+
+    UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest benchmarks
+
+and commit them with a changelog note.  At ``QUAMAX_BENCH_SCALE=paper`` the
+tables are written without comparing.
 """
 
 import os
@@ -31,9 +36,12 @@ from repro.experiments.config import ExperimentConfig  # noqa: E402
 OUTPUT_DIR = Path(__file__).resolve().parent / "output"
 
 
+def _paper_scale() -> bool:
+    return os.environ.get("QUAMAX_BENCH_SCALE", "quick") == "paper"
+
+
 def _bench_config() -> ExperimentConfig:
-    scale = os.environ.get("QUAMAX_BENCH_SCALE", "quick")
-    if scale == "paper":
+    if _paper_scale():
         return ExperimentConfig.paper_scale()
     return ExperimentConfig(num_instances=3, num_anneals=60, chip_cells=10,
                             seed=2019)
@@ -54,8 +62,21 @@ def output_dir() -> Path:
 
 @pytest.fixture
 def record_table(output_dir):
-    """Write a regenerated table to benchmarks/output/<name>.txt."""
+    """Check a regenerated table against benchmarks/output/<name>.txt, or
+    write it there (``UPDATE_GOLDENS=1``, or paper scale)."""
+    update = os.environ.get("UPDATE_GOLDENS", "").strip().lower()
+
     def _record(name: str, text: str) -> None:
         path = output_dir / f"{name}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
+        text += "\n"
+        if update not in ("", "0", "false", "no") or _paper_scale():
+            path.write_text(text, encoding="utf-8")
+            return
+        assert path.exists(), (
+            f"table golden {name!r} is missing; generate it with "
+            f"UPDATE_GOLDENS=1 and commit benchmarks/output/{name}.txt")
+        assert text == path.read_text(encoding="utf-8"), (
+            f"benchmarks/output/{name}.txt differs from the regenerated "
+            "table; after an intentional change rewrite it with "
+            "UPDATE_GOLDENS=1")
     return _record

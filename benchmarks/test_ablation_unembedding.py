@@ -24,8 +24,7 @@ def _run_ablation(bench_config):
                                            extended_range=False)
     total = {"majority_errors": 0, "discard_errors": 0, "broken": 0.0,
              "discarded_fraction": 0.0, "instances": 0}
-    for index in range(bench_config.num_instances):
-        record = runner.run_instance(scenario, index, parameters)
+    for record in runner.run_scenario(scenario, parameters):
         run = record.outcome.run
         reduced = record.outcome.reduced
         total["majority_errors"] += record.bit_errors

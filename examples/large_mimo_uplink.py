@@ -13,18 +13,15 @@ of access-point antennas.  For each system size the script reports
   wall-clock per channel use of the batched decode path (all channel uses of
   one size are packed into shared QA runs, Section 5.5).
 
-One performance knob of the decode stack is demonstrated at the end:
-``chunk_size=`` on
-:meth:`~repro.decoder.pipeline.OFDMDecodingPipeline.decode_frame` with
-``batched=True`` decodes the frame's subcarriers in chunks of that size
-through the packed QA path, stopping at the first chunk boundary after the
-frame completes — the serial path's early-exit savings at batched
-throughput, bit-identical to the serial decode for the same seed.
+The frame decode's early exit is demonstrated at the end:
+:meth:`~repro.decoder.pipeline.OFDMDecodingPipeline.decode_frame` packs
+only the subcarriers the running estimate says the frame still needs, so it
+decodes no subcarrier past the one that completes the frame.
 
 Run with::
 
     python examples/large_mimo_uplink.py [--users 8 12 16] [--modulation QPSK]
-        [--chunk-size 2] [--frame-bytes 3]
+        [--frame-bytes 3]
 """
 
 from __future__ import annotations
@@ -94,11 +91,10 @@ def evaluate_size(num_users: int, modulation: str, snr_db: float,
     }
 
 
-def demonstrate_chunk_size_knob(num_users: int, modulation: str,
-                                snr_db: float, frame_bytes: int,
-                                chunk_size: int, num_subcarriers: int,
-                                seed: int) -> None:
-    """Decode one frame serially, whole-batch and chunked-batch."""
+def demonstrate_frame_early_exit(num_users: int, modulation: str,
+                                 snr_db: float, frame_bytes: int,
+                                 num_subcarriers: int, seed: int) -> None:
+    """Decode one frame out of more subcarriers than it needs."""
     link = MimoUplink(num_users=num_users, constellation=modulation)
     rng = np.random.default_rng(seed)
     channel_uses = [link.transmit(snr_db=snr_db, random_state=rng)
@@ -109,21 +105,14 @@ def demonstrate_chunk_size_knob(num_users: int, modulation: str,
             num_anneals=100)))
     pipeline.decode_subcarriers(channel_uses[:1], random_state=seed)  # warm-up
 
-    print(f"\ndecode_frame chunk_size= knob ({frame_bytes}-byte frame, "
-          f"{num_subcarriers} subcarriers available):")
-    variants = [("serial", dict()),
-                ("batched, whole frame", dict(batched=True)),
-                (f"batched, chunk_size={chunk_size}",
-                 dict(batched=True, chunk_size=chunk_size))]
-    for label, kwargs in variants:
-        start = time.perf_counter()
-        result = pipeline.decode_frame(channel_uses, frame_bytes,
-                                       random_state=seed, **kwargs)
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        print(f"  {label:24s}: decoded {result.num_decoded:2d} subcarriers "
-              f"in {elapsed_ms:6.1f} ms, frame BER "
-              f"{result.bit_error_rate():.4f}, attributed compute "
-              f"{result.total_compute_time_us:7.1f} us")
+    start = time.perf_counter()
+    result = pipeline.decode_frame(channel_uses, frame_bytes,
+                                   random_state=seed)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    print(f"\ndecode_frame ({frame_bytes}-byte frame, {num_subcarriers} "
+          f"subcarriers available): decoded {result.num_decoded} in "
+          f"{elapsed_ms:.1f} ms, frame BER {result.bit_error_rate():.4f}, "
+          f"attributed compute {result.total_compute_time_us:.1f} us")
 
 
 def main() -> None:
@@ -133,7 +122,6 @@ def main() -> None:
     parser.add_argument("--snr-db", type=float, default=20.0)
     parser.add_argument("--channel-uses", type=int, default=3)
     parser.add_argument("--frame-bytes", type=int, default=3)
-    parser.add_argument("--chunk-size", type=int, default=2)
     parser.add_argument("--seed", type=int, default=2019)
     args = parser.parse_args()
 
@@ -150,9 +138,9 @@ def main() -> None:
               f"{row['zf_time_us']:>7.2f}  {row['quamax_ber']:>10.4f}  "
               f"{row['quamax_time_us']:>9.2f}  {row['quamax_wall_ms']:>11.1f}")
 
-    demonstrate_chunk_size_knob(args.users[0], args.modulation, args.snr_db,
-                                args.frame_bytes, args.chunk_size,
-                                num_subcarriers=8, seed=args.seed)
+    demonstrate_frame_early_exit(args.users[0], args.modulation, args.snr_db,
+                                 args.frame_bytes, num_subcarriers=8,
+                                 seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ def main() -> None:
                    for _ in range(num_subcarriers)]
     pipeline = OFDMDecodingPipeline(decoder)
     start = time.perf_counter()
-    report = pipeline.decode_subcarriers_batched(subcarriers, random_state=7)
+    report = pipeline.decode_subcarriers(subcarriers, random_state=7)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     print(f"Batched OFDM decode of {report.num_subcarriers} subcarriers:")
     print(f"  aggregate BER  : {report.bit_error_rate():.3f}")

@@ -62,8 +62,8 @@ class DecodeJob:
         Absolute completion deadline (µs); ``inf`` when best-effort.
     seed:
         Seed material for the job's private random stream.  Decoding the job
-        with :meth:`rng` inside any batch is bit-for-bit identical to a
-        serial ``detect_with_run`` using the same stream.  When omitted the
+        with :meth:`rng` inside any batch is bit-for-bit identical to
+        decoding it alone on the same stream.  When omitted the
         job id is used, keeping manually constructed workloads replayable.
     retries:
         How many times this job has been requeued after a pack failure.

@@ -1,35 +1,23 @@
-"""OFDM multi-subcarrier decoding pipeline, serial and batched.
+"""OFDM multi-subcarrier decoding pipeline.
 
 QuAMax assumes OFDM, so the ML-to-Ising reduction is performed once per
 subcarrier (Section 3.2).  The pipeline decodes a batch of per-subcarrier
 channel uses with one decoder and aggregates frame-level statistics.
 
-Two decode paths are offered:
-
-* :meth:`OFDMDecodingPipeline.decode_subcarriers` submits one QA job per
-  subcarrier (the paper's baseline accounting);
-* :meth:`OFDMDecodingPipeline.decode_subcarriers_batched` realises the
-  Section 5.5 parallelization — small problems leave room on the chip, so
-  *different* subcarriers' problems share one QA run.  Same-size subcarriers
-  are packed into a single block-diagonal replica-batched anneal that shares
-  one embedding, temperature profile and sampler structure, dividing the
-  effective per-subcarrier setup and sampling cost.
-
-Both paths drive every subcarrier from its own child random stream derived
-from the caller's seed, so for a fixed seed the batched decode produces
-bit-for-bit the same per-subcarrier detections as the serial one — batching
-is purely a throughput optimisation.  Frame decoding
-(:meth:`OFDMDecodingPipeline.decode_frame`) layers the early exit on top: the
-serial path stops decoding as soon as the frame is full, and the batched path
-decodes in configurable chunks (``chunk_size=``) so it stops submitting QA
-jobs at the first chunk boundary past frame completion while staying
-bit-identical to the serial decode.
+Every decode goes through :meth:`QuAMaxDecoder.detect_batch`, the Section
+5.5 parallelization: small problems leave room on the chip, so *different*
+subcarriers' problems of one size share one QA run, one embedding,
+temperature profile and sampler structure.  Every subcarrier draws from its
+own child random stream of the caller's seed, so a subcarrier gets the
+bits it gets decoded alone.  Frame decoding
+(:meth:`OFDMDecodingPipeline.decode_frame`) adds the early exit: it packs
+only the channel uses the running estimate says the frame still needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.decoder.quamax import QuAMaxDecoder, QuAMaxDetectionResult
 from repro.exceptions import DetectionError
@@ -37,7 +25,6 @@ from repro.metrics.error_rates import bit_errors
 from repro.mimo.frame import Frame
 from repro.mimo.system import ChannelUse
 from repro.utils.random import RandomState, child_rngs, ensure_rng
-from repro.utils.validation import check_integer_in_range
 
 
 @dataclass(frozen=True)
@@ -95,11 +82,8 @@ class FrameResult:
     """Outcome of a frame decode: the frame plus its compute accounting.
 
     ``subcarrier_results`` holds exactly the channel uses whose bits were
-    accumulated into the frame (the serial early-exit set), so the compute
-    accounting is identical between the serial and chunked-batched paths even
-    when chunking decoded a few subcarriers past the completion point;
-    ``num_decoded`` reports the decode work actually performed, which is how
-    chunk-boundary overshoot stays visible.  The frame's own accounting
+    accumulated into the frame; ``num_decoded`` reports the decode work
+    actually performed.  The frame's own accounting
     (completeness, accumulated bits, bit errors) is re-exposed directly so the
     result can be used wherever a bare :class:`~repro.mimo.frame.Frame` was.
     """
@@ -134,12 +118,8 @@ class FrameResult:
     # -- compute accounting -------------------------------------------- #
     @property
     def total_compute_time_us(self) -> float:
-        """Amortised QA compute time attributed to the frame (µs).
-
-        Sums the subcarriers whose bits entered the frame — the same set the
-        serial early-exit path decodes, so serial and chunked decodes report
-        identical frame compute time.
-        """
+        """Amortised QA compute time attributed to the frame (µs): the sum
+        over the subcarriers whose bits entered the frame."""
         return float(sum(r.compute_time_us for r in self.subcarrier_results))
 
 
@@ -165,38 +145,14 @@ class OFDMDecodingPipeline:
                            random_state: RandomState = None) -> PipelineReport:
         """Decode one channel use per subcarrier and aggregate the outcome.
 
-        Each subcarrier is decoded with its own child random stream, so the
-        result is identical to :meth:`decode_subcarriers_batched` with the
-        same seed.
+        Subcarriers of one problem size and structure are annealed as one
+        packed QA job (Section 5.5), each on its own child stream of
+        *random_state*.
         """
         if not channel_uses:
             raise DetectionError("decode_subcarriers needs at least one channel use")
-        rng = ensure_rng(random_state)
-        rngs = child_rngs(rng, len(channel_uses))
-        report = PipelineReport()
-        for subcarrier, (channel_use, child) in enumerate(
-                zip(channel_uses, rngs)):
-            outcome = self.decoder.detect_with_run(channel_use,
-                                                   random_state=child)
-            report.subcarrier_results.append(
-                self._subcarrier_result(subcarrier, channel_use, outcome))
-        return report
-
-    def decode_subcarriers_batched(self, channel_uses: Sequence[ChannelUse],
-                                   random_state: RandomState = None
-                                   ) -> PipelineReport:
-        """Decode all subcarriers through packed QA jobs (Section 5.5).
-
-        Groups subcarriers with identical problem size/structure and anneals
-        each group as one replica-batched block-diagonal job, amortising the
-        embedding, temperature-profile and sampler-structure setup.  For a
-        fixed seed the report is identical to :meth:`decode_subcarriers`.
-        """
-        if not channel_uses:
-            raise DetectionError(
-                "decode_subcarriers_batched needs at least one channel use")
-        rng = ensure_rng(random_state)
-        outcomes = self.decoder.detect_batch(channel_uses, random_state=rng)
+        outcomes = self.decoder.detect_batch(
+            channel_uses, random_state=ensure_rng(random_state))
         report = PipelineReport()
         for subcarrier, (channel_use, outcome) in enumerate(
                 zip(channel_uses, outcomes)):
@@ -226,99 +182,42 @@ class OFDMDecodingPipeline:
 
     def decode_frame(self, channel_uses: Sequence[ChannelUse],
                      frame_size_bytes: int,
-                     random_state: RandomState = None,
-                     batched: bool = False,
-                     chunk_size: Union[int, Literal["auto"], None] = None
-                     ) -> FrameResult:
+                     random_state: RandomState = None) -> FrameResult:
         """Decode channel uses into a frame and return its error accounting.
 
-        The serial path decodes one channel use at a time and stops as soon
-        as the frame is complete.  With ``batched=True`` channel uses are
-        decoded through the packed QA path in chunks of *chunk_size* (the
-        whole frame at once when omitted); the early exit is honoured
-        *between* chunks, so a small chunk size recovers the serial path's
-        work savings while each chunk still amortises its QA setup.
+        Channel uses are decoded in packed QA jobs whose size comes from the
+        running decode estimate: before each submission the pipeline
+        projects how many of the upcoming channel uses fill the frame's
+        remaining bits, given the payload credited so far.  The first pack
+        therefore ends exactly where the frame completes, and decoding stops
+        there.
 
-        ``chunk_size="auto"`` sizes every chunk from the running decode
-        estimate instead of a fixed number: before each submission the
-        pipeline projects how many of the upcoming channel uses are needed to
-        fill the frame's remaining bits, given the payload actually credited
-        so far.  The first chunk therefore lands exactly on the serial early
-        exit point (``num_decoded`` matches the serial path, closing the
-        fixed-chunk efficiency gap), while still decoding it as a single
-        packed QA submission.
-
-        Every subcarrier keeps its own child random stream derived from
-        *random_state* — derived once for the whole frame, independent of
-        chunking — so all paths produce bit-identical frames and identical
-        :class:`FrameResult` accounting for a fixed seed; chunking only
-        changes ``num_decoded``, the work performed past the exit point.
+        Every subcarrier keeps its own child random stream derived once for
+        the whole frame from *random_state*, so the frame and its accounting
+        are the ones a decode of one channel use at a time produces.
         """
         channel_uses = list(channel_uses)
-        auto_chunks = False
-        if chunk_size is not None:
-            if not batched:
-                raise DetectionError(
-                    "chunk_size only applies to the batched decode path")
-            if chunk_size == "auto":
-                auto_chunks = True
-                chunk_size = None
-            else:
-                chunk_size = check_integer_in_range("chunk_size", chunk_size,
-                                                    minimum=1)
         for channel_use in channel_uses:
             if channel_use.transmitted_bits is None:
                 raise DetectionError(
                     "frame decoding requires ground-truth bits on every "
                     "channel use"
                 )
-        rng = ensure_rng(random_state)
-        rngs = list(child_rngs(rng, len(channel_uses)))
+        rngs = list(child_rngs(ensure_rng(random_state), len(channel_uses)))
         frame = Frame(size_bytes=frame_size_bytes)
         accumulated: List[SubcarrierResult] = []
-        num_decoded = 0
-
-        def accumulate(subcarrier: int, channel_use: ChannelUse,
-                       outcome: QuAMaxDetectionResult) -> None:
-            frame.add(channel_use.transmitted_bits, outcome.detection.bits)
-            accumulated.append(
-                self._subcarrier_result(subcarrier, channel_use, outcome))
-
-        if batched:
-            if not channel_uses:
-                raise DetectionError(
-                    "batched frame decoding needs at least one channel use")
-            start = 0
-            while start < len(channel_uses):
-                if auto_chunks:
-                    step = max(1, self._auto_chunk_size(
-                        channel_uses, start,
-                        frame.size_bits - frame.bits_accumulated))
-                else:
-                    step = (chunk_size if chunk_size is not None
-                            else len(channel_uses))
-                chunk = channel_uses[start:start + step]
-                outcomes = self.decoder.detect_batch(
-                    chunk, random_states=rngs[start:start + len(chunk)])
-                num_decoded += len(chunk)
-                for offset, (channel_use, outcome) in enumerate(
-                        zip(chunk, outcomes)):
-                    if frame.is_complete:
-                        break
-                    accumulate(start + offset, channel_use, outcome)
-                if frame.is_complete:
-                    break
-                start += step
-            return FrameResult(frame=frame, subcarrier_results=accumulated,
-                               num_decoded=num_decoded)
-
-        for subcarrier, (channel_use, child) in enumerate(
-                zip(channel_uses, rngs)):
-            outcome = self.decoder.detect_with_run(channel_use,
-                                                   random_state=child)
-            num_decoded += 1
-            accumulate(subcarrier, channel_use, outcome)
-            if frame.is_complete:
-                break
+        start = 0
+        while start < len(channel_uses) and not frame.is_complete:
+            step = self._auto_chunk_size(
+                channel_uses, start, frame.size_bits - frame.bits_accumulated)
+            chunk = channel_uses[start:start + step]
+            outcomes = self.decoder.detect_batch(
+                chunk, random_states=rngs[start:start + step])
+            for subcarrier, (channel_use, outcome) in enumerate(
+                    zip(chunk, outcomes), start):
+                frame.add(channel_use.transmitted_bits, outcome.detection.bits)
+                accumulated.append(self._subcarrier_result(
+                    subcarrier, channel_use, outcome))
+            start += len(chunk)
         return FrameResult(frame=frame, subcarrier_results=accumulated,
-                           num_decoded=num_decoded)
+                           num_decoded=start)

@@ -132,15 +132,12 @@ class QuAMaxDecoder(Detector):
     def detect_with_run(self, channel_use: ChannelUse,
                         parameters: Optional[AnnealerParameters] = None,
                         random_state: RandomState = None) -> QuAMaxDetectionResult:
-        """Full QuAMax decode returning annealer statistics as well."""
-        self._check_square_or_tall(channel_use)
-        parameters = parameters or self.parameters
+        """Full QuAMax decode returning annealer statistics as well: a
+        one-job :meth:`detect_batch` on *random_state*, else on the
+        decoder's own generator."""
         rng = ensure_rng(random_state) if random_state is not None else self._rng
-
-        reduced = self._reducer.reduce(channel_use)
-        run = self.annealer.run(reduced.ising, parameters, random_state=rng,
-                                rng=self.rng_mode, threads=self.threads)
-        return self._assemble_pack([reduced], [run], parameters)[0]
+        return self.detect_batch([channel_use], parameters,
+                                 random_states=[rng])[0]
 
     def detect_batch(self, channel_uses: Sequence[ChannelUse],
                      parameters: Optional[AnnealerParameters] = None,
@@ -159,11 +156,9 @@ class QuAMaxDecoder(Detector):
         paper's Section 5.5 parallelization).
 
         Each channel use is decoded with its own child generator derived from
-        *random_state*, in exactly the stream a serial
-        :meth:`detect_with_run` with that child would consume — so the
-        returned results are bit-for-bit identical to serial decoding,
-        independent of how the problems were grouped.  Callers that have
-        already derived per-use streams (e.g. the chunked frame decode,
+        *random_state*, so a job's bits are the ones a one-job call on that
+        child gives, independent of how the problems were grouped.  Callers
+        that have already derived per-use streams (e.g. the frame decode,
         which derives one child per subcarrier of the *whole* frame and
         submits a chunk at a time) pass them via *random_states* instead;
         *random_state* is then ignored.

@@ -103,9 +103,8 @@ def run(config: ExperimentConfig,
     profiles: List[SolutionRankProfile] = []
     for modulation, num_users in scenarios:
         scenario = MimoScenario(modulation, num_users, snr_db=None)
-        for index in range(instances_per_scenario):
-            record = runner.run_instance(scenario, index)
-            profiles.append(profile_from_record(record))
+        profiles.extend(map(profile_from_record, runner.run_scenario(
+            scenario, num_instances=instances_per_scenario)))
     return Fig04Result(profiles=profiles)
 
 

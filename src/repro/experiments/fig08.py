@@ -103,16 +103,14 @@ def run(config: ExperimentConfig,
 
     curves: List[BerCurve] = []
     for schedule_label, schedule in schedules.items():
+        # One pack per chain strength; an instance's candidates are its
+        # record in each.
+        packs = [runner.run_scenario(mimo_scenario, runner.default_parameters(
+            schedule=schedule, chain_strength=chain_strength))
+            for chain_strength in opt_chain_strengths]
         fixed_profiles: List[InstanceSolutionProfile] = []
         opt_profiles: List[InstanceSolutionProfile] = []
-        for index in range(config.num_instances):
-            channel_use = runner.make_channel_use(mimo_scenario, index)
-            candidates: List[InstanceRecord] = []
-            for chain_strength in opt_chain_strengths:
-                parameters = runner.default_parameters(
-                    schedule=schedule, chain_strength=chain_strength)
-                candidates.append(runner.run_instance(
-                    mimo_scenario, index, parameters, channel_use=channel_use))
+        for candidates in zip(*packs):
             fixed_record = next(
                 (record for record in candidates
                  if record.outcome.run.parameters.chain_strength

@@ -77,9 +77,9 @@ def run(config: ExperimentConfig,
             snr_db=snr_db,
             random_state=noise_rng,
         )
-        record = runner.run_instance(
-            MimoScenario(modulation, num_users, snr_db), 0,
-            channel_use=channel_use)
+        record, = runner.run_scenario(
+            MimoScenario(modulation, num_users, snr_db),
+            channel_uses=[channel_use])
         run_result = record.outcome.run
         energies = run_result.solutions.energies
         if energies.size > 1 and energies[0] != 0:

@@ -107,37 +107,31 @@ class ScenarioRunner:
                               outcome=outcome,
                               ground_truth_energy=ground_truth_energy)
 
-    def run_instance(self, scenario: MimoScenario, instance_index: int,
-                     parameters: Optional[AnnealerParameters] = None,
-                     channel_use: Optional[ChannelUse] = None) -> InstanceRecord:
-        """Run QuAMax on one instance of a scenario."""
-        if channel_use is None:
-            channel_use = self.make_channel_use(scenario, instance_index)
-        parameters = parameters or self.default_parameters()
-        outcome = QuAMaxDecoder(self.annealer, parameters).detect_with_run(
-            channel_use, parameters,
-            random_state=self._qa_rng(scenario, instance_index))
-        return self._record(scenario, instance_index, outcome)
-
     def run_scenario(self, scenario: MimoScenario,
                      parameters: Optional[AnnealerParameters] = None,
-                     num_instances: Optional[int] = None) -> List[InstanceRecord]:
+                     num_instances: Optional[int] = None,
+                     channel_uses: Optional[Sequence[ChannelUse]] = None
+                     ) -> List[InstanceRecord]:
         """Run QuAMax over all instances of a scenario.
 
         The instances are decoded by ONE
         :meth:`~repro.decoder.quamax.QuAMaxDecoder.detect_batch` call, each
         on its own ``"qa-run"`` stream — the pack pipeline the serving
-        benchmark measures, and record for record what
-        ``[run_instance(scenario, i, parameters) ...]`` returns (packing
-        never changes a job's bits).
+        benchmark measures; packing never changes a job's bits.
+        *channel_uses*, when given, are the instances in place of
+        *num_instances* generated ones (a fixed channel, say): instance
+        ``i`` decodes ``channel_uses[i]``.
         """
-        count = num_instances if num_instances is not None else self.config.num_instances
+        if channel_uses is None:
+            count = (num_instances if num_instances is not None
+                     else self.config.num_instances)
+            channel_uses = [self.make_channel_use(scenario, index)
+                            for index in range(count)]
         parameters = parameters or self.default_parameters()
         outcomes = QuAMaxDecoder(self.annealer, parameters).detect_batch(
-            [self.make_channel_use(scenario, index) for index in range(count)],
-            parameters,
+            channel_uses, parameters,
             random_states=[self._qa_rng(scenario, index)
-                           for index in range(count)])
+                           for index in range(len(channel_uses))])
         return [self._record(scenario, index, outcome)
                 for index, outcome in enumerate(outcomes)]
 

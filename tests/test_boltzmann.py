@@ -13,7 +13,8 @@ match the exact law ``p(s) ∝ exp(-E(s) / T)`` under a G-test:
 The cells are {numpy, cext} x {sequential, counter} plus a 2-block cext
 pack per discipline: the sequential one a host with two usable CPUs sweeps
 as two shards (one call under ``taskset -c 0``), the counter one always as
-two (``every_block_splits``).  The negative control gives the test a known
+two (``every_block_splits``); and one sequential cext block always swept as
+two lane halves (``every_block_splits`` again).  The negative control gives the test a known
 power: the same sampler run at ``2T`` — which is the broken acceptance rule
 ``u < exp(-delta / (2T))`` — must be rejected.  Seeds are fixed, so each
 cell's p-value is one fixed number; the false-alarm budget is ``1e-3`` per
@@ -145,6 +146,20 @@ class TestBoltzmannConformance:
     def test_sharded_counter_pack_samples_each_blocks_law(self, problem):
         """The counter pack as two block ranges, whatever the host."""
         self.check_pack(problem, "counter")
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_lane_halves_sample_the_law(self, problem, every_block_splits):
+        """One sequential block as two lane halves on two threads, whatever
+        the host."""
+        if not backends.cext_available():
+            pytest.skip("no C compiler for the cext backend")
+        build, clusters = PROBLEMS[problem]
+        ising = build()
+        splits = every_block_splits["splits"]
+        samples = anneal(IsingSampler(ising, clusters=clusters),
+                         TEMPERATURE, SEED)
+        assert every_block_splits["splits"] > splits
+        assert g_test(samples, boltzmann_law(ising, TEMPERATURE)) > FALSE_ALARM
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))

@@ -2,8 +2,8 @@
 
 The acceptance-critical properties live here:
 
-(a) batched serving is *bit-identical* per job to serial ``detect_with_run``
-    decoding under a fixed seed — batching is purely a throughput/latency
+(a) batched serving is *bit-identical* per job to a one-job
+    ``detect_with_run`` decode under a fixed seed — batching is purely a throughput/latency
     policy, never a numerics change;
 (b) on a saturating load, packs of 16 finish every job sooner on the
     virtual clock than a batch-size-1 scheduler does, because the per-pack
@@ -240,8 +240,8 @@ class TestBatchedServingBitIdentical:
         # Batches actually formed (this must not silently serialise).
         assert report.telemetry["mean_batch_fill"] > 1.0
 
-        # A *fresh* machine decodes each job serially from the job's own
-        # stream; the service results must match bit for bit.
+        # A *fresh* machine decodes each job alone, a one-job pack on the
+        # job's own stream; the service results must match bit for bit.
         serial = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)), parameters)
         for result in report.results:

@@ -8,9 +8,10 @@ from repro.annealer.ice import ICEModel
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.decoder.pipeline import OFDMDecodingPipeline, PipelineReport
 from repro.decoder.quamax import QuAMaxDecoder
-from repro.exceptions import ConfigurationError, DetectionError
+from repro.exceptions import DetectionError
 from repro.mimo.system import ChannelUse, MimoUplink
 from repro.modulation import QPSK
+from repro.utils.random import child_rngs, ensure_rng
 
 
 @pytest.fixture(scope="module")
@@ -60,28 +61,22 @@ class TestDecodeSubcarriers:
         report = pipeline.decode_subcarriers(channel_uses, random_state=3)
         assert [r.subcarrier for r in report.subcarrier_results] == [0, 1, 2, 3]
 
-
-class TestDecodeSubcarriersBatched:
-    def test_batched_report_matches_serial(self, pipeline):
+    def test_pack_is_the_one_job_decodes(self, pipeline):
         channel_uses = make_channel_uses(4, seed=7)
-        serial = pipeline.decode_subcarriers(channel_uses, random_state=5)
-        batched = pipeline.decode_subcarriers_batched(channel_uses,
-                                                      random_state=5)
-        assert batched.num_subcarriers == serial.num_subcarriers
-        assert batched.total_bit_errors == serial.total_bit_errors
-        for a, b in zip(serial.subcarrier_results, batched.subcarrier_results):
-            np.testing.assert_array_equal(a.result.detection.bits,
-                                          b.result.detection.bits)
+        report = pipeline.decode_subcarriers(channel_uses, random_state=5)
+        alone = one_job_decodes(pipeline.decoder, channel_uses, 5)
+        assert report.num_subcarriers == len(alone)
+        for got, want in zip(report.subcarrier_results, alone):
+            np.testing.assert_array_equal(got.result.detection.bits,
+                                          want.detection.bits)
 
-    def test_batched_noiseless_zero_ber(self, pipeline):
-        channel_uses = make_channel_uses(3, seed=8)
-        report = pipeline.decode_subcarriers_batched(channel_uses,
-                                                     random_state=1)
-        assert report.total_bit_errors == 0
 
-    def test_batched_empty_input_rejected(self, pipeline):
-        with pytest.raises(DetectionError):
-            pipeline.decode_subcarriers_batched([])
+def one_job_decodes(decoder, channel_uses, seed):
+    """Every subcarrier decoded alone, as a one-job decode on its own child
+    stream of *seed*: what the packed paths must reproduce."""
+    children = child_rngs(ensure_rng(seed), len(channel_uses))
+    return [decoder.detect_with_run(use, random_state=child)
+            for use, child in zip(channel_uses, children)]
 
 
 class CountingDecoder:
@@ -97,122 +92,48 @@ class CountingDecoder:
         self.uses_decoded += len(channel_uses)
         return self.inner.detect_batch(channel_uses, **kwargs)
 
-    def detect_with_run(self, channel_use, **kwargs):
-        self.uses_decoded += 1
-        return self.inner.detect_with_run(channel_use, **kwargs)
 
+class TestFrameDecodeRunningEstimate:
+    """decode_frame sizes every pack from the running decode estimate."""
 
-class TestChunkedFrameDecode:
-    """Chunked batched decode_frame: early exit and accounting parity."""
-
-    def _counting_pipeline(self, pipeline):
-        counter = CountingDecoder(pipeline.decoder)
-        return OFDMDecodingPipeline(counter), counter
-
-    def test_early_exit_skips_remaining_chunks(self, pipeline):
-        # 3 users x 2 bits = 6 bits per use; a 3-byte frame completes after
-        # 4 uses, so chunks of 2 need exactly 2 batch submissions.
-        channel_uses = make_channel_uses(10, seed=9)
-        counting, counter = self._counting_pipeline(pipeline)
-        result = counting.decode_frame(channel_uses, frame_size_bytes=3,
-                                       random_state=12, batched=True,
-                                       chunk_size=2)
-        assert result.is_complete
-        assert counter.batch_calls == 2
-        assert counter.uses_decoded == 4
-        assert result.num_decoded == 4
-
-    def test_unchunked_batched_decodes_everything(self, pipeline):
-        channel_uses = make_channel_uses(10, seed=9)
-        counting, counter = self._counting_pipeline(pipeline)
-        result = counting.decode_frame(channel_uses, frame_size_bytes=3,
-                                       random_state=12, batched=True)
-        assert counter.batch_calls == 1
-        assert counter.uses_decoded == 10
-        assert result.num_decoded == 10
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 5, 10])
-    def test_accounting_identical_to_serial(self, pipeline, chunk_size):
-        channel_uses = make_channel_uses(10, seed=10)
-        serial = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                       random_state=13)
-        chunked = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                        random_state=13, batched=True,
-                                        chunk_size=chunk_size)
-        assert chunked.bits_accumulated == serial.bits_accumulated
-        assert chunked.bit_errors() == serial.bit_errors()
-        assert chunked.bit_error_rate() == serial.bit_error_rate()
-        assert chunked.total_compute_time_us == serial.total_compute_time_us
-        assert (len(chunked.subcarrier_results)
-                == len(serial.subcarrier_results))
-        for a, b in zip(serial.subcarrier_results, chunked.subcarrier_results):
-            assert a.subcarrier == b.subcarrier
-            np.testing.assert_array_equal(a.result.detection.bits,
-                                          b.result.detection.bits)
-        # Chunking may only overshoot in whole chunks past the serial count.
-        assert chunked.num_decoded >= serial.num_decoded
-        assert chunked.num_decoded - serial.num_decoded < chunk_size
-
-    def test_chunk_size_requires_batched(self, pipeline):
-        channel_uses = make_channel_uses(2, seed=11)
-        with pytest.raises(DetectionError):
-            pipeline.decode_frame(channel_uses, frame_size_bytes=1,
-                                  random_state=0, chunk_size=2)
-        with pytest.raises(DetectionError):
-            pipeline.decode_frame(channel_uses, frame_size_bytes=1,
-                                  random_state=0, chunk_size="auto")
-
-    def test_invalid_chunk_size_rejected(self, pipeline):
-        channel_uses = make_channel_uses(2, seed=11)
-        with pytest.raises(ConfigurationError):
-            pipeline.decode_frame(channel_uses, frame_size_bytes=1,
-                                  random_state=0, batched=True, chunk_size=0)
-
-
-class TestAutoChunkedFrameDecode:
-    """chunk_size="auto": adaptive sizing from the running decode estimate."""
-
-    def test_auto_lands_on_serial_exit_in_one_submission(self, pipeline):
+    def test_lands_on_the_exit_in_one_submission(self, pipeline):
         # 3 users x 2 bits = 6 bits per use; a 3-byte frame needs exactly 4
         # uses, and the running estimate knows that before the first chunk.
         channel_uses = make_channel_uses(10, seed=9)
         counter = CountingDecoder(pipeline.decoder)
         counting = OFDMDecodingPipeline(counter)
         result = counting.decode_frame(channel_uses, frame_size_bytes=3,
-                                       random_state=12, batched=True,
-                                       chunk_size="auto")
+                                       random_state=12)
         assert result.is_complete
         assert counter.batch_calls == 1
         assert counter.uses_decoded == 4
         assert result.num_decoded == 4
 
-    def test_auto_matches_serial_work_exactly(self, pipeline):
+    def test_frame_is_the_one_job_decodes(self, pipeline):
         channel_uses = make_channel_uses(10, seed=10)
-        serial = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                       random_state=13)
-        auto = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                     random_state=13, batched=True,
-                                     chunk_size="auto")
-        # Fixed-size chunking may overshoot by up to a chunk; auto must not
-        # overshoot at all (this is the fixed-chunk efficiency gap closing).
-        assert auto.num_decoded == serial.num_decoded
-        assert auto.bits_accumulated == serial.bits_accumulated
-        assert auto.bit_errors() == serial.bit_errors()
-        assert auto.total_compute_time_us == serial.total_compute_time_us
-        for a, b in zip(serial.subcarrier_results, auto.subcarrier_results):
-            assert a.subcarrier == b.subcarrier
-            np.testing.assert_array_equal(a.result.detection.bits,
-                                          b.result.detection.bits)
+        frame = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
+                                      random_state=13)
+        alone = one_job_decodes(pipeline.decoder, channel_uses, 13)
+        # Nothing past the exit point: 24 frame bits are four 6-bit uses.
+        assert frame.num_decoded == len(frame.subcarrier_results) == 4
+        assert frame.total_compute_time_us == sum(
+            outcome.compute_time_us for outcome in alone[:4])
+        for index, (got, want) in enumerate(
+                zip(frame.subcarrier_results, alone)):
+            assert got.subcarrier == index
+            np.testing.assert_array_equal(got.result.detection.bits,
+                                          want.detection.bits)
+            np.testing.assert_array_equal(got.result.run.solutions.samples,
+                                          want.run.solutions.samples)
 
-    def test_auto_estimate_walks_actual_payload_sizes(self, pipeline):
+    def test_estimate_walks_actual_payload_sizes(self, pipeline):
         # A frame larger than the remaining channel uses: the estimate caps
         # at the available uses and decodes them all in one submission.
         channel_uses = make_channel_uses(3, seed=12)
         counter = CountingDecoder(pipeline.decoder)
         counting = OFDMDecodingPipeline(counter)
         result = counting.decode_frame(channel_uses, frame_size_bytes=50,
-                                       random_state=14, batched=True,
-                                       chunk_size="auto")
+                                       random_state=14)
         assert not result.is_complete
         assert counter.batch_calls == 1
         assert result.num_decoded == 3
@@ -243,6 +164,12 @@ class TestDecodeFrame:
                                constellation=QPSK)
         with pytest.raises(DetectionError):
             pipeline.decode_frame([anonymous], frame_size_bytes=1)
+
+    def test_no_channel_use_is_an_empty_frame(self, pipeline):
+        result = pipeline.decode_frame([], frame_size_bytes=1, random_state=0)
+        assert not result.is_complete
+        assert result.num_decoded == result.bits_accumulated == 0
+        assert result.subcarrier_results == []
 
     def test_frame_stops_once_complete(self, pipeline):
         channel_uses = make_channel_uses(10, seed=5)

@@ -199,7 +199,8 @@ class TestPackAssembly:
                                                   count, reads):
         """The pack's two edges moved (one stacked reduction in, one C call
         for the starting configuration); every job still gets exactly what
-        a serial ``detect_with_run`` on its own stream gives it."""
+        a one-job ``detect_with_run`` on its own stream gives it, and the
+        problem the per-job reduction builds."""
         parameters = AnnealerParameters(num_anneals=reads,
                                         chain_strength=3.0)
         decoder = QuAMaxDecoder(noisy_machine, parameters)
@@ -213,13 +214,14 @@ class TestPackAssembly:
                 b = getattr(alone.run.solutions, name)
                 assert (a.dtype, a.shape) == (b.dtype, b.shape)
                 assert a.tobytes() == b.tobytes()
+            reference = MLToIsingReducer().reduce(channel_use).ising
             for problem in (outcome.reduced.ising,
                             outcome.run.logical_ising):
                 assert (problem.linear.tobytes()
-                        == alone.reduced.ising.linear.tobytes())
+                        == reference.linear.tobytes())
                 assert (problem.coupling_values.tobytes()
-                        == alone.reduced.ising.coupling_values.tobytes())
-                assert problem.offset == alone.reduced.ising.offset
+                        == reference.coupling_values.tobytes())
+                assert problem.offset == reference.offset
             assert outcome.run.logical_ising is outcome.reduced.ising
 
     def test_single_run_is_the_pack_of_one(self, noisy_machine):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.annealer.machine import QuantumAnnealerSimulator
 from repro.channel.models import RandomPhaseChannel
+from repro.decoder.quamax import QuAMaxDecoder
 from repro.experiments.config import ExperimentConfig, MimoScenario
 from repro.experiments.runner import InstanceRecord, ScenarioRunner, format_table
 
@@ -91,8 +92,8 @@ class TestScenarioRunner:
         override = runner.default_parameters(chain_strength=9.0)
         assert override.chain_strength == 9.0
 
-    def test_run_instance_produces_record(self, runner):
-        record = runner.run_instance(MimoScenario("BPSK", 6), 0)
+    def test_run_scenario_produces_records(self, runner):
+        record, = runner.run_scenario(MimoScenario("BPSK", 6), num_instances=1)
         assert isinstance(record, InstanceRecord)
         assert record.bit_errors >= 0
         assert record.profile.num_bits == 6
@@ -103,18 +104,42 @@ class TestScenarioRunner:
         records = runner.run_scenario(MimoScenario("BPSK", 4), num_instances=2)
         assert len(records) == 2
 
+    def test_given_channel_uses_are_the_instances(self, runner):
+        scenario = MimoScenario("BPSK", 4, 10.0)
+        uses = [runner.make_channel_use(scenario, index) for index in (0, 1)]
+        given = runner.run_scenario(scenario, channel_uses=uses)
+        generated = runner.run_scenario(scenario, num_instances=2)
+        assert [r.instance_index for r in given] == [0, 1]
+        for use, got, want in zip(uses, given, generated):
+            assert got.outcome.reduced.channel_use is use
+            np.testing.assert_array_equal(got.outcome.run.solutions.samples,
+                                          want.outcome.run.solutions.samples)
+
+    @staticmethod
+    def one_job_record(runner, scenario, index):
+        """Instance *index* decoded alone: a one-job ``detect_batch`` on its
+        own ``"qa-run"`` stream."""
+        parameters = runner.default_parameters()
+        outcome = QuAMaxDecoder(runner.annealer, parameters).detect_with_run(
+            runner.make_channel_use(scenario, index), parameters,
+            random_state=runner._qa_rng(scenario, index))
+        return runner._record(scenario, index, outcome)
+
     @pytest.mark.parametrize("scenario", [
         MimoScenario("BPSK", 12), MimoScenario("QPSK", 6),
         MimoScenario("BPSK", 12, 10.0), MimoScenario("16-QAM", 3, 20.0)])
-    def test_run_scenario_is_the_run_instances(self, scenario):
+    def test_run_scenario_is_the_one_job_runs(self, scenario):
         """``run_scenario`` decodes its instances as ONE ``detect_batch``
-        pack; every record must be the one ``run_instance`` produces alone
-        (the end-to-end figure tests' configuration)."""
+        pack; every record must be the one its instance gets decoded alone
+        (the end-to-end figure tests' configuration), and a one-instance
+        ``run_scenario`` is that one-job decode."""
         config = ExperimentConfig(num_instances=2, num_anneals=30,
                                   chip_cells=8, seed=21)
         packed = ScenarioRunner(config).run_scenario(scenario)
-        alone = [ScenarioRunner(config).run_instance(scenario, index)
+        alone = [self.one_job_record(ScenarioRunner(config), scenario, index)
                  for index in range(config.num_instances)]
+        alone[0:1] = ScenarioRunner(config).run_scenario(scenario,
+                                                         num_instances=1)
         assert len(packed) == len(alone)
         for got, want in zip(packed, alone):
             assert (got.scenario, got.instance_index) == (
@@ -133,8 +158,8 @@ class TestScenarioRunner:
 
     def test_runs_are_reproducible(self):
         config = ExperimentConfig(num_instances=1, num_anneals=10, chip_cells=6)
-        first = ScenarioRunner(config).run_instance(MimoScenario("BPSK", 6), 0)
-        second = ScenarioRunner(config).run_instance(MimoScenario("BPSK", 6), 0)
+        first, = ScenarioRunner(config).run_scenario(MimoScenario("BPSK", 6))
+        second, = ScenarioRunner(config).run_scenario(MimoScenario("BPSK", 6))
         assert first.outcome.run.best_energy == second.outcome.run.best_energy
         np.testing.assert_array_equal(first.outcome.detection.bits,
                                       second.outcome.detection.bits)

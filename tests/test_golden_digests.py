@@ -8,8 +8,8 @@ sampler streams underneath them) as committed SHA-256 digests in
 acknowledged by regenerating the fixtures (``UPDATE_GOLDENS=1``) and
 documenting the move in CHANGES.md.
 
-The digests also pin the cross-path contracts: serial, batched and chunked
-decodes of the same seed must all hash to the same per-subcarrier outputs.
+The digests also pin the packing identity: the packed decodes of a seed
+must hash to the outputs of decoding its subcarriers one job at a time.
 Every single-block sequential cext call here sweeps as two lane halves on
 two threads (the ``every_block_splits`` fixture): the goldens hold for it.
 """
@@ -20,14 +20,20 @@ import pytest
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.engine import IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
-from repro.decoder.pipeline import OFDMDecodingPipeline
+from repro.decoder.pipeline import (
+    FrameResult,
+    OFDMDecodingPipeline,
+    PipelineReport,
+)
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.ising.model import IsingModel
 from repro.ising.solver import (
     SimulatedAnnealingSolver,
     geometric_temperature_schedule,
 )
+from repro.mimo.frame import Frame
 from repro.mimo.system import MimoUplink
+from repro.utils.random import child_rngs, ensure_rng
 
 pytestmark = pytest.mark.usefixtures("every_block_splits")
 
@@ -90,51 +96,68 @@ def frame_payload(result):
     }
 
 
+def one_job_report(decoder, channel_uses):
+    """``decode_subcarriers``' report from one-job decodes, each subcarrier
+    on its own child stream of :data:`SEED`: what the pack must equal."""
+    report = PipelineReport()
+    children = child_rngs(ensure_rng(SEED), len(channel_uses))
+    for subcarrier, (use, child) in enumerate(zip(channel_uses, children)):
+        report.subcarrier_results.append(
+            OFDMDecodingPipeline._subcarrier_result(
+                subcarrier, use, decoder.detect_with_run(
+                    use, random_state=child)))
+    return report
+
+
+def one_job_frame(decoder, channel_uses):
+    """``decode_frame``'s result from one-job decodes, stopping at the
+    channel use that completes the frame."""
+    frame, accumulated = Frame(size_bytes=FRAME_BYTES), []
+    for result in one_job_report(decoder, channel_uses).subcarrier_results:
+        if frame.is_complete:
+            break
+        frame.add(result.result.reduced.channel_use.transmitted_bits,
+                  result.result.detection.bits)
+        accumulated.append(result)
+    return FrameResult(frame, accumulated, num_decoded=len(accumulated))
+
+
 class TestGoldenDigests:
+    # The four decode goldens' names are historical: "decode_subcarriers"
+    # and "decode_frame_chunked" hold the one-job decodes, the other two the
+    # packed ones.  Each pair has always been one digest.
     def test_decode_subcarriers(self, pipeline, channel_uses, golden):
-        report = pipeline.decode_subcarriers(channel_uses, random_state=SEED)
-        golden("decode_subcarriers", report_payload(report))
+        golden("decode_subcarriers", report_payload(
+            one_job_report(pipeline.decoder, channel_uses)))
 
     def test_decode_subcarriers_batched(self, pipeline, channel_uses, golden,
                                         array_digest):
-        serial = pipeline.decode_subcarriers(channel_uses, random_state=SEED)
-        batched = pipeline.decode_subcarriers_batched(channel_uses,
-                                                      random_state=SEED)
-        # The batched path must hash to the very same outputs as serial...
-        assert (array_digest(report_payload(batched))
-                == array_digest(report_payload(serial)))
+        packed = pipeline.decode_subcarriers(channel_uses, random_state=SEED)
+        # The pack must hash to the very same outputs as one job at a time...
+        assert (array_digest(report_payload(packed))
+                == array_digest(report_payload(
+                    one_job_report(pipeline.decoder, channel_uses))))
         # ...and that shared stream is itself frozen.
-        golden("decode_subcarriers_batched", report_payload(batched))
+        golden("decode_subcarriers_batched", report_payload(packed))
 
-    def test_decode_frame_chunked(self, pipeline, channel_uses, golden,
-                                  array_digest):
-        serial = pipeline.decode_frame(channel_uses,
-                                       frame_size_bytes=FRAME_BYTES,
-                                       random_state=SEED)
-        chunked = pipeline.decode_frame(channel_uses,
-                                        frame_size_bytes=FRAME_BYTES,
-                                        random_state=SEED,
-                                        batched=True, chunk_size=2)
-        assert (array_digest(frame_payload(chunked))
-                == array_digest(frame_payload(serial)))
-        golden("decode_frame_chunked", frame_payload(chunked))
+    def test_decode_frame_chunked(self, pipeline, channel_uses, golden):
+        golden("decode_frame_chunked", frame_payload(
+            one_job_frame(pipeline.decoder, channel_uses)))
 
     def test_decode_frame_auto_chunked(self, pipeline, channel_uses, golden,
                                        array_digest):
-        # The adaptive mode must sit on the very same seeded stream as the
-        # serial early-exit decode (same child-stream derivation, no draws
-        # added or dropped by the estimator), and that stream is frozen.
-        serial = pipeline.decode_frame(channel_uses,
+        # The running estimate must sit on the very same seeded stream as
+        # the one-job early-exit decode (same child-stream derivation, no
+        # draws added or dropped, no use decoded past the exit point), and
+        # that stream is frozen.
+        alone = one_job_frame(pipeline.decoder, channel_uses)
+        packed = pipeline.decode_frame(channel_uses,
                                        frame_size_bytes=FRAME_BYTES,
                                        random_state=SEED)
-        auto = pipeline.decode_frame(channel_uses,
-                                     frame_size_bytes=FRAME_BYTES,
-                                     random_state=SEED,
-                                     batched=True, chunk_size="auto")
-        assert auto.num_decoded == serial.num_decoded
-        assert (array_digest(frame_payload(auto))
-                == array_digest(frame_payload(serial)))
-        golden("decode_frame_auto_chunked", frame_payload(auto))
+        assert packed.num_decoded == alone.num_decoded
+        assert (array_digest(frame_payload(packed))
+                == array_digest(frame_payload(alone)))
+        golden("decode_frame_auto_chunked", frame_payload(packed))
 
     def test_embedded_cluster_sampler_stream(self, golden):
         # Guards the cluster-kernel stream: the embedded 128-variable
@@ -270,20 +293,18 @@ class TestGoldenDigestsAcrossBackends:
 
     def test_decode_goldens_per_backend(self, channel_uses, golden):
         # With the four sampler streams above this puts all eight frozen
-        # digests under both paths by name: serial (single-problem
-        # dispatches), batched (one pack dispatch) and both chunked frame
-        # decodes.
+        # digests under both paths by name: one-job decodes, one pack
+        # dispatch and the frame decode.
         machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4))
         decoder = QuAMaxDecoder(machine, AnnealerParameters(num_anneals=25),
                                 random_state=0)
         pipeline = OFDMDecodingPipeline(decoder)
         golden("decode_subcarriers", report_payload(
-            pipeline.decode_subcarriers(channel_uses, random_state=SEED)))
+            one_job_report(decoder, channel_uses)))
         golden("decode_subcarriers_batched", report_payload(
-            pipeline.decode_subcarriers_batched(channel_uses,
-                                                random_state=SEED)))
-        for name, chunk_size in (("decode_frame_chunked", 2),
-                                 ("decode_frame_auto_chunked", "auto")):
-            golden(name, frame_payload(pipeline.decode_frame(
-                channel_uses, frame_size_bytes=FRAME_BYTES,
-                random_state=SEED, batched=True, chunk_size=chunk_size)))
+            pipeline.decode_subcarriers(channel_uses, random_state=SEED)))
+        frame = pipeline.decode_frame(channel_uses,
+                                      frame_size_bytes=FRAME_BYTES,
+                                      random_state=SEED)
+        for name in ("decode_frame_chunked", "decode_frame_auto_chunked"):
+            golden(name, frame_payload(frame))

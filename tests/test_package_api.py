@@ -267,17 +267,23 @@ class TestServingOptionSurface:
         "SimulatedAnnealingSolver": {
             "num_sweeps", "num_reads", "hot_temperature", "cold_temperature",
             "rng", "threads"},
+        "OFDMDecodingPipeline.decode_subcarriers": {
+            "channel_uses", "random_state"},
+        "OFDMDecodingPipeline.decode_frame": {
+            "channel_uses", "frame_size_bytes", "random_state"},
+        "ScenarioRunner.run_scenario": {
+            "scenario", "parameters", "num_instances", "channel_uses"},
     }
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_keyword_set_is_exact(self, name):
         import inspect
 
-        from repro import annealer, cran
+        from repro import annealer, cran, experiments
 
         owner, _, method = name.partition(".")
         target = next(getattr(package, owner)
-                      for package in (cran, annealer, repro)
+                      for package in (cran, annealer, experiments, repro)
                       if hasattr(package, owner))
         parameters = inspect.signature(
             getattr(target, method or "__init__")).parameters
@@ -297,6 +303,44 @@ class TestServingOptionSurface:
 
         with pytest.raises(TypeError, match=removed):
             getattr(cran, name)(**{removed: None})
+
+    def test_one_decode_entry_point(self):
+        """Every decode is a ``detect_batch``: the serial and per-instance
+        routes beside it are gone."""
+        from repro.experiments import ScenarioRunner
+
+        assert not hasattr(repro.OFDMDecodingPipeline,
+                           "decode_subcarriers_batched")
+        assert not hasattr(ScenarioRunner, "run_instance")
+
+    @pytest.mark.parametrize("figure, kwargs, packs", [
+        # One pack per scenario.
+        ("fig04", dict(scenarios=(("BPSK", 2), ("QPSK", 1)),
+                       instances_per_scenario=2), 2),
+        # One pack per (schedule, chain strength): two schedules.
+        ("fig08", dict(scenario=("BPSK", 2), anneal_counts=(1, 2),
+                       opt_chain_strengths=(3.0, 4.0, 6.0)), 6),
+        # One pack per SNR point.
+        ("fig12", dict(scenario=("BPSK", 2), snrs_db=(10.0, 20.0, 30.0)), 3),
+    ])
+    def test_figures_decode_one_pack_per_point(
+            self, monkeypatch, figure, kwargs, packs):
+        from repro.decoder.quamax import QuAMaxDecoder
+        from repro.experiments import ExperimentConfig
+
+        calls = []
+        detect_batch = QuAMaxDecoder.detect_batch
+
+        def counting(decoder, channel_uses, *args, **extra):
+            calls.append(len(channel_uses))
+            return detect_batch(decoder, channel_uses, *args, **extra)
+
+        monkeypatch.setattr(QuAMaxDecoder, "detect_batch", counting)
+        config = ExperimentConfig(num_instances=2, num_anneals=4,
+                                  chip_cells=2, seed=3)
+        importlib.import_module(f"repro.experiments.{figure}").run(
+            config, **kwargs)
+        assert len(calls) == packs
 
     #: Every call that took the sweep-kernel knob ``kernel=``, the
     #: implementation knob ``backend=`` or a caller-made colouring

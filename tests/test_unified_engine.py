@@ -32,7 +32,7 @@ from repro.ising.model import IsingModel
 from repro.ising.solver import BruteForceIsingSolver, SimulatedAnnealingSolver
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
-from repro.utils.random import child_rngs
+from repro.utils.random import child_rngs, ensure_rng
 
 
 def random_ising(num_variables, seed, density=1.0):
@@ -386,20 +386,20 @@ class TestBatchedPipelineEquivalence:
         return [link.transmit(snr_db=18.0, random_state=rng)
                 for _ in range(count)]
 
-    def test_batched_equals_serial_per_subcarrier(self, pipeline):
+    def test_batched_equals_one_job_decodes(self, pipeline):
         channel_uses = self._channel_uses(6, seed=3)
-        serial = pipeline.decode_subcarriers(channel_uses, random_state=9)
-        batched = pipeline.decode_subcarriers_batched(channel_uses,
-                                                      random_state=9)
-        assert serial.num_subcarriers == batched.num_subcarriers
-        for a, b in zip(serial.subcarrier_results, batched.subcarrier_results):
-            assert solver_results_equal(a.result.run.solutions,
+        batched = pipeline.decode_subcarriers(channel_uses, random_state=9)
+        children = child_rngs(ensure_rng(9), len(channel_uses))
+        assert batched.num_subcarriers == len(channel_uses)
+        for use, child, b in zip(channel_uses, children,
+                                 batched.subcarrier_results):
+            a = pipeline.decoder.detect_with_run(use, random_state=child)
+            assert solver_results_equal(a.run.solutions,
                                         b.result.run.solutions)
-            np.testing.assert_array_equal(a.result.detection.bits,
+            np.testing.assert_array_equal(a.detection.bits,
                                           b.result.detection.bits)
-            np.testing.assert_array_equal(a.result.detection.symbols,
+            np.testing.assert_array_equal(a.detection.symbols,
                                           b.result.detection.symbols)
-            assert a.bit_errors == b.bit_errors
 
     def test_detect_batch_handles_mixed_problem_sizes(self, pipeline):
         mixed = self._channel_uses(2, seed=4) + self._channel_uses(
@@ -408,14 +408,18 @@ class TestBatchedPipelineEquivalence:
         assert len(outcomes) == 4
         assert [o.reduced.num_variables for o in outcomes] == [6, 6, 4, 4]
 
-    def test_batched_frame_decode_matches_serial(self, pipeline):
+    def test_frame_decode_is_the_subcarrier_decode_prefix(self, pipeline):
+        """The frame derives one child per use of the whole frame and packs
+        only what completes it: its subcarriers are the whole decode's."""
         channel_uses = self._channel_uses(6, seed=6)
-        serial = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                       random_state=11)
-        batched = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                        random_state=11, batched=True)
-        assert serial.bits_accumulated == batched.bits_accumulated
-        assert serial.bit_errors() == batched.bit_errors()
+        frame = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
+                                      random_state=11)
+        whole = pipeline.decode_subcarriers(channel_uses, random_state=11)
+        assert frame.num_decoded == 4
+        for a, b in zip(frame.subcarrier_results, whole.subcarrier_results):
+            assert solver_results_equal(a.result.run.solutions,
+                                        b.result.run.solutions)
+            assert a.bit_errors == b.bit_errors
 
 
 class TestBruteForcePartialSelection:
