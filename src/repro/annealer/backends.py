@@ -40,8 +40,12 @@ flattened descriptor — member/column/internal-edge CSR-style structure
 arrays shared by the blocks plus stacked per-block values — built once per
 anneal by the engine.  The same two symbols are what ``_C_SOURCE`` exports
 (bound through :func:`_cext_signatures`).  Beside them the artefact exports
-the exact stages on either side of the sweep, one call each per pack:
-:func:`embed_direct` programs a pack, :func:`majority_vote` and
+a machine job's whole anneal and the exact stages on either side of it,
+one call each per pack: :func:`embed_direct` programs a pack,
+:func:`pack_ice_batches` runs every ICE batch of it — per batch and block
+the ICE draws (NumPy's ``random_normal`` from ``libnpyrandom.a``, which
+the build links), the gathers, the start and the sweep of either
+discipline — in one call per range of blocks, :func:`majority_vote` and
 :func:`distinct_reads` read its samples out, and :func:`csr_pack_matvecs`
 (scipy's CSR product, exactly) is its energy operator — so a process
 serving on cext never imports scipy; the numpy reference loops, and the
@@ -122,11 +126,13 @@ across backends, thread counts and shards, which the counter suites pin.
 Compile cost
 ------------
 
-The cext backend pays one ``cc -O2 -shared`` invocation.  :func:`warmup`
+The cext backend pays one ``cc -O2 -shared`` invocation, linking NumPy's
+static ``libnpyrandom.a`` (no archive, no artefact).  :func:`warmup`
 forces it eagerly; the samplers call it at construction time, so the first
 *timed* anneal never includes compilation.  The shared object is cached on
-disk keyed by a hash of the C source and its build line, so later processes
-(e.g. the process-pool serving workers) only pay a ``dlopen``.
+disk keyed by a hash of the C source, its build line and the archive's
+identity, so later processes (e.g. the process-pool serving workers) only
+pay a ``dlopen``.
 """
 
 from __future__ import annotations
@@ -273,7 +279,13 @@ class SweepWork(NamedTuple):
 
 def _ptr(array: np.ndarray) -> int:
     # A plain int is what a c_void_p parameter takes; the caller keeps alive.
-    return array.ctypes.data
+    try:  # writable and C-contiguous: its buffer's address, 4x as quick
+        return _address(_first_byte(array))
+    except (TypeError, ValueError):  # read-only, strided or empty
+        return array.ctypes.data
+
+
+_address, _first_byte = ctypes.addressof, ctypes.c_char.from_buffer
 
 
 #: ``PyCapsule_GetPointer``, bound privately (``ctypes.pythonapi``'s own
@@ -908,6 +920,180 @@ def counter_pack_fused_colour_cluster_sweep(
 
 
 # --------------------------------------------------------------------------- #
+# A pack's ICE batches: one cext call per range of blocks
+# --------------------------------------------------------------------------- #
+
+def _batch_buffers(workspace: dict, blocks: int, size: int, batch: int,
+                   values: int, class_nnz: int, edges: int) -> tuple:
+    """What :func:`pack_ice_batches` fills per batch, kept in *workspace*
+    per pack shape: the spins, perturbed fields and couplings, gathered
+    class and internal-edge values, and the counter keys."""
+    shapes = workspace.setdefault("batches", {})
+    buffers = shapes.get((blocks, batch))
+    if buffers is None:
+        buffers = shapes[(blocks, batch)] = (
+            np.empty((batch, blocks * size)), np.empty(blocks * size),
+            np.empty((blocks, values)), np.empty((blocks, class_nnz)),
+            np.empty((blocks, edges)), np.empty(blocks, dtype=np.uint64))
+    return buffers
+
+
+def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
+                 threads: int, counter: bool, structure: tuple) -> tuple:
+    """Range ``[lo, hi)``'s argument block of ``pack_ice_batches`` (the C
+    ``batch_call``) and work out-array, kept in the range's *space* for as
+    long as the buffers and the schedule last."""
+    blocks = space.setdefault("batch blocks", {})
+    key = (id(buffers), lo, hi, threads, counter)  # buffers live on in it
+    kept = blocks.get(key)
+    temperatures = structure[-1]
+    if kept is None or kept[1] is not temperatures:
+        spins, fields, values, class_data, edge_values, keys = buffers
+        members, class_starts, indices, indptr, clusters, class_edges, \
+            internal_edges = structure[:-1]
+        size = fields.size // values.shape[0]
+        colour, work = _cext_colour_arguments(
+            space, hi - lo, threads, spins[:, lo * size:hi * size],
+            fields[lo * size:hi * size], members, class_starts,
+            class_data[lo:hi], indices, indptr,
+            clusters._replace(edge_values=edge_values[lo:hi]), temperatures)
+        words = np.array([
+            *colour[:-1], values.shape[1], _ptr(class_edges),
+            _ptr(internal_edges), _ptr(values[lo:hi]), spins.shape[1],
+            _ptr(keys[lo:hi]) if counter else 0, threads, colour[-1]],
+            dtype=np.int64)
+        # Everything the words point to stays alive with them.
+        kept = blocks[key] = (buffers, temperatures, words, _ptr(words), work,
+                              space["lanes"], structure)
+    return kept[3], kept[4]
+
+
+def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
+                     values: np.ndarray, structure: tuple, rngs,
+                     batch_size: int,
+                     ice: Optional[Tuple[float, float, float, float]],
+                     check_zero: bool, counter: bool, threads: int,
+                     workspace: dict, fallback) -> SweepWork:
+    """A pack's anneals as ICE batches, every batch in C: one call of the
+    artefact's ``pack_ice_batches`` per range of blocks.
+
+    *linear* and *values* are the pack's programmed ``(blocks*P,)`` fields
+    and ``(blocks, E)`` couplings; *structure* is ``(members, class_starts,
+    indices, indptr, clusters, class_edges, internal_edges, temperatures)``
+    — the colour entry points' structure arguments (*clusters* without
+    values), the columns of *values* the class CSR slots and the
+    cluster-internal edges hold, and the schedule.  Batch *k* is rows ``k *
+    batch_size`` on of the ``(anneals, blocks*P)`` ``int8`` *physical*.  Per
+    batch, every block draws from its own generator of *rngs*, in this
+    order: the ICE shifts of its fields, then of its couplings — *ice* is
+    ``(field mean, field std, coupling mean, coupling std)``, ``None`` for
+    no draws — then its counter key (*counter*), its initial spins and its
+    sweeps: the draws of ``ICEModel.perturb_pack`` followed by one
+    ``anneal``.  Ranges follow :func:`_shards`, each running all of its
+    batches on its own thread; a lane-half block (:func:`_lane_half_call`)
+    is one call per batch for the draws and start, then the halves.  With
+    *check_zero*, a batch whose perturbed couplings hold an exact zero is
+    not swept: ``fallback(lo, hi, start, fields, couplings)`` anneals
+    blocks ``[lo, hi)`` of it problem by problem into rows ``start`` on,
+    from the ``(hi - lo, P)`` fields and ``(hi - lo, E)`` couplings (the
+    call's own buffers: copy them), and the range resumes at the next
+    batch.  Returns the last batch's :class:`SweepWork`, summed over the
+    ranges.
+    """
+    lib = _load_cext()
+    num_anneals, width = physical.shape
+    blocks = len(rngs)
+    size = width // blocks
+    members, class_starts, indices, indptr, clusters, class_edges, \
+        internal_edges, temperatures = structure
+    buffers = _batch_buffers(workspace, blocks, size, batch_size,
+                             values.shape[1], class_edges.size,
+                             internal_edges.size)
+    spins, fields, perturbed, class_data, edge_values, _ = buffers
+    generators = _generator_pointers(workspace, rngs)
+    if counter:
+        _note_openmp_team(threads)
+    ice_pointer = None
+    if ice is not None:
+        kept = workspace.get("ice")
+        if kept is None or kept[0] != ice:
+            array = np.array(ice, dtype=np.float64)
+            kept = workspace["ice"] = (ice, array, _ptr(array))
+        ice_pointer = kept[2]
+    batches = -(-num_anneals // batch_size)
+    pointers = (_ptr(linear), _ptr(values), _ptr(physical))
+
+    def call(lo: int, hi: int, block: int, batch: int, stop: int,
+             sweep: int = 1) -> int:
+        return lib.pack_ice_batches(
+            block, pointers[0] + 8 * lo * size,
+            pointers[1] + 8 * lo * values.shape[1], pointers[2] + lo * size,
+            ice_pointer, check_zero, batch, stop, num_anneals, sweep,
+            generators if lo == 0 else (ctypes.c_void_p * (hi - lo))
+            .from_buffer(generators, lo * ctypes.sizeof(ctypes.c_void_p)))
+
+    def cancelled(lo: int, hi: int, batch: int) -> None:
+        fallback(lo, hi, batch * batch_size,
+                 fields[lo * size:hi * size].reshape(hi - lo, size),
+                 perturbed[lo:hi])
+
+    def halves(rows: int) -> bool:
+        return (not counter and blocks == 1 < rows
+                and _shards(spins[:rows], 2) > 1
+                and type(rngs[0].bit_generator) is np.random.PCG64)
+
+    rows = min(batch_size, num_anneals)
+    if halves(rows):
+        block, work = _batch_block(workspace, buffers, 0, 1, 1, False,
+                                   structure)
+        sweep = (fields, members, class_starts, class_data, indices, indptr,
+                 clusters._replace(edge_values=edge_values), temperatures)
+        swept = SweepWork(0, 0, 0)
+        for batch in range(batches):
+            start = batch * batch_size
+            rows = min(batch_size, num_anneals - start)
+            split = halves(rows)
+            if call(0, 1, block, batch, batch + 1, 0 if split else 1) \
+                    == batch:
+                cancelled(0, 1, batch)
+            elif not split:
+                swept = SweepWork(*work.tolist())
+            else:
+                view = spins[:rows]
+                swept = (_lane_half_call(lib, workspace, view, sweep,
+                                         rngs[0])
+                         or _sharded_colour_call(
+                             lib.pack_fused_colour_cluster_sweep, workspace,
+                             view, sweep, 1, 1, 1,
+                             lambda lo, hi: (generators,)))
+                physical[start:start + rows] = view
+        return swept
+
+    # Two blocks sharing a bit generator draw in block order: one call.
+    shards = 1 if blocks > 1 and len(set(generators)) < blocks else _shards(
+        spins[:rows], blocks, threads)
+    pool, spaces = _helpers(workspace, shards - 1) if shards > 1 else (
+        None, [])
+    bounds = [blocks * k // shards for k in range(shards + 1)]
+    ranges = [(lo, hi, *_batch_block(space, buffers, lo, hi, threads,
+                                     counter, structure))
+              for space, lo, hi in zip([workspace, *spaces], bounds,
+                                       bounds[1:])]
+    rest = [pool.submit(call, lo, hi, block, 0, batches)
+            for lo, hi, block, _ in ranges[1:]]
+    try:
+        stops = [call(*ranges[0][:3], 0, batches)]
+    finally:
+        stops += [future.result() for future in rest]
+    for (lo, hi, block, _), stop in zip(ranges, stops):
+        while stop < batches:
+            cancelled(lo, hi, stop)
+            stop = (call(lo, hi, block, stop + 1, batches)
+                    if stop + 1 < batches else batches)
+    return SweepWork(*sum(work for *_, work in ranges).tolist())
+
+
+# --------------------------------------------------------------------------- #
 # cext backend: C source, on-disk compile cache, ctypes bindings
 # --------------------------------------------------------------------------- #
 
@@ -919,6 +1105,7 @@ _LANE_WIDTH = 4
 _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
 #include <math.h>
 #include <sched.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stddef.h>
 #include <string.h>
@@ -1543,25 +1730,101 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
     int64_t num_clusters, const int64_t *edge_i, const int64_t *edge_j,    \
     const int64_t *edge_starts, const double *edge_values,                 \
     int64_t num_edges, const double *temperatures, int64_t num_sweeps
+/* The colour arguments of one call, as the block loops below read them. */
+typedef struct {
+    double *spins;
+    int64_t sld, num_replicas, num_blocks, size;
+    const double *linear;
+    const int64_t *members, *class_starts;
+    int64_t num_classes;
+    const double *data;
+    const int64_t *indices, *indptr, *row_of;
+    int64_t class_nnz;
+    double *scratch;
+    int64_t lanes;
+    cluster_set clusters;  /* edge_values: block 0's row */
+    int64_t num_clusters, num_edges;
+    const double *temperatures;
+    int64_t num_sweeps;
+} colour_call;
+#define COLOUR_CALL                                                         \
+    {spins, sld, num_replicas, num_blocks, size, linear, members,          \
+     class_starts, num_classes, data, indices, indptr, row_of, class_nnz,  \
+     scratch, lanes,                                                       \
+     {cmembers, cluster_starts, edge_i, edge_j, edge_starts, edge_values}, \
+     num_clusters, num_edges, temperatures, num_sweeps}
+
 /* Sequential: a block's replicas are one lane group (lanes >= num_replicas),
    so its draws are consumed in the reference loops' order. */
+MOVE void generator_blocks(const colour_call *c,
+                           const bitgen_t *const *generators,
+                           int64_t *work_out)
+{
+    int64_t work[NUM_WORK] = {0, 0, 0};
+    for (int64_t b = 0; b < c->num_blocks; ++b) {
+        cluster_set cl = c->clusters;
+        cl.edge_values += b * c->num_edges;
+        const lane_csr csr = {c->data + b * c->class_nnz, c->indices,
+                              c->indptr, c->row_of};
+        draw_source draw = {DRAW_GENERATOR, generators[b]->next_double,
+                            generators[b]->state, 0u, 0u, 0u, 0u, NULL};
+        lane_group_run(c->spins + b * c->size, c->sld, 0, c->num_replicas,
+                       c->lanes, c->size, c->scratch, c->linear + b * c->size,
+                       c->members, c->class_starts, c->num_classes, &csr, &cl,
+                       c->num_clusters, c->temperatures, c->num_sweeps,
+                       &draw, work);
+    }
+    memcpy(work_out, work, sizeof(work));
+}
+
+/* Counter: every (block, lane group) pair is independent, so the pairs
+   spread over the OpenMP region, each thread sweeping in its own slice of
+   scratch. */
+MOVE void philox_blocks(const colour_call *c, const uint64_t *keys,
+                        int64_t threads, int64_t *work_out)
+{
+    const int64_t num_groups = (c->num_replicas + c->lanes - 1) / c->lanes;
+    int64_t work[NUM_WORK] = {0, 0, 0};
+#ifdef _OPENMP
+#pragma omp parallel for collapse(2) schedule(static) \
+    num_threads((int)threads) reduction(+ : work[:NUM_WORK])
+#else
+    (void)threads;
+#endif
+    for (int64_t b = 0; b < c->num_blocks; ++b) {
+        for (int64_t g = 0; g < num_groups; ++g) {
+            const int64_t first = g * c->lanes;
+            const int64_t live = c->num_replicas - first < c->lanes
+                                 ? c->num_replicas - first : c->lanes;
+            cluster_set cl = c->clusters;
+            cl.edge_values += b * c->num_edges;
+            const lane_csr csr = {c->data + b * c->class_nnz, c->indices,
+                                  c->indptr, c->row_of};
+            draw_source draw = {DRAW_PHILOX, NULL, NULL, 0u, 0u,
+                                (uint32_t)keys[b], (uint32_t)(keys[b] >> 32),
+                                NULL};
+            double *mine = c->scratch;
+#ifdef _OPENMP
+            mine += omp_get_thread_num()
+                    * (c->size + 1 + 2 * c->class_starts[c->num_classes])
+                    * c->lanes;
+#endif
+            lane_group_run(c->spins + b * c->size, c->sld, first, live,
+                           c->lanes, c->size, mine, c->linear + b * c->size,
+                           c->members, c->class_starts, c->num_classes, &csr,
+                           &cl, c->num_clusters, c->temperatures,
+                           c->num_sweeps, &draw, work);
+        }
+    }
+    memcpy(work_out, work, sizeof(work));
+}
+
 void pack_fused_colour_cluster_sweep(COLOUR_ARGS,
                                      const bitgen_t *const *generators,
                                      int64_t *work_out)
 {
-    int64_t work[NUM_WORK] = {0, 0, 0};
-    for (int64_t b = 0; b < num_blocks; ++b) {
-        const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
-                                edge_starts, edge_values + b * num_edges};
-        const lane_csr csr = {data + b * class_nnz, indices, indptr, row_of};
-        draw_source draw = {DRAW_GENERATOR, generators[b]->next_double,
-                            generators[b]->state, 0u, 0u, 0u, 0u, NULL};
-        lane_group_run(spins + b * size, sld, 0, num_replicas, lanes, size,
-                       scratch, linear + b * size, members, class_starts,
-                       num_classes, &csr, &cl, num_clusters, temperatures,
-                       num_sweeps, &draw, work);
-    }
-    memcpy(work_out, work, sizeof(work));
+    const colour_call call = COLOUR_CALL;
+    generator_blocks(&call, generators, work_out);
 }
 
 /* Sequential, one lane half of one block: the colour arguments over the
@@ -1604,57 +1867,22 @@ void lane_half_sweep(COLOUR_ARGS, int64_t *sync, int64_t half,
     }
 }
 
-/* Counter: every (block, lane group) pair is independent, so the pairs
-   spread over the OpenMP region, each thread sweeping in its own slice of
-   scratch. */
 void counter_pack_fused_colour_cluster_sweep(COLOUR_ARGS,
                                              const uint64_t *keys,
                                              int64_t threads,
                                              int64_t *work_out)
 {
-    const int64_t num_groups = (num_replicas + lanes - 1) / lanes;
-    int64_t work[NUM_WORK] = {0, 0, 0};
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static) \
-    num_threads((int)threads) reduction(+ : work[:NUM_WORK])
-#else
-    (void)threads;
-#endif
-    for (int64_t b = 0; b < num_blocks; ++b) {
-        for (int64_t g = 0; g < num_groups; ++g) {
-            const int64_t first = g * lanes;
-            const int64_t live = num_replicas - first < lanes
-                                 ? num_replicas - first : lanes;
-            const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
-                                    edge_starts,
-                                    edge_values + b * num_edges};
-            const lane_csr csr = {data + b * class_nnz, indices, indptr,
-                                  row_of};
-            draw_source draw = {DRAW_PHILOX, NULL, NULL, 0u, 0u,
-                                (uint32_t)keys[b], (uint32_t)(keys[b] >> 32),
-                                NULL};
-            double *mine = scratch;
-#ifdef _OPENMP
-            mine += omp_get_thread_num()
-                    * (size + 1 + 2 * class_starts[num_classes]) * lanes;
-#endif
-            lane_group_run(spins + b * size, sld, first, live, lanes, size,
-                           mine, linear + b * size, members, class_starts,
-                           num_classes, &csr, &cl, num_clusters,
-                           temperatures, num_sweeps, &draw, work);
-        }
-    }
-    memcpy(work_out, work, sizeof(work));
+    const colour_call call = COLOUR_CALL;
+    philox_blocks(&call, keys, threads, work_out);
 }
 
-/* The counter discipline's initial configuration of a pack, spins being
-   the contiguous (num_replicas, num_blocks * size) matrix: -1.0 where the
-   uniform at (variable, 0, replica, TAG_INIT = 2) under the block's key is
-   below 0.5, else 1.0 — valued LANE_WIDTH replicas by 64 variables at a
-   time into a stack tile. */
-void counter_initial_spins(double *spins, int64_t num_replicas,
-                           int64_t num_blocks, int64_t size,
-                           const uint64_t *keys)
+/* The counter discipline's initial configuration of a pack whose spin rows
+   are sld apart: -1.0 where the uniform at (variable, 0, replica, TAG_INIT
+   = 2) under the block's key is below 0.5, else 1.0 — valued LANE_WIDTH
+   replicas by 64 variables at a time into a stack tile. */
+static void philox_start(double *spins, int64_t sld, int64_t num_replicas,
+                         int64_t num_blocks, int64_t size,
+                         const uint64_t *keys)
 {
     double tile[64 * LANE_WIDTH];
     for (int64_t b = 0; b < num_blocks; ++b)
@@ -1668,10 +1896,20 @@ void counter_initial_spins(double *spins, int64_t num_replicas,
                 for (int64_t r = first; r < first + LANE_WIDTH
                                         && r < num_replicas; ++r)
                     for (int64_t v = begin; v < end; ++v)
-                        spins[(r * num_blocks + b) * size + v] =
+                        spins[r * sld + b * size + v] =
                             tile[(v - begin) * LANE_WIDTH + r - first] < 0.5
                             ? -1.0 : 1.0;
             }
+}
+
+/* The same, spins being the contiguous (num_replicas, num_blocks * size)
+   matrix. */
+void counter_initial_spins(double *spins, int64_t num_replicas,
+                           int64_t num_blocks, int64_t size,
+                           const uint64_t *keys)
+{
+    philox_start(spins, num_blocks * size, num_replicas, num_blocks, size,
+                 keys);
 }
 
 /* The sequential discipline's initial configuration of a pack, block by
@@ -1695,6 +1933,147 @@ void sequential_initial_spins(double *spins, int64_t sld,
                                  >> 31];
         }
     }
+}
+
+/* ------------------------------------------------------------------------ *
+ * A pack's ICE batches in one call.
+ *
+ * The machine redraws its intrinsic control error between batches of
+ * anneals, so a QA run is a loop over batches, and per batch and block:
+ * the ICE draws, added to the programmed fields, then to the couplings in
+ * key order (NumPy's own random_normal, from libnpyrandom.a, through the
+ * block's bitgen_t: the values and the stream Generator.normal(mean, std,
+ * size) gives and consumes); under the counter discipline the block key
+ * (random_bounded_uint64_fill over the full range, which is
+ * Generator.integers(0, 2**64, dtype=uint64)); the initial spins; the
+ * colour and cluster sweep.  Each block draws from its own generator only,
+ * so drawing every block's ICE first, then every block's key and start,
+ * then sweeping, is each block's own order.  A call over a range of blocks
+ * runs batches [batch, stop) and writes each batch's rows, as int8, into
+ * physical (rows pld apart; batch k starts at row k * num_replicas, and a
+ * batch has num_replicas rows, the last one what is left of num_anneals).
+ *
+ * A range's call is one argument block, written once per range and pack
+ * shape by the caller (batch_call, 64-bit words: the colour arguments,
+ * then the fields below), and what changes between packs.  The colour
+ * arguments' linear, data and edge_values are the call's to fill: each
+ * batch writes there the perturbed fields and the class and internal-edge
+ * values gathered (class_edges, internal_edges) from the perturbed
+ * couplings, which go to values.  ice is {field mean, field std, coupling
+ * mean, coupling std}, or NULL for no draws (the programmed values as they
+ * are).  With check_zero, a batch in which a perturbed coupling is exactly
+ * zero (either sign) is not swept: the call returns its index, its
+ * perturbed fields and couplings in place, for the caller to anneal
+ * problem by problem and resume at the next batch.  Otherwise it returns
+ * stop.  keys (num_blocks words) is NULL under the sequential discipline
+ * and the counter keys' room under the counter one, whose sweep is threads
+ * wide.  Without sweep the call stops after batch's start (a lane-half
+ * block: the caller sweeps the halves) and returns batch + 1.  work holds
+ * the last swept batch's counts.
+ * ------------------------------------------------------------------------ */
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
+
+typedef struct {
+    /* COLOUR_ARGS, in order (num_replicas: a whole batch's) */
+    double *spins;
+    int64_t sld, num_replicas, num_blocks, size;
+    double *linear;
+    const int64_t *members, *class_starts;
+    int64_t num_classes;
+    double *data;
+    const int64_t *indices, *indptr;
+    int64_t class_nnz;
+    const int64_t *row_of;
+    double *scratch;
+    int64_t lanes;
+    const int64_t *cmembers, *cluster_starts;
+    int64_t num_clusters;
+    const int64_t *edge_i, *edge_j, *edge_starts;
+    double *edge_values;
+    int64_t num_edges;
+    const double *temperatures;
+    int64_t num_sweeps;
+    /* the batches' own */
+    int64_t num_values;
+    const int64_t *class_edges, *internal_edges;
+    double *values;
+    int64_t pld;
+    uint64_t *keys;
+    int64_t threads;
+    int64_t *work;
+} batch_call;
+_Static_assert(sizeof(batch_call) == 34 * sizeof(int64_t),
+               "batch_call is 34 words");
+
+int64_t pack_ice_batches(const int64_t *words, const double *programmed_linear,
+                         const double *programmed_values, int8_t *physical,
+                         const double *ice, int64_t check_zero, int64_t batch,
+                         int64_t stop, int64_t num_anneals, int64_t sweep,
+                         const bitgen_t *const *generators)
+{
+    batch_call c;
+    memcpy(&c, words, sizeof(c));
+    colour_call call = {
+        c.spins, c.sld, c.num_replicas, c.num_blocks, c.size, c.linear,
+        c.members, c.class_starts, c.num_classes, c.data, c.indices,
+        c.indptr, c.row_of, c.class_nnz, c.scratch, c.lanes,
+        {c.cmembers, c.cluster_starts, c.edge_i, c.edge_j, c.edge_starts,
+         c.edge_values},
+        c.num_clusters, c.num_edges, c.temperatures, c.num_sweeps};
+    const int64_t size = c.size, width = c.num_blocks * c.size;
+    for (; batch < stop; ++batch) {
+        const int64_t first = batch * c.num_replicas;
+        const int64_t rows = num_anneals - first < c.num_replicas
+                             ? num_anneals - first : c.num_replicas;
+        int zero = 0;
+        for (int64_t b = 0; b < c.num_blocks; ++b) {
+            bitgen_t *generator = (bitgen_t *)generators[b];
+            const double *from = programmed_linear + b * size;
+            double *to = c.linear + b * size;
+            for (int64_t v = 0; v < size; ++v)
+                to[v] = ice ? from[v] + random_normal(generator, ice[0], ice[1])
+                            : from[v];
+            from = programmed_values + b * c.num_values;
+            to = c.values + b * c.num_values;
+            for (int64_t e = 0; e < c.num_values; ++e) {
+                to[e] = ice ? from[e] + random_normal(generator, ice[2], ice[3])
+                            : from[e];
+                zero |= to[e] == 0.0;
+            }
+        }
+        if (check_zero && zero)
+            return batch;
+        for (int64_t b = 0; b < c.num_blocks; ++b) {
+            const double *from = c.values + b * c.num_values;
+            if (c.keys)
+                random_bounded_uint64_fill((bitgen_t *)generators[b], 0,
+                                           UINT64_MAX, 1, false, c.keys + b);
+            for (int64_t k = 0; k < c.class_nnz; ++k)
+                c.data[b * c.class_nnz + k] = from[c.class_edges[k]];
+            for (int64_t e = 0; e < c.num_edges; ++e)
+                c.edge_values[b * c.num_edges + e] = from[c.internal_edges[e]];
+        }
+        if (c.keys)
+            philox_start(c.spins, c.sld, rows, c.num_blocks, size, c.keys);
+        else
+            sequential_initial_spins(c.spins, c.sld, rows, c.num_blocks, size,
+                                     generators);
+        if (!sweep)
+            return batch + 1;
+        call.num_replicas = rows;
+        if (c.keys)
+            philox_blocks(&call, c.keys, c.threads, c.work);
+        else
+            generator_blocks(&call, generators, c.work);
+        for (int64_t r = 0; r < rows; ++r)
+            for (int64_t v = 0; v < width; ++v)
+                physical[(first + r) * c.pld + v] =
+                    (int8_t)c.spins[r * c.sld + v];
+    }
+    return stop;
 }
 
 /* The energy operator of a pack: for each problem b, A_b @ S_b^T exactly as
@@ -1966,11 +2345,29 @@ def _cache_dir() -> Path:
         return root
 
 
+def _npyrandom() -> Optional[Tuple[str, str]]:
+    """NumPy's static ``libnpyrandom.a`` — the ``random_normal`` and
+    ``random_bounded_uint64_fill`` behind ``Generator.normal`` and
+    ``Generator.integers``, which ``pack_ice_batches`` links in — as
+    ``(path, identity)``: path, size and modification time, so another
+    NumPy's archive names another build.  ``None`` when this NumPy ships
+    none: then there is no artefact, as without a compiler."""
+    path = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+    try:
+        stat = path.stat()
+    except OSError:
+        return None
+    return str(path), f"{path}:{stat.st_size}:{stat.st_mtime_ns}"
+
+
 def _cext_target(extra: Tuple[str, ...]) -> Path:
-    """Cache path of the build with *extra* flags: named by source AND build
-    line, so two builds never answer to one name."""
-    digest = hashlib.sha256(
-        "\0".join((_C_SOURCE, *_CFLAGS, *extra)).encode()).hexdigest()[:16]
+    """Cache path of the build with *extra* flags: named by source, build
+    line AND the NumPy archive it links, so two builds never answer to one
+    name."""
+    archive = _npyrandom()
+    digest = hashlib.sha256("\0".join(
+        (_C_SOURCE, *_CFLAGS, *extra, archive[1] if archive else "")
+    ).encode()).hexdigest()[:16]
     return _cache_dir() / f"metropolis_{digest}.so"
 
 
@@ -1999,8 +2396,8 @@ def _build_cext(target: Path, extra: Tuple[str, ...]) -> bool:
             for compiler in _COMPILERS:
                 try:
                     subprocess.run(
-                        [compiler, *_CFLAGS, *extra,
-                         "-o", str(built), str(source), "-lm"],
+                        [compiler, *_CFLAGS, *extra, "-o", str(built),
+                         str(source), _npyrandom()[0], "-lm"],
                         check=True, capture_output=True, timeout=120)
                 except (OSError, subprocess.SubprocessError):
                     continue
@@ -2018,8 +2415,11 @@ def _compile_cext() -> Optional[Path]:
     A warm cache costs one ``exists()``: the OpenMP artifact is looked up
     (and, when missing, built) before the serial one is considered, so a
     serial artifact on a shared cache never shadows an OpenMP build this
-    machine can make.
+    machine can make.  Without NumPy's ``libnpyrandom.a`` there is nothing
+    to build, as without a compiler.
     """
+    if _npyrandom() is None:
+        return None
     for extra in _CEXT_BUILDS:
         target = _cext_target(extra)
         if target.exists() or _build_cext(target, extra):
@@ -2063,6 +2463,12 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
                                ctypes.c_int64, ctypes.c_void_p]),
         "counter_pack_fused_colour_cluster_sweep": (None, [
             *colour_args, *key_array]),
+        "pack_ice_batches": (ctypes.c_int64, [
+            ctypes.c_void_p,                   # the range's argument block
+            ctypes.c_void_p, ctypes.c_void_p,  # programmed fields, values
+            ctypes.c_void_p, ctypes.c_void_p,  # physical, ICE statistics
+            *[ctypes.c_int64] * 5,     # check zero, batch, stop, anneals, sweep
+            generators]),
         "counter_initial_spins": (None, [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_void_p]),         # spins, R, blocks, size, keys

@@ -26,8 +26,8 @@ class order: exact sequential single-spin-flip dynamics, just less
 parallel.  Two levels of reuse amortise setup cost across repeated runs:
 
 * :meth:`BlockDiagonalSampler.refresh_values` rebinds a sampler to new
-  problems with the *same* coupling structure (e.g. successive ICE
-  perturbations of one embedded problem): the sampler holds the pack's
+  problems with the *same* coupling structure (e.g. the successive packs
+  of one structure a machine serves): the sampler holds the pack's
   coefficients as one ``(blocks, E)`` value matrix
   (:class:`~repro.ising.model.IsingPack`) and every kernel layout is a
   gather from it through slot→edge maps derived once per structure, so a
@@ -52,7 +52,13 @@ dispatch per anneal: a single problem is a pack of one block, and a sampler
 without cluster (chain-flip) moves hands over an empty flattened cluster
 descriptor (:meth:`BlockDiagonalSampler._cluster_pack_descriptor`), so
 embedded and logical problems, single jobs and serving packs all run the
-same fused single-spin+cluster kernel of their draw discipline.
+same fused single-spin+cluster kernel of their draw discipline.  The
+machine's anneals are ICE batches — before each, every block perturbs the
+bound values from its own generator — and :meth:`BlockDiagonalSampler.anneal`
+takes them whole (``ice=``, ``ice_batch_size=``): on the artefact one call
+per range of blocks (:func:`~repro.annealer.backends.pack_ice_batches`)
+runs every batch's draws, gathers, start and sweep; the NumPy path
+perturbs, rebinds and anneals batch by batch, its oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
 import numpy as np
 
 from repro.annealer import backends, counter
+from repro.annealer.ice import ICEModel
 from repro.exceptions import AnnealerError
 from repro.ising.model import (
     Coupling,
@@ -575,13 +582,11 @@ class BlockDiagonalSampler:
             *shared, keys, threads=self.threads,
             workspace=self._kernel_workspace)
 
-    def _anneal(self, temperatures: Sequence[float], num_replicas: int,
-                rngs: Sequence[np.random.Generator],
-                initial_spins: Optional[np.ndarray]) -> np.ndarray:
-        """Run the replica-batched Metropolis trajectories of all blocks."""
-        num_replicas = check_integer_in_range("num_replicas", num_replicas,
-                                              minimum=1)
-        temperatures = np.asarray(temperatures, dtype=float)
+    def _checked_temperatures(self, temperatures: Sequence[float]
+                              ) -> np.ndarray:
+        """*temperatures* as a contiguous float array (the compiled calls
+        keep its address), checked non-empty, 1-D and strictly positive."""
+        temperatures = np.ascontiguousarray(temperatures, dtype=float)
         if temperatures is not self._validated_temperatures:
             if temperatures.ndim != 1 or temperatures.size == 0:
                 raise AnnealerError(
@@ -592,6 +597,15 @@ class BlockDiagonalSampler:
             # change after this check, so identity vouches for it next time.
             self._validated_temperatures = (
                 None if temperatures.flags.writeable else temperatures)
+        return temperatures
+
+    def _anneal(self, temperatures: Sequence[float], num_replicas: int,
+                rngs: Sequence[np.random.Generator],
+                initial_spins: Optional[np.ndarray]) -> np.ndarray:
+        """Run the replica-batched Metropolis trajectories of all blocks."""
+        num_replicas = check_integer_in_range("num_replicas", num_replicas,
+                                              minimum=1)
+        temperatures = self._checked_temperatures(temperatures)
 
         n = self.num_variables
         size = self.block_size
@@ -660,9 +674,79 @@ class BlockDiagonalSampler:
 
         return spins.astype(np.int8)
 
+    def _per_problem(self, fields: np.ndarray, couplings: np.ndarray,
+                     blocks: slice, temperatures: np.ndarray, rows: int,
+                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One batch of *blocks* from their perturbed *fields* and
+        *couplings* when one of those is exactly zero: that problem lost a
+        coupling, so the blocks no longer share one structure; each anneals
+        on a sampler of its own (identical trajectories, just not packed)."""
+        perturbed = IsingPack(self.block_size, self._edge_keys,
+                              fields.copy(), couplings.copy(),
+                              self.isings.offsets[blocks])
+        return np.concatenate([
+            IsingSampler(problem, clusters=self.block_clusters,
+                         rng=self.rng_mode, threads=self.threads).anneal(
+                temperatures, rows, random_state=rng)
+            for problem, rng in zip(perturbed, rngs[blocks])], axis=1)
+
+    def _ice_batches(self, temperatures: np.ndarray, num_replicas: int,
+                     rngs: List[np.random.Generator], ice: Optional[ICEModel],
+                     batch: int) -> np.ndarray:
+        """:meth:`anneal`'s ICE batches: one artefact call per range of
+        blocks on cext, the NumPy path's loop otherwise (the oracle)."""
+        physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
+        if self.selected_backend == "cext":
+            size = self.block_size
+
+            def cancelled(lo, hi, start, fields, couplings):
+                rows = min(batch, num_replicas - start)
+                physical[start:start + rows, lo * size:hi * size] = \
+                    self._per_problem(fields, couplings, slice(lo, hi),
+                                      temperatures, rows, rngs)
+
+            self._last_sweep_work = backends.pack_ice_batches(
+                physical, self.linear, np.ascontiguousarray(self._values),
+                (self._class_members, self._class_starts,
+                 self._class_csr.indices, self._class_csr.indptr,
+                 self._cluster_structure, self._class_csr.edges,
+                 self._cluster_internal_edges, temperatures),
+                rngs, batch,
+                None if ice is None or not ice.enabled else (
+                    ice.linear_mean, ice.linear_std, ice.quadratic_mean,
+                    ice.quadratic_std),
+                ice is not None, self.rng_mode == "counter", self.threads,
+                self._kernel_workspace, cancelled)
+            return physical
+        programmed = self.isings
+        for start in range(0, num_replicas, batch):
+            rows = min(batch, num_replicas - start)
+            perturbed = (programmed if ice is None
+                         else ice.perturb_pack(programmed, rngs))
+            if not perturbed.values.all():
+                physical[start:start + rows] = self._per_problem(
+                    perturbed.linear, perturbed.values, slice(None),
+                    temperatures, rows, rngs)
+                continue
+            self._rebind(perturbed)
+            physical[start:start + rows] = self._anneal(temperatures, rows,
+                                                        rngs, None)
+        self._rebind(programmed)
+        return physical
+
+    def _rebind(self, problems: IsingPack) -> None:
+        """Bind a same-structure pack of this sampler's block count (an ICE
+        realisation of the bound one: no structure check)."""
+        if problems is not self.isings:
+            self._bind(problems)
+            if self._reference is not None:
+                self._bind_reference()
+
     def anneal(self, temperatures: Sequence[float], num_replicas: int,
                random_states: Sequence[RandomState],
-               initial_spins: Optional[np.ndarray] = None) -> np.ndarray:
+               initial_spins: Optional[np.ndarray] = None, *,
+               ice: Optional[ICEModel] = None,
+               ice_batch_size: Optional[int] = None) -> np.ndarray:
         """Anneal all blocks simultaneously, one generator per block.
 
         Parameters
@@ -676,7 +760,21 @@ class BlockDiagonalSampler:
             its own generator exactly as a one-block sampler with that
             generator would.
         initial_spins:
-            Optional ``(num_replicas, blocks*P)`` starting configuration.
+            Optional ``(num_replicas, blocks*P)`` starting configuration
+            (one unperturbed batch: no *ice* or *ice_batch_size*).
+        ice, ice_batch_size:
+            The machine's intrinsic control error: the replicas run in
+            batches of *ice_batch_size* (default: one batch), and before
+            each batch every block draws one
+            :meth:`~repro.annealer.ice.ICEModel.perturb_pack` realisation
+            of the bound values from its own generator, then anneals it.
+            A batch in which a perturbed coupling lands on exactly zero
+            anneals problem by problem.  Both default to ``None``: one
+            batch of the bound values as they are.  On the C artefact the
+            whole loop is one call per range of blocks
+            (:func:`~repro.annealer.backends.pack_ice_batches`); the bound
+            values are the same afterwards, and :attr:`last_sweep_work`
+            counts the last batch.
 
         Returns
         -------
@@ -690,7 +788,20 @@ class BlockDiagonalSampler:
                 f"need one random state per block: expected {self.num_blocks}, "
                 f"got {len(rngs)}"
             )
-        return self._anneal(temperatures, num_replicas, rngs, initial_spins)
+        if ice is None and ice_batch_size is None:
+            return self._anneal(temperatures, num_replicas, rngs,
+                                initial_spins)
+        if initial_spins is not None:
+            raise AnnealerError(
+                "initial_spins starts one unperturbed batch: pass neither "
+                "ice nor ice_batch_size with it")
+        num_replicas = check_integer_in_range("num_replicas", num_replicas,
+                                              minimum=1)
+        batch = num_replicas if ice_batch_size is None else (
+            check_integer_in_range("ice_batch_size", ice_batch_size,
+                                   minimum=1))
+        return self._ice_batches(self._checked_temperatures(temperatures),
+                                 num_replicas, rngs, ice, batch)
 
 
 class IsingSampler(BlockDiagonalSampler):
@@ -700,11 +811,9 @@ class IsingSampler(BlockDiagonalSampler):
     interface: ``anneal`` takes one randomness source, and
     ``matches_structure`` / ``refresh_values`` take one problem.  Precomputes
     the colour classes and per-class sparse coupling operators so that
-    repeated runs (e.g. the batches of a QA job, or parameter sweeps on the
-    same embedded problem) avoid re-deriving the graph structure; when only
-    the coefficient *values* change between runs (ICE perturbations redraw
-    every coefficient but never the sparsity pattern), ``refresh_values``
-    rebinds the sampler in place.
+    repeated runs (e.g. parameter sweeps on the same embedded problem) avoid
+    re-deriving the graph structure; when only the coefficient *values*
+    change between runs, ``refresh_values`` rebinds the sampler in place.
     """
 
     def __init__(self, ising: IsingModel,

@@ -59,7 +59,11 @@ class ICEModel:
         then one for the couplings in key order (element k of a sized draw
         is the k-th scalar draw) — so no seeded stream depends on how
         problems are packed.  A perturbed coupling that lands on exactly
-        zero shows as a zero of the returned value matrix.
+        zero shows as a zero of the returned value matrix.  This is the
+        NumPy path's ICE batch and the definition of the C one: on the
+        artefact, :meth:`~repro.annealer.engine.BlockDiagonalSampler.anneal`
+        makes these draws, the same values from the same streams, inside
+        its batch call (``backends.pack_ice_batches``) instead.
         """
         if not self.enabled:
             return problems

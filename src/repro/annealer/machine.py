@@ -41,7 +41,7 @@ from repro.annealer.embedded import (  # noqa: F401
 )
 from repro.annealer.backends import RNG_MODES
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
-from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+from repro.annealer.engine import BlockDiagonalSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.parallel import parallelization_factor
 from repro.annealer.schedule import AnnealSchedule
@@ -314,9 +314,15 @@ class QuantumAnnealerSimulator:
         block-diagonal sampler structure, and their anneals advance together
         as replica rows of a single Metropolis batch.
 
-        Each problem consumes randomness from its own generator in exactly
-        the order a standalone :meth:`run` with that generator would, so the
-        per-problem results are bit-for-bit identical to serial submission.
+        The pack's sampler is bound once to the programmed, unperturbed
+        problems, and one :meth:`BlockDiagonalSampler.anneal` call runs
+        every ICE batch (``ice=``, ``ice_batch_size=`` are this machine's):
+        before each batch every problem draws its ICE realisation, then its
+        anneals — on the C artefact the whole loop is one call per range of
+        blocks.  Each problem consumes randomness from its own generator in
+        exactly the order a standalone :meth:`run` with that generator
+        would, so the per-problem results are bit-for-bit identical to
+        serial submission.
 
         Parameters
         ----------
@@ -394,12 +400,6 @@ class QuantumAnnealerSimulator:
             cold=self.cold_temperature,
         )
         plan = embedded.plan
-        sampler_options = dict(clusters=plan.clusters, rng=rng,
-                               threads=threads)
-
-        num_anneals = parameters.num_anneals
-        physical = np.empty((num_anneals, len(isings) * plan.num_physical),
-                            dtype=np.int8)
         cache_key: Optional[Tuple] = None
         sampler: Optional[BlockDiagonalSampler] = None
         if self.sampler_cache_size:
@@ -414,34 +414,22 @@ class QuantumAnnealerSimulator:
                 self._sampler_cache_hits += 1
             else:
                 self._sampler_cache_misses += 1
-        produced = 0
-        while produced < num_anneals:
-            batch = min(self.ice_batch_size, num_anneals - produced)
-            programmed = self.ice.perturb_pack(embedded.problems, rngs)
-            if programmed.values.all():
-                if sampler is None:
-                    sampler = BlockDiagonalSampler(programmed,
-                                                   **sampler_options)
-                else:
-                    sampler.refresh_values(programmed)
-                samples = sampler.anneal(temperatures, batch, rngs)
-            else:
-                # An ICE draw cancelled a coupling exactly, so the blocks
-                # no longer share one structure this batch: anneal them one
-                # by one (identical trajectories, just not packed).  The
-                # warm sampler sits the batch out and serves the next.
-                samples = np.concatenate([
-                    IsingSampler(problem, **sampler_options).anneal(
-                        temperatures, batch, random_state=rng_b)
-                    for problem, rng_b in zip(programmed, rngs)
-                ], axis=1)
-            physical[produced:produced + batch] = samples
-            produced += batch
+        if sampler is None:
+            sampler = BlockDiagonalSampler(embedded.problems,
+                                           clusters=plan.clusters, rng=rng,
+                                           threads=threads)
+        else:
+            sampler.refresh_values(embedded.problems)
+        # The sampler holds the programmed pack; every ICE batch perturbs
+        # it afresh inside the one anneal call.
+        physical = sampler.anneal(temperatures, parameters.num_anneals, rngs,
+                                  ice=self.ice,
+                                  ice_batch_size=self.ice_batch_size)
 
         logical_spins, unembedding = unembed_pack(plan, physical, rngs)
         solutions = aggregate_pack(embedded.logical, logical_spins)
 
-        if cache_key is not None and sampler is not None:
+        if cache_key is not None:
             self._sampler_cache[cache_key] = sampler
             while len(self._sampler_cache) > self.sampler_cache_size:
                 self._sampler_cache.popitem(last=False)

@@ -1,8 +1,9 @@
-"""Shared embedded-shaped cluster test workload.
+"""Shared embedded-shaped test workloads.
 
 One builder for the cluster-kernel suites (equivalence, backend and golden
 tests), so the workload the golden digest pins is exactly the workload the
-randomized equivalence sweeps exercise.
+randomized equivalence sweeps exercise; and one ICE model that cancels a
+programmed coupling, for the machine and pack-pipeline suites.
 """
 
 import numpy as np
@@ -33,3 +34,22 @@ def build_path_chain_problem(num_variables, chain_length, seed, density=0.08):
                        linear=rng.normal(size=num_variables),
                        couplings=couplings)
     return ising, clusters
+
+
+def cancelling_ice(machine, problems, parameters):
+    """An ICE model that cancels a programmed coupler of the last of
+    *problems*, and of no other, in every draw: coupling mean minus a value
+    only that problem programs, no coupling spread (the draws are still
+    made, from each problem's own generator)."""
+    from repro.annealer.embedded import embed_ising
+    from repro.annealer.ice import ICEModel
+
+    embedding = machine.embedding_for(problems[0].num_variables)
+    rows = [embed_ising(problem, embedding,
+                        chain_strength=parameters.chain_strength,
+                        extended_range=parameters.extended_range
+                        ).ising.coupling_values.tolist()
+            for problem in problems]
+    others = {value for row in rows[:-1] for value in row}
+    value = next(value for value in rows[-1] if value not in others)
+    return ICEModel(quadratic_mean=-value, quadratic_std=0.0)

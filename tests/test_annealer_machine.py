@@ -21,6 +21,8 @@ from repro.ising.solver import BruteForceIsingSolver
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
 
+from cluster_workloads import cancelling_ice
+
 
 def make_reduced(num_users=4, constellation="BPSK", seed=0, snr_db=None):
     link = MimoUplink(num_users=num_users, constellation=constellation)
@@ -264,9 +266,10 @@ class TestSamplerCache:
         assert info["hits"] == 2
         assert info["entries"] == 2
 
-    def test_structure_checked_once_per_ice_batch(self, monkeypatch):
-        """A work counter, not a clock: every rebind costs one structure
-        check (the build of the first batch validates while it stacks)."""
+    def test_structure_checked_once_per_pack(self, monkeypatch, artefact):
+        """A work counter, not a clock: a cold pack's build validates while
+        it stacks, and a warm pack's rebind costs one structure check — the
+        ICE batches inside the one anneal call check none."""
         from repro.annealer.engine import BlockDiagonalSampler
 
         checks = []
@@ -282,13 +285,16 @@ class TestSamplerCache:
                                            ice_batch_size=5)
         reduced = make_reduced(num_users=3, constellation="QPSK", seed=1,
                                snr_db=12.0)
-        machine.run(reduced.ising, AnnealerParameters(num_anneals=20),
-                    random_state=0)
-        assert checks == [1] * 3
+        for seed in range(2):
+            machine.run(reduced.ising, AnnealerParameters(num_anneals=20),
+                        random_state=seed)
+        assert checks == [1]
 
     def _cancel_one_coupling(self, monkeypatch, on_call):
         """Make the *on_call*-th ICE realisation (0-based, counted per
-        machine run) land one coupling of the last problem on exactly zero."""
+        machine run) land one coupling of the last problem on exactly zero.
+        The NumPy path draws ICE through ``perturb_pack``, which this
+        patches; the C artefact draws inside its batch call."""
         from repro.annealer.ice import ICEModel
 
         original = ICEModel.perturb_pack
@@ -304,16 +310,10 @@ class TestSamplerCache:
         monkeypatch.setattr(ICEModel, "perturb_pack", perturb_pack)
         return calls
 
-    def test_cancelled_coupling_anneals_per_problem_and_keeps_the_sampler(
-            self, monkeypatch):
-        """An ICE draw that zeroes a coupling exactly changes that batch's
-        structure: the batch anneals problem by problem, and the warm
-        sampler is still there for the next batch and the next call."""
-        from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from repro.annealer.engine import BlockDiagonalSampler
 
-        pack = [make_reduced(num_users=3, constellation="QPSK", seed=s,
-                             snr_db=12.0).ising for s in range(3)]
-        parameters = AnnealerParameters(num_anneals=15)
         builds = []
         original_init = BlockDiagonalSampler.__init__
 
@@ -322,31 +322,88 @@ class TestSamplerCache:
             original_init(sampler, isings, *args, **kwargs)
 
         monkeypatch.setattr(BlockDiagonalSampler, "__init__", counting_init)
-        calls = self._cancel_one_coupling(monkeypatch, on_call=1)
-        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+        return builds
+
+    def test_cancelled_coupling_anneals_per_problem_and_keeps_the_sampler(
+            self, monkeypatch, on_numpy):
+        """An ICE draw that zeroes a coupling exactly changes that batch's
+        structure: the batch anneals problem by problem, and the warm
+        sampler is still there for the next batch and the next call."""
+        from repro.annealer.engine import IsingSampler
+
+        pack = [make_reduced(num_users=3, constellation="QPSK", seed=s,
+                             snr_db=12.0).ising for s in range(3)]
+        parameters = AnnealerParameters(num_anneals=15)
+        builds = self._count_builds(monkeypatch)
+        with on_numpy():
+            calls = self._cancel_one_coupling(monkeypatch, on_call=1)
+            machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+                                               ice_batch_size=5)
+            first = machine.run_batch(pack, parameters, random_state=3)
+            # One pack build for the programmed pack, and three
+            # one-problem samplers for the cancelled batch 1; batches 0
+            # and 2 anneal on the pack sampler.
+            assert builds == [("BlockDiagonalSampler", 3)] + [
+                (IsingSampler.__name__, 1)] * 3
+            assert machine.sampler_cache_info()["entries"] == 1
+            del builds[:]
+            machine.run_batch(pack, parameters, random_state=4)
+            assert builds == []  # warm: the kept sampler served all batches
+
+            # The per-problem batch follows each problem's own stream, so
+            # the cold machine (no cache) agrees bit for bit under the same
+            # ICE.
+            del calls[:]
+            cold = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+                                            ice_batch_size=5,
+                                            sampler_cache_size=0)
+            for a, b in zip(first, cold.run_batch(pack, parameters,
+                                                  random_state=3)):
+                np.testing.assert_array_equal(a.solutions.samples,
+                                              b.solutions.samples)
+                np.testing.assert_array_equal(a.solutions.num_occurrences,
+                                              b.solutions.num_occurrences)
+
+    def test_cancelled_coupling_through_the_batch_call(self, monkeypatch,
+                                                       artefact):
+        """The same facts with the zero drawn, not patched in: a coupling
+        mean of minus a coupler value that only the last problem programs,
+        and no spread, cancels that coupler in every batch — on the C path
+        inside the artefact's batch call, which hands each batch to the
+        per-problem anneal and resumes."""
+        from repro.annealer.engine import IsingSampler
+
+        pack = [make_reduced(num_users=3, constellation="QPSK", seed=s,
+                             snr_db=12.0).ising for s in range(3)]
+        parameters = AnnealerParameters(num_anneals=15)
+        ice = cancelling_ice(QuantumAnnealerSimulator(
+            ChimeraGraph.ideal(4, 4)), pack, parameters)
+        builds = self._count_builds(monkeypatch)
+        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4), ice=ice,
                                            ice_batch_size=5)
-        first = machine.run_batch(pack, parameters, random_state=3)
-        # One pack build for batch 0, three one-problem samplers for the
-        # cancelled batch 1, and batch 2 rebinds the kept pack sampler.
+        rngs = [np.random.default_rng(30 + b) for b in range(3)]
+        first = machine.run_batch(pack, parameters, random_states=rngs)
+        # One pack build, then every one of the three batches problem by
+        # problem.
         assert builds == [("BlockDiagonalSampler", 3)] + [
-            (IsingSampler.__name__, 1)] * 3
+            (IsingSampler.__name__, 1)] * 9
         assert machine.sampler_cache_info()["entries"] == 1
         del builds[:]
         machine.run_batch(pack, parameters, random_state=4)
-        assert builds == []  # warm: the kept sampler served all batches
+        assert builds == [(IsingSampler.__name__, 1)] * 9  # warm pack kept
 
-        # The per-problem batch follows each problem's own stream, so the
-        # cold machine (no cache) agrees bit for bit under the same ICE.
-        del calls[:]
-        cold = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4),
+        cold = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4), ice=ice,
                                         ice_batch_size=5,
                                         sampler_cache_size=0)
+        cold_rngs = [np.random.default_rng(30 + b) for b in range(3)]
         for a, b in zip(first, cold.run_batch(pack, parameters,
-                                              random_state=3)):
+                                              random_states=cold_rngs)):
             np.testing.assert_array_equal(a.solutions.samples,
                                           b.solutions.samples)
             np.testing.assert_array_equal(a.solutions.num_occurrences,
                                           b.solutions.num_occurrences)
+        for rng, cold_rng in zip(rngs, cold_rngs):
+            assert rng.bit_generator.state == cold_rng.bit_generator.state
 
     def test_sampler_errors_propagate(self, monkeypatch):
         """Only the cancelled-coupling test routes around the pack sampler:

@@ -117,9 +117,10 @@ class TestDispatch:
         np.testing.assert_array_equal(first.solutions.samples,
                                       second.solutions.samples)
 
-    #: The artefact's callers in a sequential machine job: the sweep, then
-    #: the embed, vote, distinct-reads and energy stages of the pack.
-    PACK_STAGES = ("pack_fused_colour_cluster_sweep", "embed_direct",
+    #: The artefact's callers in a sequential machine job: the ICE batches
+    #: (draws, start and sweeps), then the embed, vote, distinct-reads and
+    #: energy stages of the pack.
+    PACK_STAGES = ("pack_ice_batches", "embed_direct",
                    "majority_vote", "distinct_reads", "csr_pack_matvecs")
 
     def test_every_stage_follows_the_probe(self, artefact, monkeypatch):
@@ -279,13 +280,16 @@ class TestSymbolTable:
         assert dispatch == set(SWEEP_ENTRY_POINTS.values())
         # lane_half_sweep is the sequential call split over two threads,
         # reached through the sequential entry point; embed_direct,
-        # majority_vote and distinct_reads program and read out a pack.
+        # majority_vote and distinct_reads program and read out a pack, and
+        # pack_ice_batches runs a machine job's ICE batches, sweeps and all.
         assert set(self.exported()) == dispatch | {
             "counter_openmp_enabled", "metropolis_accept_probe",
             "counter_initial_spins", "sequential_initial_spins",
             "philox_fill_probe", "csr_pack_matvecs", "lane_half_sweep",
-            "pcg64_probe", "embed_direct", "majority_vote", "distinct_reads"}
-        for name in ("embed_direct", "majority_vote", "distinct_reads"):
+            "pcg64_probe", "embed_direct", "majority_vote", "distinct_reads",
+            "pack_ice_batches"}
+        for name in ("embed_direct", "majority_vote", "distinct_reads",
+                     "pack_ice_batches"):
             assert callable(getattr(backends, name))
 
     def test_sequential_draw_source_is_one_generator_array(self):
@@ -298,7 +302,8 @@ class TestSymbolTable:
         signatures = backends._cext_signatures()
         generators = "const bitgen_t *const *generators"
         for name, tail in [("pack_fused_colour_cluster_sweep", 2),
-                           ("sequential_initial_spins", 1)]:
+                           ("sequential_initial_spins", 1),
+                           ("pack_ice_batches", 1)]:
             assert declarations[name].count(generators) == 1, name
             assert declarations[name][-tail] == generators, name
             assert (signatures[name][1][-tail]
@@ -595,6 +600,53 @@ class TestCextCompileCache:
         with monkeypatch.context() as patch:
             patch.setattr(backends, "_C_SOURCE", backends._C_SOURCE + "\n")
             assert backends._cext_target(()) not in (openmp, serial)
+
+    def test_artifact_is_named_by_the_numpy_archive(self, monkeypatch,
+                                                    tmp_path):
+        """The artefact links NumPy's ``libnpyrandom.a``: another archive
+        (another NumPy) is another build."""
+        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
+        path, identity = backends._npyrandom()
+        assert identity.startswith(path) and path.endswith("libnpyrandom.a")
+        here = backends._cext_target(())
+        monkeypatch.setattr(backends, "_npyrandom",
+                            lambda: (path, identity + "0"))
+        assert backends._cext_target(()) != here
+
+    def test_no_numpy_archive_no_artefact(self, monkeypatch, tmp_path):
+        """Without ``libnpyrandom.a`` there is nothing to link the ICE draws
+        against: the probe is false, as without a compiler, no compiler
+        runs, and a decode takes the NumPy path — with its bits."""
+        from repro.decoder.quamax import QuAMaxDecoder
+        from repro.mimo.system import MimoUplink
+
+        link = MimoUplink(num_users=2, constellation="QPSK")
+        uses = [link.transmit(snr_db=15.0, random_state=seed)
+                for seed in range(2)]
+
+        def decode():
+            machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2))
+            decoder = QuAMaxDecoder(machine,
+                                    AnnealerParameters(num_anneals=10))
+            results = decoder.detect_batch(uses, random_state=3)
+            sampler, = machine._sampler_cache.values()
+            return sampler.selected_backend, [result.detection.bits
+                                              for result in results]
+
+        _, expected = decode()
+        commands = []
+        monkeypatch.setattr(subprocess, "run",
+                            self.fake_compiler(commands))
+        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(backends, "_npyrandom", lambda: None)
+        monkeypatch.setitem(backends._CEXT_STATE, "checked", False)
+        monkeypatch.setitem(backends._CEXT_STATE, "lib", None)
+        assert not backends.cext_available()
+        assert backends._compile_cext() is None and commands == []
+        path, bits = decode()
+        assert path == "numpy"
+        for got, want in zip(bits, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_serial_artifact_never_shadows_the_openmp_build(self, monkeypatch,
                                                             tmp_path):

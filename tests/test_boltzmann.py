@@ -11,14 +11,15 @@ match the exact law ``p(s) ∝ exp(-E(s) / T)`` under a G-test:
   shape, whose cluster (chain) flips must leave the law invariant too.
 
 The cells are {numpy, cext} x {sequential, counter} plus a 2-block cext
-pack per discipline: the sequential one a host with two usable CPUs sweeps
-as two shards (one call under ``taskset -c 0``), the counter one always as
-two (``every_block_splits``); and one sequential cext block always swept as
-two lane halves (``every_block_splits`` again).  The negative control gives the test a known
-power: the same sampler run at ``2T`` — which is the broken acceptance rule
-``u < exp(-delta / (2T))`` — must be rejected.  Seeds are fixed, so each
-cell's p-value is one fixed number; the false-alarm budget is ``1e-3`` per
-cell.
+pack per discipline, both always swept as two block ranges
+(``every_block_splits``); one sequential cext block always swept as two
+lane halves (``every_block_splits`` again); and a 2-block cext pack
+annealed as four ICE batches without noise, each batch of each block
+restarting from its own fresh spins.  The negative control gives the test
+a known power: the same sampler run at ``2T`` — which is the broken
+acceptance rule ``u < exp(-delta / (2T))`` — must be rejected.  Seeds are
+fixed, so each cell's p-value is one fixed number; the false-alarm budget
+is ``1e-3`` per cell.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from scipy import stats
 from repro.annealer import backends
 from repro.annealer.backends import RNG_MODES
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+from repro.annealer.ice import ICEModel
 from repro.ising.model import IsingModel
 
 TEMPERATURE = 1.0
@@ -121,7 +123,7 @@ class TestBoltzmannConformance:
         assert g_test(samples, boltzmann_law(ising, TEMPERATURE)) > FALSE_ALARM
 
     @staticmethod
-    def check_pack(problem, rng_mode="sequential"):
+    def check_pack(problem, rng_mode="sequential", **batches):
         """Two blocks of one structure with their own values, each against
         its own law."""
         if not backends.cext_available():
@@ -130,16 +132,33 @@ class TestBoltzmannConformance:
         problems = [build(), build(seed=11)]
         sampler = BlockDiagonalSampler(problems, clusters=clusters,
                                        rng=rng_mode)
-        samples = anneal(sampler, TEMPERATURE,
-                         [np.random.default_rng(SEED + b) for b in range(2)])
+        samples = sampler.anneal(
+            np.full(SWEEPS, TEMPERATURE), READS,
+            [np.random.default_rng(SEED + b) for b in range(2)], **batches)
         for ising, block in zip(problems, sampler.split_samples(samples)):
             law = boltzmann_law(ising, TEMPERATURE)
             assert g_test(block, law) > FALSE_ALARM
 
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
-    def test_pack_samples_each_blocks_law(self, problem):
-        """The sharded sequential path on a multi-CPU host."""
+    def test_pack_samples_each_blocks_law(self, problem, monkeypatch,
+                                          every_block_splits):
+        """The sequential pack as two block ranges, whatever the host: a
+        helper thread sweeps one of them."""
+        ranges = []
+        original = backends._helpers
+        monkeypatch.setattr(
+            backends, "_helpers", lambda workspace, count:
+            ranges.append(count) or original(workspace, count))
         self.check_pack(problem)
+        assert ranges == [1]
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_ice_batches_restart_from_fresh_spins(self, problem):
+        """The batch call's batches share no state: four noise-free ICE
+        batches of a quarter of the reads each, every one from a fresh
+        start, still sample each block's law."""
+        self.check_pack(problem, ice=ICEModel.disabled(),
+                        ice_batch_size=READS // 4)
 
     @pytest.mark.usefixtures("every_block_splits")
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))

@@ -25,6 +25,11 @@ pieces:
   one range per usable CPU, swept side by side — equals the one call in
   spins, generator states and work, and stays one call when blocks share a
   bit generator or a counter call is two or more OpenMP threads wide;
+* a **pack's ICE batches** — ``pack_ice_batches``, every batch's ICE
+  draws, value gathers, start and sweep in one call per range of blocks —
+  equal the NumPy path's perturb-then-anneal loop in spins and generator
+  states, in either discipline, as one range or several, as lane halves,
+  and at any OpenMP width; one noise-free batch is the plain anneal;
 * **lane halves** — one block's replicas split over two threads, each
   drawing from a C-stepped PCG64 jumped to its own draw offsets — equal
   the one-thread call at any cut, step and jump as NumPy does, fall back to
@@ -60,6 +65,7 @@ from repro.annealer import counter
 from repro.annealer.counter import block_key
 from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
+from repro.annealer.ice import ICEModel
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel, symmetric_csr_template
@@ -581,6 +587,92 @@ class TestShardedPack:
         assert backends._usable_cpus(cap=cpus + 1) == cpus
         assert backends._usable_cpus(cap=0) == 1
         assert backends._usable_cpus() == 1
+
+
+class TestIceBatchCall:
+    """``BlockDiagonalSampler.anneal(..., ice=, ice_batch_size=)`` on the
+    artefact: one ``pack_ice_batches`` call per range of blocks runs every
+    ICE batch.  The NumPy path — ``perturb_pack``, rebind and anneal per
+    batch — is its oracle, bit for bit, generators included."""
+
+    ICE = ICEModel()
+
+    @staticmethod
+    def anneal(sampler, blocks, on_numpy=None, replicas=50, batch=20,
+               ice=ICE):
+        """Three batches (20, 20, 10) from fresh generators: the spins'
+        bytes, the generators' states and the kernel's work."""
+        rngs = [np.random.default_rng(40 + b) for b in range(blocks)]
+        with on_numpy() if on_numpy else contextlib.nullcontext():
+            spins = sampler.anneal(TEMPERATURES, replicas, rngs, ice=ice,
+                                   ice_batch_size=batch)
+        return (spins.tobytes(), [rng.bit_generator.state for rng in rngs],
+                sampler.last_sweep_work)
+
+    @pytest.mark.parametrize("rng", ["sequential", "counter"])
+    @pytest.mark.parametrize("with_clusters", [True, False])
+    @pytest.mark.parametrize("blocks", [1, 3, 16])
+    def test_ranges_equal_the_numpy_loop(self, monkeypatch, on_numpy, blocks,
+                                         with_clusters, rng):
+        sampler = embedded_pack(blocks, with_clusters, rng)
+        programmed = sampler.isings
+        expected, expected_states, _ = self.anneal(sampler, blocks, on_numpy)
+        monkeypatch.setattr(backends, "_SPLIT_SPINS", 0)
+        monkeypatch.setattr(backends, "_STALL_BUDGET", -1)
+        works, calls = set(), []
+        original = backends._batch_block
+        monkeypatch.setattr(
+            backends, "_batch_block", lambda space, buffers, lo, hi, *rest:
+            calls.append(hi - lo) or original(space, buffers, lo, hi, *rest))
+        for cpus in (1, 2, 64):
+            monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+            calls.clear()
+            spins, states, work = self.anneal(sampler, blocks)
+            assert spins == expected and states == expected_states, cpus
+            # One range per usable CPU, or one block as lane halves.
+            shards = min(blocks, cpus)
+            assert calls == [blocks * (k + 1) // shards - blocks * k // shards
+                             for k in range(shards)]
+            works.add(work)
+        assert len(works) == 1 and None not in works
+        # The call leaves the sampler bound to the programmed values.
+        assert sampler.isings is programmed
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_a_wide_counter_batch_call_is_the_one_thread_call(self, threads):
+        """A counter pack's batch call ``threads`` wide is one OpenMP call
+        whose bits and work are the one-thread call's."""
+        expected = self.anneal(embedded_pack(16, True, "counter"), 16)
+        wide = embedded_pack(16, True, "counter", threads=threads)
+        assert self.anneal(wide, 16) == expected
+
+    def test_lane_half_batches_equal_the_numpy_loop(self, on_numpy,
+                                                    every_block_splits):
+        """One block over the split gate: each batch's draws and start in
+        one call, then its sweep as two lane halves."""
+        sampler = embedded_pack(1, True)
+        expected = self.anneal(sampler, 1, on_numpy)[:2]
+        splits = every_block_splits["splits"]
+        assert self.anneal(sampler, 1)[:2] == expected
+        assert every_block_splits["splits"] == splits + 3
+
+    @pytest.mark.parametrize("rng", ["sequential", "counter"])
+    def test_one_noise_free_batch_is_the_plain_anneal(self, rng):
+        """No ICE draws and one batch: the start and the sweep of the batch
+        call are the plain anneal's, bit for bit, generators included."""
+        sampler = embedded_pack(3, True, rng)
+        plain_rngs = [np.random.default_rng(40 + b) for b in range(3)]
+        plain = sampler.anneal(TEMPERATURES, 50, plain_rngs)
+        work = sampler.last_sweep_work
+        assert self.anneal(sampler, 3, batch=50, ice=ICEModel.disabled()) \
+            == (plain.tobytes(), [rng.bit_generator.state
+                                  for rng in plain_rngs], work)
+
+    def test_initial_spins_are_one_plain_batch(self):
+        sampler = embedded_pack(2, True)
+        with pytest.raises(AnnealerError, match="initial_spins"):
+            sampler.anneal(TEMPERATURES, 4, [1, 2], np.ones((4, 36)),
+                           ice=self.ICE)
 
 
 def pcg64_words(state):

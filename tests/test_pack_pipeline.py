@@ -57,6 +57,8 @@ from repro.ising.solver import aggregate_pack, aggregate_samples
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
 
+from cluster_workloads import cancelling_ice
+
 COUPLER_MAX = 1.0
 FIELD_MIN, FIELD_MAX = -2.0, 2.0
 
@@ -799,10 +801,14 @@ class TestRunBatchEqualsOracle:
                 result, oracle_run(machine, problem, parameters,
                                    np.random.default_rng(seed)))
 
-    def test_cancelled_coupling_batch_equals_oracle(self, monkeypatch):
+    def test_cancelled_coupling_batch_equals_oracle(self, monkeypatch,
+                                                    on_numpy):
         """The zero-coupling fallback: the oracle sees the same cancelled
         draw (its dict simply loses the key) and must agree bit for bit,
-        through the per-problem batch and the packed ones around it."""
+        through the per-problem batch and the packed ones around it.  The
+        zero is patched into ``perturb_pack``, which the NumPy path draws
+        ICE through (the C artefact draws it inside its batch call: the
+        twins below)."""
         problems = qpsk_pack(3)
         parameters = AnnealerParameters(num_anneals=15)
         original = ICEModel.perturb_pack
@@ -818,8 +824,10 @@ class TestRunBatchEqualsOracle:
         monkeypatch.setattr(ICEModel, "perturb_pack", perturb_pack)
         machine = self.machine(ice_batch_size=5)
         pack_rngs = [np.random.default_rng(b) for b in range(3)]
-        results = machine.run_batch(problems, parameters,
-                                    random_states=pack_rngs)
+        with on_numpy():
+            results = machine.run_batch(problems, parameters,
+                                        random_states=pack_rngs)
+        assert calls == [3] * 3
         monkeypatch.setattr(ICEModel, "perturb_pack", original)
 
         for b, (problem, result) in enumerate(zip(problems, results)):
@@ -838,6 +846,52 @@ class TestRunBatchEqualsOracle:
                                   perturb=perturb)
             assert_run_equals_oracle(result, expected)
             assert pack_rngs[b].bit_generator.state == rng.bit_generator.state
+
+    def cancelled_runs_equal_oracle(self, monkeypatch, count):
+        """Run a *count*-problem pack whose last problem loses a coupler to
+        the ICE draw in every batch (:func:`cancelling_ice`), hold each
+        result and generator to the oracle (which drops the key), and
+        return the one-problem samplers the run built."""
+        problems = qpsk_pack(count)
+        parameters = AnnealerParameters(num_anneals=15)
+        machine = self.machine(ice_batch_size=5)
+        machine.ice = cancelling_ice(machine, problems, parameters)
+        builds = []
+        original = IsingSampler.__init__
+        monkeypatch.setattr(
+            IsingSampler, "__init__", lambda sampler, *args, **kwargs:
+            builds.append(1) or original(sampler, *args, **kwargs))
+        pack_rngs = [np.random.default_rng(b) for b in range(count)]
+        results = machine.run_batch(problems, parameters,
+                                    random_states=pack_rngs)
+        monkeypatch.setattr(IsingSampler, "__init__", original)
+        for b, (problem, result) in enumerate(zip(problems, results)):
+            rng = np.random.default_rng(b)
+            assert_run_equals_oracle(
+                result, oracle_run(machine, problem, parameters, rng))
+            assert pack_rngs[b].bit_generator.state == rng.bit_generator.state
+        return len(builds)
+
+    def test_cancelled_coupling_in_the_batch_call_equals_oracle(
+            self, monkeypatch):
+        """The zero drawn, not patched in: on the C path the artefact's
+        batch call finds it, hands each of the three batches to the
+        per-problem anneal and resumes at the next."""
+        assert self.cancelled_runs_equal_oracle(monkeypatch, 3) == 3 * 3
+
+    def test_one_range_resumes_after_its_cancelled_batches(
+            self, monkeypatch, every_block_splits):
+        """Two block ranges of which only the second holds the cancelling
+        problem: the first runs its three batches in one call, the second
+        stops at every batch, anneals it problem by problem and resumes
+        (twice: the last batch leaves nothing to resume).  The NumPy path
+        has no ranges: every problem anneals alone."""
+        calls = count_artefact_calls(monkeypatch)
+        builds = self.cancelled_runs_equal_oracle(monkeypatch, 4)
+        if backends.cext_available():
+            assert (calls["pack_ice_batches"], builds) == (1 + 3, 2 * 3)
+        else:
+            assert (calls, builds) == ({}, 4 * 3)
 
     def test_thread_pool_with_a_shared_decoder(self):
         """Plans are immutable and shared; samplers (with their kernel
@@ -880,6 +934,27 @@ class TestRunBatchEqualsOracle:
 # --------------------------------------------------------------------------- #
 needs_cext = pytest.mark.skipif(not backends.cext_available(),
                                 reason="no C compiler for the cext backend")
+
+
+def count_artefact_calls(monkeypatch):
+    """Calls into the C artefact from here on, by exported name (empty on
+    the NumPy path, where nothing loads it)."""
+    lib = backends._load_cext()
+    if lib is None:
+        return {}
+    calls = {}
+
+    class Counting:
+        def __getattr__(self, name):
+            function = getattr(lib, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args)
+            return counted
+
+    monkeypatch.setattr(backends, "_load_cext", Counting)
+    return calls
 
 
 def qpsk_jobs(count, seed=40):
@@ -1065,18 +1140,18 @@ class TestWarmPackWork:
             lambda sampler, *args, **kwargs: anneals.append(1)
             or original_anneal(sampler, *args, **kwargs))
         machine.run_batch(problems, parameters, random_state=2)
-        assert len(anneals) == 2
+        assert len(anneals) == 1
         # Per pack, once, the programming call: logical fields and
         # couplings in, problem scales, fields, couplers and clip counts
         # out (the plan's four addresses are kept with the plan).
         assert pointers[:6] == [(16, 6), (16, 15), (16,), (16, 18),
                                 (16, 27), (16,)]
-        # Per anneal and range of blocks (all 16 in one call on one CPU, two
-        # ranges of 8 on two): fields, class values and cluster-edge values
-        # — what a rebind moves.
-        blocks = 16 // cpus
-        assert pointers[6:-9] == ([(blocks * 18,), (blocks, 54),
-                                   (blocks, 12)] * cpus * len(anneals))
+        # Per pack, once, however many ranges of blocks run it (all 16 in
+        # one call on one CPU, two ranges of 8 on two; a range's are
+        # offsets into these): the batch call's programmed fields and
+        # couplings and its physical out-array.  The rest of what it reads
+        # and writes lives in argument blocks kept with the sampler.
+        assert pointers[6:-9] == [(16 * 18,), (16, 27), (50, 16 * 18)]
         # Per pack, once each: the vote (samples in, chain signs and counts
         # out), the distinct reads (first occurrences, counts, bounds and
         # sort scratch in one array; logical spins in), then the energy
@@ -1197,9 +1272,10 @@ class TestWarmPackWork:
     def test_the_two_edges_are_one_pass_each(self, monkeypatch):
         """Inside a warm 16-job sequential cext ``detect_batch``: the ML
         reduction is ONE stacked ``reduce_pack`` (no per-job closed form, no
-        ``IsingModel`` on the way into ``run_batch``), and each anneal draws
-        its starting configuration in ONE ``sequential_initial_spins`` call
-        (no ``Generator.integers`` per block)."""
+        ``IsingModel`` on the way into ``run_batch``), and ONE anneal call
+        makes ONE batch call, which draws every batch's starting
+        configuration in C (no ``sequential_initial_spins`` wrapper call,
+        no ``Generator.integers`` per block)."""
         import repro.transform.ising_coeffs as ising_coeffs
 
         link = MimoUplink(num_users=3, constellation="QPSK")
@@ -1210,8 +1286,8 @@ class TestWarmPackWork:
                                 AnnealerParameters(num_anneals=50))
         expected = decoder.detect_batch(uses, random_state=1)  # warm
         counts = {"build_ml_ising": 0, "reduce": 0, "reduce_pack": 0,
-                  "models": 0, "initial_spins": 0, "anneals": 0,
-                  "models before run_batch": None}
+                  "models": 0, "initial_spins": 0, "batch_calls": 0,
+                  "anneals": 0, "models before run_batch": None}
 
         def counted(owner, name, key):
             original = getattr(owner, name)
@@ -1225,6 +1301,7 @@ class TestWarmPackWork:
         counted(MLToIsingReducer, "reduce", "reduce")
         counted(MLToIsingReducer, "reduce_pack", "reduce_pack")
         counted(backends, "sequential_initial_spins", "initial_spins")
+        counted(backends, "pack_ice_batches", "batch_calls")
         counted(BlockDiagonalSampler, "anneal", "anneals")
         counted(IsingModel, "__init__", "models")
         original_from_arrays = IsingModel.from_arrays.__func__
@@ -1245,8 +1322,8 @@ class TestWarmPackWork:
         monkeypatch.undo()
         assert decoder.sampler_cache_info()["hits"] == 1
         assert counts == {"build_ml_ising": 0, "reduce": 0, "reduce_pack": 1,
-                          "models": 16, "initial_spins": 2, "anneals": 2,
-                          "models before run_batch": 0}
+                          "models": 16, "initial_spins": 0, "batch_calls": 1,
+                          "anneals": 1, "models before run_batch": 0}
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got.detection.bits,
                                           want.detection.bits)
@@ -1257,8 +1334,9 @@ class TestWarmPackWork:
     @needs_cext
     def test_no_scalar_generator_call_on_a_warm_cext_pack(self, monkeypatch):
         """The cext path of a warm pack reaches its generators through the
-        ``bitgen_t`` pointers alone: no ``.ctypes`` interface is built and
-        the numpy start (the ``integers`` loop) never runs."""
+        ``bitgen_t`` pointers alone: no ``.ctypes`` interface is built, and
+        neither the numpy start (the ``integers`` loop) nor the start's
+        own wrapper runs — the batch call draws it."""
         problems = qpsk_pack(16)
         machine = ideal_machine()
         parameters = AnnealerParameters(num_anneals=50)
@@ -1271,10 +1349,45 @@ class TestWarmPackWork:
             or original(backend, *args))
         rngs = [np.random.default_rng(seed) for seed in range(16)]
         machine.run_batch(problems, parameters, random_states=rngs)
-        assert backends_seen == ["cext", "cext"]
+        assert backends_seen == []
         # ``BitGenerator.ctypes`` is built (and cached there) on first read.
         assert all(getattr(rng.bit_generator, "_ctypes", None) is None
                    for rng in rngs)
+
+    @needs_cext
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_artefact_calls_per_warm_pack(self, monkeypatch, cpus):
+        """A warm one-job pack crosses into C five times: the programming,
+        the one batch call (every ICE batch's draws, gathers, start and
+        sweeps), the vote, the distinct reads and the energies.  A 16-job
+        pack makes one batch call per range of blocks, out of one anneal
+        after one rebind."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        parameters = AnnealerParameters(num_anneals=50)
+        one, sixteen = qpsk_pack(1), qpsk_pack(16)
+        machine = ideal_machine()
+        for problems in (one, sixteen):
+            machine.run_batch(problems, parameters, random_state=1)
+        stages = {"embed_direct": 1, "majority_vote": 1, "distinct_reads": 1,
+                  "csr_pack_matvecs": 1}
+        calls = count_artefact_calls(monkeypatch)
+        machine.run_batch(one, parameters, random_state=2)
+        assert calls == {**stages, "pack_ice_batches": 1}
+        assert sum(calls.values()) == 5
+
+        counts = {"anneal": 0, "refresh_values": 0}
+        for name in counts:
+            original = getattr(BlockDiagonalSampler, name)
+            monkeypatch.setattr(
+                BlockDiagonalSampler, name,
+                lambda *args, _original=original, _name=name, **kwargs:
+                counts.__setitem__(_name, counts[_name] + 1)
+                or _original(*args, **kwargs))
+        calls.clear()
+        machine.run_batch(sixteen, parameters, random_state=2)
+        assert calls == {**stages, "pack_ice_batches": cpus}
+        assert counts == {"anneal": 1, "refresh_values": 1}
+        assert machine.sampler_cache_info()["hits"] == 3  # one sampler
 
     def test_temperature_profile_is_built_once(self):
         machine = ideal_machine()

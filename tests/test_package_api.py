@@ -263,6 +263,9 @@ class TestServingOptionSurface:
             "embedding", "rng", "threads"},
         "BlockDiagonalSampler": {
             "isings", "clusters", "rng", "threads"},
+        "BlockDiagonalSampler.anneal": {
+            "temperatures", "num_replicas", "random_states", "initial_spins",
+            "ice", "ice_batch_size"},
         "IsingSampler": {"ising", "clusters", "rng", "threads"},
         "SimulatedAnnealingSolver": {
             "num_sweeps", "num_reads", "hot_temperature", "cold_temperature",
