@@ -132,10 +132,10 @@ def golden():
 
 @pytest.fixture
 def every_block_splits(monkeypatch):
-    """Every one-thread cext call sweeps on two threads — a pack of several
-    blocks, of either draw discipline, as two block ranges
-    (``backends._sharded_colour_call``), one sequential block of two or
-    more replicas as two lane halves
+    """Every one-thread cext batch call sweeps on two threads — a pack of
+    several blocks, of either draw discipline, as two block ranges
+    (``backends._shards``), one sequential block of two or more replicas as
+    two lane halves
     (``backends._lane_half_call``): two usable CPUs whatever the host, no
     size gate, and halves that wait for each other however long (no
     decline, no stall, no stand-down).  Bits must not notice."""

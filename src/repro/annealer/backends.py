@@ -19,33 +19,30 @@ about the box, not a setting:
   (the behavioural definition of the dynamics), which a box without a C
   compiler runs.
 
-One entry point per draw discipline
------------------------------------
+The batch call is the sweep boundary
+------------------------------------
 
-The compiled boundary is two functions, one per draw discipline:
-
-* sequential — :func:`pack_fused_colour_cluster_sweep`;
-* counter — :func:`counter_pack_fused_colour_cluster_sweep`.
-
-Each takes a whole *pack* (the combined ``(R, blocks*P)`` spin matrix of a
-:class:`~repro.annealer.engine.BlockDiagonalSampler`) through the whole
-temperature schedule in one dispatch: per temperature and block, one
-single-spin sweep followed by one cluster-flip sweep.  Every other shape is
-a degenerate case of that one rather than a kernel of its own — a single
-problem is a pack of one block, and a sampler without clusters hands over an
-*empty* :class:`ClusterDescriptor`, whose cluster pass runs zero iterations
-and draws nothing, so the per-block draw stream is exactly the plain
-single-spin stream.  Cluster moves travel across the boundary as that
-flattened descriptor — member/column/internal-edge CSR-style structure
-arrays shared by the blocks plus stacked per-block values — built once per
-anneal by the engine.  The same two symbols are what ``_C_SOURCE`` exports
-(bound through :func:`_cext_signatures`).  Beside them the artefact exports
-a machine job's whole anneal and the exact stages on either side of it,
-one call each per pack: :func:`embed_direct` programs a pack,
-:func:`pack_ice_batches` runs every ICE batch of it — per batch and block
-the ICE draws (NumPy's ``random_normal`` from ``libnpyrandom.a``, which
-the build links), the gathers, the start and the sweep of either
-discipline — in one call per range of blocks, :func:`majority_vote` and
+Every anneal crosses into C as one call of :func:`pack_ice_batches` per
+range of blocks: it takes a whole *pack* (the combined ``(R, blocks*P)``
+spin matrix of a :class:`~repro.annealer.engine.BlockDiagonalSampler`)
+through its ICE batches — no ICE is one noise-free batch — and per batch
+and block runs the ICE draws (NumPy's ``random_normal`` from
+``libnpyrandom.a``, which the build links), the gathers, the start and the
+whole temperature schedule of either draw discipline: per temperature and
+block, one single-spin sweep followed by one cluster-flip sweep.  Every
+other shape is a degenerate case of that one rather than a kernel of its
+own — a single problem is a pack of one block, and a sampler without
+clusters hands over an *empty* :class:`ClusterDescriptor`, whose cluster
+pass runs zero iterations and draws nothing, so the per-block draw stream
+is exactly the plain single-spin stream.  Cluster moves travel across the
+boundary as that flattened descriptor — member/column/internal-edge
+CSR-style structure arrays shared by the blocks plus stacked per-block
+values.  Behind the batch call, one large sequential block sweeps as two
+lane halves (``lane_half_sweep``, :func:`_lane_half_call`), and when a
+split does not happen as the one-thread colour routine
+(``pack_fused_colour_cluster_sweep``).  Beside it the artefact exports the
+exact stages on either side of a machine job's anneal, one call each per
+pack: :func:`embed_direct` programs a pack, :func:`majority_vote` and
 :func:`distinct_reads` read its samples out, and :func:`csr_pack_matvecs`
 (scipy's CSR product, exactly) is its energy operator — so a process
 serving on cext never imports scipy; the numpy reference loops, and the
@@ -91,13 +88,13 @@ remembered one is stale.  And counter draws, being addressed, are valued
 in bulk: before a lane move decides, ``philox_fill`` values the uniform of
 every (site, lane) at once, one Philox per 64-bit slot of an SSE2 or — on
 a CPU that has it, see :func:`philox_lanes` — AVX2 register; the same fill
-values the counter discipline's initial configuration
-(:func:`counter_initial_spins`).  No shortcut changes a decision — the
-identity and golden suites are the proof — and each dispatch reports
-:class:`SweepWork` counters that guard them without a clock.  In C every
+values the counter discipline's initial configuration (``philox_start``).
+No shortcut changes a decision — the identity and golden suites are the
+proof — and each call reports :class:`SweepWork` counters that guard them
+without a clock.  In C every
 move is written once against a ``draw_source`` (lane moves *prepare*
-their draws, a no-op for a generator, then read them), so the entry
-points differ only in how they group replicas and in the draw.
+their draws, a no-op for a generator, then read them), so the two
+disciplines differ only in how they group replicas and in the draw.
 
 Counter mode and threads
 ------------------------
@@ -111,17 +108,18 @@ valued by Philox4x32-10 under a per-block key (see
 :mod:`repro.annealer.counter`) — which makes replica evaluation order
 irrelevant and replica-level parallelism legal.  A block draws from its own
 generator or key only, so one rule spreads a pack over the cores, bit for
-bit: a one-thread cext call of more than :data:`_SPLIT_SPINS` spins is one
-call per usable CPU over contiguous block ranges
-(:func:`_sharded_colour_call`) — sharding is a property of the pack, not a
-knob.  ``threads=`` is the OpenMP width of one counter call instead, a
-``parallel for`` over (block, lane group) pairs (``-fopenmp`` when the
-compiler takes it, else serial), never also sharded.  One large sequential
+bit: a one-thread batch call of more than :data:`_SPLIT_SPINS` spins is
+one call per usable CPU over contiguous block ranges (:func:`_shards`) —
+sharding is a property of the pack, not a knob.  ``threads=`` is the
+OpenMP width of one counter call instead, a ``parallel for`` over (block,
+lane group) pairs (``-fopenmp`` when the compiler takes it, else serial),
+never also sharded.  One large sequential
 block splits its replicas into two lane halves whose uphill counts, known
 before any decision, place each half's draws in the stream
-(:func:`_lane_half_call`).  The numpy branches are the reference of counter
-mode and ignore ``threads``.  Counter-mode trajectories are bit-identical
-across backends, thread counts and shards, which the counter suites pin.
+(:func:`_lane_half_call`).  The NumPy counter loops are the reference of
+counter mode and ignore ``threads``.  Counter-mode trajectories are
+bit-identical across backends, thread counts and shards, which the counter
+suites pin.
 
 Compile cost
 ------------
@@ -222,15 +220,16 @@ def warmup() -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel entry points (dispatch by backend)
+# What crosses the compiled boundary
 # --------------------------------------------------------------------------- #
 
 class ClusterDescriptor(NamedTuple):
     """Flattened pack-level cluster metadata handed across the compiled boundary.
 
     The structure is built once per sampler and the two value matrices
-    gathered per anneal from the sampler's bound value matrix
-    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`),
+    gathered per batch from the bound values (by the batch call in C, and
+    on the NumPy path by
+    :meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`),
     so samplers rebound through ``refresh_values`` always sweep the current
     values.  The structure
     arrays are *block-level* (member and edge indices address one block's
@@ -306,12 +305,10 @@ def _rng_pointer_arrays(rngs):
         for rng in rngs])
 
 
-def _generator_pointers(workspace: Optional[dict], rngs):
+def _generator_pointers(workspace: dict, rngs):
     """:func:`_rng_pointer_arrays` of *rngs*, kept in *workspace* for as
-    long as the calls over it draw from the same generator objects — the
-    initial configuration and the ICE batches of one run share one array."""
-    if workspace is None:
-        return _rng_pointer_arrays(rngs)
+    long as the calls over it draw from the same generator objects — every
+    batch call of one run, and its lane halves' fallback, share one array."""
     sources = workspace.get("rngs")
     if sources is None or sources[0] != rngs:  # list != compares identities
         sources = workspace["rngs"] = (list(rngs), _rng_pointer_arrays(rngs))
@@ -352,7 +349,7 @@ def _usable_cpus(cap: Optional[int] = None) -> int:
     return _USABLE_CPUS
 
 
-def _cext_colour_arguments(workspace: Optional[dict], num_blocks: int,
+def _cext_colour_arguments(workspace: dict, num_blocks: int,
                            threads: int, spins, linear, members, class_starts,
                            class_data, indices, indptr, clusters,
                            temperatures, *draw_args) -> tuple:
@@ -360,15 +357,13 @@ def _cext_colour_arguments(workspace: Optional[dict], num_blocks: int,
 
     The kernels' per-structure argument block lives in *workspace*, a dict
     the caller keeps for as long as it keeps the structure arrays (a
-    sampler's lifetime; ``None`` for a one-off call): ``row_of``, which
+    sampler's lifetime): ``row_of``, which
     maps a variable to its row of the class CSR, the addresses of every
     structure array, the work out-array, and — reused while large
     enough, no ``malloc`` in C — the lane scratch (:func:`_lane_layout`).
     A call over a kept workspace marshals only what changes: spins, fields
     and values, plus the draw sources when the generators change.
     """
-    if workspace is None:
-        workspace = {}
     num_replicas = spins.shape[0]
     size = spins.shape[1] // num_blocks
     structure = workspace.get("structure")
@@ -410,13 +405,13 @@ def _cext_colour_arguments(workspace: Optional[dict], num_blocks: int,
         work_ptr), work
 
 
-def _helpers(workspace: Optional[dict], count: int):
+def _helpers(workspace: dict, count: int):
     """The helper pool, and *count* sub-workspaces of *workspace* for the
-    calls it runs (fresh ones for a one-off call)."""
+    calls it runs."""
     if not _HELPERS:
         from concurrent.futures import ThreadPoolExecutor
         _HELPERS.setdefault("pool", ThreadPoolExecutor(_usable_cpus() - 1))
-    spaces = [] if workspace is None else workspace.setdefault("shards", [])
+    spaces = workspace.setdefault("shards", [])
     spaces += [{} for _ in range(count - len(spaces))]
     return _HELPERS["pool"], spaces[:count]
 
@@ -478,7 +473,7 @@ def _note_split(outcome: int) -> None:
                       if clean >= _STAND_DOWN_RESET else rest)
 
 
-def _lane_half_call(lib, workspace: Optional[dict], spins, arguments,
+def _lane_half_call(lib, workspace: dict, spins, arguments,
                     rng) -> Optional[SweepWork]:
     """A one-block sequential call as two lane halves (``lane_half_sweep``):
     replicas ``[0, cut)`` on this thread, the rest on a helper, each from a
@@ -528,106 +523,15 @@ def _shards(spins, blocks: int, threads: int = 1) -> int:
     return min(blocks, _usable_cpus()) if split else 1
 
 
-def _sharded_colour_call(function, workspace: Optional[dict], spins,
-                         arguments, blocks: int, shards: int, threads: int,
-                         draws) -> SweepWork:
-    """*function*, either cext colour entry point, over *blocks* as
-    *shards* calls on contiguous block ranges, each with a sub-workspace
-    and its blocks' slice of the fields, values and draw sources
-    (``draws(lo, hi)``), the first on this thread, the rest on helpers
-    (ctypes drops the GIL): the one call exactly, as a block draws from its
-    own generator or key only.  One shard is the one call, *threads* wide."""
-    linear, members, class_starts, class_data, indices, indptr, clusters, \
-        temperatures = arguments
-    if shards < 2:
-        args, work = _cext_colour_arguments(
-            workspace, blocks, threads, spins, *arguments, *draws(0, blocks))
-        function(*args)
-        return SweepWork(*work.tolist())
-    pool, spaces = _helpers(workspace, shards - 1)
-    size = spins.shape[1] // blocks
-    bounds = [blocks * k // shards for k in range(shards + 1)]
-    calls = [_cext_colour_arguments(
-        space, hi - lo, 1, spins[:, lo * size:hi * size],
-        linear[lo * size:hi * size], members, class_starts, class_data[lo:hi],
-        indices, indptr,
-        clusters._replace(edge_values=clusters.edge_values[lo:hi]),
-        temperatures, *draws(lo, hi))
-        for space, lo, hi in zip([workspace, *spaces], bounds, bounds[1:])]
-    rest = [pool.submit(function, *args) for args, _ in calls[1:]]
-    try:
-        function(*calls[0][0])
-    finally:
-        for future in rest:
-            future.result()
-    return SweepWork(*sum(work for _, work in calls).tolist())
-
-
-def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
-                                    linear: np.ndarray, members: np.ndarray,
-                                    class_starts: np.ndarray,
-                                    class_data: np.ndarray,
-                                    indices: np.ndarray, indptr: np.ndarray,
-                                    clusters: ClusterDescriptor,
-                                    temperatures: np.ndarray,
-                                    rngs, workspace: Optional[dict] = None
-                                    ) -> SweepWork:
-    """Whole-schedule colour-class (+ cluster-flip) sweeps over a pack.
-
-    The sequential-discipline colour entry point — one dispatch per anneal
-    whatever the pack shape; a single problem is a pack of one block.
-    ``spins`` is the combined ``(R, blocks*P)`` float64 matrix updated in
-    place and ``linear`` the combined block-major field vector.
-    ``members`` / ``class_starts`` describe the ragged colour classes
-    (block-level variable indices, concatenated in class order) and
-    ``indices``/``indptr`` the CSR structure of the stacked per-class
-    local-field operators (row ``k`` maps a block's spins to the field of
-    ``members[k]``); all blocks share that structure, so the per-block
-    values travel stacked — *class_data* is ``(blocks, class_nnz)``, and
-    *clusters* carries ``(blocks, nnz)`` / ``(blocks, E)`` value matrices
-    (empty when the sampler has no clusters).  Per entry of
-    ``temperatures`` every block runs one sweep over all classes, then
-    offers every cluster a collective flip, drawing from its own generator
-    of *rngs* in exactly the reference loops' (replica-major) order — so
-    the pack is bit-for-bit the per-block serial anneals (cext: one call
-    per core, :func:`_sharded_colour_call`).  Returns the dispatch's
-    :class:`SweepWork` counts, as the cext branch of both entry points
-    does.  A caller making repeated calls over one structure (same
-    structure arrays, new values) passes the same *workspace* dict each
-    time and the cext branch keeps its argument blocks there.
-    """
-    if backend == "cext":
-        lib = _load_cext()
-        generators = _generator_pointers(workspace, rngs)
-        blocks = len(generators)
-        arguments = (linear, members, class_starts, class_data, indices,
-                     indptr, clusters, temperatures)
-        # Two blocks sharing a bit generator draw in block order: one call.
-        shared = len(set(generators)) < blocks
-        shards = 1 if shared else _shards(spins, blocks)
-        # One block that the rule would shard were it two: lane halves.
-        if (blocks == 1 < spins.shape[0] and _shards(spins, 2) > 1
-                and type(rngs[0].bit_generator) is np.random.PCG64):
-            work = _lane_half_call(lib, workspace, spins, arguments, rngs[0])
-            if work is not None:
-                return work
-        return _sharded_colour_call(
-            lib.pack_fused_colour_cluster_sweep, workspace, spins, arguments,
-            blocks, shards, 1,
-            lambda lo, hi: ((ctypes.c_void_p * (hi - lo)).from_buffer(
-                generators, lo * ctypes.sizeof(ctypes.c_void_p)),))
-    raise AnnealerError(
-        f"no pack colour+cluster kernel for backend {backend!r}")
-
-
 # --------------------------------------------------------------------------- #
-# Counter-mode (rng="counter") kernel entry points
+# The NumPy path's starts and counter loops
 #
-# Same kernels, different draw discipline: uniforms come from the Philox
-# counter contract of repro.annealer.counter instead of a shared Generator,
-# so replicas are independent and the compiled variants may run them in
-# parallel (threads=).  The numpy branches below are the reference
-# implementation of counter mode; all backends are bit-identical to them.
+# A box without the artefact anneals a batch through these and the engine's
+# sequential loops: the reference the batch call reproduces bit for bit.
+# Under the counter discipline uniforms come from the Philox counter
+# contract of repro.annealer.counter instead of a shared Generator, so
+# replicas are independent and the artefact may run them in parallel
+# (threads=).
 # --------------------------------------------------------------------------- #
 
 def _counter_row_operators(starts, data, indices, indptr, size):
@@ -711,44 +615,66 @@ def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
             spins[np.ix_(accepted, group)] *= -1.0
 
 
-def sequential_initial_spins(backend: str, rngs, num_replicas: int,
-                             size: int, workspace: Optional[dict] = None
+def sequential_initial_spins(rngs, num_replicas: int, size: int
                              ) -> np.ndarray:
     """The sequential discipline's initial ``(R, blocks*P)`` spin matrix:
     block ``b``'s columns are ``2 * rngs[b].integers(0, 2, (R, P)) - 1``
-    (the stream ``Generator.choice([-1, 1])`` consumes) — the oracle, which
-    numpy runs per block; cext draws the same bits through each generator's
-    ``next_uint32`` in one call, over the pointer array the sweeps of the
-    same *workspace* use."""
+    (the stream ``Generator.choice([-1, 1])`` consumes).  The artefact's
+    ``sequential_initial_spins`` draws the same bits through each
+    generator's ``next_uint32``, inside the batch call."""
     spins = np.empty((num_replicas, len(rngs) * size))
-    if backend != "cext":
-        for b, rng in enumerate(rngs):
-            spins[:, b * size:(b + 1) * size] = rng.integers(
-                0, 2, size=(num_replicas, size))
-        spins *= 2.0
-        spins -= 1.0
-        return spins
-    _load_cext().sequential_initial_spins(
-        *_row_strided(spins), num_replicas, len(rngs), size,
-        _generator_pointers(workspace, rngs))
+    for b, rng in enumerate(rngs):
+        spins[:, b * size:(b + 1) * size] = rng.integers(
+            0, 2, size=(num_replicas, size))
+    spins *= 2.0
+    spins -= 1.0
     return spins
 
 
-def counter_initial_spins(backend: str, keys, num_replicas: int,
-                          size: int) -> np.ndarray:
+def counter_initial_spins(keys, num_replicas: int, size: int) -> np.ndarray:
     """The counter discipline's initial ``(R, blocks*P)`` spin matrix: block
     ``b``'s columns are :func:`repro.annealer.counter.counter_initial_spins`
-    under ``keys[b]`` — the oracle, which numpy runs per block; cext values
-    the whole matrix in one call of the kernels' Philox fill."""
-    if backend != "cext":
-        from repro.annealer.counter import counter_initial_spins as block
-        return np.concatenate(
-            [block(key, num_replicas, size) for key in keys], axis=1)
-    spins = np.empty((num_replicas, len(keys) * size))
-    keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-    _load_cext().counter_initial_spins(_ptr(spins), num_replicas, len(keys),
-                                       size, _ptr(keys_array))
-    return spins
+    under ``keys[b]``.  The artefact values the same matrix with its
+    kernels' Philox fill, inside the batch call."""
+    from repro.annealer.counter import counter_initial_spins as block
+    return np.concatenate([block(key, num_replicas, size) for key in keys],
+                          axis=1)
+
+
+def counter_pack_fused_colour_cluster_sweep(
+        spins: np.ndarray, linear: np.ndarray, members: np.ndarray,
+        class_starts: np.ndarray, class_data: np.ndarray,
+        indices: np.ndarray, indptr: np.ndarray,
+        clusters: ClusterDescriptor, temperatures: np.ndarray,
+        keys) -> None:
+    """Counter-mode colour-class (+ cluster-flip) sweeps over a pack, in
+    place: per entry of *temperatures* every block runs one sweep over all
+    classes, then offers every cluster a collective flip, drawing under its
+    Philox key of *keys*.  The combined ``(R, blocks*P)`` *spins* and
+    ``linear``, the ragged classes (``members`` / ``class_starts``) and
+    their stacked field rows' CSR (``indices`` / ``indptr``, the
+    ``(blocks, class_nnz)`` *class_data*) are the batch call's colour
+    arguments; *clusters* carries ``(blocks, nnz)`` / ``(blocks, E)`` value
+    matrices (empty without clusters).  The draw site is the member's row
+    in the concatenated class order."""
+    size = spins.shape[1] // len(keys)
+    replicas = np.arange(spins.shape[0], dtype=np.uint32)
+    for b, key in enumerate(keys):
+        segment = slice(b * size, (b + 1) * size)
+        bspins = spins[:, segment]
+        blinear = linear[segment]
+        class_operators = _counter_row_operators(
+            class_starts, class_data[b], indices, indptr, size)
+        cluster_operators = _counter_row_operators(
+            clusters.cluster_starts, clusters.data[b], clusters.indices,
+            clusters.indptr, size)
+        for t in range(len(temperatures)):
+            _counter_colour_pass_numpy(bspins, blinear, members,
+                                       class_operators, temperatures[t], t,
+                                       replicas, key)
+            _counter_cluster_pass_numpy(
+                bspins, blinear, clusters, clusters.edge_values[b],
+                cluster_operators, temperatures[t], t, replicas, key)
 
 
 def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
@@ -867,56 +793,6 @@ def distinct_reads(raw: np.ndarray):
         return None
     return (words[:found], words[edge:edge + found],
             words[2 * edge:2 * edge + problems + 1])
-
-
-def counter_pack_fused_colour_cluster_sweep(
-        backend: str, spins: np.ndarray, linear: np.ndarray,
-        members: np.ndarray, class_starts: np.ndarray, class_data: np.ndarray,
-        indices: np.ndarray, indptr: np.ndarray,
-        clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
-        threads: int = 1, workspace: Optional[dict] = None
-        ) -> Optional[SweepWork]:
-    """Counter-mode colour-class (+ cluster-flip) sweeps over a pack.
-
-    The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
-    embedded serving shape under the counter contract, one Philox key per
-    block; the cext variant shards at one thread like its sibling, and is
-    one (block, lane group)-parallel OpenMP call at more.  The draw site is
-    the member's row in the concatenated class order.
-    """
-    threads = max(1, int(threads))
-    num_blocks = len(keys)
-    size = spins.shape[1] // num_blocks
-    if backend == "numpy":
-        replicas = np.arange(spins.shape[0], dtype=np.uint32)
-        for b, key in enumerate(keys):
-            segment = slice(b * size, (b + 1) * size)
-            bspins = spins[:, segment]
-            blinear = linear[segment]
-            class_operators = _counter_row_operators(
-                class_starts, class_data[b], indices, indptr, size)
-            cluster_operators = _counter_row_operators(
-                clusters.cluster_starts, clusters.data[b], clusters.indices,
-                clusters.indptr, size)
-            for t in range(len(temperatures)):
-                _counter_colour_pass_numpy(bspins, blinear, members,
-                                           class_operators, temperatures[t],
-                                           t, replicas, key)
-                _counter_cluster_pass_numpy(
-                    bspins, blinear, clusters, clusters.edge_values[b],
-                    cluster_operators, temperatures[t], t, replicas, key)
-        return None
-    if backend == "cext":
-        _note_openmp_team(threads)
-        keys_array = np.ascontiguousarray(keys, dtype=np.uint64)
-        return _sharded_colour_call(
-            _load_cext().counter_pack_fused_colour_cluster_sweep, workspace,
-            spins, (linear, members, class_starts, class_data, indices,
-                    indptr, clusters, temperatures), num_blocks,
-            _shards(spins, num_blocks, threads), threads,
-            lambda lo, hi: (_ptr(keys_array[lo:hi]), threads))
-    raise AnnealerError(
-        f"no counter pack colour+cluster kernel for backend {backend!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -1060,12 +936,12 @@ def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
                 swept = SweepWork(*work.tolist())
             else:
                 view = spins[:rows]
-                swept = (_lane_half_call(lib, workspace, view, sweep,
-                                         rngs[0])
-                         or _sharded_colour_call(
-                             lib.pack_fused_colour_cluster_sweep, workspace,
-                             view, sweep, 1, 1, 1,
-                             lambda lo, hi: (generators,)))
+                swept = _lane_half_call(lib, workspace, view, sweep, rngs[0])
+                if swept is None:  # the halves' fallback: one thread
+                    args, counts = _cext_colour_arguments(
+                        workspace, 1, 1, view, *sweep, generators)
+                    lib.pack_fused_colour_cluster_sweep(*args)
+                    swept = SweepWork(*counts.tolist())
                 physical[start:start + rows] = view
         return swept
 
@@ -1696,12 +1572,14 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
 }
 
 /* ------------------------------------------------------------------------ *
- * Entry points: one call per pack per anneal (a single problem is a pack
- * of one block; a sampler without clusters passes num_clusters == 0 and
- * the cluster pass draws nothing).  Per temperature the single-spin sweep
- * runs first, then the cluster sweep.  All blocks share one CSR structure
- * (the BlockDiagonalSampler invariant), so per-block values travel as
- * stacked block-major matrices (row b = block b's data).
+ * The colour sweeps: one per batch of a pack's batch call (a single
+ * problem is a pack of one block; a sampler without clusters passes
+ * num_clusters == 0 and the cluster pass draws nothing), the sequential one
+ * also an export of its own, the lane halves' one-thread fallback.  Per
+ * temperature the single-spin sweep runs first, then the cluster sweep.
+ * All blocks share one CSR structure (the BlockDiagonalSampler invariant),
+ * so per-block values travel as stacked block-major matrices (row b =
+ * block b's data).
  *
  * Sequential: per-block randomness is an array of bitgen_t pointers, one
  * generator per block.  Blocks never interact and each draws from
@@ -1865,15 +1743,6 @@ void lane_half_sweep(COLOUR_ARGS, int64_t *sync, int64_t half,
         words[1] = (uint64_t)me.state;
         __atomic_store_n(sync + DONE, 1, __ATOMIC_RELEASE);
     }
-}
-
-void counter_pack_fused_colour_cluster_sweep(COLOUR_ARGS,
-                                             const uint64_t *keys,
-                                             int64_t threads,
-                                             int64_t *work_out)
-{
-    const colour_call call = COLOUR_CALL;
-    philox_blocks(&call, keys, threads, work_out);
 }
 
 /* The counter discipline's initial configuration of a pack whose spin rows
@@ -2447,13 +2316,10 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         *members_args, *edge_args,         # clusters (fields by row_of)
         *schedule_args,
     ]
-    # Per-block draw sources — one bitgen_t pointer array under the
-    # sequential discipline, a Philox key array plus a thread count under
-    # the counter — then the int64[3] work-counter out-array.
+    # The per-block draw source — one bitgen_t pointer array — then the
+    # int64[3] work-counter out-array.
     generators = ctypes.POINTER(ctypes.c_void_p)
     rng_arrays = [generators, ctypes.c_void_p]
-    key_array = [ctypes.c_void_p, ctypes.c_int64,   # keys, threads
-                 ctypes.c_void_p]
     return {
         "pack_fused_colour_cluster_sweep": (None, [*colour_args, *rng_arrays]),
         "lane_half_sweep": (None, [
@@ -2461,8 +2327,6 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
             ctypes.c_void_p]),
         "pcg64_probe": (None, [ctypes.c_void_p, ctypes.c_uint64,
                                ctypes.c_int64, ctypes.c_void_p]),
-        "counter_pack_fused_colour_cluster_sweep": (None, [
-            *colour_args, *key_array]),
         "pack_ice_batches": (ctypes.c_int64, [
             ctypes.c_void_p,                   # the range's argument block
             ctypes.c_void_p, ctypes.c_void_p,  # programmed fields, values

@@ -47,18 +47,15 @@ in this module; both consume the exact same per-variable Metropolis draw
 stream.  Because each block draws
 from its own generator and blocks never interact, the compiled kernels
 evolve blocks one at a time through the whole schedule without changing any
-block's stream.  Every sampler shape reaches them through one backend
-dispatch per anneal: a single problem is a pack of one block, and a sampler
-without cluster (chain-flip) moves hands over an empty flattened cluster
-descriptor (:meth:`BlockDiagonalSampler._cluster_pack_descriptor`), so
-embedded and logical problems, single jobs and serving packs all run the
-same fused single-spin+cluster kernel of their draw discipline.  The
-machine's anneals are ICE batches — before each, every block perturbs the
-bound values from its own generator — and :meth:`BlockDiagonalSampler.anneal`
-takes them whole (``ice=``, ``ice_batch_size=``): on the artefact one call
-per range of blocks (:func:`~repro.annealer.backends.pack_ice_batches`)
-runs every batch's draws, gathers, start and sweep; the NumPy path
-perturbs, rebinds and anneals batch by batch, its oracle.
+block's stream.  Every anneal is one call of the ICE-batch loop —
+before each batch every block perturbs the bound values from its own
+generator, and no ICE means one noise-free batch — so a single problem (a
+pack of one block), a logical problem without cluster (chain-flip) moves
+(an empty cluster descriptor) and a serving pack all take
+:meth:`BlockDiagonalSampler.anneal`: on the artefact one call per range of
+blocks (:func:`~repro.annealer.backends.pack_ice_batches`) runs every
+batch's draws, gathers, start and sweep; the NumPy path perturbs, rebinds
+and anneals batch by batch, its oracle.
 """
 
 from __future__ import annotations
@@ -291,7 +288,7 @@ class BlockDiagonalSampler:
             [np.empty(0, dtype=np.int64), *internal]).astype(np.int64)
         self._cluster_csr = self._csr.rows(cluster_members)
         #: The pack's flattened cluster descriptor, structure filled in and
-        #: values left for :meth:`_cluster_pack_descriptor` to gather.
+        #: values left to gather per batch (:meth:`_cluster_pack_descriptor`).
         self._cluster_structure = backends.ClusterDescriptor(
             members=cluster_members,
             cluster_starts=np.concatenate(
@@ -355,16 +352,16 @@ class BlockDiagonalSampler:
 
         Read per call rather than frozen at construction, so one sampler
         serves either path; the probe itself is a cached lookup.  The
-        selected implementation runs every pack shape, one whole-schedule
-        dispatch per anneal.
+        selected implementation runs every pack shape, one batch call per
+        anneal.
         """
         return "cext" if backends.cext_available() else "numpy"
 
     @property
     def last_sweep_work(self) -> Optional[backends.SweepWork]:
-        """Work counters of the latest :meth:`anneal` call's kernel dispatch
-        (proposals, uniforms drawn, ``exp`` calls); ``None`` before the
-        first call and on the NumPy path."""
+        """Work counters of the latest :meth:`anneal` call's last batch
+        (proposals, uniforms drawn, ``exp`` calls, summed over its ranges);
+        ``None`` before the first call and on the NumPy path."""
         return self._last_sweep_work
 
     def __getstate__(self) -> Dict[str, object]:
@@ -484,7 +481,7 @@ class BlockDiagonalSampler:
     # The Metropolis sweep kernel
     # ------------------------------------------------------------------ #
     def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
-        """Flattened cluster descriptor of the pack for the backend kernels.
+        """Flattened cluster descriptor of the pack for the counter loops.
 
         The ragged member/internal-edge structure arrays are shared between
         blocks and derived once per sampler; ``data`` (the member
@@ -549,39 +546,6 @@ class BlockDiagonalSampler:
                 flips = np.where(np.repeat(accept, length, axis=1), -1.0, 1.0)
                 spins[:, columns] *= flips
 
-    def _dispatch_colour(self, spins: np.ndarray, temperatures: np.ndarray,
-                         backend: str, rngs: Sequence[np.random.Generator],
-                         keys: Optional[List[int]]
-                         ) -> Optional[backends.SweepWork]:
-        """Colour-class sweeps, whole pack and schedule in one dispatch.
-
-        Blocks never interact and each has its own draw source, so the
-        backend kernel evolves the pack block by block through the whole
-        schedule — one dispatch per anneal instead of one per (block,
-        sweep) — without changing any block's draw stream relative to the
-        reference loops.  The two draw disciplines share every structural
-        argument and differ only in the draw source: per-block generators
-        (*keys* is ``None``) or per-block Philox *keys* plus
-        ``self.threads``, whose numpy branch is the reference
-        implementation of counter mode.  The ``(blocks, nnz)`` per-class
-        local-field values are one gather from the bound value matrix per
-        call, so samplers rebound through :meth:`refresh_values` always
-        sweep the current values; the structure arrays are the sampler's
-        own, which is what lets the backend keep its argument block in
-        ``_kernel_workspace``.
-        """
-        shared = (backend, spins, self.linear, self._class_members,
-                  self._class_starts,
-                  np.take(self._values, self._class_csr.edges, axis=1),
-                  self._class_csr.indices, self._class_csr.indptr,
-                  self._cluster_pack_descriptor(), temperatures)
-        if keys is None:
-            return backends.pack_fused_colour_cluster_sweep(
-                *shared, rngs, workspace=self._kernel_workspace)
-        return backends.counter_pack_fused_colour_cluster_sweep(
-            *shared, keys, threads=self.threads,
-            workspace=self._kernel_workspace)
-
     def _checked_temperatures(self, temperatures: Sequence[float]
                               ) -> np.ndarray:
         """*temperatures* as a contiguous float array (the compiled calls
@@ -599,52 +563,29 @@ class BlockDiagonalSampler:
                 None if temperatures.flags.writeable else temperatures)
         return temperatures
 
-    def _anneal(self, temperatures: Sequence[float], num_replicas: int,
-                rngs: Sequence[np.random.Generator],
-                initial_spins: Optional[np.ndarray]) -> np.ndarray:
-        """Run the replica-batched Metropolis trajectories of all blocks."""
-        num_replicas = check_integer_in_range("num_replicas", num_replicas,
-                                              minimum=1)
-        temperatures = self._checked_temperatures(temperatures)
-
-        n = self.num_variables
+    def _anneal(self, temperatures: np.ndarray, num_replicas: int,
+                rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One batch on the NumPy path: the replica-batched Metropolis
+        trajectories of all blocks from a drawn start — the reference loops
+        the artefact's batch call reproduces."""
         size = self.block_size
-        counter_keys: Optional[List[int]] = None
         if self.rng_mode == "counter":
             # One Philox key per block, drawn from the block's generator
             # BEFORE any other use: seeding still flows from random_state,
-            # and successive anneal calls (ICE batches) key fresh streams.
-            counter_keys = [counter.block_key(rng) for rng in rngs]
-        backend = self.selected_backend
-        if initial_spins is not None:
-            spins = np.asarray(initial_spins, dtype=np.float64).copy()
-            if spins.shape != (num_replicas, n):
-                raise AnnealerError(
-                    f"initial_spins must have shape ({num_replicas}, {n}), "
-                    f"got {spins.shape}"
-                )
-        elif counter_keys is not None:
-            # Counter discipline: the initial configuration is a pure
-            # function of the block keys, identical for every backend and
-            # thread count.
-            spins = backends.counter_initial_spins(backend, counter_keys,
-                                                   num_replicas, size)
-        else:
-            # The annealer's initial superposition collapses to an unbiased
-            # configuration under thermal sampling; each block draws its
-            # own, from its own generator.
-            spins = backends.sequential_initial_spins(
-                backend, rngs, num_replicas, size, self._kernel_workspace)
-
-        self._last_sweep_work = None
-        if counter_keys is not None or backend != "numpy":
-            # Every compiled backend, and the counter discipline on every
-            # backend (its numpy reference lives behind the same entry
-            # points): one backend dispatch per anneal.
-            self._last_sweep_work = self._dispatch_colour(
-                spins, temperatures, backend, rngs, counter_keys)
+            # and successive batches key fresh streams.  The start is a pure
+            # function of the keys.
+            keys = [counter.block_key(rng) for rng in rngs]
+            spins = backends.counter_initial_spins(keys, num_replicas, size)
+            backends.counter_pack_fused_colour_cluster_sweep(
+                spins, self.linear, self._class_members, self._class_starts,
+                np.take(self._values, self._class_csr.edges, axis=1),
+                self._class_csr.indices, self._class_csr.indptr,
+                self._cluster_pack_descriptor(), temperatures, keys)
             return spins.astype(np.int8)
-
+        # The annealer's initial superposition collapses to an unbiased
+        # configuration under thermal sampling; each block draws its own,
+        # from its own generator.
+        spins = backends.sequential_initial_spins(rngs, num_replicas, size)
         reference = self._reference_operators()
         for temperature in temperatures:
             for group, operator, width in zip(reference.classes,
@@ -693,8 +634,9 @@ class BlockDiagonalSampler:
     def _ice_batches(self, temperatures: np.ndarray, num_replicas: int,
                      rngs: List[np.random.Generator], ice: Optional[ICEModel],
                      batch: int) -> np.ndarray:
-        """:meth:`anneal`'s ICE batches: one artefact call per range of
-        blocks on cext, the NumPy path's loop otherwise (the oracle)."""
+        """:meth:`anneal`'s batches: one artefact call per range of blocks
+        on cext, the NumPy path's loop otherwise (the oracle).  Both check
+        for an exactly cancelled coupling only with *ice*."""
         physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
         if self.selected_backend == "cext":
             size = self.block_size
@@ -718,19 +660,20 @@ class BlockDiagonalSampler:
                 ice is not None, self.rng_mode == "counter", self.threads,
                 self._kernel_workspace, cancelled)
             return physical
+        self._last_sweep_work = None
         programmed = self.isings
         for start in range(0, num_replicas, batch):
             rows = min(batch, num_replicas - start)
-            perturbed = (programmed if ice is None
-                         else ice.perturb_pack(programmed, rngs))
-            if not perturbed.values.all():
-                physical[start:start + rows] = self._per_problem(
-                    perturbed.linear, perturbed.values, slice(None),
-                    temperatures, rows, rngs)
-                continue
-            self._rebind(perturbed)
+            if ice is not None:
+                perturbed = ice.perturb_pack(programmed, rngs)
+                if not perturbed.values.all():
+                    physical[start:start + rows] = self._per_problem(
+                        perturbed.linear, perturbed.values, slice(None),
+                        temperatures, rows, rngs)
+                    continue
+                self._rebind(perturbed)
             physical[start:start + rows] = self._anneal(temperatures, rows,
-                                                        rngs, None)
+                                                        rngs)
         self._rebind(programmed)
         return physical
 
@@ -743,8 +686,7 @@ class BlockDiagonalSampler:
                 self._bind_reference()
 
     def anneal(self, temperatures: Sequence[float], num_replicas: int,
-               random_states: Sequence[RandomState],
-               initial_spins: Optional[np.ndarray] = None, *,
+               random_states: Sequence[RandomState], *,
                ice: Optional[ICEModel] = None,
                ice_batch_size: Optional[int] = None) -> np.ndarray:
         """Anneal all blocks simultaneously, one generator per block.
@@ -758,10 +700,8 @@ class BlockDiagonalSampler:
         random_states:
             One randomness source per block; each block consumes draws from
             its own generator exactly as a one-block sampler with that
-            generator would.
-        initial_spins:
-            Optional ``(num_replicas, blocks*P)`` starting configuration
-            (one unperturbed batch: no *ice* or *ice_batch_size*).
+            generator would: per batch its ICE shifts, then (counter
+            discipline) its key, its initial spins and its sweeps.
         ice, ice_batch_size:
             The machine's intrinsic control error: the replicas run in
             batches of *ice_batch_size* (default: one batch), and before
@@ -770,8 +710,8 @@ class BlockDiagonalSampler:
             of the bound values from its own generator, then anneals it.
             A batch in which a perturbed coupling lands on exactly zero
             anneals problem by problem.  Both default to ``None``: one
-            batch of the bound values as they are.  On the C artefact the
-            whole loop is one call per range of blocks
+            batch of the bound values as they are, with no zero check.  On
+            the C artefact every anneal is one call per range of blocks
             (:func:`~repro.annealer.backends.pack_ice_batches`); the bound
             values are the same afterwards, and :attr:`last_sweep_work`
             counts the last batch.
@@ -788,13 +728,6 @@ class BlockDiagonalSampler:
                 f"need one random state per block: expected {self.num_blocks}, "
                 f"got {len(rngs)}"
             )
-        if ice is None and ice_batch_size is None:
-            return self._anneal(temperatures, num_replicas, rngs,
-                                initial_spins)
-        if initial_spins is not None:
-            raise AnnealerError(
-                "initial_spins starts one unperturbed batch: pass neither "
-                "ice nor ice_batch_size with it")
         num_replicas = check_integer_in_range("num_replicas", num_replicas,
                                               minimum=1)
         batch = num_replicas if ice_batch_size is None else (
@@ -807,12 +740,13 @@ class BlockDiagonalSampler:
 class IsingSampler(BlockDiagonalSampler):
     """Reusable Metropolis sampler bound to one Ising problem.
 
-    The one-block case of :class:`BlockDiagonalSampler` with a single-problem
-    interface: ``anneal`` takes one randomness source, and
-    ``matches_structure`` / ``refresh_values`` take one problem.  Precomputes
-    the colour classes and per-class sparse coupling operators so that
-    repeated runs (e.g. parameter sweeps on the same embedded problem) avoid
-    re-deriving the graph structure; when only the coefficient *values*
+    The one-block adapter of :class:`BlockDiagonalSampler`: ``anneal``
+    takes one randomness source and delegates (one noise-free batch, the
+    same call a machine pack makes), and ``matches_structure`` /
+    ``refresh_values`` take one problem.  It is what
+    :class:`~repro.ising.solver.SimulatedAnnealingSolver` and a pack's
+    per-problem fallback anneal on.  Repeated runs on one problem reuse its
+    colour classes and kernel workspace; when only the coefficient *values*
     change between runs, ``refresh_values`` rebinds the sampler in place.
     """
 
@@ -837,9 +771,10 @@ class IsingSampler(BlockDiagonalSampler):
         self.ising = ising
 
     def anneal(self, temperatures: Sequence[float], num_replicas: int,
-               random_state: RandomState = None,
-               initial_spins: Optional[np.ndarray] = None) -> np.ndarray:
-        """Run *num_replicas* simultaneous Metropolis trajectories.
+               random_state: RandomState = None) -> np.ndarray:
+        """Run *num_replicas* simultaneous Metropolis trajectories: one
+        noise-free batch of :meth:`BlockDiagonalSampler.anneal` with one
+        randomness source.
 
         Parameters
         ----------
@@ -847,14 +782,12 @@ class IsingSampler(BlockDiagonalSampler):
             One temperature per Monte Carlo sweep.
         num_replicas:
             Number of independent trajectories (rows of the returned matrix).
-        initial_spins:
-            Optional ``(num_replicas, N)`` starting configuration; uniform
-            random when omitted.
+        random_state:
+            The problem's randomness source; the start is drawn from it.
 
         Returns
         -------
         numpy.ndarray
             Final spin configurations, shape ``(num_replicas, N)``, entries ±1.
         """
-        return self._anneal(temperatures, num_replicas,
-                            [ensure_rng(random_state)], initial_spins)
+        return super().anneal(temperatures, num_replicas, [random_state])

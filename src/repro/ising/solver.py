@@ -339,8 +339,8 @@ def metropolis_anneal(ising: IsingModel, temperatures: Sequence[float],
 class SimulatedAnnealingSolver:
     """Classical Metropolis simulated annealing over the Ising problem.
 
-    All reads are evolved simultaneously as replica rows of one vectorised
-    anneal on the shared engine (:class:`repro.annealer.engine.IsingSampler`);
+    All reads are evolved simultaneously as replica rows of one noise-free
+    batch on the shared engine (:class:`repro.annealer.engine.IsingSampler`);
     see :meth:`sample_reference` for the scalar reference loop.
 
     Parameters

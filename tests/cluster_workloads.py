@@ -2,8 +2,9 @@
 
 One builder for the cluster-kernel suites (equivalence, backend and golden
 tests), so the workload the golden digest pins is exactly the workload the
-randomized equivalence sweeps exercise; and one ICE model that cancels a
-programmed coupling, for the machine and pack-pipeline suites.
+randomized equivalence sweeps exercise; one ICE model that cancels a
+programmed coupling, for the machine and pack-pipeline suites; and one
+NaN-framed spin buffer for the C batch call, for the lane-layout canaries.
 """
 
 import numpy as np
@@ -53,3 +54,24 @@ def cancelling_ice(machine, problems, parameters):
     others = {value for row in rows[:-1] for value in row}
     value = next(value for value in rows[-1] if value not in others)
     return ICEModel(quadratic_mean=-value, quadratic_std=0.0)
+
+
+def framed_batch_spins(sampler, replicas):
+    """Seat the spin buffer of *sampler*'s next C batch call — one batch of
+    *replicas* rows — in a NaN-framed matrix: an interior view whose row
+    stride exceeds its width.  Returns ``(view, frame, border)``; the call
+    must leave ``frame[border]`` NaN and hand back the view's last state."""
+    from repro.annealer import backends
+
+    frame = np.full((replicas + 2, sampler.num_variables + 8), np.nan)
+    view = frame[1:-1, 3:-5]
+    border = np.ones(frame.shape, dtype=bool)
+    border[1:-1, 3:-5] = False
+    workspace = sampler._kernel_workspace
+    buffers = backends._batch_buffers(
+        workspace, sampler.num_blocks, sampler.block_size, replicas,
+        len(sampler._edge_keys), sampler._class_csr.edges.size,
+        sampler._cluster_internal_edges.size)
+    workspace["batches"][(sampler.num_blocks, replicas)] = (view,
+                                                            *buffers[1:])
+    return view, frame, border

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.annealer import backends
 from repro.annealer.backends import RNG_MODES
 from repro.annealer.engine import (
     BlockDiagonalSampler,
@@ -11,7 +12,7 @@ from repro.annealer.engine import (
     sparse_coupling_matrix,
 )
 from repro.exceptions import AnnealerError
-from repro.ising.model import IsingModel
+from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import BruteForceIsingSolver, geometric_temperature_schedule
 
 
@@ -25,6 +26,15 @@ def random_ising(num_variables, seed, density=1.0):
     return IsingModel(num_variables=num_variables,
                       linear=rng.normal(size=num_variables),
                       couplings=couplings)
+
+
+def anneal_from(sampler, start, temperatures, on_numpy):
+    """*sampler*'s anneal from a fixed *start* (float ``(R, N)``): the
+    NumPy path with its sequential start patched to hand *start* over."""
+    with on_numpy(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "sequential_initial_spins",
+                      lambda rngs, replicas, size: start.copy())
+        return sampler.anneal(temperatures, len(start), random_state=0)
 
 
 class TestColourClasses:
@@ -138,12 +148,6 @@ class TestIsingSampler:
         b = sampler.anneal([1.0, 0.1], 5, random_state=3)
         np.testing.assert_array_equal(a, b)
 
-    def test_initial_spins_shape_checked(self):
-        ising = random_ising(4, 6)
-        sampler = IsingSampler(ising)
-        with pytest.raises(AnnealerError):
-            sampler.anneal([1.0], 3, initial_spins=np.ones((2, 4)))
-
     def test_invalid_temperatures_rejected(self):
         ising = random_ising(4, 7)
         sampler = IsingSampler(ising)
@@ -152,14 +156,13 @@ class TestIsingSampler:
         with pytest.raises(AnnealerError):
             sampler.anneal([1.0, -0.5], 3)
 
-    def test_low_temperature_keeps_good_start(self):
+    def test_low_temperature_keeps_good_start(self, on_numpy):
         # Starting at the ground state and annealing at a tiny temperature
         # must not leave it (sanity of the Metropolis acceptance rule).
         ising = random_ising(6, 8)
         ground = BruteForceIsingSolver().solve(ising).best_sample
-        sampler = IsingSampler(ising)
         start = np.tile(ground, (4, 1)).astype(np.float64)
-        out = sampler.anneal([1e-6] * 5, 4, random_state=0, initial_spins=start)
+        out = anneal_from(IsingSampler(ising), start, [1e-6] * 5, on_numpy)
         np.testing.assert_array_equal(out, np.tile(ground, (4, 1)))
 
 
@@ -179,7 +182,7 @@ class TestClusterMoves:
         exact = BruteForceIsingSolver().ground_energy(ising)
         assert energies.min() == pytest.approx(exact)
 
-    def test_cluster_moves_speed_up_chain_reorientation(self):
+    def test_cluster_moves_speed_up_chain_reorientation(self, on_numpy):
         # A strongly coupled chain in a weak opposing field: single-spin
         # dynamics at low temperature cannot reorient it, cluster moves can.
         n = 8
@@ -189,12 +192,10 @@ class TestClusterMoves:
         start = np.ones((30, n))  # aligned the wrong way
         temperatures = [0.05] * 10
 
-        plain = IsingSampler(ising)
-        stuck = plain.anneal(temperatures, 30, random_state=0,
-                             initial_spins=start.copy())
-        clustered = IsingSampler(ising, clusters=[np.arange(n)])
-        moved = clustered.anneal(temperatures, 30, random_state=0,
-                                 initial_spins=start.copy())
+        stuck = anneal_from(IsingSampler(ising), start, temperatures,
+                            on_numpy)
+        moved = anneal_from(IsingSampler(ising, clusters=[np.arange(n)]),
+                            start, temperatures, on_numpy)
         assert ising.energies(moved).mean() < ising.energies(stuck).mean()
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
@@ -288,3 +289,29 @@ class TestRebindToAnyBlockCount:
         warm.refresh_values(self.pack(2, seed=1))
         with pytest.raises(AnnealerError, match="expected 2"):
             warm.anneal(self.TEMPERATURES, 3, [0, 1, 2, 3])
+
+    @pytest.mark.usefixtures("artefact")
+    def test_a_programmed_zero_stays_packed(self, monkeypatch, on_numpy):
+        """Only ICE cancels a coupling: a pack rebound to a programmed
+        exact zero anneals packed in batches without *ice* on both paths —
+        no per-problem fallback, and the bits of the NumPy path."""
+        warm = BlockDiagonalSampler(self.pack(3, seed=0),
+                                    clusters=self.CLUSTERS)
+        pack = warm.isings
+        values = pack.values.copy()
+        values[1, 4] = 0.0
+        warm.refresh_values(IsingPack(pack.num_variables, pack.keys,
+                                      pack.linear, values, pack.offsets))
+        fallbacks = []
+        monkeypatch.setattr(BlockDiagonalSampler, "_per_problem",
+                            lambda *args: fallbacks.append(args))
+
+        def anneal():
+            rngs = [np.random.default_rng(60 + b) for b in range(3)]
+            return warm.anneal(self.TEMPERATURES, 7, rngs,
+                               ice_batch_size=3).tobytes()
+
+        got = anneal()
+        with on_numpy():
+            expected = anneal()
+        assert fallbacks == [] and got == expected

@@ -16,9 +16,9 @@ A fork guard rides along: sharded one-thread counter packs run no OpenMP
 team, so process pools keep the platform's default start method.
 
 Two structural guards ride along, both clock-free: every sampler shape
-costs exactly **one** dispatch per anneal through its draw discipline's
-single entry point, and the C source's exported symbols, the ctypes
-signature table and the Python dispatch functions name the same set.
+costs exactly **one** batch call (``pack_ice_batches``) per anneal, and the
+C source's exported symbols and the ctypes signature table name the same
+set, which holds no plain sweep entry point beside the batch call.
 """
 
 import ctypes
@@ -43,13 +43,6 @@ from repro.ising.solver import (
 
 needs_cext = pytest.mark.skipif(not backends.cext_available(),
                                 reason="no C compiler builds the artefact here")
-
-#: The whole compiled boundary: one sweep entry point per draw discipline.
-SWEEP_ENTRY_POINTS = {
-    "sequential": "pack_fused_colour_cluster_sweep",
-    "counter": "counter_pack_fused_colour_cluster_sweep",
-}
-
 
 def random_ising(num_variables, seed, density=1.0):
     rng = np.random.default_rng(seed)
@@ -226,8 +219,8 @@ class TestForkSafety:
 
 
 class TestSymbolTable:
-    """The C exports, their ctypes table and the Python dispatch functions
-    are three spellings of one list; nothing else catches one drifting."""
+    """The C exports and their ctypes table are two spellings of one list;
+    nothing else catches one drifting."""
 
     #: ``restype name(params) {`` at column 0, ``static`` helpers excluded.
     EXPORT = re.compile(
@@ -274,23 +267,33 @@ class TestSymbolTable:
                 else:
                     assert argtype is kind, (name, position)
 
-    def test_two_sweep_entry_points(self):
-        dispatch = {name for name, value in vars(backends).items()
-                    if name.endswith("_sweep") and callable(value)}
-        assert dispatch == set(SWEEP_ENTRY_POINTS.values())
-        # lane_half_sweep is the sequential call split over two threads,
-        # reached through the sequential entry point; embed_direct,
-        # majority_vote and distinct_reads program and read out a pack, and
-        # pack_ice_batches runs a machine job's ICE batches, sweeps and all.
-        assert set(self.exported()) == dispatch | {
-            "counter_openmp_enabled", "metropolis_accept_probe",
-            "counter_initial_spins", "sequential_initial_spins",
-            "philox_fill_probe", "csr_pack_matvecs", "lane_half_sweep",
-            "pcg64_probe", "embed_direct", "majority_vote", "distinct_reads",
-            "pack_ice_batches"}
+    def test_the_batch_call_is_the_sweep_boundary(self):
+        # pack_ice_batches runs every anneal, ICE batches, start and sweeps;
+        # behind it lane_half_sweep is one block split over two threads and
+        # pack_fused_colour_cluster_sweep the halves' one-thread fallback;
+        # embed_direct, majority_vote and distinct_reads program and read
+        # out a pack.  The two starts stay exported as test hooks.
+        assert set(self.exported()) == {
+            "pack_ice_batches", "lane_half_sweep",
+            "pack_fused_colour_cluster_sweep", "counter_openmp_enabled",
+            "metropolis_accept_probe", "counter_initial_spins",
+            "sequential_initial_spins", "philox_fill_probe",
+            "csr_pack_matvecs", "pcg64_probe", "embed_direct",
+            "majority_vote", "distinct_reads"}
         for name in ("embed_direct", "majority_vote", "distinct_reads",
                      "pack_ice_batches"):
             assert callable(getattr(backends, name))
+
+    def test_no_plain_sweep_entry_point(self):
+        """No Python sweep entry point or shard wrapper stands beside the
+        batch call, and the artefact exports no counter sweep of its own."""
+        for name in ("pack_fused_colour_cluster_sweep",
+                     "_sharded_colour_call"):
+            assert not hasattr(backends, name), name
+        assert "counter_pack_fused_colour_cluster_sweep" not in self.exported()
+        lib = backends._load_cext()
+        if lib is not None:
+            assert not hasattr(lib, "counter_pack_fused_colour_cluster_sweep")
 
     def test_sequential_draw_source_is_one_generator_array(self):
         """Every sequential export takes its per-block generators as ONE
@@ -398,18 +401,19 @@ class TestCompiledIdentity:
         np.testing.assert_array_equal(
             refreshed.anneal(temperatures, 6, random_state=19), expected)
 
-    def test_initial_spins_honoured(self, on_numpy):
-        ising = random_ising(8, 20)
-        rng = np.random.default_rng(6)
-        start = rng.choice(np.array([-1.0, 1.0]), size=(5, 8))
-        temperatures = schedule(25)
-        sampler = IsingSampler(ising)
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    def test_drawn_start_is_shared(self, rng_mode, on_numpy):
+        """Both paths draw one start: a problem with no field and no
+        coupling flips every spin in every sweep without a draw, so two
+        sweeps hand the start back."""
+        sampler = IsingSampler(IsingModel(num_variables=8,
+                                          linear=np.zeros(8), couplings={}),
+                               rng=rng_mode)
         with on_numpy():
-            expected = sampler.anneal(temperatures, 5, random_state=21,
-                                      initial_spins=start)
+            expected = sampler.anneal([1.0, 1.0], 5, random_state=21)
         np.testing.assert_array_equal(
-            expected, sampler.anneal(temperatures, 5, random_state=21,
-                                     initial_spins=start))
+            expected, sampler.anneal([1.0, 1.0], 5, random_state=21))
+        assert len(np.unique(expected, axis=0)) > 1
 
     def test_machine_run_identical(self, on_numpy):
         """Full QA job (embed, ICE, clusters, unembed) on both paths, one
@@ -460,8 +464,8 @@ class TestCompiledClusterKernels:
     def test_one_backend_dispatch_per_anneal(self, rng_mode, with_clusters,
                                              blocks, monkeypatch, on_numpy):
         """Every sampler shape — single problem or pack, chains or none,
-        either discipline — is one call of its discipline's entry point per
-        anneal (a work counter, not a clock), with the numpy samples."""
+        either discipline — is one batch call per anneal (a work counter,
+        not a clock), with the numpy samples."""
         base, clusters = path_chain_ising(20, 4, 42, density=0.15)
         rng = np.random.default_rng(43)
         problems = [
@@ -471,31 +475,24 @@ class TestCompiledClusterKernels:
             for _ in range(blocks)
         ]
         calls = []
-
-        def counted(name, original):
-            def counting(used_backend, *args, **kwargs):
-                calls.append((name, used_backend))
-                return original(used_backend, *args, **kwargs)
-            return counting
-
-        for name in SWEEP_ENTRY_POINTS.values():
-            monkeypatch.setattr(backends, name,
-                                counted(name, getattr(backends, name)))
+        original = backends.pack_ice_batches
+        monkeypatch.setattr(backends, "pack_ice_batches",
+                            lambda *args: calls.append(args[4])
+                            or original(*args))
 
         def anneal():
             sampler = BlockDiagonalSampler(
                 problems, clusters=clusters if with_clusters else None,
                 rng=rng_mode)
-            # Construction may warm the artefact through the entry points.
             calls.clear()
-            return sampler.anneal(schedule(30), 6,
-                                  [np.random.default_rng(50 + b)
-                                   for b in range(blocks)])
+            rngs = [np.random.default_rng(50 + b) for b in range(blocks)]
+            return sampler.anneal(schedule(30), 6, rngs), rngs
 
-        actual = anneal()
-        assert calls == [(SWEEP_ENTRY_POINTS[rng_mode], "cext")]
+        actual, rngs = anneal()
+        assert calls == [rngs]
         with on_numpy():
-            np.testing.assert_array_equal(anneal(), actual)
+            np.testing.assert_array_equal(anneal()[0], actual)
+        assert calls == []
 
     def test_machine_run_batch_pack_identical(self, on_numpy):
         """Serving-shaped multi-problem QA packs (embedded chains → cluster

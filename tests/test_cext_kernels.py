@@ -72,6 +72,8 @@ from repro.ising.model import IsingModel, symmetric_csr_template
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
 
+from cluster_workloads import framed_batch_spins
+
 pytestmark = pytest.mark.skipif(not backends.cext_available(),
                                 reason="no C compiler for the cext backend")
 
@@ -173,12 +175,12 @@ class TestLaneLayout:
         """Canary: thirteen replicas leave three pad lanes, in one lane group
         of sixteen or — four threads on the one block — in the last of four
         groups, each thread sweeping in its own slice of the lane scratch.
-        The spins are an interior view of a NaN-bordered matrix and the lane
-        scratch — all of it poisoned, the counter discipline's uniform rows
-        included, sized by the helper the call itself uses — is followed by
-        guard words; the call must leave border and guard untouched and
-        every spin it hands back a finite +-1 — nothing of a pad lane or of
-        the scratch reaches the caller."""
+        The batch call's spins are an interior view of a NaN-bordered
+        matrix and the lane scratch — all of it poisoned, the counter
+        discipline's uniform rows included, sized by the helper the call
+        itself uses — is followed by guard words; the call must leave border
+        and guard untouched and every spin it hands back a finite +-1 —
+        nothing of a pad lane or of the scratch reaches the caller."""
         ising, clusters = embedded_bpsk()
         size, replicas = ising.num_variables, 13
         sampler = IsingSampler(ising, clusters=clusters,
@@ -187,30 +189,23 @@ class TestLaneLayout:
         assert lanes == (16 if threads == 1 else 4)
         scratch = np.full(used + 64, 12345.0)
         sampler._kernel_workspace["lanes"] = (scratch, backends._ptr(scratch))
+        view, frame, border = framed_batch_spins(sampler, replicas)
 
-        initial = np.random.default_rng(12).choice([-1.0, 1.0],
-                                                   size=(replicas, size))
-        frame = np.full((replicas + 2, size + 8), np.nan)
-        view = frame[1:-1, 3:-5]
-        view[...] = initial
-        rng = np.random.default_rng(13)
-        keys = [block_key(rng)] if rng_mode == "counter" else None
-        sampler._dispatch_colour(view, TEMPERATURES, "cext", [rng], keys)
+        samples = sampler.anneal(TEMPERATURES, replicas,
+                                 random_state=np.random.default_rng(13))
 
         assert sampler._kernel_workspace["lanes"][0] is scratch
         assert (scratch[used:] == 12345.0).all()
-        border = np.ones(frame.shape, dtype=bool)
-        border[1:-1, 3:-5] = False
         assert np.isnan(frame[border]).all()
         assert (np.abs(view) == 1.0).all()
+        np.testing.assert_array_equal(view, samples)
         # The numpy reference runs one thread whatever it is told: counter
         # results do not depend on the thread count.
         with on_numpy():
             expected = IsingSampler(ising, clusters=clusters,
                                     rng=rng_mode).anneal(
-                TEMPERATURES, replicas, random_state=np.random.default_rng(13),
-                initial_spins=initial)
-        np.testing.assert_array_equal(view, expected)
+                TEMPERATURES, replicas, random_state=np.random.default_rng(13))
+        np.testing.assert_array_equal(samples, expected)
 
 
 class TestSqueezeExactness:
@@ -290,11 +285,19 @@ class TestPhiloxFill:
     @pytest.mark.parametrize("blocks", [1, 3, 16])
     def test_initial_spins_equal_the_reference(self, blocks, replicas,
                                                backend):
+        """The start the batch call values with the Philox fill
+        (``philox_start``, through its ``counter_initial_spins`` export),
+        64 variables a tile, and the NumPy path's, per block."""
         keys = [block_key(np.random.default_rng(seed))
                 for seed in range(blocks)]
         for size in (1, 24, 64, 150):
-            spins = backends.counter_initial_spins(backend, keys, replicas,
-                                                   size)
+            if backend == "numpy":
+                spins = backends.counter_initial_spins(keys, replicas, size)
+            else:
+                spins = np.empty((replicas, blocks * size))
+                backends._load_cext().counter_initial_spins(
+                    backends._ptr(spins), replicas, blocks, size,
+                    backends._ptr(np.array(keys, dtype=np.uint64)))
             assert spins.shape == (replicas, blocks * size)
             assert spins.flags.c_contiguous and spins.flags.writeable
             for b, key in enumerate(keys):
@@ -316,6 +319,18 @@ def oracle_initial_spins(rngs, replicas, size):
             0, 2, size=(replicas, size))
     spins *= 2.0
     spins -= 1.0
+    return spins
+
+
+def drawn_start(backend, rngs, replicas, size):
+    """The sequential start of the NumPy path, or of the batch call: its
+    ``sequential_initial_spins`` export, called directly."""
+    if backend == "numpy":
+        return backends.sequential_initial_spins(rngs, replicas, size)
+    spins = np.empty((replicas, len(rngs) * size))
+    backends._load_cext().sequential_initial_spins(
+        *backends._row_strided(spins), replicas, len(rngs), size,
+        backends._rng_pointer_arrays(rngs))
     return spins
 
 
@@ -349,9 +364,7 @@ class TestSequentialInitialSpins:
                 [np.random.Generator(bit_generator(100 + b))
                  for b in range(blocks)] for _ in range(2))
             expected = oracle_initial_spins(expected_rngs, replicas, size)
-            workspace = {}
-            spins = backends.sequential_initial_spins(
-                backend, rngs, replicas, size, workspace)
+            spins = drawn_start(backend, rngs, replicas, size)
             assert spins.dtype == np.float64
             assert spins.flags.c_contiguous and spins.flags.writeable
             assert spins.tobytes() == expected.tobytes()
@@ -370,7 +383,7 @@ class TestSequentialInitialSpins:
         for generator in (expected_rng, rng):
             generator.integers(0, 2 ** 32, dtype=np.uint32)
         expected = oracle_initial_spins([expected_rng], 5, 13)
-        spins = backends.sequential_initial_spins("cext", [rng], 5, 13)
+        spins = drawn_start("cext", [rng], 5, 13)
         assert spins.tobytes() == expected.tobytes()
         assert (next_draws_of_every_kind(rng)
                 == next_draws_of_every_kind(expected_rng))
@@ -394,18 +407,19 @@ class TestSequentialInitialSpins:
                 replicas, size))
 
     def test_pointer_array_is_shared_through_the_workspace(self):
-        """The initial configuration and the sweeps of one run draw through
-        ONE ``bitgen_t`` pointer array, rebuilt only for new generators."""
-        workspace = {}
+        """Every batch call of a sampler draws through ONE ``bitgen_t``
+        pointer array kept in its workspace, rebuilt only for new
+        generators."""
+        sampler = embedded_pack(3, with_clusters=True)
         rngs = [np.random.default_rng(b) for b in range(3)]
-        backends.sequential_initial_spins("cext", rngs, 2, 4, workspace)
-        kept, pointers = workspace["rngs"]
+        sampler.anneal(TEMPERATURES[:2], 2, rngs)
+        kept, pointers = sampler._kernel_workspace["rngs"]
         assert kept == rngs and len(pointers) == 3
-        backends.sequential_initial_spins("cext", list(rngs), 2, 4, workspace)
-        assert workspace["rngs"][1] is pointers
-        backends.sequential_initial_spins(
-            "cext", [np.random.default_rng(9)] + rngs[1:], 2, 4, workspace)
-        assert workspace["rngs"][1] is not pointers
+        sampler.anneal(TEMPERATURES[:2], 2, list(rngs))
+        assert sampler._kernel_workspace["rngs"][1] is pointers
+        sampler.anneal(TEMPERATURES[:2], 2,
+                       [np.random.default_rng(9)] + rngs[1:])
+        assert sampler._kernel_workspace["rngs"][1] is not pointers
 
     def test_only_a_bit_generator_capsule_is_dereferenced(self):
         """``PyCapsule_GetPointer`` checks the capsule's name: anything but
@@ -416,18 +430,19 @@ class TestSequentialInitialSpins:
             backends._rng_pointer_arrays([stand_in])
 
     def test_engine_start_is_the_export(self):
-        """``_anneal`` without ``initial_spins`` equals ``_anneal`` handed
-        the export's matrix after the same draws (sequential discipline)."""
-        ising, clusters = embedded_bpsk()
-        sampler = IsingSampler(ising, clusters=clusters)
-        rng = np.random.default_rng(21)
-        direct = sampler.anneal(TEMPERATURES[:10], 7, random_state=rng)
-        reference_rng = np.random.default_rng(21)
-        start = oracle_initial_spins([reference_rng], 7, ising.num_variables)
-        handed = sampler.anneal(TEMPERATURES[:10], 7,
-                                random_state=reference_rng,
-                                initial_spins=start)
-        np.testing.assert_array_equal(direct, handed)
+        """The batch call starts from the export's matrix.  A problem with
+        no field and no coupling flips every spin in every sweep without a
+        draw, so two sweeps hand back the start, and the generator ends
+        where the export leaves it."""
+        size = 13
+        sampler = IsingSampler(IsingModel(num_variables=size,
+                                          linear=np.zeros(size),
+                                          couplings={}))
+        rng, reference_rng = (np.random.default_rng(21) for _ in range(2))
+        start = sampler.anneal([1.0, 1.0], 7, random_state=rng)
+        assert sampler.last_sweep_work.draws == 0
+        np.testing.assert_array_equal(
+            start, drawn_start("cext", [reference_rng], 7, size))
         np.testing.assert_equal(rng.bit_generator.state,
                                 reference_rng.bit_generator.state)
 
@@ -447,8 +462,8 @@ def embedded_pack(blocks, with_clusters, rng="sequential", threads=1):
 
 class TestShardedPack:
     """A colour pack's blocks shard across usable CPUs, in either draw
-    discipline: contiguous ranges, one ordinary kernel call each, the first
-    on the calling thread and the rest on helper threads.  Block *b* draws
+    discipline: contiguous ranges, one batch call each, the first on the
+    calling thread and the rest on helper threads.  Block *b* draws
     only from generator *b* (sequential) or from its own Philox key, drawn
     from generator *b* before the call (counter), so the ranges together
     are the one call — spins, generator states and :class:`SweepWork` —
@@ -459,17 +474,16 @@ class TestShardedPack:
     def anneal(monkeypatch, cpus, sampler, random_states, split_spins=0):
         """Anneal with *cpus* usable and the size gate at *split_spins*
         (none by default); returns ``(spins, work, ranges)``, the block
-        count of every kernel call made."""
+        count of every batch call's range."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
         monkeypatch.setattr(backends, "_SPLIT_SPINS", split_spins)
         ranges = []
-        original = backends._cext_colour_arguments
+        original = backends._batch_block
         monkeypatch.setattr(
-            backends, "_cext_colour_arguments",
-            lambda workspace, blocks, *rest: ranges.append(blocks)
-            or original(workspace, blocks, *rest))
+            backends, "_batch_block", lambda space, buffers, lo, hi, *rest:
+            ranges.append(hi - lo) or original(space, buffers, lo, hi, *rest))
         spins = sampler.anneal(TEMPERATURES, REPLICAS, random_states)
-        monkeypatch.setattr(backends, "_cext_colour_arguments", original)
+        monkeypatch.setattr(backends, "_batch_block", original)
         return spins, sampler.last_sweep_work, ranges
 
     @pytest.mark.parametrize("rng", ["sequential", "counter"])
@@ -657,22 +671,20 @@ class TestIceBatchCall:
         assert every_block_splits["splits"] == splits + 3
 
     @pytest.mark.parametrize("rng", ["sequential", "counter"])
-    def test_one_noise_free_batch_is_the_plain_anneal(self, rng):
+    def test_one_noise_free_batch_is_the_plain_anneal(self, rng, on_numpy):
         """No ICE draws and one batch: the start and the sweep of the batch
-        call are the plain anneal's, bit for bit, generators included."""
+        call are the NumPy path's plain anneal, bit for bit, generators
+        included, and the batch call with no ICE model at all."""
         sampler = embedded_pack(3, True, rng)
         plain_rngs = [np.random.default_rng(40 + b) for b in range(3)]
-        plain = sampler.anneal(TEMPERATURES, 50, plain_rngs)
+        with on_numpy():
+            plain = sampler.anneal(TEMPERATURES, 50, plain_rngs)
+        expected = (plain.tobytes(), [rng.bit_generator.state
+                                      for rng in plain_rngs])
+        assert self.anneal(sampler, 3, batch=50, ice=None)[:2] == expected
         work = sampler.last_sweep_work
         assert self.anneal(sampler, 3, batch=50, ice=ICEModel.disabled()) \
-            == (plain.tobytes(), [rng.bit_generator.state
-                                  for rng in plain_rngs], work)
-
-    def test_initial_spins_are_one_plain_batch(self):
-        sampler = embedded_pack(2, True)
-        with pytest.raises(AnnealerError, match="initial_spins"):
-            sampler.anneal(TEMPERATURES, 4, [1, 2], np.ones((4, 36)),
-                           ice=self.ICE)
+            == (*expected, work)
 
 
 def pcg64_words(state):

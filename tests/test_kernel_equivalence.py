@@ -64,7 +64,7 @@ def schedule(num_sweeps, hot=5.0, cold=0.05):
 
 
 def sequential_sweep_oracle(ising, temperatures, num_replicas, rng,
-                            initial_spins=None, snapshots=()):
+                            snapshots=()):
     """The sequential draw discipline written out plainly, one variable and
     one neighbour at a time, independent of the sampler's operators.
 
@@ -85,10 +85,7 @@ def sequential_sweep_oracle(ising, temperatures, num_replicas, rng,
         neighbours[j].append((i, value))
     for row in neighbours:
         row.sort()
-    if initial_spins is None:
-        spins = 2.0 * rng.integers(0, 2, size=(num_replicas, n)) - 1.0
-    else:
-        spins = np.asarray(initial_spins, dtype=float).copy()
+    spins = 2.0 * rng.integers(0, 2, size=(num_replicas, n)) - 1.0
     classes = colour_classes(ising)
     states = {}
     for sweep, temperature in enumerate(temperatures, start=1):
@@ -158,19 +155,6 @@ class TestCompleteGraphDynamics:
         ising = random_ising(num_variables, seed)
         assert_trajectory_matches_oracle(ising, schedule(num_sweeps, hot=hot),
                                          12, seed + 40, array_digest)
-
-    def test_initial_spins_honoured(self):
-        ising = random_ising(8, 14)
-        start = np.random.default_rng(3).choice(np.array([-1.0, 1.0]),
-                                                size=(6, 8))
-        temperatures = schedule(25)
-        expected = sequential_sweep_oracle(
-            ising, temperatures, 6, np.random.default_rng(15),
-            initial_spins=start, snapshots=(25,))
-        np.testing.assert_array_equal(
-            IsingSampler(ising).anneal(temperatures, 6, random_state=15,
-                                       initial_spins=start),
-            expected[25])
 
     def test_refresh_values_sweeps_the_new_values(self):
         base = random_ising(9, 16)
@@ -317,6 +301,7 @@ class TestCompiledBackendSharedDynamics:
 # The embedded-shaped cluster workload, shared with the backend and golden
 # suites so they all exercise one problem family.
 from cluster_workloads import build_path_chain_problem as path_chain_ising  # noqa: E402
+from cluster_workloads import framed_batch_spins  # noqa: E402
 
 
 def chain_pack(blocks, num_variables, seed):
@@ -470,10 +455,10 @@ class TestLaneEdges:
     copy padded to the vector width, so the cases that could go wrong are
     the ones the layout adds: replica counts around a lane boundary (pad
     lanes must never draw, flip or be written back), packs whose blocks are
-    column slices, spin matrices whose row stride exceeds their width, and
-    — under the counter discipline — replicas split into several lane
-    groups across threads.  Everything is compared with the numpy
-    reference loops, spins *and* generator end state.
+    column slices, batch-call spin buffers whose row stride exceeds their
+    width, and — under the counter discipline — replicas split into several
+    lane groups across threads.  Everything is compared with the numpy
+    reference loops from the drawn start, spins *and* generator end state.
     """
 
     SIZE = 30
@@ -497,38 +482,26 @@ class TestLaneEdges:
         if not with_clusters:
             clusters = None
         temperatures = np.full(12, temperature)
-        width = blocks * self.SIZE
-        initial = np.random.default_rng(102).choice(
-            [-1.0, 1.0], size=(replicas, width))
 
         reference_rngs = [np.random.default_rng(103 + b)
                           for b in range(blocks)]
         with on_numpy():
             expected = BlockDiagonalSampler(
                 problems, clusters=clusters, rng=rng_mode).anneal(
-                temperatures, replicas, reference_rngs, initial_spins=initial)
+                temperatures, replicas, reference_rngs)
 
         rngs = [np.random.default_rng(103 + b) for b in range(blocks)]
         sampler = BlockDiagonalSampler(problems, clusters=clusters,
                                        rng=rng_mode)
-        if layout != "strided":
-            actual = sampler.anneal(temperatures, replicas, rngs,
-                                    initial_spins=initial)
-        else:
-            # The caller's matrix as an interior view of a larger one: the
-            # row stride exceeds the width, and the NaN border shows any
-            # write that strays outside the view.
-            from repro.annealer import counter
-            frame = np.full((replicas + 2, width + 5), np.nan)
-            view = frame[1:-1, 2:-3]
-            view[...] = initial
-            keys = ([counter.block_key(rng) for rng in rngs]
-                    if rng_mode == "counter" else None)
-            sampler._dispatch_colour(view, temperatures, "cext", rngs, keys)
-            actual = view.astype(np.int8)
-            border = np.ones(frame.shape, dtype=bool)
-            border[1:-1, 2:-3] = False
+        if layout == "strided":
+            # The batch call's spins as an interior view of a larger
+            # matrix: the row stride exceeds the width, and the NaN border
+            # shows any write that strays outside the view.
+            view, frame, border = framed_batch_spins(sampler, replicas)
+        actual = sampler.anneal(temperatures, replicas, rngs)
+        if layout == "strided":
             assert np.isnan(frame[border]).all()
+            np.testing.assert_array_equal(view, actual)
         np.testing.assert_array_equal(expected, actual)
         assert self.states(rngs) == self.states(reference_rngs)
 

@@ -884,12 +884,32 @@ class TestRunBatchEqualsOracle:
         """Two block ranges of which only the second holds the cancelling
         problem: the first runs its three batches in one call, the second
         stops at every batch, anneals it problem by problem and resumes
-        (twice: the last batch leaves nothing to resume).  The NumPy path
-        has no ranges: every problem anneals alone."""
+        (twice: the last batch leaves nothing to resume).  Each of those
+        problems' anneals is a one-block batch call of its own (the
+        oracle's after the run are not counted).  The NumPy path has no
+        ranges: every problem anneals alone."""
         calls = count_artefact_calls(monkeypatch)
+        made = {"run": 0, "per problem": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                before = calls.get("pack_ice_batches", 0)
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    made[name] += calls.get("pack_ice_batches", 0) - before
+            return counted
+
+        for owner, method, name in [
+                (QuantumAnnealerSimulator, "run_batch", "run"),
+                (BlockDiagonalSampler, "_per_problem", "per problem")]:
+            monkeypatch.setattr(owner, method,
+                                counting(name, getattr(owner, method)))
         builds = self.cancelled_runs_equal_oracle(monkeypatch, 4)
         if backends.cext_available():
-            assert (calls["pack_ice_batches"], builds) == (1 + 3, 2 * 3)
+            assert (made["run"] - made["per problem"], builds) == (1 + 3,
+                                                                   2 * 3)
+            assert made["per problem"] == builds
         else:
             assert (calls, builds) == ({}, 4 * 3)
 
@@ -1342,14 +1362,13 @@ class TestWarmPackWork:
         parameters = AnnealerParameters(num_anneals=50)
         machine.run_batch(problems, parameters, random_state=1)
         original = backends.sequential_initial_spins
-        backends_seen = []
+        starts = []
         monkeypatch.setattr(
             backends, "sequential_initial_spins",
-            lambda backend, *args: backends_seen.append(backend)
-            or original(backend, *args))
+            lambda *args: starts.append(args) or original(*args))
         rngs = [np.random.default_rng(seed) for seed in range(16)]
         machine.run_batch(problems, parameters, random_states=rngs)
-        assert backends_seen == []
+        assert starts == []
         # ``BitGenerator.ctypes`` is built (and cached there) on first read.
         assert all(getattr(rng.bit_generator, "_ctypes", None) is None
                    for rng in rngs)

@@ -264,9 +264,11 @@ class TestServingOptionSurface:
         "BlockDiagonalSampler": {
             "isings", "clusters", "rng", "threads"},
         "BlockDiagonalSampler.anneal": {
-            "temperatures", "num_replicas", "random_states", "initial_spins",
-            "ice", "ice_batch_size"},
+            "temperatures", "num_replicas", "random_states", "ice",
+            "ice_batch_size"},
         "IsingSampler": {"ising", "clusters", "rng", "threads"},
+        "IsingSampler.anneal": {
+            "temperatures", "num_replicas", "random_state"},
         "SimulatedAnnealingSolver": {
             "num_sweeps", "num_reads", "hot_temperature", "cold_temperature",
             "rng", "threads"},
