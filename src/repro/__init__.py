@@ -32,7 +32,6 @@ from repro.annealer import (
 from repro.channel import (
     ArgosLikeTraceGenerator,
     ChannelTrace,
-    FixedChannel,
     RandomPhaseChannel,
     RayleighChannel,
     TraceChannel,
@@ -67,7 +66,7 @@ __all__ = [
     # modulation
     "Constellation", "BPSK", "QPSK", "QAM16", "QAM64", "get_constellation",
     # channel
-    "RayleighChannel", "RandomPhaseChannel", "FixedChannel", "TraceChannel",
+    "RayleighChannel", "RandomPhaseChannel", "TraceChannel",
     "ArgosLikeTraceGenerator", "ChannelTrace",
     # mimo
     "MimoUplink", "Frame", "frame_error_rate_from_ber",

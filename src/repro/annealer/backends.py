@@ -709,8 +709,7 @@ def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
 
 
 def embed_direct(plan, linear: np.ndarray, values: np.ndarray,
-                 base_scale: float, normalize: bool,
-                 coupler_range: Tuple[float, float],
+                 base_scale: float, coupler_range: Tuple[float, float],
                  field_range: Tuple[float, float]):
     """A pack's programming over a collision-free *plan*
     (:func:`repro.annealer.embedded.embed_pack`), one C call.
@@ -720,7 +719,8 @@ def embed_direct(plan, linear: np.ndarray, values: np.ndarray,
     arrays, byte for byte the NumPy passes' — or ``None`` when a scaled
     coupling is ``0.0``: its coupler goes unprogrammed, which is the NumPy
     path's to decide.  The chain couplers hold the low end of
-    *coupler_range*, the chain coupling.
+    *coupler_range*, the chain coupling.  Every pack is auto-ranged: the
+    export's ``normalize`` flag is always set.
     """
     linear = np.ascontiguousarray(linear, dtype=np.float64)
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -734,7 +734,7 @@ def embed_direct(plan, linear: np.ndarray, values: np.ndarray,
     logical_of, chain_lengths, _, _ = plan.addresses
     if _load_cext().embed_direct(
             count, plan.num_logical, num_keys, _ptr(linear), _ptr(values),
-            base_scale, normalize, *coupler_range, *field_range,
+            base_scale, True, *coupler_range, *field_range,
             plan.num_physical, logical_of, chain_lengths,
             plan.num_chain_couplers, _ptr(scale),
             _ptr(fields), _ptr(couplers), _ptr(clipped)):

@@ -16,10 +16,7 @@ provided for the forward-looking ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Tuple
-
-if TYPE_CHECKING:  # only to_networkx() imports it, and only when called
-    import networkx as nx
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import EmbeddingError
 from repro.utils.random import RandomState, ensure_rng
@@ -71,7 +68,6 @@ class ChimeraGraph:
                     f"dead qubit {qubit} outside the chip (size {self.total_sites})"
                 )
         self.dead_qubits: FrozenSet[Qubit] = dead
-        self._graph: Optional["nx.Graph"] = None
 
     # ------------------------------------------------------------------ #
     # Indexing
@@ -164,18 +160,6 @@ class ChimeraGraph:
         if p.side == 0:
             return p.column == q.column and abs(p.row - q.row) == 1
         return p.row == q.row and abs(p.column - q.column) == 1
-
-    def to_networkx(self) -> "nx.Graph":
-        """The working-qubit graph as a (cached) networkx graph."""
-        if self._graph is None:
-            import networkx as nx
-
-            graph = nx.Graph()
-            graph.add_nodes_from(q for q in range(self.total_sites)
-                                 if self.is_working(q))
-            graph.add_edges_from(self.edges())
-            self._graph = graph
-        return self._graph
 
     # ------------------------------------------------------------------ #
     # Factories

@@ -320,8 +320,8 @@ class EmbeddedIsing:
 
 
 def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
-               chain_strength: float, extended_range: bool = False,
-               normalize: bool = True) -> Optional[EmbeddedPack]:
+               chain_strength: float, extended_range: bool = False
+               ) -> Optional[EmbeddedPack]:
     """Compile logical Ising problems of one structure onto an embedding.
 
     The pack form of Appendix B: scale, gather onto the plan's couplers,
@@ -371,21 +371,20 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
         programmed = None
         if plan is not None and plan.direct:
             programmed = backends.embed_direct(
-                plan, logical.linear, logical.values, base_scale, normalize,
+                plan, logical.linear, logical.values, base_scale,
                 (chain_coupling, COUPLER_MAX), (FIELD_MIN, FIELD_MAX))
         if programmed is not None:  # else a coupling scaled to 0.0: below
             problem_scale, fields, couplers, clipped = programmed
             return packed(plan, plan.physical_keys, fields, couplers,
                           problem_scale, clipped)
     problem_scale = np.full(len(logical), base_scale)
-    if normalize:
-        reference = np.abs(logical.values).max(axis=1, initial=0.0)
-        fields_only = reference == 0.0
-        if fields_only.any():
-            reference[fields_only] = np.abs(
-                logical.linear[fields_only]).max(axis=1, initial=0.0)
-        np.divide(problem_scale, reference, out=problem_scale,
-                  where=reference > 0)
+    reference = np.abs(logical.values).max(axis=1, initial=0.0)
+    fields_only = reference == 0.0
+    if fields_only.any():
+        reference[fields_only] = np.abs(
+            logical.linear[fields_only]).max(axis=1, initial=0.0)
+    np.divide(problem_scale, reference, out=problem_scale,
+              where=reference > 0)
     keys = logical.keys
     values = logical.values * problem_scale[:, None]
     if not values.all():
@@ -436,9 +435,13 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
 
 
 def embed_ising(logical: IsingModel, embedding: Embedding, *,
-                chain_strength: float, extended_range: bool = False,
-                normalize: bool = True) -> EmbeddedIsing:
+                chain_strength: float, extended_range: bool = False
+                ) -> EmbeddedIsing:
     """Compile a logical Ising problem onto an embedding (Appendix B).
+
+    The logical problem is auto-ranged, so its largest absolute coefficient
+    is 1 before the ``1 / |J_F|`` scaling, mirroring the machine's
+    auto-scaling step.
 
     Parameters
     ----------
@@ -451,10 +454,6 @@ def embed_ising(logical: IsingModel, embedding: Embedding, *,
         largest programmed problem coefficient.
     extended_range:
         Use the DW2Q extended dynamic range (chain couplers at ``-2``).
-    normalize:
-        Auto-range the logical problem so its largest absolute coefficient is
-        1 before applying the ``1 / |J_F|`` scaling, mirroring the machine's
-        auto-scaling step.
     """
     return embed_pack([logical], embedding, chain_strength=chain_strength,
-                      extended_range=extended_range, normalize=normalize)[0]
+                      extended_range=extended_range)[0]

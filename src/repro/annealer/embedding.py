@@ -99,12 +99,6 @@ class Embedding:
         """Length of the longest chain."""
         return max(len(chain) for chain in self.chains.values())
 
-    def chain_of(self, logical: int) -> Tuple[Qubit, ...]:
-        """Chain of physical qubits for a logical variable."""
-        if logical not in self.chains:
-            raise EmbeddingError(f"logical variable {logical} is not embedded")
-        return self.chains[logical]
-
     def validate(self, hardware: ChimeraGraph) -> None:
         """Check that the embedding is consistent with the hardware graph.
 
@@ -171,11 +165,6 @@ class TriangleCliqueEmbedder:
     def blocks_required(self, num_logical: int) -> int:
         """Number of diagonal unit cells (groups of four logical variables)."""
         return ceil(num_logical / self.hardware.shore_size)
-
-    def max_embeddable_variables(self) -> int:
-        """Largest fully-connected problem that fits on an ideal chip."""
-        side = min(self.hardware.rows, self.hardware.columns)
-        return side * self.hardware.shore_size
 
     # ------------------------------------------------------------------ #
     def _build_at_offset(self, num_logical: int, row_offset: int,

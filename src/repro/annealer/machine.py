@@ -24,7 +24,7 @@ preprocessing overheads are tracked separately in :class:`OverheadModel`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,10 +87,6 @@ class AnnealerParameters:
         check_positive("chain_strength", self.chain_strength)
         check_integer_in_range("num_anneals", self.num_anneals, minimum=1)
 
-    def with_num_anneals(self, num_anneals: int) -> "AnnealerParameters":
-        """Copy of these parameters with a different anneal count."""
-        return replace(self, num_anneals=num_anneals)
-
 
 @dataclass(frozen=True)
 class OverheadModel:
@@ -139,16 +135,6 @@ class AnnealResult:
     def compute_time_us(self) -> float:
         """Pure compute time of the run, amortised by parallelization."""
         return self.num_anneals * self.anneal_duration_us / self.parallelization
-
-    @property
-    def best_spins(self) -> np.ndarray:
-        """Lowest-energy logical spin configuration found."""
-        return self.solutions.best_sample
-
-    @property
-    def best_bits(self) -> np.ndarray:
-        """Lowest-energy configuration as QUBO bits."""
-        return self.solutions.best_bits
 
     @property
     def best_energy(self) -> float:
@@ -258,10 +244,6 @@ class QuantumAnnealerSimulator:
             "hits": self._sampler_cache_hits,
             "misses": self._sampler_cache_misses,
         }
-
-    def clear_sampler_cache(self) -> None:
-        """Drop all cached samplers (counters are kept)."""
-        self._sampler_cache.clear()
 
     # ------------------------------------------------------------------ #
     def run(self, logical_ising: IsingModel,

@@ -15,8 +15,6 @@ times add up to the anneal time times the share of the chip programmed.
 
 from __future__ import annotations
 
-from math import ceil, floor
-
 from repro.annealer.embedding import physical_qubits_required
 from repro.exceptions import AnnealerError
 from repro.utils.validation import check_integer_in_range
@@ -47,12 +45,3 @@ def parallelization_factor(num_logical: int,
             f"problem needs {required} physical qubits, chip has {total_qubits}")
     factor = geometry_efficiency * total_qubits / required
     return max(1.0, factor)
-
-
-def parallel_copies(num_logical: int,
-                    total_qubits: int = constants.DW2Q_WORKING_QUBITS,
-                    shore_size: int = 4,
-                    geometry_efficiency: float = 1.0) -> int:
-    """Whole number of instance copies that fit on the chip simultaneously."""
-    return int(floor(parallelization_factor(
-        num_logical, total_qubits, shore_size, geometry_efficiency)))

@@ -68,22 +68,6 @@ class AnnealSchedule:
         """Total wall-clock duration of one anneal (ramp plus pause)."""
         return float(self.anneal_time_us + self.pause_time_us)
 
-    def with_pause(self, pause_time_us: float,
-                   pause_position: Optional[float] = None) -> "AnnealSchedule":
-        """A copy of this schedule with a pause inserted."""
-        return AnnealSchedule(
-            anneal_time_us=self.anneal_time_us,
-            pause_time_us=pause_time_us,
-            pause_position=(self.pause_position if pause_position is None
-                            else pause_position),
-        )
-
-    def without_pause(self) -> "AnnealSchedule":
-        """A copy of this schedule with no pause."""
-        return AnnealSchedule(anneal_time_us=self.anneal_time_us,
-                              pause_time_us=0.0,
-                              pause_position=self.pause_position)
-
     # ------------------------------------------------------------------ #
     def temperature_profile(self, *, sweeps_per_us: float, hot: float,
                             cold: float,

@@ -1,25 +1,17 @@
-"""Wireless channel substrate: fading models, AWGN, and channel traces."""
+"""Wireless channel substrate: Rayleigh and random-phase channel models,
+AWGN, and channel traces."""
 
-from repro.channel.models import (
-    ChannelModel,
-    FixedChannel,
-    RandomPhaseChannel,
-    RayleighChannel,
-    RicianChannel,
-)
-from repro.channel.noise import awgn, noise_variance_for_snr, snr_db_to_linear, snr_linear_to_db
+from repro.channel.models import ChannelModel, RandomPhaseChannel, RayleighChannel
+from repro.channel.noise import awgn, noise_variance_for_snr, snr_db_to_linear
 from repro.channel.trace import ArgosLikeTraceGenerator, ChannelTrace, TraceChannel
 
 __all__ = [
     "ChannelModel",
     "RayleighChannel",
     "RandomPhaseChannel",
-    "RicianChannel",
-    "FixedChannel",
     "awgn",
     "noise_variance_for_snr",
     "snr_db_to_linear",
-    "snr_linear_to_db",
     "ArgosLikeTraceGenerator",
     "ChannelTrace",
     "TraceChannel",

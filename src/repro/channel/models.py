@@ -15,13 +15,11 @@ written once and parameterised by channel model.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import ChannelError
 from repro.utils.random import RandomState, ensure_rng
-from repro.utils.validation import check_integer_in_range, check_positive, ensure_complex_matrix
+from repro.utils.validation import check_integer_in_range, check_positive
 
 
 class ChannelModel(ABC):
@@ -31,13 +29,6 @@ class ChannelModel(ABC):
     def sample(self, num_rx: int, num_tx: int,
                random_state: RandomState = None) -> np.ndarray:
         """Draw one ``num_rx x num_tx`` complex channel matrix."""
-
-    def sample_many(self, count: int, num_rx: int, num_tx: int,
-                    random_state: RandomState = None) -> np.ndarray:
-        """Draw *count* channel matrices, stacked along the first axis."""
-        check_integer_in_range("count", count, minimum=1)
-        rng = ensure_rng(random_state)
-        return np.stack([self.sample(num_rx, num_tx, rng) for _ in range(count)])
 
     @staticmethod
     def _check_dims(num_rx: int, num_tx: int) -> None:
@@ -88,71 +79,3 @@ class RandomPhaseChannel(ChannelModel):
 
     def __repr__(self) -> str:
         return f"RandomPhaseChannel(gain={self.gain})"
-
-
-class RicianChannel(ChannelModel):
-    """Rician fading: a deterministic line-of-sight component plus scattering.
-
-    Used by the synthetic Argos-like trace generator; the K-factor is the
-    power ratio of the line-of-sight component to the scattered component.
-    """
-
-    def __init__(self, k_factor: float = 3.0, average_gain: float = 1.0):
-        if k_factor < 0:
-            raise ChannelError(f"k_factor must be non-negative, got {k_factor}")
-        self.k_factor = float(k_factor)
-        self.average_gain = check_positive("average_gain", average_gain)
-
-    def sample(self, num_rx: int, num_tx: int,
-               random_state: RandomState = None) -> np.ndarray:
-        self._check_dims(num_rx, num_tx)
-        rng = ensure_rng(random_state)
-        k = self.k_factor
-        los_phase = rng.uniform(0.0, 2.0 * np.pi, size=(num_rx, num_tx))
-        los = np.exp(1j * los_phase)
-        scatter = (rng.normal(size=(num_rx, num_tx))
-                   + 1j * rng.normal(size=(num_rx, num_tx))) / np.sqrt(2.0)
-        mixed = (np.sqrt(k / (k + 1.0)) * los
-                 + np.sqrt(1.0 / (k + 1.0)) * scatter)
-        return np.sqrt(self.average_gain) * mixed
-
-    def __repr__(self) -> str:
-        return (f"RicianChannel(k_factor={self.k_factor}, "
-                f"average_gain={self.average_gain})")
-
-
-class FixedChannel(ChannelModel):
-    """A deterministic channel matrix, returned on every call.
-
-    Useful for the AWGN-only experiments (Section 5.4) where the paper fixes
-    the channel and the transmitted bit string and varies only the noise.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = ensure_complex_matrix("matrix", matrix)
-
-    def sample(self, num_rx: int, num_tx: int,
-               random_state: RandomState = None) -> np.ndarray:
-        if self.matrix.shape != (num_rx, num_tx):
-            raise ChannelError(
-                f"fixed channel has shape {self.matrix.shape}, "
-                f"requested ({num_rx}, {num_tx})"
-            )
-        return self.matrix.copy()
-
-    def __repr__(self) -> str:
-        return f"FixedChannel(shape={self.matrix.shape})"
-
-
-def condition_number(channel) -> float:
-    """2-norm condition number of a channel matrix.
-
-    Linear detectors (ZF/MMSE) degrade sharply as this grows, which is the
-    regime (N_t close to N_r) where the paper motivates ML detection.
-    """
-    channel = ensure_complex_matrix("channel", channel)
-    singular_values = np.linalg.svd(channel, compute_uv=False)
-    smallest = singular_values.min()
-    if smallest == 0:
-        return float("inf")
-    return float(singular_values.max() / smallest)

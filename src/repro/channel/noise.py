@@ -9,8 +9,6 @@ what "20 dB SNR" means.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import ChannelError
@@ -20,14 +18,6 @@ from repro.utils.random import RandomState, ensure_rng
 def snr_db_to_linear(snr_db: float) -> float:
     """Convert an SNR in decibels to a linear power ratio."""
     return float(10.0 ** (float(snr_db) / 10.0))
-
-
-def snr_linear_to_db(snr_linear: float) -> float:
-    """Convert a linear SNR power ratio to decibels."""
-    snr_linear = float(snr_linear)
-    if snr_linear <= 0:
-        raise ChannelError(f"linear SNR must be positive, got {snr_linear}")
-    return float(10.0 * np.log10(snr_linear))
 
 
 def received_signal_power(channel: np.ndarray, symbol_energy: float) -> float:
@@ -72,12 +62,3 @@ def awgn(shape, noise_variance: float,
     real = rng.normal(0.0, 1.0, size=shape)
     imag = rng.normal(0.0, 1.0, size=shape)
     return scale * (real + 1j * imag)
-
-
-def measure_snr_db(channel: np.ndarray, symbol_energy: float,
-                   noise_variance: float) -> Optional[float]:
-    """Return the SNR in dB implied by a channel / noise-variance pair."""
-    if noise_variance == 0:
-        return None
-    signal_power = received_signal_power(channel, symbol_energy)
-    return snr_linear_to_db(signal_power / noise_variance)

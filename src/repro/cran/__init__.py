@@ -14,7 +14,7 @@ layer, built on the batched decode substrate underneath it:
 * :mod:`repro.cran.traffic` — :class:`PoissonTrafficGenerator`, Poisson
   frame bursts over a :class:`~repro.channel.trace.ChannelTrace` with mixed
   modulations and per-user SNR;
-* :mod:`repro.cran.telemetry` — :class:`TelemetryRecorder`, rolling
+* :mod:`repro.cran.telemetry` — :class:`TelemetryRecorder`, whole-run
   throughput, latency percentiles, batch-fill and deadline-miss statistics;
 * :mod:`repro.cran.service` — :class:`CranService`, the event loop tying
   them together, its incremental :class:`ServiceSession`, and the

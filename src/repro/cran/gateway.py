@@ -1,4 +1,4 @@
-"""Async ingress gateway: many fronthaul producers, one serving session.
+"""Ingress gateway: many fronthaul producers, one serving session.
 
 The paper's deployment model is a *centralized* RAN: many cells forward
 their uplink streams to one QuAMax-equipped processing pool.  The
@@ -158,19 +158,6 @@ class IngressGateway:
             self._backlog_max = max(self._backlog_max, self._buffered)
             self._ingress.notify()
         return True
-
-    async def submit_async(self, job: DecodeJob,
-                           cell: Optional[Hashable] = None) -> bool:
-        """:meth:`submit` from a coroutine, without blocking the event loop.
-
-        The (potentially blocking, under the block policy) submission runs
-        in the loop's default executor, so an asyncio ingress server can
-        ``await`` admissions while other connections make progress.
-        """
-        import asyncio  # loaded already by whoever runs the calling loop
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.submit, job, cell)
 
     def _over_limit_locked(self, shard: Deque[DecodeJob]) -> bool:
         if self._buffered >= self.admission_limit:

@@ -149,11 +149,6 @@ class DecodeJob:
         return (self.channel_use.num_tx, self.channel_use.num_rx,
                 self.modulation)
 
-    @property
-    def laxity_us(self) -> float:
-        """Scheduling slack at arrival: deadline minus arrival time."""
-        return self.deadline_us - self.arrival_time_us
-
     def rng(self) -> np.random.Generator:
         """A *fresh* generator positioned at the start of the job's stream."""
         return np.random.default_rng(self.seed)

@@ -117,8 +117,6 @@ class EDFBatchScheduler:
         #: (``DecodeJob.rng_mode``); an emptied queue is removed.
         self._pending: Dict[str, List[DecodeJob]] = {}
         self._clock_us = 0.0
-        self._submitted = 0
-        self._flushed = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -132,16 +130,6 @@ class EDFBatchScheduler:
     def queue_depth(self) -> int:
         """Number of jobs currently pending."""
         return sum(len(jobs) for jobs in self._pending.values())
-
-    @property
-    def jobs_submitted(self) -> int:
-        """Total jobs accepted so far."""
-        return self._submitted
-
-    @property
-    def jobs_flushed(self) -> int:
-        """Total jobs emitted in batches so far."""
-        return self._flushed
 
     def _due_us(self, jobs: List[DecodeJob]) -> float:
         """Absolute time at which the pending *jobs* must flush.
@@ -174,13 +162,6 @@ class EDFBatchScheduler:
                 due = min(due, urgent - estimate)
         return max(due, jobs[-1].arrival_time_us)
 
-    def next_due_us(self) -> float:
-        """Earliest flush due time (``inf`` if nothing is pending, or
-        ``max_wait_us`` is unbounded and no decode-time model shortens the
-        wait)."""
-        return min(map(self._due_us, self._pending.values()),
-                   default=math.inf)
-
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
@@ -188,7 +169,6 @@ class EDFBatchScheduler:
                reason: str) -> DecodeBatch:
         """Everything pending under *rng_mode*, as one EDF-ordered batch."""
         jobs = self._pending.pop(rng_mode)
-        self._flushed += len(jobs)
         return DecodeBatch(
             jobs=tuple(sorted(jobs, key=lambda j: (j.deadline_us, j.job_id))),
             flush_time_us=flush_time_us, reason=reason)
@@ -245,7 +225,6 @@ class EDFBatchScheduler:
         flushed = self._due_batches(now_us, strict=True)
         self._clock_us = now_us
         self._pending.setdefault(job.rng_mode, []).append(job)
-        self._submitted += 1
         flushed.extend(self._due_batches(now_us))
         if len(self._pending.get(job.rng_mode, ())) >= self.max_batch:
             flushed.append(self._flush(job.rng_mode, now_us, FLUSH_FULL))

@@ -409,10 +409,10 @@ class CranService:
     Parameters
     ----------
     decoder:
-        The decoder every batch runs through — its draw discipline is
-        configured on it; a default :class:`QuAMaxDecoder`
-        is created when omitted.  Jobs carrying their own ``rng_mode``
-        hints override the discipline per pack.
+        The decoder every batch runs through; a default
+        :class:`QuAMaxDecoder` is created when omitted.  Each pack decodes
+        under its jobs' ``rng_mode`` (``"sequential"`` unless set), not the
+        discipline the decoder was built with.
     threads:
         Per-worker OpenMP width of a counter-mode pack's kernel call,
         forwarded to the pool (``None`` derives it: ``cpu_count //

@@ -3,9 +3,7 @@
 Production serving layers live or die by their observability; this module
 keeps the counters every other piece of the C-RAN subsystem reports into.
 All series are kept on the service's virtual clock (µs), matching the
-annealer's time accounting, and latency tracking can be windowed so a
-long-running service reports *rolling* percentiles rather than
-since-the-beginning averages.
+annealer's time accounting, and cover the whole run.
 
 The recorder is deliberately passive — pure appends, no locks of its own —
 so snapshots are cheap and deterministic: the
@@ -16,9 +14,9 @@ session thread appends to.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +28,11 @@ from repro.cran.tracing import (
     EVENT_PACK_FAILED,
     EVENT_WORKER_RESTART,
 )
-from repro.utils.validation import check_integer_in_range
 
 #: Percentiles reported by default in latency summaries.
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
 
-#: Default EWMA weight of the newest per-structure decode-time observation.
+#: EWMA weight of the newest per-structure decode-time observation.
 DECODE_TIME_EWMA_ALPHA = 0.3
 
 #: Packs a structure must have completed before its online decode-time
@@ -56,36 +53,14 @@ class LatencySummary:
 
 
 class TelemetryRecorder:
-    """Accumulates the serving statistics of one C-RAN service run.
+    """Accumulates the serving statistics of one C-RAN service run."""
 
-    Parameters
-    ----------
-    window:
-        Number of most recent samples the *rolling* series (latency and
-        queue-delay percentiles, queue-depth statistics) are computed over;
-        ``None`` keeps everything (fine for bounded simulations, unbounded
-        services should set a window).  The scalar counters (jobs, misses,
-        batch fill) always cover the whole run.
-    """
-
-    def __init__(self, window: Optional[int] = None,
-                 decode_time_alpha: float = DECODE_TIME_EWMA_ALPHA,
-                 decode_time_min_samples: int = DECODE_TIME_MIN_SAMPLES):
-        if window is not None:
-            window = check_integer_in_range("window", window, minimum=1)
-        self.window = window
-        if not 0.0 < decode_time_alpha <= 1.0:
-            raise ValueError(
-                f"decode_time_alpha must be in (0, 1], got {decode_time_alpha}")
-        self.decode_time_alpha = float(decode_time_alpha)
-        self.decode_time_min_samples = check_integer_in_range(
-            "decode_time_min_samples", decode_time_min_samples, minimum=1)
-        self._latencies_us: Deque[float] = deque(maxlen=window)
-        self._queue_delays_us: Deque[float] = deque(maxlen=window)
+    def __init__(self):
+        self._latencies_us: List[float] = []
+        self._queue_delays_us: List[float] = []
         self._batch_fill: Counter = Counter()
         self._flush_reasons: Counter = Counter()
-        self._queue_depth_samples: Deque[Tuple[float, int]] = deque(
-            maxlen=window)
+        self._queue_depth_samples: List[Tuple[float, int]] = []
         self._first_arrival_us: Optional[float] = None
         self._last_finish_us = 0.0
         #: Per-structure EWMAs of observed pack service times (µs) and pack
@@ -142,7 +117,7 @@ class TelemetryRecorder:
                                        result.finish_time_us)
         service_us = first.finish_time_us - first.start_time_us
         total_us = sum(map(sum, compute_us.values()))
-        alpha = self.decode_time_alpha
+        alpha = DECODE_TIME_EWMA_ALPHA
         for key, members_us in compute_us.items():
             observed_us = service_us - ((service_us - overhead_us)
                                         * (total_us - sum(members_us))
@@ -193,7 +168,7 @@ class TelemetryRecorder:
         overhead) / E[size]`` and the prediction is the overhead plus the
         members' per-job estimates — so a structure observed in full packs
         still predicts small pending packs correctly.  Returns ``None``
-        until :attr:`decode_time_min_samples` packs of every structure
+        until :data:`DECODE_TIME_MIN_SAMPLES` packs of every structure
         among *jobs* have completed, and whenever *overhead_us* exceeds a
         structure's observed service EWMA: clamping that negative per-job
         split to zero would give a size-independent prediction and make the
@@ -202,7 +177,7 @@ class TelemetryRecorder:
         """
         compute_us = 0.0
         for key, size in structure_counts(jobs):
-            if self._decode_time_samples[key] < self.decode_time_min_samples:
+            if self._decode_time_samples[key] < DECODE_TIME_MIN_SAMPLES:
                 return None
             per_job = ((self._decode_service_ewma_us[key] - overhead_us)
                        / self._decode_size_ewma[key])
@@ -213,7 +188,7 @@ class TelemetryRecorder:
 
     def latency_summary(self, percentiles: Sequence[float]
                         = DEFAULT_PERCENTILES) -> LatencySummary:
-        """Rolling latency percentiles over the recorded window (µs)."""
+        """Latency percentiles over every completed job (µs)."""
         series = np.asarray(self._latencies_us, dtype=float)
         if series.size == 0:
             empty = {float(q): float("nan") for q in percentiles}
@@ -257,13 +232,13 @@ class TelemetryRecorder:
         return self.jobs_shed / offered
 
     def max_queue_depth(self) -> int:
-        """Largest sampled scheduler backlog (within the rolling window)."""
+        """Largest sampled scheduler backlog."""
         if not self._queue_depth_samples:
             return 0
         return max(depth for _, depth in self._queue_depth_samples)
 
     def mean_queue_depth(self) -> float:
-        """Mean sampled scheduler backlog (within the rolling window)."""
+        """Mean sampled scheduler backlog."""
         if not self._queue_depth_samples:
             return 0.0
         return float(np.mean([depth
@@ -279,7 +254,7 @@ class TelemetryRecorder:
         return self.jobs_completed / (span_us * 1e-6)
 
     def snapshot(self) -> dict:
-        """One plain-dict view of every rolling statistic (for reports/JSON).
+        """One plain-dict view of every statistic (for reports/JSON).
 
         Empty series report ``None`` rather than NaN: ``json.dumps`` would
         happily write a bare ``NaN`` token, which is not valid JSON and

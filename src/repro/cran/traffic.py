@@ -107,11 +107,6 @@ class PoissonTrafficGenerator:
         self._last_arrival_us = 0.0
 
     # ------------------------------------------------------------------ #
-    @property
-    def offered_load_jobs_per_s(self) -> float:
-        """Mean offered load of the generator (jobs per second)."""
-        return self.burst_subcarriers / (self.mean_interarrival_us * 1e-6)
-
     def generate(self, num_bursts: int,
                  random_state: RandomState = None,
                  start_time_us: float = 0.0) -> List[DecodeJob]:

@@ -55,7 +55,7 @@ import pickle
 import threading
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cran.faults import (
     FAULT_CRASH,
@@ -150,17 +150,10 @@ def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
     if fault is not None and fault.kind == FAULT_DECODE_ERROR:
         raise InjectedFault(f"injected decode error on pack {index}")
     rng_mode, threads = _batch_decode_hints(batch, default_threads)
-    # Default sequential single-threaded packs keep the historical
-    # ``detect_batch(channel_uses, random_states=...)`` call shape, so
-    # duck-typed decoder stand-ins that predate the rng/threads knobs keep
-    # working; only non-default packs pass the overrides — and a decoder
-    # that cannot honour those must fail loudly rather than silently decode
-    # under the wrong discipline.
-    overrides = ({} if rng_mode == "sequential" and threads == 1
-                 else {"rng": rng_mode, "threads": threads})
     outcomes = decoder.detect_batch(
         [job.channel_use for job in batch.jobs],
-        random_states=[job.rng() for job in batch.jobs], **overrides)
+        random_states=[job.rng() for job in batch.jobs],
+        rng=rng_mode, threads=threads)
     # One shared job overhead per pack, plus the amortised compute of
     # every block: this is precisely where batching buys latency.
     service_us = _pack_service_us(decoder, outcomes)
@@ -186,21 +179,21 @@ _WORKER_THREADS: int = 1
 
 
 def _process_worker_init(
-        payload: Tuple[str, object, Optional[FaultPlan], int]) -> None:
-    """Build this worker process's decoder (and fault plan) from the spec.
+        payload: Tuple[QuAMaxDecoder, Optional[FaultPlan], int]) -> None:
+    """Install this worker process's decoder (and fault plan) from the spec.
 
     The pool's per-worker kernel-thread budget rides along: it is exported
-    as the ``OMP_NUM_THREADS`` cap *before* the decoder is built (so the
+    as the ``OMP_NUM_THREADS`` cap *before* the decoder first runs (so the
     lazily loaded OpenMP runtime honours it) and caps the CPUs a pack's
     blocks shard over — the oversubscription guard that stops
     ``num_workers`` processes × per-pack teams from thrashing the machine.
     """
     global _WORKER_DECODER, _WORKER_FAULTS, _WORKER_THREADS
-    kind, value, faults, threads = payload
+    decoder, faults, threads = payload
     _WORKER_THREADS = max(1, int(threads))
     _usable_cpus(cap=_WORKER_THREADS)
     os.environ["OMP_NUM_THREADS"] = str(_WORKER_THREADS)
-    _WORKER_DECODER = value() if kind == "factory" else value
+    _WORKER_DECODER = decoder
     _WORKER_FAULTS = faults
 
 
@@ -397,10 +390,8 @@ class _ThreadExecutor(_Executor):
 
     def _spawn_worker(self, shard: int) -> None:
         """Start one draining thread on *shard* (initial start or respawn)."""
-        factory = self.pool._decoder_factory
-        decoder = factory() if factory is not None else self.pool.decoder
         thread = threading.Thread(target=self._worker_loop,
-                                  args=(decoder, shard),
+                                  args=(self.pool.decoder, shard),
                                   name=f"cran-worker-{shard}",
                                   daemon=True)
         with self._lock:
@@ -565,18 +556,14 @@ class _ProcessExecutor(_Executor):
             resource_tracker.ensure_running()
         except (ImportError, OSError):
             pass
-        # Workers rebuild the decoder from a pickled spec: the factory when
-        # one was given (one decoder per process, like the threaded
-        # decoder_factory), else the configured decoder itself.  The fault
-        # plan rides along so worker-side injection decisions match the
-        # parent's accounting.
+        # Each worker holds its own copy of the configured decoder
+        # (inherited under fork, unpickled under spawn).  The fault plan
+        # rides along so worker-side injection decisions match the parent's
+        # accounting.
         pool = self.pool
-        payload = (("factory", pool._decoder_factory)
-                   if pool._decoder_factory is not None
-                   else ("decoder", pool.decoder))
         self._workers = context.Pool(
             processes=pool.num_workers, initializer=_process_worker_init,
-            initargs=(payload + (pool.faults, pool.threads),))
+            initargs=((pool.decoder, pool.faults, pool.threads),))
 
     def close(self) -> None:
         self.start()
@@ -635,9 +622,9 @@ class WorkerPool:
     Parameters
     ----------
     decoder:
-        Decoder used by the inline path and shared by threaded workers when
-        no *decoder_factory* is given; a default :class:`QuAMaxDecoder` is
-        created when omitted.
+        Decoder used by the inline path, shared by threaded workers and
+        copied into each worker process; a default :class:`QuAMaxDecoder`
+        is created when omitted.
     num_workers:
         ``0`` decodes inline at submission (deterministic); ``>= 1`` starts
         that many draining threads or worker processes (see *mode*).
@@ -663,10 +650,6 @@ class WorkerPool:
         pack/job lifecycle events into (flush, dispatch, worker pickup,
         completion, sheds) on the same virtual clock as the accounting.
         ``None`` (default) disables tracing at zero cost.
-    decoder_factory:
-        Optional zero-argument callable building one decoder per worker
-        thread or process (e.g. to give each worker its own annealer
-        instance).
     autostart:
         Start the workers immediately.  Tests can pass ``False`` to fill
         the queue deterministically before draining; with no worker
@@ -704,7 +687,6 @@ class WorkerPool:
                  overload_policy: str = POLICY_BLOCK,
                  telemetry: Optional[TelemetryRecorder] = None,
                  trace: Optional[TraceRecorder] = None,
-                 decoder_factory: Optional[Callable[[], QuAMaxDecoder]] = None,
                  autostart: bool = True,
                  faults: Optional[FaultPlan] = None,
                  restart_budget: int = 0,
@@ -722,7 +704,6 @@ class WorkerPool:
             "queue_capacity", queue_capacity, minimum=1)
         self.overload_policy = overload_policy
         self.decoder = decoder or QuAMaxDecoder()
-        self._decoder_factory = decoder_factory
         self.telemetry = telemetry if telemetry is not None \
             else TelemetryRecorder()
         self.trace = trace
@@ -996,11 +977,6 @@ class WorkerPool:
         """Jobs dropped by the shed policy, in submission order."""
         with self._lock:
             return list(self._shed_jobs)
-
-    @property
-    def steal_count(self) -> int:
-        """Number of batches taken from another worker's shard so far."""
-        return self._executor.shard_counters()[0]
 
     def worker_info(self) -> Dict[str, Any]:
         """One-shot snapshot of the pool's worker-level counters.

@@ -57,12 +57,6 @@ class DetectionResult:
         reference = ensure_bit_array(reference_bits, length=self.bits.size)
         return int(np.count_nonzero(reference != self.bits))
 
-    def bit_error_rate(self, reference_bits) -> float:
-        """Fraction of erroneous bits against *reference_bits*."""
-        if self.bits.size == 0:
-            return 0.0
-        return self.bit_errors(reference_bits) / self.bits.size
-
 
 class Detector(ABC):
     """Base class for MIMO detectors operating on :class:`ChannelUse`."""

@@ -36,13 +36,6 @@ class SphereDecoderStats:
     #: Final squared search radius (the ML metric on success).
     final_radius: float = float("inf")
 
-    def reset(self) -> None:
-        """Zero all counters for a fresh decode."""
-        self.visited_nodes = 0
-        self.leaves_reached = 0
-        self.pruned_nodes = 0
-        self.final_radius = float("inf")
-
 
 class SphereDecoder(Detector):
     """Depth-first Schnorr–Euchner sphere decoder.

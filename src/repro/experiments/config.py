@@ -36,11 +36,6 @@ class MimoScenario:
         return get_constellation(self.constellation)
 
     @property
-    def num_logical_qubits(self) -> int:
-        """Number of Ising variables the scenario's ML problem needs."""
-        return self.num_users * self.modulation.bits_per_symbol
-
-    @property
     def label(self) -> str:
         """Human-readable scenario label, e.g. ``"18x18 QPSK @ 20 dB"``."""
         base = f"{self.num_users}x{self.num_users} {self.modulation.name}"

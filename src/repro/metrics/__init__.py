@@ -1,6 +1,6 @@
 """Communications-facing performance metrics: BER/FER, TTS, TTB and TTF."""
 
-from repro.metrics.error_rates import bit_error_rate, bit_errors, count_symbol_errors
+from repro.metrics.error_rates import bit_error_rate, bit_errors
 from repro.metrics.statistics import DistributionSummary, summarize
 from repro.metrics.tts import time_to_solution, tts_from_run
 from repro.metrics.ttb import (
@@ -13,7 +13,6 @@ from repro.metrics.ttb import (
 __all__ = [
     "bit_errors",
     "bit_error_rate",
-    "count_symbol_errors",
     "DistributionSummary",
     "summarize",
     "time_to_solution",

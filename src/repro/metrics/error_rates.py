@@ -1,4 +1,4 @@
-"""Bit and symbol error counting."""
+"""Bit error counting."""
 
 from __future__ import annotations
 
@@ -26,16 +26,3 @@ def bit_error_rate(reference_bits, decoded_bits) -> float:
     if reference.size == 0:
         return 0.0
     return bit_errors(reference_bits, decoded_bits) / reference.size
-
-
-def count_symbol_errors(reference_symbols, decoded_symbols,
-                        tolerance: float = 1e-9) -> int:
-    """Number of symbol positions that differ by more than *tolerance*."""
-    reference = np.asarray(reference_symbols, dtype=np.complex128).ravel()
-    decoded = np.asarray(decoded_symbols, dtype=np.complex128).ravel()
-    if reference.size != decoded.size:
-        raise MetricsError(
-            f"symbol vectors must have equal length, got {reference.size} and "
-            f"{decoded.size}"
-        )
-    return int(np.count_nonzero(np.abs(reference - decoded) > tolerance))

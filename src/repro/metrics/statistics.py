@@ -28,18 +28,6 @@ class DistributionSummary:
     minimum: float
     maximum: float
 
-    def as_dict(self) -> dict:
-        """Plain-dict view (useful for tabular report printing)."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "p10": self.percentile_10,
-            "p90": self.percentile_90,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
 
 def summarize(values: Sequence[float],
               ignore_infinite: bool = False) -> DistributionSummary:

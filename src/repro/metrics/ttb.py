@@ -99,11 +99,6 @@ class InstanceSolutionProfile:
 
     # ------------------------------------------------------------------ #
     @property
-    def num_solutions(self) -> int:
-        """Number of distinct solutions in the profile (``L`` in Eq. 9)."""
-        return int(self.probabilities.size)
-
-    @property
     def floor_ber(self) -> float:
         """BER reached in the limit of infinitely many anneals.
 

@@ -10,7 +10,7 @@ QuAMax decoder operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,23 +96,6 @@ class ChannelUse:
     def num_bits(self) -> int:
         """Number of payload bits carried by this channel use."""
         return self.num_tx * self.constellation.bits_per_symbol
-
-    def with_noise_realization(self, noise: np.ndarray,
-                               noise_variance: float,
-                               snr_db: Optional[float]) -> "ChannelUse":
-        """Return a copy whose received vector uses a new noise realization.
-
-        The noiseless component ``H v`` is recomputed from the ground-truth
-        symbols, so this is only valid for channel uses with known symbols.
-        """
-        if self.transmitted_symbols is None:
-            raise ConfigurationError(
-                "cannot re-noise a channel use without ground-truth symbols"
-            )
-        noise = ensure_complex_vector("noise", noise, length=self.num_rx)
-        clean = self.channel @ self.transmitted_symbols
-        return replace(self, received=clean + noise,
-                       noise_variance=float(noise_variance), snr_db=snr_db)
 
 
 class MimoUplink:
@@ -205,13 +188,6 @@ class MimoUplink:
             noise_variance=noise_variance,
             snr_db=snr_db,
         )
-
-    def transmit_many(self, count: int, random_state: RandomState = None,
-                      snr_db: Optional[float] = None) -> list:
-        """Generate *count* independent channel uses."""
-        count = check_integer_in_range("count", count, minimum=1)
-        rng = ensure_rng(random_state)
-        return [self.transmit(random_state=rng, snr_db=snr_db) for _ in range(count)]
 
     def __repr__(self) -> str:
         return (f"MimoUplink(num_users={self.num_users}, "

@@ -10,7 +10,7 @@ available for SNR normalisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class Constellation:
         """Mean squared magnitude of the constellation points."""
         return float(np.mean(np.abs(self.points) ** 2))
 
-    @property
-    def min_distance(self) -> float:
-        """Minimum Euclidean distance between distinct points."""
-        diffs = self.points[:, None] - self.points[None, :]
-        distances = np.abs(diffs)
-        distances[distances == 0] = np.inf
-        return float(distances.min())
-
     # ------------------------------------------------------------------ #
     # Mapping
     # ------------------------------------------------------------------ #
@@ -87,21 +79,6 @@ class Constellation:
         if key not in self._index:
             raise ModulationError(f"{symbol!r} is not a point of {self.name}")
         return bits_from_int(self._index[key], self.bits_per_symbol)
-
-    def modulate(self, bits) -> np.ndarray:
-        """Map a flat bit stream into a vector of symbols.
-
-        The bit stream length must be a multiple of :attr:`bits_per_symbol`.
-        """
-        bits = ensure_bit_array(bits)
-        if bits.size % self.bits_per_symbol:
-            raise ModulationError(
-                f"bit stream length {bits.size} is not a multiple of "
-                f"{self.bits_per_symbol} ({self.name})"
-            )
-        groups = bits.reshape(-1, self.bits_per_symbol)
-        return np.array([self.bits_to_symbol(group) for group in groups],
-                        dtype=np.complex128)
 
     def hard_decision(self, received: complex) -> complex:
         """Return the constellation point nearest to *received*."""
@@ -183,12 +160,3 @@ def get_constellation(name: str) -> Constellation:
         valid = sorted({c.name for c in _REGISTRY.values()})
         raise ModulationError(f"unknown constellation {name!r}; valid names: {valid}")
     return _REGISTRY[key]
-
-
-def available_constellations() -> Tuple[str, ...]:
-    """Names of the constellations shipped with the library."""
-    seen = []
-    for constellation in _REGISTRY.values():
-        if constellation.name not in seen:
-            seen.append(constellation.name)
-    return tuple(seen)

@@ -1,8 +1,8 @@
 """Per-user bit/symbol mapping for the multi-user MIMO uplink.
 
 A :class:`SymbolMapper` handles the bookkeeping of splitting a multi-user bit
-block into per-user groups, modulating each user's bits onto one constellation
-point per channel use, and demapping in the reverse direction.
+block into per-user groups and modulating each user's bits onto one
+constellation point per channel use.
 """
 
 from __future__ import annotations
@@ -46,15 +46,6 @@ class SymbolMapper:
             [self.constellation.bits_to_symbol(row) for row in per_user],
             dtype=np.complex128,
         )
-
-    def demap_symbols(self, symbols) -> np.ndarray:
-        """Hard-demap a symbol vector back into the flat per-user bit block."""
-        symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-        if symbols.size != self.num_users:
-            raise ModulationError(
-                f"expected {self.num_users} symbols, got {symbols.size}"
-            )
-        return self.constellation.demodulate(symbols)
 
     def random_bits(self, rng: np.random.Generator, num_channel_uses: int = 1) -> np.ndarray:
         """Draw uniformly random payload bits for *num_channel_uses* channel uses."""

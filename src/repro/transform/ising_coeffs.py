@@ -82,8 +82,7 @@ def _pair_keys(upper_i: np.ndarray, upper_j: np.ndarray,
 
 
 def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
-                        constellation, include_offset: bool = True
-                        ) -> List[Tuple[np.ndarray, IsingPack]]:
+                        constellation) -> List[Tuple[np.ndarray, IsingPack]]:
     """The ML detection Ising problems of many channel uses in one pass.
 
     *channels* is the ``(jobs, N_r, N_t)`` complex stack of channel matrices
@@ -112,15 +111,13 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     pair_values = 2.0 * ((pair_left * gram.take(pair_gram, axis=1))
                          * pair_right).real
 
-    offsets = np.zeros(jobs)
-    if include_offset:
-        # ||y||^2 per job (a BLAS dot: its order is its value), then the
-        # diagonal terms by one left-to-right accumulation — the historical
-        # summation order.
-        terms = np.empty((jobs, 1 + weights.size))
-        terms[:, 0] = [np.vdot(vector, vector).real for vector in received]
-        terms[:, 1:] = weight_power * gram.real.take(diagonal, axis=1)
-        offsets = np.add.accumulate(terms, axis=1)[:, -1]
+    # ||y||^2 per job (a BLAS dot: its order is its value), then the
+    # diagonal terms by one left-to-right accumulation — the historical
+    # summation order.
+    terms = np.empty((jobs, 1 + weights.size))
+    terms[:, 0] = [np.vdot(vector, vector).real for vector in received]
+    terms[:, 1:] = weight_power * gram.real.take(diagonal, axis=1)
+    offsets = np.add.accumulate(terms, axis=1)[:, -1]
 
     # Handed over as arrays: no per-job dict, and problems of one sparsity
     # pattern share one key tuple (structure identity for the layers below).
@@ -142,8 +139,7 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     return packs
 
 
-def build_ml_ising(channel, received, constellation,
-                   include_offset: bool = True) -> IsingModel:
+def build_ml_ising(channel, received, constellation) -> IsingModel:
     """Build the ML detection Ising problem directly from ``H`` and ``y``.
 
     Parameters
@@ -154,21 +150,19 @@ def build_ml_ising(channel, received, constellation,
         Complex received vector ``y``.
     constellation:
         Constellation instance or name.
-    include_offset:
-        Include the constant term so that Ising energies equal ML Euclidean
-        metrics exactly.
 
     Returns
     -------
     IsingModel
         Ising problem over ``N_t * log2(|O|)`` spin variables whose ground
-        state is the ML solution — the one row of
+        state is the ML solution and whose energies, constant term included,
+        equal ML Euclidean metrics exactly — the one row of
         :func:`build_ml_ising_pack` over this single channel use.
     """
     channel = ensure_complex_matrix("channel", channel)
     received = ensure_complex_vector("received", received, length=channel.shape[0])
     (_, pack), = build_ml_ising_pack(channel[None], received[None],
-                                     constellation, include_offset)
+                                     constellation)
     return pack[0]
 
 

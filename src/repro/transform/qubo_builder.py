@@ -25,8 +25,7 @@ from repro.transform.symbols import QuamaxTransform, get_transform
 from repro.utils.validation import ensure_complex_matrix, ensure_complex_vector
 
 
-def build_ml_qubo(channel, received, constellation,
-                  include_offset: bool = True) -> QUBOModel:
+def build_ml_qubo(channel, received, constellation) -> QUBOModel:
     """Build the exact QUBO of the ML detection problem.
 
     Parameters
@@ -37,15 +36,13 @@ def build_ml_qubo(channel, received, constellation,
         Complex received vector ``y`` (length ``N_r``).
     constellation:
         Constellation instance or name; selects the QuAMax transform.
-    include_offset:
-        Include the constant ``||y - H b||^2`` term so QUBO energies equal
-        ML Euclidean metrics exactly (useful for validation); the argmin is
-        unaffected either way.
 
     Returns
     -------
     QUBOModel
-        QUBO over ``N_t * log2(|O|)`` binary variables, users ordered first.
+        QUBO over ``N_t * log2(|O|)`` binary variables, users ordered first,
+        whose offset, the constant ``||y - H b||^2`` term, makes its
+        energies equal ML Euclidean metrics exactly.
     """
     channel = ensure_complex_matrix("channel", channel)
     received = ensure_complex_vector("received", received, length=channel.shape[0])
@@ -72,8 +69,7 @@ def build_ml_qubo(channel, received, constellation,
             if coupling != 0.0:
                 terms[(i, j)] = coupling
 
-    offset = constant if include_offset else 0.0
-    return QUBOModel(num_variables=num_variables, terms=terms, offset=offset)
+    return QUBOModel(num_variables=num_variables, terms=terms, offset=constant)
 
 
 def ml_metric_of_symbols(channel: np.ndarray, received: np.ndarray,

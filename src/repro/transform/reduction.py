@@ -197,8 +197,3 @@ class MLToIsingReducer:
     def reduce(self, channel_use: ChannelUse) -> ReducedProblem:
         """Reduce one channel use: :meth:`reduce_pack` of the one."""
         return self.reduce_pack([channel_use])[0]
-
-    def reduce_to_qubo(self, channel_use: ChannelUse) -> QUBOModel:
-        """Reduce one channel use to its QUBO form directly (Eq. 5)."""
-        return build_ml_qubo(channel_use.channel, channel_use.received,
-                             channel_use.constellation)

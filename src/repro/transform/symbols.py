@@ -69,24 +69,6 @@ class QuamaxTransform:
         # and the symbols are identical to the per-group path.
         return groups @ np.asarray(self.weights) + self.offset
 
-    def from_symbol(self, symbol: complex) -> np.ndarray:
-        """Invert ``T`` for an exact constellation point.
-
-        Used to compute the QUBO ground truth corresponding to transmitted
-        symbols (for validation); raises if *symbol* is not in the image of
-        the transform.
-        """
-        best = None
-        for value in range(1 << self.bits_per_symbol):
-            bits = np.array([(value >> (self.bits_per_symbol - 1 - k)) & 1
-                             for k in range(self.bits_per_symbol)], dtype=np.uint8)
-            if np.isclose(self.to_symbol(bits), symbol):
-                best = bits
-                break
-        if best is None:
-            raise ReductionError(f"{symbol!r} is not in the image of {self.name} T(q)")
-        return best
-
     def mixing_matrix(self, num_users: int) -> Tuple[np.ndarray, np.ndarray]:
         """Block-diagonal affine map for *num_users* users.
 

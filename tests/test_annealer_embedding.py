@@ -51,7 +51,7 @@ class TestTriangleCliqueEmbedder:
         for num_logical in (3, 4, 9, 12, 17):
             embedding = embedder.embed(num_logical)
             for logical in range(num_logical):
-                assert len(embedding.chain_of(logical)) == chain_length_for(num_logical)
+                assert len(embedding.chains[logical]) == chain_length_for(num_logical)
 
     def test_physical_qubit_count(self, embedder):
         embedding = embedder.embed(12)
@@ -82,8 +82,11 @@ class TestTriangleCliqueEmbedder:
             assert a in embedding.chains[i]
             assert b in embedding.chains[j]
 
-    def test_max_embeddable(self, embedder):
-        assert embedder.max_embeddable_variables() == 32
+    def test_largest_clique_fits_the_diagonal(self, embedder):
+        # Eight diagonal cells of four variables: 32 fit, 33 do not.
+        assert embedder.embed(32).num_logical == 32
+        with pytest.raises(EmbeddingError):
+            embedder.embed(33)
 
     def test_too_large_problem_rejected(self, embedder):
         with pytest.raises(EmbeddingError):
@@ -92,17 +95,12 @@ class TestTriangleCliqueEmbedder:
     def test_single_variable(self, embedder):
         embedding = embedder.embed(1)
         assert embedding.num_logical == 1
-        assert len(embedding.chain_of(0)) == 2
+        assert len(embedding.chains[0]) == 2
 
     def test_full_dw2q_supports_48_user_bpsk(self):
         embedder = TriangleCliqueEmbedder(ChimeraGraph.ideal())
         embedding = embedder.embed(48)
         assert embedding.num_physical == physical_qubits_required(48)
-
-    def test_unknown_logical_rejected(self, embedder):
-        embedding = embedder.embed(4)
-        with pytest.raises(EmbeddingError):
-            embedding.chain_of(10)
 
 
 class TestDefectAvoidance:

@@ -34,15 +34,6 @@ class TestConstruction:
         with pytest.raises(Exception):
             AnnealSchedule(pause_position=1.5)
 
-    def test_with_pause_and_without_pause_helpers(self):
-        schedule = AnnealSchedule(anneal_time_us=2.0)
-        paused = schedule.with_pause(5.0, pause_position=0.4)
-        assert paused.pause_time_us == 5.0
-        assert paused.pause_position == 0.4
-        assert paused.anneal_time_us == 2.0
-        unpaused = paused.without_pause()
-        assert not unpaused.has_pause
-
 
 class TestTemperatureProfile:
     def test_length_scales_with_anneal_time(self):
@@ -64,7 +55,7 @@ class TestTemperatureProfile:
                                   pause_position=0.5)
         profile = schedule.temperature_profile(sweeps_per_us=10, hot=2.0,
                                                cold=0.05)
-        no_pause = schedule.without_pause().temperature_profile(
+        no_pause = AnnealSchedule(anneal_time_us=1.0).temperature_profile(
             sweeps_per_us=10, hot=2.0, cold=0.05)
         assert profile.size == no_pause.size + 20
         pause_temperature = 2.0 * (0.05 / 2.0) ** 0.5

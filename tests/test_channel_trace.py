@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.models import RayleighChannel, condition_number
+from repro.channel.models import RayleighChannel
 from repro.channel.trace import ArgosLikeTraceGenerator, ChannelTrace, TraceChannel
 from repro.exceptions import ChannelError
 
@@ -191,11 +191,11 @@ class TestArgosLikeTraceGenerator:
         trace = generator.generate(num_frames=2, random_state=0)
         rng = np.random.default_rng(0)
         trace_cond = np.median([
-            condition_number(trace.random_square_channel(rng))
+            np.linalg.cond(trace.random_square_channel(rng))
             for _ in range(20)
         ])
         rayleigh_cond = np.median([
-            condition_number(RayleighChannel().sample(4, 4, rng))
+            np.linalg.cond(RayleighChannel().sample(4, 4, rng))
             for _ in range(20)
         ])
         assert trace_cond > rayleigh_cond * 0.8

@@ -469,7 +469,8 @@ class TestWorkerPoolErrors:
                 overheads = QuantumAnnealerSimulator(
                     ChimeraGraph.ideal(2, 2)).overheads
 
-            def detect_batch(self, channel_uses, random_states=None):
+            def detect_batch(self, channel_uses, random_states=None,
+                             rng=None, threads=None):
                 # Both workers must be mid-decode before either fails, so
                 # neither failure can degrade the other worker to drain
                 # mode first — the close() error report must list both.
@@ -496,7 +497,8 @@ class TestWorkerPoolErrors:
                 overheads = QuantumAnnealerSimulator(
                     ChimeraGraph.ideal(2, 2)).overheads
 
-            def detect_batch(self, channel_uses, random_states=None):
+            def detect_batch(self, channel_uses, random_states=None,
+                             rng=None, threads=None):
                 raise RuntimeError("boom")
 
         pool = WorkerPool(Boom(), num_workers=1, mode="thread")
@@ -521,7 +523,8 @@ class TestWorkerPoolErrors:
                 overheads = QuantumAnnealerSimulator(
                     ChimeraGraph.ideal(2, 2)).overheads
 
-            def detect_batch(self, channel_uses, random_states=None):
+            def detect_batch(self, channel_uses, random_states=None,
+                             rng=None, threads=None):
                 raise KeyboardInterrupt
 
         pool = WorkerPool(Interrupted(), num_workers=1, mode="thread")

@@ -1,6 +1,5 @@
 """Tests for the ingress gateway: merging, admission control, re-stamping."""
 
-import asyncio
 import threading
 
 import pytest
@@ -178,15 +177,3 @@ class TestIngressGateway:
             IngressGateway(service, admission_limit=0)
         with pytest.raises(Exception):
             IngressGateway(service, per_cell_limit=0)
-
-    def test_async_submission(self, traffic):
-        gateway = make_service().gateway(overload_policy="block")
-
-        async def ingest():
-            for job in traffic:
-                assert await gateway.submit_async(job)
-
-        asyncio.run(ingest())
-        report = gateway.close()
-        assert len(report.results) == len(traffic)
-        assert report.telemetry["ingress"]["dispatched"] == len(traffic)

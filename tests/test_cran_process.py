@@ -47,12 +47,9 @@ class BoomDecoder:
         overheads = QuantumAnnealerSimulator(
             ChimeraGraph.ideal(2, 2)).overheads
 
-    def detect_batch(self, channel_uses, random_states=None):
+    def detect_batch(self, channel_uses, random_states=None, rng=None,
+                     threads=None):
         raise RuntimeError("boom")
-
-
-def make_boom_decoder():
-    return BoomDecoder()
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +167,7 @@ class TestProcessPool:
         assert timelines["process"] == timelines["thread"]
 
     def test_worker_failure_sheds_and_surfaces(self, job_pool):
-        pool = WorkerPool(BoomDecoder(), num_workers=1, mode="process",
-                          decoder_factory=make_boom_decoder)
+        pool = WorkerPool(BoomDecoder(), num_workers=1, mode="process")
         pool.submit(make_batch(job_pool[:2], flush_time_us=10.0))
         with pytest.raises(Exception):
             pool.close()

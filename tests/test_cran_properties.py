@@ -147,7 +147,6 @@ class TestSchedulerInvariants:
         emitted = [job.job_id for batch in batches for job in batch.jobs]
         assert sorted(emitted) == [job.job_id for job in jobs]
         assert scheduler.queue_depth == 0
-        assert scheduler.jobs_flushed == scheduler.jobs_submitted == len(jobs)
         # The clock follows the arrivals and never moves backwards.
         assert clock == sorted(clock)
         assert clock[1:-1] == [job.arrival_time_us for job in jobs]

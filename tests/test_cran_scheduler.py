@@ -55,6 +55,16 @@ def make_job(channel_uses, job_id, arrival, deadline=math.inf,
                      seed=job_id, rng_mode=rng_mode)
 
 
+def assert_flushes_at(scheduler, due_us):
+    """``advance()`` just before *due_us* flushes nothing; at it, one pack
+    flushes, stamped *due_us*."""
+    assert scheduler.advance(math.nextafter(due_us, -math.inf)) == []
+    batches = scheduler.advance(due_us)
+    assert len(batches) == 1
+    assert batches[0].reason == FLUSH_TIMEOUT
+    assert batches[0].flush_time_us == due_us
+
+
 class TestEDFBatchScheduler:
     def test_flushes_when_group_fills(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=3, max_wait_us=math.inf)
@@ -188,11 +198,12 @@ class TestEDFBatchScheduler:
         assert {batch.flush_time_us for batch in batches} == {10.0}
         assert scheduler.queue_depth == 0
 
-    def test_next_due_us_tracks_oldest_pending(self, channel_uses):
+    def test_due_time_tracks_oldest_pending(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=100.0)
-        assert scheduler.next_due_us() == math.inf
+        assert scheduler.advance(39.0) == []
         scheduler.submit(make_job(channel_uses, 0, 40.0))
-        assert scheduler.next_due_us() == 140.0
+        scheduler.submit(make_job(channel_uses, 1, 90.0))
+        assert_flushes_at(scheduler, 140.0)
 
     def test_time_must_be_monotonic(self, channel_uses):
         scheduler = EDFBatchScheduler()
@@ -204,11 +215,11 @@ class TestEDFBatchScheduler:
 
     def test_counters(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=2, max_wait_us=math.inf)
-        scheduler.submit(make_job(channel_uses, 0, 0.0))
-        scheduler.submit(make_job(channel_uses, 1, 1.0))
-        scheduler.submit(make_job(channel_uses, 2, 2.0))
-        assert scheduler.jobs_submitted == 3
-        assert scheduler.jobs_flushed == 2
+        flushed = [batch for job_id in range(3)
+                   for batch in scheduler.submit(
+                       make_job(channel_uses, job_id, float(job_id)))]
+        assert sum(batch.size for batch in flushed) == 2
+        assert scheduler.queue_depth == 1
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(Exception):
@@ -325,22 +336,15 @@ class TestAdaptiveWait:
                                   deadline=5_000.0))
         # Slack hits the modelled decode time (1100 us for a 1-pack) at
         # t = 5000 - 1100 = 3900.
-        assert scheduler.next_due_us() == pytest.approx(3_900.0)
         assert scheduler.advance(3_899.0) == []
-        batches = scheduler.advance(3_900.0)
-        assert len(batches) == 1
-        assert batches[0].reason == FLUSH_TIMEOUT
-        assert batches[0].flush_time_us == pytest.approx(3_900.0)
+        assert_flushes_at(scheduler, 3_900.0)
 
     def test_model_never_lengthens_the_bounded_wait(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=500.0,
                                       decode_time_model=self.model_us)
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0,
                                   deadline=1e9))
-        assert scheduler.next_due_us() == pytest.approx(500.0)
-        batches = scheduler.advance(500.0)
-        assert len(batches) == 1
-        assert batches[0].flush_time_us == pytest.approx(500.0)
+        assert_flushes_at(scheduler, 500.0)
 
     def test_urgent_arrival_flushes_group_immediately(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=math.inf,
@@ -389,7 +393,7 @@ class TestAdaptiveWait:
                                       decode_time_model=lambda jobs: 0.0)
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0,
                                   deadline=5_000.0))
-        assert scheduler.next_due_us() == pytest.approx(5_000.0)
+        assert_flushes_at(scheduler, 5_000.0)
 
     def test_model_not_consulted_for_best_effort_groups(self, channel_uses):
         # Best-effort (infinite-deadline) jobs never query the model, so a
@@ -400,13 +404,12 @@ class TestAdaptiveWait:
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=100.0,
                                       decode_time_model=poisoned)
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0))
-        assert scheduler.next_due_us() == pytest.approx(100.0)
+        assert_flushes_at(scheduler, 100.0)
 
     def test_best_effort_jobs_never_flush_adaptively(self, channel_uses):
         scheduler = EDFBatchScheduler(max_batch=8, max_wait_us=math.inf,
                                       decode_time_model=self.model_us)
         scheduler.submit(make_job(channel_uses, 0, arrival=0.0))  # inf dl
-        assert scheduler.next_due_us() == math.inf
         assert scheduler.advance(1e9) == []
         drained = scheduler.drain()
         assert len(drained) == 1 and drained[0].reason == FLUSH_DRAIN

@@ -16,7 +16,7 @@ from repro.channel.trace import ArgosLikeTraceGenerator
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch, EDFBatchScheduler
 from repro.cran.service import CranService
-from repro.cran.telemetry import TelemetryRecorder
+from repro.cran.telemetry import DECODE_TIME_MIN_SAMPLES, TelemetryRecorder
 from repro.cran.traffic import PoissonTrafficGenerator
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
@@ -55,6 +55,14 @@ def qpsk_job(job_id, arrival_time_us=0.0, deadline_us=math.inf):
 def make_batch(jobs, flush_time_us, reason="full"):
     return DecodeBatch(jobs=tuple(jobs),
                        flush_time_us=flush_time_us, reason=reason)
+
+
+def serve_repeats(pool, jobs, repeats):
+    """Serve *jobs* as *repeats* more identical packs (fresh job ids)."""
+    for repeat in range(1, repeats + 1):
+        pool.submit(make_batch(
+            [replace(job, job_id=job.job_id + 1000 * repeat) for job in jobs],
+            flush_time_us=100_000.0 * repeat))
 
 
 class TestWorkerPool:
@@ -274,7 +282,7 @@ class TestWorkerPool:
             assert shards._steals == 1
             shards._shards[1].append(item)
             shards._pending += 1
-        assert pool.steal_count == 1
+        assert pool.worker_info()["steal_count"] == 1
         pool.start()
         pool.close()
         assert [r.job.job_id for r in pool.results()] == [0, 1, 2, 3, 4, 5]
@@ -298,13 +306,6 @@ class TestTelemetryRecorder:
         assert snapshot["latency_us"]["p99"] >= snapshot["latency_us"]["p50"]
         assert snapshot["flush_reasons"] == {"full": 2}
 
-    def test_rolling_window_bounds_percentiles(self, decoder, job_pool):
-        telemetry = TelemetryRecorder(window=2)
-        pool = WorkerPool(decoder, telemetry=telemetry)
-        pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
-        assert telemetry.jobs_completed == 3
-        assert telemetry.latency_summary().count == 2
-
     def test_deadline_misses_counted(self, decoder):
         link = MimoUplink(num_users=2, constellation="BPSK")
         # Deadline far tighter than one QA job's overhead: must be missed.
@@ -324,14 +325,6 @@ class TestTelemetryRecorder:
         assert telemetry.max_queue_depth() == 7
         assert telemetry.mean_queue_depth() == pytest.approx(5.0)
 
-    def test_queue_depth_samples_respect_window(self):
-        telemetry = TelemetryRecorder(window=2)
-        for step in range(5):
-            telemetry.record_queue_depth(float(step), step)
-        # Rolling: only the last two samples survive.
-        assert telemetry.max_queue_depth() == 4
-        assert telemetry.mean_queue_depth() == pytest.approx(3.5)
-
     def test_empty_recorder_snapshot(self):
         snapshot = TelemetryRecorder().snapshot()
         assert snapshot["jobs_completed"] == 0
@@ -348,13 +341,12 @@ class TestDecodeTimeEwma:
     """Satellite: the recorder's online per-structure decode-time model."""
 
     def test_estimate_requires_min_samples(self, decoder, job_pool):
-        telemetry = TelemetryRecorder(decode_time_min_samples=3)
+        telemetry = TelemetryRecorder()
         pool = WorkerPool(decoder, telemetry=telemetry)
-        pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
-        assert telemetry.decode_time_us(job_pool[:2]) is None
-        pool.submit(make_batch(job_pool[2:3], flush_time_us=10_000.0))
-        assert telemetry.decode_time_us(job_pool[:2]) is None
-        pool.submit(make_batch(job_pool[3:4], flush_time_us=20_000.0))
+        for pack in range(DECODE_TIME_MIN_SAMPLES):
+            assert telemetry.decode_time_us(job_pool[:2]) is None
+            pool.submit(make_batch(job_pool[pack:pack + 1],
+                                   flush_time_us=10_000.0 * pack))
         estimate = telemetry.decode_time_us(job_pool[:2])
         assert estimate is not None and estimate > 0.0
         # Unknown structures stay analytic-fallback territory — and take
@@ -364,13 +356,13 @@ class TestDecodeTimeEwma:
         assert telemetry.decode_time_us(job_pool[:2] + [stranger]) is None
 
     def test_ewma_tracks_observed_service_and_size(self, decoder, job_pool):
-        telemetry = TelemetryRecorder(decode_time_alpha=0.5,
-                                      decode_time_min_samples=1)
+        telemetry = TelemetryRecorder()
         pool = WorkerPool(decoder, telemetry=telemetry)
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
+        serve_repeats(pool, job_pool[:3], DECODE_TIME_MIN_SAMPLES - 1)
         first = pool.results()[0]
         service_us = first.finish_time_us - first.start_time_us
-        # One observation: prediction reproduces the affine service model.
+        # Equal observations: prediction reproduces the affine service model.
         overhead_us = decoder.annealer.overheads.total_us(
             first.result.run.num_anneals)
         per_job = (service_us - overhead_us) / 3.0
@@ -387,7 +379,7 @@ class TestDecodeTimeEwma:
             self, decoder, job_pool):
         # What the recorder was fed before packs could mix: the pack's own
         # service time and size, not a float's width away from them.
-        telemetry = TelemetryRecorder(decode_time_min_samples=1)
+        telemetry = TelemetryRecorder()
         pool = WorkerPool(decoder, telemetry=telemetry)
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         first = pool.results()[0]
@@ -398,7 +390,7 @@ class TestDecodeTimeEwma:
 
     def test_mixed_pack_feeds_each_structure_its_share(self, decoder,
                                                        job_pool):
-        telemetry = TelemetryRecorder(decode_time_min_samples=1)
+        telemetry = TelemetryRecorder()
         pool = WorkerPool(decoder, telemetry=telemetry)
         mixed = job_pool[:2] + [qpsk_job(job_id=50), qpsk_job(job_id=51),
                                 qpsk_job(job_id=52)]
@@ -417,8 +409,10 @@ class TestDecodeTimeEwma:
             overhead_us + 2 * bpsk_us, rel=1e-12)
         assert telemetry._decode_service_ewma_us[qpsk] == pytest.approx(
             overhead_us + 3 * qpsk_us, rel=1e-12)
-        # ... so the shares add up to the pack, and the pack is predicted
-        # back as what it cost — as is any other mix of the two.
+        # ... so the shares add up to the pack, and, once the model trusts
+        # them, the pack is predicted back as what it cost — as is any
+        # other mix of the two.
+        serve_repeats(pool, mixed, DECODE_TIME_MIN_SAMPLES - 1)
         assert telemetry.decode_time_us(mixed, overhead_us=overhead_us) \
             == pytest.approx(service_us, rel=1e-12)
         assert telemetry.decode_time_us(
@@ -429,7 +423,7 @@ class TestDecodeTimeEwma:
     def test_online_model_falls_back_then_takes_over(self):
         from repro.cran.service import online_decode_time_model
 
-        telemetry = TelemetryRecorder(decode_time_min_samples=1)
+        telemetry = TelemetryRecorder()
         calls = []
 
         def fallback(jobs):
@@ -443,10 +437,10 @@ class TestDecodeTimeEwma:
         # No observations yet: analytic fallback.
         assert model(jobs[:2]) == pytest.approx(1_234.0)
         assert calls == [jobs[:2]]
-        # Feed one observation directly through the recorder's EWMA state.
+        # Feed trusted observations directly into the recorder's EWMA state.
         telemetry._decode_service_ewma_us[key] = 1_100.0
         telemetry._decode_size_ewma[key] = 2.0
-        telemetry._decode_time_samples[key] += 1
+        telemetry._decode_time_samples[key] = DECODE_TIME_MIN_SAMPLES
         # (1100 - 100) / 2 = 500 per job; pack of 3 -> 100 + 1500, x1.1.
         assert model(jobs) == pytest.approx((100.0 + 3 * 500.0) * 1.1)
         assert len(calls) == 1
@@ -457,12 +451,12 @@ class TestDecodeTimeEwma:
         # to zero would make predictions size-independent (overhead + 0*n)
         # and starve the adaptive wait; the estimate must instead defer to
         # the analytic fallback.
-        telemetry = TelemetryRecorder(decode_time_min_samples=1)
+        telemetry = TelemetryRecorder()
         jobs = [qpsk_job(job_id=i) for i in range(3)]
         key = jobs[0].structure_key
         telemetry._decode_service_ewma_us[key] = 1_100.0
         telemetry._decode_size_ewma[key] = 2.0
-        telemetry._decode_time_samples[key] += 1
+        telemetry._decode_time_samples[key] = DECODE_TIME_MIN_SAMPLES
         assert telemetry.decode_time_us(jobs, overhead_us=5_000.0) is None
         # The online wrapper then uses the fallback, never a flat estimate.
         from repro.cran.service import online_decode_time_model
@@ -815,4 +809,4 @@ class TestHostileJobTimes:
         job = DecodeJob(job_id=1, user_id=0, frame=0, subcarrier=0,
                         channel_use=job_pool[0].channel_use,
                         arrival_time_us=5.0, deadline_us=math.inf)
-        assert job.laxity_us == math.inf
+        assert job.deadline_us == math.inf

@@ -136,7 +136,7 @@ def oracle_detection(outcome, parameters):
     """The per-job assembly ``_assemble_pack`` replaced: one
     ``decode_spins`` and one validating ``DetectionResult`` per run."""
     run = outcome.run
-    bits, symbols, metric = outcome.reduced.decode_spins(run.best_spins)
+    bits, symbols, metric = outcome.reduced.decode_spins(run.solutions.best_sample)
     return DetectionResult(
         symbols=symbols, bits=bits, metric=metric, detector="quamax",
         extra={

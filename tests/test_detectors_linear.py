@@ -92,8 +92,7 @@ class TestDetectionResult:
         result = DetectionResult(symbols=np.array([1 + 0j]), bits=np.array([1, 0]),
                                  metric=0.0, detector="test")
         assert result.bit_errors([1, 1]) == 1
-        assert result.bit_error_rate([1, 1]) == 0.5
-        assert result.bit_error_rate([1, 0]) == 0.0
+        assert result.bit_errors([1, 0]) == 0
 
     def test_euclidean_metric_matches_definition(self):
         link = MimoUplink(num_users=2, constellation="QPSK")

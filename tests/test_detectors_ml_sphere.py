@@ -5,7 +5,7 @@ import pytest
 
 from repro.channel.models import RayleighChannel
 from repro.detectors.ml import ExhaustiveMLDetector
-from repro.detectors.sphere import SphereDecoder, SphereDecoderStats
+from repro.detectors.sphere import SphereDecoder
 from repro.exceptions import DetectionError
 from repro.mimo.system import MimoUplink
 
@@ -110,13 +110,6 @@ class TestSphereDecoder:
             SphereDecoder(initial_radius=-1.0)
         with pytest.raises(DetectionError):
             SphereDecoder(max_visited_nodes=0)
-
-    def test_stats_reset(self):
-        stats = SphereDecoderStats(visited_nodes=5, leaves_reached=2,
-                                   pruned_nodes=3, final_radius=1.0)
-        stats.reset()
-        assert stats.visited_nodes == 0
-        assert stats.final_radius == float("inf")
 
     def test_tall_channel_supported(self):
         link = MimoUplink(num_users=3, constellation="QPSK", num_rx_antennas=6)

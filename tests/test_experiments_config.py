@@ -15,11 +15,6 @@ class TestMimoScenario:
         assert MimoScenario("QPSK", 18).label == "18x18 QPSK (noiseless)"
         assert MimoScenario("bpsk", 48, 20.0).label == "48x48 BPSK @ 20 dB"
 
-    def test_logical_qubits(self):
-        assert MimoScenario("BPSK", 48).num_logical_qubits == 48
-        assert MimoScenario("QPSK", 18).num_logical_qubits == 36
-        assert MimoScenario("16-QAM", 9).num_logical_qubits == 36
-
     def test_invalid_modulation(self):
         with pytest.raises(Exception):
             MimoScenario("8PSK", 4)

@@ -168,5 +168,5 @@ class TestFromAnnealResult:
         profile = InstanceSolutionProfile.from_anneal_result(run, reduced)
         assert profile.num_bits == 4
         assert profile.probabilities.sum() == pytest.approx(1.0)
-        assert profile.num_solutions == run.solutions.num_samples
+        assert profile.probabilities.size == run.solutions.num_samples
         assert np.isfinite(profile.expected_ber(5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MetricsError
-from repro.metrics.error_rates import bit_error_rate, bit_errors, count_symbol_errors
+from repro.metrics.error_rates import bit_error_rate, bit_errors
 from repro.metrics.statistics import DistributionSummary, summarize
 from repro.metrics.tts import time_to_solution
 
@@ -25,16 +25,6 @@ class TestBitErrorCounting:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricsError):
             bit_errors([1, 0], [1])
-
-    def test_symbol_errors(self):
-        assert count_symbol_errors([1 + 1j, -1 - 1j], [1 + 1j, 1 - 1j]) == 1
-
-    def test_symbol_errors_tolerance(self):
-        assert count_symbol_errors([1 + 0j], [1 + 1e-12j]) == 0
-
-    def test_symbol_length_mismatch_rejected(self):
-        with pytest.raises(MetricsError):
-            count_symbol_errors([1], [1, 2])
 
 
 class TestTimeToSolution:
@@ -104,9 +94,3 @@ class TestSummarize:
         summary = summarize([np.inf, np.inf], ignore_infinite=True)
         assert summary.count == 0
         assert summary.median == np.inf
-
-    def test_as_dict(self):
-        summary = summarize([1.0, 2.0])
-        data = summary.as_dict()
-        assert data["count"] == 2
-        assert set(data) == {"count", "mean", "median", "p10", "p90", "min", "max"}

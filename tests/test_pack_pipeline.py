@@ -47,6 +47,7 @@ from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.annealer.schedule import AnnealSchedule
 from repro.annealer.unembed import unembed_pack, unembed_samples
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch
@@ -66,23 +67,21 @@ FIELD_MIN, FIELD_MAX = -2.0, 2.0
 # --------------------------------------------------------------------------- #
 # The oracle: the per-job dict implementation the pack stages replaced
 # --------------------------------------------------------------------------- #
-def oracle_embed(ising, embedding, *, chain_strength, extended_range,
-                 normalize=True):
+def oracle_embed(ising, embedding, *, chain_strength, extended_range):
     """Appendix B, one job at a time, by the general accumulate-and-clip
     loop over dicts."""
     chain_coupling = -2.0 if extended_range else -1.0
     problem_scale = abs(chain_coupling) / chain_strength
     logical_couplings = dict(ising.couplings)
-    if normalize:
-        largest_coupling = (max(abs(v) for v in logical_couplings.values())
-                            if logical_couplings else 0.0)
-        largest = (float(np.max(np.abs(ising.linear)))
-                   if ising.linear.size else 0.0)
-        if logical_couplings:
-            largest = max(largest, largest_coupling)
-        reference = largest_coupling or largest
-        if reference > 0:
-            problem_scale /= reference
+    largest_coupling = (max(abs(v) for v in logical_couplings.values())
+                        if logical_couplings else 0.0)
+    largest = (float(np.max(np.abs(ising.linear)))
+               if ising.linear.size else 0.0)
+    if logical_couplings:
+        largest = max(largest, largest_coupling)
+    reference = largest_coupling or largest
+    if reference > 0:
+        problem_scale /= reference
     scaled_linear = ising.linear * problem_scale
     scaled = {key: value * problem_scale
               for key, value in logical_couplings.items()}
@@ -335,7 +334,7 @@ class TestEmbedStage:
         assert (packed[1].clipped_coefficients
                 > packed[0].clipped_coefficients)
 
-    def test_fields_only_and_unnormalised(self):
+    def test_fields_only(self):
         embedding = clique_embedding(4)
         fields_only = [IsingModel(num_variables=4,
                                   linear=np.array([0.5, -3.0, 0.0, 1.0]))]
@@ -343,12 +342,6 @@ class TestEmbedStage:
         assert_embedded_rows_equal_oracle(
             packed, fields_only, embedding, chain_strength=2.0,
             extended_range=False)
-        problems = same_structure_problems(2, 4, seed=5)
-        packed = embed_pack(problems, embedding, chain_strength=3.0,
-                            extended_range=True, normalize=False)
-        assert_embedded_rows_equal_oracle(
-            packed, problems, embedding, chain_strength=3.0,
-            extended_range=True, normalize=False)
 
     def test_overlapping_chains_keep_accumulate_and_clip(self):
         embedding = overlapping_embedding()
@@ -477,18 +470,15 @@ class TestProgrammingPathsAgree:
                                    couplings=couplings))
         return rows
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("case", [
         "nan coupling", "inf coupling", "nan field", "inf field",
         "signed zeros", "no couplings"])
-    def test_awkward_coefficients_program_alike(self, case, normalize,
-                                                on_numpy):
+    def test_awkward_coefficients_program_alike(self, case, on_numpy):
         problems = self.problems(case)
         embedding = clique_embedding(4)
 
         def embed():
-            return embed_pack(problems, embedding, chain_strength=0.7,
-                              normalize=normalize)
+            return embed_pack(problems, embedding, chain_strength=0.7)
 
         with np.errstate(all="ignore"):
             in_c = embed()  # NumPy's too where C finds a coupling at 0.0
@@ -1418,5 +1408,7 @@ class TestWarmPackWork:
         assert schedule.temperature_profile(**options) is profile
         assert not profile.flags.writeable
         assert profile.flags.c_contiguous and profile.dtype == np.float64
-        paused = schedule.with_pause(1.0, 0.4).temperature_profile(**options)
+        paused = AnnealSchedule(anneal_time_us=schedule.anneal_time_us,
+                                pause_time_us=1.0, pause_position=0.4
+                                ).temperature_profile(**options)
         assert paused is not profile and paused.size > profile.size

@@ -1,5 +1,6 @@
 """Tests for the top-level package API and the constants module."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -55,6 +56,31 @@ class TestPublicApi:
     #: Public names pinned exactly: a name is added by editing this list,
     #: and one that no workload, figure or example reaches is deleted.
     ALL = {
+        "repro": {
+            "__version__", "Constellation", "BPSK", "QPSK", "QAM16", "QAM64",
+            "get_constellation", "RayleighChannel", "RandomPhaseChannel",
+            "TraceChannel", "ArgosLikeTraceGenerator", "ChannelTrace",
+            "MimoUplink", "Frame", "frame_error_rate_from_ber",
+            "ZeroForcingDetector", "MMSEDetector", "ExhaustiveMLDetector",
+            "SphereDecoder", "IsingModel", "QUBOModel",
+            "BruteForceIsingSolver", "SimulatedAnnealingSolver",
+            "MLToIsingReducer", "build_ml_ising", "build_ml_qubo",
+            "ChimeraGraph", "TriangleCliqueEmbedder", "Embedding", "ICEModel",
+            "AnnealSchedule", "AnnealerParameters", "AnnealResult",
+            "QuantumAnnealerSimulator", "QuAMaxDecoder",
+            "OFDMDecodingPipeline", "DecodeJob", "JobResult",
+            "EDFBatchScheduler", "WorkerPool", "PoissonTrafficGenerator",
+            "TelemetryRecorder", "CranService", "ServiceReport",
+            "InstanceSolutionProfile", "time_to_solution"},
+        "repro.channel": {
+            "ChannelModel", "RayleighChannel", "RandomPhaseChannel", "awgn",
+            "noise_variance_for_snr", "snr_db_to_linear",
+            "ArgosLikeTraceGenerator", "ChannelTrace", "TraceChannel"},
+        "repro.metrics": {
+            "bit_errors", "bit_error_rate", "DistributionSummary",
+            "summarize", "time_to_solution", "tts_from_run",
+            "InstanceSolutionProfile", "expected_ber_after_anneals",
+            "time_to_ber", "time_to_fer"},
         "repro.annealer": {
             "ChimeraGraph", "PegasusLikeGraph", "BlockDiagonalSampler",
             "IsingSampler", "Embedding", "TriangleCliqueEmbedder",
@@ -75,24 +101,24 @@ class TestPublicApi:
         for name in package.__all__:
             assert getattr(package, name) is not None
 
-    def test_serving_path_imports_no_networkx(self):
-        """A serving process never pays for networkx (0.12 s of import and a
-        2 031-node graph it used to build for ``has_edge``): nothing on the
-        way from ``repro.cran.service`` to a decoded pack imports it — only
-        ``ChimeraGraph.to_networkx()`` does, when called."""
-        script = (
-            "import sys\n"
-            "import repro.cran.service\n"
-            "from repro.annealer.machine import QuantumAnnealerSimulator\n"
-            "QuantumAnnealerSimulator().embedding_for(6)\n"
-            "assert 'networkx' not in sys.modules, 'imported by the path'\n"
-            "QuantumAnnealerSimulator().topology.to_networkx()\n"
-            "assert 'networkx' in sys.modules\n")
-        source = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(source)})
-        assert done.returncode == 0, done.stderr
+    def test_nothing_imports_networkx_or_asyncio(self):
+        """No module of the package imports networkx (0.12 s of import; the
+        chip's edges are Chimera arithmetic, and the tests build the graph
+        they check them against) or asyncio (the gateway is threads)."""
+        imported = {}
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    imported.setdefault(name.partition(".")[0], []).append(
+                        path.relative_to(ROOT).as_posix())
+        assert "networkx" not in imported, imported["networkx"]
+        assert "asyncio" not in imported, imported["asyncio"]
 
     #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``,
     #: on the C artefact (``argv[1] == "artefact"``) or as a box without a
@@ -250,8 +276,9 @@ class TestServingOptionSurface:
             "fault_plan", "max_retries", "restart_budget", "brownout"},
         "WorkerPool": {
             "decoder", "num_workers", "mode", "queue_capacity",
-            "overload_policy", "telemetry", "trace", "decoder_factory",
-            "autostart", "faults", "restart_budget", "threads"},
+            "overload_policy", "telemetry", "trace", "autostart", "faults",
+            "restart_budget", "threads"},
+        "TelemetryRecorder": set(),
         "IngressGateway": {
             "service", "admission_limit", "per_cell_limit",
             "overload_policy"},
@@ -278,20 +305,25 @@ class TestServingOptionSurface:
             "channel_uses", "frame_size_bytes", "random_state"},
         "ScenarioRunner.run_scenario": {
             "scenario", "parameters", "num_instances", "channel_uses"},
+        "embed_pack": {
+            "logicals", "embedding", "chain_strength", "extended_range"},
     }
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_keyword_set_is_exact(self, name):
-        import inspect
-
         from repro import annealer, cran, experiments
+        from repro.annealer import embedded
 
         owner, _, method = name.partition(".")
         target = next(getattr(package, owner)
-                      for package in (cran, annealer, experiments, repro)
+                      for package in (cran, annealer, embedded, experiments,
+                                      repro)
                       if hasattr(package, owner))
-        parameters = inspect.signature(
-            getattr(target, method or "__init__")).parameters
+        if method:
+            target = getattr(target, method)
+        elif inspect.isclass(target):
+            target = target.__init__
+        parameters = inspect.signature(target).parameters
         assert set(parameters) - {"self"} == self.SURFACE[name]
 
     @pytest.mark.parametrize("name, removed", [
@@ -301,7 +333,10 @@ class TestServingOptionSurface:
         ("CranService", "telemetry_window"),
         ("CranService", "trace_wall_time"),
         ("CranService", "decoder_factory"), ("WorkerPool", "mp_context"),
-        ("WorkerPool", "collect_failures"), ("TraceRecorder", "wall_time"),
+        ("WorkerPool", "collect_failures"), ("WorkerPool", "decoder_factory"),
+        ("TraceRecorder", "wall_time"), ("TelemetryRecorder", "window"),
+        ("TelemetryRecorder", "decode_time_alpha"),
+        ("TelemetryRecorder", "decode_time_min_samples"),
     ])
     def test_removed_keyword_is_rejected_not_swallowed(self, name, removed):
         from repro import cran

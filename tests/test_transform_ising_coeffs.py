@@ -106,12 +106,3 @@ class TestGroundStateIsMlSolution:
                                constellation)
         ground = BruteForceIsingSolver(max_variables=12).solve(ising)
         assert ground.best_energy == pytest.approx(0.0, abs=1e-9)
-
-    def test_offset_free_variant(self):
-        channel_use = make_channel_use("QPSK", 2, 20.0, 17)
-        with_offset = build_ml_ising(channel_use.channel, channel_use.received,
-                                     "QPSK", include_offset=True)
-        without = build_ml_ising(channel_use.channel, channel_use.received,
-                                 "QPSK", include_offset=False)
-        assert without.offset == 0.0
-        np.testing.assert_allclose(with_offset.linear, without.linear)

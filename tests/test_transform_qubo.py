@@ -68,16 +68,6 @@ class TestQuboEnergiesEqualMlMetrics:
                                          constellation, bits)
             assert qubo.energy(bits) == pytest.approx(metric, rel=1e-9, abs=1e-9)
 
-    def test_without_offset_argmin_unchanged(self):
-        channel_use = make_channel_use("QPSK", 2, 15.0, 4)
-        with_offset = build_ml_qubo(channel_use.channel, channel_use.received,
-                                    "QPSK", include_offset=True)
-        without_offset = build_ml_qubo(channel_use.channel, channel_use.received,
-                                       "QPSK", include_offset=False)
-        best_with = min(all_bit_vectors(4), key=with_offset.energy)
-        best_without = min(all_bit_vectors(4), key=without_offset.energy)
-        np.testing.assert_array_equal(best_with, best_without)
-
 
 class TestQuboArgminIsMlSolution:
     @pytest.mark.parametrize("constellation,num_users", [

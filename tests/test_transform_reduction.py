@@ -42,11 +42,6 @@ class TestReduce:
             candidate = rng.integers(0, 2, size=qubo.num_variables)
             assert qubo.energy(candidate) >= qubo_best - 1e-9
 
-    def test_reduce_to_qubo_helper(self):
-        channel_use = make_channel_use("BPSK", 3, 20.0, 2)
-        qubo = MLToIsingReducer().reduce_to_qubo(channel_use)
-        assert qubo.num_variables == 3
-
 
 class TestGroundTruthMapping:
     @pytest.mark.parametrize("constellation,num_users", [
@@ -237,14 +232,12 @@ class TestReducePack:
         assert_rows_equal_oracle([channel_use], [reducer.reduce(channel_use)])
         linear, keys, values, offset = oracle_build_ml_ising(
             channel_use.channel, channel_use.received, "16-QAM")
-        for include_offset in (True, False):
-            ising = build_ml_ising(channel_use.channel.tolist(),
-                                   channel_use.received.tolist(), "16-QAM",
-                                   include_offset=include_offset)
-            assert ising.linear.tobytes() == linear.tobytes()
-            assert ising.coupling_values.tobytes() == values.tobytes()
-            assert ising.coupling_keys == keys
-            assert ising.offset == (offset if include_offset else 0.0)
+        ising = build_ml_ising(channel_use.channel.tolist(),
+                               channel_use.received.tolist(), "16-QAM")
+        assert ising.linear.tobytes() == linear.tobytes()
+        assert ising.coupling_values.tobytes() == values.tobytes()
+        assert ising.coupling_keys == keys
+        assert ising.offset == offset
 
     def test_a_group_mixing_two_constellations(self):
         """2-user QPSK and 4-user BPSK have one structure — the identical

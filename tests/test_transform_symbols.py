@@ -74,16 +74,11 @@ class TestTransformOperations:
         with pytest.raises(ReductionError):
             QAM16_TRANSFORM.to_symbols([1, 0, 1])
 
-    def test_from_symbol_roundtrip(self):
-        for value in range(16):
-            bits = np.array([(value >> (3 - k)) & 1 for k in range(4)],
-                            dtype=np.uint8)
-            symbol = QAM16_TRANSFORM.to_symbol(bits)
-            np.testing.assert_array_equal(QAM16_TRANSFORM.from_symbol(symbol), bits)
-
-    def test_from_symbol_rejects_non_image_point(self):
-        with pytest.raises(ReductionError):
-            QPSK_TRANSFORM.from_symbol(0.5 + 0j)
+    def test_to_symbol_is_one_to_one(self):
+        symbols = {QAM16_TRANSFORM.to_symbol(
+            np.array([(value >> (3 - k)) & 1 for k in range(4)],
+                     dtype=np.uint8)) for value in range(16)}
+        assert len(symbols) == 16
 
     def test_mixing_matrix_block_diagonal(self):
         mixing, offsets = QPSK_TRANSFORM.mixing_matrix(3)
