@@ -145,6 +145,16 @@ class TestHasEdgeIsArithmetic:
         assert all(chip.has_edge(a, b) and chip.has_edge(b, a)
                    for a, b in edges)
 
+    def test_asking_builds_no_graph(self, monkeypatch):
+        def enumerate_edges(chip):
+            raise AssertionError("has_edge enumerated the chip's couplers")
+
+        chip = ChimeraGraph.ideal(4, 4)
+        monkeypatch.setattr(ChimeraGraph, "_iter_ideal_edges", enumerate_edges)
+        monkeypatch.setattr(ChimeraGraph, "edges", enumerate_edges)
+        assert chip.has_edge(0, 4)
+        assert not chip.has_edge(0, 1)
+
 
 class TestDefects:
     def test_dead_qubits_removed_from_graph(self):

@@ -123,6 +123,19 @@ class TestEmbeddedStructure:
                 assert minimum - 1e-12 <= value <= COUPLER_MAX + 1e-12
             assert np.all(np.abs(embedded.ising.linear) <= FIELD_MAX + 1e-12)
 
+    def test_auto_range_makes_programming_scale_free(self, embedder):
+        logical = small_logical_problem(num_users=4)
+        scaled = IsingModel(num_variables=4, linear=0.25 * logical.linear,
+                            couplings={key: 0.25 * value for key, value
+                                       in logical.couplings.items()})
+        embedding = embedder.embed(4)
+        embedded = embed_ising(logical, embedding, chain_strength=4.0)
+        embedded_scaled = embed_ising(scaled, embedding, chain_strength=4.0)
+        assert embedded_scaled.ising.couplings == embedded.ising.couplings
+        np.testing.assert_array_equal(embedded_scaled.ising.linear,
+                                      embedded.ising.linear)
+        assert embedded_scaled.problem_scale == 4.0 * embedded.problem_scale
+
     def test_incomplete_embedding_rejected(self, embedder):
         logical = small_logical_problem(num_users=8)
         embedding = embedder.embed(4)

@@ -22,6 +22,14 @@ class TestRayleighChannel:
         b = RayleighChannel().sample(3, 3, random_state=5)
         np.testing.assert_array_equal(a, b)
 
+    def test_shared_generator_draws_fresh_matrices(self):
+        rng = np.random.default_rng(0)
+        first = RayleighChannel().sample(2, 2, random_state=rng)
+        second = RayleighChannel().sample(2, 2, random_state=rng)
+        assert not np.array_equal(first, second)
+        np.testing.assert_array_equal(
+            first, RayleighChannel().sample(2, 2, random_state=0))
+
     def test_invalid_gain(self):
         with pytest.raises(ConfigurationError):
             RayleighChannel(average_gain=0.0)

@@ -29,9 +29,9 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.engine import IsingSampler
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.cran.jobs import DecodeJob
-from repro.cran.scheduler import EDFBatchScheduler
+from repro.cran.scheduler import DecodeBatch, EDFBatchScheduler
 from repro.cran.service import CranService
-from repro.cran.workers import WorkerPool, _batch_decode_hints
+from repro.cran.workers import WorkerPool, _batch_decode_hints, decode_pack
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import AnnealerError, DetectionError, SchedulingError
 from repro.ising.model import IsingModel
@@ -345,6 +345,34 @@ class TestGuards:
                 arrival_time_us=float(i)))
         assert _batch_decode_hints(batches[0], default_threads=8) == \
             ("sequential", 1)
+
+    @pytest.mark.parametrize("rng_mode, threads", [("sequential", None),
+                                                   ("counter", 3)])
+    def test_pack_decodes_under_its_jobs_discipline(self, monkeypatch,
+                                                    rng_mode, threads):
+        """``decode_pack`` always hands ``detect_batch`` the pack's own draw
+        discipline and width, whatever the decoder was built with."""
+        decoder = QuAMaxDecoder(
+            QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2)),
+            AnnealerParameters(num_anneals=4), rng="counter", threads=2)
+        seen = []
+        detect_batch = decoder.detect_batch
+
+        def recording(channel_uses, random_states, rng, threads):
+            seen.append((rng, threads))
+            return detect_batch(channel_uses, random_states=random_states,
+                                rng=rng, threads=threads)
+
+        monkeypatch.setattr(decoder, "detect_batch", recording)
+        link = MimoUplink(num_users=2, constellation="BPSK")
+        job = DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
+                        channel_use=link.transmit(random_state=0),
+                        arrival_time_us=0.0, rng_mode=rng_mode,
+                        threads=threads)
+        outcomes, _ = decode_pack(decoder, None, 8, 0, DecodeBatch(
+            jobs=(job,), flush_time_us=0.0, reason="full"))
+        assert seen == [(rng_mode, threads or 1)]
+        assert len(outcomes) == 1
 
     def test_pool_derives_process_thread_budget(self):
         import os

@@ -16,7 +16,8 @@ from repro.channel.trace import ArgosLikeTraceGenerator
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch, EDFBatchScheduler
 from repro.cran.service import CranService
-from repro.cran.telemetry import DECODE_TIME_MIN_SAMPLES, TelemetryRecorder
+from repro.cran.telemetry import (DECODE_TIME_EWMA_ALPHA,
+                                  DECODE_TIME_MIN_SAMPLES, TelemetryRecorder)
 from repro.cran.traffic import PoissonTrafficGenerator
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
@@ -325,6 +326,25 @@ class TestTelemetryRecorder:
         assert telemetry.max_queue_depth() == 7
         assert telemetry.mean_queue_depth() == pytest.approx(5.0)
 
+    def test_queue_depth_series_covers_the_whole_run(self):
+        telemetry = TelemetryRecorder()
+        for step in range(1_000):
+            telemetry.record_queue_depth(float(step), 999 - step)
+        # No rolling window: the first, deepest sample still counts.
+        assert telemetry.max_queue_depth() == 999
+        assert telemetry.mean_queue_depth() == pytest.approx(499.5)
+
+    def test_latency_summary_covers_every_job(self, decoder, job_pool):
+        telemetry = TelemetryRecorder()
+        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
+        pool.submit(make_batch(job_pool[3:5], flush_time_us=100_000.0))
+        latencies = [result.latency_us for result in pool.results()]
+        summary = telemetry.latency_summary()
+        assert summary.count == len(latencies) == 5
+        assert summary.mean_us == pytest.approx(np.mean(latencies))
+        assert summary[99.0] == pytest.approx(np.percentile(latencies, 99.0))
+
     def test_empty_recorder_snapshot(self):
         snapshot = TelemetryRecorder().snapshot()
         assert snapshot["jobs_completed"] == 0
@@ -374,6 +394,21 @@ class TestDecodeTimeEwma:
         assert telemetry.decode_time_us(job_pool[:3]) \
             == pytest.approx(service_us)
         assert telemetry.snapshot()["decode_time_per_job_us"]
+
+    def test_newest_pack_weighs_alpha(self, decoder, job_pool):
+        telemetry = TelemetryRecorder()
+        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool.submit(make_batch(job_pool[:1], flush_time_us=0.0))
+        pool.submit(make_batch(job_pool[1:4], flush_time_us=100_000.0))
+        first, second = pool.results()[0], pool.results()[1]
+        services = [result.finish_time_us - result.start_time_us
+                    for result in (first, second)]
+        key = job_pool[0].structure_key
+        alpha = DECODE_TIME_EWMA_ALPHA
+        assert telemetry._decode_size_ewma[key] == pytest.approx(
+            (1.0 - alpha) * 1.0 + alpha * 3.0)
+        assert telemetry._decode_service_ewma_us[key] == pytest.approx(
+            (1.0 - alpha) * services[0] + alpha * services[1])
 
     def test_one_structure_pack_observes_its_service_time_exactly(
             self, decoder, job_pool):

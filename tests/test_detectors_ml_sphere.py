@@ -69,6 +69,18 @@ class TestSphereDecoder:
         assert decoder.last_stats.leaves_reached >= 1
         assert decoder.last_stats.final_radius == pytest.approx(result.metric)
 
+    def test_stats_are_per_detection(self):
+        large = make_channel_use(5, "QPSK", 12.0, 3)
+        small = make_channel_use(2, "QPSK", 12.0, 4)
+        decoder = SphereDecoder()
+        decoder.detect(large)
+        result = decoder.detect(small)
+        fresh = SphereDecoder()
+        fresh.detect(small)
+        # Nothing carries over from the first search.
+        assert decoder.last_stats == fresh.last_stats
+        assert decoder.last_stats.visited_nodes == result.extra["visited_nodes"]
+
     def test_visited_nodes_fewer_than_exhaustive(self):
         channel_use = make_channel_use(6, "QPSK", 15.0, 1)
         result = SphereDecoder().detect(channel_use)

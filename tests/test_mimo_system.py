@@ -76,6 +76,16 @@ class TestTransmit:
         np.testing.assert_array_equal(a.received, b.received)
         np.testing.assert_array_equal(a.transmitted_bits, b.transmitted_bits)
 
+    def test_shared_generator_draws_fresh_channel_uses(self):
+        link = MimoUplink(num_users=2, constellation="BPSK")
+        rng = np.random.default_rng(0)
+        uses = [link.transmit(snr_db=10.0, random_state=rng)
+                for _ in range(4)]
+        assert len({use.channel.tobytes() for use in uses}) == 4
+        assert len({use.received.tobytes() for use in uses}) == 4
+        replay = link.transmit(snr_db=10.0, random_state=0)
+        np.testing.assert_array_equal(uses[0].received, replay.received)
+
     def test_channel_model_is_used(self):
         link = MimoUplink(num_users=3, constellation="BPSK",
                           channel_model=RandomPhaseChannel())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ModulationError
+from repro.exceptions import ConfigurationError, ModulationError
 from repro.modulation import (
     BPSK,
     QAM16,
@@ -88,6 +88,11 @@ class TestMapping:
             symbols = [constellation.bits_to_symbol(group) for group
                        in bits.reshape(-1, constellation.bits_per_symbol)]
             np.testing.assert_array_equal(constellation.demodulate(symbols), bits)
+
+    @pytest.mark.parametrize("bits", [[1], [1, 0, 1]])
+    def test_bits_to_symbol_rejects_partial_symbol(self, bits):
+        with pytest.raises(ConfigurationError, match="length 2"):
+            QPSK.bits_to_symbol(bits)
 
     def test_symbol_to_bits_rejects_non_point(self):
         with pytest.raises(ModulationError):

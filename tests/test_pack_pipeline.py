@@ -343,6 +343,27 @@ class TestEmbedStage:
             packed, fields_only, embedding, chain_strength=2.0,
             extended_range=False)
 
+    def test_auto_range_is_scale_free(self):
+        """Every pack is auto-ranged: problems scaled by a power of two
+        program the same coefficients, bit for bit, at a scale that much
+        smaller."""
+        problems = same_structure_problems(3, 6, seed=5)
+        scaled = [IsingModel(num_variables=6, linear=4.0 * problem.linear,
+                             couplings={key: 4.0 * value for key, value
+                                        in problem.couplings.items()})
+                  for problem in problems]
+        embedding = clique_embedding(6)
+        options = dict(chain_strength=3.0, extended_range=True)
+        packed = embed_pack(problems, embedding, **options)
+        packed_scaled = embed_pack(scaled, embedding, **options)
+        assert_embedded_rows_equal_oracle(packed_scaled, scaled, embedding,
+                                          **options)
+        for row, row_scaled in zip(packed, packed_scaled):
+            assert row_scaled.ising.couplings == row.ising.couplings
+            assert (row_scaled.ising.linear.tobytes()
+                    == row.ising.linear.tobytes())
+            assert row_scaled.problem_scale == row.problem_scale / 4.0
+
     def test_overlapping_chains_keep_accumulate_and_clip(self):
         embedding = overlapping_embedding()
         problems = same_structure_problems(3, 3, seed=8)
@@ -470,15 +491,18 @@ class TestProgrammingPathsAgree:
                                    couplings=couplings))
         return rows
 
+    @pytest.mark.parametrize("extended_range", [True, False])
     @pytest.mark.parametrize("case", [
         "nan coupling", "inf coupling", "nan field", "inf field",
         "signed zeros", "no couplings"])
-    def test_awkward_coefficients_program_alike(self, case, on_numpy):
+    def test_awkward_coefficients_program_alike(self, case, extended_range,
+                                                on_numpy):
         problems = self.problems(case)
         embedding = clique_embedding(4)
 
         def embed():
-            return embed_pack(problems, embedding, chain_strength=0.7)
+            return embed_pack(problems, embedding, chain_strength=0.7,
+                              extended_range=extended_range)
 
         with np.errstate(all="ignore"):
             in_c = embed()  # NumPy's too where C finds a coupling at 0.0

@@ -307,21 +307,32 @@ class TestServingOptionSurface:
             "scenario", "parameters", "num_instances", "channel_uses"},
         "embed_pack": {
             "logicals", "embedding", "chain_strength", "extended_range"},
+        "embed_ising": {
+            "logical", "embedding", "chain_strength", "extended_range"},
+        "build_ml_ising_pack": {"channels", "received", "constellation"},
+        "build_ml_ising": {"channel", "received", "constellation"},
+        "build_ml_qubo": {"channel", "received", "constellation"},
     }
 
-    @pytest.mark.parametrize("name", sorted(SURFACE))
-    def test_keyword_set_is_exact(self, name):
+    @staticmethod
+    def resolve(name):
+        """The class, method or function *name* (``Owner.method`` or a
+        bare name), from the package or module that defines it."""
         from repro import annealer, cran, experiments
         from repro.annealer import embedded
+        from repro.transform import ising_coeffs
 
         owner, _, method = name.partition(".")
         target = next(getattr(package, owner)
                       for package in (cran, annealer, embedded, experiments,
-                                      repro)
+                                      ising_coeffs, repro)
                       if hasattr(package, owner))
-        if method:
-            target = getattr(target, method)
-        elif inspect.isclass(target):
+        return getattr(target, method) if method else target
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_keyword_set_is_exact(self, name):
+        target = self.resolve(name)
+        if inspect.isclass(target):
             target = target.__init__
         parameters = inspect.signature(target).parameters
         assert set(parameters) - {"self"} == self.SURFACE[name]
@@ -337,12 +348,27 @@ class TestServingOptionSurface:
         ("TraceRecorder", "wall_time"), ("TelemetryRecorder", "window"),
         ("TelemetryRecorder", "decode_time_alpha"),
         ("TelemetryRecorder", "decode_time_min_samples"),
+        ("embed_pack", "normalize"), ("embed_ising", "normalize"),
+        ("build_ml_ising_pack", "include_offset"),
+        ("build_ml_ising", "include_offset"),
+        ("build_ml_qubo", "include_offset"),
     ])
     def test_removed_keyword_is_rejected_not_swallowed(self, name, removed):
-        from repro import cran
-
         with pytest.raises(TypeError, match=removed):
-            getattr(cran, name)(**{removed: None})
+            self.resolve(name)(**{removed: None})
+
+    @pytest.mark.parametrize("name", [
+        "IngressGateway.submit_async", "WorkerPool.steal_count",
+        "EDFBatchScheduler.next_due_us", "EDFBatchScheduler.jobs_submitted",
+        "EDFBatchScheduler.jobs_flushed", "DecodeJob.laxity_us",
+        "PoissonTrafficGenerator.offered_load_jobs_per_s",
+    ])
+    def test_removed_serving_attribute_is_gone(self, name):
+        """The gateway is threads only, and each pool or scheduler figure
+        has one spelling: ``worker_info()``, the flushed packs, the job's
+        own deadline."""
+        owner, _, attribute = name.partition(".")
+        assert not hasattr(self.resolve(owner), attribute)
 
     def test_one_decode_entry_point(self):
         """Every decode is a ``detect_batch``: the serial and per-instance
