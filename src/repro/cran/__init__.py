@@ -10,7 +10,7 @@ layer, built on the batched decode substrate underneath it:
   batching at the chip's granularity: one pending queue, and a flush takes
   everything in it — any mix of problem structures — as one QA job;
 * :mod:`repro.cran.workers` — :class:`WorkerPool`, bounded-queue decode
-  workers with block-or-shed backpressure and virtual-time accounting;
+  workers with blocking backpressure and virtual-time accounting;
 * :mod:`repro.cran.traffic` — :class:`PoissonTrafficGenerator`, Poisson
   frame bursts over a :class:`~repro.channel.trace.ChannelTrace` with mixed
   modulations and per-user SNR;
@@ -47,7 +47,7 @@ from repro.cran.faults import (
     PackFault,
     WorkerCrash,
 )
-from repro.cran.gateway import IngressGateway
+from repro.cran.gateway import OVERLOAD_POLICIES, IngressGateway
 from repro.cran.jobs import DecodeJob, JobResult
 from repro.cran.scheduler import (
     FLUSH_DRAIN,
@@ -65,7 +65,7 @@ from repro.cran.service import (
 )
 from repro.cran.telemetry import LatencySummary, TelemetryRecorder
 from repro.cran.traffic import PoissonTrafficGenerator
-from repro.cran.workers import MODES, OVERLOAD_POLICIES, WorkerPool
+from repro.cran.workers import MODES, WorkerPool
 
 __all__ = [
     "DecodeJob",

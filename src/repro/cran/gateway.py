@@ -51,11 +51,15 @@ from repro.cran.tracing import (
     EVENT_JOB_RESTAMP,
     EVENT_JOB_SHED,
 )
-from repro.cran.workers import OVERLOAD_POLICIES, POLICY_SHED
 from repro.exceptions import SchedulingError
 from repro.utils.validation import check_integer_in_range
 
 __all__ = ["IngressGateway"]
+
+#: Admission policies at the gateway's bound.
+POLICY_BLOCK = "block"
+POLICY_SHED = "shed"
+OVERLOAD_POLICIES = (POLICY_BLOCK, POLICY_SHED)
 
 
 class IngressGateway:

@@ -70,14 +70,11 @@ class DecodeJob:
         The seed is carried across retries unchanged, so a retried decode
         is bit-identical to the first attempt.
     rng_mode:
-        Draw discipline hint for the decode: ``"sequential"`` (default,
-        the reference streams) or ``"counter"`` (keyed Philox streams,
+        Draw discipline of the decode: ``"sequential"`` (default, the
+        reference streams) or ``"counter"`` (keyed Philox streams,
         identical across backends and thread counts).  A pack is decoded
-        under one discipline, so the scheduler queues each separately.
-    threads:
-        Kernel thread hint for the decode, or ``None`` to accept the
-        worker pool's budget.  Requires ``rng_mode="counter"`` when > 1;
-        thread count never changes a seeded decode in counter mode.
+        under one discipline, so the scheduler queues each separately; a
+        counter pack's kernel width is the service's ``threads``.
     """
 
     job_id: int
@@ -90,7 +87,6 @@ class DecodeJob:
     seed: JobSeed = None
     retries: int = 0
     rng_mode: str = "sequential"
-    threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Spelled so that NaN fails too: every comparison with it is false.
@@ -113,13 +109,6 @@ class DecodeJob:
             raise SchedulingError(
                 f"rng_mode must be 'sequential' or 'counter', got "
                 f"{self.rng_mode!r}")
-        if self.threads is not None:
-            if int(self.threads) < 1:
-                raise SchedulingError(
-                    f"threads must be a positive integer, got {self.threads}")
-            if int(self.threads) > 1 and self.rng_mode != "counter":
-                raise SchedulingError(
-                    "threads > 1 requires rng_mode='counter'")
         if self.seed is None:
             # The stream must be re-creatable (serial verification, replay),
             # so an omitted seed falls back to the job's unique id rather

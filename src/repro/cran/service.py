@@ -46,6 +46,12 @@ from repro.decoder.quamax import QuAMaxDecoder
 from repro.modulation.constellation import get_constellation
 from repro.utils.validation import check_integer_in_range
 
+#: Headroom both decode-time models add: flushing exactly at ``slack ==
+#: service time`` would finish exactly at the deadline with none left for
+#: queueing or model error, so the scheduler flushes a little earlier than
+#: the pure model demands.
+DECODE_TIME_MARGIN = 0.1
+
 
 @dataclass(frozen=True)
 class ServiceReport:
@@ -53,7 +59,7 @@ class ServiceReport:
 
     #: Completed jobs, ordered by job id.
     results: List[JobResult]
-    #: Jobs dropped by the overload policy.
+    #: Jobs shed for good (gateway admission, brownout, retry give-up).
     shed_jobs: List[DecodeJob]
     #: Full telemetry snapshot (see :meth:`TelemetryRecorder.snapshot`).
     telemetry: dict
@@ -93,8 +99,7 @@ class ServiceReport:
         return total_errors / total_bits
 
 
-def decode_time_model_for(decoder: QuAMaxDecoder,
-                          margin: float = 0.1) -> DecodeTimeModel:
+def decode_time_model_for(decoder: QuAMaxDecoder) -> DecodeTimeModel:
     """Modelled decode time of a pack of jobs, derived from *decoder*.
 
     The model mirrors the worker pool's virtual-time accounting: one shared
@@ -105,17 +110,13 @@ def decode_time_model_for(decoder: QuAMaxDecoder,
     Used by :class:`CranService` ``adaptive_wait`` to flush the pending jobs
     as soon as their most urgent member's slack drops to this modelled
     service time, and by the brownout and retry layers to price one job.
-
-    *margin* inflates the model (default 10%): flushing exactly at
-    ``slack == service time`` would finish exactly at the deadline with
-    zero headroom for queueing or model error, so the scheduler flushes a
-    little earlier than the pure model demands.
+    The model is inflated by :data:`DECODE_TIME_MARGIN`.
     """
     annealer = decoder.annealer
     parameters = decoder.parameters
     overhead_us = annealer.overheads.total_us(parameters.num_anneals)
     anneal_us = parameters.num_anneals * parameters.schedule.duration_us
-    headroom = 1.0 + margin
+    headroom = 1.0 + DECODE_TIME_MARGIN
 
     @lru_cache(maxsize=None)
     def per_job_us(key: StructureKey) -> float:
@@ -135,16 +136,16 @@ def decode_time_model_for(decoder: QuAMaxDecoder,
 
 def online_decode_time_model(telemetry: TelemetryRecorder,
                              fallback: DecodeTimeModel,
-                             overhead_us: float = 0.0,
-                             margin: float = 0.1) -> DecodeTimeModel:
+                             overhead_us: float = 0.0) -> DecodeTimeModel:
     """Decode-time model fed by the recorder's per-structure EWMAs.
 
     Wraps *telemetry*'s online estimate
     (:meth:`TelemetryRecorder.decode_time_us` — EWMAs of observed pack
     service times and sizes, with *overhead_us* the known per-pack
-    overhead separating the fixed and per-job parts) with the same safety
-    *margin* as the analytic model, falling back to *fallback* until every
-    structure in the pack has completed enough packs to be trusted.
+    overhead separating the fixed and per-job parts) with the same
+    :data:`DECODE_TIME_MARGIN` as the analytic model, falling back to
+    *fallback* until every structure in the pack has completed enough
+    packs to be trusted.
     Unlike the analytic model, the online one tracks what decodes actually
     cost on this machine under current load, so the slack threshold is
     self-calibrating.
@@ -156,7 +157,7 @@ def online_decode_time_model(telemetry: TelemetryRecorder,
     flush decision is made, so adaptive flush *timing* can vary across runs;
     per-job detections never change either way.
     """
-    headroom = 1.0 + margin
+    headroom = 1.0 + DECODE_TIME_MARGIN
 
     def model(jobs: Sequence[DecodeJob]) -> float:
         estimate = telemetry.decode_time_us(jobs, overhead_us=overhead_us)
@@ -193,8 +194,7 @@ class ServiceSession:
         except AttributeError:
             self._cache_baseline = None
         model = base = service.scheduler_model()
-        if (base is not None and service.adaptive_wait
-                and service._decode_time_model is None):
+        if base is not None:
             # Online adaptive wait: observed per-structure decode times
             # (EWMAs via the recorder) refine the analytic model as the run
             # progresses; the known per-pack overhead anchors the fixed/
@@ -411,8 +411,7 @@ class CranService:
     decoder:
         The decoder every batch runs through; a default
         :class:`QuAMaxDecoder` is created when omitted.  Each pack decodes
-        under its jobs' ``rng_mode`` (``"sequential"`` unless set), not the
-        discipline the decoder was built with.
+        under its jobs' ``rng_mode`` (``"sequential"`` unless set).
     threads:
         Per-worker OpenMP width of a counter-mode pack's kernel call,
         forwarded to the pool (``None`` derives it: ``cpu_count //
@@ -429,16 +428,13 @@ class CranService:
         per-structure decode times from this run's telemetry
         (:func:`online_decode_time_model`), falling back to the analytic
         :func:`decode_time_model_for` until enough packs of every pending
-        structure have completed.  A custom model can be passed via
-        *decode_time_model* instead.
-    decode_time_model:
-        Explicit ``jobs -> µs`` model of a pack's decode time, forwarded
-        to the scheduler (overrides *adaptive_wait*).
+        structure have completed.
     num_workers, mode:
         Worker-pool execution policy (see :class:`WorkerPool`);
         ``num_workers=0`` (default) serves inline and deterministically,
-        ``mode="process"`` scales the pool across cores.  The pool keeps
-        its default 16-pack bound and blocks the session when it is full.
+        ``mode="process"`` scales the pool across cores.  The pool blocks
+        the session while it holds
+        :data:`~repro.cran.workers.QUEUE_CAPACITY` packs.
     tracing:
         When true, every session records per-job lifecycle spans into a
         :class:`~repro.cran.tracing.TraceRecorder` and the report carries
@@ -474,7 +470,6 @@ class CranService:
                  max_batch: int = 16,
                  max_wait_us: float = 2_000.0,
                  adaptive_wait: bool = False,
-                 decode_time_model: Optional[DecodeTimeModel] = None,
                  num_workers: int = 0,
                  mode: str = "thread",
                  tracing: bool = False,
@@ -487,7 +482,6 @@ class CranService:
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
         self.adaptive_wait = adaptive_wait
-        self._decode_time_model = decode_time_model
         self.num_workers = num_workers
         self.mode = mode
         self.tracing = tracing
@@ -505,11 +499,8 @@ class CranService:
         (:func:`decode_time_model_for`); at :meth:`run` time it becomes the
         fallback of an :func:`online_decode_time_model` fed by the run's
         telemetry, so the wait threshold self-calibrates once observed pack
-        decode times accumulate.  An explicit *decode_time_model* is used
-        verbatim.
+        decode times accumulate.
         """
-        if self._decode_time_model is not None:
-            return self._decode_time_model
         if self.adaptive_wait:
             return decode_time_model_for(self.decoder)
         return None

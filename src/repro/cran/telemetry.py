@@ -225,7 +225,7 @@ class TelemetryRecorder:
         return self.deadline_misses / self.jobs_completed
 
     def shed_rate(self) -> float:
-        """Fraction of offered jobs dropped by the overload policy."""
+        """Fraction of offered jobs shed for good."""
         offered = self.jobs_completed + self.jobs_shed
         if not offered:
             return 0.0

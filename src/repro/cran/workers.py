@@ -19,11 +19,10 @@ thread shards, process pool — that know nothing of that accounting and meet
 it at one seam: ``offer(index, batch)`` in, :meth:`WorkerPool.done` /
 :meth:`WorkerPool.failed` out, one :func:`decode_pack` underneath.
 
-Backpressure is explicit: the number of packs an executor holds is bounded,
-and on overload the pool either **blocks** the producer (default — the
-scheduler naturally holds jobs back) or **sheds** the batch (its jobs are
-counted and returned as dropped, the right policy when deadlines make late
-decodes worthless).
+Backpressure is blocking: an executor holds at most :data:`QUEUE_CAPACITY`
+packs, and a submission past that waits for room (the scheduler naturally
+holds jobs back).  Shedding is decided above the pool — at the ingress
+gateway's admission bound, by brownout and by the retry layer.
 
 Completion times are tracked on a virtual clock: each batch occupies the
 earliest-free virtual QA machine from its flush time, for a service time of
@@ -83,10 +82,9 @@ from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError, WorkerPoolError
 from repro.utils.validation import check_integer_in_range
 
-#: Overload policies of the bounded submission queue.
-POLICY_BLOCK = "block"
-POLICY_SHED = "shed"
-OVERLOAD_POLICIES = (POLICY_BLOCK, POLICY_SHED)
+#: Packs an executor holds (queued on its shards, or in flight) before a
+#: submission blocks.
+QUEUE_CAPACITY = 16
 
 #: Execution modes of a pool with ``num_workers >= 1``.
 MODE_THREAD = "thread"
@@ -96,23 +94,17 @@ MODES = (MODE_THREAD, MODE_PROCESS)
 
 def _batch_decode_hints(batch: DecodeBatch,
                         default_threads: int) -> Tuple[str, int]:
-    """Resolve one pack's ``(rng, threads)`` decode overrides.
+    """Resolve one pack's ``(rng, threads)`` decode arguments.
 
     The scheduler queues each draw discipline separately, so the first job
     speaks for all.  The thread count — the OpenMP width of the pack's one
-    counter call — is the largest per-job hint, falling back to the
-    worker's budget when no job carries one, and clamped to 1 under the
-    sequential discipline, which takes no width.  At one thread a cext call
-    of either discipline spreads the pack's blocks across the usable CPUs
-    by itself (and a sequential pack of one block its replicas).
+    counter call — is the worker's budget under the counter discipline and
+    1 under the sequential one, which takes no width.  At one thread a cext
+    call of either discipline spreads the pack's blocks across the usable
+    CPUs by itself (and a sequential pack of one block its replicas).
     """
     rng_mode = batch.jobs[0].rng_mode
-    hints = [int(job.threads) for job in batch.jobs
-             if job.threads is not None]
-    threads = max(hints) if hints else max(1, int(default_threads))
-    if rng_mode != "counter":
-        threads = 1
-    return rng_mode, threads
+    return rng_mode, default_threads if rng_mode == "counter" else 1
 
 
 def _pack_overhead_us(decoder: QuAMaxDecoder, outcomes) -> float:
@@ -294,9 +286,10 @@ def _import_outcomes(pickled: bytes, shm_name: Optional[str],
 class _Executor:
     """What the accounting core asks of an executor.
 
-    An executor takes packs through ``offer(index, batch)`` (``False`` = no
-    room) and answers each accepted one with exactly one ``pool.done(...)``
-    or ``pool.failed(...)``.  It reads the pool's configuration and nothing
+    An executor starts its workers when it is built, takes packs through
+    ``offer(index, batch)`` (blocking while it holds :data:`QUEUE_CAPACITY`
+    of them) and answers each one with exactly one ``pool.done(...)`` or
+    ``pool.failed(...)``.  It reads the pool's configuration and nothing
     of its accounting.  Three class attributes tell the pool's failure path
     how a *real* (non-injected) error of this executor is accounted: the
     shed stage it is labelled with, whether it cost a worker, and whether
@@ -308,17 +301,6 @@ class _Executor:
 
     def __init__(self, pool: "WorkerPool"):
         self.pool = pool
-        #: Whether :meth:`start` has launched workers (inline: there are none).
-        self.started = False
-
-    def start(self) -> None:
-        """Start the workers (idempotent)."""
-        if not self.started:
-            self.started = True
-            self._launch()
-
-    def _launch(self) -> None:
-        pass
 
     def close(self) -> None:
         """Work off everything accepted, then stop the workers."""
@@ -338,7 +320,7 @@ class _InlineExecutor(_Executor):
     error_stage = "decode_error"
     errors_surface_at_close = False
 
-    def offer(self, index: int, batch: DecodeBatch) -> bool:
+    def offer(self, index: int, batch: DecodeBatch) -> None:
         pool = self.pool
         try:
             outcomes, service_us = decode_pack(pool.decoder, pool.faults,
@@ -348,10 +330,9 @@ class _InlineExecutor(_Executor):
             # credit if the caller treats the failure as transient.
             pool.failed(index, batch, error)
             if isinstance(error, InjectedFault):
-                return True
+                return
             raise
         pool.done(index, batch, outcomes, service_us)
-        return True
 
 
 class _ThreadExecutor(_Executor):
@@ -383,9 +364,7 @@ class _ThreadExecutor(_Executor):
         self._steals = 0
         self._stop = False
         self._threads: List[threading.Thread] = []
-
-    def _launch(self) -> None:
-        for shard in range(self.pool.num_workers):
+        for shard in range(pool.num_workers):
             self._spawn_worker(shard)
 
     def _spawn_worker(self, shard: int) -> None:
@@ -399,7 +378,6 @@ class _ThreadExecutor(_Executor):
         thread.start()
 
     def close(self) -> None:
-        self.start()
         with self._lock:
             self._stop = True
             self._not_empty.notify_all()
@@ -421,21 +399,15 @@ class _ThreadExecutor(_Executor):
             return (self._steals, list(self._shard_routed),
                     [len(shard) for shard in self._shards])
 
-    def offer(self, index: int, batch: DecodeBatch) -> bool:
+    def offer(self, index: int, batch: DecodeBatch) -> None:
         with self._not_full:
-            if self._pending >= self.pool.queue_capacity:
-                # With nobody draining, waiting for room would never end.
-                if (self.pool.overload_policy == POLICY_SHED
-                        or not self.started):
-                    return False
-                while self._pending >= self.pool.queue_capacity:
-                    self._not_full.wait()
+            while self._pending >= QUEUE_CAPACITY:
+                self._not_full.wait()
             shard = self._shard_for_locked(batch.structures)
             self._shards[shard].append((index, batch))
             self._shard_routed[shard] += 1
             self._pending += 1
             self._not_empty.notify()
-        return True
 
     def _shard_for_locked(self, key: Tuple) -> int:
         """Sticky shard of one structure mix (first-seen mixes round-robin).
@@ -525,9 +497,6 @@ class _ProcessExecutor(_Executor):
         super().__init__(pool)
         self._space = threading.Condition(threading.Lock())
         self._inflight = 0
-        self._workers = None
-
-    def _launch(self) -> None:
         # The platform-default start method is the safe choice: fork on
         # Linux (fast start, decoder inherited without pickling), spawn on
         # macOS/Windows where forking a threaded/BLAS-active parent is
@@ -560,33 +529,26 @@ class _ProcessExecutor(_Executor):
         # (inherited under fork, unpickled under spawn).  The fault plan
         # rides along so worker-side injection decisions match the parent's
         # accounting.
-        pool = self.pool
         self._workers = context.Pool(
             processes=pool.num_workers, initializer=_process_worker_init,
             initargs=((pool.decoder, pool.faults, pool.threads),))
 
     def close(self) -> None:
-        self.start()
         with self._space:
             while self._inflight:
                 self._space.wait()
         self._workers.close()
         self._workers.join()
 
-    def offer(self, index: int, batch: DecodeBatch) -> bool:
-        self.start()
+    def offer(self, index: int, batch: DecodeBatch) -> None:
         with self._space:
-            if self.pool.overload_policy == POLICY_BLOCK:
-                while self._inflight >= self.pool.queue_capacity:
-                    self._space.wait()
-            elif self._inflight >= self.pool.queue_capacity:
-                return False
+            while self._inflight >= QUEUE_CAPACITY:
+                self._space.wait()
             self._inflight += 1
         self._workers.apply_async(
             _process_decode_batch, (index, batch),
             callback=partial(self._on_result, index, batch),
             error_callback=partial(self._on_error, index, batch))
-        return True
 
     def _on_result(self, index: int, batch: DecodeBatch, payload) -> None:
         """Pool callback: reattach the shared buffers, hand the pack over."""
@@ -619,6 +581,10 @@ class _ProcessExecutor(_Executor):
 class WorkerPool:
     """Bounded-queue pool of QuAMax decode workers with virtual-time accounting.
 
+    The workers start at construction, and :meth:`submit` blocks while the
+    executor holds :data:`QUEUE_CAPACITY` packs — summed over all worker
+    shards (threaded mode), or in flight (process mode).
+
     Parameters
     ----------
     decoder:
@@ -636,12 +602,6 @@ class WorkerPool:
         team.  Virtual-time accounting does not depend on it (batches
         credit in flush order either way), so neither does the
         latency/deadline telemetry of a given load and worker count.
-    queue_capacity:
-        Bound on queued batches summed over all worker shards (threaded
-        mode), or on the number of in-flight packs (process mode).
-    overload_policy:
-        ``"block"`` stalls :meth:`submit` until space frees up; ``"shed"``
-        drops the offered batch and records its jobs as shed.
     telemetry:
         Recorder the pool reports completed batches and shed jobs into; a
         private one is created when omitted.
@@ -650,11 +610,6 @@ class WorkerPool:
         pack/job lifecycle events into (flush, dispatch, worker pickup,
         completion, sheds) on the same virtual clock as the accounting.
         ``None`` (default) disables tracing at zero cost.
-    autostart:
-        Start the workers immediately.  Tests can pass ``False`` to fill
-        the queue deterministically before draining; with no worker
-        running, a submission past capacity sheds (shed policy) or raises
-        (block policy — it would otherwise deadlock the producer).
     faults:
         Optional :class:`~repro.cran.faults.FaultPlan` injecting worker
         crashes, decode errors and stragglers deterministically by
@@ -669,9 +624,8 @@ class WorkerPool:
         for identical cross-mode accounting (neither has a worker of its
         own to replace).
     threads:
-        Per-worker OpenMP width of one counter pack's kernel call, applied
-        to packs that carry no per-job ``threads`` hint (the sequential
-        discipline is clamped to 1).  Default ``None`` derives it: process
+        Per-worker OpenMP width of one counter pack's kernel call (a
+        sequential pack runs at 1).  Default ``None`` derives it: process
         pools get ``max(1, cpu_count // num_workers)`` so ``num_workers``
         OpenMP teams never oversubscribe the machine, every other mode gets
         1 — a pack's one-thread call of either discipline still shards its
@@ -683,26 +637,16 @@ class WorkerPool:
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,
                  num_workers: int = 0,
                  mode: str = MODE_THREAD,
-                 queue_capacity: int = 16,
-                 overload_policy: str = POLICY_BLOCK,
                  telemetry: Optional[TelemetryRecorder] = None,
                  trace: Optional[TraceRecorder] = None,
-                 autostart: bool = True,
                  faults: Optional[FaultPlan] = None,
                  restart_budget: int = 0,
                  threads: Optional[int] = None):
-        if overload_policy not in OVERLOAD_POLICIES:
-            raise SchedulingError(
-                f"overload_policy must be one of {OVERLOAD_POLICIES}, got "
-                f"{overload_policy!r}")
         if mode not in MODES:
             raise SchedulingError(
                 f"mode must be one of {MODES}, got {mode!r}")
         self.num_workers = check_integer_in_range("num_workers", num_workers,
                                                   minimum=0)
-        self.queue_capacity = check_integer_in_range(
-            "queue_capacity", queue_capacity, minimum=1)
-        self.overload_policy = overload_policy
         self.decoder = decoder or QuAMaxDecoder()
         self.telemetry = telemetry if telemetry is not None \
             else TelemetryRecorder()
@@ -745,16 +689,10 @@ class WorkerPool:
             int, Optional[Tuple[DecodeBatch, list, float]]] = {}
         self._closed = False
         self._executor = executor(self)
-        if autostart:
-            self.start()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Start the workers (no-op when inline or already started)."""
-        self._executor.start()
-
     def close(self) -> None:
         """Stop accepting batches, drain the backlog and join the workers.
 
@@ -785,11 +723,10 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # The seam: packs in, outcomes and failures back
     # ------------------------------------------------------------------ #
-    def submit(self, batch: DecodeBatch) -> bool:
-        """Offer one flushed batch to the pool.
+    def submit(self, batch: DecodeBatch) -> None:
+        """Hand one flushed batch to the pool, blocking while it is full.
 
-        Returns ``True`` when the batch was accepted, ``False`` when the
-        overload policy shed it.  Inline pools decode before returning.
+        Inline pools decode before returning.
         """
         if self._closed:
             raise SchedulingError("cannot submit to a closed WorkerPool")
@@ -812,18 +749,7 @@ class WorkerPool:
                     job_ids=list(batch.job_ids))
                 self.trace.record(EVENT_PACK_DISPATCH, batch.flush_time_us,
                                   pack_id=index)
-        if self._executor.offer(index, batch):
-            return True
-        with self._lock:
-            if self.overload_policy == POLICY_SHED:
-                self._release_locked(index, batch, "pool", park=False)
-                return False
-            # A blocking executor only ever declines when nobody is
-            # draining it; surface the misuse instead of deadlocking.
-            self._skip_locked(index)
-        raise SchedulingError(
-            "submission queue is full but no worker is running; "
-            "call start() before blocking submissions")
+        self._executor.offer(index, batch)
 
     def done(self, index: int, batch: DecodeBatch, outcomes: list,
              service_us: float) -> None:
@@ -914,11 +840,6 @@ class WorkerPool:
                 self.trace.record(EVENT_JOB_SHED, ts_us, job_id=job.job_id,
                                   pack_id=pack_id, stage=stage)
 
-    def _skip_locked(self, index: int) -> None:
-        """Mark slot *index* empty so later packs keep crediting."""
-        self._decoded[index] = None
-        self._credit_ready_locked()
-
     def _release_locked(self, index: int, batch: DecodeBatch, stage: str,
                         park: bool) -> None:
         """Give up pack *index*: free its slot, then shed it or park it.
@@ -927,7 +848,8 @@ class WorkerPool:
         shed) until :meth:`take_failed` hands them to the caller — or
         :meth:`close` sheds whatever nobody collected.
         """
-        self._skip_locked(index)
+        self._decoded[index] = None  # an empty slot: later packs credit
+        self._credit_ready_locked()
         if park:
             self._failed.append((index, batch, stage))
             self._emit_locked(EVENT_PACK_FAILED, batch.flush_time_us,
@@ -955,11 +877,8 @@ class WorkerPool:
 
         The retry layer's barrier: after this, :meth:`take_failed` has
         seen every failure of the packs submitted so far.  Inline pools
-        are idle by construction, and a pool whose workers were never
-        started would wait forever — both return immediately.
+        are idle by construction.
         """
-        if not self._executor.started:
-            return
         with self._idle:
             while self._next_credit < self._next_submit:
                 self._idle.wait()
@@ -974,7 +893,7 @@ class WorkerPool:
 
     @property
     def shed_jobs(self) -> List[DecodeJob]:
-        """Jobs dropped by the shed policy, in submission order."""
+        """Jobs shed for good, in the order they were shed."""
         with self._lock:
             return list(self._shed_jobs)
 
@@ -1054,5 +973,4 @@ class WorkerPool:
     def __repr__(self) -> str:
         workers = ("inline" if not self.num_workers
                    else f"{self.num_workers} {self._executor.mode} workers")
-        return (f"WorkerPool({workers}, capacity={self.queue_capacity}, "
-                f"policy={self.overload_policy!r})")
+        return f"WorkerPool({workers})"

@@ -83,39 +83,18 @@ class FrameResult:
 
     ``subcarrier_results`` holds exactly the channel uses whose bits were
     accumulated into the frame; ``num_decoded`` reports the decode work
-    actually performed.  The frame's own accounting
-    (completeness, accumulated bits, bit errors) is re-exposed directly so the
-    result can be used wherever a bare :class:`~repro.mimo.frame.Frame` was.
+    actually performed.  The frame's own accounting (completeness,
+    accumulated bits, bit errors) is read from :attr:`frame`.
     """
 
     frame: Frame
     subcarrier_results: List[SubcarrierResult]
     num_decoded: int
 
-    # -- frame accounting (delegation) --------------------------------- #
-    @property
-    def is_complete(self) -> bool:
-        """Whether the frame accumulated its full payload."""
-        return self.frame.is_complete
-
-    @property
-    def bits_accumulated(self) -> int:
-        """Number of payload bits accumulated into the frame."""
-        return self.frame.bits_accumulated
-
-    def bit_errors(self) -> int:
-        """Total bit errors of the accumulated frame payload."""
-        return self.frame.bit_errors()
-
     def bit_error_rate(self) -> float:
         """Bit error rate over the accumulated frame payload."""
         return self.frame.bit_error_rate()
 
-    def is_errored(self) -> bool:
-        """Whether the frame contains at least one bit error."""
-        return self.frame.is_errored()
-
-    # -- compute accounting -------------------------------------------- #
     @property
     def total_compute_time_us(self) -> float:
         """Amortised QA compute time attributed to the frame (µs): the sum

@@ -81,37 +81,18 @@ class QuAMaxDecoder(Detector):
         count).
     random_state:
         Default randomness source for runs that do not pass their own.
-    rng:
-        Draw discipline forwarded to the annealer on every run:
-        ``"sequential"`` (default, the reference streams) or ``"counter"``
-        (keyed Philox streams — a different, equally exact stream that is
-        identical across backends and thread counts and legalises
-        ``threads``).
-    threads:
-        Kernel threads forwarded alongside; requires ``rng="counter"``
-        when > 1.  Thread count never changes seeded detections.
+
+    The draw discipline and kernel width are per call: see
+    :meth:`detect_batch`.
     """
 
     name = "quamax"
 
     def __init__(self, annealer: Optional[QuantumAnnealerSimulator] = None,
                  parameters: Optional[AnnealerParameters] = None,
-                 random_state: RandomState = None,
-                 rng: str = "sequential", threads: int = 1):
-        if rng not in RNG_MODES:
-            raise DetectionError(
-                f"rng must be one of {RNG_MODES}, got {rng!r}")
-        threads = int(threads)
-        if threads < 1:
-            raise DetectionError("threads must be a positive integer")
-        if threads > 1 and rng != "counter":
-            raise DetectionError(
-                "threads > 1 requires rng='counter' (a sequential cext call "
-                "spreads its blocks, or one block's replicas, by itself)")
+                 random_state: RandomState = None):
         self.annealer = annealer or QuantumAnnealerSimulator()
         self.parameters = parameters or AnnealerParameters()
-        self.rng_mode = rng
-        self.threads = threads
         self._rng = ensure_rng(random_state)
         self._reducer = MLToIsingReducer()
 
@@ -143,8 +124,8 @@ class QuAMaxDecoder(Detector):
                      parameters: Optional[AnnealerParameters] = None,
                      random_state: RandomState = None,
                      random_states: Optional[Sequence[RandomState]] = None,
-                     rng: Optional[str] = None,
-                     threads: Optional[int] = None
+                     rng: str = "sequential",
+                     threads: int = 1
                      ) -> List[QuAMaxDetectionResult]:
         """Decode many channel uses, packing same-size problems into QA jobs.
 
@@ -163,9 +144,11 @@ class QuAMaxDecoder(Detector):
         submits a chunk at a time) pass them via *random_states* instead;
         *random_state* is then ignored.
 
-        *rng* / *threads* override the decoder's configured draw discipline
-        and kernel thread count for this call only — the hook the serving
-        pool uses to honour per-job hints without rebuilding the decoder.
+        *rng* is the draw discipline forwarded to the annealer:
+        ``"sequential"`` (default, the reference streams) or ``"counter"``
+        (keyed Philox streams — a different, equally exact stream that is
+        identical across backends and thread counts).  *threads* is the
+        counter call's kernel width; it never changes seeded detections.
         """
         channel_uses = list(channel_uses)
         if not channel_uses:
@@ -175,14 +158,13 @@ class QuAMaxDecoder(Detector):
                             for channel_use in channel_uses}.values():
             self._check_square_or_tall(channel_use)
         parameters = parameters or self.parameters
-        rng_mode = self.rng_mode if rng is None else rng
-        if rng_mode not in RNG_MODES:
+        if rng not in RNG_MODES:
             raise DetectionError(
-                f"rng must be one of {RNG_MODES}, got {rng_mode!r}")
-        threads = self.threads if threads is None else int(threads)
+                f"rng must be one of {RNG_MODES}, got {rng!r}")
+        threads = int(threads)
         if threads < 1:
             raise DetectionError("threads must be a positive integer")
-        if threads > 1 and rng_mode != "counter":
+        if threads > 1 and rng != "counter":
             raise DetectionError(
                 "threads > 1 requires rng='counter' (a sequential cext call "
                 "spreads its blocks, or one block's replicas, by itself)")
@@ -194,9 +176,9 @@ class QuAMaxDecoder(Detector):
                 )
             rngs = [ensure_rng(state) for state in random_states]
         else:
-            rng = (ensure_rng(random_state) if random_state is not None
-                   else self._rng)
-            rngs = list(child_rngs(rng, len(channel_uses)))
+            generator = (ensure_rng(random_state) if random_state is not None
+                         else self._rng)
+            rngs = list(child_rngs(generator, len(channel_uses)))
 
         reduced = self._reducer.reduce_pack(channel_uses)
         # One QA job per (size, coupling key tuple): the reducer hands
@@ -211,7 +193,7 @@ class QuAMaxDecoder(Detector):
             runs = self.annealer.run_batch(
                 pack, parameters,
                 random_states=[rngs[index] for index in indices],
-                rng=rng_mode, threads=threads)
+                rng=rng, threads=threads)
             assembled = self._assemble_pack(
                 [reduced[index] for index in indices], runs, parameters)
             for index, result in zip(indices, assembled):
@@ -263,5 +245,4 @@ class QuAMaxDecoder(Detector):
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:
         return (f"QuAMaxDecoder(annealer={self.annealer!r}, "
-                f"num_anneals={self.parameters.num_anneals}, "
-                f"rng={self.rng_mode!r}, threads={self.threads})")
+                f"num_anneals={self.parameters.num_anneals})")

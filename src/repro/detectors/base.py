@@ -52,11 +52,6 @@ class DetectionResult:
                                detector=detector, extra=extra)
         return result
 
-    def bit_errors(self, reference_bits) -> int:
-        """Number of bit errors against *reference_bits*."""
-        reference = ensure_bit_array(reference_bits, length=self.bits.size)
-        return int(np.count_nonzero(reference != self.bits))
-
 
 class Detector(ABC):
     """Base class for MIMO detectors operating on :class:`ChannelUse`."""

@@ -334,14 +334,6 @@ class IsingModel:
         quadratic = np.einsum("ki,ij,kj->k", spin_matrix, matrix, spin_matrix)
         return quadratic + spin_matrix @ self.linear + self.offset
 
-    def neighbours(self) -> Dict[int, Dict[int, float]]:
-        """Adjacency map ``{i: {j: g_ij}}`` (symmetric) for local-move solvers."""
-        adjacency: Dict[int, Dict[int, float]] = {i: {} for i in range(self.num_variables)}
-        for (i, j), value in self.couplings.items():
-            adjacency[i][j] = value
-            adjacency[j][i] = value
-        return adjacency
-
     @property
     def max_abs_coefficient(self) -> float:
         """Largest absolute coefficient (used for hardware-range normalisation)."""

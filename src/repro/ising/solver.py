@@ -23,7 +23,7 @@ implementation, which equivalence tests check the vectorised engine against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -315,7 +315,9 @@ def metropolis_anneal(ising: IsingModel, temperatures: Sequence[float],
     adjacency structure so the cost per sweep is O(edges).
     """
     n = ising.num_variables
-    adjacency = ising.neighbours()
+    adjacency: List[Dict[int, float]] = [{} for _ in range(n)]
+    for (i, j), value in ising.couplings.items():
+        adjacency[i][j] = adjacency[j][i] = value
     if initial_spins is None:
         spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
     else:

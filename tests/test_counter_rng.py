@@ -18,8 +18,6 @@ intra-pack threading legal.  These tests pin the contract:
   rejected by the scheduler.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -298,15 +296,16 @@ class TestGuards:
                         random_state=SEED, rng="philox")
 
     def test_decoder_rejects_threads_without_counter(self):
-        with pytest.raises(DetectionError, match="rng='counter'"):
-            QuAMaxDecoder(threads=2)
-
-    def test_job_rejects_threads_without_counter(self):
         link = MimoUplink(num_users=2, constellation="BPSK")
         use = link.transmit(random_state=np.random.default_rng(0))
-        with pytest.raises(SchedulingError, match="counter"):
-            DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
-                      channel_use=use, arrival_time_us=0.0, threads=2)
+        with pytest.raises(DetectionError, match="rng='counter'"):
+            QuAMaxDecoder().detect_batch([use], threads=2)
+        with pytest.raises(DetectionError, match="rng"):
+            QuAMaxDecoder().detect_batch([use], rng="philox")
+
+    def test_job_rejects_unknown_rng_mode(self):
+        link = MimoUplink(num_users=2, constellation="BPSK")
+        use = link.transmit(random_state=np.random.default_rng(0))
         with pytest.raises(SchedulingError, match="rng_mode"):
             DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
                       channel_use=use, arrival_time_us=0.0,
@@ -346,15 +345,15 @@ class TestGuards:
         assert _batch_decode_hints(batches[0], default_threads=8) == \
             ("sequential", 1)
 
-    @pytest.mark.parametrize("rng_mode, threads", [("sequential", None),
-                                                   ("counter", 3)])
+    @pytest.mark.parametrize("rng_mode, threads", [("sequential", 1),
+                                                   ("counter", 8)])
     def test_pack_decodes_under_its_jobs_discipline(self, monkeypatch,
                                                     rng_mode, threads):
         """``decode_pack`` always hands ``detect_batch`` the pack's own draw
-        discipline and width, whatever the decoder was built with."""
+        discipline, and the worker's budget (8) as a counter pack's width."""
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2)),
-            AnnealerParameters(num_anneals=4), rng="counter", threads=2)
+            AnnealerParameters(num_anneals=4))
         seen = []
         detect_batch = decoder.detect_batch
 
@@ -367,23 +366,21 @@ class TestGuards:
         link = MimoUplink(num_users=2, constellation="BPSK")
         job = DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
                         channel_use=link.transmit(random_state=0),
-                        arrival_time_us=0.0, rng_mode=rng_mode,
-                        threads=threads)
+                        arrival_time_us=0.0, rng_mode=rng_mode)
         outcomes, _ = decode_pack(decoder, None, 8, 0, DecodeBatch(
             jobs=(job,), flush_time_us=0.0, reason="full"))
-        assert seen == [(rng_mode, threads or 1)]
+        assert seen == [(rng_mode, threads)]
         assert len(outcomes) == 1
 
     def test_pool_derives_process_thread_budget(self):
         import os
         decoder = QuAMaxDecoder()
-        pool = WorkerPool(decoder, num_workers=2, mode="process",
-                          autostart=False)
         expected = max(1, (os.cpu_count() or 1) // 2)
-        assert pool.worker_info()["threads"] == expected
-        override = WorkerPool(decoder, num_workers=2, mode="process",
-                              threads=3, autostart=False)
-        assert override.worker_info()["threads"] == 3
+        with WorkerPool(decoder, num_workers=2, mode="process") as pool:
+            assert pool.worker_info()["threads"] == expected
+        with WorkerPool(decoder, num_workers=2, mode="process",
+                        threads=3) as override:
+            assert override.worker_info()["threads"] == 3
         inline = WorkerPool(decoder)
         assert inline.worker_info()["threads"] == 1
 
@@ -400,7 +397,7 @@ class TestServingIdentity:
             DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
                       channel_use=link.transmit(random_state=rng),
                       arrival_time_us=10.0 * i, deadline_us=10.0 * i + 1e6,
-                      seed=100 + i, rng_mode="counter", threads=2)
+                      seed=100 + i, rng_mode="counter")
             for i in range(6)
         ]
 
@@ -408,7 +405,7 @@ class TestServingIdentity:
     def service():
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
-            AnnealerParameters(num_anneals=10), rng="counter")
+            AnnealerParameters(num_anneals=10))
         return CranService(decoder, max_batch=4)
 
     @staticmethod
@@ -421,7 +418,7 @@ class TestServingIdentity:
         inline = self.service().run(jobs)
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
-            AnnealerParameters(num_anneals=10), rng="counter")
+            AnnealerParameters(num_anneals=10))
         threaded = CranService(decoder, max_batch=4, num_workers=2,
                                mode="thread").run(jobs)
         assert self.payload(inline) == self.payload(threaded)
@@ -429,16 +426,15 @@ class TestServingIdentity:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_thread_budget_and_packing_are_invisible(self, jobs, threads):
-        # Counter jobs without a thread hint run at the service's kernel
-        # thread budget; at every budget, packs of up to 4 decode bit for
-        # bit as batch-1 serving does.
-        unhinted = [dataclasses.replace(job, threads=None) for job in jobs]
+        # Counter jobs run at the service's kernel thread budget; at every
+        # budget, packs of up to 4 decode bit for bit as batch-1 serving
+        # does.
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
-            AnnealerParameters(num_anneals=10), rng="counter")
-        serial = CranService(decoder, max_batch=1).run(unhinted)
+            AnnealerParameters(num_anneals=10))
+        serial = CranService(decoder, max_batch=1).run(jobs)
         packed = CranService(decoder, max_batch=4,
-                             threads=threads).run(unhinted)
+                             threads=threads).run(jobs)
         assert packed.telemetry["workers"]["threads"] == threads
         assert packed.telemetry["mean_batch_fill"] > 1
         assert self.payload(packed) == self.payload(serial)
@@ -449,7 +445,7 @@ class TestServingIdentity:
         inline = self.service().run(jobs)
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
-            AnnealerParameters(num_anneals=10), rng="counter")
+            AnnealerParameters(num_anneals=10))
         process = CranService(decoder, max_batch=4, num_workers=2,
                               mode="process", threads=2).run(jobs)
         assert self.payload(inline) == self.payload(process)

@@ -477,12 +477,11 @@ class TestWorkerPoolErrors:
                 barrier.wait()
                 raise RuntimeError("boom")
 
-        pool = WorkerPool(RendezvousBoom(), num_workers=2, mode="thread",
-                          autostart=False)
-        # Distinct structure keys route to distinct shards.
+        pool = WorkerPool(RendezvousBoom(), num_workers=2, mode="thread")
+        # Each worker takes one pack (own shard or stolen) and waits at
+        # the barrier for the other.
         pool.submit(_batch(_uplink_jobs("BPSK", 0), flush_time_us=10.0))
         pool.submit(_batch(_uplink_jobs("QPSK", 10), flush_time_us=20.0))
-        pool.start()
         with pytest.raises(WorkerPoolError) as excinfo:
             pool.close()
         assert len(excinfo.value.errors) == 2

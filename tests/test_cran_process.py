@@ -128,8 +128,7 @@ class TestProcessPool:
     def test_invalid_mode_rejected(self, decoder):
         assert MODES == ("thread", "process")
         with pytest.raises(SchedulingError):
-            WorkerPool(decoder, num_workers=1, mode="coroutine",
-                       autostart=False)
+            WorkerPool(decoder, num_workers=1, mode="coroutine")
 
     def test_detections_identical_to_inline(self, decoder, job_pool):
         inline = WorkerPool(decoder)

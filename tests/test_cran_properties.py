@@ -295,8 +295,8 @@ class TestBitExactnessUnderPacking:
         (3, 0, 0), (3, 0, 1), (3, 1, 0), (3, 1, 1)]]))
     def test_a_job_decodes_alone_as_in_any_company(self, jobs):
         pool = WorkerPool(_PACK_DECODER)
-        assert pool.submit(DecodeBatch(jobs=tuple(jobs), flush_time_us=0.0,
-                                       reason=FLUSH_FULL))
+        pool.submit(DecodeBatch(jobs=tuple(jobs), flush_time_us=0.0,
+                                reason=FLUSH_FULL))
         served = {result.job.job_id: result.result
                   for result in pool.results()}
         assert sorted(served) == sorted(job.job_id for job in jobs)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from repro.cran.service import CranService
 from repro.cran.telemetry import (DECODE_TIME_EWMA_ALPHA,
                                   DECODE_TIME_MIN_SAMPLES, TelemetryRecorder)
 from repro.cran.traffic import PoissonTrafficGenerator
-from repro.cran.workers import WorkerPool
+from repro.cran.workers import QUEUE_CAPACITY, WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError
 from repro.mimo.system import MimoUplink
@@ -66,11 +67,35 @@ def serve_repeats(pool, jobs, repeats):
             flush_time_us=100_000.0 * repeat))
 
 
+class HeldDecoder:
+    """Wraps a decoder so every pack waits at :attr:`gate` once a worker
+    has taken it: packs submitted meanwhile stay on their shards."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.annealer = inner.annealer
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+
+    def detect_batch(self, channel_uses, **kwargs):
+        self.entered.release()
+        self.gate.wait()
+        return self.inner.detect_batch(channel_uses, **kwargs)
+
+
+def hold_workers(pool, held, blockers):
+    """Occupy one worker per blocker pack, returning once each holds one."""
+    for flush, jobs in enumerate(blockers):
+        pool.submit(make_batch(jobs, flush_time_us=float(flush)))
+    for _ in blockers:
+        assert held.entered.acquire(timeout=60)
+
+
 class TestWorkerPool:
     def test_inline_decode_and_accounting(self, decoder, job_pool):
         pool = WorkerPool(decoder)
         batch = make_batch(job_pool[:3], flush_time_us=50.0)
-        assert pool.submit(batch)
+        pool.submit(batch)
         results = pool.results()
         assert [r.job.job_id for r in results] == [0, 1, 2]
         first = results[0]
@@ -99,10 +124,9 @@ class TestWorkerPool:
 
     def test_multiple_virtual_machines_run_in_parallel(self, decoder,
                                                        job_pool):
-        pool = WorkerPool(decoder, num_workers=2, autostart=False)
+        pool = WorkerPool(decoder, num_workers=2)
         pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
         pool.submit(make_batch(job_pool[2:4], flush_time_us=1.0))
-        pool.start()
         pool.close()
         second = [r for r in pool.results() if r.job.job_id == 2][0]
         assert second.start_time_us == pytest.approx(1.0)
@@ -140,14 +164,14 @@ class TestWorkerPool:
 
     def test_threaded_accounting_holds_under_lock_contention(
             self, decoder, job_pool):
-        # More workers than cores, a tiny queue (so the producer blocks on
-        # the executor's lock while workers report into the pool's) and a
-        # shortened switch interval: a lost update between the two locks
-        # would drop a result or move a stamp.
+        # More workers than cores, more packs than the queue holds (so the
+        # producer blocks on the executor's lock while workers report into
+        # the pool's) and a shortened switch interval: a lost update
+        # between the two locks would drop a result or move a stamp.
         import sys
 
-        def timeline(**kwargs):
-            with WorkerPool(decoder, **kwargs) as pool:
+        def timeline():
+            with WorkerPool(decoder, num_workers=8) as pool:
                 for round_ in range(4):
                     for job in job_pool:
                         pool.submit(make_batch([job], 100.0 * round_))
@@ -157,48 +181,20 @@ class TestWorkerPool:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            contended = timeline(num_workers=8, queue_capacity=2)
+            contended = timeline()
         finally:
             sys.setswitchinterval(interval)
         assert len(contended) == 4 * len(job_pool)
-        # The reference has the same eight virtual machines but never
-        # blocks: everything is queued before the first worker starts.
-        reference = timeline(num_workers=8, queue_capacity=64,
-                             autostart=False)
-        assert contended == reference
-
-    def test_blocking_submit_without_workers_raises(self, decoder, job_pool):
-        pool = WorkerPool(decoder, num_workers=1, queue_capacity=1,
-                          overload_policy="block", autostart=False)
-        assert pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
-        with pytest.raises(SchedulingError, match="start"):
-            pool.submit(make_batch(job_pool[2:4], flush_time_us=1.0))
-        pool.start()
-        pool.close()
-        assert [r.job.job_id for r in pool.results()] == [0, 1]
-
-    def test_shed_policy_drops_overflow(self, decoder, job_pool):
-        pool = WorkerPool(decoder, num_workers=1, queue_capacity=1,
-                          overload_policy="shed", autostart=False)
-        assert pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
-        assert not pool.submit(make_batch(job_pool[2:4], flush_time_us=1.0))
-        assert not pool.submit(make_batch(job_pool[4:6], flush_time_us=2.0))
-        pool.start()
-        pool.close()
-        assert [r.job.job_id for r in pool.results()] == [0, 1]
-        assert [job.job_id for job in pool.shed_jobs] == [2, 3, 4, 5]
-        assert pool.telemetry.jobs_shed == 4
-        assert pool.telemetry.shed_rate() == pytest.approx(4 / 6)
+        # The reference is the same eight-worker pool at the default switch
+        # interval: crediting is in submission order, so the timelines
+        # must match.
+        assert contended == timeline()
 
     def test_submit_after_close_rejected(self, decoder, job_pool):
         pool = WorkerPool(decoder)
         pool.close()
         with pytest.raises(SchedulingError):
             pool.submit(make_batch(job_pool[:1], flush_time_us=0.0))
-
-    def test_invalid_policy_rejected(self, decoder):
-        with pytest.raises(SchedulingError):
-            WorkerPool(decoder, overload_policy="panic")
 
     def test_inline_failure_frees_crediting_slot(self, decoder, job_pool):
         class FlakyDecoder:
@@ -218,7 +214,7 @@ class TestWorkerPool:
             pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
         # A caller treating the failure as transient keeps serving: later
         # batches must still decode AND be credited to results/telemetry.
-        assert pool.submit(make_batch(job_pool[2:4], flush_time_us=1.0))
+        pool.submit(make_batch(job_pool[2:4], flush_time_us=1.0))
         assert [r.job.job_id for r in pool.results()] == [2, 3]
         assert pool.telemetry.jobs_completed == 2
         assert [job.job_id for job in pool.shed_jobs] == [0, 1]
@@ -228,25 +224,28 @@ class TestWorkerPool:
             def detect_batch(self, channel_uses, **kwargs):
                 raise RuntimeError("decoder exploded")
 
-        pool = WorkerPool(BoomDecoder(), num_workers=1, queue_capacity=1,
-                          overload_policy="block")
-        # Far more batches than the queue holds: if the dead worker stopped
-        # draining, the third submit would block forever.
-        for start in (0, 2, 4, 6):
-            assert pool.submit(make_batch(job_pool[start:start + 2],
-                                          flush_time_us=float(start)))
+        pool = WorkerPool(BoomDecoder(), num_workers=1)
+        # More batches than the queue holds: if the dead worker stopped
+        # draining, a submit past QUEUE_CAPACITY + 1 would block forever.
+        packs = QUEUE_CAPACITY + 4
+        for index in range(packs):
+            pool.submit(make_batch(
+                [replace(job_pool[index % len(job_pool)], job_id=index)],
+                flush_time_us=float(index)))
         with pytest.raises(RuntimeError, match="decoder exploded"):
             pool.close()
         # Every job of every post-failure batch is accounted as shed.
         assert pool.results() == []
-        assert len(pool.shed_jobs) == 8
-        assert pool.telemetry.jobs_shed == 8
+        assert len(pool.shed_jobs) == packs
+        assert pool.telemetry.jobs_shed == packs
 
     def test_sticky_routing_round_robins_first_seen_structures(self, decoder,
                                                                job_pool):
         qpsk_jobs = [qpsk_job(job_id=100 + i) for i in range(4)]
-        pool = WorkerPool(decoder, num_workers=2, queue_capacity=8,
-                          autostart=False)
+        held = HeldDecoder(decoder)
+        pool = WorkerPool(held, num_workers=2)
+        # The blockers see BPSK, then QPSK, first.
+        hold_workers(pool, held, [job_pool[6:8], [qpsk_job(job_id=200)]])
         pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
         pool.submit(make_batch(qpsk_jobs[:2], flush_time_us=1.0))
         pool.submit(make_batch(job_pool[2:4], flush_time_us=2.0))
@@ -260,33 +259,37 @@ class TestWorkerPool:
         pool.submit(make_batch([qpsk_jobs[3], job_pool[5]],
                                flush_time_us=4.0))
         assert [len(shard) for shard in pool._executor._shards] == [4, 1]
-        pool.start()
+        held.gate.set()
         pool.close()
         assert [r.job.job_id for r in pool.results()] == [
-            0, 1, 2, 3, 4, 5, 100, 101, 102, 103]
+            0, 1, 2, 3, 4, 5, 6, 7, 100, 101, 102, 103, 200]
 
     def test_idle_worker_steals_from_longest_shard(self, decoder, job_pool):
-        pool = WorkerPool(decoder, num_workers=2, queue_capacity=8,
-                          autostart=False)
+        held = HeldDecoder(decoder)
+        pool = WorkerPool(held, num_workers=2)
+        # Whichever worker wakes first, one of the two blockers is stolen.
+        hold_workers(pool, held, [job_pool[6:7], job_pool[7:8]])
+        shards = pool._executor
+        assert shards._steals == 1
         for start in (0, 2, 4):
             pool.submit(make_batch(job_pool[start:start + 2],
                                    flush_time_us=float(start)))
         # One structure key: sticky routing lands everything on shard 0.
-        shards = pool._executor
         assert [len(shard) for shard in shards._shards] == [3, 0]
         with shards._lock:
             item = shards._take_locked(1)
             # Worker 1's own shard is empty, so it steals the oldest batch
             # from the longest other shard instead of going idle.
             assert item is not None
-            assert item[0] == 0
-            assert shards._steals == 1
+            assert item[0] == 2  # submission index, after two blockers
+            assert shards._steals == 2
             shards._shards[1].append(item)
             shards._pending += 1
-        assert pool.worker_info()["steal_count"] == 1
-        pool.start()
+        assert pool.worker_info()["steal_count"] == 2
+        held.gate.set()
         pool.close()
-        assert [r.job.job_id for r in pool.results()] == [0, 1, 2, 3, 4, 5]
+        assert [r.job.job_id for r in pool.results()] == [
+            0, 1, 2, 3, 4, 5, 6, 7]
 
 
 class TestTelemetryRecorder:
@@ -466,7 +469,7 @@ class TestDecodeTimeEwma:
             return 1_234.0
 
         model = online_decode_time_model(telemetry, fallback,
-                                         overhead_us=100.0, margin=0.1)
+                                         overhead_us=100.0)
         jobs = [qpsk_job(job_id=i) for i in range(3)]
         key = jobs[0].structure_key
         # No observations yet: analytic fallback.
@@ -476,7 +479,8 @@ class TestDecodeTimeEwma:
         telemetry._decode_service_ewma_us[key] = 1_100.0
         telemetry._decode_size_ewma[key] = 2.0
         telemetry._decode_time_samples[key] = DECODE_TIME_MIN_SAMPLES
-        # (1100 - 100) / 2 = 500 per job; pack of 3 -> 100 + 1500, x1.1.
+        # (1100 - 100) / 2 = 500 per job; pack of 3 -> 100 + 1500, x1.1
+        # (DECODE_TIME_MARGIN).
         assert model(jobs) == pytest.approx((100.0 + 3 * 500.0) * 1.1)
         assert len(calls) == 1
 

@@ -104,7 +104,7 @@ class TestFrameDecodeRunningEstimate:
         counting = OFDMDecodingPipeline(counter)
         result = counting.decode_frame(channel_uses, frame_size_bytes=3,
                                        random_state=12)
-        assert result.is_complete
+        assert result.frame.is_complete
         assert counter.batch_calls == 1
         assert counter.uses_decoded == 4
         assert result.num_decoded == 4
@@ -134,7 +134,7 @@ class TestFrameDecodeRunningEstimate:
         counting = OFDMDecodingPipeline(counter)
         result = counting.decode_frame(channel_uses, frame_size_bytes=50,
                                        random_state=14)
-        assert not result.is_complete
+        assert not result.frame.is_complete
         assert counter.batch_calls == 1
         assert result.num_decoded == 3
 
@@ -153,7 +153,7 @@ class TestDecodeFrame:
         # 3 users x 2 bits = 6 bits per channel use; a 3-byte frame needs 4 uses.
         channel_uses = make_channel_uses(6, seed=3)
         frame = pipeline.decode_frame(channel_uses, frame_size_bytes=3,
-                                      random_state=4)
+                                      random_state=4).frame
         assert frame.is_complete
         assert not frame.is_errored()
 
@@ -167,14 +167,14 @@ class TestDecodeFrame:
 
     def test_no_channel_use_is_an_empty_frame(self, pipeline):
         result = pipeline.decode_frame([], frame_size_bytes=1, random_state=0)
-        assert not result.is_complete
-        assert result.num_decoded == result.bits_accumulated == 0
+        assert not result.frame.is_complete
+        assert result.num_decoded == result.frame.bits_accumulated == 0
         assert result.subcarrier_results == []
 
     def test_frame_stops_once_complete(self, pipeline):
         channel_uses = make_channel_uses(10, seed=5)
         frame = pipeline.decode_frame(channel_uses, frame_size_bytes=1,
-                                      random_state=6)
+                                      random_state=6).frame
         # 8 frame bits need two 6-bit channel uses; accumulation stops there.
         assert frame.bits_accumulated <= 12
 

@@ -89,8 +89,8 @@ def report_payload(report):
 def frame_payload(result):
     """Canonical payload of a :class:`FrameResult` for digesting."""
     return {
-        "bits_accumulated": result.bits_accumulated,
-        "bit_errors": result.bit_errors(),
+        "bits_accumulated": result.frame.bits_accumulated,
+        "bit_errors": result.frame.bit_errors(),
         "total_compute_time_us": result.total_compute_time_us,
         "subcarriers": report_payload(result),
     }

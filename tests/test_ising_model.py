@@ -96,12 +96,6 @@ class TestIsingModel:
         assert rebuilt.couplings == ising.couplings
         np.testing.assert_array_equal(rebuilt.linear, ising.linear)
 
-    def test_neighbours_symmetric(self):
-        adjacency = self.make().neighbours()
-        assert adjacency[0][1] == 1.0
-        assert adjacency[1][0] == 1.0
-        assert adjacency[2][1] == -0.5
-
     def test_max_abs_coefficient(self):
         assert self.make().max_abs_coefficient == 1.0
 

@@ -35,8 +35,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.cran.faults import FaultPlan
 from repro.cran.jobs import DecodeJob
-from repro.cran.scheduler import DecodeBatch
 from repro.cran.service import CranService
 from repro.cran.tracing import (
     EVENT_JOB_ADMIT,
@@ -47,11 +47,9 @@ from repro.cran.tracing import (
     EVENT_PACK_FLUSH,
     EVENT_PACK_START,
     JOB_STAGES,
-    TraceRecorder,
     job_timelines,
     pack_spans,
 )
-from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
 
@@ -253,39 +251,30 @@ class TestTracingKnob:
 
 
 class TestShedTracing:
-    def test_pool_overload_sheds_carry_stage_and_no_completion(self,
-                                                               decoder):
+    def test_retry_budget_sheds_carry_stage_and_no_completion(self,
+                                                              decoder):
         jobs = make_jobs([(50.0, 0, math.inf) for _ in range(6)])
-        trace = TraceRecorder()
-        pool = WorkerPool(decoder, num_workers=1, autostart=False,
-                          queue_capacity=1, overload_policy="shed",
-                          trace=trace)
+        # Seed 8 fails the second and third of the three full packs with an
+        # injected decode error; with no retry budget their jobs shed.
+        plan = FaultPlan(seed=8, decode_error_rate=0.5)
+        assert [plan.pack_fault(index) is not None
+                for index in range(3)] == [False, True, True]
+        report = CranService(decoder, max_batch=2, tracing=True,
+                             fault_plan=plan).run(jobs)
 
-        def batch(members, stamp):
-            return DecodeBatch(jobs=tuple(members),
-                               flush_time_us=stamp, reason="full")
-
-        # With no worker draining, the second and third packs overflow the
-        # one-batch queue and shed deterministically.
-        assert pool.submit(batch(jobs[0:2], 10.0))
-        assert not pool.submit(batch(jobs[2:4], 20.0))
-        assert not pool.submit(batch(jobs[4:6], 30.0))
-        pool.start()
-        pool.close()
-
-        timelines = job_timelines(trace.events())
-        shed_ids = {job.job_id for job in pool.shed_jobs}
+        timelines = job_timelines(report.trace)
+        shed_ids = {job.job_id for job in report.shed_jobs}
         assert shed_ids == {2, 3, 4, 5}
         for job_id, timeline in timelines.items():
             if job_id in shed_ids:
                 assert timeline.shed and timeline.shed_count == 1
-                assert timeline.shed_stage == "pool"
+                assert timeline.shed_stage == "retry_budget"
                 assert not timeline.completed
             else:
                 assert timeline.completed and not timeline.shed
         # Shed packs never get start/complete span events.
-        shed_events = [e for e in trace.events() if e.name == EVENT_JOB_SHED]
-        assert {e.attrs["stage"] for e in shed_events} == {"pool"}
-        started = {e.pack_id for e in trace.events()
+        shed_events = [e for e in report.trace if e.name == EVENT_JOB_SHED]
+        assert {e.attrs["stage"] for e in shed_events} == {"retry_budget"}
+        started = {e.pack_id for e in report.trace
                    if e.name == EVENT_PACK_START}
         assert started == {0}

@@ -1060,8 +1060,7 @@ class TestShardedServing:
         counter packs over the one helper pool, the switch interval cut so
         the GIL changes hands mid-call: bits equal inline serving."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
-        jobs = [replace(job, rng_mode="counter", threads=1)
-                for job in qpsk_jobs(64)]
+        jobs = [replace(job, rng_mode="counter") for job in qpsk_jobs(64)]
         expected = serve_in_packs(jobs)
         served, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

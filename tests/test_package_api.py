@@ -150,7 +150,7 @@ jobs = tuple(DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
                        arrival_time_us=0.0, deadline_us=1e6, seed=100 + i)
              for i in range(4))
 pool = WorkerPool(decoder)
-assert pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
+pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
 sampler, = decoder.annealer._sampler_cache.values()
 print(json.dumps({
     "bits": [done.result.detection.bits.tolist() for done in pool.results()],
@@ -272,19 +272,25 @@ class TestServingOptionSurface:
     SURFACE = {
         "CranService": {
             "decoder", "threads", "max_batch", "max_wait_us", "adaptive_wait",
-            "decode_time_model", "num_workers", "mode", "tracing",
-            "fault_plan", "max_retries", "restart_budget", "brownout"},
+            "num_workers", "mode", "tracing", "fault_plan", "max_retries",
+            "restart_budget", "brownout"},
         "WorkerPool": {
-            "decoder", "num_workers", "mode", "queue_capacity",
-            "overload_policy", "telemetry", "trace", "autostart", "faults",
+            "decoder", "num_workers", "mode", "telemetry", "trace", "faults",
             "restart_budget", "threads"},
+        "DecodeJob": {
+            "job_id", "user_id", "frame", "subcarrier", "channel_use",
+            "arrival_time_us", "deadline_us", "seed", "retries", "rng_mode"},
+        "decode_time_model_for": {"decoder"},
+        "online_decode_time_model": {"telemetry", "fallback", "overhead_us"},
         "TelemetryRecorder": set(),
         "IngressGateway": {
             "service", "admission_limit", "per_cell_limit",
             "overload_policy"},
         "TraceRecorder": set(),
-        "QuAMaxDecoder": {
-            "annealer", "parameters", "random_state", "rng", "threads"},
+        "QuAMaxDecoder": {"annealer", "parameters", "random_state"},
+        "QuAMaxDecoder.detect_batch": {
+            "channel_uses", "parameters", "random_state", "random_states",
+            "rng", "threads"},
         "QuantumAnnealerSimulator.run_batch": {
             "logical_isings", "parameters", "random_states", "random_state",
             "embedding", "rng", "threads"},
@@ -318,14 +324,16 @@ class TestServingOptionSurface:
     def resolve(name):
         """The class, method or function *name* (``Owner.method`` or a
         bare name), from the package or module that defines it."""
-        from repro import annealer, cran, experiments
+        from repro import annealer, cran, decoder, detectors, experiments
         from repro.annealer import embedded
+        from repro.cran import service
         from repro.transform import ising_coeffs
 
         owner, _, method = name.partition(".")
         target = next(getattr(package, owner)
-                      for package in (cran, annealer, embedded, experiments,
-                                      ising_coeffs, repro)
+                      for package in (cran, service, annealer, embedded,
+                                      experiments, ising_coeffs, decoder,
+                                      detectors, repro)
                       if hasattr(package, owner))
         return getattr(target, method) if method else target
 
@@ -343,8 +351,14 @@ class TestServingOptionSurface:
         ("CranService", "queue_capacity"), ("CranService", "overload_policy"),
         ("CranService", "telemetry_window"),
         ("CranService", "trace_wall_time"),
-        ("CranService", "decoder_factory"), ("WorkerPool", "mp_context"),
+        ("CranService", "decoder_factory"),
+        ("CranService", "decode_time_model"), ("WorkerPool", "mp_context"),
         ("WorkerPool", "collect_failures"), ("WorkerPool", "decoder_factory"),
+        ("WorkerPool", "queue_capacity"), ("WorkerPool", "overload_policy"),
+        ("WorkerPool", "autostart"), ("QuAMaxDecoder", "rng"),
+        ("QuAMaxDecoder", "threads"), ("DecodeJob", "threads"),
+        ("decode_time_model_for", "margin"),
+        ("online_decode_time_model", "margin"),
         ("TraceRecorder", "wall_time"), ("TelemetryRecorder", "window"),
         ("TelemetryRecorder", "decode_time_alpha"),
         ("TelemetryRecorder", "decode_time_min_samples"),
@@ -361,12 +375,16 @@ class TestServingOptionSurface:
         "IngressGateway.submit_async", "WorkerPool.steal_count",
         "EDFBatchScheduler.next_due_us", "EDFBatchScheduler.jobs_submitted",
         "EDFBatchScheduler.jobs_flushed", "DecodeJob.laxity_us",
-        "PoissonTrafficGenerator.offered_load_jobs_per_s",
+        "PoissonTrafficGenerator.offered_load_jobs_per_s", "WorkerPool.start",
+        "FrameResult.is_complete", "FrameResult.bits_accumulated",
+        "FrameResult.bit_errors", "FrameResult.is_errored",
+        "DetectionResult.bit_errors", "IsingModel.neighbours",
     ])
     def test_removed_serving_attribute_is_gone(self, name):
-        """The gateway is threads only, and each pool or scheduler figure
-        has one spelling: ``worker_info()``, the flushed packs, the job's
-        own deadline."""
+        """The gateway is threads only, a pool's workers start with it, and
+        each figure has one spelling: ``worker_info()``, the flushed packs,
+        the job's own deadline, ``FrameResult.frame``,
+        ``metrics.bit_errors``."""
         owner, _, attribute = name.partition(".")
         assert not hasattr(self.resolve(owner), attribute)
 
@@ -436,6 +454,105 @@ class TestServingOptionSurface:
                                  couplings={(0, 1): 1.0})
         with pytest.raises(TypeError, match=removed):
             self.SAMPLING_CALLS[name](ising, **{removed: "colour"})
+
+
+class TestServingConstants:
+    """What became constant when its keyword went: the pool's bound and
+    the decode-time models' headroom."""
+
+    @staticmethod
+    def small_decoder():
+        return repro.QuAMaxDecoder(
+            repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2)),
+            repro.AnnealerParameters(num_anneals=2))
+
+    @staticmethod
+    def jobs(count):
+        link = repro.MimoUplink(num_users=2, constellation="BPSK")
+        return [repro.DecodeJob(job_id=index, user_id=0, frame=0,
+                                subcarrier=index,
+                                channel_use=link.transmit(random_state=index),
+                                arrival_time_us=0.0, seed=index)
+                for index in range(count)]
+
+    def test_a_full_pool_blocks_at_queue_capacity_and_never_sheds(self):
+        import threading
+
+        from repro.cran.scheduler import DecodeBatch
+        from repro.cran.workers import QUEUE_CAPACITY
+
+        decoder = self.small_decoder()
+        taken, gate = threading.Semaphore(0), threading.Event()
+
+        class Held:
+            """Each pack waits at *gate* once its worker has taken it."""
+            annealer = decoder.annealer
+
+            def detect_batch(self, channel_uses, **kwargs):
+                taken.release()
+                gate.wait()
+                return decoder.detect_batch(channel_uses, **kwargs)
+
+        pool = repro.WorkerPool(Held(), num_workers=1)
+        executor = pool._executor
+        blocked, wait = threading.Event(), executor._not_full.wait
+
+        def recording_wait(*args):
+            blocked.set()
+            return wait(*args)
+
+        executor._not_full.wait = recording_wait
+        packs = [DecodeBatch(jobs=(job,), flush_time_us=0.0, reason="full")
+                 for job in self.jobs(QUEUE_CAPACITY + 2)]
+        submitted = []
+
+        def produce():
+            for index, pack in enumerate(packs):
+                pool.submit(pack)
+                submitted.append(index)
+                if index == 0:  # the one worker now holds pack 0
+                    assert taken.acquire(timeout=60)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        assert blocked.wait(timeout=60)
+        # One pack in the worker and QUEUE_CAPACITY queued: the next blocks.
+        assert len(submitted) == QUEUE_CAPACITY + 1
+        assert executor._pending == QUEUE_CAPACITY
+        gate.set()
+        producer.join(timeout=60)
+        assert not producer.is_alive()
+        pool.close()
+        assert len(submitted) == len(packs)
+        assert len(pool.results()) == len(packs)
+        assert pool.shed_jobs == [] and pool.telemetry.jobs_shed == 0
+
+    def test_both_decode_time_models_carry_the_margin(self, monkeypatch):
+        from repro.cran import service
+        from repro.cran.scheduler import DecodeBatch
+        from repro.cran.telemetry import (DECODE_TIME_MIN_SAMPLES,
+                                          TelemetryRecorder)
+
+        decoder, jobs = self.small_decoder(), self.jobs(3)
+        telemetry = TelemetryRecorder()
+        pool = repro.WorkerPool(decoder, telemetry=telemetry)
+        for _ in range(DECODE_TIME_MIN_SAMPLES):  # trust the EWMA
+            pool.submit(DecodeBatch(jobs=tuple(jobs), flush_time_us=0.0,
+                                    reason="full"))
+
+        def priced():
+            return [model(jobs) for model in (
+                service.decode_time_model_for(decoder),
+                service.online_decode_time_model(
+                    telemetry, lambda members: 0.0, overhead_us=1.0))]
+
+        assert service.DECODE_TIME_MARGIN == 0.1
+        with_margin = priced()
+        monkeypatch.setattr(service, "DECODE_TIME_MARGIN", 0.0)
+        bare = priced()
+        assert all(value > 0.0 for value in bare)
+        assert with_margin == pytest.approx(
+            [value * 1.1 for value in bare], rel=1e-12)
 
 
 class TestConstants:
