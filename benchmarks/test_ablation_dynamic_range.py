@@ -27,7 +27,7 @@ def _run_ablation(bench_config):
                 r.outcome.run.ground_state_probability(r.ground_truth_energy)
                 for r in records])),
             "broken_chains": float(np.mean([
-                r.outcome.run.unembedding.broken_fraction for r in records])),
+                r.outcome.run.broken_chain_fraction for r in records])),
         }
     return outcomes
 

@@ -6,14 +6,10 @@ sample as a decoding failure, quantifying how much the vote recovers when the
 chain strength is deliberately set low enough for chains to break.
 """
 
-import numpy as np
-
 from benchmarks.common import run_once
 
-from repro.annealer.unembed import unembed_samples
 from repro.experiments.config import MimoScenario
 from repro.experiments.runner import ScenarioRunner
-from repro.ising.solver import aggregate_samples
 
 
 def _run_ablation(bench_config):
@@ -23,31 +19,23 @@ def _run_ablation(bench_config):
     parameters = runner.default_parameters(chain_strength=1.0,
                                            extended_range=False)
     total = {"majority_errors": 0, "discard_errors": 0, "broken": 0.0,
-             "discarded_fraction": 0.0, "instances": 0}
+             "instances": 0}
     for record in runner.run_scenario(scenario, parameters):
         run = record.outcome.run
         reduced = record.outcome.reduced
         total["majority_errors"] += record.bit_errors
-        total["broken"] += run.unembedding.broken_fraction
+        total["broken"] += run.broken_chain_fraction
         total["instances"] += 1
 
-        # Re-run the decoding decision while discarding broken-chain reads:
-        # recompute per-read logical samples and drop any read whose chains
-        # disagree, then decode from the best surviving read.
-        embedded = run.embedded
-        chains = embedded.compact_chains
-        # Reconstruct per-read physical samples is not retained by the run, so
-        # emulate the discard policy on the logical solutions: a solution is
-        # kept only with probability (1 - broken_fraction); if every read is
-        # dropped the instance counts as fully errored.
-        survivors = run.solutions
-        if run.unembedding.broken_fraction >= 1.0:
+        # The run keeps no per-read physical samples, so the discard policy
+        # is emulated on the logical solutions: if every read had a broken
+        # chain the instance counts as fully errored, else it decodes from
+        # the best read.
+        if run.broken_chain_fraction >= 1.0:
             total["discard_errors"] += reduced.num_variables
-            total["discarded_fraction"] += 1.0
         else:
-            best = survivors.best_sample
-            total["discard_errors"] += reduced.bit_errors(best)
-            total["discarded_fraction"] += run.unembedding.broken_fraction
+            total["discard_errors"] += reduced.bit_errors(
+                run.solutions.best_sample)
     return total
 
 

@@ -75,7 +75,7 @@ def evaluate_size(num_users: int, modulation: str, snr_db: float,
     for channel_use, qa_outcome in zip(channel_uses, qa_outcomes):
         qa_errors += np.count_nonzero(qa_outcome.detection.bits
                                       != channel_use.transmitted_bits)
-        qa_time += qa_outcome.compute_time_us
+        qa_time += qa_outcome.run.compute_time_us
 
     constellation_size = link.constellation.size
     return {

@@ -45,8 +45,9 @@ def main() -> None:
     print(f"  bit errors     : "
           f"{np.count_nonzero(quamax_bits != channel_use.transmitted_bits)}")
     print(f"  anneals        : {outcome.run.num_anneals}")
-    print(f"  compute time   : {outcome.compute_time_us:.1f} us (amortised)")
-    print(f"  P(ground state): {outcome.ground_state_probability:.2f}")
+    print(f"  compute time   : {outcome.run.compute_time_us:.1f} us "
+          "(amortised)")
+    print(f"  P(ground state): {outcome.run.ground_state_probability():.2f}")
 
     # Classical references.
     ml_bits = ExhaustiveMLDetector().detect(channel_use).bits

@@ -44,7 +44,7 @@ def run_modulation(modulation: str, trace_channel: TraceChannel,
                                       != channel_use.transmitted_bits))
         total_errors += errors
         total_bits += channel_use.num_bits
-        total_time_us += outcome.compute_time_us
+        total_time_us += outcome.run.compute_time_us
         frame.add(channel_use.transmitted_bits, outcome.detection.bits)
 
     print(f"{modulation:>6}: BER {total_errors / total_bits:.4f} over "

@@ -17,7 +17,7 @@ from repro.annealer.ice import ICEModel
 from repro.annealer.schedule import AnnealSchedule
 from repro.annealer.machine import AnnealerParameters, AnnealResult, QuantumAnnealerSimulator
 from repro.annealer.parallel import parallelization_factor
-from repro.annealer.unembed import UnembeddingReport, unembed_samples
+from repro.annealer.unembed import unembed_samples
 
 __all__ = [
     "ChimeraGraph",
@@ -35,6 +35,5 @@ __all__ = [
     "AnnealResult",
     "QuantumAnnealerSimulator",
     "parallelization_factor",
-    "UnembeddingReport",
     "unembed_samples",
 ]

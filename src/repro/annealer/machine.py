@@ -34,22 +34,14 @@ from repro.annealer.chimera import ChimeraGraph
 # embed_ising, unembed_samples and aggregate_samples are the per-problem
 # spellings of the pack stages run_batch calls; they stay importable from
 # here (benchmarks/e2e/spans.py wraps them in this namespace by name).
-from repro.annealer.embedded import (  # noqa: F401
-    EmbeddedIsing,
-    embed_ising,
-    embed_pack,
-)
+from repro.annealer.embedded import embed_ising, embed_pack  # noqa: F401
 from repro.annealer.backends import RNG_MODES
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import BlockDiagonalSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.parallel import parallelization_factor
 from repro.annealer.schedule import AnnealSchedule
-from repro.annealer.unembed import (  # noqa: F401
-    UnembeddingReport,
-    unembed_pack,
-    unembed_samples,
-)
+from repro.annealer.unembed import unembed_pack, unembed_samples  # noqa: F401
 from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import (  # noqa: F401
@@ -109,16 +101,13 @@ class AnnealResult:
 
     #: Distinct logical samples with energies and occurrence counts.
     solutions: SolverResult
-    #: The embedded problem that was programmed.
-    embedded: EmbeddedIsing
     #: Parameters of the run.
     parameters: AnnealerParameters
-    #: Chain-break statistics of the unembedding pass.
-    unembedding: UnembeddingReport
     #: Per-instance parallelization factor available on this chip.
     parallelization: float
-    #: Logical Ising problem the energies refer to.
-    logical_ising: IsingModel
+    #: Fraction of (read, chain) pairs whose spins disagreed before the
+    #: majority vote.
+    broken_chain_fraction: float
 
     # ------------------------------------------------------------------ #
     @property
@@ -408,7 +397,7 @@ class QuantumAnnealerSimulator:
                                   ice=self.ice,
                                   ice_batch_size=self.ice_batch_size)
 
-        logical_spins, unembedding = unembed_pack(plan, physical, rngs)
+        logical_spins, broken = unembed_pack(plan, physical, rngs)
         solutions = aggregate_pack(embedded.logical, logical_spins)
 
         if cache_key is not None:
@@ -421,17 +410,8 @@ class QuantumAnnealerSimulator:
             total_qubits=self.num_qubits,
             shore_size=self.topology.shore_size,
         )
-        return [
-            AnnealResult(
-                solutions=solutions[index],
-                embedded=embedded[index],
-                parameters=parameters,
-                unembedding=unembedding[index],
-                parallelization=factor,
-                logical_ising=embedded.logical[index],
-            )
-            for index in range(len(isings))
-        ]
+        return [AnnealResult(solutions_b, parameters, factor, broken_b)
+                for solutions_b, broken_b in zip(solutions, broken.tolist())]
 
     def __repr__(self) -> str:
         return (f"QuantumAnnealerSimulator(qubits={self.num_qubits}, "

@@ -9,8 +9,7 @@ decided by majority vote, with ties resolved at random.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,34 +19,15 @@ from repro.exceptions import AnnealerError
 from repro.utils.random import RandomState, ensure_rng
 
 
-@dataclass(frozen=True)
-class UnembeddingReport:
-    """Statistics of one unembedding pass over a batch of samples."""
-
-    #: Number of (sample, chain) pairs whose spins were not all in agreement.
-    broken_chains: int
-    #: Number of (sample, chain) pairs decided by a coin flip (exact ties).
-    tie_breaks: int
-    #: Total number of (sample, chain) pairs processed.
-    total_chains: int
-
-    @property
-    def broken_fraction(self) -> float:
-        """Fraction of chains that were broken."""
-        if self.total_chains == 0:
-            return 0.0
-        return self.broken_chains / self.total_chains
-
-
 def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
                  rngs: Sequence[np.random.Generator]
-                 ) -> Tuple[np.ndarray, List[UnembeddingReport]]:
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unembed the samples of a whole pack by majority vote.
 
     *physical_spins* holds, per sample row, the problems' compact physical
     spins side by side: shape ``(num_samples, problems * P)``.  Returns the
-    ``(problems, num_samples, num_logical)`` logical spins and one report
-    per problem.
+    ``(problems, num_samples, num_logical)`` logical spins and, per problem,
+    the fraction of (sample, chain) pairs whose spins disagreed.
 
     All chains' majority votes are integer sums, so they are one
     gather-and-reduce over the plan's flattened chain index (exact in any
@@ -60,7 +40,7 @@ def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
     """
     num_samples = physical_spins.shape[0]
     if backends.cext_available():
-        values, broken, ties, any_tie = backends.majority_vote(
+        values, broken, _, any_tie = backends.majority_vote(
             plan, physical_spins, len(rngs))
     else:
         lengths = np.diff(plan.chain_bounds)
@@ -71,8 +51,7 @@ def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
             plan.chain_bounds[:-1], axis=2)
         values = np.sign(sums).astype(np.int8)
         broken = np.count_nonzero(np.abs(sums) != lengths, axis=(1, 2))
-        ties = np.count_nonzero(values == 0, axis=(1, 2))
-        any_tie = ties.any()
+        any_tie = not values.all()
     if any_tie:
         tied = values == 0
         spin_choices = np.array([-1, 1], dtype=np.int8)
@@ -80,16 +59,12 @@ def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
             tie_mask = tied[problem, :, logical_index]
             values[problem, tie_mask, logical_index] = rngs[problem].choice(
                 spin_choices, size=int(np.count_nonzero(tie_mask)))
-    total = num_samples * plan.num_logical
-    return values, [
-        UnembeddingReport(broken_chains=int(broken_b), tie_breaks=int(ties_b),
-                          total_chains=total)
-        for broken_b, ties_b in zip(broken, ties)]
+    return values, broken / max(num_samples * plan.num_logical, 1)
 
 
 def unembed_samples(embedded: EmbeddedIsing, physical_spins,
                     random_state: RandomState = None
-                    ) -> Tuple[np.ndarray, UnembeddingReport]:
+                    ) -> Tuple[np.ndarray, float]:
     """Unembed a batch of physical samples into logical spins.
 
     Parameters
@@ -104,9 +79,10 @@ def unembed_samples(embedded: EmbeddedIsing, physical_spins,
 
     Returns
     -------
-    (logical_spins, report):
-        ``logical_spins`` has shape ``(num_samples, num_logical)``; the report
-        counts broken chains and tie breaks.
+    (logical_spins, broken_fraction):
+        ``logical_spins`` has shape ``(num_samples, num_logical)``;
+        ``broken_fraction`` is the share of (sample, chain) pairs whose spins
+        disagreed.
     """
     physical = np.asarray(physical_spins, dtype=np.int8)
     if physical.ndim != 2 or physical.shape[1] != embedded.num_physical:
@@ -114,6 +90,6 @@ def unembed_samples(embedded: EmbeddedIsing, physical_spins,
             f"physical_spins must have shape (num_samples, "
             f"{embedded.num_physical}), got {physical.shape}"
         )
-    logical, reports = unembed_pack(embedded.pack.plan, physical,
-                                    [ensure_rng(random_state)])
-    return logical[0], reports[0]
+    logical, broken = unembed_pack(embedded.pack.plan, physical,
+                                   [ensure_rng(random_state)])
+    return logical[0], float(broken[0])

@@ -90,7 +90,7 @@ class TelemetryRecorder:
         The online decode-time model is fed one observation per structure
         in the pack: its member count, and the pack's service time (all
         members share one start/finish) less the other structures' share —
-        in proportion to the members' ``compute_time_us``, i.e. to the chip
+        in proportion to the members' ``run.compute_time_us``, i.e. to the chip
         area they occupied — of what exceeds the per-pack *overhead_us*.
         A one-structure pack observes exactly its service time and size.
         """
@@ -103,7 +103,7 @@ class TelemetryRecorder:
         compute_us: Dict[StructureKey, List[float]] = {}  # per member
         for result in results:
             compute_us.setdefault(result.job.structure_key, []).append(
-                result.result.compute_time_us)
+                result.result.run.compute_time_us)
             self.jobs_completed += 1
             self._latencies_us.append(result.latency_us)
             self._queue_delays_us.append(result.queue_delay_us)

@@ -122,7 +122,7 @@ def _pack_service_us(decoder: QuAMaxDecoder, outcomes) -> float:
     inline, thread and process serving.
     """
     return (_pack_overhead_us(decoder, outcomes)
-            + sum(outcome.compute_time_us for outcome in outcomes))
+            + sum(outcome.run.compute_time_us for outcome in outcomes))
 
 
 def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
@@ -958,7 +958,7 @@ class WorkerPool:
                 # The service split every member shares: the pack's one
                 # programming/readout overhead vs its amortised compute.
                 overhead_us = service_us - sum(
-                    outcome.compute_time_us for outcome in outcomes)
+                    outcome.run.compute_time_us for outcome in outcomes)
                 self.trace.record(EVENT_PACK_COMPLETE, finish_us,
                                   pack_id=index, worker=machine,
                                   job_ids=job_ids, service_us=service_us,

@@ -35,11 +35,6 @@ class SubcarrierResult:
     result: QuAMaxDetectionResult
     bit_errors: Optional[int]
 
-    @property
-    def compute_time_us(self) -> float:
-        """Amortised compute time spent on this subcarrier (µs)."""
-        return self.result.compute_time_us
-
 
 @dataclass
 class PipelineReport:
@@ -55,7 +50,8 @@ class PipelineReport:
     @property
     def total_compute_time_us(self) -> float:
         """Total amortised compute time across subcarriers (µs)."""
-        return float(sum(r.compute_time_us for r in self.subcarrier_results))
+        return float(sum(r.result.run.compute_time_us
+                         for r in self.subcarrier_results))
 
     @property
     def total_bit_errors(self) -> Optional[int]:
@@ -99,7 +95,8 @@ class FrameResult:
     def total_compute_time_us(self) -> float:
         """Amortised QA compute time attributed to the frame (µs): the sum
         over the subcarriers whose bits entered the frame."""
-        return float(sum(r.compute_time_us for r in self.subcarrier_results))
+        return float(sum(r.result.run.compute_time_us
+                         for r in self.subcarrier_results))
 
 
 class OFDMDecodingPipeline:

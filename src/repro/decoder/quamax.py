@@ -11,9 +11,9 @@ pipeline for one channel use:
 4. unembed by majority vote and keep the lowest-energy logical solution;
 5. post-translate the QUBO bits into Gray-coded payload bits.
 
-The result exposes both the standard detector interface (symbols, bits,
-metric) and the QA-specific statistics (solution ranks, ground-state
-probability, compute time, TTB profile) needed by the evaluation harness.
+The result pairs the standard detector interface (symbols, bits, metric)
+with the QA run itself, whose solution ranks, ground-state probability and
+compute time the evaluation harness reads.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.annealer.machine import (
 from repro.detectors.base import DetectionResult, Detector
 from repro.exceptions import DetectionError
 from repro.ising.model import IsingPack, spins_to_bits
-from repro.metrics.ttb import InstanceSolutionProfile
 from repro.mimo.system import ChannelUse
 from repro.transform.qubo_builder import ml_metric_of_symbols
 from repro.transform.reduction import MLToIsingReducer, ReducedProblem
@@ -41,7 +40,12 @@ from repro.utils.random import RandomState, child_rngs, ensure_rng
 
 @dataclass(frozen=True)
 class QuAMaxDetectionResult:
-    """Detection result plus the quantum-annealing run that produced it."""
+    """Detection result plus the quantum-annealing run that produced it.
+
+    The run's figures are read from :attr:`run` (``run.compute_time_us``,
+    ``run.ground_state_probability()``); the TTB / TTF profile is
+    ``InstanceSolutionProfile.from_anneal_result(run, reduced)``.
+    """
 
     #: Standard detector-style result (symbols, Gray-coded bits, ML metric).
     detection: DetectionResult
@@ -49,23 +53,6 @@ class QuAMaxDetectionResult:
     reduced: ReducedProblem
     #: Raw annealer run statistics.
     run: AnnealResult
-
-    @property
-    def compute_time_us(self) -> float:
-        """Amortised pure compute time of the run (µs)."""
-        return self.run.compute_time_us
-
-    @property
-    def ground_state_probability(self) -> float:
-        """Per-anneal probability of the lowest energy observed in the run."""
-        return self.run.ground_state_probability()
-
-    def solution_profile(self) -> InstanceSolutionProfile:
-        """Energy-ranked solution profile for TTB / TTF computation.
-
-        Requires the originating channel use to carry ground-truth bits.
-        """
-        return InstanceSolutionProfile.from_anneal_result(self.run, self.reduced)
 
 
 class QuAMaxDecoder(Detector):
@@ -195,15 +182,14 @@ class QuAMaxDecoder(Detector):
                 random_states=[rngs[index] for index in indices],
                 rng=rng, threads=threads)
             assembled = self._assemble_pack(
-                [reduced[index] for index in indices], runs, parameters)
+                [reduced[index] for index in indices], runs)
             for index, result in zip(indices, assembled):
                 results[index] = result
         return results
 
     # ------------------------------------------------------------------ #
     def _assemble_pack(self, reduced: Sequence[ReducedProblem],
-                       runs: Sequence[AnnealResult],
-                       parameters: AnnealerParameters
+                       runs: Sequence[AnnealResult]
                        ) -> List[QuAMaxDetectionResult]:
         """:meth:`ReducedProblem.decode_spins` for the best read of every run
         of one QA job — the rows of one reduced pack, hence one
@@ -228,17 +214,9 @@ class QuAMaxDecoder(Detector):
             channel_use = problem.channel_use
             metric = ml_metric_of_symbols(
                 channel_use.channel, channel_use.received, symbols[row])
-            extra = {
-                "num_anneals": run.num_anneals,
-                "compute_time_us": run.compute_time_us,
-                "ground_state_probability": run.ground_state_probability(),
-                "broken_chain_fraction": run.unembedding.broken_fraction,
-                "chain_strength": parameters.chain_strength,
-                "extended_range": parameters.extended_range,
-            }
             results.append(QuAMaxDetectionResult(
                 DetectionResult.from_arrays(symbols[row], bits[row], metric,
-                                            self.name, extra),
+                                            self.name),
                 problem, run))
         return results
 

@@ -44,12 +44,12 @@ class DetectionResult:
 
     @classmethod
     def from_arrays(cls, symbols: np.ndarray, bits: np.ndarray, metric: float,
-                    detector: str, extra: Dict[str, Any]) -> "DetectionResult":
+                    detector: str) -> "DetectionResult":
         """Trusted construction: the caller guarantees 1-D ``complex128``
         symbols and 1-D ``uint8`` 0/1 bits; nothing is re-validated."""
         result = object.__new__(cls)
         result.__dict__.update(symbols=symbols, bits=bits, metric=metric,
-                               detector=detector, extra=extra)
+                               detector=detector, extra={})
         return result
 
 

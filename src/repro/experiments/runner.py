@@ -29,7 +29,8 @@ class InstanceRecord:
     @property
     def profile(self) -> InstanceSolutionProfile:
         """Energy-ranked solution profile of the run."""
-        return self.outcome.solution_profile()
+        return InstanceSolutionProfile.from_anneal_result(
+            self.outcome.run, self.outcome.reduced)
 
     @property
     def bit_errors(self) -> int:

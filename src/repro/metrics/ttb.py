@@ -18,7 +18,7 @@ target ``p``; TTF applies the same machinery to the frame error rate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -125,11 +125,45 @@ class InstanceSolutionProfile:
 
     def expected_fer(self, num_anneals: int, frame_size_bytes: int) -> float:
         """Expected FER after *num_anneals* anneals for a given frame size."""
-        ber = self.expected_ber(num_anneals)
-        ber = min(max(ber, 0.0), 1.0)
-        return frame_error_rate_from_ber(ber, frame_size_bytes)
+        return frame_error_rate_from_ber(self.expected_ber(num_anneals),
+                                         frame_size_bytes)
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _fewest_anneals(expected: Callable[[int], float], target: float,
+                        max_anneals: int, floor: float = 0.0
+                        ) -> Optional[int]:
+        """Smallest anneal count whose *expected* error rate is at or below
+        *target*: doubling up to *max_anneals*, then bisection.  ``None``
+        when the doubling passes *max_anneals*, or when a single anneal
+        misses the target and the asymptotic *floor* exceeds it."""
+        max_anneals = check_integer_in_range("max_anneals", max_anneals,
+                                             minimum=1)
+        if expected(1) <= target:
+            return 1
+        if floor > target:
+            return None
+        low, high = 1, 1
+        while expected(high) > target:
+            high *= 2
+            if high > max_anneals:
+                return None
+        while low + 1 < high:
+            middle = (low + high) // 2
+            if expected(middle) <= target:
+                high = middle
+            else:
+                low = middle
+        return high
+
+    def _time_for(self, anneals: Optional[int],
+                  use_parallelization: bool) -> float:
+        """Time (µs) of *anneals* anneals; ``inf`` when unreachable."""
+        if anneals is None:
+            return float("inf")
+        factor = self.parallelization if use_parallelization else 1.0
+        return anneals * self.anneal_duration_us / factor
+
     def anneals_to_ber(self, target_ber: float,
                        max_anneals: int = 10_000_000) -> Optional[int]:
         """Smallest anneal count whose expected BER is at or below the target.
@@ -138,33 +172,15 @@ class InstanceSolutionProfile:
         floor of the profile exceeds the target).
         """
         target_ber = check_probability("target_ber", target_ber)
-        max_anneals = check_integer_in_range("max_anneals", max_anneals, minimum=1)
-        if self.expected_ber(1) <= target_ber:
-            return 1
-        if self.floor_ber > target_ber:
-            return None
-        low, high = 1, 1
-        while self.expected_ber(high) > target_ber:
-            high *= 2
-            if high > max_anneals:
-                return None
-        while low + 1 < high:
-            middle = (low + high) // 2
-            if self.expected_ber(middle) <= target_ber:
-                high = middle
-            else:
-                low = middle
-        return high
+        return self._fewest_anneals(self.expected_ber, target_ber,
+                                    max_anneals, floor=self.floor_ber)
 
     def time_to_ber(self, target_ber: float = constants.TARGET_BER,
                     max_anneals: int = 10_000_000,
                     use_parallelization: bool = True) -> float:
         """TTB(p): time (µs) to reach the target expected BER, ``inf`` if never."""
-        anneals = self.anneals_to_ber(target_ber, max_anneals)
-        if anneals is None:
-            return float("inf")
-        factor = self.parallelization if use_parallelization else 1.0
-        return anneals * self.anneal_duration_us / factor
+        return self._time_for(self.anneals_to_ber(target_ber, max_anneals),
+                              use_parallelization)
 
     def time_to_fer(self, target_fer: float = constants.TARGET_FER,
                     frame_size_bytes: int = 1500,
@@ -173,24 +189,10 @@ class InstanceSolutionProfile:
         """TTF: time (µs) to reach the target expected FER, ``inf`` if never."""
         target_fer = check_probability("target_fer", target_fer)
         check_integer_in_range("frame_size_bytes", frame_size_bytes, minimum=1)
-        low_enough = None
-        if self.expected_fer(1, frame_size_bytes) <= target_fer:
-            low_enough = 1
-        else:
-            low, high = 1, 1
-            while self.expected_fer(high, frame_size_bytes) > target_fer:
-                high *= 2
-                if high > max_anneals:
-                    return float("inf")
-            while low + 1 < high:
-                middle = (low + high) // 2
-                if self.expected_fer(middle, frame_size_bytes) <= target_fer:
-                    high = middle
-                else:
-                    low = middle
-            low_enough = high
-        factor = self.parallelization if use_parallelization else 1.0
-        return low_enough * self.anneal_duration_us / factor
+        anneals = self._fewest_anneals(
+            lambda count: self.expected_fer(count, frame_size_bytes),
+            target_fer, max_anneals)
+        return self._time_for(anneals, use_parallelization)
 
 
 def expected_ber_after_anneals(probabilities: Sequence[float],

@@ -308,8 +308,9 @@ class TestBitExactnessUnderPacking:
                 assert ours.dtype == theirs.dtype
                 assert ours.shape == theirs.shape
                 assert ours.tobytes() == theirs.tobytes()
-            assert packed.run.unembedding == alone.run.unembedding
-            assert packed.compute_time_us == alone.compute_time_us
+            assert (packed.run.broken_chain_fraction
+                    == alone.run.broken_chain_fraction)
+            assert packed.run.compute_time_us == alone.run.compute_time_us
             np.testing.assert_array_equal(packed.detection.bits,
                                           alone.detection.bits)
             np.testing.assert_array_equal(packed.detection.symbols,

@@ -102,7 +102,7 @@ class TestWorkerPool:
         # One shared QA-job overhead plus the pack's amortised compute.
         expected_service = (
             decoder.annealer.overheads.total_us(10)
-            + sum(r.result.compute_time_us for r in results))
+            + sum(r.result.run.compute_time_us for r in results))
         assert first.start_time_us == 50.0
         assert first.finish_time_us == pytest.approx(50.0 + expected_service)
         # All jobs of a pack complete together.
@@ -436,8 +436,8 @@ class TestDecodeTimeEwma:
         results = pool.results()
         service_us = results[0].finish_time_us - results[0].start_time_us
         overhead_us = decoder.annealer.overheads.total_us(10)
-        bpsk_us = results[0].result.compute_time_us
-        qpsk_us = results[-1].result.compute_time_us
+        bpsk_us = results[0].result.run.compute_time_us
+        qpsk_us = results[-1].result.run.compute_time_us
         assert qpsk_us > bpsk_us  # a larger share of the chip
         # Each structure observed the overhead in full plus its members'
         # compute, and its own member count...
@@ -544,7 +544,8 @@ class TestChipLevelPacks:
         # every member's own amortised compute on top — to the last bit.
         start, = {result.start_time_us for result in results}
         finish, = {result.finish_time_us for result in results}
-        compute_us = [result.result.compute_time_us for result in results]
+        compute_us = [result.result.run.compute_time_us
+                      for result in results]
         num_anneals = decoder.parameters.num_anneals
         assert start == 20_000.0
         assert finish - start == (

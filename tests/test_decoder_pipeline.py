@@ -117,7 +117,7 @@ class TestFrameDecodeRunningEstimate:
         # Nothing past the exit point: 24 frame bits are four 6-bit uses.
         assert frame.num_decoded == len(frame.subcarrier_results) == 4
         assert frame.total_compute_time_us == sum(
-            outcome.compute_time_us for outcome in alone[:4])
+            outcome.run.compute_time_us for outcome in alone[:4])
         for index, (got, want) in enumerate(
                 zip(frame.subcarrier_results, alone)):
             assert got.subcarrier == index

@@ -68,11 +68,11 @@ class TestQuAMaxDecoding:
         assert isinstance(outcome.detection, DetectionResult)
         assert outcome.detection.detector == "quamax"
         assert outcome.run.num_anneals == 25
-        assert 0 <= outcome.ground_state_probability <= 1
-        assert outcome.compute_time_us > 0
-        extra = outcome.detection.extra
-        assert extra["num_anneals"] == 25
-        assert "broken_chain_fraction" in extra
+        assert 0 <= outcome.run.ground_state_probability() <= 1
+        assert outcome.run.compute_time_us > 0
+        assert 0 <= outcome.run.broken_chain_fraction <= 1
+        # The run's figures live on the run alone, not copied into extra.
+        assert outcome.detection.extra == {}
 
     def test_solution_profile_usable_for_ttb(self, noisy_machine):
         link = MimoUplink(num_users=6, constellation="BPSK")
@@ -81,7 +81,8 @@ class TestQuAMaxDecoding:
                                 AnnealerParameters(num_anneals=30),
                                 random_state=2)
         outcome = decoder.detect_with_run(channel_use)
-        profile = outcome.solution_profile()
+        profile = InstanceSolutionProfile.from_anneal_result(outcome.run,
+                                                             outcome.reduced)
         assert isinstance(profile, InstanceSolutionProfile)
         assert profile.num_bits == channel_use.num_bits
         assert np.isfinite(profile.expected_ber(10))
@@ -132,21 +133,13 @@ class TestQuAMaxDecoding:
 # --------------------------------------------------------------------------- #
 # Result assembly: the pack pass against the per-job oracle
 # --------------------------------------------------------------------------- #
-def oracle_detection(outcome, parameters):
+def oracle_detection(outcome):
     """The per-job assembly ``_assemble_pack`` replaced: one
     ``decode_spins`` and one validating ``DetectionResult`` per run."""
-    run = outcome.run
-    bits, symbols, metric = outcome.reduced.decode_spins(run.solutions.best_sample)
-    return DetectionResult(
-        symbols=symbols, bits=bits, metric=metric, detector="quamax",
-        extra={
-            "num_anneals": run.num_anneals,
-            "compute_time_us": run.compute_time_us,
-            "ground_state_probability": run.ground_state_probability(),
-            "broken_chain_fraction": run.unembedding.broken_fraction,
-            "chain_strength": parameters.chain_strength,
-            "extended_range": parameters.extended_range,
-        })
+    bits, symbols, metric = outcome.reduced.decode_spins(
+        outcome.run.solutions.best_sample)
+    return DetectionResult(symbols=symbols, bits=bits, metric=metric,
+                           detector="quamax")
 
 
 def assert_detection_identical(got, want):
@@ -187,7 +180,7 @@ class TestPackAssembly:
         assert len(outcomes) == count
         for outcome in outcomes:
             assert_detection_identical(outcome.detection,
-                                       oracle_detection(outcome, parameters))
+                                       oracle_detection(outcome))
 
     @pytest.mark.parametrize("constellation,num_users", [
         ("BPSK", 6), ("QPSK", 3), ("16-QAM", 2), ("64-QAM", 1),
@@ -215,14 +208,11 @@ class TestPackAssembly:
                 assert (a.dtype, a.shape) == (b.dtype, b.shape)
                 assert a.tobytes() == b.tobytes()
             reference = MLToIsingReducer().reduce(channel_use).ising
-            for problem in (outcome.reduced.ising,
-                            outcome.run.logical_ising):
-                assert (problem.linear.tobytes()
-                        == reference.linear.tobytes())
-                assert (problem.coupling_values.tobytes()
-                        == reference.coupling_values.tobytes())
-                assert problem.offset == reference.offset
-            assert outcome.run.logical_ising is outcome.reduced.ising
+            problem = outcome.reduced.ising
+            assert problem.linear.tobytes() == reference.linear.tobytes()
+            assert (problem.coupling_values.tobytes()
+                    == reference.coupling_values.tobytes())
+            assert problem.offset == reference.offset
 
     def test_single_run_is_the_pack_of_one(self, noisy_machine):
         parameters = AnnealerParameters(num_anneals=20)
@@ -230,9 +220,8 @@ class TestPackAssembly:
         channel_use, = transmissions("16-QAM", 2, 1, seed=42)
         outcome = decoder.detect_with_run(channel_use, random_state=43)
         assert_detection_identical(outcome.detection,
-                                   oracle_detection(outcome, parameters))
-        again, = decoder._assemble_pack([outcome.reduced], [outcome.run],
-                                        parameters)
+                                   oracle_detection(outcome))
+        again, = decoder._assemble_pack([outcome.reduced], [outcome.run])
         assert_detection_identical(again.detection, outcome.detection)
 
     def test_one_group_mixing_constellations(self, noisy_machine):
@@ -253,6 +242,6 @@ class TestPackAssembly:
             assert outcome.reduced.channel_use is channel_use
             assert outcome.detection.symbols.size == channel_use.num_tx
             assert_detection_identical(outcome.detection,
-                                       oracle_detection(outcome, parameters))
+                                       oracle_detection(outcome))
             alone = decoder.detect_with_run(channel_use, random_state=seed)
             assert_detection_identical(outcome.detection, alone.detection)

@@ -99,7 +99,8 @@ class TestFullQuamaxPipeline:
             AnnealerParameters(schedule=AnnealSchedule(1.0, 1.0), num_anneals=60),
             random_state=0)
         outcome = decoder.detect_with_run(channel_use)
-        profile = outcome.solution_profile()
+        profile = InstanceSolutionProfile.from_anneal_result(outcome.run,
+                                                             outcome.reduced)
         ttb = profile.time_to_ber(1e-6)
         assert np.isfinite(ttb)
         assert ttb >= profile.anneal_duration_us / profile.parallelization

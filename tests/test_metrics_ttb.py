@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import MetricsError
+from repro.exceptions import ConfigurationError, MetricsError
 from repro.metrics.ttb import (
     InstanceSolutionProfile,
     expected_ber_after_anneals,
@@ -120,6 +120,20 @@ class TestTimeToBer:
     def test_max_anneals_cap(self):
         profile = make_profile([1e-4, 1.0 - 1e-4], [0, 5], num_bits=10)
         assert profile.time_to_ber(1e-9, max_anneals=10) == np.inf
+        assert profile.time_to_fer(1e-9, frame_size_bytes=50,
+                                   max_anneals=10) == np.inf
+
+    @pytest.mark.parametrize("max_anneals", [0, -5])
+    def test_a_cap_below_one_anneal_is_rejected_by_ttb_and_ttf(
+            self, max_anneals):
+        """Both searches validate the cap alike; one anneal misses the
+        target here, so an unchecked cap would read as ``inf``."""
+        profile = make_profile([0.5, 0.5], [0, 2], num_bits=10)
+        with pytest.raises(ConfigurationError, match="max_anneals"):
+            profile.time_to_ber(1e-3, max_anneals=max_anneals)
+        with pytest.raises(ConfigurationError, match="max_anneals"):
+            profile.time_to_fer(1e-3, frame_size_bytes=50,
+                                max_anneals=max_anneals)
 
     def test_wrapper_functions(self):
         profile = make_profile([0.5, 0.5], [0, 2], num_bits=10)

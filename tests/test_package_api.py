@@ -1,6 +1,7 @@
 """Tests for the top-level package API and the constants module."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -87,7 +88,7 @@ class TestPublicApi:
             "embedding_qubit_counts", "EmbeddedIsing", "embed_ising",
             "ICEModel", "AnnealSchedule", "AnnealerParameters", "AnnealResult",
             "QuantumAnnealerSimulator", "parallelization_factor",
-            "UnembeddingReport", "unembed_samples"},
+            "unembed_samples"},
         "repro.obs": {
             "read_jsonl", "to_chrome_trace", "to_jsonl", "write_chrome_trace",
             "write_jsonl", "build_report", "render"},
@@ -454,6 +455,66 @@ class TestServingOptionSurface:
                                  couplings={(0, 1): 1.0})
         with pytest.raises(TypeError, match=removed):
             self.SAMPLING_CALLS[name](ising, **{removed: "colour"})
+
+
+class TestResultShape:
+    """One copy of each per-job fact: the run's figures live on
+    ``AnnealResult`` alone, and nothing above it forwards or copies them."""
+
+    FIELDS = {
+        "AnnealResult": {"solutions", "parameters", "parallelization",
+                         "broken_chain_fraction"},
+        "QuAMaxDetectionResult": {"detection", "reduced", "run"},
+    }
+
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        """One subcarrier through the pipeline's ``detect_batch``."""
+        decoder = repro.QuAMaxDecoder(
+            repro.QuantumAnnealerSimulator(repro.ChimeraGraph.ideal(2, 2)),
+            repro.AnnealerParameters(num_anneals=4))
+        use = repro.MimoUplink(num_users=2, constellation="BPSK").transmit(
+            random_state=0)
+        report = repro.OFDMDecodingPipeline(decoder).decode_subcarriers(
+            [use], random_state=1)
+        return report.subcarrier_results[0]
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_field_set_is_exact(self, name):
+        from repro.decoder import QuAMaxDetectionResult
+
+        owner = {"AnnealResult": repro.AnnealResult,
+                 "QuAMaxDetectionResult": QuAMaxDetectionResult}[name]
+        assert {field.name for field in dataclasses.fields(owner)} == (
+            self.FIELDS[name])
+
+    @pytest.mark.parametrize("owner, attribute", [
+        ("run", "embedded"), ("run", "logical_ising"), ("run", "unembedding"),
+        ("outcome", "compute_time_us"),
+        ("outcome", "ground_state_probability"),
+        ("outcome", "solution_profile"), ("subcarrier", "compute_time_us"),
+    ])
+    def test_removed_result_attribute_is_gone(self, decoded, owner,
+                                              attribute):
+        target = {"subcarrier": decoded, "outcome": decoded.result,
+                  "run": decoded.result.run}[owner]
+        assert not hasattr(target, attribute)
+
+    @pytest.mark.parametrize("module", [
+        "repro.annealer", "repro.annealer.machine", "repro.annealer.unembed"])
+    def test_unembedding_report_is_gone(self, module):
+        assert not hasattr(importlib.import_module(module),
+                           "UnembeddingReport")
+
+    def test_the_run_carries_the_figures_and_extra_copies_none(self,
+                                                               decoded):
+        run = decoded.result.run
+        assert decoded.result.detection.extra == {}
+        assert run.compute_time_us == (run.num_anneals
+                                       * run.anneal_duration_us
+                                       / run.parallelization)
+        assert 0.0 <= run.broken_chain_fraction <= 1.0
+        assert 0.0 < run.ground_state_probability() <= 1.0
 
 
 class TestServingConstants:

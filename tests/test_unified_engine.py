@@ -358,7 +358,8 @@ class TestRunBatch:
         for problem, child, result in zip(problems, serial_children, batch):
             serial = machine.run(problem, parameters, random_state=child)
             assert solver_results_equal(serial.solutions, result.solutions)
-            assert serial.unembedding == result.unembedding
+            assert (serial.broken_chain_fraction
+                    == result.broken_chain_fraction)
             assert serial.parallelization == result.parallelization
 
     def test_batch_rejects_mixed_sizes(self, machine):
