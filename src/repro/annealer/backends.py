@@ -4,23 +4,21 @@ The engine's sweep kernel (colour-class, see :mod:`repro.annealer.engine`)
 is exact single-spin-flip Metropolis dynamics whose *hot loop* is a Python
 ``for`` over colour classes; embedded (chain-coupled) problems additionally
 interleave a cluster-flip sweep — a collective chain-reorientation move —
-after every single-spin sweep.  This module provides drop-in compiled
-implementations of those inner loops.  Which of the two runs is a fact
-about the box, not a setting:
+after every single-spin sweep.  Which implementation runs is a fact about
+the box, not a setting:
 
 * ``"cext"`` — a small C kernel compiled on first use with the system C
   compiler and driven through :mod:`ctypes`, wherever it builds and loads
   (:func:`cext_available`, the one probe the sweep and every pack stage
   read).  It draws from the caller's generator through the BitGenerator's
-  ``next_double`` function pointer (the extension point NumPy publishes for
-  C and Cython), so it consumes the exact draw stream of the reference
-  loops;
+  published ``bitgen_t``, so it consumes the exact draw stream of the
+  reference loops;
 * ``"numpy"`` — the pure NumPy/Python reference loops in ``engine.py``
   (the behavioural definition of the dynamics), which a box without a C
   compiler runs.
 
-The batch call is the sweep boundary
-------------------------------------
+The batch call is the boundary
+------------------------------
 
 Every anneal crosses into C as one call of :func:`pack_ice_batches` per
 range of blocks: it takes a whole *pack* (the combined ``(R, blocks*P)``
@@ -28,109 +26,68 @@ spin matrix of a :class:`~repro.annealer.engine.BlockDiagonalSampler`)
 through its ICE batches — no ICE is one noise-free batch — and per batch
 and block runs the ICE draws (NumPy's ``random_normal`` from
 ``libnpyrandom.a``, which the build links), the gathers, the start and the
-whole temperature schedule of either draw discipline: per temperature and
-block, one single-spin sweep followed by one cluster-flip sweep.  Every
-other shape is a degenerate case of that one rather than a kernel of its
-own — a single problem is a pack of one block, and a sampler without
-clusters hands over an *empty* :class:`ClusterDescriptor`, whose cluster
-pass runs zero iterations and draws nothing, so the per-block draw stream
-is exactly the plain single-spin stream.  Cluster moves travel across the
-boundary as that flattened descriptor — member/column/internal-edge
-CSR-style structure arrays shared by the blocks plus stacked per-block
-values.  Behind the batch call, one large sequential block sweeps as two
-lane halves (``lane_half_sweep``, :func:`_lane_half_call`), and when a
-split does not happen as the one-thread colour routine
-(``pack_fused_colour_cluster_sweep``).  Beside it the artefact exports the
-exact stages on either side of a machine job's anneal, one call each per
-pack: :func:`embed_direct` programs a pack, :func:`majority_vote` and
-:func:`distinct_reads` read its samples out, and :func:`csr_pack_matvecs`
-(scipy's CSR product, exactly) is its energy operator — so a process
-serving on cext never imports scipy; the numpy reference loops, and the
-read-out without a compiler, import it where they build its operators.
-Each is byte for byte the NumPy pass a box without a compiler runs.
+whole temperature schedule: per temperature and block, one single-spin
+sweep followed by one cluster-flip sweep.  A single problem is a pack of
+one block, and a sampler without clusters hands over an *empty*
+:class:`ClusterDescriptor`, whose cluster pass draws nothing.  A machine
+pack is *served* by the same call: before the first draw it programs the
+blocks from the logical problems (``embed_pack``'s passes over a
+collision-free plan) and after the last batch it reads them out — the
+majority vote, the distinct reads and their energy operator (scipy's CSR
+product, exactly) — into a :class:`PackReadOut`, so a warm pack crosses
+into C once and a process serving on cext never imports scipy.  Each stage
+is byte for byte the NumPy pass a box without a compiler runs.  Behind the
+call, one large sequential block sweeps as two lane halves
+(:func:`_lane_half_call`), else as the one-thread colour routine.
 
 Draw-stream discipline
 ----------------------
 
-Both backends make identical Metropolis *decisions* from identical draws: for
-every visited variable the uphill replicas draw one uniform each, in
-ascending replica order — exactly the order in which the NumPy loops consume
-``rng.random(count)``; cluster sweeps draw one uniform per uphill
-(replica, cluster) pair in the same cluster-major, replica-ascending order
-as the reference.  The only way the compiled backend can diverge from the
-NumPy loops is a one-ulp difference between the vectorised ``np.exp`` and the
-scalar libm ``exp`` flipping an acceptance whose uniform draw lands inside
-that last-ulp window; the probability is ~1e-16 per uphill draw (~1e-10 over
-a full QA run), which is why the equivalence and golden suites — which compare
-seeded streams bit-for-bit across backends — hold in practice.  Every local
-field is summed afresh in the same ascending-column order on both sides, and
-the cluster flip-energy boundary, whose sign matters at a structural zero
-(an isolated chain's boundary is exactly zero), is accumulated in an
-explicitly defined member order on both sides.
-Floating contraction is disabled in the C build (no FMA), so the remaining
-arithmetic matches the NumPy loops operation for operation.
+Both backends make identical Metropolis *decisions* from identical draws:
+every visited variable's uphill replicas draw one uniform each, in
+ascending replica order, as the NumPy loops consume ``rng.random(count)``;
+cluster sweeps draw one uniform per uphill (replica, cluster) pair in the
+same cluster-major order.  The only possible divergence is a one-ulp
+difference between the vectorised ``np.exp`` and libm's ``exp`` flipping
+an acceptance whose uniform lands in that window (~1e-16 per uphill draw).
+Every local field is summed afresh in the same ascending-column order on
+both sides, the cluster flip-energy boundary in a defined member order,
+and floating contraction is off in the C build, so the arithmetic matches
+op for op.
 
-The cext kernels are the optimised form
----------------------------------------
-
-The numpy loops are the oracle; the C kernels are their translation plus
-three *exact* shortcuts, all documented in ``_C_SOURCE``.  A squeeze test
-settles most uphill draws without ``exp`` (``metropolis_accept``).  The
-kernels sweep *lane-major*: per block the ``(R, P)`` spin rows are
-transposed into ``St[v][RP]`` (``RP`` = ``R`` padded to the vector width),
-and every move computes the fields of all replicas of a spin at once — each
-lane still the reference sum in the reference order — while only the
-decisions walk the lanes, in the order the draw discipline dictates.  Replicas are the
-one axis along which the work is independent *and* identically shaped,
-which is what a vector unit needs; nothing is memoised, because a
-lane-vector of a ~6-term row sum is cheaper than finding out whether a
-remembered one is stale.  And counter draws, being addressed, are valued
-in bulk: before a lane move decides, ``philox_fill`` values the uniform of
-every (site, lane) at once, one Philox per 64-bit slot of an SSE2 or — on
-a CPU that has it, see :func:`philox_lanes` — AVX2 register; the same fill
-values the counter discipline's initial configuration (``philox_start``).
-No shortcut changes a decision — the identity and golden suites are the
-proof — and each call reports :class:`SweepWork` counters that guard them
-without a clock.  In C every
-move is written once against a ``draw_source`` (lane moves *prepare*
-their draws, a no-op for a generator, then read them), so the two
-disciplines differ only in how they group replicas and in the draw.
+The C kernels add three *exact* shortcuts, documented in ``_C_SOURCE``: a
+squeeze test settles most uphill draws without ``exp``; the kernels sweep
+*lane-major* (a block's replicas transposed, every move computing the
+fields of all replicas of a spin at once, each lane still the reference
+sum); and counter draws are valued in bulk by a vectorised Philox fill
+(:func:`philox_lanes`).  No shortcut changes a decision, and each call
+reports :class:`SweepWork` counters that guard them without a clock.
 
 Counter mode and threads
 ------------------------
 
-Orthogonally to the backend, the ``rng=`` knob selects the *draw discipline*
-(:data:`RNG_MODES`).  ``"sequential"`` (the default, described above) makes
-a replica's next draw depend on how many draws earlier replicas consumed;
-``"counter"`` replaces consumption order with position — every potential
-draw is addressed by a ``(site, sweep, replica, move_tag)`` counter and
-valued by Philox4x32-10 under a per-block key (see
-:mod:`repro.annealer.counter`) — which makes replica evaluation order
-irrelevant and replica-level parallelism legal.  A block draws from its own
-generator or key only, so one rule spreads a pack over the cores, bit for
-bit: a one-thread batch call of more than :data:`_SPLIT_SPINS` spins is
-one call per usable CPU over contiguous block ranges (:func:`_shards`) —
-sharding is a property of the pack, not a knob.  ``threads=`` is the
-OpenMP width of one counter call instead, a ``parallel for`` over (block,
-lane group) pairs (``-fopenmp`` when the compiler takes it, else serial),
-never also sharded.  One large sequential
-block splits its replicas into two lane halves whose uphill counts, known
-before any decision, place each half's draws in the stream
-(:func:`_lane_half_call`).  The NumPy counter loops are the reference of
-counter mode and ignore ``threads``.  Counter-mode trajectories are
-bit-identical across backends, thread counts and shards, which the counter
-suites pin.
+The ``rng=`` knob selects the *draw discipline* (:data:`RNG_MODES`).
+``"sequential"`` makes a replica's next draw depend on how many draws
+earlier replicas consumed; ``"counter"`` addresses every potential draw by
+``(site, sweep, replica, move_tag)`` and values it by Philox4x32-10 under a
+per-block key (:mod:`repro.annealer.counter`), which makes replica order
+irrelevant.  A block draws from its own generator or key only, so one rule
+spreads a pack over the cores, bit for bit: a one-thread batch call of
+more than :data:`_SPLIT_SPINS` spins is one call per usable CPU over
+contiguous block ranges (:func:`_shards`).  ``threads=`` is the OpenMP
+width of one counter call instead, never also sharded.  One large
+sequential block splits its replicas into two lane halves whose uphill
+counts place each half's draws in the stream (:func:`_lane_half_call`).
 
 Compile cost
 ------------
 
 The cext backend pays one ``cc -O2 -shared`` invocation, linking NumPy's
 static ``libnpyrandom.a`` (no archive, no artefact).  :func:`warmup`
-forces it eagerly; the samplers call it at construction time, so the first
-*timed* anneal never includes compilation.  The shared object is cached on
-disk keyed by a hash of the C source, its build line and the archive's
-identity, so later processes (e.g. the process-pool serving workers) only
-pay a ``dlopen``.
+forces it; the samplers call it at construction, so no timed anneal pays
+it.  The shared object is cached on disk keyed by a hash of the C source,
+its build line and the archive's identity, so later processes (e.g. the
+process-pool serving workers) only pay a ``dlopen``.
 """
 
 from __future__ import annotations
@@ -405,15 +362,20 @@ def _cext_colour_arguments(workspace: dict, num_blocks: int,
         work_ptr), work
 
 
-def _helpers(workspace: dict, count: int):
-    """The helper pool, and *count* sub-workspaces of *workspace* for the
-    calls it runs."""
+def _helper_pool():
+    """The helper pool of this process (a forked child starts its own)."""
     if not _HELPERS:
         from concurrent.futures import ThreadPoolExecutor
         _HELPERS.setdefault("pool", ThreadPoolExecutor(_usable_cpus() - 1))
+    return _HELPERS["pool"]
+
+
+def _helpers(workspace: dict, count: int):
+    """The helper pool, and *count* sub-workspaces of *workspace* for the
+    calls it runs."""
     spaces = workspace.setdefault("shards", [])
     spaces += [{} for _ in range(count - len(spaces))]
-    return _HELPERS["pool"], spaces[:count]
+    return _helper_pool(), spaces[:count]
 
 
 #: Spins (blocks × block size × replicas) above which a one-thread call
@@ -677,122 +639,86 @@ def counter_pack_fused_colour_cluster_sweep(
                 cluster_operators, temperatures[t], t, replicas, key)
 
 
-def csr_pack_matvecs(template, data: np.ndarray, spins: np.ndarray,
-                     bounds: np.ndarray) -> list:
-    """Every problem's coupling-operator product of a pack, one cext call.
-
-    *template* is the problems' shared structure
-    (:func:`repro.ising.model.symmetric_csr_template`), row *b* of the
-    ``(problems, nnz)`` *data* problem *b*'s values over it and rows
-    ``bounds[b]:bounds[b + 1]`` of the ``(samples, N)`` *spins* its ``K_b``
-    samples ``S_b``.  Element *b* of the result is byte for byte scipy's
-    ``csr_matrix((data[b], indices, indptr)) @ S_b.T``: every element
-    accumulated from ``0.0`` in CSR entry order, in a C-contiguous
-    ``(N, K_b)`` matrix (a view of one flat array, at ``N * bounds[b]``).
+class PackReadOut:
+    """A pack's read-out in arrays its owner keeps, and the artefact's
+    argument block over them (``serve_call`` in ``_C_SOURCE``, which says
+    what each array holds): for ``B`` problems of ``L < 64`` variables and
+    ``S`` samples, the ``(B, S, L)`` logical spins ``values``, ``counts``
+    (broken chains, then ties), and per problem *b* its ``found[b]``
+    distinct reads at slots ``b * S`` on of ``first`` and ``occurrences``,
+    with their operator product (byte for byte scipy's ``csr_matrix @
+    D_b.T`` over *template*) at ``b * S * L`` of ``products``.  A served
+    pack adds its programming: the collision-free *plan*, *settings*
+    ``(base scale, coupler range, field range)`` and the ``(B, P)``
+    *fields* and ``(B, E)`` *couplers* the batch call writes.
     """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    spins = np.ascontiguousarray(spins, dtype=np.float64)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    size = template.indptr.size - 1
-    edges = bounds.tolist()
-    if (data.shape != (len(edges) - 1, template.indices.size)
-            or spins.shape != (edges[-1], size)):
-        raise AnnealerError(
-            "csr_pack_matvecs needs (problems, nnz) data over the template "
-            "and (bounds[-1], N) spins")
-    out = np.empty(2 * spins.size)  # products, then the kernel's scratch
-    _load_cext().csr_pack_matvecs(
-        len(data), size, *template.addresses, _ptr(data), data.shape[1],
-        _ptr(spins), _ptr(bounds), _ptr(out))
-    return [out[size * lo:size * hi].reshape(size, hi - lo)
-            for lo, hi in zip(edges, edges[1:])]
+
+    def __init__(self, template, values: np.ndarray, plan=None,
+                 settings=(0.0, (0.0, 0.0), (0.0, 0.0)), fields=None,
+                 couplers=None):
+        problems, samples, variables = values.shape
+        self.values = values
+        self.counts = np.zeros((2, problems), dtype=np.int64)
+        self.first, self.occurrences = np.empty((2, problems * samples),
+                                                dtype=np.int64)
+        self.found = np.empty(problems, dtype=np.int64)
+        self.products = np.empty(problems * samples * variables)
+        #: Words of the read-out's scratch, per thread that runs one.
+        self.scratch_words = (4 + variables) * samples
+        self._scratch = np.empty(self.scratch_words, dtype=np.int64)
+        self.sources = (0, 0)  # the logical fields' and couplings' addresses
+        self.physical = 0 if plan is None else plan.num_physical
+        plan_words = (0, 0, 0, 0, 0, 0) if plan is None else (
+            plan.num_physical, *plan.addresses[:2], plan.num_chain_couplers,
+            *plan.addresses[2:])
+        words = np.array([
+            problems, variables, template.indices.size // 2, *plan_words[:4],
+            *[0] * 5, 0 if fields is None else _ptr(fields),
+            0 if couplers is None else _ptr(couplers), *plan_words[4:],
+            *template.addresses, samples, *map(_ptr, (
+                values, self.counts, self.first, self.occurrences,
+                self.found, self.products))], dtype=np.int64)
+        base, (coupler_min, coupler_max), (field_min, field_max) = settings
+        words[7:12].view(np.float64)[:] = (base, coupler_min, coupler_max,
+                                           field_min, field_max)
+        self.words = _ptr(words)
+        # The addresses above are only as alive as these.
+        self._kept = (words, template, plan, fields, couplers)
+
+    def read(self, physical: Optional[np.ndarray] = None) -> int:
+        """The read-out of the whole pack in one call: the vote of the
+        ``(S, B * P)`` *physical* samples first, unless ``None`` (``values``
+        then hold the logical spins); then, without ties, the distinct
+        reads and their products.  0 when done, 1 when a chain tied (after
+        the vote), -1 when a read is not all spins."""
+        problems, samples, _ = self.values.shape
+        if physical is not None and not (
+                physical.dtype == np.int8 and physical.flags.c_contiguous
+                and physical.shape == (samples, problems * self.physical)):
+            raise AnnealerError("read needs contiguous (S, B * P) int8 spins")
+        return _load_cext().pack_read_out(
+            self.words, None if physical is None else _ptr(physical),
+            self.sources[1], _ptr(self._scratch), 0, len(self.found))
 
 
-def embed_direct(plan, linear: np.ndarray, values: np.ndarray,
-                 base_scale: float, coupler_range: Tuple[float, float],
-                 field_range: Tuple[float, float]):
-    """A pack's programming over a collision-free *plan*
-    (:func:`repro.annealer.embedded.embed_pack`), one C call.
-
-    Returns ``(problem_scale, fields, couplers, clipped)`` of the
-    ``(problems, L)`` *linear* and ``(problems, E)`` *values*, fresh
-    arrays, byte for byte the NumPy passes' — or ``None`` when a scaled
-    coupling is ``0.0``: its coupler goes unprogrammed, which is the NumPy
-    path's to decide.  The chain couplers hold the low end of
-    *coupler_range*, the chain coupling.  Every pack is auto-ranged: the
-    export's ``normalize`` flag is always set.
-    """
-    linear = np.ascontiguousarray(linear, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    count, num_keys = values.shape
-    if linear.shape != (count, plan.num_logical):
-        raise AnnealerError("embed_direct needs (problems, L) fields")
-    scale = np.empty(count)
-    fields = np.empty((count, plan.num_physical))
-    couplers = np.empty((count, plan.num_chain_couplers + num_keys))
-    clipped = np.empty(count, dtype=np.int64)
-    logical_of, chain_lengths, _, _ = plan.addresses
-    if _load_cext().embed_direct(
-            count, plan.num_logical, num_keys, _ptr(linear), _ptr(values),
-            base_scale, True, *coupler_range, *field_range,
-            plan.num_physical, logical_of, chain_lengths,
-            plan.num_chain_couplers, _ptr(scale),
-            _ptr(fields), _ptr(couplers), _ptr(clipped)):
-        return None
-    return scale, fields, couplers, clipped
-
-
-def majority_vote(plan, physical: np.ndarray, num_problems: int):
-    """The majority vote of a pack's samples
-    (:func:`repro.annealer.unembed.unembed_pack`), one C call.
-
-    Returns the ``(problems, samples, L)`` ``int8`` sign of every chain's
-    sum over the ``(samples, problems * P)`` *physical* spins — ``0``
-    where a chain ties, for the caller to draw — the broken chains and the
-    ties per problem, and the pack's ties.
-    """
-    physical = np.ascontiguousarray(physical, dtype=np.int8)
-    num_samples = physical.shape[0]
-    if physical.shape != (num_samples, num_problems * plan.num_physical):
-        raise AnnealerError(
-            "majority_vote needs (samples, problems * P) spins")
-    values = np.empty((num_problems, num_samples, plan.num_logical),
-                      dtype=np.int8)
-    counts = np.empty((2, num_problems), dtype=np.int64)
-    _, _, members, bounds = plan.addresses
-    tied = _load_cext().majority_vote(
-        num_samples, num_problems, plan.num_physical, _ptr(physical),
-        plan.num_logical, members, bounds, _ptr(values), _ptr(counts))
-    return values, counts[0], counts[1], tied
-
-
-def distinct_reads(raw: np.ndarray):
-    """The distinct reads of every problem of a pack
-    (:func:`repro.ising.solver.aggregate_pack`), one C call.
-
-    Of a ``(problems, reads, N)`` ``int8`` spin array, ``0 < N < 64``:
-    ``(first, counts, bounds)``, problem *b*'s distinct reads in
-    ``np.unique(axis=0)`` order being the rows ``first[bounds[b]:bounds[b +
-    1]]`` of the ``(problems * reads, N)`` reads — each its first
-    occurrence — and *counts* their occurrences; or ``None`` when a read is
-    not all ``±1``.
-    """
+def read_out(template, raw: np.ndarray,
+             values: np.ndarray) -> Optional[PackReadOut]:
+    """The read-out of a ``(problems, reads, L)`` ``int8`` array of logical
+    spins, ``0 < L < 64``, against the ``(problems, K)`` coupling *values*
+    over *template*, one artefact call; ``None`` when a read is not all
+    ``±1``."""
     raw = np.ascontiguousarray(raw, dtype=np.int8)
-    problems, reads, variables = raw.shape
-    if not 0 < variables < 64:
-        raise AnnealerError("distinct_reads keys at most 63 variables")
-    edge = problems * reads
-    # First occurrences, counts, bounds, then the kernel's sort scratch.
-    words = np.empty(2 * edge + problems + 1 + 4 * reads, dtype=np.int64)
-    address = _ptr(words)
-    found = _load_cext().distinct_reads(
-        problems, reads, variables, _ptr(raw),
-        address + 8 * (2 * edge + problems + 1), address,
-        address + 8 * edge, address + 16 * edge)
-    if found < 0:
-        return None
-    return (words[:found], words[edge:edge + found],
-            words[2 * edge:2 * edge + problems + 1])
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if (raw.ndim != 3 or not 0 < raw.shape[2] < 64
+            or template.indptr.size != raw.shape[2] + 1
+            or values.shape != (raw.shape[0], template.indices.size // 2)):
+        raise AnnealerError(
+            "read_out needs (problems, reads, L) spins, 0 < L < 64, over "
+            "an L-variable template and (problems, K) values over its keys")
+    out = PackReadOut(template, raw)
+    out.sources = (0, _ptr(values))
+    out._kept += (values,)
+    return out if out.read() == 0 else None
 
 
 # --------------------------------------------------------------------------- #
@@ -815,33 +741,34 @@ def _batch_buffers(workspace: dict, blocks: int, size: int, batch: int,
 
 
 def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
-                 threads: int, counter: bool, structure: tuple) -> tuple:
+                 threads: int, counter: bool, structure: tuple,
+                 settings: tuple) -> tuple:
     """Range ``[lo, hi)``'s argument block of ``pack_ice_batches`` (the C
-    ``batch_call``) and work out-array, kept in the range's *space* for as
-    long as the buffers and the schedule last."""
-    blocks = space.setdefault("batch blocks", {})
-    key = (id(buffers), lo, hi, threads, counter)  # buffers live on in it
-    kept = blocks.get(key)
-    temperatures = structure[-1]
-    if kept is None or kept[1] is not temperatures:
-        spins, fields, values, class_data, edge_values, keys = buffers
-        members, class_starts, indices, indptr, clusters, class_edges, \
-            internal_edges = structure[:-1]
-        size = fields.size // values.shape[0]
-        colour, work = _cext_colour_arguments(
-            space, hi - lo, threads, spins[:, lo * size:hi * size],
-            fields[lo * size:hi * size], members, class_starts,
-            class_data[lo:hi], indices, indptr,
-            clusters._replace(edge_values=edge_values[lo:hi]), temperatures)
-        words = np.array([
-            *colour[:-1], values.shape[1], _ptr(class_edges),
-            _ptr(internal_edges), _ptr(values[lo:hi]), spins.shape[1],
-            _ptr(keys[lo:hi]) if counter else 0, threads, colour[-1]],
-            dtype=np.int64)
-        # Everything the words point to stays alive with them.
-        kept = blocks[key] = (buffers, temperatures, words, _ptr(words), work,
-                              space["lanes"], structure)
-    return kept[3], kept[4]
+    ``batch_call``) — over the *buffers*, the *structure* and the
+    *settings*: the ICE array (or ``None``), the zero check and the served
+    pack's :class:`PackReadOut` (or ``None``) — as ``(address, work
+    out-array, what must outlive the block)``."""
+    ice, check_zero, serve = settings
+    spins, fields, values, class_data, edge_values, keys = buffers
+    members, class_starts, indices, indptr, clusters, class_edges, \
+        internal_edges, temperatures = structure
+    size = fields.size // values.shape[0]
+    colour, work = _cext_colour_arguments(
+        space, hi - lo, threads, spins[:, lo * size:hi * size],
+        fields[lo * size:hi * size], members, class_starts,
+        class_data[lo:hi], indices, indptr,
+        clusters._replace(edge_values=edge_values[lo:hi]), temperatures)
+    scratch = None if serve is None else np.empty(serve.scratch_words,
+                                                  dtype=np.int64)
+    words = np.array([
+        *colour[:-1], values.shape[1], _ptr(class_edges),
+        _ptr(internal_edges), _ptr(values[lo:hi]), spins.shape[1],
+        _ptr(keys[lo:hi]) if counter else 0, threads, colour[-1], lo,
+        0 if ice is None else _ptr(ice), check_zero,
+        0 if serve is None else serve.words,
+        0 if scratch is None else _ptr(scratch)], dtype=np.int64)
+    return _ptr(words), work, (words, buffers, space["lanes"], structure,
+                               settings, scratch)
 
 
 def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
@@ -849,88 +776,91 @@ def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
                      batch_size: int,
                      ice: Optional[Tuple[float, float, float, float]],
                      check_zero: bool, counter: bool, threads: int,
-                     workspace: dict, fallback) -> SweepWork:
+                     workspace: dict, fallback,
+                     serve: Optional[Tuple[PackReadOut, object]] = None
+                     ) -> Optional[SweepWork]:
     """A pack's anneals as ICE batches, every batch in C: one call of the
-    artefact's ``pack_ice_batches`` per range of blocks.
+    artefact's ``pack_ice_batches`` per range of blocks (:func:`_shards`),
+    each running all of its batches on its own thread.
 
-    *linear* and *values* are the pack's programmed ``(blocks*P,)`` fields
-    and ``(blocks, E)`` couplings; *structure* is ``(members, class_starts,
+    *linear* and *values* are the programmed ``(blocks*P,)`` fields and
+    ``(blocks, E)`` couplings; *structure* is ``(members, class_starts,
     indices, indptr, clusters, class_edges, internal_edges, temperatures)``
-    — the colour entry points' structure arguments (*clusters* without
-    values), the columns of *values* the class CSR slots and the
-    cluster-internal edges hold, and the schedule.  Batch *k* is rows ``k *
-    batch_size`` on of the ``(anneals, blocks*P)`` ``int8`` *physical*.  Per
-    batch, every block draws from its own generator of *rngs*, in this
-    order: the ICE shifts of its fields, then of its couplings — *ice* is
-    ``(field mean, field std, coupling mean, coupling std)``, ``None`` for
-    no draws — then its counter key (*counter*), its initial spins and its
-    sweeps: the draws of ``ICEModel.perturb_pack`` followed by one
-    ``anneal``.  Ranges follow :func:`_shards`, each running all of its
-    batches on its own thread; a lane-half block (:func:`_lane_half_call`)
-    is one call per batch for the draws and start, then the halves.  With
-    *check_zero*, a batch whose perturbed couplings hold an exact zero is
-    not swept: ``fallback(lo, hi, start, fields, couplings)`` anneals
-    blocks ``[lo, hi)`` of it problem by problem into rows ``start`` on,
-    from the ``(hi - lo, P)`` fields and ``(hi - lo, E)`` couplings (the
-    call's own buffers: copy them), and the range resumes at the next
-    batch.  Returns the last batch's :class:`SweepWork`, summed over the
-    ranges.
+    — the colour structure (*clusters* without values), the columns of
+    *values* the class CSR slots and cluster-internal edges hold, and the
+    schedule.  Batch *k* is rows ``k * batch_size`` on of the ``(anneals,
+    blocks*P)`` ``int8`` *physical*.  Per batch every block draws from its
+    own generator of *rngs*: the ICE shifts of its fields, then of its
+    couplings (*ice*: ``(field mean, field std, coupling mean, coupling
+    std)``, or ``None``), its counter key (*counter*), its start and its
+    sweeps — ``ICEModel.perturb_pack`` then one ``anneal``.  A lane-half
+    block (:func:`_lane_half_call`) is one call per batch for the draws and
+    start, then the halves.  With *check_zero* a batch whose perturbed
+    couplings hold an exact zero is not swept: ``fallback(lo, hi, start,
+    fields, couplings)`` anneals blocks ``[lo, hi)`` of it problem by
+    problem into rows ``start`` on (the arguments are the call's buffers:
+    copy them), and the range resumes.  Returns the last batch's
+    :class:`SweepWork`, summed over the ranges.
+
+    *serve* ``(out, logical)`` serves a pack: the call programs *linear*
+    and *values* (*out*'s bound buffers) from the logical
+    :class:`~repro.ising.model.IsingPack` before the first draw — or
+    returns ``None``, nothing drawn, when a coupling scales to ``0.0`` —
+    and the call that runs a range's last batch reads its blocks out into
+    *out*.  Where none can (lane halves, a last batch that went to the
+    fallback), one :meth:`PackReadOut.read` of the pack follows.
     """
     lib = _load_cext()
     num_anneals, width = physical.shape
     blocks = len(rngs)
-    size = width // blocks
-    members, class_starts, indices, indptr, clusters, class_edges, \
-        internal_edges, temperatures = structure
-    buffers = _batch_buffers(workspace, blocks, size, batch_size,
-                             values.shape[1], class_edges.size,
-                             internal_edges.size)
-    spins, fields, perturbed, class_data, edge_values, _ = buffers
     generators = _generator_pointers(workspace, rngs)
+    out, logical = serve or (None, None)
+    # Two blocks sharing a bit generator draw in block order: one call.
+    shared = blocks > 1 and len(set(generators)) < blocks
+    key = (num_anneals, width, blocks, batch_size, ice, check_zero, counter,
+           threads, id(structure[-1]), id(out), shared, _usable_cpus(),
+           _SPLIT_SPINS, type(rngs[0].bit_generator))
+    calls = workspace.setdefault("calls", {})
+    prepared = calls.get(key)
+    if prepared is None:
+        if len(calls) >= 64:  # schedules a long-lived sampler no longer runs
+            calls.clear()
+        prepared = calls[key] = _prepare_batches(
+            workspace, num_anneals, width // blocks, values.shape[1],
+            structure, rngs, batch_size, ice, check_zero, counter, threads,
+            out, shared)
+    buffers, halves, ranges, _ = prepared
+    spins, fields, perturbed, *_ = buffers
     if counter:
         _note_openmp_team(threads)
-    ice_pointer = None
-    if ice is not None:
-        kept = workspace.get("ice")
-        if kept is None or kept[0] != ice:
-            array = np.array(ice, dtype=np.float64)
-            kept = workspace["ice"] = (ice, array, _ptr(array))
-        ice_pointer = kept[2]
+    if out is not None:
+        out.sources = sources = (_ptr(logical.linear), _ptr(logical.values))
+    else:
+        sources = (_ptr(linear), _ptr(values))
+    size = width // blocks
     batches = -(-num_anneals // batch_size)
-    pointers = (_ptr(linear), _ptr(values), _ptr(physical))
+    target = _ptr(physical)
 
-    def call(lo: int, hi: int, block: int, batch: int, stop: int,
-             sweep: int = 1) -> int:
-        return lib.pack_ice_batches(
-            block, pointers[0] + 8 * lo * size,
-            pointers[1] + 8 * lo * values.shape[1], pointers[2] + lo * size,
-            ice_pointer, check_zero, batch, stop, num_anneals, sweep,
-            generators if lo == 0 else (ctypes.c_void_p * (hi - lo))
-            .from_buffer(generators, lo * ctypes.sizeof(ctypes.c_void_p)))
+    def call(block: int, batch: int, stop: int, sweep: int = 2) -> int:
+        return lib.pack_ice_batches(block, *sources, target, num_anneals,
+                                    batch, stop, sweep, generators)
 
     def cancelled(lo: int, hi: int, batch: int) -> None:
         fallback(lo, hi, batch * batch_size,
                  fields[lo * size:hi * size].reshape(hi - lo, size),
                  perturbed[lo:hi])
 
-    def halves(rows: int) -> bool:
-        return (not counter and blocks == 1 < rows
-                and _shards(spins[:rows], 2) > 1
-                and type(rngs[0].bit_generator) is np.random.PCG64)
-
-    rows = min(batch_size, num_anneals)
-    if halves(rows):
-        block, work = _batch_block(workspace, buffers, 0, 1, 1, False,
-                                   structure)
-        sweep = (fields, members, class_starts, class_data, indices, indptr,
-                 clusters._replace(edge_values=edge_values), temperatures)
+    if halves is not None:
+        (block, work), sweep = ranges[0][2:], halves
         swept = SweepWork(0, 0, 0)
         for batch in range(batches):
             start = batch * batch_size
             rows = min(batch_size, num_anneals - start)
-            split = halves(rows)
-            if call(0, 1, block, batch, batch + 1, 0 if split else 1) \
-                    == batch:
+            split = _lane_halves(spins, rows, counter, rngs)
+            stop = call(block, batch, batch + 1, 0 if split else 1)
+            if stop < 0:
+                return None
+            if stop == batch:
                 cancelled(0, 1, batch)
             elif not split:
                 swept = SweepWork(*work.tolist())
@@ -943,30 +873,77 @@ def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
                     lib.pack_fused_colour_cluster_sweep(*args)
                     swept = SweepWork(*counts.tolist())
                 physical[start:start + rows] = view
+        if out is not None:
+            out.read(physical)
         return swept
 
-    # Two blocks sharing a bit generator draw in block order: one call.
-    shards = 1 if blocks > 1 and len(set(generators)) < blocks else _shards(
-        spins[:rows], blocks, threads)
-    pool, spaces = _helpers(workspace, shards - 1) if shards > 1 else (
-        None, [])
-    bounds = [blocks * k // shards for k in range(shards + 1)]
-    ranges = [(lo, hi, *_batch_block(space, buffers, lo, hi, threads,
-                                     counter, structure))
-              for space, lo, hi in zip([workspace, *spaces], bounds,
-                                       bounds[1:])]
-    rest = [pool.submit(call, lo, hi, block, 0, batches)
-            for lo, hi, block, _ in ranges[1:]]
+    pool = _helper_pool() if len(ranges) > 1 else None  # not kept: forks
+    rest = [pool.submit(call, block, 0, batches)
+            for _, _, block, _ in ranges[1:]]
     try:
-        stops = [call(*ranges[0][:3], 0, batches)]
+        stops = [call(ranges[0][2], 0, batches)]
     finally:
         stops += [future.result() for future in rest]
+    if stops[0] < 0:  # every range found the coupling that scales to 0.0
+        return None
+    read = True
     for (lo, hi, block, _), stop in zip(ranges, stops):
         while stop < batches:
             cancelled(lo, hi, stop)
-            stop = (call(lo, hi, block, stop + 1, batches)
-                    if stop + 1 < batches else batches)
-    return SweepWork(*sum(work for *_, work in ranges).tolist())
+            stop += 1
+            if stop < batches:
+                stop = call(block, stop, batches)
+            else:
+                read = False
+    if out is not None and not read:
+        out.read(physical)
+    work = ranges[0][3] if len(ranges) == 1 else sum(
+        work for *_, work in ranges)
+    return SweepWork(*work.tolist())
+
+
+def _lane_halves(spins, rows: int, counter: bool, rngs) -> bool:
+    """Whether a one-block batch of *rows* replicas sweeps as lane halves
+    (:func:`_lane_half_call`): sequential, PCG64, over the split size."""
+    return (not counter and len(rngs) == 1 < rows
+            and _shards(spins[:rows], 2) > 1
+            and type(rngs[0].bit_generator) is np.random.PCG64)
+
+
+def _prepare_batches(workspace: dict, num_anneals: int, size: int,
+                     num_values: int, structure: tuple, rngs,
+                     batch_size: int, ice, check_zero: bool, counter: bool,
+                     threads: int, out: Optional[PackReadOut],
+                     shared: bool) -> tuple:
+    """What :func:`pack_ice_batches` decides once per pack shape, kept in
+    *workspace*: its buffers; for a lane-half block the halves' sweep
+    arguments (else ``None``); the block ranges ``(lo, hi, argument
+    block, work)`` (:func:`_shards`); and what their blocks point to."""
+    members, class_starts, indices, indptr, clusters, class_edges, \
+        internal_edges, temperatures = structure
+    blocks = len(rngs)
+    buffers = _batch_buffers(workspace, blocks, size, batch_size, num_values,
+                             class_edges.size, internal_edges.size)
+    spins, fields, _, class_data, edge_values, _ = buffers
+    settings = (None if ice is None else np.array(ice, dtype=np.float64),
+                check_zero, out)
+    rows = min(batch_size, num_anneals)
+    halves = None
+    if _lane_halves(spins, rows, counter, rngs):
+        halves = (fields, members, class_starts, class_data, indices, indptr,
+                  clusters._replace(edge_values=edge_values), temperatures)
+        shards = 1
+    else:
+        shards = 1 if shared else _shards(spins[:rows], blocks, threads)
+    spaces = _helpers(workspace, shards - 1)[1] if shards > 1 else []
+    bounds = [blocks * k // shards for k in range(shards + 1)]
+    blocks = [(lo, hi, _batch_block(space, buffers, lo, hi, threads,
+                                    counter and halves is None, structure,
+                                    settings))
+              for space, lo, hi in zip([workspace, *spaces], bounds,
+                                       bounds[1:])]
+    return (buffers, halves, [(lo, hi, *block[:2]) for lo, hi, block in blocks],
+            [block[2] for _, _, block in blocks])
 
 
 # --------------------------------------------------------------------------- #
@@ -1001,25 +978,18 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
 /* ------------------------------------------------------------------------ *
  * The draw seam: the only place the two disciplines differ.
  *
- * Sequential kernels draw through the NumPy BitGenerator's next_double
- * function pointer, advancing the caller's Generator state in place — the
- * extension point NumPy publishes for C and Cython, so the draw stream is
- * exactly the Generator's rng.random() stream.  A block's generator arrives
- * as one pointer, the bitgen_t its BitGenerator publishes in `.capsule`.
- * Counter kernels (rng="counter")
- * value every potential draw by Philox4x32-10 addressed by (site, sweep,
- * replica, move_tag) under a per-block 64-bit key — see
- * repro/annealer/counter.py for the contract — so replicas share no RNG
- * state and may run in parallel.  Every move below is written once, against
- * a draw_source; the entry points differ in the loop order the discipline
- * dictates (draw consumption order vs. replica ownership) and nothing else.
- *
- * An addressed draw need not wait to be asked for: a lane move *prepares*
- * its draws — every (site, lane) uniform valued at once, one Philox per
- * 64-bit slot of a vector register — and then reads slots (a no-op and
- * "the Generator's next" under the sequential discipline).  A third
- * source, a lane half's own PCG64 (below), prepares by finding out where
- * its draws start.
+ * Sequential kernels draw through the next_double of the bitgen_t a
+ * block's BitGenerator publishes in `.capsule` (NumPy's extension point
+ * for C), advancing the caller's Generator in place: exactly its
+ * rng.random() stream.  Counter kernels value every potential draw by
+ * Philox4x32-10 addressed by (site, sweep, replica, move_tag) under a
+ * per-block key (repro/annealer/counter.py), so replicas share no state
+ * and may run in parallel.  Every move is written once, against a
+ * draw_source; the entry points differ only in loop order.  A lane move
+ * *prepares* its draws — every (site, lane) Philox uniform valued at once,
+ * a vector register's slots at a time; a no-op for a Generator — then
+ * reads them.  A third source, a lane half's own PCG64 (below), prepares
+ * by finding out where its draws start.
  * ------------------------------------------------------------------------ */
 typedef double (*next_double_fn)(void *state);
 
@@ -1572,31 +1542,24 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
 }
 
 /* ------------------------------------------------------------------------ *
- * The colour sweeps: one per batch of a pack's batch call (a single
- * problem is a pack of one block; a sampler without clusters passes
- * num_clusters == 0 and the cluster pass draws nothing), the sequential one
- * also an export of its own, the lane halves' one-thread fallback.  Per
- * temperature the single-spin sweep runs first, then the cluster sweep.
- * All blocks share one CSR structure (the BlockDiagonalSampler invariant),
- * so per-block values travel as stacked block-major matrices (row b =
- * block b's data).
+ * The colour sweeps: one per batch of a batch call (a single problem is a
+ * pack of one block; without clusters num_clusters == 0 and the cluster
+ * pass draws nothing), the sequential one also the lane halves' one-thread
+ * fallback.  Per temperature the single-spin sweep runs first, then the
+ * cluster sweep.  All blocks share one CSR structure, so per-block values
+ * travel as stacked block-major matrices (row b = block b's data).
  *
- * Sequential: per-block randomness is an array of bitgen_t pointers, one
- * generator per block.  Blocks never interact and each draws from
- * its own generator, so they evolve one after the other through the whole
- * schedule, each consuming its draws in the reference loops' order.
+ * Sequential: one bitgen_t pointer per block.  Blocks never interact and
+ * each draws from its own generator, so they evolve one after the other
+ * through the whole schedule, each in the reference loops' draw order.
+ * Counter: per-block keys; blocks and replicas are all independent, so the
+ * OpenMP `parallel for` collapses over (block, lane group) pairs.  Without
+ * -fopenmp the pragmas are no-ops: one source, bit-identical builds.
  *
- * Counter: per-block keys.  Blocks and replicas are all independent, so
- * the OpenMP `parallel for` collapses over (block, lane group) pairs, each
- * running its whole schedule alone.  The pragmas are no-ops without
- * -fopenmp (the compile step tries it and falls back), so one source serves
- * both builds, bit-identically.
- *
- * Both also take the lane workspace: row_of (int64[size]) and scratch, per
- * lane group in flight (size + 1 + 2 * members) rows of `lanes` doubles —
- * room for lane_group_run's st, boundary, and the terms and uniforms of a
- * class as wide as all of them.  Every colour entry point opens with the
- * same arguments, COLOUR_ARGS.
+ * Both take the lane workspace: row_of (int64[size]) and scratch, per lane
+ * group in flight (size + 1 + 2 * members) rows of `lanes` doubles (st,
+ * boundary, and a class's terms and uniforms).  Every colour entry point
+ * opens with the same arguments, COLOUR_ARGS.
  * ------------------------------------------------------------------------ */
 #define COLOUR_ARGS                                                         \
     double *spins, int64_t sld, int64_t num_replicas, int64_t num_blocks,   \
@@ -1805,40 +1768,278 @@ void sequential_initial_spins(double *spins, int64_t sld,
 }
 
 /* ------------------------------------------------------------------------ *
+ * A served pack's programming and read-out: embed_pack over a
+ * collision-free plan, unembed_pack's vote, aggregate_pack's distinct
+ * reads and their coupling-operator products.  Each is integer work, a
+ * max, or one rounded operation per element (no contraction), so each is
+ * the NumPy pass it stands in for, bit for bit.  The argument block
+ * (serve_call, 64-bit words, one per pack shape) holds B problems of L
+ * logical variables and K couplings, P qubits each; the plan's field
+ * spread and chains; the compile settings; the sampler's bound fields
+ * (B, P) and couplers (B, E = chain couplers + K), which the programming
+ * writes; the energy CSR over the logical keys (slot jj holds key
+ * edges[jj]); and the out-arrays of S samples a problem: values (B, S, L)
+ * int8, counts (broken chains [B], then ties [B]), and per problem b its
+ * found[b] distinct reads in np.unique(axis=0) order at slots b * S on of
+ * first (rows of the (B * S, L) values) and occurrences, with their
+ * C-contiguous (L, found[b]) operator product at products + b * S * L.
+ * ------------------------------------------------------------------------ */
+typedef struct {
+    int64_t num_problems, num_logical, num_keys, num_physical;
+    const int64_t *logical_of;
+    const double *chain_lengths;
+    int64_t num_chain_couplers;
+    double base_scale, coupler_min, coupler_max, field_min, field_max;
+    double *fields, *couplers;
+    const int64_t *members, *bounds;
+    const int64_t *edges, *indices, *indptr;
+    int64_t num_samples;
+    int8_t *values;
+    int64_t *counts, *first, *occurrences, *found;
+    double *products;
+} serve_call;
+_Static_assert(sizeof(serve_call) == 26 * sizeof(int64_t),
+               "serve_call is 26 words");
+
+/* max |x[i]| from 0.0, NaN sticking once seen, as np.max does. */
+static double max_abs(const double *x, int64_t count)
+{
+    double largest = 0.0;
+    for (int64_t i = 0; i < count; ++i) {
+        const double a = fabs(x[i]);
+        largest = a > largest || a != a ? a : largest;
+    }
+    return largest;
+}
+
+/* x clipped into [lo, hi] the way np.clip does (NaN and -0.0 kept). */
+static inline double clip(double x, double lo, double hi)
+{
+    return x < lo ? lo : x > hi ? hi : x;
+}
+
+/* Program problems [lo, hi) of the (B, L) linear and (B, K) values: the
+   scale is base_scale over the largest |coupling| (none: |field|) if that
+   is positive; fields spread as (linear * scale) / chain length onto the
+   qubits (logical_of), chain couplers hold coupler_min, crossing couplers
+   the scaled couplings, each clipped into its range.  1 when a scaled
+   coupling of ANY problem is 0.0 (every range sees it, nothing drawn): it
+   is unprogrammed, which the NumPy path decides. */
+static int program_pack(const serve_call *s, const double *linear,
+                        const double *values, int64_t lo, int64_t hi)
+{
+    const int64_t width = s->num_chain_couplers + s->num_keys;
+    for (int64_t b = 0; b < s->num_problems; ++b) {
+        const double *lin = linear + b * s->num_logical;
+        const double *val = values + b * s->num_keys;
+        const int mine = lo <= b && b < hi;
+        double *row = s->couplers + b * width;
+        double *out = s->fields + b * s->num_physical;
+        double scale = s->base_scale, reference = max_abs(val, s->num_keys);
+        if (reference == 0.0)
+            reference = max_abs(lin, s->num_logical);
+        if (reference > 0.0)
+            scale = s->base_scale / reference;
+        for (int64_t e = 0; e < s->num_keys; ++e) {
+            const double v = val[e] * scale;
+            if (v == 0.0)
+                return 1;
+            if (mine)
+                row[s->num_chain_couplers + e] =
+                    clip(v, s->coupler_min, s->coupler_max);
+        }
+        for (int64_t c = 0; mine && c < s->num_chain_couplers; ++c)
+            row[c] = s->coupler_min;
+        for (int64_t p = 0; mine && p < s->num_physical; ++p) {
+            const int64_t i = s->logical_of[p];
+            out[p] = clip(lin[i] * scale / s->chain_lengths[i], s->field_min,
+                          s->field_max);
+        }
+    }
+    return 0;
+}
+
+/* Problem b's vote over its P columns of physical (rows pld apart): each
+   chain's sign, 0 on a tie; counts get the broken chains and the ties. */
+static int64_t vote_problem(const serve_call *s, const int8_t *physical,
+                            int64_t pld, int64_t b)
+{
+    int64_t broken = 0, ties = 0;
+    for (int64_t r = 0; r < s->num_samples; ++r) {
+        const int8_t *row = physical + r * pld;
+        int8_t *out = s->values + (b * s->num_samples + r) * s->num_logical;
+        for (int64_t i = 0; i < s->num_logical; ++i) {
+            int64_t sum = 0;
+            for (int64_t k = s->bounds[i]; k < s->bounds[i + 1]; ++k)
+                sum += row[s->members[k]];
+            broken += (sum < 0 ? -sum : sum) != s->bounds[i + 1] - s->bounds[i];
+            ties += sum == 0;
+            out[i] = (int8_t)((sum > 0) - (sum < 0));
+        }
+    }
+    s->counts[b] = broken;
+    s->counts[s->num_problems + b] = ties;
+    return ties;
+}
+
+/* Problem b's distinct reads, L < 64: bit L - 1 - v of a read's key is set
+   where v is +1, so ascending keys are np.unique(axis=0)'s order; (key,
+   read) pairs merge-sort stably (scratch: 4 * S words), a run of equal keys
+   is one read.  -1 when a read is not all spins. */
+static int64_t distinct_problem(const serve_call *s, uint64_t *scratch,
+                                int64_t b)
+{
+    const int64_t reads = s->num_samples, variables = s->num_logical;
+    const int8_t *spins = s->values + b * reads * variables;
+    uint64_t *key = scratch, *read = scratch + reads;
+    uint64_t *key_to = read + reads, *read_to = key_to + reads;
+    int64_t found = 0;
+    for (int64_t r = 0; r < reads; ++r) {
+        uint64_t bits = 0;
+        for (int64_t v = 0; v < variables; ++v) {
+            const int8_t spin = spins[r * variables + v];
+            if (spin != 1 && spin != -1)
+                return -1;
+            bits = bits << 1 | (spin > 0);
+        }
+        key[r] = bits;
+        read[r] = (uint64_t)r;
+    }
+    for (int64_t width = 1; width < reads; width *= 2) {
+        for (int64_t lo = 0; lo < reads; lo += 2 * width) {
+            const int64_t mid = lo + width < reads ? lo + width : reads;
+            const int64_t hi = mid + width < reads ? mid + width : reads;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi) {
+                const int64_t from = key[j] < key[i] ? j++ : i++;
+                key_to[k] = key[from];
+                read_to[k++] = read[from];
+            }
+            for (; i < mid; ++i, ++k)
+                key_to[k] = key[i], read_to[k] = read[i];
+            for (; j < hi; ++j, ++k)
+                key_to[k] = key[j], read_to[k] = read[j];
+        }
+        uint64_t *swap = key;
+        key = key_to, key_to = swap;
+        swap = read, read = read_to, read_to = swap;
+    }
+    for (int64_t r = 0; r < reads; ++found) {
+        int64_t end = r + 1;
+        while (end < reads && key[end] == key[r])
+            ++end;
+        s->first[b * reads + found] = b * reads + (int64_t)read[r];
+        s->occurrences[b * reads + found] = end - r;
+        r = end;
+    }
+    return s->found[b] = found;
+}
+
+/* A_b @ D_b^T of problem b's distinct reads D_b, exactly as scipy's
+   csr_matvecs computes it: each element from 0.0 in CSR entry order, run
+   lane_terms' way (LANE_WIDTH reads an accumulator) over a transposed copy
+   of D_b in columns, which keeps it level with scipy's axpy at 48 x 200. */
+static void product_problem(const serve_call *s, const double *values,
+                            double *restrict columns, int64_t b)
+{
+    const int64_t size = s->num_logical, count = s->found[b];
+    const int64_t *first = s->first + b * s->num_samples;
+    const double *weights = values + b * s->num_keys;
+    double *restrict y = s->products + b * s->num_samples * size;
+    for (int64_t k = 0; k < count; ++k)
+        for (int64_t v = 0; v < size; ++v)
+            columns[v * count + k] = s->values[first[k] * size + v];
+    for (int64_t i = 0; i < size; ++i, y += count) {
+        int64_t k = 0;
+        for (; k + LANE_WIDTH <= count; k += LANE_WIDTH) {
+            double acc[LANE_WIDTH] = {0.0};
+            for (int64_t jj = s->indptr[i]; jj < s->indptr[i + 1]; ++jj) {
+                const double weight = weights[s->edges[jj]];
+                const double *column = columns + s->indices[jj] * count + k;
+                for (int l = 0; l < LANE_WIDTH; ++l)
+                    acc[l] += weight * column[l];
+            }
+            memcpy(y + k, acc, sizeof(acc));
+        }
+        for (; k < count; ++k) {
+            double acc = 0.0;
+            for (int64_t jj = s->indptr[i]; jj < s->indptr[i + 1]; ++jj)
+                acc += weights[s->edges[jj]] * columns[s->indices[jj] * count
+                                                       + k];
+            y[k] = acc;
+        }
+    }
+}
+
+/* Problems [lo, hi)'s read-out, physical (block lo's columns) voted first
+   unless NULL (values hold the spins).  0 when done; 1 when a chain tied
+   (the caller draws the ties, then reads out without a vote); -1 when a
+   read is not all spins. */
+static int64_t read_out_pack(const serve_call *s, const int8_t *physical,
+                             int64_t pld, const double *values,
+                             int64_t *scratch, int64_t lo, int64_t hi)
+{
+    int64_t ties = 0;
+    for (int64_t b = lo; physical && b < hi; ++b)
+        ties += vote_problem(s, physical + (b - lo) * s->num_physical, pld, b);
+    if (ties)
+        return 1;
+    for (int64_t b = lo; b < hi; ++b) {
+        if (distinct_problem(s, (uint64_t *)scratch, b) < 0)
+            return -1;
+        product_problem(s, values, (double *)(scratch + 4 * s->num_samples),
+                        b);
+    }
+    return 0;
+}
+
+/* The read-out on its own over the (S, B * P) physical (or NULL): for lane
+   halves, a cancelled last batch, a tie and aggregate_pack's reads. */
+int64_t pack_read_out(const int64_t *words, const int8_t *physical,
+                      const double *values, int64_t *scratch, int64_t lo,
+                      int64_t hi)
+{
+    serve_call s;
+    memcpy(&s, words, sizeof(s));
+    return read_out_pack(&s, physical ? physical + lo * s.num_physical : NULL,
+                         s.num_problems * s.num_physical, values, scratch, lo,
+                         hi);
+}
+
+/* ------------------------------------------------------------------------ *
  * A pack's ICE batches in one call.
  *
  * The machine redraws its intrinsic control error between batches of
  * anneals, so a QA run is a loop over batches, and per batch and block:
  * the ICE draws, added to the programmed fields, then to the couplings in
- * key order (NumPy's own random_normal, from libnpyrandom.a, through the
- * block's bitgen_t: the values and the stream Generator.normal(mean, std,
- * size) gives and consumes); under the counter discipline the block key
- * (random_bounded_uint64_fill over the full range, which is
- * Generator.integers(0, 2**64, dtype=uint64)); the initial spins; the
- * colour and cluster sweep.  Each block draws from its own generator only,
- * so drawing every block's ICE first, then every block's key and start,
- * then sweeping, is each block's own order.  A call over a range of blocks
- * runs batches [batch, stop) and writes each batch's rows, as int8, into
- * physical (rows pld apart; batch k starts at row k * num_replicas, and a
- * batch has num_replicas rows, the last one what is left of num_anneals).
+ * key order (NumPy's random_normal through the block's bitgen_t: the
+ * values and stream of Generator.normal); under the counter discipline the
+ * block key (random_bounded_uint64_fill: Generator.integers(0, 2**64,
+ * dtype=uint64)); the start; the sweep.  A block draws from its own
+ * generator only, so all ICE first, then keys and starts, then sweeps, is
+ * each block's own order.  A call over a range of blocks runs batches
+ * [batch, stop) and writes each batch's rows, as int8, into physical (rows
+ * pld apart; batch k starts at row k * num_replicas, the last batch is
+ * what is left of num_anneals).
  *
- * A range's call is one argument block, written once per range and pack
- * shape by the caller (batch_call, 64-bit words: the colour arguments,
- * then the fields below), and what changes between packs.  The colour
- * arguments' linear, data and edge_values are the call's to fill: each
- * batch writes there the perturbed fields and the class and internal-edge
- * values gathered (class_edges, internal_edges) from the perturbed
- * couplings, which go to values.  ice is {field mean, field std, coupling
- * mean, coupling std}, or NULL for no draws (the programmed values as they
- * are).  With check_zero, a batch in which a perturbed coupling is exactly
- * zero (either sign) is not swept: the call returns its index, its
- * perturbed fields and couplings in place, for the caller to anneal
- * problem by problem and resume at the next batch.  Otherwise it returns
- * stop.  keys (num_blocks words) is NULL under the sequential discipline
- * and the counter keys' room under the counter one, whose sweep is threads
- * wide.  Without sweep the call stops after batch's start (a lane-half
- * block: the caller sweeps the halves) and returns batch + 1.  work holds
- * the last swept batch's counts.
+ * The caller writes one argument block per range and pack shape
+ * (batch_call: the colour arguments, then the fields below); per call it
+ * hands over the sources, physical and the generators, all at block 0 (the
+ * call offsets them by first_block).  Each batch writes the perturbed
+ * fields to linear, the perturbed couplings to values and their gathers
+ * (class_edges, internal_edges) to data and edge_values.  ice is {field
+ * mean, field std, coupling mean, coupling std}, or NULL for no draws.
+ * With check_zero, a batch with a perturbed coupling at exactly zero is not
+ * swept: the call returns its index, for the caller to anneal problem by
+ * problem from the buffers and resume; otherwise it returns stop.  keys
+ * is NULL under the sequential discipline, the counter keys' room (threads
+ * wide) under the counter one.  With sweep 0 the call stops after batch's
+ * start (a lane-half block) and returns batch + 1.  work holds the last
+ * swept batch's counts.  Without serve the sources are the programmed
+ * (B, P) fields and (B, E) couplings; with serve the logical (B, L) and
+ * (B, K) ones: the call at batch 0 programs its blocks first, or returns
+ * -1, nothing drawn, and with sweep 2 the call that runs the last batch
+ * reads its blocks out (read_scratch: (4 + L) * S words).
  * ------------------------------------------------------------------------ */
 double random_normal(bitgen_t *bitgen_state, double loc, double scale);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
@@ -1873,18 +2074,26 @@ typedef struct {
     uint64_t *keys;
     int64_t threads;
     int64_t *work;
+    int64_t first_block;
+    const double *ice;
+    int64_t check_zero;
+    const int64_t *serve;
+    int64_t *read_scratch;
 } batch_call;
-_Static_assert(sizeof(batch_call) == 34 * sizeof(int64_t),
-               "batch_call is 34 words");
+_Static_assert(sizeof(batch_call) == 39 * sizeof(int64_t),
+               "batch_call is 39 words");
 
-int64_t pack_ice_batches(const int64_t *words, const double *programmed_linear,
-                         const double *programmed_values, int8_t *physical,
-                         const double *ice, int64_t check_zero, int64_t batch,
-                         int64_t stop, int64_t num_anneals, int64_t sweep,
-                         const bitgen_t *const *generators)
+int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
+                         const double *source_values, int8_t *physical,
+                         int64_t num_anneals, int64_t batch, int64_t stop,
+                         int64_t sweep, const bitgen_t *const *generators)
 {
     batch_call c;
+    serve_call s;
     memcpy(&c, words, sizeof(c));
+    memset(&s, 0, sizeof(s));
+    if (c.serve)
+        memcpy(&s, c.serve, sizeof(s));
     colour_call call = {
         c.spins, c.sld, c.num_replicas, c.num_blocks, c.size, c.linear,
         c.members, c.class_starts, c.num_classes, c.data, c.indices,
@@ -1893,6 +2102,16 @@ int64_t pack_ice_batches(const int64_t *words, const double *programmed_linear,
          c.edge_values},
         c.num_clusters, c.num_edges, c.temperatures, c.num_sweeps};
     const int64_t size = c.size, width = c.num_blocks * c.size;
+    const int64_t lo = c.first_block, hi = lo + c.num_blocks;
+    const double *programmed_linear =
+        (c.serve ? s.fields : source_linear) + lo * size;
+    const double *programmed_values =
+        (c.serve ? s.couplers : source_values) + lo * c.num_values;
+    physical += lo * size;
+    generators += lo;
+    if (c.serve && batch == 0
+        && program_pack(&s, source_linear, source_values, lo, hi))
+        return -1;
     for (; batch < stop; ++batch) {
         const int64_t first = batch * c.num_replicas;
         const int64_t rows = num_anneals - first < c.num_replicas
@@ -1903,17 +2122,19 @@ int64_t pack_ice_batches(const int64_t *words, const double *programmed_linear,
             const double *from = programmed_linear + b * size;
             double *to = c.linear + b * size;
             for (int64_t v = 0; v < size; ++v)
-                to[v] = ice ? from[v] + random_normal(generator, ice[0], ice[1])
-                            : from[v];
+                to[v] = c.ice ? from[v] + random_normal(generator, c.ice[0],
+                                                        c.ice[1])
+                              : from[v];
             from = programmed_values + b * c.num_values;
             to = c.values + b * c.num_values;
             for (int64_t e = 0; e < c.num_values; ++e) {
-                to[e] = ice ? from[e] + random_normal(generator, ice[2], ice[3])
-                            : from[e];
+                to[e] = c.ice ? from[e] + random_normal(generator, c.ice[2],
+                                                        c.ice[3])
+                              : from[e];
                 zero |= to[e] == 0.0;
             }
         }
-        if (check_zero && zero)
+        if (c.check_zero && zero)
             return batch;
         for (int64_t b = 0; b < c.num_blocks; ++b) {
             const double *from = c.values + b * c.num_values;
@@ -1942,234 +2163,10 @@ int64_t pack_ice_batches(const int64_t *words, const double *programmed_linear,
                 physical[(first + r) * c.pld + v] =
                     (int8_t)c.spins[r * c.sld + v];
     }
+    if (c.serve && sweep == 2 && stop * c.num_replicas >= num_anneals)
+        read_out_pack(&s, physical, c.pld, source_values, c.read_scratch, lo,
+                      hi);
     return stop;
-}
-
-/* The energy operator of a pack: for each problem b, A_b @ S_b^T exactly as
-   scipy's csr_matvecs computes it.  The problems share the CSR structure
-   (indices, indptr) of a size x size matrix, row b of data (nnz wide) being
-   A_b's values; S_b is rows [bounds[b], bounds[b + 1]) of the contiguous
-   spins, K_b of them.  Every output element accumulates data[b][jj] *
-   S_b[k][indices[jj]] from 0.0 in CSR entry order, and problem b's product
-   is the C-contiguous (size, K_b) block at out + size * bounds[b] — the
-   layout the energy contraction is defined on (IsingModel.energies).  The
-   sums run lane_terms' way, LANE_WIDTH samples per accumulator, over a
-   transposed copy of S_b kept in the second half of out (which is twice
-   the size of spins): at 48 variables x 200 reads that is what keeps the
-   call level with scipy's vectorised axpy, and below it everywhere else. */
-void csr_pack_matvecs(int64_t num_problems, int64_t size,
-                      const int64_t *indices, const int64_t *indptr,
-                      const double *data, int64_t nnz, const double *spins,
-                      const int64_t *bounds, double *out)
-{
-    double *restrict columns = out + size * bounds[num_problems];
-    for (int64_t b = 0; b < num_problems; ++b) {
-        const int64_t count = bounds[b + 1] - bounds[b];
-        const double *values = data + b * nnz;
-        const double *rows = spins + size * bounds[b];
-        double *restrict y = out + size * bounds[b];
-        for (int64_t k = 0; k < count; ++k)
-            for (int64_t v = 0; v < size; ++v)
-                columns[v * count + k] = rows[k * size + v];
-        for (int64_t i = 0; i < size; ++i, y += count) {
-            int64_t k = 0;
-            for (; k + LANE_WIDTH <= count; k += LANE_WIDTH) {
-                double acc[LANE_WIDTH] = {0.0};
-                for (int64_t jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-                    const double weight = values[jj];
-                    const double *column = columns + indices[jj] * count + k;
-                    for (int l = 0; l < LANE_WIDTH; ++l)
-                        acc[l] += weight * column[l];
-                }
-                memcpy(y + k, acc, sizeof(acc));
-            }
-            for (; k < count; ++k) {
-                double acc = 0.0;
-                for (int64_t jj = indptr[i]; jj < indptr[i + 1]; ++jj)
-                    acc += values[jj] * columns[indices[jj] * count + k];
-                y[k] = acc;
-            }
-        }
-    }
-}
-
-/* ------------------------------------------------------------------------ *
- * A pack's programming and read-out: embed_pack's direct plan,
- * unembed_pack's majority vote and aggregate_pack's distinct reads.  Each
- * is integer work, a max, or one rounded operation per element (no
- * contraction), so each is the NumPy pass it stands in for, bit for bit.
- * ------------------------------------------------------------------------ */
-
-/* max |x[i]| from 0.0, NaN sticking once seen, as np.max does. */
-static double max_abs(const double *x, int64_t count)
-{
-    double largest = 0.0;
-    for (int64_t i = 0; i < count; ++i) {
-        const double a = fabs(x[i]);
-        largest = a > largest || a != a ? a : largest;
-    }
-    return largest;
-}
-
-/* x clipped into [lo, hi] the way np.clip does (NaN and -0.0 kept). */
-static inline double clip(double x, double lo, double hi)
-{
-    return x < lo ? lo : x > hi ? hi : x;
-}
-
-/* embed_pack over a collision-free plan: per problem b of the (B, L)
-   linear and (B, E) couplings, scale[b] is base_scale, divided (when
-   normalising) by the largest |coupling| or, with none, the largest
-   |field|, if that is positive.  Fields spread as (linear * scale) / its
-   chain's length onto the P qubits (logical_of), the chain couplers hold
-   coupler_min (the chain coupling) and the crossing couplers the scaled
-   couplings; couplers clip into [coupler_min, coupler_max], fields into
-   [field_min, field_max], and clipped[b] counts the couplers outside
-   theirs and the fields whose magnitude exceeds field_max.  1 (nothing to
-   trust) when a scaled coupling is 0.0: that coupler is unprogrammed,
-   which the NumPy path decides. */
-int64_t embed_direct(int64_t num_problems, int64_t num_logical,
-                     int64_t num_keys, const double *linear,
-                     const double *values, double base_scale,
-                     int64_t normalize, double coupler_min,
-                     double coupler_max, double field_min, double field_max,
-                     int64_t num_physical, const int64_t *logical_of,
-                     const double *chain_lengths, int64_t num_chain_couplers,
-                     double *scale, double *fields, double *couplers,
-                     int64_t *clipped)
-{
-    const int64_t width = num_chain_couplers + num_keys;
-    for (int64_t b = 0; b < num_problems; ++b) {
-        const double *lin = linear + b * num_logical;
-        const double *val = values + b * num_keys;
-        double *row = couplers + b * width, *out = fields + b * num_physical;
-        double s = base_scale;
-        int64_t clips = 0;
-        if (normalize) {
-            double reference = max_abs(val, num_keys);
-            if (reference == 0.0)
-                reference = max_abs(lin, num_logical);
-            if (reference > 0.0)
-                s = base_scale / reference;
-        }
-        scale[b] = s;
-        for (int64_t c = 0; c < num_chain_couplers; ++c)
-            row[c] = coupler_min;
-        for (int64_t e = 0; e < num_keys; ++e) {
-            const double v = val[e] * s;
-            if (v == 0.0)
-                return 1;
-            clips += v < coupler_min || v > coupler_max;
-            row[num_chain_couplers + e] = clip(v, coupler_min, coupler_max);
-        }
-        for (int64_t p = 0; p < num_physical; ++p) {
-            const int64_t i = logical_of[p];
-            const double f = lin[i] * s / chain_lengths[i];
-            clips += fabs(f) > field_max;
-            out[p] = clip(f, field_min, field_max);
-        }
-        clipped[b] = clips;
-    }
-    return 0;
-}
-
-/* unembed_pack's vote: physical is the (S, B * P) int8 sample matrix and
-   chain i of L is members[bounds[i]:bounds[i + 1]] (compact qubits).
-   values (B, S, L) gets the sign of each chain's sum, 0 on a tie;
-   counts[b] counts problem b's chains whose |sum| is not their length,
-   counts[B + b] its ties.  Returns the pack's ties, which the caller
-   draws. */
-int64_t majority_vote(int64_t num_samples, int64_t num_problems,
-                      int64_t num_physical, const int8_t *physical,
-                      int64_t num_logical, const int64_t *members,
-                      const int64_t *bounds, int8_t *values, int64_t *counts)
-{
-    int64_t total = 0;
-    for (int64_t b = 0; b < num_problems; ++b) {
-        int64_t broken_b = 0, ties_b = 0;
-        for (int64_t s = 0; s < num_samples; ++s) {
-            const int8_t *row = physical
-                                + (s * num_problems + b) * num_physical;
-            int8_t *out = values + (b * num_samples + s) * num_logical;
-            for (int64_t i = 0; i < num_logical; ++i) {
-                int64_t sum = 0;
-                for (int64_t k = bounds[i]; k < bounds[i + 1]; ++k)
-                    sum += row[members[k]];
-                broken_b += (sum < 0 ? -sum : sum)
-                            != bounds[i + 1] - bounds[i];
-                ties_b += sum == 0;
-                out[i] = (int8_t)((sum > 0) - (sum < 0));
-            }
-        }
-        counts[b] = broken_b;
-        counts[num_problems + b] = ties_b;
-        total += ties_b;
-    }
-    return total;
-}
-
-/* aggregate_pack's distinct reads of a (B, R, N) int8 spin array, N < 64:
-   a read's key has bit N - 1 - v set where variable v is +1, so ascending
-   keys are np.unique(axis=0)'s row order.  Per problem the (key, read)
-   pairs merge-sort stably (scratch: 4 * R words), each run of equal keys
-   is one distinct read: its first occurrence's row of the (B * R, N) reads
-   goes to first, the run length to counts, and bounds[b]:bounds[b + 1]
-   are problem b's.  Returns the distinct reads of the pack, or -1 when a
-   read is not all spins. */
-int64_t distinct_reads(int64_t num_problems, int64_t num_reads,
-                       int64_t num_variables, const int8_t *raw,
-                       uint64_t *scratch, int64_t *first, int64_t *counts,
-                       int64_t *bounds)
-{
-    int64_t found = 0;
-    bounds[0] = 0;
-    for (int64_t b = 0; b < num_problems; ++b) {
-        const int8_t *reads = raw + b * num_reads * num_variables;
-        uint64_t *key = scratch, *read = scratch + num_reads;
-        uint64_t *key_to = read + num_reads, *read_to = key_to + num_reads;
-        for (int64_t r = 0; r < num_reads; ++r) {
-            uint64_t bits = 0;
-            for (int64_t v = 0; v < num_variables; ++v) {
-                const int8_t spin = reads[r * num_variables + v];
-                if (spin != 1 && spin != -1)
-                    return -1;
-                bits = bits << 1 | (spin > 0);
-            }
-            key[r] = bits;
-            read[r] = (uint64_t)r;
-        }
-        for (int64_t width = 1; width < num_reads; width *= 2) {
-            for (int64_t lo = 0; lo < num_reads; lo += 2 * width) {
-                const int64_t mid = lo + width < num_reads ? lo + width
-                                                           : num_reads;
-                const int64_t hi = mid + width < num_reads ? mid + width
-                                                           : num_reads;
-                int64_t i = lo, j = mid, k = lo;
-                while (i < mid && j < hi) {
-                    const int64_t from = key[j] < key[i] ? j++ : i++;
-                    key_to[k] = key[from];
-                    read_to[k++] = read[from];
-                }
-                for (; i < mid; ++i, ++k)
-                    key_to[k] = key[i], read_to[k] = read[i];
-                for (; j < hi; ++j, ++k)
-                    key_to[k] = key[j], read_to[k] = read[j];
-            }
-            uint64_t *swap = key;
-            key = key_to, key_to = swap;
-            swap = read, read = read_to, read_to = swap;
-        }
-        for (int64_t r = 0; r < num_reads; ++found) {
-            int64_t end = r + 1;
-            while (end < num_reads && key[end] == key[r])
-                ++end;
-            first[found] = b * num_reads + (int64_t)read[r];
-            counts[found] = end - r;
-            r = end;
-        }
-        bounds[b + 1] = found;
-    }
-    return found;
 }
 
 int64_t counter_openmp_enabled(void)
@@ -2301,11 +2298,8 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
     members_args = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
     csr_args = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                 ctypes.c_int64]            # data, indices, indptr, nnz
-    edge_args = [
-        ctypes.c_void_p, ctypes.c_void_p,  # edge_i, edge_j
-        ctypes.c_void_p, ctypes.c_void_p,  # edge_starts, edge_values
-        ctypes.c_int64,                    # num_edges
-    ]
+    edge_args = [*[ctypes.c_void_p] * 4,  # edge_i, _j, _starts, _values
+                 ctypes.c_int64]           # num_edges
     schedule_args = [ctypes.c_void_p, ctypes.c_int64]  # temperatures, sweeps
     colour_args = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
@@ -2329,39 +2323,20 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
                                ctypes.c_int64, ctypes.c_void_p]),
         "pack_ice_batches": (ctypes.c_int64, [
             ctypes.c_void_p,                   # the range's argument block
-            ctypes.c_void_p, ctypes.c_void_p,  # programmed fields, values
-            ctypes.c_void_p, ctypes.c_void_p,  # physical, ICE statistics
-            *[ctypes.c_int64] * 5,     # check zero, batch, stop, anneals, sweep
+            ctypes.c_void_p, ctypes.c_void_p,  # source fields, couplings
+            ctypes.c_void_p,                   # physical
+            *[ctypes.c_int64] * 4,     # anneals, batch, stop, sweep
             generators]),
+        "pack_read_out": (ctypes.c_int64, [
+            ctypes.c_void_p, ctypes.c_void_p,  # serve block, physical
+            ctypes.c_void_p, ctypes.c_void_p,  # logical couplings, scratch
+            ctypes.c_int64, ctypes.c_int64]),  # problems [lo, hi)
         "counter_initial_spins": (None, [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_void_p]),         # spins, R, blocks, size, keys
         "sequential_initial_spins": (None, [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int64, generators]),  # spins, ld, R, blocks, size
-        "csr_pack_matvecs": (None, [
-            ctypes.c_int64, ctypes.c_int64,    # problems, size
-            ctypes.c_void_p, ctypes.c_void_p,  # indices, indptr
-            ctypes.c_void_p, ctypes.c_int64,   # data, nnz
-            ctypes.c_void_p, ctypes.c_void_p,  # spins, bounds
-            ctypes.c_void_p]),                 # out
-        "embed_direct": (ctypes.c_int64, [
-            *[ctypes.c_int64] * 3,             # problems, L, E
-            ctypes.c_void_p, ctypes.c_void_p,  # linear, values
-            ctypes.c_double, ctypes.c_int64,   # base scale, normalize
-            *[ctypes.c_double] * 4,            # coupler and field ranges
-            ctypes.c_int64,                    # P
-            ctypes.c_void_p, ctypes.c_void_p,  # logical_of, chain lengths
-            ctypes.c_int64,                    # chain couplers
-            *[ctypes.c_void_p] * 4]),          # scale, fields, couplers, clips
-        "majority_vote": (ctypes.c_int64, [
-            *[ctypes.c_int64] * 3,             # samples, problems, P
-            ctypes.c_void_p, ctypes.c_int64,   # physical, L
-            ctypes.c_void_p, ctypes.c_void_p,  # chain members, bounds
-            ctypes.c_void_p, ctypes.c_void_p]),  # values, counts
-        "distinct_reads": (ctypes.c_int64, [
-            *[ctypes.c_int64] * 3,             # problems, reads, N
-            *[ctypes.c_void_p] * 5]),  # raw, scratch, first, counts, bounds
         "metropolis_accept_probe": (ctypes.c_int64, [ctypes.c_double] * 3),
         "philox_fill_probe": (ctypes.c_int64, [
             *[ctypes.c_int64] * 6,     # width, begin, end, sweep, first, tag

@@ -16,11 +16,10 @@ Because the chain couplings are pinned at the hardware maximum, increasing
 absolute ICE noise this is what produces the performance optimum in
 ``|J_F|`` observed in the paper's Fig. 5.
 
-Everything above except the coefficient *values* is a function of the
-embedding and the logical coupling keys alone, so it is derived once as an
-:class:`EmbeddingPlan`; compiling problems is then a few array passes over a
-whole pack of them (:func:`embed_pack`), and :func:`embed_ising` is the pack
-of one.
+Everything but the coefficient *values* is derived once per embedding and
+key tuple as an :class:`EmbeddingPlan`; compiling is then a few array
+passes over a pack (:func:`embed_pack`; :func:`embed_ising` is the pack of
+one), which the C artefact runs inside a machine pack's batch call.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.annealer import backends
 from repro.annealer.embedding import Embedding
 from repro.exceptions import EmbeddingError
 from repro.ising.model import Coupling, IsingModel, IsingPack
@@ -212,28 +210,14 @@ def embedding_plan(embedding: Embedding, num_logical: int,
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedPack(Sequence):
-    """A pack of hardware-ready problems of one structure, as arrays.
-
-    Attributes
-    ----------
-    embedding:
-        The logical-to-physical chain embedding used.
-    plan:
-        The shared structure (qubit order, couplers, chains).
-    logical:
-        The logical problems that were compiled, stacked.
-    problems:
-        The programmed Ising problems over compact physical indices
-        ``0 .. P-1``: one key tuple, ``(problems, P)`` fields and
-        ``(problems, E)`` coupler values.
-    problem_scale, clipped:
-        Per problem, the auto-ranging factor applied to the logical
-        coefficients and the number of programmed coefficients clipped into
-        the hardware range.
-    chain_strength, extended_range:
-        The compile settings shared by the pack.
-
-    Indexing yields the per-problem :class:`EmbeddedIsing` view.
+    """A pack of hardware-ready problems of one structure, as arrays: the
+    *embedding* used, the shared *plan*, the *logical* problems stacked,
+    the programmed *problems* over compact physical indices ``0 .. P-1``
+    (one key tuple, ``(problems, P)`` fields, ``(problems, E)`` couplers),
+    per problem the auto-ranging *problem_scale* and the coefficients
+    *clipped* into the hardware range, and the compile settings
+    *chain_strength* and *extended_range*.  Indexing yields the
+    per-problem :class:`EmbeddedIsing` view.
     """
 
     embedding: Embedding
@@ -319,19 +303,36 @@ class EmbeddedIsing:
         return self.pack.plan.chains
 
 
+def compile_settings(chain_strength: float, extended_range: bool
+                     ) -> Tuple[float, Tuple[float, float],
+                                Tuple[float, float]]:
+    """``(base scale, coupler range, field range)`` of a compile: the low end
+    of the coupler range is the chain coupling.  Auto-ranging normalises
+    the logical couplings to unit magnitude, then programs them at |chain
+    coupling| / |J_F|: the extended range doubles the programmed problem
+    coefficients for one |J_F|, which is why it is more robust to ICE."""
+    chain_coupling = (COUPLER_MIN_EXTENDED if extended_range
+                      else COUPLER_MIN_STANDARD)
+    return (abs(chain_coupling) / chain_strength,
+            (chain_coupling, COUPLER_MAX), (FIELD_MIN, FIELD_MAX))
+
+
 def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
                chain_strength: float, extended_range: bool = False
                ) -> Optional[EmbeddedPack]:
     """Compile logical Ising problems of one structure onto an embedding.
 
     The pack form of Appendix B: scale, gather onto the plan's couplers,
-    clip — each a single array pass over all problems; over a
-    collision-free plan, one call of the C artefact
-    (:func:`repro.annealer.backends.embed_direct`) where a compiler built
-    it.  Returns ``None`` when the problems cannot be programmed as one
-    structure (different logical key sets, or a coefficient of one of
-    several problems cancels to exactly zero on the way); a pack of one
-    always compiles.  See :func:`embed_ising` for the parameters.
+    clip — each a single array pass over all problems.  On the C artefact
+    a machine pack over a collision-free plan is programmed inside its
+    batch call instead, by the same passes
+    (:meth:`~repro.annealer.engine.BlockDiagonalSampler.anneal` with
+    ``program=``); this is the route of every other pack, and of a pack
+    whose scaled coupling lands on ``0.0``.  Returns ``None`` when the
+    problems cannot be programmed as one structure (different logical key
+    sets, or a coefficient of one of several problems cancels to exactly
+    zero on the way); a pack of one always compiles.  See
+    :func:`embed_ising` for the parameters.
     """
     chain_strength = check_positive("chain_strength", chain_strength)
     logical = IsingPack.stack(logicals)
@@ -342,41 +343,8 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
             f"embedding covers {embedding.num_logical} variables, the problem "
             f"has {logical.num_variables}"
         )
-    chain_coupling = (COUPLER_MIN_EXTENDED if extended_range
-                      else COUPLER_MIN_STANDARD)
-
-    def packed(plan, physical_keys, fields, couplers, problem_scale,
-               clipped) -> EmbeddedPack:
-        return EmbeddedPack(
-            embedding=embedding, plan=plan, logical=logical,
-            problems=IsingPack(plan.num_physical, physical_keys, fields,
-                               couplers, np.zeros(len(logical))),
-            problem_scale=problem_scale, clipped=clipped,
-            chain_strength=chain_strength, extended_range=extended_range)
-
-    # Auto-ranging: normalise the logical couplings to unit magnitude, then
-    # program them at |chain coupling| / |J_F| so that the chain-to-problem
-    # ratio is exactly the requested chain strength.  The extended range
-    # therefore doubles the programmed problem coefficients for the same
-    # |J_F|, which is why it is more robust to ICE.
-    base_scale = abs(chain_coupling) / chain_strength
-    if backends.cext_available():
-        try:
-            plan = embedding_plan(embedding, logical.num_variables,
-                                  logical.keys)
-        except EmbeddingError:
-            # The NumPy passes raise it too, unless the coupling without a
-            # coupler underflows to 0.0 and so needs none.
-            plan = None
-        programmed = None
-        if plan is not None and plan.direct:
-            programmed = backends.embed_direct(
-                plan, logical.linear, logical.values, base_scale,
-                (chain_coupling, COUPLER_MAX), (FIELD_MIN, FIELD_MAX))
-        if programmed is not None:  # else a coupling scaled to 0.0: below
-            problem_scale, fields, couplers, clipped = programmed
-            return packed(plan, plan.physical_keys, fields, couplers,
-                          problem_scale, clipped)
+    base_scale, (chain_coupling, _), _ = compile_settings(chain_strength,
+                                                          extended_range)
     problem_scale = np.full(len(logical), base_scale)
     reference = np.abs(logical.values).max(axis=1, initial=0.0)
     fields_only = reference == 0.0
@@ -430,8 +398,12 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
 
     clipped = clipped + np.count_nonzero(np.abs(fields) > FIELD_MAX, axis=1)
     fields = np.clip(fields, FIELD_MIN, FIELD_MAX)
-    return packed(plan, physical_keys, fields, couplers, problem_scale,
-                  clipped)
+    return EmbeddedPack(
+        embedding=embedding, plan=plan, logical=logical,
+        problems=IsingPack(plan.num_physical, physical_keys, fields, couplers,
+                           np.zeros(len(logical))),
+        problem_scale=problem_scale, clipped=clipped,
+        chain_strength=chain_strength, extended_range=extended_range)
 
 
 def embed_ising(logical: IsingModel, embedding: Embedding, *,

@@ -5,57 +5,36 @@ simulator, the classical :class:`~repro.ising.solver.SimulatedAnnealingSolver`
 baseline and the batched OFDM decode path all sample through it.
 
 One "anneal" of the simulated machine is one Metropolis trajectory over the
-embedded Ising problem, following the temperature profile produced by the
-:class:`~repro.annealer.schedule.AnnealSchedule`.  To make a whole QA run
-(hundreds to thousands of anneals) affordable in pure NumPy, all anneals of a
-batch are evolved simultaneously as replica rows of a spin matrix, and
-variables are updated one graph-colour class at a time: within a colour class
-no two variables interact, so the simultaneous vectorised flips are exact
-single-spin-flip Metropolis dynamics.  Per-class coupling operators are kept
-sparse because hardware-embedded problems have qubit degree at most six.
+embedded Ising problem, following the temperature profile of its
+:class:`~repro.annealer.schedule.AnnealSchedule`.  All anneals of a batch
+evolve simultaneously as replica rows of a spin matrix, and variables are
+updated one graph-colour class at a time: no two variables of a class
+interact, so the simultaneous flips are exact single-spin-flip dynamics.
+A dense *logical* problem colours into singletons, which the same kernel
+sweeps one variable at a time in class order.
 
 :class:`BlockDiagonalSampler` evolves ``num_blocks`` structurally identical
-problems laid out as one block-diagonal problem, and :class:`IsingSampler` is
-its one-block special case.  There is one sweep kernel, the colour-class
-kernel: it updates one independent set at a time through sparse per-class
-operators — the shape of hardware-embedded problems, whose qubit degree of
-at most six keeps the class count small.  A dense *logical* problem (the
-QuAMax ML reduction couples nearly every variable pair) colours into
-singletons, and the same kernel then sweeps it one variable at a time in
-class order: exact sequential single-spin-flip dynamics, just less
-parallel.  Two levels of reuse amortise setup cost across repeated runs:
+problems laid out as one block-diagonal problem (the subcarriers of an OFDM
+symbol, Section 5.5 of the paper), each block drawing its randomness from
+its own generator so the trajectories are bit for bit those of independent
+per-problem anneals; :class:`IsingSampler` is its one-block case.  The
+sampler holds the pack's coefficients as one ``(blocks, E)`` value matrix
+(:class:`~repro.ising.model.IsingPack`) and every kernel layout is a gather
+from it through slot→edge maps derived once per structure, so
+:meth:`BlockDiagonalSampler.refresh_values` rebinds a warm sampler to new
+same-structure problems by swapping the matrix.
 
-* :meth:`BlockDiagonalSampler.refresh_values` rebinds a sampler to new
-  problems with the *same* coupling structure (e.g. the successive packs
-  of one structure a machine serves): the sampler holds the pack's
-  coefficients as one ``(blocks, E)`` value matrix
-  (:class:`~repro.ising.model.IsingPack`) and every kernel layout is a
-  gather from it through slot→edge maps derived once per structure, so a
-  rebind swaps the matrix instead of re-deriving colour classes and
-  re-slicing operators;
-* a multi-block sampler packs several structurally identical problems (e.g.
-  the subcarriers of an OFDM symbol, Section 5.5 of the paper) into one
-  anneal that shares every sparse operation, while drawing each block's
-  randomness from its own generator so the trajectories are bit-for-bit
-  those of independent per-problem anneals.
-
-The box, not a setting, picks the *implementation* of the kernel's inner
-loop: the compiled translation from :mod:`repro.annealer.backends`
-wherever the C artefact loads
-(:func:`~repro.annealer.backends.cext_available`), else the reference loops
-in this module; both consume the exact same per-variable Metropolis draw
-stream.  Because each block draws
-from its own generator and blocks never interact, the compiled kernels
-evolve blocks one at a time through the whole schedule without changing any
-block's stream.  Every anneal is one call of the ICE-batch loop —
-before each batch every block perturbs the bound values from its own
-generator, and no ICE means one noise-free batch — so a single problem (a
-pack of one block), a logical problem without cluster (chain-flip) moves
-(an empty cluster descriptor) and a serving pack all take
-:meth:`BlockDiagonalSampler.anneal`: on the artefact one call per range of
-blocks (:func:`~repro.annealer.backends.pack_ice_batches`) runs every
-batch's draws, gathers, start and sweep; the NumPy path perturbs, rebinds
-and anneals batch by batch, its oracle.
+The box, not a setting, picks the implementation of the inner loop: the
+compiled translation from :mod:`repro.annealer.backends` wherever the C
+artefact loads (:func:`~repro.annealer.backends.cext_available`), else the
+reference loops in this module; both consume the exact same draw stream.
+Every anneal is one call of the ICE-batch loop — before each batch every
+block perturbs the bound values from its own generator; no ICE is one
+noise-free batch — through :meth:`BlockDiagonalSampler.anneal`: on the
+artefact one call per range of blocks
+(:func:`~repro.annealer.backends.pack_ice_batches`), which also programs
+and reads out a served machine pack (``program=``); the NumPy path
+perturbs, rebinds and anneals batch by batch, its oracle.
 """
 
 from __future__ import annotations
@@ -173,18 +152,13 @@ class BlockDiagonalSampler:
     """Replica-batched Metropolis sampler over one or more identical-structure
     Ising problems.
 
-    The blocks are laid out as a block-diagonal problem: block ``b`` occupies
-    variables ``[b*P, (b+1)*P)`` and there are no cross-block couplings, so
-    the combined trajectory factorises exactly into the blocks' independent
-    trajectories.  Every sparse matvec, energy difference and acceptance mask
-    is computed on the combined arrays (amortising the NumPy dispatch
-    overhead over all blocks — the Section 5.5 multi-subcarrier
-    parallelization), while each block's Metropolis randomness is drawn from
-    its *own* generator in exactly the order a one-block sampler with that
-    generator would draw it.  Because the per-block draw order (initial
-    spins, then per-class uphill draws, then per-cluster draws, per sweep)
-    never depends on the other blocks, a multi-block anneal is bit-for-bit
-    the per-block serial anneals.
+    Block ``b`` occupies variables ``[b*P, (b+1)*P)`` with no cross-block
+    couplings, so the combined trajectory factorises exactly into the
+    blocks' own.  Every sparse matvec, energy difference and acceptance
+    mask is computed on the combined arrays (the Section 5.5
+    multi-subcarrier parallelization), while each block draws from its
+    *own* generator in exactly the order a one-block sampler would, so a
+    multi-block anneal is bit for bit the per-block serial anneals.
 
     Parameters
     ----------
@@ -202,21 +176,16 @@ class BlockDiagonalSampler:
         keep the simulator's chain dynamics representative.
     rng:
         Draw discipline: ``"sequential"`` (default) consumes each block's
-        generator in the reference loops' order — bit-reproducible, and on
-        cext spread over the CPUs by itself, bit for bit (a pack's blocks,
-        or one large block's replicas); ``"counter"`` derives every uniform
-        from a Philox counter addressed by ``(site, sweep, replica,
-        move_tag)`` under a per-block key drawn once per anneal from the
-        block's generator (see
-        :mod:`repro.annealer.counter`) — reproducible under its own
-        discipline, identical across backends *and* thread counts.
+        generator in the reference loops' order; ``"counter"`` values every
+        uniform by a Philox counter addressed by ``(site, sweep, replica,
+        move_tag)`` under a per-block key drawn once per batch from the
+        block's generator (:mod:`repro.annealer.counter`), identical across
+        backends *and* thread counts.
     threads:
         The OpenMP width of one counter-discipline cext call; > 1 needs
-        ``rng="counter"``.  At 1 a cext call of either discipline shards
-        the pack's blocks over the usable CPUs by itself, so the width is
-        a choice between one team and block ranges, never both.  The NumPy
-        reference loops ignore it (they are vectorised over replicas
-        already).  The thread count never changes results.
+        ``rng="counter"``.  At 1 a cext call of either discipline shards the
+        pack's blocks over the usable CPUs by itself.  The NumPy loops
+        ignore it; it never changes results.
 
     A sampler keeps per-structure kernel workspaces between anneals, so one
     instance serves one :meth:`anneal` call at a time (the machine's warm
@@ -305,6 +274,11 @@ class BlockDiagonalSampler:
             ).astype(np.int64),
             edge_values=None,
         )
+        #: The batch call's structure arguments, schedule aside.
+        self._batch_structure = (
+            self._class_members, self._class_starts, self._class_csr.indices,
+            self._class_csr.indptr, self._cluster_structure,
+            self._class_csr.edges, self._cluster_internal_edges)
         # Built by the first numpy-loop anneal or coupling_matrix read.
         self._reference: Optional[_ReferenceOperators] = None
         #: What the backend keeps between calls over this structure (the
@@ -633,10 +607,11 @@ class BlockDiagonalSampler:
 
     def _ice_batches(self, temperatures: np.ndarray, num_replicas: int,
                      rngs: List[np.random.Generator], ice: Optional[ICEModel],
-                     batch: int) -> np.ndarray:
+                     batch: int, serve=None) -> Optional[np.ndarray]:
         """:meth:`anneal`'s batches: one artefact call per range of blocks
-        on cext, the NumPy path's loop otherwise (the oracle).  Both check
-        for an exactly cancelled coupling only with *ice*."""
+        on cext (serving a pack with *serve*; ``None`` when it refuses
+        one), the NumPy path's loop otherwise (the oracle).  Both check for
+        an exactly cancelled coupling only with *ice*."""
         physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
         if self.selected_backend == "cext":
             size = self.block_size
@@ -647,18 +622,17 @@ class BlockDiagonalSampler:
                     self._per_problem(fields, couplings, slice(lo, hi),
                                       temperatures, rows, rngs)
 
-            self._last_sweep_work = backends.pack_ice_batches(
-                physical, self.linear, np.ascontiguousarray(self._values),
-                (self._class_members, self._class_starts,
-                 self._class_csr.indices, self._class_csr.indptr,
-                 self._cluster_structure, self._class_csr.edges,
-                 self._cluster_internal_edges, temperatures),
-                rngs, batch,
+            work = backends.pack_ice_batches(
+                physical, self.linear, self._values,
+                (*self._batch_structure, temperatures), rngs, batch,
                 None if ice is None or not ice.enabled else (
                     ice.linear_mean, ice.linear_std, ice.quadratic_mean,
                     ice.quadratic_std),
                 ice is not None, self.rng_mode == "counter", self.threads,
-                self._kernel_workspace, cancelled)
+                self._kernel_workspace, cancelled, serve)
+            if work is None:
+                return None
+            self._last_sweep_work = work
             return physical
         self._last_sweep_work = None
         programmed = self.isings
@@ -677,6 +651,30 @@ class BlockDiagonalSampler:
         self._rebind(programmed)
         return physical
 
+    def _bind_served(self, program: tuple,
+                     num_replicas: int) -> backends.PackReadOut:
+        """Bind the sampler to buffers of its own for the blocks of a served
+        pack (:meth:`anneal` with ``program=``); their read-out."""
+        logical, plan, *settings = program
+        blocks = len(logical)
+        served = self._kernel_workspace.setdefault("served", {})
+        key = (blocks, num_replicas, plan, *settings)
+        if key not in served:
+            size, width = self.block_size, len(self._edge_keys)
+            bound = IsingPack(size, self._edge_keys, np.empty((blocks, size)),
+                              np.empty((blocks, width)), np.zeros(blocks))
+            served[key] = (bound, backends.PackReadOut(
+                symmetric_csr_template(plan.num_logical, logical.keys),
+                np.empty((blocks, num_replicas, plan.num_logical),
+                         dtype=np.int8),
+                plan, settings, bound.linear, bound.values))
+        bound, out = served[key]
+        if blocks != self.num_blocks:
+            self.num_blocks = blocks
+            self._reference = None
+        self._bind(bound)
+        return out
+
     def _rebind(self, problems: IsingPack) -> None:
         """Bind a same-structure pack of this sampler's block count (an ICE
         realisation of the bound one: no structure check)."""
@@ -688,7 +686,8 @@ class BlockDiagonalSampler:
     def anneal(self, temperatures: Sequence[float], num_replicas: int,
                random_states: Sequence[RandomState], *,
                ice: Optional[ICEModel] = None,
-               ice_batch_size: Optional[int] = None) -> np.ndarray:
+               ice_batch_size: Optional[int] = None,
+               program: Optional[tuple] = None):
         """Anneal all blocks simultaneously, one generator per block.
 
         Parameters
@@ -704,17 +703,22 @@ class BlockDiagonalSampler:
             discipline) its key, its initial spins and its sweeps.
         ice, ice_batch_size:
             The machine's intrinsic control error: the replicas run in
-            batches of *ice_batch_size* (default: one batch), and before
-            each batch every block draws one
+            batches of *ice_batch_size* (default: one), and before each
+            every block draws one
             :meth:`~repro.annealer.ice.ICEModel.perturb_pack` realisation
-            of the bound values from its own generator, then anneals it.
-            A batch in which a perturbed coupling lands on exactly zero
-            anneals problem by problem.  Both default to ``None``: one
-            batch of the bound values as they are, with no zero check.  On
-            the C artefact every anneal is one call per range of blocks
-            (:func:`~repro.annealer.backends.pack_ice_batches`); the bound
-            values are the same afterwards, and :attr:`last_sweep_work`
-            counts the last batch.
+            of the bound values from its own generator; a batch in which a
+            perturbed coupling lands on exactly zero anneals problem by
+            problem.  Without *ice*: the bound values as they are, no zero
+            check.  :attr:`last_sweep_work` counts the last batch.
+        program:
+            On the C artefact only, ``(logical, plan, base scale, coupler
+            range, field range)`` serves a machine pack: the sampler binds
+            buffers of its own, one block per logical problem, which the
+            batch call programs (``embed_pack``'s passes over the
+            collision-free plan) before the first draw and reads out after
+            the last batch.  Returns the
+            :class:`~repro.annealer.backends.PackReadOut`, or ``None``,
+            nothing drawn, when a coupling scales to ``0.0``.
 
         Returns
         -------
@@ -723,9 +727,10 @@ class BlockDiagonalSampler:
             entries ±1; use :meth:`split_samples` to separate the blocks.
         """
         rngs = [ensure_rng(state) for state in random_states]
-        if len(rngs) != self.num_blocks:
+        blocks = self.num_blocks if program is None else len(program[0])
+        if len(rngs) != blocks:
             raise AnnealerError(
-                f"need one random state per block: expected {self.num_blocks}, "
+                f"need one random state per block: expected {blocks}, "
                 f"got {len(rngs)}"
             )
         num_replicas = check_integer_in_range("num_replicas", num_replicas,
@@ -733,8 +738,19 @@ class BlockDiagonalSampler:
         batch = num_replicas if ice_batch_size is None else (
             check_integer_in_range("ice_batch_size", ice_batch_size,
                                    minimum=1))
-        return self._ice_batches(self._checked_temperatures(temperatures),
-                                 num_replicas, rngs, ice, batch)
+        temperatures = self._checked_temperatures(temperatures)
+        if program is None:
+            return self._ice_batches(temperatures, num_replicas, rngs, ice,
+                                     batch)
+        if self.selected_backend != "cext":
+            raise AnnealerError("program= needs the C artefact")
+        out = self._bind_served(program, num_replicas)
+        if self._ice_batches(temperatures, num_replicas, rngs, ice, batch,
+                             (out, program[0])) is None:
+            return None
+        if self._reference is not None:  # the call wrote the bound values
+            self._bind_reference()
+        return out
 
 
 class IsingSampler(BlockDiagonalSampler):

@@ -1,19 +1,14 @@
 """The simulated D-Wave 2000Q front end.
 
 This module ties the hardware substrate together: it accepts a *logical*
-Ising problem, embeds it on the Chimera chip (or reuses a caller-provided
-embedding), applies ICE coefficient noise, runs batches of annealing
-trajectories according to the requested schedule, unembeds the physical
-samples by majority vote, and reports the per-run statistics (distinct
-solutions, energies, occurrence counts, ground-state probability) that the
-paper's TTS / TTB metrics are computed from.
-
-Inside :meth:`QuantumAnnealerSimulator.run_batch` the unit of work is the
-*pack*: the problems of one submission share one structure
-(:class:`~repro.annealer.embedded.EmbeddingPlan`) and travel between the
-stages as one ``(problems, E)`` coupling-value matrix and one ``(problems,
-P)`` field matrix (:class:`~repro.ising.model.IsingPack`), each stage a
-single array pass; a lone problem is a pack of one.
+Ising problem, embeds it on the Chimera chip, applies ICE coefficient
+noise, runs batches of annealing trajectories, unembeds the physical
+samples by majority vote, and reports the per-run statistics the paper's
+TTS / TTB metrics are computed from.  Inside
+:meth:`QuantumAnnealerSimulator.run_batch` the unit of work is the *pack*:
+the problems of one submission share one structure
+(:class:`~repro.annealer.embedded.EmbeddingPlan`) and travel as one
+:class:`~repro.ising.model.IsingPack`; a lone problem is a pack of one.
 
 Time accounting follows the paper's convention (Section 5.2): the reported
 compute time of a run is ``N_a * (T_a + T_p) / P_f`` — pure anneal time
@@ -34,20 +29,30 @@ from repro.annealer.chimera import ChimeraGraph
 # embed_ising, unembed_samples and aggregate_samples are the per-problem
 # spellings of the pack stages run_batch calls; they stay importable from
 # here (benchmarks/e2e/spans.py wraps them in this namespace by name).
-from repro.annealer.embedded import embed_ising, embed_pack  # noqa: F401
-from repro.annealer.backends import RNG_MODES
+from repro.annealer.embedded import (  # noqa: F401
+    compile_settings,
+    embed_ising,
+    embed_pack,
+    embedding_plan,
+)
+from repro.annealer import backends
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import BlockDiagonalSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.parallel import parallelization_factor
 from repro.annealer.schedule import AnnealSchedule
-from repro.annealer.unembed import unembed_pack, unembed_samples  # noqa: F401
-from repro.exceptions import AnnealerError
+from repro.annealer.unembed import (  # noqa: F401
+    draw_ties,
+    unembed_pack,
+    unembed_samples,
+)
+from repro.exceptions import AnnealerError, EmbeddingError
 from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import (  # noqa: F401
     SolverResult,
     aggregate_pack,
     aggregate_samples,
+    read_out_solutions,
 )
 from repro.utils.random import RandomState, child_rngs, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
@@ -168,18 +173,13 @@ class QuantumAnnealerSimulator:
         redrawn between batches).
     sampler_cache_size:
         Number of fully-warmed block-diagonal samplers kept across
-        :meth:`run_batch` calls, keyed on problem structure (block size,
-        coupling keys, cluster layout, rng/threads) and *not* on the
-        number of problems: everything a sampler derives is block-level, so
-        successive packs of one structure — of any sizes, down to the
-        batch-size-1 serving case — rebind the cached sampler in place
-        instead of re-deriving colour classes, CSR templates, entry maps
-        and cluster descriptors.  Seeded results are bit-identical with the
-        cache on, off (``0``) or at any size, because ``refresh_values``
-        reproduces fresh construction exactly; the cache only moves setup
-        work.  An entry is the sampler and nothing else: the pack's
-        energies need no kept operator
-        (:func:`~repro.ising.solver.aggregate_pack`).
+        :meth:`run_batch` calls, keyed on problem structure (coupling keys,
+        cluster layout, rng/threads), *not* on the number of problems: every
+        pack of one structure, down to the batch-size-1 serving case,
+        rebinds the cached sampler instead of re-deriving colour classes,
+        CSR templates and cluster descriptors.  Seeded results are
+        bit-identical with the cache on, off (``0``) or at any size; the
+        cache only moves setup work.
     """
 
     def __init__(self, topology: Optional[ChimeraGraph] = None, *,
@@ -203,14 +203,13 @@ class QuantumAnnealerSimulator:
         self._embedding_cache: Dict[int, Embedding] = {}
         self.sampler_cache_size = check_integer_in_range(
             "sampler_cache_size", sampler_cache_size, minimum=0)
-        # Checkout cache: run_batch *pops* the sampler on lookup and puts it
-        # back when done, so a decoder shared by several worker threads never
-        # has two of them refreshing one sampler concurrently (the loser of
-        # the pop simply constructs afresh and overwrites on reinsertion).
+        # Checkout cache (_checkout): a decoder shared by worker threads
+        # never has two of them on one sampler.
         self._sampler_cache: "OrderedDict[Tuple, BlockDiagonalSampler]" = (
             OrderedDict())
         self._sampler_cache_hits = 0
         self._sampler_cache_misses = 0
+        self._parallelization: Dict[int, float] = {}  # P_f per size
 
     # ------------------------------------------------------------------ #
     @property
@@ -242,27 +241,12 @@ class QuantumAnnealerSimulator:
             rng: str = "sequential", threads: int = 1) -> AnnealResult:
         """Submit one QA job: embed, anneal ``N_a`` times, unembed, aggregate.
 
-        A single-problem job is exactly a one-block :meth:`run_batch`, so the
-        serial and batched paths cannot diverge.
-
-        Parameters
-        ----------
-        logical_ising:
-            The logical problem (e.g. from the ML reduction).
-        parameters:
-            Run parameters; defaults to :class:`AnnealerParameters` defaults.
-        random_state:
-            Seed or generator for ICE draws, Metropolis moves and tie breaks.
-        embedding:
-            Optional pre-computed embedding (must cover the problem).
-        rng:
-            Draw discipline passed to the sampler: ``"sequential"``
-            (default, the reference streams) or ``"counter"`` (keyed Philox
-            streams, reproducible under their own discipline and identical
-            across backends and thread counts).
-        threads:
-            Kernel threads for the counter discipline's compiled kernels;
-            requires ``rng="counter"`` when > 1.
+        A one-block :meth:`run_batch`, so the serial and batched paths cannot
+        diverge.  *random_state* seeds the ICE draws, the Metropolis moves
+        and the tie breaks; *embedding* must cover the problem.  *rng* is
+        the draw discipline (``"sequential"``, the reference streams, or
+        ``"counter"``, keyed Philox streams identical across backends and
+        thread counts) and *threads* the counter kernels' width.
         """
         return self.run_batch([logical_ising], parameters=parameters,
                               random_states=[ensure_rng(random_state)],
@@ -280,20 +264,15 @@ class QuantumAnnealerSimulator:
         """Submit several same-size problems as one packed QA job.
 
         This is the Section 5.5 parallelization: small problems leave room on
-        the chip, so different subcarriers' problems share a single QA run.
-        All problems reuse one embedding, one temperature profile and one
-        block-diagonal sampler structure, and their anneals advance together
-        as replica rows of a single Metropolis batch.
-
-        The pack's sampler is bound once to the programmed, unperturbed
-        problems, and one :meth:`BlockDiagonalSampler.anneal` call runs
-        every ICE batch (``ice=``, ``ice_batch_size=`` are this machine's):
-        before each batch every problem draws its ICE realisation, then its
-        anneals — on the C artefact the whole loop is one call per range of
-        blocks.  Each problem consumes randomness from its own generator in
-        exactly the order a standalone :meth:`run` with that generator
-        would, so the per-problem results are bit-for-bit identical to
-        serial submission.
+        the chip, so different subcarriers' problems share a single QA run —
+        one embedding, one temperature profile, one block-diagonal sampler,
+        their anneals advancing together as replica rows of one batch.  One
+        :meth:`BlockDiagonalSampler.anneal` call runs every ICE batch (this
+        machine's ``ice`` and ``ice_batch_size``); on the C artefact it also
+        programs the pack and reads it out, one call per range of blocks.
+        Each problem consumes randomness from its own generator in exactly
+        the order a standalone :meth:`run` with that generator would, so the
+        per-problem results are bit for bit those of serial submission.
 
         Parameters
         ----------
@@ -312,21 +291,13 @@ class QuantumAnnealerSimulator:
             Base seed used only when *random_states* is omitted.
         embedding:
             Optional pre-computed embedding shared by all problems.
-        rng:
-            Draw discipline for the packed sampler: ``"sequential"``
-            (default) or ``"counter"``.  The counter discipline keys one
-            Philox stream per block per anneal call, so packed results stay
-            bit-identical to serial submission — and additionally identical
-            across backends and thread counts.
-        threads:
-            Kernel threads for the counter discipline's compiled kernels;
-            requires ``rng="counter"`` when > 1.  Thread count never
-            changes results, only wall-clock.
+        rng, threads:
+            As in :meth:`run`; neither changes the pack-equals-serial rule.
         """
         parameters = parameters or AnnealerParameters()
-        if rng not in RNG_MODES:
+        if rng not in backends.RNG_MODES:
             raise AnnealerError(
-                f"rng must be one of {RNG_MODES}, got {rng!r}")
+                f"rng must be one of {backends.RNG_MODES}, got {rng!r}")
         threads = check_integer_in_range("threads", threads, minimum=1)
         if isinstance(logical_isings, IsingPack):
             # One size by construction, and it travels on as it is.
@@ -354,6 +325,15 @@ class QuantumAnnealerSimulator:
 
         if embedding is None:
             embedding = self.embedding_for(num_logical)
+        temperatures = parameters.schedule.temperature_profile(
+            sweeps_per_us=self.sweeps_per_us,
+            hot=self.hot_temperature,
+            cold=self.cold_temperature,
+        )
+        results = self._serve(isings, embedding, parameters, rngs, rng,
+                              threads, temperatures)
+        if results is not None:
+            return results
         embedded = embed_pack(isings, embedding,
                               chain_strength=parameters.chain_strength,
                               extended_range=parameters.extended_range)
@@ -365,26 +345,10 @@ class QuantumAnnealerSimulator:
                                    embedding=embedding, rng=rng,
                                    threads=threads)[0]
                     for ising, rng_b in zip(isings, rngs)]
-        temperatures = parameters.schedule.temperature_profile(
-            sweeps_per_us=self.sweeps_per_us,
-            hot=self.hot_temperature,
-            cold=self.cold_temperature,
-        )
         plan = embedded.plan
-        cache_key: Optional[Tuple] = None
-        sampler: Optional[BlockDiagonalSampler] = None
-        if self.sampler_cache_size:
-            # Everything that determines a packed sampler's warmed
-            # structure; the key tuples come from the plan, not the jobs,
-            # and the pack size is not part of it (a rebind adopts it).
-            cache_key = (rng, threads,
-                         embedded.problems.keys, tuple(plan.chains.values()))
-            # pop, not get: the caller owns the entry until reinsertion.
-            sampler = self._sampler_cache.pop(cache_key, None)
-            if sampler is not None:
-                self._sampler_cache_hits += 1
-            else:
-                self._sampler_cache_misses += 1
+        key = (rng, threads, plan) if plan.direct else (
+            rng, threads, embedded.problems.keys, tuple(plan.chains.values()))
+        sampler = self._checkout(key)
         if sampler is None:
             sampler = BlockDiagonalSampler(embedded.problems,
                                            clusters=plan.clusters, rng=rng,
@@ -396,20 +360,86 @@ class QuantumAnnealerSimulator:
         physical = sampler.anneal(temperatures, parameters.num_anneals, rngs,
                                   ice=self.ice,
                                   ice_batch_size=self.ice_batch_size)
-
         logical_spins, broken = unembed_pack(plan, physical, rngs)
         solutions = aggregate_pack(embedded.logical, logical_spins)
+        self._checkin(key, sampler)
+        return self._results(solutions, broken, parameters, num_logical)
 
-        if cache_key is not None:
-            self._sampler_cache[cache_key] = sampler
+    def _serve(self, isings, embedding: Embedding,
+               parameters: AnnealerParameters, rngs, rng: str, threads: int,
+               temperatures: np.ndarray) -> Optional[List[AnnealResult]]:
+        """The pack in one artefact call (:meth:`BlockDiagonalSampler.anneal`
+        with ``program=``), after a chain tie the draws and one read-out;
+        ``None`` for the NumPy stages' route: no artefact, more than 63
+        variables, several structures, colliding chains, or a coupling
+        that scales to ``0.0``."""
+        logical = IsingPack.stack(isings) if backends.cext_available() else None
+        if (logical is None or logical.num_variables >= 64
+                or embedding.num_logical < logical.num_variables):
+            return None
+        try:
+            plan = embedding_plan(embedding, logical.num_variables,
+                                  logical.keys)
+        except EmbeddingError:
+            return None  # embed_pack decides: it raises, or needs no coupler
+        if not plan.direct:
+            return None
+        key = (rng, threads, plan)  # a direct plan is its structure
+        sampler = self._checkout(key)
+        if sampler is None:  # built on the structure; the call programs it
+            blocks = len(logical)
+            sampler = BlockDiagonalSampler(
+                IsingPack(plan.num_physical, plan.physical_keys,
+                          np.zeros((blocks, plan.num_physical)),
+                          np.ones((blocks, len(plan.physical_keys))),
+                          np.zeros(blocks)),
+                clusters=plan.clusters, rng=rng, threads=threads)
+        out = sampler.anneal(
+            temperatures, parameters.num_anneals, rngs, ice=self.ice,
+            ice_batch_size=self.ice_batch_size,
+            program=(logical, plan, *compile_settings(
+                parameters.chain_strength, parameters.extended_range)))
+        if out is None:
+            self._checkin(key, sampler)
+            return None
+        broken, ties = out.counts
+        if ties.any():
+            draw_ties(out.values, rngs)
+            out.read()
+        solutions = read_out_solutions(logical, out)
+        broken = broken / max(parameters.num_anneals * plan.num_logical, 1)
+        self._checkin(key, sampler)  # out is the sampler's: read it first
+        return self._results(solutions, broken, parameters,
+                             logical.num_variables)
+
+    def _checkout(self, key: Tuple) -> Optional[BlockDiagonalSampler]:
+        """The cached sampler of *key* (its structure: the plan, or its key
+        tuples, not the pack size), out of the cache until
+        :meth:`_checkin`; ``None`` on a miss or without a cache."""
+        if not self.sampler_cache_size:
+            return None
+        # pop, not get: the caller owns the entry until reinsertion.
+        sampler = self._sampler_cache.pop(key, None)
+        if sampler is not None:
+            self._sampler_cache_hits += 1
+        else:
+            self._sampler_cache_misses += 1
+        return sampler
+
+    def _checkin(self, key: Tuple, sampler: BlockDiagonalSampler) -> None:
+        if self.sampler_cache_size:
+            self._sampler_cache[key] = sampler
             while len(self._sampler_cache) > self.sampler_cache_size:
                 self._sampler_cache.popitem(last=False)
 
-        factor = parallelization_factor(
-            num_logical,
-            total_qubits=self.num_qubits,
-            shore_size=self.topology.shore_size,
-        )
+    def _results(self, solutions: List[SolverResult], broken: np.ndarray,
+                 parameters: AnnealerParameters,
+                 num_logical: int) -> List[AnnealResult]:
+        factor = self._parallelization.get(num_logical)
+        if factor is None:  # once per variable count: the chip is fixed
+            factor = self._parallelization[num_logical] = parallelization_factor(
+                num_logical, total_qubits=self.num_qubits,
+                shore_size=self.topology.shore_size)
         return [AnnealResult(solutions_b, parameters, factor, broken_b)
                 for solutions_b, broken_b in zip(solutions, broken.tolist())]
 

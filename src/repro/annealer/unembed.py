@@ -13,7 +13,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.annealer import backends
 from repro.annealer.embedded import EmbeddedIsing, EmbeddingPlan
 from repro.exceptions import AnnealerError
 from repro.utils.random import RandomState, ensure_rng
@@ -31,59 +30,46 @@ def unembed_pack(plan: EmbeddingPlan, physical_spins: np.ndarray,
 
     All chains' majority votes are integer sums, so they are one
     gather-and-reduce over the plan's flattened chain index (exact in any
-    summation order) — one call of the C artefact
-    (:func:`repro.annealer.backends.majority_vote`) where a compiler built
-    it.  Only tie breaking stays a loop, and runs only when a chain tied,
-    because each problem draws the tie spins of its logical indices in
-    ascending order from its own generator of *rngs* and that stream must
-    not move.
+    summation order); the ties are then drawn (:func:`draw_ties`).  On the
+    C artefact a machine pack is voted inside its batch call instead
+    (:class:`~repro.annealer.backends.PackReadOut`), by the same sums.
     """
     num_samples = physical_spins.shape[0]
-    if backends.cext_available():
-        values, broken, _, any_tie = backends.majority_vote(
-            plan, physical_spins, len(rngs))
-    else:
-        lengths = np.diff(plan.chain_bounds)
-        by_problem = physical_spins.reshape(
-            num_samples, len(rngs), plan.num_physical).transpose(1, 0, 2)
-        sums = np.add.reduceat(
-            by_problem[:, :, plan.chain_members].astype(np.int64),
-            plan.chain_bounds[:-1], axis=2)
-        values = np.sign(sums).astype(np.int8)
-        broken = np.count_nonzero(np.abs(sums) != lengths, axis=(1, 2))
-        any_tie = not values.all()
-    if any_tie:
-        tied = values == 0
-        spin_choices = np.array([-1, 1], dtype=np.int8)
-        for problem, logical_index in zip(*np.nonzero(tied.any(axis=1))):
-            tie_mask = tied[problem, :, logical_index]
-            values[problem, tie_mask, logical_index] = rngs[problem].choice(
-                spin_choices, size=int(np.count_nonzero(tie_mask)))
+    lengths = np.diff(plan.chain_bounds)
+    by_problem = physical_spins.reshape(
+        num_samples, len(rngs), plan.num_physical).transpose(1, 0, 2)
+    sums = np.add.reduceat(
+        by_problem[:, :, plan.chain_members].astype(np.int64),
+        plan.chain_bounds[:-1], axis=2)
+    values = np.sign(sums).astype(np.int8)
+    broken = np.count_nonzero(np.abs(sums) != lengths, axis=(1, 2))
+    if not values.all():
+        draw_ties(values, rngs)
     return values, broken / max(num_samples * plan.num_logical, 1)
+
+
+def draw_ties(values: np.ndarray, rngs: Sequence[np.random.Generator]
+              ) -> None:
+    """Resolve the tied chains (the ``0`` entries) of the ``(problems,
+    samples, L)`` logical spins in place: each problem draws the tie spins
+    of its logical indices in ascending order from its own generator of
+    *rngs*, a stream that must not move."""
+    tied = values == 0
+    spin_choices = np.array([-1, 1], dtype=np.int8)
+    for problem, logical_index in zip(*np.nonzero(tied.any(axis=1))):
+        tie_mask = tied[problem, :, logical_index]
+        values[problem, tie_mask, logical_index] = rngs[problem].choice(
+            spin_choices, size=int(np.count_nonzero(tie_mask)))
 
 
 def unembed_samples(embedded: EmbeddedIsing, physical_spins,
                     random_state: RandomState = None
                     ) -> Tuple[np.ndarray, float]:
-    """Unembed a batch of physical samples into logical spins.
-
-    Parameters
-    ----------
-    embedded:
-        The embedded problem the samples were drawn from.
-    physical_spins:
-        Matrix of shape ``(num_samples, num_physical)`` with entries ±1, in
-        the compact physical index order of *embedded*.
-    random_state:
-        Seed or generator used only for majority-vote tie breaking.
-
-    Returns
-    -------
-    (logical_spins, broken_fraction):
-        ``logical_spins`` has shape ``(num_samples, num_logical)``;
-        ``broken_fraction`` is the share of (sample, chain) pairs whose spins
-        disagreed.
-    """
+    """Unembed the ``(num_samples, num_physical)`` ±1 *physical_spins* of
+    *embedded* (compact physical order) into ``(logical_spins,
+    broken_fraction)``: ``(num_samples, num_logical)`` spins and the share
+    of (sample, chain) pairs whose spins disagreed; *random_state* breaks
+    the ties."""
     physical = np.asarray(physical_spins, dtype=np.int8)
     if physical.ndim != 2 or physical.shape[1] != embedded.num_physical:
         raise AnnealerError(

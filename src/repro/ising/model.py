@@ -39,10 +39,11 @@ class CsrTemplate(NamedTuple):
     edges: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    #: Addresses of ``indices`` and ``indptr`` (``int64``, kept alive by this
-    #: template), as :func:`repro.annealer.backends.csr_pack_matvecs` hands
-    #: them to C: taken once per structure, not once per pack.
-    addresses: Tuple[int, int]
+    #: Addresses of ``edges``, ``indices`` and ``indptr`` (``int64``, kept
+    #: alive by this template), as a pack's read-out
+    #: (:class:`repro.annealer.backends.PackReadOut`) hands them to C: taken
+    #: once per structure, not once per pack.
+    addresses: Tuple[int, int, int]
 
 
 #: Cached CSR sparsity templates (:func:`symmetric_csr_template`),
@@ -114,8 +115,9 @@ def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
         indices = np.ascontiguousarray(cols[order])
         indptr = np.zeros(num_variables + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_variables), out=indptr[1:])
-        template = CsrTemplate(order % max(len(keys), 1), indices, indptr,
-                               (indices.ctypes.data, indptr.ctypes.data))
+        edges = order % max(len(keys), 1)
+        template = CsrTemplate(edges, indices, indptr, tuple(
+            part.ctypes.data for part in (edges, indices, indptr)))
         if len(_OPERATOR_TEMPLATES) > 512:
             _OPERATOR_TEMPLATES.clear()
         _OPERATOR_TEMPLATES[cache_key] = template
@@ -300,8 +302,9 @@ class IsingModel:
             Optional ``operator @ spin_matrix.T`` somebody already computed:
             the C-contiguous ``(N, num_samples)`` matrix scipy's CSR product
             returns, every element accumulated from ``0.0`` in CSR entry
-            order (:func:`repro.annealer.backends.csr_pack_matvecs` writes
-            a whole pack's at once).  The layout is part of the contract —
+            order (a pack's read-out,
+            :class:`repro.annealer.backends.PackReadOut`, writes a whole
+            pack's at once).  The layout is part of the contract —
             the contraction below sums in an order that depends on it — so
             another shape or memory order is refused, as is passing both
             *operator* and *product*.

@@ -23,6 +23,7 @@ implementation, which equivalence tests check the vectorised engine against
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,20 +121,10 @@ def _distinct_pack(raw: np.ndarray
     problem *b*'s distinct reads, in ``np.unique(axis=0)`` order, are
     ``rows[bounds[b]:bounds[b + 1]]``; *counts* are their occurrences.
     Spin reads of at most 63 variables are keyed by one integer each
-    (:func:`_keyed_distinct`, or one call of the C artefact,
-    :func:`repro.annealer.backends.distinct_reads`, where a compiler built
-    it); any other read goes through ``np.unique`` problem by problem."""
-    # Imported lazily: repro.annealer imports this module for SolverResult.
-    from repro.annealer import backends
-
-    if 0 < raw.shape[2] <= 63 and raw.size:
-        if backends.cext_available():
-            found = backends.distinct_reads(raw)
-            if found is not None:  # None: a read that is not all spins
-                first, counts, bounds = found
-                return raw.reshape(-1, raw.shape[2])[first], counts, bounds
-        elif ((raw == 1) | (raw == -1)).all():
-            return _keyed_distinct(raw)
+    (:func:`_keyed_distinct`); any other read goes through ``np.unique``
+    problem by problem."""
+    if 0 < raw.shape[2] <= 63 and raw.size and ((raw == 1) | (raw == -1)).all():
+        return _keyed_distinct(raw)
     found = [np.unique(reads, axis=0, return_counts=True) for reads in raw]
     rows, counts = (np.concatenate(part) for part in zip(*found))
     return rows, counts, np.cumsum([0] + [len(part) for _, part in found])
@@ -185,17 +176,14 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
     """:func:`aggregate_samples` over same-structure problems at once.
 
     *raw_samples* is ``(problems, reads, variables)``.  Where a compiler
-    built the C artefact the read-out is two calls of it: the distinct
-    reads of every problem, each with its first occurrence's row and its
-    count (:func:`repro.annealer.backends.distinct_reads`), then every
-    problem's coupling operator applied to its distinct reads over the
-    shared structure (:func:`repro.annealer.backends.csr_pack_matvecs`).
-    Energies stay per problem — their floating-point order defines them —
-    through the one formula, :func:`~repro.ising.model.product_energies`,
-    handed each problem's distinct reads, product, fields and offset (no
-    per-problem model).  Without the artefact the distinct reads are array
-    passes and the products come from scipy (one operator, its ``.data``
-    rewritten per problem): the references both calls equal byte for byte.
+    built the C artefact, spin reads of at most 63 variables are read out
+    in one call of it (:func:`repro.annealer.backends.read_out`, what a
+    machine pack's batch call runs inline): every problem's distinct reads
+    with first occurrences and counts, and its coupling operator applied
+    to them.  Otherwise array passes and scipy (one operator, its ``.data``
+    rewritten per problem) — the references that call equals byte for
+    byte.  Energies stay per problem, their floating-point order defining
+    them: :func:`_solutions`.
     """
     # Imported lazily: repro.annealer imports this module for SolverResult.
     from repro.annealer import backends
@@ -207,27 +195,57 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
         raise ConfigurationError(
             "aggregate_pack needs same-structure problems and "
             "(problems x reads x variables) samples")
+    if (backends.cext_available() and raw_samples.size
+            and problems.num_variables < 64):
+        out = backends.read_out(
+            symmetric_csr_template(problems.num_variables, problems.keys),
+            raw_samples, problems.values)
+        if out is not None:  # None: a read that is not all spins
+            return read_out_solutions(problems, out)
     distinct, counts, bounds = _distinct_pack(raw_samples)
     spins = distinct.astype(float)
-    data = problems.operator_data()
-    edges = bounds.tolist()
-    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    if backends.cext_available():
-        products = backends.csr_pack_matvecs(
-            symmetric_csr_template(problems.num_variables, problems.keys),
-            data, spins, bounds)
+    operator = problems[0].coupling_operator()  # scratch: data rebound
+    products = []
+    for values, lo, hi in zip(problems.operator_data(), bounds[:-1].tolist(),
+                              bounds[1:].tolist()):
+        operator.data = values
+        products.append(operator @ spins[lo:hi].T)
+    return _solutions(problems, distinct, spins, counts, bounds, products)
+
+
+def read_out_solutions(problems: IsingPack, out) -> List[SolverResult]:
+    """The results of a pack's C read-out *out* (a
+    :class:`~repro.annealer.backends.PackReadOut` over *problems*)."""
+    problems_count, reads, size = out.values.shape
+    found = out.found.tolist()
+    if problems_count == 1:
+        first, counts = out.first[:found[0]], out.occurrences[:found[0]]
     else:
-        operator = problems[0].coupling_operator()  # scratch: data rebound
-        products = []
-        for values, reads in zip(data, rows):
-            operator.data = values
-            products.append(operator @ spins[reads].T)
+        keep = np.arange(reads) < out.found[:, None]
+        first = out.first.reshape(problems_count, reads)[keep]
+        counts = out.occurrences.reshape(problems_count, reads)[keep]
+    distinct = out.values.reshape(-1, size)[first]
+    products = [out.products[size * reads * b:size * (reads * b + count)]
+                .reshape(size, count) for b, count in enumerate(found)]
+    return _solutions(problems, distinct, distinct.astype(float), counts,
+                      [0, *accumulate(found)], products)
+
+
+def _solutions(problems: IsingPack, distinct: np.ndarray, spins: np.ndarray,
+               counts: np.ndarray, bounds, products: list
+               ) -> List[SolverResult]:
+    """Problem *b*'s result from its distinct reads ``distinct[bounds[b]:
+    bounds[b + 1]]`` (*spins* as floats), their *counts* and its coupling
+    operator's *product* with them, through the one energy formula,
+    :func:`~repro.ising.model.product_energies`."""
+    edges = list(bounds)
     return [SolverResult.energy_sorted(
-                distinct[reads],
-                product_energies(spins[reads], product, linear, offset),
-                counts[reads])
-            for reads, product, linear, offset in zip(
-                rows, products, problems.linear, problems.offsets.tolist())]
+                distinct[lo:hi],
+                product_energies(spins[lo:hi], product, linear, offset),
+                counts[lo:hi])
+            for lo, hi, product, linear, offset in zip(
+                edges, edges[1:], products, problems.linear,
+                problems.offsets.tolist())]
 
 
 class BruteForceIsingSolver:

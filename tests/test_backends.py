@@ -38,6 +38,7 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.ising.model import IsingModel
 from repro.ising.solver import (
     SimulatedAnnealingSolver,
+    aggregate_pack,
     geometric_temperature_schedule,
 )
 
@@ -110,16 +111,16 @@ class TestDispatch:
         np.testing.assert_array_equal(first.solutions.samples,
                                       second.solutions.samples)
 
-    #: The artefact's callers in a sequential machine job: the ICE batches
-    #: (draws, start and sweeps), then the embed, vote, distinct-reads and
-    #: energy stages of the pack.
-    PACK_STAGES = ("pack_ice_batches", "embed_direct",
-                   "majority_vote", "distinct_reads", "csr_pack_matvecs")
+    #: The artefact's callers: a machine job's one batch call (programming,
+    #: ICE batches and read-out), and the read-out of aggregate_pack's own
+    #: reads.
+    PACK_STAGES = ("pack_ice_batches", "read_out")
 
     def test_every_stage_follows_the_probe(self, artefact, monkeypatch):
-        """The sweep and the four pack stages read one fact: with the
-        artefact each of them calls into C, without it none does (the
-        sequential NumPy sweep runs its reference loops in the engine)."""
+        """The sweep, the programming and both read-outs read one fact:
+        with the artefact each of them calls into C, without it none does
+        (the sequential NumPy sweep runs its reference loops in the
+        engine)."""
         calls = set()
 
         def counted(name, original):
@@ -135,6 +136,9 @@ class TestDispatch:
         machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2))
         machine.run_batch(problems, AnnealerParameters(num_anneals=6),
                           random_state=31)
+        assert calls == ({"pack_ice_batches"} if artefact == "cext"
+                         else set())
+        aggregate_pack(problems, np.ones((2, 3, 4), dtype=np.int8))
         assert calls == (set(self.PACK_STAGES) if artefact == "cext"
                          else set())
 
@@ -268,21 +272,23 @@ class TestSymbolTable:
                     assert argtype is kind, (name, position)
 
     def test_the_batch_call_is_the_sweep_boundary(self):
-        # pack_ice_batches runs every anneal, ICE batches, start and sweeps;
-        # behind it lane_half_sweep is one block split over two threads and
+        # pack_ice_batches runs every anneal, ICE batches, start and sweeps,
+        # and a served pack's programming and read-out; behind it
+        # lane_half_sweep is one block split over two threads and
         # pack_fused_colour_cluster_sweep the halves' one-thread fallback;
-        # embed_direct, majority_vote and distinct_reads program and read
-        # out a pack.  The two starts stay exported as test hooks.
+        # pack_read_out is the read-out on its own.  The two starts stay
+        # exported as test hooks.
         assert set(self.exported()) == {
             "pack_ice_batches", "lane_half_sweep",
             "pack_fused_colour_cluster_sweep", "counter_openmp_enabled",
             "metropolis_accept_probe", "counter_initial_spins",
             "sequential_initial_spins", "philox_fill_probe",
-            "csr_pack_matvecs", "pcg64_probe", "embed_direct",
-            "majority_vote", "distinct_reads"}
-        for name in ("embed_direct", "majority_vote", "distinct_reads",
-                     "pack_ice_batches"):
+            "pcg64_probe", "pack_read_out"}
+        for name in ("read_out", "pack_ice_batches", "PackReadOut"):
             assert callable(getattr(backends, name))
+        for name in ("embed_direct", "majority_vote", "distinct_reads",
+                     "csr_pack_matvecs"):
+            assert not hasattr(backends, name), name
 
     def test_no_plain_sweep_entry_point(self):
         """No Python sweep entry point or shard wrapper stands beside the

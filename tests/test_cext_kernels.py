@@ -35,13 +35,14 @@ pieces:
   the one-thread call at any cut, step and jump as NumPy does, fall back to
   the one-thread call when the helper is busy or a half waits too long, and
   stand down after such calls;
-* the **pack energy operator** — ``csr_pack_matvecs``, every problem's
-  ``A_b @ S_b.T`` in one call — equals scipy's CSR product as bytes, layout
-  included, on every structure the serving path aggregates over;
-* the **distinct reads** — ``distinct_reads``, every problem's at once —
-  equal ``np.unique(axis=0)``'s order, first occurrences and counts (the
-  programming and vote calls are held to their NumPy passes stage by stage
-  in ``test_pack_pipeline.py``);
+* the **read-out's energy operator** — every problem's ``A_b @ D_b.T``
+  over its distinct reads, in the read-out a machine pack's batch call
+  runs — equals scipy's CSR product as bytes, layout included, on every
+  structure the serving path aggregates over;
+* the read-out's **distinct reads** equal ``np.unique(axis=0)``'s order,
+  first occurrences and counts (the programming and the vote inside the
+  batch call are held to their NumPy passes stage by stage in
+  ``test_pack_pipeline.py``);
 * the C source compiles **warning-free** (no dead argument rides along in
   the entry-point signatures).
 """
@@ -859,11 +860,34 @@ class TestLaneHalves:
         assert every_block_splits["resting"] == 0
 
 
-class TestCsrPackMatvecs:
-    """``A_b @ S_b.T`` for every problem of a pack in one C call, against
-    scipy's CSR product — the reference ``aggregate_pack`` falls back to
-    without a compiler — as bytes: same accumulation order, same
-    C-contiguous ``(N, K_b)`` layout, hence the same energy contraction."""
+def patterned_reads(rng, problems, reads, variables, patterns):
+    """``(problems, reads, variables)`` spins, problem *b*'s drawn from
+    ``patterns[b]`` patterns: runs of every length, ties of every position
+    in the sort."""
+    pools = [rng.choice(np.array([-1, 1], dtype=np.int8),
+                        size=(count, variables)) for count in patterns]
+    return np.stack([pool[rng.integers(0, len(pool), size=reads)]
+                     for pool in pools])
+
+
+def read_out_problem(out, b):
+    """Problem *b*'s ``(first, occurrences, distinct spins, product)`` of
+    a :class:`backends.PackReadOut`."""
+    _, reads, size = out.values.shape
+    count = int(out.found[b])
+    first = out.first[b * reads:b * reads + count]
+    product = out.products[size * reads * b:size * (reads * b + count)]
+    return (first, out.occurrences[b * reads:b * reads + count],
+            out.values.reshape(-1, size)[first], product.reshape(size, count))
+
+
+class TestReadOutProducts:
+    """``A_b @ D_b.T`` of every problem's distinct reads, as the read-out
+    (``pack_read_out``, which a machine pack's batch call runs inline)
+    leaves it, against scipy's CSR product — the reference
+    ``aggregate_pack`` falls back to without a compiler — as bytes: same
+    accumulation order, same C-contiguous ``(N, K_b)`` layout, hence the
+    same energy contraction."""
 
     @staticmethod
     def all_pairs(size):
@@ -884,21 +908,18 @@ class TestCsrPackMatvecs:
             values = rng.normal(size=(problems, len(keys)))
             if with_zero and keys:
                 values[::2, rng.integers(len(keys))] = 0.0
-            data = values[:, template.edges]
-            # K_b cycles through 1, 2 and 50 (a one-problem pack takes 50).
-            counts = np.resize([50, 1, 2], problems)
-            bounds = np.concatenate([[0], np.cumsum(counts)])
-            spins = rng.choice([-1.0, 1.0], size=(bounds[-1], size))
-            products = backends.csr_pack_matvecs(template, data, spins,
-                                                 bounds)
-            assert len(products) == problems
-            for b, product in enumerate(products):
-                rows = spins[bounds[b]:bounds[b + 1]]
+            # K_b from 1 or 2 patterns up to 50 (a one-problem pack: 50).
+            raw = patterned_reads(rng, problems, 50, size,
+                                  np.resize([50, 1, 2], problems))
+            out = backends.read_out(template, raw, values)
+            for b in range(problems):
+                *_, rows, product = read_out_problem(out, b)
+                rows = rows.astype(float)
                 expected = sparse.csr_matrix(
-                    (data[b], template.indices, template.indptr),
-                    shape=(size, size)) @ rows.T
+                    (values[b][template.edges], template.indices,
+                     template.indptr), shape=(size, size)) @ rows.T
                 assert product.dtype == expected.dtype == np.float64
-                assert product.shape == expected.shape == (size, counts[b])
+                assert product.shape == expected.shape
                 assert product.flags.c_contiguous
                 assert product.tobytes() == expected.tobytes()
                 assert (np.einsum("ki,ik->k", rows, product).tobytes()
@@ -906,18 +927,18 @@ class TestCsrPackMatvecs:
 
     def test_shapes_are_checked_before_c_sees_a_pointer(self):
         template = symmetric_csr_template(4, self.all_pairs(4))
-        data = np.ones((2, template.indices.size))
-        spins = np.ones((3, 4))
-        for bad in [(data[:, :-1], spins, [0, 1, 3]),    # not the template's
-                    (data, spins[:, :3], [0, 1, 3]),     # wrong width
-                    (data, spins, [0, 1, 4]),            # past the last row
-                    (data, spins, [0, 3])]:              # one problem short
+        values = np.ones((2, 6))
+        spins = np.ones((2, 3, 4), dtype=np.int8)
+        for bad in [(spins, values[:, :-1]),             # not the template's
+                    (spins[:, :, :3], values),           # wrong width
+                    (spins[:1], values),                 # one problem short
+                    (spins[0], values)]:                 # not a pack
             with pytest.raises(AnnealerError):
-                backends.csr_pack_matvecs(template, *bad)
+                backends.read_out(template, *bad)
 
 
 class TestDistinctReads:
-    """Every problem's distinct reads in one C call, against
+    """Every problem's distinct reads as the read-out leaves them, against
     ``np.unique(axis=0, return_index=True, return_counts=True)`` per
     problem: the same order, the first occurrence of each, its count."""
 
@@ -926,31 +947,28 @@ class TestDistinctReads:
                                                 (3, 200)])
     def test_equals_np_unique(self, variables, problems, reads):
         rng = np.random.default_rng(variables * reads + problems)
-        # A handful of patterns repeated: runs of every length, ties of
-        # every position in the sort.
-        patterns = rng.choice(np.array([-1, 1], dtype=np.int8),
-                              size=(problems, 7, variables))
-        raw = np.stack([patterns[b, rng.integers(0, 7, size=reads)]
-                        for b in range(problems)])
-        first, counts, bounds = backends.distinct_reads(raw)
-        assert first.dtype == counts.dtype == bounds.dtype == np.int64
-        assert bounds[0] == 0 and bounds[-1] == len(first) == len(counts)
+        raw = patterned_reads(rng, problems, reads, variables, [7] * problems)
+        out = backends.read_out(symmetric_csr_template(variables, ()), raw,
+                                np.empty((problems, 0)))
+        assert out.first.dtype == out.occurrences.dtype == np.int64
         for b in range(problems):
+            first, occurrences, distinct, _ = read_out_problem(out, b)
             rows, index, count = np.unique(raw[b], axis=0, return_index=True,
                                            return_counts=True)
-            span = slice(bounds[b], bounds[b + 1])
-            assert first[span].tolist() == (b * reads + index).tolist()
-            assert counts[span].tolist() == count.tolist()
-            assert (raw.reshape(-1, variables)[first[span]].tobytes()
-                    == rows.tobytes())
+            assert first.tolist() == (b * reads + index).tolist()
+            assert occurrences.tolist() == count.tolist()
+            assert distinct.tobytes() == rows.tobytes()
 
     def test_a_read_that_is_not_all_spins_is_refused(self):
+        template = symmetric_csr_template(4, ())
         raw = np.ones((2, 5, 4), dtype=np.int8)
-        assert backends.distinct_reads(raw) is not None
+        assert backends.read_out(template, raw, np.empty((2, 0))) is not None
         raw[1, 3, 2] = 0
-        assert backends.distinct_reads(raw) is None
+        assert backends.read_out(template, raw, np.empty((2, 0))) is None
         with pytest.raises(AnnealerError):
-            backends.distinct_reads(np.ones((1, 5, 64), dtype=np.int8))
+            backends.read_out(symmetric_csr_template(64, ()),
+                              np.ones((1, 5, 64), dtype=np.int8),
+                              np.empty((1, 0)))
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

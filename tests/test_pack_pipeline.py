@@ -42,18 +42,20 @@ except ImportError:
 
 from repro.annealer import backends
 from repro.annealer.chimera import ChimeraGraph
-from repro.annealer.embedded import EmbeddedIsing, embed_ising, embed_pack
+from repro.annealer.embedded import (EmbeddedIsing, compile_settings,
+                                     embed_ising, embed_pack, embedding_plan)
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.annealer.schedule import AnnealSchedule
-from repro.annealer.unembed import unembed_pack, unembed_samples
+from repro.annealer.unembed import draw_ties, unembed_pack, unembed_samples
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
-from repro.ising.model import IsingModel, IsingPack
+from repro.exceptions import AnnealerError
+from repro.ising.model import IsingModel, IsingPack, symmetric_csr_template
 from repro.ising.solver import aggregate_pack, aggregate_samples
 from repro.mimo.system import MimoUplink
 from repro.transform.reduction import MLToIsingReducer
@@ -283,6 +285,61 @@ def assert_embedded_rows_equal_oracle(packed, problems, embedding, **options):
         assert row.logical_of == expected.logical_of
         assert row.compact_chains == expected.chains
         assert row.num_physical == len(expected.qubit_order)
+    assert_served_programming_equals(packed, problems, embedding, **options)
+
+
+def serve(problems, embedding, *, chain_strength, extended_range):
+    """*problems* programmed by the batch call (a served anneal of a few
+    sweeps): the sampler's bound ``(fields, couplers)``, or ``None`` when
+    the call refused the pack (a coupling that scales to ``0.0``)."""
+    logical = IsingPack.stack(problems)
+    plan = embedding_plan(embedding, logical.num_variables, logical.keys)
+    blocks, size = len(logical), plan.num_physical
+    sampler = BlockDiagonalSampler(
+        IsingPack(size, plan.physical_keys, np.zeros((blocks, size)),
+                  np.ones((blocks, len(plan.physical_keys))),
+                  np.zeros(blocks)), clusters=plan.clusters)
+    out = sampler.anneal(
+        np.linspace(2.0, 0.1, 3), 5,
+        [np.random.default_rng(b) for b in range(blocks)], ice=ICEModel(),
+        program=(logical, plan, *compile_settings(chain_strength,
+                                                  extended_range)))
+    if out is None:
+        return None
+    return sampler.isings.linear, sampler.isings.values
+
+
+def assert_served_programming_equals(packed, problems, embedding, **options):
+    """On the C artefact, the batch call programs a collision-free pack as
+    the NumPy passes do (*packed*, ``embed_pack``'s), byte for byte — and
+    refuses it where they drop a coupling that scaled to ``0.0``."""
+    logical = IsingPack.stack(problems)
+    if (not backends.cext_available() or logical is None
+            or not embedding_plan(embedding, logical.num_variables,
+                                  logical.keys).direct):
+        return
+    served = serve(problems, embedding, **options)
+    plan = embedding_plan(embedding, logical.num_variables, logical.keys)
+    if packed is None or packed.problems.keys != plan.physical_keys:
+        assert served is None
+        return
+    for got, want in zip(served, (packed.problems.linear,
+                                  packed.problems.values)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def c_vote(plan, physical, count):
+    """The batch call's vote of the ``(samples, count * P)`` *physical*,
+    through its read-out export: the ``(count, samples, L)`` chain signs
+    (``0`` on a tie) and the broken chains and ties per problem."""
+    out = backends.PackReadOut(
+        symmetric_csr_template(plan.num_logical, ()),
+        np.empty((count, physical.shape[0], plan.num_logical),
+                 dtype=np.int8), plan)
+    tied = out.read(np.ascontiguousarray(physical, dtype=np.int8))
+    assert tied == int(out.counts[1].any())
+    return out.values, out.counts[0], out.counts[1]
 
 
 def assert_run_equals_oracle(result, expected):
@@ -383,6 +440,9 @@ class TestEmbedStage:
                                         (1, 2): -1.0})
         assert embed_pack([healthy, tiny], embedding,
                           chain_strength=4.0) is None
+        assert_served_programming_equals(None, [healthy, tiny], embedding,
+                                         chain_strength=4.0,
+                                         extended_range=False)
 
     def test_mixed_structures_are_not_a_pack(self):
         embedding = clique_embedding(4)
@@ -461,8 +521,9 @@ if given is not None:
                     reason="no C compiler for the cext backend")
 class TestProgrammingPathsAgree:
     """Coefficients the dict oracle spells differently from NumPy —
-    non-finite and signed-zero ones — programmed by the C call and by the
-    NumPy passes: the same pack, or ``None`` from both, as bytes."""
+    non-finite and signed-zero ones — programmed by the batch call and by
+    the NumPy passes: the same fields and couplers, or a refusal from
+    both, as bytes."""
 
     @staticmethod
     def problems(case):
@@ -492,23 +553,16 @@ class TestProgrammingPathsAgree:
                                                 on_numpy):
         problems = self.problems(case)
         embedding = clique_embedding(4)
-
-        def embed():
-            return embed_pack(problems, embedding, chain_strength=0.7,
-                              extended_range=extended_range)
-
+        options = dict(chain_strength=0.7, extended_range=extended_range)
         with np.errstate(all="ignore"):
-            in_c = embed()  # NumPy's too where C finds a coupling at 0.0
+            in_c = serve(problems, embedding, **options)
             with on_numpy():
-                in_numpy = embed()
+                in_numpy = embed_pack(problems, embedding, **options)
         assert (in_c is None) == (in_numpy is None)
         if in_c is None:
             return
-        assert in_c.problems.keys == in_numpy.problems.keys
-        for got, want in [(in_c.problems.linear, in_numpy.problems.linear),
-                          (in_c.problems.values, in_numpy.problems.values),
-                          (in_c.problem_scale, in_numpy.problem_scale),
-                          (in_c.clipped, in_numpy.clipped)]:
+        for got, want in zip(in_c, (in_numpy.problems.linear,
+                                    in_numpy.problems.values)):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
 
@@ -560,6 +614,15 @@ class TestUnembedStage:
         logical, broken = unembed_pack(packed.plan, spins, pack_rngs)
         assert logical.shape == (count, 30, 4)
         assert (broken.dtype, broken.shape) == (np.float64, (count,))
+        if backends.cext_available():  # the batch call's vote, ties drawn
+            voted, voted_broken, ties = c_vote(packed.plan, spins, count)
+            assert ties.all()
+            draw_ties(voted, [np.random.default_rng(50 + b)
+                              for b in range(count)])
+            assert voted.tobytes() == logical.tobytes()
+            assert (voted_broken / (30 * 4)).tobytes() == broken.tobytes()
+            with pytest.raises(AnnealerError):  # checked before C sees it
+                c_vote(packed.plan, spins[:, 1:], count)
         for b in range(count):
             rng = np.random.default_rng(50 + b)
             block = spins[:, b * num_physical:(b + 1) * num_physical]
@@ -597,6 +660,10 @@ class TestUnembedStage:
                 copied, spins, [np.random.default_rng(b) for b in range(3)])
             assert logical.tobytes() == expected.tobytes()
             assert copied_broken.tobytes() == broken.tobytes()
+            if backends.cext_available():  # the addresses the C vote reads
+                for got, want in zip(c_vote(copied, spins, 3),
+                                     c_vote(plan, spins, 3)):
+                    assert got.tobytes() == want.tobytes()
 
     def test_overlapping_chains(self):
         packed = embed_pack(same_structure_problems(2, 3, seed=8),
@@ -920,6 +987,58 @@ class TestRunBatchEqualsOracle:
         else:
             assert (calls, builds) == ({}, 4 * 3)
 
+    @staticmethod
+    def even_chain_pack():
+        """Sixteen two-user BPSK problems — two logical variables, one
+        coupling, chains of two, so ties are common; 16 x 4 qubits x 25
+        replicas = 1600 spins, so the pack shards — the last the only one
+        whose coupling is negative (:func:`cancelling_ice` can cancel it
+        alone)."""
+        problems = qpsk_pack(48, seed=22, num_users=2, constellation="BPSK")
+        positive = [problem for problem in problems
+                    if problem.coupling_values[0] > 0]
+        negative = [problem for problem in problems
+                    if problem.coupling_values[0] < 0]
+        return positive[:15] + negative[:1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_even_chains_tie_through_the_batch_call(self, monkeypatch, cpus,
+                                                    cancel):
+        """Tied chains on the served route: the batch call votes, finds
+        ties and stops its read-out there; the draws run in Python in
+        today's order and one read-out export finishes the pack.  With
+        *cancel* the last problem loses a coupler in every batch, the last
+        included, so its range ends without a read-out: one export reads
+        the pack out first.  One range or two, bit for bit the oracle."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        problems = self.even_chain_pack()
+        parameters = AnnealerParameters(num_anneals=50)
+        # Twenty sweeps an anneal leave chains broken, hence tied.
+        machine = ideal_machine(sweeps_per_us=1.0, ice_batch_size=25)
+        assert {len(chain) for chain in machine.embedding_for(2).chains
+                .values()} == {2}
+        if cancel:
+            machine.ice = cancelling_ice(machine, problems, parameters)
+        calls = count_artefact_calls(monkeypatch)
+        shards = []
+        original_shards = backends._shards
+        monkeypatch.setattr(backends, "_shards", lambda *args: shards.append(
+            original_shards(*args)) or shards[-1])
+        pack_rngs = [np.random.default_rng(70 + b) for b in range(16)]
+        on_c = backends.cext_available()
+        results = machine.run_batch(problems, parameters,
+                                    random_states=pack_rngs)
+        monkeypatch.setattr(backends, "_shards", original_shards)
+        for b, (problem, result) in enumerate(zip(problems, results)):
+            rng = np.random.default_rng(70 + b)
+            assert_run_equals_oracle(
+                result, oracle_run(machine, problem, parameters, rng))
+            assert pack_rngs[b].bit_generator.state == rng.bit_generator.state
+        if on_c:
+            assert shards[0] == cpus
+            assert calls["pack_read_out"] == 1 + cancel
+
     def test_thread_pool_with_a_shared_decoder(self):
         """Plans are immutable and shared; samplers (with their kernel
         workspaces) are checked out per call.  Eight
@@ -994,11 +1113,12 @@ def qpsk_jobs(count, seed=40):
             for i in range(count)]
 
 
-def serve_in_packs(jobs, pack=16, **pool_options):
+def serve_in_packs(jobs, pack=16, decoder=None, **pool_options):
     """Every job's detected bits, in job order, served by a fresh pool in
-    packs of *pack* jobs."""
-    decoder = QuAMaxDecoder(ideal_machine(),
-                            AnnealerParameters(num_anneals=20))
+    packs of *pack* jobs (by a fresh decoder unless one is given)."""
+    if decoder is None:
+        decoder = QuAMaxDecoder(ideal_machine(),
+                                AnnealerParameters(num_anneals=20))
     with WorkerPool(decoder, **pool_options) as pool:
         for start in range(0, len(jobs), pack):
             pool.submit(DecodeBatch(jobs=tuple(jobs[start:start + pack]),
@@ -1032,6 +1152,30 @@ class TestShardedServing:
         serving = threading.Thread(daemon=True, target=lambda: served.append(
             serve_in_packs(jobs, num_workers=1, mode="process",
                            threads=2)))
+        serving.start()
+        serving.join(timeout=120)
+        assert served, "the forked pool did not finish: its worker hung"
+        for got, want in zip(served[0], expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the platform's default start method is not fork")
+    def test_forked_worker_reuses_a_warm_sharded_sampler(self, monkeypatch):
+        """The same, through ONE decoder: the forked worker inherits the
+        parent's warm sampler, whose kept batch calls must reach the
+        child's own helper pool, not the parent's, which has no thread
+        there."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
+        jobs = qpsk_jobs(32)
+        decoder = QuAMaxDecoder(ideal_machine(),
+                                AnnealerParameters(num_anneals=20))
+        expected = serve_in_packs(jobs, decoder=decoder)
+        served = []
+        serving = threading.Thread(daemon=True, target=lambda: served.append(
+            serve_in_packs(jobs, decoder=decoder, num_workers=1,
+                           mode="process")))
         serving.start()
         serving.join(timeout=120)
         assert served, "the forked pool did not finish: its worker hung"
@@ -1186,28 +1330,14 @@ class TestWarmPackWork:
             or original_anneal(sampler, *args, **kwargs))
         machine.run_batch(problems, parameters, random_state=2)
         assert len(anneals) == 1
-        # Per pack, once, the programming call: logical fields and
-        # couplings in, problem scales, fields, couplers and clip counts
-        # out (the plan's four addresses are kept with the plan).
-        assert pointers[:6] == [(16, 6), (16, 15), (16,), (16, 18),
-                                (16, 27), (16,)]
         # Per pack, once, however many ranges of blocks run it (all 16 in
-        # one call on one CPU, two ranges of 8 on two; a range's are
-        # offsets into these): the batch call's programmed fields and
-        # couplings and its physical out-array.  The rest of what it reads
-        # and writes lives in argument blocks kept with the sampler.
-        assert pointers[6:-9] == [(16 * 18,), (16, 27), (50, 16 * 18)]
-        # Per pack, once each: the vote (samples in, chain signs and counts
-        # out), the distinct reads (first occurrences, counts, bounds and
-        # sort scratch in one array; logical spins in), then the energy
-        # call: operator values, distinct reads, their bounds, the products
-        # and as much kernel scratch (the structure's two addresses are kept
-        # with the cached template).
-        reads = pointers[-3][0]
-        assert pointers[-9:] == [
-            (50, 16 * 18), (16, 50, 6), (2, 16),
-            (2 * 16 * 50 + 17 + 4 * 50,), (16, 50, 6),
-            (16, 30), (reads, 6), (17,), (2 * 6 * reads,)]
+        # one call on one CPU, two ranges of 8 on two; a range's argument
+        # block holds its first block): the logical fields and couplings
+        # the call programs from, and its physical out-array.  Everything
+        # else it reads and writes — the programmed fields and couplers,
+        # the plan, the read-out's out-arrays — lives in argument blocks
+        # kept with the sampler.
+        assert pointers == [(16, 6), (16, 15), (50, 16 * 18)]
 
     @needs_cext
     def test_kernel_does_the_work_it_did_before(self):
@@ -1399,23 +1529,20 @@ class TestWarmPackWork:
     @needs_cext
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_artefact_calls_per_warm_pack(self, monkeypatch, cpus):
-        """A warm one-job pack crosses into C five times: the programming,
-        the one batch call (every ICE batch's draws, gathers, start and
-        sweeps), the vote, the distinct reads and the energies.  A 16-job
-        pack makes one batch call per range of blocks, out of one anneal
-        after one rebind."""
+        """A warm one-job pack crosses into C once: one batch call
+        programs it, runs every ICE batch's draws, gathers, start and
+        sweeps, and reads it out — vote, distinct reads and energy
+        products.  A 16-job pack makes one batch call per range of blocks,
+        out of one anneal and no rebind (the call programs the sampler)."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
         parameters = AnnealerParameters(num_anneals=50)
         one, sixteen = qpsk_pack(1), qpsk_pack(16)
         machine = ideal_machine()
         for problems in (one, sixteen):
             machine.run_batch(problems, parameters, random_state=1)
-        stages = {"embed_direct": 1, "majority_vote": 1, "distinct_reads": 1,
-                  "csr_pack_matvecs": 1}
         calls = count_artefact_calls(monkeypatch)
         machine.run_batch(one, parameters, random_state=2)
-        assert calls == {**stages, "pack_ice_batches": 1}
-        assert sum(calls.values()) == 5
+        assert calls == {"pack_ice_batches": 1}
 
         counts = {"anneal": 0, "refresh_values": 0}
         for name in counts:
@@ -1427,8 +1554,9 @@ class TestWarmPackWork:
                 or _original(*args, **kwargs))
         calls.clear()
         machine.run_batch(sixteen, parameters, random_state=2)
-        assert calls == {**stages, "pack_ice_batches": cpus}
-        assert counts == {"anneal": 1, "refresh_values": 1}
+        assert calls == {"pack_ice_batches": cpus}
+        assert sum(calls.values()) <= cpus + 1
+        assert counts == {"anneal": 1, "refresh_values": 0}
         assert machine.sampler_cache_info()["hits"] == 3  # one sampler
 
     def test_temperature_profile_is_built_once(self):

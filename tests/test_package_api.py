@@ -299,7 +299,7 @@ class TestServingOptionSurface:
             "isings", "clusters", "rng", "threads"},
         "BlockDiagonalSampler.anneal": {
             "temperatures", "num_replicas", "random_states", "ice",
-            "ice_batch_size"},
+            "ice_batch_size", "program"},
         "IsingSampler": {"ising", "clusters", "rng", "threads"},
         "IsingSampler.anneal": {
             "temperatures", "num_replicas", "random_state"},
