@@ -38,6 +38,13 @@ if _SRC not in sys.path:
 
 GOLDENS_DIR = os.path.join(_HERE, "tests", "goldens")
 
+
+def pytest_configure(config):
+    """A ``RuntimeWarning`` (an ``inf - inf``, a ``0 / 0``, an overflow) is
+    a failure, in tier-1 and in every suite run from this root: fix the
+    arithmetic that raises it rather than filter it."""
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
 try:
     from hypothesis import settings as _hypothesis_settings
 except ImportError:  # the property suites importorskip it themselves

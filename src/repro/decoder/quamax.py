@@ -19,7 +19,7 @@ compute time the evaluation harness reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.ising.model import IsingPack, spins_to_bits
 from repro.mimo.system import ChannelUse
 from repro.transform.qubo_builder import ml_metric_of_symbols
 from repro.transform.reduction import MLToIsingReducer, ReducedProblem
+from repro.transform.symbols import get_transform
 from repro.utils.random import RandomState, child_rngs, ensure_rng
 
 
@@ -53,6 +54,28 @@ class QuAMaxDetectionResult:
     reduced: ReducedProblem
     #: Raw annealer run statistics.
     run: AnnealResult
+
+
+#: Per modulation, the exact ``T(q)`` symbol and Gray bits of each user code
+#: ``sum_k q_k 2^k`` (``q @ weights + offset``, ``b ^ (b >> 1)`` per group).
+_CODE_TABLES: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _code_tables(name: str) -> Tuple[np.ndarray, np.ndarray]:
+    tables = _CODE_TABLES.get(name)
+    if tables is None:
+        transform = get_transform(name)
+        width = transform.bits_per_symbol
+        codes = np.arange(1 << width)
+        bits = ((codes[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+        # Natural binary to Gray per axis group: g = b ^ (b >> 1).
+        axes = bits.reshape(codes.size, -1, max(width // 2, 1))
+        gray = axes.copy()
+        gray[..., 1:] ^= axes[..., :-1]
+        tables = _CODE_TABLES[name] = (
+            bits @ np.asarray(transform.weights) + transform.offset,
+            gray.reshape(bits.shape))
+    return tables
 
 
 class QuAMaxDecoder(Detector):
@@ -125,17 +148,12 @@ class QuAMaxDecoder(Detector):
 
         Each channel use is decoded with its own child generator derived from
         *random_state*, so a job's bits are the ones a one-job call on that
-        child gives, independent of how the problems were grouped.  Callers
-        that have already derived per-use streams (e.g. the frame decode,
-        which derives one child per subcarrier of the *whole* frame and
-        submits a chunk at a time) pass them via *random_states* instead;
-        *random_state* is then ignored.
-
-        *rng* is the draw discipline forwarded to the annealer:
-        ``"sequential"`` (default, the reference streams) or ``"counter"``
-        (keyed Philox streams — a different, equally exact stream that is
-        identical across backends and thread counts).  *threads* is the
-        counter call's kernel width; it never changes seeded detections.
+        child gives, however the problems were grouped; callers holding
+        per-use streams (the frame decode) pass *random_states* instead.
+        *rng* is the draw discipline forwarded to the annealer
+        (``"sequential"``, the reference streams, or ``"counter"``, keyed
+        Philox streams identical across backends and thread counts);
+        *threads*, the counter call's width, never changes detections.
         """
         channel_uses = list(channel_uses)
         if not channel_uses:
@@ -161,7 +179,7 @@ class QuAMaxDecoder(Detector):
                     f"need one random state per channel use: expected "
                     f"{len(channel_uses)}, got {len(random_states)}"
                 )
-            rngs = [ensure_rng(state) for state in random_states]
+            rngs = list(random_states)  # run_batch makes them generators
         else:
             generator = (ensure_rng(random_state) if random_state is not None
                          else self._rng)
@@ -175,6 +193,10 @@ class QuAMaxDecoder(Detector):
         for index, problem in enumerate(reduced):
             groups.setdefault(problem.pack, []).append(index)
 
+        if len(groups) == 1:  # the usual case: one pack, in input order
+            return self._assemble_pack(reduced, self.annealer.run_batch(
+                reduced[0].pack, parameters, random_states=rngs, rng=rng,
+                threads=threads))
         results: List[Optional[QuAMaxDetectionResult]] = [None] * len(reduced)
         for pack, indices in groups.items():
             runs = self.annealer.run_batch(
@@ -193,31 +215,33 @@ class QuAMaxDecoder(Detector):
                        ) -> List[QuAMaxDetectionResult]:
         """:meth:`ReducedProblem.decode_spins` for the best read of every run
         of one QA job — the rows of one reduced pack, hence one
-        constellation and user count: spin-to-bit, ``T(q)`` symbols and
-        binary-to-Gray are one (exact, small-integer) array operation each.
-        The ML metric stays per job: the floating-point order of its matvec
-        and ``vdot`` *is* its value.
+        constellation and user count: one spin-to-bit conversion, then one
+        lookup each in the exact ``T(q)`` and Gray tables of the users'
+        codes.  The ML metric stays per job: the floating-point order of its
+        matvec and ``vdot`` *is* its value.
         """
-        transform, num_users = reduced[0].transform, reduced[0].num_users
-        width = transform.bits_per_symbol
-        quamax_bits = spins_to_bits(
-            np.array([run.solutions.samples[0] for run in runs]))
-        symbols = (quamax_bits.reshape(len(runs), num_users, width)
-                   @ np.asarray(transform.weights) + transform.offset)
-        # Natural binary to Gray per axis group: g = b ^ (b >> 1).
-        axes = quamax_bits.reshape(len(runs), -1, max(width // 2, 1))
-        bits = axes.copy()
-        bits[..., 1:] ^= axes[..., :-1]
-        bits = bits.reshape(quamax_bits.shape)
+        symbol_of, gray_of = _code_tables(reduced[0].constellation.name)
+        best = (runs[0].solutions.samples[:1] if len(runs) == 1 else
+                np.array([run.solutions.samples[0] for run in runs]))
+        quamax_bits = spins_to_bits(best)
+        # One code per user, its bits little-endian: a row of both tables.
+        codes = np.packbits(
+            quamax_bits.reshape(len(runs), -1, gray_of.shape[1]), axis=2,
+            bitorder="little")[..., 0]
+        symbols = symbol_of[codes]
+        bits = gray_of[codes].reshape(quamax_bits.shape)
         results = []
-        for row, (problem, run) in enumerate(zip(reduced, runs)):
+        for problem, run, symbols_b, bits_b in zip(reduced, runs, symbols,
+                                                   bits):
             channel_use = problem.channel_use
             metric = ml_metric_of_symbols(
-                channel_use.channel, channel_use.received, symbols[row])
-            results.append(QuAMaxDetectionResult(
-                DetectionResult.from_arrays(symbols[row], bits[row], metric,
-                                            self.name),
-                problem, run))
+                channel_use.channel, channel_use.received, symbols_b)
+            result = object.__new__(QuAMaxDetectionResult)  # trusted
+            result.__dict__.update(
+                detection=DetectionResult.from_arrays(symbols_b, bits_b,
+                                                      metric, self.name),
+                reduced=problem, run=run)
+            results.append(result)
         return results
 
     # ------------------------------------------------------------------ #

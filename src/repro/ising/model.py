@@ -54,9 +54,9 @@ _OPERATOR_TEMPLATES: Dict[tuple, CsrTemplate] = {}
 def spins_to_bits(spins) -> np.ndarray:
     """Map spins ``{-1, +1}`` to bits ``{0, 1}`` (Eq. 4: ``q = (s + 1) / 2``)."""
     spins = np.asarray(spins)
-    if spins.size and not ((spins == -1) | (spins == 1)).all():
+    if np.count_nonzero((spins != 1) & (spins != -1)):
         raise ConfigurationError("spins must be -1 or +1")
-    return ((spins + 1) // 2).astype(np.uint8)
+    return (spins > 0).astype(np.uint8)
 
 
 def bits_to_spins(bits) -> np.ndarray:

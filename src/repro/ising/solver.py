@@ -75,9 +75,9 @@ class SolverResult:
         energy argsort, no coercion, no shape check."""
         order = energies.argsort(kind="stable")
         result = object.__new__(cls)
-        result.__dict__.update(samples=samples[order],
-                               energies=energies[order],
-                               num_occurrences=num_occurrences[order])
+        result.__dict__.update(samples=samples.take(order, axis=0),
+                               energies=energies.take(order),
+                               num_occurrences=num_occurrences.take(order))
         return result
 
     @property
@@ -224,7 +224,7 @@ def read_out_solutions(problems: IsingPack, out) -> List[SolverResult]:
         keep = np.arange(reads) < out.found[:, None]
         first = out.first.reshape(problems_count, reads)[keep]
         counts = out.occurrences.reshape(problems_count, reads)[keep]
-    distinct = out.values.reshape(-1, size)[first]
+    distinct = out.values.reshape(-1, size).take(first, axis=0)
     products = [out.products[size * reads * b:size * (reads * b + count)]
                 .reshape(size, count) for b, count in enumerate(found)]
     return _solutions(problems, distinct, distinct.astype(float), counts,

@@ -29,6 +29,18 @@ class DistributionSummary:
     maximum: float
 
 
+def _percentile(array: np.ndarray, q: float) -> float:
+    """``np.percentile``, but a rank by an infinity is it (not inf - inf)."""
+    with np.errstate(invalid="ignore"):
+        value = np.percentile(array, q)
+    if np.isnan(value) and not np.isnan(array).any():
+        low, high = (np.percentile(array, q, method=method)
+                     for method in ("lower", "higher"))
+        if low == high or np.isinf(low) != np.isinf(high):
+            value = low if np.isinf(low) else high
+    return float(value)
+
+
 def summarize(values: Sequence[float],
               ignore_infinite: bool = False) -> DistributionSummary:
     """Summarise a sequence of measurements.
@@ -59,8 +71,8 @@ def summarize(values: Sequence[float],
         count=int(array.size),
         mean=float(np.mean(array)),
         median=float(np.median(array)),
-        percentile_10=float(np.percentile(array, 10)),
-        percentile_90=float(np.percentile(array, 90)),
+        percentile_10=_percentile(array, 10),
+        percentile_90=_percentile(array, 90),
         minimum=float(np.min(array)),
         maximum=float(np.max(array)),
     )

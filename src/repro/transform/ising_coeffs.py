@@ -26,7 +26,7 @@ brute-force reduction is enforced by the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,9 @@ def spin_weights(constellation, num_users: int) -> np.ndarray:
     return np.tile(per_user, num_users)
 
 
-#: Per-structure constants of :func:`build_ml_ising_pack`, rebuilt
-#: identically on every call before: ``(transform name, users) -> (weights,
-#: |weights|^2, user_of, diagonal gather, per pair conj(m_i), m_j and gram
-#: gather, upper-triangle pairs)`` — the gathers index the flattened
-#: ``N_t * N_t`` gram matrix.
+#: Per ``(transform name, users)``, :func:`build_ml_ising_pack`'s constants:
+#: conj(m), user_of, |m|^2, the gram diagonal's gather, per pair conj(m_i),
+#: m_j and gram gather (into the flat ``N_t * N_t`` gram), the pairs, keys.
 _STRUCTURE_CACHE: Dict[Tuple[str, int], tuple] = {}
 #: ``(variables, nonzero mask bytes) -> key tuple``: problems of one
 #: sparsity pattern share one key tuple object.
@@ -60,11 +58,12 @@ def _structure(transform, num_users: int) -> tuple:
         weights = spin_weights(transform.name, num_users)
         user_of = np.repeat(np.arange(num_users), transform.bits_per_symbol)
         upper_i, upper_j = np.triu_indices(weights.size, k=1)
-        structure = (weights, np.abs(weights) ** 2, user_of,
-                     user_of * (num_users + 1),
-                     np.conj(weights)[upper_i], weights[upper_j],
+        structure = (np.conj(weights), user_of, np.abs(weights) ** 2,
+                     user_of * (num_users + 1), np.conj(weights)[upper_i],
+                     weights[upper_j],
                      user_of[upper_i] * num_users + user_of[upper_j],
-                     (upper_i, upper_j))
+                     (upper_i, upper_j),
+                     _pair_keys(upper_i, upper_j, np.ones(upper_i.size, bool)))
         _STRUCTURE_CACHE[key] = structure
     return structure
 
@@ -82,7 +81,8 @@ def _pair_keys(upper_i: np.ndarray, upper_j: np.ndarray,
 
 
 def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
-                        constellation) -> List[Tuple[np.ndarray, IsingPack]]:
+                        constellation) -> List[Tuple[Sequence[int],
+                                                     IsingPack]]:
     """The ML detection Ising problems of many channel uses in one pass.
 
     *channels* is the ``(jobs, N_r, N_t)`` complex stack of channel matrices
@@ -96,44 +96,53 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     the same association order) as the historical per-pair loops, and a
     stacked ``matmul`` runs the 2-D call's inner loop once per job, so the
     coefficients — and the seeded streams of everything downstream — are
-    bit for bit those of a job-by-job evaluation.
+    bit for bit those of a job-by-job evaluation.  (``conj(m) * x`` and
+    ``m * conj(x)`` have the same real part to the bit: the same two
+    products, negated alike.)
     """
     transform = get_transform(constellation)
     jobs, _, num_users = channels.shape
-    (weights, weight_power, user_of, diagonal, pair_left, pair_right,
-     pair_gram, (upper_i, upper_j)) = _structure(transform, num_users)
+    (conj_weights, user_of, weight_power, diagonal, pair_left, pair_right,
+     pair_gram, (upper_i, upper_j), all_keys) = _structure(transform,
+                                                           num_users)
     hermitian = channels.conj().transpose(0, 2, 1)
     matched_filter = (hermitian @ received[:, :, None])[:, :, 0]  # H^H y
     gram = (hermitian @ channels).reshape(jobs, -1)               # H^H H
 
-    linear = -2.0 * (weights
-                     * np.conj(matched_filter.take(user_of, axis=1))).real
+    linear = -2.0 * (conj_weights
+                     * matched_filter.take(user_of, axis=1)).real
     pair_values = 2.0 * ((pair_left * gram.take(pair_gram, axis=1))
                          * pair_right).real
 
     # ||y||^2 per job (a BLAS dot: its order is its value), then the
-    # diagonal terms by one left-to-right accumulation — the historical
-    # summation order.
-    terms = np.empty((jobs, 1 + weights.size))
-    terms[:, 0] = [np.vdot(vector, vector).real for vector in received]
-    terms[:, 1:] = weight_power * gram.real.take(diagonal, axis=1)
-    offsets = np.add.accumulate(terms, axis=1)[:, -1]
+    # diagonal terms added left to right — the historical summation order,
+    # in Python floats (the same IEEE additions as np.add.accumulate).
+    diagonal_terms = (weight_power * gram.real.take(diagonal, axis=1)).tolist()
+    offsets = []
+    for vector, terms in zip(received, diagonal_terms):
+        total = float(np.vdot(vector, vector).real)
+        for term in terms:
+            total += term
+        offsets.append(total)
+    offsets = np.array(offsets)
 
     # Handed over as arrays: no per-job dict, and problems of one sparsity
     # pattern share one key tuple (structure identity for the layers below).
+    if np.count_nonzero(pair_values) == pair_values.size:
+        pack = object.__new__(IsingPack)  # trusted: this pass's own arrays
+        pack.__dict__.update(num_variables=user_of.size, keys=all_keys,
+                             linear=linear, values=pair_values,
+                             offsets=offsets, models=None)
+        return [(range(jobs), pack)]
     nonzero = pair_values != 0.0
-    if nonzero.all():
-        return [(np.arange(jobs), IsingPack(
-            weights.size, _pair_keys(upper_i, upper_j, nonzero[0]), linear,
-            pair_values, offsets))]
     packs = []
     remaining = np.arange(jobs)
     while remaining.size:
         kept = nonzero[remaining[0]]
         same = (nonzero[remaining] == kept).all(axis=1)
         rows = remaining[same]
-        packs.append((rows, IsingPack(
-            weights.size, _pair_keys(upper_i, upper_j, kept), linear[rows],
+        packs.append((rows.tolist(), IsingPack(
+            user_of.size, _pair_keys(upper_i, upper_j, kept), linear[rows],
             np.compress(kept, pair_values[rows], axis=1), offsets[rows])))
         remaining = remaining[~same]
     return packs
@@ -164,65 +173,3 @@ def build_ml_ising(channel, received, constellation) -> IsingModel:
     (_, pack), = build_ml_ising_pack(channel[None], received[None],
                                      constellation)
     return pack[0]
-
-
-def bpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:
-    """Literal transcription of the paper's Eq. 6 (BPSK), for validation.
-
-    Returns ``(f, g)`` with ``f`` the length-``N_t`` field vector and ``g``
-    the upper-triangular coupling matrix.
-    """
-    channel = ensure_complex_matrix("channel", channel)
-    received = ensure_complex_vector("received", received, length=channel.shape[0])
-    h_real, h_imag = channel.real, channel.imag
-    y_real, y_imag = received.real, received.imag
-    num_users = channel.shape[1]
-    fields = np.empty(num_users)
-    couplings = np.zeros((num_users, num_users))
-    for i in range(num_users):
-        fields[i] = (-2.0 * float(h_real[:, i] @ y_real)
-                     - 2.0 * float(h_imag[:, i] @ y_imag))
-        for j in range(i + 1, num_users):
-            couplings[i, j] = (2.0 * float(h_real[:, i] @ h_real[:, j])
-                               + 2.0 * float(h_imag[:, i] @ h_imag[:, j]))
-    return fields, couplings
-
-
-def qpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:
-    """Literal transcription of the paper's Eqs. 7-8 (QPSK), for validation.
-
-    Variable ``i`` (1-indexed in the paper) represents the I component of
-    user ``ceil(i/2)`` when odd and the Q component when even.
-    """
-    channel = ensure_complex_matrix("channel", channel)
-    received = ensure_complex_vector("received", received, length=channel.shape[0])
-    h_real, h_imag = channel.real, channel.imag
-    y_real, y_imag = received.real, received.imag
-    num_users = channel.shape[1]
-    num_variables = 2 * num_users
-    fields = np.empty(num_variables)
-    couplings = np.zeros((num_variables, num_variables))
-    for index in range(1, num_variables + 1):
-        user = (index + 1) // 2 - 1
-        if index % 2 == 0:
-            fields[index - 1] = (-2.0 * float(h_real[:, user] @ y_imag)
-                                 + 2.0 * float(h_imag[:, user] @ y_real))
-        else:
-            fields[index - 1] = (-2.0 * float(h_real[:, user] @ y_real)
-                                 - 2.0 * float(h_imag[:, user] @ y_imag))
-    for i in range(1, num_variables + 1):
-        user_i = (i + 1) // 2 - 1
-        for j in range(i + 1, num_variables + 1):
-            user_j = (j + 1) // 2 - 1
-            if user_i == user_j:
-                # Same user's I and Q: independent, coupling is zero.
-                continue
-            if (i + j) % 2 == 0:
-                value = (2.0 * float(h_real[:, user_i] @ h_real[:, user_j])
-                         + 2.0 * float(h_imag[:, user_i] @ h_imag[:, user_j]))
-            else:
-                sign = 1.0 if i % 2 == 0 else -1.0
-                value = sign * (2.0 * float(h_real[:, user_i] @ h_imag[:, user_j])
-                                - 2.0 * float(h_real[:, user_j] @ h_imag[:, user_i]))
-            couplings[i - 1, j - 1] = value
-    return fields, couplings

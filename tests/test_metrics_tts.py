@@ -1,5 +1,7 @@
 """Tests for Time-to-Solution and error-rate metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,26 @@ class TestSummarize:
     def test_infinite_values_kept_by_default(self):
         summary = summarize([1.0, np.inf])
         assert summary.mean == np.inf
+
+    def test_a_rank_next_to_an_infinity_is_that_infinity(self):
+        """NumPy's lerp computes ``inf - inf`` there (NaN and a
+        RuntimeWarning); the limit is the infinity.  Finite ranks keep
+        NumPy's values to the bit."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = summarize([1.0, np.inf])
+            assert summary.percentile_90 == np.inf
+            assert summary.percentile_10 == np.inf  # 1 + inf * 0.1
+            assert summarize([-np.inf, 2.0]).percentile_10 == -np.inf
+            assert summarize([np.inf, np.inf]).percentile_90 == np.inf
+            values = [0.3, 1.7, 2.9, 4.1, np.inf]
+            summary = summarize(values)
+            assert summary.percentile_10 == np.percentile(values, 10)
+            assert summary.percentile_90 == np.inf
+            finite = np.random.default_rng(3).lognormal(size=101)
+            summary = summarize(finite)
+            assert summary.percentile_10 == np.percentile(finite, 10)
+            assert summary.percentile_90 == np.percentile(finite, 90)
 
     def test_ignore_infinite(self):
         summary = summarize([1.0, 3.0, np.inf], ignore_infinite=True)

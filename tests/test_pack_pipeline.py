@@ -1350,6 +1350,54 @@ class TestWarmPackWork:
         sampler, = machine._sampler_cache.values()
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
+    #: Calls into ``src/repro`` of one warm ``decode_pack`` per (jobs, CPUs).
+    PYTHON_CALLS = {(1, 1): 73, (1, 2): 73, (16, 1): 166, (16, 2): 170}
+
+    @needs_cext
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 16])
+    def test_python_calls_per_warm_pack(self, monkeypatch, jobs, cpus):
+        """The host glue of a warm pack, counted: every Python function of
+        the package entered (``sys.setprofile`` ``call`` events) while one
+        worker decodes a warm QPSK pack, jobs' generators included.  A
+        per-job helper call, or a layer of glue, moves the pinned count."""
+        import os
+
+        import repro
+        from repro.cran.workers import decode_pack
+
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        decoder = QuAMaxDecoder(QuantumAnnealerSimulator(),
+                                AnnealerParameters(num_anneals=50))
+        link = MimoUplink(num_users=3, constellation="QPSK")
+        rng = np.random.default_rng(40)
+
+        def batch(first):
+            return DecodeBatch(jobs=tuple(
+                DecodeJob(job_id=first + k, user_id=0, frame=0, subcarrier=k,
+                          channel_use=link.transmit(snr_db=20.0,
+                                                    random_state=rng),
+                          arrival_time_us=0.0) for k in range(jobs)),
+                flush_time_us=0.0, reason="full")
+
+        decode_pack(decoder, None, 1, 0, batch(0))  # warm
+        package = os.path.dirname(repro.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(
+                    package):
+                calls.append(frame.f_code.co_qualname)
+
+        warm = batch(jobs)
+        sys.setprofile(profile)
+        try:
+            decode_pack(decoder, None, 1, 1, warm)
+        finally:
+            sys.setprofile(None)
+        assert decoder.sampler_cache_info()["hits"] == 1
+        assert len(calls) == self.PYTHON_CALLS[jobs, cpus], sorted(calls)
+
     @needs_cext
     def test_counter_pack_values_no_draw_in_python(self, monkeypatch):
         """Counter draws are valued by the kernels' Philox fill, initial
