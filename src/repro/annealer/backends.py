@@ -1,16 +1,21 @@
 """Compiled sweep-kernel backends for the Metropolis engine.
 
 The engine's sweep kernel (colour-class, see :mod:`repro.annealer.engine`)
-is exact single-spin-flip Metropolis dynamics; embedded (chain-coupled)
-problems interleave a cluster-flip sweep (a collective chain
-reorientation) after every single-spin sweep.  Which implementation runs
-is a fact about the box, not a setting: ``"cext"``, a small C kernel
-compiled on first use and driven through :mod:`ctypes` wherever it builds
-and loads (:func:`cext_available`, the one probe the sweep and every pack
-stage read), drawing from the caller's generator through the
-BitGenerator's published ``bitgen_t`` — the exact draw stream of the
-reference loops; else ``"numpy"``, those reference loops in ``engine.py``
-(the behavioural definition of the dynamics).
+is exact single-spin-flip Metropolis dynamics whose *hot loop* is a Python
+``for`` over colour classes; embedded (chain-coupled) problems additionally
+interleave a cluster-flip sweep — a collective chain-reorientation move —
+after every single-spin sweep.  Which implementation runs is a fact about
+the box, not a setting:
+
+* ``"cext"`` — a small C kernel compiled on first use with the system C
+  compiler and driven through :mod:`ctypes`, wherever it builds and loads
+  (:func:`cext_available`, the one probe the sweep and every pack stage
+  read).  It draws from the caller's generator through the BitGenerator's
+  published ``bitgen_t``, so it consumes the exact draw stream of the
+  reference loops;
+* ``"numpy"`` — the pure NumPy/Python reference loops in ``engine.py``
+  (the behavioural definition of the dynamics), which a box without a C
+  compiler runs.
 
 The batch call is the boundary
 ------------------------------

@@ -524,15 +524,17 @@ class BlockDiagonalSampler:
                               ) -> np.ndarray:
         """*temperatures* as a contiguous float array (the compiled calls
         keep its address), checked non-empty, 1-D and strictly positive."""
-        if temperatures is self._validated_temperatures:
-            return temperatures  # read-only (a memoised profile): unchanged
         temperatures = np.ascontiguousarray(temperatures, dtype=float)
-        if temperatures.ndim != 1 or temperatures.size == 0:
-            raise AnnealerError("temperatures must be a non-empty 1-D sequence")
-        if np.any(temperatures <= 0):
-            raise AnnealerError("temperatures must be strictly positive")
-        self._validated_temperatures = (
-            None if temperatures.flags.writeable else temperatures)
+        if temperatures is not self._validated_temperatures:
+            if temperatures.ndim != 1 or temperatures.size == 0:
+                raise AnnealerError(
+                    "temperatures must be a non-empty 1-D sequence")
+            if np.any(temperatures <= 0):
+                raise AnnealerError("temperatures must be strictly positive")
+            # A read-only profile (the schedules' memoised ones) cannot
+            # change after this check, so identity vouches for it next time.
+            self._validated_temperatures = (
+                None if temperatures.flags.writeable else temperatures)
         return temperatures
 
     def _anneal(self, temperatures: np.ndarray, num_replicas: int,
@@ -607,10 +609,11 @@ class BlockDiagonalSampler:
                      rngs: List[np.random.Generator], ice: Optional[ICEModel],
                      batch: int, serve=None) -> Optional[np.ndarray]:
         """:meth:`anneal`'s batches: one artefact call per range of blocks
-        on cext (serving a pack with *serve*; ``None`` when it refuses one),
-        else the NumPy loop (the oracle); a zero check only with *ice*."""
+        on cext (serving a pack with *serve*; ``None`` when it refuses
+        one), the NumPy path's loop otherwise (the oracle).  Both check for
+        an exactly cancelled coupling only with *ice*."""
         physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
-        if serve is not None or self.selected_backend == "cext":
+        if self.selected_backend == "cext":
             size = self.block_size
 
             def cancelled(lo, hi, start, fields, couplings):
@@ -648,28 +651,24 @@ class BlockDiagonalSampler:
         self._rebind(programmed)
         return physical
 
-    def _bind_served(self, program: tuple, num_replicas: int,
-                     batch: Optional[int]) -> backends.PackReadOut:
-        """Bind the sampler to its own buffers for a served pack's blocks
-        (:meth:`anneal` with ``program=``); their read-out, kept per key."""
+    def _bind_served(self, program: tuple,
+                     num_replicas: int) -> backends.PackReadOut:
+        """Bind the sampler to buffers of its own for the blocks of a served
+        pack (:meth:`anneal` with ``program=``); their read-out."""
         logical, plan, *settings = program
-        blocks = logical.linear.shape[0]
+        blocks = len(logical)
         served = self._kernel_workspace.setdefault("served", {})
-        key = (blocks, num_replicas, batch, plan, *settings)
-        entry = served.get(key)
-        if entry is None:
-            check_integer_in_range("num_replicas", num_replicas, minimum=1)
-            if batch is not None:
-                check_integer_in_range("ice_batch_size", batch, minimum=1)
+        key = (blocks, num_replicas, plan, *settings)
+        if key not in served:
             size, width = self.block_size, len(self._edge_keys)
             bound = IsingPack(size, self._edge_keys, np.empty((blocks, size)),
                               np.empty((blocks, width)), np.zeros(blocks))
-            entry = served[key] = (bound, backends.PackReadOut(
+            served[key] = (bound, backends.PackReadOut(
                 symmetric_csr_template(plan.num_logical, logical.keys),
                 np.empty((blocks, num_replicas, plan.num_logical),
                          dtype=np.int8),
                 plan, settings, bound.linear, bound.values))
-        bound, out = entry
+        bound, out = served[key]
         if blocks != self.num_blocks:
             self.num_blocks = blocks
             self._reference = None
@@ -693,11 +692,14 @@ class BlockDiagonalSampler:
 
         Parameters
         ----------
-        temperatures, num_replicas:
-            One temperature per sweep; trajectories per block (result rows).
+        temperatures:
+            One temperature per Monte Carlo sweep (shared by all blocks).
+        num_replicas:
+            Independent trajectories per block (rows of the result).
         random_states:
-            One randomness source per block, drawn from exactly as by a
-            one-block sampler: per batch its ICE shifts, then (counter
+            One randomness source per block; each block consumes draws from
+            its own generator exactly as a one-block sampler with that
+            generator would: per batch its ICE shifts, then (counter
             discipline) its key, its initial spins and its sweeps.
         ice, ice_batch_size:
             The machine's intrinsic control error: the replicas run in
@@ -710,13 +712,13 @@ class BlockDiagonalSampler:
             check.  :attr:`last_sweep_work` counts the last batch.
         program:
             On the C artefact only, ``(logical, plan, base scale, coupler
-            range, field range)`` serves a machine pack (*random_states*:
-            the machine's generators): the sampler binds buffers of its
-            own, one block per logical problem, which the batch call
-            programs (``embed_pack``'s passes over the collision-free plan)
-            before the first draw and reads out after the last batch.
-            Returns the :class:`~repro.annealer.backends.PackReadOut`, or
-            ``None``, nothing drawn, when a coupling scales to ``0.0``.
+            range, field range)`` serves a machine pack: the sampler binds
+            buffers of its own, one block per logical problem, which the
+            batch call programs (``embed_pack``'s passes over the
+            collision-free plan) before the first draw and reads out after
+            the last batch.  Returns the
+            :class:`~repro.annealer.backends.PackReadOut`, or ``None``,
+            nothing drawn, when a coupling scales to ``0.0``.
 
         Returns
         -------
@@ -724,33 +726,31 @@ class BlockDiagonalSampler:
             Combined final configurations, shape ``(num_replicas, blocks*P)``,
             entries ±1; use :meth:`split_samples` to separate the blocks.
         """
-        if program is None:
-            random_states = [ensure_rng(state) for state in random_states]
-        blocks = (self.num_blocks if program is None
-                  else program[0].linear.shape[0])
-        if len(random_states) != blocks:
+        rngs = [ensure_rng(state) for state in random_states]
+        blocks = self.num_blocks if program is None else len(program[0])
+        if len(rngs) != blocks:
             raise AnnealerError(
                 f"need one random state per block: expected {blocks}, "
-                f"got {len(random_states)}")
-        if program is not None:  # the machine's generators, as they are
-            if self.selected_backend != "cext":
-                raise AnnealerError("program= needs the C artefact")
-            out = self._bind_served(program, num_replicas, ice_batch_size)
-            if self._ice_batches(
-                    self._checked_temperatures(temperatures), num_replicas,
-                    random_states, ice, ice_batch_size or num_replicas,
-                    (out, program[0])) is None:
-                return None
-            if self._reference is not None:  # the call wrote the bound values
-                self._bind_reference()
-            return out
+                f"got {len(rngs)}"
+            )
         num_replicas = check_integer_in_range("num_replicas", num_replicas,
                                               minimum=1)
         batch = num_replicas if ice_batch_size is None else (
             check_integer_in_range("ice_batch_size", ice_batch_size,
                                    minimum=1))
-        return self._ice_batches(self._checked_temperatures(temperatures),
-                                 num_replicas, random_states, ice, batch)
+        temperatures = self._checked_temperatures(temperatures)
+        if program is None:
+            return self._ice_batches(temperatures, num_replicas, rngs, ice,
+                                     batch)
+        if self.selected_backend != "cext":
+            raise AnnealerError("program= needs the C artefact")
+        out = self._bind_served(program, num_replicas)
+        if self._ice_batches(temperatures, num_replicas, rngs, ice, batch,
+                             (out, program[0])) is None:
+            return None
+        if self._reference is not None:  # the call wrote the bound values
+            self._bind_reference()
+        return out
 
 
 class IsingSampler(BlockDiagonalSampler):

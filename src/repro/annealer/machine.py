@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,15 +94,10 @@ class OverheadModel:
     readout_per_anneal_us: float = constants.READOUT_TIME_PER_ANNEAL_US
 
     def total_us(self, num_anneals: int) -> float:
-        """Total overhead of a job with *num_anneals* anneals (cached)."""
-        return _overhead_us(self, num_anneals)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _overhead_us(model: OverheadModel, num_anneals: int) -> float:
-    num_anneals = check_integer_in_range("num_anneals", num_anneals, minimum=0)
-    return (model.preprocessing_us + model.programming_us
-            + model.readout_per_anneal_us * num_anneals)
+        """Total overhead of a job with *num_anneals* anneals."""
+        num_anneals = check_integer_in_range("num_anneals", num_anneals, minimum=0)
+        return (self.preprocessing_us + self.programming_us
+                + self.readout_per_anneal_us * num_anneals)
 
 
 @dataclass(frozen=True)
@@ -131,9 +125,9 @@ class AnnealResult:
         """Wall-clock duration of a single anneal (ramp + pause)."""
         return self.parameters.schedule.duration_us
 
-    @cached_property
+    @property
     def compute_time_us(self) -> float:
-        """Pure compute time, amortised by parallelization (set per pack)."""
+        """Pure compute time of the run, amortised by parallelization."""
         return self.num_anneals * self.anneal_duration_us / self.parallelization
 
     @property
@@ -178,11 +172,14 @@ class QuantumAnnealerSimulator:
         Number of anneals sharing one ICE realisation (the perturbation is
         redrawn between batches).
     sampler_cache_size:
-        Warm block-diagonal samplers kept across :meth:`run_batch` calls,
-        keyed on structure (the plan, or coupling keys and chains, with
-        rng/threads), not on pack size: every pack of one structure, down
-        to batch-size-1 serving, reuses its sampler.  Seeded results are
-        bit-identical at any size, ``0`` included; it only moves set-up.
+        Number of fully-warmed block-diagonal samplers kept across
+        :meth:`run_batch` calls, keyed on problem structure (coupling keys,
+        cluster layout, rng/threads), *not* on the number of problems: every
+        pack of one structure, down to the batch-size-1 serving case,
+        rebinds the cached sampler instead of re-deriving colour classes,
+        CSR templates and cluster descriptors.  Seeded results are
+        bit-identical with the cache on, off (``0``) or at any size; the
+        cache only moves setup work.
     """
 
     def __init__(self, topology: Optional[ChimeraGraph] = None, *,
@@ -226,9 +223,6 @@ class QuantumAnnealerSimulator:
         if num_logical not in self._embedding_cache:
             self._embedding_cache[num_logical] = self._embedder.embed(num_logical)
         return self._embedding_cache[num_logical]
-
-    def __getstate__(self) -> dict:  # a copy asks its own process's profile
-        return {**self.__dict__, "_kept_settings": None}
 
     # ------------------------------------------------------------------ #
     def sampler_cache_info(self) -> Dict[str, int]:
@@ -281,14 +275,25 @@ class QuantumAnnealerSimulator:
         the order a standalone :meth:`run` with that generator would, so the
         per-problem results are bit for bit those of serial submission.
 
-        *logical_isings* share one variable count and coupling structure
-        (the usual case for the subcarriers of one OFDM symbol); an
-        :class:`~repro.ising.model.IsingPack` is taken as is, with no
-        per-problem object built on the way to the kernel.  *parameters*
-        are shared; *random_states* holds one randomness source per problem
-        (else children of *random_state*); *embedding* optionally covers
-        them all; *rng* and *threads* are as in :meth:`run` and never
-        change the pack-equals-serial rule.
+        Parameters
+        ----------
+        logical_isings:
+            The logical problems; all must have the same variable count and
+            the same coupling sparsity structure (the usual case for the
+            subcarriers of one OFDM symbol).  An
+            :class:`~repro.ising.model.IsingPack` is taken as is: no
+            per-problem object is built on the way to the kernel.
+        parameters:
+            Run parameters shared by all problems.
+        random_states:
+            One randomness source per problem.  When omitted, independent
+            child generators are spawned from *random_state*.
+        random_state:
+            Base seed used only when *random_states* is omitted.
+        embedding:
+            Optional pre-computed embedding shared by all problems.
+        rng, threads:
+            As in :meth:`run`; neither changes the pack-equals-serial rule.
         """
         parameters = parameters or AnnealerParameters()
         if rng not in backends.RNG_MODES:
@@ -359,16 +364,19 @@ class QuantumAnnealerSimulator:
                              num_logical)
 
     def _settings(self, parameters: AnnealerParameters) -> tuple:
-        """*parameters*' temperature profile and compile settings, kept."""
+        """*parameters*' temperature profile and compile settings, kept
+        while the parameters object and the machine's temperatures are."""
+        rates = (self.sweeps_per_us, self.hot_temperature,
+                 self.cold_temperature)
         kept = self._kept_settings
-        if kept is None or kept[0] is not parameters:
+        if kept is None or kept[0] is not parameters or kept[1] != rates:
             kept = self._kept_settings = (
-                parameters, parameters.schedule.temperature_profile(
+                parameters, rates, parameters.schedule.temperature_profile(
                     sweeps_per_us=self.sweeps_per_us,
                     hot=self.hot_temperature, cold=self.cold_temperature),
                 compile_settings(parameters.chain_strength,
                                  parameters.extended_range))
-        return kept[1:]
+        return kept[2:]
 
     def _serve(self, isings, embedding: Embedding,
                parameters: AnnealerParameters, rngs, rng: str, threads: int,
@@ -379,9 +387,7 @@ class QuantumAnnealerSimulator:
         ``None`` for the NumPy stages' route: no artefact, more than 63
         variables, several structures, colliding chains, or a coupling
         that scales to ``0.0``."""
-        if not backends.cext_available():
-            return None
-        logical = IsingPack.stack(isings)  # a pack is taken as is
+        logical = IsingPack.stack(isings) if backends.cext_available() else None
         if (logical is None or logical.num_variables >= 64
                 or embedding.num_logical < logical.num_variables):
             return None
@@ -395,7 +401,7 @@ class QuantumAnnealerSimulator:
         key = (rng, threads, plan)  # a direct plan is its structure
         sampler = self._checkout(key)
         if sampler is None:  # built on the structure; the call programs it
-            blocks = logical.linear.shape[0]
+            blocks = len(logical)
             sampler = BlockDiagonalSampler(
                 IsingPack(plan.num_physical, plan.physical_keys,
                           np.zeros((blocks, plan.num_physical)),
@@ -448,16 +454,8 @@ class QuantumAnnealerSimulator:
             factor = self._parallelization[num_logical] = parallelization_factor(
                 num_logical, total_qubits=self.num_qubits,
                 shore_size=self.topology.shore_size)
-        results = []
-        for solutions_b, broken_b in zip(solutions, broken):
-            result = object.__new__(AnnealResult)  # trusted: our own fields
-            result.__dict__.update(solutions=solutions_b, parameters=parameters,
-                                   parallelization=factor,
-                                   broken_chain_fraction=broken_b)
-            if results:  # the runs of a pack share one compute time
-                result.__dict__["compute_time_us"] = results[0].compute_time_us
-            results.append(result)
-        return results
+        return [AnnealResult(solutions_b, parameters, factor, broken_b)
+                for solutions_b, broken_b in zip(solutions, broken)]
 
     def __repr__(self) -> str:
         return (f"QuantumAnnealerSimulator(qubits={self.num_qubits}, "

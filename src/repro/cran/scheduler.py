@@ -129,7 +129,7 @@ class EDFBatchScheduler:
     @property
     def queue_depth(self) -> int:
         """Number of jobs currently pending."""
-        return sum(map(len, self._pending.values()))
+        return sum(len(jobs) for jobs in self._pending.values())
 
     def _due_us(self, jobs: List[DecodeJob]) -> float:
         """Absolute time at which the pending *jobs* must flush.

@@ -92,8 +92,7 @@ class TelemetryRecorder:
         members share one start/finish) less the other structures' share —
         in proportion to the members' ``run.compute_time_us``, i.e. to the chip
         area they occupied — of what exceeds the per-pack *overhead_us*.
-        A one-structure pack observes exactly its service time and size;
-        members share one flush, start and finish, read from the first.
+        A one-structure pack observes exactly its service time and size.
         """
         if not results:
             return
@@ -101,23 +100,22 @@ class TelemetryRecorder:
         self._batch_fill[len(results)] += 1
         first = results[0]
         self._flush_reasons[first.flush_reason] += 1
-        self.jobs_completed += len(results)
-        flush_us, finish_us = first.flush_time_us, first.finish_time_us
         compute_us: Dict[StructureKey, List[float]] = {}  # per member
         for result in results:
-            job = result.job
-            compute_us.setdefault(job.structure_key, []).append(
+            compute_us.setdefault(result.job.structure_key, []).append(
                 result.result.run.compute_time_us)
-            arrival = job.arrival_time_us
-            self._latencies_us.append(finish_us - arrival)
-            self._queue_delays_us.append(flush_us - arrival)
-            if not finish_us <= job.deadline_us:
+            self.jobs_completed += 1
+            self._latencies_us.append(result.latency_us)
+            self._queue_delays_us.append(result.queue_delay_us)
+            if not result.deadline_met:
                 self.deadline_misses += 1
+            arrival = result.job.arrival_time_us
             if (self._first_arrival_us is None
                     or arrival < self._first_arrival_us):
                 self._first_arrival_us = arrival
-        self._last_finish_us = max(self._last_finish_us, finish_us)
-        service_us = finish_us - first.start_time_us
+            self._last_finish_us = max(self._last_finish_us,
+                                       result.finish_time_us)
+        service_us = first.finish_time_us - first.start_time_us
         total_us = sum(map(sum, compute_us.values()))
         alpha = DECODE_TIME_EWMA_ALPHA
         for key, members_us in compute_us.items():

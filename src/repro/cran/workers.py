@@ -122,7 +122,7 @@ def _pack_service_us(decoder: QuAMaxDecoder, outcomes) -> float:
     inline, thread and process serving.
     """
     return (_pack_overhead_us(decoder, outcomes)
-            + sum([outcome.run.compute_time_us for outcome in outcomes]))
+            + sum(outcome.run.compute_time_us for outcome in outcomes))
 
 
 def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
@@ -941,14 +941,13 @@ class WorkerPool:
             start_us = max(batch.flush_time_us, self._virtual_free[machine])
             finish_us = start_us + service_us
             self._virtual_free[machine] = finish_us
-            shared = dict(batch_size=len(batch.jobs), flush_reason=batch.reason,
+            results = [
+                JobResult(job=job, result=outcome, batch_size=batch.size,
+                          flush_reason=batch.reason,
                           flush_time_us=batch.flush_time_us,
                           start_time_us=start_us, finish_time_us=finish_us)
-            results = []
-            for job, outcome in zip(batch.jobs, outcomes):
-                result = object.__new__(JobResult)  # trusted: pool-made
-                result.__dict__.update(shared, job=job, result=outcome)
-                results.append(result)
+                for job, outcome in zip(batch.jobs, outcomes)
+            ]
             self._results.extend(results)
             self.telemetry.record_batch(
                 results, _pack_overhead_us(self.decoder, outcomes))

@@ -148,12 +148,17 @@ class QuAMaxDecoder(Detector):
 
         Each channel use is decoded with its own child generator derived from
         *random_state*, so a job's bits are the ones a one-job call on that
-        child gives, however the problems were grouped; callers holding
-        per-use streams (the frame decode) pass *random_states* instead.
-        *rng* is the draw discipline forwarded to the annealer
-        (``"sequential"``, the reference streams, or ``"counter"``, keyed
-        Philox streams identical across backends and thread counts);
-        *threads*, the counter call's width, never changes detections.
+        child gives, independent of how the problems were grouped.  Callers
+        that have already derived per-use streams (e.g. the frame decode,
+        which derives one child per subcarrier of the *whole* frame and
+        submits a chunk at a time) pass them via *random_states* instead;
+        *random_state* is then ignored.
+
+        *rng* is the draw discipline forwarded to the annealer:
+        ``"sequential"`` (default, the reference streams) or ``"counter"``
+        (keyed Philox streams — a different, equally exact stream that is
+        identical across backends and thread counts).  *threads* is the
+        counter call's kernel width; it never changes seeded detections.
         """
         channel_uses = list(channel_uses)
         if not channel_uses:
@@ -193,10 +198,6 @@ class QuAMaxDecoder(Detector):
         for index, problem in enumerate(reduced):
             groups.setdefault(problem.pack, []).append(index)
 
-        if len(groups) == 1:  # the usual case: one pack, in input order
-            return self._assemble_pack(reduced, self.annealer.run_batch(
-                reduced[0].pack, parameters, random_states=rngs, rng=rng,
-                threads=threads))
         results: List[Optional[QuAMaxDetectionResult]] = [None] * len(reduced)
         for pack, indices in groups.items():
             runs = self.annealer.run_batch(
@@ -221,9 +222,8 @@ class QuAMaxDecoder(Detector):
         matvec and ``vdot`` *is* its value.
         """
         symbol_of, gray_of = _code_tables(reduced[0].constellation.name)
-        best = (runs[0].solutions.samples[:1] if len(runs) == 1 else
-                np.array([run.solutions.samples[0] for run in runs]))
-        quamax_bits = spins_to_bits(best)
+        quamax_bits = spins_to_bits(
+            np.array([run.solutions.samples[0] for run in runs]))
         # One code per user, its bits little-endian: a row of both tables.
         codes = np.packbits(
             quamax_bits.reshape(len(runs), -1, gray_of.shape[1]), axis=2,
@@ -236,12 +236,10 @@ class QuAMaxDecoder(Detector):
             channel_use = problem.channel_use
             metric = ml_metric_of_symbols(
                 channel_use.channel, channel_use.received, symbols_b)
-            result = object.__new__(QuAMaxDetectionResult)  # trusted
-            result.__dict__.update(
-                detection=DetectionResult.from_arrays(symbols_b, bits_b,
-                                                      metric, self.name),
-                reduced=problem, run=run)
-            results.append(result)
+            results.append(QuAMaxDetectionResult(
+                DetectionResult.from_arrays(symbols_b, bits_b, metric,
+                                            self.name),
+                problem, run))
         return results
 
     # ------------------------------------------------------------------ #

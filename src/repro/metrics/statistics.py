@@ -30,9 +30,9 @@ class DistributionSummary:
 
 
 def _percentile(array: np.ndarray, q: float) -> float:
-    """``np.percentile``, but a rank by an infinity is it (not inf - inf)."""
-    with np.errstate(invalid="ignore"):
-        value = np.percentile(array, q)
+    """``np.percentile``, except that a rank next to an infinity is that
+    infinity (NumPy's linear interpolation computes ``inf - inf`` there)."""
+    value = np.percentile(array, q)
     if np.isnan(value) and not np.isnan(array).any():
         low, high = (np.percentile(array, q, method=method)
                      for method in ("lower", "higher"))
@@ -67,12 +67,15 @@ def summarize(values: Sequence[float],
                                        minimum=float("inf"),
                                        maximum=float("inf"))
         array = finite
-    return DistributionSummary(
-        count=int(array.size),
-        mean=float(np.mean(array)),
-        median=float(np.median(array)),
-        percentile_10=_percentile(array, 10),
-        percentile_90=_percentile(array, 90),
-        minimum=float(np.min(array)),
-        maximum=float(np.max(array)),
-    )
+    # -inf and +inf together have no mean, median or rank between them:
+    # those are NaN, without NumPy's invalid-value warning.
+    with np.errstate(invalid="ignore"):
+        return DistributionSummary(
+            count=int(array.size),
+            mean=float(np.mean(array)),
+            median=float(np.median(array)),
+            percentile_10=_percentile(array, 10),
+            percentile_90=_percentile(array, 90),
+            minimum=float(np.min(array)),
+            maximum=float(np.max(array)),
+        )

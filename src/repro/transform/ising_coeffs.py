@@ -26,7 +26,7 @@ brute-force reduction is enforced by the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -42,9 +42,11 @@ def spin_weights(constellation, num_users: int) -> np.ndarray:
     return np.tile(per_user, num_users)
 
 
-#: Per ``(transform name, users)``, :func:`build_ml_ising_pack`'s constants:
-#: conj(m), user_of, |m|^2, the gram diagonal's gather, per pair conj(m_i),
-#: m_j and gram gather (into the flat ``N_t * N_t`` gram), the pairs, keys.
+#: Per-structure constants of :func:`build_ml_ising_pack`, rebuilt
+#: identically on every call before: ``(transform name, users) -> (conj of
+#: the weights, user_of, |weights|^2, diagonal gather, per pair conj(m_i),
+#: m_j and gram gather, upper-triangle pairs, their all-pairs key tuple)``
+#: — the gathers index the flattened ``N_t * N_t`` gram matrix.
 _STRUCTURE_CACHE: Dict[Tuple[str, int], tuple] = {}
 #: ``(variables, nonzero mask bytes) -> key tuple``: problems of one
 #: sparsity pattern share one key tuple object.
@@ -81,8 +83,7 @@ def _pair_keys(upper_i: np.ndarray, upper_j: np.ndarray,
 
 
 def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
-                        constellation) -> List[Tuple[Sequence[int],
-                                                     IsingPack]]:
+                        constellation) -> List[Tuple[np.ndarray, IsingPack]]:
     """The ML detection Ising problems of many channel uses in one pass.
 
     *channels* is the ``(jobs, N_r, N_t)`` complex stack of channel matrices
@@ -116,10 +117,11 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
 
     # ||y||^2 per job (a BLAS dot: its order is its value), then the
     # diagonal terms added left to right — the historical summation order,
-    # in Python floats (the same IEEE additions as np.add.accumulate).
-    diagonal_terms = (weight_power * gram.real.take(diagonal, axis=1)).tolist()
+    # in Python floats (the same IEEE additions as ``np.add.accumulate``,
+    # without its array set-up for a pack of a few jobs).
     offsets = []
-    for vector, terms in zip(received, diagonal_terms):
+    for vector, terms in zip(received, (
+            weight_power * gram.real.take(diagonal, axis=1)).tolist()):
         total = float(np.vdot(vector, vector).real)
         for term in terms:
             total += term
@@ -129,11 +131,8 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     # Handed over as arrays: no per-job dict, and problems of one sparsity
     # pattern share one key tuple (structure identity for the layers below).
     if np.count_nonzero(pair_values) == pair_values.size:
-        pack = object.__new__(IsingPack)  # trusted: this pass's own arrays
-        pack.__dict__.update(num_variables=user_of.size, keys=all_keys,
-                             linear=linear, values=pair_values,
-                             offsets=offsets, models=None)
-        return [(range(jobs), pack)]
+        return [(np.arange(jobs), IsingPack(
+            user_of.size, all_keys, linear, pair_values, offsets))]
     nonzero = pair_values != 0.0
     packs = []
     remaining = np.arange(jobs)
@@ -141,7 +140,7 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
         kept = nonzero[remaining[0]]
         same = (nonzero[remaining] == kept).all(axis=1)
         rows = remaining[same]
-        packs.append((rows.tolist(), IsingPack(
+        packs.append((rows, IsingPack(
             user_of.size, _pair_keys(upper_i, upper_j, kept), linear[rows],
             np.compress(kept, pair_values[rows], axis=1), offsets[rows])))
         remaining = remaining[~same]
@@ -173,3 +172,65 @@ def build_ml_ising(channel, received, constellation) -> IsingModel:
     (_, pack), = build_ml_ising_pack(channel[None], received[None],
                                      constellation)
     return pack[0]
+
+
+def bpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:
+    """Literal transcription of the paper's Eq. 6 (BPSK), for validation.
+
+    Returns ``(f, g)`` with ``f`` the length-``N_t`` field vector and ``g``
+    the upper-triangular coupling matrix.
+    """
+    channel = ensure_complex_matrix("channel", channel)
+    received = ensure_complex_vector("received", received, length=channel.shape[0])
+    h_real, h_imag = channel.real, channel.imag
+    y_real, y_imag = received.real, received.imag
+    num_users = channel.shape[1]
+    fields = np.empty(num_users)
+    couplings = np.zeros((num_users, num_users))
+    for i in range(num_users):
+        fields[i] = (-2.0 * float(h_real[:, i] @ y_real)
+                     - 2.0 * float(h_imag[:, i] @ y_imag))
+        for j in range(i + 1, num_users):
+            couplings[i, j] = (2.0 * float(h_real[:, i] @ h_real[:, j])
+                               + 2.0 * float(h_imag[:, i] @ h_imag[:, j]))
+    return fields, couplings
+
+
+def qpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:
+    """Literal transcription of the paper's Eqs. 7-8 (QPSK), for validation.
+
+    Variable ``i`` (1-indexed in the paper) represents the I component of
+    user ``ceil(i/2)`` when odd and the Q component when even.
+    """
+    channel = ensure_complex_matrix("channel", channel)
+    received = ensure_complex_vector("received", received, length=channel.shape[0])
+    h_real, h_imag = channel.real, channel.imag
+    y_real, y_imag = received.real, received.imag
+    num_users = channel.shape[1]
+    num_variables = 2 * num_users
+    fields = np.empty(num_variables)
+    couplings = np.zeros((num_variables, num_variables))
+    for index in range(1, num_variables + 1):
+        user = (index + 1) // 2 - 1
+        if index % 2 == 0:
+            fields[index - 1] = (-2.0 * float(h_real[:, user] @ y_imag)
+                                 + 2.0 * float(h_imag[:, user] @ y_real))
+        else:
+            fields[index - 1] = (-2.0 * float(h_real[:, user] @ y_real)
+                                 - 2.0 * float(h_imag[:, user] @ y_imag))
+    for i in range(1, num_variables + 1):
+        user_i = (i + 1) // 2 - 1
+        for j in range(i + 1, num_variables + 1):
+            user_j = (j + 1) // 2 - 1
+            if user_i == user_j:
+                # Same user's I and Q: independent, coupling is zero.
+                continue
+            if (i + j) % 2 == 0:
+                value = (2.0 * float(h_real[:, user_i] @ h_real[:, user_j])
+                         + 2.0 * float(h_imag[:, user_i] @ h_imag[:, user_j]))
+            else:
+                sign = 1.0 if i % 2 == 0 else -1.0
+                value = sign * (2.0 * float(h_real[:, user_i] @ h_imag[:, user_j])
+                                - 2.0 * float(h_real[:, user_j] @ h_imag[:, user_i]))
+            couplings[i - 1, j - 1] = value
+    return fields, couplings

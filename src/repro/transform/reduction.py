@@ -46,11 +46,20 @@ from repro.utils.validation import ensure_bit_array
 class ReducedProblem:
     """The annealer-ready form of one ML detection problem.
 
-    The logical Ising problem, whose ground state is the ML solution, is
-    row *row* of *pack* (the same-structure problems one
-    :meth:`MLToIsingReducer.reduce_pack` call reduced together, in input
-    order); *constellation*, *num_users* and *channel_use* are those of
-    the originating channel use (kept for metrics and ground truth).
+    Attributes
+    ----------
+    pack, row:
+        The logical Ising problem, whose ground state is the ML solution,
+        is row *row* of *pack*: the same-structure problems one
+        :meth:`MLToIsingReducer.reduce_pack` call reduced together, in the
+        order they were given.
+    constellation:
+        The constellation of the originating channel use.
+    num_users:
+        Number of transmitting users.
+    channel_use:
+        The originating channel use (kept for metric evaluation and ground
+        truth when available).
     """
 
     pack: IsingPack
@@ -171,28 +180,18 @@ class MLToIsingReducer:
             stacks.setdefault((channel_use.constellation.name,
                                channel_use.channel.shape), []).append(index)
         reduced: List[ReducedProblem] = [None] * len(channel_uses)
-        new = object.__new__
         for members in stacks.values():
-            first = channel_uses[members[0]]
-            if (len(members) == 1 and first.channel.flags.c_contiguous
-                    and first.received.flags.c_contiguous):
-                # The one job's arrays as a stack of one: no copy.
-                stacked = first.channel[None], first.received[None]
-            else:
-                stacked = (np.array([channel_uses[index].channel
-                                     for index in members]),
-                           np.array([channel_uses[index].received
-                                     for index in members]))
-            for rows, pack in build_ml_ising_pack(*stacked,
-                                                  first.constellation):
-                for row, member in enumerate(rows):
+            for rows, pack in build_ml_ising_pack(
+                    np.array([channel_uses[index].channel
+                              for index in members]),
+                    np.array([channel_uses[index].received
+                              for index in members]),
+                    channel_uses[members[0]].constellation):
+                for row, member in enumerate(rows.tolist()):
                     channel_use = channel_uses[members[member]]
-                    problem = reduced[members[member]] = new(ReducedProblem)
-                    problem.__dict__.update(
-                        pack=pack, row=row,
-                        constellation=channel_use.constellation,
-                        num_users=channel_use.channel.shape[1],
-                        channel_use=channel_use)
+                    reduced[members[member]] = ReducedProblem(
+                        pack, row, channel_use.constellation,
+                        channel_use.num_tx, channel_use)
         return reduced
 
     def reduce(self, channel_use: ChannelUse) -> ReducedProblem:

@@ -98,6 +98,9 @@ class TestSummarize:
             assert summary.percentile_10 == np.inf  # 1 + inf * 0.1
             assert summarize([-np.inf, 2.0]).percentile_10 == -np.inf
             assert summarize([np.inf, np.inf]).percentile_90 == np.inf
+            undefined = summarize([-np.inf, np.inf])  # no warning either
+            assert np.isnan([undefined.mean, undefined.median,
+                             undefined.percentile_90]).all()
             values = [0.3, 1.7, 2.9, 4.1, np.inf]
             summary = summarize(values)
             assert summary.percentile_10 == np.percentile(values, 10)

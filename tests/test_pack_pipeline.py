@@ -1351,7 +1351,7 @@ class TestWarmPackWork:
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
     #: Calls into ``src/repro`` of one warm ``decode_pack`` per (jobs, CPUs).
-    PYTHON_CALLS = {(1, 1): 73, (1, 2): 73, (16, 1): 166, (16, 2): 170}
+    PYTHON_CALLS = {(1, 1): 91, (1, 2): 91, (16, 1): 286, (16, 2): 290}
 
     @needs_cext
     @pytest.mark.parametrize("cpus", [1, 2])
