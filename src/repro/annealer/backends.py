@@ -771,73 +771,41 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
                                settings, scratch)
 
 
-def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
-                     values: np.ndarray, structure: tuple, rngs,
-                     batch_size: int,
-                     ice: Optional[Tuple[float, float, float, float]],
-                     check_zero: bool, counter: bool, threads: int,
-                     workspace: dict, fallback,
-                     serve: Optional[Tuple[PackReadOut, object]] = None
-                     ) -> Optional[SweepWork]:
+def pack_ice_batches(prepared: tuple, physical: np.ndarray,
+                     linear: np.ndarray, values: np.ndarray, rngs,
+                     workspace: dict, fallback) -> Optional[SweepWork]:
     """A pack's anneals as ICE batches, every batch in C: one call of the
     artefact's ``pack_ice_batches`` per range of blocks (:func:`_shards`),
-    each running all of its batches on its own thread.
+    each running all of its batches on its own thread, as *prepared*
+    (:func:`prepare_batches`) over *workspace*.  *linear* and *values* are
+    the ``(blocks*P,)`` fields and ``(blocks, E)`` couplings; batch *k* is
+    rows ``k * batch_size`` on of the ``int8`` *physical*.  Per batch
+    every block draws from its generator of *rngs*: its field then
+    coupling ICE shifts, counter key, start and sweeps —
+    ``ICEModel.perturb_pack`` then one ``anneal``.  A lane-half block
+    (:func:`_lane_half_call`) is one call per batch for the draws and
+    start, then the halves.  With the zero check a batch whose perturbed
+    couplings hold an exact zero is not swept: ``fallback(fields,
+    couplings, blocks, rows, rngs)`` anneals that slice problem by problem
+    (copy the buffers it gets) into its rows, and the range resumes.
+    Returns the last batch's :class:`SweepWork`, summed over the ranges.
 
-    *linear* and *values* are the programmed ``(blocks*P,)`` fields and
-    ``(blocks, E)`` couplings; *structure* is ``(members, class_starts,
-    indices, indptr, clusters, class_edges, internal_edges, temperatures)``
-    — the colour structure (*clusters* without values), the columns of
-    *values* the class CSR slots and cluster-internal edges hold, and the
-    schedule.  Batch *k* is rows ``k * batch_size`` on of the ``(anneals,
-    blocks*P)`` ``int8`` *physical*.  Per batch every block draws from its
-    own generator of *rngs*: the ICE shifts of its fields, then of its
-    couplings (*ice*: ``(field mean, field std, coupling mean, coupling
-    std)``, or ``None``), its counter key (*counter*), its start and its
-    sweeps — ``ICEModel.perturb_pack`` then one ``anneal``.  A lane-half
-    block (:func:`_lane_half_call`) is one call per batch for the draws and
-    start, then the halves.  With *check_zero* a batch whose perturbed
-    couplings hold an exact zero is not swept: ``fallback(lo, hi, start,
-    fields, couplings)`` anneals blocks ``[lo, hi)`` of it problem by
-    problem into rows ``start`` on (the arguments are the call's buffers:
-    copy them), and the range resumes.  Returns the last batch's
-    :class:`SweepWork`, summed over the ranges.
-
-    *serve* ``(out, logical)`` serves a pack: the call programs *linear*
-    and *values* (*out*'s bound buffers) from the logical
-    :class:`~repro.ising.model.IsingPack` before the first draw — or
-    returns ``None``, nothing drawn, when a coupling scales to ``0.0`` —
-    and the call that runs a range's last batch reads its blocks out into
-    *out*.  Where none can (lane halves, a last batch that went to the
-    fallback), one :meth:`PackReadOut.read` of the pack follows.
+    A served pack (*prepared* holds its :class:`PackReadOut`) is programmed
+    from the logical ``(B, L)`` *linear* and ``(B, K)`` *values* before the
+    first draw (or ``None`` returns, nothing drawn, when a coupling scales
+    to ``0.0``) and read out by the call that runs a range's last batch,
+    else by one :meth:`PackReadOut.read` (lane halves, a fallback last).
     """
-    lib = _load_cext()
-    num_anneals, width = physical.shape
-    blocks = len(rngs)
+    buffers, halves, ranges, _, out, batch_size, counter, threads = prepared
+    lib, num_anneals = _load_cext(), physical.shape[0]
     generators = _generator_pointers(workspace, rngs)
-    out, logical = serve or (None, None)
-    # Two blocks sharing a bit generator draw in block order: one call.
-    shared = blocks > 1 and len(set(generators)) < blocks
-    key = (num_anneals, width, blocks, batch_size, ice, check_zero, counter,
-           threads, id(structure[-1]), id(out), shared, _usable_cpus(),
-           _SPLIT_SPINS, type(rngs[0].bit_generator))
-    calls = workspace.setdefault("calls", {})
-    prepared = calls.get(key)
-    if prepared is None:
-        if len(calls) >= 64:  # schedules a long-lived sampler no longer runs
-            calls.clear()
-        prepared = calls[key] = _prepare_batches(
-            workspace, num_anneals, width // blocks, values.shape[1],
-            structure, rngs, batch_size, ice, check_zero, counter, threads,
-            out, shared)
-    buffers, halves, ranges, _ = prepared
     spins, fields, perturbed, *_ = buffers
     if counter:
         _note_openmp_team(threads)
+    sources = (_ptr(linear), _ptr(values))
     if out is not None:
-        out.sources = sources = (_ptr(logical.linear), _ptr(logical.values))
-    else:
-        sources = (_ptr(linear), _ptr(values))
-    size = width // blocks
+        out.sources = sources
+    size = fields.size // len(rngs)
     batches = -(-num_anneals // batch_size)
     target = _ptr(physical)
 
@@ -846,9 +814,11 @@ def pack_ice_batches(physical: np.ndarray, linear: np.ndarray,
                                     batch, stop, sweep, generators)
 
     def cancelled(lo: int, hi: int, batch: int) -> None:
-        fallback(lo, hi, batch * batch_size,
-                 fields[lo * size:hi * size].reshape(hi - lo, size),
-                 perturbed[lo:hi])
+        start = batch * batch_size
+        rows = min(batch_size, num_anneals - start)
+        physical[start:start + rows, lo * size:hi * size] = fallback(
+            fields[lo * size:hi * size].reshape(hi - lo, size),
+            perturbed[lo:hi], slice(lo, hi), rows, rngs)
 
     if halves is not None:
         (block, work), sweep = ranges[0][2:], halves
@@ -910,20 +880,39 @@ def _lane_halves(spins, rows: int, counter: bool, rngs) -> bool:
             and type(rngs[0].bit_generator) is np.random.PCG64)
 
 
-def _prepare_batches(workspace: dict, num_anneals: int, size: int,
-                     num_values: int, structure: tuple, rngs,
-                     batch_size: int, ice, check_zero: bool, counter: bool,
-                     threads: int, out: Optional[PackReadOut],
-                     shared: bool) -> tuple:
-    """What :func:`pack_ice_batches` decides once per pack shape, kept in
-    *workspace*: its buffers; for a lane-half block the halves' sweep
-    arguments (else ``None``); the block ranges ``(lo, hi, argument
-    block, work)`` (:func:`_shards`); and what their blocks point to."""
+def prepare_batches(workspace: dict, physical: np.ndarray, num_values: int,
+                    structure: tuple, rngs, batch_size: int, ice,
+                    rng_mode: str, threads: int, out=None) -> tuple:
+    """What :func:`pack_ice_batches` decides once per pack shape: its
+    buffers, a lane-half block's sweep arguments (else ``None``), the block
+    ranges ``(lo, hi, argument block, work)`` (:func:`_shards`), what they
+    point to, *out* and the batch settings.  *structure* is ``(members,
+    class_starts, indices, indptr, clusters, class_edges, internal_edges,
+    temperatures)``: the colour structure, the columns of the ``(blocks,
+    num_values)`` values its slots hold, and the schedule; *ice* is the
+    :class:`~repro.annealer.ice.ICEModel` (``None``: no zero check).  Kept
+    in *workspace* per all it reads, unless it serves *out* (whose owner
+    keeps it)."""
     members, class_starts, indices, indptr, clusters, class_edges, \
         internal_edges, temperatures = structure
-    blocks = len(rngs)
-    buffers = _batch_buffers(workspace, blocks, size, batch_size, num_values,
-                             class_edges.size, internal_edges.size)
+    check_zero, counter = ice is not None, rng_mode == "counter"
+    ice = None if ice is None or not ice.enabled else (
+        ice.linear_mean, ice.linear_std, ice.quadratic_mean, ice.quadratic_std)
+    (num_anneals, width), blocks = physical.shape, len(rngs)
+    # Two blocks sharing a bit generator draw in block order: one call.
+    shared = blocks > 1 and len(set(_generator_pointers(workspace,
+                                                        rngs))) < blocks
+    key = (num_anneals, width, blocks, batch_size, ice, check_zero, counter,
+           threads, id(temperatures), shared, _usable_cpus(), _SPLIT_SPINS,
+           type(rngs[0].bit_generator))
+    calls = workspace.setdefault("calls", {})
+    if out is None and key in calls:
+        return calls[key]
+    if len(calls) >= 64:  # schedules a long-lived sampler no longer runs
+        calls.clear()
+    buffers = _batch_buffers(workspace, blocks, width // blocks, batch_size,
+                             num_values, class_edges.size,
+                             internal_edges.size)
     spins, fields, _, class_data, edge_values, _ = buffers
     settings = (None if ice is None else np.array(ice, dtype=np.float64),
                 check_zero, out)
@@ -942,8 +931,13 @@ def _prepare_batches(workspace: dict, num_anneals: int, size: int,
                                     settings))
               for space, lo, hi in zip([workspace, *spaces], bounds,
                                        bounds[1:])]
-    return (buffers, halves, [(lo, hi, *block[:2]) for lo, hi, block in blocks],
-            [block[2] for _, _, block in blocks])
+    prepared = (buffers, halves,
+                [(lo, hi, *block[:2]) for lo, hi, block in blocks],
+                [block[2] for _, _, block in blocks], out, batch_size,
+                counter, threads)
+    if out is None:
+        calls[key] = prepared
+    return prepared
 
 
 # --------------------------------------------------------------------------- #

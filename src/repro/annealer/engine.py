@@ -284,6 +284,7 @@ class BlockDiagonalSampler:
         #: What the backend keeps between calls over this structure (the
         #: cext argument block); travels with the sampler.
         self._kernel_workspace: Dict[str, object] = {}
+        self._routes: Dict[tuple, tuple] = {}  # served packs: _served
         self._validated_temperatures: Optional[np.ndarray] = None
         self._last_sweep_work: Optional[backends.SweepWork] = None
 
@@ -339,9 +340,8 @@ class BlockDiagonalSampler:
         return self._last_sweep_work
 
     def __getstate__(self) -> Dict[str, object]:
-        # The workspace holds ctypes pointers into this process; a copy
-        # (a process worker's decoder) starts with an empty one.
-        return {**self.__dict__, "_kernel_workspace": {}}
+        # Both hold ctypes pointers: a copy (a process worker's) starts bare.
+        return {**self.__dict__, "_kernel_workspace": {}, "_routes": {}}
 
     def _bind(self, problems: IsingPack) -> None:
         """Point the sampler at *problems* (same structure, key order)."""
@@ -589,8 +589,8 @@ class BlockDiagonalSampler:
 
         return spins.astype(np.int8)
 
-    def _per_problem(self, fields: np.ndarray, couplings: np.ndarray,
-                     blocks: slice, temperatures: np.ndarray, rows: int,
+    def _per_problem(self, temperatures: np.ndarray, fields: np.ndarray,
+                     couplings: np.ndarray, blocks: slice, rows: int,
                      rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """One batch of *blocks* from their perturbed *fields* and
         *couplings* when one of those is exactly zero: that problem lost a
@@ -607,32 +607,20 @@ class BlockDiagonalSampler:
 
     def _ice_batches(self, temperatures: np.ndarray, num_replicas: int,
                      rngs: List[np.random.Generator], ice: Optional[ICEModel],
-                     batch: int, serve=None) -> Optional[np.ndarray]:
+                     batch: int) -> np.ndarray:
         """:meth:`anneal`'s batches: one artefact call per range of blocks
-        on cext (serving a pack with *serve*; ``None`` when it refuses
-        one), the NumPy path's loop otherwise (the oracle).  Both check for
-        an exactly cancelled coupling only with *ice*."""
+        on cext, the NumPy path's loop otherwise (the oracle).  Both check
+        for an exactly cancelled coupling only with *ice*."""
         physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
         if self.selected_backend == "cext":
-            size = self.block_size
-
-            def cancelled(lo, hi, start, fields, couplings):
-                rows = min(batch, num_replicas - start)
-                physical[start:start + rows, lo * size:hi * size] = \
-                    self._per_problem(fields, couplings, slice(lo, hi),
-                                      temperatures, rows, rngs)
-
-            work = backends.pack_ice_batches(
-                physical, self.linear, self._values,
-                (*self._batch_structure, temperatures), rngs, batch,
-                None if ice is None or not ice.enabled else (
-                    ice.linear_mean, ice.linear_std, ice.quadratic_mean,
-                    ice.quadratic_std),
-                ice is not None, self.rng_mode == "counter", self.threads,
-                self._kernel_workspace, cancelled, serve)
-            if work is None:
-                return None
-            self._last_sweep_work = work
+            self._last_sweep_work = backends.pack_ice_batches(
+                backends.prepare_batches(
+                    self._kernel_workspace, physical, len(self._edge_keys),
+                    (*self._batch_structure, temperatures), rngs, batch, ice,
+                    self.rng_mode, self.threads),
+                physical, self.linear, self._values, rngs,
+                self._kernel_workspace,
+                lambda *args: self._per_problem(temperatures, *args))
             return physical
         self._last_sweep_work = None
         programmed = self.isings
@@ -642,8 +630,8 @@ class BlockDiagonalSampler:
                 perturbed = ice.perturb_pack(programmed, rngs)
                 if not perturbed.values.all():
                     physical[start:start + rows] = self._per_problem(
-                        perturbed.linear, perturbed.values, slice(None),
-                        temperatures, rows, rngs)
+                        temperatures, perturbed.linear, perturbed.values,
+                        slice(None), rows, rngs)
                     continue
                 self._rebind(perturbed)
             physical[start:start + rows] = self._anneal(temperatures, rows,
@@ -651,29 +639,60 @@ class BlockDiagonalSampler:
         self._rebind(programmed)
         return physical
 
-    def _bind_served(self, program: tuple,
-                     num_replicas: int) -> backends.PackReadOut:
-        """Bind the sampler to buffers of its own for the blocks of a served
-        pack (:meth:`anneal` with ``program=``); their read-out."""
-        logical, plan, *settings = program
-        blocks = len(logical)
-        served = self._kernel_workspace.setdefault("served", {})
-        key = (blocks, num_replicas, plan, *settings)
-        if key not in served:
-            size, width = self.block_size, len(self._edge_keys)
+    def _served(self, temperatures, num_replicas: int, rngs: list, ice,
+                batch: Optional[int], program: tuple):
+        """:meth:`anneal` with *program* through the pack's route — its own
+        bound buffers, their read-out, out-array and prepared call — kept
+        per all they are built from (by id what the route keeps alive)."""
+        logical, blocks = program[0], len(program[0])
+        if len(rngs) != blocks:
+            raise AnnealerError("need one generator per logical problem")
+        batch = num_replicas if batch is None else batch
+        key = (id(temperatures), num_replicas, id(ice), batch, program[1:],
+               blocks, backends._USABLE_CPUS, backends._SPLIT_SPINS,
+               type(rngs[0].bit_generator), blocks > 1 and len(
+                   {id(rng.bit_generator) for rng in rngs}) < blocks)
+        route = self._routes.get(key)
+        if route is None:
+            if self.selected_backend != "cext":
+                raise AnnealerError("program= needs the C artefact")
+            profile = self._checked_temperatures(temperatures)
+            num_replicas = check_integer_in_range("num_replicas",
+                                                  num_replicas, minimum=1)
+            batch = check_integer_in_range("ice_batch_size", batch, minimum=1)
+            plan, size, width = program[1], self.block_size, len(
+                self._edge_keys)
             bound = IsingPack(size, self._edge_keys, np.empty((blocks, size)),
                               np.empty((blocks, width)), np.zeros(blocks))
-            served[key] = (bound, backends.PackReadOut(
+            out = backends.PackReadOut(
                 symmetric_csr_template(plan.num_logical, logical.keys),
                 np.empty((blocks, num_replicas, plan.num_logical),
                          dtype=np.int8),
-                plan, settings, bound.linear, bound.values))
-        bound, out = served[key]
+                plan, program[2:], bound.linear, bound.values)
+            physical = np.empty((num_replicas, blocks * size), dtype=np.int8)
+            if len(self._routes) >= 64:
+                self._routes.clear()
+            route = self._routes[key] = (
+                bound, physical, backends.prepare_batches(
+                    self._kernel_workspace, physical, width,
+                    (*self._batch_structure, profile), rngs, batch, ice,
+                    self.rng_mode, self.threads, out),
+                lambda *args: self._per_problem(profile, *args),
+                (temperatures, ice))
+        bound, physical, prepared, fallback, _ = route
         if blocks != self.num_blocks:
             self.num_blocks = blocks
             self._reference = None
         self._bind(bound)
-        return out
+        work = backends.pack_ice_batches(
+            prepared, physical, logical.linear, logical.values, rngs,
+            self._kernel_workspace, fallback)
+        if work is None:
+            return None
+        self._last_sweep_work = work
+        if self._reference is not None:  # the call wrote the bound values
+            self._bind_reference()
+        return prepared[4]
 
     def _rebind(self, problems: IsingPack) -> None:
         """Bind a same-structure pack of this sampler's block count (an ICE
@@ -711,14 +730,11 @@ class BlockDiagonalSampler:
             problem.  Without *ice*: the bound values as they are, no zero
             check.  :attr:`last_sweep_work` counts the last batch.
         program:
-            On the C artefact only, ``(logical, plan, base scale, coupler
-            range, field range)`` serves a machine pack: the sampler binds
-            buffers of its own, one block per logical problem, which the
-            batch call programs (``embed_pack``'s passes over the
-            collision-free plan) before the first draw and reads out after
-            the last batch.  Returns the
-            :class:`~repro.annealer.backends.PackReadOut`, or ``None``,
-            nothing drawn, when a coupling scales to ``0.0``.
+            On the C artefact, ``(logical, plan, base scale, coupler range,
+            field range)`` serves a machine pack (*random_states* then
+            generators) that the batch call programs (``embed_pack``'s
+            passes) and reads out: returns its ``PackReadOut``, or
+            ``None``, nothing drawn, when a coupling scales to ``0.0``.
 
         Returns
         -------
@@ -726,31 +742,21 @@ class BlockDiagonalSampler:
             Combined final configurations, shape ``(num_replicas, blocks*P)``,
             entries ±1; use :meth:`split_samples` to separate the blocks.
         """
+        if program is not None:  # checked once per route, not per pack
+            return self._served(temperatures, num_replicas, random_states,
+                                ice, ice_batch_size, program)
         rngs = [ensure_rng(state) for state in random_states]
-        blocks = self.num_blocks if program is None else len(program[0])
-        if len(rngs) != blocks:
+        if len(rngs) != self.num_blocks:
             raise AnnealerError(
-                f"need one random state per block: expected {blocks}, "
-                f"got {len(rngs)}"
-            )
+                f"need one random state per block: expected "
+                f"{self.num_blocks}, got {len(rngs)}")
         num_replicas = check_integer_in_range("num_replicas", num_replicas,
                                               minimum=1)
         batch = num_replicas if ice_batch_size is None else (
             check_integer_in_range("ice_batch_size", ice_batch_size,
                                    minimum=1))
-        temperatures = self._checked_temperatures(temperatures)
-        if program is None:
-            return self._ice_batches(temperatures, num_replicas, rngs, ice,
-                                     batch)
-        if self.selected_backend != "cext":
-            raise AnnealerError("program= needs the C artefact")
-        out = self._bind_served(program, num_replicas)
-        if self._ice_batches(temperatures, num_replicas, rngs, ice, batch,
-                             (out, program[0])) is None:
-            return None
-        if self._reference is not None:  # the call wrote the bound values
-            self._bind_reference()
-        return out
+        return self._ice_batches(self._checked_temperatures(temperatures),
+                                 num_replicas, rngs, ice, batch)
 
 
 class IsingSampler(BlockDiagonalSampler):

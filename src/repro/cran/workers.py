@@ -675,9 +675,10 @@ class WorkerPool:
         # batch, failure stage).
         self._failed: List[Tuple[int, DecodeBatch, str]] = []
         self._restarts_left = self.restart_budget
-        # Signalled whenever crediting catches up with submission — the
-        # retry layer's wait_idle() barrier.
+        # Signalled whenever crediting catches up with submission while a
+        # wait_idle() caller (the retry layer's barrier) is registered.
         self._idle = threading.Condition(self._lock)
+        self._idle_waiters = 0
         # One virtual QA machine per worker (at least one for inline mode);
         # entry k is the time machine k becomes free.  Batches are credited
         # in submission order: decoded-but-out-of-turn batches wait in
@@ -880,8 +881,12 @@ class WorkerPool:
         are idle by construction.
         """
         with self._idle:
-            while self._next_credit < self._next_submit:
-                self._idle.wait()
+            self._idle_waiters += 1
+            try:
+                while self._next_credit < self._next_submit:
+                    self._idle.wait()
+            finally:
+                self._idle_waiters -= 1
 
     # ------------------------------------------------------------------ #
     # Results
@@ -925,7 +930,7 @@ class WorkerPool:
         try:
             self._drain_credits_locked()
         finally:
-            if self._next_credit >= self._next_submit:
+            if self._idle_waiters and self._next_credit >= self._next_submit:
                 self._idle.notify_all()
 
     def _drain_credits_locked(self) -> None:

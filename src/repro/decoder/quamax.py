@@ -78,6 +78,26 @@ def _code_tables(name: str) -> Tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+#: ``(modulation, int8 best read bytes) -> (symbols, Gray bits)`` of one-job
+#: packs of at most ``_READ_TABLE_VARIABLES`` spins: a table of that small
+#: read space, filled as reads occur — one lookup, not the array passes.
+_READS: Dict[Tuple[str, bytes], Tuple[np.ndarray, np.ndarray]] = {}
+_READ_TABLE_VARIABLES = 12
+
+
+def _decode_reads(name: str, best: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(jobs, users)`` symbols and ``(jobs, bits)`` Gray bits of the
+    ``(jobs, variables)`` *best* reads of one modulation: one spin-to-bit
+    conversion, then one lookup each in its code tables."""
+    symbol_of, gray_of = _code_tables(name)
+    quamax_bits = spins_to_bits(best)
+    # One code per user, its bits little-endian: a row of both tables.
+    codes = np.packbits(quamax_bits.reshape(len(best), -1, gray_of.shape[1]),
+                        axis=2, bitorder="little")[..., 0]
+    return symbol_of[codes], gray_of[codes].reshape(quamax_bits.shape)
+
+
 class QuAMaxDecoder(Detector):
     """ML MIMO detection on the (simulated) quantum annealer.
 
@@ -216,20 +236,24 @@ class QuAMaxDecoder(Detector):
                        ) -> List[QuAMaxDetectionResult]:
         """:meth:`ReducedProblem.decode_spins` for the best read of every run
         of one QA job — the rows of one reduced pack, hence one
-        constellation and user count: one spin-to-bit conversion, then one
-        lookup each in the exact ``T(q)`` and Gray tables of the users'
-        codes.  The ML metric stays per job: the floating-point order of its
-        matvec and ``vdot`` *is* its value.
+        constellation and user count: :func:`_decode_reads` once, or for a
+        small one-job pack one lookup of its best read in ``_READS``.  The ML
+        metric stays per job: the floating-point order of its matvec and
+        ``vdot`` *is* its value.
         """
-        symbol_of, gray_of = _code_tables(reduced[0].constellation.name)
-        quamax_bits = spins_to_bits(
-            np.array([run.solutions.samples[0] for run in runs]))
-        # One code per user, its bits little-endian: a row of both tables.
-        codes = np.packbits(
-            quamax_bits.reshape(len(runs), -1, gray_of.shape[1]), axis=2,
-            bitorder="little")[..., 0]
-        symbols = symbol_of[codes]
-        bits = gray_of[codes].reshape(quamax_bits.shape)
+        name = reduced[0].constellation.name
+        best = runs[0].solutions.samples[0]
+        if len(runs) == 1 and best.size <= _READ_TABLE_VARIABLES:
+            decoded = _READS.get((name, best.tobytes()))
+            if decoded is None:
+                if len(_READS) >= 4096:
+                    _READS.clear()
+                decoded = _READS[name, best.tobytes()] = _decode_reads(
+                    name, best[None])
+            symbols, bits = decoded[0].copy(), decoded[1].copy()
+        else:
+            symbols, bits = _decode_reads(name, np.array(
+                [run.solutions.samples[0] for run in runs]))
         results = []
         for problem, run, symbols_b, bits_b in zip(reduced, runs, symbols,
                                                    bits):

@@ -218,12 +218,16 @@ def read_out_solutions(problems: IsingPack, out) -> List[SolverResult]:
     :class:`~repro.annealer.backends.PackReadOut` over *problems*)."""
     problems_count, reads, size = out.values.shape
     found = out.found.tolist()
-    if problems_count == 1:
-        first, counts = out.first[:found[0]], out.occurrences[:found[0]]
-    else:
-        keep = np.arange(reads) < out.found[:, None]
-        first = out.first.reshape(problems_count, reads)[keep]
-        counts = out.occurrences.reshape(problems_count, reads)[keep]
+    if problems_count == 1:  # the pack's one problem, at slot 0 throughout
+        count, = found
+        distinct = out.values[0].take(out.first[:count], axis=0)
+        return [SolverResult.energy_sorted(distinct, product_energies(
+            distinct.astype(float), out.products[:size * count].reshape(
+                size, count), problems.linear[0], problems.offsets.item()),
+            out.occurrences[:count])]
+    keep = np.arange(reads) < out.found[:, None]
+    first = out.first.reshape(problems_count, reads)[keep]
+    counts = out.occurrences.reshape(problems_count, reads)[keep]
     distinct = out.values.reshape(-1, size).take(first, axis=0)
     products = [out.products[size * reads * b:size * (reads * b + count)]
                 .reshape(size, count) for b, count in enumerate(found)]

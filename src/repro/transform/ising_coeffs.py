@@ -172,65 +172,3 @@ def build_ml_ising(channel, received, constellation) -> IsingModel:
     (_, pack), = build_ml_ising_pack(channel[None], received[None],
                                      constellation)
     return pack[0]
-
-
-def bpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:
-    """Literal transcription of the paper's Eq. 6 (BPSK), for validation.
-
-    Returns ``(f, g)`` with ``f`` the length-``N_t`` field vector and ``g``
-    the upper-triangular coupling matrix.
-    """
-    channel = ensure_complex_matrix("channel", channel)
-    received = ensure_complex_vector("received", received, length=channel.shape[0])
-    h_real, h_imag = channel.real, channel.imag
-    y_real, y_imag = received.real, received.imag
-    num_users = channel.shape[1]
-    fields = np.empty(num_users)
-    couplings = np.zeros((num_users, num_users))
-    for i in range(num_users):
-        fields[i] = (-2.0 * float(h_real[:, i] @ y_real)
-                     - 2.0 * float(h_imag[:, i] @ y_imag))
-        for j in range(i + 1, num_users):
-            couplings[i, j] = (2.0 * float(h_real[:, i] @ h_real[:, j])
-                               + 2.0 * float(h_imag[:, i] @ h_imag[:, j]))
-    return fields, couplings
-
-
-def qpsk_coefficients(channel, received) -> Tuple[np.ndarray, np.ndarray]:
-    """Literal transcription of the paper's Eqs. 7-8 (QPSK), for validation.
-
-    Variable ``i`` (1-indexed in the paper) represents the I component of
-    user ``ceil(i/2)`` when odd and the Q component when even.
-    """
-    channel = ensure_complex_matrix("channel", channel)
-    received = ensure_complex_vector("received", received, length=channel.shape[0])
-    h_real, h_imag = channel.real, channel.imag
-    y_real, y_imag = received.real, received.imag
-    num_users = channel.shape[1]
-    num_variables = 2 * num_users
-    fields = np.empty(num_variables)
-    couplings = np.zeros((num_variables, num_variables))
-    for index in range(1, num_variables + 1):
-        user = (index + 1) // 2 - 1
-        if index % 2 == 0:
-            fields[index - 1] = (-2.0 * float(h_real[:, user] @ y_imag)
-                                 + 2.0 * float(h_imag[:, user] @ y_real))
-        else:
-            fields[index - 1] = (-2.0 * float(h_real[:, user] @ y_real)
-                                 - 2.0 * float(h_imag[:, user] @ y_imag))
-    for i in range(1, num_variables + 1):
-        user_i = (i + 1) // 2 - 1
-        for j in range(i + 1, num_variables + 1):
-            user_j = (j + 1) // 2 - 1
-            if user_i == user_j:
-                # Same user's I and Q: independent, coupling is zero.
-                continue
-            if (i + j) % 2 == 0:
-                value = (2.0 * float(h_real[:, user_i] @ h_real[:, user_j])
-                         + 2.0 * float(h_imag[:, user_i] @ h_imag[:, user_j]))
-            else:
-                sign = 1.0 if i % 2 == 0 else -1.0
-                value = sign * (2.0 * float(h_real[:, user_i] @ h_imag[:, user_j])
-                                - 2.0 * float(h_real[:, user_j] @ h_imag[:, user_i]))
-            couplings[i - 1, j - 1] = value
-    return fields, couplings

@@ -292,6 +292,72 @@ class TestWorkerPool:
             0, 1, 2, 3, 4, 5, 6, 7]
 
 
+class FailingHeld(HeldDecoder):
+    """A held decoder whose packs raise once released."""
+
+    def detect_batch(self, channel_uses, **kwargs):
+        super().detect_batch(channel_uses, **kwargs)
+        raise RuntimeError("decoder failed")
+
+
+class TestWaitIdle:
+    """``wait_idle`` returns once every submitted pack is credited, shed or
+    parked, although crediting wakes the barrier only while a caller is
+    registered on it — inline serving, which never waits, pays no notify.
+    Each case registers the waiter while the pool's one worker holds the
+    first pack and a second pack queues behind it, then releases it."""
+
+    @staticmethod
+    def wait_while_held(pool, held, jobs):
+        for flush, pack in enumerate((jobs[:1], jobs[1:2])):
+            pool.submit(make_batch(pack, flush_time_us=float(flush)))
+        assert held.entered.acquire(timeout=60)
+        waiter = threading.Thread(target=pool.wait_idle, daemon=True)
+        waiter.start()
+        while True:  # registered: it must be woken, not find the pool idle
+            with pool._lock:
+                if pool._idle_waiters:
+                    break
+            assert waiter.is_alive()
+            waiter.join(timeout=0.01)
+        held.gate.set()
+        waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        with pool._lock:
+            assert pool._idle_waiters == 0
+        return pool
+
+    def test_returns_after_the_last_credit(self, decoder, job_pool):
+        held = HeldDecoder(decoder)
+        pool = self.wait_while_held(WorkerPool(held, num_workers=1), held,
+                                    job_pool)
+        pool.close()
+        assert [r.job.job_id for r in pool.results()] == [0, 1]
+
+    def test_returns_after_a_parked_failure(self, decoder, job_pool):
+        from repro.cran.faults import FaultPlan
+
+        plan = next(plan for plan in (
+            FaultPlan(seed=seed, decode_error_rate=0.5) for seed in range(64))
+            if plan.pack_fault(0) is None and plan.pack_fault(1) is not None)
+        held = HeldDecoder(decoder)
+        pool = self.wait_while_held(
+            WorkerPool(held, num_workers=1, faults=plan), held, job_pool)
+        failed = pool.take_failed()
+        pool.close()
+        assert [index for index, _, _ in failed] == [1]
+        assert [r.job.job_id for r in pool.results()] == [0]
+
+    def test_returns_after_shed_slots(self, decoder, job_pool):
+        held = FailingHeld(decoder)
+        pool = self.wait_while_held(WorkerPool(held, num_workers=1), held,
+                                    job_pool)
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            pool.close()
+        assert [job.job_id for job in pool.shed_jobs] == [0, 1]
+        assert pool.results() == []
+
+
 class TestTelemetryRecorder:
     def test_batch_fill_and_latency(self, decoder, job_pool):
         telemetry = TelemetryRecorder()

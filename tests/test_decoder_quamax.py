@@ -183,6 +183,30 @@ class TestPackAssembly:
                                        oracle_detection(outcome))
 
     @pytest.mark.parametrize("constellation,num_users", [
+        ("QPSK", 3), ("16-QAM", 3), ("BPSK", 13)])
+    def test_a_looked_up_read_is_the_oracles_and_its_own(
+            self, noisy_machine, monkeypatch, constellation, num_users):
+        """A one-job pack of at most 12 spins decodes its best read once
+        and looks it up after (13 BPSK users never enter the table): the
+        second decode of a job equals the per-job oracle too, and owns its
+        arrays."""
+        import repro.decoder.quamax as quamax
+
+        monkeypatch.setattr(quamax, "_READS", {})
+        decoder = QuAMaxDecoder(noisy_machine,
+                                AnnealerParameters(num_anneals=50))
+        use, = transmissions(constellation, num_users, 1, seed=42)
+        first, second = (decoder.detect_with_run(use, random_state=43)
+                         for _ in range(2))
+        assert len(quamax._READS) == (num_users < 13)
+        for outcome in (first, second):
+            assert_detection_identical(outcome.detection,
+                                       oracle_detection(outcome))
+        for name in ("symbols", "bits"):
+            assert not np.shares_memory(getattr(first.detection, name),
+                                        getattr(second.detection, name))
+
+    @pytest.mark.parametrize("constellation,num_users", [
         ("BPSK", 6), ("QPSK", 3), ("16-QAM", 2), ("64-QAM", 1),
     ])
     @pytest.mark.parametrize("count", [1, 3, 16])

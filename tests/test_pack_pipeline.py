@@ -1351,7 +1351,7 @@ class TestWarmPackWork:
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
     #: Calls into ``src/repro`` of one warm ``decode_pack`` per (jobs, CPUs).
-    PYTHON_CALLS = {(1, 1): 91, (1, 2): 91, (16, 1): 286, (16, 2): 290}
+    PYTHON_CALLS = {(1, 1): 73, (1, 2): 73, (16, 1): 258, (16, 2): 262}
 
     @needs_cext
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -1364,9 +1364,12 @@ class TestWarmPackWork:
         import os
 
         import repro
+        import repro.decoder.quamax as quamax
         from repro.cran.workers import decode_pack
 
         monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        # One-job packs look their best read up: start from no reads seen.
+        monkeypatch.setattr(quamax, "_READS", {})
         decoder = QuAMaxDecoder(QuantumAnnealerSimulator(),
                                 AnnealerParameters(num_anneals=50))
         link = MimoUplink(num_users=3, constellation="QPSK")
@@ -1621,3 +1624,86 @@ class TestWarmPackWork:
                                 pause_time_us=1.0, pause_position=0.4
                                 ).temperature_profile(**options)
         assert paused is not profile and paused.size > profile.size
+
+
+@needs_cext
+class TestServedRoute:
+    """A warm sampler serves a machine pack through a route it keeps per
+    pack size, schedule, anneal count, ICE settings, compile settings and
+    the backend's split settings (``BlockDiagonalSampler.anneal`` with
+    ``program=``): whatever changes between packs — the parameters object,
+    the machine's rates, its ICE, the usable CPUs, the sampler cache — a
+    warm machine's bytes are a cold one's."""
+
+    PARAMETERS = AnnealerParameters(num_anneals=50)
+
+    @staticmethod
+    def decode(machine, problems, parameters):
+        rngs = [np.random.default_rng(5 + b) for b in range(len(problems))]
+        runs = machine.run_batch(problems, parameters, random_states=rngs)
+        return [(run.solutions.samples.tobytes(),
+                 run.solutions.energies.tobytes(),
+                 run.solutions.num_occurrences.tobytes(),
+                 run.broken_chain_fraction, run.parallelization,
+                 run.parameters, rng.bit_generator.state)
+                for run, rng in zip(runs, rngs)]
+
+    def assert_cold_equal(self, warm, problems, parameters, **options):
+        got = self.decode(warm, problems, parameters)
+        assert got == self.decode(ideal_machine(**options), problems,
+                                  parameters)
+
+    def test_pack_size(self):
+        one, sixteen = qpsk_pack(1), qpsk_pack(16)
+        machine = ideal_machine()
+        for problems in (sixteen, one, sixteen, one, one):
+            self.assert_cold_equal(machine, problems, self.PARAMETERS)
+        assert machine.sampler_cache_info()["misses"] == 1  # one sampler
+
+    def test_parameters_object(self):
+        machine, problems = ideal_machine(), qpsk_pack(4)
+        for parameters in (self.PARAMETERS, AnnealerParameters(num_anneals=30),
+                           AnnealerParameters(num_anneals=50,
+                                              chain_strength=2.0),
+                           AnnealerParameters(num_anneals=50),
+                           self.PARAMETERS):
+            self.assert_cold_equal(machine, problems, parameters)
+
+    def test_machine_rates_and_ice(self):
+        """One setting at a time, the others the machine's own objects."""
+        machine, problems = ideal_machine(), qpsk_pack(4)
+        defaults = {name: getattr(machine, name) for name in (
+            "sweeps_per_us", "hot_temperature", "ice_batch_size", "ice")}
+        for options in ({"sweeps_per_us": 12.0}, {}, {"hot_temperature": 1.2},
+                        {"ice_batch_size": 10}, {"ice": ICEModel.disabled()},
+                        {}):
+            for name, value in {**defaults, **options}.items():
+                setattr(machine, name, value)
+            self.assert_cold_equal(machine, problems, self.PARAMETERS,
+                                   **options)
+
+    @pytest.mark.parametrize("jobs", [1, 16])
+    def test_usable_cpus(self, monkeypatch, every_block_splits, jobs):
+        """And a warm pack makes the calls its CPUs ask for: two block
+        ranges of sixteen blocks, or one block's two lane halves, at two
+        CPUs; one call at one."""
+        machine, problems = ideal_machine(), qpsk_pack(jobs)
+        for cpus in (1, 2, 1, 2):
+            monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+            calls = count_artefact_calls(monkeypatch)
+            got = self.decode(machine, problems, self.PARAMETERS)
+            assert ("lane_half_sweep" in calls) == (jobs == 1 and cpus == 2)
+            if jobs == 16:
+                assert calls["pack_ice_batches"] == cpus
+            assert got == self.decode(ideal_machine(), problems,
+                                      self.PARAMETERS)
+
+    def test_sampler_cache_eviction(self):
+        machine = ideal_machine(sampler_cache_size=1)
+        qpsk = qpsk_pack(4)
+        bpsk = qpsk_pack(4, num_users=2, constellation="BPSK")
+        for problems in (qpsk, bpsk, qpsk, qpsk):
+            self.assert_cold_equal(machine, problems, self.PARAMETERS,
+                                   sampler_cache_size=1)
+        info = machine.sampler_cache_info()
+        assert (info["misses"], info["hits"]) == (3, 1)
