@@ -34,12 +34,12 @@ the deadline-aware retry layer requeueing failed jobs: no job is lost
 fault-free replay, because retries re-use each job's private seed.
 
 The last leg turns on per-job lifecycle tracing (``tracing=True``): the run
-is replayed once more with a :class:`~repro.cran.tracing.TraceRecorder`
-attached, the per-stage latency breakdown (queue/dispatch/overhead/anneal)
-is printed via :mod:`repro.obs.report`, and the trace is written both as
-JSONL (for ``python -m repro.obs.report``) and as a Chrome trace JSON you
-can load in Perfetto / ``chrome://tracing`` — with decode results still
-bit-identical to the untraced passes.
+is replayed once more with the worker pool's lifecycle log exported as
+trace events, the per-stage latency breakdown (queue/dispatch/overhead/
+anneal) is printed via :mod:`repro.obs.report`, and the trace is written
+both as JSONL (for ``python -m repro.obs.report``) and as a Chrome trace
+JSON you can load in Perfetto / ``chrome://tracing`` — with decode results
+still bit-identical to the untraced passes.
 
 Run with::
 

@@ -262,16 +262,6 @@ def _rng_pointer_arrays(rngs):
         for rng in rngs])
 
 
-def _generator_pointers(workspace: dict, rngs):
-    """:func:`_rng_pointer_arrays` of *rngs*, kept in *workspace* for as
-    long as the calls over it draw from the same generator objects — every
-    batch call of one run, and its lane halves' fallback, share one array."""
-    sources = workspace.get("rngs")
-    if sources is None or sources[0] != rngs:  # list != compares identities
-        sources = workspace["rngs"] = (list(rngs), _rng_pointer_arrays(rngs))
-    return sources[1]
-
-
 def _lane_layout(threads: int, num_blocks: int, num_replicas: int, size: int,
                  members: int) -> Tuple[int, int]:
     """``(lanes, doubles)`` of a cext colour call's lane scratch.  A block's
@@ -798,7 +788,7 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
     """
     buffers, halves, ranges, _, out, batch_size, counter, threads = prepared
     lib, num_anneals = _load_cext(), physical.shape[0]
-    generators = _generator_pointers(workspace, rngs)
+    generators = _rng_pointer_arrays(rngs)
     spins, fields, perturbed, *_ = buffers
     if counter:
         _note_openmp_team(threads)
@@ -900,8 +890,7 @@ def prepare_batches(workspace: dict, physical: np.ndarray, num_values: int,
         ice.linear_mean, ice.linear_std, ice.quadratic_mean, ice.quadratic_std)
     (num_anneals, width), blocks = physical.shape, len(rngs)
     # Two blocks sharing a bit generator draw in block order: one call.
-    shared = blocks > 1 and len(set(_generator_pointers(workspace,
-                                                        rngs))) < blocks
+    shared = blocks > 1 and len(set(_rng_pointer_arrays(rngs))) < blocks
     key = (num_anneals, width, blocks, batch_size, ice, check_zero, counter,
            threads, id(temperatures), shared, _usable_cpus(), _SPLIT_SPINS,
            type(rngs[0].bit_generator))

@@ -10,20 +10,22 @@ layer, built on the batched decode substrate underneath it:
   batching at the chip's granularity: one pending queue, and a flush takes
   everything in it — any mix of problem structures — as one QA job;
 * :mod:`repro.cran.workers` — :class:`WorkerPool`, bounded-queue decode
-  workers with blocking backpressure and virtual-time accounting;
+  workers with blocking backpressure, virtual-time accounting and the one
+  lifecycle log every serving fact is appended to;
 * :mod:`repro.cran.traffic` — :class:`PoissonTrafficGenerator`, Poisson
   frame bursts over a :class:`~repro.channel.trace.ChannelTrace` with mixed
   modulations and per-user SNR;
 * :mod:`repro.cran.telemetry` — :class:`TelemetryRecorder`, whole-run
-  throughput, latency percentiles, batch-fill and deadline-miss statistics;
+  throughput, latency percentiles, batch-fill and deadline-miss statistics
+  folded from the pool's log;
 * :mod:`repro.cran.service` — :class:`CranService`, the event loop tying
   them together, its incremental :class:`ServiceSession`, and the
   :class:`ServiceReport`;
 * :mod:`repro.cran.gateway` — :class:`IngressGateway`, the thread-safe
   admission-controlled front end merging many concurrent cell feeds into
   one session;
-* :mod:`repro.cran.tracing` — :class:`TraceRecorder` / :class:`TraceEvent`,
-  structured per-job lifecycle spans on the serving clock (exporters and
+* :mod:`repro.cran.tracing` — the log's row kinds and their export as
+  :class:`TraceEvent` lifecycle spans on the serving clock (exporters and
   the breakdown report live in :mod:`repro.obs`);
 * :mod:`repro.cran.faults` — :class:`FaultPlan` / :class:`BrownoutConfig`,
   seeded deterministic fault injection (crashes, decode errors,
@@ -35,7 +37,6 @@ layer, built on the batched decode substrate underneath it:
 from repro.cran.tracing import (
     JobTimeline,
     TraceEvent,
-    TraceRecorder,
     job_timelines,
     pack_spans,
 )
@@ -94,7 +95,6 @@ __all__ = [
     "BrownoutConfig",
     "BrownoutController",
     "TraceEvent",
-    "TraceRecorder",
     "JobTimeline",
     "job_timelines",
     "pack_spans",

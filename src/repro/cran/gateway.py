@@ -102,7 +102,7 @@ class IngressGateway:
         self._gateway_faults = 0
         self._session: ServiceSession = service.session()
         # Lock order gateway -> pool is safe: the pool (which serialises
-        # every trace append) never takes gateway locks.
+        # every log append) never takes gateway locks.
         self._emit = self._session.pool.emit
 
         self._lock = threading.Lock()
@@ -149,9 +149,7 @@ class IngressGateway:
                 shard = self._shards[cell] = deque()
             while self._over_limit_locked(shard):
                 if self.overload_policy == POLICY_SHED:
-                    self._shed.append(job)
-                    self._emit(EVENT_JOB_SHED, job.arrival_time_us,
-                               job_id=job.job_id, stage="ingress")
+                    self._shed_locked(job, "ingress")
                     return False
                 self._space.wait()
                 if self._closing:
@@ -162,6 +160,12 @@ class IngressGateway:
             self._backlog_max = max(self._backlog_max, self._buffered)
             self._ingress.notify()
         return True
+
+    def _shed_locked(self, job: DecodeJob, stage: str) -> None:
+        """Shed *job* at the gateway: onto its shed list and the log."""
+        self._shed.append(job)
+        self._emit(EVENT_JOB_SHED, job.arrival_time_us, job_id=job.job_id,
+                   stage=stage)
 
     def _over_limit_locked(self, shard: Deque[DecodeJob]) -> bool:
         if self._buffered >= self.admission_limit:
@@ -205,19 +209,15 @@ class IngressGateway:
                 # remaining job as shed so producers never wedge, and let
                 # close() surface the original error.
                 with self._lock:
-                    self._shed.append(job)
-                self._emit(EVENT_JOB_SHED, job.arrival_time_us,
-                           job_id=job.job_id, stage="ingress")
+                    self._shed_locked(job, "ingress")
                 continue
             if (self._faults is not None
                     and self._faults.gateway_fault(job.job_id)):
                 # Injected ingress submission error: the hand-off to the
                 # session is lost, the job terminates as a gateway shed.
                 with self._lock:
-                    self._shed.append(job)
                     self._gateway_faults += 1
-                self._emit(EVENT_JOB_SHED, job.arrival_time_us,
-                           job_id=job.job_id, stage="gateway_fault")
+                    self._shed_locked(job, "gateway_fault")
                 continue
             clock = self._session.clock_us
             if job.arrival_time_us < clock:
@@ -235,9 +235,7 @@ class IngressGateway:
             except BaseException as error:  # surfaced by close()
                 with self._lock:
                     self._error = self._error or error
-                    self._shed.append(job)
-                self._emit(EVENT_JOB_SHED, job.arrival_time_us,
-                           job_id=job.job_id, stage="ingress")
+                    self._shed_locked(job, "ingress")
             else:
                 with self._lock:
                     self._dispatched += 1

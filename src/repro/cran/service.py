@@ -6,10 +6,10 @@ offered load (any iterable of :class:`~repro.cran.jobs.DecodeJob`, e.g. from
 :class:`~repro.cran.traffic.PoissonTrafficGenerator`) through an event loop
 on the jobs' virtual clock: each arrival advances the
 :class:`~repro.cran.scheduler.EDFBatchScheduler`, due batches flow into the
-:class:`~repro.cran.workers.WorkerPool`, and the
-:class:`~repro.cran.telemetry.TelemetryRecorder` keeps the serving statistics
-(throughput, latency percentiles, batch fill, deadline misses) the report
-exposes.
+:class:`~repro.cran.workers.WorkerPool`, whose lifecycle log the
+:class:`~repro.cran.telemetry.TelemetryRecorder` folds into the serving
+statistics (throughput, latency percentiles, batch fill, deadline misses)
+the report exposes.
 
 Because every job decodes from its own private stream, the whole service is a
 deterministic function of the offered load — batching and scheduling policy
@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.annealer.parallel import parallelization_factor
 from repro.cran.faults import BrownoutConfig, BrownoutController, FaultPlan
@@ -36,10 +36,8 @@ from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.tracing import (
     EVENT_BROWNOUT_CLOSE,
     EVENT_BROWNOUT_OPEN,
-    EVENT_JOB_ADMIT,
     EVENT_JOB_RETRY,
     TraceEvent,
-    TraceRecorder,
 )
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
@@ -66,9 +64,9 @@ class ServiceReport:
     #: Wall-clock duration of the replay (seconds) — the *real* decode
     #: throughput, as opposed to the virtual-clock latency accounting.
     wall_time_s: float
-    #: The run's trace event stream (``CranService(tracing=True)``), in
-    #: append order; ``None`` when tracing was off.  Feed it to the
-    #: :mod:`repro.obs` exporters / report.
+    #: The run's lifecycle log exported as trace events
+    #: (``CranService(tracing=True)``), in append order; ``None`` when
+    #: tracing was off.  Feed it to the :mod:`repro.obs` exporters / report.
     trace: Optional[Tuple[TraceEvent, ...]] = None
 
     # ------------------------------------------------------------------ #
@@ -137,15 +135,15 @@ def decode_time_model_for(decoder: QuAMaxDecoder) -> DecodeTimeModel:
 def online_decode_time_model(telemetry: TelemetryRecorder,
                              fallback: DecodeTimeModel,
                              overhead_us: float = 0.0) -> DecodeTimeModel:
-    """Decode-time model fed by the recorder's per-structure EWMAs.
+    """Decode-time model fed by the telemetry's per-structure EWMAs.
 
     Wraps *telemetry*'s online estimate
     (:meth:`TelemetryRecorder.decode_time_us` — EWMAs of observed pack
-    service times and sizes, with *overhead_us* the known per-pack
-    overhead separating the fixed and per-job parts) with the same
-    :data:`DECODE_TIME_MARGIN` as the analytic model, falling back to
-    *fallback* until every structure in the pack has completed enough
-    packs to be trusted.
+    service times and sizes, folded from the pool's log, with *overhead_us*
+    the known per-pack overhead separating the fixed and per-job parts)
+    with the same :data:`DECODE_TIME_MARGIN` as the analytic model,
+    falling back to *fallback* until every structure in the pack has
+    completed enough packs to be trusted.
     Unlike the analytic model, the online one tracks what decodes actually
     cost on this machine under current load, so the slack threshold is
     self-calibrating.
@@ -173,11 +171,11 @@ class ServiceSession:
 
     :meth:`CranService.run` is the batch interface — an iterable in, a report
     out.  A session is the *incremental* interface underneath it (and under
-    the ingress gateway): it owns the run's telemetry recorder, scheduler and
-    worker pool, accepts jobs one at a time in arrival order, and produces
-    the same :class:`ServiceReport` on :meth:`close`.  Feeding a session the
-    jobs of an offered load in arrival order is exactly ``run`` — same
-    scheduling decisions, same detections, same telemetry.
+    the ingress gateway): it owns the run's scheduler and worker pool (whose
+    log the telemetry folds), accepts jobs one at a time in arrival order,
+    and produces the same :class:`ServiceReport` on :meth:`close`.  Feeding
+    a session the jobs of an offered load in arrival order is exactly
+    ``run`` — same scheduling decisions, same detections, same telemetry.
 
     Sessions are not thread-safe; concurrent producers go through
     :class:`~repro.cran.gateway.IngressGateway`, which serialises submission
@@ -185,29 +183,17 @@ class ServiceSession:
     """
 
     def __init__(self, service: "CranService"):
-        self._telemetry = TelemetryRecorder()
-        self._trace = TraceRecorder() if service.tracing else None
+        self._tracing = service.tracing
         # Baseline for per-run hit/miss deltas: the decoder's cache counters
         # are cumulative machine state shared by every run on it.
         try:
             self._cache_baseline = dict(service.decoder.sampler_cache_info())
         except AttributeError:
             self._cache_baseline = None
-        model = base = service.scheduler_model()
-        if base is not None:
-            # Online adaptive wait: observed per-structure decode times
-            # (EWMAs via the recorder) refine the analytic model as the run
-            # progresses; the known per-pack overhead anchors the fixed/
-            # per-job split so full-pack observations still predict small
-            # pending packs.
-            overhead_us = service.decoder.annealer.overheads.total_us(
-                service.decoder.parameters.num_anneals)
-            model = online_decode_time_model(self._telemetry, base,
-                                             overhead_us=overhead_us)
+        base = service.scheduler_model()
         self._scheduler = EDFBatchScheduler(
             max_batch=service.max_batch,
-            max_wait_us=service.max_wait_us,
-            decode_time_model=model)
+            max_wait_us=service.max_wait_us)
         # Fault tolerance: with a fault plan the pool parks failed packs
         # instead of shedding them, and this session is the retry layer
         # that picks them up.
@@ -227,11 +213,20 @@ class ServiceSession:
         self.pool = WorkerPool(service.decoder,
                                num_workers=service.num_workers,
                                mode=service.mode,
-                               telemetry=self._telemetry,
-                               trace=self._trace,
                                faults=service.fault_plan,
                                restart_budget=service.restart_budget,
                                threads=service.threads)
+        self._telemetry = self.pool.telemetry
+        if base is not None:
+            # Online adaptive wait: observed per-structure decode times
+            # (EWMAs folded from the pool's log) refine the analytic model
+            # as the run progresses; the known per-pack overhead anchors
+            # the fixed/per-job split so full-pack observations still
+            # predict small pending packs.
+            overhead_us = service.decoder.annealer.overheads.total_us(
+                service.decoder.parameters.num_anneals)
+            self._scheduler.decode_time_model = online_decode_time_model(
+                self._telemetry, base, overhead_us=overhead_us)
         self._start_wall = time.perf_counter()
         self._report: Optional[ServiceReport] = None
 
@@ -254,15 +249,7 @@ class ServiceSession:
     # ------------------------------------------------------------------ #
     def submit(self, job: DecodeJob) -> None:
         """Feed one job; jobs must arrive in (arrival time, id) order."""
-        if self._trace is not None:
-            attrs: Dict[str, Any] = {"structure": "%dx%d/%s"
-                                     % job.structure_key}
-            # Unbounded deadlines stay out of the attrs: `inf` is as
-            # JSON-hostile as the NaNs the telemetry snapshot used to emit.
-            if math.isfinite(job.deadline_us):
-                attrs["deadline_us"] = job.deadline_us
-            self.pool.emit(EVENT_JOB_ADMIT, job.arrival_time_us,
-                           job_id=job.job_id, **attrs)
+        self.pool.admit(job)
         try:
             if self._brownout is not None and self._brownout_shed(job):
                 return
@@ -388,7 +375,7 @@ class ServiceSession:
             shed_jobs=self.pool.shed_jobs,
             telemetry=telemetry,
             wall_time_s=wall_time_s,
-            trace=self._trace.events() if self._trace is not None else None,
+            trace=self.pool.events() if self._tracing else None,
         )
         return self._report
 
@@ -436,11 +423,12 @@ class CranService:
         the session while it holds
         :data:`~repro.cran.workers.QUEUE_CAPACITY` packs.
     tracing:
-        When true, every session records per-job lifecycle spans into a
-        :class:`~repro.cran.tracing.TraceRecorder` and the report carries
-        the event stream in :attr:`ServiceReport.trace`.  Traces live on
-        the virtual clock, so with an inline pool they are bit-deterministic
-        and decode results are identical with tracing on or off.
+        When true, the report carries the pool's lifecycle log exported as
+        trace events in :attr:`ServiceReport.trace`.  The log is always
+        kept (the telemetry is folded from it); tracing only exports it.
+        Events live on the virtual clock, so with an inline pool they are
+        bit-deterministic, and decode results and telemetry are identical
+        with tracing on or off.
     fault_plan:
         Optional :class:`~repro.cran.faults.FaultPlan` injecting seeded,
         deterministic worker crashes / decode errors / stragglers (by pack

@@ -1,22 +1,27 @@
-"""Serving telemetry: throughput, latency percentiles, batch fill, deadlines.
+"""Serving telemetry: a fold over the worker pool's lifecycle log.
 
-Production serving layers live or die by their observability; this module
-keeps the counters every other piece of the C-RAN subsystem reports into.
-All series are kept on the service's virtual clock (µs), matching the
-annealer's time accounting, and cover the whole run.
+Throughput, latency percentiles, batch fill, deadline misses, sheds by
+stage, the fault counters and the online per-structure decode-time model
+are all folded from the rows the :class:`~repro.cran.workers.WorkerPool`
+appends to its log (:data:`~repro.cran.tracing.ROW_KINDS`) — the same rows
+the trace is exported from, so the counts that drive decisions (adaptive
+wait, brownout) are the counts the report shows.  Everything is kept on the
+service's virtual clock (µs) and covers the whole run.
 
-The recorder is deliberately passive — pure appends, no locks of its own —
-so snapshots are cheap and deterministic: the
-:class:`~repro.cran.workers.WorkerPool` that owns it writes everything under
-its own lock, except the queue-depth series, which only the (single)
-session thread appends to.
+The fold is incremental and reads in credit order, so float sums keep the
+order they had when they were written one pack at a time.  Two facts
+come from outside the trace's events: the injected-fault kinds (folded
+from the flush rows through the pool's fault plan) and each pack's nominal
+overhead (folded from the credit rows through the decoder's overhead
+model).  The one side series is the queue depth, which the (single)
+session thread samples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +32,10 @@ from repro.cran.tracing import (
     EVENT_JOB_RETRY,
     EVENT_PACK_FAILED,
     EVENT_WORKER_RESTART,
+    ROW_CREDIT,
+    ROW_EVENT,
+    ROW_FLUSH,
+    ROW_SHED,
 )
 
 #: Percentiles reported by default in latency summaries.
@@ -53,68 +62,90 @@ class LatencySummary:
 
 
 class TelemetryRecorder:
-    """Accumulates the serving statistics of one C-RAN service run."""
+    """The serving statistics of one pool's run, folded from its *log*.
 
-    def __init__(self):
-        self._latencies_us: List[float] = []
-        self._queue_delays_us: List[float] = []
+    The pool builds it over its own log and lock (``pool.telemetry``);
+    *decoder* prices a pack's nominal overhead and *faults* names the fault
+    a flush was assigned.  Every reading folds the rows appended since the
+    last one first (:meth:`fold`).
+    """
+
+    def __init__(self, log: List[tuple], lock, decoder, faults):
+        self._log = log
+        self._lock = lock
+        self._decoder = decoder
+        self._faults = faults
+        self._folded = 0
+        #: Every credited job's result, in credit order.
+        self._credited: List[JobResult] = []
         self._batch_fill: Counter = Counter()
         self._flush_reasons: Counter = Counter()
         self._queue_depth_samples: List[Tuple[float, int]] = []
-        self._first_arrival_us: Optional[float] = None
-        self._last_finish_us = 0.0
         #: Per-structure EWMAs of observed pack service times (µs) and pack
         #: sizes, plus sample counts — the online decode-time model the
-        #: adaptive-wait scheduler feeds on (see :meth:`record_batch`).
+        #: adaptive-wait scheduler feeds on (see :meth:`_credit`).
         self._decode_service_ewma_us: Dict[StructureKey, float] = {}
         self._decode_size_ewma: Dict[StructureKey, float] = {}
         self._decode_time_samples: Counter = Counter()
-        self.jobs_completed = 0
-        self.jobs_shed = 0
-        self.deadline_misses = 0
-        self.batches_decoded = 0
-        #: Lifecycle events by name; with the three below, the fault-tolerance
+        #: Stated events by name; with the three below, the fault-tolerance
         #: counters (all zero in a fault-free run).
         self._events: Counter = Counter()
-        self.pack_failed_jobs = 0
+        self._pack_failed_jobs = 0
         self._shed_stages: Counter = Counter()
         self._faults_injected: Counter = Counter()
 
     # ------------------------------------------------------------------ #
-    # Recording
+    # Folding
     # ------------------------------------------------------------------ #
-    def record_batch(self, results: Sequence[JobResult],
-                     overhead_us: float = 0.0) -> None:
-        """Record one decoded batch's worth of job results.
+    def fold(self) -> "TelemetryRecorder":
+        """Fold the rows appended since the last call; returns ``self``.
+
+        Runs under the pool lock, so worker threads appending meanwhile and
+        readers on several threads each see every row folded exactly once.
+        Only the pool's own sheds count as sheds: a gateway ``job.shed`` is
+        a stated event.
+        """
+        with self._lock:
+            for row in self._log[self._folded:]:
+                kind = row[0]
+                if kind == ROW_CREDIT:
+                    self._credit(row[4])
+                elif kind == ROW_SHED:
+                    self._shed_stages[row[3]] += len(row[4])
+                elif kind == ROW_FLUSH and self._faults is not None:
+                    # The fault the plan assigns to this submission index,
+                    # one keyed draw: the same count whichever mode hits it.
+                    assigned = self._faults.pack_fault(row[1])
+                    if assigned is not None:
+                        self._faults_injected[assigned.kind] += 1
+                elif kind == ROW_EVENT:
+                    self._events[row[1]] += 1
+                    if row[1] == EVENT_PACK_FAILED:
+                        self._pack_failed_jobs += len(row[6]["job_ids"])
+            self._folded = len(self._log)
+        return self
+
+    def _credit(self, results: Sequence[JobResult]) -> None:
+        """Fold one credited pack's results.
 
         The online decode-time model is fed one observation per structure
         in the pack: its member count, and the pack's service time (all
         members share one start/finish) less the other structures' share —
-        in proportion to the members' ``run.compute_time_us``, i.e. to the chip
-        area they occupied — of what exceeds the per-pack *overhead_us*.
-        A one-structure pack observes exactly its service time and size.
+        in proportion to the members' ``run.compute_time_us``, i.e. to the
+        chip area they occupied — of what exceeds the pack's nominal
+        overhead.  A one-structure pack observes exactly its service time
+        and size.
         """
-        if not results:
-            return
-        self.batches_decoded += 1
-        self._batch_fill[len(results)] += 1
         first = results[0]
+        self._credited.extend(results)
+        self._batch_fill[len(results)] += 1
         self._flush_reasons[first.flush_reason] += 1
         compute_us: Dict[StructureKey, List[float]] = {}  # per member
         for result in results:
             compute_us.setdefault(result.job.structure_key, []).append(
                 result.result.run.compute_time_us)
-            self.jobs_completed += 1
-            self._latencies_us.append(result.latency_us)
-            self._queue_delays_us.append(result.queue_delay_us)
-            if not result.deadline_met:
-                self.deadline_misses += 1
-            arrival = result.job.arrival_time_us
-            if (self._first_arrival_us is None
-                    or arrival < self._first_arrival_us):
-                self._first_arrival_us = arrival
-            self._last_finish_us = max(self._last_finish_us,
-                                       result.finish_time_us)
+        overhead_us = self._decoder.annealer.overheads.total_us(
+            first.result.run.num_anneals)
         service_us = first.finish_time_us - first.start_time_us
         total_us = sum(map(sum, compute_us.values()))
         alpha = DECODE_TIME_EWMA_ALPHA
@@ -129,35 +160,35 @@ class TelemetryRecorder:
                              else (1.0 - alpha) * ewma[key] + alpha * value)
             self._decode_time_samples[key] += 1
 
-    def record_shed(self, count: int, stage: str) -> None:
-        """Record *count* jobs landing on the pool's shed list at *stage*."""
-        self.jobs_shed += count
-        self._shed_stages[stage] += count
-
     def record_queue_depth(self, now_us: float, depth: int) -> None:
-        """Sample the scheduler's pending-job count at *now_us*."""
+        """Sample the scheduler's pending-job count at *now_us* — the side
+        series beside the log, written by the session thread alone."""
         self._queue_depth_samples.append((float(now_us), int(depth)))
-
-    def record_fault(self, kind: str) -> None:
-        """Record one injected fault, by kind (parent-side accounting)."""
-        self._faults_injected[kind] += 1
-
-    def count(self, event: str, attrs: Mapping[str, Any]) -> None:
-        """Count one lifecycle event by name — every event the pool's
-        :meth:`~repro.cran.workers.WorkerPool.emit` records lands here.
-
-        The snapshot reads the fault-tolerance ones.  Not ``job.shed``,
-        though: the gateway emits it for jobs this recorder never owned, so
-        sheds are counted where a job lands on the pool's shed list
-        (:meth:`record_shed`).
-        """
-        self._events[event] += 1
-        if event == EVENT_PACK_FAILED:
-            self.pack_failed_jobs += len(attrs["job_ids"])
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
+    @property
+    def jobs_completed(self) -> int:
+        """Jobs credited so far."""
+        return len(self.fold()._credited)
+
+    @property
+    def jobs_shed(self) -> int:
+        """Jobs the pool shed for good so far."""
+        return sum(self.fold()._shed_stages.values())
+
+    @property
+    def batches_decoded(self) -> int:
+        """Packs credited so far."""
+        return sum(self.fold()._batch_fill.values())
+
+    @property
+    def deadline_misses(self) -> int:
+        """Credited jobs that finished past their deadline."""
+        return sum(not result.deadline_met
+                   for result in self.fold()._credited)
+
     def decode_time_us(self, jobs: Sequence[DecodeJob],
                        overhead_us: float = 0.0) -> Optional[float]:
         """Online decode-time estimate for *jobs* served as one pack.
@@ -175,6 +206,7 @@ class TelemetryRecorder:
         adaptive-wait scheduler under-wait.  Callers fall back to the
         analytic model in both cases.
         """
+        self.fold()
         compute_us = 0.0
         for key, size in structure_counts(jobs):
             if self._decode_time_samples[key] < DECODE_TIME_MIN_SAMPLES:
@@ -189,7 +221,8 @@ class TelemetryRecorder:
     def latency_summary(self, percentiles: Sequence[float]
                         = DEFAULT_PERCENTILES) -> LatencySummary:
         """Latency percentiles over every completed job (µs)."""
-        series = np.asarray(self._latencies_us, dtype=float)
+        series = np.asarray([result.latency_us
+                             for result in self.fold()._credited], dtype=float)
         if series.size == 0:
             empty = {float(q): float("nan") for q in percentiles}
             return LatencySummary(count=0, mean_us=float("nan"),
@@ -205,53 +238,32 @@ class TelemetryRecorder:
     @property
     def batch_fill_histogram(self) -> Dict[int, int]:
         """``{batch size: count}`` over all decoded batches."""
-        return dict(sorted(self._batch_fill.items()))
-
-    @property
-    def flush_reason_counts(self) -> Dict[str, int]:
-        """``{flush reason: batch count}`` (full / timeout / drain)."""
-        return dict(sorted(self._flush_reasons.items()))
+        return dict(sorted(self.fold()._batch_fill.items()))
 
     def mean_batch_fill(self) -> float:
         """Average jobs per decoded batch."""
-        if not self.batches_decoded:
-            return 0.0
-        return self.jobs_completed / self.batches_decoded
+        packs = self.batches_decoded
+        return self.jobs_completed / packs if packs else 0.0
 
     def deadline_miss_rate(self) -> float:
         """Fraction of completed jobs that missed their deadline."""
-        if not self.jobs_completed:
-            return 0.0
-        return self.deadline_misses / self.jobs_completed
+        done = self.jobs_completed
+        return self.deadline_misses / done if done else 0.0
 
     def shed_rate(self) -> float:
         """Fraction of offered jobs shed for good."""
         offered = self.jobs_completed + self.jobs_shed
-        if not offered:
-            return 0.0
-        return self.jobs_shed / offered
+        return self.jobs_shed / offered if offered else 0.0
 
     def max_queue_depth(self) -> int:
         """Largest sampled scheduler backlog."""
-        if not self._queue_depth_samples:
-            return 0
-        return max(depth for _, depth in self._queue_depth_samples)
+        return max((depth for _, depth in self._queue_depth_samples),
+                   default=0)
 
     def mean_queue_depth(self) -> float:
         """Mean sampled scheduler backlog."""
-        if not self._queue_depth_samples:
-            return 0.0
-        return float(np.mean([depth
-                              for _, depth in self._queue_depth_samples]))
-
-    def throughput_jobs_per_s(self) -> float:
-        """Completed jobs per *virtual* second, first arrival to last finish."""
-        if not self.jobs_completed or self._first_arrival_us is None:
-            return 0.0
-        span_us = self._last_finish_us - self._first_arrival_us
-        if span_us <= 0:
-            return 0.0
-        return self.jobs_completed / (span_us * 1e-6)
+        depths = [depth for _, depth in self._queue_depth_samples]
+        return float(np.mean(depths)) if depths else 0.0
 
     def snapshot(self) -> dict:
         """One plain-dict view of every statistic (for reports/JSON).
@@ -261,31 +273,39 @@ class TelemetryRecorder:
         blows up every strict consumer downstream.  The snapshot always
         round-trips through ``json.dumps(..., allow_nan=False)``.
         """
-        latency = self.latency_summary()
+        latency = self.fold().latency_summary()
+        credited = self._credited
+        done, misses = len(credited), self.deadline_misses
+        span_us = (max([0.0] + [r.finish_time_us for r in credited])
+                   - min((r.job.arrival_time_us for r in credited),
+                         default=0.0))
 
         def finite(value: float) -> Optional[float]:
             return float(value) if np.isfinite(value) else None
 
-        queue_delay = np.asarray(self._queue_delays_us, dtype=float)
         return {
-            "jobs_completed": self.jobs_completed,
+            "jobs_completed": done,
             "jobs_shed": self.jobs_shed,
             "shed_rate": self.shed_rate(),
             "batches_decoded": self.batches_decoded,
             "mean_batch_fill": self.mean_batch_fill(),
             "batch_fill_histogram": self.batch_fill_histogram,
-            "flush_reasons": self.flush_reason_counts,
-            "deadline_misses": self.deadline_misses,
-            "deadline_miss_rate": self.deadline_miss_rate(),
-            "throughput_jobs_per_s": self.throughput_jobs_per_s(),
+            "flush_reasons": dict(sorted(self._flush_reasons.items())),
+            "deadline_misses": misses,
+            "deadline_miss_rate": misses / done if done else 0.0,
+            # Completed jobs per *virtual* second, first arrival to last
+            # finish.
+            "throughput_jobs_per_s": (done / (span_us * 1e-6)
+                                      if done and span_us > 0 else 0.0),
             "latency_us": {
                 "count": latency.count,
                 "mean": finite(latency.mean_us),
                 **{f"p{q:g}": finite(v)
                    for q, v in latency.percentiles_us.items()},
             },
-            "queue_delay_us_mean": (float(queue_delay.mean())
-                                    if queue_delay.size else None),
+            "queue_delay_us_mean": (float(np.mean(
+                [result.queue_delay_us for result in credited]))
+                if done else None),
             "queue_depth_max": self.max_queue_depth(),
             "queue_depth_mean": self.mean_queue_depth(),
             # Amortised per-job decode time at the *observed* pack sizes
@@ -302,7 +322,7 @@ class TelemetryRecorder:
             # configured on either side.
             "faults": {
                 "packs_failed": self._events[EVENT_PACK_FAILED],
-                "pack_failed_jobs": self.pack_failed_jobs,
+                "pack_failed_jobs": self._pack_failed_jobs,
                 "jobs_retried": self._events[EVENT_JOB_RETRY],
                 "worker_restarts": self._events[EVENT_WORKER_RESTART],
                 "brownout_openings": self._events[EVENT_BROWNOUT_OPEN],

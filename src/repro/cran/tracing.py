@@ -1,10 +1,15 @@
-"""Structured per-job tracing of the C-RAN serving path.
+"""The serving path's lifecycle log and its export as trace events.
 
-The telemetry layer answers "how is the service doing?" in aggregate; this
-module answers "where did *this* job's 145 ms go?".  A
-:class:`TraceRecorder` collects append-only structured events on the
-service's virtual µs clock — the same clock the scheduler and the worker
-pool's accounting run on — covering the full lifecycle of every job::
+The telemetry answers "how is the service doing?" in aggregate; the trace
+answers "where did *this* job's 145 ms go?".  Both read one log: the
+:class:`~repro.cran.workers.WorkerPool` appends every lifecycle fact, under
+its lock and always, as one row (see :data:`ROW_KINDS`) that holds
+references to what already exists — the job, the flushed batch, the
+credited results.  The telemetry is a fold over those rows
+(:class:`~repro.cran.telemetry.TelemetryRecorder`), and
+:func:`trace_events` turns them into the :class:`TraceEvent` stream on the
+service's virtual µs clock — only when a run asks for it
+(``CranService(tracing=True)``)::
 
     ingress.admit -> job.admit -> pack.flush(reason) -> pack.dispatch
         -> pack.start (worker pickup) -> pack.complete -> job.complete
@@ -18,26 +23,19 @@ reconstruct the recorded end-to-end latency exactly:
 + ``overhead`` (the pack's shared per-job QA overhead) + ``anneal`` (the
 pack's amortised compute) = ``finish − arrival`` = the job's latency.
 
-The recorder follows the same no-locks discipline as
-:class:`~repro.cran.telemetry.TelemetryRecorder`: it is a passive append
-buffer that only the :class:`~repro.cran.workers.WorkerPool` holding it
-appends to, under the pool's lock (the session and the gateway state their
-events through :meth:`~repro.cran.workers.WorkerPool.emit`).  With an inline
-pool the event stream is a bit-deterministic function of the offered load —
-events carry only virtual timestamps and submission-order ids, never a wall
-clock.
-
-The exporters (Chrome trace JSON for Perfetto, JSONL) and the per-stage
-breakdown report live in :mod:`repro.obs`.  Wall time is not recorded
-here: per-layer wall time is the span table of the end-to-end benchmark's
-``--trace 1`` run, which wraps the layers' public callables from outside.
+With an inline pool the log is a bit-deterministic function of the offered
+load — rows carry only virtual timestamps and submission-order ids, never
+a wall clock.  The exporters (Chrome trace JSON for Perfetto, JSONL) and
+the per-stage breakdown report live in :mod:`repro.obs`.  Per-layer wall
+time is the span table of the end-to-end benchmark's ``--trace 1`` run,
+which wraps the layers' public callables from outside.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "EVENT_INGRESS_ADMIT",
@@ -56,7 +54,7 @@ __all__ = [
     "EVENT_BROWNOUT_CLOSE",
     "JOB_STAGES",
     "TraceEvent",
-    "TraceRecorder",
+    "trace_events",
     "JobTimeline",
     "job_timelines",
     "pack_spans",
@@ -86,6 +84,22 @@ EVENT_PACK_FAILED = "pack.failed"
 EVENT_WORKER_RESTART = "worker.restart"
 EVENT_BROWNOUT_OPEN = "brownout.open"
 EVENT_BROWNOUT_CLOSE = "brownout.close"
+
+#: Row kinds of the pool's lifecycle log, each row a tuple:
+#: ``(ROW_ADMIT, job)`` is ``job.admit``; ``(ROW_FLUSH, index, batch)`` is
+#: ``pack.flush`` + ``pack.dispatch``; ``(ROW_CREDIT, index, machine,
+#: service_us, results)`` is ``pack.start`` + ``pack.complete`` + one
+#: ``job.complete`` per result; ``(ROW_SHED, ts_us, pack_id, stage, jobs)``
+#: is a ``job.shed`` per job the *pool* sheds; ``(ROW_EVENT, name, ts_us,
+#: job_id, pack_id, worker, attrs)`` is any fact stated with its attrs —
+#: retries, restarts, brownout, parked failures and the gateway's facts,
+#: its ``job.shed`` of jobs the pool never owned among them.
+ROW_ADMIT = "admit"
+ROW_FLUSH = "flush"
+ROW_CREDIT = "credit"
+ROW_SHED = "shed"
+ROW_EVENT = "event"
+ROW_KINDS = (ROW_ADMIT, ROW_FLUSH, ROW_CREDIT, ROW_SHED, ROW_EVENT)
 
 #: Per-job latency stages, in lifecycle order.  Their sum is the job's
 #: end-to-end latency (finish − arrival) by construction.
@@ -140,35 +154,63 @@ class TraceEvent:
                    attrs=dict(record.get("attrs", {})))
 
 
-class TraceRecorder:
-    """Append-only buffer of :class:`TraceEvent` — passive, no locks; its
-    one writer is the worker pool that holds it (see the module docstring).
-    """
-
-    def __init__(self):
-        self._events: List[TraceEvent] = []
-
-    # ------------------------------------------------------------------ #
-    def record(self, name: str, ts_us: float, *,
-               job_id: Optional[int] = None,
-               pack_id: Optional[int] = None,
-               worker: Optional[int] = None,
-               **attrs: Any) -> None:
-        """Append one event (caller holds whatever lock serialises us)."""
-        self._events.append(TraceEvent(name=name, ts_us=float(ts_us),
-                                       job_id=job_id, pack_id=pack_id,
-                                       worker=worker, attrs=attrs))
-
-    # ------------------------------------------------------------------ #
-    def events(self) -> Tuple[TraceEvent, ...]:
-        """Everything recorded so far, in append order."""
-        return tuple(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __repr__(self) -> str:
-        return f"TraceRecorder(events={len(self._events)})"
+def trace_events(log: Sequence[tuple]) -> Tuple[TraceEvent, ...]:
+    """The :class:`TraceEvent` stream of a pool's lifecycle *log* (rows as
+    in :data:`ROW_KINDS`), in append order.  Attrs and structure labels are
+    built here, not when the rows were written."""
+    events = []
+    add = events.append
+    for row in log:
+        kind = row[0]
+        if kind == ROW_ADMIT:
+            job = row[1]
+            attrs: Dict[str, Any] = {"structure": "%dx%d/%s"
+                                     % job.structure_key}
+            # Unbounded deadlines stay out of the attrs: `inf` is not JSON.
+            if math.isfinite(job.deadline_us):
+                attrs["deadline_us"] = job.deadline_us
+            add(TraceEvent(EVENT_JOB_ADMIT, float(job.arrival_time_us),
+                           job_id=job.job_id, attrs=attrs))
+        elif kind == ROW_FLUSH:
+            _, index, batch = row
+            ts_us = float(batch.flush_time_us)
+            add(TraceEvent(EVENT_PACK_FLUSH, ts_us, pack_id=index, attrs={
+                "reason": batch.reason, "size": batch.size,
+                "structure": batch.structure_label,
+                "job_ids": list(batch.job_ids)}))
+            add(TraceEvent(EVENT_PACK_DISPATCH, ts_us, pack_id=index))
+        elif kind == ROW_CREDIT:
+            _, index, machine, service_us, results = row
+            finish_us = float(results[0].finish_time_us)
+            job_ids = [result.job.job_id for result in results]
+            add(TraceEvent(EVENT_PACK_START, float(results[0].start_time_us),
+                           pack_id=index, worker=machine,
+                           attrs={"job_ids": job_ids}))
+            # The service split every member shares: the pack's one
+            # programming/readout overhead vs its amortised compute.
+            overhead_us = service_us - sum(
+                result.result.run.compute_time_us for result in results)
+            add(TraceEvent(EVENT_PACK_COMPLETE, finish_us, pack_id=index,
+                           worker=machine, attrs={
+                               "job_ids": job_ids, "service_us": service_us,
+                               "overhead_us": overhead_us,
+                               "anneal_us": service_us - overhead_us}))
+            for result in results:
+                add(TraceEvent(EVENT_JOB_COMPLETE, finish_us,
+                               job_id=result.job.job_id, pack_id=index,
+                               worker=machine,
+                               attrs={"deadline_met": result.deadline_met}))
+        elif kind == ROW_SHED:
+            _, ts_us, pack_id, stage, jobs = row
+            for job in jobs:
+                add(TraceEvent(EVENT_JOB_SHED, float(ts_us),
+                               job_id=job.job_id, pack_id=pack_id,
+                               attrs={"stage": stage}))
+        else:
+            _, name, ts_us, job_id, pack_id, worker, attrs = row
+            add(TraceEvent(name, float(ts_us), job_id=job_id,
+                           pack_id=pack_id, worker=worker, attrs=dict(attrs)))
+    return tuple(events)
 
 
 # --------------------------------------------------------------------------- #

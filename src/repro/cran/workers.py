@@ -10,14 +10,17 @@ plane that merely executes.
 :class:`WorkerPool` is the virtual plane — the accounting core.  It alone
 holds the pool lock, and everything that is written under it is written by
 it: the submission index, the flush-order reorder buffer, the virtual QA
-machines, the result / shed / parked-failure / error lists, the restart
-budget, the idle barrier, the telemetry recorder and the trace recorder
-(producers — session, ingress gateway — state their events through
-:meth:`WorkerPool.emit`).  The actual plane is one of three executors —
-inline (``num_workers=0``: deterministic, what simulations and tests use),
-thread shards, process pool — that know nothing of that accounting and meet
-it at one seam: ``offer(index, batch)`` in, :meth:`WorkerPool.done` /
-:meth:`WorkerPool.failed` out, one :func:`decode_pack` underneath.
+machines, the parked-failure and error lists, the restart budget, the idle
+barrier and the lifecycle log — one append-only row per fact
+(:data:`~repro.cran.tracing.ROW_KINDS`), which the results, the shed list
+and the telemetry (``pool.telemetry``) are read from and the trace is
+exported from (producers — session, ingress gateway — state their facts
+through :meth:`WorkerPool.emit` and :meth:`WorkerPool.admit`).  The actual
+plane is one of three executors — inline (``num_workers=0``: deterministic,
+what simulations and tests use), thread shards, process pool — that know
+nothing of that accounting and meet it at one seam: ``offer(index,
+batch)`` in, :meth:`WorkerPool.done` / :meth:`WorkerPool.failed` out, one
+:func:`decode_pack` underneath.
 
 Backpressure is blocking: an executor holds at most :data:`QUEUE_CAPACITY`
 packs, and a submission past that waits for room (the scheduler naturally
@@ -67,15 +70,15 @@ from repro.cran.jobs import DecodeJob, JobResult
 from repro.cran.scheduler import DecodeBatch
 from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.tracing import (
-    EVENT_JOB_COMPLETE,
-    EVENT_JOB_SHED,
-    EVENT_PACK_COMPLETE,
-    EVENT_PACK_DISPATCH,
     EVENT_PACK_FAILED,
-    EVENT_PACK_FLUSH,
-    EVENT_PACK_START,
     EVENT_WORKER_RESTART,
-    TraceRecorder,
+    ROW_ADMIT,
+    ROW_CREDIT,
+    ROW_EVENT,
+    ROW_FLUSH,
+    ROW_SHED,
+    TraceEvent,
+    trace_events,
 )
 from repro.annealer.backends import _usable_cpus, openmp_teams_run
 from repro.decoder.quamax import QuAMaxDecoder
@@ -107,24 +110,6 @@ def _batch_decode_hints(batch: DecodeBatch,
     return rng_mode, default_threads if rng_mode == "counter" else 1
 
 
-def _pack_overhead_us(decoder: QuAMaxDecoder, outcomes) -> float:
-    """The per-QA-job overhead, paid once for whatever is on the chip."""
-    return decoder.annealer.overheads.total_us(outcomes[0].run.num_anneals)
-
-
-def _pack_service_us(decoder: QuAMaxDecoder, outcomes) -> float:
-    """Virtual service time of one decoded pack.
-
-    One shared overhead for the whole pack plus every block's amortised
-    compute (the anneal time times its share of the chip, so the sum holds
-    across structures) — the accounting model all three execution modes
-    share, which is what keeps latency/deadline telemetry identical across
-    inline, thread and process serving.
-    """
-    return (_pack_overhead_us(decoder, outcomes)
-            + sum(outcome.run.compute_time_us for outcome in outcomes))
-
-
 def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
                 default_threads: int, index: int,
                 batch: DecodeBatch) -> Tuple[list, float]:
@@ -146,9 +131,13 @@ def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
         [job.channel_use for job in batch.jobs],
         random_states=[job.rng() for job in batch.jobs],
         rng=rng_mode, threads=threads)
-    # One shared job overhead per pack, plus the amortised compute of
-    # every block: this is precisely where batching buys latency.
-    service_us = _pack_service_us(decoder, outcomes)
+    # One shared job overhead per pack, plus every block's amortised
+    # compute (the anneal time times its share of the chip, so the sum
+    # holds across structures): this is precisely where batching buys
+    # latency, and the one accounting model of all three execution modes.
+    service_us = (
+        decoder.annealer.overheads.total_us(outcomes[0].run.num_anneals)
+        + sum(outcome.run.compute_time_us for outcome in outcomes))
     if fault is not None:
         service_us *= fault.factor
     return outcomes, service_us
@@ -602,14 +591,6 @@ class WorkerPool:
         team.  Virtual-time accounting does not depend on it (batches
         credit in flush order either way), so neither does the
         latency/deadline telemetry of a given load and worker count.
-    telemetry:
-        Recorder the pool reports completed batches and shed jobs into; a
-        private one is created when omitted.
-    trace:
-        Optional :class:`~repro.cran.tracing.TraceRecorder` the pool stamps
-        pack/job lifecycle events into (flush, dispatch, worker pickup,
-        completion, sheds) on the same virtual clock as the accounting.
-        ``None`` (default) disables tracing at zero cost.
     faults:
         Optional :class:`~repro.cran.faults.FaultPlan` injecting worker
         crashes, decode errors and stragglers deterministically by
@@ -637,8 +618,6 @@ class WorkerPool:
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,
                  num_workers: int = 0,
                  mode: str = MODE_THREAD,
-                 telemetry: Optional[TelemetryRecorder] = None,
-                 trace: Optional[TraceRecorder] = None,
                  faults: Optional[FaultPlan] = None,
                  restart_budget: int = 0,
                  threads: Optional[int] = None):
@@ -648,9 +627,6 @@ class WorkerPool:
         self.num_workers = check_integer_in_range("num_workers", num_workers,
                                                   minimum=0)
         self.decoder = decoder or QuAMaxDecoder()
-        self.telemetry = telemetry if telemetry is not None \
-            else TelemetryRecorder()
-        self.trace = trace
         self.faults = faults
         self.restart_budget = check_integer_in_range(
             "restart_budget", restart_budget, minimum=0)
@@ -668,8 +644,13 @@ class WorkerPool:
         self.threads = check_integer_in_range("threads", threads, minimum=1)
 
         self._lock = threading.Lock()
-        self._results: List[JobResult] = []
-        self._shed_jobs: List[DecodeJob] = []
+        #: The lifecycle log: every fact, one row, in append order.  Its
+        #: single write is ``_emit_locked(row)``, under the pool lock.
+        self._log: List[tuple] = []
+        self._emit_locked = self._log.append
+        #: The serving statistics, a fold over the log.
+        self.telemetry = TelemetryRecorder(self._log, self._lock,
+                                           self.decoder, faults)
         self._errors: List[BaseException] = []
         # Failed packs parked for the retry layer: (submission index,
         # batch, failure stage).
@@ -734,22 +715,7 @@ class WorkerPool:
         with self._lock:
             index = self._next_submit
             self._next_submit += 1
-            if self.faults is not None:
-                # Parent-side accounting of the fault the plan *assigns* to
-                # this submission index — recomputed here (one draw, keyed
-                # by index) so the injected-fault telemetry is identical
-                # whichever mode actually hits the fault.
-                assigned = self.faults.pack_fault(index)
-                if assigned is not None:
-                    self.telemetry.record_fault(assigned.kind)
-            if self.trace is not None:
-                self.trace.record(
-                    EVENT_PACK_FLUSH, batch.flush_time_us, pack_id=index,
-                    reason=batch.reason, size=batch.size,
-                    structure=batch.structure_label,
-                    job_ids=list(batch.job_ids))
-                self.trace.record(EVENT_PACK_DISPATCH, batch.flush_time_us,
-                                  pack_id=index)
+            self._emit_locked((ROW_FLUSH, index, batch))
         self._executor.offer(index, batch)
 
     def done(self, index: int, batch: DecodeBatch, outcomes: list,
@@ -796,33 +762,25 @@ class WorkerPool:
                     or self._restarts_left <= 0):
                 return False
             self._restarts_left -= 1
-            self._emit_locked(EVENT_WORKER_RESTART, batch.flush_time_us,
-                              None, index, worker,
-                              {"remaining": self._restarts_left})
+            self._emit_locked((ROW_EVENT, EVENT_WORKER_RESTART,
+                               batch.flush_time_us, None, index, worker,
+                               {"remaining": self._restarts_left}))
             return True
+
+    def admit(self, job: DecodeJob) -> None:
+        """Log *job*'s admission by the session (``job.admit``)."""
+        with self._lock:
+            self._emit_locked((ROW_ADMIT, job))
 
     def emit(self, name: str, ts_us: float, *,
              job_id: Optional[int] = None, pack_id: Optional[int] = None,
              worker: Optional[int] = None, **attrs: Any) -> None:
-        """Record one lifecycle fact: bump its telemetry counter (if it has
-        one) and append it to the trace (if one is retained).
-
-        The single write of every fact a producer (session, ingress
-        gateway) states — ``job.admit``, ``ingress.admit``, ``job.restamp``,
-        ``job.retry``, ``brownout.*``, gateway-level ``job.shed`` — and of
-        the pool's own failures, serialised by the pool lock.  Callers that
-        would build attrs only for the trace check :attr:`trace` first.
-        """
+        """Log one fact a producer (session, ingress gateway) states with
+        its attrs — ``ingress.admit``, ``job.restamp``, ``job.retry``,
+        ``brownout.*``, gateway-level ``job.shed``."""
         with self._lock:
-            self._emit_locked(name, ts_us, job_id, pack_id, worker, attrs)
-
-    def _emit_locked(self, name: str, ts_us: float, job_id: Optional[int],
-                     pack_id: Optional[int], worker: Optional[int],
-                     attrs: Dict[str, Any]) -> None:
-        self.telemetry.count(name, attrs)
-        if self.trace is not None:
-            self.trace.record(name, ts_us, job_id=job_id, pack_id=pack_id,
-                              worker=worker, **attrs)
+            self._emit_locked((ROW_EVENT, name, ts_us, job_id, pack_id,
+                               worker, attrs))
 
     def shed(self, jobs: Sequence[DecodeJob], stage: str, ts_us: float,
              pack_id: Optional[int] = None) -> None:
@@ -834,12 +792,7 @@ class WorkerPool:
 
     def _shed_locked(self, jobs: Sequence[DecodeJob], stage: str,
                      ts_us: float, pack_id: Optional[int]) -> None:
-        self._shed_jobs.extend(jobs)
-        self.telemetry.record_shed(len(jobs), stage)
-        if self.trace is not None:
-            for job in jobs:
-                self.trace.record(EVENT_JOB_SHED, ts_us, job_id=job.job_id,
-                                  pack_id=pack_id, stage=stage)
+        self._emit_locked((ROW_SHED, ts_us, pack_id, stage, tuple(jobs)))
 
     def _release_locked(self, index: int, batch: DecodeBatch, stage: str,
                         park: bool) -> None:
@@ -853,9 +806,10 @@ class WorkerPool:
         self._credit_ready_locked()
         if park:
             self._failed.append((index, batch, stage))
-            self._emit_locked(EVENT_PACK_FAILED, batch.flush_time_us,
-                              None, index, None,
-                              {"stage": stage, "job_ids": list(batch.job_ids)})
+            self._emit_locked((ROW_EVENT, EVENT_PACK_FAILED,
+                               batch.flush_time_us, None, index, None,
+                               {"stage": stage,
+                                "job_ids": list(batch.job_ids)}))
         else:
             self._shed_locked(batch.jobs, stage, batch.flush_time_us, index)
 
@@ -891,16 +845,25 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # Results
     # ------------------------------------------------------------------ #
+    def _rows(self, kind: str) -> List[tuple]:
+        with self._lock:
+            return [row for row in self._log if row[0] == kind]
+
     def results(self) -> List[JobResult]:
         """Completed job results so far, ordered by job id."""
-        with self._lock:
-            return sorted(self._results, key=lambda r: r.job.job_id)
+        return sorted((result for row in self._rows(ROW_CREDIT)
+                       for result in row[4]), key=lambda r: r.job.job_id)
 
     @property
     def shed_jobs(self) -> List[DecodeJob]:
         """Jobs shed for good, in the order they were shed."""
+        return [job for row in self._rows(ROW_SHED) for job in row[4]]
+
+    def events(self) -> Tuple[TraceEvent, ...]:
+        """The lifecycle log so far, exported as trace events."""
         with self._lock:
-            return list(self._shed_jobs)
+            log = list(self._log)
+        return trace_events(log)
 
     def worker_info(self) -> Dict[str, Any]:
         """One-shot snapshot of the pool's worker-level counters.
@@ -953,27 +916,8 @@ class WorkerPool:
                           start_time_us=start_us, finish_time_us=finish_us)
                 for job, outcome in zip(batch.jobs, outcomes)
             ]
-            self._results.extend(results)
-            self.telemetry.record_batch(
-                results, _pack_overhead_us(self.decoder, outcomes))
-            if self.trace is not None:
-                job_ids = [job.job_id for job in batch.jobs]
-                self.trace.record(EVENT_PACK_START, start_us, pack_id=index,
-                                  worker=machine, job_ids=job_ids)
-                # The service split every member shares: the pack's one
-                # programming/readout overhead vs its amortised compute.
-                overhead_us = service_us - sum(
-                    outcome.run.compute_time_us for outcome in outcomes)
-                self.trace.record(EVENT_PACK_COMPLETE, finish_us,
-                                  pack_id=index, worker=machine,
-                                  job_ids=job_ids, service_us=service_us,
-                                  overhead_us=overhead_us,
-                                  anneal_us=service_us - overhead_us)
-                for result in results:
-                    self.trace.record(EVENT_JOB_COMPLETE, finish_us,
-                                      job_id=result.job.job_id,
-                                      pack_id=index, worker=machine,
-                                      deadline_met=result.deadline_met)
+            self._emit_locked((ROW_CREDIT, index, machine, service_us,
+                               results))
 
     def __repr__(self) -> str:
         workers = ("inline" if not self.num_workers

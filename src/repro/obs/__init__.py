@@ -1,8 +1,9 @@
 """Observability for the C-RAN serving stack: exporters and report.
 
-The structured events themselves are recorded by
-:class:`repro.cran.tracing.TraceRecorder` (inside the serving layer); this
-package holds what consumes them:
+The structured events themselves are exported from the worker pool's
+lifecycle log by :func:`repro.cran.tracing.trace_events` (inside the
+serving layer, when a run asks for ``tracing=True``); this package holds
+what consumes them:
 
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and JSONL
   event dumps.

@@ -49,12 +49,13 @@ pieces:
 
 import contextlib
 import ctypes
+import gc
 import itertools
 import math
 import os
 import subprocess
 import threading
-from types import SimpleNamespace
+from types import FrameType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,20 +408,27 @@ class TestSequentialInitialSpins:
                 [np.random.default_rng(b) for b in range(blocks)],
                 replicas, size))
 
-    def test_pointer_array_is_shared_through_the_workspace(self):
-        """Every batch call of a sampler draws through ONE ``bitgen_t``
-        pointer array kept in its workspace, rebuilt only for new
-        generators."""
-        sampler = embedded_pack(3, with_clusters=True)
-        rngs = [np.random.default_rng(b) for b in range(3)]
-        sampler.anneal(TEMPERATURES[:2], 2, rngs)
-        kept, pointers = sampler._kernel_workspace["rngs"]
-        assert kept == rngs and len(pointers) == 3
-        sampler.anneal(TEMPERATURES[:2], 2, list(rngs))
-        assert sampler._kernel_workspace["rngs"][1] is pointers
-        sampler.anneal(TEMPERATURES[:2], 2,
-                       [np.random.default_rng(9)] + rngs[1:])
-        assert sampler._kernel_workspace["rngs"][1] is not pointers
+    def test_a_served_pack_keeps_no_generator_alive(self):
+        """A warm served pack's fresh generators are marshalled for its call
+        and let go: nothing but the caller's own list refers to them after
+        ``run_batch`` returns, so no workspace or route copies the list or
+        keeps a previous pack's generators alive."""
+        machine = QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4))
+        reducer = MLToIsingReducer()
+        link = MimoUplink(num_users=3, constellation="QPSK")
+        problems = [reducer.reduce(link.transmit(snr_db=15.0,
+                                                 random_state=seed)).ising
+                    for seed in range(2)]
+        parameters = AnnealerParameters(num_anneals=20)
+        for seed in (1, 2):  # a cold pack, then a warm one on its route
+            rngs = [np.random.default_rng([seed, block]) for block in (0, 1)]
+            machine.run_batch(problems, parameters, random_states=rngs)
+        assert machine.sampler_cache_info()["hits"] == 1
+        for rng in rngs:
+            referrers = [referrer for referrer in gc.get_referrers(rng)
+                         if referrer is not rngs
+                         and not isinstance(referrer, FrameType)]
+            assert referrers == []
 
     def test_only_a_bit_generator_capsule_is_dereferenced(self):
         """``PyCapsule_GetPointer`` checks the capsule's name: anything but

@@ -28,6 +28,10 @@ And it drives the decode side with random mixed packs (ROADMAP item 5's
 with, and wherever in the pack it sits, it decodes to exactly what it
 decodes to alone from its own stream.
 
+And the whole inline service with random loads, policies and fault plans
+(item 5's closure law): the telemetry snapshot equals a fold over the
+run's trace and the one side series, the queue-depth samples.
+
 Every property is derandomised (tier-1 sees the same examples on every
 run) and takes its example count from the active hypothesis profile: CI's
 ``cran`` entry runs this module under ``--hypothesis-profile=ten-fold``
@@ -36,6 +40,7 @@ found, is pinned as an ``@example`` beside the fix.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +52,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
+from repro.cran import BrownoutConfig, CranService, FaultPlan
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import (
     FLUSH_DRAIN,
@@ -55,6 +61,7 @@ from repro.cran.scheduler import (
     DecodeBatch,
     EDFBatchScheduler,
 )
+from repro.cran.telemetry import DECODE_TIME_EWMA_ALPHA
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
@@ -315,3 +322,160 @@ class TestBitExactnessUnderPacking:
                                           alone.detection.bits)
             np.testing.assert_array_equal(packed.detection.symbols,
                                           alone.detection.symbols)
+
+
+# --------------------------------------------------------------------------- #
+# Closure: the telemetry is a fold over the trace
+# --------------------------------------------------------------------------- #
+#: The 2-user structures: BPSK and QPSK on 2 and 4 antennas, and 16-QAM.
+_SMALL = [index for index, (users, _, _) in enumerate(_STRUCTURES)
+          if users == 2]
+
+
+@st.composite
+def served_loads(draw):
+    """Deadline jobs in arrival order, and the service's settings: fixed or
+    adaptive wait, with or without decode errors, stragglers, retries and a
+    brownout breaker."""
+    events = draw(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=30_000.0),
+                  st.sampled_from(_SMALL), st.integers(0, 1),
+                  st.floats(min_value=2_000.0, max_value=200_000.0)),
+        min_size=1, max_size=24))
+    jobs, now = [], 0.0
+    for job_id, (gap, structure, use, slack) in enumerate(events):
+        now += gap
+        jobs.append(DecodeJob(
+            job_id=job_id, user_id=structure, frame=0, subcarrier=0,
+            channel_use=_CHANNEL_POOL[structure][use], arrival_time_us=now,
+            deadline_us=now + slack, seed=job_id))
+    settings = dict(max_batch=draw(st.integers(1, 6)),
+                    max_wait_us=draw(st.floats(1_000.0, 40_000.0)),
+                    adaptive_wait=draw(st.booleans()))
+    if draw(st.booleans()):
+        settings.update(
+            fault_plan=FaultPlan(seed=draw(st.integers(0, 99)),
+                                 decode_error_rate=draw(st.floats(0.0, 0.5)),
+                                 slow_rate=draw(st.floats(0.0, 0.5))),
+            max_retries=draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        settings["brownout"] = BrownoutConfig(open_queue_depth=2,
+                                              close_queue_depth=1)
+    return jobs, settings
+
+
+def fold_trace(events, results, overhead_us, plan, depths):
+    """The telemetry snapshot, folded from a trace's events in order, the
+    queue-depth samples *depths*, the fault *plan* (the kind assigned to
+    each flushed pack) and the *overhead_us* a pack is priced at.  The
+    trace carries a pack's total compute only, so the per-member compute
+    that splits a mixed pack's service comes from the *results*."""
+    arrival, flushes, starts = {}, {}, {}
+    latencies, delays, fills, reasons, sheds, names = [], [], [], [], [], []
+    injected, misses, finishes, first_arrival = Counter(), 0, [0.0], []
+    service_ewma, size_ewma, failed_jobs = {}, {}, 0
+    alpha = DECODE_TIME_EWMA_ALPHA
+    members = {result.job.job_id: result for result in results}
+    for event in events:
+        names.append(event.name)
+        if event.name in ("job.admit", "job.retry"):
+            arrival[event.job_id] = event.ts_us
+        elif event.name == "pack.flush":
+            flushes[event.pack_id] = event
+            fault = None if plan is None else plan.pack_fault(event.pack_id)
+            if fault is not None:
+                injected[fault.kind] += 1
+        elif event.name == "pack.start":
+            starts[event.pack_id] = event.ts_us
+        elif event.name == "pack.complete":
+            job_ids = event.attrs["job_ids"]
+            fills.append(len(job_ids))
+            reasons.append(flushes[event.pack_id].attrs["reason"])
+            service_us = event.ts_us - starts[event.pack_id]
+            compute_us = {}
+            for job_id in job_ids:
+                result = members[job_id]
+                compute_us.setdefault(result.job.structure_key, []).append(
+                    result.result.run.compute_time_us)
+            total_us = sum(map(sum, compute_us.values()))
+            for key, own in compute_us.items():
+                observed = service_us - ((service_us - overhead_us)
+                                         * (total_us - sum(own)) / total_us)
+                for ewma, value in ((service_ewma, observed),
+                                    (size_ewma, float(len(own)))):
+                    ewma[key] = (value if key not in ewma else
+                                 (1.0 - alpha) * ewma[key] + alpha * value)
+        elif event.name == "job.complete":
+            latencies.append(event.ts_us - arrival[event.job_id])
+            delays.append(flushes[event.pack_id].ts_us
+                          - arrival[event.job_id])
+            misses += not event.attrs["deadline_met"]
+            finishes.append(event.ts_us)
+            first_arrival.append(arrival[event.job_id])
+        elif event.name == "job.shed":
+            sheds.append(event.attrs["stage"])
+        elif event.name == "pack.failed":
+            failed_jobs += len(event.attrs["job_ids"])
+    done, shed, packs = len(latencies), len(sheds), len(fills)
+    count = Counter(names)
+    span_us = max(finishes) - min(first_arrival, default=0.0)
+    percentiles = (np.percentile(latencies, (50.0, 90.0, 99.0)) if done
+                   else [None] * 3)
+    return {
+        "jobs_completed": done, "jobs_shed": shed,
+        "shed_rate": shed / (done + shed) if done + shed else 0.0,
+        "batches_decoded": packs,
+        "mean_batch_fill": done / packs if packs else 0.0,
+        "batch_fill_histogram": dict(sorted(Counter(fills).items())),
+        "flush_reasons": dict(sorted(Counter(reasons).items())),
+        "deadline_misses": misses,
+        "deadline_miss_rate": misses / done if done else 0.0,
+        "throughput_jobs_per_s": (done / (span_us * 1e-6)
+                                  if done and span_us > 0 else 0.0),
+        "latency_us": {
+            "count": done,
+            "mean": float(np.mean(latencies)) if done else None,
+            **{name: None if value is None else float(value)
+               for name, value in zip(("p50", "p90", "p99"), percentiles)}},
+        "queue_delay_us_mean": float(np.mean(delays)) if done else None,
+        "queue_depth_max": max(depths, default=0),
+        "queue_depth_mean": float(np.mean(depths)) if depths else 0.0,
+        "decode_time_per_job_us": {
+            f"{key[0]}x{key[1]}:{key[2]}": value / size_ewma[key]
+            for key, value in sorted(service_ewma.items())},
+        "faults": {
+            "packs_failed": count["pack.failed"],
+            "pack_failed_jobs": failed_jobs,
+            "jobs_retried": count["job.retry"],
+            "worker_restarts": count["worker.restart"],
+            "brownout_openings": count["brownout.open"],
+            "injected": dict(sorted(injected.items())),
+            "shed_stages": dict(sorted(Counter(sheds).items()))},
+    }
+
+
+#: One decoder serves every example (2-user jobs, 4 anneals).
+_SERVING_DECODER = make_decoder()
+
+
+class TestTelemetryIsAFoldOverTheTrace:
+    @PROPERTY
+    @given(served_loads())
+    def test_snapshot_equals_the_fold_of_the_trace(self, load):
+        jobs, settings = load
+        session = CranService(_SERVING_DECODER, tracing=True,
+                              **settings).session()
+        for job in jobs:
+            session.submit(job)
+        report = session.close()
+        decoder = _SERVING_DECODER
+        depths = [depth for _, depth
+                  in session.pool.telemetry._queue_depth_samples]
+        expected = fold_trace(
+            report.trace, report.results,
+            decoder.annealer.overheads.total_us(
+                decoder.parameters.num_anneals),
+            settings.get("fault_plan"), depths)
+        served = {key: value for key, value in report.telemetry.items()
+                  if key not in ("workers", "sampler_cache")}
+        assert served == expected

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch, EDFBatchScheduler
 from repro.cran.service import CranService
 from repro.cran.telemetry import (DECODE_TIME_EWMA_ALPHA,
-                                  DECODE_TIME_MIN_SAMPLES, TelemetryRecorder)
+                                  DECODE_TIME_MIN_SAMPLES)
 from repro.cran.traffic import PoissonTrafficGenerator
 from repro.cran.workers import QUEUE_CAPACITY, WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
@@ -360,8 +361,8 @@ class TestWaitIdle:
 
 class TestTelemetryRecorder:
     def test_batch_fill_and_latency(self, decoder, job_pool):
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         pool.submit(make_batch(job_pool[:3], flush_time_us=100.0))
         pool.submit(make_batch(job_pool[3:4], flush_time_us=200.0))
         assert telemetry.jobs_completed == 4
@@ -382,21 +383,21 @@ class TestTelemetryRecorder:
         job = DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
                         channel_use=link.transmit(random_state=1),
                         arrival_time_us=0.0, deadline_us=10.0, seed=1)
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         pool.submit(make_batch([job], flush_time_us=0.0))
         assert telemetry.deadline_misses == 1
         assert telemetry.deadline_miss_rate() == 1.0
 
-    def test_queue_depth_samples(self):
-        telemetry = TelemetryRecorder()
+    def test_queue_depth_samples(self, decoder):
+        telemetry = WorkerPool(decoder).telemetry
         telemetry.record_queue_depth(0.0, 3)
         telemetry.record_queue_depth(1.0, 7)
         assert telemetry.max_queue_depth() == 7
         assert telemetry.mean_queue_depth() == pytest.approx(5.0)
 
-    def test_queue_depth_series_covers_the_whole_run(self):
-        telemetry = TelemetryRecorder()
+    def test_queue_depth_series_covers_the_whole_run(self, decoder):
+        telemetry = WorkerPool(decoder).telemetry
         for step in range(1_000):
             telemetry.record_queue_depth(float(step), 999 - step)
         # No rolling window: the first, deepest sample still counts.
@@ -404,8 +405,8 @@ class TestTelemetryRecorder:
         assert telemetry.mean_queue_depth() == pytest.approx(499.5)
 
     def test_latency_summary_covers_every_job(self, decoder, job_pool):
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         pool.submit(make_batch(job_pool[3:5], flush_time_us=100_000.0))
         latencies = [result.latency_us for result in pool.results()]
@@ -414,8 +415,42 @@ class TestTelemetryRecorder:
         assert summary.mean_us == pytest.approx(np.mean(latencies))
         assert summary[99.0] == pytest.approx(np.percentile(latencies, 99.0))
 
-    def test_empty_recorder_snapshot(self):
-        snapshot = TelemetryRecorder().snapshot()
+    def test_folds_on_two_threads_while_four_workers_append(self, decoder,
+                                                            job_pool):
+        """The log is appended by four worker threads (more than the
+        cores) while two other threads fold it: every pack is folded once,
+        none lost, none twice."""
+        pool = WorkerPool(decoder, num_workers=4)
+        telemetry, done = pool.telemetry, threading.Event()
+
+        def keep_folding():
+            while not done.is_set():
+                telemetry.fold()
+
+        readers = [threading.Thread(target=keep_folding, daemon=True)
+                   for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for index in range(48):
+                pool.submit(make_batch(
+                    [replace(job_pool[index % 8], job_id=index)],
+                    flush_time_us=float(index)))
+            pool.close()
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert telemetry.jobs_completed == len(pool.results()) == 48
+        assert telemetry.batch_fill_histogram == {1: 48}
+        assert sum(telemetry.snapshot()["flush_reasons"].values()) == 48
+
+    def test_empty_recorder_snapshot(self, decoder):
+        snapshot = WorkerPool(decoder).telemetry.snapshot()
         assert snapshot["jobs_completed"] == 0
         assert snapshot["throughput_jobs_per_s"] == 0.0
         # Empty series report None, not NaN — the snapshot must stay
@@ -427,11 +462,12 @@ class TestTelemetryRecorder:
 
 
 class TestDecodeTimeEwma:
-    """Satellite: the recorder's online per-structure decode-time model."""
+    """The online per-structure decode-time model, folded from the pool's
+    log (tests reading its EWMA state fold the log first)."""
 
     def test_estimate_requires_min_samples(self, decoder, job_pool):
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         for pack in range(DECODE_TIME_MIN_SAMPLES):
             assert telemetry.decode_time_us(job_pool[:2]) is None
             pool.submit(make_batch(job_pool[pack:pack + 1],
@@ -445,8 +481,8 @@ class TestDecodeTimeEwma:
         assert telemetry.decode_time_us(job_pool[:2] + [stranger]) is None
 
     def test_ewma_tracks_observed_service_and_size(self, decoder, job_pool):
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         serve_repeats(pool, job_pool[:3], DECODE_TIME_MIN_SAMPLES - 1)
         first = pool.results()[0]
@@ -465,11 +501,12 @@ class TestDecodeTimeEwma:
         assert telemetry.snapshot()["decode_time_per_job_us"]
 
     def test_newest_pack_weighs_alpha(self, decoder, job_pool):
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         pool.submit(make_batch(job_pool[:1], flush_time_us=0.0))
         pool.submit(make_batch(job_pool[1:4], flush_time_us=100_000.0))
         first, second = pool.results()[0], pool.results()[1]
+        telemetry.fold()
         services = [result.finish_time_us - result.start_time_us
                     for result in (first, second)]
         key = job_pool[0].structure_key
@@ -483,19 +520,20 @@ class TestDecodeTimeEwma:
             self, decoder, job_pool):
         # What the recorder was fed before packs could mix: the pack's own
         # service time and size, not a float's width away from them.
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         first = pool.results()[0]
         key = job_pool[0].structure_key
+        telemetry.fold()
         assert telemetry._decode_service_ewma_us == {
             key: first.finish_time_us - first.start_time_us}
         assert telemetry._decode_size_ewma == {key: 3.0}
 
     def test_mixed_pack_feeds_each_structure_its_share(self, decoder,
                                                        job_pool):
-        telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = WorkerPool(decoder)
+        telemetry = pool.telemetry
         mixed = job_pool[:2] + [qpsk_job(job_id=50), qpsk_job(job_id=51),
                                 qpsk_job(job_id=52)]
         pool.submit(make_batch(mixed, flush_time_us=0.0))
@@ -508,6 +546,7 @@ class TestDecodeTimeEwma:
         # Each structure observed the overhead in full plus its members'
         # compute, and its own member count...
         bpsk, qpsk = job_pool[0].structure_key, mixed[-1].structure_key
+        telemetry.fold()
         assert telemetry._decode_size_ewma == {bpsk: 2.0, qpsk: 3.0}
         assert telemetry._decode_service_ewma_us[bpsk] == pytest.approx(
             overhead_us + 2 * bpsk_us, rel=1e-12)
@@ -524,10 +563,10 @@ class TestDecodeTimeEwma:
                 overhead_us + bpsk_us + 2 * qpsk_us, rel=1e-12)
         assert len(telemetry.snapshot()["decode_time_per_job_us"]) == 2
 
-    def test_online_model_falls_back_then_takes_over(self):
+    def test_online_model_falls_back_then_takes_over(self, decoder):
         from repro.cran.service import online_decode_time_model
 
-        telemetry = TelemetryRecorder()
+        telemetry = WorkerPool(decoder).telemetry
         calls = []
 
         def fallback(jobs):
@@ -550,13 +589,13 @@ class TestDecodeTimeEwma:
         assert model(jobs) == pytest.approx((100.0 + 3 * 500.0) * 1.1)
         assert len(calls) == 1
 
-    def test_degenerate_overhead_split_returns_none(self):
+    def test_degenerate_overhead_split_returns_none(self, decoder):
         # Satellite regression: when the claimed overhead exceeds the
         # observed service EWMA the per-job split is negative.  Clamping it
         # to zero would make predictions size-independent (overhead + 0*n)
         # and starve the adaptive wait; the estimate must instead defer to
         # the analytic fallback.
-        telemetry = TelemetryRecorder()
+        telemetry = WorkerPool(decoder).telemetry
         jobs = [qpsk_job(job_id=i) for i in range(3)]
         key = jobs[0].structure_key
         telemetry._decode_service_ewma_us[key] = 1_100.0

@@ -19,6 +19,10 @@ producer-side ``ingress.admit`` and dispatcher-side ``job.admit`` appends
 interleave by thread timing; ``test_cran_gateway.py`` pins it to
 ``CranService.run`` instead).
 
+The telemetry is a fold over the same log the trace is exported from, so
+the four loads' snapshots must not depend on ``tracing=`` — inline, and
+with a two-worker thread pool held to one pack in flight.
+
 Regenerate after an *intentional* change of the event stream or snapshot::
 
     UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_lifecycle_goldens.py
@@ -68,6 +72,37 @@ def mixed_jobs():
     return generator.generate(6, random_state=3)
 
 
+def load(name, mixed_jobs):
+    """Golden *name*'s offered load and service settings."""
+    if name == "mixedpack":
+        trace = ArgosLikeTraceGenerator(
+            num_bs_antennas=8, num_users=2,
+            num_subcarriers=8).generate(num_frames=1, random_state=0)
+        jobs = PoissonTrafficGenerator(
+            trace, modulations=("BPSK", "QPSK"),
+            mean_interarrival_us=12_000.0, burst_subcarriers=4,
+            user_snrs_db=20.0, deadline_us=75_000.0).generate(
+                8, random_state=3)
+        return jobs, dict(max_batch=16, max_wait_us=20_000.0,
+                          adaptive_wait=True)
+    if name == "batch1":
+        return ([replace(job, deadline_us=math.inf) for job in mixed_jobs],
+                dict(max_batch=1, max_wait_us=math.inf))
+    settings = dict(max_batch=8, max_wait_us=20_000.0, adaptive_wait=True)
+    if name == "faulty":
+        settings.update(
+            fault_plan=FaultPlan(seed=1, decode_error_rate=0.25,
+                                 slow_rate=0.25),
+            max_retries=2,
+            brownout=BrownoutConfig(open_queue_depth=4, close_queue_depth=1))
+    return mixed_jobs, settings
+
+
+def serve(name, mixed_jobs, **options):
+    jobs, settings = load(name, mixed_jobs)
+    return jobs, CranService(make_decoder(), **settings, **options).run(jobs)
+
+
 def check(golden, name, report):
     golden(f"lifecycle_{name}_trace", to_jsonl(report.trace))
     golden(f"lifecycle_{name}_telemetry",
@@ -75,23 +110,14 @@ def check(golden, name, report):
 
 
 def test_adaptive_wait_on_a_mixed_deadline_load(golden, mixed_jobs):
-    report = CranService(make_decoder(), max_batch=8, max_wait_us=20_000.0,
-                         adaptive_wait=True, tracing=True).run(mixed_jobs)
+    _, report = serve("adaptive", mixed_jobs, tracing=True)
     assert report.jobs_completed == len(mixed_jobs)
     assert len(report.telemetry["decode_time_per_job_us"]) == 2
     check(golden, "adaptive", report)
 
 
-def test_adaptive_wait_on_packs_that_mix_structures(golden):
-    trace = ArgosLikeTraceGenerator(
-        num_bs_antennas=8, num_users=2,
-        num_subcarriers=8).generate(num_frames=1, random_state=0)
-    jobs = PoissonTrafficGenerator(
-        trace, modulations=("BPSK", "QPSK"), mean_interarrival_us=12_000.0,
-        burst_subcarriers=4, user_snrs_db=20.0,
-        deadline_us=75_000.0).generate(8, random_state=3)
-    report = CranService(make_decoder(), max_batch=16, max_wait_us=20_000.0,
-                         adaptive_wait=True, tracing=True).run(jobs)
+def test_adaptive_wait_on_packs_that_mix_structures(golden, mixed_jobs):
+    jobs, report = serve("mixedpack", mixed_jobs, tracing=True)
     assert report.jobs_completed == len(jobs)
     labels = [event.attrs["structure"] for event in report.trace
               if event.name == "pack.flush"]
@@ -101,13 +127,7 @@ def test_adaptive_wait_on_packs_that_mix_structures(golden):
 
 
 def test_decode_errors_stragglers_retries_and_brownout(golden, mixed_jobs):
-    report = CranService(
-        make_decoder(), max_batch=8, max_wait_us=20_000.0,
-        adaptive_wait=True, tracing=True,
-        fault_plan=FaultPlan(seed=1, decode_error_rate=0.25, slow_rate=0.25),
-        max_retries=2,
-        brownout=BrownoutConfig(open_queue_depth=4, close_queue_depth=1),
-    ).run(mixed_jobs)
+    _, report = serve("faulty", mixed_jobs, tracing=True)
     names = [event.name for event in report.trace]
     # The run must reach the write sites it is here to pin.
     assert EVENT_BROWNOUT_OPEN in names and EVENT_JOB_RETRY in names
@@ -119,9 +139,28 @@ def test_decode_errors_stragglers_retries_and_brownout(golden, mixed_jobs):
 
 
 def test_best_effort_batch_one(golden, mixed_jobs):
-    jobs = [replace(job, deadline_us=math.inf) for job in mixed_jobs]
-    report = CranService(make_decoder(), max_batch=1, max_wait_us=math.inf,
-                         tracing=True).run(jobs)
+    jobs, report = serve("batch1", mixed_jobs, tracing=True)
     assert report.jobs_completed == len(jobs)
     assert all("deadline_us" not in event.attrs for event in report.trace)
     check(golden, "batch1", report)
+
+
+@pytest.mark.parametrize("num_workers", [0, 2])
+@pytest.mark.parametrize("name", ["adaptive", "mixedpack", "faulty", "batch1"])
+def test_telemetry_does_not_depend_on_tracing(mixed_jobs, name, num_workers):
+    jobs, settings = load(name, mixed_jobs)
+    snapshots = []
+    for tracing in (False, True):
+        session = CranService(make_decoder(), num_workers=num_workers,
+                              tracing=tracing, **settings).session()
+        for job in sorted(jobs, key=lambda j: (j.arrival_time_us, j.job_id)):
+            session.submit(job)
+            # One pack in flight: a thread pool credits it before the next
+            # scheduling decision reads the fold, as an inline pool does.
+            session.pool.wait_idle()
+        report = session.close()
+        assert (report.trace is not None) == tracing
+        # Which idle thread takes a queued pack is the OS's choice.
+        del report.telemetry["workers"]["steal_count"]
+        snapshots.append(json.dumps(report.telemetry, sort_keys=True))
+    assert snapshots[0] == snapshots[1]

@@ -18,7 +18,7 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.cran.jobs import DecodeJob
 from repro.cran.service import CranService
-from repro.cran.telemetry import TelemetryRecorder
+from repro.cran.workers import WorkerPool
 from repro.cran.tracing import JOB_STAGES
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
@@ -131,8 +131,8 @@ class TestTelemetrySnapshot:
         workers = telemetry["workers"]
         assert len(workers["shard_batches"]) == len(workers["shard_depths"])
 
-    def test_bare_snapshot_has_no_enriched_sections(self):
-        snapshot = TelemetryRecorder().snapshot()
+    def test_bare_snapshot_has_no_enriched_sections(self, decoder):
+        snapshot = WorkerPool(decoder).telemetry.snapshot()
         assert snapshot["jobs_completed"] == 0
         assert snapshot["batches_decoded"] == 0
         assert not {"sampler_cache", "workers", "ingress"} & set(snapshot)

@@ -1351,7 +1351,7 @@ class TestWarmPackWork:
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
     #: Calls into ``src/repro`` of one warm ``decode_pack`` per (jobs, CPUs).
-    PYTHON_CALLS = {(1, 1): 73, (1, 2): 73, (16, 1): 258, (16, 2): 262}
+    PYTHON_CALLS = {(1, 1): 70, (1, 2): 70, (16, 1): 255, (16, 2): 259}
 
     @needs_cext
     @pytest.mark.parametrize("cpus", [1, 2])

@@ -276,18 +276,17 @@ class TestServingOptionSurface:
             "num_workers", "mode", "tracing", "fault_plan", "max_retries",
             "restart_budget", "brownout"},
         "WorkerPool": {
-            "decoder", "num_workers", "mode", "telemetry", "trace", "faults",
-            "restart_budget", "threads"},
+            "decoder", "num_workers", "mode", "faults", "restart_budget",
+            "threads"},
         "DecodeJob": {
             "job_id", "user_id", "frame", "subcarrier", "channel_use",
             "arrival_time_us", "deadline_us", "seed", "retries", "rng_mode"},
         "decode_time_model_for": {"decoder"},
         "online_decode_time_model": {"telemetry", "fallback", "overhead_us"},
-        "TelemetryRecorder": set(),
+        "TelemetryRecorder": {"log", "lock", "decoder", "faults"},
         "IngressGateway": {
             "service", "admission_limit", "per_cell_limit",
             "overload_policy"},
-        "TraceRecorder": set(),
         "QuAMaxDecoder": {"annealer", "parameters", "random_state"},
         "QuAMaxDecoder.detect_batch": {
             "channel_uses", "parameters", "random_state", "random_states",
@@ -356,11 +355,12 @@ class TestServingOptionSurface:
         ("CranService", "decode_time_model"), ("WorkerPool", "mp_context"),
         ("WorkerPool", "collect_failures"), ("WorkerPool", "decoder_factory"),
         ("WorkerPool", "queue_capacity"), ("WorkerPool", "overload_policy"),
-        ("WorkerPool", "autostart"), ("QuAMaxDecoder", "rng"),
+        ("WorkerPool", "autostart"), ("WorkerPool", "telemetry"),
+        ("WorkerPool", "trace"), ("QuAMaxDecoder", "rng"),
         ("QuAMaxDecoder", "threads"), ("DecodeJob", "threads"),
         ("decode_time_model_for", "margin"),
         ("online_decode_time_model", "margin"),
-        ("TraceRecorder", "wall_time"), ("TelemetryRecorder", "window"),
+        ("TelemetryRecorder", "window"),
         ("TelemetryRecorder", "decode_time_alpha"),
         ("TelemetryRecorder", "decode_time_min_samples"),
         ("embed_pack", "normalize"), ("embed_ising", "normalize"),
@@ -380,12 +380,16 @@ class TestServingOptionSurface:
         "FrameResult.is_complete", "FrameResult.bits_accumulated",
         "FrameResult.bit_errors", "FrameResult.is_errored",
         "DetectionResult.bit_errors", "IsingModel.neighbours",
+        "tracing.TraceRecorder", "WorkerPool.trace",
+        "TelemetryRecorder.record_batch", "TelemetryRecorder.record_shed",
+        "TelemetryRecorder.record_fault", "TelemetryRecorder.count",
     ])
     def test_removed_serving_attribute_is_gone(self, name):
         """The gateway is threads only, a pool's workers start with it, and
         each figure has one spelling: ``worker_info()``, the flushed packs,
         the job's own deadline, ``FrameResult.frame``,
-        ``metrics.bit_errors``."""
+        ``metrics.bit_errors`` — and each lifecycle fact one write, a row
+        on the pool's log that the telemetry folds."""
         owner, _, attribute = name.partition(".")
         assert not hasattr(self.resolve(owner), attribute)
 
@@ -591,12 +595,11 @@ class TestServingConstants:
     def test_both_decode_time_models_carry_the_margin(self, monkeypatch):
         from repro.cran import service
         from repro.cran.scheduler import DecodeBatch
-        from repro.cran.telemetry import (DECODE_TIME_MIN_SAMPLES,
-                                          TelemetryRecorder)
+        from repro.cran.telemetry import DECODE_TIME_MIN_SAMPLES
 
         decoder, jobs = self.small_decoder(), self.jobs(3)
-        telemetry = TelemetryRecorder()
-        pool = repro.WorkerPool(decoder, telemetry=telemetry)
+        pool = repro.WorkerPool(decoder)
+        telemetry = pool.telemetry
         for _ in range(DECODE_TIME_MIN_SAMPLES):  # trust the EWMA
             pool.submit(DecodeBatch(jobs=tuple(jobs), flush_time_us=0.0,
                                     reason="full"))
