@@ -40,7 +40,7 @@ added to the telemetry snapshot.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from typing import Deque, Dict, Hashable, List, Optional
 
@@ -50,6 +50,7 @@ from repro.cran.tracing import (
     EVENT_INGRESS_ADMIT,
     EVENT_JOB_RESTAMP,
     EVENT_JOB_SHED,
+    ROW_EVENT,
 )
 from repro.exceptions import SchedulingError
 from repro.utils.validation import check_integer_in_range
@@ -99,7 +100,6 @@ class IngressGateway:
         # decided by job id, so the drop set is deterministic whatever the
         # producer interleaving.
         self._faults = service.fault_plan
-        self._gateway_faults = 0
         self._session: ServiceSession = service.session()
         # Lock order gateway -> pool is safe: the pool (which serialises
         # every log append) never takes gateway locks.
@@ -113,9 +113,7 @@ class IngressGateway:
         self._closing = False
         self._error: Optional[BaseException] = None
         self._shed: List[DecodeJob] = []
-        self._offered = 0
         self._dispatched = 0
-        self._late_restamped = 0
         self._backlog_max = 0
         self._report: Optional[ServiceReport] = None
         self._dispatcher = threading.Thread(target=self._dispatch_loop,
@@ -141,7 +139,6 @@ class IngressGateway:
             if self._closing:
                 raise SchedulingError(
                     "cannot submit to a closed IngressGateway")
-            self._offered += 1
             self._emit(EVENT_INGRESS_ADMIT, job.arrival_time_us,
                        job_id=job.job_id, cell=str(cell))
             shard = self._shards.get(cell)
@@ -216,7 +213,6 @@ class IngressGateway:
                 # Injected ingress submission error: the hand-off to the
                 # session is lost, the job terminates as a gateway shed.
                 with self._lock:
-                    self._gateway_faults += 1
                     self._shed_locked(job, "gateway_fault")
                 continue
             clock = self._session.clock_us
@@ -226,8 +222,6 @@ class IngressGateway:
                 original_arrival_us = job.arrival_time_us
                 job = replace(job, arrival_time_us=clock,
                               deadline_us=max(job.deadline_us, clock))
-                with self._lock:
-                    self._late_restamped += 1
                 self._emit(EVENT_JOB_RESTAMP, clock, job_id=job.job_id,
                            original_arrival_us=original_arrival_us)
             try:
@@ -249,14 +243,21 @@ class IngressGateway:
         return self._report is not None
 
     def ingress_info(self) -> dict:
-        """Current gateway counters (also the report's ``ingress`` section)."""
+        """Current gateway counters (also the report's ``ingress`` section).
+
+        ``offered``, ``gateway_faults`` and ``late_restamped`` count the
+        ``ingress.admit``, ``job.shed`` (stage ``gateway_fault``) and
+        ``job.restamp`` rows the gateway stated on the pool's log.
+        """
         with self._lock:
+            stated = Counter((row[1], row[6].get("stage"))
+                             for row in self._session.pool._rows(ROW_EVENT))
             return {
-                "offered": self._offered,
+                "offered": stated[EVENT_INGRESS_ADMIT, None],
                 "dispatched": self._dispatched,
                 "gateway_shed": len(self._shed),
-                "gateway_faults": self._gateway_faults,
-                "late_restamped": self._late_restamped,
+                "gateway_faults": stated[EVENT_JOB_SHED, "gateway_fault"],
+                "late_restamped": stated[EVENT_JOB_RESTAMP, None],
                 "backlog_max": self._backlog_max,
                 "cells": len(self._shards),
             }

@@ -18,7 +18,7 @@ exported from (producers — session, ingress gateway — state their facts
 through :meth:`WorkerPool.emit` and :meth:`WorkerPool.admit`).  The actual
 plane is one of three executors — inline (``num_workers=0``: deterministic,
 what simulations and tests use), thread shards, process pool — that know
-nothing of that accounting and meet it at one seam: ``offer(index,
+nothing of that accounting and meet it at one seam: ``offer(pool, index,
 batch)`` in, :meth:`WorkerPool.done` / :meth:`WorkerPool.failed` out, one
 :func:`decode_pack` underneath.
 
@@ -50,7 +50,6 @@ plan produces the same accounting in all three modes.
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 import pickle
@@ -178,94 +177,21 @@ def _process_worker_init(
     _WORKER_FAULTS = faults
 
 
-def _process_decode_batch(index: int, batch: DecodeBatch):
-    """Decode one pack in a worker process; results go back via shared memory.
+def _process_decode_batch(index: int,
+                          batch: DecodeBatch) -> Tuple[bytes, float]:
+    """Decode one pack in a worker process: ``(pickled outcomes,
+    service_us)``, one pickle per pack back through the result pipe.
 
-    Returns ``((pickled, shm_name, buffer_sizes), service_us)`` — see
-    :func:`_export_outcomes` / :func:`_import_outcomes`.
-
-    An injected crash or decode error raises out of here and reaches the
+    The parent unpickles in its result callback, where a failure fails the
+    pack (it would kill the pool's result-handler thread otherwise).  An
+    injected crash or decode error raises out of here and reaches the
     parent through the pool's ``error_callback`` (rather than killing the
-    OS process, whose ``apply_async`` result would never fire) — the
-    :mod:`multiprocessing` pool already maintains its worker set through
-    literal deaths, while the exception path keeps the pack's accounting
-    deterministic and identical to the threaded mode.
+    OS process, whose ``apply_async`` result would never fire), which keeps
+    the pack's accounting deterministic and identical to the threaded mode.
     """
     outcomes, service_us = decode_pack(_WORKER_DECODER, _WORKER_FAULTS,
                                        _WORKER_THREADS, index, batch)
-    return _export_outcomes(outcomes), service_us
-
-
-def _export_outcomes(outcomes) -> Tuple[bytes, Optional[str], list]:
-    """Serialise decode outcomes, large arrays out-of-band in shared memory.
-
-    Pickle protocol 5 hands every contiguous ndarray payload (sample
-    matrices, energies, embedded couplings, ...) to a buffer callback
-    instead of inlining it; those buffers are packed into one
-    :class:`multiprocessing.shared_memory.SharedMemory` segment per batch,
-    so only the (small) object graph travels through the pool's result
-    pipe.  Falls back to inline buffer copies when no shared memory is
-    available.
-    """
-    buffers: list = []
-    pickled = pickle.dumps(outcomes, protocol=5,
-                           buffer_callback=buffers.append)
-    views = [buffer.raw() for buffer in buffers]
-    total = sum(view.nbytes for view in views)
-    if total == 0:
-        return pickled, None, []
-    try:
-        from multiprocessing import shared_memory
-        segment = shared_memory.SharedMemory(create=True, size=total)
-    except (ImportError, OSError):
-        return pickled, None, [bytes(view) for view in views]
-    sizes = []
-    offset = 0
-    for view in views:
-        size = view.nbytes
-        segment.buf[offset:offset + size] = view
-        sizes.append(size)
-        offset += size
-    segment.close()
-    return pickled, segment.name, sizes
-
-
-def _import_outcomes(pickled: bytes, shm_name: Optional[str],
-                     sizes: Sequence) -> list:
-    """Reassemble outcomes exported by :func:`_export_outcomes`."""
-    if shm_name is None:
-        return pickle.loads(pickled, buffers=sizes)
-    from multiprocessing import shared_memory
-    segment = shared_memory.SharedMemory(name=shm_name)
-    views: list = []
-    attached = None
-    try:
-        offset = 0
-        for size in sizes:
-            views.append(segment.buf[offset:offset + size])
-            offset += size
-        attached = pickle.loads(pickled, buffers=views)
-        # Deep-copy detaches every array from the segment so it can be
-        # unlinked immediately instead of living as long as the results.
-        outcomes = copy.deepcopy(attached)
-    finally:
-        # Drop every exported view before closing, or close() would fail;
-        # unlink unconditionally so a parent-side failure (unpickling,
-        # deep copy) cannot leak the segment.  Each cleanup step is guarded
-        # separately: a failed unpickle can leave live views pinning the
-        # mapping (close() raises BufferError), and unlink must still run —
-        # exactly once — without masking the original error.
-        attached = None
-        views.clear()
-        try:
-            segment.close()
-        except BufferError:
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-    return outcomes
+    return pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL), service_us
 
 
 # --------------------------------------------------------------------------- #
@@ -275,29 +201,30 @@ def _import_outcomes(pickled: bytes, shm_name: Optional[str],
 class _Executor:
     """What the accounting core asks of an executor.
 
-    An executor starts its workers when it is built, takes packs through
-    ``offer(index, batch)`` (blocking while it holds :data:`QUEUE_CAPACITY`
-    of them) and answers each one with exactly one ``pool.done(...)`` or
-    ``pool.failed(...)``.  It reads the pool's configuration and nothing
-    of its accounting.  Three class attributes tell the pool's failure path
-    how a *real* (non-injected) error of this executor is accounted: the
-    shed stage it is labelled with, whether it cost a worker, and whether
-    :meth:`WorkerPool.close` must surface it.
+    An executor starts its workers when it is built from the pool's
+    configuration, takes packs through ``offer(pool, index, batch)``
+    (blocking while it holds :data:`QUEUE_CAPACITY` of them) and answers
+    each one with exactly one ``pool.done(...)`` or ``pool.failed(...)``.
+    It keeps no reference to the pool, so a closed pool is freed when its
+    owner drops it, not by the cyclic collector.  Three class attributes
+    tell the pool's failure path how a *real* (non-injected) error of this
+    executor is accounted: the shed stage it is labelled with, whether it
+    cost a worker, and whether :meth:`WorkerPool.close` must surface it.
     """
 
     error_kills_worker = False
     errors_surface_at_close = True
 
     def __init__(self, pool: "WorkerPool"):
-        self.pool = pool
+        """Start the workers from *pool*'s configuration."""
 
     def close(self) -> None:
         """Work off everything accepted, then stop the workers."""
 
-    def shard_counters(self) -> Tuple[int, List[int], List[int]]:
+    def shard_counters(self, workers: int) -> Tuple[int, List[int], List[int]]:
         """``(steals, batches routed per shard, current shard depths)`` —
         all zero for executors without shard queues."""
-        zeros = [0] * max(1, self.pool.num_workers)
+        zeros = [0] * max(1, workers)
         return 0, zeros, list(zeros)
 
 
@@ -309,8 +236,8 @@ class _InlineExecutor(_Executor):
     error_stage = "decode_error"
     errors_surface_at_close = False
 
-    def offer(self, index: int, batch: DecodeBatch) -> None:
-        pool = self.pool
+    def offer(self, pool: "WorkerPool", index: int,
+              batch: DecodeBatch) -> None:
         try:
             outcomes, service_us = decode_pack(pool.decoder, pool.faults,
                                                pool.threads, index, batch)
@@ -341,7 +268,6 @@ class _ThreadExecutor(_Executor):
     error_kills_worker = True
 
     def __init__(self, pool: "WorkerPool"):
-        super().__init__(pool)
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
@@ -354,12 +280,12 @@ class _ThreadExecutor(_Executor):
         self._stop = False
         self._threads: List[threading.Thread] = []
         for shard in range(pool.num_workers):
-            self._spawn_worker(shard)
+            self._spawn_worker(pool, shard)
 
-    def _spawn_worker(self, shard: int) -> None:
+    def _spawn_worker(self, pool: "WorkerPool", shard: int) -> None:
         """Start one draining thread on *shard* (initial start or respawn)."""
         thread = threading.Thread(target=self._worker_loop,
-                                  args=(self.pool.decoder, shard),
+                                  args=(pool, shard),
                                   name=f"cran-worker-{shard}",
                                   daemon=True)
         with self._lock:
@@ -383,12 +309,13 @@ class _ThreadExecutor(_Executor):
                 if len(self._threads) == len(threads):
                     return
 
-    def shard_counters(self) -> Tuple[int, List[int], List[int]]:
+    def shard_counters(self, workers: int) -> Tuple[int, List[int], List[int]]:
         with self._lock:
             return (self._steals, list(self._shard_routed),
                     [len(shard) for shard in self._shards])
 
-    def offer(self, index: int, batch: DecodeBatch) -> None:
+    def offer(self, pool: "WorkerPool", index: int,
+              batch: DecodeBatch) -> None:
         with self._not_full:
             while self._pending >= QUEUE_CAPACITY:
                 self._not_full.wait()
@@ -433,8 +360,7 @@ class _ThreadExecutor(_Executor):
         self._pending -= 1
         return own.popleft()
 
-    def _worker_loop(self, decoder: QuAMaxDecoder, shard: int) -> None:
-        pool = self.pool
+    def _worker_loop(self, pool: "WorkerPool", shard: int) -> None:
         dead = False
         while True:
             with self._not_empty:
@@ -454,7 +380,7 @@ class _ThreadExecutor(_Executor):
                 pool.failed(index, batch, None)
                 continue
             try:
-                outcomes, service_us = decode_pack(decoder, pool.faults,
+                outcomes, service_us = decode_pack(pool.decoder, pool.faults,
                                                    pool.threads, index, batch)
             except Exception as error:
                 # Exception, not BaseException: a KeyboardInterrupt must
@@ -463,7 +389,7 @@ class _ThreadExecutor(_Executor):
                 if pool.failed(index, batch, error, worker=shard):
                     # Within budget, supervision replaces this worker on
                     # the same shard.
-                    self._spawn_worker(shard)
+                    self._spawn_worker(pool, shard)
                     return
                 dead = pool.kills_worker(error)
             else:
@@ -474,16 +400,15 @@ class _ProcessExecutor(_Executor):
     """A persistent :mod:`multiprocessing` pool, bounded in packs in flight.
 
     The batch's job specs travel pickled, each worker process decodes with
-    its own decoder replica, and the bulky result arrays come back through
-    a shared-memory segment instead of the result pipe — so NumPy *and*
-    pure Python decode work runs truly parallel across cores.
+    its own decoder replica, and the outcomes come back as one pickle per
+    pack through the result pipe — so NumPy *and* pure Python decode work
+    runs truly parallel across cores.
     """
 
     mode = MODE_PROCESS
     error_stage = "process_error"
 
     def __init__(self, pool: "WorkerPool"):
-        super().__init__(pool)
         self._space = threading.Condition(threading.Lock())
         self._inflight = 0
         # The platform-default start method is the safe choice: fork on
@@ -504,16 +429,6 @@ class _ProcessExecutor(_Executor):
             except ValueError:
                 pass
         context = multiprocessing.get_context(context_name)
-        try:
-            # Start the resource tracker *before* forking the pool, so the
-            # workers inherit it: shared-memory segments registered by a
-            # worker are then unregistered by the parent's unlink against
-            # the same tracker (no leak warnings, and crash cleanup still
-            # covers in-flight segments).
-            from multiprocessing import resource_tracker
-            resource_tracker.ensure_running()
-        except (ImportError, OSError):
-            pass
         # Each worker holds its own copy of the configured decoder
         # (inherited under fork, unpickled under spawn).  The fault plan
         # rides along so worker-side injection decisions match the parent's
@@ -529,32 +444,35 @@ class _ProcessExecutor(_Executor):
         self._workers.close()
         self._workers.join()
 
-    def offer(self, index: int, batch: DecodeBatch) -> None:
+    def offer(self, pool: "WorkerPool", index: int,
+              batch: DecodeBatch) -> None:
         with self._space:
             while self._inflight >= QUEUE_CAPACITY:
                 self._space.wait()
             self._inflight += 1
+        # The callbacks' partials hold the pool until they fire.
         self._workers.apply_async(
             _process_decode_batch, (index, batch),
-            callback=partial(self._on_result, index, batch),
-            error_callback=partial(self._on_error, index, batch))
+            callback=partial(self._on_result, pool, index, batch),
+            error_callback=partial(self._on_error, pool, index, batch))
 
-    def _on_result(self, index: int, batch: DecodeBatch, payload) -> None:
-        """Pool callback: reattach the shared buffers, hand the pack over."""
+    def _on_result(self, pool: "WorkerPool", index: int, batch: DecodeBatch,
+                   payload) -> None:
+        """Pool callback: unpickle the outcomes, hand the pack over."""
         try:
-            exported, service_us = payload
-            outcomes = _import_outcomes(*exported)
+            pickled, service_us = payload
+            outcomes = pickle.loads(pickled)
         except BaseException as error:  # surfaced by close()
-            self._on_error(index, batch, error)
+            self._on_error(pool, index, batch, error)
             return
-        self.pool.done(index, batch, outcomes, service_us)
+        pool.done(index, batch, outcomes, service_us)
         self._landed()
 
-    def _on_error(self, index: int, batch: DecodeBatch,
+    def _on_error(self, pool: "WorkerPool", index: int, batch: DecodeBatch,
                   error: BaseException) -> None:
         if not isinstance(error, BaseException):
             error = SchedulingError(f"process worker failed: {error!r}")
-        self.pool.failed(index, batch, error)
+        pool.failed(index, batch, error)
         self._landed()
 
     def _landed(self) -> None:
@@ -716,7 +634,7 @@ class WorkerPool:
             index = self._next_submit
             self._next_submit += 1
             self._emit_locked((ROW_FLUSH, index, batch))
-        self._executor.offer(index, batch)
+        self._executor.offer(self, index, batch)
 
     def done(self, index: int, batch: DecodeBatch, outcomes: list,
              service_us: float) -> None:
@@ -873,7 +791,8 @@ class WorkerPool:
         surfaces under ``telemetry["workers"]``.  Shard counters stay zero
         for inline and process pools, which have no shard queues.
         """
-        steals, routed, depths = self._executor.shard_counters()
+        steals, routed, depths = self._executor.shard_counters(
+            self.num_workers)
         return {
             "mode": self._executor.mode,
             "num_workers": self.num_workers,

@@ -15,6 +15,7 @@ The invariants under test are the serving stack's fault-tolerance contract:
 """
 
 import pickle
+import threading
 from collections import Counter
 
 import numpy as np
@@ -38,7 +39,9 @@ from repro.cran.traffic import PoissonTrafficGenerator
 from repro.cran.tracing import (
     EVENT_BROWNOUT_CLOSE,
     EVENT_BROWNOUT_OPEN,
+    EVENT_INGRESS_ADMIT,
     EVENT_JOB_COMPLETE,
+    EVENT_JOB_RESTAMP,
     EVENT_JOB_RETRY,
     EVENT_JOB_SHED,
     EVENT_PACK_FAILED,
@@ -435,6 +438,38 @@ class TestGatewayFaults:
         replay, replay_info = run_gateway()
         assert {job.job_id for job in replay.shed_jobs} == expected
         assert replay_info["gateway_faults"] == info["gateway_faults"]
+
+    def test_ingress_counters_are_counts_over_the_trace(self, jobs):
+        plan = FaultPlan(seed=9, gateway_error_rate=0.3)
+        service = CranService(make_decoder(), max_batch=4,
+                              max_wait_us=50_000.0, tracing=True,
+                              fault_plan=plan)
+        gateway = service.gateway(admission_limit=64)
+        # The latest job goes first; once the dispatcher has moved the
+        # clock to it, every later-offered job that arrived earlier is
+        # re-stamped.
+        late = [job for job in jobs if not plan.gateway_fault(job.job_id)]
+        last = late[-1]
+        assert gateway.submit(last, cell="fast")
+        for _ in range(2_000):
+            if gateway._session.clock_us >= last.arrival_time_us:
+                break
+            threading.Event().wait(0.001)
+        for job in jobs:
+            if job is not last:
+                assert gateway.submit(job, cell="slow")
+        report = gateway.close()
+        stated = Counter((event.name, event.attrs.get("stage"))
+                         for event in report.trace)
+        ingress = report.telemetry["ingress"]
+        assert ingress["offered"] == stated[EVENT_INGRESS_ADMIT, None]
+        assert ingress["late_restamped"] == stated[EVENT_JOB_RESTAMP, None]
+        assert ingress["gateway_faults"] == stated[EVENT_JOB_SHED,
+                                                   "gateway_fault"]
+        assert ingress["offered"] == len(jobs)
+        assert ingress["late_restamped"] == sum(
+            job.arrival_time_us < last.arrival_time_us for job in late) > 0
+        assert ingress["gateway_faults"] == len(jobs) - len(late) > 0
 
 
 # --------------------------------------------------------------------------- #

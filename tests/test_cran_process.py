@@ -7,12 +7,15 @@ The contracts mirror the threaded mode's, plus the process-specific ones:
 * virtual-time accounting — and with it every latency/deadline statistic —
   is identical to the threaded mode for the same offered load and worker
   count (batches credit in flush order in both);
-* the shared-memory result channel round-trips outcomes exactly;
-* worker failures are accounted as shed and surfaced at ``close()``.
+* outcomes come back as one pickle per pack through the result pipe, and
+  unpickle exactly (the identity cases below);
+* worker failures — and a failed unpickle in the parent — are accounted as
+  shed and surfaced at ``close()``.
 """
 
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -24,12 +27,8 @@ from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch
 from repro.cran.service import CranService
 from repro.cran.traffic import PoissonTrafficGenerator
-from repro.cran.workers import (
-    MODES,
-    WorkerPool,
-    _export_outcomes,
-    _import_outcomes,
-)
+from repro.cran.tracing import EVENT_JOB_SHED
+from repro.cran.workers import MODES, WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError
 from repro.mimo.system import MimoUplink
@@ -73,55 +72,6 @@ def job_pool():
 def make_batch(jobs, flush_time_us, reason="full"):
     return DecodeBatch(jobs=tuple(jobs),
                        flush_time_us=flush_time_us, reason=reason)
-
-
-class TestSharedMemoryChannel:
-    def test_export_import_roundtrip(self, decoder, job_pool):
-        outcomes = decoder.detect_batch(
-            [job.channel_use for job in job_pool[:3]],
-            random_states=[job.rng() for job in job_pool[:3]])
-        pickled, shm_name, sizes = _export_outcomes(outcomes)
-        # Real ndarray payloads must actually travel out of band.
-        assert shm_name is not None
-        assert sizes and all(size > 0 for size in sizes)
-        restored = _import_outcomes(pickled, shm_name, sizes)
-        assert len(restored) == len(outcomes)
-        for original, copy_ in zip(outcomes, restored):
-            np.testing.assert_array_equal(original.detection.bits,
-                                          copy_.detection.bits)
-            np.testing.assert_array_equal(original.run.solutions.samples,
-                                          copy_.run.solutions.samples)
-            np.testing.assert_array_equal(original.run.solutions.energies,
-                                          copy_.run.solutions.energies)
-            # Restored arrays are detached copies, not shm views: the
-            # segment was unlinked inside _import_outcomes, so surviving
-            # views would be dangling.
-            copy_.run.solutions.energies.sum()
-
-    def test_inline_fallback_for_empty_buffers(self):
-        pickled, shm_name, sizes = _export_outcomes(["no", "arrays", 7])
-        assert shm_name is None
-        assert _import_outcomes(pickled, shm_name, sizes) == ["no", "arrays", 7]
-
-    def test_failed_unpickle_still_unlinks_the_segment(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        pickled, shm_name, sizes = _export_outcomes(
-            [np.arange(64, dtype=np.float64)])
-        assert shm_name is not None
-
-        def corrupt_loads(data, buffers=None):
-            raise ValueError("corrupt result payload")
-
-        monkeypatch.setattr("repro.cran.workers.pickle.loads", corrupt_loads)
-        # The parent-side failure propagates unmasked...
-        with pytest.raises(ValueError, match="corrupt result payload"):
-            _import_outcomes(pickled, shm_name, sizes)
-        # ...and the segment was unlinked exactly once regardless: there is
-        # nothing left to attach to (no leak), and a second unlink inside
-        # the cleanup would have raised out of the first call already.
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=shm_name)
 
 
 class TestProcessPool:
@@ -172,6 +122,38 @@ class TestProcessPool:
             pool.close()
         assert [job.job_id for job in pool.shed_jobs] == [0, 1]
         assert pool.results() == []
+
+    def test_failed_unpickle_in_parent_sheds_and_surfaces(self, job_pool,
+                                                          monkeypatch):
+        def corrupt_loads(data):
+            raise ValueError("corrupt result payload")
+
+        # The worker decodes and pickles its outcomes; the parent's unpickle
+        # fails inside the pool's result callback.
+        monkeypatch.setattr("repro.cran.workers.pickle.loads", corrupt_loads)
+        pool = WorkerPool(make_decoder(), num_workers=1, mode="process")
+        pool.submit(make_batch(job_pool[:2], flush_time_us=10.0))
+        # close() returns (the result-handler thread survived) and raises
+        # the original error, unmasked.
+        raised = []
+
+        def close():
+            try:
+                pool.close()
+            except ValueError as error:
+                raised.append(str(error))
+
+        closer = threading.Thread(target=close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        assert raised == ["corrupt result payload"]
+        assert [(event.job_id, event.attrs["stage"])
+                for event in pool.events() if event.name == EVENT_JOB_SHED
+                ] == [(0, "process_error"), (1, "process_error")]
+        telemetry = pool.telemetry
+        assert telemetry.jobs_completed + telemetry.jobs_shed == 2
+        assert telemetry.jobs_shed == 2
 
     def test_batches_and_jobs_pickle(self, job_pool):
         batch = make_batch(job_pool[:2], flush_time_us=5.0)

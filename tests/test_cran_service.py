@@ -1,10 +1,12 @@
 """Tests for the worker pool, telemetry and the end-to-end CranService."""
 
+import gc
 import importlib.util
 import json
 import math
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -867,6 +869,27 @@ class TestCranService:
             # The adaptive scheduler can only flush earlier, never later.
             assert b.flush_time_us <= a.flush_time_us + 1e-9
         assert online_a.telemetry["decode_time_per_job_us"]
+
+    @pytest.mark.parametrize("num_workers", [0, 2])
+    def test_closed_pool_freed_without_cyclic_collector(self, decoder,
+                                                        traffic,
+                                                        num_workers):
+        # The pool and its executor hold no reference cycle, so dropping a
+        # closed session frees the pool — its log, batches and results —
+        # by reference counting alone.
+        gc.collect()
+        gc.disable()
+        try:
+            session = CranService(decoder, max_batch=4, max_wait_us=5_000.0,
+                                  num_workers=num_workers).session()
+            for job in traffic:
+                session.submit(job)
+            assert session.close().jobs_completed == len(traffic)
+            pool = weakref.ref(session.pool)
+            del session
+            assert pool() is None
+        finally:
+            gc.enable()
 
 
 class TestWarmSamplerCache:
