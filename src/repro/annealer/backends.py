@@ -659,13 +659,14 @@ class PackReadOut:
         self.sources = (0, 0)  # the logical fields' and couplings' addresses
         self.physical = 0 if plan is None else plan.num_physical
         plan_words = (0, 0, 0, 0, 0, 0) if plan is None else (
-            plan.num_physical, *plan.addresses[:2], plan.num_chain_couplers,
-            *plan.addresses[2:])
+            plan.num_physical, _ptr(plan.logical_index),
+            _ptr(plan.chain_lengths), plan.num_chain_couplers,
+            _ptr(plan.chain_members), _ptr(plan.chain_bounds))
         words = np.array([
             problems, variables, template.indices.size // 2, *plan_words[:4],
             *[0] * 5, 0 if fields is None else _ptr(fields),
             0 if couplers is None else _ptr(couplers), *plan_words[4:],
-            *template.addresses, samples, *map(_ptr, (
+            *map(_ptr, template), samples, *map(_ptr, (
                 values, self.counts, self.first, self.occurrences,
                 self.found, self.products))], dtype=np.int64)
         base, (coupler_min, coupler_max), (field_min, field_max) = settings
@@ -715,19 +716,14 @@ def read_out(template, raw: np.ndarray,
 # A pack's ICE batches: one cext call per range of blocks
 # --------------------------------------------------------------------------- #
 
-def _batch_buffers(workspace: dict, blocks: int, size: int, batch: int,
-                   values: int, class_nnz: int, edges: int) -> tuple:
-    """What :func:`pack_ice_batches` fills per batch, kept in *workspace*
-    per pack shape: the spins, perturbed fields and couplings, gathered
-    class and internal-edge values, and the counter keys."""
-    shapes = workspace.setdefault("batches", {})
-    buffers = shapes.get((blocks, batch))
-    if buffers is None:
-        buffers = shapes[(blocks, batch)] = (
-            np.empty((batch, blocks * size)), np.empty(blocks * size),
+def _batch_buffers(blocks: int, size: int, batch: int, values: int,
+                   class_nnz: int, edges: int) -> tuple:
+    """What :func:`pack_ice_batches` fills per batch, one set per prepared
+    call: the spins, perturbed fields and couplings, gathered class and
+    internal-edge values, and the counter keys."""
+    return (np.empty((batch, blocks * size)), np.empty(blocks * size),
             np.empty((blocks, values)), np.empty((blocks, class_nnz)),
             np.empty((blocks, edges)), np.empty(blocks, dtype=np.uint64))
-    return buffers
 
 
 def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
@@ -870,38 +866,32 @@ def _lane_halves(spins, rows: int, counter: bool, rngs) -> bool:
             and type(rngs[0].bit_generator) is np.random.PCG64)
 
 
-def prepare_batches(workspace: dict, physical: np.ndarray, num_values: int,
-                    structure: tuple, rngs, batch_size: int, ice,
-                    rng_mode: str, threads: int, out=None) -> tuple:
-    """What :func:`pack_ice_batches` decides once per pack shape: its
-    buffers, a lane-half block's sweep arguments (else ``None``), the block
-    ranges ``(lo, hi, argument block, work)`` (:func:`_shards`), what they
-    point to, *out* and the batch settings.  *structure* is ``(members,
-    class_starts, indices, indptr, clusters, class_edges, internal_edges,
-    temperatures)``: the colour structure, the columns of the ``(blocks,
-    num_values)`` values its slots hold, and the schedule; *ice* is the
-    :class:`~repro.annealer.ice.ICEModel` (``None``: no zero check).  Kept
-    in *workspace* per all it reads, unless it serves *out* (whose owner
-    keeps it)."""
+def prepare_batches(workspace: dict, shape: Tuple[int, int],
+                    num_values: int, structure: tuple, rngs,
+                    batch_size: int, ice, rng_mode: str, threads: int,
+                    out=None) -> tuple:
+    """What :func:`pack_ice_batches` decides once per pack shape — the
+    ``(anneals, blocks*P)`` *shape* of its out-array: its buffers, a
+    lane-half block's sweep arguments (else ``None``), the block ranges
+    ``(lo, hi, argument block, work)`` (:func:`_shards`), what they point
+    to, *out* (a served pack's :class:`PackReadOut`) and the batch
+    settings.  *structure* is ``(members, class_starts, indices, indptr,
+    clusters, class_edges, internal_edges, temperatures)``: the colour
+    structure, the columns of the ``(blocks, num_values)`` values its slots
+    hold, and the schedule; *ice* is the
+    :class:`~repro.annealer.ice.ICEModel` (``None``: no zero check).  The
+    caller keeps it (a sampler's route, :meth:`BlockDiagonalSampler._route`)
+    with *workspace*."""
     members, class_starts, indices, indptr, clusters, class_edges, \
         internal_edges, temperatures = structure
     check_zero, counter = ice is not None, rng_mode == "counter"
     ice = None if ice is None or not ice.enabled else (
         ice.linear_mean, ice.linear_std, ice.quadratic_mean, ice.quadratic_std)
-    (num_anneals, width), blocks = physical.shape, len(rngs)
+    (num_anneals, width), blocks = shape, len(rngs)
     # Two blocks sharing a bit generator draw in block order: one call.
     shared = blocks > 1 and len(set(_rng_pointer_arrays(rngs))) < blocks
-    key = (num_anneals, width, blocks, batch_size, ice, check_zero, counter,
-           threads, id(temperatures), shared, _usable_cpus(), _SPLIT_SPINS,
-           type(rngs[0].bit_generator))
-    calls = workspace.setdefault("calls", {})
-    if out is None and key in calls:
-        return calls[key]
-    if len(calls) >= 64:  # schedules a long-lived sampler no longer runs
-        calls.clear()
-    buffers = _batch_buffers(workspace, blocks, width // blocks, batch_size,
-                             num_values, class_edges.size,
-                             internal_edges.size)
+    buffers = _batch_buffers(blocks, width // blocks, batch_size, num_values,
+                             class_edges.size, internal_edges.size)
     spins, fields, _, class_data, edge_values, _ = buffers
     settings = (None if ice is None else np.array(ice, dtype=np.float64),
                 check_zero, out)
@@ -920,13 +910,10 @@ def prepare_batches(workspace: dict, physical: np.ndarray, num_values: int,
                                     settings))
               for space, lo, hi in zip([workspace, *spaces], bounds,
                                        bounds[1:])]
-    prepared = (buffers, halves,
-                [(lo, hi, *block[:2]) for lo, hi, block in blocks],
-                [block[2] for _, _, block in blocks], out, batch_size,
-                counter, threads)
-    if out is None:
-        calls[key] = prepared
-    return prepared
+    return (buffers, halves,
+            [(lo, hi, *block[:2]) for lo, hi, block in blocks],
+            [block[2] for _, _, block in blocks], out, batch_size, counter,
+            threads)
 
 
 # --------------------------------------------------------------------------- #

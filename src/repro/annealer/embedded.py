@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.annealer.embedding import Embedding
 from repro.exceptions import EmbeddingError
-from repro.ising.model import Coupling, IsingModel, IsingPack
+from repro.ising.model import (Coupling, CsrTemplate, IsingModel, IsingPack,
+                               symmetric_csr_template)
 from repro.utils.validation import check_positive
 
 #: Hardware coefficient ranges of the DW2Q (in dimensionless machine units).
@@ -50,9 +51,9 @@ class EmbeddingPlan:
     The compact qubit order, which physical coupler realises each logical
     pair, the chain couplers, how fields spread over chains and the
     flattened chain index the unembedder reduces over — a pure function of
-    ``(embedding, logical variable count, logical coupling keys)``, cached on
-    the embedding by :func:`embedding_plan` and shared, immutable, by every
-    pack (of any size, on any thread) with that structure.
+    ``(embedding, logical variable count, logical coupling keys)``, kept by
+    a machine with the structure it serves and shared, immutable, by every
+    pack (of any size) with that structure.
 
     ``direct`` marks a collision-free embedding (vertex-disjoint chains,
     every coupler used once): each physical coupler then receives exactly
@@ -64,9 +65,12 @@ class EmbeddingPlan:
 
     def __init__(self, embedding: Embedding, num_logical: int,
                  logical_keys: Tuple[Coupling, ...]):
-        # No reference to the embedding is kept: it caches its plans, and a
-        # cycle would keep every array here alive until a collector pass.
+        if embedding.num_logical < num_logical:
+            raise EmbeddingError(
+                f"embedding covers {embedding.num_logical} variables, the "
+                f"problem has {num_logical}")
         self.num_logical = num_logical
+        self.logical_keys = logical_keys
         chains = [embedding.chains[index] for index in range(num_logical)]
         self.qubit_order: Tuple[int, ...] = tuple(
             sorted({qubit for chain in chains for qubit in chain}))
@@ -96,7 +100,6 @@ class EmbeddingPlan:
             [qubit for chain in ordered for qubit in chain], dtype=np.int64)
         self.chain_bounds = np.cumsum([0] + [len(chain) for chain in ordered],
                                       dtype=np.int64)
-        self._take_addresses()
 
         def compact(edge) -> Coupling:
             a, b = position[edge[0]], position[edge[1]]
@@ -125,21 +128,11 @@ class EmbeddingPlan:
             tuple(self._chain_keys + self._crossing_keys)
             if self.direct else None)
 
-    def _take_addresses(self) -> None:
-        #: Addresses of ``logical_index``, ``chain_lengths``,
-        #: ``chain_members`` and ``chain_bounds`` as the C artefact's
-        #: programming and read-out calls take them: taken once per plan,
-        #: not once per pack (the plan keeps the arrays alive).
-        self.addresses: Tuple[int, int, int, int] = tuple(
-            array.ctypes.data for array in (
-                self.logical_index, self.chain_lengths, self.chain_members,
-                self.chain_bounds))
-
-    def __setstate__(self, state: dict) -> None:
-        # A pickled or deep-copied plan (a process worker's results) holds
-        # arrays of its own, so it takes their addresses afresh.
-        self.__dict__.update(state)
-        self._take_addresses()
+    @cached_property
+    def template(self) -> CsrTemplate:
+        """The logical problems' symmetric CSR structure: what a pack's
+        read-out multiplies its distinct reads through."""
+        return symmetric_csr_template(self.num_logical, self.logical_keys)
 
     @property
     def num_physical(self) -> int:
@@ -186,26 +179,6 @@ class EmbeddingPlan:
         for key, value in zip(self._crossing_keys, values):
             add_coupling(key, value)
         return fields, couplings, clipped
-
-
-def embedding_plan(embedding: Embedding, num_logical: int,
-                   logical_keys: Tuple[Coupling, ...]) -> EmbeddingPlan:
-    """The (cached) plan of *logical_keys* over *num_logical* variables.
-
-    The serving path embeds packs of one structure against a handful of
-    cached embeddings, so plans live on the embedding instance; the cache is
-    bounded by dropping everything when an embedding has seen more
-    structures than any workload keeps alive.
-    """
-    plans = embedding.__dict__.setdefault("_plans", {})
-    key = (num_logical, logical_keys)
-    plan = plans.get(key)
-    if plan is None:
-        if len(plans) >= 64:
-            plans.clear()
-        plan = plans[key] = EmbeddingPlan(embedding, num_logical,
-                                          logical_keys)
-    return plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,11 +311,16 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
     logical = IsingPack.stack(logicals)
     if logical is None:
         return None
-    if embedding.num_logical < logical.num_variables:
-        raise EmbeddingError(
-            f"embedding covers {embedding.num_logical} variables, the problem "
-            f"has {logical.num_variables}"
-        )
+    return embed_on_plan(logical, embedding, None, chain_strength,
+                         extended_range)
+
+
+def embed_on_plan(logical: IsingPack, embedding: Embedding,
+                  plan: Optional[EmbeddingPlan], chain_strength: float,
+                  extended_range: bool) -> Optional[EmbeddedPack]:
+    """:func:`embed_pack` of the stacked *logical* problems on *plan*, the
+    plan of their keys on *embedding* (``None``: built here, as is the plan
+    of a lone problem whose scaled coupling underflows to zero)."""
     base_scale, (chain_coupling, _), _ = compile_settings(chain_strength,
                                                           extended_range)
     problem_scale = np.full(len(logical), base_scale)
@@ -366,7 +344,8 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
         values = values[:, kept]
     linear = logical.linear * problem_scale[:, None]
 
-    plan = embedding_plan(embedding, logical.num_variables, keys)
+    if plan is None or keys is not logical.keys:
+        plan = EmbeddingPlan(embedding, logical.num_variables, keys)
     if plan.direct:
         # Collision-free embedding: every coupler receives exactly one
         # value, so accumulate-and-clip collapses to direct assignment.

@@ -39,6 +39,7 @@ perturbs, rebinds and anneals batch by batch, its oracle.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -60,8 +61,10 @@ if TYPE_CHECKING:  # only the numpy reference operators are scipy's
     from scipy import sparse
 
 
-def colour_classes(ising: IsingModel) -> List[np.ndarray]:
-    """Partition variables into independent sets of the coupling graph.
+def colour_classes(ising) -> List[np.ndarray]:
+    """Partition variables into independent sets of the coupling graph of
+    an :class:`~repro.ising.model.IsingModel` or of an
+    :class:`~repro.ising.model.IsingPack`'s one structure.
 
     Largest-first greedy colouring — variables in order of descending
     degree (ties in index order), each given the smallest colour no
@@ -72,7 +75,8 @@ def colour_classes(ising: IsingModel) -> List[np.ndarray]:
     variable per class (still correct, just less parallel).
     """
     neighbours: List[List[int]] = [[] for _ in range(ising.num_variables)]
-    for i, j in ising.coupling_keys:
+    for i, j in (ising.keys if isinstance(ising, IsingPack)
+                 else ising.coupling_keys):
         neighbours[i].append(j)
         neighbours[j].append(i)
     colours = [-1] * ising.num_variables  # -1: not coloured yet
@@ -110,7 +114,8 @@ class _RowCsr(NamedTuple):
         """The structure of *rows* stacked in that order."""
         rows = np.asarray(rows, dtype=np.int64)
         lengths = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
         slots = (np.arange(indptr[-1], dtype=np.int64)
                  + np.repeat(self.indptr[rows] - indptr[:-1], lengths))
         return _RowCsr(indptr, np.ascontiguousarray(self.indices[slots]),
@@ -219,21 +224,22 @@ class BlockDiagonalSampler:
         self.num_blocks = len(problems)
         self.block_size = problems.num_variables
         self._bind(problems)
-        self.block_classes = colour_classes(problems[0])
+        self.block_classes = colour_classes(problems)
         self._class_widths = [group.size for group in self.block_classes]
-        self._edge_pairs = np.array(self._edge_keys, dtype=np.int64).reshape(
-            len(self._edge_keys), 2)
+        self._edge_pairs = np.fromiter(
+            chain.from_iterable(self._edge_keys), dtype=np.int64,
+            count=2 * len(self._edge_keys)).reshape(-1, 2)
         #: Block-local CSR structure of the whole coupling matrix (slots in
         #: row-major, ascending-column order: the summation order of every
         #: local field); every kernel layout below is a row selection of it.
-        edges, indices, indptr, _ = symmetric_csr_template(self.block_size,
-                                                           self._edge_keys)
+        edges, indices, indptr = symmetric_csr_template(self.block_size,
+                                                        self._edge_keys)
         self._csr = _RowCsr(*(np.asarray(part, dtype=np.int64)
                               for part in (indptr, indices, edges)))
         self._class_members = np.ascontiguousarray(
             np.concatenate(self.block_classes), dtype=np.int64)
-        self._class_starts = np.concatenate(
-            [[0], np.cumsum(self._class_widths)]).astype(np.int64)
+        self._class_starts = np.cumsum([0, *self._class_widths],
+                                       dtype=np.int64)
         #: Row ``k`` maps a block's spins to the local field of
         #: ``_class_members[k]`` (same values, in the same ascending-column
         #: summation order, as the reference per-class operators).
@@ -249,19 +255,22 @@ class BlockDiagonalSampler:
             [np.empty(0, dtype=np.int64), *self.block_clusters]
         ).astype(np.int64)
         # Cluster-internal edges (both endpoints in one cluster), per
-        # cluster in edge-key order.
-        internal = [np.nonzero(np.isin(self._edge_pairs[:, 0], members)
-                               & np.isin(self._edge_pairs[:, 1], members))[0]
-                    for members in self.block_clusters]
-        self._cluster_internal_edges = np.concatenate(
-            [np.empty(0, dtype=np.int64), *internal]).astype(np.int64)
+        # cluster in edge-key order: the row-major nonzeros of a
+        # (clusters, edges) membership test.
+        inside = np.zeros((len(self.block_clusters), self.block_size),
+                          dtype=bool)
+        inside[np.repeat(np.arange(len(self.block_clusters)),
+                         self._cluster_lengths), cluster_members] = True
+        owner, internal = np.nonzero(inside[:, self._edge_pairs[:, 0]]
+                                     & inside[:, self._edge_pairs[:, 1]])
+        self._cluster_internal_edges = internal.astype(np.int64)
         self._cluster_csr = self._csr.rows(cluster_members)
         #: The pack's flattened cluster descriptor, structure filled in and
         #: values left to gather per batch (:meth:`_cluster_pack_descriptor`).
         self._cluster_structure = backends.ClusterDescriptor(
             members=cluster_members,
-            cluster_starts=np.concatenate(
-                [[0], np.cumsum(self._cluster_lengths)]).astype(np.int64),
+            cluster_starts=np.cumsum([0, *self._cluster_lengths],
+                                     dtype=np.int64),
             data=None,
             indices=self._cluster_csr.indices,
             indptr=self._cluster_csr.indptr,
@@ -269,9 +278,8 @@ class BlockDiagonalSampler:
                 self._edge_pairs[self._cluster_internal_edges, 0]),
             edge_j=np.ascontiguousarray(
                 self._edge_pairs[self._cluster_internal_edges, 1]),
-            edge_starts=np.concatenate(
-                [[0], np.cumsum([edges.size for edges in internal])]
-            ).astype(np.int64),
+            edge_starts=np.cumsum([0, *np.bincount(
+                owner, minlength=len(self.block_clusters))], dtype=np.int64),
             edge_values=None,
         )
         #: The batch call's structure arguments, schedule aside.
@@ -284,7 +292,8 @@ class BlockDiagonalSampler:
         #: What the backend keeps between calls over this structure (the
         #: cext argument block); travels with the sampler.
         self._kernel_workspace: Dict[str, object] = {}
-        self._routes: Dict[tuple, tuple] = {}  # served packs: _served
+        #: One prepared batch call per pack size (:meth:`_route`).
+        self._routes: Dict[int, tuple] = {}
         self._validated_temperatures: Optional[np.ndarray] = None
         self._last_sweep_work: Optional[backends.SweepWork] = None
 
@@ -531,7 +540,7 @@ class BlockDiagonalSampler:
                     "temperatures must be a non-empty 1-D sequence")
             if np.any(temperatures <= 0):
                 raise AnnealerError("temperatures must be strictly positive")
-            # A read-only profile (the schedules' memoised ones) cannot
+            # A read-only profile (a schedule's, which a machine keeps) cannot
             # change after this check, so identity vouches for it next time.
             self._validated_temperatures = (
                 None if temperatures.flags.writeable else temperatures)
@@ -613,14 +622,11 @@ class BlockDiagonalSampler:
         for an exactly cancelled coupling only with *ice*."""
         physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
         if self.selected_backend == "cext":
+            _, _, prepared, fallback = self._route(
+                temperatures, num_replicas, rngs, ice, batch, None)
             self._last_sweep_work = backends.pack_ice_batches(
-                backends.prepare_batches(
-                    self._kernel_workspace, physical, len(self._edge_keys),
-                    (*self._batch_structure, temperatures), rngs, batch, ice,
-                    self.rng_mode, self.threads),
-                physical, self.linear, self._values, rngs,
-                self._kernel_workspace,
-                lambda *args: self._per_problem(temperatures, *args))
+                prepared, physical, self.linear, self._values, rngs,
+                self._kernel_workspace, fallback)
             return physical
         self._last_sweep_work = None
         programmed = self.isings
@@ -639,60 +645,52 @@ class BlockDiagonalSampler:
         self._rebind(programmed)
         return physical
 
-    def _served(self, temperatures, num_replicas: int, rngs: list, ice,
-                batch: Optional[int], program: tuple):
-        """:meth:`anneal` with *program* through the pack's route — its own
-        bound buffers, their read-out, out-array and prepared call — kept
-        per all they are built from (by id what the route keeps alive)."""
-        logical, blocks = program[0], len(program[0])
-        if len(rngs) != blocks:
-            raise AnnealerError("need one generator per logical problem")
-        batch = num_replicas if batch is None else batch
-        key = (id(temperatures), num_replicas, id(ice), batch, program[1:],
-               blocks, backends._USABLE_CPUS, backends._SPLIT_SPINS,
-               type(rngs[0].bit_generator), blocks > 1 and len(
-                   {id(rng.bit_generator) for rng in rngs}) < blocks)
-        route = self._routes.get(key)
-        if route is None:
-            if self.selected_backend != "cext":
-                raise AnnealerError("program= needs the C artefact")
-            profile = self._checked_temperatures(temperatures)
-            num_replicas = check_integer_in_range("num_replicas",
-                                                  num_replicas, minimum=1)
-            batch = check_integer_in_range("ice_batch_size", batch, minimum=1)
-            plan, size, width = program[1], self.block_size, len(
-                self._edge_keys)
+    def _route(self, temperatures, num_replicas: int, rngs: list, ice,
+               batch: int, program: Optional[tuple]) -> tuple:
+        """The kept batch call of a pack of ``len(rngs)`` blocks: one route
+        per pack size, rebuilt in place when anything else it is built from
+        differs — the schedule and ICE model (by id: the route holds both
+        alive), anneal count, ``ice_batch_size``, the served *program*'s
+        plan and compile settings, and the backend's split settings (usable
+        CPUs, ``_SPLIT_SPINS``, the bit generator type, shared generators);
+        the schedule and counts are checked when it is built.  Returns
+        ``(stamp, kept, prepared call, fallback)``, then, serving
+        *program*, the bound pack the call programs and its out-array.
+        """
+        blocks = len(rngs)
+        stamp = (id(temperatures), num_replicas, id(ice), batch,
+                 program and program[1:],
+                 backends._USABLE_CPUS or backends._usable_cpus(),
+                 backends._SPLIT_SPINS, type(rngs[0].bit_generator),
+                 blocks > 1 and len(
+                     {id(rng.bit_generator) for rng in rngs}) < blocks)
+        route = self._routes.get(blocks)
+        if route is not None and route[0] == stamp:
+            return route
+        if self.selected_backend != "cext":
+            raise AnnealerError("program= needs the C artefact")
+        profile = self._checked_temperatures(temperatures)
+        num_replicas = check_integer_in_range("num_replicas", num_replicas,
+                                              minimum=1)
+        batch = check_integer_in_range("ice_batch_size", batch, minimum=1)
+        width, size, out, tail = len(self._edge_keys), self.block_size, None, ()
+        if program:
+            plan = program[1]
             bound = IsingPack(size, self._edge_keys, np.empty((blocks, size)),
                               np.empty((blocks, width)), np.zeros(blocks))
             out = backends.PackReadOut(
-                symmetric_csr_template(plan.num_logical, logical.keys),
-                np.empty((blocks, num_replicas, plan.num_logical),
-                         dtype=np.int8),
+                plan.template, np.empty(
+                    (blocks, num_replicas, plan.num_logical), dtype=np.int8),
                 plan, program[2:], bound.linear, bound.values)
-            physical = np.empty((num_replicas, blocks * size), dtype=np.int8)
-            if len(self._routes) >= 64:
-                self._routes.clear()
-            route = self._routes[key] = (
-                bound, physical, backends.prepare_batches(
-                    self._kernel_workspace, physical, width,
-                    (*self._batch_structure, profile), rngs, batch, ice,
-                    self.rng_mode, self.threads, out),
-                lambda *args: self._per_problem(profile, *args),
-                (temperatures, ice))
-        bound, physical, prepared, fallback, _ = route
-        if blocks != self.num_blocks:
-            self.num_blocks = blocks
-            self._reference = None
-        self._bind(bound)
-        work = backends.pack_ice_batches(
-            prepared, physical, logical.linear, logical.values, rngs,
-            self._kernel_workspace, fallback)
-        if work is None:
-            return None
-        self._last_sweep_work = work
-        if self._reference is not None:  # the call wrote the bound values
-            self._bind_reference()
-        return prepared[4]
+            tail = (bound, np.empty((num_replicas, blocks * size),
+                                    dtype=np.int8))
+        route = self._routes[blocks] = (
+            stamp, (temperatures, ice), backends.prepare_batches(
+                self._kernel_workspace, (num_replicas, blocks * size), width,
+                (*self._batch_structure, profile), rngs, batch, ice,
+                self.rng_mode, self.threads, out),
+            lambda *args: self._per_problem(profile, *args), *tail)
+        return route
 
     def _rebind(self, problems: IsingPack) -> None:
         """Bind a same-structure pack of this sampler's block count (an ICE
@@ -743,8 +741,26 @@ class BlockDiagonalSampler:
             entries ±1; use :meth:`split_samples` to separate the blocks.
         """
         if program is not None:  # checked once per route, not per pack
-            return self._served(temperatures, num_replicas, random_states,
-                                ice, ice_batch_size, program)
+            logical, blocks = program[0], len(program[0])
+            if len(random_states) != blocks:
+                raise AnnealerError("need one generator per logical problem")
+            _, _, prepared, fallback, bound, physical = self._route(
+                temperatures, num_replicas, random_states, ice,
+                num_replicas if ice_batch_size is None else ice_batch_size,
+                program)
+            if blocks != self.num_blocks:
+                self.num_blocks = blocks
+                self._reference = None
+            self._bind(bound)
+            work = backends.pack_ice_batches(
+                prepared, physical, logical.linear, logical.values,
+                random_states, self._kernel_workspace, fallback)
+            if work is None:
+                return None
+            self._last_sweep_work = work
+            if self._reference is not None:  # the call wrote the bound values
+                self._bind_reference()
+            return prepared[4]
         rngs = [ensure_rng(state) for state in random_states]
         if len(rngs) != self.num_blocks:
             raise AnnealerError(

@@ -30,10 +30,10 @@ from repro.annealer.chimera import ChimeraGraph
 # spellings of the pack stages run_batch calls; they stay importable from
 # here (benchmarks/e2e/spans.py wraps them in this namespace by name).
 from repro.annealer.embedded import (  # noqa: F401
+    EmbeddingPlan,
     compile_settings,
     embed_ising,
-    embed_pack,
-    embedding_plan,
+    embed_on_plan,
 )
 from repro.annealer import backends
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
@@ -50,6 +50,7 @@ from repro.exceptions import AnnealerError, EmbeddingError
 from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import (  # noqa: F401
     SolverResult,
+    aggregate_over,
     aggregate_pack,
     aggregate_samples,
     read_out_solutions,
@@ -172,14 +173,18 @@ class QuantumAnnealerSimulator:
         Number of anneals sharing one ICE realisation (the perturbation is
         redrawn between batches).
     sampler_cache_size:
-        Number of fully-warmed block-diagonal samplers kept across
-        :meth:`run_batch` calls, keyed on problem structure (coupling keys,
-        cluster layout, rng/threads), *not* on the number of problems: every
-        pack of one structure, down to the batch-size-1 serving case,
-        rebinds the cached sampler instead of re-deriving colour classes,
-        CSR templates and cluster descriptors.  Seeded results are
-        bit-identical with the cache on, off (``0``) or at any size; the
-        cache only moves setup work.
+        Number of coupling structures kept warm across :meth:`run_batch`
+        calls (least recently used first out), keyed on the structure
+        (rng/threads, embedding, variable count, coupling keys), *not* on
+        the number of problems.  An entry (:class:`_Structure`) holds all
+        such a structure determines — the embedding plan and its logical
+        CSR template, ``P_f``, the temperature profile and compile settings
+        of the parameters last served, and the block-diagonal sampler with
+        its prepared batch calls — so every pack of one structure, down to
+        the batch-size-1 serving case, rebinds the kept sampler instead of
+        re-deriving any of it.  Seeded results are bit-identical with the
+        cache on, off (``0``) or at any size; the cache only moves setup
+        work.
     """
 
     def __init__(self, topology: Optional[ChimeraGraph] = None, *,
@@ -200,17 +205,16 @@ class QuantumAnnealerSimulator:
                                                      ice_batch_size, minimum=1)
         self.overheads = OverheadModel()
         self._embedder = TriangleCliqueEmbedder(self.topology)
-        self._embedding_cache: Dict[int, Embedding] = {}
+        #: The chip's clique embedding per variable count: never evicted
+        #: (the chip is fixed: one per size).
+        self._embeddings: Dict[int, Embedding] = {}
         self.sampler_cache_size = check_integer_in_range(
             "sampler_cache_size", sampler_cache_size, minimum=0)
-        # Checkout cache (_checkout): a decoder shared by worker threads
-        # never has two of them on one sampler.
-        self._sampler_cache: "OrderedDict[Tuple, BlockDiagonalSampler]" = (
-            OrderedDict())
+        # Checkout LRU (_checkout): a decoder shared by worker threads never
+        # has two of them on one entry.
+        self._structures: "OrderedDict[Tuple, _Structure]" = OrderedDict()
         self._sampler_cache_hits = 0
         self._sampler_cache_misses = 0
-        self._parallelization: Dict[int, float] = {}  # P_f per size
-        self._kept_settings: Optional[tuple] = None  # see _settings
 
     # ------------------------------------------------------------------ #
     @property
@@ -219,17 +223,19 @@ class QuantumAnnealerSimulator:
         return self.topology.num_working_qubits
 
     def embedding_for(self, num_logical: int) -> Embedding:
-        """Return (and cache) a clique embedding for *num_logical* variables."""
-        if num_logical not in self._embedding_cache:
-            self._embedding_cache[num_logical] = self._embedder.embed(num_logical)
-        return self._embedding_cache[num_logical]
+        """Return (and keep) a clique embedding for *num_logical* variables."""
+        embedding = self._embeddings.get(num_logical)
+        if embedding is None:
+            embedding = self._embeddings[num_logical] = self._embedder.embed(
+                num_logical)
+        return embedding
 
     # ------------------------------------------------------------------ #
     def sampler_cache_info(self) -> Dict[str, int]:
         """Hit/miss counters and occupancy of the warm sampler cache."""
         return {
             "capacity": self.sampler_cache_size,
-            "entries": len(self._sampler_cache),
+            "entries": len(self._structures),
             "hits": self._sampler_cache_hits,
             "misses": self._sampler_cache_misses,
         }
@@ -300,20 +306,17 @@ class QuantumAnnealerSimulator:
             raise AnnealerError(
                 f"rng must be one of {backends.RNG_MODES}, got {rng!r}")
         threads = check_integer_in_range("threads", threads, minimum=1)
-        if isinstance(logical_isings, IsingPack):
-            # One size by construction, and it travels on as it is.
-            isings, sizes = logical_isings, {logical_isings.num_variables}
-        else:
-            isings = list(logical_isings)
-            sizes = {ising.num_variables for ising in isings}
+        # An IsingPack is one size by construction and travels on as it is.
+        isings = (logical_isings if isinstance(logical_isings, IsingPack)
+                  else list(logical_isings))
         if not isings:
             raise AnnealerError("run_batch needs at least one problem")
-        if len(sizes) > 1:
+        if not isinstance(isings, IsingPack) and len(
+                {ising.num_variables for ising in isings}) > 1:
             raise AnnealerError(
                 "run_batch requires problems of identical size; group "
                 "subcarriers by problem size first"
             )
-        num_logical, = sizes
         if random_states is None:
             rngs = list(child_rngs(random_state, len(isings)))
         else:
@@ -324,17 +327,48 @@ class QuantumAnnealerSimulator:
                 )
             rngs = [ensure_rng(state) for state in random_states]
 
-        if embedding is None:
-            embedding = self.embedding_for(num_logical)
-        temperatures, settings = self._settings(parameters)
-        results = self._serve(isings, embedding, parameters, rngs, rng,
-                              threads, temperatures, settings)
-        if results is not None:
-            return results
-        embedded = embed_pack(isings, embedding,
-                              chain_strength=parameters.chain_strength,
-                              extended_range=parameters.extended_range)
-        if embedded is None:
+        logical = IsingPack.stack(isings)
+        results = None
+        if logical is not None:
+            num_logical, chip = logical.num_variables, embedding is None
+            if chip:
+                embedding = self.embedding_for(num_logical)
+            # Another embedding is keyed by id and held by its entry; one
+            # of a copied machine's entries is another object, and missed.
+            key = (rng, threads, chip or id(embedding), num_logical,
+                   logical.keys)
+            entry = self._checkout(key)
+            if entry is None or entry.embedding is not embedding:
+                # It starts from the settings the latest entry served.
+                latest = next(reversed(self._structures.values()), None)
+                entry = _Structure(
+                    embedding, num_logical, logical.keys,
+                    parallelization_factor(
+                        num_logical, total_qubits=self.num_qubits,
+                        shore_size=self.topology.shore_size),
+                    latest and latest.settings)
+            rates = (self.sweeps_per_us, self.hot_temperature,
+                     self.cold_temperature)
+            settings = entry.settings
+            if (settings is None or settings[0] is not parameters
+                    or settings[1] != rates):
+                settings = entry.settings = (
+                    parameters, rates, parameters.schedule.temperature_profile(
+                        sweeps_per_us=self.sweeps_per_us,
+                        hot=self.hot_temperature, cold=self.cold_temperature),
+                    compile_settings(parameters.chain_strength,
+                                     parameters.extended_range))
+            plan = entry.plan
+            if (plan is not None and plan.direct and num_logical < 64
+                    and backends.cext_available()):
+                results = self._serve(entry, logical, parameters, rngs, rng,
+                                      threads, *settings[2:])
+            if results is None:
+                results = self._anneal_embedded(entry, logical, parameters,
+                                                rngs, rng, threads,
+                                                settings[2])
+            self._checkin(key, entry)
+        if results is None:
             # The problems do not program one structure (different coupling
             # keys): each is its own pack of one, with its own generator —
             # exactly the serial submissions the pack is defined to equal.
@@ -342,67 +376,21 @@ class QuantumAnnealerSimulator:
                                    embedding=embedding, rng=rng,
                                    threads=threads)[0]
                     for ising, rng_b in zip(isings, rngs)]
-        plan = embedded.plan
-        key = (rng, threads, plan) if plan.direct else (
-            rng, threads, embedded.problems.keys, tuple(plan.chains.values()))
-        sampler = self._checkout(key)
-        if sampler is None:
-            sampler = BlockDiagonalSampler(embedded.problems,
-                                           clusters=plan.clusters, rng=rng,
-                                           threads=threads)
-        else:
-            sampler.refresh_values(embedded.problems)
-        # The sampler holds the programmed pack; every ICE batch perturbs
-        # it afresh inside the one anneal call.
-        physical = sampler.anneal(temperatures, parameters.num_anneals, rngs,
-                                  ice=self.ice,
-                                  ice_batch_size=self.ice_batch_size)
-        logical_spins, broken = unembed_pack(plan, physical, rngs)
-        solutions = aggregate_pack(embedded.logical, logical_spins)
-        self._checkin(key, sampler)
-        return self._results(solutions, broken.tolist(), parameters,
-                             num_logical)
+        return results
 
-    def _settings(self, parameters: AnnealerParameters) -> tuple:
-        """*parameters*' temperature profile and compile settings, kept
-        while the parameters object and the machine's temperatures are."""
-        rates = (self.sweeps_per_us, self.hot_temperature,
-                 self.cold_temperature)
-        kept = self._kept_settings
-        if kept is None or kept[0] is not parameters or kept[1] != rates:
-            kept = self._kept_settings = (
-                parameters, rates, parameters.schedule.temperature_profile(
-                    sweeps_per_us=self.sweeps_per_us,
-                    hot=self.hot_temperature, cold=self.cold_temperature),
-                compile_settings(parameters.chain_strength,
-                                 parameters.extended_range))
-        return kept[2:]
-
-    def _serve(self, isings, embedding: Embedding,
+    def _serve(self, entry: "_Structure", logical: IsingPack,
                parameters: AnnealerParameters, rngs, rng: str, threads: int,
                temperatures: np.ndarray, settings: tuple
                ) -> Optional[List[AnnealResult]]:
-        """The pack in one artefact call (:meth:`BlockDiagonalSampler.anneal`
-        with ``program=``), after a chain tie the draws and one read-out;
-        ``None`` for the NumPy stages' route: no artefact, more than 63
-        variables, several structures, colliding chains, or a coupling
-        that scales to ``0.0``."""
-        logical = IsingPack.stack(isings) if backends.cext_available() else None
-        if (logical is None or logical.num_variables >= 64
-                or embedding.num_logical < logical.num_variables):
-            return None
-        try:
-            plan = embedding_plan(embedding, logical.num_variables,
-                                  logical.keys)
-        except EmbeddingError:
-            return None  # embed_pack decides: it raises, or needs no coupler
-        if not plan.direct:
-            return None
-        key = (rng, threads, plan)  # a direct plan is its structure
-        sampler = self._checkout(key)
+        """The pack of a collision-free plan of at most 63 variables in one
+        artefact call (:meth:`BlockDiagonalSampler.anneal` with
+        ``program=``), after a chain tie the draws and one read-out;
+        ``None``, nothing drawn, when a coupling scales to ``0.0``."""
+        plan = entry.plan
+        sampler = entry.sampler
         if sampler is None:  # built on the structure; the call programs it
             blocks = len(logical)
-            sampler = BlockDiagonalSampler(
+            sampler = entry.sampler = BlockDiagonalSampler(
                 IsingPack(plan.num_physical, plan.physical_keys,
                           np.zeros((blocks, plan.num_physical)),
                           np.ones((blocks, len(plan.physical_keys))),
@@ -413,7 +401,6 @@ class QuantumAnnealerSimulator:
             ice_batch_size=self.ice_batch_size,
             program=(logical, plan, *settings))
         if out is None:
-            self._checkin(key, sampler)
             return None
         broken, ties = out.counts.tolist()
         if any(ties):  # a chain tied
@@ -421,39 +408,68 @@ class QuantumAnnealerSimulator:
             out.read()
         solutions = read_out_solutions(logical, out)
         reads = max(parameters.num_anneals * plan.num_logical, 1)
-        broken = [count / reads for count in broken]
-        self._checkin(key, sampler)  # out is the sampler's: read it first
-        return self._results(solutions, broken, parameters,
-                             logical.num_variables)
+        return self._results(solutions, [count / reads for count in broken],
+                             parameters, entry.factor)
 
-    def _checkout(self, key: Tuple) -> Optional[BlockDiagonalSampler]:
-        """The cached sampler of *key* (its structure: the plan, or its key
-        tuples, not the pack size), out of the cache until
-        :meth:`_checkin`; ``None`` on a miss or without a cache."""
+    def _anneal_embedded(self, entry: "_Structure", logical: IsingPack,
+                         parameters: AnnealerParameters, rngs, rng: str,
+                         threads: int, temperatures: np.ndarray
+                         ) -> Optional[List[AnnealResult]]:
+        """The pack through the NumPy stages: :func:`embed_pack`'s passes
+        on the entry's plan, one anneal call of its sampler (rebound, or
+        rebuilt when the programmed couplers differ), unembed, aggregate;
+        ``None`` when the problems stop sharing one structure on the way."""
+        embedded = embed_on_plan(logical, entry.embedding, entry.plan,
+                                 parameters.chain_strength,
+                                 parameters.extended_range)
+        if embedded is None:
+            return None
+        plan, problems, sampler = embedded.plan, embedded.problems, None
+        if entry.sampler is not None:
+            try:
+                entry.sampler.refresh_values(problems)
+                sampler = entry.sampler
+            except AnnealerError:  # couplers cancelled: another structure
+                pass
+        if sampler is None:
+            sampler = entry.sampler = BlockDiagonalSampler(
+                problems, clusters=plan.clusters, rng=rng, threads=threads)
+        # The sampler holds the programmed pack; every ICE batch perturbs
+        # it afresh inside the one anneal call.
+        physical = sampler.anneal(temperatures, parameters.num_anneals, rngs,
+                                  ice=self.ice,
+                                  ice_batch_size=self.ice_batch_size)
+        logical_spins, broken = unembed_pack(plan, physical, rngs)
+        solutions = (aggregate_pack(logical, logical_spins)
+                     if entry.plan is None else
+                     aggregate_over(logical, logical_spins,
+                                    entry.plan.template))
+        return self._results(solutions, broken.tolist(), parameters,
+                             entry.factor)
+
+    def _checkout(self, key: Tuple) -> Optional["_Structure"]:
+        """The kept entry of *key*, out of the LRU until :meth:`_checkin`;
+        ``None`` on a miss or without a cache."""
         if not self.sampler_cache_size:
             return None
         # pop, not get: the caller owns the entry until reinsertion.
-        sampler = self._sampler_cache.pop(key, None)
-        if sampler is not None:
+        entry = self._structures.pop(key, None)
+        if entry is not None:
             self._sampler_cache_hits += 1
         else:
             self._sampler_cache_misses += 1
-        return sampler
+        return entry
 
-    def _checkin(self, key: Tuple, sampler: BlockDiagonalSampler) -> None:
+    def _checkin(self, key: Tuple, entry: "_Structure") -> None:
         if self.sampler_cache_size:
-            self._sampler_cache[key] = sampler
-            while len(self._sampler_cache) > self.sampler_cache_size:
-                self._sampler_cache.popitem(last=False)
+            self._structures[key] = entry
+            while len(self._structures) > self.sampler_cache_size:
+                self._structures.popitem(last=False)
 
-    def _results(self, solutions: List[SolverResult], broken: List[float],
+    @staticmethod
+    def _results(solutions: List[SolverResult], broken: List[float],
                  parameters: AnnealerParameters,
-                 num_logical: int) -> List[AnnealResult]:
-        factor = self._parallelization.get(num_logical)
-        if factor is None:  # once per variable count: the chip is fixed
-            factor = self._parallelization[num_logical] = parallelization_factor(
-                num_logical, total_qubits=self.num_qubits,
-                shore_size=self.topology.shore_size)
+                 factor: float) -> List[AnnealResult]:
         return [AnnealResult(solutions_b, parameters, factor, broken_b)
                 for solutions_b, broken_b in zip(solutions, broken)]
 
@@ -461,3 +477,31 @@ class QuantumAnnealerSimulator:
         return (f"QuantumAnnealerSimulator(qubits={self.num_qubits}, "
                 f"sweeps_per_us={self.sweeps_per_us}, "
                 f"ice_enabled={self.ice.enabled})")
+
+
+class _Structure:
+    """What one coupling structure on one embedding determines: an entry of
+    a machine's warm LRU (:meth:`QuantumAnnealerSimulator._checkout`).
+
+    The *embedding* (held: one not the chip's keys its entry by id), its
+    :class:`~repro.annealer.embedded.EmbeddingPlan` over the logical keys
+    (``None`` when the embedding cannot realise them) and that plan's
+    logical CSR template, the parallelization *factor* ``P_f`` of the
+    variable count, the *sampler* the first pack builds (with its prepared
+    batch calls, one per pack size) and the *settings* of the parameters
+    object last served: ``(parameters, machine rates, temperature profile,
+    compile settings)``.
+    """
+
+    def __init__(self, embedding: Embedding, num_logical: int, keys: tuple,
+                 factor: float, settings: Optional[tuple]):
+        self.embedding = embedding
+        try:
+            self.plan: Optional[EmbeddingPlan] = EmbeddingPlan(
+                embedding, num_logical, keys)
+        except EmbeddingError:
+            self.plan = None  # embed_on_plan decides: it raises, or needs
+            # no coupler once a lone problem's coupling underflows
+        self.factor = factor
+        self.sampler: Optional[BlockDiagonalSampler] = None
+        self.settings = settings

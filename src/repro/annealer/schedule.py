@@ -15,7 +15,6 @@ is the mechanism the paper exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -85,41 +84,28 @@ class AnnealSchedule:
             Sweeps per microsecond during the pause; defaults to the ramp
             value.
 
-        The result is memoised per argument combination and read-only:
-        every caller gets the same array, so copy it before editing.
+        The result is read-only and contiguous float64, so a sampler that
+        has validated it can recognise it by identity: a machine builds it
+        once per parameters object and keeps it with the structures it
+        serves.
         """
-        return _temperature_profile(self, sweeps_per_us, hot, cold,
-                                    pause_sweeps_per_us)
-
-
-@lru_cache(maxsize=64)
-def _temperature_profile(schedule: AnnealSchedule, sweeps_per_us: float,
-                         hot: float, cold: float,
-                         pause_sweeps_per_us: Optional[float]) -> np.ndarray:
-    """The profile of one (schedule, rates, end points) combination.
-
-    A serving machine asks for the same profile on every pack, so it is
-    built once and shared: the array is read-only (every caller gets the
-    same object) and contiguous float64, which lets a sampler recognise a
-    profile it has already validated by identity.
-    """
-    check_positive("sweeps_per_us", sweeps_per_us)
-    hot = check_positive("hot", hot)
-    cold = check_positive("cold", cold)
-    if cold > hot:
-        raise AnnealerError(f"cold ({cold}) must not exceed hot ({hot})")
-    ramp_sweeps = max(2, int(round(sweeps_per_us * schedule.anneal_time_us)))
-    positions = np.linspace(0.0, 1.0, ramp_sweeps)
-    profile = hot * (cold / hot) ** positions
-    if schedule.has_pause:
-        pause_rate = (sweeps_per_us if pause_sweeps_per_us is None
-                      else check_positive("pause_sweeps_per_us",
-                                          pause_sweeps_per_us))
-        pause_sweeps = max(1, int(round(pause_rate * schedule.pause_time_us)))
-        pause_temperature = hot * (cold / hot) ** schedule.pause_position
-        insert_at = int(np.searchsorted(positions, schedule.pause_position))
-        pause = np.full(pause_sweeps, pause_temperature)
-        profile = np.concatenate([profile[:insert_at], pause,
-                                  profile[insert_at:]])
-    profile.setflags(write=False)
-    return profile
+        check_positive("sweeps_per_us", sweeps_per_us)
+        hot = check_positive("hot", hot)
+        cold = check_positive("cold", cold)
+        if cold > hot:
+            raise AnnealerError(f"cold ({cold}) must not exceed hot ({hot})")
+        ramp_sweeps = max(2, int(round(sweeps_per_us * self.anneal_time_us)))
+        positions = np.linspace(0.0, 1.0, ramp_sweeps)
+        profile = hot * (cold / hot) ** positions
+        if self.has_pause:
+            pause_rate = (sweeps_per_us if pause_sweeps_per_us is None
+                          else check_positive("pause_sweeps_per_us",
+                                              pause_sweeps_per_us))
+            pause_sweeps = max(1, int(round(pause_rate * self.pause_time_us)))
+            pause_temperature = hot * (cold / hot) ** self.pause_position
+            insert_at = int(np.searchsorted(positions, self.pause_position))
+            pause = np.full(pause_sweeps, pause_temperature)
+            profile = np.concatenate([profile[:insert_at], pause,
+                                      profile[insert_at:]])
+        profile.setflags(write=False)
+        return profile

@@ -35,7 +35,7 @@ from repro.ising.model import IsingPack, spins_to_bits
 from repro.mimo.system import ChannelUse
 from repro.transform.qubo_builder import ml_metric_of_symbols
 from repro.transform.reduction import MLToIsingReducer, ReducedProblem
-from repro.transform.symbols import get_transform
+from repro.transform.symbols import QuamaxTransform, get_transform
 from repro.utils.random import RandomState, child_rngs, ensure_rng
 
 
@@ -56,46 +56,18 @@ class QuAMaxDetectionResult:
     run: AnnealResult
 
 
-#: Per modulation, the exact ``T(q)`` symbol and Gray bits of each user code
-#: ``sum_k q_k 2^k`` (``q @ weights + offset``, ``b ^ (b >> 1)`` per group).
-_CODE_TABLES: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _code_tables(name: str) -> Tuple[np.ndarray, np.ndarray]:
-    tables = _CODE_TABLES.get(name)
-    if tables is None:
-        transform = get_transform(name)
-        width = transform.bits_per_symbol
-        codes = np.arange(1 << width)
-        bits = ((codes[:, None] >> np.arange(width)) & 1).astype(np.uint8)
-        # Natural binary to Gray per axis group: g = b ^ (b >> 1).
-        axes = bits.reshape(codes.size, -1, max(width // 2, 1))
-        gray = axes.copy()
-        gray[..., 1:] ^= axes[..., :-1]
-        tables = _CODE_TABLES[name] = (
-            bits @ np.asarray(transform.weights) + transform.offset,
-            gray.reshape(bits.shape))
-    return tables
-
-
-#: ``(modulation, int8 best read bytes) -> (symbols, Gray bits)`` of one-job
-#: packs of at most ``_READ_TABLE_VARIABLES`` spins: a table of that small
-#: read space, filled as reads occur — one lookup, not the array passes.
-_READS: Dict[Tuple[str, bytes], Tuple[np.ndarray, np.ndarray]] = {}
-_READ_TABLE_VARIABLES = 12
-
-
-def _decode_reads(name: str, best: np.ndarray
+def _decode_reads(transform: QuamaxTransform, best: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """The ``(jobs, users)`` symbols and ``(jobs, bits)`` Gray bits of the
     ``(jobs, variables)`` *best* reads of one modulation: one spin-to-bit
     conversion, then one lookup each in its code tables."""
-    symbol_of, gray_of = _code_tables(name)
+    gray_of = transform.gray_of_code
     quamax_bits = spins_to_bits(best)
     # One code per user, its bits little-endian: a row of both tables.
     codes = np.packbits(quamax_bits.reshape(len(best), -1, gray_of.shape[1]),
                         axis=2, bitorder="little")[..., 0]
-    return symbol_of[codes], gray_of[codes].reshape(quamax_bits.shape)
+    return (transform.symbol_of_code.take(codes),
+            gray_of.take(codes, axis=0).reshape(quamax_bits.shape))
 
 
 class QuAMaxDecoder(Detector):
@@ -236,23 +208,13 @@ class QuAMaxDecoder(Detector):
                        ) -> List[QuAMaxDetectionResult]:
         """:meth:`ReducedProblem.decode_spins` for the best read of every run
         of one QA job — the rows of one reduced pack, hence one
-        constellation and user count: :func:`_decode_reads` once, or for a
-        small one-job pack one lookup of its best read in ``_READS``.  The ML
+        constellation and user count: :func:`_decode_reads` once.  The ML
         metric stays per job: the floating-point order of its matvec and
         ``vdot`` *is* its value.
         """
-        name = reduced[0].constellation.name
-        best = runs[0].solutions.samples[0]
-        if len(runs) == 1 and best.size <= _READ_TABLE_VARIABLES:
-            decoded = _READS.get((name, best.tobytes()))
-            if decoded is None:
-                if len(_READS) >= 4096:
-                    _READS.clear()
-                decoded = _READS[name, best.tobytes()] = _decode_reads(
-                    name, best[None])
-            symbols, bits = decoded[0].copy(), decoded[1].copy()
-        else:
-            symbols, bits = _decode_reads(name, np.array(
+        symbols, bits = _decode_reads(
+            get_transform(reduced[0].constellation),
+            runs[0].solutions.samples[:1] if len(runs) == 1 else np.array(
                 [run.solutions.samples[0] for run in runs]))
         results = []
         for problem, run, symbols_b, bits_b in zip(reduced, runs, symbols,

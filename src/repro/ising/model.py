@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import (TYPE_CHECKING, Dict, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -39,16 +40,6 @@ class CsrTemplate(NamedTuple):
     edges: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    #: Addresses of ``edges``, ``indices`` and ``indptr`` (``int64``, kept
-    #: alive by this template), as a pack's read-out
-    #: (:class:`repro.annealer.backends.PackReadOut`) hands them to C: taken
-    #: once per structure, not once per pack.
-    addresses: Tuple[int, int, int]
-
-
-#: Cached CSR sparsity templates (:func:`symmetric_csr_template`),
-#: keyed by ``(num_variables, coupling keys)``; bounded, cleared when full.
-_OPERATOR_TEMPLATES: Dict[tuple, CsrTemplate] = {}
 
 
 def spins_to_bits(spins) -> np.ndarray:
@@ -94,7 +85,7 @@ def _normalise_couplings(num_variables: int,
 
 def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
                            ) -> CsrTemplate:
-    """``(edges, indices, indptr, addresses)`` of the symmetric CSR over *keys*.
+    """``(edges, indices, indptr)`` of the symmetric CSR over *keys*.
 
     Direct canonical-CSR assembly: couplings are duplicate-free, so
     lexsorting the doubled ``(row, col)`` entry list yields exactly the
@@ -103,25 +94,18 @@ def symmetric_csr_template(num_variables: int, keys: Tuple[Coupling, ...]
     holds — the matrix data of a value vector ``v`` is the single gather
     ``v[edges]``, minus scipy's per-call COO construction and
     canonicalisation overhead.  The template is a pure function of the key
-    tuple, which the serving path repeats per job, so it is cached.
+    tuple: the serving path keeps the ones it reuses with what it serves
+    (an :class:`~repro.annealer.embedded.EmbeddingPlan`, a sampler).
     """
-    cache_key = (num_variables, keys)
-    template = _OPERATOR_TEMPLATES.get(cache_key)
-    if template is None:
-        pairs = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((cols, rows))
-        indices = np.ascontiguousarray(cols[order])
-        indptr = np.zeros(num_variables + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_variables), out=indptr[1:])
-        edges = order % max(len(keys), 1)
-        template = CsrTemplate(edges, indices, indptr, tuple(
-            part.ctypes.data for part in (edges, indices, indptr)))
-        if len(_OPERATOR_TEMPLATES) > 512:
-            _OPERATOR_TEMPLATES.clear()
-        _OPERATOR_TEMPLATES[cache_key] = template
-    return template
+    pairs = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                        count=2 * len(keys)).reshape(len(keys), 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((cols, rows))
+    indices = np.ascontiguousarray(cols[order])
+    indptr = np.zeros(num_variables + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_variables), out=indptr[1:])
+    return CsrTemplate(order % max(len(keys), 1), indices, indptr)
 
 
 def product_energies(spins: np.ndarray, product: np.ndarray,
@@ -422,12 +406,6 @@ class IsingPack(SequenceABC):
                 self.num_variables, self.linear[index], self.keys,
                 self.values[index], float(self.offsets[index]))
         return model
-
-    def operator_data(self) -> np.ndarray:
-        """Row *b*: the ``.data`` of problem *b*'s
-        :meth:`~IsingModel.coupling_operator` (all share its structure)."""
-        template = symmetric_csr_template(self.num_variables, self.keys)
-        return self.values[:, template.edges]
 
     @classmethod
     def stack(cls, isings: Sequence[IsingModel],

@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.ising.model import (IsingModel, IsingPack, product_energies,
-                               spins_to_bits, symmetric_csr_template)
+from repro.ising.model import (CsrTemplate, IsingModel, IsingPack,
+                               product_energies, spins_to_bits,
+                               symmetric_csr_template)
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range, check_positive
 
@@ -185,9 +186,6 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
     byte.  Energies stay per problem, their floating-point order defining
     them: :func:`_solutions`.
     """
-    # Imported lazily: repro.annealer imports this module for SolverResult.
-    from repro.annealer import backends
-
     problems = IsingPack.stack(isings)
     raw_samples = np.asarray(raw_samples, dtype=np.int8)
     if problems is None or raw_samples.shape[:1] + raw_samples.shape[2:] != (
@@ -195,19 +193,34 @@ def aggregate_pack(isings: Sequence[IsingModel], raw_samples: np.ndarray
         raise ConfigurationError(
             "aggregate_pack needs same-structure problems and "
             "(problems x reads x variables) samples")
+    return aggregate_over(problems, raw_samples, symmetric_csr_template(
+        problems.num_variables, problems.keys))
+
+
+def aggregate_over(problems: IsingPack, raw_samples: np.ndarray,
+                   template: CsrTemplate) -> List[SolverResult]:
+    """:func:`aggregate_pack` of an :class:`IsingPack` and its ``int8``
+    ``(problems, reads, variables)`` samples over *template*, the
+    symmetric CSR structure of its keys (a machine keeps it with the
+    structure it serves)."""
+    # Imported lazily: repro.annealer imports this module for SolverResult.
+    from repro.annealer import backends
+
     if (backends.cext_available() and raw_samples.size
             and problems.num_variables < 64):
-        out = backends.read_out(
-            symmetric_csr_template(problems.num_variables, problems.keys),
-            raw_samples, problems.values)
+        out = backends.read_out(template, raw_samples, problems.values)
         if out is not None:  # None: a read that is not all spins
             return read_out_solutions(problems, out)
+    from scipy import sparse
+
     distinct, counts, bounds = _distinct_pack(raw_samples)
     spins = distinct.astype(float)
-    operator = problems[0].coupling_operator()  # scratch: data rebound
+    size = problems.num_variables
+    operator = sparse.csr_matrix((size, size))  # scratch: data rebound
+    operator.indices, operator.indptr = template.indices, template.indptr
     products = []
-    for values, lo, hi in zip(problems.operator_data(), bounds[:-1].tolist(),
-                              bounds[1:].tolist()):
+    for values, lo, hi in zip(problems.values[:, template.edges],
+                              bounds[:-1].tolist(), bounds[1:].tolist()):
         operator.data = values
         products.append(operator @ spins[lo:hi].T)
     return _solutions(problems, distinct, spins, counts, bounds, products)

@@ -26,7 +26,7 @@ brute-force reduction is enforced by the test suite.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -42,44 +42,30 @@ def spin_weights(constellation, num_users: int) -> np.ndarray:
     return np.tile(per_user, num_users)
 
 
-#: Per-structure constants of :func:`build_ml_ising_pack`, rebuilt
-#: identically on every call before: ``(transform name, users) -> (conj of
-#: the weights, user_of, |weights|^2, diagonal gather, per pair conj(m_i),
-#: m_j and gram gather, upper-triangle pairs, their all-pairs key tuple)``
-#: — the gathers index the flattened ``N_t * N_t`` gram matrix.
-_STRUCTURE_CACHE: Dict[Tuple[str, int], tuple] = {}
-#: ``(variables, nonzero mask bytes) -> key tuple``: problems of one
-#: sparsity pattern share one key tuple object.
-_KEYS_CACHE: Dict[Tuple[int, bytes], Tuple[Tuple[int, int], ...]] = {}
+class MLIsingStructure:
+    """What the closed form of one modulation and user count reads besides
+    ``H`` and ``y``: the conj of the weights, ``user_of``, ``|weights|^2``,
+    the diagonal gather, per upper-triangle pair ``conj(m_i)``, ``m_j`` and
+    its gram gather — the gathers index the flattened ``N_t * N_t`` gram
+    matrix — the pairs and their all-pairs key tuple.  A reducer keeps one
+    per structure (:class:`~repro.transform.reduction.MLToIsingReducer`)
+    and hands it to :func:`build_ml_ising_pack`.
+    """
 
-
-def _structure(transform, num_users: int) -> tuple:
-    key = (transform.name, num_users)
-    structure = _STRUCTURE_CACHE.get(key)
-    if structure is None:
+    def __init__(self, constellation, num_users: int):
+        transform = get_transform(constellation)
         weights = spin_weights(transform.name, num_users)
         user_of = np.repeat(np.arange(num_users), transform.bits_per_symbol)
         upper_i, upper_j = np.triu_indices(weights.size, k=1)
-        structure = (np.conj(weights), user_of, np.abs(weights) ** 2,
-                     user_of * (num_users + 1), np.conj(weights)[upper_i],
-                     weights[upper_j],
-                     user_of[upper_i] * num_users + user_of[upper_j],
-                     (upper_i, upper_j),
-                     _pair_keys(upper_i, upper_j, np.ones(upper_i.size, bool)))
-        _STRUCTURE_CACHE[key] = structure
-    return structure
-
-
-def _pair_keys(upper_i: np.ndarray, upper_j: np.ndarray,
-               nonzero: np.ndarray) -> Tuple[Tuple[int, int], ...]:
-    cache_key = (upper_i.size, nonzero.tobytes())
-    keys = _KEYS_CACHE.get(cache_key)
-    if keys is None:
-        keys = tuple(zip(upper_i[nonzero].tolist(), upper_j[nonzero].tolist()))
-        if len(_KEYS_CACHE) > 512:
-            _KEYS_CACHE.clear()
-        _KEYS_CACHE[cache_key] = keys
-    return keys
+        self.conj_weights = np.conj(weights)
+        self.user_of = user_of
+        self.weight_power = np.abs(weights) ** 2
+        self.diagonal = user_of * (num_users + 1)
+        self.pair_left = self.conj_weights[upper_i]
+        self.pair_right = weights[upper_j]
+        self.pair_gram = user_of[upper_i] * num_users + user_of[upper_j]
+        self.upper = (upper_i, upper_j)
+        self.keys = tuple(zip(upper_i.tolist(), upper_j.tolist()))
 
 
 def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
@@ -88,10 +74,11 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
 
     *channels* is the ``(jobs, N_r, N_t)`` complex stack of channel matrices
     and *received* the ``(jobs, N_r)`` stack of received vectors, all of one
-    *constellation*.  Returns ``(rows, pack)`` pairs: *pack* holds the
-    problems of the jobs *rows* (ascending), which share one pattern of
-    exact-zero couplings and hence one key tuple — a single pair in all but
-    degenerate cases.
+    *constellation* (an instance, a name, or the kept
+    :class:`MLIsingStructure` of it and ``N_t`` users).  Returns ``(rows,
+    pack)`` pairs: *pack* holds the problems of the jobs *rows*
+    (ascending), which share one pattern of exact-zero couplings and hence
+    one key tuple — a single pair in all but degenerate cases.
 
     Every coefficient is the identical chain of scalar complex products (in
     the same association order) as the historical per-pair loops, and a
@@ -101,19 +88,19 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     ``m * conj(x)`` have the same real part to the bit: the same two
     products, negated alike.)
     """
-    transform = get_transform(constellation)
     jobs, _, num_users = channels.shape
-    (conj_weights, user_of, weight_power, diagonal, pair_left, pair_right,
-     pair_gram, (upper_i, upper_j), all_keys) = _structure(transform,
-                                                           num_users)
+    structure = (constellation if isinstance(constellation, MLIsingStructure)
+                 else MLIsingStructure(constellation, num_users))
+    user_of = structure.user_of
     hermitian = channels.conj().transpose(0, 2, 1)
     matched_filter = (hermitian @ received[:, :, None])[:, :, 0]  # H^H y
     gram = (hermitian @ channels).reshape(jobs, -1)               # H^H H
 
-    linear = -2.0 * (conj_weights
+    linear = -2.0 * (structure.conj_weights
                      * matched_filter.take(user_of, axis=1)).real
-    pair_values = 2.0 * ((pair_left * gram.take(pair_gram, axis=1))
-                         * pair_right).real
+    pair_values = 2.0 * ((structure.pair_left
+                          * gram.take(structure.pair_gram, axis=1))
+                         * structure.pair_right).real
 
     # ||y||^2 per job (a BLAS dot: its order is its value), then the
     # diagonal terms added left to right — the historical summation order,
@@ -121,19 +108,22 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     # without its array set-up for a pack of a few jobs).
     offsets = []
     for vector, terms in zip(received, (
-            weight_power * gram.real.take(diagonal, axis=1)).tolist()):
+            structure.weight_power
+            * gram.real.take(structure.diagonal, axis=1)).tolist()):
         total = float(np.vdot(vector, vector).real)
         for term in terms:
             total += term
         offsets.append(total)
     offsets = np.array(offsets)
 
-    # Handed over as arrays: no per-job dict, and problems of one sparsity
-    # pattern share one key tuple (structure identity for the layers below).
+    # Handed over as arrays: no per-job dict, and the problems of one
+    # sparsity pattern share one key tuple (structure identity for the
+    # layers below).
     if np.count_nonzero(pair_values) == pair_values.size:
         return [(np.arange(jobs), IsingPack(
-            user_of.size, all_keys, linear, pair_values, offsets))]
+            user_of.size, structure.keys, linear, pair_values, offsets))]
     nonzero = pair_values != 0.0
+    upper_i, upper_j = structure.upper
     packs = []
     remaining = np.arange(jobs)
     while remaining.size:
@@ -141,8 +131,10 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
         same = (nonzero[remaining] == kept).all(axis=1)
         rows = remaining[same]
         packs.append((rows, IsingPack(
-            user_of.size, _pair_keys(upper_i, upper_j, kept), linear[rows],
-            np.compress(kept, pair_values[rows], axis=1), offsets[rows])))
+            user_of.size,
+            tuple(zip(upper_i[kept].tolist(), upper_j[kept].tolist())),
+            linear[rows], np.compress(kept, pair_values[rows], axis=1),
+            offsets[rows])))
         remaining = remaining[~same]
     return packs
 

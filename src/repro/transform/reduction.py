@@ -31,7 +31,7 @@ from repro.ising.model import (
 )
 from repro.mimo.system import ChannelUse
 from repro.modulation.constellation import Constellation
-from repro.transform.ising_coeffs import build_ml_ising_pack
+from repro.transform.ising_coeffs import MLIsingStructure, build_ml_ising_pack
 from repro.transform.posttranslate import gray_to_quamax_bits, quamax_to_gray_bits
 from repro.transform.qubo_builder import (
     build_ml_qubo,
@@ -163,7 +163,15 @@ class ReducedProblem:
 
 
 class MLToIsingReducer:
-    """Builds :class:`ReducedProblem` instances from MIMO channel uses."""
+    """Builds :class:`ReducedProblem` instances from MIMO channel uses.
+
+    Keeps one :class:`~repro.transform.ising_coeffs.MLIsingStructure` per
+    (modulation, user count) it has reduced: a handful per receiver, never
+    evicted.
+    """
+
+    def __init__(self) -> None:
+        self._structures: Dict[Tuple[str, int], MLIsingStructure] = {}
 
     def reduce_pack(self, channel_uses: Sequence[ChannelUse]
                     ) -> List[ReducedProblem]:
@@ -180,13 +188,22 @@ class MLToIsingReducer:
             stacks.setdefault((channel_use.constellation.name,
                                channel_use.channel.shape), []).append(index)
         reduced: List[ReducedProblem] = [None] * len(channel_uses)
-        for members in stacks.values():
+        for (name, shape), members in stacks.items():
+            structure = self._structures.get((name, shape[1]))
+            if structure is None:
+                structure = MLIsingStructure(name, shape[1])
+                # Equal key tuples stay one object: the layers below key
+                # on the tuple, and an identical one compares at once.
+                # (A tuple of the values: worker threads share a reducer.)
+                structure.keys = next(
+                    (other.keys for other in tuple(self._structures.values())
+                     if other.keys == structure.keys), structure.keys)
+                self._structures[name, shape[1]] = structure
             for rows, pack in build_ml_ising_pack(
                     np.array([channel_uses[index].channel
                               for index in members]),
                     np.array([channel_uses[index].received
-                              for index in members]),
-                    channel_uses[members[0]].constellation):
+                              for index in members]), structure):
                 for row, member in enumerate(rows.tolist()):
                     channel_use = channel_uses[members[member]]
                     reduced[members[member]] = ReducedProblem(

@@ -17,7 +17,7 @@ closed-form Ising coefficient formulas consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
@@ -44,6 +44,22 @@ class QuamaxTransform:
     name: str
     weights: Tuple[complex, ...]
     offset: complex
+    #: The exact ``T(q)`` symbol and the Gray bits of each user code
+    #: ``sum_k q_k 2^k`` (``q @ weights + offset``; ``b ^ (b >> 1)`` per
+    #: axis group): a decode is one lookup per user in each.
+    symbol_of_code: np.ndarray = field(init=False, repr=False, compare=False)
+    gray_of_code: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        width = len(self.weights)
+        codes = np.arange(1 << width)
+        bits = ((codes[:, None] >> np.arange(width)) & 1).astype(np.uint8)
+        axes = bits.reshape(codes.size, -1, max(width // 2, 1))
+        gray = axes.copy()
+        gray[..., 1:] ^= axes[..., :-1]
+        object.__setattr__(self, "symbol_of_code",
+                           bits @ np.asarray(self.weights) + self.offset)
+        object.__setattr__(self, "gray_of_code", gray.reshape(bits.shape))
 
     @property
     def bits_per_symbol(self) -> int:

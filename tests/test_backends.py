@@ -632,7 +632,8 @@ class TestCextCompileCache:
             decoder = QuAMaxDecoder(machine,
                                     AnnealerParameters(num_anneals=10))
             results = decoder.detect_batch(uses, random_state=3)
-            sampler, = machine._sampler_cache.values()
+            entry, = machine._structures.values()
+            sampler = entry.sampler
             return sampler.selected_backend, [result.detection.bits
                                               for result in results]
 

@@ -172,8 +172,8 @@ class TestLaneLayout:
 
     @pytest.mark.parametrize("rng_mode, threads", [
         ("sequential", 1), ("counter", 1), ("counter", 4)])
-    def test_kernel_writes_only_the_callers_spins(self, rng_mode, threads,
-                                                  on_numpy):
+    def test_kernel_writes_only_the_callers_spins(self, monkeypatch, rng_mode,
+                                                  threads, on_numpy):
         """Canary: thirteen replicas leave three pad lanes, in one lane group
         of sixteen or — four threads on the one block — in the last of four
         groups, each thread sweeping in its own slice of the lane scratch.
@@ -191,7 +191,8 @@ class TestLaneLayout:
         assert lanes == (16 if threads == 1 else 4)
         scratch = np.full(used + 64, 12345.0)
         sampler._kernel_workspace["lanes"] = (scratch, backends._ptr(scratch))
-        view, frame, border = framed_batch_spins(sampler, replicas)
+        view, frame, border = framed_batch_spins(monkeypatch, sampler,
+                                                 replicas)
 
         samples = sampler.anneal(TEMPERATURES, replicas,
                                  random_state=np.random.default_rng(13))

@@ -184,21 +184,16 @@ class TestPackAssembly:
 
     @pytest.mark.parametrize("constellation,num_users", [
         ("QPSK", 3), ("16-QAM", 3), ("BPSK", 13)])
-    def test_a_looked_up_read_is_the_oracles_and_its_own(
-            self, noisy_machine, monkeypatch, constellation, num_users):
-        """A one-job pack of at most 12 spins decodes its best read once
-        and looks it up after (13 BPSK users never enter the table): the
-        second decode of a job equals the per-job oracle too, and owns its
-        arrays."""
-        import repro.decoder.quamax as quamax
-
-        monkeypatch.setattr(quamax, "_READS", {})
+    def test_a_redecoded_read_is_the_oracles_and_its_own(
+            self, noisy_machine, constellation, num_users):
+        """A one-job pack decoded twice from the same stream — its best read
+        looked up in the modulation's code tables both times — equals the
+        per-job oracle each time, and the second decode owns its arrays."""
         decoder = QuAMaxDecoder(noisy_machine,
                                 AnnealerParameters(num_anneals=50))
         use, = transmissions(constellation, num_users, 1, seed=42)
         first, second = (decoder.detect_with_run(use, random_state=43)
                          for _ in range(2))
-        assert len(quamax._READS) == (num_users < 13)
         for outcome in (first, second):
             assert_detection_identical(outcome.detection,
                                        oracle_detection(outcome))

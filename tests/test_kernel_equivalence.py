@@ -475,8 +475,8 @@ class TestLaneEdges:
     @pytest.mark.parametrize("temperature", [5.0, 0.02], ids=["hot", "cold"])
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     def test_lane_layouts_match_the_reference_loops(
-            self, replicas, layout, with_clusters, temperature, rng_mode,
-            on_numpy):
+            self, monkeypatch, replicas, layout, with_clusters, temperature,
+            rng_mode, on_numpy):
         blocks = 3 if layout == "three-blocks" else 1
         problems, clusters = chain_pack(blocks, self.SIZE, 100)
         if not with_clusters:
@@ -497,7 +497,8 @@ class TestLaneEdges:
             # The batch call's spins as an interior view of a larger
             # matrix: the row stride exceeds the width, and the NaN border
             # shows any write that strays outside the view.
-            view, frame, border = framed_batch_spins(sampler, replicas)
+            view, frame, border = framed_batch_spins(monkeypatch, sampler,
+                                                     replicas)
         actual = sampler.anneal(temperatures, replicas, rngs)
         if layout == "strided":
             assert np.isnan(frame[border]).all()

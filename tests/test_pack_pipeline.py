@@ -42,8 +42,9 @@ except ImportError:
 
 from repro.annealer import backends
 from repro.annealer.chimera import ChimeraGraph
-from repro.annealer.embedded import (EmbeddedIsing, compile_settings,
-                                     embed_ising, embed_pack, embedding_plan)
+from repro.annealer.embedded import (EmbeddedIsing, EmbeddingPlan,
+                                     compile_settings, embed_ising,
+                                     embed_pack)
 from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder
 from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
 from repro.annealer.ice import ICEModel
@@ -293,7 +294,7 @@ def serve(problems, embedding, *, chain_strength, extended_range):
     sweeps): the sampler's bound ``(fields, couplers)``, or ``None`` when
     the call refused the pack (a coupling that scales to ``0.0``)."""
     logical = IsingPack.stack(problems)
-    plan = embedding_plan(embedding, logical.num_variables, logical.keys)
+    plan = EmbeddingPlan(embedding, logical.num_variables, logical.keys)
     blocks, size = len(logical), plan.num_physical
     sampler = BlockDiagonalSampler(
         IsingPack(size, plan.physical_keys, np.zeros((blocks, size)),
@@ -314,12 +315,11 @@ def assert_served_programming_equals(packed, problems, embedding, **options):
     the NumPy passes do (*packed*, ``embed_pack``'s), byte for byte — and
     refuses it where they drop a coupling that scaled to ``0.0``."""
     logical = IsingPack.stack(problems)
-    if (not backends.cext_available() or logical is None
-            or not embedding_plan(embedding, logical.num_variables,
-                                  logical.keys).direct):
+    plan = None if logical is None else EmbeddingPlan(
+        embedding, logical.num_variables, logical.keys)
+    if not backends.cext_available() or plan is None or not plan.direct:
         return
     served = serve(problems, embedding, **options)
-    plan = embedding_plan(embedding, logical.num_variables, logical.keys)
     if packed is None or packed.problems.keys != plan.physical_keys:
         assert served is None
         return
@@ -639,10 +639,10 @@ class TestUnembedStage:
             assert type(fraction) is float
             assert fraction == broken[b]
 
-    def test_a_copied_plan_takes_its_own_addresses(self):
-        """A plan pickled to or from a process worker, or deep-copied out
-        of shared memory, holds arrays of its own: the addresses it hands
-        the C calls are theirs, and it votes as the original does."""
+    def test_a_copied_plan_votes_as_the_original(self):
+        """A plan pickled to or from a process worker, or deep-copied,
+        holds arrays of its own — the C calls take their addresses when a
+        read-out is built over it — and votes as the original does."""
         packed = embed_pack(qpsk_pack(3, num_users=2), clique_embedding(4),
                             chain_strength=4.0)
         plan = packed.plan
@@ -651,11 +651,10 @@ class TestUnembedStage:
         expected, broken = unembed_pack(
             plan, spins, [np.random.default_rng(b) for b in range(3)])
         for copied in (pickle.loads(pickle.dumps(plan)), deepcopy(plan)):
-            arrays = (copied.logical_index, copied.chain_lengths,
-                      copied.chain_members, copied.chain_bounds)
-            assert copied.addresses == tuple(
-                array.ctypes.data for array in arrays)
-            assert set(copied.addresses).isdisjoint(plan.addresses)
+            for name in ("logical_index", "chain_lengths", "chain_members",
+                         "chain_bounds"):
+                assert not np.shares_memory(getattr(copied, name),
+                                            getattr(plan, name))
             logical, copied_broken = unembed_pack(
                 copied, spins, [np.random.default_rng(b) for b in range(3)])
             assert logical.tobytes() == expected.tobytes()
@@ -1302,11 +1301,10 @@ class TestWarmPackWork:
 
         counts = self._count_constructions(monkeypatch, make_problems)
         # Without a compiler the pack's energies go through ONE scipy
-        # operator, built per pack (the sampler cache keeps samplers only)
-        # from its first problem: for a pack of rows, that row's one model.
+        # operator, built per pack over the logical CSR template its
+        # structure's entry keeps: no model, not even a row's.
         numpy_path = not backends.cext_available()
-        assert counts == {"models": int(numpy_path and source != "models"),
-                          "dicts": 0, "embedded": 0,
+        assert counts == {"models": 0, "dicts": 0, "embedded": 0,
                           "sparse": int(numpy_path)}
 
     @needs_cext
@@ -1347,29 +1345,22 @@ class TestWarmPackWork:
         machine = ideal_machine()
         machine.run_batch(qpsk_pack(16), AnnealerParameters(num_anneals=50),
                           random_state=7)
-        sampler, = machine._sampler_cache.values()
+        entry, = machine._structures.values()
+        sampler = entry.sampler
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
     #: Calls into ``src/repro`` of one warm ``decode_pack`` per (jobs, CPUs).
-    PYTHON_CALLS = {(1, 1): 70, (1, 2): 70, (16, 1): 255, (16, 2): 259}
+    PYTHON_CALLS = {(1, 1): 65, (1, 2): 65, (16, 1): 250, (16, 2): 254}
 
-    @needs_cext
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("jobs", [1, 16])
-    def test_python_calls_per_warm_pack(self, monkeypatch, jobs, cpus):
-        """The host glue of a warm pack, counted: every Python function of
-        the package entered (``sys.setprofile`` ``call`` events) while one
-        worker decodes a warm QPSK pack, jobs' generators included.  A
-        per-job helper call, or a layer of glue, moves the pinned count."""
+    @staticmethod
+    def warm_pack_calls(jobs):
+        """The decoder and the ``src/repro`` calls of the second of two
+        ``decode_pack`` calls of *jobs*-job QPSK packs (one structure)."""
         import os
 
         import repro
-        import repro.decoder.quamax as quamax
         from repro.cran.workers import decode_pack
 
-        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
-        # One-job packs look their best read up: start from no reads seen.
-        monkeypatch.setattr(quamax, "_READS", {})
         decoder = QuAMaxDecoder(QuantumAnnealerSimulator(),
                                 AnnealerParameters(num_anneals=50))
         link = MimoUplink(num_users=3, constellation="QPSK")
@@ -1399,7 +1390,31 @@ class TestWarmPackWork:
         finally:
             sys.setprofile(None)
         assert decoder.sampler_cache_info()["hits"] == 1
+        return decoder, calls
+
+    @needs_cext
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 16])
+    def test_python_calls_per_warm_pack(self, monkeypatch, jobs, cpus):
+        """The host glue of a warm pack, counted: every Python function of
+        the package entered (``sys.setprofile`` ``call`` events) while one
+        worker decodes a warm QPSK pack, jobs' generators included.  A
+        per-job helper call, or a layer of glue, moves the pinned count."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+        _, calls = self.warm_pack_calls(jobs)
         assert len(calls) == self.PYTHON_CALLS[jobs, cpus], sorted(calls)
+
+    @needs_cext
+    def test_first_pack_of_a_process_keeps_its_route(self, monkeypatch):
+        """A fresh process reads its usable CPUs while its first pack builds
+        a route: that route is filed under the count it was built for, so
+        the next pack of the structure takes it — one route, and a warm
+        pack's count of calls."""
+        monkeypatch.setattr(backends, "_USABLE_CPUS", None)
+        decoder, calls = self.warm_pack_calls(1)
+        entry, = decoder.annealer._structures.values()
+        assert list(entry.sampler._routes) == [1]
+        assert len(calls) == self.PYTHON_CALLS[1, 1], sorted(calls)
 
     @needs_cext
     def test_counter_pack_values_no_draw_in_python(self, monkeypatch):
@@ -1610,20 +1625,30 @@ class TestWarmPackWork:
         assert counts == {"anneal": 1, "refresh_values": 0}
         assert machine.sampler_cache_info()["hits"] == 3  # one sampler
 
-    def test_temperature_profile_is_built_once(self):
+    def test_temperature_profile_is_built_once(self, monkeypatch):
+        """A machine builds the profile once per parameters object and
+        keeps it with the structure it serves: read-only, contiguous
+        float64, so the sampler checks it once."""
+        profiles = []
+        original = AnnealSchedule.temperature_profile
+        monkeypatch.setattr(
+            AnnealSchedule, "temperature_profile",
+            lambda schedule, **options: profiles.append(
+                original(schedule, **options)) or profiles[-1])
         machine = ideal_machine()
-        schedule = AnnealerParameters().schedule
-        options = dict(sweeps_per_us=machine.sweeps_per_us,
-                       hot=machine.hot_temperature,
-                       cold=machine.cold_temperature)
-        profile = schedule.temperature_profile(**options)
-        assert schedule.temperature_profile(**options) is profile
+        parameters = AnnealerParameters(num_anneals=10)
+        for seed in range(3):
+            machine.run_batch(qpsk_pack(1 + seed), parameters,
+                              random_state=seed)
+        profile, = profiles
         assert not profile.flags.writeable
         assert profile.flags.c_contiguous and profile.dtype == np.float64
-        paused = AnnealSchedule(anneal_time_us=schedule.anneal_time_us,
-                                pause_time_us=1.0, pause_position=0.4
-                                ).temperature_profile(**options)
-        assert paused is not profile and paused.size > profile.size
+        paused = AnnealerParameters(
+            schedule=AnnealSchedule(
+                anneal_time_us=parameters.schedule.anneal_time_us,
+                pause_time_us=1.0, pause_position=0.4), num_anneals=10)
+        machine.run_batch(qpsk_pack(1), paused, random_state=0)
+        assert len(profiles) == 2 and profiles[1].size > profile.size
 
 
 @needs_cext
@@ -1707,3 +1732,69 @@ class TestServedRoute:
                                    sampler_cache_size=1)
         info = machine.sampler_cache_info()
         assert (info["misses"], info["hits"]) == (3, 1)
+
+
+@pytest.mark.usefixtures("artefact")
+class TestWarmStructures:
+    """One home per served structure: a machine keeps what a coupling
+    structure determines — plan, logical CSR template, ``P_f``, profile,
+    sampler and its routes — as one entry of its LRU, which every route
+    (served, NumPy stages, per-problem fallback, ``run``) looks up, and a
+    pickled decoder (what a spawned worker receives) carries it without
+    the pointers."""
+
+    PARAMETERS = AnnealerParameters(num_anneals=30)
+
+    def test_every_route_takes_the_one_entry(self):
+        machine = ideal_machine()
+        pack = qpsk_pack(4)
+        machine.run_batch(pack, self.PARAMETERS, random_state=0)
+        machine.run(pack[0], self.PARAMETERS, random_state=1)
+        # Two structures in one submission: a pack of one each, the first
+        # on the kept entry.
+        sparse = IsingModel(6, pack[1].linear, {
+            key: value for key, value in pack[1].couplings.items()
+            if key != (0, 1)})
+        machine.run_batch([pack[1], sparse], self.PARAMETERS,
+                          random_state=2)
+        info = machine.sampler_cache_info()
+        assert (info["entries"], info["hits"], info["misses"]) == (2, 2, 2)
+        entry = machine._structures[
+            "sequential", 1, True, 6, pack[0].coupling_keys]
+        assert entry.plan.direct and entry.plan.template.indptr.size == 7
+        assert entry.settings[0] is self.PARAMETERS
+        assert entry.sampler.num_blocks == 1
+
+    @staticmethod
+    def packs(seed):
+        rng = np.random.default_rng(seed)
+        qpsk = MimoUplink(num_users=3, constellation="QPSK")
+        qam = MimoUplink(num_users=2, constellation="16-QAM")
+        return [[link.transmit(snr_db=15.0, random_state=rng)
+                 for _ in range(jobs)]
+                for link, jobs in ((qpsk, 16), (qpsk, 1), (qam, 4))]
+
+    def test_a_pickled_warm_decoder_decodes_as_it_and_a_cold_one(self):
+        decoder = QuAMaxDecoder(ideal_machine(), self.PARAMETERS)
+        for seed, uses in enumerate(self.packs(1)):
+            decoder.detect_batch(uses, random_state=seed)
+        clone = pickle.loads(pickle.dumps(decoder))
+        for entry in clone.annealer._structures.values():
+            assert entry.sampler._routes == {}
+            assert entry.sampler._kernel_workspace == {}
+        hits = clone.sampler_cache_info()["hits"]
+        cold = QuAMaxDecoder(ideal_machine(), self.PARAMETERS)
+        for seed, uses in enumerate(self.packs(2)):
+            warm, copied, fresh = (
+                each.detect_batch(uses, random_state=10 + seed)
+                for each in (decoder, clone, cold))
+            for outcomes in zip(warm, copied, fresh):
+                first = outcomes[0]
+                for other in outcomes[1:]:
+                    for name in ("samples", "num_occurrences"):
+                        assert (getattr(other.run.solutions, name).tobytes()
+                                == getattr(first.run.solutions,
+                                           name).tobytes())
+                    assert (other.detection.bits.tobytes()
+                            == first.detection.bits.tobytes())
+        assert clone.sampler_cache_info()["hits"] == hits + 3

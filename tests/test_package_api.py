@@ -152,7 +152,8 @@ jobs = tuple(DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
              for i in range(4))
 pool = WorkerPool(decoder)
 pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
-sampler, = decoder.annealer._sampler_cache.values()
+entry, = decoder.annealer._structures.values()
+sampler = entry.sampler
 print(json.dumps({
     "bits": [done.result.detection.bits.tolist() for done in pool.results()],
     "selected": sampler.selected_backend,
