@@ -33,8 +33,7 @@ import numpy as np
 
 from repro.annealer.embedding import Embedding
 from repro.exceptions import EmbeddingError
-from repro.ising.model import (Coupling, CsrTemplate, IsingModel, IsingPack,
-                               symmetric_csr_template)
+from repro.ising.model import Coupling, IsingModel, IsingPack
 from repro.utils.validation import check_positive
 
 #: Hardware coefficient ranges of the DW2Q (in dimensionless machine units).
@@ -127,12 +126,6 @@ class EmbeddingPlan:
         self.physical_keys: Optional[Tuple[Coupling, ...]] = (
             tuple(self._chain_keys + self._crossing_keys)
             if self.direct else None)
-
-    @cached_property
-    def template(self) -> CsrTemplate:
-        """The logical problems' symmetric CSR structure: what a pack's
-        read-out multiplies its distinct reads through."""
-        return symmetric_csr_template(self.num_logical, self.logical_keys)
 
     @property
     def num_physical(self) -> int:

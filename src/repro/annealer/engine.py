@@ -651,7 +651,8 @@ class BlockDiagonalSampler:
         per pack size, rebuilt in place when anything else it is built from
         differs — the schedule and ICE model (by id: the route holds both
         alive), anneal count, ``ice_batch_size``, the served *program*'s
-        plan and compile settings, and the backend's split settings (usable
+        plan and compile settings (the plan's keys fix the template, which
+        the route holds alive), and the backend's split settings (usable
         CPUs, ``_SPLIT_SPINS``, the bit generator type, shared generators);
         the schedule and counts are checked when it is built.  Returns
         ``(stamp, kept, prepared call, fallback)``, then, serving
@@ -659,7 +660,7 @@ class BlockDiagonalSampler:
         """
         blocks = len(rngs)
         stamp = (id(temperatures), num_replicas, id(ice), batch,
-                 program and program[1:],
+                 program and program[2:],
                  backends._USABLE_CPUS or backends._usable_cpus(),
                  backends._SPLIT_SPINS, type(rngs[0].bit_generator),
                  blocks > 1 and len(
@@ -675,17 +676,18 @@ class BlockDiagonalSampler:
         batch = check_integer_in_range("ice_batch_size", batch, minimum=1)
         width, size, out, tail = len(self._edge_keys), self.block_size, None, ()
         if program:
-            plan = program[1]
+            template, plan = program[1:3]
             bound = IsingPack(size, self._edge_keys, np.empty((blocks, size)),
                               np.empty((blocks, width)), np.zeros(blocks))
             out = backends.PackReadOut(
-                plan.template, np.empty(
+                template, np.empty(
                     (blocks, num_replicas, plan.num_logical), dtype=np.int8),
-                plan, program[2:], bound.linear, bound.values)
+                plan, program[3:], bound.linear, bound.values)
             tail = (bound, np.empty((num_replicas, blocks * size),
                                     dtype=np.int8))
         route = self._routes[blocks] = (
-            stamp, (temperatures, ice), backends.prepare_batches(
+            stamp, (temperatures, ice, program and program[1]),
+            backends.prepare_batches(
                 self._kernel_workspace, (num_replicas, blocks * size), width,
                 (*self._batch_structure, profile), rngs, batch, ice,
                 self.rng_mode, self.threads, out),
@@ -728,11 +730,12 @@ class BlockDiagonalSampler:
             problem.  Without *ice*: the bound values as they are, no zero
             check.  :attr:`last_sweep_work` counts the last batch.
         program:
-            On the C artefact, ``(logical, plan, base scale, coupler range,
-            field range)`` serves a machine pack (*random_states* then
-            generators) that the batch call programs (``embed_pack``'s
-            passes) and reads out: returns its ``PackReadOut``, or
-            ``None``, nothing drawn, when a coupling scales to ``0.0``.
+            On the C artefact, ``(logical, logical CSR template, plan, base
+            scale, coupler range, field range)`` serves a machine pack
+            (*random_states* then generators) that the batch call programs
+            (``embed_pack``'s passes) and reads out: returns its
+            ``PackReadOut``, or ``None``, nothing drawn, when a coupling
+            scales to ``0.0``.
 
         Returns
         -------

@@ -47,11 +47,10 @@ from repro.annealer.unembed import (  # noqa: F401
     unembed_samples,
 )
 from repro.exceptions import AnnealerError, EmbeddingError
-from repro.ising.model import IsingModel, IsingPack
+from repro.ising.model import IsingModel, IsingPack, symmetric_csr_template
 from repro.ising.solver import (  # noqa: F401
     SolverResult,
     aggregate_over,
-    aggregate_pack,
     aggregate_samples,
     read_out_solutions,
 )
@@ -177,11 +176,10 @@ class QuantumAnnealerSimulator:
         calls (least recently used first out), keyed on the structure
         (rng/threads, embedding, variable count, coupling keys), *not* on
         the number of problems.  An entry (:class:`_Structure`) holds all
-        such a structure determines — the embedding plan and its logical
-        CSR template, ``P_f``, the temperature profile and compile settings
-        of the parameters last served, and the block-diagonal sampler with
-        its prepared batch calls — so every pack of one structure, down to
-        the batch-size-1 serving case, rebinds the kept sampler instead of
+        such a structure determines — the embedding plan, the logical CSR
+        template, ``P_f`` and the block-diagonal sampler with its prepared
+        batch calls — so every pack of one structure, down to the
+        batch-size-1 serving case, rebinds the kept sampler instead of
         re-deriving any of it.  Seeded results are bit-identical with the
         cache on, off (``0``) or at any size; the cache only moves setup
         work.
@@ -213,6 +211,10 @@ class QuantumAnnealerSimulator:
         # Checkout LRU (_checkout): a decoder shared by worker threads never
         # has two of them on one entry.
         self._structures: "OrderedDict[Tuple, _Structure]" = OrderedDict()
+        #: ``(parameters, rates, temperature profile, compile settings)`` of
+        #: the parameters object last served: one slot, read and replaced
+        #: whole (worker threads share it), not per structure.
+        self._settings: Optional[tuple] = None
         self._sampler_cache_hits = 0
         self._sampler_cache_misses = 0
 
@@ -330,29 +332,27 @@ class QuantumAnnealerSimulator:
         logical = IsingPack.stack(isings)
         results = None
         if logical is not None:
-            num_logical, chip = logical.num_variables, embedding is None
-            if chip:
+            num_logical = logical.num_variables
+            if embedding is None:
                 embedding = self.embedding_for(num_logical)
-            # Another embedding is keyed by id and held by its entry; one
-            # of a copied machine's entries is another object, and missed.
-            key = (rng, threads, chip or id(embedding), num_logical,
-                   logical.keys)
+            # The chip's embedding keys as True, passed or not; another by
+            # id, held by its entry (a copied machine's is another: missed).
+            key = (rng, threads,
+                   embedding is self._embeddings.get(num_logical)
+                   or id(embedding), num_logical, logical.keys)
             entry = self._checkout(key)
             if entry is None or entry.embedding is not embedding:
-                # It starts from the settings the latest entry served.
-                latest = next(reversed(self._structures.values()), None)
                 entry = _Structure(
                     embedding, num_logical, logical.keys,
                     parallelization_factor(
                         num_logical, total_qubits=self.num_qubits,
-                        shore_size=self.topology.shore_size),
-                    latest and latest.settings)
+                        shore_size=self.topology.shore_size))
             rates = (self.sweeps_per_us, self.hot_temperature,
                      self.cold_temperature)
-            settings = entry.settings
+            settings = self._settings
             if (settings is None or settings[0] is not parameters
                     or settings[1] != rates):
-                settings = entry.settings = (
+                settings = self._settings = (
                     parameters, rates, parameters.schedule.temperature_profile(
                         sweeps_per_us=self.sweeps_per_us,
                         hot=self.hot_temperature, cold=self.cold_temperature),
@@ -399,7 +399,7 @@ class QuantumAnnealerSimulator:
         out = sampler.anneal(
             temperatures, parameters.num_anneals, rngs, ice=self.ice,
             ice_batch_size=self.ice_batch_size,
-            program=(logical, plan, *settings))
+            program=(logical, entry.template, plan, *settings))
         if out is None:
             return None
         broken, ties = out.counts.tolist()
@@ -418,32 +418,36 @@ class QuantumAnnealerSimulator:
         """The pack through the NumPy stages: :func:`embed_pack`'s passes
         on the entry's plan, one anneal call of its sampler (rebound, or
         rebuilt when the programmed couplers differ), unembed, aggregate;
-        ``None`` when the problems stop sharing one structure on the way."""
+        ``None`` when the problems stop sharing one structure on the way.
+
+        A lone problem whose scaled coupling underflows is embedded on a
+        plan of fewer keys; its sampler is not the entry's (the entry's
+        serves the full key set, which the artefact call programs)."""
         embedded = embed_on_plan(logical, entry.embedding, entry.plan,
                                  parameters.chain_strength,
                                  parameters.extended_range)
         if embedded is None:
             return None
-        plan, problems, sampler = embedded.plan, embedded.problems, None
-        if entry.sampler is not None:
+        plan, problems = embedded.plan, embedded.problems
+        kept = plan is entry.plan
+        sampler = entry.sampler if kept else None
+        if sampler is not None:
             try:
-                entry.sampler.refresh_values(problems)
-                sampler = entry.sampler
+                sampler.refresh_values(problems)
             except AnnealerError:  # couplers cancelled: another structure
-                pass
+                sampler = None
         if sampler is None:
-            sampler = entry.sampler = BlockDiagonalSampler(
-                problems, clusters=plan.clusters, rng=rng, threads=threads)
+            sampler = BlockDiagonalSampler(problems, clusters=plan.clusters,
+                                           rng=rng, threads=threads)
+            if kept:
+                entry.sampler = sampler
         # The sampler holds the programmed pack; every ICE batch perturbs
         # it afresh inside the one anneal call.
         physical = sampler.anneal(temperatures, parameters.num_anneals, rngs,
                                   ice=self.ice,
                                   ice_batch_size=self.ice_batch_size)
         logical_spins, broken = unembed_pack(plan, physical, rngs)
-        solutions = (aggregate_pack(logical, logical_spins)
-                     if entry.plan is None else
-                     aggregate_over(logical, logical_spins,
-                                    entry.plan.template))
+        solutions = aggregate_over(logical, logical_spins, entry.template)
         return self._results(solutions, broken.tolist(), parameters,
                              entry.factor)
 
@@ -485,17 +489,17 @@ class _Structure:
 
     The *embedding* (held: one not the chip's keys its entry by id), its
     :class:`~repro.annealer.embedded.EmbeddingPlan` over the logical keys
-    (``None`` when the embedding cannot realise them) and that plan's
-    logical CSR template, the parallelization *factor* ``P_f`` of the
-    variable count, the *sampler* the first pack builds (with its prepared
-    batch calls, one per pack size) and the *settings* of the parameters
-    object last served: ``(parameters, machine rates, temperature profile,
-    compile settings)``.
+    (``None`` when the embedding cannot realise them), the logical CSR
+    *template* of the keys (what a pack's read-out multiplies its distinct
+    reads through), the parallelization *factor* ``P_f`` of the variable
+    count and the *sampler* the first pack builds over the plan's physical
+    keys (with its prepared batch calls, one per pack size).
     """
 
     def __init__(self, embedding: Embedding, num_logical: int, keys: tuple,
-                 factor: float, settings: Optional[tuple]):
+                 factor: float):
         self.embedding = embedding
+        self.template = symmetric_csr_template(num_logical, keys)
         try:
             self.plan: Optional[EmbeddingPlan] = EmbeddingPlan(
                 embedding, num_logical, keys)
@@ -504,4 +508,3 @@ class _Structure:
             # no coupler once a lone problem's coupling underflows
         self.factor = factor
         self.sampler: Optional[BlockDiagonalSampler] = None
-        self.settings = settings

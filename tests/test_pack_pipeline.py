@@ -303,8 +303,9 @@ def serve(problems, embedding, *, chain_strength, extended_range):
     out = sampler.anneal(
         np.linspace(2.0, 0.1, 3), 5,
         [np.random.default_rng(b) for b in range(blocks)], ice=ICEModel(),
-        program=(logical, plan, *compile_settings(chain_strength,
-                                                  extended_range)))
+        program=(logical, symmetric_csr_template(logical.num_variables,
+                                                 logical.keys),
+                 plan, *compile_settings(chain_strength, extended_range)))
     if out is None:
         return None
     return sampler.isings.linear, sampler.isings.values
@@ -1761,9 +1762,37 @@ class TestWarmStructures:
         assert (info["entries"], info["hits"], info["misses"]) == (2, 2, 2)
         entry = machine._structures[
             "sequential", 1, True, 6, pack[0].coupling_keys]
-        assert entry.plan.direct and entry.plan.template.indptr.size == 7
-        assert entry.settings[0] is self.PARAMETERS
+        assert entry.plan.direct and entry.template.indptr.size == 7
+        assert machine._settings[0] is self.PARAMETERS
         assert entry.sampler.num_blocks == 1
+
+    def test_an_underflowed_lone_problem_leaves_the_entry_sampler(self):
+        """A lone problem whose scaled coupling underflows to zero anneals
+        on a plan of fewer keys and a sampler of its own: the entry's stays
+        the full key set's, so the structure's next pack — in the same
+        submission's per-problem fallback or the next submission — decodes
+        as on a cold machine."""
+        tiny = IsingModel(3, np.zeros(3), {(0, 1): 1e300, (0, 2): 1e-30,
+                                           (1, 2): -2e299})
+        healthy = IsingModel(3, np.zeros(3), {(0, 1): 1.0, (0, 2): 0.5,
+                                              (1, 2): -1.0})
+
+        def decode(machine, problems):
+            runs = machine.run_batch(problems, self.PARAMETERS,
+                                     random_state=3)
+            return [(run.solutions.samples.tobytes(),
+                     run.solutions.energies.tobytes(),
+                     run.solutions.num_occurrences.tobytes(),
+                     run.broken_chain_fraction) for run in runs]
+
+        for submissions in (([tiny], [healthy]), ([healthy, tiny],),
+                            ([healthy, tiny], [healthy])):
+            machine = ideal_machine()
+            for problems in submissions:
+                assert decode(machine, problems) == decode(ideal_machine(),
+                                                           problems)
+            info = machine.sampler_cache_info()
+            assert (info["entries"], info["misses"]) == (1, 1)
 
     @staticmethod
     def packs(seed):
