@@ -42,8 +42,13 @@ GOLDENS_DIR = os.path.join(_HERE, "tests", "goldens")
 def pytest_configure(config):
     """A ``RuntimeWarning`` (an ``inf - inf``, a ``0 / 0``, an overflow) is
     a failure, in tier-1 and in every suite run from this root: fix the
-    arithmetic that raises it rather than filter it."""
-    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    arithmetic that raises it rather than filter it.  So is a leaked file
+    handle: a ``ResourceWarning``, or the
+    ``PytestUnraisableExceptionWarning`` it reaches pytest as when it is
+    raised in a ``__del__``."""
+    for category in ("RuntimeWarning", "ResourceWarning",
+                     "pytest.PytestUnraisableExceptionWarning"):
+        config.addinivalue_line("filterwarnings", f"error::{category}")
 
 try:
     from hypothesis import settings as _hypothesis_settings

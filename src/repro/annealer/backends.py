@@ -184,15 +184,12 @@ class ClusterDescriptor(NamedTuple):
     """Flattened pack-level cluster metadata handed across the compiled boundary.
 
     The structure is built once per sampler and the two value matrices
-    gathered per batch from the bound values (by the batch call in C, and
-    on the NumPy path by
-    :meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`),
-    so samplers rebound through ``refresh_values`` always sweep the current
-    values.  The structure
-    arrays are *block-level* (member and edge indices address one block's
-    ``(R, P)`` spin view) and shared by every block of the pack; ``data`` /
-    ``edge_values`` stack the blocks' coupling values row per block.  A
-    sampler without clusters hands over the *empty* descriptor
+    gathered per batch from the bound values by the batch call, so samplers
+    rebound through ``refresh_values`` always sweep the current values.
+    The structure arrays are *block-level* (member and edge indices address
+    one block's ``(R, P)`` spin view) and shared by every block of the
+    pack; ``data`` / ``edge_values`` stack the blocks' coupling values row
+    per block.  A sampler without clusters hands over the *empty* descriptor
     (``cluster_starts == [0]``, ``(blocks, 0)`` value matrices): the kernels
     then run a zero-iteration cluster pass that draws nothing, so "no
     clusters" needs no entry point of its own.
@@ -476,96 +473,15 @@ def _shards(spins, blocks: int, threads: int = 1) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# The NumPy path's starts and counter loops
+# The NumPy path's two starts
 #
-# A box without the artefact anneals a batch through these and the engine's
-# sequential loops: the reference the batch call reproduces bit for bit.
-# Under the counter discipline uniforms come from the Philox counter
-# contract of repro.annealer.counter instead of a shared Generator, so
-# replicas are independent and the artefact may run them in parallel
-# (threads=).
+# A box without the artefact starts a batch from one of these, then sweeps
+# it through the engine's loops (one sweep for both disciplines): the
+# reference the batch call reproduces bit for bit.  Under the counter
+# discipline uniforms come from the Philox counter contract of
+# repro.annealer.counter instead of a shared Generator, so replicas are
+# independent and the artefact may run them in parallel (threads=).
 # --------------------------------------------------------------------------- #
-
-def _counter_row_operators(starts, data, indices, indptr, size):
-    """Per-segment ``(lo, hi, CSR operator)`` triples of stacked field rows —
-    one segment per colour class or per cluster (``starts`` delimits them).
-
-    scipy's CSR matvec accumulates each row's entries in ascending-column
-    scalar order — the same summation the compiled kernels perform — so
-    these operators keep the numpy reference on the compiled backends'
-    exact field arithmetic.
-    """
-    from scipy import sparse
-
-    operators = []
-    for c in range(starts.size - 1):
-        lo, hi = int(starts[c]), int(starts[c + 1])
-        dlo, dhi = int(indptr[lo]), int(indptr[hi])
-        operators.append((lo, hi, sparse.csr_matrix(
-            (data[dlo:dhi], indices[dlo:dhi],
-             np.asarray(indptr[lo:hi + 1]) - dlo),
-            shape=(hi - lo, size))))
-    return operators
-
-
-def _counter_colour_pass_numpy(spins, linear, members, operators,
-                               temperature, sweep, replicas, key) -> None:
-    """One counter-mode colour-class sweep (reference loop, one block)."""
-    from repro.annealer.counter import TAG_SWEEP, philox_uniform
-
-    for lo, hi, operator in operators:
-        group = members[lo:hi]
-        fields = (operator @ spins.T).T + linear[group]
-        delta = -2.0 * spins[:, group] * fields
-        accept = delta <= 0.0
-        uphill = ~accept
-        if uphill.any():
-            rr, mm = np.nonzero(uphill)
-            # The draw site is the member's position in the concatenated
-            # class order.
-            u = philox_uniform((lo + mm).astype(np.uint32), sweep,
-                               replicas[rr], TAG_SWEEP, key)
-            accept[uphill] = u < np.exp(-delta[uphill] / temperature)
-        flips = np.where(accept, -1.0, 1.0)
-        spins[:, group] *= flips
-
-
-def _counter_cluster_pass_numpy(spins, linear, clusters, edge_values,
-                                operators, temperature, sweep, replicas,
-                                key) -> None:
-    """One counter-mode cluster-flip sweep (reference loop, one block).
-
-    *operators* are the per-cluster ``(begin, end, CSR)`` member-field
-    operators over this block's values.
-    """
-    from repro.annealer.counter import TAG_CLUSTER, philox_uniform
-
-    num_replicas = spins.shape[0]
-    for c, (begin, end, operator) in enumerate(operators):
-        group = clusters.members[begin:end]
-        member_fields = (operator @ spins.T).T + linear[group]
-        terms = spins[:, group] * member_fields
-        # Explicit ascending-member accumulation — the defined boundary
-        # order shared with the sequential reference and both compiled
-        # backends (see the engine's _cluster_sweep).
-        boundary = np.zeros(num_replicas)
-        for m in range(end - begin):
-            boundary += terms[:, m]
-        for e in range(int(clusters.edge_starts[c]),
-                       int(clusters.edge_starts[c + 1])):
-            boundary -= (2.0 * edge_values[e]
-                         * spins[:, clusters.edge_i[e]]
-                         * spins[:, clusters.edge_j[e]])
-        delta = -2.0 * boundary
-        accept = delta <= 0.0
-        uphill = ~accept
-        if uphill.any():
-            u = philox_uniform(c, sweep, replicas[uphill], TAG_CLUSTER, key)
-            accept[uphill] = u < np.exp(-delta[uphill] / temperature)
-        accepted = np.nonzero(accept)[0]
-        if accepted.size:
-            spins[np.ix_(accepted, group)] *= -1.0
-
 
 def sequential_initial_spins(rngs, num_replicas: int, size: int
                              ) -> np.ndarray:
@@ -591,42 +507,6 @@ def counter_initial_spins(keys, num_replicas: int, size: int) -> np.ndarray:
     from repro.annealer.counter import counter_initial_spins as block
     return np.concatenate([block(key, num_replicas, size) for key in keys],
                           axis=1)
-
-
-def counter_pack_fused_colour_cluster_sweep(
-        spins: np.ndarray, linear: np.ndarray, members: np.ndarray,
-        class_starts: np.ndarray, class_data: np.ndarray,
-        indices: np.ndarray, indptr: np.ndarray,
-        clusters: ClusterDescriptor, temperatures: np.ndarray,
-        keys) -> None:
-    """Counter-mode colour-class (+ cluster-flip) sweeps over a pack, in
-    place: per entry of *temperatures* every block runs one sweep over all
-    classes, then offers every cluster a collective flip, drawing under its
-    Philox key of *keys*.  The combined ``(R, blocks*P)`` *spins* and
-    ``linear``, the ragged classes (``members`` / ``class_starts``) and
-    their stacked field rows' CSR (``indices`` / ``indptr``, the
-    ``(blocks, class_nnz)`` *class_data*) are the batch call's colour
-    arguments; *clusters* carries ``(blocks, nnz)`` / ``(blocks, E)`` value
-    matrices (empty without clusters).  The draw site is the member's row
-    in the concatenated class order."""
-    size = spins.shape[1] // len(keys)
-    replicas = np.arange(spins.shape[0], dtype=np.uint32)
-    for b, key in enumerate(keys):
-        segment = slice(b * size, (b + 1) * size)
-        bspins = spins[:, segment]
-        blinear = linear[segment]
-        class_operators = _counter_row_operators(
-            class_starts, class_data[b], indices, indptr, size)
-        cluster_operators = _counter_row_operators(
-            clusters.cluster_starts, clusters.data[b], clusters.indices,
-            clusters.indptr, size)
-        for t in range(len(temperatures)):
-            _counter_colour_pass_numpy(bspins, blinear, members,
-                                       class_operators, temperatures[t], t,
-                                       replicas, key)
-            _counter_cluster_pass_numpy(
-                bspins, blinear, clusters, clusters.edge_values[b],
-                cluster_operators, temperatures[t], t, replicas, key)
 
 
 class PackReadOut:

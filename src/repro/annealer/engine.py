@@ -91,15 +91,6 @@ def colour_classes(ising) -> List[np.ndarray]:
     return [np.array(nodes, dtype=np.intp) for nodes in classes]
 
 
-def sparse_coupling_matrix(ising: IsingModel) -> sparse.csr_matrix:
-    """Symmetric sparse coupling matrix (zero diagonal) of an Ising problem.
-
-    Alias of :meth:`repro.ising.model.IsingModel.coupling_operator`, kept as
-    the engine-level name the sampler machinery historically exposed.
-    """
-    return ising.coupling_operator()
-
-
 class _RowCsr(NamedTuple):
     """Block-local CSR structure of some rows of the symmetric coupling
     matrix, with the map that fills it: slot *s* holds the value of edge
@@ -266,7 +257,7 @@ class BlockDiagonalSampler:
         self._cluster_internal_edges = internal.astype(np.int64)
         self._cluster_csr = self._csr.rows(cluster_members)
         #: The pack's flattened cluster descriptor, structure filled in and
-        #: values left to gather per batch (:meth:`_cluster_pack_descriptor`).
+        #: values left to the batch call to gather per batch.
         self._cluster_structure = backends.ClusterDescriptor(
             members=cluster_members,
             cluster_starts=np.cumsum([0, *self._cluster_lengths],
@@ -463,27 +454,11 @@ class BlockDiagonalSampler:
     # ------------------------------------------------------------------ #
     # The Metropolis sweep kernel
     # ------------------------------------------------------------------ #
-    def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
-        """Flattened cluster descriptor of the pack for the counter loops.
-
-        The ragged member/internal-edge structure arrays are shared between
-        blocks and derived once per sampler; ``data`` (the member
-        local-field rows, same values in the same ascending-column
-        summation order as the reference cluster operators) and
-        ``edge_values`` are every block's values as ``(blocks, nnz)`` /
-        ``(blocks, E)`` rows, one gather each from the bound value matrix,
-        so rebound samplers always sweep the current values.  Without
-        clusters this is the empty descriptor — "no clusters" is a
-        zero-iteration cluster pass, not another entry point.
-        """
-        return self._cluster_structure._replace(
-            data=np.take(self._values, self._cluster_csr.edges, axis=1),
-            edge_values=np.take(self._values, self._cluster_internal_edges,
-                                axis=1))
-
     def _cluster_sweep(self, spins: np.ndarray, temperature: float,
-                       rngs: Sequence[np.random.Generator]) -> None:
-        """Offer every cluster of every block a collective flip.
+                       sweep: int, uniforms) -> None:
+        """Offer every cluster of every block a collective flip, drawing
+        from *uniforms* (:meth:`_anneal`'s draw source; a cluster's counter
+        site is its index).
 
         Flipping all spins of a cluster leaves its internal couplings
         unchanged, so the energy difference only involves the cluster's
@@ -492,10 +467,10 @@ class BlockDiagonalSampler:
         num_replicas = spins.shape[0]
         blocks = self.num_blocks
         reference = self._reference_operators()
-        for columns, operator, length, int_i, int_j, int_v in zip(
-                reference.cluster_columns, reference.cluster_operators,
-                self._cluster_lengths, reference.cluster_int_i,
-                reference.cluster_int_j, self._cluster_int_v):
+        for c, (columns, operator, length, int_i, int_j, int_v) in enumerate(
+                zip(reference.cluster_columns, reference.cluster_operators,
+                    self._cluster_lengths, reference.cluster_int_i,
+                    reference.cluster_int_j, self._cluster_int_v)):
             cluster_fields = (operator @ spins.T).T + self.linear[columns]
             terms = (spins[:, columns] * cluster_fields).reshape(
                 num_replicas, blocks, length)
@@ -517,14 +492,16 @@ class BlockDiagonalSampler:
             delta = -2.0 * boundary
             accept = delta <= 0.0
             uphill = ~accept
-            for b, rng in enumerate(rngs):
-                uphill_b = uphill[:, b]
+            for b in range(blocks):
+                segment = slice(b, b + 1)  # one column: counter site c + 0
+                uphill_b = uphill[:, segment]
                 count = int(np.count_nonzero(uphill_b))
                 if count:
                     # delta > 0 here, acceptance probability exp(-delta / T).
-                    accept[:, b][uphill_b] = (
-                        rng.random(count)
-                        < np.exp(-delta[:, b][uphill_b] / temperature))
+                    accept[:, segment][uphill_b] = (
+                        uniforms(b, uphill_b, count, c, sweep,
+                                 counter.TAG_CLUSTER)
+                        < np.exp(-delta[:, segment][uphill_b] / temperature))
             if np.any(accept):
                 flips = np.where(np.repeat(accept, length, axis=1), -1.0, 1.0)
                 spins[:, columns] *= flips
@@ -550,8 +527,17 @@ class BlockDiagonalSampler:
                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """One batch on the NumPy path: the replica-batched Metropolis
         trajectories of all blocks from a drawn start — the reference loops
-        the artefact's batch call reproduces."""
+        the artefact's batch call reproduces, one sweep for both draw
+        disciplines.
+
+        They differ only in the draw source ``uniforms``, as in the C
+        kernel: the *count* uniforms of block ``b``'s ``uphill`` entries
+        come from ``rngs[b]`` in loop order (sequential), or from the Philox
+        counter at ``(site + column, sweep, replica, tag)`` under the
+        block's key, in any order (counter).
+        """
         size = self.block_size
+        keys = None
         if self.rng_mode == "counter":
             # One Philox key per block, drawn from the block's generator
             # BEFORE any other use: seeding still flows from random_state,
@@ -559,42 +545,48 @@ class BlockDiagonalSampler:
             # function of the keys.
             keys = [counter.block_key(rng) for rng in rngs]
             spins = backends.counter_initial_spins(keys, num_replicas, size)
-            backends.counter_pack_fused_colour_cluster_sweep(
-                spins, self.linear, self._class_members, self._class_starts,
-                np.take(self._values, self._class_csr.edges, axis=1),
-                self._class_csr.indices, self._class_csr.indptr,
-                self._cluster_pack_descriptor(), temperatures, keys)
-            return spins.astype(np.int8)
-        # The annealer's initial superposition collapses to an unbiased
-        # configuration under thermal sampling; each block draws its own,
-        # from its own generator.
-        spins = backends.sequential_initial_spins(rngs, num_replicas, size)
+        else:
+            # The annealer's initial superposition collapses to an unbiased
+            # configuration under thermal sampling; each block draws its
+            # own, from its own generator.
+            spins = backends.sequential_initial_spins(rngs, num_replicas,
+                                                      size)
+
+        def uniforms(b, uphill, count, site, sweep, tag):
+            if keys is None:
+                return rngs[b].random(count)
+            replicas, columns = np.nonzero(uphill)
+            return counter.philox_uniform(site + columns, sweep, replicas,
+                                          tag, keys[b])
+
         reference = self._reference_operators()
-        for temperature in temperatures:
-            for group, operator, width in zip(reference.classes,
-                                              reference.class_operators,
-                                              self._class_widths):
+        for sweep, temperature in enumerate(temperatures):
+            for group, operator, width, start in zip(
+                    reference.classes, reference.class_operators,
+                    self._class_widths, self._class_starts):
                 # Local field of every variable in the group, per replica:
                 # (N x R) -> (blocks*|class| x R), then transpose.
                 fields = (operator @ spins.T).T + self.linear[group]
                 delta = -2.0 * spins[:, group] * fields
                 accept = delta <= 0.0
                 uphill = ~accept
-                for b, rng in enumerate(rngs):
+                for b in range(self.num_blocks):
                     segment = slice(b * width, (b + 1) * width)
                     uphill_b = uphill[:, segment]
                     count = int(np.count_nonzero(uphill_b))
                     if count:
                         # delta > 0 on the uphill subset, acceptance
-                        # probability exp(-delta / T).
+                        # probability exp(-delta / T).  A member's counter
+                        # site is its row in the concatenated class order.
                         accept[:, segment][uphill_b] = (
-                            rng.random(count)
+                            uniforms(b, uphill_b, count, start, sweep,
+                                     counter.TAG_SWEEP)
                             < np.exp(-delta[:, segment][uphill_b]
                                      / temperature))
                 flips = np.where(accept, -1.0, 1.0)
                 spins[:, group] *= flips
             if self.block_clusters:
-                self._cluster_sweep(spins, temperature, rngs)
+                self._cluster_sweep(spins, temperature, sweep, uniforms)
 
         return spins.astype(np.int8)
 

@@ -142,17 +142,19 @@ class ChannelTrace:
         zip, a field missing or of the wrong kind — raises :class:`ChannelError` naming
         *path*; a missing file stays the ``OSError`` it is.
         """
-        try:
-            with np.load(path) as data:
-                return cls(
-                    channels=data["channels"],
-                    carrier_frequency_hz=float(data["carrier_frequency_hz"]),
-                    frame_interval_s=float(data["frame_interval_s"]),
-                )
-        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
-                TypeError, ValueError) as error:
-            raise ChannelError(
-                f"{path} is not a stored channel trace: {error!r}") from error
+        with open(path, "rb") as handle:  # closed on every archive error
+            try:
+                with np.load(handle) as data:
+                    return cls(
+                        channels=data["channels"],
+                        carrier_frequency_hz=float(
+                            data["carrier_frequency_hz"]),
+                        frame_interval_s=float(data["frame_interval_s"]),
+                    )
+            except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
+                    TypeError, ValueError) as error:
+                raise ChannelError(f"{path} is not a stored channel trace: "
+                                   f"{error!r}") from error
 
 
 class ArgosLikeTraceGenerator:

@@ -9,7 +9,6 @@ from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
     colour_classes,
-    sparse_coupling_matrix,
 )
 from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel, IsingPack
@@ -107,19 +106,19 @@ class TestColourClasses:
 class TestSparseCouplingMatrix:
     def test_symmetric(self):
         ising = random_ising(6, 2, density=0.5)
-        matrix = sparse_coupling_matrix(ising).toarray()
+        matrix = ising.coupling_operator().toarray()
         np.testing.assert_allclose(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0)
 
     def test_values(self):
         ising = IsingModel(num_variables=3, linear=np.zeros(3),
                            couplings={(0, 2): 1.5})
-        matrix = sparse_coupling_matrix(ising).toarray()
+        matrix = ising.coupling_operator().toarray()
         assert matrix[0, 2] == 1.5 and matrix[2, 0] == 1.5
 
     def test_empty_couplings(self):
         ising = IsingModel(num_variables=4, linear=np.ones(4), couplings={})
-        assert sparse_coupling_matrix(ising).nnz == 0
+        assert ising.coupling_operator().nnz == 0
 
 
 class TestIsingSampler:

@@ -22,7 +22,6 @@ from repro.annealer.embedded import embed_ising
 from repro.annealer.engine import (
     BlockDiagonalSampler,
     IsingSampler,
-    sparse_coupling_matrix,
 )
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.decoder.pipeline import OFDMDecodingPipeline
@@ -110,7 +109,7 @@ class TestVectorisedSimulatedAnnealing:
 class TestSparseCouplingMatrix:
     def test_empty_couplings_canonical_dtype(self):
         ising = IsingModel(num_variables=4, linear=np.ones(4))
-        matrix = sparse_coupling_matrix(ising)
+        matrix = ising.coupling_operator()
         assert matrix.dtype == np.float64
         assert matrix.shape == (4, 4)
         assert matrix.nnz == 0
@@ -119,7 +118,7 @@ class TestSparseCouplingMatrix:
         ising = random_ising(7, 4, density=0.5)
         _, dense = ising.to_dense()
         symmetric = dense + dense.T
-        np.testing.assert_allclose(sparse_coupling_matrix(ising).toarray(),
+        np.testing.assert_allclose(ising.coupling_operator().toarray(),
                                    symmetric)
 
 
@@ -320,17 +319,21 @@ class TestBlockDiagonalSampler:
                 for operator, width in zip(operators, widths)])
 
         class_data = np.take(sampler._values, sampler._class_csr.edges, axis=1)
-        descriptor = sampler._cluster_pack_descriptor()
+        cluster_data = np.take(sampler._values, sampler._cluster_csr.edges,
+                               axis=1)
+        edge_values = np.take(sampler._values,
+                              sampler._cluster_internal_edges, axis=1)
+        structure = sampler._cluster_structure
         for b in range(3):
             np.testing.assert_array_equal(
                 class_data[b], block_rows(reference.class_operators,
                                           sampler._class_widths, b))
             np.testing.assert_array_equal(
-                descriptor.data[b], block_rows(reference.cluster_operators,
-                                               sampler._cluster_lengths, b))
+                cluster_data[b], block_rows(reference.cluster_operators,
+                                            sampler._cluster_lengths, b))
             internal = [problems[b].couplings[(int(i), int(j))]
-                        for i, j in zip(descriptor.edge_i, descriptor.edge_j)]
-            np.testing.assert_array_equal(descriptor.edge_values[b], internal)
+                        for i, j in zip(structure.edge_i, structure.edge_j)]
+            np.testing.assert_array_equal(edge_values[b], internal)
 
 
 class TestRunBatch:
