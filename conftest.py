@@ -144,7 +144,7 @@ def golden():
 
 @pytest.fixture
 def every_block_splits(monkeypatch):
-    """Every one-thread cext batch call sweeps on two threads — a pack of
+    """Every cext batch call sweeps on two threads — a pack of
     several blocks, of either draw discipline, as two block ranges
     (``backends._shards``), one sequential block of two or more replicas as
     two lane halves

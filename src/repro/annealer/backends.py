@@ -63,8 +63,8 @@ sum); and counter draws are valued in bulk by a vectorised Philox fill
 (:func:`philox_lanes`).  No shortcut changes a decision, and each call
 reports :class:`SweepWork` counters that guard them without a clock.
 
-Counter mode and threads
-------------------------
+Counter mode and the cores
+--------------------------
 
 The ``rng=`` knob selects the *draw discipline* (:data:`RNG_MODES`).
 ``"sequential"`` makes a replica's next draw depend on how many draws
@@ -72,12 +72,11 @@ earlier replicas consumed; ``"counter"`` addresses every potential draw by
 ``(site, sweep, replica, move_tag)`` and values it by Philox4x32-10 under a
 per-block key (:mod:`repro.annealer.counter`), which makes replica order
 irrelevant.  A block draws from its own generator or key only, so one rule
-spreads a pack over the cores, bit for bit: a one-thread batch call of
-more than :data:`_SPLIT_SPINS` spins is one call per usable CPU over
-contiguous block ranges (:func:`_shards`).  ``threads=`` is the OpenMP
-width of one counter call instead, never also sharded.  One large
-sequential block splits its replicas into two lane halves whose uphill
-counts place each half's draws in the stream (:func:`_lane_half_call`).
+spreads a pack over the cores, bit for bit, in either discipline: a batch
+call of more than :data:`_SPLIT_SPINS` spins is one call per usable CPU
+over contiguous block ranges (:func:`_shards`).  One large sequential
+block splits its replicas into two lane halves whose uphill counts place
+each half's draws in the stream (:func:`_lane_half_call`).
 
 Compile cost
 ------------
@@ -105,7 +104,7 @@ from repro.exceptions import AnnealerError
 
 #: Valid values of the ``rng=`` knob of the samplers: the stream-faithful
 #: sequential Generator discipline (default, the reference) or the
-#: order-independent Philox counter contract that legalises ``threads > 1``.
+#: order-independent Philox counter contract, whose draws are addressed.
 RNG_MODES = ("sequential", "counter")
 
 # --------------------------------------------------------------------------- #
@@ -121,19 +120,6 @@ def cext_available() -> bool:
     return _load_cext() is not None
 
 
-def openmp_enabled() -> bool:
-    """Whether the cext counter kernels were compiled with OpenMP.
-
-    ``False`` either when the cext backend is unavailable or when no
-    compiler accepted ``-fopenmp`` (the kernels then run their parallel
-    regions serially — bit-identical results, just no speedup).
-    """
-    lib = _load_cext()
-    if lib is None:
-        return False
-    return bool(lib.counter_openmp_enabled())
-
-
 def philox_lanes() -> int:
     """Philox evaluations per instruction of the cext counter kernels' draw
     fill on this CPU: 4 (AVX2), 2 (SSE2) or 1 (scalar; also without cext).
@@ -142,30 +128,6 @@ def philox_lanes() -> int:
     return max((width for width in (2, 4) if lib is not None  # an empty span
                 and lib.philox_fill_probe(width, *[0] * 7, None) == width),
                default=1)
-
-
-#: Whether this process has ever run a multi-thread OpenMP team (a counter
-#: cext dispatch with ``threads > 1``).  libgomp's worker threads do not
-#: survive ``fork()``: a child forked afterwards deadlocks in its *first*
-#: parallel region.  The worker pool consults this to fall back to a spawn
-#: start method for process-mode pools.
-_OPENMP_TEAMS_RUN = False
-
-
-def openmp_teams_run() -> bool:
-    """Whether a multi-thread OpenMP team has run in this process.
-
-    Once true, fork-context child processes must not enter OpenMP parallel
-    regions (libgomp is not fork-safe); spawned children are unaffected.
-    """
-    return _OPENMP_TEAMS_RUN
-
-
-def _note_openmp_team(threads: int) -> None:
-    """Record that a cext counter kernel is about to run *threads* wide."""
-    global _OPENMP_TEAMS_RUN
-    if threads > 1 and openmp_enabled():
-        _OPENMP_TEAMS_RUN = True
 
 
 def warmup() -> None:
@@ -259,18 +221,15 @@ def _rng_pointer_arrays(rngs):
         for rng in rngs])
 
 
-def _lane_layout(threads: int, num_blocks: int, num_replicas: int, size: int,
+def _lane_layout(num_replicas: int, size: int,
                  members: int) -> Tuple[int, int]:
     """``(lanes, doubles)`` of a cext colour call's lane scratch.  A block's
-    replicas are one lane group padded to :data:`_LANE_WIDTH`; only a
-    counter call with more *threads* than blocks splits them into narrower
-    groups, a (block, group) pair per thread.  Each group in flight (one
-    per thread) takes ``size + 1 + 2 * members`` rows of ``lanes``: the
-    transposed spins, the cluster boundaries, and the terms and prepared
-    uniforms of a class as wide as all *members*."""
-    groups = min(-(-threads // num_blocks), -(-num_replicas // _LANE_WIDTH))
-    lanes = -(-num_replicas // (groups * _LANE_WIDTH)) * _LANE_WIDTH
-    return lanes, threads * (size + 1 + 2 * members) * lanes
+    replicas are one lane group padded to :data:`_LANE_WIDTH`, which takes
+    ``size + 1 + 2 * members`` rows of ``lanes``: the transposed spins, the
+    cluster boundaries, and the terms and prepared uniforms of a class as
+    wide as all *members*."""
+    lanes = -(-num_replicas // _LANE_WIDTH) * _LANE_WIDTH
+    return lanes, (size + 1 + 2 * members) * lanes
 
 
 #: CPUs this process may sweep a pack on (:func:`_usable_cpus`).
@@ -293,10 +252,10 @@ def _usable_cpus(cap: Optional[int] = None) -> int:
     return _USABLE_CPUS
 
 
-def _cext_colour_arguments(workspace: dict, num_blocks: int,
-                           threads: int, spins, linear, members, class_starts,
-                           class_data, indices, indptr, clusters,
-                           temperatures, *draw_args) -> tuple:
+def _cext_colour_arguments(workspace: dict, num_blocks: int, spins, linear,
+                           members, class_starts, class_data, indices,
+                           indptr, clusters, temperatures,
+                           *draw_args) -> tuple:
     """Arguments and work out-array of a cext colour-kernel call.
 
     The kernels' per-structure argument block lives in *workspace*, a dict
@@ -329,8 +288,7 @@ def _cext_colour_arguments(workspace: dict, num_blocks: int,
             # The pointers above are only as alive as these.
             (members, class_starts, indices, indptr, row_of, clusters))
     classes, csr, cluster_members, cluster_edges, work, work_ptr, _ = structure
-    lanes, doubles = _lane_layout(threads, num_blocks, num_replicas, size,
-                                  members.size)
+    lanes, doubles = _lane_layout(num_replicas, size, members.size)
     scratch = workspace.get("lanes")
     if scratch is None or scratch[0].size < doubles:
         array = np.empty(doubles)
@@ -365,8 +323,8 @@ def _helpers(workspace: dict, count: int):
     return _helper_pool(), spaces[:count]
 
 
-#: Spins (blocks × block size × replicas) above which a one-thread call
-#: goes to two or more threads, as block ranges or, one block, lane halves:
+#: Spins (blocks × block size × replicas) above which a batch call goes
+#: to two or more threads, as block ranges or, one block, lane halves:
 #: below it, handing work to a helper costs more than the second core buys.
 #: Sharded ÷ one-thread time per call, blocks × block size × 25 replicas:
 #: 4 × 4 0.73×, 4 × 6 0.85×, 4 × 8 0.93×, 8 × 6 0.88×, 4 × 18 1.12×; lane
@@ -450,7 +408,7 @@ def _lane_half_call(lib, workspace: dict, spins, arguments,
     # starts after the caller took the call whole must still read its claim.
     # Its future goes unread: its arguments are the caller's kinds, so a
     # conversion error raises in the caller's own call, and C cannot fail.
-    calls = [_cext_colour_arguments(space, 1, 1, rows, *arguments,
+    calls = [_cext_colour_arguments(space, 1, rows, *arguments,
                                     sync.ctypes, half)
              for half, (space, rows) in enumerate(
                  zip([workspace, *spaces], (spins[:cut], spins[cut:])))]
@@ -465,11 +423,10 @@ def _lane_half_call(lib, workspace: dict, spins, arguments,
     return SweepWork(*(calls[0][1] + calls[1][1]).tolist())
 
 
-def _shards(spins, blocks: int, threads: int = 1) -> int:
+def _shards(spins, blocks: int) -> int:
     """Block ranges of a cext colour call, either discipline: ``min(blocks,
-    usable CPUs)`` at one thread over :data:`_SPLIT_SPINS` spins, else 1."""
-    split = threads == 1 and spins.size > _SPLIT_SPINS
-    return min(blocks, _usable_cpus()) if split else 1
+    usable CPUs)`` over :data:`_SPLIT_SPINS` spins, else 1."""
+    return min(blocks, _usable_cpus()) if spins.size > _SPLIT_SPINS else 1
 
 
 # --------------------------------------------------------------------------- #
@@ -480,7 +437,7 @@ def _shards(spins, blocks: int, threads: int = 1) -> int:
 # reference the batch call reproduces bit for bit.  Under the counter
 # discipline uniforms come from the Philox counter contract of
 # repro.annealer.counter instead of a shared Generator, so replicas are
-# independent and the artefact may run them in parallel (threads=).
+# independent and their draws addressed, whatever order they sweep in.
 # --------------------------------------------------------------------------- #
 
 def sequential_initial_spins(rngs, num_replicas: int, size: int
@@ -607,8 +564,7 @@ def _batch_buffers(blocks: int, size: int, batch: int, values: int,
 
 
 def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
-                 threads: int, counter: bool, structure: tuple,
-                 settings: tuple) -> tuple:
+                 counter: bool, structure: tuple, settings: tuple) -> tuple:
     """Range ``[lo, hi)``'s argument block of ``pack_ice_batches`` (the C
     ``batch_call``) — over the *buffers*, the *structure* and the
     *settings*: the ICE array (or ``None``), the zero check and the served
@@ -620,7 +576,7 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
         internal_edges, temperatures = structure
     size = fields.size // values.shape[0]
     colour, work = _cext_colour_arguments(
-        space, hi - lo, threads, spins[:, lo * size:hi * size],
+        space, hi - lo, spins[:, lo * size:hi * size],
         fields[lo * size:hi * size], members, class_starts,
         class_data[lo:hi], indices, indptr,
         clusters._replace(edge_values=edge_values[lo:hi]), temperatures)
@@ -629,7 +585,7 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
     words = np.array([
         *colour[:-1], values.shape[1], _ptr(class_edges),
         _ptr(internal_edges), _ptr(values[lo:hi]), spins.shape[1],
-        _ptr(keys[lo:hi]) if counter else 0, threads, colour[-1], lo,
+        _ptr(keys[lo:hi]) if counter else 0, colour[-1], lo,
         0 if ice is None else _ptr(ice), check_zero,
         0 if serve is None else serve.words,
         0 if scratch is None else _ptr(scratch)], dtype=np.int64)
@@ -662,12 +618,10 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
     to ``0.0``) and read out by the call that runs a range's last batch,
     else by one :meth:`PackReadOut.read` (lane halves, a fallback last).
     """
-    buffers, halves, ranges, _, out, batch_size, counter, threads = prepared
+    buffers, halves, ranges, _, out, batch_size, counter = prepared
     lib, num_anneals = _load_cext(), physical.shape[0]
     generators = _rng_pointer_arrays(rngs)
     spins, fields, perturbed, *_ = buffers
-    if counter:
-        _note_openmp_team(threads)
     sources = (_ptr(linear), _ptr(values))
     if out is not None:
         out.sources = sources
@@ -705,7 +659,7 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
                 swept = _lane_half_call(lib, workspace, view, sweep, rngs[0])
                 if swept is None:  # the halves' fallback: one thread
                     args, counts = _cext_colour_arguments(
-                        workspace, 1, 1, view, *sweep, generators)
+                        workspace, 1, view, *sweep, generators)
                     lib.pack_fused_colour_cluster_sweep(*args)
                     swept = SweepWork(*counts.tolist())
                 physical[start:start + rows] = view
@@ -748,7 +702,7 @@ def _lane_halves(spins, rows: int, counter: bool, rngs) -> bool:
 
 def prepare_batches(workspace: dict, shape: Tuple[int, int],
                     num_values: int, structure: tuple, rngs,
-                    batch_size: int, ice, rng_mode: str, threads: int,
+                    batch_size: int, ice, rng_mode: str,
                     out=None) -> tuple:
     """What :func:`pack_ice_batches` decides once per pack shape — the
     ``(anneals, blocks*P)`` *shape* of its out-array: its buffers, a
@@ -782,18 +736,17 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
                   clusters._replace(edge_values=edge_values), temperatures)
         shards = 1
     else:
-        shards = 1 if shared else _shards(spins[:rows], blocks, threads)
+        shards = 1 if shared else _shards(spins[:rows], blocks)
     spaces = _helpers(workspace, shards - 1)[1] if shards > 1 else []
     bounds = [blocks * k // shards for k in range(shards + 1)]
-    blocks = [(lo, hi, _batch_block(space, buffers, lo, hi, threads,
+    blocks = [(lo, hi, _batch_block(space, buffers, lo, hi,
                                     counter and halves is None, structure,
                                     settings))
               for space, lo, hi in zip([workspace, *spaces], bounds,
                                        bounds[1:])]
     return (buffers, halves,
             [(lo, hi, *block[:2]) for lo, hi, block in blocks],
-            [block[2] for _, _, block in blocks], out, batch_size, counter,
-            threads)
+            [block[2] for _, _, block in blocks], out, batch_size, counter)
 
 
 # --------------------------------------------------------------------------- #
@@ -813,9 +766,6 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
 #include <stddef.h>
 #include <string.h>
 #include <time.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 /* The per-move functions below are shared by two entry points each; inlined
    into both, their work counters and loop invariants live in registers. */
@@ -1392,24 +1342,24 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
 }
 
 /* ------------------------------------------------------------------------ *
- * The colour sweeps: one per batch of a batch call (a single problem is a
+ * The colour sweep: one per batch of a batch call (a single problem is a
  * pack of one block; without clusters num_clusters == 0 and the cluster
- * pass draws nothing), the sequential one also the lane halves' one-thread
- * fallback.  Per temperature the single-spin sweep runs first, then the
- * cluster sweep.  All blocks share one CSR structure, so per-block values
- * travel as stacked block-major matrices (row b = block b's data).
+ * pass draws nothing), and the lane halves' one-thread fallback (as
+ * pack_fused_colour_cluster_sweep).  Per temperature the single-spin
+ * sweep runs first, then the cluster sweep.  All blocks share one CSR
+ * structure, so per-block values travel as stacked block-major matrices
+ * (row b = block b's data).
  *
- * Sequential: one bitgen_t pointer per block.  Blocks never interact and
- * each draws from its own generator, so they evolve one after the other
- * through the whole schedule, each in the reference loops' draw order.
- * Counter: per-block keys; blocks and replicas are all independent, so the
- * OpenMP `parallel for` collapses over (block, lane group) pairs.  Without
- * -fopenmp the pragmas are no-ops: one source, bit-identical builds.
+ * Blocks never interact and each draws from its own source — a bitgen_t
+ * pointer (sequential) or a key (counter) per block — so they evolve one
+ * after the other through the whole schedule, each in the reference loops'
+ * draw order.  The caller spreads a large pack over the cores as block
+ * ranges, one call per range on its own thread.
  *
- * Both take the lane workspace: row_of (int64[size]) and scratch, per lane
- * group in flight (size + 1 + 2 * members) rows of `lanes` doubles (st,
- * boundary, and a class's terms and uniforms).  Every colour entry point
- * opens with the same arguments, COLOUR_ARGS.
+ * The sweep takes the lane workspace: row_of (int64[size]) and scratch,
+ * (size + 1 + 2 * members) rows of `lanes` doubles (st, boundary, and a
+ * class's terms and uniforms).  Every colour entry point opens with the
+ * same arguments, COLOUR_ARGS.
  * ------------------------------------------------------------------------ */
 #define COLOUR_ARGS                                                         \
     double *spins, int64_t sld, int64_t num_replicas, int64_t num_blocks,   \
@@ -1421,7 +1371,7 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
     int64_t num_clusters, const int64_t *edge_i, const int64_t *edge_j,    \
     const int64_t *edge_starts, const double *edge_values,                 \
     int64_t num_edges, const double *temperatures, int64_t num_sweeps
-/* The colour arguments of one call, as the block loops below read them. */
+/* The colour arguments of one call, as the block loop below reads them. */
 typedef struct {
     double *spins;
     int64_t sld, num_replicas, num_blocks, size;
@@ -1445,11 +1395,12 @@ typedef struct {
      {cmembers, cluster_starts, edge_i, edge_j, edge_starts, edge_values}, \
      num_clusters, num_edges, temperatures, num_sweeps}
 
-/* Sequential: a block's replicas are one lane group (lanes >= num_replicas),
-   so its draws are consumed in the reference loops' order. */
-MOVE void generator_blocks(const colour_call *c,
-                           const bitgen_t *const *generators,
-                           int64_t *work_out)
+/* A block's replicas are one lane group (lanes >= num_replicas), so its
+   draws are consumed in the reference loops' order.  `kind` is a literal
+   at each call site (DRAW_GENERATOR: generators; DRAW_PHILOX: keys). */
+MOVE void sweep_blocks(const colour_call *c, int kind,
+                       const bitgen_t *const *generators,
+                       const uint64_t *keys, int64_t *work_out)
 {
     int64_t work[NUM_WORK] = {0, 0, 0};
     for (int64_t b = 0; b < c->num_blocks; ++b) {
@@ -1457,8 +1408,14 @@ MOVE void generator_blocks(const colour_call *c,
         cl.edge_values += b * c->num_edges;
         const lane_csr csr = {c->data + b * c->class_nnz, c->indices,
                               c->indptr, c->row_of};
-        draw_source draw = {DRAW_GENERATOR, generators[b]->next_double,
-                            generators[b]->state, 0u, 0u, 0u, 0u, NULL};
+        draw_source draw = {kind, NULL, NULL, 0u, 0u, 0u, 0u, NULL};
+        if (kind == DRAW_GENERATOR) {
+            draw.next_double = generators[b]->next_double;
+            draw.state = generators[b]->state;
+        } else {
+            draw.k0 = (uint32_t)keys[b];
+            draw.k1 = (uint32_t)(keys[b] >> 32);
+        }
         lane_group_run(c->spins + b * c->size, c->sld, 0, c->num_replicas,
                        c->lanes, c->size, c->scratch, c->linear + b * c->size,
                        c->members, c->class_starts, c->num_classes, &csr, &cl,
@@ -1468,54 +1425,12 @@ MOVE void generator_blocks(const colour_call *c,
     memcpy(work_out, work, sizeof(work));
 }
 
-/* Counter: every (block, lane group) pair is independent, so the pairs
-   spread over the OpenMP region, each thread sweeping in its own slice of
-   scratch. */
-MOVE void philox_blocks(const colour_call *c, const uint64_t *keys,
-                        int64_t threads, int64_t *work_out)
-{
-    const int64_t num_groups = (c->num_replicas + c->lanes - 1) / c->lanes;
-    int64_t work[NUM_WORK] = {0, 0, 0};
-#ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static) \
-    num_threads((int)threads) reduction(+ : work[:NUM_WORK])
-#else
-    (void)threads;
-#endif
-    for (int64_t b = 0; b < c->num_blocks; ++b) {
-        for (int64_t g = 0; g < num_groups; ++g) {
-            const int64_t first = g * c->lanes;
-            const int64_t live = c->num_replicas - first < c->lanes
-                                 ? c->num_replicas - first : c->lanes;
-            cluster_set cl = c->clusters;
-            cl.edge_values += b * c->num_edges;
-            const lane_csr csr = {c->data + b * c->class_nnz, c->indices,
-                                  c->indptr, c->row_of};
-            draw_source draw = {DRAW_PHILOX, NULL, NULL, 0u, 0u,
-                                (uint32_t)keys[b], (uint32_t)(keys[b] >> 32),
-                                NULL};
-            double *mine = c->scratch;
-#ifdef _OPENMP
-            mine += omp_get_thread_num()
-                    * (c->size + 1 + 2 * c->class_starts[c->num_classes])
-                    * c->lanes;
-#endif
-            lane_group_run(c->spins + b * c->size, c->sld, first, live,
-                           c->lanes, c->size, mine, c->linear + b * c->size,
-                           c->members, c->class_starts, c->num_classes, &csr,
-                           &cl, c->num_clusters, c->temperatures,
-                           c->num_sweeps, &draw, work);
-        }
-    }
-    memcpy(work_out, work, sizeof(work));
-}
-
 void pack_fused_colour_cluster_sweep(COLOUR_ARGS,
                                      const bitgen_t *const *generators,
                                      int64_t *work_out)
 {
     const colour_call call = COLOUR_CALL;
-    generator_blocks(&call, generators, work_out);
+    sweep_blocks(&call, DRAW_GENERATOR, generators, NULL, work_out);
 }
 
 /* Sequential, one lane half of one block: the colour arguments over the
@@ -1882,8 +1797,8 @@ int64_t pack_read_out(const int64_t *words, const int8_t *physical,
  * With check_zero, a batch with a perturbed coupling at exactly zero is not
  * swept: the call returns its index, for the caller to anneal problem by
  * problem from the buffers and resume; otherwise it returns stop.  keys
- * is NULL under the sequential discipline, the counter keys' room (threads
- * wide) under the counter one.  With sweep 0 the call stops after batch's
+ * is NULL under the sequential discipline, the counter keys' room (one per
+ * block) under the counter one.  With sweep 0 the call stops after batch's
  * start (a lane-half block) and returns batch + 1.  work holds the last
  * swept batch's counts.  Without serve the sources are the programmed
  * (B, P) fields and (B, E) couplings; with serve the logical (B, L) and
@@ -1922,7 +1837,6 @@ typedef struct {
     double *values;
     int64_t pld;
     uint64_t *keys;
-    int64_t threads;
     int64_t *work;
     int64_t first_block;
     const double *ice;
@@ -1930,8 +1844,8 @@ typedef struct {
     const int64_t *serve;
     int64_t *read_scratch;
 } batch_call;
-_Static_assert(sizeof(batch_call) == 39 * sizeof(int64_t),
-               "batch_call is 39 words");
+_Static_assert(sizeof(batch_call) == 38 * sizeof(int64_t),
+               "batch_call is 38 words");
 
 int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
                          const double *source_values, int8_t *physical,
@@ -2005,9 +1919,9 @@ int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
             return batch + 1;
         call.num_replicas = rows;
         if (c.keys)
-            philox_blocks(&call, c.keys, c.threads, c.work);
+            sweep_blocks(&call, DRAW_PHILOX, NULL, c.keys, c.work);
         else
-            generator_blocks(&call, generators, c.work);
+            sweep_blocks(&call, DRAW_GENERATOR, generators, NULL, c.work);
         for (int64_t r = 0; r < rows; ++r)
             for (int64_t v = 0; v < width; ++v)
                 physical[(first + r) * c.pld + v] =
@@ -2017,15 +1931,6 @@ int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
         read_out_pack(&s, physical, c.pld, source_values, c.read_scratch, lo,
                       hi);
     return stop;
-}
-
-int64_t counter_openmp_enabled(void)
-{
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
 }
 """
 
@@ -2037,11 +1942,6 @@ _COMPILERS = ("cc", "gcc", "clang")
 #: and the kernel restructurings measured against it are in ROADMAP.md
 #: ("Measured and rejected").
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-#: Extra flags of the builds tried in order: with OpenMP (the counter
-#: kernels' thread parallelism), then without — the pragmas are no-ops
-#: there, so the fallback is serial but bit-identical.
-_CEXT_BUILDS = (("-fopenmp",), ())
 
 
 def _cache_dir() -> Path:
@@ -2076,19 +1976,18 @@ def _npyrandom() -> Optional[Tuple[str, str]]:
     return str(path), f"{path}:{stat.st_size}:{stat.st_mtime_ns}"
 
 
-def _cext_target(extra: Tuple[str, ...]) -> Path:
-    """Cache path of the build with *extra* flags: named by source, build
-    line AND the NumPy archive it links, so two builds never answer to one
-    name."""
+def _cext_target() -> Path:
+    """Cache path of the build: named by source, build line AND the NumPy
+    archive it links, so two builds never answer to one name."""
     archive = _npyrandom()
     digest = hashlib.sha256("\0".join(
-        (_C_SOURCE, *_CFLAGS, *extra, archive[1] if archive else "")
+        (_C_SOURCE, *_CFLAGS, archive[1] if archive else "")
     ).encode()).hexdigest()[:16]
     return _cache_dir() / f"metropolis_{digest}.so"
 
 
-def _build_cext(target: Path, extra: Tuple[str, ...]) -> bool:
-    """Compile one build and publish it as *target*; whether it is there.
+def _build_cext(target: Path) -> bool:
+    """Compile the build and publish it as *target*; whether it is there.
 
     Concurrent-compile discipline (process-pool workers all warming a cold
     cache at once): every process compiles into its *own* temporary
@@ -2112,7 +2011,7 @@ def _build_cext(target: Path, extra: Tuple[str, ...]) -> bool:
             for compiler in _COMPILERS:
                 try:
                     subprocess.run(
-                        [compiler, *_CFLAGS, *extra, "-o", str(built),
+                        [compiler, *_CFLAGS, "-o", str(built),
                          str(source), _npyrandom()[0], "-lm"],
                         check=True, capture_output=True, timeout=120)
                 except (OSError, subprocess.SubprocessError):
@@ -2126,21 +2025,14 @@ def _build_cext(target: Path, extra: Tuple[str, ...]) -> bool:
 
 
 def _compile_cext() -> Optional[Path]:
-    """The cached shared object of the first build that exists or compiles.
-
-    A warm cache costs one ``exists()``: the OpenMP artifact is looked up
-    (and, when missing, built) before the serial one is considered, so a
-    serial artifact on a shared cache never shadows an OpenMP build this
-    machine can make.  Without NumPy's ``libnpyrandom.a`` there is nothing
-    to build, as without a compiler.
-    """
+    """The cached shared object, built when it is not on disk yet (a warm
+    cache costs one ``exists()``); ``None`` when it cannot be built.
+    Without NumPy's ``libnpyrandom.a`` there is nothing to build, as
+    without a compiler."""
     if _npyrandom() is None:
         return None
-    for extra in _CEXT_BUILDS:
-        target = _cext_target(extra)
-        if target.exists() or _build_cext(target, extra):
-            return target
-    return None
+    target = _cext_target()
+    return target if target.exists() or _build_cext(target) else None
 
 
 def _cext_signatures() -> Dict[str, Tuple[object, list]]:
@@ -2191,7 +2083,6 @@ def _cext_signatures() -> Dict[str, Tuple[object, list]]:
         "philox_fill_probe": (ctypes.c_int64, [
             *[ctypes.c_int64] * 6,     # width, begin, end, sweep, first, tag
             ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]),  # key, lanes
-        "counter_openmp_enabled": (ctypes.c_int64, []),
     }
 
 

@@ -176,12 +176,8 @@ class BlockDiagonalSampler:
         uniform by a Philox counter addressed by ``(site, sweep, replica,
         move_tag)`` under a per-block key drawn once per batch from the
         block's generator (:mod:`repro.annealer.counter`), identical across
-        backends *and* thread counts.
-    threads:
-        The OpenMP width of one counter-discipline cext call; > 1 needs
-        ``rng="counter"``.  At 1 a cext call of either discipline shards the
-        pack's blocks over the usable CPUs by itself.  The NumPy loops
-        ignore it; it never changes results.
+        backends *and* CPU counts.  A cext call of either discipline
+        shards the pack's blocks over the usable CPUs by itself.
 
     A sampler keeps per-structure kernel workspaces between anneals, so one
     instance serves one :meth:`anneal` call at a time (the machine's warm
@@ -190,19 +186,13 @@ class BlockDiagonalSampler:
 
     def __init__(self, isings: Sequence[IsingModel],
                  clusters: Optional[List[np.ndarray]] = None,
-                 rng: str = "sequential", threads: int = 1):
+                 rng: str = "sequential"):
         if rng not in backends.RNG_MODES:
             raise AnnealerError(
                 f"rng must be one of {backends.RNG_MODES}, got {rng!r}")
         #: Draw discipline (named ``rng_mode`` internally: ``rng`` stays the
         #: conventional local name for generator instances).
         self.rng_mode = rng
-        self.threads = check_integer_in_range("threads", threads, minimum=1)
-        if self.threads > 1 and self.rng_mode != "counter":
-            raise AnnealerError(
-                "threads > 1 requires rng='counter': a sequential cext "
-                "call spreads a pack's blocks, or one block's replicas, "
-                "across cores by itself")
         # The artefact's one-time compile cost is paid at construction
         # instead of inside the first timed anneal.
         backends.warmup()
@@ -602,7 +592,7 @@ class BlockDiagonalSampler:
                               self.isings.offsets[blocks])
         return np.concatenate([
             IsingSampler(problem, clusters=self.block_clusters,
-                         rng=self.rng_mode, threads=self.threads).anneal(
+                         rng=self.rng_mode).anneal(
                 temperatures, rows, random_state=rng)
             for problem, rng in zip(perturbed, rngs[blocks])], axis=1)
 
@@ -682,7 +672,7 @@ class BlockDiagonalSampler:
             backends.prepare_batches(
                 self._kernel_workspace, (num_replicas, blocks * size), width,
                 (*self._batch_structure, profile), rngs, batch, ice,
-                self.rng_mode, self.threads, out),
+                self.rng_mode, out),
             lambda *args: self._per_problem(profile, *args), *tail)
         return route
 
@@ -785,9 +775,8 @@ class IsingSampler(BlockDiagonalSampler):
 
     def __init__(self, ising: IsingModel,
                  clusters: Optional[List[np.ndarray]] = None,
-                 rng: str = "sequential", threads: int = 1):
-        super().__init__([ising], clusters=clusters, rng=rng,
-                         threads=threads)
+                 rng: str = "sequential"):
+        super().__init__([ising], clusters=clusters, rng=rng)
         self.ising = ising
         #: Cluster member arrays (same as the block-level clusters).
         self.clusters = self.block_clusters

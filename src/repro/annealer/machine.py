@@ -174,7 +174,7 @@ class QuantumAnnealerSimulator:
     sampler_cache_size:
         Number of coupling structures kept warm across :meth:`run_batch`
         calls (least recently used first out), keyed on the structure
-        (rng/threads, embedding, variable count, coupling keys), *not* on
+        (rng, embedding, variable count, coupling keys), *not* on
         the number of problems.  An entry (:class:`_Structure`) holds all
         such a structure determines — the embedding plan, the logical CSR
         template, ``P_f`` and the block-diagonal sampler with its prepared
@@ -247,7 +247,7 @@ class QuantumAnnealerSimulator:
             parameters: Optional[AnnealerParameters] = None,
             random_state: RandomState = None,
             embedding: Optional[Embedding] = None,
-            rng: str = "sequential", threads: int = 1) -> AnnealResult:
+            rng: str = "sequential") -> AnnealResult:
         """Submit one QA job: embed, anneal ``N_a`` times, unembed, aggregate.
 
         A one-block :meth:`run_batch`, so the serial and batched paths cannot
@@ -255,12 +255,11 @@ class QuantumAnnealerSimulator:
         and the tie breaks; *embedding* must cover the problem.  *rng* is
         the draw discipline (``"sequential"``, the reference streams, or
         ``"counter"``, keyed Philox streams identical across backends and
-        thread counts) and *threads* the counter kernels' width.
+        CPU counts).
         """
         return self.run_batch([logical_ising], parameters=parameters,
                               random_states=[ensure_rng(random_state)],
-                              embedding=embedding, rng=rng,
-                              threads=threads)[0]
+                              embedding=embedding, rng=rng)[0]
 
     # ------------------------------------------------------------------ #
     def run_batch(self, logical_isings: Sequence[IsingModel],
@@ -268,8 +267,7 @@ class QuantumAnnealerSimulator:
                   random_states: Optional[Sequence[RandomState]] = None,
                   random_state: RandomState = None,
                   embedding: Optional[Embedding] = None,
-                  rng: str = "sequential",
-                  threads: int = 1) -> List[AnnealResult]:
+                  rng: str = "sequential") -> List[AnnealResult]:
         """Submit several same-size problems as one packed QA job.
 
         This is the Section 5.5 parallelization: small problems leave room on
@@ -300,14 +298,14 @@ class QuantumAnnealerSimulator:
             Base seed used only when *random_states* is omitted.
         embedding:
             Optional pre-computed embedding shared by all problems.
-        rng, threads:
-            As in :meth:`run`; neither changes the pack-equals-serial rule.
+        rng:
+            As in :meth:`run`; it does not change the pack-equals-serial
+            rule.
         """
         parameters = parameters or AnnealerParameters()
         if rng not in backends.RNG_MODES:
             raise AnnealerError(
                 f"rng must be one of {backends.RNG_MODES}, got {rng!r}")
-        threads = check_integer_in_range("threads", threads, minimum=1)
         # An IsingPack is one size by construction and travels on as it is.
         isings = (logical_isings if isinstance(logical_isings, IsingPack)
                   else list(logical_isings))
@@ -337,8 +335,7 @@ class QuantumAnnealerSimulator:
                 embedding = self.embedding_for(num_logical)
             # The chip's embedding keys as True, passed or not; another by
             # id, held by its entry (a copied machine's is another: missed).
-            key = (rng, threads,
-                   embedding is self._embeddings.get(num_logical)
+            key = (rng, embedding is self._embeddings.get(num_logical)
                    or id(embedding), num_logical, logical.keys)
             entry = self._checkout(key)
             if entry is None or entry.embedding is not embedding:
@@ -362,24 +359,22 @@ class QuantumAnnealerSimulator:
             if (plan is not None and plan.direct and num_logical < 64
                     and backends.cext_available()):
                 results = self._serve(entry, logical, parameters, rngs, rng,
-                                      threads, *settings[2:])
+                                      *settings[2:])
             if results is None:
                 results = self._anneal_embedded(entry, logical, parameters,
-                                                rngs, rng, threads,
-                                                settings[2])
+                                                rngs, rng, settings[2])
             self._checkin(key, entry)
         if results is None:
             # The problems do not program one structure (different coupling
             # keys): each is its own pack of one, with its own generator —
             # exactly the serial submissions the pack is defined to equal.
             return [self.run_batch([ising], parameters, random_states=[rng_b],
-                                   embedding=embedding, rng=rng,
-                                   threads=threads)[0]
+                                   embedding=embedding, rng=rng)[0]
                     for ising, rng_b in zip(isings, rngs)]
         return results
 
     def _serve(self, entry: "_Structure", logical: IsingPack,
-               parameters: AnnealerParameters, rngs, rng: str, threads: int,
+               parameters: AnnealerParameters, rngs, rng: str,
                temperatures: np.ndarray, settings: tuple
                ) -> Optional[List[AnnealResult]]:
         """The pack of a collision-free plan of at most 63 variables in one
@@ -395,7 +390,7 @@ class QuantumAnnealerSimulator:
                           np.zeros((blocks, plan.num_physical)),
                           np.ones((blocks, len(plan.physical_keys))),
                           np.zeros(blocks)),
-                clusters=plan.clusters, rng=rng, threads=threads)
+                clusters=plan.clusters, rng=rng)
         out = sampler.anneal(
             temperatures, parameters.num_anneals, rngs, ice=self.ice,
             ice_batch_size=self.ice_batch_size,
@@ -413,7 +408,7 @@ class QuantumAnnealerSimulator:
 
     def _anneal_embedded(self, entry: "_Structure", logical: IsingPack,
                          parameters: AnnealerParameters, rngs, rng: str,
-                         threads: int, temperatures: np.ndarray
+                         temperatures: np.ndarray
                          ) -> Optional[List[AnnealResult]]:
         """The pack through the NumPy stages: :func:`embed_pack`'s passes
         on the entry's plan, one anneal call of its sampler (rebound, or
@@ -438,7 +433,7 @@ class QuantumAnnealerSimulator:
                 sampler = None
         if sampler is None:
             sampler = BlockDiagonalSampler(problems, clusters=plan.clusters,
-                                           rng=rng, threads=threads)
+                                           rng=rng)
             if kept:
                 entry.sampler = sampler
         # The sampler holds the programmed pack; every ICE batch perturbs

@@ -72,9 +72,8 @@ class DecodeJob:
     rng_mode:
         Draw discipline of the decode: ``"sequential"`` (default, the
         reference streams) or ``"counter"`` (keyed Philox streams,
-        identical across backends and thread counts).  A pack is decoded
-        under one discipline, so the scheduler queues each separately; a
-        counter pack's kernel width is the service's ``threads``.
+        identical across backends and CPU counts).  A pack is decoded
+        under one discipline, so the scheduler queues each separately.
     """
 
     job_id: int

@@ -400,11 +400,11 @@ class CranService:
         :class:`QuAMaxDecoder` is created when omitted.  Each pack decodes
         under its jobs' ``rng_mode`` (``"sequential"`` unless set).
     threads:
-        Per-worker OpenMP width of a counter-mode pack's kernel call,
-        forwarded to the pool (``None`` derives it: ``cpu_count //
-        num_workers`` for process pools, else 1).  Sequential packs ignore
-        it; a one-thread call of either discipline shards the pack's blocks
-        over the usable CPUs.
+        The number of CPUs a process worker's packs shard over, forwarded
+        to the pool (``None`` derives it: the usable CPUs ``//
+        num_workers`` for process pools, else 1).  Inline and thread pools
+        shard a pack's blocks over the process's usable CPUs whatever it
+        is; it never changes seeded detections.
     max_batch, max_wait_us:
         Scheduler batching policy (see :class:`EDFBatchScheduler`).
     adaptive_wait:

@@ -51,7 +51,6 @@ plan produces the same accounting in all three modes.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import threading
 from collections import deque
@@ -79,7 +78,7 @@ from repro.cran.tracing import (
     TraceEvent,
     trace_events,
 )
-from repro.annealer.backends import _usable_cpus, openmp_teams_run
+from repro.annealer.backends import _usable_cpus
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError, WorkerPoolError
 from repro.utils.validation import check_integer_in_range
@@ -94,42 +93,26 @@ MODE_PROCESS = "process"
 MODES = (MODE_THREAD, MODE_PROCESS)
 
 
-def _batch_decode_hints(batch: DecodeBatch,
-                        default_threads: int) -> Tuple[str, int]:
-    """Resolve one pack's ``(rng, threads)`` decode arguments.
-
-    The scheduler queues each draw discipline separately, so the first job
-    speaks for all.  The thread count — the OpenMP width of the pack's one
-    counter call — is the worker's budget under the counter discipline and
-    1 under the sequential one, which takes no width.  At one thread a cext
-    call of either discipline spreads the pack's blocks across the usable
-    CPUs by itself (and a sequential pack of one block its replicas).
-    """
-    rng_mode = batch.jobs[0].rng_mode
-    return rng_mode, default_threads if rng_mode == "counter" else 1
-
-
 def decode_pack(decoder: QuAMaxDecoder, faults: Optional[FaultPlan],
-                default_threads: int, index: int,
-                batch: DecodeBatch) -> Tuple[list, float]:
+                index: int, batch: DecodeBatch) -> Tuple[list, float]:
     """Decode pack *index*; returns ``(outcomes, virtual service µs)``.
 
     The one decode every executor runs, wherever it runs.  The fault a plan
     assigns to *index* takes effect here: ``worker_crash`` raises
     :class:`WorkerCrash` and ``decode_error`` raises :class:`InjectedFault`
     before any work; a ``slow`` fault — a correct decode — only inflates
-    the pack's virtual service time.
+    the pack's virtual service time.  The scheduler queues each draw
+    discipline separately, so the first job's ``rng_mode`` speaks for all.
     """
     fault = faults.pack_fault(index) if faults is not None else None
     if fault is not None and fault.kind == FAULT_CRASH:
         raise WorkerCrash(f"injected worker crash decoding pack {index}")
     if fault is not None and fault.kind == FAULT_DECODE_ERROR:
         raise InjectedFault(f"injected decode error on pack {index}")
-    rng_mode, threads = _batch_decode_hints(batch, default_threads)
     outcomes = decoder.detect_batch(
         [job.channel_use for job in batch.jobs],
         random_states=[job.rng() for job in batch.jobs],
-        rng=rng_mode, threads=threads)
+        rng=batch.jobs[0].rng_mode)
     # One shared job overhead per pack, plus every block's amortised
     # compute (the anneal time times its share of the chip, so the sum
     # holds across structures): this is precisely where batching buys
@@ -154,25 +137,18 @@ _WORKER_DECODER: Optional[QuAMaxDecoder] = None
 #: the parent's accounting.
 _WORKER_FAULTS: Optional[FaultPlan] = None
 
-#: This worker process's kernel-thread budget (set by the initializer).
-_WORKER_THREADS: int = 1
-
-
 def _process_worker_init(
         payload: Tuple[QuAMaxDecoder, Optional[FaultPlan], int]) -> None:
     """Install this worker process's decoder (and fault plan) from the spec.
 
-    The pool's per-worker kernel-thread budget rides along: it is exported
-    as the ``OMP_NUM_THREADS`` cap *before* the decoder first runs (so the
-    lazily loaded OpenMP runtime honours it) and caps the CPUs a pack's
+    The pool's per-worker CPU budget rides along and caps the CPUs a pack's
     blocks shard over — the oversubscription guard that stops
-    ``num_workers`` processes × per-pack teams from thrashing the machine.
+    ``num_workers`` processes × per-pack block ranges from thrashing the
+    machine.
     """
-    global _WORKER_DECODER, _WORKER_FAULTS, _WORKER_THREADS
+    global _WORKER_DECODER, _WORKER_FAULTS
     decoder, faults, threads = payload
-    _WORKER_THREADS = max(1, int(threads))
-    _usable_cpus(cap=_WORKER_THREADS)
-    os.environ["OMP_NUM_THREADS"] = str(_WORKER_THREADS)
+    _usable_cpus(cap=threads)
     _WORKER_DECODER = decoder
     _WORKER_FAULTS = faults
 
@@ -190,7 +166,7 @@ def _process_decode_batch(index: int,
     the pack's accounting deterministic and identical to the threaded mode.
     """
     outcomes, service_us = decode_pack(_WORKER_DECODER, _WORKER_FAULTS,
-                                       _WORKER_THREADS, index, batch)
+                                       index, batch)
     return pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL), service_us
 
 
@@ -240,7 +216,7 @@ class _InlineExecutor(_Executor):
               batch: DecodeBatch) -> None:
         try:
             outcomes, service_us = decode_pack(pool.decoder, pool.faults,
-                                               pool.threads, index, batch)
+                                               index, batch)
         except BaseException as error:
             # The slot is released either way, so later batches still
             # credit if the caller treats the failure as transient.
@@ -381,7 +357,7 @@ class _ThreadExecutor(_Executor):
                 continue
             try:
                 outcomes, service_us = decode_pack(pool.decoder, pool.faults,
-                                                   pool.threads, index, batch)
+                                                   index, batch)
             except Exception as error:
                 # Exception, not BaseException: a KeyboardInterrupt must
                 # propagate and kill the worker loudly rather than being
@@ -415,20 +391,7 @@ class _ProcessExecutor(_Executor):
         # Linux (fast start, decoder inherited without pickling), spawn on
         # macOS/Windows where forking a threaded/BLAS-active parent is
         # unsafe.
-        context_name = None
-        if openmp_teams_run():
-            # libgomp's worker threads do not survive fork(): once this
-            # process has run a multi-thread OpenMP team (a threaded
-            # counter kernel), a fork-context child deadlocks in its first
-            # parallel region.  Fall back to spawn, where workers rebuild
-            # the decoder from the pickled spec like on macOS/Windows.
-            try:
-                if (multiprocessing.get_start_method(allow_none=True)
-                        in (None, "fork")):
-                    context_name = "spawn"
-            except ValueError:
-                pass
-        context = multiprocessing.get_context(context_name)
+        context = multiprocessing.get_context()
         # Each worker holds its own copy of the configured decoder
         # (inherited under fork, unpickled under spawn).  The fault plan
         # rides along so worker-side injection decisions match the parent's
@@ -505,8 +468,7 @@ class WorkerPool:
         Which executor serves ``num_workers >= 1``: ``"thread"`` (default)
         or ``"process"``, which scales past the GIL and is started with the
         platform's own method — ``fork`` on Linux, ``spawn`` on
-        macOS/Windows and wherever this process has already run an OpenMP
-        team.  Virtual-time accounting does not depend on it (batches
+        macOS/Windows.  Virtual-time accounting does not depend on it (batches
         credit in flush order either way), so neither does the
         latency/deadline telemetry of a given load and worker count.
     faults:
@@ -523,14 +485,13 @@ class WorkerPool:
         for identical cross-mode accounting (neither has a worker of its
         own to replace).
     threads:
-        Per-worker OpenMP width of one counter pack's kernel call (a
-        sequential pack runs at 1).  Default ``None`` derives it: process
-        pools get ``max(1, cpu_count // num_workers)`` so ``num_workers``
-        OpenMP teams never oversubscribe the machine, every other mode gets
-        1 — a pack's one-thread call of either discipline still shards its
-        blocks over the usable CPUs.  Process workers also take it as the
-        ``OMP_NUM_THREADS`` cap and as the cap on the CPUs a pack's blocks
-        shard over.
+        The number of CPUs a process worker's packs shard their blocks over
+        (its cap on the usable CPUs).  Default ``None`` derives it: process
+        pools divide this process's usable CPUs (its affinity mask) between
+        their workers, ``max(1, usable // num_workers)``, so ``num_workers``
+        processes never oversubscribe the CPUs the pool owns.  Inline and
+        thread pools report 1 and take no cap: their packs shard over the
+        process's usable CPUs.
     """
 
     def __init__(self, decoder: Optional[QuAMaxDecoder] = None, *,
@@ -552,12 +513,10 @@ class WorkerPool:
                     else _ProcessExecutor if mode == MODE_PROCESS
                     else _ThreadExecutor)
         if threads is None:
-            # Oversubscription guard: a process pool's workers each run
-            # their own OpenMP team, so the default budget divides the
-            # machine between them; threaded/inline pools share one
-            # process and default to one-thread calls, which shard a
-            # pack's blocks over the process's usable CPUs.
-            threads = (max(1, (os.cpu_count() or 1) // self.num_workers)
+            # Oversubscription guard: a process pool's workers each shard
+            # their packs, so the default budget divides the CPUs this
+            # process may use between them.
+            threads = (max(1, _usable_cpus() // self.num_workers)
                        if executor is _ProcessExecutor else 1)
         self.threads = check_integer_in_range("threads", threads, minimum=1)
 

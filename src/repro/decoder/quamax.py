@@ -126,8 +126,7 @@ class QuAMaxDecoder(Detector):
                      parameters: Optional[AnnealerParameters] = None,
                      random_state: RandomState = None,
                      random_states: Optional[Sequence[RandomState]] = None,
-                     rng: str = "sequential",
-                     threads: int = 1
+                     rng: str = "sequential"
                      ) -> List[QuAMaxDetectionResult]:
         """Decode many channel uses, packing same-size problems into QA jobs.
 
@@ -149,8 +148,7 @@ class QuAMaxDecoder(Detector):
         *rng* is the draw discipline forwarded to the annealer:
         ``"sequential"`` (default, the reference streams) or ``"counter"``
         (keyed Philox streams — a different, equally exact stream that is
-        identical across backends and thread counts).  *threads* is the
-        counter call's kernel width; it never changes seeded detections.
+        identical across backends and CPU counts).
         """
         channel_uses = list(channel_uses)
         if not channel_uses:
@@ -163,13 +161,6 @@ class QuAMaxDecoder(Detector):
         if rng not in RNG_MODES:
             raise DetectionError(
                 f"rng must be one of {RNG_MODES}, got {rng!r}")
-        threads = int(threads)
-        if threads < 1:
-            raise DetectionError("threads must be a positive integer")
-        if threads > 1 and rng != "counter":
-            raise DetectionError(
-                "threads > 1 requires rng='counter' (a sequential cext call "
-                "spreads its blocks, or one block's replicas, by itself)")
         if random_states is not None:
             if len(random_states) != len(channel_uses):
                 raise DetectionError(
@@ -195,7 +186,7 @@ class QuAMaxDecoder(Detector):
             runs = self.annealer.run_batch(
                 pack, parameters,
                 random_states=[rngs[index] for index in indices],
-                rng=rng, threads=threads)
+                rng=rng)
             assembled = self._assemble_pack(
                 [reduced[index] for index in indices], runs)
             for index, result in zip(indices, assembled):

@@ -393,22 +393,18 @@ class SimulatedAnnealingSolver:
     rng:
         Draw discipline forwarded to the engine: ``"sequential"`` (default,
         the reference streams) or ``"counter"`` (keyed Philox streams,
-        identical across backends and thread counts; a different — equally
+        identical across backends and CPU counts; a different — equally
         exact — stream than sequential).
-    threads:
-        Kernel threads for the counter discipline's compiled kernels;
-        requires ``rng="counter"`` when > 1.
     """
 
     def __init__(self, num_sweeps: int = 200, num_reads: int = 100,
                  hot_temperature: float = 5.0, cold_temperature: float = 0.05,
-                 rng: str = "sequential", threads: int = 1):
+                 rng: str = "sequential"):
         self.num_sweeps = check_integer_in_range("num_sweeps", num_sweeps, minimum=1)
         self.num_reads = check_integer_in_range("num_reads", num_reads, minimum=1)
         self.hot_temperature = check_positive("hot_temperature", hot_temperature)
         self.cold_temperature = check_positive("cold_temperature", cold_temperature)
         self.rng = rng
-        self.threads = threads
 
     def temperature_schedule_for(self, ising: IsingModel) -> np.ndarray:
         """The scale-free geometric schedule instantiated for one problem."""
@@ -433,7 +429,7 @@ class SimulatedAnnealingSolver:
         rng = ensure_rng(random_state)
         reads = self._resolve_reads(num_reads)
         temperatures = self.temperature_schedule_for(ising)
-        sampler = IsingSampler(ising, rng=self.rng, threads=self.threads)
+        sampler = IsingSampler(ising, rng=self.rng)
         raw = sampler.anneal(temperatures, reads, random_state=rng)
         # A pack of one: energies through the sparse coupling operator (the
         # C artefact's, where there is one), not a densified matrix.

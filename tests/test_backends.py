@@ -12,9 +12,6 @@ a compiler builds it, else the NumPy reference loops.  This suite pins:
   on dense and sparse problems, with and without clusters, across
   multi-block packs, ``refresh_values`` rebinds and the full machine model.
 
-A fork guard rides along: sharded one-thread counter packs run no OpenMP
-team, so process pools keep the platform's default start method.
-
 Two structural guards ride along, both clock-free: every sampler shape
 costs exactly **one** batch call (``pack_ice_batches``) per anneal, and the
 C source's exported symbols and the ctypes signature table name the same
@@ -22,7 +19,6 @@ set, which holds no plain sweep entry point beside the batch call.
 """
 
 import ctypes
-import multiprocessing
 import os
 import re
 import subprocess
@@ -179,49 +175,6 @@ class TestDispatch:
         backends.warmup()
 
 
-@needs_cext
-class TestForkSafety:
-    """libgomp's worker threads do not survive ``fork()``, so a process
-    pool starts by ``spawn`` once this process has run a multi-thread
-    OpenMP team.  A sharded one-thread counter pack runs its block ranges on
-    the helper threads, one-thread kernel calls each: no team, so process
-    pools keep the platform's default start method (fork on Linux)."""
-
-    @pytest.mark.skipif(
-        multiprocessing.get_context().get_start_method() != "fork",
-        reason="the platform's default start method is not fork")
-    def test_sharded_counter_packs_keep_the_fork_start(self, monkeypatch):
-        from types import SimpleNamespace
-
-        from repro.cran import workers
-
-        monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
-        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
-        monkeypatch.setattr(backends, "_SPLIT_SPINS", 0)
-        ranges = []
-        original = backends._cext_colour_arguments
-        monkeypatch.setattr(
-            backends, "_cext_colour_arguments",
-            lambda workspace, blocks, *rest: ranges.append(blocks)
-            or original(workspace, blocks, *rest))
-        sampler = BlockDiagonalSampler(
-            [random_ising(6, 40 + b) for b in range(4)], rng="counter")
-        for seed in range(2):
-            sampler.anneal(schedule(10), 8, [np.random.default_rng(seed + b)
-                                             for b in range(4)])
-        assert ranges == [2, 2, 2, 2]  # two anneals, two ranges each
-        assert not backends.openmp_teams_run()
-        contexts = []
-        stub = SimpleNamespace(Pool=lambda **options: SimpleNamespace(
-            close=lambda: None, join=lambda: None))
-        monkeypatch.setattr(workers.multiprocessing, "get_context",
-                            lambda name=None: contexts.append(name) or stub)
-        for teams in (False, True):  # True: the spawn the flag would buy
-            monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", teams)
-            workers.WorkerPool(num_workers=1, mode="process").close()
-        assert contexts == [None, "spawn"]
-
-
 class TestSymbolTable:
     """The C exports and their ctypes table are two spellings of one list;
     nothing else catches one drifting."""
@@ -280,10 +233,9 @@ class TestSymbolTable:
         # exported as test hooks.
         assert set(self.exported()) == {
             "pack_ice_batches", "lane_half_sweep",
-            "pack_fused_colour_cluster_sweep", "counter_openmp_enabled",
-            "metropolis_accept_probe", "counter_initial_spins",
-            "sequential_initial_spins", "philox_fill_probe",
-            "pcg64_probe", "pack_read_out"}
+            "pack_fused_colour_cluster_sweep", "metropolis_accept_probe",
+            "counter_initial_spins", "sequential_initial_spins",
+            "philox_fill_probe", "pcg64_probe", "pack_read_out"}
         for name in ("read_out", "pack_ice_batches", "PackReadOut"):
             assert callable(getattr(backends, name))
         for name in ("embed_direct", "majority_vote", "distinct_reads",
@@ -562,7 +514,7 @@ class TestCextCompileCache:
         the artifact mid-flight, the published artifact is used."""
         cache = tmp_path / "cache"
         monkeypatch.setattr(backends, "_cache_dir", lambda: cache)
-        target = backends._cext_target(backends._CEXT_BUILDS[0])
+        target = backends._cext_target()
 
         def racing_compiler(*args, **kwargs):
             # Simulate the concurrent winner: the target appears while this
@@ -583,11 +535,9 @@ class TestCextCompileCache:
         assert backends._compile_cext() is None
 
     @staticmethod
-    def fake_compiler(commands, accepts_openmp=True):
+    def fake_compiler(commands):
         def run(command, **kwargs):
             commands.append(command)
-            if "-fopenmp" in command and not accepts_openmp:
-                raise subprocess.CalledProcessError(1, command)
             with open(command[command.index("-o") + 1], "wb") as built:
                 built.write(" ".join(command).encode())
         return run
@@ -595,14 +545,13 @@ class TestCextCompileCache:
     def test_artifact_is_named_by_source_and_build_line(self, monkeypatch,
                                                         tmp_path):
         monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
-        openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
-        assert openmp != serial
+        here = backends._cext_target()
         with monkeypatch.context() as patch:
             patch.setattr(backends, "_CFLAGS", backends._CFLAGS + ("-g",))
-            assert backends._cext_target(()) not in (openmp, serial)
+            assert backends._cext_target() != here
         with monkeypatch.context() as patch:
             patch.setattr(backends, "_C_SOURCE", backends._C_SOURCE + "\n")
-            assert backends._cext_target(()) not in (openmp, serial)
+            assert backends._cext_target() != here
 
     def test_artifact_is_named_by_the_numpy_archive(self, monkeypatch,
                                                     tmp_path):
@@ -611,10 +560,10 @@ class TestCextCompileCache:
         monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
         path, identity = backends._npyrandom()
         assert identity.startswith(path) and path.endswith("libnpyrandom.a")
-        here = backends._cext_target(())
+        here = backends._cext_target()
         monkeypatch.setattr(backends, "_npyrandom",
                             lambda: (path, identity + "0"))
-        assert backends._cext_target(()) != here
+        assert backends._cext_target() != here
 
     def test_no_numpy_archive_no_artefact(self, monkeypatch, tmp_path):
         """Without ``libnpyrandom.a`` there is nothing to link the ICE draws
@@ -651,32 +600,3 @@ class TestCextCompileCache:
         assert path == "numpy"
         for got, want in zip(bits, expected, strict=True):
             np.testing.assert_array_equal(got, want)
-
-    def test_serial_artifact_never_shadows_the_openmp_build(self, monkeypatch,
-                                                            tmp_path):
-        """A serial build somebody left on a shared cache must not turn
-        ``threads>1`` into a no-op for a machine that can build OpenMP —
-        and a warm cache still costs no subprocess."""
-        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
-        openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
-        serial.write_bytes(b"serial build of another machine")
-        commands = []
-        monkeypatch.setattr(subprocess, "run",
-                            self.fake_compiler(commands))
-        assert backends._compile_cext() == openmp
-        assert len(commands) == 1 and "-fopenmp" in commands[0]
-        assert backends._compile_cext() == openmp
-        assert len(commands) == 1
-
-    def test_openmp_failure_publishes_under_the_serial_name(self, monkeypatch,
-                                                            tmp_path):
-        monkeypatch.setattr(backends, "_cache_dir", lambda: tmp_path)
-        openmp, serial = map(backends._cext_target, backends._CEXT_BUILDS)
-        commands = []
-        monkeypatch.setattr(subprocess, "run",
-                            self.fake_compiler(commands, accepts_openmp=False))
-        assert backends._compile_cext() == serial
-        assert not openmp.exists()
-        assert b"-fopenmp" not in serial.read_bytes()
-        assert all(set(backends._CFLAGS) <= set(command)
-                   for command in commands)

@@ -24,12 +24,12 @@ pieces:
 * a **sharded pack** of either draw discipline — its blocks split into
   one range per usable CPU, swept side by side — equals the one call in
   spins, generator states and work, and stays one call when blocks share a
-  bit generator or a counter call is two or more OpenMP threads wide;
+  bit generator;
 * a **pack's ICE batches** — ``pack_ice_batches``, every batch's ICE
   draws, value gathers, start and sweep in one call per range of blocks —
   equal the NumPy path's perturb-then-anneal loop in spins and generator
-  states, in either discipline, as one range or several, as lane halves,
-  and at any OpenMP width; one noise-free batch is the plain anneal;
+  states, in either discipline, as one range or several, and as lane
+  halves; one noise-free batch is the plain anneal;
 * **lane halves** — one block's replicas split over two threads, each
   drawing from a C-stepped PCG64 jumped to its own draw offsets — equal
   the one-thread call at any cut, step and jump as NumPy does, fall back to
@@ -170,25 +170,21 @@ class TestLaneLayout:
         np.testing.assert_array_equal(expected, actual)
         np.testing.assert_equal(state, expected_state)
 
-    @pytest.mark.parametrize("rng_mode, threads", [
-        ("sequential", 1), ("counter", 1), ("counter", 4)])
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     def test_kernel_writes_only_the_callers_spins(self, monkeypatch, rng_mode,
-                                                  threads, on_numpy):
-        """Canary: thirteen replicas leave three pad lanes, in one lane group
-        of sixteen or — four threads on the one block — in the last of four
-        groups, each thread sweeping in its own slice of the lane scratch.
-        The batch call's spins are an interior view of a NaN-bordered
-        matrix and the lane scratch — all of it poisoned, the counter
-        discipline's uniform rows included, sized by the helper the call
-        itself uses — is followed by guard words; the call must leave border
-        and guard untouched and every spin it hands back a finite +-1 —
-        nothing of a pad lane or of the scratch reaches the caller."""
+                                                  on_numpy):
+        """Canary: thirteen replicas leave three pad lanes in one lane group
+        of sixteen.  The batch call's spins are an interior view of a
+        NaN-bordered matrix and the lane scratch — all of it poisoned, the
+        counter discipline's uniform rows included, sized by the helper the
+        call itself uses — is followed by guard words; the call must leave
+        border and guard untouched and every spin it hands back a finite
+        +-1 — nothing of a pad lane or of the scratch reaches the caller."""
         ising, clusters = embedded_bpsk()
         size, replicas = ising.num_variables, 13
-        sampler = IsingSampler(ising, clusters=clusters,
-                               rng=rng_mode, threads=threads)
-        lanes, used = backends._lane_layout(threads, 1, replicas, size, size)
-        assert lanes == (16 if threads == 1 else 4)
+        sampler = IsingSampler(ising, clusters=clusters, rng=rng_mode)
+        lanes, used = backends._lane_layout(replicas, size, size)
+        assert lanes == 16
         scratch = np.full(used + 64, 12345.0)
         sampler._kernel_workspace["lanes"] = (scratch, backends._ptr(scratch))
         view, frame, border = framed_batch_spins(monkeypatch, sampler,
@@ -202,8 +198,6 @@ class TestLaneLayout:
         assert np.isnan(frame[border]).all()
         assert (np.abs(view) == 1.0).all()
         np.testing.assert_array_equal(view, samples)
-        # The numpy reference runs one thread whatever it is told: counter
-        # results do not depend on the thread count.
         with on_numpy():
             expected = IsingSampler(ising, clusters=clusters,
                                     rng=rng_mode).anneal(
@@ -457,7 +451,7 @@ class TestSequentialInitialSpins:
                                 reference_rng.bit_generator.state)
 
 
-def embedded_pack(blocks, with_clusters, rng="sequential", threads=1):
+def embedded_pack(blocks, with_clusters, rng="sequential"):
     """*blocks* 6-user BPSK problems on one clique embedding: one structure,
     block-level chains as the clusters (or none).  Block *b* is scaled by
     ``1 + b / 8``, so no two blocks share a chain coupling: a range that
@@ -466,8 +460,7 @@ def embedded_pack(blocks, with_clusters, rng="sequential", threads=1):
                 for seed in range(blocks)]
     return BlockDiagonalSampler(
         [ising.scaled(1 + b / 8) for b, (ising, _) in enumerate(problems)],
-        clusters=problems[0][1] if with_clusters else None, rng=rng,
-        threads=threads)
+        clusters=problems[0][1] if with_clusters else None, rng=rng)
 
 
 class TestShardedPack:
@@ -477,8 +470,7 @@ class TestShardedPack:
     only from generator *b* (sequential) or from its own Philox key, drawn
     from generator *b* before the call (counter), so the ranges together
     are the one call — spins, generator states and :class:`SweepWork` —
-    unless two blocks share a bit generator.  A counter call of two or more
-    threads is one OpenMP call instead."""
+    unless two blocks share a bit generator."""
 
     @staticmethod
     def anneal(monkeypatch, cpus, sampler, random_states, split_spins=0):
@@ -516,23 +508,6 @@ class TestShardedPack:
             assert work == expected_work
             for rng, reference in zip(rngs, reference_rngs):
                 assert rng.bit_generator.state == reference.bit_generator.state
-
-    def test_a_wide_counter_call_is_one_openmp_call(self, monkeypatch):
-        """``threads=2`` is the OpenMP width of one counter call: on any
-        number of usable CPUs it is that one call, never ranges × team
-        threads, and its bits are the one-thread call's."""
-        sampler = embedded_pack(16, True, "counter")
-        expected, expected_work, _ = self.anneal(
-            monkeypatch, 1, sampler, [np.random.default_rng(b)
-                                      for b in range(16)])
-        sampler = embedded_pack(16, True, "counter", threads=2)
-        for cpus in (1, 2, 64):
-            spins, work, ranges = self.anneal(
-                monkeypatch, cpus, sampler, [np.random.default_rng(b)
-                                             for b in range(16)])
-            assert ranges == [16]
-            assert spins.tobytes() == expected.tobytes()
-            assert work == expected_work
 
     @pytest.mark.parametrize("form", ["same generator",
                                       "one bit generator under two"])
@@ -661,14 +636,6 @@ class TestIceBatchCall:
         assert len(works) == 1 and None not in works
         # The call leaves the sampler bound to the programmed values.
         assert sampler.isings is programmed
-
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_a_wide_counter_batch_call_is_the_one_thread_call(self, threads):
-        """A counter pack's batch call ``threads`` wide is one OpenMP call
-        whose bits and work are the one-thread call's."""
-        expected = self.anneal(embedded_pack(16, True, "counter"), 16)
-        wide = embedded_pack(16, True, "counter", threads=threads)
-        assert self.anneal(wide, 16) == expected
 
     def test_lane_half_batches_equal_the_numpy_loop(self, on_numpy,
                                                     every_block_splits):
@@ -990,9 +957,7 @@ def test_c_source_compiles_without_warnings(tmp_path):
 
     # -U__SSE2__ selects the source's portable (no-intrinsics) branch,
     # -U__SIZEOF_INT128__ the one without 128-bit integers (no lane halves).
-    builds = [[*width, *openmp]
-              for width in ([], ["-U__SSE2__"], ["-U__SIZEOF_INT128__"])
-              for openmp in ([], ["-fopenmp"])]
+    builds = [[], ["-U__SSE2__"], ["-U__SIZEOF_INT128__"]]
 
     def check(compiler, flags, path):
         try:
@@ -1006,8 +971,8 @@ def test_c_source_compiles_without_warnings(tmp_path):
     for compiler in backends._COMPILERS:
         if check(compiler, [], empty) is None:
             continue
-        # Both builds _compile_cext tries, each with and without the vector
-        # Philox fills; -fopenmp only where accepted.
+        # The one build _compile_cext makes, with and without the vector
+        # Philox fills and the lane halves.
         for flags in builds:
             if check(compiler, flags, empty).returncode == 0:
                 result = check(compiler, flags, source)

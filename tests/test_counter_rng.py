@@ -4,24 +4,25 @@
 generator per block, draws consumed in a fixed order) for
 keyed Philox4x32-10 streams addressed by ``(site, sweep, replica, tag)``
 under a per-block 64-bit key.  Every uniform is a pure function of its
-coordinates, so evaluation order is free — which is exactly what makes
-intra-pack threading legal.  These tests pin the contract:
+coordinates, so evaluation order is free — which is what lets a pack
+sweep on any number of cores with the same bits.  These tests pin the
+contract:
 
 * the Philox primitive itself (determinism, range, coordinate/key
   sensitivity, vectorised == scalar);
 * seeded-substream disjointness across blocks and replicas;
 * bit-identical streams across backends (numpy reference vs compiled);
-* bit-identical streams across thread counts (t=1 ≡ t=4);
+* bit-identical streams across usable-CPU counts (1 ≡ 4);
 * bit-identical decodes across worker-pool modes (inline/thread/process);
-* the guard rails: sequential mode is untouched by any of this, threads > 1
-  without counter mode is rejected at every layer, and mixed-mode packs are
-  rejected by the scheduler.
+* the guard rails: sequential mode is untouched by any of this, an unknown
+  discipline is rejected at every layer, and the scheduler never packs two
+  disciplines together.
 """
 
 import numpy as np
 import pytest
 
-from repro.annealer import counter
+from repro.annealer import backends, counter
 from repro.annealer.backends import cext_available
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.engine import IsingSampler
@@ -29,7 +30,7 @@ from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch, EDFBatchScheduler
 from repro.cran.service import CranService
-from repro.cran.workers import WorkerPool, _batch_decode_hints, decode_pack
+from repro.cran.workers import WorkerPool, decode_pack
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import AnnealerError, DetectionError, SchedulingError
 from repro.ising.model import IsingModel
@@ -152,7 +153,7 @@ class TestPhiloxPrimitive:
 
 
 # --------------------------------------------------------------------------- #
-# Backend and thread-count equivalence
+# Backend and CPU-count equivalence
 # --------------------------------------------------------------------------- #
 class TestCounterEquivalence:
     @pytest.fixture(scope="class")
@@ -172,11 +173,15 @@ class TestCounterEquivalence:
                               reference)
 
     @needs_cext
-    def test_dense_thread_independence(self, schedule, on_numpy):
+    def test_dense_thread_independence(self, schedule, on_numpy,
+                                       monkeypatch):
+        # Any number of usable CPUs, the split gate off: the counter call
+        # of one block keeps the reference bits.
         reference = self.reference_dense(schedule, on_numpy)
-        for threads in (1, 4):
-            sampler = IsingSampler(dense_problem(), rng="counter",
-                                   threads=threads)
+        monkeypatch.setattr(backends, "_SPLIT_SPINS", 0)
+        for cpus in (1, 4):
+            monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+            sampler = IsingSampler(dense_problem(), rng="counter")
             assert np.array_equal(
                 sampler.anneal(schedule, 12, random_state=SEED), reference)
 
@@ -188,29 +193,26 @@ class TestCounterEquivalence:
             reference = IsingSampler(ising, clusters=clusters,
                                      rng="counter").anneal(
                 schedule, 8, random_state=SEED)
-        for threads in (1, 4):
-            sampler = IsingSampler(ising, clusters=clusters, rng="counter",
-                                   threads=threads)
-            assert np.array_equal(
-                sampler.anneal(schedule, 8, random_state=SEED), reference)
+        sampler = IsingSampler(ising, clusters=clusters, rng="counter")
+        assert np.array_equal(
+            sampler.anneal(schedule, 8, random_state=SEED), reference)
 
     @needs_cext
     def test_sparse_problem_equivalence(self, schedule, on_numpy):
         # Without its clusters the embedded problem is plain sparse colour
         # sweeps; counter streams must agree with the numpy reference
-        # across paths and thread counts.
+        # across paths.
         ising, _clusters = embedded_problem()
         with on_numpy():
             reference = IsingSampler(ising, rng="counter").anneal(
                 schedule, 8, random_state=SEED)
-        for threads in (1, 4):
-            sampler = IsingSampler(ising, rng="counter", threads=threads)
-            assert np.array_equal(
-                sampler.anneal(schedule, 8, random_state=SEED), reference)
+        sampler = IsingSampler(ising, rng="counter")
+        assert np.array_equal(
+            sampler.anneal(schedule, 8, random_state=SEED), reference)
 
     def test_solver_counter_mode_backend_identical(self, on_numpy):
         solver = SimulatedAnnealingSolver(num_sweeps=50, num_reads=20,
-                                          rng="counter", threads=2)
+                                          rng="counter")
         with on_numpy():
             results = [solver.sample(dense_problem(), random_state=SEED)]
         if cext_available():
@@ -281,10 +283,6 @@ class TestSubstreamDisjointness:
 # Guard rails
 # --------------------------------------------------------------------------- #
 class TestGuards:
-    def test_engine_rejects_threads_without_counter(self):
-        with pytest.raises(AnnealerError, match="rng='counter'"):
-            IsingSampler(dense_problem(), threads=2)
-
     def test_engine_rejects_unknown_rng(self):
         with pytest.raises(AnnealerError, match="rng"):
             IsingSampler(dense_problem(), rng="philox")
@@ -295,11 +293,9 @@ class TestGuards:
             machine.run(dense_problem(), AnnealerParameters(num_anneals=5),
                         random_state=SEED, rng="philox")
 
-    def test_decoder_rejects_threads_without_counter(self):
+    def test_decoder_rejects_unknown_rng(self):
         link = MimoUplink(num_users=2, constellation="BPSK")
         use = link.transmit(random_state=np.random.default_rng(0))
-        with pytest.raises(DetectionError, match="rng='counter'"):
-            QuAMaxDecoder().detect_batch([use], threads=2)
         with pytest.raises(DetectionError, match="rng"):
             QuAMaxDecoder().detect_batch([use], rng="philox")
 
@@ -329,55 +325,45 @@ class TestGuards:
         assert [batch.job_ids for batch in batches] == [(1, 2), (0, 3), (4,)]
         assert all(len({job.rng_mode for job in batch.jobs}) == 1
                    for batch in batches)
-        assert _batch_decode_hints(batches[1], default_threads=8) == \
-            ("counter", 8)
+        assert [batch.jobs[0].rng_mode for batch in batches] == [
+            "sequential", "counter", "counter"]
 
-    def test_batch_hints_clamp_sequential_to_serial(self):
-        link = MimoUplink(num_users=2, constellation="BPSK")
-        rng = np.random.default_rng(0)
-        scheduler = EDFBatchScheduler(max_batch=2, max_wait_us=np.inf)
-        batches = []
-        for i in range(2):
-            batches += scheduler.submit(DecodeJob(
-                job_id=i, user_id=0, frame=0, subcarrier=i,
-                channel_use=link.transmit(random_state=rng),
-                arrival_time_us=float(i)))
-        assert _batch_decode_hints(batches[0], default_threads=8) == \
-            ("sequential", 1)
-
-    @pytest.mark.parametrize("rng_mode, threads", [("sequential", 1),
-                                                   ("counter", 8)])
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     def test_pack_decodes_under_its_jobs_discipline(self, monkeypatch,
-                                                    rng_mode, threads):
+                                                    rng_mode):
         """``decode_pack`` always hands ``detect_batch`` the pack's own draw
-        discipline, and the worker's budget (8) as a counter pack's width."""
+        discipline."""
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(2, 2)),
             AnnealerParameters(num_anneals=4))
         seen = []
         detect_batch = decoder.detect_batch
 
-        def recording(channel_uses, random_states, rng, threads):
-            seen.append((rng, threads))
+        def recording(channel_uses, random_states, rng):
+            seen.append(rng)
             return detect_batch(channel_uses, random_states=random_states,
-                                rng=rng, threads=threads)
+                                rng=rng)
 
         monkeypatch.setattr(decoder, "detect_batch", recording)
         link = MimoUplink(num_users=2, constellation="BPSK")
         job = DecodeJob(job_id=0, user_id=0, frame=0, subcarrier=0,
                         channel_use=link.transmit(random_state=0),
                         arrival_time_us=0.0, rng_mode=rng_mode)
-        outcomes, _ = decode_pack(decoder, None, 8, 0, DecodeBatch(
+        outcomes, _ = decode_pack(decoder, None, 0, DecodeBatch(
             jobs=(job,), flush_time_us=0.0, reason="full"))
-        assert seen == [(rng_mode, threads)]
+        assert seen == [rng_mode]
         assert len(outcomes) == 1
 
-    def test_pool_derives_process_thread_budget(self):
+    def test_pool_derives_process_thread_budget(self, monkeypatch):
+        """The default budget divides the CPUs this process may use (its
+        affinity mask), not the machine's: two workers under a one-CPU
+        mask on an eight-CPU machine get one CPU each, not four."""
         import os
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         decoder = QuAMaxDecoder()
-        expected = max(1, (os.cpu_count() or 1) // 2)
         with WorkerPool(decoder, num_workers=2, mode="process") as pool:
-            assert pool.worker_info()["threads"] == expected
+            assert pool.worker_info()["threads"] == 1
         with WorkerPool(decoder, num_workers=2, mode="process",
                         threads=3) as override:
             assert override.worker_info()["threads"] == 3
@@ -426,9 +412,10 @@ class TestServingIdentity:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_thread_budget_and_packing_are_invisible(self, jobs, threads):
-        # Counter jobs run at the service's kernel thread budget; at every
-        # budget, packs of up to 4 decode bit for bit as batch-1 serving
-        # does.
+        # The service's threads is a process worker's CPU budget; an
+        # inline pool reports it and shards over the process's CPUs.  At
+        # every budget, packs of up to 4 decode bit for bit as batch-1
+        # serving does.
         decoder = QuAMaxDecoder(
             QuantumAnnealerSimulator(ChimeraGraph.ideal(4, 4)),
             AnnealerParameters(num_anneals=10))

@@ -505,7 +505,7 @@ class TestWorkerPoolErrors:
                     ChimeraGraph.ideal(2, 2)).overheads
 
             def detect_batch(self, channel_uses, random_states=None,
-                             rng=None, threads=None):
+                             rng=None):
                 # Both workers must be mid-decode before either fails, so
                 # neither failure can degrade the other worker to drain
                 # mode first — the close() error report must list both.
@@ -532,7 +532,7 @@ class TestWorkerPoolErrors:
                     ChimeraGraph.ideal(2, 2)).overheads
 
             def detect_batch(self, channel_uses, random_states=None,
-                             rng=None, threads=None):
+                             rng=None):
                 raise RuntimeError("boom")
 
         pool = WorkerPool(Boom(), num_workers=1, mode="thread")
@@ -558,7 +558,7 @@ class TestWorkerPoolErrors:
                     ChimeraGraph.ideal(2, 2)).overheads
 
             def detect_batch(self, channel_uses, random_states=None,
-                             rng=None, threads=None):
+                             rng=None):
                 raise KeyboardInterrupt
 
         pool = WorkerPool(Interrupted(), num_workers=1, mode="thread")

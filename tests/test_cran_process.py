@@ -46,8 +46,7 @@ class BoomDecoder:
         overheads = QuantumAnnealerSimulator(
             ChimeraGraph.ideal(2, 2)).overheads
 
-    def detect_batch(self, channel_uses, random_states=None, rng=None,
-                     threads=None):
+    def detect_batch(self, channel_uses, random_states=None, rng=None):
         raise RuntimeError("boom")
 
 

@@ -263,9 +263,8 @@ class TestGoldenDigestsAcrossBackends:
         golden("embedded_cluster_sampler_stream", {"spins": spins})
 
     def test_counter_dense_sampler_stream_per_backend(self, golden):
-        # The counter contract's cross-path clause: both paths (at any
-        # thread count — 2 here, which the NumPy reference ignores) must
-        # hash to the same frozen counter stream it recorded.
+        # The counter contract's cross-path clause: both paths must hash
+        # to the same frozen counter stream it recorded.
         rng = np.random.default_rng(SEED)
         n = 16
         ising = IsingModel(
@@ -274,7 +273,7 @@ class TestGoldenDigestsAcrossBackends:
             couplings={(i, j): float(rng.normal())
                        for i in range(n) for j in range(i + 1, n)})
         solver = SimulatedAnnealingSolver(
-            num_sweeps=80, num_reads=40, rng="counter", threads=2)
+            num_sweeps=80, num_reads=40, rng="counter")
         result = solver.sample(ising, random_state=SEED)
         golden("counter_dense_sampler_stream", {
             "samples": result.samples,
@@ -284,8 +283,7 @@ class TestGoldenDigestsAcrossBackends:
 
     def test_counter_embedded_cluster_stream_per_backend(self, golden):
         ising, clusters = _path_chain_embedded_problem()
-        sampler = IsingSampler(ising, clusters=clusters, rng="counter",
-                               threads=2)
+        sampler = IsingSampler(ising, clusters=clusters, rng="counter")
         spins = sampler.anneal(
             geometric_temperature_schedule(50, 5.0, 0.05), 12,
             random_state=SEED)

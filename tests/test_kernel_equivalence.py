@@ -455,10 +455,9 @@ class TestLaneEdges:
     copy padded to the vector width, so the cases that could go wrong are
     the ones the layout adds: replica counts around a lane boundary (pad
     lanes must never draw, flip or be written back), packs whose blocks are
-    column slices, batch-call spin buffers whose row stride exceeds their
-    width, and — under the counter discipline — replicas split into several
-    lane groups across threads.  Everything is compared with the numpy
-    reference loops from the drawn start, spins *and* generator end state.
+    column slices, and batch-call spin buffers whose row stride exceeds
+    their width.  Everything is compared with the numpy reference loops
+    from the drawn start, spins *and* generator end state.
     """
 
     SIZE = 30
@@ -505,26 +504,3 @@ class TestLaneEdges:
             np.testing.assert_array_equal(view, actual)
         np.testing.assert_array_equal(expected, actual)
         assert self.states(rngs) == self.states(reference_rngs)
-
-    @pytest.mark.parametrize("replicas", [5, 7, 25])
-    @pytest.mark.parametrize("blocks", [1, 3])
-    def test_lane_groups_are_identical_across_thread_counts(self, replicas,
-                                                            blocks, on_numpy):
-        """With more threads than blocks the counter kernel splits a block's
-        replicas into several lane groups; a replica count that is no
-        multiple of the lane width leaves the last group part-filled."""
-        problems, clusters = chain_pack(blocks, self.SIZE, 100)
-        temperatures = schedule(20, hot=3.0)
-
-        def anneal(threads):
-            return BlockDiagonalSampler(
-                problems, clusters=clusters, rng="counter",
-                threads=threads).anneal(
-                temperatures, replicas,
-                [np.random.default_rng(110 + b) for b in range(blocks)])
-
-        with on_numpy():
-            reference = anneal(1)
-        for threads in (1, 2, 4):
-            np.testing.assert_array_equal(reference, anneal(threads),
-                                          err_msg=f"threads={threads}")

@@ -1142,9 +1142,6 @@ class TestShardedServing:
         inherits the helper pool's queue but not its thread; it must start
         its own instead of waiting forever on work no thread will take."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
-        # Only counter kernels enter OpenMP; keep the pool on fork even if
-        # an earlier test ran an OpenMP team in this process.
-        monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
         jobs = qpsk_jobs(32)
         expected = serve_in_packs(jobs)
         assert backends._HELPERS  # the helper pool is running here
@@ -1167,7 +1164,6 @@ class TestShardedServing:
         child's own helper pool, not the parent's, which has no thread
         there."""
         monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
-        monkeypatch.setattr(backends, "_OPENMP_TEAMS_RUN", False)
         jobs = qpsk_jobs(32)
         decoder = QuAMaxDecoder(ideal_machine(),
                                 AnnealerParameters(num_anneals=20))
@@ -1351,7 +1347,7 @@ class TestWarmPackWork:
         assert tuple(sampler.last_sweep_work) == (288000, 278948, 6508)
 
     #: Calls into ``src/repro`` of one warm ``decode_pack`` per (jobs, CPUs).
-    PYTHON_CALLS = {(1, 1): 65, (1, 2): 65, (16, 1): 250, (16, 2): 254}
+    PYTHON_CALLS = {(1, 1): 63, (1, 2): 63, (16, 1): 248, (16, 2): 252}
 
     @staticmethod
     def warm_pack_calls(jobs):
@@ -1375,7 +1371,7 @@ class TestWarmPackWork:
                           arrival_time_us=0.0) for k in range(jobs)),
                 flush_time_us=0.0, reason="full")
 
-        decode_pack(decoder, None, 1, 0, batch(0))  # warm
+        decode_pack(decoder, None, 0, batch(0))  # warm
         package = os.path.dirname(repro.__file__) + os.sep
         calls = []
 
@@ -1387,7 +1383,7 @@ class TestWarmPackWork:
         warm = batch(jobs)
         sys.setprofile(profile)
         try:
-            decode_pack(decoder, None, 1, 1, warm)
+            decode_pack(decoder, None, 1, warm)
         finally:
             sys.setprofile(None)
         assert decoder.sampler_cache_info()["hits"] == 1
@@ -1761,7 +1757,7 @@ class TestWarmStructures:
         info = machine.sampler_cache_info()
         assert (info["entries"], info["hits"], info["misses"]) == (2, 2, 2)
         entry = machine._structures[
-            "sequential", 1, True, 6, pack[0].coupling_keys]
+            "sequential", True, 6, pack[0].coupling_keys]
         assert entry.plan.direct and entry.template.indptr.size == 7
         assert machine._settings[0] is self.PARAMETERS
         assert entry.sampler.num_blocks == 1

@@ -291,21 +291,23 @@ class TestServingOptionSurface:
         "QuAMaxDecoder": {"annealer", "parameters", "random_state"},
         "QuAMaxDecoder.detect_batch": {
             "channel_uses", "parameters", "random_state", "random_states",
-            "rng", "threads"},
+            "rng"},
+        "QuantumAnnealerSimulator.run": {
+            "logical_ising", "parameters", "random_state", "embedding",
+            "rng"},
         "QuantumAnnealerSimulator.run_batch": {
             "logical_isings", "parameters", "random_states", "random_state",
-            "embedding", "rng", "threads"},
-        "BlockDiagonalSampler": {
-            "isings", "clusters", "rng", "threads"},
+            "embedding", "rng"},
+        "BlockDiagonalSampler": {"isings", "clusters", "rng"},
         "BlockDiagonalSampler.anneal": {
             "temperatures", "num_replicas", "random_states", "ice",
             "ice_batch_size", "program"},
-        "IsingSampler": {"ising", "clusters", "rng", "threads"},
+        "IsingSampler": {"ising", "clusters", "rng"},
         "IsingSampler.anneal": {
             "temperatures", "num_replicas", "random_state"},
         "SimulatedAnnealingSolver": {
             "num_sweeps", "num_reads", "hot_temperature", "cold_temperature",
-            "rng", "threads"},
+            "rng"},
         "OFDMDecodingPipeline.decode_subcarriers": {
             "channel_uses", "random_state"},
         "OFDMDecodingPipeline.decode_frame": {
@@ -359,6 +361,11 @@ class TestServingOptionSurface:
         ("WorkerPool", "autostart"), ("WorkerPool", "telemetry"),
         ("WorkerPool", "trace"), ("QuAMaxDecoder", "rng"),
         ("QuAMaxDecoder", "threads"), ("DecodeJob", "threads"),
+        ("QuAMaxDecoder.detect_batch", "threads"),
+        ("QuantumAnnealerSimulator.run", "threads"),
+        ("QuantumAnnealerSimulator.run_batch", "threads"),
+        ("BlockDiagonalSampler", "threads"), ("IsingSampler", "threads"),
+        ("SimulatedAnnealingSolver", "threads"),
         ("decode_time_model_for", "margin"),
         ("online_decode_time_model", "margin"),
         ("TelemetryRecorder", "window"),
@@ -372,6 +379,24 @@ class TestServingOptionSurface:
     def test_removed_keyword_is_rejected_not_swallowed(self, name, removed):
         with pytest.raises(TypeError, match=removed):
             self.resolve(name)(**{removed: None})
+
+    def test_only_the_pool_takes_a_cpu_budget(self):
+        """``threads`` — how many CPUs a process worker's packs shard
+        over — is the serving pool's alone: no other function or method of
+        the package takes it."""
+        takes = set()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owners = {id(item): f"{node.name}.{item.name}"
+                      for node in tree.body if isinstance(node, ast.ClassDef)
+                      for item in node.body if hasattr(item, "name")}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)) and "threads" in {
+                        arg.arg for arg in (*node.args.args,
+                                            *node.args.kwonlyargs)}:
+                    takes.add(owners.get(id(node), path.name))
+        assert takes == {"CranService.__init__", "WorkerPool.__init__"}
 
     @pytest.mark.parametrize("name", [
         "IngressGateway.submit_async", "WorkerPool.steal_count",
