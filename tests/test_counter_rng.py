@@ -370,6 +370,23 @@ class TestGuards:
         inline = WorkerPool(decoder)
         assert inline.worker_info()["threads"] == 1
 
+    @pytest.mark.parametrize("budget, usable", [(1, 1), (3, 2)])
+    def test_process_worker_caps_its_packs_at_the_budget(self, monkeypatch,
+                                                         budget, usable):
+        """A process worker's one use of the pool's ``threads``: its
+        initializer caps the CPUs its packs shard over at that budget (a
+        budget over the affinity mask leaves the mask) and installs the
+        decoder and fault plan it was handed."""
+        from repro.cran import workers
+        monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
+        monkeypatch.setattr(workers, "_WORKER_DECODER", None)
+        monkeypatch.setattr(workers, "_WORKER_FAULTS", None)
+        decoder = QuAMaxDecoder()
+        workers._process_worker_init((decoder, None, budget))
+        assert backends._usable_cpus() == usable
+        assert workers._WORKER_DECODER is decoder
+        assert workers._WORKER_FAULTS is None
+
 
 # --------------------------------------------------------------------------- #
 # Serving-layer identity across pool modes

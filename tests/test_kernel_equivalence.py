@@ -455,9 +455,10 @@ class TestLaneEdges:
     copy padded to the vector width, so the cases that could go wrong are
     the ones the layout adds: replica counts around a lane boundary (pad
     lanes must never draw, flip or be written back), packs whose blocks are
-    column slices, and batch-call spin buffers whose row stride exceeds
-    their width.  Everything is compared with the numpy reference loops
-    from the drawn start, spins *and* generator end state.
+    column slices, batch-call spin buffers whose row stride exceeds their
+    width, and lane groups split across helper threads.  Everything is
+    compared with the numpy reference loops from the drawn start, spins
+    *and* generator end state.
     """
 
     SIZE = 30
@@ -504,3 +505,45 @@ class TestLaneEdges:
             np.testing.assert_array_equal(view, actual)
         np.testing.assert_array_equal(expected, actual)
         assert self.states(rngs) == self.states(reference_rngs)
+
+    @pytest.mark.parametrize("replicas", [5, 7, 25])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_lane_groups_are_identical_across_thread_counts(
+            self, monkeypatch, replicas, blocks, on_numpy,
+            every_block_splits):
+        """The two ways a call's lane groups reach a second core — a pack's
+        blocks as one range per usable CPU, one sequential block's replicas
+        as two lane halves (a one-block counter call stays whole) — leave
+        the numpy loops' spins and generator states on 1, 2 and 4 usable
+        CPUs, in either discipline; a replica count that is no multiple of
+        the lane width leaves the last group part-filled."""
+        problems, clusters = chain_pack(blocks, self.SIZE, 100)
+        temperatures = schedule(20, hot=3.0)
+        ranges = []
+        original = backends._batch_block
+        monkeypatch.setattr(
+            backends, "_batch_block", lambda space, buffers, lo, hi, *rest:
+            ranges.append(hi - lo) or original(space, buffers, lo, hi, *rest))
+
+        def anneal(rng_mode):
+            rngs = [np.random.default_rng(110 + b) for b in range(blocks)]
+            spins = BlockDiagonalSampler(
+                problems, clusters=clusters, rng=rng_mode).anneal(
+                temperatures, replicas, rngs)
+            return spins, self.states(rngs)
+
+        for rng_mode in backends.RNG_MODES:
+            with on_numpy():
+                expected, expected_states = anneal(rng_mode)
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
+                ranges.clear()
+                splits = every_block_splits["splits"]
+                spins, states = anneal(rng_mode)
+                case = f"rng={rng_mode} cpus={cpus}"
+                np.testing.assert_array_equal(expected, spins, err_msg=case)
+                assert states == expected_states, case
+                assert len(ranges) == min(blocks, cpus), case
+                halves = (blocks == 1 and cpus > 1
+                          and rng_mode == "sequential")
+                assert every_block_splits["splits"] == splits + halves, case
