@@ -252,59 +252,54 @@ def _usable_cpus(cap: Optional[int] = None) -> int:
     return _USABLE_CPUS
 
 
-def _cext_colour_arguments(workspace: dict, num_blocks: int, spins, linear,
-                           members, class_starts, class_data, indices,
-                           indptr, clusters, temperatures,
-                           *draw_args) -> tuple:
-    """Arguments and work out-array of a cext colour-kernel call.
+def _cext_colour_arguments(workspace: dict, buffers: tuple, structure: tuple,
+                           lo: int, hi: int, rows=slice(None)) -> tuple:
+    """The colour words of an argument block (``colour_call`` in
+    ``_C_SOURCE``) over blocks ``[lo, hi)`` and spin *rows* of a batch call's
+    *buffers* and *structure* (:func:`prepare_batches`), and its work
+    out-array.
 
-    The kernels' per-structure argument block lives in *workspace*, a dict
-    the caller keeps for as long as it keeps the structure arrays (a
-    sampler's lifetime): ``row_of``, which
-    maps a variable to its row of the class CSR, the addresses of every
-    structure array, the work out-array, and — reused while large
-    enough, no ``malloc`` in C — the lane scratch (:func:`_lane_layout`).
-    A call over a kept workspace marshals only what changes: spins, fields
-    and values, plus the draw sources when the generators change.
+    The per-structure words live in *workspace*, a dict the caller keeps
+    for as long as it keeps the structure arrays (a sampler's lifetime):
+    ``row_of``, which maps a variable to its row of the class CSR, the
+    addresses of every structure array, the work out-array, and — reused
+    while large enough — the lane scratch (:func:`_lane_layout`).
     """
+    spins, fields, values, class_data, edge_values, _ = buffers
+    members, class_starts, indices, indptr, clusters, *_, temperatures = \
+        structure
+    num_blocks, size = hi - lo, fields.size // values.shape[0]
+    spins = spins[rows, lo * size:hi * size]
     num_replicas = spins.shape[0]
-    size = spins.shape[1] // num_blocks
-    structure = workspace.get("structure")
-    if structure is None:
+    kept = workspace.get("structure")
+    if kept is None:
         row_of = np.full(size, -1, dtype=np.int64)
         row_of[members] = np.arange(members.size)
         if clusters.members.size and row_of[clusters.members].min() < 0:
             raise AnnealerError(
                 "every cluster member must belong to a colour class")
         work = np.empty(3, dtype=np.int64)
-        structure = workspace["structure"] = (
+        kept = workspace["structure"] = (
             (_ptr(members), _ptr(class_starts), class_starts.size - 1),
-            (_ptr(indices), _ptr(indptr), indices.size, _ptr(row_of)),
+            (_ptr(indices), _ptr(indptr), _ptr(row_of), indices.size),
             (_ptr(clusters.members), _ptr(clusters.cluster_starts),
-             clusters.cluster_starts.size - 1),
-            (_ptr(clusters.edge_i), _ptr(clusters.edge_j),
+             _ptr(clusters.edge_i), _ptr(clusters.edge_j),
              _ptr(clusters.edge_starts)),
-            work, _ptr(work),
+            clusters.cluster_starts.size - 1, work,
             # The pointers above are only as alive as these.
             (members, class_starts, indices, indptr, row_of, clusters))
-    classes, csr, cluster_members, cluster_edges, work, work_ptr, _ = structure
+    classes, csr, cluster_arrays, num_clusters, work, _ = kept
     lanes, doubles = _lane_layout(num_replicas, size, members.size)
     scratch = workspace.get("lanes")
     if scratch is None or scratch[0].size < doubles:
         array = np.empty(doubles)
         scratch = workspace["lanes"] = (array, _ptr(array))
-    schedule = workspace.get("schedule")
-    if schedule is None or schedule[0] is not temperatures:
-        contiguous = np.ascontiguousarray(temperatures, dtype=np.float64)
-        schedule = (contiguous, _ptr(contiguous), contiguous.size)
-        if contiguous is temperatures:  # no copy: later edits stay visible
-            workspace["schedule"] = schedule
     return (
-        *_row_strided(spins), num_replicas, num_blocks, size, _ptr(linear),
-        *classes, _ptr(class_data), *csr, scratch[1], lanes,
-        *cluster_members, *cluster_edges, _ptr(clusters.edge_values),
-        clusters.edge_values.shape[1], *schedule[1:], *draw_args,
-        work_ptr), work
+        *_row_strided(spins), num_replicas, num_blocks, size,
+        _ptr(fields[lo * size:hi * size]), *classes, _ptr(class_data[lo:hi]),
+        *csr, scratch[1], lanes, *cluster_arrays,
+        _ptr(edge_values[lo:hi]), num_clusters, edge_values.shape[1],
+        _ptr(temperatures), temperatures.size), work
 
 
 def _helper_pool():
@@ -315,12 +310,11 @@ def _helper_pool():
     return _HELPERS["pool"]
 
 
-def _helpers(workspace: dict, count: int):
-    """The helper pool, and *count* sub-workspaces of *workspace* for the
-    calls it runs."""
+def _helpers(workspace: dict, count: int) -> list:
+    """*count* sub-workspaces of *workspace*, for the calls helpers run."""
     spaces = workspace.setdefault("shards", [])
     spaces += [{} for _ in range(count - len(spaces))]
-    return _helper_pool(), spaces[:count]
+    return spaces[:count]
 
 
 #: Spins (blocks × block size × replicas) above which a batch call goes
@@ -347,9 +341,11 @@ _STALL = {"clean": _STAND_DOWN_RESET, "rest": _STAND_DOWN_CALLS[0]}
 LANE_SPLITS: Dict[str, int] = dict.fromkeys(
     ("splits", "stalls", "declines", "stand_downs", "resting"), 0)
 _SPLIT_LOCK = threading.Lock()
-#: ``sync`` words and what a call's claim can end as (``_C_SOURCE``'s enums).
+#: ``sync`` words, what a call's claim can end as and the batch call's sweep
+#: modes (``_C_SOURCE``'s enums).
 _CLAIM, _BUDGET, _WORDS = 0, 1, 24
 _WHOLE, _ABORTED, _COMMITTED = 2, 3, 4
+_SWEEP_START, _SWEEP_DRAWN, _SWEEP_ALL, _SWEEP_HALF = 0, 1, 2, 3
 _OUTCOMES = {_WHOLE: "declines", _ABORTED: "stalls", _COMMITTED: "splits"}
 
 
@@ -380,47 +376,47 @@ def _note_split(outcome: int) -> None:
                       if clean >= _STAND_DOWN_RESET else rest)
 
 
-def _lane_half_call(lib, workspace: dict, spins, arguments,
-                    rng) -> Optional[SweepWork]:
-    """A one-block sequential call as two lane halves (``lane_half_sweep``):
-    replicas ``[0, cut)`` on this thread, the rest on a helper, each from a
-    copy of *rng*'s PCG64 that C jumps to the half's draw offsets; *rng* is
-    left where the one-thread call leaves it, as are the spins and the
-    :class:`SweepWork`.  ``None`` (make the one-thread call) when the call
-    stands down, no helper had started by the caller's first handshake or a
-    half waited past its budget."""
+def _lane_half_call(lib, blocks: np.ndarray, rng, arguments: tuple) -> bool:
+    """A drawn one-block sequential batch swept as two lane halves, one
+    ``pack_ice_batches`` call (*arguments* after the block) over each of the
+    ``(2, words)`` *blocks* (:func:`_lane_half_blocks`) with fresh sync
+    words: replicas ``[0, cut)`` on this thread, the rest on a helper, each
+    from a copy of *rng*'s PCG64 that C jumps to the half's draw offsets;
+    *rng* is left where the one-thread call leaves it, as are the spins,
+    rows and :class:`SweepWork`.  False (make the one-thread call) when the
+    call stands down, no helper had started by the caller's first handshake
+    or a half waited past its budget."""
     with _SPLIT_LOCK:
         if LANE_SPLITS["resting"]:
             LANE_SPLITS["resting"] -= 1
             LANE_SPLITS["stand_downs"] += 1
-            return None
+            return False
     state = rng.bit_generator.state
     pcg = state["state"]
-    raw = np.zeros(40, dtype=np.int64)  # 32 words, on cache-line bounds
-    sync = raw[(-raw.ctypes.data % 64) // 8:][:32]
+    raw = np.zeros(blocks.size + 40, dtype=np.int64)
+    halves = raw[:blocks.size].reshape(blocks.shape)
+    halves[:] = blocks
+    sync = raw[blocks.size:]
+    sync = sync[(-sync.ctypes.data % 64) // 8:][:32]  # on cache-line bounds
+    halves[:, -2] = _ptr(sync)
     sync[_BUDGET] = _STALL_BUDGET
     words = sync[_WORDS:_WORDS + 4].view(np.uint64)
     words[:] = [pcg["state"] >> 64, pcg["state"] & 2**64 - 1,
                 pcg["inc"] >> 64, pcg["inc"] & 2**64 - 1]
-    cut = _lane_cut(spins.shape[0])
-    pool, spaces = _helpers(workspace, 1)
-    # The helper's argument is sync.ctypes, which holds sync: a helper that
-    # starts after the caller took the call whole must still read its claim.
-    # Its future goes unread: its arguments are the caller's kinds, so a
-    # conversion error raises in the caller's own call, and C cannot fail.
-    calls = [_cext_colour_arguments(space, 1, rows, *arguments,
-                                    sync.ctypes, half)
-             for half, (space, rows) in enumerate(
-                 zip([workspace, *spaces], (spins[:cut], spins[cut:])))]
-    pool.submit(lib.lane_half_sweep, *calls[1][0])
-    lib.lane_half_sweep(*calls[0][0])
+    # The follower's block is a .ctypes, which holds raw, its sync words
+    # included: a helper that starts after the caller took the call whole
+    # must still read its own claim.  Its future goes unread: its arguments
+    # are the caller's kinds, so a conversion error raises in the caller's
+    # own call, and C cannot fail.
+    _helper_pool().submit(lib.pack_ice_batches, halves[1].ctypes, *arguments)
+    lib.pack_ice_batches(_ptr(halves[0]), *arguments)
     outcome = int(sync[_CLAIM])
     _note_split(outcome)
     if outcome != _COMMITTED:
-        return None
+        return False
     pcg["state"] = int(words[0]) << 64 | int(words[1])
     rng.bit_generator.state = state
-    return SweepWork(*(calls[0][1] + calls[1][1]).tolist())
+    return True
 
 
 def _shards(spins, blocks: int) -> int:
@@ -568,60 +564,74 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
     """Range ``[lo, hi)``'s argument block of ``pack_ice_batches`` (the C
     ``batch_call``) — over the *buffers*, the *structure* and the
     *settings*: the ICE array (or ``None``), the zero check and the served
-    pack's :class:`PackReadOut` (or ``None``) — as ``(address, work
+    pack's :class:`PackReadOut` (or ``None``) — as ``(words, work
     out-array, what must outlive the block)``."""
     ice, check_zero, serve = settings
-    spins, fields, values, class_data, edge_values, keys = buffers
-    members, class_starts, indices, indptr, clusters, class_edges, \
-        internal_edges, temperatures = structure
-    size = fields.size // values.shape[0]
-    colour, work = _cext_colour_arguments(
-        space, hi - lo, spins[:, lo * size:hi * size],
-        fields[lo * size:hi * size], members, class_starts,
-        class_data[lo:hi], indices, indptr,
-        clusters._replace(edge_values=edge_values[lo:hi]), temperatures)
+    spins, _, values, _, _, keys = buffers
+    class_edges, internal_edges = structure[5:7]
+    colour, work = _cext_colour_arguments(space, buffers, structure, lo, hi)
     scratch = None if serve is None else np.empty(serve.scratch_words,
                                                   dtype=np.int64)
     words = np.array([
-        *colour[:-1], values.shape[1], _ptr(class_edges),
+        *colour, spins.shape[0], values.shape[1], _ptr(class_edges),
         _ptr(internal_edges), _ptr(values[lo:hi]), spins.shape[1],
-        _ptr(keys[lo:hi]) if counter else 0, colour[-1], lo,
+        _ptr(keys[lo:hi]) if counter else 0, _ptr(work), lo,
         0 if ice is None else _ptr(ice), check_zero,
         0 if serve is None else serve.words,
-        0 if scratch is None else _ptr(scratch)], dtype=np.int64)
-    return _ptr(words), work, (words, buffers, space["lanes"], structure,
-                               settings, scratch)
+        0 if scratch is None else _ptr(scratch), 0, 0], dtype=np.int64)
+    return words, work, (buffers, space["lanes"], structure, settings,
+                         scratch)
+
+
+def _lane_half_blocks(workspace: dict, words: np.ndarray, buffers: tuple,
+                      structure: tuple, rows: int) -> tuple:
+    """A one-block batch of *rows* replicas as two lane halves cut at
+    :func:`_lane_cut`: the range's block *words* over each half's spin rows
+    and lane scratch, and which half (the sync words' address is a split's
+    own, :func:`_lane_half_call`) — as ``((2, words) blocks, what must
+    outlive them)``."""
+    cut = _lane_cut(rows)
+    blocks = np.tile(words, (2, 1))
+    spaces = [workspace, *_helpers(workspace, 1)]
+    for half, (space, part) in enumerate(zip(spaces, (slice(cut),
+                                                      slice(cut, rows)))):
+        colour, _ = _cext_colour_arguments(space, buffers, structure, 0, 1,
+                                           part)
+        blocks[half, :len(colour)] = colour
+        blocks[half, -1] = half
+    return blocks, [space["lanes"] for space in spaces]
 
 
 def pack_ice_batches(prepared: tuple, physical: np.ndarray,
                      linear: np.ndarray, values: np.ndarray, rngs,
-                     workspace: dict, fallback) -> Optional[SweepWork]:
+                     fallback) -> Optional[SweepWork]:
     """A pack's anneals as ICE batches, every batch in C: one call of the
     artefact's ``pack_ice_batches`` per range of blocks (:func:`_shards`),
     each running all of its batches on its own thread, as *prepared*
-    (:func:`prepare_batches`) over *workspace*.  *linear* and *values* are
-    the ``(blocks*P,)`` fields and ``(blocks, E)`` couplings; batch *k* is
+    (:func:`prepare_batches`).  *linear* and *values* are the
+    ``(blocks*P,)`` fields and ``(blocks, E)`` couplings; batch *k* is
     rows ``k * batch_size`` on of the ``int8`` *physical*.  Per batch
     every block draws from its generator of *rngs*: its field then
     coupling ICE shifts, counter key, start and sweeps —
-    ``ICEModel.perturb_pack`` then one ``anneal``.  A lane-half block
-    (:func:`_lane_half_call`) is one call per batch for the draws and
-    start, then the halves.  With the zero check a batch whose perturbed
-    couplings hold an exact zero is not swept: ``fallback(fields,
-    couplings, blocks, rows, rngs)`` anneals that slice problem by problem
-    (copy the buffers it gets) into its rows, and the range resumes.
-    Returns the last batch's :class:`SweepWork`, summed over the ranges.
+    ``ICEModel.perturb_pack`` then one ``anneal``.  A batch of a lane-half
+    block is one call for its draws and start, then one per half
+    (:func:`_lane_half_call`), else one for its sweep.  With the zero check
+    a batch whose perturbed couplings hold an exact zero is not swept:
+    ``fallback(fields, couplings, blocks, rows, rngs)`` anneals that slice
+    problem by problem (copy the buffers it gets) into its rows, and the
+    range resumes.  Returns the last batch's :class:`SweepWork`, summed
+    over the ranges.
 
     A served pack (*prepared* holds its :class:`PackReadOut`) is programmed
     from the logical ``(B, L)`` *linear* and ``(B, K)`` *values* before the
     first draw (or ``None`` returns, nothing drawn, when a coupling scales
-    to ``0.0``) and read out by the call that runs a range's last batch,
-    else by one :meth:`PackReadOut.read` (lane halves, a fallback last).
+    to ``0.0``) and read out by the call that sweeps a range's last batch,
+    else (a fallback last) by one :meth:`PackReadOut.read`.
     """
-    buffers, halves, ranges, _, out, batch_size, counter = prepared
+    buffers, halves, ranges, _, out, batch_size = prepared
     lib, num_anneals = _load_cext(), physical.shape[0]
     generators = _rng_pointer_arrays(rngs)
-    spins, fields, perturbed, *_ = buffers
+    _, fields, perturbed, *_ = buffers
     sources = (_ptr(linear), _ptr(values))
     if out is not None:
         out.sources = sources
@@ -629,9 +639,26 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
     batches = -(-num_anneals // batch_size)
     target = _ptr(physical)
 
-    def call(block: int, batch: int, stop: int, sweep: int = 2) -> int:
+    def call(block: int, batch: int, stop: int,
+             sweep: int = _SWEEP_ALL) -> int:
         return lib.pack_ice_batches(block, *sources, target, num_anneals,
                                     batch, stop, sweep, generators)
+
+    def halved(block: int, batch: int, stop: int) -> int:
+        for first in range(batch, stop):
+            pair = halves[first + 1 == batches]
+            done = call(block, first, first + 1,
+                        _SWEEP_ALL if pair is None else _SWEEP_START)
+            if done <= first:
+                return done
+            if pair is not None and not _lane_half_call(
+                    lib, pair[0], rngs[0], (*sources, target, num_anneals,
+                                            first, done, _SWEEP_HALF,
+                                            generators)):
+                call(block, first, done, _SWEEP_DRAWN)
+        return stop
+
+    run = call if halves is None else halved
 
     def cancelled(lo: int, hi: int, batch: int) -> None:
         start = batch * batch_size
@@ -640,38 +667,11 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
             fields[lo * size:hi * size].reshape(hi - lo, size),
             perturbed[lo:hi], slice(lo, hi), rows, rngs)
 
-    if halves is not None:
-        (block, work), sweep = ranges[0][2:], halves
-        swept = SweepWork(0, 0, 0)
-        for batch in range(batches):
-            start = batch * batch_size
-            rows = min(batch_size, num_anneals - start)
-            split = _lane_halves(spins, rows, counter, rngs)
-            stop = call(block, batch, batch + 1, 0 if split else 1)
-            if stop < 0:
-                return None
-            if stop == batch:
-                cancelled(0, 1, batch)
-            elif not split:
-                swept = SweepWork(*work.tolist())
-            else:
-                view = spins[:rows]
-                swept = _lane_half_call(lib, workspace, view, sweep, rngs[0])
-                if swept is None:  # the halves' fallback: one thread
-                    args, counts = _cext_colour_arguments(
-                        workspace, 1, view, *sweep, generators)
-                    lib.pack_fused_colour_cluster_sweep(*args)
-                    swept = SweepWork(*counts.tolist())
-                physical[start:start + rows] = view
-        if out is not None:
-            out.read(physical)
-        return swept
-
     pool = _helper_pool() if len(ranges) > 1 else None  # not kept: forks
-    rest = [pool.submit(call, block, 0, batches)
+    rest = [pool.submit(run, block, 0, batches)
             for _, _, block, _ in ranges[1:]]
     try:
-        stops = [call(ranges[0][2], 0, batches)]
+        stops = [run(ranges[0][2], 0, batches)]
     finally:
         stops += [future.result() for future in rest]
     if stops[0] < 0:  # every range found the coupling that scales to 0.0
@@ -682,7 +682,7 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
             cancelled(lo, hi, stop)
             stop += 1
             if stop < batches:
-                stop = call(block, stop, batches)
+                stop = run(block, stop, batches)
             else:
                 read = False
     if out is not None and not read:
@@ -706,18 +706,18 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
                     out=None) -> tuple:
     """What :func:`pack_ice_batches` decides once per pack shape — the
     ``(anneals, blocks*P)`` *shape* of its out-array: its buffers, a
-    lane-half block's sweep arguments (else ``None``), the block ranges
-    ``(lo, hi, argument block, work)`` (:func:`_shards`), what they point
-    to, *out* (a served pack's :class:`PackReadOut`) and the batch
-    settings.  *structure* is ``(members, class_starts, indices, indptr,
-    clusters, class_edges, internal_edges, temperatures)``: the colour
-    structure, the columns of the ``(blocks, num_values)`` values its slots
-    hold, and the schedule; *ice* is the
-    :class:`~repro.annealer.ice.ICEModel` (``None``: no zero check).  The
-    caller keeps it (a sampler's route, :meth:`BlockDiagonalSampler._route`)
-    with *workspace*."""
-    members, class_starts, indices, indptr, clusters, class_edges, \
-        internal_edges, temperatures = structure
+    one-block pack's lane halves (:func:`_lane_half_blocks`) of a whole
+    batch and of the last batch — each ``None`` where that batch stays on
+    one thread — or ``None``, the block ranges ``(lo, hi, argument block,
+    work)`` (:func:`_shards`), what they point to, *out* (a served pack's
+    :class:`PackReadOut`) and the batch size.  *structure* is
+    ``(members, class_starts, indices, indptr, clusters, class_edges,
+    internal_edges, temperatures)``: the colour structure, the columns of
+    the ``(blocks, num_values)`` values its slots hold, and the contiguous
+    float64 schedule; *ice* is the :class:`~repro.annealer.ice.ICEModel`
+    (``None``: no zero check).  The caller keeps it (a sampler's route,
+    :meth:`BlockDiagonalSampler._route`) with *workspace*."""
+    class_edges, internal_edges = structure[5:7]
     check_zero, counter = ice is not None, rng_mode == "counter"
     ice = None if ice is None or not ice.enabled else (
         ice.linear_mean, ice.linear_std, ice.quadratic_mean, ice.quadratic_std)
@@ -726,27 +726,30 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
     shared = blocks > 1 and len(set(_rng_pointer_arrays(rngs))) < blocks
     buffers = _batch_buffers(blocks, width // blocks, batch_size, num_values,
                              class_edges.size, internal_edges.size)
-    spins, fields, _, class_data, edge_values, _ = buffers
+    spins = buffers[0]
     settings = (None if ice is None else np.array(ice, dtype=np.float64),
                 check_zero, out)
     rows = min(batch_size, num_anneals)
-    halves = None
-    if _lane_halves(spins, rows, counter, rngs):
-        halves = (fields, members, class_starts, class_data, indices, indptr,
-                  clusters._replace(edge_values=edge_values), temperatures)
-        shards = 1
-    else:
-        shards = 1 if shared else _shards(spins[:rows], blocks)
-    spaces = _helpers(workspace, shards - 1)[1] if shards > 1 else []
+    split = _lane_halves(spins, rows, counter, rngs)
+    shards = 1 if shared or split else _shards(spins[:rows], blocks)
     bounds = [blocks * k // shards for k in range(shards + 1)]
-    blocks = [(lo, hi, _batch_block(space, buffers, lo, hi,
-                                    counter and halves is None, structure,
-                                    settings))
-              for space, lo, hi in zip([workspace, *spaces], bounds,
-                                       bounds[1:])]
+    spaces = _helpers(workspace, shards - 1) if shards > 1 else []
+    made = [(lo, hi, _batch_block(space, buffers, lo, hi, counter, structure,
+                                  settings))
+            for space, lo, hi in zip([workspace, *spaces], bounds,
+                                     bounds[1:])]
+    halves = None
+    if split:  # one range, whose block the halves copy
+        words = made[0][2][0]
+        last = num_anneals - (num_anneals - 1) // batch_size * batch_size
+        pairs = {count: _lane_half_blocks(workspace, words, buffers,
+                                          structure, count)
+                 if _lane_halves(spins, count, counter, rngs) else None
+                 for count in {rows, last}}
+        halves = pairs[rows], pairs[last]
     return (buffers, halves,
-            [(lo, hi, *block[:2]) for lo, hi, block in blocks],
-            [block[2] for _, _, block in blocks], out, batch_size, counter)
+            [(lo, hi, _ptr(words), work) for lo, hi, (words, work, _) in made],
+            [block for *_, block in made], out, batch_size)
 
 
 # --------------------------------------------------------------------------- #
@@ -767,12 +770,17 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
 #include <string.h>
 #include <time.h>
 
-/* The per-move functions below are shared by two entry points each; inlined
-   into both, their work counters and loop invariants live in registers. */
+/* The per-move functions below are inlined into each of the batch call's
+   sweeps, one per draw source, so their work counters and loop invariants
+   live in registers.  A lane half's sweep stays a function of its own:
+   inlined into pack_ice_batches, a 624-qubit block's decode ran ~3 %
+   slower (interleaved in-process pairs). */
 #ifdef __GNUC__
 #define MOVE static inline __attribute__((always_inline))
+#define OUT_OF_LINE static __attribute__((noinline))
 #else
 #define MOVE static inline
+#define OUT_OF_LINE static
 #endif
 
 /* ------------------------------------------------------------------------ *
@@ -785,10 +793,9 @@ _C_SOURCE = f"#define LANE_WIDTH {_LANE_WIDTH}" + r"""
  * Philox4x32-10 addressed by (site, sweep, replica, move_tag) under a
  * per-block key (repro/annealer/counter.py), so replicas share no state
  * and may run in parallel.  Every move is written once, against a
- * draw_source; the entry points differ only in loop order.  A lane move
- * *prepares* its draws — every (site, lane) Philox uniform valued at once,
- * a vector register's slots at a time; a no-op for a Generator — then
- * reads them.  A third source, a lane half's own PCG64 (below), prepares
+ * draw_source.  A lane move *prepares* its draws — every (site, lane)
+ * Philox uniform valued at once, a vector register's slots at a time; a
+ * no-op for a Generator — then reads them.  A third source, a lane half's own PCG64 (below), prepares
  * by finding out where its draws start.
  * ------------------------------------------------------------------------ */
 typedef double (*next_double_fn)(void *state);
@@ -939,14 +946,14 @@ int64_t philox_fill_probe(int64_t width, int64_t begin, int64_t end,
  * They share `sync`: line 0 the claim and the wait budget, line 1 + h
  * half h's move count and last RING counts, line 3 the PCG64 words {state
  * high, state low, inc high, inc low} — the follower's final state once it
- * is done — and the done flag.  The claim settles the call: the helper
- * claims it (SPLIT) or the caller, finding no helper at its first
- * handshake, takes it WHOLE; a half out of wait budget ABORTS it unless
- * the other half has COMMITTED it, finished, to the spins.
+ * is done — the done flag and the follower's work.  The claim settles the
+ * call: the helper claims it (SPLIT) or the caller, finding no helper at
+ * its first handshake, takes it WHOLE; a half out of wait budget ABORTS it
+ * unless the other half has COMMITTED it, finished, to the spins.
  * ------------------------------------------------------------------------ */
 enum { SYNC_LINE = 8, CLAIM = 0, BUDGET = 1, PUBLISHED = 0,
        COUNTS = 1, RING = 4, WORDS = 3 * SYNC_LINE, DONE = WORDS + 4,
-       SPIN_LIMIT = 1 << 12 };
+       FOLLOWER_WORK = DONE + 1, SPIN_LIMIT = 1 << 12 };
 enum { CLAIM_OPEN, CLAIM_SPLIT, CLAIM_WHOLE, CLAIM_ABORTED, CLAIM_COMMITTED };
 
 #ifdef __SIZEOF_INT128__
@@ -1082,8 +1089,9 @@ void pcg64_probe(uint64_t *words, uint64_t delta, int64_t count, double *out)
     words[1] = (uint64_t)state;
 }
 
-/* `kind` is a literal at every entry point and the moves are inlined into
-   them, so each entry point compiles to its own discipline's draw. */
+/* `kind` is a literal at every sweep (sweep_blocks' two call sites,
+   sweep_half) and the moves are inlined into them, so each sweep
+   compiles to its own discipline's draw. */
 enum { DRAW_GENERATOR, DRAW_PHILOX, DRAW_HALF };
 typedef struct {
     int kind;
@@ -1133,7 +1141,7 @@ static inline int draw_commit(const draw_source *draw)
                && half_settle(draw->half, CLAIM_SPLIT, CLAIM_COMMITTED));
 }
 
-/* Deterministic work counters every entry point reports (int64[3]); each
+/* Deterministic work counters every sweep reports (int64[3]); each
    loop nest counts into a local array, so the counts stay in registers. */
 enum { PROPOSALS, DRAWS, EXP_CALLS, NUM_WORK };
 
@@ -1174,7 +1182,7 @@ int64_t metropolis_accept_probe(double delta, double temperature, double u)
 typedef struct {
     const int64_t *members, *starts;
     const int64_t *edge_i, *edge_j, *edge_starts;
-    const double *edge_values;
+    double *edge_values;
 } cluster_set;
 
 /* ------------------------------------------------------------------------ *
@@ -1344,41 +1352,30 @@ MOVE void lane_group_run(double *bspins, int64_t sld, int64_t first,
 /* ------------------------------------------------------------------------ *
  * The colour sweep: one per batch of a batch call (a single problem is a
  * pack of one block; without clusters num_clusters == 0 and the cluster
- * pass draws nothing), and the lane halves' one-thread fallback (as
- * pack_fused_colour_cluster_sweep).  Per temperature the single-spin
- * sweep runs first, then the cluster sweep.  All blocks share one CSR
- * structure, so per-block values travel as stacked block-major matrices
- * (row b = block b's data).
+ * pass draws nothing).  Per temperature the single-spin sweep runs first,
+ * then the cluster sweep.  All blocks share one CSR structure, so
+ * per-block values travel as stacked block-major matrices (row b = block
+ * b's data).
  *
  * Blocks never interact and each draws from its own source — a bitgen_t
  * pointer (sequential) or a key (counter) per block — so they evolve one
  * after the other through the whole schedule, each in the reference loops'
  * draw order.  The caller spreads a large pack over the cores as block
- * ranges, one call per range on its own thread.
+ * ranges, one call per range on its own thread, and one large block as two
+ * lane halves.
  *
  * The sweep takes the lane workspace: row_of (int64[size]) and scratch,
  * (size + 1 + 2 * members) rows of `lanes` doubles (st, boundary, and a
- * class's terms and uniforms).  Every colour entry point opens with the
- * same arguments, COLOUR_ARGS.
+ * class's terms and uniforms).  colour_call is the head of every argument
+ * block (batch_call, below).
  * ------------------------------------------------------------------------ */
-#define COLOUR_ARGS                                                         \
-    double *spins, int64_t sld, int64_t num_replicas, int64_t num_blocks,   \
-    int64_t size, const double *linear, const int64_t *members,            \
-    const int64_t *class_starts, int64_t num_classes, const double *data,  \
-    const int64_t *indices, const int64_t *indptr, int64_t class_nnz,      \
-    const int64_t *row_of, double *scratch, int64_t lanes,                 \
-    const int64_t *cmembers, const int64_t *cluster_starts,                \
-    int64_t num_clusters, const int64_t *edge_i, const int64_t *edge_j,    \
-    const int64_t *edge_starts, const double *edge_values,                 \
-    int64_t num_edges, const double *temperatures, int64_t num_sweeps
-/* The colour arguments of one call, as the block loop below reads them. */
 typedef struct {
     double *spins;
     int64_t sld, num_replicas, num_blocks, size;
-    const double *linear;
+    double *linear;
     const int64_t *members, *class_starts;
     int64_t num_classes;
-    const double *data;
+    double *data;
     const int64_t *indices, *indptr, *row_of;
     int64_t class_nnz;
     double *scratch;
@@ -1388,12 +1385,6 @@ typedef struct {
     const double *temperatures;
     int64_t num_sweeps;
 } colour_call;
-#define COLOUR_CALL                                                         \
-    {spins, sld, num_replicas, num_blocks, size, linear, members,          \
-     class_starts, num_classes, data, indices, indptr, row_of, class_nnz,  \
-     scratch, lanes,                                                       \
-     {cmembers, cluster_starts, edge_i, edge_j, edge_starts, edge_values}, \
-     num_clusters, num_edges, temperatures, num_sweeps}
 
 /* A block's replicas are one lane group (lanes >= num_replicas), so its
    draws are consumed in the reference loops' order.  `kind` is a literal
@@ -1425,52 +1416,45 @@ MOVE void sweep_blocks(const colour_call *c, int kind,
     memcpy(work_out, work, sizeof(work));
 }
 
-void pack_fused_colour_cluster_sweep(COLOUR_ARGS,
-                                     const bitgen_t *const *generators,
-                                     int64_t *work_out)
-{
-    const colour_call call = COLOUR_CALL;
-    sweep_blocks(&call, DRAW_GENERATOR, generators, NULL, work_out);
-}
-
-/* Sequential, one lane half of one block: the colour arguments over the
-   half's spin rows, the sync words and which half.  Half 1, on a helper,
-   claims the call or finds it taken whole and touches nothing; half 0, the
-   caller, returns once the follower is done (at once if WHOLE).  Only a
-   COMMITTED call has written its spins. */
-void lane_half_sweep(COLOUR_ARGS, int64_t *sync, int64_t half,
-                     int64_t *work_out)
+/* Sequential, one lane half of one block: c over the half's spin rows,
+   sync the halves' words, half which one.  Half 1, on a helper, claims the
+   call or finds it taken whole and touches nothing; half 0, the caller,
+   returns once the follower is done (at once if WHOLE) with both halves'
+   work in work_out.  Whether the split COMMITTED (half 0; half 1: 0): only
+   a committed split has written its spins. */
+OUT_OF_LINE int sweep_half(const colour_call *c, int64_t *sync,
+                           int64_t half, int64_t *work_out)
 {
     int64_t work[NUM_WORK] = {0, 0, 0};
     uint64_t *words = (uint64_t *)(sync + WORDS);
     int64_t unbounded = -1;
     lane_half me = {sync, half, 0, sync[BUDGET], (int)half, 0,
                     PCG128(words[0], words[1]), PCG128(words[2], words[3])};
-    const cluster_set cl = {cmembers, cluster_starts, edge_i, edge_j,
-                            edge_starts, edge_values};
-    const lane_csr csr = {data, indices, indptr, row_of};
+    const lane_csr csr = {c->data, c->indices, c->indptr, c->row_of};
     draw_source draw = {DRAW_HALF, NULL, NULL, 0u, 0u, 0u, 0u, &me};
-    (void)num_blocks, (void)class_nnz, (void)num_edges;
     if (!LANE_HALVES
         || (half == 1 && !half_settle(&me, CLAIM_OPEN, CLAIM_SPLIT))) {
         if (half == 0)
             sync[CLAIM] = CLAIM_WHOLE;
-        return;
+        return 0;
     }
-    lane_group_run(spins, sld, 0, num_replicas, lanes, size, scratch, linear,
-                   members, class_starts, num_classes, &csr, &cl,
-                   num_clusters, temperatures, num_sweeps, &draw, work);
-    if (half == 0
-        && __atomic_load_n(sync + CLAIM, __ATOMIC_ACQUIRE) == CLAIM_WHOLE)
-        return;
-    memcpy(work_out, work, sizeof(work));
-    if (half == 0) {
-        half_wait(sync + DONE, 1, &unbounded);  /* follower off its scratch */
-    } else {
+    lane_group_run(c->spins, c->sld, 0, c->num_replicas, c->lanes, c->size,
+                   c->scratch, c->linear, c->members, c->class_starts,
+                   c->num_classes, &csr, &c->clusters, c->num_clusters,
+                   c->temperatures, c->num_sweeps, &draw, work);
+    if (half == 1) {
         words[0] = (uint64_t)(me.state >> (LANE_HALVES * 64));
         words[1] = (uint64_t)me.state;
+        memcpy(sync + FOLLOWER_WORK, work, sizeof(work));
         __atomic_store_n(sync + DONE, 1, __ATOMIC_RELEASE);
+        return 0;
     }
+    if (__atomic_load_n(sync + CLAIM, __ATOMIC_ACQUIRE) == CLAIM_WHOLE)
+        return 0;
+    half_wait(sync + DONE, 1, &unbounded);  /* follower off its scratch */
+    for (int k = 0; k < NUM_WORK; ++k)
+        work_out[k] = work[k] + sync[FOLLOWER_WORK + k];
+    return sync[CLAIM] == CLAIM_COMMITTED;
 }
 
 /* The counter discipline's initial configuration of a pack whose spin rows
@@ -1758,8 +1742,8 @@ static int64_t read_out_pack(const serve_call *s, const int8_t *physical,
     return 0;
 }
 
-/* The read-out on its own over the (S, B * P) physical (or NULL): for lane
-   halves, a cancelled last batch, a tie and aggregate_pack's reads. */
+/* The read-out on its own over the (S, B * P) physical (or NULL): for a
+   cancelled last batch, a tie and aggregate_pack's reads. */
 int64_t pack_read_out(const int64_t *words, const int8_t *physical,
                       const double *values, int64_t *scratch, int64_t lo,
                       int64_t hi)
@@ -1784,55 +1768,44 @@ int64_t pack_read_out(const int64_t *words, const int8_t *physical,
  * generator only, so all ICE first, then keys and starts, then sweeps, is
  * each block's own order.  A call over a range of blocks runs batches
  * [batch, stop) and writes each batch's rows, as int8, into physical (rows
- * pld apart; batch k starts at row k * num_replicas, the last batch is
- * what is left of num_anneals).
+ * pld apart; batch k starts at row k * batch_size, the last batch is what
+ * is left of num_anneals).
  *
- * The caller writes one argument block per range and pack shape
- * (batch_call: the colour arguments, then the fields below); per call it
- * hands over the sources, physical and the generators, all at block 0 (the
- * call offsets them by first_block).  Each batch writes the perturbed
- * fields to linear, the perturbed couplings to values and their gathers
- * (class_edges, internal_edges) to data and edge_values.  ice is {field
- * mean, field std, coupling mean, coupling std}, or NULL for no draws.
- * With check_zero, a batch with a perturbed coupling at exactly zero is not
- * swept: the call returns its index, for the caller to anneal problem by
- * problem from the buffers and resume; otherwise it returns stop.  keys
- * is NULL under the sequential discipline, the counter keys' room (one per
- * block) under the counter one.  With sweep 0 the call stops after batch's
- * start (a lane-half block) and returns batch + 1.  work holds the last
- * swept batch's counts.  Without serve the sources are the programmed
- * (B, P) fields and (B, E) couplings; with serve the logical (B, L) and
- * (B, K) ones: the call at batch 0 programs its blocks first, or returns
- * -1, nothing drawn, and with sweep 2 the call that runs the last batch
- * reads its blocks out (read_scratch: (4 + L) * S words).
+ * The caller writes one argument block per range, lane half and pack shape
+ * (batch_call: the colour call, then the fields below); per call it hands
+ * over the sources, physical and the generators, all at block 0 (the call
+ * offsets them by first_block), and the sweep mode.  Each batch writes the
+ * perturbed fields to linear, the perturbed couplings to values and their
+ * gathers (class_edges, internal_edges) to data and edge_values.  ice is
+ * {field mean, field std, coupling mean, coupling std}, or NULL for no
+ * draws.  With check_zero, a batch with a perturbed coupling at exactly
+ * zero is not swept: the call returns its index, for the caller to anneal
+ * problem by problem from the buffers and resume; otherwise it returns
+ * stop.  keys is NULL under the sequential discipline, the counter keys'
+ * room (one per block) under the counter one.  work holds the last swept
+ * batch's counts.  Without serve the sources are the programmed (B, P)
+ * fields and (B, E) couplings; with serve the logical (B, L) and (B, K)
+ * ones: a drawing call at batch 0 programs its blocks first, or returns -1,
+ * nothing drawn, and the call that sweeps the last batch reads its blocks
+ * out (read_scratch: (4 + L) * S words).
+ *
+ * The sweep modes: SWEEP_ALL draws and sweeps each batch.  A one-block
+ * batch on two threads is a SWEEP_START call — its draws and start, then
+ * batch + 1 — and a SWEEP_HALF call per lane half (a half's block: its
+ * spin rows and scratch, sync and half), on two threads; half 0 returns
+ * stop once the split committed, else batch, and the caller sweeps the
+ * drawn batch on one thread with SWEEP_DRAWN.
  * ------------------------------------------------------------------------ */
 double random_normal(bitgen_t *bitgen_state, double loc, double scale);
 void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
                                 uint64_t rng, intptr_t cnt, bool use_masked,
                                 uint64_t *out);
 
+enum { SWEEP_START, SWEEP_DRAWN, SWEEP_ALL, SWEEP_HALF };
+
 typedef struct {
-    /* COLOUR_ARGS, in order (num_replicas: a whole batch's) */
-    double *spins;
-    int64_t sld, num_replicas, num_blocks, size;
-    double *linear;
-    const int64_t *members, *class_starts;
-    int64_t num_classes;
-    double *data;
-    const int64_t *indices, *indptr;
-    int64_t class_nnz;
-    const int64_t *row_of;
-    double *scratch;
-    int64_t lanes;
-    const int64_t *cmembers, *cluster_starts;
-    int64_t num_clusters;
-    const int64_t *edge_i, *edge_j, *edge_starts;
-    double *edge_values;
-    int64_t num_edges;
-    const double *temperatures;
-    int64_t num_sweeps;
-    /* the batches' own */
-    int64_t num_values;
+    colour_call call;  /* num_replicas: a lane half's own, else per batch */
+    int64_t batch_size, num_values;
     const int64_t *class_edges, *internal_edges;
     double *values;
     int64_t pld;
@@ -1843,9 +1816,60 @@ typedef struct {
     int64_t check_zero;
     const int64_t *serve;
     int64_t *read_scratch;
+    int64_t *sync, half;  /* a lane half's */
 } batch_call;
-_Static_assert(sizeof(batch_call) == 38 * sizeof(int64_t),
-               "batch_call is 38 words");
+_Static_assert(sizeof(batch_call) == 41 * sizeof(int64_t),
+               "batch_call is 41 words");
+
+/* A batch of `rows` replicas' draws over c's blocks: the ICE shifts of the
+   programmed fields, then couplings; the counter keys and the gathers; the
+   start.  1, nothing more drawn, when check_zero finds a perturbed coupling
+   at exactly zero. */
+static int draw_batch(const batch_call *c, const double *programmed_linear,
+                      const double *programmed_values,
+                      const bitgen_t *const *generators, int64_t rows)
+{
+    const colour_call *call = &c->call;
+    const int64_t size = call->size;
+    int zero = 0;
+    for (int64_t b = 0; b < call->num_blocks; ++b) {
+        bitgen_t *generator = (bitgen_t *)generators[b];
+        const double *from = programmed_linear + b * size;
+        double *to = call->linear + b * size;
+        for (int64_t v = 0; v < size; ++v)
+            to[v] = c->ice ? from[v] + random_normal(generator, c->ice[0],
+                                                     c->ice[1])
+                           : from[v];
+        from = programmed_values + b * c->num_values;
+        to = c->values + b * c->num_values;
+        for (int64_t e = 0; e < c->num_values; ++e) {
+            to[e] = c->ice ? from[e] + random_normal(generator, c->ice[2],
+                                                     c->ice[3])
+                           : from[e];
+            zero |= to[e] == 0.0;
+        }
+    }
+    if (c->check_zero && zero)
+        return 1;
+    for (int64_t b = 0; b < call->num_blocks; ++b) {
+        const double *from = c->values + b * c->num_values;
+        if (c->keys)
+            random_bounded_uint64_fill((bitgen_t *)generators[b], 0,
+                                       UINT64_MAX, 1, false, c->keys + b);
+        for (int64_t k = 0; k < call->class_nnz; ++k)
+            call->data[b * call->class_nnz + k] = from[c->class_edges[k]];
+        for (int64_t e = 0; e < call->num_edges; ++e)
+            call->clusters.edge_values[b * call->num_edges + e] =
+                from[c->internal_edges[e]];
+    }
+    if (c->keys)
+        philox_start(call->spins, call->sld, rows, call->num_blocks, size,
+                     c->keys);
+    else
+        sequential_initial_spins(call->spins, call->sld, rows,
+                                 call->num_blocks, size, generators);
+    return 0;
+}
 
 int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
                          const double *source_values, int8_t *physical,
@@ -1858,76 +1882,44 @@ int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
     memset(&s, 0, sizeof(s));
     if (c.serve)
         memcpy(&s, c.serve, sizeof(s));
-    colour_call call = {
-        c.spins, c.sld, c.num_replicas, c.num_blocks, c.size, c.linear,
-        c.members, c.class_starts, c.num_classes, c.data, c.indices,
-        c.indptr, c.row_of, c.class_nnz, c.scratch, c.lanes,
-        {c.cmembers, c.cluster_starts, c.edge_i, c.edge_j, c.edge_starts,
-         c.edge_values},
-        c.num_clusters, c.num_edges, c.temperatures, c.num_sweeps};
-    const int64_t size = c.size, width = c.num_blocks * c.size;
-    const int64_t lo = c.first_block, hi = lo + c.num_blocks;
+    colour_call *call = &c.call;
+    const int draws = sweep == SWEEP_ALL || sweep == SWEEP_START;
+    const int64_t size = call->size, width = call->num_blocks * size;
+    const int64_t lo = c.first_block, hi = lo + call->num_blocks;
     const double *programmed_linear =
         (c.serve ? s.fields : source_linear) + lo * size;
     const double *programmed_values =
         (c.serve ? s.couplers : source_values) + lo * c.num_values;
     physical += lo * size;
     generators += lo;
-    if (c.serve && batch == 0
+    if (c.serve && batch == 0 && draws
         && program_pack(&s, source_linear, source_values, lo, hi))
         return -1;
     for (; batch < stop; ++batch) {
-        const int64_t first = batch * c.num_replicas;
-        const int64_t rows = num_anneals - first < c.num_replicas
-                             ? num_anneals - first : c.num_replicas;
-        int zero = 0;
-        for (int64_t b = 0; b < c.num_blocks; ++b) {
-            bitgen_t *generator = (bitgen_t *)generators[b];
-            const double *from = programmed_linear + b * size;
-            double *to = c.linear + b * size;
-            for (int64_t v = 0; v < size; ++v)
-                to[v] = c.ice ? from[v] + random_normal(generator, c.ice[0],
-                                                        c.ice[1])
-                              : from[v];
-            from = programmed_values + b * c.num_values;
-            to = c.values + b * c.num_values;
-            for (int64_t e = 0; e < c.num_values; ++e) {
-                to[e] = c.ice ? from[e] + random_normal(generator, c.ice[2],
-                                                        c.ice[3])
-                              : from[e];
-                zero |= to[e] == 0.0;
-            }
-        }
-        if (c.check_zero && zero)
+        const int64_t first = batch * c.batch_size;
+        const int64_t rows = num_anneals - first < c.batch_size
+                             ? num_anneals - first : c.batch_size;
+        if (draws && draw_batch(&c, programmed_linear, programmed_values,
+                                generators, rows))
             return batch;
-        for (int64_t b = 0; b < c.num_blocks; ++b) {
-            const double *from = c.values + b * c.num_values;
-            if (c.keys)
-                random_bounded_uint64_fill((bitgen_t *)generators[b], 0,
-                                           UINT64_MAX, 1, false, c.keys + b);
-            for (int64_t k = 0; k < c.class_nnz; ++k)
-                c.data[b * c.class_nnz + k] = from[c.class_edges[k]];
-            for (int64_t e = 0; e < c.num_edges; ++e)
-                c.edge_values[b * c.num_edges + e] = from[c.internal_edges[e]];
-        }
-        if (c.keys)
-            philox_start(c.spins, c.sld, rows, c.num_blocks, size, c.keys);
-        else
-            sequential_initial_spins(c.spins, c.sld, rows, c.num_blocks, size,
-                                     generators);
-        if (!sweep)
+        if (sweep == SWEEP_START)
             return batch + 1;
-        call.num_replicas = rows;
-        if (c.keys)
-            sweep_blocks(&call, DRAW_PHILOX, NULL, c.keys, c.work);
-        else
-            sweep_blocks(&call, DRAW_GENERATOR, generators, NULL, c.work);
+        if (sweep == SWEEP_HALF) {
+            if (!sweep_half(call, c.sync, c.half, c.work))
+                return batch;
+        } else {
+            call->num_replicas = rows;
+            if (c.keys)
+                sweep_blocks(call, DRAW_PHILOX, NULL, c.keys, c.work);
+            else
+                sweep_blocks(call, DRAW_GENERATOR, generators, NULL, c.work);
+        }
         for (int64_t r = 0; r < rows; ++r)
             for (int64_t v = 0; v < width; ++v)
                 physical[(first + r) * c.pld + v] =
-                    (int8_t)c.spins[r * c.sld + v];
+                    (int8_t)call->spins[r * call->sld + v];
     }
-    if (c.serve && sweep == 2 && stop * c.num_replicas >= num_anneals)
+    if (c.serve && stop * c.batch_size >= num_anneals)
         read_out_pack(&s, physical, c.pld, source_values, c.read_scratch, lo,
                       hi);
     return stop;
@@ -2037,34 +2029,13 @@ def _compile_cext() -> Optional[Path]:
 
 def _cext_signatures() -> Dict[str, Tuple[object, list]]:
     """``(restype, argtypes)`` of every function ``_C_SOURCE`` exports."""
-    members_args = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    csr_args = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                ctypes.c_int64]            # data, indices, indptr, nnz
-    edge_args = [*[ctypes.c_void_p] * 4,  # edge_i, _j, _starts, _values
-                 ctypes.c_int64]           # num_edges
-    schedule_args = [ctypes.c_void_p, ctypes.c_int64]  # temperatures, sweeps
-    colour_args = [
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-        ctypes.c_int64, ctypes.c_int64,    # num_blocks, size
-        ctypes.c_void_p,                   # linear
-        *members_args, *csr_args,          # colour classes and their CSR
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # lane workspace
-        *members_args, *edge_args,         # clusters (fields by row_of)
-        *schedule_args,
-    ]
-    # The per-block draw source — one bitgen_t pointer array — then the
-    # int64[3] work-counter out-array.
+    # The per-block draw source: one bitgen_t pointer array.
     generators = ctypes.POINTER(ctypes.c_void_p)
-    rng_arrays = [generators, ctypes.c_void_p]
     return {
-        "pack_fused_colour_cluster_sweep": (None, [*colour_args, *rng_arrays]),
-        "lane_half_sweep": (None, [
-            *colour_args, ctypes.c_void_p, ctypes.c_int64,  # sync, half
-            ctypes.c_void_p]),
         "pcg64_probe": (None, [ctypes.c_void_p, ctypes.c_uint64,
                                ctypes.c_int64, ctypes.c_void_p]),
         "pack_ice_batches": (ctypes.c_int64, [
-            ctypes.c_void_p,                   # the range's argument block
+            ctypes.c_void_p,       # the range's or lane half's argument block
             ctypes.c_void_p, ctypes.c_void_p,  # source fields, couplings
             ctypes.c_void_p,                   # physical
             *[ctypes.c_int64] * 4,     # anneals, batch, stop, sweep

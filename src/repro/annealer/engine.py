@@ -607,8 +607,7 @@ class BlockDiagonalSampler:
             _, _, prepared, fallback = self._route(
                 temperatures, num_replicas, rngs, ice, batch, None)
             self._last_sweep_work = backends.pack_ice_batches(
-                prepared, physical, self.linear, self._values, rngs,
-                self._kernel_workspace, fallback)
+                prepared, physical, self.linear, self._values, rngs, fallback)
             return physical
         self._last_sweep_work = None
         programmed = self.isings
@@ -635,8 +634,9 @@ class BlockDiagonalSampler:
         alive), anneal count, ``ice_batch_size``, the served *program*'s
         plan and compile settings (the plan's keys fix the template, which
         the route holds alive), and the backend's split settings (usable
-        CPUs, ``_SPLIT_SPINS``, the bit generator type, shared generators);
-        the schedule and counts are checked when it is built.  Returns
+        CPUs, ``_SPLIT_SPINS``, the lane cut, the bit generator type, shared
+        generators); the schedule and counts are checked when it is built.
+        Returns
         ``(stamp, kept, prepared call, fallback)``, then, serving
         *program*, the bound pack the call programs and its out-array.
         """
@@ -644,7 +644,8 @@ class BlockDiagonalSampler:
         stamp = (id(temperatures), num_replicas, id(ice), batch,
                  program and program[2:],
                  backends._USABLE_CPUS or backends._usable_cpus(),
-                 backends._SPLIT_SPINS, type(rngs[0].bit_generator),
+                 backends._SPLIT_SPINS, backends._lane_cut,
+                 type(rngs[0].bit_generator),
                  blocks > 1 and len(
                      {id(rng.bit_generator) for rng in rngs}) < blocks)
         route = self._routes.get(blocks)
@@ -739,7 +740,7 @@ class BlockDiagonalSampler:
             self._bind(bound)
             work = backends.pack_ice_batches(
                 prepared, physical, logical.linear, logical.values,
-                random_states, self._kernel_workspace, fallback)
+                random_states, fallback)
             if work is None:
                 return None
             self._last_sweep_work = work

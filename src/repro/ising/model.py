@@ -45,9 +45,9 @@ class CsrTemplate(NamedTuple):
 def spins_to_bits(spins) -> np.ndarray:
     """Map spins ``{-1, +1}`` to bits ``{0, 1}`` (Eq. 4: ``q = (s + 1) / 2``)."""
     spins = np.asarray(spins)
-    if np.count_nonzero((spins != 1) & (spins != -1)):
+    if np.count_nonzero(np.abs(spins) != 1):
         raise ConfigurationError("spins must be -1 or +1")
-    return (spins > 0).astype(np.uint8)
+    return (spins > 0).view(np.uint8)
 
 
 def bits_to_spins(bits) -> np.ndarray:

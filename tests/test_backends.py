@@ -191,18 +191,9 @@ class TestSymbolTable:
                 "uint64_t": ctypes.c_uint64,
                 "double": ctypes.c_double}[declaration.split()[0]]
 
-    @staticmethod
-    def source():
-        """``_C_SOURCE`` with the colour entry points' shared argument list
-        (the ``COLOUR_ARGS`` macro) written out where it is used."""
-        body = re.search(r"#define COLOUR_ARGS((?:.*\\\n)+.*)",
-                         backends._C_SOURCE).group(1)
-        return backends._C_SOURCE.replace(
-            "(COLOUR_ARGS,", "(" + body.replace("\\\n", " ") + ",")
-
     def exported(self):
         table = {}
-        for restype, name, params in self.EXPORT.findall(self.source()):
+        for restype, name, params in self.EXPORT.findall(backends._C_SOURCE):
             kinds = [self.ctypes_kind(param.strip())
                      for param in params.split(",")]
             table[name] = (self.ctypes_kind(restype),
@@ -225,15 +216,12 @@ class TestSymbolTable:
                     assert argtype is kind, (name, position)
 
     def test_the_batch_call_is_the_sweep_boundary(self):
-        # pack_ice_batches runs every anneal, ICE batches, start and sweeps,
-        # and a served pack's programming and read-out; behind it
-        # lane_half_sweep is one block split over two threads and
-        # pack_fused_colour_cluster_sweep the halves' one-thread fallback;
-        # pack_read_out is the read-out on its own.  The two starts stay
-        # exported as test hooks.
+        # pack_ice_batches runs every anneal, ICE batches, start and sweeps
+        # — a block range's, a lane half's or a drawn batch's — and a
+        # served pack's programming and read-out; pack_read_out is the
+        # read-out on its own.  The two starts stay exported as test hooks.
         assert set(self.exported()) == {
-            "pack_ice_batches", "lane_half_sweep",
-            "pack_fused_colour_cluster_sweep", "metropolis_accept_probe",
+            "pack_ice_batches", "metropolis_accept_probe",
             "counter_initial_spins", "sequential_initial_spins",
             "philox_fill_probe", "pcg64_probe", "pack_read_out"}
         for name in ("read_out", "pack_ice_batches", "PackReadOut"):
@@ -244,30 +232,34 @@ class TestSymbolTable:
 
     def test_no_plain_sweep_entry_point(self):
         """No Python sweep entry point or shard wrapper stands beside the
-        batch call, and the artefact exports no counter sweep of its own."""
+        batch call, and the artefact exports no sweep of its own: no
+        colour sweep, lane half or counter sweep, and no shared colour
+        argument list."""
         for name in ("pack_fused_colour_cluster_sweep",
                      "_sharded_colour_call"):
             assert not hasattr(backends, name), name
-        assert "counter_pack_fused_colour_cluster_sweep" not in self.exported()
+        sweeps = ("pack_fused_colour_cluster_sweep", "lane_half_sweep",
+                  "counter_pack_fused_colour_cluster_sweep")
+        assert not set(sweeps) & set(self.exported())
+        assert "COLOUR_ARGS" not in backends._C_SOURCE
         lib = backends._load_cext()
         if lib is not None:
-            assert not hasattr(lib, "counter_pack_fused_colour_cluster_sweep")
+            for name in sweeps:
+                assert not hasattr(lib, name), name
 
     def test_sequential_draw_source_is_one_generator_array(self):
         """Every sequential export takes its per-block generators as ONE
-        ``bitgen_t`` pointer array — last but for the sweeps' work
-        out-array — and the counter exports take none."""
+        ``bitgen_t`` pointer array, last, and the counter exports take
+        none."""
         declarations = {
             name: [param.strip() for param in params.split(",")]
-            for _, name, params in self.EXPORT.findall(self.source())}
+            for _, name, params in self.EXPORT.findall(backends._C_SOURCE)}
         signatures = backends._cext_signatures()
         generators = "const bitgen_t *const *generators"
-        for name, tail in [("pack_fused_colour_cluster_sweep", 2),
-                           ("sequential_initial_spins", 1),
-                           ("pack_ice_batches", 1)]:
+        for name in ("sequential_initial_spins", "pack_ice_batches"):
             assert declarations[name].count(generators) == 1, name
-            assert declarations[name][-tail] == generators, name
-            assert (signatures[name][1][-tail]
+            assert declarations[name][-1] == generators, name
+            assert (signatures[name][1][-1]
                     is ctypes.POINTER(ctypes.c_void_p)), name
         for name, params in declarations.items():
             if name.startswith("counter_"):

@@ -731,10 +731,13 @@ class TestLaneHalves:
         monkeypatch.setattr(backends, "_USABLE_CPUS", 2)
         for cut in sorted({1, 4, backends._lane_cut(replicas),
                            replicas // 2 + 1, replicas - 1}):
-            monkeypatch.setattr(backends, "_lane_cut", lambda _, cut=cut: cut)
+            read = []  # the route is rebuilt at a patched cut
+            monkeypatch.setattr(backends, "_lane_cut",
+                                lambda _, cut=cut: read.append(cut) or cut)
             splits = every_block_splits["splits"]
             assert self.anneal(sampler, replicas, buffered) == expected, cut
             assert every_block_splits["splits"] == splits + 1
+            assert read, cut
 
     @pytest.mark.parametrize("case", ["PCG64DXSM", "MT19937", "Philox",
                                       "SFC64", "one CPU", "below the gate"])

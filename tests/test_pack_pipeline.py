@@ -41,6 +41,7 @@ except ImportError:
     given = None
 
 from repro.annealer import backends
+from repro.annealer import machine as machine_module
 from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.embedded import (EmbeddedIsing, EmbeddingPlan,
                                      compile_settings, embed_ising,
@@ -959,9 +960,10 @@ class TestRunBatchEqualsOracle:
         problem: the first runs its three batches in one call, the second
         stops at every batch, anneals it problem by problem and resumes
         (twice: the last batch leaves nothing to resume).  Each of those
-        problems' anneals is a one-block batch call of its own (the
-        oracle's after the run are not counted).  The NumPy path has no
-        ranges: every problem anneals alone."""
+        problems' anneals is a one-block batch of its own, swept as lane
+        halves: three calls of the one entry, its draws and start and one
+        per half (the oracle's after the run are not counted).  The NumPy
+        path has no ranges: every problem anneals alone."""
         calls = count_artefact_calls(monkeypatch)
         made = {"run": 0, "per problem": 0}
 
@@ -983,7 +985,7 @@ class TestRunBatchEqualsOracle:
         if backends.cext_available():
             assert (made["run"] - made["per problem"], builds) == (1 + 3,
                                                                    2 * 3)
-            assert made["per problem"] == builds
+            assert made["per problem"] == 3 * builds
         else:
             assert (calls, builds) == ({}, 4 * 3)
 
@@ -1622,6 +1624,62 @@ class TestWarmPackWork:
         assert counts == {"anneal": 1, "refresh_values": 0}
         assert machine.sampler_cache_info()["hits"] == 3  # one sampler
 
+    @needs_cext
+    @pytest.mark.parametrize("case", ["clean", "tied", "cancelled"])
+    def test_artefact_calls_per_warm_lane_half_pack(
+            self, monkeypatch, every_block_splits, case):
+        """A warm one-job pack swept as lane halves crosses into C through
+        the one entry alone: per ICE batch one call for its draws and
+        start and one per half, the leader's writing the batch's rows and,
+        the last batch, reading the pack out.  The halves' argument blocks
+        are the route's: no colour words are built.  ``pack_read_out``
+        follows only a chain tie (problem 7 of the even-chain pack ties at
+        every seed, problem 0 at none) or a cancelled last batch (the
+        route's calls are counted, not the per-problem fallback's)."""
+        problems = TestRunBatchEqualsOracle.even_chain_pack()
+        problems = problems[7:8] if case == "tied" else problems[:1]
+        parameters = AnnealerParameters(num_anneals=50)
+        machine = ideal_machine(sweeps_per_us=1.0, ice_batch_size=25)
+        if case == "cancelled":
+            machine.ice = cancelling_ice(machine, problems, parameters)
+        machine.run_batch(problems, parameters, random_state=1)
+        calls = count_artefact_calls(monkeypatch)
+        made = {"colour words": 0, "ties": 0, "fallbacks": 0}
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                made[key] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(backends, "_cext_colour_arguments", "colour words")
+        counting(machine_module, "draw_ties", "ties")
+        original = BlockDiagonalSampler._per_problem
+
+        def per_problem(sampler, *args):
+            before = dict(calls), made["colour words"]
+            try:
+                return original(sampler, *args)
+            finally:
+                calls.clear()
+                calls.update(before[0])
+                made["colour words"] = before[1]
+                made["fallbacks"] += 1
+
+        monkeypatch.setattr(BlockDiagonalSampler, "_per_problem", per_problem)
+        splits = every_block_splits["splits"]
+        machine.run_batch(problems, parameters, random_state=2)
+        cancelled = case == "cancelled"
+        assert made["colour words"] == 0
+        assert made["fallbacks"] == 2 * cancelled
+        assert bool(made["ties"]) == (case == "tied") or cancelled
+        assert calls.pop("pack_read_out", 0) == cancelled + made["ties"]
+        assert calls == {"pack_ice_batches": 2 if cancelled else 2 * 3}
+        if not cancelled:
+            assert every_block_splits["splits"] == splits + 2
+
     def test_temperature_profile_is_built_once(self, monkeypatch):
         """A machine builds the profile once per parameters object and
         keeps it with the structure it serves: read-only, contiguous
@@ -1708,15 +1766,18 @@ class TestServedRoute:
     def test_usable_cpus(self, monkeypatch, every_block_splits, jobs):
         """And a warm pack makes the calls its CPUs ask for: two block
         ranges of sixteen blocks, or one block's two lane halves, at two
-        CPUs; one call at one."""
+        CPUs; one call at one.  A range runs both of its ICE batches in one
+        call; a lane-half block makes three calls of the one entry a batch:
+        its draws and start, and one per half."""
         machine, problems = ideal_machine(), qpsk_pack(jobs)
         for cpus in (1, 2, 1, 2):
             monkeypatch.setattr(backends, "_USABLE_CPUS", cpus)
             calls = count_artefact_calls(monkeypatch)
             got = self.decode(machine, problems, self.PARAMETERS)
-            assert ("lane_half_sweep" in calls) == (jobs == 1 and cpus == 2)
-            if jobs == 16:
-                assert calls["pack_ice_batches"] == cpus
+            halves = jobs == 1 and cpus == 2
+            assert calls["pack_ice_batches"] == (
+                2 * 3 if halves else cpus if jobs == 16 else 1)
+            assert set(calls) <= {"pack_ice_batches", "pack_read_out"}
             assert got == self.decode(ideal_machine(), problems,
                                       self.PARAMETERS)
 
