@@ -20,6 +20,7 @@ note explaining why seeded outputs moved.
 """
 
 import contextlib
+import faulthandler
 import hashlib
 import json
 import os
@@ -39,16 +40,45 @@ if _SRC not in sys.path:
 GOLDENS_DIR = os.path.join(_HERE, "tests", "goldens")
 
 
+#: Seconds one test may run before the watchdog ends the session: far above
+#: the slowest case (a few tens of seconds), so it asserts no timing.
+WATCHDOG_S = 900
+
+#: A duplicate of the terminal's stderr, taken before output capture
+#: resumes, which the watchdog writes its stacks to.
+_WATCHDOG_STDERR = pytest.StashKey[int]()
+
+
 def pytest_configure(config):
     """A ``RuntimeWarning`` (an ``inf - inf``, a ``0 / 0``, an overflow) is
     a failure, in tier-1 and in every suite run from this root: fix the
     arithmetic that raises it rather than filter it.  So is a leaked file
     handle: a ``ResourceWarning``, or the
     ``PytestUnraisableExceptionWarning`` it reaches pytest as when it is
-    raised in a ``__del__``."""
+    raised in a ``__del__``.  Also keeps the terminal's stderr for the
+    watchdog (:func:`pytest_runtest_protocol`)."""
     for category in ("RuntimeWarning", "ResourceWarning",
                      "pytest.PytestUnraisableExceptionWarning"):
         config.addinivalue_line("filterwarnings", f"error::{category}")
+    config.stash[_WATCHDOG_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_WATCHDOG_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """A watchdog around each test: a case that hangs (a thread waiting on
+    an event nobody sets, a deadlocked fork) dumps every thread's stack and
+    exits the run with a failure instead of hanging it."""
+    faulthandler.dump_traceback_later(
+        WATCHDOG_S, exit=True, file=item.config.stash[_WATCHDOG_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
 
 try:
     from hypothesis import settings as _hypothesis_settings

@@ -17,47 +17,39 @@ Quick start::
     decoder = QuAMaxDecoder()
     result = decoder.detect(channel_use)
     print(result.bits, channel_use.transmitted_bits)
+
+Every name loads with its module on first use (:mod:`repro._lazy`), so
+importing one part of the package does not import the rest.
 """
 
-from repro.annealer import (
-    AnnealerParameters,
-    AnnealResult,
-    AnnealSchedule,
-    ChimeraGraph,
-    Embedding,
-    ICEModel,
-    QuantumAnnealerSimulator,
-    TriangleCliqueEmbedder,
-)
-from repro.channel import (
-    ArgosLikeTraceGenerator,
-    ChannelTrace,
-    RandomPhaseChannel,
-    RayleighChannel,
-    TraceChannel,
-)
-from repro.cran import (
-    CranService,
-    DecodeJob,
-    EDFBatchScheduler,
-    JobResult,
-    PoissonTrafficGenerator,
-    ServiceReport,
-    TelemetryRecorder,
-    WorkerPool,
-)
-from repro.decoder import OFDMDecodingPipeline, QuAMaxDecoder
-from repro.detectors import (
-    ExhaustiveMLDetector,
-    MMSEDetector,
-    SphereDecoder,
-    ZeroForcingDetector,
-)
-from repro.ising import BruteForceIsingSolver, IsingModel, QUBOModel, SimulatedAnnealingSolver
-from repro.metrics import InstanceSolutionProfile, time_to_solution
-from repro.mimo import Frame, MimoUplink, frame_error_rate_from_ber
-from repro.modulation import BPSK, QAM16, QAM64, QPSK, Constellation, get_constellation
-from repro.transform import MLToIsingReducer, build_ml_ising, build_ml_qubo
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.annealer": (
+        "AnnealerParameters", "AnnealResult", "AnnealSchedule",
+        "ChimeraGraph", "Embedding", "ICEModel", "QuantumAnnealerSimulator",
+        "TriangleCliqueEmbedder"),
+    "repro.channel": (
+        "ArgosLikeTraceGenerator", "ChannelTrace", "RandomPhaseChannel",
+        "RayleighChannel", "TraceChannel"),
+    "repro.cran": (
+        "CranService", "DecodeJob", "EDFBatchScheduler", "JobResult",
+        "PoissonTrafficGenerator", "ServiceReport", "TelemetryRecorder",
+        "WorkerPool"),
+    "repro.decoder": ("OFDMDecodingPipeline", "QuAMaxDecoder"),
+    "repro.detectors": (
+        "ExhaustiveMLDetector", "MMSEDetector", "SphereDecoder",
+        "ZeroForcingDetector"),
+    "repro.ising": (
+        "BruteForceIsingSolver", "IsingModel", "QUBOModel",
+        "SimulatedAnnealingSolver"),
+    "repro.metrics": ("InstanceSolutionProfile", "time_to_solution"),
+    "repro.mimo": ("Frame", "MimoUplink", "frame_error_rate_from_ber"),
+    "repro.modulation": (
+        "BPSK", "QAM16", "QAM64", "QPSK", "Constellation",
+        "get_constellation"),
+    "repro.transform": ("MLToIsingReducer", "build_ml_ising", "build_ml_qubo"),
+})
 
 __version__ = "1.0.0"
 

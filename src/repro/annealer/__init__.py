@@ -9,15 +9,21 @@ and majority-vote unembedding — so that every experiment of the paper can be
 run without access to the physical QPU.
 """
 
-from repro.annealer.chimera import ChimeraGraph, PegasusLikeGraph
-from repro.annealer.embedding import Embedding, TriangleCliqueEmbedder, embedding_qubit_counts
-from repro.annealer.embedded import EmbeddedIsing, embed_ising
-from repro.annealer.engine import BlockDiagonalSampler, IsingSampler
-from repro.annealer.ice import ICEModel
-from repro.annealer.schedule import AnnealSchedule
-from repro.annealer.machine import AnnealerParameters, AnnealResult, QuantumAnnealerSimulator
-from repro.annealer.parallel import parallelization_factor
-from repro.annealer.unembed import unembed_samples
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".chimera": ("ChimeraGraph", "PegasusLikeGraph"),
+    ".embedding": (
+        "Embedding", "TriangleCliqueEmbedder", "embedding_qubit_counts"),
+    ".embedded": ("EmbeddedIsing", "embed_ising"),
+    ".engine": ("BlockDiagonalSampler", "IsingSampler"),
+    ".ice": ("ICEModel",),
+    ".schedule": ("AnnealSchedule",),
+    ".machine": (
+        "AnnealerParameters", "AnnealResult", "QuantumAnnealerSimulator"),
+    ".parallel": ("parallelization_factor",),
+    ".unembed": ("unembed_samples",),
+})
 
 __all__ = [
     "ChimeraGraph",

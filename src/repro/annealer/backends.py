@@ -579,8 +579,7 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
         0 if ice is None else _ptr(ice), check_zero,
         0 if serve is None else serve.words,
         0 if scratch is None else _ptr(scratch), 0, 0], dtype=np.int64)
-    return words, work, (buffers, space["lanes"], structure, settings,
-                         scratch)
+    return words, work, (buffers, space["lanes"], structure, settings, scratch)
 
 
 def _lane_half_blocks(workspace: dict, words: np.ndarray, buffers: tuple,
@@ -619,8 +618,8 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
     a batch whose perturbed couplings hold an exact zero is not swept:
     ``fallback(fields, couplings, blocks, rows, rngs)`` anneals that slice
     problem by problem (copy the buffers it gets) into its rows, and the
-    range resumes.  Returns the last batch's :class:`SweepWork`, summed
-    over the ranges.
+    range resumes.  Returns the last swept batch's :class:`SweepWork`,
+    summed over the ranges (zeros for a range that swept none).
 
     A served pack (*prepared* holds its :class:`PackReadOut`) is programmed
     from the logical ``(B, L)`` *linear* and ``(B, K)`` *values* before the
@@ -667,6 +666,8 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
             fields[lo * size:hi * size].reshape(hi - lo, size),
             perturbed[lo:hi], slice(lo, hi), rows, rngs)
 
+    for *_, work in ranges:  # the C call writes a batch's work it sweeps
+        work.fill(0)
     pool = _helper_pool() if len(ranges) > 1 else None  # not kept: forks
     rest = [pool.submit(run, block, 0, batches)
             for _, _, block, _ in ranges[1:]]
@@ -736,8 +737,7 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
     spaces = _helpers(workspace, shards - 1) if shards > 1 else []
     made = [(lo, hi, _batch_block(space, buffers, lo, hi, counter, structure,
                                   settings))
-            for space, lo, hi in zip([workspace, *spaces], bounds,
-                                     bounds[1:])]
+            for space, lo, hi in zip([workspace, *spaces], bounds, bounds[1:])]
     halves = None
     if split:  # one range, whose block the halves copy
         words = made[0][2][0]

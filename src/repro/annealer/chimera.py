@@ -16,7 +16,9 @@ provided for the forward-looking ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import EmbeddingError
 from repro.utils.random import RandomState, ensure_rng
@@ -141,25 +143,38 @@ class ChimeraGraph:
                 if self.is_working(a) and self.is_working(b)]
 
     def has_edge(self, a: Qubit, b: Qubit) -> bool:
-        """Whether a working coupler exists between two qubits.
+        """Whether a working coupler exists between two qubits
+        (:meth:`has_edges` of the one pair)."""
+        return bool(self.has_edges([(a, b)])[0])
 
-        Chimera arithmetic on the two coordinates, the edge rule of
+    def has_edges(self, edges: Sequence[Edge]) -> np.ndarray:
+        """Whether a working coupler exists between each ``(a, b)`` of
+        *edges*, as one boolean array.
+
+        Chimera arithmetic on arrays of coordinates, the edge rule of
         :meth:`_iter_ideal_edges` read backwards: inside a cell every
         vertical qubit couples to every horizontal one; between cells a
         vertical qubit couples to its namesake one row away in the same
         column, a horizontal one to its namesake one column away in the
-        same row.
+        same row.  A site off the chip or dead has no coupler.
         """
-        if not (self.is_working(a) and self.is_working(b)):
-            return False
-        p, q = self.coordinate(a), self.coordinate(b)
-        if p.side != q.side:
-            return (p.row, p.column) == (q.row, q.column)
-        if p.index != q.index:
-            return False
-        if p.side == 0:
-            return p.column == q.column and abs(p.row - q.row) == 1
-        return p.row == q.row and abs(p.column - q.column) == 1
+        a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        working = np.ones(self.total_sites + 1, dtype=bool)
+        working[[*self.dead_qubits, self.total_sites]] = False
+        on_chip = ((0 <= a) & (a < self.total_sites)
+                   & (0 <= b) & (b < self.total_sites))
+        coupled = (on_chip & working[np.where(on_chip, a, -1)]
+                   & working[np.where(on_chip, b, -1)])
+        (row_a, column_a), (row_b, column_b) = (
+            np.divmod(q // self.cell_size, self.columns) for q in (a, b))
+        side_a, side_b = (q // self.shore_size % 2 for q in (a, b))
+        index_a, index_b = a % self.shore_size, b % self.shore_size
+        same_cell = (row_a == row_b) & (column_a == column_b)
+        between = (index_a == index_b) & np.where(
+            side_a == 0,
+            (column_a == column_b) & (np.abs(row_a - row_b) == 1),
+            (row_a == row_b) & (np.abs(column_a - column_b) == 1))
+        return coupled & np.where(side_a != side_b, same_cell, between)
 
     # ------------------------------------------------------------------ #
     # Factories

@@ -105,6 +105,9 @@ class Embedding:
         Verifies that chains are vertex-disjoint, every chain edge and logical
         coupler is a working hardware edge, and each chain is connected.
         """
+        coupled = iter(hardware.has_edges(
+            [edge for edges in self.chain_edges.values() for edge in edges]
+            ).tolist())
         seen: Dict[Qubit, int] = {}
         for logical, chain in self.chains.items():
             for qubit in chain:
@@ -121,7 +124,7 @@ class Embedding:
                 if a not in chain or b not in chain:
                     raise EmbeddingError(
                         f"chain edge ({a}, {b}) leaves chain {logical}")
-                if not hardware.has_edge(a, b):
+                if not next(coupled):
                     raise EmbeddingError(
                         f"chain edge ({a}, {b}) is not a working hardware coupler")
             # Connectivity: the chain edges must connect every chain qubit.
@@ -140,11 +143,13 @@ class Embedding:
                             frontier.append(neighbour)
                 if reachable != chain:
                     raise EmbeddingError(f"chain {logical} is not connected")
-        for (i, j), (a, b) in self.logical_couplers.items():
+        coupled = hardware.has_edges(list(self.logical_couplers.values()))
+        for ((i, j), (a, b)), working in zip(self.logical_couplers.items(),
+                                             coupled.tolist()):
             if a not in self.chains[i] or b not in self.chains[j]:
                 raise EmbeddingError(
                     f"logical coupler ({i}, {j}) endpoints not on the right chains")
-            if not hardware.has_edge(a, b):
+            if not working:
                 raise EmbeddingError(
                     f"logical coupler ({i}, {j}) uses a non-working hardware edge")
 

@@ -48,12 +48,8 @@ import numpy as np
 from repro.annealer import backends, counter
 from repro.annealer.ice import ICEModel
 from repro.exceptions import AnnealerError
-from repro.ising.model import (
-    Coupling,
-    IsingModel,
-    IsingPack,
-    symmetric_csr_template,
-)
+from repro.ising.model import (Coupling, IsingModel, IsingPack,
+                               symmetric_csr_template)
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import check_integer_in_range
 
@@ -324,10 +320,11 @@ class BlockDiagonalSampler:
 
     @property
     def last_sweep_work(self) -> Optional[backends.SweepWork]:
-        """Work counters of the latest :meth:`anneal` call's last batch
-        (proposals, uniforms drawn, ``exp`` calls, summed over its ranges);
-        ``None`` before the first call and on the NumPy path."""
-        return self._last_sweep_work
+        """Work counters of the latest :meth:`anneal` call's last swept
+        batch (proposals, uniforms drawn, ``exp`` calls, summed over its
+        ranges); ``None`` on the NumPy path and unless there is one."""
+        work = self._last_sweep_work
+        return work if work is None or work.proposals else None
 
     def __getstate__(self) -> Dict[str, object]:
         # Both hold ctypes pointers: a copy (a process worker's) starts bare.
@@ -539,8 +536,7 @@ class BlockDiagonalSampler:
             # The annealer's initial superposition collapses to an unbiased
             # configuration under thermal sampling; each block draws its
             # own, from its own generator.
-            spins = backends.sequential_initial_spins(rngs, num_replicas,
-                                                      size)
+            spins = backends.sequential_initial_spins(rngs, num_replicas, size)
 
         def uniforms(b, uphill, count, site, sweep, tag):
             if keys is None:

@@ -1,9 +1,13 @@
 """Wireless channel substrate: Rayleigh and random-phase channel models,
 AWGN, and channel traces."""
 
-from repro.channel.models import ChannelModel, RandomPhaseChannel, RayleighChannel
-from repro.channel.noise import awgn, noise_variance_for_snr, snr_db_to_linear
-from repro.channel.trace import ArgosLikeTraceGenerator, ChannelTrace, TraceChannel
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".models": ("ChannelModel", "RandomPhaseChannel", "RayleighChannel"),
+    ".noise": ("awgn", "noise_variance_for_snr", "snr_db_to_linear"),
+    ".trace": ("ArgosLikeTraceGenerator", "ChannelTrace", "TraceChannel"),
+})
 
 __all__ = [
     "ChannelModel",

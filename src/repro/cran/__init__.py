@@ -34,39 +34,25 @@ layer, built on the batched decode substrate underneath it:
   admission brownout).
 """
 
-from repro.cran.tracing import (
-    JobTimeline,
-    TraceEvent,
-    job_timelines,
-    pack_spans,
-)
-from repro.cran.faults import (
-    BrownoutConfig,
-    BrownoutController,
-    FaultPlan,
-    InjectedFault,
-    PackFault,
-    WorkerCrash,
-)
-from repro.cran.gateway import OVERLOAD_POLICIES, IngressGateway
-from repro.cran.jobs import DecodeJob, JobResult
-from repro.cran.scheduler import (
-    FLUSH_DRAIN,
-    FLUSH_FULL,
-    FLUSH_TIMEOUT,
-    DecodeBatch,
-    DecodeTimeModel,
-    EDFBatchScheduler,
-)
-from repro.cran.service import (
-    CranService,
-    ServiceReport,
-    ServiceSession,
-    decode_time_model_for,
-)
-from repro.cran.telemetry import LatencySummary, TelemetryRecorder
-from repro.cran.traffic import PoissonTrafficGenerator
-from repro.cran.workers import MODES, WorkerPool
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".tracing": ("JobTimeline", "TraceEvent", "job_timelines", "pack_spans"),
+    ".faults": (
+        "BrownoutConfig", "BrownoutController", "FaultPlan", "InjectedFault",
+        "PackFault", "WorkerCrash"),
+    ".gateway": ("OVERLOAD_POLICIES", "IngressGateway"),
+    ".jobs": ("DecodeJob", "JobResult"),
+    ".scheduler": (
+        "FLUSH_DRAIN", "FLUSH_FULL", "FLUSH_TIMEOUT", "DecodeBatch",
+        "DecodeTimeModel", "EDFBatchScheduler"),
+    ".service": (
+        "CranService", "ServiceReport", "ServiceSession",
+        "decode_time_model_for"),
+    ".telemetry": ("LatencySummary", "TelemetryRecorder"),
+    ".traffic": ("PoissonTrafficGenerator",),
+    ".workers": ("MODES", "WorkerPool"),
+})
 
 __all__ = [
     "DecodeJob",

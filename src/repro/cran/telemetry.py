@@ -49,6 +49,36 @@ DECODE_TIME_EWMA_ALPHA = 0.3
 DECODE_TIME_MIN_SAMPLES = 3
 
 
+def linear_percentiles(series: np.ndarray,
+                       percentiles: Sequence[float]) -> np.ndarray:
+    """``np.percentile(series, percentiles)`` of a non-empty, NaN-free
+    1-D float *series*, bit for bit: NumPy's ``linear`` method reproduced
+    op for op on a sorted copy.  ``np.percentile`` picks its neighbours
+    through ``np.unique``, whose first call imports ``numpy.ma`` (10 ms or
+    so of a serving process's start).
+
+    The virtual index ``(n - 1) * q / 100`` falls between two sorted
+    neighbours ``a <= b`` (at or past the end, both are the last value);
+    with ``g`` its fraction, the value is built from the lower one,
+    ``a + (b - a) * g``, when ``g < 0.5`` and from the upper one,
+    ``b - (b - a) * (1 - g)``, otherwise.
+    """
+    ordered = np.sort(series)
+    virtual = (ordered.size - 1) * np.true_divide(percentiles, 100)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    past_end = virtual >= ordered.size - 1
+    lower[past_end] = upper[past_end] = -1
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    fraction = virtual - lower
+    below, above = ordered[lower], ordered[upper]
+    span = above - below
+    values = below + span * fraction
+    np.subtract(above, span * (1 - fraction), out=values,
+                where=fraction >= 0.5)
+    return values
+
+
 @dataclass(frozen=True)
 class LatencySummary:
     """Percentile summary of a latency series (µs)."""
@@ -227,7 +257,7 @@ class TelemetryRecorder:
             empty = {float(q): float("nan") for q in percentiles}
             return LatencySummary(count=0, mean_us=float("nan"),
                                   percentiles_us=empty)
-        values = np.percentile(series, percentiles)
+        values = linear_percentiles(series, percentiles)
         return LatencySummary(
             count=int(series.size),
             mean_us=float(series.mean()),

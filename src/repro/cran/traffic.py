@@ -136,6 +136,7 @@ class PoissonTrafficGenerator:
                 f"generate calls must move forward in time so job ids stay "
                 f"monotone in arrival time")
         rng = ensure_rng(random_state)
+        channels = self.trace.channels
         jobs: List[DecodeJob] = []
         now_us = float(start_time_us)
         for _ in range(num_bursts):
@@ -153,10 +154,11 @@ class PoissonTrafficGenerator:
             for subcarrier in subcarriers:
                 subset = rng.choice(self.trace.num_bs_antennas,
                                     size=self.num_rx_antennas, replace=False)
-                channel = self.trace.channel_use(frame, int(subcarrier),
-                                                 antenna_subset=subset)
-                channel_use = link.transmit(channel=channel, snr_db=snr_db,
-                                            random_state=rng)
+                # ``trace.channel_use`` without its range checks: every
+                # index here was drawn in range just above.
+                channel = channels[frame, subcarrier][subset]
+                channel_use = link.transmit_valid(
+                    link.mapper.random_bits(rng), rng, channel, snr_db)
                 jobs.append(DecodeJob(
                     job_id=self._next_job_id,
                     user_id=user_id,

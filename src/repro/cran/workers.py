@@ -50,7 +50,6 @@ plan produces the same accounting in all three modes.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import threading
 from collections import deque
@@ -391,6 +390,8 @@ class _ProcessExecutor(_Executor):
         # Linux (fast start, decoder inherited without pickling), spawn on
         # macOS/Windows where forking a threaded/BLAS-active parent is
         # unsafe.
+        import multiprocessing  # only a process pool loads it
+
         context = multiprocessing.get_context()
         # Each worker holds its own copy of the configured decoder
         # (inherited under fork, unpickled under spawn).  The fault plan

@@ -1,12 +1,13 @@
 """End-to-end QuAMax decoder built on the annealer simulator."""
 
-from repro.decoder.quamax import QuAMaxDecoder, QuAMaxDetectionResult
-from repro.decoder.pipeline import (
-    FrameResult,
-    OFDMDecodingPipeline,
-    PipelineReport,
-    SubcarrierResult,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".quamax": ("QuAMaxDecoder", "QuAMaxDetectionResult"),
+    ".pipeline": (
+        "FrameResult", "OFDMDecodingPipeline", "PipelineReport",
+        "SubcarrierResult"),
+})
 
 __all__ = [
     "QuAMaxDecoder",

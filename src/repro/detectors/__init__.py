@@ -5,15 +5,17 @@ the Sphere Decoder in Table 1) and the reference implementations used to
 validate that the QuAMax reduction's ground state really is the ML solution.
 """
 
-from repro.detectors.base import Detector, DetectionResult
-from repro.detectors.linear import MMSEDetector, ZeroForcingDetector
-from repro.detectors.ml import ExhaustiveMLDetector
-from repro.detectors.sphere import SphereDecoder, SphereDecoderStats
-from repro.detectors.timing import (
-    ClassicalTimingModel,
-    sphere_decoder_time_us,
-    zero_forcing_time_us,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".base": ("Detector", "DetectionResult"),
+    ".linear": ("MMSEDetector", "ZeroForcingDetector"),
+    ".ml": ("ExhaustiveMLDetector",),
+    ".sphere": ("SphereDecoder", "SphereDecoderStats"),
+    ".timing": (
+        "ClassicalTimingModel", "sphere_decoder_time_us",
+        "zero_forcing_time_us"),
+})
 
 __all__ = [
     "Detector",

@@ -8,24 +8,15 @@ with reduced instance counts; passing a larger
 study.
 """
 
-from repro.experiments.config import ExperimentConfig, MimoScenario
-from repro.experiments.runner import InstanceRecord, ScenarioRunner
-from repro.experiments import (
-    fig04,
-    fig05,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    table1,
-    table2,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".config": ("ExperimentConfig", "MimoScenario"),
+    ".runner": ("InstanceRecord", "ScenarioRunner"),
+}, submodules=(
+    "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
+    "fig12", "fig13", "fig14", "fig15", "table1", "table2",
+))
 
 __all__ = [
     "ExperimentConfig",

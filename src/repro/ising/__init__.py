@@ -1,11 +1,12 @@
 """Ising / QUBO problem representations and classical reference solvers."""
 
-from repro.ising.model import IsingModel, QUBOModel, bits_to_spins, spins_to_bits
-from repro.ising.solver import (
-    BruteForceIsingSolver,
-    SimulatedAnnealingSolver,
-    SolverResult,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".model": ("IsingModel", "QUBOModel", "bits_to_spins", "spins_to_bits"),
+    ".solver": (
+        "BruteForceIsingSolver", "SimulatedAnnealingSolver", "SolverResult"),
+})
 
 __all__ = [
     "IsingModel",

@@ -1,7 +1,11 @@
 """Multi-user MIMO uplink system model and frame bookkeeping."""
 
-from repro.mimo.frame import Frame, frame_error_rate_from_ber
-from repro.mimo.system import ChannelUse, MimoUplink
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".frame": ("Frame", "frame_error_rate_from_ber"),
+    ".system": ("ChannelUse", "MimoUplink"),
+})
 
 __all__ = [
     "MimoUplink",

@@ -65,11 +65,7 @@ class ChannelUse:
         channel = ensure_complex_matrix("channel", self.channel)
         received = ensure_complex_vector("received", self.received,
                                          length=channel.shape[0])
-        # Checked here, once, so that no decode has to: a NaN or inf would
-        # otherwise be detected into arbitrary bits with a NaN metric.
-        for name, array in (("channel", channel), ("received", received)):
-            if not np.isfinite(array).all():
-                raise ConfigurationError(f"{name} must be finite")
+        _check_finite(channel, received)
         object.__setattr__(self, "channel", channel)
         object.__setattr__(self, "received", received)
         if self.transmitted_symbols is not None:
@@ -81,6 +77,25 @@ class ChannelUse:
             expected = channel.shape[1] * self.constellation.bits_per_symbol
             bits = ensure_bit_array(self.transmitted_bits, length=expected)
             object.__setattr__(self, "transmitted_bits", bits)
+
+    @classmethod
+    def from_arrays(cls, channel: np.ndarray, received: np.ndarray,
+                    constellation: Constellation, transmitted_bits: np.ndarray,
+                    transmitted_symbols: np.ndarray, noise_variance: float,
+                    snr_db: Optional[float]) -> "ChannelUse":
+        """Trusted construction (the ``DetectionResult.from_arrays``
+        precedent): the caller guarantees a 2-D ``complex128`` channel, the
+        matching 1-D ``complex128`` received and symbol vectors and 1-D
+        ``uint8`` 0/1 bits of the right length; only finiteness, which
+        arithmetic on valid inputs can still lose, is checked."""
+        _check_finite(channel, received)
+        use = object.__new__(cls)
+        use.__dict__.update(
+            channel=channel, received=received, constellation=constellation,
+            transmitted_bits=transmitted_bits,
+            transmitted_symbols=transmitted_symbols,
+            noise_variance=noise_variance, snr_db=snr_db)
+        return use
 
     @property
     def num_rx(self) -> int:
@@ -96,6 +111,15 @@ class ChannelUse:
     def num_bits(self) -> int:
         """Number of payload bits carried by this channel use."""
         return self.num_tx * self.constellation.bits_per_symbol
+
+
+def _check_finite(channel: np.ndarray, received: np.ndarray) -> None:
+    """Checked once, where a :class:`ChannelUse` is made, so that no decode
+    has to: a NaN or inf would otherwise be detected into arbitrary bits
+    with a NaN metric."""
+    for name, array in (("channel", channel), ("received", received)):
+        if not np.isfinite(array).all():
+            raise ConfigurationError(f"{name} must be finite")
 
 
 class MimoUplink:
@@ -163,14 +187,25 @@ class MimoUplink:
         rng = ensure_rng(random_state)
         if bits is None:
             bits = self.mapper.random_bits(rng)
-        bits = ensure_bit_array(bits, length=self.bits_per_channel_use)
-        symbols = self.mapper.map_bits(bits)
+        else:
+            bits = ensure_bit_array(bits, length=self.bits_per_channel_use)
+        if channel is not None:
+            channel = ensure_complex_matrix(
+                "channel", channel, shape=(self.num_rx_antennas, self.num_users))
+        return self.transmit_valid(bits, rng, channel, snr_db)
+
+    def transmit_valid(self, bits: np.ndarray, rng: np.random.Generator,
+                       channel: Optional[np.ndarray],
+                       snr_db: Optional[float]) -> ChannelUse:
+        """:meth:`transmit` for inputs already validated: ``uint8`` 0/1
+        *bits* of :attr:`bits_per_channel_use` entries, a generator, and a
+        ``complex128`` ``N_r x N_t`` *channel* (drawn here when ``None``).
+        The same draws and arithmetic; nothing is checked again but the
+        channel use's finiteness."""
+        symbols = self.mapper.symbols_of(bits)
         if channel is None:
             channel = self.channel_model.sample(
                 self.num_rx_antennas, self.num_users, rng)
-        else:
-            channel = ensure_complex_matrix(
-                "channel", channel, shape=(self.num_rx_antennas, self.num_users))
         clean = channel @ symbols
         if snr_db is None:
             received = clean
@@ -179,15 +214,9 @@ class MimoUplink:
             noise_variance = noise_variance_for_snr(
                 channel, self.constellation.average_energy, snr_db)
             received = clean + awgn(clean.shape, noise_variance, rng)
-        return ChannelUse(
-            channel=channel,
-            received=received,
-            constellation=self.constellation,
-            transmitted_bits=bits,
-            transmitted_symbols=symbols,
-            noise_variance=noise_variance,
-            snr_db=snr_db,
-        )
+        return ChannelUse.from_arrays(
+            channel, received, self.constellation, bits, symbols,
+            noise_variance, snr_db)
 
     def __repr__(self) -> str:
         return (f"MimoUplink(num_users={self.num_users}, "

@@ -6,23 +6,16 @@ The transmitter side of QuAMax uses conventional Gray-coded constellations
 lattice with a different (natural-binary) labelling.
 """
 
-from repro.modulation.constellation import (
-    BPSK,
-    QAM16,
-    QAM64,
-    QPSK,
-    Constellation,
-    get_constellation,
-)
-from repro.modulation.gray import (
-    binary_to_gray,
-    bits_from_int,
-    bits_to_int,
-    gray_decode,
-    gray_encode,
-    gray_to_binary,
-)
-from repro.modulation.mapper import SymbolMapper
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".constellation": (
+        "BPSK", "QAM16", "QAM64", "QPSK", "Constellation", "get_constellation"),
+    ".gray": (
+        "binary_to_gray", "bits_from_int", "bits_to_int", "gray_decode",
+        "gray_encode", "gray_to_binary"),
+    ".mapper": ("SymbolMapper",),
+})
 
 __all__ = [
     "Constellation",

@@ -10,6 +10,7 @@ available for SNR normalisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict
 
 import numpy as np
@@ -60,9 +61,10 @@ class Constellation:
         """Number of constellation points, ``|O|``."""
         return int(self.points.size)
 
-    @property
+    @cached_property
     def average_energy(self) -> float:
-        """Mean squared magnitude of the constellation points."""
+        """Mean squared magnitude of the constellation points (computed
+        once per constellation)."""
         return float(np.mean(np.abs(self.points) ** 2))
 
     # ------------------------------------------------------------------ #

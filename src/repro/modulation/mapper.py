@@ -32,6 +32,10 @@ class SymbolMapper:
     def __post_init__(self) -> None:
         if self.num_users <= 0:
             raise ModulationError(f"num_users must be positive, got {self.num_users}")
+        # A user's bits, big-endian, dotted with these are its point's label.
+        width = self.constellation.bits_per_symbol
+        object.__setattr__(self, "_place_values",
+                           1 << np.arange(width - 1, -1, -1))
 
     @property
     def bits_per_channel_use(self) -> int:
@@ -40,12 +44,14 @@ class SymbolMapper:
 
     def map_bits(self, bits) -> np.ndarray:
         """Map one channel use worth of bits to the transmitted symbol vector."""
-        bits = ensure_bit_array(bits, length=self.bits_per_channel_use)
-        per_user = bits.reshape(self.num_users, self.constellation.bits_per_symbol)
-        return np.array(
-            [self.constellation.bits_to_symbol(row) for row in per_user],
-            dtype=np.complex128,
-        )
+        return self.symbols_of(
+            ensure_bit_array(bits, length=self.bits_per_channel_use))
+
+    def symbols_of(self, bits: np.ndarray) -> np.ndarray:
+        """:meth:`map_bits` for bits already validated (1-D ``uint8`` 0/1,
+        :attr:`bits_per_channel_use` of them): one table lookup."""
+        return self.constellation.points[
+            bits.reshape(self.num_users, -1) @ self._place_values]
 
     def random_bits(self, rng: np.random.Generator, num_channel_uses: int = 1) -> np.ndarray:
         """Draw uniformly random payload bits for *num_channel_uses* channel uses."""

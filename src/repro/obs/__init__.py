@@ -10,11 +10,20 @@ what consumes them:
 * :mod:`repro.obs.report` — the ``python -m repro.obs.report`` per-stage
   latency breakdown CLI.
 
-Both load on first use: the exporters import the serving layer, so
-``import repro.obs`` stays cheap, and ``python -m repro.obs.report`` does
-not find its own module already imported by the package.  Nothing in the
+Both load on first use (:mod:`repro._lazy`, as every package of the
+library exports): the exporters import the serving layer, so ``import
+repro.obs`` stays cheap, and ``python -m repro.obs.report`` does not find
+its own module already imported by the package.  Nothing in the
 compute or serving layers imports this package.
 """
+
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".export": ("read_jsonl", "to_chrome_trace", "to_jsonl",
+                "write_chrome_trace", "write_jsonl"),
+    ".report": ("build_report", "render"),
+})
 
 __all__ = [
     "read_jsonl",
@@ -25,17 +34,3 @@ __all__ = [
     "build_report",
     "render",
 ]
-
-_EXPORT_NAMES = ("read_jsonl", "to_chrome_trace", "to_jsonl",
-                 "write_chrome_trace", "write_jsonl")
-_REPORT_NAMES = ("build_report", "render")
-
-
-def __getattr__(name: str):
-    if name in _EXPORT_NAMES:
-        from repro.obs import export
-        return getattr(export, name)
-    if name in _REPORT_NAMES:
-        from repro.obs import report
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

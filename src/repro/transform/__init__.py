@@ -15,15 +15,16 @@ This package implements the paper's primary contribution (Section 3):
   end-to-end decoder.
 """
 
-from repro.transform.symbols import QuamaxTransform, get_transform
-from repro.transform.qubo_builder import build_ml_qubo
-from repro.transform.ising_coeffs import build_ml_ising
-from repro.transform.posttranslate import (
-    gray_to_quamax_bits,
-    intermediate_code,
-    quamax_to_gray_bits,
-)
-from repro.transform.reduction import MLToIsingReducer, ReducedProblem
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".symbols": ("QuamaxTransform", "get_transform"),
+    ".qubo_builder": ("build_ml_qubo",),
+    ".ising_coeffs": ("build_ml_ising",),
+    ".posttranslate": (
+        "gray_to_quamax_bits", "intermediate_code", "quamax_to_gray_bits"),
+    ".reduction": ("MLToIsingReducer", "ReducedProblem"),
+})
 
 __all__ = [
     "QuamaxTransform",

@@ -103,8 +103,9 @@ class TestEdges:
 
 
 class TestHasEdgeIsArithmetic:
-    """``has_edge`` is Chimera arithmetic on coordinates; the networkx graph
-    of the edge list (built from ``_iter_ideal_edges``) is the oracle."""
+    """``has_edges`` (and ``has_edge``, its one-pair form) is Chimera
+    arithmetic on coordinates; the networkx graph of the edge list (built
+    from ``_iter_ideal_edges``) is the oracle."""
 
     @staticmethod
     def sites_around(chip, cells):
@@ -117,19 +118,25 @@ class TestHasEdgeIsArithmetic:
                 for row, column in sorted(around) for side in (0, 1)
                 for index in range(chip.shore_size)]
 
-    @pytest.mark.parametrize("make_chip", [
-        ChimeraGraph.dw2q, lambda: ChimeraGraph.ideal(4, 4),
-        lambda: PegasusLikeGraph(rows=3, columns=3, dead_qubits=[20, 70])],
-        ids=["dw2q", "ideal-4x4", "pegasus-like"])
-    def test_agrees_with_the_graph_on_every_pair_around_two_cells(
-            self, make_chip):
-        chip = make_chip()
-        # A corner cell, and the cell of a defect where there is one (an
-        # interior cell otherwise).
+    @classmethod
+    def pair_sites(cls, chip):
+        """Sites around a corner cell and the cell of a defect where there
+        is one (an interior cell otherwise), and two sites off the chip."""
         dead = min(chip.dead_qubits, default=chip.linear_index(2, 1, 0, 0))
         cells = [(0, 0), (chip.coordinate(dead).row,
                           chip.coordinate(dead).column)]
-        sites = self.sites_around(chip, cells) + [-1, chip.total_sites]
+        return cls.sites_around(chip, cells) + [-1, chip.total_sites]
+
+    CHIPS = pytest.mark.parametrize("make_chip", [
+        ChimeraGraph.dw2q, lambda: ChimeraGraph.ideal(4, 4),
+        lambda: PegasusLikeGraph(rows=3, columns=3, dead_qubits=[20, 70])],
+        ids=["dw2q", "ideal-4x4", "pegasus-like"])
+
+    @CHIPS
+    def test_agrees_with_the_graph_on_every_pair_around_two_cells(
+            self, make_chip):
+        chip = make_chip()
+        sites = self.pair_sites(chip)
         graph = graph_of(chip)
         edges = 0
         for a in sites:
@@ -138,12 +145,27 @@ class TestHasEdgeIsArithmetic:
                 edges += chip.has_edge(a, b)
         assert edges > 8 * chip.shore_size ** 2  # not vacuous
 
+    @CHIPS
+    def test_the_array_form_agrees_with_the_graph_in_one_call(
+            self, make_chip):
+        """``has_edges`` (what ``Embedding.validate`` asks) takes every
+        pair of the same sites in one call."""
+        chip = make_chip()
+        sites = self.pair_sites(chip)
+        graph = graph_of(chip)
+        pairs = [(a, b) for a in sites for b in sites]
+        assert chip.has_edges(pairs).tolist() == [graph.has_edge(a, b)
+                                                  for a, b in pairs]
+        assert chip.has_edges([]).tolist() == []
+
     def test_every_listed_edge_is_an_edge_both_ways(self):
         chip = ChimeraGraph.dw2q()
         edges = chip.edges()
         assert len(edges) == graph_of(chip).number_of_edges()
         assert all(chip.has_edge(a, b) and chip.has_edge(b, a)
                    for a, b in edges)
+        assert chip.has_edges(edges).all()
+        assert chip.has_edges([(b, a) for a, b in edges]).all()
 
     def test_asking_builds_no_graph(self, monkeypatch):
         def enumerate_edges(chip):
@@ -154,6 +176,7 @@ class TestHasEdgeIsArithmetic:
         monkeypatch.setattr(ChimeraGraph, "edges", enumerate_edges)
         assert chip.has_edge(0, 4)
         assert not chip.has_edge(0, 1)
+        assert chip.has_edges([(0, 4), (0, 1)]).tolist() == [True, False]
 
 
 class TestDefects:

@@ -766,20 +766,23 @@ class TestLaneHalves:
         """The helper pool's one thread is held on an Event: the caller
         finds no helper at its first handshake, takes the call whole and
         gives the one-thread bits; the late helper, once free, returns at
-        once."""
+        once.  The hold is released whatever happens, so a failing assert
+        fails the case instead of leaving the pool's exit waiting on it."""
         from concurrent.futures import ThreadPoolExecutor
 
         monkeypatch.setattr(backends, "_STALL_BUDGET", 0)
         ising, clusters = embedded_bpsk()
         sampler = IsingSampler(ising, clusters=clusters)
+        release = threading.Event()
         with ThreadPoolExecutor(1) as pool:
             monkeypatch.setitem(backends._HELPERS, "pool", pool)
-            release = threading.Event()
             held = pool.submit(release.wait)
-            declines = every_block_splits["declines"]
-            got = self.anneal(sampler, REPLICAS)
-            assert every_block_splits["declines"] == declines + 1
-            release.set()
+            try:
+                declines = every_block_splits["declines"]
+                got = self.anneal(sampler, REPLICAS)
+                assert every_block_splits["declines"] == declines + 1
+            finally:
+                release.set()
             held.result()
             monkeypatch.setattr(backends, "_USABLE_CPUS", 1)
             assert got == self.anneal(sampler, REPLICAS)

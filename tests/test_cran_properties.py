@@ -61,7 +61,7 @@ from repro.cran.scheduler import (
     DecodeBatch,
     EDFBatchScheduler,
 )
-from repro.cran.telemetry import DECODE_TIME_EWMA_ALPHA
+from repro.cran.telemetry import DECODE_TIME_EWMA_ALPHA, linear_percentiles
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
@@ -479,3 +479,40 @@ class TestTelemetryIsAFoldOverTheTrace:
         served = {key: value for key, value in report.telemetry.items()
                   if key not in ("workers", "sampler_cache")}
         assert served == expected
+
+
+# --------------------------------------------------------------------------- #
+# The latency percentiles
+# --------------------------------------------------------------------------- #
+#: Latency-like values; the small pool makes ties common.
+_LATENCIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 53.25, 250.0, 1e4]),
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
+
+#: The reported percentiles, and any other.
+_PERCENTILES = st.one_of(st.sampled_from([0.0, 50.0, 90.0, 95.0, 99.0, 100.0]),
+                         st.floats(min_value=0.0, max_value=100.0))
+
+
+class TestLinearPercentiles:
+    @PROPERTY
+    @given(st.lists(_LATENCIES, min_size=1, max_size=200),
+           st.lists(_PERCENTILES, min_size=1, max_size=8))
+    @example([7.0], [0.0, 50.0, 100.0])
+    @example([3.0, 1.0], [50.0])
+    @example([1.0, 2.0, 3.0, 4.0], [0.0, 50.0, 90.0, 95.0, 99.0, 100.0])
+    # A fraction of exactly one half, and one above it, where the two
+    # forms of the interpolation differ in the last bit.
+    @example([1158.66, 5160.69], [50.0])
+    @example([395.9288, 9172.977], [90.0])
+    def test_equals_np_percentile_bit_for_bit(self, series, percentiles):
+        """The telemetry's percentiles are NumPy's ``linear`` method
+        without ``np.percentile`` (whose ``np.unique`` imports
+        ``numpy.ma``): same values, bytes and dtype, for any size, ties
+        and percentile — the interpolation taken from the upper
+        neighbour when the fraction is at least one half."""
+        series = np.asarray(series)
+        got = linear_percentiles(series, percentiles)
+        expected = np.percentile(series, percentiles)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()

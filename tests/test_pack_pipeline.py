@@ -989,6 +989,28 @@ class TestRunBatchEqualsOracle:
         else:
             assert (calls, builds) == ({}, 4 * 3)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_pack_whose_every_batch_cancels_reports_no_sweep_work(
+            self, count):
+        """A clean pack, then the same problems with a coupler cancelled
+        in every batch (:func:`cancelling_ice`): the served sampler sweeps
+        nothing the second time, so it reports no work rather than the
+        clean pack's counts."""
+        problems = qpsk_pack(count)
+        parameters = AnnealerParameters(num_anneals=15)
+        machine = self.machine(ice_batch_size=5)
+
+        def served_work():
+            machine.run_batch(problems, parameters, random_states=[
+                np.random.default_rng(b) for b in range(count)])
+            entry, = machine._structures.values()
+            return entry.sampler.last_sweep_work
+
+        clean = served_work()
+        assert (clean is not None) == backends.cext_available()
+        machine.ice = cancelling_ice(machine, problems, parameters)
+        assert served_work() is None
+
     @staticmethod
     def even_chain_pack():
         """Sixteen two-user BPSK problems — two logical variables, one

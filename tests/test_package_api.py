@@ -102,6 +102,37 @@ class TestPublicApi:
         for name in package.__all__:
             assert getattr(package, name) is not None
 
+    #: Every package of the library; each exports lazily.
+    PACKAGES = ("repro", "repro.annealer", "repro.channel", "repro.cran",
+                "repro.decoder", "repro.detectors", "repro.experiments",
+                "repro.ising", "repro.metrics", "repro.mimo",
+                "repro.modulation", "repro.obs", "repro.transform",
+                "repro.utils")
+
+    def test_importing_the_packages_imports_none_of_their_modules(self):
+        """A fresh process that imports every package holds the packages
+        and the lazy-export helper, and no module they export from."""
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import importlib, json, sys\n"
+             "for name in sys.argv[1:]: importlib.import_module(name)\n"
+             "print(json.dumps(sorted(name for name in sys.modules\n"
+             "                        if name.startswith('repro'))))",
+             *self.PACKAGES],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == sorted(
+            self.PACKAGES + ("repro._lazy",))
+
+    @pytest.mark.parametrize("module", PACKAGES)
+    def test_every_export_resolves_and_an_unknown_name_raises(self, module):
+        package = importlib.import_module(module)
+        for name in package.__all__:
+            assert getattr(package, name) is not None, name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(package, "no_such_name")
+
     def test_nothing_imports_networkx_or_asyncio(self):
         """No module of the package imports networkx (0.12 s of import; the
         chip's edges are Chimera arithmetic, and the tests build the graph
@@ -121,11 +152,26 @@ class TestPublicApi:
         assert "networkx" not in imported, imported["networkx"]
         assert "asyncio" not in imported, imported["asyncio"]
 
+    #: Modules a serving process has no use for: ``numpy.ma`` (what
+    #: ``np.percentile`` and ``np.unique`` import), ``multiprocessing`` (a
+    #: process pool's) and the parts of the package that serving never
+    #: reaches.  ``repro``'s package ``__init__``s export lazily, so none
+    #: of these loads until something asks for it.
+    OFF_SERVING_PATH = (
+        "multiprocessing", "numpy.ma", "repro.channel.trace",
+        "repro.cran.gateway", "repro.cran.traffic", "repro.decoder.pipeline",
+        "repro.detectors.linear", "repro.detectors.ml",
+        "repro.detectors.sphere", "repro.detectors.timing",
+        "repro.experiments", "repro.metrics.statistics", "repro.metrics.ttb",
+        "repro.metrics.tts", "repro.mimo.frame")
+
     #: Serve one four-job ``DecodeBatch`` through an inline ``WorkerPool``,
-    #: on the C artefact (``argv[1] == "artefact"``) or as a box without a
-    #: compiler (``"none"``: ``_load_cext`` patched); report the bits, the
-    #: sampler's ``selected_backend``, which of the heavy imports the
-    #: process ended up holding and which ``repro.obs`` modules it loaded.
+    #: then the same jobs through ``CranService.run`` with its telemetry
+    #: folded, on the C artefact (``argv[1] == "artefact"``) or as a box
+    #: without a compiler (``"none"``: ``_load_cext`` patched); report the
+    #: bits, the sampler's ``selected_backend``, which of the heavy imports
+    #: the process ended up holding, which ``repro.obs`` modules it loaded
+    #: and which modules off the serving path (``argv[2]``, one string).
     SERVE_ONE_PACK = """
 import json, sys
 import numpy as np
@@ -135,6 +181,7 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch
+from repro.cran.service import CranService
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.mimo.system import MimoUplink
@@ -154,13 +201,18 @@ pool = WorkerPool(decoder)
 pool.submit(DecodeBatch(jobs=jobs, flush_time_us=0.0, reason="full"))
 entry, = decoder.annealer._structures.values()
 sampler = entry.sampler
+report = CranService(decoder, max_batch=4).run(jobs)
+assert report.telemetry["latency_us"]["count"] == 4
 print(json.dumps({
     "bits": [done.result.detection.bits.tolist() for done in pool.results()],
+    "served": [result.result.detection.bits.tolist()
+               for result in report.results],
     "selected": sampler.selected_backend,
     "held": sorted({"scipy", "networkx", "asyncio", "numba"}
                    & set(sys.modules)),
     "obs": sorted(name for name in sys.modules
-                  if name == "repro.obs" or name.startswith("repro.obs."))}))
+                  if name == "repro.obs" or name.startswith("repro.obs.")),
+    "off_path": sorted(set(sys.argv[2].split()) & set(sys.modules))}))
 """
 
     def test_serving_on_cext_imports_no_scipy_networkx_or_asyncio(
@@ -173,7 +225,9 @@ print(json.dumps({
         installed: a ``numba`` package first on the path is never imported.
         On either path the compute and serving layers leave ``repro.obs``
         unloaded: observability consumes a finished run and has no hooks
-        inside it."""
+        inside it.  On the artefact, serving through ``CranService`` and
+        folding its telemetry loads none of :attr:`OFF_SERVING_PATH`; the
+        NumPy path's reads go through ``np.unique``, hence ``numpy.ma``."""
         from repro.annealer import backends
         if not backends.cext_available():
             pytest.skip("no C compiler for the cext backend")
@@ -186,7 +240,8 @@ print(json.dumps({
                 ("numba first", "artefact",
                  str(tmp_path) + os.pathsep + source)):
             done = subprocess.run(
-                [sys.executable, "-c", self.SERVE_ONE_PACK, artefact],
+                [sys.executable, "-c", self.SERVE_ONE_PACK, artefact,
+                 " ".join(self.OFF_SERVING_PATH)],
                 capture_output=True, text=True, timeout=120,
                 env={**os.environ, "PYTHONPATH": path})
             assert done.returncode == 0, done.stderr
@@ -197,6 +252,11 @@ print(json.dumps({
         assert [served[run]["selected"] for run in served] == [
             "cext", "numpy", "cext"]
         assert all(served[run]["obs"] == [] for run in served)
+        assert served["artefact"]["off_path"] == []
+        assert served["numba first"]["off_path"] == []
+        assert served["none"]["off_path"] == ["numpy.ma"]
+        assert all(served[run]["served"] == served[run]["bits"]
+                   for run in served)
         assert len(served["artefact"]["bits"]) == 4
         assert served["artefact"]["bits"] == served["none"]["bits"]
         assert served["artefact"]["bits"] == served["numba first"]["bits"]
