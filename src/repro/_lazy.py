@@ -17,11 +17,13 @@ def lazy_exports(package: str, modules: Dict[str, Iterable[str]],
     """The ``__getattr__`` of *package*: each name of ``modules[module]`` is
     read from *module* (relative to *package* when it starts with a dot),
     and each of *submodules* is that submodule; a name is imported on first
-    access and then kept in the package's namespace."""
+    access and then kept in the package's namespace.  Also gives the
+    package a ``__dir__`` that lists the names not yet loaded."""
     where = {name: module for module, names in modules.items()
              for name in names}
     submodules = frozenset(submodules)
     namespace = sys.modules[package].__dict__
+    namespace["__dir__"] = lambda: sorted({*namespace, *where, *submodules})
 
     def __getattr__(name: str):
         if name in submodules:

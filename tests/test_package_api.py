@@ -111,19 +111,25 @@ class TestPublicApi:
 
     def test_importing_the_packages_imports_none_of_their_modules(self):
         """A fresh process that imports every package holds the packages
-        and the lazy-export helper, and no module they export from."""
+        and the lazy-export helper, and no module they export from; each
+        package's ``dir()`` already lists its ``__all__``."""
         done = subprocess.run(
             [sys.executable, "-c",
              "import importlib, json, sys\n"
-             "for name in sys.argv[1:]: importlib.import_module(name)\n"
-             "print(json.dumps(sorted(name for name in sys.modules\n"
-             "                        if name.startswith('repro'))))",
+             "packages = [importlib.import_module(name)\n"
+             "            for name in sys.argv[1:]]\n"
+             "print(json.dumps([sorted(name for name in sys.modules\n"
+             "                         if name.startswith('repro')),\n"
+             "                  [package.__name__ for package in packages\n"
+             "                   if set(package.__all__)\n"
+             "                   - set(dir(package))]]))",
              *self.PACKAGES],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == sorted(
-            self.PACKAGES + ("repro._lazy",))
+        loaded, undiscoverable = json.loads(done.stdout)
+        assert loaded == sorted(self.PACKAGES + ("repro._lazy",))
+        assert undiscoverable == []
 
     @pytest.mark.parametrize("module", PACKAGES)
     def test_every_export_resolves_and_an_unknown_name_raises(self, module):
