@@ -563,10 +563,10 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
                  counter: bool, structure: tuple, settings: tuple) -> tuple:
     """Range ``[lo, hi)``'s argument block of ``pack_ice_batches`` (the C
     ``batch_call``) — over the *buffers*, the *structure* and the
-    *settings*: the ICE array (or ``None``), the zero check and the served
-    pack's :class:`PackReadOut` (or ``None``) — as ``(words, work
-    out-array, what must outlive the block)``."""
-    ice, check_zero, serve = settings
+    *settings*: the ICE array (or ``None``) and the served pack's
+    :class:`PackReadOut` (or ``None``) — as ``(words, work out-array, what
+    must outlive the block)``."""
+    ice, serve = settings
     spins, _, values, _, _, keys = buffers
     class_edges, internal_edges = structure[5:7]
     colour, work = _cext_colour_arguments(space, buffers, structure, lo, hi)
@@ -576,8 +576,7 @@ def _batch_block(space: dict, buffers: tuple, lo: int, hi: int,
         *colour, spins.shape[0], values.shape[1], _ptr(class_edges),
         _ptr(internal_edges), _ptr(values[lo:hi]), spins.shape[1],
         _ptr(keys[lo:hi]) if counter else 0, _ptr(work), lo,
-        0 if ice is None else _ptr(ice), check_zero,
-        0 if serve is None else serve.words,
+        0 if ice is None else _ptr(ice), 0 if serve is None else serve.words,
         0 if scratch is None else _ptr(scratch), 0, 0], dtype=np.int64)
     return words, work, (buffers, space["lanes"], structure, settings, scratch)
 
@@ -602,8 +601,8 @@ def _lane_half_blocks(workspace: dict, words: np.ndarray, buffers: tuple,
 
 
 def pack_ice_batches(prepared: tuple, physical: np.ndarray,
-                     linear: np.ndarray, values: np.ndarray, rngs,
-                     fallback) -> Optional[SweepWork]:
+                     linear: np.ndarray, values: np.ndarray,
+                     rngs) -> SweepWork:
     """A pack's anneals as ICE batches, every batch in C: one call of the
     artefact's ``pack_ice_batches`` per range of blocks (:func:`_shards`),
     each running all of its batches on its own thread, as *prepared*
@@ -614,27 +613,19 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
     coupling ICE shifts, counter key, start and sweeps —
     ``ICEModel.perturb_pack`` then one ``anneal``.  A batch of a lane-half
     block is one call for its draws and start, then one per half
-    (:func:`_lane_half_call`), else one for its sweep.  With the zero check
-    a batch whose perturbed couplings hold an exact zero is not swept:
-    ``fallback(fields, couplings, blocks, rows, rngs)`` anneals that slice
-    problem by problem (copy the buffers it gets) into its rows, and the
-    range resumes.  Returns the last swept batch's :class:`SweepWork`,
-    summed over the ranges (zeros for a range that swept none).
+    (:func:`_lane_half_call`), else one for its sweep.  Returns the last
+    batch's :class:`SweepWork`, summed over the ranges.
 
     A served pack (*prepared* holds its :class:`PackReadOut`) is programmed
     from the logical ``(B, L)`` *linear* and ``(B, K)`` *values* before the
-    first draw (or ``None`` returns, nothing drawn, when a coupling scales
-    to ``0.0``) and read out by the call that sweeps a range's last batch,
-    else (a fallback last) by one :meth:`PackReadOut.read`.
+    first draw and read out by the call that sweeps a range's last batch.
     """
-    buffers, halves, ranges, _, out, batch_size = prepared
+    halves, ranges, _, out, batch_size = prepared
     lib, num_anneals = _load_cext(), physical.shape[0]
     generators = _rng_pointer_arrays(rngs)
-    _, fields, perturbed, *_ = buffers
     sources = (_ptr(linear), _ptr(values))
     if out is not None:
         out.sources = sources
-    size = fields.size // len(rngs)
     batches = -(-num_anneals // batch_size)
     target = _ptr(physical)
 
@@ -643,51 +634,27 @@ def pack_ice_batches(prepared: tuple, physical: np.ndarray,
         return lib.pack_ice_batches(block, *sources, target, num_anneals,
                                     batch, stop, sweep, generators)
 
-    def halved(block: int, batch: int, stop: int) -> int:
+    def halved(block: int, batch: int, stop: int) -> None:
         for first in range(batch, stop):
             pair = halves[first + 1 == batches]
-            done = call(block, first, first + 1,
-                        _SWEEP_ALL if pair is None else _SWEEP_START)
-            if done <= first:
-                return done
-            if pair is not None and not _lane_half_call(
-                    lib, pair[0], rngs[0], (*sources, target, num_anneals,
-                                            first, done, _SWEEP_HALF,
-                                            generators)):
-                call(block, first, done, _SWEEP_DRAWN)
-        return stop
+            if pair is None:
+                call(block, first, first + 1)
+                continue
+            call(block, first, first + 1, _SWEEP_START)
+            if not _lane_half_call(lib, pair[0], rngs[0], (
+                    *sources, target, num_anneals, first, first + 1,
+                    _SWEEP_HALF, generators)):
+                call(block, first, first + 1, _SWEEP_DRAWN)
 
     run = call if halves is None else halved
-
-    def cancelled(lo: int, hi: int, batch: int) -> None:
-        start = batch * batch_size
-        rows = min(batch_size, num_anneals - start)
-        physical[start:start + rows, lo * size:hi * size] = fallback(
-            fields[lo * size:hi * size].reshape(hi - lo, size),
-            perturbed[lo:hi], slice(lo, hi), rows, rngs)
-
-    for *_, work in ranges:  # the C call writes a batch's work it sweeps
-        work.fill(0)
     pool = _helper_pool() if len(ranges) > 1 else None  # not kept: forks
     rest = [pool.submit(run, block, 0, batches)
             for _, _, block, _ in ranges[1:]]
     try:
-        stops = [run(ranges[0][2], 0, batches)]
+        run(ranges[0][2], 0, batches)
     finally:
-        stops += [future.result() for future in rest]
-    if stops[0] < 0:  # every range found the coupling that scales to 0.0
-        return None
-    read = True
-    for (lo, hi, block, _), stop in zip(ranges, stops):
-        while stop < batches:
-            cancelled(lo, hi, stop)
-            stop += 1
-            if stop < batches:
-                stop = run(block, stop, batches)
-            else:
-                read = False
-    if out is not None and not read:
-        out.read(physical)
+        for future in rest:
+            future.result()
     work = ranges[0][3] if len(ranges) == 1 else sum(
         work for *_, work in ranges)
     return SweepWork(*work.tolist())
@@ -706,20 +673,21 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
                     batch_size: int, ice, rng_mode: str,
                     out=None) -> tuple:
     """What :func:`pack_ice_batches` decides once per pack shape — the
-    ``(anneals, blocks*P)`` *shape* of its out-array: its buffers, a
-    one-block pack's lane halves (:func:`_lane_half_blocks`) of a whole
-    batch and of the last batch — each ``None`` where that batch stays on
-    one thread — or ``None``, the block ranges ``(lo, hi, argument block,
-    work)`` (:func:`_shards`), what they point to, *out* (a served pack's
+    ``(anneals, blocks*P)`` *shape* of its out-array: a one-block pack's
+    lane halves (:func:`_lane_half_blocks`) of a whole batch and of the
+    last batch — each ``None`` where that batch stays on one thread — or
+    ``None``, the block ranges ``(lo, hi, argument block, work)``
+    (:func:`_shards`), what they point to (the buffers the call fills
+    among them), *out* (a served pack's
     :class:`PackReadOut`) and the batch size.  *structure* is
     ``(members, class_starts, indices, indptr, clusters, class_edges,
     internal_edges, temperatures)``: the colour structure, the columns of
     the ``(blocks, num_values)`` values its slots hold, and the contiguous
     float64 schedule; *ice* is the :class:`~repro.annealer.ice.ICEModel`
-    (``None``: no zero check).  The caller keeps it (a sampler's route,
+    or ``None``.  The caller keeps it (a sampler's route,
     :meth:`BlockDiagonalSampler._route`) with *workspace*."""
     class_edges, internal_edges = structure[5:7]
-    check_zero, counter = ice is not None, rng_mode == "counter"
+    counter = rng_mode == "counter"
     ice = None if ice is None or not ice.enabled else (
         ice.linear_mean, ice.linear_std, ice.quadratic_mean, ice.quadratic_std)
     (num_anneals, width), blocks = shape, len(rngs)
@@ -729,7 +697,7 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
                              class_edges.size, internal_edges.size)
     spins = buffers[0]
     settings = (None if ice is None else np.array(ice, dtype=np.float64),
-                check_zero, out)
+                out)
     rows = min(batch_size, num_anneals)
     split = _lane_halves(spins, rows, counter, rngs)
     shards = 1 if shared or split else _shards(spins[:rows], blocks)
@@ -747,7 +715,7 @@ def prepare_batches(workspace: dict, shape: Tuple[int, int],
                  if _lane_halves(spins, count, counter, rngs) else None
                  for count in {rows, last}}
         halves = pairs[rows], pairs[last]
-    return (buffers, halves,
+    return (halves,
             [(lo, hi, _ptr(words), work) for lo, hi, (words, work, _) in made],
             [block for *_, block in made], out, batch_size)
 
@@ -1571,17 +1539,15 @@ static inline double clip(double x, double lo, double hi)
    scale is base_scale over the largest |coupling| (none: |field|) if that
    is positive; fields spread as (linear * scale) / chain length onto the
    qubits (logical_of), chain couplers hold coupler_min, crossing couplers
-   the scaled couplings, each clipped into its range.  1 when a scaled
-   coupling of ANY problem is 0.0 (every range sees it, nothing drawn): it
-   is unprogrammed, which the NumPy path decides. */
-static int program_pack(const serve_call *s, const double *linear,
-                        const double *values, int64_t lo, int64_t hi)
+   the scaled couplings (a 0.0 among them too), each clipped into its
+   range. */
+static void program_pack(const serve_call *s, const double *linear,
+                         const double *values, int64_t lo, int64_t hi)
 {
     const int64_t width = s->num_chain_couplers + s->num_keys;
-    for (int64_t b = 0; b < s->num_problems; ++b) {
+    for (int64_t b = lo; b < hi; ++b) {
         const double *lin = linear + b * s->num_logical;
         const double *val = values + b * s->num_keys;
-        const int mine = lo <= b && b < hi;
         double *row = s->couplers + b * width;
         double *out = s->fields + b * s->num_physical;
         double scale = s->base_scale, reference = max_abs(val, s->num_keys);
@@ -1589,23 +1555,17 @@ static int program_pack(const serve_call *s, const double *linear,
             reference = max_abs(lin, s->num_logical);
         if (reference > 0.0)
             scale = s->base_scale / reference;
-        for (int64_t e = 0; e < s->num_keys; ++e) {
-            const double v = val[e] * scale;
-            if (v == 0.0)
-                return 1;
-            if (mine)
-                row[s->num_chain_couplers + e] =
-                    clip(v, s->coupler_min, s->coupler_max);
-        }
-        for (int64_t c = 0; mine && c < s->num_chain_couplers; ++c)
+        for (int64_t e = 0; e < s->num_keys; ++e)
+            row[s->num_chain_couplers + e] =
+                clip(val[e] * scale, s->coupler_min, s->coupler_max);
+        for (int64_t c = 0; c < s->num_chain_couplers; ++c)
             row[c] = s->coupler_min;
-        for (int64_t p = 0; mine && p < s->num_physical; ++p) {
+        for (int64_t p = 0; p < s->num_physical; ++p) {
             const int64_t i = s->logical_of[p];
             out[p] = clip(lin[i] * scale / s->chain_lengths[i], s->field_min,
                           s->field_max);
         }
     }
-    return 0;
 }
 
 /* Problem b's vote over its P columns of physical (rows pld apart): each
@@ -1742,8 +1702,8 @@ static int64_t read_out_pack(const serve_call *s, const int8_t *physical,
     return 0;
 }
 
-/* The read-out on its own over the (S, B * P) physical (or NULL): for a
-   cancelled last batch, a tie and aggregate_pack's reads. */
+/* The read-out on its own over the (S, B * P) physical (or NULL): after a
+   tie, and for aggregate_pack's reads. */
 int64_t pack_read_out(const int64_t *words, const int8_t *physical,
                       const double *values, int64_t *scratch, int64_t lo,
                       int64_t hi)
@@ -1778,16 +1738,14 @@ int64_t pack_read_out(const int64_t *words, const int8_t *physical,
  * perturbed fields to linear, the perturbed couplings to values and their
  * gathers (class_edges, internal_edges) to data and edge_values.  ice is
  * {field mean, field std, coupling mean, coupling std}, or NULL for no
- * draws.  With check_zero, a batch with a perturbed coupling at exactly
- * zero is not swept: the call returns its index, for the caller to anneal
- * problem by problem from the buffers and resume; otherwise it returns
- * stop.  keys is NULL under the sequential discipline, the counter keys'
- * room (one per block) under the counter one.  work holds the last swept
- * batch's counts.  Without serve the sources are the programmed (B, P)
- * fields and (B, E) couplings; with serve the logical (B, L) and (B, K)
- * ones: a drawing call at batch 0 programs its blocks first, or returns -1,
- * nothing drawn, and the call that sweeps the last batch reads its blocks
- * out (read_scratch: (4 + L) * S words).
+ * draws; every coupler takes its draw, one programmed to 0.0 included.  A
+ * call returns stop (SWEEP_START and SWEEP_HALF: see below).  keys is NULL
+ * under the sequential discipline, the counter keys' room (one per block)
+ * under the counter one.  work holds the last batch's counts.  Without serve the sources are the programmed
+ * (B, P) fields and (B, E) couplings; with serve the logical (B, L) and
+ * (B, K) ones: a drawing call at batch 0 programs its blocks first, and the
+ * call that sweeps the last batch reads its blocks out (read_scratch:
+ * (4 + L) * S words).
  *
  * The sweep modes: SWEEP_ALL draws and sweeps each batch.  A one-block
  * batch on two threads is a SWEEP_START call — its draws and start, then
@@ -1813,25 +1771,22 @@ typedef struct {
     int64_t *work;
     int64_t first_block;
     const double *ice;
-    int64_t check_zero;
     const int64_t *serve;
     int64_t *read_scratch;
     int64_t *sync, half;  /* a lane half's */
 } batch_call;
-_Static_assert(sizeof(batch_call) == 41 * sizeof(int64_t),
-               "batch_call is 41 words");
+_Static_assert(sizeof(batch_call) == 40 * sizeof(int64_t),
+               "batch_call is 40 words");
 
 /* A batch of `rows` replicas' draws over c's blocks: the ICE shifts of the
    programmed fields, then couplings; the counter keys and the gathers; the
-   start.  1, nothing more drawn, when check_zero finds a perturbed coupling
-   at exactly zero. */
-static int draw_batch(const batch_call *c, const double *programmed_linear,
-                      const double *programmed_values,
-                      const bitgen_t *const *generators, int64_t rows)
+   start. */
+static void draw_batch(const batch_call *c, const double *programmed_linear,
+                       const double *programmed_values,
+                       const bitgen_t *const *generators, int64_t rows)
 {
     const colour_call *call = &c->call;
     const int64_t size = call->size;
-    int zero = 0;
     for (int64_t b = 0; b < call->num_blocks; ++b) {
         bitgen_t *generator = (bitgen_t *)generators[b];
         const double *from = programmed_linear + b * size;
@@ -1842,15 +1797,11 @@ static int draw_batch(const batch_call *c, const double *programmed_linear,
                            : from[v];
         from = programmed_values + b * c->num_values;
         to = c->values + b * c->num_values;
-        for (int64_t e = 0; e < c->num_values; ++e) {
+        for (int64_t e = 0; e < c->num_values; ++e)
             to[e] = c->ice ? from[e] + random_normal(generator, c->ice[2],
                                                      c->ice[3])
                            : from[e];
-            zero |= to[e] == 0.0;
-        }
     }
-    if (c->check_zero && zero)
-        return 1;
     for (int64_t b = 0; b < call->num_blocks; ++b) {
         const double *from = c->values + b * c->num_values;
         if (c->keys)
@@ -1868,7 +1819,6 @@ static int draw_batch(const batch_call *c, const double *programmed_linear,
     else
         sequential_initial_spins(call->spins, call->sld, rows,
                                  call->num_blocks, size, generators);
-    return 0;
 }
 
 int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
@@ -1892,16 +1842,15 @@ int64_t pack_ice_batches(const int64_t *words, const double *source_linear,
         (c.serve ? s.couplers : source_values) + lo * c.num_values;
     physical += lo * size;
     generators += lo;
-    if (c.serve && batch == 0 && draws
-        && program_pack(&s, source_linear, source_values, lo, hi))
-        return -1;
+    if (c.serve && batch == 0 && draws)
+        program_pack(&s, source_linear, source_values, lo, hi);
     for (; batch < stop; ++batch) {
         const int64_t first = batch * c.batch_size;
         const int64_t rows = num_anneals - first < c.batch_size
                              ? num_anneals - first : c.batch_size;
-        if (draws && draw_batch(&c, programmed_linear, programmed_values,
-                                generators, rows))
-            return batch;
+        if (draws)
+            draw_batch(&c, programmed_linear, programmed_values, generators,
+                       rows);
         if (sweep == SWEEP_START)
             return batch + 1;
         if (sweep == SWEEP_HALF) {

@@ -293,12 +293,10 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
     a machine pack over a collision-free plan is programmed inside its
     batch call instead, by the same passes
     (:meth:`~repro.annealer.engine.BlockDiagonalSampler.anneal` with
-    ``program=``); this is the route of every other pack, and of a pack
-    whose scaled coupling lands on ``0.0``.  Returns ``None`` when the
-    problems cannot be programmed as one structure (different logical key
-    sets, or a coefficient of one of several problems cancels to exactly
-    zero on the way); a pack of one always compiles.  See
-    :func:`embed_ising` for the parameters.
+    ``program=``); this is the route of every other pack.  Returns ``None``
+    when the problems cannot be programmed as one structure (different
+    logical key sets).  Every key is programmed, a coupling that scales to
+    ``0.0`` included.  See :func:`embed_ising` for the parameters.
     """
     chain_strength = check_positive("chain_strength", chain_strength)
     logical = IsingPack.stack(logicals)
@@ -310,10 +308,9 @@ def embed_pack(logicals: Sequence[IsingModel], embedding: Embedding, *,
 
 def embed_on_plan(logical: IsingPack, embedding: Embedding,
                   plan: Optional[EmbeddingPlan], chain_strength: float,
-                  extended_range: bool) -> Optional[EmbeddedPack]:
+                  extended_range: bool) -> EmbeddedPack:
     """:func:`embed_pack` of the stacked *logical* problems on *plan*, the
-    plan of their keys on *embedding* (``None``: built here, as is the plan
-    of a lone problem whose scaled coupling underflows to zero)."""
+    plan of their keys on *embedding* (``None``: built here)."""
     base_scale, (chain_coupling, _), _ = compile_settings(chain_strength,
                                                           extended_range)
     problem_scale = np.full(len(logical), base_scale)
@@ -324,21 +321,11 @@ def embed_on_plan(logical: IsingPack, embedding: Embedding,
             logical.linear[fields_only]).max(axis=1, initial=0.0)
     np.divide(problem_scale, reference, out=problem_scale,
               where=reference > 0)
-    keys = logical.keys
     values = logical.values * problem_scale[:, None]
-    if not values.all():
-        # A tiny factor underflowed a coupling to zero, which unprograms its
-        # coupler: one problem simply has fewer keys, several no longer
-        # share a structure.
-        if len(logical) > 1:
-            return None
-        kept = values[0] != 0.0
-        keys = tuple(key for key, keep in zip(keys, kept) if keep)
-        values = values[:, kept]
     linear = logical.linear * problem_scale[:, None]
 
-    if plan is None or keys is not logical.keys:
-        plan = EmbeddingPlan(embedding, logical.num_variables, keys)
+    if plan is None:
+        plan = EmbeddingPlan(embedding, logical.num_variables, logical.keys)
     if plan.direct:
         # Collision-free embedding: every coupler receives exactly one
         # value, so accumulate-and-clip collapses to direct assignment.
@@ -351,20 +338,13 @@ def embed_on_plan(logical: IsingPack, embedding: Embedding,
                 out=couplers[:, plan.num_chain_couplers:])
         physical_keys = plan.physical_keys
     else:
+        # Every row inserts the plan's couplers in one order: one key tuple.
         rows = [plan.accumulate(row_linear, row_values.tolist(),
                                 chain_coupling)
                 for row_linear, row_values in zip(linear, values)]
-        # An exact cancellation unprograms the coupler, like the validating
-        # constructor drops zero couplings.
-        programmed = [{key: value for key, value in couplings.items()
-                       if value != 0.0} for _, couplings, _ in rows]
-        physical_keys = tuple(programmed[0])
-        if any(tuple(couplings) != physical_keys
-               for couplings in programmed[1:]):
-            return None
+        physical_keys = tuple(rows[0][1])
         fields = np.array([row[0] for row in rows])
-        couplers = np.array([list(couplings.values())
-                             for couplings in programmed],
+        couplers = np.array([list(row[1].values()) for row in rows],
                             dtype=float).reshape(len(rows), len(physical_keys))
         clipped = np.array([row[2] for row in rows])
 

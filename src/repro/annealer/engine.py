@@ -320,11 +320,10 @@ class BlockDiagonalSampler:
 
     @property
     def last_sweep_work(self) -> Optional[backends.SweepWork]:
-        """Work counters of the latest :meth:`anneal` call's last swept
-        batch (proposals, uniforms drawn, ``exp`` calls, summed over its
-        ranges); ``None`` on the NumPy path and unless there is one."""
-        work = self._last_sweep_work
-        return work if work is None or work.proposals else None
+        """Work counters of the latest :meth:`anneal` call's last batch
+        (proposals, uniforms drawn, ``exp`` calls, summed over its
+        ranges); ``None`` on the NumPy path and before any anneal."""
+        return self._last_sweep_work
 
     def __getstate__(self) -> Dict[str, object]:
         # Both hold ctypes pointers: a copy (a process worker's) starts bare.
@@ -576,47 +575,24 @@ class BlockDiagonalSampler:
 
         return spins.astype(np.int8)
 
-    def _per_problem(self, temperatures: np.ndarray, fields: np.ndarray,
-                     couplings: np.ndarray, blocks: slice, rows: int,
-                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One batch of *blocks* from their perturbed *fields* and
-        *couplings* when one of those is exactly zero: that problem lost a
-        coupling, so the blocks no longer share one structure; each anneals
-        on a sampler of its own (identical trajectories, just not packed)."""
-        perturbed = IsingPack(self.block_size, self._edge_keys,
-                              fields.copy(), couplings.copy(),
-                              self.isings.offsets[blocks])
-        return np.concatenate([
-            IsingSampler(problem, clusters=self.block_clusters,
-                         rng=self.rng_mode).anneal(
-                temperatures, rows, random_state=rng)
-            for problem, rng in zip(perturbed, rngs[blocks])], axis=1)
-
     def _ice_batches(self, temperatures: np.ndarray, num_replicas: int,
                      rngs: List[np.random.Generator], ice: Optional[ICEModel],
                      batch: int) -> np.ndarray:
         """:meth:`anneal`'s batches: one artefact call per range of blocks
-        on cext, the NumPy path's loop otherwise (the oracle).  Both check
-        for an exactly cancelled coupling only with *ice*."""
+        on cext, the NumPy path's loop otherwise (the oracle)."""
         physical = np.empty((num_replicas, self.num_variables), dtype=np.int8)
         if self.selected_backend == "cext":
-            _, _, prepared, fallback = self._route(
-                temperatures, num_replicas, rngs, ice, batch, None)
+            _, _, prepared = self._route(temperatures, num_replicas, rngs, ice,
+                                         batch, None)
             self._last_sweep_work = backends.pack_ice_batches(
-                prepared, physical, self.linear, self._values, rngs, fallback)
+                prepared, physical, self.linear, self._values, rngs)
             return physical
         self._last_sweep_work = None
         programmed = self.isings
         for start in range(0, num_replicas, batch):
             rows = min(batch, num_replicas - start)
             if ice is not None:
-                perturbed = ice.perturb_pack(programmed, rngs)
-                if not perturbed.values.all():
-                    physical[start:start + rows] = self._per_problem(
-                        temperatures, perturbed.linear, perturbed.values,
-                        slice(None), rows, rngs)
-                    continue
-                self._rebind(perturbed)
+                self._rebind(ice.perturb_pack(programmed, rngs))
             physical[start:start + rows] = self._anneal(temperatures, rows,
                                                         rngs)
         self._rebind(programmed)
@@ -632,9 +608,8 @@ class BlockDiagonalSampler:
         the route holds alive), and the backend's split settings (usable
         CPUs, ``_SPLIT_SPINS``, the lane cut, the bit generator type, shared
         generators); the schedule and counts are checked when it is built.
-        Returns
-        ``(stamp, kept, prepared call, fallback)``, then, serving
-        *program*, the bound pack the call programs and its out-array.
+        Returns ``(stamp, kept, prepared call)``, then, serving *program*,
+        the bound pack the call programs and its out-array.
         """
         blocks = len(rngs)
         stamp = (id(temperatures), num_replicas, id(ice), batch,
@@ -669,8 +644,7 @@ class BlockDiagonalSampler:
             backends.prepare_batches(
                 self._kernel_workspace, (num_replicas, blocks * size), width,
                 (*self._batch_structure, profile), rngs, batch, ice,
-                self.rng_mode, out),
-            lambda *args: self._per_problem(profile, *args), *tail)
+                self.rng_mode, out), *tail)
         return route
 
     def _rebind(self, problems: IsingPack) -> None:
@@ -704,17 +678,15 @@ class BlockDiagonalSampler:
             batches of *ice_batch_size* (default: one), and before each
             every block draws one
             :meth:`~repro.annealer.ice.ICEModel.perturb_pack` realisation
-            of the bound values from its own generator; a batch in which a
-            perturbed coupling lands on exactly zero anneals problem by
-            problem.  Without *ice*: the bound values as they are, no zero
-            check.  :attr:`last_sweep_work` counts the last batch.
+            of the bound values from its own generator.  Without *ice*: the
+            bound values as they are.  :attr:`last_sweep_work` counts the
+            last batch.
         program:
             On the C artefact, ``(logical, logical CSR template, plan, base
             scale, coupler range, field range)`` serves a machine pack
             (*random_states* then generators) that the batch call programs
             (``embed_pack``'s passes) and reads out: returns its
-            ``PackReadOut``, or ``None``, nothing drawn, when a coupling
-            scales to ``0.0``.
+            ``PackReadOut``.
 
         Returns
         -------
@@ -726,7 +698,7 @@ class BlockDiagonalSampler:
             logical, blocks = program[0], len(program[0])
             if len(random_states) != blocks:
                 raise AnnealerError("need one generator per logical problem")
-            _, _, prepared, fallback, bound, physical = self._route(
+            _, _, prepared, bound, physical = self._route(
                 temperatures, num_replicas, random_states, ice,
                 num_replicas if ice_batch_size is None else ice_batch_size,
                 program)
@@ -734,15 +706,12 @@ class BlockDiagonalSampler:
                 self.num_blocks = blocks
                 self._reference = None
             self._bind(bound)
-            work = backends.pack_ice_batches(
+            self._last_sweep_work = backends.pack_ice_batches(
                 prepared, physical, logical.linear, logical.values,
-                random_states, fallback)
-            if work is None:
-                return None
-            self._last_sweep_work = work
+                random_states)
             if self._reference is not None:  # the call wrote the bound values
                 self._bind_reference()
-            return prepared[4]
+            return prepared[3]
         rngs = [ensure_rng(state) for state in random_states]
         if len(rngs) != self.num_blocks:
             raise AnnealerError(
@@ -764,9 +733,9 @@ class IsingSampler(BlockDiagonalSampler):
     takes one randomness source and delegates (one noise-free batch, the
     same call a machine pack makes), and ``matches_structure`` /
     ``refresh_values`` take one problem.  It is what
-    :class:`~repro.ising.solver.SimulatedAnnealingSolver` and a pack's
-    per-problem fallback anneal on.  Repeated runs on one problem reuse its
-    colour classes and kernel workspace; when only the coefficient *values*
+    :class:`~repro.ising.solver.SimulatedAnnealingSolver` anneals on.
+    Repeated runs on one problem reuse its colour classes and kernel
+    workspace; when only the coefficient *values*
     change between runs, ``refresh_values`` rebinds the sampler in place.
     """
 

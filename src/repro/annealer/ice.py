@@ -27,6 +27,10 @@ from repro.utils.random import RandomState, ensure_rng
 class ICEModel:
     """Gaussian intrinsic-control-error noise on programmed coefficients.
 
+    Every programmed coefficient takes its draw: every field, and every
+    coupler of the problem's structure, one programmed to ``0.0`` included
+    (a ``J = 0`` coupler on the chip is a value like any other).
+
     Parameters
     ----------
     linear_mean, linear_std:
@@ -58,8 +62,8 @@ class ICEModel:
         :meth:`perturb` would — one sized ``normal`` draw for the fields,
         then one for the couplings in key order (element k of a sized draw
         is the k-th scalar draw) — so no seeded stream depends on how
-        problems are packed.  A perturbed coupling that lands on exactly
-        zero shows as a zero of the returned value matrix.  This is the
+        problems are packed.  Every key of the pack takes a draw, a
+        coupling programmed to ``0.0`` included.  This is the
         NumPy path's ICE batch and the definition of the C one: on the
         artefact, :meth:`~repro.annealer.engine.BlockDiagonalSampler.anneal`
         makes these draws, the same values from the same streams, inside

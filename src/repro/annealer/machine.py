@@ -46,7 +46,7 @@ from repro.annealer.unembed import (  # noqa: F401
     unembed_pack,
     unembed_samples,
 )
-from repro.exceptions import AnnealerError, EmbeddingError
+from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel, IsingPack, symmetric_csr_template
 from repro.ising.solver import (  # noqa: F401
     SolverResult,
@@ -285,8 +285,9 @@ class QuantumAnnealerSimulator:
         ----------
         logical_isings:
             The logical problems; all must have the same variable count and
-            the same coupling sparsity structure (the usual case for the
-            subcarriers of one OFDM symbol).  An
+            the same coupling keys (the usual case for the subcarriers of
+            one OFDM symbol, whose reduction programs every pair), else
+            :class:`~repro.exceptions.AnnealerError` is raised.  An
             :class:`~repro.ising.model.IsingPack` is taken as is: no
             per-problem object is built on the way to the kernel.
         parameters:
@@ -328,59 +329,52 @@ class QuantumAnnealerSimulator:
             rngs = [ensure_rng(state) for state in random_states]
 
         logical = IsingPack.stack(isings)
-        results = None
-        if logical is not None:
-            num_logical = logical.num_variables
-            if embedding is None:
-                embedding = self.embedding_for(num_logical)
-            # The chip's embedding keys as True, passed or not; another by
-            # id, held by its entry (a copied machine's is another: missed).
-            key = (rng, embedding is self._embeddings.get(num_logical)
-                   or id(embedding), num_logical, logical.keys)
-            entry = self._checkout(key)
-            if entry is None or entry.embedding is not embedding:
-                entry = _Structure(
-                    embedding, num_logical, logical.keys,
-                    parallelization_factor(
-                        num_logical, total_qubits=self.num_qubits,
-                        shore_size=self.topology.shore_size))
-            rates = (self.sweeps_per_us, self.hot_temperature,
-                     self.cold_temperature)
-            settings = self._settings
-            if (settings is None or settings[0] is not parameters
-                    or settings[1] != rates):
-                settings = self._settings = (
-                    parameters, rates, parameters.schedule.temperature_profile(
-                        sweeps_per_us=self.sweeps_per_us,
-                        hot=self.hot_temperature, cold=self.cold_temperature),
-                    compile_settings(parameters.chain_strength,
-                                     parameters.extended_range))
-            plan = entry.plan
-            if (plan is not None and plan.direct and num_logical < 64
-                    and backends.cext_available()):
-                results = self._serve(entry, logical, parameters, rngs, rng,
-                                      *settings[2:])
-            if results is None:
-                results = self._anneal_embedded(entry, logical, parameters,
-                                                rngs, rng, settings[2])
-            self._checkin(key, entry)
-        if results is None:
-            # The problems do not program one structure (different coupling
-            # keys): each is its own pack of one, with its own generator —
-            # exactly the serial submissions the pack is defined to equal.
-            return [self.run_batch([ising], parameters, random_states=[rng_b],
-                                   embedding=embedding, rng=rng)[0]
-                    for ising, rng_b in zip(isings, rngs)]
+        if logical is None:
+            raise AnnealerError(
+                "run_batch requires problems of one coupling structure; "
+                "submit problems with different coupling keys separately")
+        num_logical = logical.num_variables
+        if embedding is None:
+            embedding = self.embedding_for(num_logical)
+        # The chip's embedding keys as True, passed or not; another by id,
+        # held by its entry (a copied machine's is another: missed).
+        key = (rng, embedding is self._embeddings.get(num_logical)
+               or id(embedding), num_logical, logical.keys)
+        entry = self._checkout(key)
+        if entry is None or entry.embedding is not embedding:
+            entry = _Structure(
+                embedding, num_logical, logical.keys,
+                parallelization_factor(
+                    num_logical, total_qubits=self.num_qubits,
+                    shore_size=self.topology.shore_size))
+        rates = (self.sweeps_per_us, self.hot_temperature,
+                 self.cold_temperature)
+        settings = self._settings
+        if (settings is None or settings[0] is not parameters
+                or settings[1] != rates):
+            settings = self._settings = (
+                parameters, rates, parameters.schedule.temperature_profile(
+                    sweeps_per_us=self.sweeps_per_us,
+                    hot=self.hot_temperature, cold=self.cold_temperature),
+                compile_settings(parameters.chain_strength,
+                                 parameters.extended_range))
+        if (entry.plan.direct and num_logical < 64
+                and backends.cext_available()):
+            results = self._serve(entry, logical, parameters, rngs, rng,
+                                  *settings[2:])
+        else:
+            results = self._anneal_embedded(entry, logical, parameters, rngs,
+                                            rng, settings[2])
+        self._checkin(key, entry)
         return results
 
     def _serve(self, entry: "_Structure", logical: IsingPack,
                parameters: AnnealerParameters, rngs, rng: str,
                temperatures: np.ndarray, settings: tuple
-               ) -> Optional[List[AnnealResult]]:
+               ) -> List[AnnealResult]:
         """The pack of a collision-free plan of at most 63 variables in one
         artefact call (:meth:`BlockDiagonalSampler.anneal` with
-        ``program=``), after a chain tie the draws and one read-out;
-        ``None``, nothing drawn, when a coupling scales to ``0.0``."""
+        ``program=``), after a chain tie the draws and one read-out."""
         plan = entry.plan
         sampler = entry.sampler
         if sampler is None:  # built on the structure; the call programs it
@@ -395,8 +389,6 @@ class QuantumAnnealerSimulator:
             temperatures, parameters.num_anneals, rngs, ice=self.ice,
             ice_batch_size=self.ice_batch_size,
             program=(logical, entry.template, plan, *settings))
-        if out is None:
-            return None
         broken, ties = out.counts.tolist()
         if any(ties):  # a chain tied
             draw_ties(out.values, rngs)
@@ -408,34 +400,19 @@ class QuantumAnnealerSimulator:
 
     def _anneal_embedded(self, entry: "_Structure", logical: IsingPack,
                          parameters: AnnealerParameters, rngs, rng: str,
-                         temperatures: np.ndarray
-                         ) -> Optional[List[AnnealResult]]:
+                         temperatures: np.ndarray) -> List[AnnealResult]:
         """The pack through the NumPy stages: :func:`embed_pack`'s passes
         on the entry's plan, one anneal call of its sampler (rebound, or
-        rebuilt when the programmed couplers differ), unembed, aggregate;
-        ``None`` when the problems stop sharing one structure on the way.
-
-        A lone problem whose scaled coupling underflows is embedded on a
-        plan of fewer keys; its sampler is not the entry's (the entry's
-        serves the full key set, which the artefact call programs)."""
+        built by the structure's first pack), unembed, aggregate."""
         embedded = embed_on_plan(logical, entry.embedding, entry.plan,
                                  parameters.chain_strength,
                                  parameters.extended_range)
-        if embedded is None:
-            return None
-        plan, problems = embedded.plan, embedded.problems
-        kept = plan is entry.plan
-        sampler = entry.sampler if kept else None
-        if sampler is not None:
-            try:
-                sampler.refresh_values(problems)
-            except AnnealerError:  # couplers cancelled: another structure
-                sampler = None
+        plan, problems, sampler = entry.plan, embedded.problems, entry.sampler
         if sampler is None:
-            sampler = BlockDiagonalSampler(problems, clusters=plan.clusters,
-                                           rng=rng)
-            if kept:
-                entry.sampler = sampler
+            sampler = entry.sampler = BlockDiagonalSampler(
+                problems, clusters=plan.clusters, rng=rng)
+        else:
+            sampler.refresh_values(problems)
         # The sampler holds the programmed pack; every ICE batch perturbs
         # it afresh inside the one anneal call.
         physical = sampler.anneal(temperatures, parameters.num_anneals, rngs,
@@ -484,22 +461,18 @@ class _Structure:
 
     The *embedding* (held: one not the chip's keys its entry by id), its
     :class:`~repro.annealer.embedded.EmbeddingPlan` over the logical keys
-    (``None`` when the embedding cannot realise them), the logical CSR
-    *template* of the keys (what a pack's read-out multiplies its distinct
-    reads through), the parallelization *factor* ``P_f`` of the variable
-    count and the *sampler* the first pack builds over the plan's physical
-    keys (with its prepared batch calls, one per pack size).
+    (building it raises :class:`~repro.exceptions.EmbeddingError` when the
+    embedding cannot realise them), the logical CSR *template* of the keys
+    (what a pack's read-out multiplies its distinct reads through), the
+    parallelization *factor* ``P_f`` of the variable count and the
+    *sampler* the first pack builds over the plan's physical keys (with its
+    prepared batch calls, one per pack size).
     """
 
     def __init__(self, embedding: Embedding, num_logical: int, keys: tuple,
                  factor: float):
         self.embedding = embedding
         self.template = symmetric_csr_template(num_logical, keys)
-        try:
-            self.plan: Optional[EmbeddingPlan] = EmbeddingPlan(
-                embedding, num_logical, keys)
-        except EmbeddingError:
-            self.plan = None  # embed_on_plan decides: it raises, or needs
-            # no coupler once a lone problem's coupling underflows
+        self.plan = EmbeddingPlan(embedding, num_logical, keys)
         self.factor = factor
         self.sampler: Optional[BlockDiagonalSampler] = None

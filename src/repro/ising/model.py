@@ -185,16 +185,10 @@ class IsingModel:
         scaling, hardware embedding, ICE perturbations): the caller
         guarantees *linear* is a float array of the right shape, every key
         of the tuple *keys* is a canonical ``(i, j)`` with ``i < j`` in
-        range, and *values* is the float vector of their couplings.
-        Exact-zero values are still dropped — the one normalisation step
-        whose outcome depends on the *values* — so the resulting coupling
-        structure is identical to what the validating constructor would
-        produce.
+        range, and *values* is the float vector of their couplings.  The
+        keys are kept as given, exact-zero values included: a row of an
+        :class:`IsingPack` is a problem of the pack's structure.
         """
-        if not values.all():
-            keep = values != 0.0
-            keys = tuple(key for key, kept in zip(keys, keep) if kept)
-            values = values[keep]
         model = cls.__new__(cls)
         model.num_variables = num_variables
         model.linear = linear
@@ -333,7 +327,7 @@ class IsingModel:
     def scaled(self, factor: float) -> "IsingModel":
         """Return a copy with every coefficient (and offset) multiplied by *factor*."""
         # Keys stay canonical under scaling, so the trusted constructor
-        # applies (it still drops couplings a tiny factor underflows to 0).
+        # applies (a coupling a tiny factor underflows to 0 keeps its key).
         return IsingModel.from_arrays(
             self.num_variables, self.linear * factor, self.coupling_keys,
             self.coupling_values * factor, self.offset * factor)
@@ -374,9 +368,8 @@ class IsingPack(SequenceABC):
     sequence of problems takes a pack, and the stages that understand the
     arrays skip the per-problem objects altogether.  The direct constructor
     is trusted like :meth:`IsingModel.from_arrays`: canonical keys, float64
-    C-ordered matrices; a zero in ``values`` means that problem lacks that
-    coupling, i.e. the rows no longer share one structure, which is for the
-    caller to test (``values.all()``) before treating the pack as one.
+    C-ordered matrices.  The keys are the structure: a zero in ``values`` is
+    a coupling programmed to ``0.0``, and every row keeps every key.
     """
 
     num_variables: int

@@ -26,8 +26,6 @@ brute-force reduction is enforced by the test suite.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.ising.model import IsingModel, IsingPack
@@ -60,25 +58,26 @@ class MLIsingStructure:
         self.conj_weights = np.conj(weights)
         self.user_of = user_of
         self.weight_power = np.abs(weights) ** 2
-        self.diagonal = user_of * (num_users + 1)
+        #: The flattened gram matrix's diagonal, per user and per variable.
+        self.gram_diagonal = np.arange(num_users) * (num_users + 1)
+        self.diagonal = self.gram_diagonal[user_of]
         self.pair_left = self.conj_weights[upper_i]
         self.pair_right = weights[upper_j]
         self.pair_gram = user_of[upper_i] * num_users + user_of[upper_j]
-        self.upper = (upper_i, upper_j)
         self.keys = tuple(zip(upper_i.tolist(), upper_j.tolist()))
 
 
 def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
-                        constellation) -> List[Tuple[np.ndarray, IsingPack]]:
+                        constellation) -> IsingPack:
     """The ML detection Ising problems of many channel uses in one pass.
 
     *channels* is the ``(jobs, N_r, N_t)`` complex stack of channel matrices
     and *received* the ``(jobs, N_r)`` stack of received vectors, all of one
     *constellation* (an instance, a name, or the kept
-    :class:`MLIsingStructure` of it and ``N_t`` users).  Returns ``(rows,
-    pack)`` pairs: *pack* holds the problems of the jobs *rows*
-    (ascending), which share one pattern of exact-zero couplings and hence
-    one key tuple — a single pair in all but degenerate cases.
+    :class:`MLIsingStructure` of it and ``N_t`` users).  Returns the pack of
+    their problems, row *b* job *b*, over the all-pairs key tuple
+    (``MLIsingStructure.keys``) whatever the values: a coupling that comes
+    out exactly zero is a programmed value, not a missing coupler.
 
     Every coefficient is the identical chain of scalar complex products (in
     the same association order) as the historical per-pair loops, and a
@@ -86,7 +85,10 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     coefficients — and the seeded streams of everything downstream — are
     bit for bit those of a job-by-job evaluation.  (``conj(m) * x`` and
     ``m * conj(x)`` have the same real part to the bit: the same two
-    products, negated alike.)
+    products, negated alike.)  The Gram diagonal ``G_uu = sum_r |h_ru|^2``
+    is real: its imaginary part is set to ``0.0`` rather than left to the
+    BLAS kernel's rounding, so every coupler between a real and an
+    imaginary spin weight of one user is exactly zero on every CPU.
     """
     jobs, _, num_users = channels.shape
     structure = (constellation if isinstance(constellation, MLIsingStructure)
@@ -95,6 +97,7 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
     hermitian = channels.conj().transpose(0, 2, 1)
     matched_filter = (hermitian @ received[:, :, None])[:, :, 0]  # H^H y
     gram = (hermitian @ channels).reshape(jobs, -1)               # H^H H
+    gram.imag[:, structure.gram_diagonal] = 0.0
 
     linear = -2.0 * (structure.conj_weights
                      * matched_filter.take(user_of, axis=1)).real
@@ -114,29 +117,11 @@ def build_ml_ising_pack(channels: np.ndarray, received: np.ndarray,
         for term in terms:
             total += term
         offsets.append(total)
-    offsets = np.array(offsets)
-
-    # Handed over as arrays: no per-job dict, and the problems of one
-    # sparsity pattern share one key tuple (structure identity for the
+    # Handed over as arrays: no per-job dict, and every problem of the
+    # structure shares its one key tuple (structure identity for the
     # layers below).
-    if np.count_nonzero(pair_values) == pair_values.size:
-        return [(np.arange(jobs), IsingPack(
-            user_of.size, structure.keys, linear, pair_values, offsets))]
-    nonzero = pair_values != 0.0
-    upper_i, upper_j = structure.upper
-    packs = []
-    remaining = np.arange(jobs)
-    while remaining.size:
-        kept = nonzero[remaining[0]]
-        same = (nonzero[remaining] == kept).all(axis=1)
-        rows = remaining[same]
-        packs.append((rows, IsingPack(
-            user_of.size,
-            tuple(zip(upper_i[kept].tolist(), upper_j[kept].tolist())),
-            linear[rows], np.compress(kept, pair_values[rows], axis=1),
-            offsets[rows])))
-        remaining = remaining[~same]
-    return packs
+    return IsingPack(user_of.size, structure.keys, linear, pair_values,
+                     np.array(offsets))
 
 
 def build_ml_ising(channel, received, constellation) -> IsingModel:
@@ -161,6 +146,5 @@ def build_ml_ising(channel, received, constellation) -> IsingModel:
     """
     channel = ensure_complex_matrix("channel", channel)
     received = ensure_complex_vector("received", received, length=channel.shape[0])
-    (_, pack), = build_ml_ising_pack(channel[None], received[None],
-                                     constellation)
-    return pack[0]
+    return build_ml_ising_pack(channel[None], received[None],
+                               constellation)[0]

@@ -177,9 +177,8 @@ class MLToIsingReducer:
                     ) -> List[ReducedProblem]:
         """Reduce channel uses to their logical Ising problems (Eqs. 6-8,
         13-14), in input order: one array pass per (constellation, channel
-        shape), whose problems of one coupling structure — all of them, bar
-        an exact-zero coupling — are the rows, in input order, of one
-        ``pack``: the unit
+        shape), whose problems are the rows, in input order, of one
+        ``pack`` over the all-pairs keys: the unit
         :meth:`~repro.annealer.machine.QuantumAnnealerSimulator.run_batch`
         takes as is.
         """
@@ -199,16 +198,16 @@ class MLToIsingReducer:
                     (other.keys for other in tuple(self._structures.values())
                      if other.keys == structure.keys), structure.keys)
                 self._structures[name, shape[1]] = structure
-            for rows, pack in build_ml_ising_pack(
-                    np.array([channel_uses[index].channel
-                              for index in members]),
-                    np.array([channel_uses[index].received
-                              for index in members]), structure):
-                for row, member in enumerate(rows.tolist()):
-                    channel_use = channel_uses[members[member]]
-                    reduced[members[member]] = ReducedProblem(
-                        pack, row, channel_use.constellation,
-                        channel_use.num_tx, channel_use)
+            pack = build_ml_ising_pack(
+                np.array([channel_uses[index].channel
+                          for index in members]),
+                np.array([channel_uses[index].received
+                          for index in members]), structure)
+            for row, index in enumerate(members):
+                channel_use = channel_uses[index]
+                reduced[index] = ReducedProblem(
+                    pack, row, channel_use.constellation, channel_use.num_tx,
+                    channel_use)
         return reduced
 
     def reduce(self, channel_use: ChannelUse) -> ReducedProblem:

@@ -2,9 +2,10 @@
 
 One builder for the cluster-kernel suites (equivalence, backend and golden
 tests), so the workload the golden digest pins is exactly the workload the
-randomized equivalence sweeps exercise; one ICE model that cancels a
-programmed coupling, for the machine and pack-pipeline suites; and one
-NaN-framed spin buffer for the C batch call, for the lane-layout canaries.
+randomized equivalence sweeps exercise; one ICE model that draws a
+programmed coupling onto exactly zero, for the machine and pack-pipeline
+suites; and one NaN-framed spin buffer for the C batch call, for the
+lane-layout canaries.
 """
 
 import numpy as np
@@ -37,11 +38,12 @@ def build_path_chain_problem(num_variables, chain_length, seed, density=0.08):
     return ising, clusters
 
 
-def cancelling_ice(machine, problems, parameters):
-    """An ICE model that cancels a programmed coupler of the last of
-    *problems*, and of no other, in every draw: coupling mean minus a value
-    only that problem programs, no coupling spread (the draws are still
-    made, from each problem's own generator)."""
+def zeroing_ice(machine, problems, parameters):
+    """An ICE model that draws a programmed coupler of the last of
+    *problems*, and of no other, onto exactly 0.0 in every draw: coupling
+    mean minus a value only that problem programs, no coupling spread (the
+    draws are still made, from each problem's own generator).  The zero is
+    a value like any other: the coupler stays programmed."""
     from repro.annealer.embedded import embed_ising
     from repro.annealer.ice import ICEModel
 

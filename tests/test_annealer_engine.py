@@ -10,6 +10,7 @@ from repro.annealer.engine import (
     IsingSampler,
     colour_classes,
 )
+from repro.annealer.ice import ICEModel
 from repro.exceptions import AnnealerError
 from repro.ising.model import IsingModel, IsingPack
 from repro.ising.solver import BruteForceIsingSolver, geometric_temperature_schedule
@@ -290,10 +291,12 @@ class TestRebindToAnyBlockCount:
             warm.anneal(self.TEMPERATURES, 3, [0, 1, 2, 3])
 
     @pytest.mark.usefixtures("artefact")
-    def test_a_programmed_zero_stays_packed(self, monkeypatch, on_numpy):
-        """Only ICE cancels a coupling: a pack rebound to a programmed
-        exact zero anneals packed in batches without *ice* on both paths —
-        no per-problem fallback, and the bits of the NumPy path."""
+    @pytest.mark.parametrize("ice", [None, ICEModel()])
+    def test_a_programmed_zero_stays_packed(self, on_numpy, ice):
+        """A coupling programmed to exactly zero is a value: a pack rebound
+        to one anneals packed in batches, with or without ICE (which draws
+        on the zero like on any coupler), with the bits of the NumPy
+        path."""
         warm = BlockDiagonalSampler(self.pack(3, seed=0),
                                     clusters=self.CLUSTERS)
         pack = warm.isings
@@ -301,16 +304,13 @@ class TestRebindToAnyBlockCount:
         values[1, 4] = 0.0
         warm.refresh_values(IsingPack(pack.num_variables, pack.keys,
                                       pack.linear, values, pack.offsets))
-        fallbacks = []
-        monkeypatch.setattr(BlockDiagonalSampler, "_per_problem",
-                            lambda *args: fallbacks.append(args))
 
         def anneal():
             rngs = [np.random.default_rng(60 + b) for b in range(3)]
-            return warm.anneal(self.TEMPERATURES, 7, rngs,
+            return warm.anneal(self.TEMPERATURES, 7, rngs, ice=ice,
                                ice_batch_size=3).tobytes()
 
         got = anneal()
         with on_numpy():
             expected = anneal()
-        assert fallbacks == [] and got == expected
+        assert got == expected

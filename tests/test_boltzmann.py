@@ -15,7 +15,8 @@ pack per discipline, both always swept as two block ranges
 (``every_block_splits``); one sequential cext block always swept as two
 lane halves (``every_block_splits`` again); and a 2-block cext pack
 annealed as four ICE batches without noise, each batch of each block
-restarting from its own fresh spins.  The negative control gives the test
+restarting from its own fresh spins; and one block of each problem with a
+coupler programmed to exactly 0.0, on both paths.  The negative control gives the test
 a known power: the same sampler run at ``2T`` — which is the broken
 acceptance rule ``u < exp(-delta / (2T))`` — must be rejected.  Seeds are
 fixed, so each cell's p-value is one fixed number; the false-alarm budget
@@ -179,6 +180,28 @@ class TestBoltzmannConformance:
                          TEMPERATURE, SEED)
         assert every_block_splits["splits"] > splits
         assert g_test(samples, boltzmann_law(ising, TEMPERATURE)) > FALSE_ALARM
+
+    @pytest.mark.usefixtures("artefact")
+    @pytest.mark.parametrize("problem,key", [("complete8", (0, 1)),
+                                             ("ring10", (0, 5))],
+                             ids=["complete8", "ring10"])
+    def test_a_programmed_zero_coupler_samples_the_law(self, problem, key):
+        """A coupler programmed to exactly 0.0 stays in the structure — it
+        is coloured, swept and, on ring10, a chain boundary like any other
+        — and the law is the problem's with that coupling at zero: four
+        noise-free ICE batches, which draw onto every programmed coupler."""
+        build, clusters = PROBLEMS[problem]
+        ising = build()
+        values = ising.coupling_values.copy()
+        values[ising.coupling_keys.index(key)] = 0.0
+        zeroed = IsingModel.from_arrays(ising.num_variables, ising.linear,
+                                        ising.coupling_keys, values)
+        sampler = BlockDiagonalSampler([zeroed], clusters=clusters)
+        assert sampler.isings.keys == ising.coupling_keys
+        samples = sampler.anneal(np.full(SWEEPS, TEMPERATURE), READS, [SEED],
+                                 ice=ICEModel.disabled(),
+                                 ice_batch_size=READS // 4)
+        assert g_test(samples, boltzmann_law(zeroed, TEMPERATURE)) > FALSE_ALARM
 
     @pytest.mark.parametrize("rng_mode", RNG_MODES)
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))

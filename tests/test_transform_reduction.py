@@ -8,7 +8,7 @@ from repro.exceptions import ReductionError
 from repro.ising.solver import BruteForceIsingSolver
 from repro.mimo.system import ChannelUse, MimoUplink
 from repro.modulation import QPSK
-from repro.transform.ising_coeffs import build_ml_ising
+from repro.transform.ising_coeffs import MLIsingStructure, build_ml_ising
 from repro.transform.reduction import MLToIsingReducer, ReducedProblem
 from repro.transform.symbols import get_transform
 
@@ -125,8 +125,10 @@ def oracle_build_ml_ising(channel, received, constellation):
     """The per-job evaluation of Eqs. 6-8 / 13-14 as it stood before the
     reduction became one stacked pass — kept here, verbatim but for the
     cached constants being computed in place, as the oracle (the
-    ``tests/test_pack_pipeline.py`` pattern).  Returns ``(linear, keys,
-    values, offset)`` with exact-zero couplings dropped."""
+    ``tests/test_pack_pipeline.py`` pattern), but for the Gram diagonal's
+    imaginary part, which is the formula's ``0.0``.  Returns ``(linear,
+    keys, values, offset)`` over every pair, exact-zero couplings
+    included."""
     transform = get_transform(constellation)
     num_users = channel.shape[1]
     weights = np.tile(np.asarray(transform.weights, dtype=np.complex128) / 2.0,
@@ -139,21 +141,21 @@ def oracle_build_ml_ising(channel, received, constellation):
 
     matched_filter = channel.conj().T @ received      # H^H y, length N_t
     gram = channel.conj().T @ channel                 # H^H H, N_t x N_t
+    gram[np.diag_indices(num_users)] = gram.real.diagonal()  # sum |h_ru|^2
 
     linear = -2.0 * (weights * np.conj(matched_filter[user_of])).real
 
     pair_matrix = 2.0 * ((conj_weights[:, None] * gram[gram_index])
                          * weights[None, :]).real
     pair_values = pair_matrix[upper_i, upper_j]
-    nonzero = pair_values != 0.0
 
     offset = float(np.real(np.vdot(received, received)))
     # Sequential accumulation keeps the historical summation order.
     for term in (weight_power * gram.real[user_of, user_of]).tolist():
         offset += term
 
-    keys = tuple(zip(upper_i[nonzero].tolist(), upper_j[nonzero].tolist()))
-    return linear, keys, pair_values[nonzero], offset
+    keys = tuple(zip(upper_i.tolist(), upper_j.tolist()))
+    return linear, keys, pair_values, offset
 
 
 def transmissions(constellation, num_users, count, seed, num_rx=None):
@@ -262,11 +264,15 @@ class TestReducePack:
         assert [problem.row for problem in reduced] == [0, 0, 0, 1, 1, 1]
         assert len({id(problem.pack) for problem in reduced}) == 3
 
-    def test_forced_exact_zero_coupling_splits_its_row_off(self):
-        """Users 0 and 1 of job 5 reach disjoint antennas, so their coupling
-        is an exact 0.0: that job has one key fewer and is its own
-        structure group; the other fifteen stay one pack, in order."""
-        uses = transmissions("BPSK", 4, 16, seed=56)
+    @pytest.mark.parametrize("constellation,num_users", [
+        ("BPSK", 4), ("QPSK", 3), ("16-QAM", 2),
+    ])
+    def test_a_forced_exact_zero_coupling_stays_a_key(self, constellation,
+                                                      num_users):
+        """Users 0 and 1 of job 5 reach disjoint antennas, so their
+        couplings are an exact 0.0: a value, not a missing key.  The stack
+        stays one pack over the all-pairs keys, its rows in input order."""
+        uses = transmissions(constellation, num_users, 16, seed=56)
         channel = uses[5].channel.copy()
         channel[:2, 0] = 0.0
         channel[2:, 1] = 0.0
@@ -274,9 +280,27 @@ class TestReducePack:
                              constellation=uses[5].constellation)
         reduced = MLToIsingReducer().reduce_pack(uses)
         packs = assert_rows_equal_oracle(uses, reduced)
-        assert len(packs) == 2
-        assert (0, 1) not in reduced[5].pack.keys
-        assert len(reduced[5].pack) == 1
-        assert len(reduced[5].pack.keys) == len(reduced[0].pack.keys) - 1
-        assert [problem.row for index, problem in enumerate(reduced)
-                if index != 5] == list(range(15))
+        (_, _, keys), = packs
+        pack = reduced[5].pack
+        assert keys == pack.keys == MLIsingStructure(constellation,
+                                                     num_users).keys
+        assert not pack.values[5, pack.keys.index((0, pack.num_variables
+                                                   // num_users))]
+        assert [problem.row for problem in reduced] == list(range(16))
+
+    def test_intra_user_real_imaginary_couplers_are_exact_zeros(self):
+        """The Gram diagonal is real by the formula, so every coupler
+        between a user's real and imaginary spin weight is exactly 0.0 —
+        QPSK's I/Q pair and four of 16-QAM's six intra-user pairs — whatever
+        the BLAS kernel rounds ``Im G_uu`` to."""
+        for constellation, num_users, zeros in (("QPSK", 3, 3),
+                                                ("16-QAM", 2, 2 * 4)):
+            uses = transmissions(constellation, num_users, 16, seed=57)
+            pack = MLToIsingReducer().reduce_pack(uses)[0].pack
+            structure = MLIsingStructure(constellation, num_users)
+            real = structure.conj_weights.imag == 0.0
+            intra = [index for index, (i, j) in enumerate(pack.keys)
+                     if structure.user_of[i] == structure.user_of[j]
+                     and real[i] != real[j]]
+            assert len(intra) == zeros
+            assert not pack.values[:, intra].any()
